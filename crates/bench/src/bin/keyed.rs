@@ -1,6 +1,6 @@
 //! Keyed window aggregation: shared-timeline keyed operator vs the naive
 //! map-of-operators baseline (beyond the paper — per-key state with
-//! shared slice metadata, key-grouped batches, and heap-gated
+//! shared slice metadata, key-grouped batches, and bucket-gated
 //! watermarks).
 //!
 //! Two phases:
@@ -14,11 +14,16 @@
 //! * **Watermark latency** — K drained idle keys plus a small active
 //!   set; measures the cost of one `on_watermark` call as K grows. The
 //!   naive baseline sweeps every key per watermark (O(K)); the shared
-//!   operator's trigger heap wakes only keys with due windows, so its
+//!   operator's due buckets wake only keys with due windows, so its
 //!   cost should stay flat (sublinear in idle keys).
 //!
 //! Writes `target/experiments/keyed.csv` and a machine-readable summary
-//! to `BENCH_keyed.json` at the repo root.
+//! to `BENCH_keyed.json` at the repo root. The shared operator's
+//! throughput cells of the file being replaced are carried over as
+//! `"previous"`, with the commit they were measured at, so a
+//! regeneration after a keyed-layout change records before and after
+//! side by side (run the parent commit's bin first for a same-host
+//! "before").
 //!
 //! Run: `cargo run --release -p gss-bench --bin keyed`
 
@@ -285,18 +290,64 @@ fn main() {
     );
 
     out.finish();
-    write_json(&tput_rows, &wm_rows);
+    let previous = previous_shared_cells();
+    write_json(&tput_rows, &wm_rows, previous.as_ref());
+}
+
+/// The string after `"<field>": ` on `line`, up to the next `,` or `}`,
+/// without quotes — enough to read back the rows this bin writes.
+fn json_field<'a>(line: &'a str, field: &str) -> Option<&'a str> {
+    let rest = &line[line.find(&format!("\"{field}\": "))? + field.len() + 4..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim().trim_matches('"'))
+}
+
+/// `(commit, [(keys, shared tuples/s)])` of the `BENCH_keyed.json` about
+/// to be overwritten, if there is one.
+fn previous_shared_cells() -> Option<(String, Vec<(u64, f64)>)> {
+    let old = std::fs::read_to_string("BENCH_keyed.json").ok()?;
+    let commit = old
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"commit\""))
+        .and_then(|l| json_field(l, "commit"))
+        .unwrap_or("unrecorded")
+        .to_string();
+    let cells: Vec<(u64, f64)> = old
+        .lines()
+        .filter(|l| json_field(l, "mode") == Some("shared"))
+        .filter_map(|l| {
+            Some((
+                json_field(l, "keys")?.parse().ok()?,
+                json_field(l, "tuples_per_sec")?.parse().ok()?,
+            ))
+        })
+        .collect();
+    (!cells.is_empty()).then_some((commit, cells))
 }
 
 /// Writes `BENCH_keyed.json` at the repo root via the shared
 /// [`BenchJson`] preamble (`workload` + `cores`).
-fn write_json(tput: &[TputRow], wm: &[WmRow]) {
+fn write_json(tput: &[TputRow], wm: &[WmRow], previous: Option<&(String, Vec<(u64, f64)>)>) {
     let mut j = BenchJson::create(
         "keyed",
         "sliding(1s, 250ms) sum, in-order keyed stream, watermarks every \
          1s lagging 500ms, batch 512; shared keyed operator vs naive map of per-key operators",
     );
     let f = j.file();
+    if let Some((commit, cells)) = previous {
+        writeln!(f, "  \"previous\": {{\"commit\": \"{commit}\", \"shared\": [").unwrap();
+        for (i, (keys, tps)) in cells.iter().enumerate() {
+            let comma = if i + 1 == cells.len() { "" } else { "," };
+            let now = tput.iter().find(|r| r.mode == "shared" && r.keys == *keys);
+            let ratio = now.map_or(0.0, |r| r.tuples_per_sec / tps.max(1e-9));
+            writeln!(
+                f,
+                "    {{\"keys\": {keys}, \"tuples_per_sec\": {tps:.0}, \"now_over_previous\": {ratio:.3}}}{comma}"
+            )
+            .unwrap();
+        }
+        writeln!(f, "  ]}},").unwrap();
+    }
     writeln!(f, "  \"throughput\": [").unwrap();
     for (i, r) in tput.iter().enumerate() {
         let comma = if i + 1 == tput.len() { "" } else { "," };

@@ -3,7 +3,7 @@
 //! The audit feature compiles dense structural checks into the hot
 //! paths — checks too expensive for `debug_assert!` because they walk
 //! whole structures (the timeline, the FlatFAT node array, the keyed
-//! trigger heap) rather than test one condition. The normal build pays
+//! slab and due buckets) rather than test one condition. The normal build pays
 //! nothing; `cargo test --workspace --features audit` runs the whole
 //! suite, including the property tests, with every invariant armed.
 //!
@@ -19,8 +19,10 @@
 //!   the eager FlatFAT index (when present) mirrors the slice count.
 //! * Keyed operator — after a watermark: no live key holds a due time
 //!   at or below the new watermark, and every live due time has a
-//!   matching trigger-heap entry (heap entries are lazy, so the
-//!   converse does not hold).
+//!   matching due-bucket entry (entries are lazy, so the converse does
+//!   not hold); the key map and the slab records agree on who lives in
+//!   which slot, every slot handed out is either live or on the free
+//!   list, and a free record holds no state.
 //! * Parallel merge — barrier acks agree on the watermark value
 //!   (FIFO-broadcast integrity; asserted in `gss-stream`).
 //!

@@ -47,6 +47,15 @@ pub fn idx32(n: u32) -> usize {
     n as usize
 }
 
+/// Narrows a dense index (slab slot, batch position, group id) to the
+/// `u32` handle it is stored as. Callers stay far below 2^32 entries;
+/// the debug build asserts it.
+#[inline]
+pub fn slot32(n: usize) -> u32 {
+    debug_assert!(u32::try_from(n).is_ok(), "index {n} overflows u32");
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,5 +71,7 @@ mod tests {
         assert_eq!(gidx(17, 10), 7);
         assert_eq!(gidx(-3, -8), 5);
         assert_eq!(idx32(u32::MAX), u32::MAX as usize);
+        assert_eq!(slot32(0), 0);
+        assert_eq!(slot32(70_000), 70_000);
     }
 }

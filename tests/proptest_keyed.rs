@@ -4,7 +4,9 @@
 //! independent per-key [`WindowOperator`]s, across window types
 //! (tumbling/sliding on the shared path, session on the fallback),
 //! stream order, batch size, watermark placement (including stale,
-//! repeated, and flush watermarks), and idle-key TTL eviction.
+//! repeated, and flush watermarks), and idle-key TTL eviction — including
+//! rolling key cohorts that recycle key state under disorder — and the
+//! three ingestion entries must agree on every key's output sequence.
 //!
 //! The reference replays the current watermark into each freshly created
 //! per-key operator — watermarks are broadcast, so a key first seen late
@@ -90,6 +92,13 @@ impl RefKeyed {
     }
 }
 
+/// Moves `out` into `emitted`, tagged with the watermark segment.
+fn record(emitted: &mut Emitted, out: &mut Vec<WindowResult<(u64, i64)>>, segment: usize) {
+    emitted.extend(out.drain(..).map(|r| {
+        (segment, r.value.0, r.query, r.range.start, r.range.end, r.value.1, r.is_update)
+    }));
+}
+
 /// Drives a keyed aggregator in chunks of `batch_size`, flushing the
 /// pending chunk before every watermark so watermark segments line up
 /// with the per-tuple reference.
@@ -121,18 +130,14 @@ fn drive_keyed(
             }
             StreamElement::Punctuation(_) => {}
         }
-        emitted.extend(out.drain(..).map(|r| {
-            (segment, r.value.0, r.query, r.range.start, r.range.end, r.value.1, r.is_update)
-        }));
+        record(&mut emitted, &mut out, segment);
         if matches!(e, StreamElement::Watermark(_)) {
             segment += 1;
         }
     }
     if !buf.is_empty() {
         agg.process_batch(&buf, &mut out);
-        emitted.extend(out.drain(..).map(|r| {
-            (segment, r.value.0, r.query, r.range.start, r.range.end, r.value.1, r.is_update)
-        }));
+        record(&mut emitted, &mut out, segment);
     }
     emitted
 }
@@ -311,5 +316,187 @@ proptest! {
         let got = sorted(drive_keyed(&mut naive, &elements, batch_size));
         prop_assert_eq!(&got, &want, "naive + ttl {} diverged", ttl);
         prop_assert_eq!(naive.live_keys(), 0);
+    }
+}
+
+/// Drives a keyed aggregator like [`drive_keyed`], but through
+/// `process_batch_columns`.
+fn drive_keyed_columns(
+    agg: &mut dyn WindowAggregator<PerKey<Sum>>,
+    elements: &KeyedElements,
+    batch_size: usize,
+) -> Emitted {
+    let mut emitted = Emitted::new();
+    let mut out = Vec::new();
+    let (mut times, mut values): (Vec<Time>, Vec<(u64, i64)>) = (Vec::new(), Vec::new());
+    let mut segment = 0usize;
+    for e in elements {
+        let flush = match e {
+            StreamElement::Record { ts, value } => {
+                times.push(*ts);
+                values.push(*value);
+                times.len() >= batch_size
+            }
+            _ => true,
+        };
+        if flush && !times.is_empty() {
+            agg.process_batch_columns(&times, &values, &mut out);
+            times.clear();
+            values.clear();
+        }
+        if let StreamElement::Watermark(wm) = e {
+            agg.on_watermark(*wm, &mut out);
+        }
+        record(&mut emitted, &mut out, segment);
+        if matches!(e, StreamElement::Watermark(_)) {
+            segment += 1;
+        }
+    }
+    emitted
+}
+
+/// Drives a keyed aggregator one `process` call per tuple.
+fn drive_keyed_per_tuple(
+    agg: &mut dyn WindowAggregator<PerKey<Sum>>,
+    elements: &KeyedElements,
+) -> Emitted {
+    let mut emitted = Emitted::new();
+    let mut out = Vec::new();
+    let mut segment = 0usize;
+    for e in elements {
+        match e {
+            StreamElement::Record { ts, value } => agg.process(*ts, *value, &mut out),
+            StreamElement::Watermark(wm) => agg.on_watermark(*wm, &mut out),
+            StreamElement::Punctuation(_) => {}
+        }
+        record(&mut emitted, &mut out, segment);
+        if matches!(e, StreamElement::Watermark(_)) {
+            segment += 1;
+        }
+    }
+    emitted
+}
+
+/// Every key's emissions in the order they were made. Batched ingestion
+/// groups a chunk by key, so the order *across* keys depends on the
+/// chunking; the order within a key must not.
+fn per_key(emitted: Emitted) -> BTreeMap<u64, Emitted> {
+    let mut by_key: BTreeMap<u64, Emitted> = BTreeMap::new();
+    for e in emitted {
+        by_key.entry(e.1).or_default().push(e);
+    }
+    by_key
+}
+
+/// A stream of rolling key cohorts: each cohort owns `cohort_keys` fresh
+/// key ids (ids never recur) and reports for `cohort_len` time units,
+/// tuples arrive up to `jitter` late, and watermarks trail the head by
+/// `lag`. Returns the elements and the idle TTL from which on eviction
+/// is invisible: no tuple of a key arrives after the key was evicted,
+/// because a key's last arrival is at head `<= cohort end + jitter`, its
+/// `t_last >= cohort start - jitter`, and eviction waits for
+/// `wm >= t_last + ttl`.
+fn rolling_cohorts(
+    raw: &[(u64, i64, i64)],
+    cohort_keys: u64,
+    cohort_len: i64,
+    jitter: i64,
+    wm_every: usize,
+    lag: Time,
+) -> (KeyedElements, Time) {
+    let tuples: Vec<(Time, u64, i64)> = raw
+        .iter()
+        .enumerate()
+        .map(|(i, &(pick, late, v))| {
+            let head = i as Time;
+            let cohort = (head / cohort_len) as u64;
+            (head - late % (jitter + 1), cohort * cohort_keys + pick % cohort_keys, v)
+        })
+        .collect();
+    (with_keyed_watermarks(&tuples, wm_every, lag), cohort_len + 2 * jitter + 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Recycling × disorder × spill: rolling cohorts of 50–500 keys whose
+    /// ids never recur, a TTL just long enough for eviction to be
+    /// invisible (so slots are handed from cohort to cohort all through
+    /// the run), out-of-order arrival inside the allowed lateness, and
+    /// sliding windows with slide < length, whose rings outgrow the
+    /// inline capacity and spill to the heap.
+    #[test]
+    fn keyed_rolling_cohorts_recycle_state_under_disorder(
+        raw in prop::collection::vec((0u64..10_000, 0i64..1_000, -50i64..50), 600..2_400),
+        cohort_keys in 50u64..500,
+        cohort_len in 100i64..400,
+        slide in 2i64..20,
+        panes in 2i64..6,
+        jitter in 0i64..60,
+        batch_size in 1usize..50,
+        wm_every in 5usize..60,
+    ) {
+        // Lateness covers the jitter plus the watermark's own lead over
+        // the slowest tuple, so nothing is dropped and rings stay wide.
+        let (lag, lateness) = (10, jitter + 10);
+        let (elements, ttl) =
+            rolling_cohorts(&raw, cohort_keys, cohort_len, jitter, wm_every, lag);
+        let windows = || -> Vec<Box<dyn WindowFunction>> {
+            vec![
+                Box::new(SlidingWindow::new(slide * panes, slide)),
+                Box::new(TumblingWindow::new(slide * 3)),
+            ]
+        };
+        let want = sorted(RefKeyed::new(windows(), lateness).run(&elements));
+
+        let cfg = KeyedConfig::default().with_allowed_lateness(lateness).with_idle_ttl(ttl);
+        let mut shared = KeyedWindowOperator::new(Sum, windows(), cfg);
+        prop_assert!(shared.is_shared());
+        let got = sorted(drive_keyed(&mut shared, &elements, batch_size));
+        prop_assert_eq!(&got, &want, "shared diverged (batch {}, ttl {})", batch_size, ttl);
+        let stats = shared.stats();
+        prop_assert_eq!(stats.dropped_late, 0);
+        prop_assert_eq!(shared.live_keys(), 0, "flush watermark must evict all idle keys");
+        prop_assert_eq!(stats.keys_evicted, stats.keys_created);
+
+        let mut naive = NaiveKeyedOperator::new(Sum, windows(), cfg);
+        let got = sorted(drive_keyed(&mut naive, &elements, batch_size));
+        prop_assert_eq!(&got, &want, "naive diverged (batch {}, ttl {})", batch_size, ttl);
+    }
+
+    /// `process`, `process_batch` and `process_batch_columns` are three
+    /// doors into one ingest loop: every key's output sequence — order,
+    /// values and update flags — is the same through each, on the shared
+    /// path and on the fallback.
+    #[test]
+    fn keyed_entries_agree_on_per_key_sequences(
+        raw in prop::collection::vec((0i64..2_000, 0u64..12, -50i64..50), 1..300),
+        length in 2i64..50,
+        slide in 1i64..30,
+        lateness_i in 0usize..3,
+        ttl_i in 0usize..3,
+        batch_size in 2usize..70,
+        wm_every in 1usize..30,
+        session in 0usize..4,
+    ) {
+        let lateness = [0i64, 50, 500][lateness_i];
+        let elements = with_keyed_watermarks(&raw, wm_every, 20);
+        let windows = || -> Vec<Box<dyn WindowFunction>> {
+            if session == 0 {
+                vec![Box::new(SessionWindow::new(length))]
+            } else {
+                time_windows(length, slide)
+            }
+        };
+        let mut cfg = KeyedConfig::default().with_allowed_lateness(lateness);
+        if let Some(ttl) = [None, Some(40), Some(600)][ttl_i] {
+            cfg = cfg.with_idle_ttl(ttl);
+        }
+        let make = || KeyedWindowOperator::new(Sum, windows(), cfg);
+        let per_tuple = per_key(drive_keyed_per_tuple(&mut make(), &elements));
+        let pairs = per_key(drive_keyed(&mut make(), &elements, batch_size));
+        let columns = per_key(drive_keyed_columns(&mut make(), &elements, batch_size));
+        prop_assert_eq!(&pairs, &per_tuple, "process_batch diverged (batch {})", batch_size);
+        prop_assert_eq!(&columns, &per_tuple, "process_batch_columns diverged (batch {})", batch_size);
     }
 }
