@@ -442,7 +442,7 @@ impl Output {
         for r in &self.rows {
             writeln!(f, "{}", r.join(",")).unwrap();
         }
-        eprintln!("wrote {}", self.path.display());
+        eprintln!("wrote {} ({} | commit {})", self.path.display(), rustc_version(), git_commit());
     }
 }
 

@@ -168,6 +168,14 @@ pub struct KeyedStats {
     pub fold_kernel_hits: u64,
     /// Per-key runs folded through the default lift/combine loop.
     pub fold_kernel_misses: u64,
+    /// Per-key operator sweeps, their windows, and the windows the
+    /// store's shared scan answered (see [`OperatorStats`]). Fallback
+    /// mode only: the shared timeline has its own sweep.
+    ///
+    /// [`OperatorStats`]: crate::operator::OperatorStats
+    pub sweeps: u64,
+    pub sweep_windows: u64,
+    pub shared_scan_windows: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -1202,6 +1210,9 @@ fn add_operator_stats<A: AggregateFunction>(total: &mut KeyedStats, op: &WindowO
     total.dropped_late += s.dropped_late;
     total.windows_emitted += s.windows_emitted;
     total.updates_emitted += s.updates_emitted;
+    total.sweeps += s.sweeps;
+    total.sweep_windows += s.sweep_windows;
+    total.shared_scan_windows += s.shared_scan_windows;
 }
 
 /// One full [`WindowOperator`] per key — the straightforward lifting of

@@ -15,7 +15,7 @@ use crate::characteristics::WorkloadCharacteristics;
 use crate::function::AggregateFunction;
 use crate::mem::HeapSize;
 use crate::result::WindowResult;
-use crate::store::{SliceStore, StorePolicy};
+use crate::store::{SliceStore, StorePolicy, MIN_BATCH_WINDOWS};
 use crate::time::{Count, Measure, Range, StreamOrder, Time, TIME_MAX, TIME_MIN};
 use crate::window::{ContextEdges, Query, QueryId, WindowFunction};
 
@@ -116,6 +116,14 @@ pub struct OperatorStats {
     pub shifts: u64,
     pub windows_emitted: u64,
     pub updates_emitted: u64,
+    /// Store calls that answered the time-measure windows of a trigger or
+    /// late-update sweep (sweeps with no such window due are not counted).
+    pub sweeps: u64,
+    /// Time-measure windows those calls asked about, empty ones included.
+    pub sweep_windows: u64,
+    /// Of `sweep_windows`, those answered by the store's shared scan
+    /// rather than one range query each.
+    pub shared_scan_windows: u64,
     /// Bulk runs folded through a hand-written
     /// [`AggregateFunction::fold_slice`] kernel.
     pub fold_kernel_hits: u64,
@@ -280,6 +288,93 @@ impl<V: Clone> BatchView<V> for ColumnsView<'_, V> {
     }
 }
 
+/// The time-measure windows one sweep has collected, in emission order.
+/// Sweeps too small for [`SliceStore::query_time_batch`] to consider —
+/// almost all of them: a tumbling query fires one window at a time —
+/// stay in the inline array, so collecting first costs them no
+/// allocation; the heap list of a large sweep is freed with the sweep
+/// (scratch kept between sweeps would be operator state).
+struct SweepList {
+    inline: [(QueryId, Range); MIN_BATCH_WINDOWS - 1],
+    len: usize,
+    spill: Vec<(QueryId, Range)>,
+}
+
+impl SweepList {
+    fn new() -> Self {
+        let none = (0, Range { start: 0, end: 0 });
+        SweepList { inline: [none; MIN_BATCH_WINDOWS - 1], len: 0, spill: Vec::new() }
+    }
+
+    fn push(&mut self, id: QueryId, range: Range) {
+        if self.len < self.inline.len() {
+            self.inline[self.len] = (id, range);
+        } else {
+            if self.len == self.inline.len() {
+                self.spill.reserve(8 * self.inline.len());
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push((id, range));
+        }
+        self.len += 1;
+    }
+
+    fn windows(&self) -> &[(QueryId, Range)] {
+        if self.len <= self.inline.len() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    /// Answers the collected windows from `store`, pushes one result per
+    /// non-empty window onto `out` in collection order, and empties the
+    /// list. The one place a sweep queries time windows: the store
+    /// chooses between the shared scan and per-window queries.
+    fn answer<A: AggregateFunction>(
+        &mut self,
+        store: &SliceStore<A>,
+        per_window_only: bool,
+        update: bool,
+        stats: &mut OperatorStats,
+        out: &mut Vec<WindowResult<A::Output>>,
+    ) {
+        let windows = self.windows();
+        if windows.is_empty() {
+            return;
+        }
+        let f = store.function();
+        let emitted = out.len();
+        let emit = |&id: &QueryId, range: Range, p: A::Partial| {
+            let value = f.lower(&p);
+            out.push(WindowResult {
+                query: id,
+                measure: Measure::Time,
+                range,
+                value,
+                is_update: update,
+            });
+        };
+        let scanned = if per_window_only {
+            store.query_time_each(windows, emit);
+            0
+        } else {
+            store.query_time_batch(windows, emit)
+        };
+        let emitted = cast::to_u64(out.len() - emitted);
+        if update {
+            stats.updates_emitted += emitted;
+        } else {
+            stats.windows_emitted += emitted;
+        }
+        stats.sweeps += 1;
+        stats.sweep_windows += cast::to_u64(windows.len());
+        stats.shared_scan_windows += cast::to_u64(scanned);
+        self.len = 0;
+        self.spill.clear();
+    }
+}
+
 /// The general stream slicing operator.
 pub struct WindowOperator<A: AggregateFunction> {
     f: A,
@@ -316,6 +411,10 @@ pub struct WindowOperator<A: AggregateFunction> {
     sweep_always: bool,
     /// At least one trigger sweep has run (the first tuple always sweeps).
     swept_once: bool,
+    /// Test switch ([`crate::testsupport::force_per_window_queries`]):
+    /// sweeps never use the store's shared scan, so tests can hold the
+    /// two paths against each other.
+    pub(crate) per_window_only: bool,
     stats: OperatorStats,
     /// Late tuples deferred within one `process_batch_tuples` call; sorted
     /// and applied slice-grouped by `flush_late_runs`. Only used when
@@ -381,6 +480,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             next_trigger_count: None,
             sweep_always: false,
             swept_once: false,
+            per_window_only: false,
             stats: OperatorStats::default(),
             late_buf: Vec::new(),
             late_groups: Vec::new(),
@@ -718,18 +818,17 @@ impl<A: AggregateFunction> WindowOperator<A> {
             self.last_trigger_time
         };
         let count_prev = self.last_trigger_count;
+        let mut sweep = SweepList::new();
         for q in &mut self.queries {
             let id = q.id;
             match q.window.measure() {
                 Measure::Time => {
-                    q.window.trigger_windows(time_prev, wm, &mut |range| {
-                        if let Some(p) = store.query_time(range) {
-                            stats.windows_emitted += 1;
-                            out.push(WindowResult::new(id, Measure::Time, range, f.lower(&p)));
-                        }
-                    });
+                    q.window.trigger_windows(time_prev, wm, &mut |range| sweep.push(id, range));
                 }
                 Measure::Count => {
+                    // Results keep query order: the time windows of the
+                    // queries before this one go out first.
+                    sweep.answer(store, self.per_window_only, false, stats, out);
                     q.window.trigger_windows(count_prev as Time, count_wm as Time, &mut |range| {
                         if let Some(p) = store.query_count(range.start as Count, range.end as Count)
                         {
@@ -740,6 +839,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
                 }
             }
         }
+        sweep.answer(store, self.per_window_only, false, stats, out);
         self.last_trigger_time = self.last_trigger_time.max(wm);
         self.last_trigger_count = self.last_trigger_count.max(count_wm);
         self.swept_once = true;
@@ -756,25 +856,20 @@ impl<A: AggregateFunction> WindowOperator<A> {
         let stats = &mut self.stats;
         let wm = self.watermark;
         let count_wm = if self.chars.has_count_measure { store.count_at_or_before(wm) } else { 0 };
+        // Every collected window contains `ts`: one pivot group.
+        let mut sweep = SweepList::new();
         for q in &mut self.queries {
             let id = q.id;
             match q.window.measure() {
                 Measure::Time => {
                     q.window.windows_containing(ts, &mut |range| {
                         if range.end <= wm {
-                            if let Some(p) = store.query_time(range) {
-                                stats.updates_emitted += 1;
-                                out.push(WindowResult::update(
-                                    id,
-                                    Measure::Time,
-                                    range,
-                                    f.lower(&p),
-                                ));
-                            }
+                            sweep.push(id, range);
                         }
                     });
                 }
                 Measure::Count => {
+                    sweep.answer(store, self.per_window_only, true, stats, out);
                     // The count shift affects every already-final window at
                     // or after the insert position, not just the one
                     // containing it.
@@ -789,6 +884,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
                 }
             }
         }
+        sweep.answer(store, self.per_window_only, true, stats, out);
     }
 
     /// Evicts slices no longer reachable by any window or late update. A
@@ -1872,6 +1968,7 @@ impl<A: AggregateFunction> Clone for WindowOperator<A> {
             next_trigger_count: self.next_trigger_count,
             sweep_always: self.sweep_always,
             swept_once: self.swept_once,
+            per_window_only: self.per_window_only,
             stats: self.stats,
             late_buf: self.late_buf.clone(),
             late_groups: self.late_groups.clone(),

@@ -17,12 +17,13 @@
 
 use std::collections::VecDeque;
 
+use crate::cast;
 use crate::fiba::FingerTree;
 use crate::flatfat::FlatFat;
-use crate::function::AggregateFunction;
+use crate::function::{AggregateFunction, FunctionKind};
 use crate::mem::HeapSize;
 use crate::slice::Slice;
-use crate::time::{Range, Time};
+use crate::time::{Range, Time, TIME_MAX, TIME_MIN};
 
 /// Lazy vs. eager final aggregation (paper Section 3.4), plus the
 /// disorder-tuned eager variant.
@@ -608,19 +609,22 @@ impl<A: AggregateFunction> SliceStore<A> {
         if l >= r {
             return None;
         }
-        // Overlap implies containment *of tuples*: the slicing invariant
-        // guarantees every window edge is a slice edge, but the open
-        // (latest) slice and session slices may nominally extend past the
-        // window end while holding no tuples there.
         debug_assert!(
-            self.slices
-                .iter()
-                .skip(l)
-                .take(r - l)
-                .all(|s| s.is_empty() || (s.t_first() >= range.start && s.t_last() < range.end)),
+            self.aligned(range, l, r),
             "window {range} does not align with slice contents"
         );
         self.query_slice_range(l, r)
+    }
+
+    /// Whether slices `[l, r)` hold tuples of `range` only. Overlap
+    /// implies containment *of tuples*: the slicing invariant guarantees
+    /// every window edge is a slice edge, but the open (latest) slice and
+    /// session slices may nominally extend past the window end while
+    /// holding no tuples there. Walks the slices: debug builds only.
+    fn aligned(&self, range: Range, l: usize, r: usize) -> bool {
+        self.slices
+            .range(l..r)
+            .all(|s| s.is_empty() || (s.t_first() >= range.start && s.t_last() < range.end))
     }
 
     /// Combines the partials of slices `[l, r)` (indices), in order.
@@ -647,6 +651,216 @@ impl<A: AggregateFunction> SliceStore<A> {
             acc = self.f.combine_opt(acc, s.aggregate());
         }
         acc
+    }
+
+    /// The per-window path: one [`query_time`](SliceStore::query_time)
+    /// per window, in order; `emit` sees every window with an answer.
+    pub fn query_time_each<T>(
+        &self,
+        windows: &[(T, Range)],
+        mut emit: impl FnMut(&T, Range, A::Partial),
+    ) {
+        for (tag, range) in windows {
+            if let Some(p) = self.query_time(*range) {
+                emit(tag, *range, p);
+            }
+        }
+    }
+
+    /// Answers the windows of one trigger sweep together: same answers,
+    /// same `emit` order as [`query_time_each`], and the number of
+    /// windows the shared scan answered is returned (0 or all of them).
+    ///
+    /// The windows of a sweep overlap almost entirely, so
+    /// [`shared_scan`] answers them with one combine each after one pass
+    /// over the slices. Whether that pass pays is decided here, from
+    /// counts the sweep itself provides:
+    ///
+    /// 1. Fewer than [`MIN_BATCH_WINDOWS`] windows, or holistic partials
+    ///    (every scan entry would clone an unbounded partial): per window.
+    /// 2. Otherwise every window's edges are resolved to slice indices
+    ///    (dense edge columns or per-window binary search, whichever
+    ///    is fewer probes). The scan then costs the slices under the
+    ///    sweep, the prefix entries and one combine per window;
+    ///    answering each resolved window on its own costs what
+    ///    [`query_slice_range`] spends on it — its length, or
+    ///    `O(log d)` through an index. The cheaper side answers: the
+    ///    scan for sliding sweeps, per-window queries for a tumbling
+    ///    catch-up (nothing shared) and for a few windows over
+    ///    thousands of indexed slices.
+    ///
+    /// [`query_time_each`]: SliceStore::query_time_each
+    /// [`shared_scan`]: SliceStore::shared_scan
+    /// [`query_slice_range`]: SliceStore::query_slice_range
+    pub fn query_time_batch<T>(
+        &self,
+        windows: &[(T, Range)],
+        mut emit: impl FnMut(&T, Range, A::Partial),
+    ) -> usize {
+        let holistic = self.f.properties().kind == FunctionKind::Holistic;
+        if windows.len() < MIN_BATCH_WINDOWS || holistic {
+            self.query_time_each(windows, emit);
+            return 0;
+        }
+        let (base, top) = self.hull(windows);
+        if base >= top {
+            return 0; // no slice under any window
+        }
+        let bounds = self.resolve(windows, base, top);
+        let each_cost: usize =
+            bounds.iter().map(|&(l, r)| self.range_cost(r.saturating_sub(l))).sum();
+        // Whatever the grouping, the scan visits every slice under the
+        // sweep and combines once per window; only when that much can
+        // win are the windows stabbed to learn the prefix lengths.
+        let scan_floor = (top - base) + windows.len();
+        let plan = (scan_floor <= each_cost)
+            .then(|| SweepPlan::stab(&bounds, base, top - base))
+            .filter(|plan| scan_floor + plan.prefix_len <= each_cost);
+        let Some(plan) = plan else {
+            for ((tag, range), &(l, r)) in windows.iter().zip(&bounds) {
+                if l < r {
+                    let (l, r) = (base + cast::idx32(l), base + cast::idx32(r));
+                    debug_assert!(self.aligned(*range, l, r), "window {range} off its slices");
+                    if let Some(p) = self.query_slice_range(l, r) {
+                        emit(tag, *range, p);
+                    }
+                }
+            }
+            return 0;
+        };
+        self.emit_scanned(windows, &bounds, &plan, &mut emit);
+        windows.len()
+    }
+
+    /// The shared scan itself, unconditionally: every window is answered
+    /// from one suffix scan leftwards and one prefix scan rightwards per
+    /// pivot group, with at most one combine. `suffix[i] = aggᵢ ⊕
+    /// suffix[i+1]` and `prefix[j] = prefix[j-1] ⊕ aggⱼ` keep slice
+    /// order, so only associativity of ⊕ is used and non-commutative
+    /// functions get the per-window answer. Reads slice partials only,
+    /// never the index, so the cost is the same under every
+    /// [`StorePolicy`]. [`query_time_batch`](SliceStore::query_time_batch)
+    /// decides when this is the cheaper way.
+    pub fn shared_scan<T>(
+        &self,
+        windows: &[(T, Range)],
+        mut emit: impl FnMut(&T, Range, A::Partial),
+    ) {
+        let (base, top) = self.hull(windows);
+        if base < top {
+            let bounds = self.resolve(windows, base, top);
+            let plan = SweepPlan::stab(&bounds, base, top - base);
+            self.emit_scanned(windows, &bounds, &plan, &mut emit);
+        }
+    }
+
+    /// Slice index range `[base, top)` under the union of `windows`.
+    fn hull<T>(&self, windows: &[(T, Range)]) -> (usize, usize) {
+        let lo = windows.iter().map(|(_, w)| w.start).min().unwrap_or(TIME_MAX);
+        let hi = windows.iter().map(|(_, w)| w.end).max().unwrap_or(TIME_MIN);
+        let base = self.slices.partition_point(|s| s.end() <= lo);
+        let top = self.slices.partition_point(|s| s.start() < hi);
+        (base, top)
+    }
+
+    /// Combines [`query_slice_range`](SliceStore::query_slice_range)
+    /// spends on a range of `n` slices.
+    fn range_cost(&self, n: u32) -> usize {
+        let n = cast::idx32(n);
+        if n <= INDEX_SCAN_CUTOFF || matches!(self.index, AggIndex::None) {
+            n
+        } else {
+            2 * cast::idx32(self.slices.len().ilog2())
+        }
+    }
+
+    /// Resolves every window's edges to the slices `[l, r)` it covers,
+    /// relative to `base`; a window with `l >= r` covers none. The
+    /// predicates are [`query_time`](SliceStore::query_time)'s own.
+    ///
+    /// A dense sweep looks its edges up in two dense columns (slice
+    /// starts, slice ends) copied once from the ~136-byte slice records,
+    /// galloping from the previous window's position: consecutive
+    /// windows of a sweep sit a slide apart. When the slices under the
+    /// sweep outnumber the probes that saves (few windows, far apart or
+    /// very long), each window binary-searches the records as
+    /// `query_time` does.
+    fn resolve<T>(&self, windows: &[(T, Range)], base: usize, top: usize) -> Vec<(u32, u32)> {
+        let span = top - base;
+        let relative = |i: usize| cast::slot32(i.saturating_sub(base));
+        // `top > base`, so the store is non-empty.
+        let probes = 2 * (cast::idx32(self.slices.len().ilog2()) + 1);
+        if span > windows.len() * probes {
+            return windows
+                .iter()
+                .map(|(_, w)| {
+                    let l = self.slices.partition_point(|s| s.end() <= w.start);
+                    let r = self.slices.partition_point(|s| s.start() < w.end);
+                    (relative(l), relative(r))
+                })
+                .collect();
+        }
+        let mut starts = Vec::with_capacity(span);
+        let mut ends = Vec::with_capacity(span);
+        for s in self.slices.range(base..top) {
+            starts.push(s.start());
+            ends.push(s.end());
+        }
+        let (mut l, mut r) = (0, 0);
+        windows
+            .iter()
+            .map(|(_, w)| {
+                l = gallop(&ends, l, |end| end <= w.start);
+                r = gallop(&starts, r, |start| start < w.end);
+                (cast::slot32(l), cast::slot32(r))
+            })
+            .collect()
+    }
+
+    /// Builds the scan columns of a planned sweep and emits its windows
+    /// in order.
+    fn emit_scanned<T>(
+        &self,
+        windows: &[(T, Range)],
+        bounds: &[(u32, u32)],
+        plan: &SweepPlan,
+        emit: &mut impl FnMut(&T, Range, A::Partial),
+    ) {
+        let slice = |x: usize| &self.slices[plan.base + x];
+        let scan = SharedScan::build(
+            plan,
+            |x| slice(x).aggregate().cloned(),
+            |a: A::Partial, b: &A::Partial| self.f.combine(a, b),
+        );
+        // `query_time`'s alignment check, once per sweep instead of once
+        // per slice per window: the same scan over each slice's tuple
+        // extent gives every window the extent of the tuples it covers.
+        let extents = cfg!(debug_assertions).then(|| {
+            let extent =
+                |x| (!slice(x).is_empty()).then(|| (slice(x).t_first(), slice(x).t_last()));
+            SharedScan::build(plan, extent, |a: (Time, Time), b: &(Time, Time)| {
+                (a.0.min(b.0), a.1.max(b.1))
+            })
+        });
+        for (i, ((tag, range), &(l, r))) in windows.iter().zip(bounds).enumerate() {
+            if l >= r {
+                continue;
+            }
+            if cfg!(feature = "audit") && i % 16 == 0 {
+                let (l, r) = (plan.base + cast::idx32(l), plan.base + cast::idx32(r));
+                assert_eq!(l, self.slices.partition_point(|s| s.end() <= range.start));
+                assert_eq!(r, self.slices.partition_point(|s| s.start() < range.end));
+            }
+            if let Some((first, last)) = extents.as_ref().and_then(|e| e.answer(plan, l, r)) {
+                debug_assert!(
+                    first >= range.start && last < range.end,
+                    "window {range} does not align with slice contents"
+                );
+            }
+            if let Some(p) = scan.answer(plan, l, r) {
+                emit(tag, *range, p);
+            }
+        }
     }
 
     /// Combines the partials of slices covering the absolute count range
@@ -805,6 +1019,175 @@ impl<A: AggregateFunction> HeapSize for SliceStore<A> {
                 AggIndex::Finger(t) => t.total_bytes(),
             }
     }
+}
+
+/// Sweeps with fewer windows than this are answered per window without
+/// looking at anything else: below it the scan's fixed costs (two edge
+/// columns, the plan, the scan columns) are not recovered even when
+/// every window shares one pivot.
+pub const MIN_BATCH_WINDOWS: usize = 9;
+
+/// One pivot group of a planned sweep: windows that all contain slice
+/// boundary `pivot`. Positions are boundaries relative to the plan's
+/// `base` (boundary `x` sits before slice `x`).
+struct ScanGroup {
+    pivot: u32,
+    /// Largest right edge in the group; the prefix scan covers slices
+    /// `[pivot, reach)`.
+    reach: u32,
+    /// Where the group's entries start in the shared prefix column.
+    prefix_at: u32,
+}
+
+/// The resolved windows of one sweep, stabbed into pivot groups.
+struct SweepPlan {
+    /// Store index of the first slice under the sweep.
+    base: usize,
+    /// Per boundary `0..=span`, the group whose pivot is the first at or
+    /// after it — the group of every window starting there.
+    group_of: Vec<u32>,
+    groups: Vec<ScanGroup>,
+    /// Entries in the prefix column (Σ `reach - pivot`).
+    prefix_len: usize,
+}
+
+impl SweepPlan {
+    /// Stabs the resolved windows `bounds` (over `span` slices from
+    /// store index `base`) greedily: the smallest right edge among the
+    /// windows not yet stabbed becomes a pivot, and every window starting
+    /// at or before it joins its group — the minimum number of stabbing
+    /// points. No sort is needed: `first[x]`, the smallest right edge
+    /// among windows starting at or after boundary `x`, is a
+    /// suffix-minimum over the boundaries, and the pivots are `first[0]`,
+    /// `first[p₁ + 1]`, `first[p₂ + 1]`, …
+    fn stab(bounds: &[(u32, u32)], base: usize, span: usize) -> Self {
+        let covered = || bounds.iter().filter(|(l, r)| l < r);
+        let mut first = vec![u32::MAX; span + 1];
+        for &(l, r) in covered() {
+            let slot = &mut first[cast::idx32(l)];
+            *slot = (*slot).min(r);
+        }
+        for x in (0..span).rev() {
+            first[x] = first[x].min(first[x + 1]);
+        }
+        let mut groups = Vec::new();
+        let mut pivot = first[0];
+        while pivot != u32::MAX {
+            groups.push(ScanGroup { pivot, reach: pivot, prefix_at: 0 });
+            pivot = first.get(cast::idx32(pivot) + 1).copied().unwrap_or(u32::MAX);
+        }
+        // `first` has served; the column becomes boundary -> group.
+        let mut group_of = first;
+        let mut g = 0;
+        for (x, slot) in group_of.iter_mut().enumerate() {
+            while g < groups.len() && cast::idx32(groups[g].pivot) < x {
+                g += 1;
+            }
+            *slot = cast::slot32(g);
+        }
+        for &(l, r) in covered() {
+            let group = &mut groups[cast::idx32(group_of[cast::idx32(l)])];
+            group.reach = group.reach.max(r);
+        }
+        let mut prefix_len = 0;
+        for group in &mut groups {
+            group.prefix_at = prefix_len;
+            prefix_len += group.reach - group.pivot;
+        }
+        SweepPlan { base, group_of, groups, prefix_len: cast::idx32(prefix_len) }
+    }
+}
+
+/// The scan columns of a planned sweep over per-slice values `M`:
+/// `suffix[x]` folds slices `[x, pivot)` for the first pivot after `x`
+/// (groups' suffixes never overlap, so they share one column), and a
+/// group's prefix entry `k` folds slices `[pivot, pivot + k]`. `None` is
+/// the fold of no values, as everywhere in the store.
+struct SharedScan<M, C> {
+    suffix: Vec<Option<M>>,
+    prefix: Vec<Option<M>>,
+    combine: C,
+}
+
+impl<M: Clone, C: Fn(M, &M) -> M> SharedScan<M, C> {
+    fn build(plan: &SweepPlan, leaf: impl Fn(usize) -> Option<M>, combine: C) -> Self {
+        let merge = |a: Option<M>, b: Option<&M>| merge_opt(a, b, &combine);
+        let scanned = plan.groups.last().map_or(0, |g| cast::idx32(g.pivot));
+        let mut suffix: Vec<Option<M>> = vec![None; scanned];
+        let mut prefix = Vec::with_capacity(plan.prefix_len);
+        let mut lo = 0;
+        for g in &plan.groups {
+            let pivot = cast::idx32(g.pivot);
+            let mut acc = None;
+            for x in (lo..pivot).rev() {
+                acc = merge(leaf(x), acc.as_ref());
+                suffix[x] = acc.clone();
+            }
+            lo = pivot;
+            acc = None;
+            for x in pivot..cast::idx32(g.reach) {
+                acc = merge(acc, leaf(x).as_ref());
+                prefix.push(acc.clone());
+            }
+        }
+        SharedScan { suffix, prefix, combine }
+    }
+
+    /// The fold of slices `[l, r)` of a window the plan resolved
+    /// (`l < r`).
+    fn answer(&self, plan: &SweepPlan, l: u32, r: u32) -> Option<M> {
+        let g = &plan.groups[cast::idx32(plan.group_of[cast::idx32(l)])];
+        let left = if l < g.pivot { self.suffix[cast::idx32(l)].clone() } else { None };
+        let right = if r > g.pivot {
+            self.prefix[cast::idx32(g.prefix_at + r - g.pivot - 1)].as_ref()
+        } else {
+            None
+        };
+        merge_opt(left, right, &self.combine)
+    }
+}
+
+/// `a ⊕ b` over optional values, `None` neutral (`a` before `b`).
+fn merge_opt<M: Clone>(a: Option<M>, b: Option<&M>, combine: impl Fn(M, &M) -> M) -> Option<M> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(combine(a, b)),
+        (Some(a), None) => Some(a),
+        (None, b) => b.cloned(),
+    }
+}
+
+/// `col.partition_point(below)` for a sorted column, found by galloping
+/// outwards from `hint`: `O(log distance)` instead of `O(log n)`.
+fn gallop(col: &[Time], hint: usize, below: impl Fn(Time) -> bool) -> usize {
+    let n = col.len();
+    let hint = hint.min(n);
+    let (mut lo, mut hi) = (0, n);
+    let mut step = 1;
+    if hint < n && below(col[hint]) {
+        // The point lies in (hint, n].
+        lo = hint + 1;
+        while hint + step < n {
+            if below(col[hint + step]) {
+                lo = hint + step + 1;
+                step *= 2;
+            } else {
+                hi = hint + step;
+                break;
+            }
+        }
+    } else {
+        // The point lies in [0, hint].
+        hi = hint;
+        while step <= hint {
+            if below(col[hint - step]) {
+                lo = hint - step + 1;
+                break;
+            }
+            hi = hint - step;
+            step *= 2;
+        }
+    }
+    lo + col[lo..hi].partition_point(|&t| below(t))
 }
 
 #[cfg(test)]
@@ -1222,6 +1605,196 @@ mod tests {
                 "range [{a}, {b})"
             );
         }
+    }
+
+    /// Per-window answers for `windows`, `None`s included.
+    fn each<A: AggregateFunction>(
+        st: &SliceStore<A>,
+        windows: &[((), Range)],
+    ) -> Vec<Option<A::Partial>> {
+        windows.iter().map(|(_, w)| st.query_time(*w)).collect()
+    }
+
+    /// What `run` (a batch entry point) emitted for `windows`, expanded
+    /// back to one entry per window; also checks the emit order.
+    fn emitted<A: AggregateFunction>(
+        windows: &[((), Range)],
+        run: impl FnOnce(&mut dyn FnMut(&(), Range, A::Partial)),
+    ) -> Vec<Option<A::Partial>> {
+        let mut got: Vec<Option<A::Partial>> = vec![None; windows.len()];
+        let mut next = 0;
+        run(&mut |_, range, p| {
+            // Emission follows the window order and skips unanswered ones.
+            next += windows[next..].iter().position(|(_, w)| *w == range).expect("in order");
+            got[next] = Some(p);
+            next += 1;
+        });
+        got
+    }
+
+    /// Every `[a, b)` over `edges`, in an order that is neither sorted
+    /// by start nor by end (sweeps list windows query by query).
+    fn all_pairs(edges: &[Time]) -> Vec<((), Range)> {
+        let mut windows = Vec::new();
+        for len in (1..edges.len()).rev() {
+            for i in 0..edges.len() - len {
+                windows.push(((), Range::new(edges[i], edges[i + len])));
+            }
+        }
+        windows
+    }
+
+    /// Slices of width 10 from 0, with a session gap (no slice over
+    /// `[40, 70)`), empty slices, and an open slice that nominally runs
+    /// far past its last tuple.
+    fn gappy<A: AggregateFunction<Input = i64>>(f: A, policy: StorePolicy) -> SliceStore<A> {
+        let mut st = SliceStore::new(f, policy, false);
+        for i in 0..48 {
+            let t = i * 10;
+            if (40..70).contains(&t) {
+                continue;
+            }
+            st.append_slice(Range::new(t, t + 10));
+            if i % 5 != 3 {
+                st.add_in_order(t + 1, i);
+                st.add_in_order(t + 7, 100 + i);
+            }
+        }
+        st.append_slice(Range::new(480, 10_000));
+        st.add_in_order(481, 7);
+        st
+    }
+
+    fn batch_matches_each<A>(st: &SliceStore<A>, windows: &[((), Range)], what: &str)
+    where
+        A: AggregateFunction,
+        A::Partial: PartialEq + std::fmt::Debug,
+    {
+        let want = each(st, windows);
+        let scanned = emitted::<A>(windows, |emit| st.shared_scan(windows, emit));
+        assert_eq!(scanned, want, "{what}: shared scan");
+        let batched = emitted::<A>(windows, |emit| {
+            st.query_time_batch(windows, emit);
+        });
+        assert_eq!(batched, want, "{what}: batch call");
+    }
+
+    #[test]
+    fn batch_call_matches_per_window_queries_on_every_pair() {
+        // Window edges: every slice edge, the gap's inside, and edges
+        // before and past the store — so the pair set holds windows that
+        // straddle the gap, lie inside it, cover one slice, miss every
+        // slice, and end inside the open slice beyond its last tuple.
+        let edges: Vec<Time> = (-2..=48).map(|i| i * 10).collect();
+        let mut windows = all_pairs(&edges);
+        for &start in &edges {
+            windows.push(((), Range::new(start, 500)));
+            windows.push(((), Range::new(start, 20_000)));
+        }
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+            let mut sum = gappy(SumI64, policy);
+            sum.flush_eager_repairs();
+            batch_matches_each(&sum, &windows, &format!("sum {policy:?}"));
+            // Non-commutative: any window answered out of slice order shows.
+            let mut concat = gappy(Concat, policy);
+            concat.flush_eager_repairs();
+            batch_matches_each(&concat, &windows, &format!("concat {policy:?}"));
+        }
+    }
+
+    #[test]
+    fn batch_call_handles_disjoint_groups_and_tiny_stores() {
+        // Tumbling windows stab into one group per window pair; windows
+        // nested inside a long one share its group's prefix scan.
+        let st = gappy(Concat, StorePolicy::Lazy);
+        let mut windows: Vec<((), Range)> =
+            (0..48).map(|i| ((), Range::new(i * 10, i * 10 + 10))).collect();
+        windows.push(((), Range::new(0, 480)));
+        windows.extend((0..12).map(|i| ((), Range::new(i * 40, i * 40 + 30))));
+        batch_matches_each(&st, &windows, "tumbling + nested");
+        // Sliding sweeps: pivots a window length apart, so suffix and
+        // prefix columns fold long runs of slices (gap and empties in).
+        for len in [3, 7, 20, 45] {
+            let mut windows: Vec<((), Range)> =
+                (0..=48 - len).map(|i| ((), Range::new(i * 10, (i + len) * 10))).collect();
+            batch_matches_each(&st, &windows, &format!("sliding {len}"));
+            // Query-major order, as a sweep over two queries lists them.
+            windows
+                .extend((0..=48 - 2 * len).map(|i| ((), Range::new(i * 10, (i + 2 * len) * 10))));
+            batch_matches_each(&st, &windows, &format!("sliding {len} + {}", 2 * len));
+        }
+
+        // A single-slice store, asked the same window many times over
+        // (enough to pass the batch threshold) plus misses on both sides.
+        let mut one = store(StorePolicy::FingerTree, false);
+        one.append_slice(Range::new(0, 10));
+        one.add_in_order(3, 3);
+        let mut windows = vec![((), Range::new(0, 10)); MIN_BATCH_WINDOWS + 2];
+        windows.push(((), Range::new(-10, 0)));
+        windows.push(((), Range::new(10, 20)));
+        windows.push(((), Range::new(-10, 20)));
+        batch_matches_each(&one, &windows, "single slice");
+
+        // An empty store and an empty sweep answer nothing.
+        let none = store(StorePolicy::Lazy, false);
+        batch_matches_each(&none, &windows, "empty store");
+        batch_matches_each(&one, &[], "empty sweep");
+    }
+
+    #[test]
+    fn batch_call_picks_its_path_from_the_sweep() {
+        let windows_over = |n: i64, len: i64, count: i64| -> Vec<((), Range)> {
+            (0..count).map(|i| ((), Range::new((n - len - i) * 10, (n - i) * 10))).collect()
+        };
+        let dense = |policy, n: i64| {
+            let mut st = store(policy, false);
+            for i in 0..n {
+                st.append_slice(Range::new(i * 10, i * 10 + 10));
+                st.add_in_order(i * 10, 1);
+            }
+            st.flush_eager_repairs();
+            st
+        };
+        let scanned = |st: &SliceStore<SumI64>, windows: &[((), Range)]| {
+            st.query_time_batch(windows, |_, _, _| {})
+        };
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+            let st = dense(policy, 600);
+            // A sliding sweep: many long windows a slide apart.
+            assert_eq!(scanned(&st, &windows_over(600, 300, 100)), 100, "{policy:?}");
+            // Too few windows to be worth a plan.
+            assert_eq!(scanned(&st, &windows_over(600, 300, MIN_BATCH_WINDOWS as i64 - 1)), 0);
+            // A tumbling catch-up: one slice per window, nothing shared.
+            let tumbling: Vec<((), Range)> =
+                (100..200).map(|i| ((), Range::new(i * 10, i * 10 + 10))).collect();
+            assert_eq!(scanned(&st, &tumbling), 0, "{policy:?}");
+        }
+        // A dozen windows over thousands of slices: an index answers
+        // each in O(log d), a store without one gains from the scan only
+        // once the windows outnumber the probes the edge columns save.
+        let st = dense(StorePolicy::FingerTree, 3_000);
+        assert_eq!(scanned(&st, &windows_over(3_000, 2_900, 12)), 0);
+        // Holistic partials are never scanned.
+        let mut concat: SliceStore<Concat> = SliceStore::new(Concat, StorePolicy::Lazy, false);
+        for i in 0..100 {
+            concat.append_slice(Range::new(i * 10, i * 10 + 10));
+            concat.add_in_order(i * 10, i);
+        }
+        assert_eq!(concat.query_time_batch(&windows_over(100, 50, 40), |_, _, _| {}), 0);
+    }
+
+    #[test]
+    fn gallop_matches_partition_point_from_every_hint() {
+        let col: Vec<Time> = vec![0, 10, 10, 20, 35, 35, 35, 50, 80];
+        for probe in -5..90 {
+            let want_le = col.partition_point(|&t| t <= probe);
+            let want_lt = col.partition_point(|&t| t < probe);
+            for hint in 0..=col.len() + 2 {
+                assert_eq!(gallop(&col, hint, |t| t <= probe), want_le, "<= {probe} from {hint}");
+                assert_eq!(gallop(&col, hint, |t| t < probe), want_lt, "< {probe} from {hint}");
+            }
+        }
+        assert_eq!(gallop(&[], 3, |t| t < 5), 0);
     }
 
     #[test]

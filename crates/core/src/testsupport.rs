@@ -113,6 +113,16 @@ mod tests {
     }
 }
 
+/// Makes every sweep of `op` query the store once per window, as if the
+/// store's shared scan did not exist — the reference the equivalence
+/// tests hold the shared scan against. A test switch, deliberately not
+/// part of [`OperatorConfig`](crate::operator::OperatorConfig): which
+/// path a sweep takes is the store's decision, from the sweep's own
+/// counts.
+pub fn force_per_window_queries<A: AggregateFunction>(op: &mut crate::operator::WindowOperator<A>) {
+    op.per_window_only = true;
+}
+
 /// A minimal tumbling window for core-internal tests (real window types
 /// live in `gss-windows`, which depends on this crate).
 #[derive(Debug, Clone, Copy)]

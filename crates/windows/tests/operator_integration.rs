@@ -587,3 +587,93 @@ fn count_sliding_ooo_converges() {
         assert_eq!(v, expect, "count window [{c1}, {c2})");
     }
 }
+
+/// Results as comparable rows, update flag included.
+fn rows(results: &[Res]) -> Vec<(u32, Measure, Range, i64, bool)> {
+    results.iter().map(|r| (r.query, r.measure, r.range, r.value, r.is_update)).collect()
+}
+
+#[test]
+fn sweep_stats_attribute_windows_to_the_path_that_answered_them() {
+    // 50 sliding queries a slide of one slice apart, a watermark every
+    // ten slides: every sweep is 500 heavily overlapping windows, all
+    // non-empty — the store's shared scan answers all of them.
+    let sliding = |policy, per_window: bool| {
+        let mut op =
+            WindowOperator::new(SumI64, OperatorConfig::out_of_order(0).with_policy(policy));
+        for q in 1..=50 {
+            op.add_query(Box::new(SlidingWindow::new(q * 120, 10))).unwrap();
+        }
+        if per_window {
+            gss_core::testsupport::force_per_window_queries(&mut op);
+        }
+        let mut out = Vec::new();
+        for ts in 0..4_000 {
+            op.process_tuple(ts, ts % 89, &mut out);
+            if ts % 100 == 99 {
+                op.process_watermark(ts, &mut out);
+            }
+        }
+        (op, out)
+    };
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        let (op, out) = sliding(policy, false);
+        let s = *op.stats();
+        assert_eq!(s.sweeps, 40, "{policy:?}");
+        assert!(s.windows_emitted > 10_000, "{policy:?}");
+        assert_eq!(s.sweep_windows, s.windows_emitted, "{policy:?}");
+        assert_eq!(s.shared_scan_windows, s.windows_emitted, "{policy:?}");
+        // Same results, in the same order, with the scan switched off.
+        let (reference, want) = sliding(policy, true);
+        assert_eq!(rows(&out), rows(&want), "{policy:?}");
+        assert_eq!(reference.stats().shared_scan_windows, 0);
+        assert_eq!(reference.stats().sweep_windows, s.sweep_windows);
+    }
+
+    // One tumbling query fires one window at a time: never a scan.
+    let mut op = WindowOperator::new(SumI64, OperatorConfig::out_of_order(0));
+    op.add_query(Box::new(TumblingWindow::new(10))).unwrap();
+    let mut out = Vec::new();
+    for ts in 0..1_000 {
+        op.process_tuple(ts, 1, &mut out);
+        if ts % 10 == 9 {
+            op.process_watermark(ts, &mut out);
+        }
+    }
+    let s = op.stats();
+    assert_eq!(s.windows_emitted, 99);
+    assert_eq!((s.sweeps, s.sweep_windows, s.shared_scan_windows), (99, 99, 0));
+}
+
+#[test]
+fn late_update_sweeps_share_one_scan() {
+    // A late tuple under 20 sliding queries revises every emitted window
+    // that contains it: all of them share the tuple's slice.
+    let build = |per_window: bool| {
+        let mut op = WindowOperator::new(
+            SumI64,
+            OperatorConfig::out_of_order(10_000).with_policy(StorePolicy::Eager),
+        );
+        for q in 1..=20 {
+            op.add_query(Box::new(SlidingWindow::new(q * 50, 10))).unwrap();
+        }
+        if per_window {
+            gss_core::testsupport::force_per_window_queries(&mut op);
+        }
+        let mut out = Vec::new();
+        for ts in 0..3_000 {
+            op.process_tuple(ts, 1, &mut out);
+        }
+        op.process_watermark(2_500, &mut out);
+        out.clear();
+        op.process_tuple(1_234, 1_000, &mut out);
+        (op, out)
+    };
+    let (op, updates) = build(false);
+    let (_, want) = build(true);
+    assert!(updates.len() > 100 && updates.iter().all(|r| r.is_update));
+    assert_eq!(rows(&updates), rows(&want));
+    let s = op.stats();
+    assert_eq!(s.updates_emitted, updates.len() as u64);
+    assert!(s.shared_scan_windows >= s.updates_emitted);
+}

@@ -461,6 +461,210 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Shared-scan emission against per-window emission.
+
+/// One emitted result, everything observable about it.
+type SweepRow = (QueryId, Measure, Time, Time, i64, bool);
+
+fn sweep_row(r: &WindowResult<i64>) -> SweepRow {
+    (r.query, r.measure, r.range.start, r.range.end, r.value, r.is_update)
+}
+
+/// Under `--features audit`: holds the final time-measure results one
+/// watermark produced against `store`, the operator's store as it stood
+/// (repaired) before that watermark. Every third window is resolved to
+/// slice indices from the slice list alone and must equal
+/// `query_slice_range(l, r)`, as must the shared scan's answer for the
+/// sampled set as a whole.
+#[cfg(feature = "audit")]
+fn audit_sweep_against_slice_ranges(
+    store: &general_stream_slicing::core::SliceStore<Sum>,
+    results: &[WindowResult<i64>],
+) {
+    let sampled: Vec<(i64, Range)> = results
+        .iter()
+        .filter(|r| r.measure == Measure::Time && !r.is_update)
+        .step_by(3)
+        .map(|r| (r.value, r.range))
+        .collect();
+    let by_index = |range: Range| {
+        let l = store.slices().take_while(|s| s.end() <= range.start).count();
+        let r = store.slices().take_while(|s| s.start() < range.end).count();
+        store.query_slice_range(l, r)
+    };
+    for &(value, range) in &sampled {
+        assert_eq!(by_index(range), Some(value), "emitted {range} is not its slice range");
+    }
+    let mut scanned = 0;
+    store.shared_scan(&sampled, |&value, range, p| {
+        assert_eq!((Some(p), p), (by_index(range), value), "scan answer for {range}");
+        scanned += 1;
+    });
+    assert_eq!(scanned, sampled.len());
+}
+
+/// Feeds `elements` in chunks of `batch_size`, flushing before each
+/// watermark, and returns the full emission sequence.
+fn drive_sweeps(
+    op: &mut WindowOperator<Sum>,
+    elements: &[StreamElement<i64>],
+    batch_size: usize,
+) -> Vec<SweepRow> {
+    let mut out = Vec::new();
+    let mut buf: Vec<(Time, i64)> = Vec::new();
+    for e in elements {
+        match e {
+            StreamElement::Record { ts, value } => {
+                buf.push((*ts, *value));
+                if buf.len() >= batch_size {
+                    op.process_batch_tuples(&buf, &mut out);
+                    buf.clear();
+                }
+            }
+            StreamElement::Watermark(wm) => {
+                op.process_batch_tuples(&buf, &mut out);
+                buf.clear();
+                #[cfg(feature = "audit")]
+                let (before, emitted) = {
+                    let mut store = op.store().clone();
+                    store.flush_eager_repairs();
+                    (store, out.len())
+                };
+                op.process_watermark(*wm, &mut out);
+                #[cfg(feature = "audit")]
+                audit_sweep_against_slice_ranges(&before, &out[emitted..]);
+            }
+            _ => {}
+        }
+    }
+    op.process_batch_tuples(&buf, &mut out);
+    out.iter().map(sweep_row).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Window mixes × store policy × in-order / out-of-order with late
+    /// updates × watermark stride: the operator's emission *sequence* —
+    /// values, ranges, query ids, final/update flags, order — is the one
+    /// an operator with the shared scan switched off produces, and its
+    /// final windows are the tuple buffer's (the brute-force technique
+    /// `cross_technique.rs` holds everything against).
+    #[test]
+    fn shared_scan_emission_sequence_matches_per_window(
+        raw in prop::collection::vec((0i64..3_000, -50i64..50), 20..200),
+        mix in 0usize..4,
+        policy_i in 0usize..3,
+        in_order_i in 0usize..2,
+        slide in 1i64..12,
+        sliding_queries in 2i64..9,
+        stride_i in 0usize..3,
+        fraction in 5u8..50,
+        batch_i in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        let policy = [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree][policy_i];
+        let batch_size = [1usize, 16, 512][batch_i];
+        let in_order = in_order_i == 0;
+        // Nothing is dropped (delays stay far below the lateness), and a
+        // watermark lag below the delays lets late tuples land under the
+        // watermark: they revise emitted windows.
+        let lateness: Time = 10_000;
+        let (order, elements) = if in_order {
+            let mut tuples = sorted(&raw);
+            if mix == 3 {
+                // A count edge reached on a timestamp tie cuts the slice
+                // between the tied tuples; session windows then disagree
+                // with the tuple buffer (with or without the scan).
+                tuples.dedup_by_key(|&mut (ts, _)| ts);
+            }
+            let elements: Vec<StreamElement<i64>> = tuples
+                .iter()
+                .map(|&(ts, value)| StreamElement::Record { ts, value })
+                .collect();
+            (StreamOrder::InOrder, elements)
+        } else {
+            let arrivals = make_out_of_order(
+                &sorted(&raw),
+                OooConfig { fraction_percent: fraction, max_delay: 200, seed, ..Default::default() },
+            );
+            let stride = [10, 60, 400][stride_i];
+            (StreamOrder::OutOfOrder, with_watermarks(&arrivals, stride, 40))
+        };
+        // Sliding queries a slide apart in length put many overlapping
+        // windows into every sweep; the other mixes put tumbling,
+        // session and (in-order only: the operator refuses the mix
+        // otherwise) count-measure queries between them.
+        let mut queries: Vec<Box<dyn Fn() -> Box<dyn WindowFunction>>> = Vec::new();
+        for q in 1..=sliding_queries {
+            queries.push(Box::new(move || Box::new(SlidingWindow::new(slide * q * 3, slide))));
+            if q == 2 && mix >= 1 {
+                queries.push(Box::new(move || Box::new(TumblingWindow::new(slide * 5))));
+            }
+            if q == 3 && mix >= 2 {
+                // Sessions must be remembered for as long as tuples may be late.
+                queries.push(Box::new(move || {
+                    Box::new(SessionWindow::new(slide * 2).with_retention(1_000_000))
+                }));
+            }
+            if q == 4 && mix == 3 && in_order {
+                queries.push(Box::new(|| Box::new(CountTumblingWindow::new(7))));
+            }
+        }
+        let cfg = OperatorConfig { order, policy, allowed_lateness: lateness, ..Default::default() };
+        let build = |per_window: bool| {
+            let mut op = WindowOperator::new(Sum, cfg);
+            for q in &queries {
+                op.add_query(q()).unwrap();
+            }
+            if per_window {
+                general_stream_slicing::core::testsupport::force_per_window_queries(&mut op);
+            }
+            op
+        };
+        let mut shared = build(false);
+        let mut reference = build(true);
+        let got = drive_sweeps(&mut shared, &elements, batch_size);
+        let want = drive_sweeps(&mut reference, &elements, batch_size);
+        prop_assert_eq!(&got, &want, "{:?} mix {} in_order {}", policy, mix, in_order);
+        prop_assert_eq!(reference.stats().shared_scan_windows, 0);
+        prop_assert_eq!(shared.stats().sweep_windows, reference.stats().sweep_windows);
+        prop_assert_eq!(shared.stats().dropped_late, 0);
+
+        let mut oracle = TupleBuffer::new(Sum, order, lateness);
+        for q in &queries {
+            oracle.add_query(q());
+        }
+        let finals = |rows: &[SweepRow]| -> BTreeMap<(QueryId, Time, Time), i64> {
+            rows.iter().map(|&(q, _, start, end, v, _)| ((q, start, end), v)).collect()
+        };
+        let oracle_rows: Vec<SweepRow> = {
+            let mut out = Vec::new();
+            for e in &elements {
+                match e {
+                    StreamElement::Record { ts, value } => oracle.process(*ts, *value, &mut out),
+                    StreamElement::Watermark(wm) => oracle.on_watermark(*wm, &mut out),
+                    _ => {}
+                }
+            }
+            out.iter().map(sweep_row).collect()
+        };
+        let (ours, theirs) = (finals(&got), finals(&oracle_rows));
+        let diff: Vec<_> = ours
+            .iter()
+            .filter(|(k, v)| theirs.get(*k) != Some(*v))
+            .map(|(k, v)| (*k, Some(*v), theirs.get(k).copied()))
+            .chain(theirs.iter().filter(|(k, _)| !ours.contains_key(*k)).map(|(k, v)| (*k, None, Some(*v))))
+            .collect();
+        prop_assert!(
+            diff.is_empty(),
+            "{:?} mix {} in_order {} vs tuple buffer: (window, slicing, buffer) {:?}",
+            policy, mix, in_order, diff
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // Bulk-fold kernels and chunked pipeline equivalence.
 
 /// Sorted, Debug-normalized keyed pipeline output: one entry per emitted
