@@ -168,14 +168,16 @@ pub struct KeyedStats {
     pub fold_kernel_hits: u64,
     /// Per-key runs folded through the default lift/combine loop.
     pub fold_kernel_misses: u64,
-    /// Per-key operator sweeps, their windows, and the windows the
-    /// store's shared scan answered (see [`OperatorStats`]). Fallback
-    /// mode only: the shared timeline has its own sweep.
+    /// Per-key operator sweeps, their windows, the windows the store's
+    /// shared scan answered, and the slice writes of late-batch flushes
+    /// (see [`OperatorStats`]). Fallback mode only: the shared timeline
+    /// has its own sweep and writes late tuples one by one.
     ///
     /// [`OperatorStats`]: crate::operator::OperatorStats
     pub sweeps: u64,
     pub sweep_windows: u64,
     pub shared_scan_windows: u64,
+    pub late_slices: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -1213,6 +1215,7 @@ fn add_operator_stats<A: AggregateFunction>(total: &mut KeyedStats, op: &WindowO
     total.sweeps += s.sweeps;
     total.sweep_windows += s.sweep_windows;
     total.shared_scan_windows += s.shared_scan_windows;
+    total.late_slices += s.late_slices;
 }
 
 /// One full [`WindowOperator`] per key — the straightforward lifting of
@@ -2052,11 +2055,16 @@ mod tests {
         let mut out = Vec::new();
         op.process_batch(&[(50, (1, 1)), (52, (2, 2)), (55, (1, 3))], &mut out);
         op.on_watermark(60, &mut out);
+        // Late above the watermark: one batched write into each of
+        // [60, 70) and [70, 80).
+        op.process_batch(&[(70, (1, 6)), (72, (1, 7)), (65, (1, 8)), (71, (1, 9))], &mut out);
         op.process(53, (1, 4), &mut out); // late but allowed: an update
         op.process(10, (2, 5), &mut out); // 10 < 60 - 10: dropped
+        op.on_watermark(90, &mut out);
         let st = op.stats();
-        assert_eq!((st.tuples, st.ooo_tuples, st.dropped_late), (4, 2, 1));
-        assert_eq!((st.windows_emitted, st.updates_emitted, st.keys_evicted), (2, 1, 0));
+        assert_eq!((st.tuples, st.ooo_tuples, st.dropped_late), (8, 4, 1));
+        assert_eq!((st.windows_emitted, st.updates_emitted, st.keys_evicted), (4, 1, 0));
+        assert_eq!(st.late_slices, 2);
         // Eviction keeps what the evicted keys' operators had counted.
         op.on_watermark(1_000, &mut out);
         assert_eq!(op.live_keys(), 0);

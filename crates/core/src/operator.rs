@@ -124,6 +124,11 @@ pub struct OperatorStats {
     /// Of `sweep_windows`, those answered by the store's shared scan
     /// rather than one range query each.
     pub shared_scan_windows: u64,
+    /// Slice writes made by late-batch flushes: one per covering slice a
+    /// flush touched, so `ooo_tuples / late_slices` reads as late tuples
+    /// per touched slice (late tuples that took the per-tuple path count
+    /// in the numerator only).
+    pub late_slices: u64,
     /// Bulk runs folded through a hand-written
     /// [`AggregateFunction::fold_slice`] kernel.
     pub fold_kernel_hits: u64,
@@ -132,74 +137,128 @@ pub struct OperatorStats {
     pub fold_kernel_misses: u64,
 }
 
-/// One covering slice's worth of late tuples deferred during a batch:
-/// their buffered values (folded in bulk at flush time), extreme
-/// timestamps, plus the slice's bounds so membership tests need no store
-/// lookup.
-struct LateGroup<V> {
-    idx: usize,
-    start: Time,
-    end: Time,
-    /// Values in arrival order, contiguous so the flush can feed them
-    /// straight into the bulk fold kernel. This path only runs for
-    /// commutative functions without tuple storage, so arrival-order
-    /// folding is unobservable.
-    values: Vec<V>,
-    /// Parallel per-value timestamps, collected **only** when the function
-    /// declares a paired-column kernel (`has_pair_kernel`) — the flush then
-    /// folds through `fold_slice_pairs` instead of `fold_slice`. Empty
-    /// otherwise, so the plain late path pays nothing for the hook.
-    times: Vec<Time>,
-    t_first: Time,
-    t_last: Time,
+/// Index bits per pass of [`LateBatch::sort_runs`]: 256 four-byte
+/// counters are 1 KB of L1, and a hull below 256 slices sorts in one pass.
+const RUN_SORT_BITS: u32 = 8;
+const RUN_SORT_BUCKETS: usize = 1 << RUN_SORT_BITS;
+
+/// A run of deferred late tuples: the tuples deferred to store slice
+/// `slot` while that slice sat in entry `col` of the lookup memo, lying at
+/// `start..end` of that entry's columns in arrival order.
+#[derive(Clone, Copy)]
+struct LateRun {
+    slot: u32,
+    col: u32,
+    start: u32,
+    end: u32,
 }
 
-impl<V: Clone> Clone for LateGroup<V> {
-    fn clone(&self) -> Self {
-        LateGroup {
-            idx: self.idx,
-            start: self.start,
-            end: self.end,
-            values: self.values.clone(),
-            times: self.times.clone(),
-            t_first: self.t_first,
-            t_last: self.t_last,
-        }
-    }
+/// The late tuples deferred within one batch call, bucketed by covering
+/// slice. A deferred tuple is appended to the columns of the memo entry
+/// that holds its slice; refilling an entry with another slice only ends
+/// a [`LateRun`] in those columns. The flush sorts the runs by slice
+/// ([`LateBatch::sort_runs`]) and writes the slices in ascending order,
+/// each from its runs where they lie — no tuple is moved after deferral.
+/// All vectors are scratch: empty between calls, allocations reused,
+/// nothing here is operator state.
+struct LateBatch<V> {
+    /// The lookup memo: the last four distinct slices resolved, entry `k`
+    /// covering `[memo_start[k], memo_start[k] + memo_width[k])` (zero
+    /// width when unset) at store index `memo_slot[k]`. Late tuples
+    /// alternate among the few slices behind the stream head or arrive
+    /// in sorted bursts, so most lookups end here. `memo_last` is the
+    /// entry hit or filled last, `memo_next` the one a miss refills.
+    memo_start: [Time; 4],
+    memo_width: [u64; 4],
+    memo_slot: [u32; 4],
+    memo_last: usize,
+    memo_next: usize,
+    /// Per memo entry: every tuple deferred through it, and where its
+    /// open run starts.
+    times: [Vec<Time>; 4],
+    values: [Vec<V>; 4],
+    open_from: [u32; 4],
+    /// The ended runs. Slice indices here and in the memo are kept valid
+    /// when a gap slice is inserted mid-batch.
+    runs: Vec<LateRun>,
+    /// Flush scratch: the counters and the output of a sorting pass over
+    /// the runs, and one slice's tuples as pairs for the sorted-run write.
+    counts: Vec<u32>,
+    sorted: Vec<LateRun>,
+    pairs: Vec<(Time, V)>,
 }
 
-/// Rebuilds the batched late path's group-lookup ladder: the (at most
-/// four) alive groups sorted by slice start, unused slots pushed out of
-/// range (`TIME_MAX` start never matches the ladder, `TIME_MIN` end
-/// fails the interval check). Returns `false` when more groups are alive
-/// than the ladder holds; the caller then routes every tuple through the
-/// scanning cold path instead.
-fn build_group_table<V>(
-    groups: &[LateGroup<V>],
-    starts: &mut [Time; 4],
-    ends: &mut [Time; 4],
-    pos: &mut [usize; 4],
-) -> bool {
-    if groups.len() > 4 {
-        return false;
-    }
-    *starts = [TIME_MAX; 4];
-    *ends = [TIME_MIN; 4];
-    *pos = [0; 4];
-    let mut order = [0usize, 1, 2, 3];
-    for k in 1..groups.len() {
-        let mut m = k;
-        while m > 0 && groups[order[m]].start < groups[order[m - 1]].start {
-            order.swap(m, m - 1);
-            m -= 1;
+impl<V> LateBatch<V> {
+    fn new() -> Self {
+        LateBatch {
+            memo_start: [0; 4],
+            memo_width: [0; 4],
+            memo_slot: [0; 4],
+            memo_last: 0,
+            memo_next: 0,
+            times: std::array::from_fn(|_| Vec::new()),
+            values: std::array::from_fn(|_| Vec::new()),
+            open_from: [0; 4],
+            runs: Vec::new(),
+            counts: Vec::new(),
+            sorted: Vec::new(),
+            pairs: Vec::new(),
         }
     }
-    for (slot, &gi) in order[..groups.len()].iter().enumerate() {
-        starts[slot] = groups[gi].start;
-        ends[slot] = groups[gi].end;
-        pos[slot] = gi;
+
+    /// Ends the open run of memo entry `k`.
+    fn end_run(&mut self, k: usize) {
+        let (start, end) = (self.open_from[k], cast::slot32(self.times[k].len()));
+        if end > start {
+            self.runs.push(LateRun { slot: self.memo_slot[k], col: cast::slot32(k), start, end });
+            self.open_from[k] = end;
+        }
     }
-    true
+
+    /// Sorts the ended runs by slice, the runs of one slice staying in the
+    /// order they were opened: a stable counting sort on the slice index
+    /// relative to the lowest touched, [`RUN_SORT_BITS`] bits at a pass
+    /// from the lowest up. A hull (lowest to highest touched slice) below
+    /// 256 slices is one pass over one counter per hull slice; two
+    /// stragglers thousands of slices apart are two passes over a few
+    /// hundred counters, where one counter per hull slice cost the
+    /// finger store a third of its throughput (EXPERIMENTS.md, "Late
+    /// grouping").
+    fn sort_runs(&mut self) {
+        let slots = || self.runs.iter().map(|r| r.slot);
+        let (Some(base), Some(top)) = (slots().min(), slots().max()) else { return };
+        let hull = u64::from(top - base);
+        let mut shift = 0;
+        loop {
+            let digit = move |r: &LateRun| cast::idx32((r.slot - base) >> shift) % RUN_SORT_BUCKETS;
+            // Runs per digit value — no more values than the hull has
+            // left at this shift — turned into where each value's runs
+            // start in the output.
+            self.counts.clear();
+            self.counts.resize(cast::to_usize(hull >> shift).min(RUN_SORT_BUCKETS - 1) + 1, 0);
+            for r in &self.runs {
+                self.counts[digit(r)] += 1;
+            }
+            let mut start = 0;
+            for c in &mut self.counts {
+                let count = *c;
+                *c = start;
+                start += count;
+            }
+            self.sorted.clear();
+            self.sorted.resize(self.runs.len(), self.runs[0]);
+            for r in &self.runs {
+                let at = &mut self.counts[digit(r)];
+                self.sorted[cast::idx32(*at)] = *r;
+                *at += 1;
+            }
+            std::mem::swap(&mut self.runs, &mut self.sorted);
+            shift += RUN_SORT_BITS;
+            if hull >> shift == 0 {
+                break;
+            }
+        }
+    }
 }
 
 /// One worker-local pre-aggregated slice from the intra-query parallel
@@ -416,23 +475,11 @@ pub struct WindowOperator<A: AggregateFunction> {
     /// two paths against each other.
     pub(crate) per_window_only: bool,
     stats: OperatorStats,
-    /// Late tuples deferred within one `process_batch_tuples` call; sorted
-    /// and applied slice-grouped by `flush_late_runs`. Only used when
-    /// tuple storage or a non-commutative fold makes insertion order
-    /// observable; otherwise late tuples fold straight into
-    /// `late_groups`. Always empty between calls (the allocation is
-    /// reused).
-    late_buf: Vec<(Time, A::Input)>,
-    /// Per-covering-slice value buffers of late tuples deferred within one
-    /// `process_batch_tuples` call (commutative functions without tuple
-    /// storage: fold order is unobservable, so no sort is needed). The
-    /// few entries double as the slice-lookup cache — late tuples cluster
-    /// in the slices just behind the stream head. Always empty between
-    /// calls.
-    late_groups: Vec<LateGroup<A::Input>>,
-    /// Recycled column buffers (times, values) for `late_groups`, so
-    /// steady-state batches allocate nothing when deferring late tuples.
-    late_group_pool: Vec<(Vec<Time>, Vec<A::Input>)>,
+    /// Scratch of the batch calls' late path, allocated by the first batch
+    /// that defers a late tuple; empty between calls. Taken out and put
+    /// back around each use: held in a local across the generic batch
+    /// loop, its drop glue cost a quarter of the in-order throughput.
+    late: Option<Box<LateBatch<A::Input>>>,
     /// In-order tuples accumulated within one `process_batch_tuples` call
     /// but not yet applied, stored struct-of-arrays: deferring the store
     /// touch lets a run span deferred late singles (the batch's in-order
@@ -482,9 +529,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             swept_once: false,
             per_window_only: false,
             stats: OperatorStats::default(),
-            late_buf: Vec::new(),
-            late_groups: Vec::new(),
-            late_group_pool: Vec::new(),
+            late: None,
             run_times: Vec::new(),
             run_values: Vec::new(),
             part_idx: Vec::new(),
@@ -1035,7 +1080,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             // just reached a count edge.
             self.advance_count_edge_after_insert();
         } else {
-            let idx = self.late_slice_index(ts);
+            let (idx, _) = self.late_slice_index(ts, None);
             self.store.add_out_of_order(idx, ts, value);
         }
         // Window Manager: late tuples below the watermark revise emitted
@@ -1045,22 +1090,26 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
     }
 
-    /// Slice index for a late tuple at `ts` in a time-tiled store. When
-    /// `ts` falls into a coverage gap (before the first slice, or between
-    /// slices after a bounded insert), a fresh slice is created, bounded
-    /// by the next window edge so it never spans one.
-    fn late_slice_index(&mut self, ts: Time) -> usize {
-        match self.store.covering_index(ts) {
-            Some(i) => i,
-            None => {
+    /// Slice index for a late tuple at `ts` in a time-tiled store (`near`
+    /// as in [`SliceStore::covering_search`]). When `ts` falls into a
+    /// coverage gap (before the first slice, or between slices after a
+    /// bounded insert), a fresh slice is created there — slices at and
+    /// after the returned index move up by one, which the second result
+    /// reports — bounded by the next window edge and the next slice so it
+    /// spans neither.
+    fn late_slice_index(&mut self, ts: Time, near: Option<usize>) -> (usize, bool) {
+        match self.store.covering_search(ts, near) {
+            Ok(idx) => (idx, false),
+            Err(next) => {
                 let next_slice_start =
-                    self.store.slices().map(|s| s.start()).find(|&s| s > ts).unwrap_or(TIME_MAX);
+                    if next < self.store.len() { self.store.slice(next).start() } else { TIME_MAX };
                 let next_edge = self.compute_next_time_edge(ts).unwrap_or(TIME_MAX);
                 let end = next_edge.min(next_slice_start);
                 debug_assert!(end > ts, "gap slice must cover its tuple");
                 let idx = self.store.insert_gap_slice(Range::new(ts, end));
+                debug_assert_eq!(idx, next, "gap slice landed off its partition point");
                 self.stats.slices_created += 1;
-                idx
+                (idx, true)
             }
         }
     }
@@ -1169,29 +1218,17 @@ impl<A: AggregateFunction> WindowOperator<A> {
         n
     }
 
-    /// Whether a late tuple at `ts` can be deferred into the late buffer
-    /// and applied slice-grouped at the end of the batch. Requires that
-    /// per-tuple processing would have touched exactly one covering slice
-    /// and emitted nothing: a declared out-of-order stream (late tuples
-    /// only emit on watermarks), time-tiled slices (the count-measure
-    /// Figure-6 shift cascades across slices), no context-aware windows
-    /// (their per-tuple notifications can split/merge), and a timestamp
-    /// strictly above the watermark (at or below it, the tuple revises
-    /// already-emitted windows *immediately* via `emit_updates`).
-    fn can_defer_late(&self, ts: Time) -> bool {
-        self.defer_config_ok()
-            && !self.store.is_empty()
-            && ts < self.max_ts
-            && (self.watermark == TIME_MIN || ts > self.watermark)
-    }
-
-    /// The batch-invariant half of [`can_defer_late`]: nothing here can
-    /// change while a batch of tuples is being processed, so
-    /// [`process_batch_tuples`] evaluates it once per batch and leaves
-    /// only the per-tuple timestamp/store checks in the loop.
-    ///
-    /// [`can_defer_late`]: WindowOperator::can_defer_late
-    /// [`process_batch_tuples`]: WindowOperator::process_batch_tuples
+    /// Whether late tuples can be deferred into the late batch and
+    /// applied slice by slice at the end of the batch call: per-tuple
+    /// processing must touch exactly one covering slice and emit nothing.
+    /// That takes a declared out-of-order stream (late tuples only emit
+    /// on watermarks), time-tiled slices (the count-measure Figure-6
+    /// shift cascades across slices), no context-aware windows (their
+    /// per-tuple notifications can split/merge) — none of which changes
+    /// within a batch, so the loops ask once — and, per tuple, a
+    /// non-empty store and a timestamp strictly above the watermark (at
+    /// or below it the tuple revises emitted windows *immediately* via
+    /// `emit_updates`).
     fn defer_config_ok(&self) -> bool {
         !self.cfg.disable_ooo_batching
             && self.cfg.order == StreamOrder::OutOfOrder
@@ -1246,155 +1283,146 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
     }
 
-    /// Whether deferred late tuples can fold straight into per-slice
-    /// partials ([`late_groups`](WindowOperator::late_groups)): with
-    /// tuples dropped and a commutative ⊕, nothing observes the order
-    /// late tuples were folded in, so no sort is needed. Otherwise they
-    /// collect in `late_buf` for the sorted-run path.
+    /// Whether a late bucket can be folded and written as one partial:
+    /// with tuples dropped and a commutative ⊕, nothing observes the
+    /// order late tuples were folded in. Otherwise a bucket is sorted by
+    /// timestamp and written as a run.
     fn defer_unsorted(&self) -> bool {
         self.f.properties().commutative && !self.store.keeps_tuples()
     }
 
-    /// Buffers one deferred late tuple into its covering slice's pending
-    /// group. The group list doubles as the slice-lookup cache: late
-    /// tuples cluster in the few slices just behind the stream head, so
-    /// scanning these entries (all in cache) almost always beats a fresh
-    /// binary search over the store. Values collect contiguously per
-    /// group and are folded in bulk at flush time — the late path's route
-    /// into the fold kernel.
-    fn defer_into_group(&mut self, ts: Time, v: &A::Input) {
-        // `ts - start < end - start` as unsigned is the usual
-        // single-compare interval test (a too-small ts wraps to a huge
-        // unsigned value).
-        let pair_kernel = self.f.has_pair_kernel();
-        if let Some(g) = self
-            .late_groups
-            .iter_mut()
-            .find(|g| (ts.wrapping_sub(g.start) as u64) < (g.end - g.start) as u64)
-        {
-            g.values.push(v.clone());
-            if pair_kernel {
-                g.times.push(ts);
-            }
-            g.t_first = g.t_first.min(ts);
-            g.t_last = g.t_last.max(ts);
-            return;
+    /// Defers a late tuple: appends it to the open run of its covering
+    /// slice. The memo is probed without branching on which entry
+    /// matches — the slice alternates unpredictably from tuple to tuple —
+    /// by the one-compare interval test (`ts - start < width` unsigned:
+    /// a too-small `ts` wraps to a huge value). Slices are disjoint, so
+    /// at most one entry matches; the weighted sum of the match flags of
+    /// entries 1–3 is its number, or 0, which the one branch then checks.
+    /// The miss stays out of line: with it inlined here, this function
+    /// was itself too large to inline and cost both batch loops a call
+    /// with six saved registers per late tuple.
+    #[inline(always)]
+    fn defer_late(&mut self, late: &mut LateBatch<A::Input>, ts: Time, value: &A::Input) {
+        let hit = |k: usize| (ts.wrapping_sub(late.memo_start[k]) as u64) < late.memo_width[k];
+        let mut k = usize::from(hit(1)) + 2 * usize::from(hit(2)) + 3 * usize::from(hit(3));
+        if !hit(k) {
+            k = self.resolve_late(late, ts);
         }
-        let created = self.stats.slices_created;
-        let idx = self.late_slice_index(ts);
-        if self.stats.slices_created != created {
-            // A gap slice was inserted at `idx`: group entries at or past
-            // it shifted right.
-            for g in &mut self.late_groups {
-                if g.idx >= idx {
-                    g.idx += 1;
-                }
-            }
-        }
-        let s = self.store.slice(idx);
-        let (mut times, mut values) = self.late_group_pool.pop().unwrap_or_default();
-        values.push(v.clone());
-        if pair_kernel {
-            times.push(ts);
-        }
-        self.late_groups.push(LateGroup {
-            idx,
-            start: s.start(),
-            end: s.end(),
-            values,
-            times,
-            t_first: ts,
-            t_last: ts,
-        });
+        late.memo_last = k;
+        late.times[k].push(ts);
+        late.values[k].push(value.clone());
     }
 
-    /// Applies the deferred late tuples: one store touch per covering
-    /// slice, then a single eager-tree repair of the whole dirty
-    /// frontier. Pre-folded groups ([`defer_unsorted`]) become one
-    /// [`SliceStore::add_out_of_order_partial`] each; buffered tuples
-    /// (tuple storage or a non-commutative fold, where insertion order is
-    /// observable) are stable-sorted by timestamp and applied as one
-    /// [`SliceStore::add_out_of_order_run`] per covering slice, group
-    /// boundaries found with one binary search each. k late tuples
-    /// hitting m slices cost m slice touches + one bottom-up repair
-    /// (+ `O(k log k)` sort on the buffered path), instead of k
-    /// covering-slice searches, k tuple inserts, and k `O(log s)`
-    /// ancestor walks.
+    /// Ends the run of the memo entry next in turn, refills the entry
+    /// with the slice covering `ts` — creating a gap slice if none does —
+    /// and returns it. The slice of the entry used last is handed to the
+    /// search as a known position: a sorted burst steps to the
+    /// neighbouring slice, a straggler lands near an interpolated guess,
+    /// and neither walks the slice deque.
+    #[cold]
+    #[inline(never)]
+    fn resolve_late(&mut self, late: &mut LateBatch<A::Input>, ts: Time) -> usize {
+        let last = late.memo_last;
+        let near = (late.memo_width[last] > 0).then(|| cast::idx32(late.memo_slot[last]));
+        let (idx, inserted) = self.late_slice_index(ts, near);
+        if inserted {
+            // Slices at and after the gap slice moved up by one.
+            let from = cast::slot32(idx);
+            let runs = late.runs.iter_mut().map(|r| &mut r.slot);
+            for slot in runs.chain(&mut late.memo_slot) {
+                *slot += u32::from(*slot >= from);
+            }
+        }
+        let k = late.memo_next;
+        late.memo_next = (k + 1) % late.memo_slot.len();
+        late.end_run(k);
+        let s = self.store.slice(idx);
+        late.memo_start[k] = s.start();
+        late.memo_width[k] = s.end().wrapping_sub(s.start()) as u64;
+        late.memo_slot[k] = cast::slot32(idx);
+        k
+    }
+
+    /// Applies the pending in-order run, then the deferred late tuples:
+    /// one store write per covering slice, in ascending slice order, then
+    /// a single repair of the index's dirty frontier.
+    ///
+    /// The runs are sorted by slice ([`LateBatch::sort_runs`]: a stable
+    /// counting sort, runs per slice → starts → scatter of the 16-byte
+    /// run records); their tuples stay where deferral put them. A pre-foldable
+    /// slice ([`defer_unsorted`]) folds each of its runs through the bulk
+    /// kernel — one run, almost always — and becomes one
+    /// [`SliceStore::add_out_of_order_partial`]; otherwise its runs are
+    /// gathered in the order they were opened, stable-sorted by timestamp
+    /// and written as one [`SliceStore::add_out_of_order_run`]. k late
+    /// tuples in r runs over m slices cost k appends, an O(r + min(hull,
+    /// 256)) sorting pass (two for a hull of thousands of slices), m
+    /// slice writes and one bottom-up repair, and ascending
+    /// writes are what the finger store's roaming finger is cheapest for.
     ///
     /// Deferral preserves per-tuple semantics: deferred tuples emit
-    /// nothing (they sit above the watermark), their covering slices are
-    /// unaffected by interleaved in-order appends (slices are only created
-    /// *after* all existing ones mid-batch), and arrival order among
-    /// equal timestamps is kept — the stable sort preserves it, and the
-    /// pre-folded path is only taken when fold order cannot be observed —
-    /// so each slice receives the same tuples in the same tie order as
-    /// the per-tuple path.
+    /// nothing (they sit above the watermark), in-order appends mid-batch
+    /// only add slices behind all existing ones, a gap insert shifts the
+    /// recorded indices with it, and equal timestamps keep arrival order
+    /// — a run is in arrival order, the runs of one slice were open one
+    /// after the other, the timestamp sort is stable — so each slice gets
+    /// the same tuples in the same tie order as on the per-tuple path.
     ///
     /// [`defer_unsorted`]: WindowOperator::defer_unsorted
-    fn flush_late_runs(&mut self) {
+    fn flush_late(&mut self) {
         self.commit_in_order_run();
-        if self.late_groups.is_empty() && self.late_buf.is_empty() {
+        let Some(mut late) = self.late.take() else { return };
+        (0..late.memo_slot.len()).for_each(|k| late.end_run(k));
+        if late.runs.is_empty() {
+            self.late = Some(late);
             return;
         }
-        if !self.late_groups.is_empty() {
-            let mut groups = std::mem::take(&mut self.late_groups);
-            for g in groups.drain(..) {
-                let mut values = g.values;
-                let mut times = g.times;
-                self.count_fold(values.len());
-                // Pair-kernel functions collected the parallel times
-                // column at deferral time; everyone else folds the values
-                // column exactly as before (`times` is empty then, so the
-                // paired hook's column contract would not hold).
-                let folded = if self.f.has_pair_kernel() {
-                    self.f.fold_slice_pairs(&times, &values)
-                } else {
-                    self.f.fold_slice(&values)
-                };
+        late.sort_runs();
+        let prefold = self.defer_unsorted();
+        let pair_kernel = self.f.has_pair_kernel();
+        let LateBatch { times, values, runs, pairs, .. } = &mut *late;
+        for of_slice in runs.chunk_by(|a, b| a.slot == b.slot) {
+            let idx = cast::idx32(of_slice[0].slot);
+            self.stats.late_slices += 1;
+            let columns = of_slice.iter().map(|r| {
+                let (col, at) = (cast::idx32(r.col), cast::idx32(r.start)..cast::idx32(r.end));
+                (&times[col][at.clone()], &values[col][at])
+            });
+            if prefold {
+                let mut folded: Option<A::Partial> = None;
+                let (mut t_first, mut t_last, mut len) = (TIME_MAX, TIME_MIN, 0);
+                for (times, values) in columns {
+                    self.count_fold(times.len());
+                    let partial = if pair_kernel {
+                        self.f.fold_slice_pairs(times, values)
+                    } else {
+                        self.f.fold_slice(values)
+                    };
+                    folded = self.f.combine_opt(folded, partial.as_ref());
+                    for &t in times {
+                        (t_first, t_last) = (t_first.min(t), t_last.max(t));
+                    }
+                    len += times.len();
+                }
                 if let Some(p) = folded {
-                    self.store.add_out_of_order_partial(
-                        g.idx,
-                        p,
-                        g.t_first,
-                        g.t_last,
-                        values.len(),
-                    );
+                    self.store.add_out_of_order_partial(idx, p, t_first, t_last, len);
                 }
-                values.clear();
-                times.clear();
-                if self.late_group_pool.len() < 16 {
-                    self.late_group_pool.push((times, values)); // recycle the buffers
+            } else {
+                pairs.clear();
+                for (times, values) in columns {
+                    pairs.extend(times.iter().copied().zip(values.iter().cloned()));
                 }
+                pairs.sort_by_key(|&(t, _)| t);
+                self.store.add_out_of_order_run(idx, pairs);
             }
-            self.late_groups = groups; // keep the allocation
         }
-        if !self.late_buf.is_empty() {
-            let mut buf = std::mem::take(&mut self.late_buf);
-            buf.sort_by_key(|&(t, _)| t);
-            // Forward pass: resolve each group's covering slice while the
-            // buffer is intact. `late_slice_index` may insert gap slices,
-            // but only at positions past every already-resolved group
-            // (groups ascend in time), so recorded indices stay valid.
-            let mut groups: Vec<(usize, usize)> = Vec::new(); // (slice idx, group start)
-            let mut i = 0;
-            while i < buf.len() {
-                let idx = self.late_slice_index(buf[i].0);
-                let slice_end = self.store.slice(idx).end();
-                let j = i + buf[i..].partition_point(|&(t, _)| t < slice_end);
-                debug_assert!(j > i, "late group must contain its first tuple");
-                groups.push((idx, i));
-                i = j;
-            }
-            // Apply back to front: each group is split off the buffer's
-            // tail and its values *moved* into the slice — the per-tuple
-            // `value.clone()` at deferral time is the only copy late
-            // tuples ever see.
-            for &(idx, start) in groups.iter().rev() {
-                let run = buf.split_off(start);
-                self.store.add_out_of_order_run_owned(idx, run);
-            }
-            self.late_buf = buf; // now empty; keeps its allocation
-        }
+        late.pairs.clear();
+        late.times.iter_mut().for_each(Vec::clear);
+        late.values.iter_mut().for_each(Vec::clear);
+        late.open_from = [0; 4];
+        late.runs.clear();
+        late.memo_width = [0; 4];
+        self.late = Some(late);
         self.store.flush_eager_repairs();
     }
 
@@ -1402,15 +1430,15 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// partition pass splits the batch into its monotone in-order
     /// subsequence and the late remainder, then each half is applied in
     /// bulk — the in-order columns as slice-edge-segmented run commits,
-    /// the late tuples deferred into per-slice pre-folded groups and
-    /// flushed once. This replaces the generic loop's per-stretch run
+    /// the late tuples deferred and flushed once, bucketed by slice
+    /// ([`flush_late`](WindowOperator::flush_late)). This replaces the generic loop's per-stretch run
     /// detection ([`take_run`] re-derives its caps on every monotone
     /// stretch), whose bookkeeping dominates under heavy disorder where
     /// stretches shrink to a couple of tuples.
     ///
     /// Equivalence to the generic loop: the preconditions rule out every
     /// mid-batch emission and every mid-batch structural read of partial
-    /// aggregates, so the only observable interleaving — late groups
+    /// aggregates, so the only observable interleaving — late buckets
     /// applied after all in-order commits — is exactly what the generic
     /// deferral does. Late tuples are classified against the same
     /// running maximum per-tuple processing maintains, and slice edges
@@ -1422,10 +1450,13 @@ impl<A: AggregateFunction> WindowOperator<A> {
     ///
     /// Preconditions beyond [`defer_config_ok`] (declared out-of-order
     /// stream, time-tiled slices, no context-aware windows):
-    /// * finger-tree store — the bulk late path leans on O(log d)
-    ///   deferred leaf writes plus one shared-path repair per batch,
-    ///   where the FlatFAT index pays a per-leaf ancestor walk;
-    /// * pre-foldable late groups ([`defer_unsorted`]);
+    /// * finger-tree store — kept by measurement, not by structure (the
+    ///   late flush is the same for every store): without it the lazy
+    ///   store's 5 %-late cells of `--bin ooo` lose 5–13 %, because the
+    ///   partition and gather passes cost every tuple about what the
+    ///   generic loop's run detection costs a whole stretch
+    ///   (EXPERIMENTS.md, "Late grouping");
+    /// * pre-foldable late buckets ([`defer_unsorted`]);
     /// * a non-empty store whose open slice covers the stream head (a
     ///   punctuation can cut slices ahead of the data);
     /// * every late timestamp strictly above the watermark — at or
@@ -1540,51 +1571,19 @@ impl<A: AggregateFunction> WindowOperator<A> {
         values.clear();
         self.run_times = times; // keep the allocations for the next batch
         self.run_values = values;
-        // Late half: defer into per-slice groups in arrival order, then
-        // apply them with one store touch per covering slice. Same
-        // grouping as `defer_into_group`, but the covering slice is found
-        // with a branchless ladder over the alive groups sorted by start:
-        // the slice alternates unpredictably from tuple to tuple, so a
-        // scan's data-dependent branches are mispredicted constantly.
-        let mut groups = std::mem::take(&mut self.late_groups);
-        let mut starts = [TIME_MAX; 4];
-        let mut ends = [TIME_MIN; 4];
-        let mut pos = [0usize; 4];
-        let mut table_ok = build_group_table(&groups, &mut starts, &mut ends, &mut pos);
-        let pair_kernel = self.f.has_pair_kernel();
-        for &j in idx[rem - lk..rem].iter().rev() {
-            let j = cast::idx32(j);
-            let ts = batch.ts(j);
-            if table_ok {
-                // Highest slot whose start is at or below `ts`; sortedness
-                // makes the sum the slot index, with no branches.
-                let gid = usize::from(ts >= starts[1])
-                    + usize::from(ts >= starts[2])
-                    + usize::from(ts >= starts[3]);
-                if ts >= starts[0] && ts < ends[gid] {
-                    let g = &mut groups[pos[gid]];
-                    g.values.push(batch.value(j).clone());
-                    if pair_kernel {
-                        g.times.push(ts);
-                    }
-                    g.t_first = g.t_first.min(ts);
-                    g.t_last = g.t_last.max(ts);
-                    continue;
-                }
+        // Late half: defer in arrival order, then write bucket by bucket.
+        if lk > 0 {
+            let mut pending = self.late.take().unwrap_or_else(|| Box::new(LateBatch::new()));
+            for &j in idx[rem - lk..rem].iter().rev() {
+                let j = cast::idx32(j);
+                self.defer_late(&mut pending, batch.ts(j), batch.value(j));
             }
-            // First tuple of this covering slice: group creation (and a
-            // possible gap-slice insert) stays on the shared cold path;
-            // the ladder is then rebuilt around the new group.
-            self.late_groups = groups;
-            self.defer_into_group(ts, batch.value(j));
-            groups = std::mem::take(&mut self.late_groups);
-            table_ok = build_group_table(&groups, &mut starts, &mut ends, &mut pos);
+            self.late = Some(pending);
         }
-        self.late_groups = groups;
         self.part_idx = idx; // keep the allocation
         self.stats.tuples += lk as u64;
         self.stats.ooo_tuples += lk as u64;
-        self.flush_late_runs();
+        self.flush_late();
         true
     }
 
@@ -1592,7 +1591,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// runs with a single store touch each (one fold + ⊕ into the open
     /// slice, one tuple-storage append, one eager-leaf refresh) and
     /// deferring eligible late tuples into slice-grouped runs applied once
-    /// per batch (see [`flush_late_runs`]). On the finger-tree store the
+    /// per batch (see [`flush_late`]). On the finger-tree store the
     /// whole batch is instead partitioned once and applied in bulk
     /// ([`process_batch_fast`](WindowOperator::process_batch_fast)).
     /// Everything else — tuples at
@@ -1602,7 +1601,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// late buffer is flushed, so emission points and results are
     /// identical to per-tuple processing.
     ///
-    /// [`flush_late_runs`]: WindowOperator::flush_late_runs
+    /// [`flush_late`]: WindowOperator::flush_late
     pub fn process_batch_tuples(
         &mut self,
         batch: &[(Time, A::Input)],
@@ -1650,7 +1649,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
         if self.process_batch_fast(batch) {
             return;
         }
-        let unsorted = self.defer_unsorted();
         let defer_ok = self.defer_config_ok();
         // Deferred-tuple stats accumulate in a local and land once per
         // batch; nothing observes `stats` mid-batch.
@@ -1661,28 +1659,19 @@ impl<A: AggregateFunction> WindowOperator<A> {
             if ts < self.max_ts {
                 // Late tuple: defer it, or flush and fall back. Testing
                 // lateness first (one comparison) keeps the data-dependent
-                // late singles off the run-detection path entirely. The
-                // watermark comparison under-approximates `can_defer_late`
-                // only for `ts == watermark == TIME_MIN`, where the
-                // fallback is equally correct (nothing has been emitted
-                // yet, so there is nothing to revise).
+                // late singles off the run-detection path entirely.
                 if defer_ok && ts > self.watermark && !self.store.is_empty() {
-                    debug_assert!(self.can_defer_late(ts));
                     late_n += 1;
-                    if unsorted {
-                        self.defer_into_group(ts, batch.value(i));
-                    } else {
-                        self.late_buf.push((ts, batch.value(i).clone()));
-                    }
+                    let mut pending =
+                        self.late.take().unwrap_or_else(|| Box::new(LateBatch::new()));
+                    self.defer_late(&mut pending, ts, batch.value(i));
+                    self.late = Some(pending);
                 } else {
                     // A below-watermark straggler, count-measure query, or
                     // context-aware query: apply the pending run and the
                     // pending late runs so per-tuple processing sees final
                     // state.
-                    self.commit_in_order_run();
-                    if !self.store.is_empty() {
-                        self.flush_late_runs();
-                    }
+                    self.flush_late();
                     self.process_tuple(ts, batch.value(i).clone(), out);
                 }
                 i += 1;
@@ -1710,7 +1699,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
         self.stats.tuples += late_n;
         self.stats.ooo_tuples += late_n;
-        self.flush_late_runs();
+        self.flush_late();
     }
 
     /// Processes a stream punctuation (FCF windows, paper Section 4.4).
@@ -1970,13 +1959,10 @@ impl<A: AggregateFunction> Clone for WindowOperator<A> {
             swept_once: self.swept_once,
             per_window_only: self.per_window_only,
             stats: self.stats,
-            late_buf: self.late_buf.clone(),
-            late_groups: self.late_groups.clone(),
-            late_group_pool: Vec::new(),
+            // Scratch is dead between calls; a checkpoint does not need it.
+            late: None,
             run_times: self.run_times.clone(),
             run_values: self.run_values.clone(),
-            // Scratch indices are dead between calls; a checkpoint does
-            // not need them.
             part_idx: Vec::new(),
             context_aware: self.context_aware.clone(),
             edges: self.edges.clone(),
@@ -2194,94 +2180,107 @@ mod tests {
         assert_eq!(eager.name(), "Eager Slicing");
     }
 
+    /// Drives `batches` (a watermark after each) per tuple and batched
+    /// on every store and checks the two emit the same results.
+    fn check_late_batches<A>(f: A, batches: &[(Vec<(Time, i64)>, Time)]) -> OperatorStats
+    where
+        A: AggregateFunction<Input = i64> + Clone,
+        A::Output: PartialEq + std::fmt::Debug,
+    {
+        let mut stats = OperatorStats::default();
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+            let cfg = OperatorConfig::out_of_order(10_000).with_policy(policy);
+            let mut per_tuple = WindowOperator::new(f.clone(), cfg);
+            let mut batched = WindowOperator::new(f.clone(), cfg);
+            per_tuple.add_query(Box::new(TumblingStub { length: 10 })).unwrap();
+            batched.add_query(Box::new(TumblingStub { length: 10 })).unwrap();
+            let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+            for (batch, wm) in batches {
+                for &(ts, v) in batch {
+                    per_tuple.process_tuple(ts, v, &mut out_a);
+                }
+                batched.process_batch_tuples(batch, &mut out_b);
+                per_tuple.process_watermark(*wm, &mut out_a);
+                batched.process_watermark(*wm, &mut out_b);
+            }
+            let key = |r: &WindowResult<A::Output>| (r.query, r.range, r.is_update);
+            assert_eq!(out_a.len(), out_b.len(), "{policy:?}");
+            for (a, b) in out_a.iter().zip(&out_b) {
+                assert_eq!((key(a), &a.value), (key(b), &b.value), "{policy:?}");
+            }
+            assert_eq!(per_tuple.slice_count(), batched.slice_count(), "{policy:?}");
+            let (a, b) = (per_tuple.stats(), batched.stats());
+            assert_eq!(
+                (a.tuples, a.ooo_tuples, a.dropped_late),
+                (b.tuples, b.ooo_tuples, b.dropped_late),
+                "{policy:?}"
+            );
+            stats = *b;
+        }
+        stats
+    }
+
     #[test]
     fn batched_ooo_grouping_matches_per_tuple() {
-        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
-            let cfg = OperatorConfig::out_of_order(1_000).with_policy(policy);
-            let mut a = WindowOperator::new(SumI64, cfg);
-            let mut b = WindowOperator::new(SumI64, cfg);
-            a.add_query(Box::new(TumblingStub { length: 10 })).unwrap();
-            b.add_query(Box::new(TumblingStub { length: 10 })).unwrap();
-            // In-order spine with interleaved late tuples, including ties,
-            // a coverage gap (nothing in [40,50) until the late 44), and a
-            // below-watermark straggler after the first watermark.
-            let batch1: Vec<(Time, i64)> =
-                vec![(5, 5), (50, 1), (12, 12), (44, 44), (12, 120), (55, 2), (3, 30)];
-            let batch2: Vec<(Time, i64)> = vec![(60, 6), (14, 140), (58, 3)];
-            let mut out_a = Vec::new();
-            let mut out_b = Vec::new();
-            for (ts, v) in &batch1 {
-                a.process_tuple(*ts, *v, &mut out_a);
-            }
-            b.process_batch_tuples(&batch1, &mut out_b);
-            a.process_watermark(20, &mut out_a);
-            b.process_watermark(20, &mut out_b);
-            for (ts, v) in &batch2 {
-                a.process_tuple(*ts, *v, &mut out_a);
-            }
-            b.process_batch_tuples(&batch2, &mut out_b);
-            a.process_watermark(100, &mut out_a);
-            b.process_watermark(100, &mut out_b);
-            let key = |r: &WindowResult<i64>| (r.query, r.range.start, r.range.end, r.value);
-            assert_eq!(
-                out_a.iter().map(key).collect::<Vec<_>>(),
-                out_b.iter().map(key).collect::<Vec<_>>(),
-                "policy {policy:?}"
-            );
-            assert_eq!(a.stats().tuples, b.stats().tuples);
-            assert_eq!(a.stats().ooo_tuples, b.stats().ooo_tuples);
-            assert_eq!(a.stats().dropped_late, b.stats().dropped_late);
-        }
+        // In-order spine with interleaved late tuples, including ties,
+        // a coverage gap (nothing in [40,50) until the late 44), and a
+        // below-watermark straggler after the first watermark.
+        let batches = [
+            (vec![(5, 5), (50, 1), (12, 12), (44, 44), (12, 120), (55, 2), (3, 30)], 20),
+            (vec![(60, 6), (14, 140), (58, 3)], 100),
+        ];
+        check_late_batches(SumI64, &batches);
     }
 
     #[test]
     fn finger_batch_fast_path_edges_match_per_tuple() {
-        let mk = || {
-            let cfg = OperatorConfig::out_of_order(1_000).with_policy(StorePolicy::FingerTree);
-            let mut op = WindowOperator::new(SumI64, cfg);
-            op.add_query(Box::new(TumblingStub { length: 10 })).unwrap();
-            op
-        };
-        let mut per_tuple = mk();
-        let mut batched = mk();
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
         // In-order spine establishing slices up to [100, 110).
-        let spine: Vec<(Time, i64)> =
-            [5, 7, 12, 18, 23, 31, 44, 57, 68, 101].iter().map(|&t| (t, 1)).collect();
-        // Late tuples over FIVE distinct covering slices: one more than the
-        // fast path's group ladder holds, forcing its scanning cold path.
-        let wide: Vec<(Time, i64)> = vec![
-            (105, 1),
-            (110, 1),
-            (55, 2),
-            (62, 3),
-            (75, 4),
-            (83, 5),
-            (91, 6),
-            (96, 7),
-            (71, 8),
-            (88, 9),
-        ];
+        let spine = [5, 7, 12, 18, 23, 31, 44, 57, 68, 101].iter().map(|&t| (t, 1)).collect();
+        // Late tuples over five distinct covering slices, arriving in
+        // neither slice nor time order.
+        let wide: Vec<(Time, i64)> = [105, 110, 55, 62, 75, 83, 91, 96, 71, 88]
+            .iter()
+            .zip(1..)
+            .map(|(&t, v)| (t, v))
+            .collect();
         // A tuple at the watermark: the monotone fast path must bail
         // before mutating anything and defer to the generic batch path.
-        let straggler: Vec<(Time, i64)> = vec![(120, 1), (50, 1), (125, 1)];
-        for (batch, wm) in [(&spine, 50), (&wide, 100), (&straggler, 300)] {
-            for &(ts, v) in batch {
-                per_tuple.process_tuple(ts, v, &mut out_a);
-            }
-            batched.process_batch_tuples(batch, &mut out_b);
-            per_tuple.process_watermark(wm, &mut out_a);
-            batched.process_watermark(wm, &mut out_b);
-        }
-        let key = |r: &WindowResult<i64>| (r.query, r.range.start, r.range.end, r.value);
-        assert_eq!(
-            out_a.iter().map(key).collect::<Vec<_>>(),
-            out_b.iter().map(key).collect::<Vec<_>>()
-        );
-        assert_eq!(per_tuple.stats().tuples, batched.stats().tuples);
-        assert_eq!(per_tuple.stats().ooo_tuples, batched.stats().ooo_tuples);
-        assert_eq!(per_tuple.stats().dropped_late, batched.stats().dropped_late);
+        let straggler = vec![(120, 1), (50, 1), (125, 1)];
+        check_late_batches(SumI64, &[(spine, 50), (wide, 100), (straggler, 300)]);
+    }
+
+    #[test]
+    fn gap_slices_inserted_mid_batch_keep_resolved_buckets_valid() {
+        // The stream starts at 100, so the late tuples at 95.. and 50..
+        // each need a gap slice *in front of* slices that earlier late
+        // tuples of the same batch already resolved to: [95, 100) moves
+        // nothing yet, [50, 60) then moves the buckets of 95 and 103 up.
+        let batches = [
+            (vec![(100, 1)], 0),
+            (vec![(105, 2), (95, 3), (103, 4), (50, 5), (97, 6), (52, 7), (101, 8), (120, 9)], 40),
+            (vec![(130, 1), (75, 2), (131, 3), (55, 4), (76, 5)], 200),
+        ];
+        let stats = check_late_batches(SumI64, &batches);
+        // Second batch: [50, 60), [95, 100), [100, 110); third: [50, 60)
+        // and the new gap slice [75, 80).
+        assert_eq!(stats.late_slices, 5);
+        // Tuple-keeping, order-sensitive fold: the sorted-run write.
+        check_late_batches(crate::testsupport::Concat, &batches);
+    }
+
+    #[test]
+    fn late_runs_sort_across_a_hull_wider_than_one_pass() {
+        // 700 slices; the late tuples touch a hull of 697, so the runs
+        // sort in two passes. Slices 2 and 258 agree in the first pass's
+        // bits, and slices 2, 258 and 300 each come back after four
+        // others pushed them out of the memo (two runs to one slice).
+        let spine: Vec<(Time, i64)> = (0..700).map(|i| (i * 10, 1)).collect();
+        let late = [25, 6_985, 3_001, 2_585, 4_444, 5_120, 21, 3_007, 29, 6_981, 3_003, 2_581];
+        let late: Vec<(Time, i64)> = late.iter().zip(1..).map(|(&t, v)| (t, v)).collect();
+        let batches = [(spine, 0), ([vec![(7_000, 1)], late, vec![(7_001, 1)]].concat(), 8_000)];
+        let stats = check_late_batches(SumI64, &batches);
+        assert_eq!((stats.ooo_tuples, stats.late_slices), (12, 6));
+        check_late_batches(crate::testsupport::Concat, &batches);
     }
 
     #[test]

@@ -325,55 +325,6 @@ impl<A: AggregateFunction> Slice<A> {
         }
     }
 
-    /// Owned-run variant of [`Slice::add_out_of_order_run`]: identical
-    /// semantics, but the run's values are **moved** into tuple storage
-    /// instead of cloned — the zero-copy path for deferred late buffers
-    /// whose tuples are owned by the caller and not needed afterwards.
-    pub fn add_out_of_order_run_owned(&mut self, f: &A, mut run: Vec<(Time, A::Input)>) {
-        let (Some(&(first_ts, _)), Some(&(last_ts, _))) = (run.first(), run.last()) else {
-            return;
-        };
-        debug_assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
-        let n = run.len();
-        let commutative = f.properties().commutative;
-        // Fold the aggregate by reference before the values move away.
-        let folded = if commutative { fold_run(f, &run) } else { None };
-        if let Some(tuples) = &mut self.tuples {
-            if first_ts >= self.t_last {
-                tuples.append(&mut run);
-            } else {
-                // One merge pass, moving run values; run tuples land after
-                // stored equal-timestamp ones (stable, as per tuple).
-                let mut merged = Vec::with_capacity(tuples.len() + run.len());
-                let mut it = run.drain(..).peekable();
-                for old in tuples.drain(..) {
-                    while let Some(t) = it.next_if(|&(ts, _)| ts < old.0) {
-                        merged.push(t);
-                    }
-                    merged.push(old);
-                }
-                merged.extend(it);
-                *tuples = merged;
-            }
-        } else {
-            debug_assert!(
-                commutative,
-                "non-commutative out-of-order insert requires stored tuples (Figure 4)"
-            );
-        }
-        self.t_first = self.t_first.min(first_ts);
-        self.t_last = self.t_last.max(last_ts);
-        self.n_tuples += n;
-        if let Some(p) = folded {
-            self.agg = Some(match self.agg.take() {
-                None => p,
-                Some(a) => f.combine(a, &p),
-            });
-        } else {
-            self.recompute(f);
-        }
-    }
-
     /// Merges a pre-folded partial of out-of-order tuples (minimum
     /// timestamp `t_first`, maximum `t_last`, `n` tuples) with a single ⊕.
     /// Only valid without tuple storage and for commutative functions:
@@ -697,38 +648,6 @@ mod tests {
             assert_eq!(a.t_last(), b.t_last());
             assert_eq!(a.tuples(), b.tuples());
         }
-    }
-
-    #[test]
-    fn ooo_run_owned_matches_borrowed_run() {
-        for keep in [false, true] {
-            let f = SumI64;
-            let mut a = slice_with(&f, Range::new(0, 100), keep, &[(10, 1), (50, 5), (90, 9)]);
-            let mut b = a.clone();
-            let run = [(5, 50), (10, 100), (10, 101), (55, 2), (95, 3)];
-            a.add_out_of_order_run(&f, &run);
-            b.add_out_of_order_run_owned(&f, run.to_vec());
-            assert_eq!(a.aggregate(), b.aggregate());
-            assert_eq!(a.len(), b.len());
-            assert_eq!(a.t_first(), b.t_first());
-            assert_eq!(a.t_last(), b.t_last());
-            assert_eq!(a.tuples(), b.tuples());
-            // Append-only fast path (run entirely past t_last).
-            let tail = [(95, 7), (99, 8)];
-            a.add_out_of_order_run(&f, &tail);
-            b.add_out_of_order_run_owned(&f, tail.to_vec());
-            assert_eq!(a.tuples(), b.tuples());
-            assert_eq!(a.aggregate(), b.aggregate());
-        }
-        // Non-commutative: owned merge must keep event-time order + ties.
-        let f = Concat;
-        let mut s: Slice<Concat> = Slice::new(Range::new(0, 100), true);
-        s.add_in_order(&f, 20, 20);
-        s.add_in_order(&f, 80, 80);
-        s.add_out_of_order_run_owned(&f, vec![(10, 10), (20, 21), (50, 50)]);
-        assert_eq!(s.aggregate(), Some(&vec![10, 20, 21, 50, 80]));
-        s.add_out_of_order_run_owned(&f, Vec::new());
-        assert_eq!(s.len(), 5);
     }
 
     #[test]

@@ -439,10 +439,51 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Index of the slice whose time range contains `ts` (time-tiled
     /// stores).
     pub fn covering_index(&self, ts: Time) -> Option<usize> {
+        self.covering_search(ts, None).ok()
+    }
+
+    /// Where `ts` falls among the time-tiled slices: `Ok(i)` when slice
+    /// `i` covers it (session gaps leave holes), `Err(i)` when it lies
+    /// in a coverage gap, `i` being the first slice after the gap — the
+    /// position a slice covering `ts` is inserted at.
+    ///
+    /// The search starts from a guess and gallops outwards from it. The
+    /// guess interpolates `ts` linearly between the nearest slices whose
+    /// position is known without searching: the store's two ends and, if
+    /// given, slice `near` (the previous late tuple's, say). A guess `d`
+    /// slices off costs `O(log d)` probes — a couple when slices are
+    /// evenly long (periodic windows) or `near` is a neighbour (a sorted
+    /// burst), and the order of a binary search at worst.
+    pub fn covering_search(&self, ts: Time, near: Option<usize>) -> Result<usize, usize> {
+        let Some(open) = self.slices.len().checked_sub(1) else {
+            return Err(0);
+        };
+        let mut below = (0, self.slices[0].start());
+        let mut above = (open, self.slices[open].start());
+        if let Some(i) = near {
+            let at = (i, self.slices[i].start());
+            if ts >= at.1 {
+                below = at;
+            } else {
+                above = at;
+            }
+        }
+        let guess = if ts <= below.1 {
+            below.0
+        } else if ts >= above.1 {
+            above.0
+        } else {
+            let share = ts.abs_diff(below.1) as f64 / above.1.abs_diff(below.1) as f64;
+            below.0 + cast::idx32((share * (above.0 - below.0) as f64) as u32)
+        };
         // First slice whose end is beyond ts…
-        let idx = self.slices.partition_point(|s| s.end() <= ts);
-        // …must also start at or before ts (session gaps leave holes).
-        (idx < self.slices.len() && self.slices[idx].start() <= ts).then_some(idx)
+        let idx = gallop_by(self.slices.len(), guess, |i| self.slices[i].end() <= ts);
+        // …must also start at or before ts.
+        if idx <= open && self.slices[idx].start() <= ts {
+            Ok(idx)
+        } else {
+            Err(idx)
+        }
     }
 
     /// Index of the slice an out-of-order tuple at `ts` should join in a
@@ -502,19 +543,6 @@ impl<A: AggregateFunction> SliceStore<A> {
             return;
         }
         self.slices[idx].add_out_of_order_run(&self.f, run);
-        if self.index_live {
-            self.index.update_deferred(idx, self.slices[idx].aggregate().cloned());
-        }
-    }
-
-    /// Owned-run variant of [`SliceStore::add_out_of_order_run`]: the
-    /// run's values are moved into the slice, not cloned. Same deferred
-    /// eager-leaf handling.
-    pub fn add_out_of_order_run_owned(&mut self, idx: usize, run: Vec<(Time, A::Input)>) {
-        if run.is_empty() {
-            return;
-        }
-        self.slices[idx].add_out_of_order_run_owned(&self.f, run);
         if self.index_live {
             self.index.update_deferred(idx, self.slices[idx].aggregate().cloned());
         }
@@ -1159,15 +1187,20 @@ fn merge_opt<M: Clone>(a: Option<M>, b: Option<&M>, combine: impl Fn(M, &M) -> M
 /// `col.partition_point(below)` for a sorted column, found by galloping
 /// outwards from `hint`: `O(log distance)` instead of `O(log n)`.
 fn gallop(col: &[Time], hint: usize, below: impl Fn(Time) -> bool) -> usize {
-    let n = col.len();
+    gallop_by(col.len(), hint, |i| below(col[i]))
+}
+
+/// The partition point of `below` over positions `0..n` (true on a
+/// prefix, false after it), found by galloping outwards from `hint`.
+fn gallop_by(n: usize, hint: usize, below: impl Fn(usize) -> bool) -> usize {
     let hint = hint.min(n);
     let (mut lo, mut hi) = (0, n);
     let mut step = 1;
-    if hint < n && below(col[hint]) {
+    if hint < n && below(hint) {
         // The point lies in (hint, n].
         lo = hint + 1;
         while hint + step < n {
-            if below(col[hint + step]) {
+            if below(hint + step) {
                 lo = hint + step + 1;
                 step *= 2;
             } else {
@@ -1179,7 +1212,7 @@ fn gallop(col: &[Time], hint: usize, below: impl Fn(Time) -> bool) -> usize {
         // The point lies in [0, hint].
         hi = hint;
         while step <= hint {
-            if below(col[hint - step]) {
+            if below(hint - step) {
                 lo = hint - step + 1;
                 break;
             }
@@ -1187,7 +1220,19 @@ fn gallop(col: &[Time], hint: usize, below: impl Fn(Time) -> bool) -> usize {
             step *= 2;
         }
     }
-    lo + col[lo..hi].partition_point(|&t| below(t))
+    // Branch-free bisection of `[lo, hi)`, as `partition_point` does it:
+    // `lo` ends on the last position known to be below, if there is one.
+    let mut size = hi - lo;
+    if size == 0 {
+        return lo;
+    }
+    while size > 1 {
+        let half = size / 2;
+        let mid = lo + half;
+        lo = if below(mid) { mid } else { lo };
+        size -= half;
+    }
+    lo + usize::from(below(lo))
 }
 
 #[cfg(test)]
@@ -1256,6 +1301,26 @@ mod tests {
         assert_eq!(st.covering_index(5), Some(0));
         assert_eq!(st.covering_index(30), None);
         assert_eq!(st.covering_index(55), Some(1));
+    }
+
+    #[test]
+    fn covering_search_finds_slice_or_gap_from_every_hint() {
+        // Unevenly long slices with two gaps, so interpolated guesses
+        // land off target on both sides.
+        let mut st = store(StorePolicy::Lazy, false);
+        let ranges = [(0, 3), (3, 4), (4, 40), (55, 56), (56, 90), (90, 91), (200, 1_000)];
+        for (a, b) in ranges {
+            st.append_slice(Range::new(a, b));
+        }
+        for ts in -5..1_010 {
+            let covering = ranges.iter().position(|&(a, b)| a <= ts && ts < b);
+            let want = covering.ok_or(ranges.iter().filter(|&&(a, _)| a <= ts).count());
+            for near in std::iter::once(None).chain((0..ranges.len()).map(Some)) {
+                assert_eq!(st.covering_search(ts, near), want, "ts {ts} near {near:?}");
+            }
+            assert_eq!(st.covering_index(ts), covering);
+        }
+        assert_eq!(store(StorePolicy::Lazy, false).covering_search(7, None), Err(0));
     }
 
     #[test]

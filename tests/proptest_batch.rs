@@ -461,6 +461,161 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Late batches bucketed by slice against per-tuple processing.
+
+/// SplitMix64: the stream below wants a few cheap draws per tuple.
+struct Mix(u64);
+
+impl Mix {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// An arrival sequence shaped like a reconnect after an outage: an
+/// in-order head starting at `START`, one head tuple in `late_every` a
+/// straggler up to `max_delay` late — early ones land *before* the first
+/// slice, so gap slices are inserted in front of buckets the same batch
+/// already resolved — and, a third of the way in, a sorted burst of
+/// `burst` tuples replaying an older stretch.
+fn outage_stream(seed: u64, late_every: u64, max_delay: u64, burst: usize) -> Vec<(Time, i64)> {
+    const START: Time = 10_000;
+    const HEAD: usize = 900;
+    let mut r = Mix(seed);
+    let mut out = Vec::with_capacity(HEAD + burst);
+    for j in 0..HEAD {
+        let head = START + 2 * j as Time;
+        if j == HEAD / 3 {
+            let from = head - 1_200;
+            out.extend((0..burst).map(|k| (from + (k as Time * 700) / burst.max(1) as Time, 7)));
+        }
+        let late = if r.below(late_every) == 0 { 1 + r.below(max_delay) as Time } else { 0 };
+        out.push((head - late, r.below(100) as i64 - 50));
+    }
+    out
+}
+
+/// Batched = per-tuple for one function over all three stores: the same
+/// emission sequence, the same slices left behind, and every emitted
+/// window equal to a fold of its tuples in event-time order (ties in
+/// arrival order) — what the paper's semantics say it is. Watermarks
+/// trail every tuple, so each window fires once, after its last tuple.
+/// A `batch_size` of 4096 makes each 700-tuple stretch between two
+/// watermarks one batch.
+fn check_late_batches<A>(
+    f: A,
+    input: impl Fn(i64, usize) -> A::Input,
+    stream: &[(Time, i64)],
+    lengths: &[Time],
+    batch_size: usize,
+    lag: Time,
+) -> Result<(), TestCaseError>
+where
+    A: AggregateFunction + Clone,
+    A::Output: PartialEq + std::fmt::Debug + Clone,
+    A::Partial: PartialEq + std::fmt::Debug,
+{
+    type Row<O> = (QueryId, Time, Time, O, bool);
+    let tuples: Vec<(Time, A::Input)> =
+        stream.iter().enumerate().map(|(i, &(t, v))| (t, input(v, i))).collect();
+    let drive = |policy: StorePolicy, batch_size: usize| {
+        let cfg =
+            OperatorConfig { order: StreamOrder::OutOfOrder, policy, ..OperatorConfig::default() };
+        let mut op = WindowOperator::new(f.clone(), cfg);
+        for &l in lengths {
+            op.add_query(Box::new(TumblingWindow::new(l))).unwrap();
+        }
+        let mut out = Vec::new();
+        let mut head = Time::MIN;
+        // A watermark every 700 tuples whatever the batch size (it cuts
+        // the batch, as in the pipeline), so every drive sweeps the same
+        // windows at the same points.
+        for segment in tuples.chunks(700) {
+            for chunk in segment.chunks(batch_size) {
+                if batch_size == 1 {
+                    op.process_tuple(chunk[0].0, chunk[0].1.clone(), &mut out);
+                } else {
+                    op.process_batch_tuples(chunk, &mut out);
+                }
+            }
+            head = head.max(segment.iter().map(|t| t.0).max().unwrap_or(head));
+            op.process_watermark(head - lag, &mut out);
+        }
+        let slices: Vec<_> = op
+            .store()
+            .slices()
+            .map(|s| (s.range(), s.len(), s.aggregate().cloned(), s.tuples().map(<[_]>::len)))
+            .collect();
+        op.process_watermark(Time::MAX - 1, &mut out);
+        let rows: Vec<Row<A::Output>> = out
+            .iter()
+            .map(|r| (r.query, r.range.start, r.range.end, r.value.clone(), r.is_update))
+            .collect();
+        (rows, slices, *op.stats())
+    };
+    let (want, want_slices, want_stats) = drive(StorePolicy::Lazy, 1);
+    prop_assert_eq!(want_stats.dropped_late, 0);
+    prop_assert_eq!(want_stats.updates_emitted, 0);
+    let mut sorted: Vec<&(Time, A::Input)> = tuples.iter().collect();
+    sorted.sort_by_key(|t| t.0);
+    for (_, start, end, value, _) in &want {
+        let fold = sorted
+            .iter()
+            .filter(|t| (*start..*end).contains(&t.0))
+            .fold(None, |acc, t| f.combine_opt(acc, Some(&f.lift(&t.1))));
+        let folded = fold.map(|p| f.lower(&p));
+        prop_assert_eq!(folded.as_ref(), Some(value), "[{}, {})", start, end);
+    }
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for size in [1, batch_size] {
+            let (rows, slices, stats) = drive(policy, size);
+            prop_assert_eq!(&rows, &want, "{:?} batch {}: results", policy, size);
+            prop_assert_eq!(&slices, &want_slices, "{:?} batch {}: slices", policy, size);
+            prop_assert_eq!(stats.ooo_tuples, want_stats.ooo_tuples);
+            prop_assert_eq!(stats.slices_created, want_stats.slices_created);
+            prop_assert_eq!(stats.late_slices > 0, size > 1 && stats.ooo_tuples > 0);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The slice-bucketed late batch: batches of 7, 64 and 4096 tuples
+    /// whose late tuples touch a handful to several hundred slices (one
+    /// or two tumbling queries of width 1–6, so hulls reach 350+ slices
+    /// and, with two queries, slices are unevenly long), a sorted burst
+    /// amid scattered stragglers, gap slices created mid-batch, under a
+    /// kernel fold (Sum), a paired-column kernel (ArgMin) and a
+    /// tuple-keeping non-commutative fold (Concat).
+    #[test]
+    fn late_batches_bucketed_by_slice_match_per_tuple(
+        seed in 0u64..100_000,
+        length in 1i64..7,
+        second in 0i64..8,
+        batch_i in 0usize..3,
+        late_every in 2u64..9,
+        max_delay in 20u64..1_500,
+        burst in 0usize..500,
+    ) {
+        use general_stream_slicing::core::testsupport::Concat;
+        let batch_size = [7usize, 64, 4096][batch_i];
+        let stream = outage_stream(seed, late_every, max_delay, burst);
+        let lengths: Vec<Time> = if second > length { vec![length, second] } else { vec![length] };
+        // Behind the deepest straggler and the burst's oldest tuple.
+        let lag = 1_500 + 1_200 + 16;
+        check_late_batches(Sum, |v, _| v, &stream, &lengths, batch_size, lag)?;
+        check_late_batches(ArgMin, |v, i| (v, i as i64 % 13), &stream, &lengths, batch_size, lag)?;
+        check_late_batches(Concat, |v, _| v, &stream, &lengths, batch_size, lag)?;
+    }
+}
+
+// ---------------------------------------------------------------------
 // Shared-scan emission against per-window emission.
 
 /// One emitted result, everything observable about it.
