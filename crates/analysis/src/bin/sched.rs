@@ -4,11 +4,12 @@
 //! Default mode runs the healthy-protocol cells:
 //!
 //! * exhaustive DFS (no preemption bound) for the smallest config of
-//!   each protocol (1 worker / 1 shard) — every schedule at yield-point
-//!   granularity;
+//!   each protocol (1 worker / 1 shard over one epoch; 1 partition
+//!   over two for `run_keyed`, which has no merge stage) — every
+//!   schedule at yield-point granularity;
 //! * bounded-preemption DFS (bound 2, the CHESS sweet spot) for the
-//!   2-worker / 2-shard configs;
-//! * two seed-pinned PCT cells over the 2-worker / 2-shard configs.
+//!   2-worker / 2-shard / 2-partition configs;
+//! * three seed-pinned PCT cells over the same configs.
 //!
 //! Exit status is nonzero on any oracle violation or on a truncated
 //! exhaustive cell (the space must actually be covered).
@@ -17,7 +18,7 @@
 //! anti-vacuity matrix: each seeded protocol fault must be caught by
 //! some explored schedule; any survivor fails the run.
 
-use gss_analysis::sched::{par_cell, shard_cell, Cell, Explore, Workload};
+use gss_analysis::sched::{keyed_cell, par_cell, shard_cell, Cell, Explore, Workload};
 
 fn print_cell(mode: &str, cell: &Cell) -> bool {
     let status = match &cell.violation {
@@ -26,7 +27,7 @@ fn print_cell(mode: &str, cell: &Cell) -> bool {
         Some(_) => "VIOLATION",
     };
     println!(
-        "  {:<18} {:<26} schedules={:<7} max_yields={:<5} {}",
+        "  {:<24} {:<22} schedules={:<7} max_yields={:<5} {}",
         cell.name, mode, cell.schedules, cell.max_yields, status
     );
     if let Some(v) = &cell.violation {
@@ -40,20 +41,24 @@ fn healthy() -> bool {
     println!("schedule exploration over the real protocols (healthy build):");
 
     // Exhaustive: every schedule of the smallest config of each
-    // protocol over the one-epoch workload. These must terminate below
-    // the cap — truncation fails.
+    // protocol over the one-epoch workload (`run_keyed` has no merge
+    // stage, so its tree leaves room for the two-epoch workload). These
+    // must terminate below the cap — truncation fails.
     let exhaustive = Explore::Dfs { preemption_bound: None, max_schedules: 150_000 };
     ok &= print_cell("dfs/exhaustive", &par_cell(1, Workload::Tiny, &exhaustive));
     ok &= print_cell("dfs/exhaustive", &shard_cell(1, Workload::Tiny, &exhaustive));
+    ok &= print_cell("dfs/exhaustive", &keyed_cell(1, Workload::Full, &exhaustive));
 
     // Bounded-preemption DFS for the two-producer configs: complete
     // coverage of every schedule with at most 2 preemptions of the
     // one-epoch workload. (The straggler workload's schedule tree is
     // exponential in voluntary switches even at bound 0 — it belongs to
-    // the PCT cells below.)
+    // the PCT cells below; `run_keyed`'s is small enough for both.)
     let bounded2 = Explore::Dfs { preemption_bound: Some(2), max_schedules: 150_000 };
     ok &= print_cell("dfs/preempt<=2", &par_cell(2, Workload::Tiny, &bounded2));
     ok &= print_cell("dfs/preempt<=2", &shard_cell(2, Workload::Tiny, &bounded2));
+    ok &= print_cell("dfs/preempt<=2", &keyed_cell(2, Workload::Tiny, &bounded2));
+    ok &= print_cell("dfs/preempt<=2", &keyed_cell(2, Workload::Full, &bounded2));
 
     // Seed-pinned PCT sweeps over the full (two-epoch + straggler)
     // workload: depth-3 random schedules, reproducible run to run and
@@ -62,6 +67,8 @@ fn healthy() -> bool {
     let pct_b = Explore::Pct { seed: 0x5EED_CAFE, depth: 3, runs: 300 };
     ok &= print_cell("pct/seed=0xC0FFEE00", &par_cell(2, Workload::Full, &pct_a));
     ok &= print_cell("pct/seed=0x5EEDCAFE", &shard_cell(2, Workload::Full, &pct_b));
+    let pct_c = Explore::Pct { seed: 0xB0FF_E125, depth: 3, runs: 300 };
+    ok &= print_cell("pct/seed=0xB0FFE125", &keyed_cell(2, Workload::Full, &pct_c));
 
     ok
 }

@@ -4,10 +4,11 @@
 //! The model checkers in [`crate::mc`] and [`crate::sharded`] explore
 //! hand-written transition systems; this module closes the
 //! model–implementation gap by running the actual
-//! [`gss_stream::run_parallel`] and [`gss_stream::run_sharded_keyed`]
-//! code under `crossbeam::sched::run_controlled`, where every channel
-//! operation is a yield point and a [`Strategy`] decides every
-//! interleaving.
+//! [`gss_stream::run_parallel`], [`gss_stream::run_sharded_keyed`] and
+//! [`gss_stream::run_keyed`] code under
+//! `crossbeam::sched::run_controlled`, where every channel operation —
+//! the forward edges, the merge edges and the chunk-buffer return edge —
+//! is a yield point and a [`Strategy`] decides every interleaving.
 //!
 //! Two exploration modes:
 //!
@@ -32,8 +33,9 @@
 //!   [`ProbeEvent`]s the protocols record at ship/apply/ack/barrier/
 //!   release sites: exactly-once partial application per producer,
 //!   epoch barriers releasing only on a full ack set, ack agreement
-//!   within an epoch, strictly monotone barrier watermarks, and (for
-//!   the sharded merge) every applied emission eventually released.
+//!   within an epoch, strictly monotone barrier watermarks, (for the
+//!   sharded merge) every applied emission eventually released, and
+//!   (every driver) every chunk buffer handed back to the source empty.
 //!
 //! Anti-vacuity: with the `sched-mutants` feature, [`mutant_matrix`]
 //! re-runs small cells against each seeded protocol fault in
@@ -47,7 +49,9 @@ use gss_core::{
     KeyedConfig, KeyedWindowOperator, OperatorConfig, PerKey, QueryId, StreamElement,
     WindowAggregator, WindowFunction, WindowOperator,
 };
-use gss_stream::{run_parallel, run_sharded_keyed, shard_of, PipelineConfig};
+use gss_stream::{
+    partition_of, run_keyed, run_parallel, run_sharded_keyed, shard_of, PipelineConfig,
+};
 use gss_windows::TumblingWindow;
 
 // ---------------------------------------------------------------------------
@@ -320,7 +324,8 @@ fn check_run<R>(
 /// * ack agreement: all acks of an epoch carry the barrier watermark;
 /// * monotonicity: barrier watermarks strictly increase;
 /// * drain (`releases_match_applies`, sharded merge): items released
-///   over the whole run equal items applied — nothing staged is lost.
+///   over the whole run equal items applied — nothing staged is lost;
+/// * recycling: every chunk buffer a consumer hands back is empty.
 pub fn check_probes(
     probes: &[Probe],
     n_src: usize,
@@ -384,6 +389,13 @@ pub fn check_probes(
                 pending_acks.clear();
             }
             ProbeEvent::Released { items } => released += items,
+            ProbeEvent::Recycled { src, items } => {
+                if items != 0 {
+                    return Err(format!(
+                        "consumer {src} handed back a chunk buffer still holding {items} records"
+                    ));
+                }
+            }
         }
     }
     if !pending_acks.is_empty() {
@@ -455,13 +467,19 @@ fn par_op_cfg() -> OperatorConfig {
     OperatorConfig::out_of_order(20)
 }
 
-/// Transport config pinned for determinism: fixed batch size 1 (the
+/// Transport config pinned for determinism: fixed-size chunks (the
 /// default adaptive batching reads the wall clock, which would make the
-/// chunking — and thus the schedule tree — nondeterministic) and a
-/// small but non-rendezvous channel capacity so backpressure paths get
-/// explored.
+/// chunking — and thus the schedule tree — nondeterministic) and a small
+/// but non-rendezvous channel capacity so backpressure paths get
+/// explored, on the forward edges and on the chunk-buffer return edge
+/// (which takes the same capacity). Two producers get one record per
+/// chunk, so the round-robin deal reaches both; a single producer gets
+/// two, because every chunk adds a hand-back and a pick-up to the
+/// schedule tree and one chunk per epoch is what keeps the one-producer
+/// tree exhaustible.
 fn pipe_cfg(parallelism: usize) -> PipelineConfig {
-    let mut cfg = PipelineConfig::with_parallelism(parallelism).with_batch_size(1);
+    let chunk = if parallelism == 1 { 2 } else { 1 };
+    let mut cfg = PipelineConfig::with_parallelism(parallelism).with_batch_size(chunk);
     cfg.channel_capacity = 2;
     cfg
 }
@@ -479,12 +497,7 @@ fn canon_par<'a>(results: impl Iterator<Item = &'a gss_core::WindowResult<i64>>)
 /// Sequential reference for the parallel cell: one operator, same
 /// elements, same config.
 fn par_reference(workload: Workload) -> Vec<Emit> {
-    let mut op = WindowOperator::new(SumI64, par_op_cfg());
-    for w in &par_windows() {
-        if op.add_query(w.clone_box()).is_err() {
-            unreachable!("time-measure queries cannot conflict");
-        }
-    }
+    let mut op = plain_operator();
     let mut out = Vec::new();
     for e in par_elements(workload) {
         match e {
@@ -530,28 +543,27 @@ pub fn par_cell(workers: usize, workload: Workload, mode: &Explore) -> Cell {
 /// One canonical keyed emission: `(key, start, end, value, is_update)`.
 type KeyedEmit = (u64, i64, i64, i64, bool);
 
-/// Two keys guaranteed to land on different shards (same key when only
-/// one shard exists).
-fn shard_keys(shards: usize) -> (u64, u64) {
+/// Two keys `assign` guarantees to land on different destinations (any
+/// two keys when there is only one).
+fn spread_keys(assign: fn(u64, usize) -> usize, n: usize) -> (u64, u64) {
     let find = |target: usize| {
         let mut k = 0u64;
-        while shard_of(k, shards) != target {
+        while assign(k, n) != target {
             k += 1;
-            assert!(k < 4096, "no key found for shard {target}");
+            assert!(k < 4096, "no key found for destination {target}");
         }
         k
     };
-    if shards < 2 {
+    if n < 2 {
         (0, 1)
     } else {
         (find(0), find(1))
     }
 }
 
-/// Fixed keyed workload: both shards hold state in every epoch, so
+/// Fixed keyed workload: both destinations hold state in every epoch, so
 /// dropped or early-released staging is always observable.
-fn shard_elements(shards: usize, w: Workload) -> Vec<StreamElement<(u64, i64)>> {
-    let (ka, kb) = shard_keys(shards);
+fn keyed_elements((ka, kb): (u64, u64), w: Workload) -> Vec<StreamElement<(u64, i64)>> {
     match w {
         Workload::Tiny => vec![
             StreamElement::Record { ts: 1, value: (ka, 1) },
@@ -596,7 +608,7 @@ fn shard_reference(shards: usize, workload: Workload) -> Vec<KeyedEmit> {
                 .map(|r| (r.value.0, r.range.start, r.range.end, r.value.1, r.is_update)),
         );
     };
-    for e in shard_elements(shards, workload) {
+    for e in keyed_elements(spread_keys(shard_of, shards), workload) {
         match e {
             StreamElement::Record { ts, value } => op.process(ts, value, &mut scratch),
             StreamElement::Watermark(wm) => {
@@ -620,7 +632,7 @@ fn shard_reference(shards: usize, workload: Workload) -> Vec<KeyedEmit> {
 /// protocol's determinism guarantee, not just the multiset.
 pub fn shard_cell(shards: usize, workload: Workload, mode: &Explore) -> Cell {
     let expect = shard_reference(shards, workload);
-    let elements = shard_elements(shards, workload);
+    let elements = keyed_elements(spread_keys(shard_of, shards), workload);
     let run = move |strategy: Box<dyn Strategy>| {
         let elements = elements.clone();
         run_controlled(strategy, move || {
@@ -652,6 +664,88 @@ pub fn shard_cell(shards: usize, workload: Workload, mode: &Explore) -> Cell {
     explore(&format!("shard/shards={shards}/{workload:?}"), mode, &run, &oracle)
 }
 
+/// One canonical `run_keyed` emission: the partition that produced it
+/// and the emission.
+type PartEmit = (usize, Emit);
+
+fn plain_operator() -> WindowOperator<SumI64> {
+    let mut op = WindowOperator::new(SumI64, par_op_cfg());
+    for w in &par_windows() {
+        if op.add_query(w.clone_box()).is_err() {
+            unreachable!("time-measure queries cannot conflict");
+        }
+    }
+    op
+}
+
+/// Sequential reference for the `run_keyed` cell: one operator per
+/// partition over that partition's records and every watermark.
+fn keyed_reference(elements: &[StreamElement<(u64, i64)>], partitions: usize) -> Vec<PartEmit> {
+    let mut expect = Vec::new();
+    for part in 0..partitions {
+        let mut op = plain_operator();
+        let mut out = Vec::new();
+        for e in elements {
+            match *e {
+                StreamElement::Record { ts, value: (key, v) } => {
+                    if partition_of(key, partitions) == part {
+                        op.process_tuple(ts, v, &mut out);
+                    }
+                }
+                StreamElement::Watermark(wm) => op.process_watermark(wm, &mut out),
+                StreamElement::Punctuation(ts) => op.process_punctuation(ts, &mut out),
+            }
+        }
+        expect.extend(canon_par(out.iter()).into_iter().map(|e| (part, e)));
+    }
+    expect.sort_unstable();
+    expect
+}
+
+/// Explores the single-stage keyed pipeline with `partitions` workers:
+/// the forward edge per partition and the chunk-buffer return edge they
+/// share. Chunks hold two records, so some go through the columnar path
+/// — the one that leaves its records in the buffer for `give_back` to
+/// clear. Per partition the emissions must be the sequential operator's,
+/// and every buffer handed back must be empty (`check_probes`).
+pub fn keyed_cell(partitions: usize, workload: Workload, mode: &Explore) -> Cell {
+    let elements = keyed_elements(spread_keys(partition_of, partitions), workload);
+    let expect = keyed_reference(&elements, partitions);
+    let run = move |strategy: Box<dyn Strategy>| {
+        let elements = elements.clone();
+        run_controlled(strategy, move || {
+            let report =
+                run_keyed::<SumI64, _>(elements, pipe_cfg(partitions).with_batch_size(2), |_| {
+                    Box::new(plain_operator()) as Box<dyn WindowAggregator<SumI64>>
+                });
+            let mut got: Vec<PartEmit> = report
+                .results
+                .iter()
+                .map(|(p, r)| (*p, (r.query, r.range.start, r.range.end, r.value, r.is_update)))
+                .collect();
+            got.sort_unstable();
+            (got, report.result_count)
+        })
+    };
+    let oracle = move |out: &ControlledRun<(Vec<PartEmit>, u64)>| -> Result<(), String> {
+        let (got, count) = match &out.result {
+            Ok(v) => v,
+            Err(e) => return Err(e.clone()),
+        };
+        if *count != got.len() as u64 {
+            return Err(format!("result_count {count} != collected {}", got.len()));
+        }
+        if *got != expect {
+            return Err(format!(
+                "emissions diverge from the per-partition sequential reference:\n  got    \
+                 {got:?}\n  expect {expect:?}"
+            ));
+        }
+        check_probes(&out.probes, partitions, false)
+    };
+    explore(&format!("keyed/partitions={partitions}/{workload:?}"), mode, &run, &oracle)
+}
+
 // ---------------------------------------------------------------------------
 // Anti-vacuity: the mutant matrix
 // ---------------------------------------------------------------------------
@@ -675,6 +769,7 @@ pub fn mutant_matrix() -> Vec<(&'static str, Cell)> {
                 ("ShardEagerRelease", shard_cell(2, Workload::Full, &mode))
             }
             Mutant::ShardDropStaged => ("ShardDropStaged", shard_cell(2, Workload::Full, &mode)),
+            Mutant::DirtyReturn => ("DirtyReturn", keyed_cell(2, Workload::Full, &mode)),
         };
         out.push((name, cell));
     }
@@ -704,6 +799,17 @@ mod tests {
         let cell = shard_cell(
             1,
             Workload::Tiny,
+            &Explore::Dfs { preemption_bound: Some(1), max_schedules: 400 },
+        );
+        assert!(cell.passed(), "{:?}", cell.violation);
+        assert!(cell.schedules > 1);
+    }
+
+    #[test]
+    fn single_partition_keyed_cell_passes() {
+        let cell = keyed_cell(
+            1,
+            Workload::Full,
             &Explore::Dfs { preemption_bound: Some(1), max_schedules: 400 },
         );
         assert!(cell.passed(), "{:?}", cell.violation);
@@ -744,6 +850,11 @@ mod tests {
             p(ProbeEvent::Released { items: 1 }),
         ];
         assert!(check_probes(&t, 1, true).is_err());
+        // A buffer handed back with records still in it.
+        let t = vec![p(ProbeEvent::Recycled { src: 0, items: 0 })];
+        assert!(check_probes(&t, 1, false).is_ok());
+        let t = vec![p(ProbeEvent::Recycled { src: 0, items: 2 })];
+        assert!(check_probes(&t, 1, false).is_err());
         // Healthy trace.
         let t = vec![
             p(ProbeEvent::Shipped { src: 0, items: 2 }),

@@ -13,7 +13,7 @@ const SUB_BUCKET_BITS: u32 = 4; // 16 linear sub-buckets per octave
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 const OCTAVES: usize = 40; // covers 1ns .. ~1100s
 
-/// Log bucket index of a value (shared by both histograms).
+/// Log bucket index of a value.
 fn bucket_of(n: u64) -> usize {
     if n < SUB_BUCKETS as u64 {
         return n as usize;
@@ -36,15 +36,74 @@ fn bucket_floor(idx: usize) -> u64 {
     ((SUB_BUCKETS as u64) + sub) << shift
 }
 
-/// Fixed-size log-bucketed histogram of nanosecond values.
+/// The one log-bucket histogram behind both typed fronts: bucket counts
+/// plus exact count, sum, min and max of the raw `u64` samples.
 #[derive(Clone)]
-pub struct LatencyHistogram {
+struct LogHistogram {
     counts: Vec<u64>,
     total: u64,
-    sum_ns: u128,
-    max_ns: u64,
-    min_ns: u64,
+    sum: u128,
+    max: u64,
+    min: u64,
 }
+
+impl Default for LogHistogram {
+    fn default() -> Self {
+        LogHistogram {
+            counts: vec![0; OCTAVES * SUB_BUCKETS],
+            total: 0,
+            sum: 0,
+            max: 0,
+            min: u64::MAX,
+        }
+    }
+}
+
+impl LogHistogram {
+    fn record(&mut self, n: u64) {
+        self.counts[bucket_of(n)] += 1;
+        self.total += 1;
+        self.sum += n as u128;
+        self.max = self.max.max(n);
+        self.min = self.min.min(n);
+    }
+
+    /// Smallest sample; 0 when empty (`min` then still sits above `max`).
+    fn min(&self) -> u64 {
+        self.min.min(self.max)
+    }
+
+    /// Value at quantile `q` in `[0, 1]` (bucket lower bound — a slight
+    /// underestimate, bounded by the bucket's ~6 % width); 0 when empty.
+    fn quantile(&self, q: f64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (idx, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return bucket_floor(idx).clamp(self.min(), self.max);
+            }
+        }
+        self.max
+    }
+
+    fn merge(&mut self, other: &LogHistogram) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.total += other.total;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+        self.min = self.min.min(other.min);
+    }
+}
+
+/// Fixed-size log-bucketed histogram of nanosecond values.
+#[derive(Clone, Default)]
+pub struct LatencyHistogram(LogHistogram);
 
 /// Summarized rather than bucket-dumped: the histogram embeds in larger
 /// `#[derive(Debug)]` structs (e.g. `PipelineReport`) without printing 640
@@ -55,94 +114,56 @@ impl std::fmt::Debug for LatencyHistogram {
     }
 }
 
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LatencyHistogram {
     pub fn new() -> Self {
-        LatencyHistogram {
-            counts: vec![0; OCTAVES * SUB_BUCKETS],
-            total: 0,
-            sum_ns: 0,
-            max_ns: 0,
-            min_ns: u64::MAX,
-        }
+        Self::default()
     }
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: Duration) {
-        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-        self.record_ns(ns);
+        self.record_ns(latency.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     pub fn record_ns(&mut self, ns: u64) {
-        self.counts[bucket_of(ns)] += 1;
-        self.total += 1;
-        self.sum_ns += ns as u128;
-        self.max_ns = self.max_ns.max(ns);
-        self.min_ns = self.min_ns.min(ns);
+        self.0.record(ns);
     }
 
     pub fn count(&self) -> u64 {
-        self.total
+        self.0.total
     }
 
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.0.total == 0
     }
 
     pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_ns)
+        Duration::from_nanos(self.0.max)
     }
 
     pub fn min(&self) -> Duration {
-        Duration::from_nanos(if self.total == 0 { 0 } else { self.min_ns })
+        Duration::from_nanos(self.0.min())
     }
 
     pub fn mean(&self) -> Duration {
-        if self.total == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos((self.sum_ns / self.total as u128) as u64)
+        Duration::from_nanos((self.0.sum / self.0.total.max(1) as u128) as u64)
     }
 
     /// Value at quantile `q` in `[0, 1]` (bucket lower bound — a slight
     /// underestimate, bounded by the bucket's ~6 % width).
     pub fn quantile(&self, q: f64) -> Duration {
-        if self.total == 0 {
-            return Duration::ZERO;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let v = bucket_floor(idx).clamp(self.min_ns.min(self.max_ns), self.max_ns);
-                return Duration::from_nanos(v);
-            }
-        }
-        self.max()
+        Duration::from_nanos(self.0.quantile(q))
     }
 
     /// Merges another histogram into this one (for per-partition metrics).
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.min_ns = self.min_ns.min(other.min_ns);
+        self.0.merge(&other.0);
     }
 
     /// One-line summary: `n=.. mean=.. p50=.. p99=.. max=..`.
     pub fn summary(&self) -> String {
         format!(
             "n={} mean={:?} p50={:?} p99={:?} max={:?}",
-            self.total,
+            self.count(),
             self.mean(),
             self.quantile(0.5),
             self.quantile(0.99),
@@ -158,14 +179,8 @@ impl LatencyHistogram {
 /// sizes means the latency deadline (or a watermark) is doing the
 /// flushing. Same bucket layout as [`LatencyHistogram`], so the relative
 /// error is ~6 % and the footprint fixed.
-#[derive(Clone)]
-pub struct BatchSizeHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum: u128,
-    max: u64,
-    min: u64,
-}
+#[derive(Clone, Default)]
+pub struct BatchSizeHistogram(LogHistogram);
 
 impl std::fmt::Debug for BatchSizeHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -173,103 +188,62 @@ impl std::fmt::Debug for BatchSizeHistogram {
     }
 }
 
-impl Default for BatchSizeHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BatchSizeHistogram {
     pub fn new() -> Self {
-        BatchSizeHistogram {
-            counts: vec![0; OCTAVES * SUB_BUCKETS],
-            total: 0,
-            sum: 0,
-            max: 0,
-            min: u64::MAX,
-        }
+        Self::default()
     }
 
     /// Records one flushed chunk of `size` records.
     pub fn record(&mut self, size: usize) {
-        let n = gss_core::cast::to_u64(size);
-        self.counts[bucket_of(n)] += 1;
-        self.total += 1;
-        self.sum += n as u128;
-        self.max = self.max.max(n);
-        self.min = self.min.min(n);
+        self.0.record(gss_core::cast::to_u64(size));
     }
 
     /// Number of chunks recorded.
     pub fn count(&self) -> u64 {
-        self.total
+        self.0.total
     }
 
     /// Total records across all recorded chunks.
     pub fn records(&self) -> u64 {
-        self.sum.min(u64::MAX as u128) as u64
+        self.0.sum.min(u64::MAX as u128) as u64
     }
 
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.0.total == 0
     }
 
     pub fn max(&self) -> u64 {
-        self.max
+        self.0.max
     }
 
     pub fn min(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.min
-        }
+        self.0.min()
     }
 
     /// Mean chunk size.
     pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.sum as f64 / self.total as f64
+        self.0.sum as f64 / self.0.total.max(1) as f64
     }
 
     /// Chunk size at quantile `q` in `[0, 1]` (bucket lower bound).
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_floor(idx).clamp(self.min.min(self.max), self.max);
-            }
-        }
-        self.max
+        self.0.quantile(q)
     }
 
     /// Merges another histogram into this one (for per-partition metrics).
     pub fn merge(&mut self, other: &BatchSizeHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
+        self.0.merge(&other.0);
     }
 
     /// One-line summary: `chunks=.. mean=.. p50=.. p99=.. max=..`.
     pub fn summary(&self) -> String {
         format!(
             "chunks={} mean={:.1} p50={} p99={} max={}",
-            self.total,
+            self.count(),
             self.mean(),
             self.quantile(0.5),
             self.quantile(0.99),
-            self.max
+            self.max()
         )
     }
 }

@@ -3,7 +3,8 @@
 //! A schedule-exploration harness that never fails proves nothing, so
 //! each mutant here re-introduces one concurrency bug class at a real
 //! protocol decision point — firing an epoch barrier early, applying a
-//! partials batch twice, dropping staged emissions — and the harness
+//! partials batch twice, dropping staged emissions, recycling a chunk
+//! buffer that still holds records — and the harness
 //! must catch every one on some explored schedule.
 //!
 //! Without the `sched-mutants` feature, [`is`] is a constant `false`
@@ -32,6 +33,9 @@ pub enum Mutant {
     /// `run_sharded_keyed` merge: drop shard 0's staged emissions at
     /// the barrier.
     ShardDropStaged = 4,
+    /// Every driver's return edge: a worker hands a consumed chunk back
+    /// to the source without emptying it.
+    DirtyReturn = 5,
 }
 
 /// Every injectable fault, for harness iteration.
@@ -40,6 +44,7 @@ pub const ALL_MUTANTS: &[Mutant] = &[
     Mutant::ParDoubleApply,
     Mutant::ShardEagerRelease,
     Mutant::ShardDropStaged,
+    Mutant::DirtyReturn,
 ];
 
 #[cfg(feature = "sched-mutants")]

@@ -81,9 +81,9 @@ use gss_core::{
     WindowOperator, WindowResult, TIME_MAX, TIME_MIN,
 };
 
-use crate::batching::{ChunkBuilder, RecordChunk};
-use crate::metrics::{BatchSizeHistogram, LatencyHistogram};
-use crate::pipeline::{process_cpu_time, PipelineConfig, PipelineReport};
+use crate::batching::{give_back, Gather, Gathered, RecordChunk, RECV_BURST};
+use crate::metrics::LatencyHistogram;
+use crate::pipeline::{ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport};
 
 /// Worker-side flush threshold, in timeline slices plus buffered
 /// straggler partials. Bounds worker memory between watermarks; each
@@ -122,14 +122,6 @@ enum MergeMsg<A: AggregateFunction> {
     Partials(Vec<SlicePartial<A>>),
     /// Ack of a broadcast watermark: everything this worker received
     /// before the watermark has already been shipped.
-    Watermark(Time),
-}
-
-/// Work sent from the driver to one worker. Records travel as a
-/// struct-of-arrays [`RecordChunk`] so the worker can fold same-slice
-/// spans straight off the contiguous values column.
-enum ParChunk<V> {
-    Records(RecordChunk<V>),
     Watermark(Time),
 }
 
@@ -400,23 +392,27 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
 /// on every watermark. Returns `(records, queue-wait histogram,
 /// fold hits, fold misses)`.
 fn worker_loop<A: AggregateFunction>(
-    rx: Receiver<ParChunk<A::Input>>,
+    rx: Receiver<Gathered<A::Input>>,
     tx: Sender<(usize, MergeMsg<A>)>,
+    spares: Sender<RecordChunk<A::Input>>,
     me: usize,
     mut slicer: WorkerSlicer<A>,
 ) -> (u64, LatencyHistogram, u64, u64) {
     let mut wait = LatencyHistogram::new();
     let mut records = 0u64;
-    for chunk in rx.iter() {
+    for chunk in rx.bursts(RECV_BURST) {
         match chunk {
-            ParChunk::Records(chunk) => {
+            Gathered::Records(_, chunk) => {
                 records += chunk.len() as u64;
                 slicer.ingest_chunk(&chunk);
+                give_back(&spares, chunk, me);
                 if slicer.timeline.len() + slicer.stragglers.len() >= FLUSH_SLICE_CAP {
                     slicer.flush(&tx, me, &mut wait);
                 }
             }
-            ParChunk::Watermark(wm) => {
+            // The driver turns punctuations into watermark rounds.
+            Gathered::Punctuation(_) => {}
+            Gathered::Watermark(wm) => {
                 // Flush, then ack: after the ack every pre-watermark
                 // tuple this worker received is with the merge stage.
                 // Every watermark is acked — even a regressive one, which
@@ -632,109 +628,79 @@ where
         let merge_f = f.clone();
         let merge = scope.spawn(move || merge_loop(mrx, op, &merge_f, workers, collect));
 
-        let mut senders: Vec<Sender<ParChunk<A::Input>>> = Vec::with_capacity(workers);
+        let (mut gather, spares) =
+            Gather::new(elements, cfg.batching, 1, cfg.channel_capacity, |v| (0, v), |_, _| 0);
+        let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
-            let (tx, rx) = bounded::<ParChunk<A::Input>>(cfg.channel_capacity);
+            let (tx, rx) = bounded::<Gathered<A::Input>>(cfg.channel_capacity);
             senders.push(tx);
             let slicer =
                 WorkerSlicer::new(f.clone(), &windows, op_cfg.allowed_lateness, op_cfg.order);
-            let mtx = mtx.clone();
-            handles.push(scope.spawn(move || worker_loop(rx, mtx, i, slicer)));
+            let (mtx, spares) = (mtx.clone(), spares.clone());
+            handles.push(scope.spawn(move || worker_loop(rx, mtx, spares, i, slicer)));
         }
         // Workers hold the only remaining clones; the merge loop ends
         // when the last worker exits.
-        drop(mtx);
+        drop((mtx, spares));
 
-        // Driver: deal record chunks round-robin, broadcast watermarks
-        // in stream order. O(1) work per chunk keeps the single-threaded
-        // driver off the critical path. In-order streams carry no (or
-        // few) explicit watermarks — their sequential operator emits per
-        // tuple — so the driver synthesizes rounds: `max_ts - 1` after
-        // each full deal round (strictly below every unseen record of a
-        // non-decreasing stream) and `max_ts` at end of stream, firing
-        // exactly the windows the per-tuple sweep would have fired.
+        // Driver: deal the gathered chunks round-robin, broadcast
+        // watermarks in stream order. O(1) work per chunk keeps the
+        // single-threaded driver off the critical path. In-order streams
+        // carry no (or few) explicit watermarks — their sequential
+        // operator emits per tuple — so the driver synthesizes rounds:
+        // `max_ts - 1` after each full deal round (strictly below every
+        // unseen record of a non-decreasing stream; skipped while the
+        // stage is flushing, when a broadcast or the final round follows
+        // anyway) and `max_ts` at end of stream, firing exactly the
+        // windows the per-tuple sweep would have fired.
         let in_order = op_cfg.order.is_in_order();
         let mut max_ts = TIME_MIN;
         let mut last_wm = TIME_MIN;
-        let mut builder: ChunkBuilder<A::Input> = ChunkBuilder::new(cfg.batching);
-        let mut sizes = BatchSizeHistogram::new();
         let mut next = 0usize;
-        let broadcast = |senders: &[Sender<ParChunk<A::Input>>], wm: Time| {
-            for tx in senders {
-                tx.send(ParChunk::Watermark(wm)).expect("worker hung up");
+        let broadcast = |wm: Time| {
+            for tx in &senders {
+                tx.send(Gathered::Watermark(wm)).expect("worker hung up");
             }
         };
-        for element in elements {
-            match element {
-                StreamElement::Record { ts, value } => {
-                    if let Some(chunk) = builder.push(ts, value) {
-                        sizes.record(chunk.len());
-                        if in_order {
-                            // In-order ⇒ the chunk's last time is its max.
-                            if let Some(&t) = chunk.times().last() {
-                                max_ts = max_ts.max(t);
-                            }
-                        }
-                        senders[next].send(ParChunk::Records(chunk)).expect("worker hung up");
-                        next = (next + 1) % workers;
-                        if in_order && next == 0 && max_ts > TIME_MIN && max_ts - 1 > last_wm {
-                            last_wm = max_ts - 1;
-                            broadcast(&senders, last_wm);
-                        }
+        while let Some(event) = gather.next() {
+            match event {
+                Gathered::Records(_, ref chunk) => {
+                    // In-order ⇒ the chunk's last time is its max.
+                    if let (true, Some(&t)) = (in_order, chunk.times().last()) {
+                        max_ts = max_ts.max(t);
+                    }
+                    senders[next].send(event).expect("worker hung up");
+                    next = (next + 1) % workers;
+                    let synthesize = in_order && next == 0 && !gather.flushing();
+                    if synthesize && max_ts > TIME_MIN && max_ts - 1 > last_wm {
+                        last_wm = max_ts - 1;
+                        broadcast(last_wm);
                     }
                 }
-                StreamElement::Watermark(wm) => {
-                    if let Some(chunk) = builder.take() {
-                        sizes.record(chunk.len());
-                        if in_order {
-                            if let Some(&t) = chunk.times().last() {
-                                max_ts = max_ts.max(t);
-                            }
-                        }
-                        senders[next].send(ParChunk::Records(chunk)).expect("worker hung up");
-                        next = (next + 1) % workers;
-                    }
+                Gathered::Watermark(wm) => {
                     last_wm = last_wm.max(wm);
-                    broadcast(&senders, wm);
+                    broadcast(wm);
                 }
-                StreamElement::Punctuation(ts) => {
-                    // Context-free static-edge windows ignore punctuation
-                    // as a *context* event (punctuation-driven windows are
-                    // ineligible and take the fallback), but the in-order
-                    // operator also treats it as a trigger sweep up to
-                    // `ts` — reproduce that as a watermark round.
-                    if in_order && ts > last_wm {
-                        if let Some(chunk) = builder.take() {
-                            sizes.record(chunk.len());
-                            if let Some(&t) = chunk.times().last() {
-                                max_ts = max_ts.max(t);
-                            }
-                            senders[next].send(ParChunk::Records(chunk)).expect("worker hung up");
-                            next = (next + 1) % workers;
-                        }
-                        last_wm = ts;
-                        broadcast(&senders, ts);
-                    }
+                // Context-free static-edge windows ignore punctuation as
+                // a *context* event (punctuation-driven windows are
+                // ineligible and take the fallback), but the in-order
+                // operator also treats it as a trigger sweep up to `ts` —
+                // reproduce that as a watermark round.
+                Gathered::Punctuation(ts) if in_order && ts > last_wm => {
+                    last_wm = ts;
+                    broadcast(ts);
                 }
+                Gathered::Punctuation(_) => {}
             }
         }
-        if let Some(chunk) = builder.take() {
-            sizes.record(chunk.len());
-            if in_order {
-                if let Some(&t) = chunk.times().last() {
-                    max_ts = max_ts.max(t);
-                }
-            }
-            senders[next].send(ParChunk::Records(chunk)).expect("worker hung up");
-        }
-        if in_order && max_ts > TIME_MIN && max_ts > last_wm {
+        if in_order && max_ts > last_wm {
             // Final synthesized round: the sequential per-tuple sweep has
             // fired every window with `end <= max_ts` by end of stream.
-            broadcast(&senders, max_ts);
+            broadcast(max_ts);
         }
         drop(senders);
-        report.batch_sizes = sizes;
+        report.batch_sizes = gather.into_sizes();
 
         for h in handles {
             let (records, wait, hits, misses) = h.join().expect("worker panicked");
@@ -776,72 +742,27 @@ where
         op.add_query(w.clone_box()).expect("incompatible query mix");
     }
     let per_tuple = cfg.batching.is_per_tuple();
-    let mut builder: ChunkBuilder<A::Input> = ChunkBuilder::new(cfg.batching);
-    let mut sizes = BatchSizeHistogram::new();
+    let (mut gather, spares) = Gather::new(elements, cfg.batching, 1, 1, |v| (0, v), |_, _| 0);
     let mut scratch: Vec<WindowResult<A::Output>> = Vec::new();
-
-    fn drain_chunk<A: AggregateFunction>(
-        op: &mut WindowOperator<A>,
-        chunk: RecordChunk<A::Input>,
-        per_tuple: bool,
-        scratch: &mut Vec<WindowResult<A::Output>>,
-    ) {
-        // Size-1 chunks take the per-record entry point (run detection is
-        // pure overhead on a single record).
-        if per_tuple || chunk.len() == 1 {
-            for (ts, v) in chunk {
-                op.process_tuple(ts, v, scratch);
+    while let Some(event) = gather.next() {
+        match event {
+            Gathered::Records(_, chunk) => {
+                report.records += ingest_chunk(&mut op, chunk, per_tuple, &mut scratch, &spares, 0);
             }
+            Gathered::Watermark(wm) => op.process_watermark(wm, &mut scratch),
+            Gathered::Punctuation(ts) => op.process_punctuation(ts, &mut scratch),
+        }
+        report.result_count += scratch.len() as u64;
+        if cfg.collect_results {
+            report.results.extend(scratch.drain(..).map(|r| (0usize, r)));
         } else {
-            op.process_batch_columns(chunk.times(), chunk.values(), scratch);
+            scratch.clear();
         }
-    }
-
-    for element in elements {
-        match element {
-            StreamElement::Record { ts, value } => {
-                report.records += 1;
-                if let Some(chunk) = builder.push(ts, value) {
-                    sizes.record(chunk.len());
-                    drain_chunk(&mut op, chunk, per_tuple, &mut scratch);
-                }
-            }
-            StreamElement::Watermark(wm) => {
-                if let Some(chunk) = builder.take() {
-                    sizes.record(chunk.len());
-                    drain_chunk(&mut op, chunk, per_tuple, &mut scratch);
-                }
-                op.process_watermark(wm, &mut scratch);
-            }
-            StreamElement::Punctuation(ts) => {
-                if let Some(chunk) = builder.take() {
-                    sizes.record(chunk.len());
-                    drain_chunk(&mut op, chunk, per_tuple, &mut scratch);
-                }
-                op.process_punctuation(ts, &mut scratch);
-            }
-        }
-        if !scratch.is_empty() {
-            report.result_count += scratch.len() as u64;
-            if cfg.collect_results {
-                report.results.extend(scratch.drain(..).map(|r| (0usize, r)));
-            } else {
-                scratch.clear();
-            }
-        }
-    }
-    if let Some(chunk) = builder.take() {
-        sizes.record(chunk.len());
-        drain_chunk(&mut op, chunk, per_tuple, &mut scratch);
-    }
-    report.result_count += scratch.len() as u64;
-    if cfg.collect_results {
-        report.results.extend(scratch.drain(..).map(|r| (0usize, r)));
     }
     let (fold_hits, fold_misses) = WindowAggregator::fold_stats(&op);
     report.fold_hits = fold_hits;
     report.fold_misses = fold_misses;
-    report.batch_sizes = sizes;
+    report.batch_sizes = gather.into_sizes();
 
     report.elapsed = start.elapsed();
     report.cpu_time = process_cpu_time().saturating_sub(cpu_before);

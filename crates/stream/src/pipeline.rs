@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use crossbeam::runtime::{self, bounded, Sender};
 use gss_core::{AggregateFunction, PerKey, StreamElement, Time, WindowAggregator, WindowResult};
 
-use crate::batching::{Batching, ChunkBuilder, RecordChunk};
+use crate::batching::{give_back, Batching, Gather, Gathered, RecordChunk, RECV_BURST};
 use crate::metrics::{BatchSizeHistogram, LatencyHistogram};
 
 /// Runtime configuration.
@@ -84,15 +84,52 @@ impl PipelineConfig {
     }
 }
 
-/// A unit of work sent to a partition worker: a chunk of in-partition
-/// records, or a broadcast watermark/punctuation. Records travel as a
-/// struct-of-arrays [`RecordChunk`] so workers can hand the whole chunk
-/// to [`WindowAggregator::process_batch_columns`] — contiguous values
-/// column, zero repacking.
-enum Chunk<V> {
-    Records(RecordChunk<V>),
-    Watermark(Time),
-    Punctuation(Time),
+/// Sends one gathered event on: records to their destination, a
+/// watermark or punctuation to every worker (their pending chunks are
+/// out already, so each sees its records and the broadcast in stream
+/// order).
+pub(crate) fn deliver<V>(event: Gathered<V>, senders: &[Sender<Gathered<V>>]) {
+    let all = |msg: fn(Time) -> Gathered<V>, at: Time| {
+        for tx in senders {
+            tx.send(msg(at)).expect("worker hung up");
+        }
+    };
+    match event {
+        Gathered::Records(dst, _) => senders[dst].send(event).expect("worker hung up"),
+        Gathered::Watermark(wm) => all(Gathered::Watermark, wm),
+        Gathered::Punctuation(ts) => all(Gathered::Punctuation, ts),
+    }
+}
+
+/// Feeds one received chunk to `op` — the whole [`RecordChunk`] through
+/// [`WindowAggregator::process_batch_columns`], contiguous values column,
+/// zero repacking — and hands its buffer back to the source; returns the
+/// records it held. Size-1 chunks take the per-record entry point like
+/// per-tuple mode does: run detection is pure overhead on one record (the
+/// old "batch 1 costs 0.6×" cliff).
+pub(crate) fn ingest_chunk<A, W>(
+    op: &mut W,
+    mut chunk: RecordChunk<A::Input>,
+    per_tuple: bool,
+    out: &mut Vec<WindowResult<A::Output>>,
+    spares: &Sender<RecordChunk<A::Input>>,
+    me: usize,
+) -> u64
+where
+    A: AggregateFunction,
+    W: WindowAggregator<A> + ?Sized,
+{
+    chunk.check();
+    let records = chunk.len() as u64;
+    if per_tuple || records == 1 {
+        for (ts, value) in chunk.drain() {
+            op.process(ts, value, out);
+        }
+    } else {
+        op.process_batch_columns(chunk.times(), chunk.values(), out);
+    }
+    give_back(spares, chunk, me);
+    records
 }
 
 /// Outcome of a pipeline run.
@@ -259,12 +296,17 @@ where
     let start = Instant::now();
     let mut report = PipelineReport::empty();
     runtime::scope(|scope| {
-        let mut senders: Vec<Sender<Chunk<A::Input>>> = Vec::with_capacity(p);
+        // Source: gather records into per-partition chunks; the key only
+        // routes, the operator receives the bare value.
+        let (mut gather, spares) =
+            Gather::new(elements, cfg.batching, p, cfg.channel_capacity, |kv| kv, partition_of);
+        let mut senders = Vec::with_capacity(p);
         let mut handles = Vec::with_capacity(p);
         for i in 0..p {
-            let (tx, rx) = bounded::<Chunk<A::Input>>(cfg.channel_capacity);
+            let (tx, rx) = bounded::<Gathered<A::Input>>(cfg.channel_capacity);
             senders.push(tx);
             let mut op = make_operator(i);
+            let spares = spares.clone();
             let collect = cfg.collect_results;
             let per_tuple = cfg.batching.is_per_tuple();
             handles.push(scope.spawn(move || {
@@ -272,30 +314,14 @@ where
                 let mut scratch: Vec<WindowResult<A::Output>> = Vec::new();
                 let mut records = 0u64;
                 let mut count = 0u64;
-                for chunk in rx.iter() {
+                for chunk in rx.bursts(RECV_BURST) {
                     match chunk {
-                        Chunk::Records(chunk) => {
-                            chunk.check();
-                            records += chunk.len() as u64;
-                            // Size-1 chunks take the plain per-record
-                            // entry point: the batched path's run
-                            // detection is pure overhead on a single
-                            // record (the old "batch 1 costs 0.6×"
-                            // cliff).
-                            if per_tuple || chunk.len() == 1 {
-                                for (ts, value) in chunk {
-                                    op.process(ts, value, &mut scratch);
-                                }
-                            } else {
-                                op.process_batch_columns(
-                                    chunk.times(),
-                                    chunk.values(),
-                                    &mut scratch,
-                                );
-                            }
+                        Gathered::Records(_, chunk) => {
+                            records +=
+                                ingest_chunk(&mut *op, chunk, per_tuple, &mut scratch, &spares, i);
                         }
-                        Chunk::Watermark(wm) => op.on_watermark(wm, &mut scratch),
-                        Chunk::Punctuation(ts) => op.on_punctuation(ts, &mut scratch),
+                        Gathered::Watermark(wm) => op.on_watermark(wm, &mut scratch),
+                        Gathered::Punctuation(ts) => op.on_punctuation(ts, &mut scratch),
                     }
                     count += scratch.len() as u64;
                     if collect {
@@ -308,47 +334,12 @@ where
                 (results, count, records, fold_hits, fold_misses)
             }));
         }
-        // Source: partition records into per-partition chunks; broadcast
-        // watermarks, flushing chunks first to preserve ordering.
-        let mut builders: Vec<ChunkBuilder<A::Input>> =
-            (0..p).map(|_| ChunkBuilder::new(cfg.batching)).collect();
-        let mut sizes = BatchSizeHistogram::new();
-        let flush_all = |builders: &mut Vec<ChunkBuilder<A::Input>>,
-                         sizes: &mut BatchSizeHistogram,
-                         senders: &[Sender<Chunk<A::Input>>]| {
-            for (builder, tx) in builders.iter_mut().zip(senders) {
-                if let Some(chunk) = builder.take() {
-                    sizes.record(chunk.len());
-                    tx.send(Chunk::Records(chunk)).expect("worker hung up");
-                }
-            }
-        };
-        for element in elements {
-            match element {
-                StreamElement::Record { ts, value: (key, v) } => {
-                    let dst = partition_of(key, p);
-                    if let Some(chunk) = builders[dst].push(ts, v) {
-                        sizes.record(chunk.len());
-                        senders[dst].send(Chunk::Records(chunk)).expect("worker hung up");
-                    }
-                }
-                StreamElement::Watermark(wm) => {
-                    flush_all(&mut builders, &mut sizes, &senders);
-                    for tx in &senders {
-                        tx.send(Chunk::Watermark(wm)).expect("worker hung up");
-                    }
-                }
-                StreamElement::Punctuation(ts) => {
-                    flush_all(&mut builders, &mut sizes, &senders);
-                    for tx in &senders {
-                        tx.send(Chunk::Punctuation(ts)).expect("worker hung up");
-                    }
-                }
-            }
+        drop(spares);
+        while let Some(event) = gather.next() {
+            deliver(event, &senders);
         }
-        flush_all(&mut builders, &mut sizes, &senders);
         drop(senders);
-        report.batch_sizes = sizes;
+        report.batch_sizes = gather.into_sizes();
         for (i, h) in handles.into_iter().enumerate() {
             let (results, count, records, hits, misses) = h.join().expect("worker panicked");
             report.result_count += count;
@@ -384,17 +375,8 @@ where
 {
     // The outer key routes the partition; the inner copy stays attached
     // for the keyed operator.
-    run_keyed::<PerKey<A>, F>(
-        elements.into_iter().map(|e| match e {
-            StreamElement::Record { ts, value: (key, v) } => {
-                StreamElement::Record { ts, value: (key, (key, v)) }
-            }
-            StreamElement::Watermark(wm) => StreamElement::Watermark(wm),
-            StreamElement::Punctuation(p) => StreamElement::Punctuation(p),
-        }),
-        cfg,
-        make_operator,
-    )
+    let keyed = elements.into_iter().map(|e| e.map(|(key, v)| (key, (key, v))));
+    run_keyed::<PerKey<A>, F>(keyed, cfg, make_operator)
 }
 
 #[cfg(test)]

@@ -53,10 +53,10 @@ use gss_core::{
     TIME_MAX,
 };
 
-use crate::batching::{ChunkBuilder, RecordChunk};
-use crate::metrics::{BatchSizeHistogram, LatencyHistogram};
+use crate::batching::{Gather, Gathered, RecordChunk, RECV_BURST};
+use crate::metrics::LatencyHistogram;
 use crate::parallel::send_timed;
-use crate::pipeline::{process_cpu_time, PipelineConfig, PipelineReport};
+use crate::pipeline::{deliver, ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport};
 
 /// Shard-side emission ship threshold, in buffered window results.
 /// Bounds shard memory between watermarks; the merge stage stages
@@ -73,16 +73,6 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     debug_assert!(shards > 0, "shard_of requires at least one shard");
     (fx_hash_u64(key) % shards.max(1) as u64) as usize
 }
-
-/// Work sent from the router to one shard.
-enum ShardChunk<V> {
-    Records(RecordChunk<V>),
-    Watermark(Time),
-    Punctuation(Time),
-}
-
-/// Router-side handle to one shard's input queue.
-type ShardSender<V> = Sender<ShardChunk<V>>;
 
 /// Message from a shard to the merge stage.
 enum ShardMsg<O> {
@@ -104,8 +94,9 @@ type TaggedResults<O> = Vec<(usize, WindowResult<(u64, O)>)>;
 /// ack each watermark after shipping. Returns `(records, queue-wait
 /// histogram, fold hits, fold misses)`.
 fn shard_loop<A: AggregateFunction>(
-    rx: Receiver<ShardChunk<(u64, A::Input)>>,
+    rx: Receiver<Gathered<(u64, A::Input)>>,
     tx: Sender<TaggedMsg<A::Output>>,
+    spares: Sender<RecordChunk<(u64, A::Input)>>,
     me: usize,
     mut op: Box<dyn WindowAggregator<PerKey<A>>>,
     per_tuple: bool,
@@ -120,29 +111,18 @@ fn shard_loop<A: AggregateFunction>(
             runtime::probe(ProbeEvent::Shipped { src: me, items: shipped });
         }
     };
-    for chunk in rx.iter() {
+    for chunk in rx.bursts(RECV_BURST) {
         match chunk {
-            ShardChunk::Records(chunk) => {
-                chunk.check();
-                records += chunk.len() as u64;
-                // Size-1 chunks take the per-record entry point, exactly
-                // like `run_keyed` (run detection is pure overhead on a
-                // single record).
-                if per_tuple || chunk.len() == 1 {
-                    for (ts, value) in chunk {
-                        op.process(ts, value, &mut pending);
-                    }
-                } else {
-                    op.process_batch_columns(chunk.times(), chunk.values(), &mut pending);
-                }
+            Gathered::Records(_, chunk) => {
+                records += ingest_chunk(&mut *op, chunk, per_tuple, &mut pending, &spares, me);
                 if pending.len() >= EMIT_SHIP_CAP {
                     ship(&mut pending, &mut wait);
                 }
             }
-            ShardChunk::Punctuation(ts) => {
+            Gathered::Punctuation(ts) => {
                 op.on_punctuation(ts, &mut pending);
             }
-            ShardChunk::Watermark(wm) => {
+            Gathered::Watermark(wm) => {
                 op.on_watermark(wm, &mut pending);
                 // Ship, then ack: after the ack every emission this
                 // shard produced up to the watermark is with the merge
@@ -330,62 +310,35 @@ where
         let collect = cfg.collect_results;
         let merge = scope.spawn(move || merge_loop(mrx, shards, collect));
 
-        let mut senders: Vec<ShardSender<(u64, A::Input)>> = Vec::with_capacity(shards);
+        // Router: the gather stage keeps one chunk builder per shard, so
+        // the columnar path survives the split; the key both routes and
+        // stays attached for the keyed operator.
+        let (mut gather, spares) = Gather::new(
+            elements,
+            cfg.batching,
+            shards,
+            cfg.channel_capacity,
+            |(key, v)| (key, (key, v)),
+            shard_of,
+        );
+        let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let per_tuple = cfg.batching.is_per_tuple();
         for i in 0..shards {
-            let (tx, rx) = bounded::<ShardChunk<(u64, A::Input)>>(cfg.channel_capacity);
+            let (tx, rx) = bounded::<Gathered<(u64, A::Input)>>(cfg.channel_capacity);
             senders.push(tx);
             let op = make_operator(i);
-            let mtx = mtx.clone();
-            handles.push(scope.spawn(move || shard_loop(rx, mtx, i, op, per_tuple)));
+            let (mtx, spares) = (mtx.clone(), spares.clone());
+            handles.push(scope.spawn(move || shard_loop(rx, mtx, spares, i, op, per_tuple)));
         }
         // Shards hold the only remaining clones; the merge loop ends
         // when the last shard exits.
-        drop(mtx);
-
-        // Router: per-shard chunk builders preserve the columnar path;
-        // watermarks and punctuations flush every builder first so each
-        // shard sees its records and the broadcast in stream order.
-        let mut builders: Vec<ChunkBuilder<(u64, A::Input)>> =
-            (0..shards).map(|_| ChunkBuilder::new(cfg.batching)).collect();
-        let mut sizes = BatchSizeHistogram::new();
-        let flush_all = |builders: &mut Vec<ChunkBuilder<(u64, A::Input)>>,
-                         sizes: &mut BatchSizeHistogram,
-                         senders: &[ShardSender<(u64, A::Input)>]| {
-            for (builder, tx) in builders.iter_mut().zip(senders) {
-                if let Some(chunk) = builder.take() {
-                    sizes.record(chunk.len());
-                    tx.send(ShardChunk::Records(chunk)).expect("shard hung up");
-                }
-            }
-        };
-        for element in elements {
-            match element {
-                StreamElement::Record { ts, value: (key, v) } => {
-                    let dst = shard_of(key, shards);
-                    if let Some(chunk) = builders[dst].push(ts, (key, v)) {
-                        sizes.record(chunk.len());
-                        senders[dst].send(ShardChunk::Records(chunk)).expect("shard hung up");
-                    }
-                }
-                StreamElement::Watermark(wm) => {
-                    flush_all(&mut builders, &mut sizes, &senders);
-                    for tx in &senders {
-                        tx.send(ShardChunk::Watermark(wm)).expect("shard hung up");
-                    }
-                }
-                StreamElement::Punctuation(ts) => {
-                    flush_all(&mut builders, &mut sizes, &senders);
-                    for tx in &senders {
-                        tx.send(ShardChunk::Punctuation(ts)).expect("shard hung up");
-                    }
-                }
-            }
+        drop((mtx, spares));
+        while let Some(event) = gather.next() {
+            deliver(event, &senders);
         }
-        flush_all(&mut builders, &mut sizes, &senders);
         drop(senders);
-        report.batch_sizes = sizes;
+        report.batch_sizes = gather.into_sizes();
 
         for h in handles {
             let (records, wait, hits, misses) = h.join().expect("shard panicked");
@@ -535,6 +488,35 @@ mod tests {
             counts[shard_of(key, 4)] += 1;
         }
         assert!(counts.iter().all(|&c| c > 100), "skewed spread: {counts:?}");
+    }
+
+    #[test]
+    fn key_assignments_are_the_parent_commits() {
+        // Results carry their partition or shard, and the sched oracle
+        // places keys with `shard_of`: with more than one destination both
+        // assignments must stay bit for bit what e462ea7 computed. Each is
+        // restated here and pinned by the FNV-1a digest of its table as
+        // taken at that commit.
+        let parent_partition = |key: u64, p: usize| {
+            ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % p as u64) as usize
+        };
+        let parent_shard = |key: u64, shards: usize| (fx_hash_u64(key) % shards as u64) as usize;
+        let digest = |assign: &dyn Fn(u64, usize) -> usize,
+                      parent: &dyn Fn(u64, usize) -> usize| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for n in [1usize, 2, 3, 4, 8] {
+                for key in 0..10_000u64 {
+                    assert_eq!(assign(key, n), parent(key, n), "key {key}, {n} destinations");
+                    h = (h ^ assign(key, n) as u64).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+            h
+        };
+        assert_eq!(
+            digest(&crate::pipeline::partition_of, &parent_partition),
+            0xc0cd_4261_c6cc_6454
+        );
+        assert_eq!(digest(&shard_of, &parent_shard), 0x5264_05cc_3e5c_55e2);
     }
 
     #[test]

@@ -158,6 +158,20 @@ impl<T> Receiver<T> {
         Iter(self)
     }
 
+    /// Blocking iterator that receives in bursts: when it has nothing
+    /// left it blocks for one message and takes along whatever else is
+    /// already queued, up to `max` messages in all; it ends when all
+    /// senders are dropped. A consumer that is slower than its producer
+    /// finds the channel full and the producer parked on it, and every
+    /// single `recv` then pays the wake-up of that producer (a futex
+    /// syscall) only for it to park again one message later; a burst pays
+    /// it once. At most `max` messages sit outside the channel's bound.
+    /// Under the sched runtime a burst is one yield point, like
+    /// [`try_iter`](Receiver::try_iter).
+    pub fn bursts(&self, max: usize) -> Bursts<'_, T> {
+        Bursts { rx: self, max: max.max(1), taken: std::collections::VecDeque::new() }
+    }
+
     /// Non-blocking iterator: yields every message already queued and
     /// stops at the first would-block, without waiting. Consumers use
     /// it to drain a burst after one blocking `recv` instead of
@@ -180,6 +194,32 @@ impl<T> Iterator for Iter<'_, T> {
 
     fn next(&mut self) -> Option<T> {
         self.0.recv().ok()
+    }
+}
+
+/// Blocking burst iterator over received messages (see
+/// [`Receiver::bursts`]).
+pub struct Bursts<'a, T> {
+    rx: &'a Receiver<T>,
+    max: usize,
+    /// The rest of the burst last received.
+    taken: std::collections::VecDeque<T>,
+}
+
+impl<T> Iterator for Bursts<'_, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        if self.taken.is_empty() {
+            match &self.rx.0 {
+                ReceiverRepr::Native(rx) => {
+                    self.taken.push_back(rx.recv().ok()?);
+                    self.taken.extend(rx.try_iter().take(self.max - 1));
+                }
+                ReceiverRepr::Sched(rx) => self.taken = rx.recv_burst(self.max).ok()?,
+            }
+        }
+        self.taken.pop_front()
     }
 }
 

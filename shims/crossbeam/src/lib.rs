@@ -5,7 +5,8 @@
 //! vendors the subset it uses: `channel::bounded` with cloneable senders
 //! and an iterating receiver, natively backed by
 //! `std::sync::mpsc::sync_channel` (same bounded-capacity backpressure
-//! semantics).
+//! semantics) — plus one addition of its own, `Receiver::bursts`, a
+//! blocking iterator that takes what is queued in one go.
 //!
 //! On top of that, [`runtime`] is the single construction surface for
 //! all concurrency in the workspace: `runtime::bounded` +
@@ -78,6 +79,27 @@ mod tests {
         assert_eq!(rx.try_iter().count(), 0);
         tx.send(9).unwrap();
         assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![9]);
+    }
+
+    #[test]
+    fn bursts_take_what_is_queued_up_to_the_cap_and_keep_the_order() {
+        let (tx, rx) = bounded(8);
+        for i in 0..7 {
+            tx.send(i).unwrap();
+        }
+        let mut bursts = rx.bursts(3);
+        // The first `next` takes 0, 1, 2 off the channel in one go: only
+        // four messages are left behind for anyone looking at the channel.
+        assert_eq!(bursts.next(), Some(0));
+        assert_eq!(rx.try_iter().count(), 4, "3..=6 were still queued, and are now consumed");
+        assert_eq!(bursts.next(), Some(1));
+        assert_eq!(bursts.next(), Some(2));
+        // A burst blocks for its first message only and ends with the
+        // senders.
+        tx.send(9).unwrap();
+        drop(tx);
+        assert_eq!(bursts.next(), Some(9));
+        assert_eq!(bursts.next(), None);
     }
 
     #[test]

@@ -57,6 +57,9 @@ pub enum ProbeEvent {
     Barrier { wm: i64, acks: u64 },
     /// The merge stage released `items` staged emissions downstream.
     Released { items: u64 },
+    /// Consumer `src` handed a chunk buffer back to the source still
+    /// holding `items` records (0 in a correct run).
+    Recycled { src: usize, items: u64 },
 }
 
 /// A probe event plus the task that recorded it.
@@ -440,6 +443,12 @@ impl<T> Drop for SchedReceiver<T> {
 
 impl<T> SchedReceiver<T> {
     pub(crate) fn recv(&self) -> Result<T, ()> {
+        self.recv_burst(1)?.pop_front().ok_or(())
+    }
+
+    /// Blocks until at least one message is queued, then takes up to
+    /// `max` of them in one step (one yield point, one snapshot).
+    pub(crate) fn recv_burst(&self, max: usize) -> Result<VecDeque<T>, ()> {
         let me = task_id();
         self.sc.yield_now(me);
         loop {
@@ -449,11 +458,11 @@ impl<T> SchedReceiver<T> {
             }
             let ch = &mut core.chans[self.id];
             if ch.len > 0 {
-                ch.len -= 1;
+                let n = ch.len.min(max);
+                ch.len -= n;
                 let waiters = std::mem::take(&mut ch.wait_send);
                 core.wake_all(waiters);
-                let v = lock_q(&self.q).pop_front();
-                return v.ok_or(());
+                return Ok(lock_q(&self.q).drain(..n).collect());
             }
             if ch.senders == 0 {
                 return Err(());
