@@ -4,15 +4,21 @@
 //! Default mode runs the healthy-protocol cells:
 //!
 //! * exhaustive DFS (no preemption bound) for the smallest config of
-//!   each protocol (1 worker / 1 shard over one epoch; 1 partition
-//!   over two for `run_keyed`, which has no merge stage) — every
-//!   schedule at yield-point granularity;
-//! * bounded-preemption DFS (bound 2, the CHESS sweet spot) for the
-//!   2-worker / 2-shard / 2-partition configs;
-//! * three seed-pinned PCT cells over the same configs.
+//!   each protocol — every schedule at yield-point granularity: 1 worker
+//!   / 1 shard over one epoch shipped as one chunk through capacity-1
+//!   channels, 1 partition over two epochs for `run_keyed`, which has no
+//!   merge stage;
+//! * bounded-preemption DFS for the same 1 worker / 1 shard over one
+//!   record per chunk (bound 5: two chunks an epoch put every schedule
+//!   out of reach, see `--deep`) and for the 2-worker / 2-shard /
+//!   2-partition configs (bound 2, the CHESS sweet spot);
+//! * three seed-pinned PCT cells over the two-producer configs.
 //!
 //! Exit status is nonzero on any oracle violation or on a truncated
 //! exhaustive cell (the space must actually be covered).
+//!
+//! `--deep` instead walks every schedule of the two one-record-per-chunk
+//! one-producer cells (1.4 million each, about ten minutes).
 //!
 //! `--mutants` (requires the `sched-mutants` feature) instead runs the
 //! anti-vacuity matrix: each seeded protocol fault must be caught by
@@ -41,13 +47,21 @@ fn healthy() -> bool {
     println!("schedule exploration over the real protocols (healthy build):");
 
     // Exhaustive: every schedule of the smallest config of each
-    // protocol over the one-epoch workload (`run_keyed` has no merge
-    // stage, so its tree leaves room for the two-epoch workload). These
-    // must terminate below the cap — truncation fails.
-    let exhaustive = Explore::Dfs { preemption_bound: None, max_schedules: 150_000 };
-    ok &= print_cell("dfs/exhaustive", &par_cell(1, Workload::Tiny, &exhaustive));
-    ok &= print_cell("dfs/exhaustive", &shard_cell(1, Workload::Tiny, &exhaustive));
+    // protocol over the one-epoch workload, its records in one chunk
+    // (`run_keyed` has no merge stage, so its tree leaves room for the
+    // two-epoch workload). These must terminate below the cap —
+    // truncation fails.
+    let exhaustive = Explore::Dfs { preemption_bound: None, max_schedules: 250_000 };
+    ok &= print_cell("dfs/exhaustive", &par_cell(1, Workload::OneChunk, &exhaustive));
+    ok &= print_cell("dfs/exhaustive", &shard_cell(1, Workload::OneChunk, &exhaustive));
     ok &= print_cell("dfs/exhaustive", &keyed_cell(1, Workload::Full, &exhaustive));
+
+    // The same one-producer configs with one record per chunk: two
+    // chunks and a watermark through a capacity-2 channel. Every
+    // schedule with at most 5 preemptions (of 18 yield points).
+    let bounded5 = Explore::Dfs { preemption_bound: Some(5), max_schedules: 150_000 };
+    ok &= print_cell("dfs/preempt<=5", &par_cell(1, Workload::Tiny, &bounded5));
+    ok &= print_cell("dfs/preempt<=5", &shard_cell(1, Workload::Tiny, &bounded5));
 
     // Bounded-preemption DFS for the two-producer configs: complete
     // coverage of every schedule with at most 2 preemptions of the
@@ -71,6 +85,14 @@ fn healthy() -> bool {
     ok &= print_cell("pct/seed=0xB0FFE125", &keyed_cell(2, Workload::Full, &pct_c));
 
     ok
+}
+
+/// Every schedule of the one-producer cells at one record per chunk.
+fn deep() -> bool {
+    println!("every schedule of the one-producer cells, one record per chunk:");
+    let exhaustive = Explore::Dfs { preemption_bound: None, max_schedules: 2_000_000 };
+    print_cell("dfs/exhaustive", &par_cell(1, Workload::Tiny, &exhaustive))
+        & print_cell("dfs/exhaustive", &shard_cell(1, Workload::Tiny, &exhaustive))
 }
 
 #[cfg(feature = "sched-mutants")]
@@ -106,8 +128,14 @@ fn mutants() -> bool {
 }
 
 fn main() {
-    let want_mutants = std::env::args().any(|a| a == "--mutants");
-    let ok = if want_mutants { mutants() } else { healthy() };
+    let want = |flag: &str| std::env::args().any(|a| a == flag);
+    let ok = if want("--mutants") {
+        mutants()
+    } else if want("--deep") {
+        deep()
+    } else {
+        healthy()
+    };
     if !ok {
         std::process::exit(1);
     }

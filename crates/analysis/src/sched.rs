@@ -428,12 +428,17 @@ pub fn check_probes(
 /// One canonical emission for bitwise comparison.
 type Emit = (QueryId, i64, i64, i64, bool);
 
-/// Workload size per cell. Exhaustive DFS needs `Tiny` (one epoch plus
-/// a staged tail — the space is complete but enumerable); `Full` adds a
-/// second epoch and a within-lateness straggler, exercising the
-/// post-barrier repair path (bounded DFS and PCT cells).
+/// Workload size per cell. `Tiny` is one epoch plus a staged tail;
+/// `Full` adds a second epoch and a within-lateness straggler, exercising
+/// the post-barrier repair path (bounded DFS and PCT cells). `OneChunk`
+/// is `Tiny`'s stream in the transport that keeps a one-producer tree
+/// enumerable (see [`pipe_cfg`]): every chunk adds a hand-back and a
+/// pick-up on the return edge to the schedule, and the one-producer tree
+/// over `Tiny`'s two chunks has 1 400 336 schedules (102 840 before that
+/// edge existed; `cargo sched -- --deep` still walks all of them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
+    OneChunk,
     Tiny,
     Full,
 }
@@ -443,7 +448,7 @@ pub enum Workload {
 /// stays schedule-independent.
 fn par_elements(w: Workload) -> Vec<StreamElement<i64>> {
     match w {
-        Workload::Tiny => vec![
+        Workload::OneChunk | Workload::Tiny => vec![
             StreamElement::Record { ts: 1, value: 1 },
             StreamElement::Record { ts: 11, value: 2 },
             StreamElement::Watermark(12),
@@ -467,20 +472,20 @@ fn par_op_cfg() -> OperatorConfig {
     OperatorConfig::out_of_order(20)
 }
 
-/// Transport config pinned for determinism: fixed-size chunks (the
+/// Transport config pinned for determinism: fixed batch size 1 (the
 /// default adaptive batching reads the wall clock, which would make the
-/// chunking — and thus the schedule tree — nondeterministic) and a small
-/// but non-rendezvous channel capacity so backpressure paths get
+/// chunking — and thus the schedule tree — nondeterministic) and a
+/// small but non-rendezvous channel capacity so backpressure paths get
 /// explored, on the forward edges and on the chunk-buffer return edge
-/// (which takes the same capacity). Two producers get one record per
-/// chunk, so the round-robin deal reaches both; a single producer gets
-/// two, because every chunk adds a hand-back and a pick-up to the
-/// schedule tree and one chunk per epoch is what keeps the one-producer
-/// tree exhaustible.
-fn pipe_cfg(parallelism: usize) -> PipelineConfig {
-    let chunk = if parallelism == 1 { 2 } else { 1 };
-    let mut cfg = PipelineConfig::with_parallelism(parallelism).with_batch_size(chunk);
-    cfg.channel_capacity = 2;
+/// (which takes the same capacity): an epoch of `Tiny` is two size-1
+/// chunks and a watermark, one message more than a channel holds.
+/// `OneChunk` ships the epoch's two records as one chunk and narrows the
+/// channels to one message, so the watermark behind the chunk still
+/// finds the channel full unless the consumer has taken the chunk.
+fn pipe_cfg(parallelism: usize, workload: Workload) -> PipelineConfig {
+    let (batch, capacity) = if workload == Workload::OneChunk { (2, 1) } else { (1, 2) };
+    let mut cfg = PipelineConfig::with_parallelism(parallelism).with_batch_size(batch);
+    cfg.channel_capacity = capacity;
     cfg
 }
 
@@ -516,8 +521,8 @@ pub fn par_cell(workers: usize, workload: Workload, mode: &Explore) -> Cell {
     let run = move |strategy: Box<dyn Strategy>| {
         let elements = elements.clone();
         run_controlled(strategy, move || {
-            let report =
-                run_parallel(elements, pipe_cfg(workers), SumI64, par_windows(), par_op_cfg());
+            let cfg = pipe_cfg(workers, workload);
+            let report = run_parallel(elements, cfg, SumI64, par_windows(), par_op_cfg());
             (canon_par(report.results.iter().map(|(_, r)| r)), report.result_count)
         })
     };
@@ -565,7 +570,7 @@ fn spread_keys(assign: fn(u64, usize) -> usize, n: usize) -> (u64, u64) {
 /// dropped or early-released staging is always observable.
 fn keyed_elements((ka, kb): (u64, u64), w: Workload) -> Vec<StreamElement<(u64, i64)>> {
     match w {
-        Workload::Tiny => vec![
+        Workload::OneChunk | Workload::Tiny => vec![
             StreamElement::Record { ts: 1, value: (ka, 1) },
             StreamElement::Record { ts: 2, value: (kb, 2) },
             StreamElement::Watermark(12),
@@ -636,7 +641,7 @@ pub fn shard_cell(shards: usize, workload: Workload, mode: &Explore) -> Cell {
     let run = move |strategy: Box<dyn Strategy>| {
         let elements = elements.clone();
         run_controlled(strategy, move || {
-            let report = run_sharded_keyed(elements, pipe_cfg(shards), keyed_factory());
+            let report = run_sharded_keyed(elements, pipe_cfg(shards, workload), keyed_factory());
             let seq: Vec<KeyedEmit> = report
                 .results
                 .iter()
@@ -714,10 +719,10 @@ pub fn keyed_cell(partitions: usize, workload: Workload, mode: &Explore) -> Cell
     let run = move |strategy: Box<dyn Strategy>| {
         let elements = elements.clone();
         run_controlled(strategy, move || {
-            let report =
-                run_keyed::<SumI64, _>(elements, pipe_cfg(partitions).with_batch_size(2), |_| {
-                    Box::new(plain_operator()) as Box<dyn WindowAggregator<SumI64>>
-                });
+            let cfg = pipe_cfg(partitions, workload).with_batch_size(2);
+            let report = run_keyed::<SumI64, _>(elements, cfg, |_| {
+                Box::new(plain_operator()) as Box<dyn WindowAggregator<SumI64>>
+            });
             let mut got: Vec<PartEmit> = report
                 .results
                 .iter()

@@ -183,6 +183,17 @@ impl<V> RecordChunk<V> {
     }
 }
 
+/// Consuming iteration yields the zipped pairs (and frees the buffer;
+/// [`drain`](RecordChunk::drain) keeps it).
+impl<V> IntoIterator for RecordChunk<V> {
+    type Item = (Time, V);
+    type IntoIter = std::iter::Zip<std::vec::IntoIter<Time>, std::vec::IntoIter<V>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.times.into_iter().zip(self.values)
+    }
+}
+
 /// Clock injection point for the adaptive deadline. Production uses
 /// `Instant::now`; tests substitute a deterministic clock.
 pub type ClockFn = fn() -> Instant;
@@ -341,11 +352,13 @@ type Stop<V> = Option<Gathered<V>>;
 /// watermark, a punctuation or the end of the stream first hands out
 /// every pending chunk, in destination order.
 ///
-/// Shipped buffers come back: a consumer [`give_back`]s a chunk it is
-/// done with and the stage refills a builder with it, allocating only
-/// when none is waiting. Both ends of that return channel are
-/// non-blocking: it cannot deadlock, and a buffer that finds it full is
-/// freed. (DESIGN.md, "The gather stage" / "The return channel".)
+/// Shipped buffers come back: a driver that consumes its chunks itself
+/// [`recycle`](Gather::recycle)s them, the workers of a threaded one
+/// [`give_back`] theirs over the return channel the driver
+/// [`open`](Gather::open_returns)ed, and the stage refills a builder from
+/// either, allocating only when none is waiting. Both ends of that channel
+/// are non-blocking: it cannot deadlock, and a buffer that finds it full
+/// is freed. (DESIGN.md, "The gather stage" / "The return channel".)
 pub(crate) struct Gather<I, V, S, R> {
     elements: I,
     /// Splits a record's value into its routing key and the payload the
@@ -354,12 +367,28 @@ pub(crate) struct Gather<I, V, S, R> {
     /// Maps `(key, destinations)` to a destination; never called with one.
     assign: R,
     builders: Vec<ChunkBuilder<V>>,
-    spares: Receiver<RecordChunk<V>>,
+    /// The buffer the driver [`recycle`](Gather::recycle)d last.
+    spare: Option<RecordChunk<V>>,
+    /// The return channel, once [`open`](Gather::open_returns)ed.
+    returns: Option<Receiver<RecordChunk<V>>>,
     /// Events of the flush in progress: the flushed chunks, then the
     /// broadcast they had to precede.
     ready: VecDeque<Gathered<V>>,
     ended: bool,
     sizes: BatchSizeHistogram,
+}
+
+/// The stage for one destination that receives the records' values whole:
+/// nothing to split off and nothing to route by.
+#[allow(clippy::type_complexity)] // two closure types, which have no other name
+pub(crate) fn gather_whole<I, V>(
+    elements: impl IntoIterator<IntoIter = I>,
+    mode: Batching,
+) -> Gather<I, V, impl FnMut(V) -> (u64, V), impl Fn(u64, usize) -> usize>
+where
+    I: Iterator<Item = StreamElement<V>>,
+{
+    Gather::new(elements, mode, 1, |value| (0, value), |_, _| 0)
 }
 
 impl<I, T, V, S, R> Gather<I, V, S, R>
@@ -368,29 +397,40 @@ where
     S: FnMut(T) -> (u64, V),
     R: Fn(u64, usize) -> usize,
 {
-    /// Builds the stage over `destinations` builders (at least one) and
-    /// returns it with the sender consumers [`give_back`] buffers on;
-    /// `spare_capacity` bounds how many may wait there.
+    /// Builds the stage over `destinations` builders (at least one).
     pub(crate) fn new(
         elements: impl IntoIterator<IntoIter = I>,
         mode: Batching,
         destinations: usize,
-        spare_capacity: usize,
         split: S,
         assign: R,
-    ) -> (Self, Sender<RecordChunk<V>>) {
-        let (tx, spares) = bounded(spare_capacity.max(1));
-        let gather = Gather {
+    ) -> Self {
+        Gather {
             elements: elements.into_iter(),
             split,
             assign,
             builders: (0..destinations.max(1)).map(|_| ChunkBuilder::new(mode)).collect(),
-            spares,
+            spare: None,
+            returns: None,
             ready: VecDeque::new(),
             ended: false,
             sizes: BatchSizeHistogram::new(),
-        };
-        (gather, tx)
+        }
+    }
+
+    /// Opens the return channel and hands out the end consumers
+    /// [`give_back`] buffers on; `capacity` bounds how many may wait there.
+    pub(crate) fn open_returns(&mut self, capacity: usize) -> Sender<RecordChunk<V>> {
+        let (tx, rx) = bounded(capacity.max(1));
+        self.returns = Some(rx);
+        tx
+    }
+
+    /// Takes back a chunk the driver itself has consumed: its buffer
+    /// refills the next builder that ships.
+    pub(crate) fn recycle(&mut self, mut chunk: RecordChunk<V>) {
+        chunk.clear();
+        self.spare = Some(chunk);
     }
 
     /// The next event, or `None` once the stream has ended and every
@@ -453,19 +493,20 @@ where
     }
 
     /// Queues destination `dst`'s pending chunk, if any, and refills the
-    /// builder from the returned buffers (with nothing once the stream
+    /// builder with a buffer that came back (with nothing once the stream
     /// has ended).
     fn ship(&mut self, dst: usize) {
-        let (spares, ended) = (&self.spares, self.ended);
+        let Gather { spare, returns, ended, .. } = self;
         let chunk = self.builders[dst].swap(|target| {
-            if ended {
+            if *ended {
                 return RecordChunk::with_capacity(0);
             }
-            let Ok(spare) = spares.try_recv() else {
+            let back = spare.take().or_else(|| returns.as_ref()?.try_recv().ok());
+            let Some(back) = back else {
                 return RecordChunk::with_capacity(target);
             };
-            gss_core::audit_assert!(spare.is_empty(), "a returned chunk buffer was not empty");
-            spare
+            gss_core::audit_assert!(back.is_empty(), "a returned chunk buffer was not empty");
+            back
         });
         if let Some(chunk) = chunk {
             self.sizes.record(chunk.len());
@@ -484,12 +525,6 @@ fn pull<T, V>(elements: &mut impl Iterator<Item = StreamElement<T>>) -> Result<(
         None => Err(None),
     }
 }
-
-/// How many queued messages a worker takes off its input channel at once
-/// ([`Receiver::bursts`]): a source parked on a full channel is woken
-/// (one futex syscall on the slower thread) once per burst, not once per
-/// chunk. DESIGN.md, "Burst receive".
-pub(crate) const RECV_BURST: usize = 16;
 
 /// Consumer side of the return channel: empties a consumed chunk and
 /// offers its buffer back to the [`Gather`] stage (`src` names the
@@ -621,13 +656,18 @@ mod tests {
     }
 
     #[test]
-    fn chunk_drains_as_pairs() {
+    fn chunk_iterates_as_pairs() {
         let mut c = RecordChunk::with_capacity(2);
         c.push(1, "a");
         c.push(2, "b");
-        let pairs: Vec<(Time, &str)> = c.drain().collect();
+        let pairs: Vec<(Time, &str)> = c.clone().into_iter().collect();
         assert_eq!(pairs, vec![(1, "a"), (2, "b")]);
+        // Draining yields the same pairs and keeps the buffer.
+        let buffer = c.times().as_ptr();
+        assert_eq!(c.drain().collect::<Vec<_>>(), pairs);
         assert!(c.is_empty());
+        c.push(3, "c");
+        assert_eq!(c.times().as_ptr(), buffer);
     }
 
     // ---- the gather stage -------------------------------------------------
@@ -681,8 +721,7 @@ mod tests {
 
     /// Runs the gather stage over `elements`, never handing a buffer back.
     fn gathered(elements: &[Keyed], mode: Batching, fanout: usize, clock: ClockFn) -> Vec<Ev> {
-        let (mut gather, _spares) =
-            Gather::new(elements.iter().copied(), mode, fanout, 4, |kv| kv, partition_of);
+        let mut gather = Gather::new(elements.iter().copied(), mode, fanout, |kv| kv, partition_of);
         gather.builders.iter_mut().for_each(|b| b.clock = clock);
         let mut out = Vec::new();
         while let Some(event) = gather.next() {
@@ -782,7 +821,7 @@ mod tests {
             }
             rec(i, 0, i)
         });
-        let (mut gather, _spares) = Gather::new(elements, mode, 1, 4, |kv| kv, partition_of);
+        let mut gather = Gather::new(elements, mode, 1, |kv| kv, partition_of);
         gather.builders[0].clock = fake_now;
         let Some(Gathered::Records(0, first)) = gather.next() else {
             panic!("the deadline must flush a chunk before the stream ends");
@@ -830,7 +869,7 @@ mod tests {
         let by_key = |key: u64, n: usize| key as usize % n;
         let elements = [rec(1, 2, 10), rec(2, 0, 20), rec(3, 1, 30), rec(4, 0, 40), rec(5, 2, 50)];
         let stream = elements.into_iter().chain([StreamElement::Watermark(9)]);
-        let (mut gather, _spares) = Gather::new(stream, Batching::Fixed(2), 3, 4, |kv| kv, by_key);
+        let mut gather = Gather::new(stream, Batching::Fixed(2), 3, |kv| kv, by_key);
         let mut events = Vec::new();
         let mut flushes = Vec::new();
         while let Some(event) = gather.next() {
@@ -854,8 +893,7 @@ mod tests {
     fn one_destination_never_calls_the_routing_function() {
         let elements: Vec<Keyed> = (0..100).map(|i| rec(i, i as u64, i)).collect();
         let unreachable = |_: u64, _: usize| -> usize { panic!("routed with one destination") };
-        let (mut gather, _spares) =
-            Gather::new(elements, Batching::Fixed(7), 1, 4, |kv| kv, unreachable);
+        let mut gather = Gather::new(elements, Batching::Fixed(7), 1, |kv| kv, unreachable);
         let mut records = 0;
         while let Some(Gathered::Records(0, chunk)) = gather.next() {
             records += chunk.len();
@@ -866,8 +904,8 @@ mod tests {
     #[test]
     fn gather_reuses_the_buffers_handed_back() {
         let elements: Vec<Keyed> = (0..8).map(|i| rec(i, 0, i)).collect();
-        let (mut gather, spares) =
-            Gather::new(elements, Batching::Fixed(2), 1, 4, |kv| kv, partition_of);
+        let mut gather = Gather::new(elements, Batching::Fixed(2), 1, |kv| kv, partition_of);
+        let spares = gather.open_returns(4);
         let mut take = || match gather.next() {
             Some(Gathered::Records(0, chunk)) => chunk,
             _ => panic!("expected a chunk"),
@@ -888,6 +926,25 @@ mod tests {
             give_back(&spares, RecordChunk::with_capacity(2), 0);
         }
         assert_eq!(take().times(), &[6, 7]);
+    }
+
+    #[test]
+    fn a_driver_that_consumes_its_chunks_needs_two_buffers_and_no_channel() {
+        let elements = (0..40).map(|i| StreamElement::Record { ts: i, value: i });
+        let mut gather = gather_whole(elements, Batching::Fixed(4));
+        let mut buffers = Vec::new();
+        let mut records = Vec::new();
+        while let Some(Gathered::Records(0, chunk)) = gather.next() {
+            buffers.push(chunk.times().as_ptr());
+            records.extend_from_slice(chunk.values());
+            gather.recycle(chunk);
+        }
+        assert_eq!(records, (0..40).collect::<Vec<_>>());
+        // The chunk in the driver's hands and the one being filled swap
+        // roles from the third chunk on.
+        assert_eq!(buffers.len(), 10);
+        assert!(buffers.iter().zip(&buffers[2..]).all(|(a, b)| a == b));
+        assert_ne!(buffers[0], buffers[1]);
     }
 
     fn elements_strategy() -> impl Strategy<Value = Vec<Keyed>> {

@@ -81,7 +81,7 @@ use gss_core::{
     WindowOperator, WindowResult, TIME_MAX, TIME_MIN,
 };
 
-use crate::batching::{give_back, Gather, Gathered, RecordChunk, RECV_BURST};
+use crate::batching::{gather_whole, give_back, Gathered, RecordChunk};
 use crate::metrics::LatencyHistogram;
 use crate::pipeline::{ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport};
 
@@ -400,7 +400,7 @@ fn worker_loop<A: AggregateFunction>(
 ) -> (u64, LatencyHistogram, u64, u64) {
     let mut wait = LatencyHistogram::new();
     let mut records = 0u64;
-    for chunk in rx.bursts(RECV_BURST) {
+    for chunk in rx.iter() {
         match chunk {
             Gathered::Records(_, chunk) => {
                 records += chunk.len() as u64;
@@ -628,8 +628,8 @@ where
         let merge_f = f.clone();
         let merge = scope.spawn(move || merge_loop(mrx, op, &merge_f, workers, collect));
 
-        let (mut gather, spares) =
-            Gather::new(elements, cfg.batching, 1, cfg.channel_capacity, |v| (0, v), |_, _| 0);
+        let mut gather = gather_whole(elements, cfg.batching);
+        let spares = gather.open_returns(cfg.channel_capacity);
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
@@ -742,12 +742,13 @@ where
         op.add_query(w.clone_box()).expect("incompatible query mix");
     }
     let per_tuple = cfg.batching.is_per_tuple();
-    let (mut gather, spares) = Gather::new(elements, cfg.batching, 1, 1, |v| (0, v), |_, _| 0);
+    let mut gather = gather_whole(elements, cfg.batching);
     let mut scratch: Vec<WindowResult<A::Output>> = Vec::new();
     while let Some(event) = gather.next() {
         match event {
-            Gathered::Records(_, chunk) => {
-                report.records += ingest_chunk(&mut op, chunk, per_tuple, &mut scratch, &spares, 0);
+            Gathered::Records(_, mut chunk) => {
+                report.records += ingest_chunk(&mut op, &mut chunk, per_tuple, &mut scratch);
+                gather.recycle(chunk);
             }
             Gathered::Watermark(wm) => op.process_watermark(wm, &mut scratch),
             Gathered::Punctuation(ts) => op.process_punctuation(ts, &mut scratch),

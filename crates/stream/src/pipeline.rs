@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use crossbeam::runtime::{self, bounded, Sender};
 use gss_core::{AggregateFunction, PerKey, StreamElement, Time, WindowAggregator, WindowResult};
 
-use crate::batching::{give_back, Batching, Gather, Gathered, RecordChunk, RECV_BURST};
+use crate::batching::{give_back, Batching, Gather, Gathered, RecordChunk};
 use crate::metrics::{BatchSizeHistogram, LatencyHistogram};
 
 /// Runtime configuration.
@@ -103,17 +103,15 @@ pub(crate) fn deliver<V>(event: Gathered<V>, senders: &[Sender<Gathered<V>>]) {
 
 /// Feeds one received chunk to `op` — the whole [`RecordChunk`] through
 /// [`WindowAggregator::process_batch_columns`], contiguous values column,
-/// zero repacking — and hands its buffer back to the source; returns the
-/// records it held. Size-1 chunks take the per-record entry point like
-/// per-tuple mode does: run detection is pure overhead on one record (the
-/// old "batch 1 costs 0.6×" cliff).
+/// zero repacking — and returns the records it held; the caller then hands
+/// the buffer back to the source. Size-1 chunks take the per-record entry
+/// point like per-tuple mode does: run detection is pure overhead on one
+/// record (the old "batch 1 costs 0.6×" cliff).
 pub(crate) fn ingest_chunk<A, W>(
     op: &mut W,
-    mut chunk: RecordChunk<A::Input>,
+    chunk: &mut RecordChunk<A::Input>,
     per_tuple: bool,
     out: &mut Vec<WindowResult<A::Output>>,
-    spares: &Sender<RecordChunk<A::Input>>,
-    me: usize,
 ) -> u64
 where
     A: AggregateFunction,
@@ -128,7 +126,6 @@ where
     } else {
         op.process_batch_columns(chunk.times(), chunk.values(), out);
     }
-    give_back(spares, chunk, me);
     records
 }
 
@@ -298,8 +295,8 @@ where
     runtime::scope(|scope| {
         // Source: gather records into per-partition chunks; the key only
         // routes, the operator receives the bare value.
-        let (mut gather, spares) =
-            Gather::new(elements, cfg.batching, p, cfg.channel_capacity, |kv| kv, partition_of);
+        let mut gather = Gather::new(elements, cfg.batching, p, |kv| kv, partition_of);
+        let spares = gather.open_returns(cfg.channel_capacity);
         let mut senders = Vec::with_capacity(p);
         let mut handles = Vec::with_capacity(p);
         for i in 0..p {
@@ -314,11 +311,11 @@ where
                 let mut scratch: Vec<WindowResult<A::Output>> = Vec::new();
                 let mut records = 0u64;
                 let mut count = 0u64;
-                for chunk in rx.bursts(RECV_BURST) {
+                for chunk in rx.iter() {
                     match chunk {
-                        Gathered::Records(_, chunk) => {
-                            records +=
-                                ingest_chunk(&mut *op, chunk, per_tuple, &mut scratch, &spares, i);
+                        Gathered::Records(_, mut chunk) => {
+                            records += ingest_chunk(&mut *op, &mut chunk, per_tuple, &mut scratch);
+                            give_back(&spares, chunk, i);
                         }
                         Gathered::Watermark(wm) => op.on_watermark(wm, &mut scratch),
                         Gathered::Punctuation(ts) => op.on_punctuation(ts, &mut scratch),

@@ -53,7 +53,7 @@ use gss_core::{
     TIME_MAX,
 };
 
-use crate::batching::{Gather, Gathered, RecordChunk, RECV_BURST};
+use crate::batching::{give_back, Gather, Gathered, RecordChunk};
 use crate::metrics::LatencyHistogram;
 use crate::parallel::send_timed;
 use crate::pipeline::{deliver, ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport};
@@ -111,10 +111,11 @@ fn shard_loop<A: AggregateFunction>(
             runtime::probe(ProbeEvent::Shipped { src: me, items: shipped });
         }
     };
-    for chunk in rx.bursts(RECV_BURST) {
+    for chunk in rx.iter() {
         match chunk {
-            Gathered::Records(_, chunk) => {
-                records += ingest_chunk(&mut *op, chunk, per_tuple, &mut pending, &spares, me);
+            Gathered::Records(_, mut chunk) => {
+                records += ingest_chunk(&mut *op, &mut chunk, per_tuple, &mut pending);
+                give_back(&spares, chunk, me);
                 if pending.len() >= EMIT_SHIP_CAP {
                     ship(&mut pending, &mut wait);
                 }
@@ -313,14 +314,9 @@ where
         // Router: the gather stage keeps one chunk builder per shard, so
         // the columnar path survives the split; the key both routes and
         // stays attached for the keyed operator.
-        let (mut gather, spares) = Gather::new(
-            elements,
-            cfg.batching,
-            shards,
-            cfg.channel_capacity,
-            |(key, v)| (key, (key, v)),
-            shard_of,
-        );
+        let mut gather =
+            Gather::new(elements, cfg.batching, shards, |(key, v)| (key, (key, v)), shard_of);
+        let spares = gather.open_returns(cfg.channel_capacity);
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let per_tuple = cfg.batching.is_per_tuple();

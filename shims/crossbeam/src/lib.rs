@@ -5,8 +5,9 @@
 //! vendors the subset it uses: `channel::bounded` with cloneable senders
 //! and an iterating receiver, natively backed by
 //! `std::sync::mpsc::sync_channel` (same bounded-capacity backpressure
-//! semantics) — plus one addition of its own, `Receiver::bursts`, a
-//! blocking iterator that takes what is queued in one go.
+//! semantics, except that a sender blocked on a full channel resumes
+//! when the channel is half empty instead of at every receive — see
+//! [`channel`]).
 //!
 //! On top of that, [`runtime`] is the single construction surface for
 //! all concurrency in the workspace: `runtime::bounded` +
@@ -82,27 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn bursts_take_what_is_queued_up_to_the_cap_and_keep_the_order() {
-        let (tx, rx) = bounded(8);
-        for i in 0..7 {
-            tx.send(i).unwrap();
-        }
-        let mut bursts = rx.bursts(3);
-        // The first `next` takes 0, 1, 2 off the channel in one go: only
-        // four messages are left behind for anyone looking at the channel.
-        assert_eq!(bursts.next(), Some(0));
-        assert_eq!(rx.try_iter().count(), 4, "3..=6 were still queued, and are now consumed");
-        assert_eq!(bursts.next(), Some(1));
-        assert_eq!(bursts.next(), Some(2));
-        // A burst blocks for its first message only and ends with the
-        // senders.
-        tx.send(9).unwrap();
-        drop(tx);
-        assert_eq!(bursts.next(), Some(9));
-        assert_eq!(bursts.next(), None);
-    }
-
-    #[test]
     fn clone_senders_fan_in() {
         let (tx, rx) = bounded(8);
         let tx2 = tx.clone();
@@ -112,5 +92,83 @@ mod tests {
         let mut got: Vec<i32> = rx.iter().collect();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2]);
+    }
+
+    /// Spawns a sender that blocks on the full channel `tx` belongs to
+    /// and counts the messages it got through.
+    fn blocked_sender(
+        tx: &super::channel::Sender<i32>,
+        messages: std::ops::Range<i32>,
+    ) -> (std::thread::JoinHandle<bool>, std::sync::Arc<std::sync::atomic::AtomicUsize>) {
+        let sent = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let (tx, count) = (tx.clone(), sent.clone());
+        let handle = std::thread::spawn(move || {
+            messages.into_iter().all(|m| {
+                let ok = tx.send(m).is_ok();
+                count.fetch_add(usize::from(ok), std::sync::atomic::Ordering::SeqCst);
+                ok
+            })
+        });
+        (handle, sent)
+    }
+
+    /// Waits until `n` senders of `tx`'s channel are asleep on its gate.
+    fn asleep(tx: &super::channel::Sender<i32>, n: usize) {
+        let super::channel::SenderRepr::Native(_, gate) = &tx.0 else {
+            unreachable!("native channel");
+        };
+        while gate.sleepers() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_blocked_sender_resumes_when_the_channel_is_half_empty() {
+        let (tx, rx) = bounded(8);
+        (0..8).for_each(|i| tx.send(i).unwrap());
+        let (sender, sent) = blocked_sender(&tx, 8..12);
+        let sent = || sent.load(std::sync::atomic::Ordering::SeqCst);
+        asleep(&tx, 1);
+        // Three receives leave five queued, more than half of eight: the
+        // sender stays asleep however long it is given.
+        assert_eq!((rx.recv(), rx.recv(), rx.recv()), (Ok(0), Ok(1), Ok(2)));
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(sent(), 0, "woken above half");
+        // The fourth takes the channel to half: the sender wakes and finds
+        // room for all four of its messages without blocking again.
+        assert_eq!(rx.recv(), Ok(3));
+        assert!(sender.join().unwrap());
+        assert_eq!(sent(), 4);
+        drop(tx);
+        assert_eq!(rx.iter().collect::<Vec<_>>(), (4..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn small_channels_resume_at_the_next_free_slot() {
+        for cap in [1, 2] {
+            let (tx, rx) = bounded(cap);
+            (0..cap as i32).for_each(|i| tx.send(i).unwrap());
+            let (sender, _) = blocked_sender(&tx, 7..8);
+            asleep(&tx, 1);
+            assert_eq!(rx.recv(), Ok(0));
+            assert!(sender.join().unwrap(), "capacity {cap}: one free slot must do");
+        }
+    }
+
+    #[test]
+    fn every_sleeping_sender_wakes_and_a_dropped_receiver_wakes_them_too() {
+        let (tx, rx) = bounded(4);
+        (0..4).for_each(|i| tx.send(i).unwrap());
+        let (a, _) = blocked_sender(&tx, 10..11);
+        let (b, _) = blocked_sender(&tx, 20..21);
+        asleep(&tx, 2);
+        assert_eq!((rx.recv(), rx.recv()), (Ok(0), Ok(1)));
+        assert!(a.join().unwrap() && b.join().unwrap());
+        // Full again (2, 3 and the two new messages); this sender sleeps
+        // until the receiver goes away, and then fails.
+        let (c, _) = blocked_sender(&tx, 30..31);
+        asleep(&tx, 1);
+        drop(rx);
+        assert!(!c.join().unwrap());
     }
 }

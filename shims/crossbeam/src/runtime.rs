@@ -277,27 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn a_burst_is_one_yield_point_under_sched() {
-        let drain = |burst: usize| {
-            run_controlled(Box::new(Baseline), move || {
-                scope(|s| {
-                    let (tx, rx) = bounded::<usize>(4);
-                    for i in 0..4 {
-                        tx.send(i).unwrap();
-                    }
-                    drop(tx);
-                    s.spawn(move || rx.bursts(burst).collect::<Vec<_>>()).join().unwrap()
-                })
-            })
-        };
-        let (single, bursty) = (drain(1), drain(3));
-        assert_eq!(single.result.unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(bursty.result.unwrap(), vec![0, 1, 2, 3], "same messages, same order");
-        // Receives of 1+1+1+1 (+ the disconnect) against 3+1 (+ it).
-        assert_eq!(single.yields - bursty.yields, 2);
-    }
-
-    #[test]
     fn try_send_and_try_iter_under_sched() {
         let run = run_controlled(Box::new(Baseline), || {
             scope(|s| {

@@ -443,12 +443,6 @@ impl<T> Drop for SchedReceiver<T> {
 
 impl<T> SchedReceiver<T> {
     pub(crate) fn recv(&self) -> Result<T, ()> {
-        self.recv_burst(1)?.pop_front().ok_or(())
-    }
-
-    /// Blocks until at least one message is queued, then takes up to
-    /// `max` of them in one step (one yield point, one snapshot).
-    pub(crate) fn recv_burst(&self, max: usize) -> Result<VecDeque<T>, ()> {
         let me = task_id();
         self.sc.yield_now(me);
         loop {
@@ -458,11 +452,11 @@ impl<T> SchedReceiver<T> {
             }
             let ch = &mut core.chans[self.id];
             if ch.len > 0 {
-                let n = ch.len.min(max);
-                ch.len -= n;
+                ch.len -= 1;
                 let waiters = std::mem::take(&mut ch.wait_send);
                 core.wake_all(waiters);
-                return Ok(lock_q(&self.q).drain(..n).collect());
+                let v = lock_q(&self.q).pop_front();
+                return v.ok_or(());
             }
             if ch.senders == 0 {
                 return Err(());
