@@ -75,6 +75,21 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// state and batch grouping.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
+/// Heap bytes of a map's table (not what its keys and values own),
+/// estimated from its capacity as std's SwissTable lays it out: a power
+/// of two of buckets kept at most 7/8 full (below eight buckets, one
+/// free), each a `(K, V)` and a control byte, and one trailing group of
+/// 16 control bytes. Counting `len` entries instead would miss the empty
+/// buckets — up to half the table right after it grew.
+pub(crate) fn map_heap_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
+    let buckets = match map.capacity() {
+        0 => return 0,
+        c @ 1..=7 => c + 1,
+        c => c / 7 * 8,
+    };
+    (buckets * std::mem::size_of::<(K, V)>()).next_multiple_of(16) + buckets + 16
+}
+
 /// Hashes one `u64` key (convenience for tests and probing).
 #[inline]
 pub fn fx_hash_u64(key: u64) -> u64 {
@@ -116,6 +131,17 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert_eq!(m.get(&500), Some(&1000));
+    }
+
+    #[test]
+    fn table_bytes_follow_the_bucket_count_not_the_length() {
+        let mut m: FxHashMap<u64, [u32; 3]> = FxHashMap::default();
+        assert_eq!(map_heap_bytes(&m), 0);
+        m.insert(1, [0; 3]);
+        assert_eq!(map_heap_bytes(&m), 4 * 24 + 4 + 16, "std starts at four buckets");
+        m.extend((0..20_000u64).map(|k| (k, [0; 3])));
+        assert_eq!(m.capacity(), 28_672);
+        assert_eq!(map_heap_bytes(&m), 32_768 * 25 + 16);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! repeated, and flush watermarks), and idle-key TTL eviction — including
 //! rolling key cohorts that recycle key state under disorder — and the
 //! three ingestion entries must agree on every key's output sequence.
+//! Eviction *timing*, which no result shows, is pinned by comparing
+//! `live_keys()` after every watermark with a model of the TTL rule.
 //!
 //! The reference replays the current watermark into each freshly created
 //! per-key operator — watermarks are broadcast, so a key first seen late
@@ -286,7 +288,7 @@ proptest! {
     /// the output: an evicted key's windows were fully emitted before
     /// eviction, and a reappearing key starts fresh exactly like the
     /// reference (which never evicts) would continue in order. Exercises
-    /// the trigger-heap and TTL-heap interplay: keys going idle, being
+    /// the due-bucket and idle-cohort interplay: keys going idle, being
     /// evicted, and re-registering.
     #[test]
     fn keyed_ttl_eviction_is_invisible_in_order(
@@ -462,6 +464,69 @@ proptest! {
         let mut naive = NaiveKeyedOperator::new(Sum, windows(), cfg);
         let got = sorted(drive_keyed(&mut naive, &elements, batch_size));
         prop_assert_eq!(&got, &want, "naive diverged (batch {}, ttl {})", batch_size, ttl);
+    }
+
+    /// Eviction timing, which the result multiset cannot see: after every
+    /// watermark the shared operator holds exactly the keys of a model
+    /// computed from the input alone. A key lives from its first tuple to
+    /// the first watermark `wm >= t_last + ttl` that leaves it nothing
+    /// pending (no window end in `(wm, t_last + max extent]`), and a later
+    /// tuple starts it afresh. TTLs down to a quarter of the invisible one
+    /// make keys drain, return and leave while their cohort is reporting.
+    #[test]
+    fn keyed_live_keys_follow_the_eviction_model(
+        raw in prop::collection::vec((0u64..10_000, 0i64..1_000, -50i64..50), 600..2_400),
+        cohort_keys in 50u64..500,
+        cohort_len in 100i64..400,
+        slide in 2i64..20,
+        panes in 2i64..6,
+        jitter in 0i64..60,
+        ttl_div in 1i64..5,
+        batch_size in 1usize..50,
+        wm_every in 5usize..60,
+    ) {
+        let (elements, ttl) = rolling_cohorts(&raw, cohort_keys, cohort_len, jitter, wm_every, 10);
+        let ttl = ttl / ttl_div;
+        let windows: Vec<Box<dyn WindowFunction>> = vec![
+            Box::new(SlidingWindow::new(slide * panes, slide)),
+            Box::new(TumblingWindow::new(slide * 3)),
+        ];
+        let extent = windows.iter().map(|w| w.max_extent()).max().unwrap();
+        let pending = |wm: Time, last: Time| {
+            wm < last + extent
+                && windows.iter().filter_map(|w| w.next_window_end(wm)).any(|e| e <= last + extent)
+        };
+        let cfg = KeyedConfig::default().with_allowed_lateness(jitter + 10).with_idle_ttl(ttl);
+        let mut shared =
+            KeyedWindowOperator::new(Sum, windows.iter().map(|w| w.clone_box()).collect(), cfg);
+        prop_assert!(shared.is_shared());
+
+        let mut t_last: BTreeMap<u64, Time> = BTreeMap::new();
+        let (mut buf, mut out, mut wm_seen) = (Vec::new(), Vec::new(), TIME_MIN);
+        for e in &elements {
+            match e {
+                StreamElement::Record { ts, value } => {
+                    buf.push((*ts, *value));
+                    let last = t_last.entry(value.0).or_insert(*ts);
+                    *last = (*last).max(*ts);
+                    if buf.len() < batch_size {
+                        continue;
+                    }
+                }
+                StreamElement::Watermark(wm) if *wm > wm_seen => {
+                    wm_seen = *wm;
+                    t_last.retain(|_, last| pending(*wm, *last) || last.saturating_add(ttl) > *wm);
+                }
+                _ => {}
+            }
+            shared.process_batch(&buf, &mut out);
+            buf.clear();
+            if let StreamElement::Watermark(wm) = e {
+                shared.on_watermark(*wm, &mut out);
+                prop_assert_eq!(shared.live_keys(), t_last.len(), "after watermark {}", wm);
+            }
+        }
+        prop_assert_eq!(shared.live_keys(), 0, "the flush watermark evicts every key");
     }
 
     /// `process`, `process_batch` and `process_batch_columns` are three
