@@ -1,13 +1,11 @@
-//! Microbenchmark for the out-of-order batch path: late-run grouping
-//! (`process_batch` on a disordered stream) vs the per-tuple fallback
-//! (`disable_ooo_batching`), lazy, eager, and finger-tree stores, 20%
-//! disorder.
+//! Microbenchmark for the out-of-order batch path: `process_batch_columns`
+//! on a stream with 20% disorder, lazy, eager, and finger-tree stores.
 //!
 //! Run: `cargo bench -p gss-bench --bench ooo`
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gss_aggregates::Sum;
-use gss_bench::{build_slicing, concurrent_tumbling_queries, run_batched};
+use gss_bench::{build_slicing, concurrent_tumbling_queries, run_columnar};
 use gss_core::{StorePolicy, StreamOrder, Time};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
 
@@ -33,17 +31,10 @@ fn bench_ooo(c: &mut Criterion) {
         group.throughput(Throughput::Elements(TUPLES as u64));
         group.sample_size(10);
         for batch_size in [64usize, 512] {
-            group.bench_function(format!("fallback_{batch_size}"), |b| {
-                b.iter_batched(
-                    || build_slicing(Sum, policy, &queries, StreamOrder::OutOfOrder, 2_000, true),
-                    |mut agg| run_batched(agg.as_mut(), &elements, batch_size),
-                    BatchSize::LargeInput,
-                )
-            });
             group.bench_function(format!("batched_{batch_size}"), |b| {
                 b.iter_batched(
-                    || build_slicing(Sum, policy, &queries, StreamOrder::OutOfOrder, 2_000, false),
-                    |mut agg| run_batched(agg.as_mut(), &elements, batch_size),
+                    || build_slicing(Sum, policy, &queries, StreamOrder::OutOfOrder, 2_000),
+                    |mut agg| run_columnar(agg.as_mut(), &elements, batch_size),
                     BatchSize::LargeInput,
                 )
             });

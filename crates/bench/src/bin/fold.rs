@@ -40,9 +40,7 @@
 //! mode (which still ships transport-sized chunks). Adaptive reaches the
 //! target size under load — >=1.0x the per-tuple baseline with no batch
 //! knob to misconfigure, and >=90 % of fixed-4096 throughput (the gap is
-//! its amortized deadline polling). The operator-level batch-1 cliff is
-//! pinned separately in BENCH_batch.json, where `run_batched` at size 1
-//! now falls back to the plain per-tuple driver.
+//! its amortized deadline polling).
 //!
 //! Writes `target/experiments/fold.csv` and a machine-readable summary
 //! to `BENCH_fold.json` at the repo root.

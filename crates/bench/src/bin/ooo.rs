@@ -1,23 +1,26 @@
-//! Out-of-order ingestion: throughput of the batched late-run grouping
-//! path against the per-tuple fallback (a Figure 11-style sweep over
-//! disorder).
+//! Out-of-order ingestion: throughput of the batch loop (late tuples
+//! deferred and written slice by slice) against one `process` call per
+//! record, a Figure 11-style sweep over disorder.
+//!
+//! Kept beside `benchmark/` because it is the only harness that covers
+//! 5–20 % lateness over a handful of live slices — where the batch loop
+//! chooses between committing stretches and partitioning the rest of a
+//! batch (EXPERIMENTS.md "One batch loop") — until the short-lateness
+//! workload of ROADMAP item 1 lands in `benchmark/`, whose `backfill` is
+//! the `outage` cell below.
 //!
 //! Sweep: OOO fraction {0, 5, 20, 50} % (delays 0–2 s) × batch size
 //! {64, 512} × {lazy, eager, finger} stores, 20 concurrent tumbling
-//! windows over the football stream with periodic watermarks. Three
-//! modes per cell:
+//! windows over the football stream with periodic watermarks. Two modes
+//! per cell:
 //!
 //! * `per_tuple` — one `process` call per record (no batching at all);
-//! * `batch_b` — `process_batch`, late runs grouped per covering slice,
-//!   eager repairs deferred per batch;
-//! * `fallback_b` — `process_batch` with `disable_ooo_batching`, i.e. the
-//!   run-breaking path: in-order runs fold fast, but every late tuple is
-//!   handled individually.
+//! * `batch_b` — `process_batch_columns`, the entry point every pipeline
+//!   driver calls, in chunks of `b` records.
 //!
-//! Expected shape: at 0 % all three batched modes coincide; as disorder
-//! grows, `fallback` decays toward per-tuple while `batch` amortizes the
-//! slice lookup, the combine, and (eager) the FlatFAT repair over whole
-//! late runs, widening the gap with the batch size.
+//! Expected shape: batching leads at every disorder and its lead widens
+//! with the batch size, as the slice lookup, the combine and the index
+//! repair are paid per touched slice and per batch instead of per tuple.
 //!
 //! A last cell, `outage`, is the long-lateness case the sweep above
 //! never reaches (its 2 s lateness keeps a few dozen slices live): one
@@ -38,7 +41,7 @@ use std::io::Write as _;
 
 use gss_aggregates::Sum;
 use gss_bench::{
-    build_slicing, concurrent_tumbling_queries, fmt_tput, run, run_batched, run_best_interleaved,
+    build_slicing, concurrent_tumbling_queries, fmt_tput, run, run_best_interleaved, run_columnar,
     BenchJson, Output, QuerySpec, RunReport,
 };
 use gss_core::{StorePolicy, StreamElement, StreamOrder, Time};
@@ -174,7 +177,7 @@ struct Row {
     batch_size: usize,
     tuples: u64,
     tuples_per_sec: f64,
-    speedup_vs_fallback: f64,
+    speedup_vs_per_tuple: f64,
 }
 
 fn main() {
@@ -184,7 +187,7 @@ fn main() {
 
     let mut out = Output::new(
         "ooo",
-        &["cell", "store", "ooo_percent", "mode", "tuples_per_sec", "speedup_vs_fallback"],
+        &["cell", "store", "ooo_percent", "mode", "tuples_per_sec", "speedup_vs_per_tuple"],
     );
     out.print_header();
     let mut rows: Vec<Row> = Vec::new();
@@ -200,46 +203,33 @@ fn main() {
             Err(_) => outage_cell(base),
         };
         let Cell { ooo_percent: fraction, ref elements, batch_sizes, .. } = cell;
-        let build = |policy: StorePolicy, disable: bool| {
-            let order = StreamOrder::OutOfOrder;
-            build_slicing(Sum, policy, &cell.queries, order, cell.lateness, disable)
+        let build = |policy: StorePolicy| {
+            build_slicing(Sum, policy, &cell.queries, StreamOrder::OutOfOrder, cell.lateness)
         };
 
-        let per_tuple = run_best_interleaved(5, &stores, |&(policy, _)| {
-            let mut agg = build(policy, false);
-            run(agg.as_mut(), elements)
-        });
-        // fallbacks[&b][i] / batches[&b][i] belong to stores[i].
-        let mut fallbacks: Vec<Vec<RunReport>> = Vec::new();
+        let per_tuple =
+            run_best_interleaved(5, &stores, |&(policy, _)| run(build(policy).as_mut(), elements));
+        // One row per batch size, one report per store in each.
         let mut batches: Vec<Vec<RunReport>> = Vec::new();
         for &b in &batch_sizes {
-            let fallback = run_best_interleaved(5, &stores, |&(policy, _)| {
-                let mut agg = build(policy, true);
-                run_batched(agg.as_mut(), elements, b)
-            });
             let batched = run_best_interleaved(5, &stores, |&(policy, _)| {
-                let mut agg = build(policy, false);
-                run_batched(agg.as_mut(), elements, b)
+                run_columnar(build(policy).as_mut(), elements, b)
             });
             for (i, &(_, name)) in stores.iter().enumerate() {
-                assert_eq!(
-                    fallback[i].results, per_tuple[i].results,
-                    "{name} {fraction}% fallback batch {b}: result count diverged"
-                );
                 assert_eq!(
                     batched[i].results, per_tuple[i].results,
                     "{name} {fraction}% batch {b}: result count diverged"
                 );
             }
-            fallbacks.push(fallback);
             batches.push(batched);
         }
 
         // Report grouped per store for a tidy csv.
         for (i, &(_, policy_name)) in stores.iter().enumerate() {
-            let mut record = |mode: String, batch_size: usize, report: &RunReport, fb: f64| {
+            let per_tuple_tput = per_tuple[i].throughput().max(1e-9);
+            let mut record = |mode: String, batch_size: usize, report: &RunReport| {
                 let tput = report.throughput();
-                let speedup = tput / fb.max(1e-9);
+                let speedup = tput / per_tuple_tput;
                 out.row(&[
                     cell.name.to_string(),
                     policy_name.to_string(),
@@ -249,7 +239,7 @@ fn main() {
                     format!("{speedup:.2}"),
                 ]);
                 eprintln!(
-                    "  {} {policy_name} {fraction}% {mode}: {} tuples/s ({speedup:.2}x fallback)",
+                    "  {} {policy_name} {fraction}% {mode}: {} tuples/s ({speedup:.2}x per-tuple)",
                     cell.name,
                     fmt_tput(tput)
                 );
@@ -261,16 +251,13 @@ fn main() {
                     batch_size,
                     tuples: report.tuples,
                     tuples_per_sec: tput,
-                    speedup_vs_fallback: speedup,
+                    speedup_vs_per_tuple: speedup,
                 });
             };
-            for (bi, &b) in batch_sizes.iter().enumerate() {
-                let fb = fallbacks[bi][i].throughput();
-                record(format!("fallback_{b}"), b, &fallbacks[bi][i], fb);
-                record(format!("batch_{b}"), b, &batches[bi][i], fb);
+            for (&b, batched) in batch_sizes.iter().zip(&batches) {
+                record(format!("batch_{b}"), b, &batched[i]);
             }
-            let fb_large = fallbacks[batch_sizes.len() - 1][i].throughput();
-            record("per_tuple".to_string(), 0, &per_tuple[i], fb_large);
+            record("per_tuple".to_string(), 0, &per_tuple[i]);
         }
     }
     out.finish();
@@ -304,7 +291,7 @@ fn write_json(stores: &[&str], rows: &[Row]) {
             f,
             "    {{\"cell\": \"{}\", \"store\": \"{}\", \"ooo_percent\": {}, \"mode\": \"{}\", \
              \"batch_size\": {}, \"tuples\": {}, \"tuples_per_sec\": {:.0}, \
-             \"speedup_vs_fallback\": {:.3}}}{}",
+             \"speedup_vs_per_tuple\": {:.3}}}{}",
             r.cell,
             r.policy,
             r.ooo_percent,
@@ -312,7 +299,7 @@ fn write_json(stores: &[&str], rows: &[Row]) {
             r.batch_size,
             r.tuples,
             r.tuples_per_sec,
-            r.speedup_vs_fallback,
+            r.speedup_vs_per_tuple,
             comma
         )
         .unwrap();

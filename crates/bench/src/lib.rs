@@ -99,13 +99,7 @@ pub fn build<A: AggregateFunction>(
         Technique::LazySlicing | Technique::EagerSlicing => {
             let policy =
                 if tech == Technique::LazySlicing { StorePolicy::Lazy } else { StorePolicy::Eager };
-            let cfg =
-                OperatorConfig { order, policy, allowed_lateness: lateness, ..Default::default() };
-            let mut op = WindowOperator::new(f, cfg);
-            for q in queries {
-                op.add_query(q.build()).expect("query mix supported");
-            }
-            Box::new(op)
+            build_slicing(f, policy, queries, order, lateness)
         }
         Technique::Pairs => {
             let mut p = Pairs::new(f);
@@ -155,25 +149,16 @@ pub fn build<A: AggregateFunction>(
     }
 }
 
-/// Builds the general slicing operator with explicit control over the
-/// out-of-order batching ablation switch. `disable_ooo_batching: true`
-/// reproduces the PR 1 behavior (every late tuple handled individually)
-/// so BENCH_ooo can measure the late-run grouping path against it.
+/// Builds the general slicing operator over the given store policy (the
+/// finger-tree store has no [`Technique`] of its own).
 pub fn build_slicing<A: AggregateFunction>(
     f: A,
     policy: StorePolicy,
     queries: &[QuerySpec],
     order: StreamOrder,
     lateness: Time,
-    disable_ooo_batching: bool,
 ) -> Box<dyn WindowAggregator<A>> {
-    let cfg = OperatorConfig {
-        order,
-        policy,
-        allowed_lateness: lateness,
-        disable_ooo_batching,
-        ..Default::default()
-    };
+    let cfg = OperatorConfig { order, policy, allowed_lateness: lateness, ..Default::default() };
     let mut op = WindowOperator::new(f, cfg);
     for q in queries {
         op.add_query(q.build()).expect("query mix supported");
@@ -193,28 +178,6 @@ impl RunReport {
     pub fn throughput(&self) -> f64 {
         self.tuples as f64 / self.seconds.max(1e-9)
     }
-}
-
-/// Best-of-`reps` wall-clock run (the first run warms the allocator and
-/// caches; individual cells finish in milliseconds, so a single timing is
-/// noise-dominated). Result counts are asserted identical across reps.
-pub fn run_best<A: AggregateFunction>(
-    reps: usize,
-    build: impl Fn() -> Box<dyn WindowAggregator<A>>,
-    drive: impl Fn(&mut dyn WindowAggregator<A>) -> RunReport,
-) -> RunReport {
-    let mut best: Option<RunReport> = None;
-    for _ in 0..reps {
-        let mut agg = build();
-        let r = drive(agg.as_mut());
-        if let Some(b) = &best {
-            assert_eq!(r.results, b.results, "result count diverged across repetitions");
-        }
-        if best.as_ref().is_none_or(|b| r.seconds < b.seconds) {
-            best = Some(r);
-        }
-    }
-    best.expect("at least one repetition")
 }
 
 /// Best-of-`reps` for a *family* of configurations, with the repetitions
@@ -270,67 +233,12 @@ pub fn run<A: AggregateFunction>(
     RunReport { tuples, results, seconds, memory_bytes: agg.memory_bytes() }
 }
 
-/// Drives the aggregator through the element stream in chunks of
-/// `batch_size` records via [`WindowAggregator::process_batch`] — the
-/// batched ingestion fast path. Watermarks flush the pending chunk first,
-/// so results are identical to [`run`]; only the per-record overhead
-/// changes. `batch_size == 1` falls back to the per-tuple path outright:
-/// buffering and run detection are pure overhead on single-record
-/// chunks, so the degenerate load runs at per-tuple speed instead of the
-/// old ~0.6–0.8× cliff (pinned in EXPERIMENTS.md).
-pub fn run_batched<A: AggregateFunction>(
-    agg: &mut dyn WindowAggregator<A>,
-    elements: &[StreamElement<A::Input>],
-    batch_size: usize,
-) -> RunReport {
-    if batch_size <= 1 {
-        return run(agg, elements);
-    }
-    let batch_size = batch_size.max(1);
-    let mut out = Vec::new();
-    let mut buf: Vec<(Time, A::Input)> = Vec::with_capacity(batch_size);
-    let mut tuples = 0u64;
-    let mut results = 0u64;
-    let start = Instant::now();
-    let flush = |buf: &mut Vec<(Time, A::Input)>,
-                 agg: &mut dyn WindowAggregator<A>,
-                 out: &mut Vec<_>,
-                 tuples: &mut u64| {
-        if !buf.is_empty() {
-            *tuples += buf.len() as u64;
-            agg.process_batch(buf, out);
-            buf.clear();
-        }
-    };
-    for e in elements {
-        match e {
-            StreamElement::Record { ts, value } => {
-                buf.push((*ts, value.clone()));
-                if buf.len() >= batch_size {
-                    flush(&mut buf, agg, &mut out, &mut tuples);
-                }
-            }
-            StreamElement::Watermark(wm) => {
-                flush(&mut buf, agg, &mut out, &mut tuples);
-                agg.on_watermark(*wm, &mut out);
-            }
-            StreamElement::Punctuation(_) => {}
-        }
-        results += out.len() as u64;
-        out.clear();
-    }
-    flush(&mut buf, agg, &mut out, &mut tuples);
-    results += out.len() as u64;
-    let seconds = start.elapsed().as_secs_f64();
-    RunReport { tuples, results, seconds, memory_bytes: agg.memory_bytes() }
-}
-
 /// Drives the aggregator through the element stream in struct-of-arrays
 /// chunks of `batch_size` records via
-/// [`WindowAggregator::process_batch_columns`] — the columnar ingestion
-/// path the pipeline uses. Results are identical to [`run`] and
-/// [`run_batched`]; the values column reaches the operator contiguous,
-/// so bulk-fold kernels run with zero gather.
+/// [`WindowAggregator::process_batch_columns`] — the entry point every
+/// pipeline driver calls. Watermarks flush the pending chunk first, so
+/// results are identical to [`run`]; only the per-record overhead
+/// changes. `batch_size <= 1` takes the per-tuple path outright.
 pub fn run_columnar<A: AggregateFunction>(
     agg: &mut dyn WindowAggregator<A>,
     elements: &[StreamElement<A::Input>],
@@ -449,7 +357,7 @@ impl Output {
 /// Logical cores visible to this process. Every `BENCH_*.json` records
 /// it so scaling claims can be read in context: on a 1-core container a
 /// flat-to-declining parallel curve is the expected shape, not a bug.
-pub fn machine_cores() -> usize {
+fn machine_cores() -> usize {
     std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
 }
 
@@ -581,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn run_batched_matches_run_for_every_technique() {
+    fn run_columnar_matches_run_for_every_technique() {
         let tuples: Vec<(Time, i64)> = (0..5_000).map(|i| (i, i % 7)).collect();
         let elements = as_elements(&tuples);
         let queries = concurrent_tumbling_queries(5);
@@ -599,21 +507,12 @@ mod tests {
             let baseline = run(base.as_mut(), &elements);
             for batch_size in [1usize, 64, 512] {
                 let mut agg = build(tech, Sum, &queries, StreamOrder::InOrder, 0);
-                let report = run_batched(agg.as_mut(), &elements, batch_size);
+                let report = run_columnar(agg.as_mut(), &elements, batch_size);
                 assert_eq!(report.tuples, baseline.tuples, "{} tuples", tech.name());
                 assert_eq!(
                     report.results,
                     baseline.results,
                     "{} results @ batch {batch_size}",
-                    tech.name()
-                );
-                let mut agg = build(tech, Sum, &queries, StreamOrder::InOrder, 0);
-                let report = run_columnar(agg.as_mut(), &elements, batch_size);
-                assert_eq!(report.tuples, baseline.tuples, "{} columnar tuples", tech.name());
-                assert_eq!(
-                    report.results,
-                    baseline.results,
-                    "{} columnar results @ batch {batch_size}",
                     tech.name()
                 );
             }

@@ -8,7 +8,7 @@
 
 use crate::function::AggregateFunction;
 use crate::result::WindowResult;
-use crate::time::Time;
+use crate::time::{Time, TIME_MIN};
 
 /// A drop-in window aggregation operator: feed it tuples and watermarks, it
 /// emits window aggregates. Output semantics are identical across
@@ -49,7 +49,7 @@ pub trait WindowAggregator<A: AggregateFunction>: Send {
         values: &[A::Input],
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
-        debug_assert_eq!(times.len(), values.len(), "SoA batch length mismatch");
+        assert_eq!(times.len(), values.len(), "batch columns differ in length");
         let batch: Vec<(Time, A::Input)> =
             times.iter().copied().zip(values.iter().cloned()).collect();
         self.process_batch(&batch, out);
@@ -116,6 +116,22 @@ pub fn in_order_run_len<V>(
     let mut n = 0;
     while n < cap {
         let ts = batch[start + n].0;
+        if ts < prev || ts >= bound {
+            break;
+        }
+        prev = ts;
+        n += 1;
+    }
+    n
+}
+
+/// Length of the longest prefix of the time column `times` that is
+/// non-decreasing and stays below `bound`: [`in_order_run_len`] for the
+/// column layout, the caller having checked `times[0]` against its floor.
+pub(crate) fn column_run_len(times: &[Time], bound: Time) -> usize {
+    let mut prev = TIME_MIN;
+    let mut n = 0;
+    for &ts in times {
         if ts < prev || ts >= bound {
             break;
         }

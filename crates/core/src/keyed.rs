@@ -63,7 +63,7 @@ use std::collections::{btree_map, BTreeMap, VecDeque};
 
 pub use naive::NaiveKeyedOperator;
 
-use crate::aggregator::WindowAggregator;
+use crate::aggregator::{column_run_len, WindowAggregator};
 use crate::cast;
 use crate::function::{
     default_fold_slice, kernel_eligible, pair_kernel_eligible, AggregateFunction,
@@ -575,22 +575,6 @@ fn covering_slice(
     (g, slice.end)
 }
 
-/// Length of the longest prefix of `times` that is non-decreasing and
-/// stays below `bound` — the column twin of
-/// [`crate::aggregator::in_order_run_len`].
-fn in_order_run_len(times: &[Time], bound: Time) -> usize {
-    let mut prev = TIME_MIN;
-    let mut n = 0;
-    for &ts in times {
-        if ts < prev || ts >= bound {
-            break;
-        }
-        prev = ts;
-        n += 1;
-    }
-    n
-}
-
 /// Advances a key's emission floor over watermarks that passed while the
 /// key was bucket-gated (not due, so nothing could have fired). The
 /// reference operator advances `last_trigger` to the clamped watermark on
@@ -909,7 +893,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                     &mut self.cover_memo,
                     ts,
                 );
-                let n = in_order_run_len(&times[i..], end);
+                let n = column_run_len(&times[i..], end);
                 debug_assert!(n >= 1);
                 let (run_times, run_values) = (&times[i..i + n], &values[i..i + n]);
                 // Long runs go to the `fold_slice` / `fold_slice_pairs`
@@ -1401,7 +1385,7 @@ impl<A: AggregateFunction> WindowAggregator<PerKey<A>> for KeyedWindowOperator<A
         values: &[(u64, A::Input)],
         out: &mut Vec<WindowResult<(u64, A::Output)>>,
     ) {
-        debug_assert_eq!(times.len(), values.len(), "SoA batch length mismatch");
+        assert_eq!(times.len(), values.len(), "batch columns differ in length");
         match &mut self.inner {
             KeyedInner::Shared(s) => {
                 s.ingest_batch(times.iter().zip(values).map(|(ts, (key, v))| (*ts, *key, v)), out)
@@ -1472,6 +1456,13 @@ mod tests {
             .collect();
         v.sort();
         v
+    }
+
+    #[test]
+    #[should_panic(expected = "batch columns differ in length")]
+    fn unequal_batch_columns_are_rejected() {
+        let mut op = shared_op(10, KeyedConfig::default());
+        op.process_batch_columns(&[1, 2], &[(7, 1), (7, 2), (7, 3)], &mut Vec::new());
     }
 
     #[test]

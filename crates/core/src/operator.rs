@@ -9,7 +9,7 @@
 //! tuples only when required, uses ⊖ when the function is invertible, and
 //! recomputes from source tuples only when unavoidable.
 
-use crate::aggregator::WindowAggregator;
+use crate::aggregator::{column_run_len, WindowAggregator};
 use crate::cast;
 use crate::characteristics::WorkloadCharacteristics;
 use crate::function::AggregateFunction;
@@ -39,11 +39,6 @@ pub struct OperatorConfig {
     /// (the paper's out-of-order edge set). Measures the value of
     /// start-only slicing; never needed in production.
     pub force_end_edges: bool,
-    /// Ablation switch: disable the out-of-order batch path (slice-grouped
-    /// late runs + deferred FlatFAT repair), so every late tuple takes the
-    /// per-tuple path as in the original batched fast path. Used to
-    /// measure the value of late-run grouping; never needed in production.
-    pub disable_ooo_batching: bool,
 }
 
 impl Default for OperatorConfig {
@@ -54,7 +49,6 @@ impl Default for OperatorConfig {
             allowed_lateness: 0,
             force_tuple_storage: false,
             force_end_edges: false,
-            disable_ooo_batching: false,
         }
     }
 }
@@ -65,12 +59,7 @@ impl OperatorConfig {
     }
 
     pub fn out_of_order(allowed_lateness: Time) -> Self {
-        OperatorConfig {
-            order: StreamOrder::OutOfOrder,
-            policy: StorePolicy::Lazy,
-            allowed_lateness,
-            ..Default::default()
-        }
+        OperatorConfig { order: StreamOrder::OutOfOrder, allowed_lateness, ..Default::default() }
     }
 
     pub fn with_policy(mut self, policy: StorePolicy) -> Self {
@@ -132,8 +121,8 @@ pub struct OperatorStats {
     /// Bulk runs folded through a hand-written
     /// [`AggregateFunction::fold_slice`] kernel.
     pub fold_kernel_hits: u64,
-    /// Bulk runs folded through the default lift/combine loop (no kernel,
-    /// or the run was too short to amortize a gather).
+    /// Bulk runs folded through the default lift/combine loop (the
+    /// function has no kernel).
     pub fold_kernel_misses: u64,
 }
 
@@ -141,6 +130,14 @@ pub struct OperatorStats {
 /// counters are 1 KB of L1, and a hull below 256 slices sorts in one pass.
 const RUN_SORT_BITS: u32 = 8;
 const RUN_SORT_BUCKETS: usize = 1 << RUN_SORT_BITS;
+
+/// The batch loop partitions the rest of a batch once late and in-order
+/// tuples each make up more than one in `PARTITION_SHARE` of what it has
+/// seen of the batch, and at least `PARTITION_MIN_SEEN` tuples: stretches
+/// are short then, and there are in-order tuples to gather (a sorted
+/// burst of late tuples has none). EXPERIMENTS.md, "One batch loop".
+const PARTITION_SHARE: u64 = 8;
+const PARTITION_MIN_SEEN: u64 = 4;
 
 /// A run of deferred late tuples: the tuples deferred to store slice
 /// `slot` while that slice sat in entry `col` of the lookup memo, lying at
@@ -186,6 +183,15 @@ struct LateBatch<V> {
     counts: Vec<u32>,
     sorted: Vec<LateRun>,
     pairs: Vec<(Time, V)>,
+    /// Partition scratch of a batch's disordered part
+    /// ([`WindowOperator::partition_rest`]): batch positions, in-order
+    /// ones from the front and late ones from the back in reverse arrival
+    /// order, and the in-order tuples gathered into columns.
+    part_idx: Vec<u32>,
+    head: (Vec<Time>, Vec<V>),
+    /// The columns [`WindowOperator::process_batch_tuples`] unzips a pair
+    /// batch into.
+    unzipped: (Vec<Time>, Vec<V>),
 }
 
 impl<V> LateBatch<V> {
@@ -203,6 +209,9 @@ impl<V> LateBatch<V> {
             counts: Vec::new(),
             sorted: Vec::new(),
             pairs: Vec::new(),
+            part_idx: Vec::new(),
+            head: (Vec::new(), Vec::new()),
+            unzipped: (Vec::new(), Vec::new()),
         }
     }
 
@@ -291,59 +300,6 @@ impl<A: AggregateFunction> Clone for SlicePartial<A> {
             t_last: self.t_last,
             n: self.n,
         }
-    }
-}
-
-/// Read-only view over one ingestion batch, abstracting its memory
-/// layout: array-of-structs (`&[(Time, V)]`, the classic `process_batch`
-/// input) or struct-of-arrays (parallel `times` / `values` columns from
-/// the stream layer's columnar chunks). Batch processing is generic over
-/// the view, so both layouts share the run-detection and deferral logic
-/// while the SoA layout feeds bulk fold kernels without re-materializing
-/// tuple pairs.
-trait BatchView<V> {
-    fn len(&self) -> usize;
-    fn ts(&self, i: usize) -> Time;
-    fn value(&self, i: usize) -> &V;
-    /// Bulk-appends `[from, to)` onto the run buffer's columns.
-    fn extend_columns(&self, from: usize, to: usize, times: &mut Vec<Time>, values: &mut Vec<V>);
-}
-
-impl<V: Clone> BatchView<V> for &[(Time, V)] {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn ts(&self, i: usize) -> Time {
-        self[i].0
-    }
-    fn value(&self, i: usize) -> &V {
-        &self[i].1
-    }
-    fn extend_columns(&self, from: usize, to: usize, times: &mut Vec<Time>, values: &mut Vec<V>) {
-        times.extend(self[from..to].iter().map(|&(t, _)| t));
-        values.extend(self[from..to].iter().map(|(_, v)| v.clone()));
-    }
-}
-
-/// The struct-of-arrays batch view: parallel timestamp/value columns.
-struct ColumnsView<'a, V> {
-    times: &'a [Time],
-    values: &'a [V],
-}
-
-impl<V: Clone> BatchView<V> for ColumnsView<'_, V> {
-    fn len(&self) -> usize {
-        self.times.len()
-    }
-    fn ts(&self, i: usize) -> Time {
-        self.times[i]
-    }
-    fn value(&self, i: usize) -> &V {
-        &self.values[i]
-    }
-    fn extend_columns(&self, from: usize, to: usize, times: &mut Vec<Time>, values: &mut Vec<V>) {
-        times.extend_from_slice(&self.times[from..to]);
-        values.extend_from_slice(&self.values[from..to]);
     }
 }
 
@@ -475,24 +431,12 @@ pub struct WindowOperator<A: AggregateFunction> {
     /// two paths against each other.
     pub(crate) per_window_only: bool,
     stats: OperatorStats,
-    /// Scratch of the batch calls' late path, allocated by the first batch
-    /// that defers a late tuple; empty between calls. Taken out and put
-    /// back around each use: held in a local across the generic batch
-    /// loop, its drop glue cost a quarter of the in-order throughput.
+    /// Scratch of the batch calls, allocated by the first batch that
+    /// defers a late tuple or arrives as pairs; empty between calls.
+    /// Taken out and put back around each use: held in a local across
+    /// the batch loop, its drop glue cost a quarter of the in-order
+    /// throughput.
     late: Option<Box<LateBatch<A::Input>>>,
-    /// In-order tuples accumulated within one `process_batch_tuples` call
-    /// but not yet applied, stored struct-of-arrays: deferring the store
-    /// touch lets a run span deferred late singles (the batch's in-order
-    /// partition), so disorder does not shorten runs, and the values
-    /// column stays contiguous so the commit feeds the bulk fold kernel
-    /// directly. Always empty between calls.
-    run_times: Vec<Time>,
-    run_values: Vec<A::Input>,
-    /// Scratch index columns for the finger-store batch fast path's
-    /// branchless partition (`process_batch_fast`): in-order positions
-    /// from the front, late positions from the back in reverse arrival
-    /// order. Contents are dead between calls; the allocation is reused.
-    part_idx: Vec<u32>,
     /// Indices into `queries` of context-aware windows (precomputed so the
     /// per-tuple notify loop touches only those).
     context_aware: Vec<usize>,
@@ -530,9 +474,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
             per_window_only: false,
             stats: OperatorStats::default(),
             late: None,
-            run_times: Vec::new(),
-            run_values: Vec::new(),
-            part_idx: Vec::new(),
             context_aware: Vec::new(),
             edges: ContextEdges::new(),
         }
@@ -1114,14 +1055,12 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
     }
 
-    /// Buffers the longest prefix of `batch[start..]` that can be
-    /// ingested as one run into the open slice with exact per-tuple
-    /// semantics — consecutive in-order tuples that cross no slice edge,
-    /// complete no window, and need no context notification — into
-    /// the run-buffer columns and returns its length. Returns 0
-    /// (buffering nothing) when the tuple at `start` must take the
-    /// per-tuple path.
-    fn take_run<B: BatchView<A::Input>>(&mut self, batch: &B, start: usize) -> usize {
+    /// Length of the longest prefix of `times[start..]` that can go into
+    /// the open slice as one run with exact per-tuple semantics:
+    /// consecutive in-order tuples that cross no slice edge, complete no
+    /// window, and need no context notification. 0 when the tuple at
+    /// `start` must take the per-tuple path.
+    fn run_len(&self, times: &[Time], start: usize) -> usize {
         if self.store.is_empty() || self.chars.has_context_aware {
             return 0;
         }
@@ -1131,91 +1070,33 @@ impl<A: AggregateFunction> WindowOperator<A> {
         if in_order_emit && (self.sweep_always || !self.swept_once) {
             return 0;
         }
-        // Tuples must be in order and inside the open slice (punctuations
-        // can cut slices ahead of the data); a late tuple at `start` exits
-        // before paying for any cap computation.
+        // Tuples must be in order, inside the open slice (punctuations can
+        // cut slices ahead of the data), and strictly below the next slice
+        // edge and the next window completion.
         let open_start = self.store.last_slice().map_or(TIME_MAX, |s| s.start());
-        let mut prev = self.max_ts.max(open_start);
-        if batch.ts(start) < prev {
+        let time_trigger = self.next_trigger_time.filter(|_| in_order_emit);
+        let bound = self.next_time_edge.unwrap_or(TIME_MAX).min(time_trigger.unwrap_or(TIME_MAX));
+        if times[start] < self.max_ts.max(open_start) || times[start] >= bound {
             return 0;
         }
         // Count caps: stop before the next count edge cuts the open slice
         // and before any count window completes (the per-tuple path checks
         // the trigger both before and after the insert, so the run must
-        // keep the post-insert count strictly below the trigger). Pending
-        // buffered run tuples count: the store hasn't seen them yet.
+        // keep the post-insert count strictly below the trigger).
         // `total_count` walks every live slice, so only pay for it when a
         // count edge or count trigger actually exists.
-        let mut cap = batch.len() - start;
-        let needs_count =
-            self.next_count_edge.is_some() || (in_order_emit && self.next_trigger_count.is_some());
-        if needs_count {
-            let total = self.store.total_count() + self.run_times.len() as Count;
-            if let Some(edge) = self.next_count_edge {
-                if total >= edge {
-                    return 0;
-                }
-                cap = cap.min(cast::to_usize(edge - total));
-            }
-            if in_order_emit {
-                if let Some(c) = self.next_trigger_count {
-                    if total + 1 >= c {
-                        return 0;
-                    }
-                    cap = cap.min(cast::to_usize(c - 1 - total));
-                }
-            }
+        let mut cap = times.len() - start;
+        let count_trigger = self.next_trigger_count.filter(|_| in_order_emit);
+        if self.next_count_edge.is_some() || count_trigger.is_some() {
+            let total = self.store.total_count();
+            let to_edge = self.next_count_edge.map_or(u64::MAX, |e| e.saturating_sub(total));
+            let to_trigger = count_trigger.map_or(u64::MAX, |c| c.saturating_sub(total + 1));
+            cap = cast::to_usize(cast::to_u64(cap).min(to_edge).min(to_trigger));
         }
-        // Time bound: strictly below the next slice edge and the next
-        // window completion.
-        let mut bound = self.next_time_edge.unwrap_or(TIME_MAX);
-        if in_order_emit {
-            if let Some(t) = self.next_trigger_time {
-                bound = bound.min(t);
-            }
-        }
-        // Buffer the run (committed with one store touch by
-        // `commit_in_order_run`). Disordered streams produce short runs
-        // where a separate scan-then-copy pass costs more than pushing
-        // as we scan, while near-in-order streams produce long runs
-        // where the bulk `extend_from_slice` beats per-element pushes —
-        // so push the first `FUSED` elements inline and switch to
-        // scan + bulk copy for the rest of the run.
-        const FUSED: usize = 32;
-        let mut n = 0;
-        let fused_cap = cap.min(FUSED);
-        while n < fused_cap {
-            let ts = batch.ts(start + n);
-            if ts < prev || ts >= bound {
-                break;
-            }
-            prev = ts;
-            self.run_times.push(ts);
-            self.run_values.push(batch.value(start + n).clone());
-            n += 1;
-        }
-        if n == FUSED && n < cap {
-            let tail = start + n;
-            let mut m = 0;
-            while n + m < cap {
-                let ts = batch.ts(tail + m);
-                if ts < prev || ts >= bound {
-                    break;
-                }
-                prev = ts;
-                m += 1;
-            }
-            batch.extend_columns(tail, tail + m, &mut self.run_times, &mut self.run_values);
-            n += m;
-        }
-        if n > 0 {
-            // `max_ts` advances eagerly so the late/in-order
-            // classification of later batch positions matches per-tuple
-            // processing.
-            self.max_ts = prev;
-            self.stats.tuples += n as u64;
-        }
-        n
+        // The scan stops at the bound itself: finding the sorted prefix
+        // first and searching it for the bound reads a sorted batch to its
+        // end once per slice edge (0.68× on `query_heavy`).
+        column_run_len(&times[start..start + cap], bound)
     }
 
     /// Whether late tuples can be deferred into the late batch and
@@ -1225,70 +1106,27 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// on watermarks), time-tiled slices (the count-measure Figure-6
     /// shift cascades across slices), no context-aware windows (their
     /// per-tuple notifications can split/merge) — none of which changes
-    /// within a batch, so the loops ask once — and, per tuple, a
+    /// within a batch, so the loop asks once — and, per tuple, a
     /// non-empty store and a timestamp strictly above the watermark (at
     /// or below it the tuple revises emitted windows *immediately* via
     /// `emit_updates`).
     fn defer_config_ok(&self) -> bool {
-        !self.cfg.disable_ooo_batching
-            && self.cfg.order == StreamOrder::OutOfOrder
+        self.cfg.order == StreamOrder::OutOfOrder
             && !self.count_mode()
             && !self.chars.has_context_aware
     }
 
-    /// Applies the pending in-order run buffer with a single store touch.
-    /// Must run before anything reads or restructures the store (late-run
-    /// flushes, per-tuple fallbacks): slices keep their tuples sorted by
-    /// timestamp, so buffered appends have to land before a late tuple is
-    /// merged below them. The buffer's values column is contiguous, so the
-    /// commit is a direct bulk-kernel fold — no gather.
-    fn commit_in_order_run(&mut self) {
-        if self.run_times.is_empty() {
-            return;
-        }
-        crate::audit_assert!(
-            self.run_times.windows(2).all(|w| w[0] <= w[1]),
-            "in-order run buffer must be monotone"
-        );
-        crate::audit_assert!(
-            self.run_times.len() == self.run_values.len(),
-            "run buffer columns diverged: {} times vs {} values",
-            self.run_times.len(),
-            self.run_values.len()
-        );
-        self.count_fold(self.run_times.len());
-        let mut times = std::mem::take(&mut self.run_times);
-        let mut values = std::mem::take(&mut self.run_values);
-        self.store.add_in_order_run_columns(&times, &values);
-        times.clear();
-        values.clear();
-        self.run_times = times; // keep the allocations for the next batch
-        self.run_values = values;
-    }
-
-    /// Attributes one bulk-folded run of `len` values to the kernel or
-    /// fallback counter. Contiguous runs always go through
+    /// Attributes one bulk-folded run to the kernel or fallback counter.
+    /// Runs reach the store as contiguous columns and always go through
     /// [`AggregateFunction::fold_slice_pairs`] /
-    /// [`AggregateFunction::fold_slice`], so the only miss condition is
-    /// the function providing neither a values nor a paired-column
-    /// kernel; gathered (array-of-structs) runs additionally miss below
-    /// the gather threshold, mirroring
-    /// [`crate::function::kernel_eligible`] and
-    /// [`crate::function::pair_kernel_eligible`].
-    fn count_fold(&mut self, len: usize) {
-        if (self.f.has_fold_kernel() || self.f.has_pair_kernel()) && len >= 1 {
+    /// [`AggregateFunction::fold_slice`], so a run misses only when the
+    /// function provides neither kernel.
+    fn count_fold(&mut self) {
+        if self.f.has_fold_kernel() || self.f.has_pair_kernel() {
             self.stats.fold_kernel_hits += 1;
         } else {
             self.stats.fold_kernel_misses += 1;
         }
-    }
-
-    /// Whether a late bucket can be folded and written as one partial:
-    /// with tuples dropped and a commutative ⊕, nothing observes the
-    /// order late tuples were folded in. Otherwise a bucket is sorted by
-    /// timestamp and written as a run.
-    fn defer_unsorted(&self) -> bool {
-        self.f.properties().commutative && !self.store.keeps_tuples()
     }
 
     /// Defers a late tuple: appends it to the open run of its covering
@@ -1299,8 +1137,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// at most one entry matches; the weighted sum of the match flags of
     /// entries 1–3 is its number, or 0, which the one branch then checks.
     /// The miss stays out of line: with it inlined here, this function
-    /// was itself too large to inline and cost both batch loops a call
-    /// with six saved registers per late tuple.
+    /// was itself too large to inline and cost the batch loop a call with
+    /// six saved registers per late tuple.
     #[inline(always)]
     fn defer_late(&mut self, late: &mut LateBatch<A::Input>, ts: Time, value: &A::Input) {
         let hit = |k: usize| (ts.wrapping_sub(late.memo_start[k]) as u64) < late.memo_width[k];
@@ -1343,16 +1181,17 @@ impl<A: AggregateFunction> WindowOperator<A> {
         k
     }
 
-    /// Applies the pending in-order run, then the deferred late tuples:
-    /// one store write per covering slice, in ascending slice order, then
-    /// a single repair of the index's dirty frontier.
+    /// Applies the deferred late tuples: one store write per covering
+    /// slice, in ascending slice order, then a single repair of the
+    /// index's dirty frontier.
     ///
     /// The runs are sorted by slice ([`LateBatch::sort_runs`]: a stable
     /// counting sort, runs per slice → starts → scatter of the 16-byte
-    /// run records); their tuples stay where deferral put them. A pre-foldable
-    /// slice ([`defer_unsorted`]) folds each of its runs through the bulk
-    /// kernel — one run, almost always — and becomes one
-    /// [`SliceStore::add_out_of_order_partial`]; otherwise its runs are
+    /// run records); their tuples stay where deferral put them. With
+    /// tuples dropped and a commutative ⊕ nothing observes the order late
+    /// tuples were folded in: a slice folds each of its runs through the
+    /// bulk kernel — one run, almost always — and becomes one
+    /// [`SliceStore::add_out_of_order_partial`]. Otherwise its runs are
     /// gathered in the order they were opened, stable-sorted by timestamp
     /// and written as one [`SliceStore::add_out_of_order_run`]. k late
     /// tuples in r runs over m slices cost k appends, an O(r + min(hull,
@@ -1367,10 +1206,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// — a run is in arrival order, the runs of one slice were open one
     /// after the other, the timestamp sort is stable — so each slice gets
     /// the same tuples in the same tie order as on the per-tuple path.
-    ///
-    /// [`defer_unsorted`]: WindowOperator::defer_unsorted
     fn flush_late(&mut self) {
-        self.commit_in_order_run();
         let Some(mut late) = self.late.take() else { return };
         (0..late.memo_slot.len()).for_each(|k| late.end_run(k));
         if late.runs.is_empty() {
@@ -1378,7 +1214,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             return;
         }
         late.sort_runs();
-        let prefold = self.defer_unsorted();
+        let prefold = self.f.properties().commutative && !self.store.keeps_tuples();
         let pair_kernel = self.f.has_pair_kernel();
         let LateBatch { times, values, runs, pairs, .. } = &mut *late;
         for of_slice in runs.chunk_by(|a, b| a.slot == b.slot) {
@@ -1392,7 +1228,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
                 let mut folded: Option<A::Partial> = None;
                 let (mut t_first, mut t_last, mut len) = (TIME_MAX, TIME_MIN, 0);
                 for (times, values) in columns {
-                    self.count_fold(times.len());
+                    self.count_fold();
                     let partial = if pair_kernel {
                         self.f.fold_slice_pairs(times, values)
                     } else {
@@ -1426,279 +1262,192 @@ impl<A: AggregateFunction> WindowOperator<A> {
         self.store.flush_eager_repairs();
     }
 
-    /// Batched ingestion fast path for the finger-tree store: one
-    /// partition pass splits the batch into its monotone in-order
-    /// subsequence and the late remainder, then each half is applied in
-    /// bulk — the in-order columns as slice-edge-segmented run commits,
-    /// the late tuples deferred and flushed once, bucketed by slice
-    /// ([`flush_late`](WindowOperator::flush_late)). This replaces the generic loop's per-stretch run
-    /// detection ([`take_run`] re-derives its caps on every monotone
-    /// stretch), whose bookkeeping dominates under heavy disorder where
-    /// stretches shrink to a couple of tuples.
+    /// Applies the rest of a batch in two bulk halves. One branchless
+    /// pass splits it into its in-order subsequence — the tuples at or
+    /// above the running maximum, as `max_ts` classifies them per tuple —
+    /// and the late rest (at 50 % late a late/in-order branch is
+    /// mispredicted every other tuple). The in-order tuples are gathered
+    /// into columns and committed run by run, cut at slice edges exactly
+    /// where the per-tuple slicer cuts; the late ones are then deferred
+    /// in arrival order. The passes cost every tuple about what
+    /// [`run_len`](Self::run_len) and a store touch cost a whole stretch,
+    /// so the batch loop comes here only once stretches are short.
     ///
-    /// Equivalence to the generic loop: the preconditions rule out every
-    /// mid-batch emission and every mid-batch structural read of partial
-    /// aggregates, so the only observable interleaving — late buckets
-    /// applied after all in-order commits — is exactly what the generic
-    /// deferral does. Late tuples are classified against the same
-    /// running maximum per-tuple processing maintains, and slice edges
-    /// are advanced at segment heads precisely where the per-tuple
-    /// slicer would cut. A late tuple always lands below the open
-    /// slice's end (its timestamp is below some already-committed
-    /// in-order tuple), so deferring it after the commits sees the same
-    /// covering slice the generic interleaving would.
+    /// The caller has checked [`defer_config_ok`](Self::defer_config_ok):
+    /// an in-order tuple emits nothing and only appends slices at the
+    /// head, and writing late tuples after the in-order ones is the order
+    /// deferral produces anyway. A late tuple lies below some committed
+    /// in-order tuple, hence below the open slice's end, so it resolves
+    /// to the same covering slice after the commits as before them.
     ///
-    /// Preconditions beyond [`defer_config_ok`] (declared out-of-order
-    /// stream, time-tiled slices, no context-aware windows):
-    /// * finger-tree store — kept by measurement, not by structure (the
-    ///   late flush is the same for every store): without it the lazy
-    ///   store's 5 %-late cells of `--bin ooo` lose 5–13 %, because the
-    ///   partition and gather passes cost every tuple about what the
-    ///   generic loop's run detection costs a whole stretch
-    ///   (EXPERIMENTS.md, "Late grouping");
-    /// * pre-foldable late buckets ([`defer_unsorted`]);
-    /// * a non-empty store whose open slice covers the stream head (a
-    ///   punctuation can cut slices ahead of the data);
-    /// * every late timestamp strictly above the watermark — at or
-    ///   below it, per-tuple processing emits revisions immediately.
-    ///
-    /// Returns `false` — leaving the operator untouched — when a
-    /// precondition fails, and the generic loop runs instead.
-    ///
-    /// [`take_run`]: WindowOperator::take_run
-    /// [`defer_config_ok`]: WindowOperator::defer_config_ok
-    /// [`defer_unsorted`]: WindowOperator::defer_unsorted
-    fn process_batch_fast<B: BatchView<A::Input>>(&mut self, batch: &B) -> bool {
-        if self.store.policy() != StorePolicy::FingerTree
-            || !self.defer_config_ok()
-            || !self.defer_unsorted()
-            || self.store.last_slice().is_none_or(|s| s.start() > self.max_ts)
-        {
+    /// Returns `false`, having applied nothing, when the open slice does
+    /// not cover the stream head (a punctuation can cut slices ahead of
+    /// the data) or a late tuple lies at or below the watermark: that one
+    /// revises emitted windows the moment it arrives.
+    fn partition_rest(&mut self, times: &[Time], values: &[A::Input]) -> bool {
+        if self.store.last_slice().is_none_or(|s| s.start() > self.max_ts) {
             return false;
         }
-        let n = batch.len();
-        debug_assert!(u32::try_from(n).is_ok(), "batch exceeds u32 index space");
-        debug_assert!(self.run_times.is_empty() && self.run_values.is_empty());
-        // Partition. The in-order subsequence is exactly the tuples at or
-        // above the running maximum — the same classification per-tuple
-        // processing applies via `max_ts`. The monotone prefix (the whole
-        // batch under zero disorder) is recognized with one predictable
-        // scan and bulk-copied; the disordered remainder goes through a
-        // branchless index partition (disorder makes a late/in-order
-        // branch unpredictable, and at 50 % disorder the mispredictions
-        // alone would dominate this loop).
-        let mut prev = self.max_ts;
-        let mut i = 0;
-        while i < n {
-            let ts = batch.ts(i);
-            if ts < prev {
-                break;
-            }
-            prev = ts;
-            i += 1;
+        let Some(mut late) = self.late.take() else { return false };
+        let len = times.len();
+        debug_assert!(u32::try_from(len).is_ok(), "batch exceeds u32 index space");
+        let mut idx = std::mem::take(&mut late.part_idx);
+        if idx.len() < len {
+            idx.resize(len, 0);
         }
-        batch.extend_columns(0, i, &mut self.run_times, &mut self.run_values);
-        let mut idx = std::mem::take(&mut self.part_idx);
-        let rem = n - i;
-        let mut ik = 0;
-        let mut lk = 0;
-        if i < n {
-            if idx.len() < rem {
-                idx.resize(rem, 0);
+        // Two unconditional stores per tuple: in-order positions fill
+        // `idx` from the front, late ones from the back (so the late half
+        // ends up at `[len - lk, len)` in reverse arrival order), and only
+        // the counters depend on the data.
+        let (mut ik, mut lk) = (0, 0);
+        let (mut prev, mut min_late) = (self.max_ts, TIME_MAX);
+        for (j, &ts) in times.iter().enumerate() {
+            let is_late = ts < prev;
+            prev = prev.max(ts);
+            min_late = min_late.min(if is_late { ts } else { TIME_MAX });
+            idx[ik] = j as u32;
+            idx[len - 1 - lk] = j as u32;
+            ik += usize::from(!is_late);
+            lk += usize::from(is_late);
+        }
+        let applies = min_late > self.watermark;
+        if applies {
+            // In-order half: one gather pass, then bulk run commits.
+            let (head_times, head_values) = &mut late.head;
+            head_times.extend(idx[..ik].iter().map(|&j| times[cast::idx32(j)]));
+            head_values.extend(idx[..ik].iter().map(|&j| values[cast::idx32(j)].clone()));
+            let mut a = 0;
+            while a < ik {
+                let b = match self.next_time_edge {
+                    Some(edge) => a + head_times[a..].partition_point(|&t| t < edge),
+                    None => ik,
+                };
+                if b == a {
+                    // `head_times[a]` is at or past the cached edge: cut
+                    // slices first. Afterwards the next edge lies
+                    // strictly beyond it, so the next run is non-empty.
+                    self.advance_time_edges(head_times[a]);
+                    continue;
+                }
+                self.count_fold();
+                self.store.add_in_order_run_columns(&head_times[a..b], &head_values[a..b]);
+                a = b;
             }
-            let mut min_late = TIME_MAX;
-            for j in i..n {
-                let ts = batch.ts(j);
-                let is_late = ts < prev;
-                prev = prev.max(ts);
-                min_late = min_late.min(if is_late { ts } else { TIME_MAX });
-                // Two unconditional stores per tuple: in-order indices
-                // fill the array from the front, late ones from the back
-                // (so the late half sits at `[rem - lk, rem)` in reverse
-                // arrival order). Writing both ends every iteration keeps
-                // the loop free of data-dependent branches — at 50 %
-                // disorder a conditional store is mispredicted constantly.
-                idx[ik] = j as u32;
-                idx[rem - 1 - lk] = j as u32;
-                ik += usize::from(!is_late);
-                lk += usize::from(is_late);
-            }
-            // At or below the watermark a late tuple revises emitted
-            // windows immediately; hand the whole batch to the generic
-            // loop. Nothing has been applied yet, so bailing is free.
-            if min_late <= self.watermark {
-                self.run_times.clear();
-                self.run_values.clear();
-                self.part_idx = idx;
-                return false;
-            }
-            // One fused gather pass: each batch tuple is touched once
-            // (its timestamp and value share a cache line in the
-            // row-major view), and the upfront reserves keep the push
-            // capacity checks predictable.
-            self.run_times.reserve(ik);
-            self.run_values.reserve(ik);
-            for &j in &idx[..ik] {
+            self.max_ts = prev;
+            head_times.clear();
+            head_values.clear();
+            // Late half, in arrival order.
+            for &j in idx[len - lk..len].iter().rev() {
                 let j = cast::idx32(j);
-                self.run_times.push(batch.ts(j));
-                self.run_values.push(batch.value(j).clone());
+                self.defer_late(&mut late, times[j], &values[j]);
             }
+            self.stats.tuples += len as u64;
+            self.stats.ooo_tuples += lk as u64;
         }
-        // In-order half: bulk run commits, cut at slice edges exactly
-        // where the per-tuple slicer would.
-        let mut times = std::mem::take(&mut self.run_times);
-        let mut values = std::mem::take(&mut self.run_values);
-        let mut a = 0;
-        while a < times.len() {
-            let b = match self.next_time_edge {
-                Some(edge) => a + times[a..].partition_point(|&t| t < edge),
-                None => times.len(),
-            };
-            if b == a {
-                // `times[a]` is at or past the cached edge: cut slices
-                // first. Afterwards the next edge lies strictly beyond
-                // `times[a]`, so the next segment is non-empty.
-                self.advance_time_edges(times[a]);
-                continue;
-            }
-            self.count_fold(b - a);
-            self.store.add_in_order_run_columns(&times[a..b], &values[a..b]);
-            a = b;
-        }
-        self.stats.tuples += times.len() as u64;
-        self.max_ts = prev;
-        times.clear();
-        values.clear();
-        self.run_times = times; // keep the allocations for the next batch
-        self.run_values = values;
-        // Late half: defer in arrival order, then write bucket by bucket.
-        if lk > 0 {
-            let mut pending = self.late.take().unwrap_or_else(|| Box::new(LateBatch::new()));
-            for &j in idx[rem - lk..rem].iter().rev() {
-                let j = cast::idx32(j);
-                self.defer_late(&mut pending, batch.ts(j), batch.value(j));
-            }
-            self.late = Some(pending);
-        }
-        self.part_idx = idx; // keep the allocation
-        self.stats.tuples += lk as u64;
-        self.stats.ooo_tuples += lk as u64;
-        self.flush_late();
-        true
+        late.part_idx = idx;
+        self.late = Some(late);
+        applies
     }
 
-    /// Processes a batch of tuples, ingesting maximal eligible in-order
-    /// runs with a single store touch each (one fold + ⊕ into the open
-    /// slice, one tuple-storage append, one eager-leaf refresh) and
-    /// deferring eligible late tuples into slice-grouped runs applied once
-    /// per batch (see [`flush_late`]). On the finger-tree store the
-    /// whole batch is instead partitioned once and applied in bulk
-    /// ([`process_batch_fast`](WindowOperator::process_batch_fast)).
-    /// Everything else — tuples at
-    /// slice edges, window completions, below-watermark stragglers,
-    /// count-measure shifts — falls back to
-    /// [`process_tuple`](WindowOperator::process_tuple) after the pending
-    /// late buffer is flushed, so emission points and results are
-    /// identical to per-tuple processing.
-    ///
-    /// [`flush_late`]: WindowOperator::flush_late
+    /// Pair-layout entry point: unzips the batch into scratch columns and
+    /// hands them to [`WindowOperator::process_batch_columns`].
     pub fn process_batch_tuples(
         &mut self,
         batch: &[(Time, A::Input)],
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
-        // Degenerate size-1 batches take the per-tuple entry point: run
-        // detection, run-buffer bookkeeping, and the end-of-batch commit
-        // are pure overhead on a single record (the old "batch 1 costs
-        // 0.6×" cliff in BENCH_batch.json).
-        if let [(ts, value)] = batch {
-            self.process_tuple(*ts, value.clone(), out);
-            return;
-        }
-        self.process_batch_view(&batch, out);
+        let late = self.late.get_or_insert_with(|| Box::new(LateBatch::new()));
+        let (mut times, mut values) = std::mem::take(&mut late.unzipped);
+        times.extend(batch.iter().map(|&(ts, _)| ts));
+        values.extend(batch.iter().map(|(_, value)| value.clone()));
+        self.process_batch_columns(&times, &values, out);
+        times.clear();
+        values.clear();
+        self.late.as_mut().expect("set above, put back by every flush").unzipped = (times, values);
     }
 
-    /// Columnar twin of [`WindowOperator::process_batch_tuples`]: the batch
-    /// arrives struct-of-arrays as parallel `times` / `values` columns
-    /// (the stream layer's chunk layout), so in-order runs stay contiguous
-    /// from the source straight into the bulk fold kernel without
-    /// re-materializing tuple pairs. Semantics are identical to the
-    /// tuple-pair entry point — both delegate to the same view-generic
-    /// loop.
+    /// Processes a batch given as parallel `times` / `values` columns (the
+    /// stream layer's chunk layout), with emission points and results
+    /// identical to per-tuple processing. One loop:
+    ///
+    /// * a monotone stretch that crosses no slice edge, completes no
+    ///   window and needs no context notification
+    ///   ([`run_len`](Self::run_len)) goes into the open slice straight
+    ///   from the columns with a single store touch (one fold through the
+    ///   bulk kernel + ⊕, one tuple-storage append, one eager-leaf
+    ///   refresh);
+    /// * an eligible late tuple ([`defer_config_ok`](Self::defer_config_ok))
+    ///   is deferred and written with its slice's other late tuples when
+    ///   the call ends ([`flush_late`](Self::flush_late)) — stretches
+    ///   commit at once, so it never waits on a pending append;
+    /// * everything else — tuples at slice edges, window completions,
+    ///   below-watermark stragglers, count-measure shifts — takes
+    ///   [`process_tuple`](Self::process_tuple);
+    /// * once the late share seen in this batch says stretches are short
+    ///   ([`PARTITION_SHARE`]), the rest of the batch is partitioned and
+    ///   applied in bulk ([`partition_rest`](Self::partition_rest)).
+    ///
+    /// # Panics
+    /// When the columns differ in length; nothing has been applied then.
     pub fn process_batch_columns(
         &mut self,
         times: &[Time],
         values: &[A::Input],
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
-        debug_assert_eq!(times.len(), values.len(), "SoA batch length mismatch");
-        crate::audit_assert!(times.len() == values.len(), "SoA batch length mismatch");
-        // Same size-1 fallback as the tuple-pair entry point.
-        if let ([ts], [value]) = (times, values) {
-            self.process_tuple(*ts, value.clone(), out);
-            return;
-        }
-        self.process_batch_view(&ColumnsView { times, values }, out);
-    }
-
-    fn process_batch_view<B: BatchView<A::Input>>(
-        &mut self,
-        batch: &B,
-        out: &mut Vec<WindowResult<A::Output>>,
-    ) {
-        if self.process_batch_fast(batch) {
-            return;
-        }
+        assert_eq!(times.len(), values.len(), "batch columns differ in length");
         let defer_ok = self.defer_config_ok();
-        // Deferred-tuple stats accumulate in a local and land once per
-        // batch; nothing observes `stats` mid-batch.
-        let mut late_n = 0u64;
+        let mut may_partition = true;
+        // Deferred tuples are counted in a local and land in `stats` once
+        // per batch; nothing observes `stats` mid-batch.
+        let mut late = 0u64;
         let mut i = 0;
-        while i < batch.len() {
-            let ts = batch.ts(i);
-            if ts < self.max_ts {
-                // Late tuple: defer it, or flush and fall back. Testing
-                // lateness first (one comparison) keeps the data-dependent
-                // late singles off the run-detection path entirely.
-                if defer_ok && ts > self.watermark && !self.store.is_empty() {
-                    late_n += 1;
-                    let mut pending =
-                        self.late.take().unwrap_or_else(|| Box::new(LateBatch::new()));
-                    self.defer_late(&mut pending, ts, batch.value(i));
-                    self.late = Some(pending);
-                } else {
-                    // A below-watermark straggler, count-measure query, or
-                    // context-aware query: apply the pending run and the
-                    // pending late runs so per-tuple processing sees final
-                    // state.
-                    self.flush_late();
-                    self.process_tuple(ts, batch.value(i).clone(), out);
+        while i < times.len() {
+            let ts = times[i];
+            if ts >= self.max_ts {
+                let n = self.run_len(times, i);
+                if n == 0 {
+                    // A run breaker (slice edge, window completion, count
+                    // cap, first tuple). No late flush is needed: on an
+                    // out-of-order stream an in-order tuple only cuts or
+                    // appends slices and triggers nothing a deferred late
+                    // tuple could affect.
+                    self.process_tuple(ts, values[i].clone(), out);
+                    i += 1;
+                    continue;
                 }
-                i += 1;
-                continue;
-            }
-            // Accumulate rather than apply: the buffered run commutes
-            // with deferred late tuples (it only feeds the open slice and
-            // emits nothing a late tuple could affect), so one run can
-            // span any number of deferred late singles — disorder does
-            // not shorten runs.
-            let n = self.take_run(batch, i);
-            if n >= 1 {
+                self.count_fold();
+                self.store.add_in_order_run_columns(&times[i..i + n], &values[i..i + n]);
+                self.max_ts = times[i + n - 1];
+                self.stats.tuples += n as u64;
                 i += n;
-                continue;
+            } else if defer_ok && ts > self.watermark && !self.store.is_empty() {
+                late += 1;
+                let mut pending = self.late.take().unwrap_or_else(|| Box::new(LateBatch::new()));
+                self.defer_late(&mut pending, ts, &values[i]);
+                self.late = Some(pending);
+                i += 1;
+                let fewer = late.min(i as u64 - late);
+                if may_partition
+                    && fewer >= PARTITION_MIN_SEEN
+                    && fewer * PARTITION_SHARE > i as u64
+                {
+                    if self.partition_rest(&times[i..], &values[i..]) {
+                        break;
+                    }
+                    may_partition = false;
+                }
+            } else {
+                // A below-watermark straggler, count-measure query, or
+                // context-aware query: write the deferred tuples so that
+                // per-tuple processing sees final state.
+                self.flush_late();
+                self.process_tuple(ts, values[i].clone(), out);
+                i += 1;
             }
-            // An in-order run breaker (slice edge, window completion,
-            // count cap, first tuple): apply the pending run, then take
-            // the per-tuple path. No late flush is needed — on an
-            // out-of-order stream an in-order tuple only cuts or appends
-            // slices and triggers nothing a deferred late tuple could
-            // affect.
-            self.commit_in_order_run();
-            self.process_tuple(ts, batch.value(i).clone(), out);
-            i += 1;
         }
-        self.stats.tuples += late_n;
-        self.stats.ooo_tuples += late_n;
+        self.stats.tuples += late;
+        self.stats.ooo_tuples += late;
         self.flush_late();
     }
 
@@ -1961,9 +1710,6 @@ impl<A: AggregateFunction> Clone for WindowOperator<A> {
             stats: self.stats,
             // Scratch is dead between calls; a checkpoint does not need it.
             late: None,
-            run_times: self.run_times.clone(),
-            run_values: self.run_values.clone(),
-            part_idx: Vec::new(),
             context_aware: self.context_aware.clone(),
             edges: self.edges.clone(),
         }
@@ -2233,20 +1979,27 @@ mod tests {
     }
 
     #[test]
-    fn finger_batch_fast_path_edges_match_per_tuple() {
+    fn partitioned_rest_of_a_batch_matches_per_tuple() {
         // In-order spine establishing slices up to [100, 110).
         let spine = [5, 7, 12, 18, 23, 31, 44, 57, 68, 101].iter().map(|&t| (t, 1)).collect();
-        // Late tuples over five distinct covering slices, arriving in
-        // neither slice nor time order.
-        let wide: Vec<(Time, i64)> = [105, 110, 55, 62, 75, 83, 91, 96, 71, 88]
-            .iter()
-            .zip(1..)
-            .map(|(&t, v)| (t, v))
-            .collect();
-        // A tuple at the watermark: the monotone fast path must bail
-        // before mutating anything and defer to the generic batch path.
-        let straggler = vec![(120, 1), (50, 1), (125, 1)];
-        check_late_batches(SumI64, &[(spine, 50), (wide, 100), (straggler, 300)]);
+        let numbered = |ts: &[Time]| ts.iter().zip(1..).map(|(&t, v)| (t, v)).collect::<Vec<_>>();
+        // Four in-order and four late tuples hand the rest to the
+        // partition: it cuts slices in order (112, 131) and defers late
+        // tuples over three more covering slices, in neither slice nor
+        // time order, two of them tied with an earlier one.
+        let wide =
+            numbered(&[105, 106, 107, 110, 55, 62, 75, 83, 91, 112, 96, 71, 131, 96, 88, 71, 133]);
+        // The rest after 138 holds a tuple below the watermark (50), so
+        // it is not partitioned: the loop goes on stretch by stretch and
+        // the straggler revises emitted windows once everything before it
+        // has been written.
+        let straggler =
+            numbered(&[140, 141, 142, 143, 135, 136, 137, 138, 150, 139, 50, 151, 141, 160, 142]);
+        let batches = [(spine, 50), (wide, 100), (straggler, 300)];
+        let stats = check_late_batches(SumI64, &batches);
+        assert_eq!(stats.updates_emitted, 1);
+        // Tuple-keeping, order-sensitive fold.
+        check_late_batches(crate::testsupport::Concat, &batches);
     }
 
     #[test]
@@ -2284,27 +2037,10 @@ mod tests {
     }
 
     #[test]
-    fn disable_ooo_batching_matches_enabled() {
-        let base = OperatorConfig::out_of_order(1_000).with_policy(StorePolicy::Eager);
-        let mut enabled = WindowOperator::new(SumI64, base);
-        let mut disabled =
-            WindowOperator::new(SumI64, OperatorConfig { disable_ooo_batching: true, ..base });
-        enabled.add_query(Box::new(TumblingStub { length: 10 })).unwrap();
-        disabled.add_query(Box::new(TumblingStub { length: 10 })).unwrap();
-        let batch: Vec<(Time, i64)> = (0..200)
-            .map(|i| if i % 5 == 0 { (i as Time * 2 - 7, i) } else { (i as Time * 2, i) })
-            .collect();
-        let mut out_e = Vec::new();
-        let mut out_d = Vec::new();
-        enabled.process_batch_tuples(&batch, &mut out_e);
-        disabled.process_batch_tuples(&batch, &mut out_d);
-        enabled.process_watermark(500, &mut out_e);
-        disabled.process_watermark(500, &mut out_d);
-        let key = |r: &WindowResult<i64>| (r.query, r.range.start, r.range.end, r.value);
-        assert_eq!(
-            out_e.iter().map(key).collect::<Vec<_>>(),
-            out_d.iter().map(key).collect::<Vec<_>>()
-        );
+    #[should_panic(expected = "batch columns differ in length")]
+    fn unequal_batch_columns_are_rejected() {
+        let mut op = op_ooo(100);
+        op.process_batch_columns(&[1, 2], &[1, 2, 3], &mut Vec::new());
     }
 
     #[test]

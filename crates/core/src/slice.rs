@@ -160,47 +160,16 @@ impl<A: AggregateFunction> Slice<A> {
         }
     }
 
-    /// Adds a run of in-order tuples in one step (the batched ingestion
-    /// fast path). The caller guarantees the run is non-decreasing in
-    /// timestamp, starts at or after `t_last`, and lies inside the slice
-    /// range. The run is folded left-to-right into one partial which is
-    /// combined into the slice aggregate with a single ⊕ — by
+    /// Adds a run of in-order tuples, given as parallel `times` / `values`
+    /// columns, in one step. The caller guarantees the run is
+    /// non-decreasing in timestamp, starts at or after `t_last`, lies
+    /// inside the slice range, and that the columns are equally long. The
+    /// run is folded left-to-right into one partial — both columns are
+    /// contiguous and feed [`AggregateFunction::fold_slice_pairs`]
+    /// directly, whose default delegates to `fold_slice` — which is
+    /// combined into the slice aggregate with a single ⊕: by
     /// associativity this equals adding the tuples one by one, including
     /// for non-commutative functions (event-time order is preserved).
-    pub fn add_run(&mut self, f: &A, run: &[(Time, A::Input)]) {
-        let (Some(&(first_ts, _)), Some(&(last_ts, _))) = (run.first(), run.last()) else {
-            return;
-        };
-        debug_assert!(first_ts >= self.t_last || self.is_empty(), "run {first_ts} not in order");
-        debug_assert!(
-            self.range.contains(first_ts) && self.range.contains(last_ts),
-            "run [{first_ts}, {last_ts}] outside slice {}",
-            self.range
-        );
-        debug_assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
-        let Some(p) = fold_run(f, run) else {
-            return;
-        };
-        self.agg = Some(match self.agg.take() {
-            None => p,
-            Some(a) => f.combine(a, &p),
-        });
-        self.t_first = self.t_first.min(first_ts);
-        self.t_last = self.t_last.max(last_ts);
-        self.n_tuples += run.len();
-        if let Some(tuples) = &mut self.tuples {
-            tuples.extend_from_slice(run);
-        }
-    }
-
-    /// Columnar twin of [`Slice::add_run`]: the run arrives as parallel
-    /// `times` / `values` slices (struct-of-arrays), so both columns are
-    /// already contiguous and feed
-    /// [`AggregateFunction::fold_slice_pairs`] directly — no gather, no
-    /// re-materialization. (The default `fold_slice_pairs` delegates to
-    /// `fold_slice`, so values-kernel and kernel-less functions behave
-    /// exactly as before.) Caller guarantees are identical to `add_run`
-    /// plus `times.len() == values.len()`.
     pub fn add_run_columns(&mut self, f: &A, times: &[Time], values: &[A::Input]) {
         debug_assert_eq!(times.len(), values.len(), "SoA run length mismatch");
         let (Some(&first_ts), Some(&last_ts)) = (times.first(), times.last()) else {
@@ -617,7 +586,9 @@ mod tests {
             let (times, values): (Vec<Time>, Vec<i64>) = run.iter().copied().unzip();
             let mut a: Slice<SumI64> = Slice::new(Range::new(0, 100), keep);
             let mut b = a.clone();
-            a.add_run(&f, &run);
+            for &(ts, v) in &run {
+                a.add_in_order(&f, ts, v);
+            }
             b.add_run_columns(&f, &times, &values);
             assert_eq!(a.aggregate(), b.aggregate());
             assert_eq!(a.len(), b.len());

@@ -215,15 +215,6 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.index_live = true;
     }
 
-    /// The policy this store was built with.
-    pub fn policy(&self) -> StorePolicy {
-        match &self.index {
-            AggIndex::None => StorePolicy::Lazy,
-            AggIndex::Flat(_) => StorePolicy::Eager,
-            AggIndex::Finger(_) => StorePolicy::FingerTree,
-        }
-    }
-
     /// Number of slices currently stored.
     #[inline]
     pub fn len(&self) -> usize {
@@ -407,25 +398,14 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.refresh_leaf(idx);
     }
 
-    /// Adds a run of in-order tuples to the **latest** slice with a single
-    /// store touch: one fold + ⊕ into the slice partial, one tuple-vector
-    /// append, and one eager-leaf refresh (the batched ingestion fast
-    /// path). Semantically equal to calling [`add_in_order`] per tuple.
+    /// Adds a run of in-order tuples, given as parallel `times` / `values`
+    /// columns, to the **latest** slice with a single store touch: one
+    /// fold + ⊕ into the slice partial — the contiguous values feed the
+    /// bulk fold kernel directly (see [`Slice::add_run_columns`]) — one
+    /// tuple-vector append, and one eager-leaf refresh. Semantically
+    /// equal to calling [`add_in_order`] per tuple.
     ///
     /// [`add_in_order`]: SliceStore::add_in_order
-    pub fn add_in_order_run(&mut self, run: &[(Time, A::Input)]) {
-        if run.is_empty() {
-            return;
-        }
-        let idx = self.slices.len() - 1;
-        let slice = self.slices.back_mut().expect("add_in_order_run on empty store");
-        slice.add_run(&self.f, run);
-        self.refresh_leaf(idx);
-    }
-
-    /// Columnar twin of [`SliceStore::add_in_order_run`]: the run arrives
-    /// as parallel `times` / `values` columns, so the contiguous values
-    /// feed the bulk fold kernel directly (see [`Slice::add_run_columns`]).
     pub fn add_in_order_run_columns(&mut self, times: &[Time], values: &[A::Input]) {
         if times.is_empty() {
             return;
@@ -1477,11 +1457,11 @@ mod tests {
                 for st in [&mut per_tuple, &mut batched] {
                     st.append_slice(Range::new(0, 100));
                 }
-                let run = [(1, 1), (4, 4), (4, 40), (9, 9)];
-                for (ts, v) in run {
+                let (times, values) = ([1, 4, 4, 9], [1, 4, 40, 9]);
+                for (ts, v) in times.into_iter().zip(values) {
                     per_tuple.add_in_order(ts, v);
                 }
-                batched.add_in_order_run(&run);
+                batched.add_in_order_run_columns(&times, &values);
                 per_tuple.flush_eager_repairs();
                 batched.flush_eager_repairs();
                 assert_eq!(

@@ -51,8 +51,9 @@ pub enum Batching {
 }
 
 impl Batching {
-    /// Default adaptive target: matches the plateau of the batch-size
-    /// sweep in `BENCH_batch.json` (throughput is flat past ~4096).
+    /// Default adaptive target: the plateau of the operator's batch-size
+    /// sweep (throughput is flat past ~4096; EXPERIMENTS.md, "Batched
+    /// ingestion").
     pub const DEFAULT_TARGET: usize = 4096;
     /// Default adaptive deadline.
     pub const DEFAULT_MAX_DELAY: Duration = Duration::from_millis(1);

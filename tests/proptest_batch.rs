@@ -267,25 +267,26 @@ proptest! {
     }
 
     /// The PR 2 out-of-order grid (paper Figure 11 setup): allowed
-    /// lateness {0, 50, 500} × disorder {0%, 5%, 20%, 50%} × batch sizes
-    /// {1, 64, 512}, lazy, eager, and finger-tree stores. The batched
-    /// late-run grouping path (sort + one combined partial per touched
-    /// slice, deferred repair) and the finger store's monotone-prefix
-    /// batch path must emit a bit-identical result stream to the
-    /// per-tuple path, including allowed-lateness drops.
+    /// lateness {0, 50, 500} × disorder {0%, 5%, 10%, 15%, 20%, 50%} ×
+    /// batch sizes {1, 64, 512, 4096}, lazy, eager, and finger-tree
+    /// stores. The batch loop — stretches committed from the columns,
+    /// late tuples deferred and written slice by slice, the rest of a
+    /// batch partitioned once more than an eighth of it was late (10 %
+    /// and 15 % lie on either side) — must emit a bit-identical result
+    /// stream to the per-tuple path, including allowed-lateness drops.
     #[test]
     fn ooo_grid_batched_matches_per_tuple(
         raw in prop::collection::vec((0i64..3_000, -50i64..50), 1..250),
         lateness_i in 0usize..3,
-        disorder_i in 0usize..4,
-        batch_i in 0usize..3,
+        disorder_i in 0usize..6,
+        batch_i in 0usize..4,
         length in 2i64..60,
         slide in 1i64..30,
         seed in 0u64..1_000,
     ) {
         let lateness = [0i64, 50, 500][lateness_i];
-        let fraction = [0u8, 5, 20, 50][disorder_i];
-        let batch_size = [1usize, 64, 512][batch_i];
+        let fraction = [0u8, 5, 10, 15, 20, 50][disorder_i];
+        let batch_size = [1usize, 64, 512, 4096][batch_i];
         let tuples = sorted(&raw);
         let arrivals = make_out_of_order(
             &tuples,
@@ -499,6 +500,23 @@ fn outage_stream(seed: u64, late_every: u64, max_delay: u64, burst: usize) -> Ve
     out
 }
 
+/// A stream whose late share changes inside a batch: of every 700 tuples
+/// (the stretch between two watermarks of [`check_late_batches`]) one
+/// half is sorted and in the other every second tuple is up to
+/// `max_delay` late; `late_first` says which half comes first.
+fn half_late_stream(seed: u64, max_delay: u64, late_first: bool) -> Vec<(Time, i64)> {
+    const START: Time = 10_000;
+    let mut r = Mix(seed);
+    (0..1_800)
+        .map(|j| {
+            let in_late_half = (j % 700 < 350) == late_first;
+            let late =
+                if in_late_half && r.below(2) == 0 { 1 + r.below(max_delay) as Time } else { 0 };
+            (START + 2 * j as Time - late, r.below(100) as i64 - 50)
+        })
+        .collect()
+}
+
 /// Batched = per-tuple for one function over all three stores: the same
 /// emission sequence, the same slices left behind, and every emitted
 /// window equal to a fold of its tuples in event-time order (ties in
@@ -584,34 +602,109 @@ where
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The slice-bucketed late batch: batches of 7, 64 and 4096 tuples
-    /// whose late tuples touch a handful to several hundred slices (one
-    /// or two tumbling queries of width 1–6, so hulls reach 350+ slices
-    /// and, with two queries, slices are unevenly long), a sorted burst
-    /// amid scattered stragglers, gap slices created mid-batch, under a
-    /// kernel fold (Sum), a paired-column kernel (ArgMin) and a
-    /// tuple-keeping non-commutative fold (Concat).
+    /// The slice-bucketed late batch: batches of 7, 64, 512 and 4096
+    /// tuples whose late tuples touch a handful to several hundred slices
+    /// (one or two tumbling queries of width 1–6, so hulls reach 350+
+    /// slices and, with two queries, slices are unevenly long), a sorted
+    /// burst amid scattered stragglers — one tuple in 2 to one in 32, on
+    /// both sides of the share at which the batch loop partitions — or a
+    /// late share that changes inside a batch (`shape` 1 and 2), gap
+    /// slices created mid-batch, under a kernel fold (Sum), a
+    /// paired-column kernel (ArgMin) and a tuple-keeping non-commutative
+    /// fold (Concat).
     #[test]
     fn late_batches_bucketed_by_slice_match_per_tuple(
         seed in 0u64..100_000,
         length in 1i64..7,
         second in 0i64..8,
-        batch_i in 0usize..3,
-        late_every in 2u64..9,
+        batch_i in 0usize..4,
+        late_every in 2u64..33,
         max_delay in 20u64..1_500,
         burst in 0usize..500,
+        shape in 0usize..4,
     ) {
         use general_stream_slicing::core::testsupport::Concat;
-        let batch_size = [7usize, 64, 4096][batch_i];
-        let stream = outage_stream(seed, late_every, max_delay, burst);
+        let batch_size = [7usize, 64, 512, 4096][batch_i];
+        let stream = match shape {
+            1 => half_late_stream(seed, max_delay, false),
+            2 => half_late_stream(seed, max_delay, true),
+            _ => outage_stream(seed, late_every, max_delay, burst),
+        };
         let lengths: Vec<Time> = if second > length { vec![length, second] } else { vec![length] };
         // Behind the deepest straggler and the burst's oldest tuple.
         let lag = 1_500 + 1_200 + 16;
         check_late_batches(Sum, |v, _| v, &stream, &lengths, batch_size, lag)?;
         check_late_batches(ArgMin, |v, i| (v, i as i64 % 13), &stream, &lengths, batch_size, lag)?;
         check_late_batches(Concat, |v, _| v, &stream, &lengths, batch_size, lag)?;
+    }
+
+    /// The pair entry point is an adapter over the column one: on every
+    /// store the two give the same emission sequence, leave the same
+    /// slices behind and count the same — `fold_kernel_hits` / `misses`
+    /// included, so the same runs went through the same kernels. Lateness
+    /// 50 under watermarks trailing by 80 and delays up to 200 makes some
+    /// late tuples revise emitted windows and drops others.
+    #[test]
+    fn pair_adapter_matches_column_entry_point(
+        raw in prop::collection::vec((0i64..3_000, -50i64..50), 1..400),
+        disorder_i in 0usize..6,
+        batch_i in 0usize..4,
+        length in 2i64..60,
+        slide in 1i64..30,
+        seed in 0u64..1_000,
+    ) {
+        let fraction = [0u8, 5, 10, 15, 20, 50][disorder_i];
+        let batch_size = [2usize, 64, 512, 4096][batch_i];
+        let arrivals = make_out_of_order(
+            &sorted(&raw),
+            OooConfig { fraction_percent: fraction, max_delay: 200, seed, ..Default::default() },
+        );
+        let elements = with_watermarks(&arrivals, 40, 80);
+        let drive = |policy: StorePolicy, columns: bool| {
+            let cfg = OperatorConfig::out_of_order(50).with_policy(policy);
+            let mut op = WindowOperator::new(Sum, cfg);
+            op.add_query(Box::new(TumblingWindow::new(length))).unwrap();
+            op.add_query(Box::new(SlidingWindow::new(length.max(slide), slide))).unwrap();
+            let mut out = Vec::new();
+            let mut batch: Vec<(Time, i64)> = Vec::new();
+            // Watermarks cut the batch, as in the pipeline.
+            for (i, e) in elements.iter().enumerate() {
+                if let StreamElement::Record { ts, value } = e {
+                    batch.push((*ts, *value));
+                }
+                let cut = !e.is_record() || i + 1 == elements.len();
+                if batch.len() == batch_size || (cut && !batch.is_empty()) {
+                    if columns {
+                        let (times, values): (Vec<Time>, Vec<i64>) = batch.iter().copied().unzip();
+                        op.process_batch_columns(&times, &values, &mut out);
+                    } else {
+                        op.process_batch_tuples(&batch, &mut out);
+                    }
+                    batch.clear();
+                }
+                if let StreamElement::Watermark(wm) = e {
+                    // The closing flush watermark would empty the store.
+                    if *wm < Time::MAX - 1 {
+                        op.process_watermark(*wm, &mut out);
+                    }
+                }
+            }
+            let slices: Vec<_> = op
+                .store()
+                .slices()
+                .map(|s| (s.range(), s.len(), s.aggregate().copied()))
+                .collect();
+            (out.iter().map(sweep_row).collect::<Vec<_>>(), slices, *op.stats())
+        };
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+            let (pairs, columns) = (drive(policy, false), drive(policy, true));
+            prop_assert_eq!(&pairs.0, &columns.0, "{:?}: emission sequence", policy);
+            prop_assert_eq!(&pairs.1, &columns.1, "{:?}: slices", policy);
+            prop_assert_eq!(pairs.2, columns.2, "{:?}: stats", policy);
+            prop_assert_eq!(pairs.2.tuples, arrivals.len() as u64);
+        }
     }
 }
 
