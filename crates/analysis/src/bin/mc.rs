@@ -1,70 +1,47 @@
-//! Model-checker driver: exhaustively explores the parallel merge
-//! protocol and the key-sharded emission protocol over a matrix of
-//! workload shapes, then validates checker sensitivity by confirming
-//! that deliberately broken protocol mutants are caught.
+//! `cargo mc` — explores every delivery order and merge lag of the
+//! shipped epoch barrier over a matrix of source scripts (see
+//! `gss_analysis::mc`), then confirms the checker can fail: each faulty
+//! stage must trip the invariant it breaks.
 //!
-//! Exit codes: `0` all configs pass and every mutant is caught, `1`
-//! a real-protocol violation was found or a mutant slipped through.
+//! Exit codes: `0` every configuration passes and every fault is caught,
+//! `1` the barrier broke an invariant or a fault slipped through.
 
-use gss_analysis::mc::{check, McConfig, Protocol};
-use gss_analysis::sharded::{check as check_sharded, ShardMcConfig, ShardProtocol};
+use gss_analysis::mc::{check, Fault, McConfig};
 
 fn main() {
     std::process::exit(run());
 }
 
 fn run() -> i32 {
-    let intra = run_intra_query();
-    if intra != 0 {
-        return intra;
-    }
-    run_sharded()
-}
-
-fn run_intra_query() -> i32 {
-    let mut configs = 0u64;
-    let mut states = 0u64;
-    let mut transitions = 0u64;
-    for workers in 1..=3 {
+    let (mut configs, mut states, mut transitions) = (0u64, 0u64, 0u64);
+    for sources in 1..=3 {
         for epochs in 1..=3 {
-            for flushes_per_epoch in 0..=2 {
-                for stragglers in [false, true] {
-                    for regressive_wm in [false, true] {
-                        let cfg = McConfig {
-                            workers,
-                            epochs,
-                            flushes_per_epoch,
-                            stragglers,
-                            regressive_wm,
-                            protocol: Protocol::EpochBarrier,
-                        };
-                        match check(&cfg) {
-                            Ok(rep) => {
-                                configs += 1;
-                                states += rep.states;
-                                transitions += rep.transitions;
-                                println!(
-                                    "mc: ok  w={workers} e={epochs} f={flushes_per_epoch} \
-                                     strag={} regr={} — {} states, {} transitions, \
-                                     {} partials, {} emissions",
-                                    flag(stragglers),
-                                    flag(regressive_wm),
-                                    rep.states,
-                                    rep.transitions,
-                                    rep.partials,
-                                    rep.emissions
-                                );
-                            }
-                            Err(v) => {
-                                eprintln!(
-                                    "mc: FAILED  w={workers} e={epochs} f={flushes_per_epoch} \
-                                     strag={} regr={}",
-                                    flag(stragglers),
-                                    flag(regressive_wm)
-                                );
-                                eprintln!("{v}");
-                                return 1;
-                            }
+            for batches in 0..=2 {
+                for bits in 0..8u8 {
+                    let (stragglers, tail, regressive) =
+                        (bits & 4 != 0, bits & 2 != 0, bits & 1 != 0);
+                    let fault = Fault::None;
+                    let cfg =
+                        McConfig { sources, epochs, batches, stragglers, tail, regressive, fault };
+                    let shape = format!(
+                        "s={sources} e={epochs} b={batches} strag={} tail={} regr={}",
+                        flag(stragglers),
+                        flag(tail),
+                        flag(regressive)
+                    );
+                    match check(&cfg) {
+                        Ok(rep) => {
+                            configs += 1;
+                            states += rep.states;
+                            transitions += rep.transitions;
+                            println!(
+                                "mc: ok  {shape} — {} states, {} transitions, {} items, {} rounds",
+                                rep.states, rep.transitions, rep.items, rep.rounds
+                            );
+                        }
+                        Err(v) => {
+                            eprintln!("mc: FAILED  {shape}\n{v}");
+                            return 1;
                         }
                     }
                 }
@@ -72,123 +49,34 @@ fn run_intra_query() -> i32 {
         }
     }
 
-    // Sensitivity: a checker that cannot fail proves nothing. Both
-    // mutants must be rejected.
-    for (protocol, name, invariant) in [
-        (Protocol::AnyAck, "any-ack barrier", "no emission before all acks"),
-        (Protocol::DoubleApply, "double apply", "exactly-once application"),
-    ] {
-        let mut cfg = McConfig::new(2, 2);
-        cfg.protocol = protocol;
-        match check(&cfg) {
+    // Sensitivity: a checker that cannot fail proves nothing.
+    let faults = [
+        (Fault::DoubleApply, "exactly-once application"),
+        (Fault::EagerRelease, "epoch-ordered release"),
+        (Fault::DropStaged, "exactly-once release"),
+    ];
+    for (fault, invariant) in faults {
+        match check(&McConfig { fault, ..McConfig::new(2, 2) }) {
             Err(v) if v.invariant == invariant => {
-                println!("mc: mutant `{name}` caught ({} trace steps)", v.trace.len());
+                println!("mc: faulty stage {fault:?} caught ({} trace steps)", v.trace.len());
             }
             Err(v) => {
-                eprintln!(
-                    "mc: FAILED — mutant `{name}` tripped `{}` instead of `{invariant}`",
-                    v.invariant
-                );
+                eprintln!("mc: FAILED — {fault:?} tripped `{}`, not `{invariant}`", v.invariant);
                 return 1;
             }
             Ok(_) => {
-                eprintln!("mc: FAILED — mutant `{name}` passed; checker is not sensitive");
+                eprintln!("mc: FAILED — {fault:?} passed; checker is not sensitive");
                 return 1;
             }
         }
     }
 
     println!(
-        "mc: OK — {configs} configurations exhaustively explored \
-         ({states} states, {transitions} transitions), 2 mutants caught"
-    );
-    0
-}
-
-/// The key-sharded merge protocol (`run_sharded_keyed`): per-shard
-/// emission shipping, broadcast watermark acks, and epoch-barrier
-/// release at the merge stage.
-fn run_sharded() -> i32 {
-    let mut configs = 0u64;
-    let mut states = 0u64;
-    let mut transitions = 0u64;
-    for shards in 1..=3 {
-        for epochs in 1..=3 {
-            for ships_per_epoch in 0..=2 {
-                for tail_emits in [false, true] {
-                    for regressive_wm in [false, true] {
-                        let cfg = ShardMcConfig {
-                            shards,
-                            epochs,
-                            ships_per_epoch,
-                            tail_emits,
-                            regressive_wm,
-                            protocol: ShardProtocol::EpochBarrier,
-                        };
-                        match check_sharded(&cfg) {
-                            Ok(rep) => {
-                                configs += 1;
-                                states += rep.states;
-                                transitions += rep.transitions;
-                                println!(
-                                    "mc[shard]: ok  s={shards} e={epochs} ship={ships_per_epoch} \
-                                     tail={} regr={} — {} states, {} transitions, \
-                                     {} emissions, {} epochs closed",
-                                    flag(tail_emits),
-                                    flag(regressive_wm),
-                                    rep.states,
-                                    rep.transitions,
-                                    rep.emissions,
-                                    rep.epochs_closed
-                                );
-                            }
-                            Err(v) => {
-                                eprintln!(
-                                    "mc[shard]: FAILED  s={shards} e={epochs} \
-                                     ship={ships_per_epoch} tail={} regr={}",
-                                    flag(tail_emits),
-                                    flag(regressive_wm)
-                                );
-                                eprintln!("{v}");
-                                return 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Sensitivity for the sharded checker: all three mutants must trip
-    // the specific invariant they were built to break.
-    for (protocol, name, invariant) in [
-        (ShardProtocol::AnyAck, "any-ack epoch close", "epoch-complete release"),
-        (ShardProtocol::EagerRelease, "eager release", "epoch-ordered release"),
-        (ShardProtocol::DropStaged, "drop staged", "exactly-once release"),
-    ] {
-        let mut cfg = ShardMcConfig::new(2, 2);
-        cfg.protocol = protocol;
-        match check_sharded(&cfg) {
-            Err(v) if v.invariant == invariant => {
-                println!("mc[shard]: mutant `{name}` caught ({} trace steps)", v.trace.len());
-            }
-            Err(v) => {
-                eprintln!(
-                    "mc[shard]: FAILED — mutant `{name}` tripped `{}` instead of `{invariant}`",
-                    v.invariant
-                );
-                return 1;
-            }
-            Ok(_) => {
-                eprintln!("mc[shard]: FAILED — mutant `{name}` passed; checker is not sensitive");
-                return 1;
-            }
-        }
-    }
-
-    println!(
-        "mc[shard]: OK — {configs} configurations exhaustively explored \
-         ({states} states, {transitions} transitions), 3 mutants caught"
+        "mc: OK — {configs} configurations exhaustively explored over the real barrier \
+         ({states} states, {transitions} transitions), {} faulty stages caught \
+         (parent: 108 + 108 configurations over two models, 193937 + 239351 states, \
+         487101 + 607603 transitions)",
+        faults.len()
     );
     0
 }

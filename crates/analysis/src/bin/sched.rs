@@ -26,15 +26,18 @@
 
 use gss_analysis::sched::{keyed_cell, par_cell, shard_cell, Cell, Explore, Workload};
 
-fn print_cell(mode: &str, cell: &Cell) -> bool {
+/// `parent` is the cell's schedule count at 764c8af, before the merge
+/// loops moved behind `barrier.rs`: the channel operations did not change,
+/// so the trees should not have either.
+fn print_cell(mode: &str, cell: &Cell, parent: u64) -> bool {
     let status = match &cell.violation {
         None if cell.truncated => "TRUNCATED",
         None => "ok",
         Some(_) => "VIOLATION",
     };
     println!(
-        "  {:<24} {:<22} schedules={:<7} max_yields={:<5} {}",
-        cell.name, mode, cell.schedules, cell.max_yields, status
+        "  {:<24} {:<22} schedules={:<7} (parent {:<7}) max_yields={:<5} {}",
+        cell.name, mode, cell.schedules, parent, cell.max_yields, status
     );
     if let Some(v) = &cell.violation {
         println!("    -> {v}");
@@ -52,16 +55,16 @@ fn healthy() -> bool {
     // two-epoch workload). These must terminate below the cap —
     // truncation fails.
     let exhaustive = Explore::Dfs { preemption_bound: None, max_schedules: 250_000 };
-    ok &= print_cell("dfs/exhaustive", &par_cell(1, Workload::OneChunk, &exhaustive));
-    ok &= print_cell("dfs/exhaustive", &shard_cell(1, Workload::OneChunk, &exhaustive));
-    ok &= print_cell("dfs/exhaustive", &keyed_cell(1, Workload::Full, &exhaustive));
+    ok &= print_cell("dfs/exhaustive", &par_cell(1, Workload::OneChunk, &exhaustive), 203_232);
+    ok &= print_cell("dfs/exhaustive", &shard_cell(1, Workload::OneChunk, &exhaustive), 203_232);
+    ok &= print_cell("dfs/exhaustive", &keyed_cell(1, Workload::Full, &exhaustive), 22_456);
 
     // The same one-producer configs with one record per chunk: two
     // chunks and a watermark through a capacity-2 channel. Every
     // schedule with at most 5 preemptions (of 18 yield points).
     let bounded5 = Explore::Dfs { preemption_bound: Some(5), max_schedules: 150_000 };
-    ok &= print_cell("dfs/preempt<=5", &par_cell(1, Workload::Tiny, &bounded5));
-    ok &= print_cell("dfs/preempt<=5", &shard_cell(1, Workload::Tiny, &bounded5));
+    ok &= print_cell("dfs/preempt<=5", &par_cell(1, Workload::Tiny, &bounded5), 87_060);
+    ok &= print_cell("dfs/preempt<=5", &shard_cell(1, Workload::Tiny, &bounded5), 87_060);
 
     // Bounded-preemption DFS for the two-producer configs: complete
     // coverage of every schedule with at most 2 preemptions of the
@@ -69,20 +72,20 @@ fn healthy() -> bool {
     // exponential in voluntary switches even at bound 0 — it belongs to
     // the PCT cells below; `run_keyed`'s is small enough for both.)
     let bounded2 = Explore::Dfs { preemption_bound: Some(2), max_schedules: 150_000 };
-    ok &= print_cell("dfs/preempt<=2", &par_cell(2, Workload::Tiny, &bounded2));
-    ok &= print_cell("dfs/preempt<=2", &shard_cell(2, Workload::Tiny, &bounded2));
-    ok &= print_cell("dfs/preempt<=2", &keyed_cell(2, Workload::Tiny, &bounded2));
-    ok &= print_cell("dfs/preempt<=2", &keyed_cell(2, Workload::Full, &bounded2));
+    ok &= print_cell("dfs/preempt<=2", &par_cell(2, Workload::Tiny, &bounded2), 104_098);
+    ok &= print_cell("dfs/preempt<=2", &shard_cell(2, Workload::Tiny, &bounded2), 104_098);
+    ok &= print_cell("dfs/preempt<=2", &keyed_cell(2, Workload::Tiny, &bounded2), 1_135);
+    ok &= print_cell("dfs/preempt<=2", &keyed_cell(2, Workload::Full, &bounded2), 12_081);
 
     // Seed-pinned PCT sweeps over the full (two-epoch + straggler)
     // workload: depth-3 random schedules, reproducible run to run and
     // machine to machine.
     let pct_a = Explore::Pct { seed: 0xC0FF_EE00, depth: 3, runs: 300 };
     let pct_b = Explore::Pct { seed: 0x5EED_CAFE, depth: 3, runs: 300 };
-    ok &= print_cell("pct/seed=0xC0FFEE00", &par_cell(2, Workload::Full, &pct_a));
-    ok &= print_cell("pct/seed=0x5EEDCAFE", &shard_cell(2, Workload::Full, &pct_b));
+    ok &= print_cell("pct/seed=0xC0FFEE00", &par_cell(2, Workload::Full, &pct_a), 300);
+    ok &= print_cell("pct/seed=0x5EEDCAFE", &shard_cell(2, Workload::Full, &pct_b), 300);
     let pct_c = Explore::Pct { seed: 0xB0FF_E125, depth: 3, runs: 300 };
-    ok &= print_cell("pct/seed=0xB0FFE125", &keyed_cell(2, Workload::Full, &pct_c));
+    ok &= print_cell("pct/seed=0xB0FFE125", &keyed_cell(2, Workload::Full, &pct_c), 300);
 
     ok
 }
@@ -91,8 +94,8 @@ fn healthy() -> bool {
 fn deep() -> bool {
     println!("every schedule of the one-producer cells, one record per chunk:");
     let exhaustive = Explore::Dfs { preemption_bound: None, max_schedules: 2_000_000 };
-    print_cell("dfs/exhaustive", &par_cell(1, Workload::Tiny, &exhaustive))
-        & print_cell("dfs/exhaustive", &shard_cell(1, Workload::Tiny, &exhaustive))
+    print_cell("dfs/exhaustive", &par_cell(1, Workload::Tiny, &exhaustive), 1_400_336)
+        & print_cell("dfs/exhaustive", &shard_cell(1, Workload::Tiny, &exhaustive), 1_400_336)
 }
 
 #[cfg(feature = "sched-mutants")]
@@ -116,7 +119,8 @@ fn mutants() -> bool {
         ok &= caught;
     }
     if ok {
-        println!("all {} mutants caught", matrix.len());
+        let mutants = gss_stream::mutants::ALL_MUTANTS.len();
+        println!("all {mutants} mutants caught in {} cells", matrix.len());
     }
     ok
 }

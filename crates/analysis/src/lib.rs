@@ -8,31 +8,32 @@
 //!   FxHash in hot paths, no wall-clock in event-time code), with an
 //!   audited-exception file at `analysis/lint.allow`. Run via the
 //!   `lint` binary (`cargo lint`).
-//! * **Model checkers** ([`mc`], [`sharded`]): exhaustive explicit-state
-//!   exploration of the parallel worker/merge protocol's interleavings
-//!   and of the key-sharded emission/epoch-barrier protocol. Run via the
-//!   `mc` binary (`cargo mc`).
-//! * **Schedule exploration** ([`sched`], behind the `sched` feature):
-//!   runs the *real* `gss-stream` protocol implementations under the
-//!   deterministic `crossbeam::sched` runtime, exploring interleavings
-//!   by bounded-preemption DFS and seed-pinned PCT, checking the mc
-//!   models' invariants against probe traces plus bit-identical output
-//!   vs a sequential reference. Run via the `sched` binary
-//!   (`cargo sched`, `cargo sched-mutants`). This is the only part of
-//!   the crate with dependencies, which is why it is feature-gated: the
-//!   lint and mc layers stay dependency-free.
+//! * **Barrier exploration** ([`mc`]): every delivery order and every
+//!   merge lag of the shipped `gss_stream::barrier::EpochBarrier`, over a
+//!   matrix of source scripts, with a recording stage checking the
+//!   barrier's contract. Run via the `mc` binary (`cargo mc`).
+//! * **Schedule exploration** ([`sched`]): runs the *real* `gss-stream`
+//!   drivers under the deterministic `crossbeam::sched` runtime,
+//!   exploring interleavings by bounded-preemption DFS and seed-pinned
+//!   PCT, checking protocol invariants against probe traces plus
+//!   bit-identical output vs a sequential reference. Run via the `sched`
+//!   binary (`cargo sched`, `cargo sched-mutants`).
+//!
+//!   Both execute the code they check, so both sit behind the `sched`
+//!   feature, the only part of the crate with dependencies: the lint
+//!   stays dependency-free.
 //! * The **invariant-audit build** lives in the checked crates
 //!   themselves behind the workspace-wide `audit` feature; this crate
 //!   only documents it (see `DESIGN.md`).
 
 pub mod allowlist;
 pub mod lexer;
+#[cfg(feature = "sched")]
 pub mod mc;
 pub mod rules;
 #[cfg(feature = "sched")]
 pub mod sched;
 pub mod scope;
-pub mod sharded;
 pub mod walk;
 
 #[cfg(test)]

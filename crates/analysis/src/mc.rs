@@ -1,107 +1,155 @@
-//! An explicit-state model checker for the intra-query parallel merge
-//! protocol (`gss_stream::run_parallel`, PR 4).
+//! `cargo mc`: exhaustive delivery-order exploration of the shipped
+//! epoch barrier.
 //!
-//! The container this repo develops on has **one core**: the parallel
-//! protocol's races can never surface at runtime, so its guarantees are
-//! checked here by exhaustive exploration instead. The model mirrors the
-//! two-stage protocol:
+//! The development container has few cores: the races of the merge side
+//! of `run_parallel` / `run_sharded_keyed` rarely surface at runtime, so
+//! its guarantees are checked by exploring every behaviour of the code
+//! that implements them — [`gss_stream::barrier::EpochBarrier`] itself,
+//! not a model of it. The barrier has no thread or channel in it, so the
+//! checker can clone it, push a message and advance it at will:
 //!
-//! * **Workers** each produce a fixed FIFO script of messages:
-//!   `Partials` batches (pre-aggregated slice partials, including
-//!   same-epoch stragglers riding the batch) followed by one `Ack(w)`
-//!   per broadcast watermark. Scripts are what the real worker loop
-//!   emits — flush then ack, every watermark acked (even regressive
-//!   ones).
-//! * The **merge stage** holds one FIFO queue per worker. `Partials` at
-//!   a queue front apply immediately; the watermark advances — the only
-//!   emission point — when **every** front is an ack (the epoch
-//!   barrier).
-//!
-//! The scheduler nondeterminism is (a) the arrival interleaving of
-//! worker messages at the merge stage and (b) how long the merge stage
-//! lags behind arrivals. Both are explored exhaustively with
-//! memoization: a state is `(delivered per worker, consumed per worker,
-//! merge watermark)`, and the merge transition runs the deterministic
-//! `apply_ready` fixpoint. Finer-grained merge scheduling (processing
-//! one message at a time) cannot produce behaviors the fixpoint step
-//! misses: front `Partials` are applied unconditionally and commute
-//! with later deliveries, and a completed barrier cannot be undone by
-//! delivering more messages.
+//! * **Sources** each hold a fixed FIFO script (built by [`McConfig`]):
+//!   per epoch zero to two batches and an ack, optionally a straggler
+//!   riding the epoch's first batch, a regressive broadcast after the
+//!   first epoch, and a tail batch behind the last ack — what workers and
+//!   shards send.
+//! * The explored nondeterminism is (a) which source's next message
+//!   arrives and (b) whether the merge stage advances the barrier now or
+//!   lags and takes more messages first (the `try_iter` burst of
+//!   `merge_stage`). Both are explored exhaustively, memoized on the
+//!   whole state: deliveries, the barrier's queues, the stage.
+//! * The **stage** handed to the barrier is a [`Recorder`]: it keeps what
+//!   it was given in canonical form (counts per item, staged items per
+//!   source) and checks the contract of `barrier.rs` as it goes. Like the
+//!   two real stages it lets stragglers take effect on arrival and stages
+//!   everything else until `close`; the tail is released at end of stream.
 //!
 //! ## Checked invariants
 //!
-//! 1. **Watermark monotonicity** — the merge watermark never decreases;
-//!    at every barrier all acked fronts agree on the value (FIFO
-//!    broadcast), and regressive watermarks are acked but ignored.
-//! 2. **No emission before all acks** — when a barrier advances the
-//!    watermark to `W`, every `Partials` batch that precedes `Ack(W)`
-//!    in *any* worker's script has already been applied.
-//! 3. **Exactly-once application** — no slice partial is ever applied
-//!    twice, and at end of stream every generated partial was applied.
+//! 1. **ack agreement** — the k-th `close` carries the k-th broadcast
+//!    watermark, a regressive one included, and every round is closed.
+//! 2. **no close before all acks** — at the k-th `close` every source has
+//!    been applied every batch it sent before its k-th ack.
+//! 3. **exactly-once application** — no item is applied twice; at end of
+//!    stream every item was applied and the queues are empty.
+//! 4. **epoch-ordered release** — an item takes effect in exactly its own
+//!    round and not before it is complete: a straggler on arrival,
+//!    anything else at its round's close, the tail at end of stream.
+//! 5. **exactly-once release** — at end of stream every item has taken
+//!    effect once.
 //!
-//! To validate that the checker can actually fail, [`Protocol`] carries
-//! two mutants: [`Protocol::AnyAck`] (advance on the first ack — breaks
-//! invariant 2) and [`Protocol::DoubleApply`] (apply each batch twice —
-//! breaks invariant 3). Both must be caught; the real
-//! [`Protocol::EpochBarrier`] must pass.
+//! A checker that cannot fail proves nothing. [`Fault`] makes the
+//! recorder a faulty stage (apply twice, release on arrival, drop what is
+//! staged), each of which must trip the invariant it breaks; the barrier's
+//! own fault, closing on *any* ack, is `gss_stream`'s `EagerBarrier`
+//! mutant and is run through this explorer by `cargo sched-mutants`.
 
 use std::collections::HashSet;
 
+use gss_stream::barrier::{EpochBarrier, Msg, Stage};
+
 /// Model time; watermarks are small integers.
 type Wm = i64;
-const WM_MIN: Wm = i64::MIN;
 
-/// One worker→merge message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Msg {
-    /// A flushed batch of slice partials, identified globally.
-    Parts(Vec<u32>),
-    /// Watermark ack: everything this worker received before the
-    /// watermark has been shipped in earlier messages.
-    Ack(Wm),
+/// One unit of a batch: a slice partial, an emission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Item {
+    id: u8,
+    /// The broadcast round this item belongs to: it must take effect
+    /// after `round` closes and no later than the next one. The tail's
+    /// round is the number of broadcasts.
+    round: u8,
+    /// Takes effect on arrival instead of at its round's close.
+    straggler: bool,
 }
 
-/// Which merge rule to model check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// The shipped rule: advance only when every queue front is an ack.
-    EpochBarrier,
-    /// Mutant for checker validation: advance as soon as any front
-    /// acks. Violates "no emission before all acks".
-    AnyAck,
-    /// Mutant for checker validation: apply every batch twice.
-    /// Violates exactly-once application.
+type Script = Vec<Msg<Vec<Item>>>;
+
+/// A stage fault for checker validation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Fault {
+    /// The shipped stage behaviour.
+    None,
+    /// Apply every batch twice. Breaks exactly-once application.
     DoubleApply,
+    /// Release every item on arrival. Breaks epoch-ordered release.
+    EagerRelease,
+    /// Forget what is staged at a close. Breaks exactly-once release.
+    DropStaged,
 }
 
-/// A model configuration: the protocol plus the workload shape.
+/// The workload shape and the stage fault.
 #[derive(Debug, Clone, Copy)]
 pub struct McConfig {
-    pub workers: usize,
+    pub sources: usize,
     pub epochs: usize,
-    /// `Partials` batches each worker ships per epoch (0 = idle worker
-    /// that only acks — the empty-flush case).
-    pub flushes_per_epoch: usize,
-    /// From epoch 1 on, the first batch of each epoch carries one extra
-    /// straggler partial for the previous epoch (the batched-straggler
-    /// protocol).
+    /// Batches each source sends per epoch (0: an idle source that only
+    /// acks).
+    pub batches: usize,
+    /// From the second epoch on, one straggler rides each source's first
+    /// batch of the epoch (its own batch when the source is idle).
     pub stragglers: bool,
-    /// Broadcast a regressive watermark after epoch 0 (acked by every
-    /// worker, ignored by the merge operator).
-    pub regressive_wm: bool,
-    pub protocol: Protocol,
+    /// One batch behind the final ack, released at end of stream.
+    pub tail: bool,
+    /// A regressive broadcast after the first epoch, acked by everyone.
+    pub regressive: bool,
+    pub fault: Fault,
 }
 
 impl McConfig {
-    pub fn new(workers: usize, epochs: usize) -> Self {
+    pub fn new(sources: usize, epochs: usize) -> Self {
         McConfig {
-            workers,
+            sources,
             epochs,
-            flushes_per_epoch: 1,
+            batches: 1,
             stragglers: false,
-            regressive_wm: false,
-            protocol: Protocol::EpochBarrier,
+            tail: false,
+            regressive: false,
+            fault: Fault::None,
         }
+    }
+
+    /// The broadcast sequence and each source's script.
+    fn scripts(&self) -> (Vec<Wm>, Vec<Script>) {
+        let mut rounds = Vec::new();
+        for e in 0..self.epochs {
+            rounds.push(10 * (e as Wm + 1));
+            if self.regressive && e == 0 {
+                rounds.push(3);
+            }
+        }
+        let mut next_id = 0u8;
+        let mut item = |round: usize, straggler: bool| {
+            next_id += 1;
+            Item { id: next_id - 1, round: round as u8, straggler }
+        };
+        let scripts = (0..self.sources)
+            .map(|_| {
+                let mut script = Script::new();
+                let mut round = 0;
+                for e in 0..self.epochs {
+                    let mut batches: Vec<Vec<Item>> =
+                        (0..self.batches).map(|_| vec![item(round, false)]).collect();
+                    if self.stragglers && e > 0 {
+                        match batches.first_mut() {
+                            Some(first) => first.insert(0, item(round, true)),
+                            None => batches.push(vec![item(round, true)]),
+                        }
+                    }
+                    script.extend(batches.into_iter().map(Msg::Batch));
+                    // Every broadcast is acked, the regressive one too; a
+                    // source sends nothing between the two.
+                    let acks = if self.regressive && e == 0 { 2 } else { 1 };
+                    script.extend(rounds[round..round + acks].iter().map(|&wm| Msg::Ack(wm)));
+                    round += acks;
+                }
+                if self.tail {
+                    script.push(Msg::Batch(vec![item(round, false)]));
+                }
+                script
+            })
+            .collect();
+        (rounds, scripts)
     }
 }
 
@@ -112,11 +160,10 @@ pub struct McReport {
     pub states: u64,
     /// Transitions taken (including ones into memoized states).
     pub transitions: u64,
-    /// Watermark emissions along any single execution (same in all:
-    /// emissions are barrier-driven).
-    pub emissions: u64,
-    /// Total partials generated by the scripts.
-    pub partials: u64,
+    /// Items the scripts carry.
+    pub items: u64,
+    /// Broadcast rounds, each closed once along every path.
+    pub rounds: u64,
 }
 
 /// An invariant violation with the interleaving that produced it.
@@ -139,257 +186,234 @@ impl std::fmt::Display for McViolation {
     }
 }
 
-/// Builds each worker's message script from the workload shape.
-fn build_scripts(cfg: &McConfig) -> (Vec<Vec<Msg>>, u32) {
-    let mut next_pid = 0u32;
-    let mut scripts = Vec::with_capacity(cfg.workers);
-    for _w in 0..cfg.workers {
-        let mut script = Vec::new();
-        for e in 0..cfg.epochs {
-            let mut batches: Vec<Vec<u32>> = Vec::new();
-            for _ in 0..cfg.flushes_per_epoch {
-                batches.push(vec![fresh(&mut next_pid)]);
+/// The recording stage: what the barrier handed over, in a form that does
+/// not depend on the order sources were served in, and the first broken
+/// invariant.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Recorder<'a> {
+    fault: Fault,
+    rounds: &'a [Wm],
+    /// `due[src][k]`: batches `src` sends before its k-th ack.
+    due: &'a [Vec<u8>],
+    /// Batches applied per source.
+    batches: Vec<u8>,
+    /// Times applied / times taken effect, per item id.
+    applied: Vec<u8>,
+    released: Vec<u8>,
+    staged: Vec<Vec<Item>>,
+    closes: usize,
+    broken: Option<(&'static str, String)>,
+}
+
+impl<'a> Recorder<'a> {
+    fn new(fault: Fault, rounds: &'a [Wm], due: &'a [Vec<u8>], items: usize) -> Self {
+        Recorder {
+            fault,
+            rounds,
+            due,
+            batches: vec![0; due.len()],
+            applied: vec![0; items],
+            released: vec![0; items],
+            staged: vec![Vec::new(); due.len()],
+            closes: 0,
+            broken: None,
+        }
+    }
+
+    fn fail(&mut self, invariant: &'static str, detail: String) {
+        self.broken.get_or_insert((invariant, detail));
+    }
+
+    /// `item` takes effect: on arrival (a straggler's moment) or, when
+    /// `closing`, at a close or the end of the stream (everything else's).
+    fn release(&mut self, item: Item, closing: bool) {
+        self.released[item.id as usize] += 1;
+        if item.round as usize != self.closes || !(item.straggler || closing) {
+            let (id, round, now) = (item.id, item.round, self.closes);
+            let when = if closing { "at the close of" } else { "on arrival in" };
+            self.fail(
+                "epoch-ordered release",
+                format!("item {id} of round {round} took effect {when} round {now}"),
+            );
+        }
+    }
+
+    fn take_staged(&mut self) -> Vec<Item> {
+        self.staged.iter_mut().flat_map(std::mem::take).collect()
+    }
+
+    /// End of stream: what is still staged is the tail.
+    fn finish(&mut self) {
+        for item in self.take_staged() {
+            self.release(item, true);
+        }
+        if self.closes != self.rounds.len() {
+            let (closed, all) = (self.closes, self.rounds.len());
+            self.fail("ack agreement", format!("{closed} of {all} rounds closed by end of stream"));
+        }
+        if let Some(id) = self.applied.iter().position(|&n| n != 1) {
+            let n = self.applied[id];
+            self.fail("exactly-once application", format!("item {id} applied {n} times"));
+        }
+        if let Some(id) = self.released.iter().position(|&n| n != 1) {
+            let n = self.released[id];
+            self.fail("exactly-once release", format!("item {id} took effect {n} times"));
+        }
+    }
+}
+
+impl Stage<Vec<Item>> for Recorder<'_> {
+    fn apply(&mut self, src: usize, batch: Vec<Item>) {
+        self.batches[src] += 1;
+        let times = if self.fault == Fault::DoubleApply { 2 } else { 1 };
+        for item in batch.repeat(times) {
+            self.applied[item.id as usize] += 1;
+            if self.applied[item.id as usize] > 1 {
+                self.fail("exactly-once application", format!("item {} applied twice", item.id));
             }
-            if cfg.stragglers && e > 0 {
-                // The straggler rides the epoch's first batch; an idle
-                // worker flushes a straggler-only batch.
-                match batches.first_mut() {
-                    Some(first) => first.insert(0, fresh(&mut next_pid)),
-                    None => batches.push(vec![fresh(&mut next_pid)]),
-                }
-            }
-            script.extend(batches.into_iter().map(Msg::Parts));
-            script.push(Msg::Ack(wm_of_epoch(e)));
-            if cfg.regressive_wm && e == 0 {
-                // The driver broadcasts watermarks to all workers in
-                // stream order; a regressive one is still acked.
-                script.push(Msg::Ack(wm_of_epoch(0) - 7));
+            if item.straggler || self.fault == Fault::EagerRelease {
+                self.release(item, false);
+            } else {
+                self.staged[src].push(item);
             }
         }
-        scripts.push(script);
     }
-    (scripts, next_pid)
+
+    fn close(&mut self, wm: Wm) {
+        let k = self.closes;
+        if self.rounds.get(k) != Some(&wm) {
+            let want = self.rounds.get(k);
+            self.fail("ack agreement", format!("close #{k} at {wm}, broadcast #{k} was {want:?}"));
+        }
+        for src in 0..self.batches.len() {
+            let (have, due) = (self.batches[src], self.due[src].get(k).copied().unwrap_or(0));
+            if have < due {
+                self.fail(
+                    "no close before all acks",
+                    format!("round {k} ({wm}) closed with {have} of source {src}'s {due} batches"),
+                );
+            }
+        }
+        for item in self.take_staged() {
+            if self.fault != Fault::DropStaged {
+                self.release(item, true);
+            }
+        }
+        self.closes += 1;
+    }
 }
 
-fn fresh(next: &mut u32) -> u32 {
-    let id = *next;
-    *next += 1;
-    id
-}
-
-fn wm_of_epoch(e: usize) -> Wm {
-    10 * (e as Wm + 1)
-}
-
-/// The explored state: how far each worker's script has been delivered
-/// to the merge stage, how far the merge stage has consumed each queue,
-/// and the merge watermark. Applied-partial counts are a deterministic
-/// function of `consumed` (and the protocol), so they are recomputed
-/// rather than stored.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
-    delivered: Vec<u16>,
-    consumed: Vec<u16>,
-    wm: Wm,
-    emissions: u64,
+/// The explored state: how far each script has been delivered, the real
+/// barrier holding what was delivered and not yet handed over, and the
+/// stage.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct State<'a> {
+    delivered: Vec<u8>,
+    barrier: EpochBarrier<Vec<Item>>,
+    stage: Recorder<'a>,
 }
 
 struct Explorer<'a> {
-    cfg: &'a McConfig,
-    scripts: &'a [Vec<Msg>],
-    total_partials: u32,
-    seen: HashSet<State>,
+    scripts: &'a [Script],
+    seen: HashSet<State<'a>>,
     trace: Vec<String>,
     report: McReport,
 }
 
 impl<'a> Explorer<'a> {
-    /// Applied-count per partial implied by the consumed prefixes.
-    fn applied_counts(&self, consumed: &[u16]) -> Vec<u8> {
-        let mut counts = vec![0u8; self.total_partials as usize];
-        for (w, script) in self.scripts.iter().enumerate() {
-            for msg in script.iter().take(consumed[w] as usize) {
-                if let Msg::Parts(pids) = msg {
-                    let times = if self.cfg.protocol == Protocol::DoubleApply { 2 } else { 1 };
-                    for &p in pids {
-                        counts[p as usize] = counts[p as usize].saturating_add(times);
-                    }
-                }
+    /// One merge-stage wake-up on the real barrier.
+    fn advance(&self, st: &mut State<'a>) -> Result<(), McViolation> {
+        st.barrier.advance(&mut st.stage);
+        self.verdict(st)
+    }
+
+    fn verdict(&self, st: &State<'a>) -> Result<(), McViolation> {
+        match &st.stage.broken {
+            None => Ok(()),
+            Some((invariant, detail)) => {
+                Err(McViolation { invariant, detail: detail.clone(), trace: self.trace.clone() })
             }
         }
-        counts
-    }
-
-    /// Runs the merge stage to fixpoint: applies every front batch, then
-    /// fires the barrier while its rule is met. Deterministic given the
-    /// queues; invariants are checked along the way.
-    fn apply_ready(&mut self, st: &mut State) -> Result<(), McViolation> {
-        loop {
-            let mut progressed = false;
-            // Front Partials apply immediately (exactly-once check).
-            for w in 0..self.cfg.workers {
-                while let Some(Msg::Parts(pids)) = self.front(st, w) {
-                    let pids = pids.clone();
-                    st.consumed[w] += 1;
-                    progressed = true;
-                    self.trace.push(format!("merge: apply worker {w} batch {pids:?}"));
-                    let counts = self.applied_counts(&st.consumed);
-                    if let Some(p) = pids.iter().find(|&&p| counts[p as usize] > 1) {
-                        return Err(self.violation(
-                            "exactly-once application",
-                            format!("partial {p} applied {} times", counts[*p as usize]),
-                        ));
-                    }
-                }
-            }
-            // Barrier rule.
-            let acked: Vec<(usize, Wm)> = (0..self.cfg.workers)
-                .filter_map(|w| match self.front(st, w) {
-                    Some(Msg::Ack(v)) => Some((w, *v)),
-                    _ => None,
-                })
-                .collect();
-            let fire = match self.cfg.protocol {
-                Protocol::EpochBarrier | Protocol::DoubleApply => acked.len() == self.cfg.workers,
-                Protocol::AnyAck => !acked.is_empty(),
-            };
-            if fire {
-                progressed = true;
-                let wm = acked.iter().map(|&(_, v)| v).min().unwrap_or(WM_MIN);
-                for &(w, v) in &acked {
-                    st.consumed[w] += 1;
-                    self.trace.push(format!("merge: pop ack({v}) from worker {w}"));
-                    if v != wm && self.cfg.protocol != Protocol::AnyAck {
-                        return Err(self.violation(
-                            "watermark monotonicity",
-                            format!("barrier acks disagree: {v} vs {wm} (FIFO broadcast broken)"),
-                        ));
-                    }
-                }
-                // The operator ignores regressive/duplicate watermarks:
-                // no emission, no advance.
-                if wm > st.wm {
-                    st.wm = wm;
-                    st.emissions += 1;
-                    self.trace.push(format!("merge: barrier — watermark {wm}, emit"));
-                    self.check_no_early_emission(st, wm)?;
-                }
-            }
-            if !progressed {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Invariant 2: at an emission for watermark `wm`, every batch that
-    /// precedes `Ack(wm)` in any worker's script must have been applied.
-    fn check_no_early_emission(&mut self, st: &State, wm: Wm) -> Result<(), McViolation> {
-        for (w, script) in self.scripts.iter().enumerate() {
-            let Some(ack_idx) = script.iter().position(|m| *m == Msg::Ack(wm)) else {
-                continue;
-            };
-            if (st.consumed[w] as usize) < ack_idx + 1 {
-                return Err(self.violation(
-                    "no emission before all acks",
-                    format!(
-                        "watermark {wm} emitted but worker {w} consumed only \
-                         {}/{} messages (ack at index {ack_idx})",
-                        st.consumed[w],
-                        script.len()
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn front(&self, st: &State, w: usize) -> Option<&'a Msg> {
-        let (c, d) = (st.consumed[w] as usize, st.delivered[w] as usize);
-        (c < d).then(|| &self.scripts[w][c])
-    }
-
-    fn violation(&self, invariant: &'static str, detail: String) -> McViolation {
-        McViolation { invariant, detail, trace: self.trace.clone() }
     }
 
     /// DFS over scheduler choices from `st`.
-    fn explore(&mut self, st: State) -> Result<(), McViolation> {
+    fn explore(&mut self, st: State<'a>) -> Result<(), McViolation> {
         if !self.seen.insert(st.clone()) {
             return Ok(());
         }
         self.report.states += 1;
         let mut terminal = true;
-        for w in 0..self.cfg.workers {
-            if (st.delivered[w] as usize) < self.scripts[w].len() {
-                terminal = false;
-                self.report.transitions += 1;
-                let mut next = st.clone();
-                next.delivered[w] += 1;
-                let depth = self.trace.len();
-                self.trace.push(format!("deliver worker {w} message #{}", next.delivered[w]));
-                // The merge stage may lag arbitrarily behind arrivals:
-                // explore both the eager schedule (apply_ready now) and
-                // the lagged one (deliver more first).
-                let step = self.trace.len();
-                let mut processed = next.clone();
-                self.apply_ready(&mut processed)?;
-                self.explore(processed)?;
-                self.trace.truncate(step);
-                self.trace.push("merge lags".to_string());
-                self.explore(next)?;
-                self.trace.truncate(depth);
-            }
-        }
-        if terminal {
-            // Drain: the real merge loop runs apply_ready after the
-            // channel closes.
-            let mut fin = st.clone();
+        for (src, script) in self.scripts.iter().enumerate() {
+            let Some(msg) = script.get(st.delivered[src] as usize) else { continue };
+            terminal = false;
+            self.report.transitions += 1;
+            let mut lagging = st.clone();
+            lagging.delivered[src] += 1;
+            lagging.barrier.push(src, msg.clone());
             let depth = self.trace.len();
-            self.apply_ready(&mut fin)?;
-            self.check_terminal(&fin)?;
+            self.trace.push(format!("deliver source {src} #{}: {msg:?}", lagging.delivered[src]));
+            // The merge stage may lag arbitrarily behind arrivals: explore
+            // both waking up now and taking more messages first.
+            let mut woken = lagging.clone();
+            self.trace.push("merge advances".to_string());
+            self.advance(&mut woken)?;
+            self.explore(woken)?;
+            self.trace.truncate(depth + 1);
+            self.trace.push("merge lags".to_string());
+            self.explore(lagging)?;
             self.trace.truncate(depth);
         }
-        Ok(())
-    }
-
-    fn check_terminal(&mut self, st: &State) -> Result<(), McViolation> {
-        for w in 0..self.cfg.workers {
-            if st.consumed[w] as usize != self.scripts[w].len() {
-                return Err(self.violation(
-                    "exactly-once application",
-                    format!("worker {w}'s queue did not drain at end of stream"),
-                ));
+        if terminal {
+            // `merge_stage` advances after the last message it receives.
+            let mut end = st;
+            self.trace.push("end of stream".to_string());
+            self.advance(&mut end)?;
+            end.stage.finish();
+            if !end.barrier.is_drained() {
+                end.stage.fail("exactly-once application", "queues did not drain".to_string());
             }
+            self.verdict(&end)?;
+            self.trace.pop();
         }
-        let counts = self.applied_counts(&st.consumed);
-        if let Some(p) = counts.iter().position(|&c| c != 1) {
-            return Err(self.violation(
-                "exactly-once application",
-                format!("partial {p} applied {} times by end of stream", counts[p]),
-            ));
-        }
-        self.report.emissions = self.report.emissions.max(st.emissions);
         Ok(())
     }
 }
 
-/// Exhaustively explores every interleaving of `cfg`; returns statistics
-/// or the first invariant violation found.
+/// Exhaustively explores every delivery order and merge lag of `cfg`;
+/// returns statistics or the first invariant violation found.
 pub fn check(cfg: &McConfig) -> Result<McReport, McViolation> {
-    let (scripts, total_partials) = build_scripts(cfg);
+    let (rounds, scripts) = cfg.scripts();
+    let acks_before = |script: &Script| {
+        let mut batches = 0u8;
+        let mut due = Vec::new();
+        for msg in script {
+            match msg {
+                Msg::Batch(_) => batches += 1,
+                Msg::Ack(_) => due.push(batches),
+            }
+        }
+        due
+    };
+    let due: Vec<Vec<u8>> = scripts.iter().map(acks_before).collect();
+    let items = scripts
+        .iter()
+        .flatten()
+        .map(|m| if let Msg::Batch(b) = m { b.len() } else { 0 })
+        .sum::<usize>();
+    let init = State {
+        delivered: vec![0; cfg.sources],
+        barrier: EpochBarrier::new(cfg.sources),
+        stage: Recorder::new(cfg.fault, &rounds, &due, items),
+    };
     let mut ex = Explorer {
-        cfg,
         scripts: &scripts,
-        total_partials,
         seen: HashSet::new(),
         trace: Vec::new(),
-        report: McReport { partials: total_partials as u64, ..McReport::default() },
-    };
-    let init = State {
-        delivered: vec![0; cfg.workers],
-        consumed: vec![0; cfg.workers],
-        wm: WM_MIN,
-        emissions: 0,
+        report: McReport {
+            items: items as u64,
+            rounds: rounds.len() as u64,
+            ..McReport::default()
+        },
     };
     ex.explore(init)?;
     Ok(ex.report)
@@ -399,68 +423,80 @@ pub fn check(cfg: &McConfig) -> Result<McReport, McViolation> {
 mod tests {
     use super::*;
 
+    fn pass(cfg: &McConfig) -> McReport {
+        check(cfg).unwrap_or_else(|v| panic!("{v}"))
+    }
+
     #[test]
     fn epoch_barrier_passes_small_configs() {
-        for workers in 1..=3 {
+        for sources in 1..=3 {
             for epochs in 1..=3 {
-                let cfg = McConfig::new(workers, epochs);
-                let rep = check(&cfg).unwrap_or_else(|v| panic!("{v}"));
+                let rep = pass(&McConfig::new(sources, epochs));
                 assert!(rep.states > 0);
-                // One emission per (monotone) epoch along every path.
-                assert_eq!(rep.emissions, epochs as u64);
+                assert_eq!(rep.rounds, epochs as u64);
             }
         }
     }
 
     #[test]
-    fn stragglers_and_multiflush_pass() {
-        let mut cfg = McConfig::new(3, 3);
-        cfg.flushes_per_epoch = 2;
-        cfg.stragglers = true;
-        let rep = check(&cfg).unwrap_or_else(|v| panic!("{v}"));
-        // 3 workers × (3 epochs × 2 flushes + 2 stragglers) partials.
-        assert_eq!(rep.partials, 3 * (3 * 2 + 2));
+    fn stragglers_multiple_batches_tail_and_regressive_round_pass() {
+        let cfg = McConfig {
+            batches: 2,
+            stragglers: true,
+            tail: true,
+            regressive: true,
+            ..McConfig::new(3, 2)
+        };
+        let rep = pass(&cfg);
+        // 3 sources × (2 epochs × 2 batches + 1 straggler + 1 tail) items.
+        assert_eq!(rep.items, 3 * (2 * 2 + 1 + 1));
+        // The regressive broadcast is a round of its own, closed like any.
+        assert_eq!(rep.rounds, 3);
     }
 
     #[test]
-    fn idle_workers_only_ack() {
-        let mut cfg = McConfig::new(2, 2);
-        cfg.flushes_per_epoch = 0;
-        let rep = check(&cfg).unwrap_or_else(|v| panic!("{v}"));
-        assert_eq!(rep.partials, 0);
-        assert_eq!(rep.emissions, 2);
+    fn idle_sources_only_ack_and_idle_stragglers_get_a_batch() {
+        let idle = McConfig { batches: 0, ..McConfig::new(2, 2) };
+        assert_eq!(pass(&idle).items, 0);
+        let rep = pass(&McConfig { stragglers: true, ..idle });
+        assert_eq!(rep.items, 2);
     }
 
     #[test]
-    fn regressive_watermark_is_acked_and_ignored() {
-        let mut cfg = McConfig::new(2, 2);
-        cfg.regressive_wm = true;
-        let rep = check(&cfg).unwrap_or_else(|v| panic!("{v}"));
-        // The regressive broadcast is acked by both workers but adds no
-        // emission.
-        assert_eq!(rep.emissions, 2);
+    fn single_source_has_one_interleaving_per_lag_choice() {
+        assert!(pass(&McConfig::new(1, 2)).states >= 4);
     }
 
     #[test]
-    fn any_ack_mutant_is_caught() {
-        let mut cfg = McConfig::new(2, 2);
-        cfg.protocol = Protocol::AnyAck;
-        let v = check(&cfg).expect_err("any-ack barrier must violate the ack invariant");
-        assert_eq!(v.invariant, "no emission before all acks");
-        assert!(!v.trace.is_empty(), "violation must carry its interleaving");
+    fn stage_faults_trip_the_invariant_they_break() {
+        for (fault, invariant) in [
+            (Fault::DoubleApply, "exactly-once application"),
+            (Fault::EagerRelease, "epoch-ordered release"),
+            (Fault::DropStaged, "exactly-once release"),
+        ] {
+            let v = check(&McConfig { fault, ..McConfig::new(2, 2) })
+                .expect_err("a faulty stage must not pass");
+            assert_eq!(v.invariant, invariant, "{fault:?}");
+            assert!(!v.trace.is_empty(), "violation must carry its interleaving");
+        }
     }
 
+    /// The recorder judges what it is handed, whoever hands it over: a
+    /// close with a source's batch still outstanding, and a close at a
+    /// watermark nobody broadcast.
     #[test]
-    fn double_apply_mutant_is_caught() {
-        let mut cfg = McConfig::new(2, 1);
-        cfg.protocol = Protocol::DoubleApply;
-        let v = check(&cfg).expect_err("double apply must violate exactly-once");
-        assert_eq!(v.invariant, "exactly-once application");
-    }
-
-    #[test]
-    fn single_worker_has_one_interleaving_per_lag_choice() {
-        let rep = check(&McConfig::new(1, 2)).unwrap_or_else(|v| panic!("{v}"));
-        assert!(rep.states >= 4);
+    fn recorder_rejects_an_early_and_a_wrong_close() {
+        let cfg = McConfig::new(2, 1);
+        let (rounds, scripts) = cfg.scripts();
+        let due = vec![vec![1u8], vec![1]];
+        let fresh = || Recorder::new(Fault::None, &rounds, &due, 2);
+        let Msg::Batch(first) = scripts[0][0].clone() else { panic!("scripts open with a batch") };
+        let mut early = fresh();
+        early.apply(0, first);
+        early.close(10);
+        assert_eq!(early.broken.map(|b| b.0), Some("no close before all acks"));
+        let mut wrong = fresh();
+        wrong.close(11);
+        assert_eq!(wrong.broken.map(|b| b.0), Some("ack agreement"));
     }
 }

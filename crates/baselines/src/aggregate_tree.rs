@@ -11,8 +11,8 @@
 use std::collections::VecDeque;
 
 use gss_core::{
-    in_order_run_len, AggregateFunction, ContextEdges, Count, FlatFat, HeapSize, Measure, Range,
-    StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, TIME_MAX, TIME_MIN,
+    AggregateFunction, ContextEdges, Count, FlatFat, HeapSize, Measure, Range, StreamOrder, Time,
+    WindowAggregator, WindowFunction, WindowResult, TIME_MIN,
 };
 
 use crate::common::QuerySet;
@@ -132,43 +132,6 @@ impl<A: AggregateFunction> AggregateTree<A> {
         }
     }
 
-    /// Longest prefix of `batch[start..]` that can be bulk-appended:
-    /// in-order appends (`ts >= max_ts`) with no window end — time or
-    /// count — inside the swept interval, so one deferred trigger sweep at
-    /// the run's last tuple emits exactly what the per-tuple sweeps would
-    /// (nothing) while advancing the same bookkeeping. On out-of-order
-    /// streams appends never emit, so any in-order stretch qualifies.
-    fn append_run_len(&self, batch: &[(Time, A::Input)], start: usize) -> usize {
-        if self.first_ts == TIME_MIN || self.queries.has_context_aware() {
-            return 0; // first tuple initializes; notify() is per-tuple
-        }
-        let (bound, cap) = if self.order.is_in_order() {
-            let anchor = if self.queries.last_trigger_time == TIME_MIN {
-                self.first_ts
-            } else {
-                self.queries.last_trigger_time
-            };
-            let Some(next_t) = self.queries.next_time_end_after(anchor) else {
-                return 0;
-            };
-            let cap = if self.queries.has_count_measure() {
-                let c0 = self.evicted + self.times.len() as Count;
-                let Some(next_c) =
-                    self.queries.next_count_end_after(self.queries.last_trigger_count)
-                else {
-                    return 0;
-                };
-                next_c.saturating_sub(c0 + 1) as usize
-            } else {
-                usize::MAX
-            };
-            (next_t, cap)
-        } else {
-            (TIME_MAX, usize::MAX)
-        };
-        in_order_run_len(batch, start, self.max_ts, bound, cap)
-    }
-
     fn evict(&mut self, wm: Time) {
         let lateness = if self.order.is_in_order() { 0 } else { self.allowed_lateness };
         let mut boundary =
@@ -210,7 +173,9 @@ impl<A: AggregateFunction> WindowAggregator<A> for AggregateTree<A> {
                 self.emit(ts, out);
             }
         } else {
-            if self.watermark != TIME_MIN && ts < self.watermark - self.allowed_lateness {
+            if self.watermark != TIME_MIN
+                && ts < self.watermark.saturating_sub(self.allowed_lateness)
+            {
                 return;
             }
             // The expensive path: leaf insert in the middle shifts the tail
@@ -221,39 +186,6 @@ impl<A: AggregateFunction> WindowAggregator<A> for AggregateTree<A> {
             if self.watermark != TIME_MIN && ts <= self.watermark {
                 self.emit_updates(ts, out);
             }
-        }
-    }
-
-    fn process_batch(
-        &mut self,
-        batch: &[(Time, A::Input)],
-        out: &mut Vec<WindowResult<A::Output>>,
-    ) {
-        let mut i = 0;
-        while i < batch.len() {
-            let n = self.append_run_len(batch, i);
-            if n <= 1 {
-                let (ts, value) = &batch[i];
-                self.process(*ts, value.clone(), out);
-                i += 1;
-                continue;
-            }
-            // One tree touch per run: deferred leaf appends, one repair.
-            let run = &batch[i..i + n];
-            for (ts, v) in run {
-                self.times.push_back(*ts);
-                self.tree.push_deferred(Some(self.f.lift(v)));
-            }
-            self.tree.repair_dirty();
-            self.max_ts = run[n - 1].0;
-            if self.order.is_in_order() {
-                // No window ends inside the run (append_run_len's bound), so
-                // this emits nothing — it advances trigger bookkeeping and
-                // evicts exactly as the per-tuple sweeps would have.
-                self.watermark = self.max_ts;
-                self.emit(self.max_ts, out);
-            }
-            i += n;
         }
     }
 

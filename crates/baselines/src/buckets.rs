@@ -58,21 +58,6 @@ impl<A: AggregateFunction> Bucket<A> {
             Some(p) => f.combine(p, &lifted),
         });
     }
-
-    /// Adds a run of in-order tuples whose pre-folded partial is
-    /// `run_partial`: one ⊕ into the bucket partial and one bulk tuple
-    /// append, replacing `run.len()` individual `add` calls. The caller
-    /// guarantees the run is in order (every timestamp at or after the
-    /// bucket's stored tuples).
-    fn add_run(&mut self, f: &A, run: &[(Time, A::Input)], run_partial: &A::Partial) {
-        if let Some(tuples) = &mut self.tuples {
-            tuples.extend_from_slice(run);
-        }
-        self.partial = Some(match self.partial.take() {
-            None => run_partial.clone(),
-            Some(p) => f.combine(p, run_partial),
-        });
-    }
 }
 
 impl<A: AggregateFunction> HeapSize for Bucket<A> {
@@ -239,47 +224,6 @@ impl<A: AggregateFunction> Buckets<A> {
         }
     }
 
-    /// Length of the longest prefix of `batch[start..]` whose tuples all
-    /// land in the **same** set of buckets (no window edge crossed) and
-    /// complete no window, so the whole run costs one bucket-map walk and
-    /// one ⊕ per bucket. Count-measure queries advance the count axis per
-    /// tuple and are handled per tuple.
-    fn run_len(&self, batch: &[(Time, A::Input)], start: usize) -> usize {
-        if self.queries.has_context_aware() || self.queries.has_count_measure() {
-            return 0;
-        }
-        let first = batch[start].0;
-        if first < self.max_ts {
-            return 0;
-        }
-        // The containing-window set is constant up to the next window
-        // start or end edge.
-        let mut bound = match self.queries.next_time_edge_after(first) {
-            Some(e) => e,
-            None => return 0,
-        };
-        if self.order.is_in_order() {
-            if self.queries.last_trigger_time == TIME_MIN {
-                return 0;
-            }
-            match self.queries.next_time_end_after(self.queries.last_trigger_time) {
-                Some(e) => bound = bound.min(e),
-                None => return 0,
-            }
-        }
-        let mut prev = first;
-        let mut n = 0;
-        while n < batch.len() - start {
-            let ts = batch[start + n].0;
-            if ts < prev || ts >= bound {
-                break;
-            }
-            prev = ts;
-            n += 1;
-        }
-        n
-    }
-
     fn evict(&mut self, wm: Time) {
         let lateness = if self.order.is_in_order() { 0 } else { self.allowed_lateness };
         let horizon = wm.saturating_sub(lateness);
@@ -308,7 +252,10 @@ impl<A: AggregateFunction> WindowAggregator<A> for Buckets<A> {
         self.queries.notify(ts, &mut scratch);
         self.scratch = scratch;
         let in_order = ts >= self.max_ts;
-        if !in_order && self.watermark != TIME_MIN && ts < self.watermark - self.allowed_lateness {
+        if !in_order
+            && self.watermark != TIME_MIN
+            && ts < self.watermark.saturating_sub(self.allowed_lateness)
+        {
             return; // dropped: too late
         }
         self.assign(ts, &value, in_order);
@@ -321,62 +268,6 @@ impl<A: AggregateFunction> WindowAggregator<A> for Buckets<A> {
             }
         } else if self.watermark != TIME_MIN && ts <= self.watermark {
             self.emit_updates(ts, out);
-        }
-    }
-
-    fn process_batch(
-        &mut self,
-        batch: &[(Time, A::Input)],
-        out: &mut Vec<WindowResult<A::Output>>,
-    ) {
-        let mut i = 0;
-        while i < batch.len() {
-            let n = self.run_len(batch, i);
-            if n <= 1 {
-                let (ts, value) = &batch[i];
-                self.process(*ts, value.clone(), out);
-                i += 1;
-                continue;
-            }
-            let run = &batch[i..i + n];
-            let first = run[0].0;
-            let last = run[n - 1].0;
-            self.first_ts =
-                if self.first_ts == TIME_MIN { first } else { self.first_ts.min(first) };
-            // Fold the run once, then pay one ⊕ per containing bucket
-            // instead of one per tuple per bucket.
-            let f = &self.f;
-            let mut p = f.lift(&run[0].1);
-            for (_, v) in &run[1..] {
-                p = f.combine(p, &f.lift(v));
-            }
-            let mode = self.mode;
-            let buckets = &mut self.buckets;
-            let mut ranges: Vec<Range> = Vec::new();
-            for q in self.queries.iter() {
-                ranges.clear();
-                q.window.windows_containing(first, &mut |r| ranges.push(r));
-                let Some(per_query) = buckets.get_mut(&q.id) else {
-                    continue;
-                };
-                for &range in &ranges {
-                    let bucket = per_query
-                        .entry(range.start)
-                        .or_insert_with(|| Bucket::new(range.end, mode));
-                    bucket.end = bucket.end.max(range.end);
-                    bucket.add_run(f, run, &p);
-                }
-            }
-            self.total_count += n as Count;
-            self.max_ts = last;
-            if self.order.is_in_order() {
-                // No window completed inside the run (run_len guarantees
-                // that): one sweep replaces the per-tuple sweeps, emitting
-                // nothing and advancing bookkeeping and eviction.
-                self.watermark = last;
-                self.emit(last, out);
-            }
-            i += n;
         }
     }
 

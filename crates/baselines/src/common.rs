@@ -59,10 +59,6 @@ impl QuerySet {
         self.queries.iter().any(|q| q.window.measure() == Measure::Count)
     }
 
-    pub fn has_context_aware(&self) -> bool {
-        self.queries.iter().any(|q| q.window.context().is_context_aware())
-    }
-
     /// Longest extent among time-measure queries.
     pub fn max_time_extent(&self) -> i64 {
         self.queries
@@ -81,48 +77,6 @@ impl QuerySet {
             .map(|q| q.window.max_extent())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Earliest time at which a time-measure window can end strictly after
-    /// `t`. `None` when some query cannot tell (unknown window ends force
-    /// per-tuple sweeps); `TIME_MAX` when no time-measure query exists.
-    pub fn next_time_end_after(&self, t: Time) -> Option<Time> {
-        let mut next = gss_core::TIME_MAX;
-        for q in self.queries.iter().filter(|q| q.window.measure() == Measure::Time) {
-            match q.window.next_window_end(t) {
-                Some(e) => next = next.min(e),
-                None => return None,
-            }
-        }
-        Some(next)
-    }
-
-    /// Earliest count at which a count-measure window can end strictly
-    /// after count position `c`. Same conventions as
-    /// [`next_time_end_after`](QuerySet::next_time_end_after).
-    pub fn next_count_end_after(&self, c: Count) -> Option<Count> {
-        let mut next = Count::MAX;
-        for q in self.queries.iter().filter(|q| q.window.measure() == Measure::Count) {
-            match q.window.next_window_end(c as Time) {
-                Some(e) => next = next.min(e as Count),
-                None => return None,
-            }
-        }
-        Some(next)
-    }
-
-    /// Earliest window edge — start or end — strictly after `t` among
-    /// time-measure queries: the set of windows containing a timestamp is
-    /// constant on `[t, edge)`. `None` when some query cannot tell.
-    pub fn next_time_edge_after(&self, t: Time) -> Option<Time> {
-        let mut next = gss_core::TIME_MAX;
-        for q in self.queries.iter().filter(|q| q.window.measure() == Measure::Time) {
-            match q.window.next_edge(t) {
-                Some(e) => next = next.min(e),
-                None => return None,
-            }
-        }
-        Some(next)
     }
 
     /// Lets context-aware queries observe a tuple (edge changes are
@@ -235,9 +189,8 @@ mod tests {
     fn extents_and_flags() {
         let mut qs = QuerySet::new();
         qs.add(Box::new(TumblingWindow::new(10)));
-        assert!(!qs.has_context_aware());
         qs.add(Box::new(SessionWindow::new(7)));
-        assert!(qs.has_context_aware());
+        assert!(!qs.has_count_measure());
         assert!(qs.max_time_extent() >= 10);
     }
 }

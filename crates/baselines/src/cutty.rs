@@ -10,8 +10,8 @@
 use std::collections::VecDeque;
 
 use gss_core::{
-    in_order_run_len, AggregateFunction, FlatFat, HeapSize, Measure, Query, QueryId, Range, Time,
-    WindowAggregator, WindowFunction, WindowResult, TIME_MAX, TIME_MIN,
+    AggregateFunction, FlatFat, HeapSize, Measure, Query, QueryId, Range, Time, WindowAggregator,
+    WindowFunction, WindowResult, TIME_MAX, TIME_MIN,
 };
 
 /// Eager slicing for user-defined context-free windows, in-order only.
@@ -137,41 +137,6 @@ impl<A: AggregateFunction> WindowAggregator<A> for Cutty<A> {
             None => lifted,
             Some(p) => self.f.combine(p, &lifted),
         });
-    }
-
-    fn process_batch(
-        &mut self,
-        batch: &[(Time, A::Input)],
-        out: &mut Vec<WindowResult<A::Output>>,
-    ) {
-        let mut i = 0;
-        while i < batch.len() {
-            // Tuples strictly below the open slice's start edge and the next
-            // window end neither cut a slice nor trigger: fold the run into
-            // the open partial with one combine (associativity).
-            let n = if self.started {
-                let bound = self.open_edge.min(self.next_end);
-                in_order_run_len(batch, i, self.open_start, bound, usize::MAX)
-            } else {
-                0
-            };
-            if n <= 1 {
-                let (ts, value) = &batch[i];
-                self.process(*ts, value.clone(), out);
-                i += 1;
-                continue;
-            }
-            let run = &batch[i..i + n];
-            let mut acc = self.f.lift(&run[0].1);
-            for (_, v) in &run[1..] {
-                acc = self.f.combine(acc, &self.f.lift(v));
-            }
-            self.open_partial = Some(match self.open_partial.take() {
-                None => acc,
-                Some(p) => self.f.combine(p, &acc),
-            });
-            i += n;
-        }
     }
 
     fn on_watermark(&mut self, _wm: Time, _out: &mut Vec<WindowResult<A::Output>>) {

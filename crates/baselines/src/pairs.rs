@@ -10,8 +10,8 @@
 use std::collections::VecDeque;
 
 use gss_core::{
-    in_order_run_len, AggregateFunction, HeapSize, Measure, QueryId, Range, Time, WindowAggregator,
-    WindowResult, TIME_MAX, TIME_MIN,
+    AggregateFunction, HeapSize, Measure, QueryId, Range, Time, WindowAggregator, WindowResult,
+    TIME_MAX, TIME_MIN,
 };
 use gss_windows::PeriodicEdges;
 
@@ -136,41 +136,6 @@ impl<A: AggregateFunction> WindowAggregator<A> for Pairs<A> {
             None => lifted,
             Some(p) => self.f.combine(p, &lifted),
         });
-    }
-
-    fn process_batch(
-        &mut self,
-        batch: &[(Time, A::Input)],
-        out: &mut Vec<WindowResult<A::Output>>,
-    ) {
-        let mut i = 0;
-        while i < batch.len() {
-            // Tuples strictly below both the open slice's end and the next
-            // window end neither close a slice nor trigger: the whole run
-            // folds into the open partial with one combine (associativity).
-            let n = if self.started {
-                let bound = self.open_end.min(self.next_end);
-                in_order_run_len(batch, i, self.open_start, bound, usize::MAX)
-            } else {
-                0
-            };
-            if n <= 1 {
-                let (ts, value) = &batch[i];
-                self.process(*ts, value.clone(), out);
-                i += 1;
-                continue;
-            }
-            let run = &batch[i..i + n];
-            let mut acc = self.f.lift(&run[0].1);
-            for (_, v) in &run[1..] {
-                acc = self.f.combine(acc, &self.f.lift(v));
-            }
-            self.open_partial = Some(match self.open_partial.take() {
-                None => acc,
-                Some(p) => self.f.combine(p, &acc),
-            });
-            i += n;
-        }
     }
 
     fn on_watermark(&mut self, _wm: Time, _out: &mut Vec<WindowResult<A::Output>>) {

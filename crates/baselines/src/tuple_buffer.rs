@@ -125,47 +125,6 @@ impl<A: AggregateFunction> TupleBuffer<A> {
         }
     }
 
-    /// Length of the longest prefix of `batch[start..]` that can be bulk
-    /// appended: consecutive in-order tuples that complete no window, so
-    /// the per-tuple trigger sweep can run once at the end of the run
-    /// (emitting nothing) instead of once per tuple.
-    fn run_len(&self, batch: &[(Time, A::Input)], start: usize) -> usize {
-        if self.queries.has_context_aware() {
-            return 0;
-        }
-        let mut cap = batch.len() - start;
-        let mut bound = gss_core::TIME_MAX;
-        if self.order.is_in_order() {
-            // The first tuple always sweeps; afterwards the sweep position
-            // bounds which window ends can still fire.
-            if self.queries.last_trigger_time == TIME_MIN {
-                return 0;
-            }
-            match self.queries.next_time_end_after(self.queries.last_trigger_time) {
-                Some(e) => bound = e,
-                None => return 0,
-            }
-            if self.queries.has_count_measure() {
-                let c0 = self.evicted + self.buffer.len() as Count;
-                match self.queries.next_count_end_after(self.queries.last_trigger_count) {
-                    Some(e) if e > c0 + 1 => cap = cap.min((e - 1 - c0) as usize),
-                    _ => return 0,
-                }
-            }
-        }
-        let mut prev = self.max_ts;
-        let mut n = 0;
-        while n < cap {
-            let ts = batch[start + n].0;
-            if ts < prev || ts >= bound {
-                break;
-            }
-            prev = ts;
-            n += 1;
-        }
-        n
-    }
-
     fn evict(&mut self, wm: Time) {
         let lateness = if self.order.is_in_order() { 0 } else { self.allowed_lateness };
         let mut boundary =
@@ -201,7 +160,9 @@ impl<A: AggregateFunction> WindowAggregator<A> for TupleBuffer<A> {
                 self.emit(ts, out);
             }
         } else {
-            if self.watermark != TIME_MIN && ts < self.watermark - self.allowed_lateness {
+            if self.watermark != TIME_MIN
+                && ts < self.watermark.saturating_sub(self.allowed_lateness)
+            {
                 return; // dropped: too late
             }
             // The costly path: shift the tail to make room (sorted insert).
@@ -210,39 +171,6 @@ impl<A: AggregateFunction> WindowAggregator<A> for TupleBuffer<A> {
             if self.watermark != TIME_MIN && ts <= self.watermark {
                 self.emit_updates(ts, out);
             }
-        }
-    }
-
-    fn process_batch(
-        &mut self,
-        batch: &[(Time, A::Input)],
-        out: &mut Vec<WindowResult<A::Output>>,
-    ) {
-        let mut i = 0;
-        while i < batch.len() {
-            let n = self.run_len(batch, i);
-            if n <= 1 {
-                let (ts, value) = &batch[i];
-                self.process(*ts, value.clone(), out);
-                i += 1;
-                continue;
-            }
-            let run = &batch[i..i + n];
-            let first = run[0].0;
-            let last = run[n - 1].0;
-            self.first_ts =
-                if self.first_ts == TIME_MIN { first } else { self.first_ts.min(first) };
-            self.buffer.extend(run.iter().cloned());
-            self.max_ts = last;
-            if self.order.is_in_order() {
-                // One sweep for the whole run: no window completed inside
-                // it (run_len guarantees that), so this emits nothing and
-                // only advances trigger bookkeeping and eviction — exactly
-                // the net effect of the per-tuple sweeps it replaces.
-                self.watermark = last;
-                self.emit(last, out);
-            }
-            i += n;
         }
     }
 

@@ -40,9 +40,9 @@ pub trait WindowAggregator<A: AggregateFunction>: Send {
     /// [`process_batch`](WindowAggregator::process_batch) over the zipped
     /// pairs; implementations that fold runs in bulk override it to keep
     /// the contiguous values column flowing straight into their fold
-    /// kernel. The default re-materializes pairs and delegates, so
-    /// techniques that only optimized `process_batch` keep their fast
-    /// path.
+    /// kernel. The default re-materializes pairs and delegates, so an
+    /// implementation that overrides only `process_batch` is still
+    /// reached; the paper baselines override neither and take the loop.
     fn process_batch_columns(
         &mut self,
         times: &[Time],
@@ -97,37 +97,11 @@ pub trait WindowAggregator<A: AggregateFunction>: Send {
     }
 }
 
-/// Length of the longest prefix of `batch[start..]` that forms an
-/// in-order run: timestamps non-decreasing, starting at or above `floor`,
-/// and strictly below `bound`, capped at `cap` tuples. The shared
-/// run-detection core of every technique's batched fast path — callers
-/// derive `floor` from their high-water mark and `bound` from the nearest
-/// state change (slice edge, pane end, window completion) so that a whole
-/// run can be folded with one state touch and exact per-tuple semantics.
-pub fn in_order_run_len<V>(
-    batch: &[(Time, V)],
-    start: usize,
-    floor: Time,
-    bound: Time,
-    cap: usize,
-) -> usize {
-    let cap = cap.min(batch.len() - start);
-    let mut prev = floor;
-    let mut n = 0;
-    while n < cap {
-        let ts = batch[start + n].0;
-        if ts < prev || ts >= bound {
-            break;
-        }
-        prev = ts;
-        n += 1;
-    }
-    n
-}
-
 /// Length of the longest prefix of the time column `times` that is
-/// non-decreasing and stays below `bound`: [`in_order_run_len`] for the
-/// column layout, the caller having checked `times[0]` against its floor.
+/// non-decreasing and stays below `bound`, the caller having checked
+/// `times[0]` against its floor. Callers derive `bound` from the nearest
+/// state change (slice edge, window completion), so the whole run can be
+/// folded with one state touch and exact per-tuple semantics.
 pub(crate) fn column_run_len(times: &[Time], bound: Time) -> usize {
     let mut prev = TIME_MIN;
     let mut n = 0;

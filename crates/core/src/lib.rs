@@ -83,7 +83,7 @@ pub mod time;
 pub mod timeline;
 pub mod window;
 
-pub use aggregator::{in_order_run_len, WindowAggregator};
+pub use aggregator::WindowAggregator;
 pub use characteristics::{RemovalStrategy, WorkloadCharacteristics};
 pub use element::StreamElement;
 pub use fiba::FingerTree;

@@ -989,7 +989,9 @@ impl<A: AggregateFunction> WindowOperator<A> {
             self.cfg.order == StreamOrder::OutOfOrder,
             "out-of-order tuple on a stream declared in-order"
         );
-        if self.watermark != TIME_MIN && ts < self.watermark - self.cfg.allowed_lateness {
+        if self.watermark != TIME_MIN
+            && ts < self.watermark.saturating_sub(self.cfg.allowed_lateness)
+        {
             self.stats.dropped_late += 1;
             return;
         }

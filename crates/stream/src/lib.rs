@@ -5,6 +5,7 @@
 //! partition — the parallelization model of Flink/Storm-style systems that
 //! the paper assumes (Section 5.3) and measures in Section 6.4.
 
+pub mod barrier;
 pub mod batching;
 pub mod builder;
 pub mod metrics;

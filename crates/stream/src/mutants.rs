@@ -21,31 +21,23 @@
 pub enum Mutant {
     /// No fault: the shipped protocol.
     Healthy = 0,
-    /// `run_parallel` merge: fire the epoch barrier as soon as *any*
-    /// worker front is an ack instead of waiting for all of them.
-    ParEagerBarrier = 1,
+    /// The epoch barrier of both merge stages: close the epoch as soon
+    /// as *any* queue front is an ack instead of waiting for all of them.
+    EagerBarrier = 1,
     /// `run_parallel` merge: apply every partials batch twice
     /// (exactly-once violation).
     ParDoubleApply = 2,
-    /// `run_sharded_keyed` merge: release the epoch as soon as any
-    /// shard front is an ack.
-    ShardEagerRelease = 3,
     /// `run_sharded_keyed` merge: drop shard 0's staged emissions at
     /// the barrier.
-    ShardDropStaged = 4,
+    ShardDropStaged = 3,
     /// Every driver's return edge: a worker hands a consumed chunk back
     /// to the source without emptying it.
-    DirtyReturn = 5,
+    DirtyReturn = 4,
 }
 
 /// Every injectable fault, for harness iteration.
-pub const ALL_MUTANTS: &[Mutant] = &[
-    Mutant::ParEagerBarrier,
-    Mutant::ParDoubleApply,
-    Mutant::ShardEagerRelease,
-    Mutant::ShardDropStaged,
-    Mutant::DirtyReturn,
-];
+pub const ALL_MUTANTS: &[Mutant] =
+    &[Mutant::EagerBarrier, Mutant::ParDoubleApply, Mutant::ShardDropStaged, Mutant::DirtyReturn];
 
 #[cfg(feature = "sched-mutants")]
 mod imp {

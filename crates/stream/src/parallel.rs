@@ -26,21 +26,20 @@
 //!   the message level only, so every straggler still revises its
 //!   windows exactly once. Tuples below `watermark - allowed_lateness`
 //!   are dropped, mirroring the sequential operator.
-//! * The merge stage keeps one FIFO queue per worker. Straggler partials
-//!   at queue fronts (at or below the authoritative watermark) apply
-//!   immediately via [`WindowOperator::add_parallel_partial`] so their
-//!   update emissions land in the right epoch; on-time partials are
-//!   *staged* per worker. The global watermark advances — triggering and
-//!   emission — only when **every** queue front is a watermark ack (the
-//!   *epoch barrier*): the staged lists are first combined pairwise in a
-//!   **merge tree** ([`merge_partials_tree`], O(S·log N) combines for S
-//!   slices and N workers instead of O(S·N) store touches), applied in
-//!   one [`WindowOperator::merge_parallel_partials`] call, and then the
-//!   operator advances to the minimum of the acked values, which equals
-//!   the broadcast value since acks ride FIFO channels. Staging is
-//!   invisible to emissions: an on-time partial's slice lies strictly
+//! * The merge stage runs behind the epoch barrier, which
+//!   [`barrier`](crate::barrier) defines. Its own part: a straggler
+//!   partial (at or below the authoritative watermark) applies on
+//!   arrival via [`WindowOperator::add_parallel_partial`], so its update
+//!   emissions land in the epoch it arrived in; on-time partials are
+//!   *staged* per worker. When the barrier closes an epoch the staged
+//!   lists are combined pairwise in a **merge tree**
+//!   ([`merge_partials_tree`], O(S·log N) combines for S slices and N
+//!   workers instead of O(S·N) store touches), applied in one
+//!   [`WindowOperator::merge_parallel_partials`] call, and the operator
+//!   advances to the acked watermark — triggering and emission. Staging
+//!   is invisible to emissions: an on-time partial's slice lies strictly
 //!   above the watermark, so no already-fired window (`end <= wm`) can
-//!   query it before the barrier applies it.
+//!   query it before the close applies it.
 //!
 //! ## In-order streams
 //!
@@ -78,12 +77,13 @@ use crossbeam::sched::ProbeEvent;
 use gss_core::{
     merge_partials_tree, AggregateFunction, ContextClass, Measure, OperatorConfig, Query, QueryId,
     SlicePartial, StreamElement, StreamOrder, Time, Timeline, WindowAggregator, WindowFunction,
-    WindowOperator, WindowResult, TIME_MAX, TIME_MIN,
+    WindowOperator, WindowResult, TIME_MIN,
 };
 
+use crate::barrier::{merge_stage, Msg, Stage};
 use crate::batching::{gather_whole, give_back, Gathered, RecordChunk};
 use crate::metrics::LatencyHistogram;
-use crate::pipeline::{ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport};
+use crate::pipeline::{ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport, ResultSink};
 
 /// Worker-side flush threshold, in timeline slices plus buffered
 /// straggler partials. Bounds worker memory between watermarks; each
@@ -116,14 +116,9 @@ pub fn parallel_eligible<A: AggregateFunction>(
         })
 }
 
-/// Message from a worker to the merge stage.
-enum MergeMsg<A: AggregateFunction> {
-    /// Pre-aggregated slice partials, disjoint per message.
-    Partials(Vec<SlicePartial<A>>),
-    /// Ack of a broadcast watermark: everything this worker received
-    /// before the watermark has already been shipped.
-    Watermark(Time),
-}
+/// What a worker sends the merge stage: batches of pre-aggregated slice
+/// partials, disjoint per batch, and watermark acks.
+type MergeMsg<A> = Msg<Vec<SlicePartial<A>>>;
 
 /// Sends with backpressure accounting: the fast path is a non-blocking
 /// `try_send`; when the merge stage's queue is full the blocking fallback
@@ -173,7 +168,7 @@ struct WorkerSlicer<A: AggregateFunction> {
     cache: Option<(Time, Time, i64)>,
     /// Stragglers (at or below the acked watermark, within lateness)
     /// buffered in arrival order; they ride the next flush as the head of
-    /// its `Partials` batch instead of each paying for a message.
+    /// its batch instead of each paying for a message.
     stragglers: Vec<SlicePartial<A>>,
     slices_created: u64,
     dropped_late: u64,
@@ -222,7 +217,7 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
             // Same drop rule as the sequential operator. In-order streams
             // never drop: their eviction horizon is the watermark itself,
             // and synthesized watermarks trail every unseen record.
-            if !self.order.is_in_order() && ts < self.wm - self.lateness {
+            if !self.order.is_in_order() && ts < self.wm.saturating_sub(self.lateness) {
                 self.dropped_late += 1;
                 return;
             }
@@ -357,9 +352,9 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
     }
 
     /// Ships buffered stragglers (arrival order, at the head of the
-    /// batch) and every accumulated partial in **one** `Partials`
-    /// message, then resets the timeline (boundary math is stateless, so
-    /// it regrows exact spans on demand).
+    /// batch) and every accumulated partial in **one** batch message,
+    /// then resets the timeline (boundary math is stateless, so it
+    /// regrows exact spans on demand).
     fn flush(&mut self, tx: &Sender<(usize, MergeMsg<A>)>, me: usize, wait: &mut LatencyHistogram) {
         if self.filled > 0 || !self.stragglers.is_empty() {
             let mut parts = Vec::with_capacity(self.stragglers.len() + self.filled);
@@ -379,7 +374,7 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
             }
             self.filled = 0;
             let shipped = parts.len() as u64;
-            send_timed(tx, (me, MergeMsg::Partials(parts)), wait);
+            send_timed(tx, (me, Msg::Batch(parts)), wait);
             runtime::probe(ProbeEvent::Shipped { src: me, items: shipped });
         }
         self.accs.clear();
@@ -419,7 +414,7 @@ fn worker_loop<A: AggregateFunction>(
                 // the operator ignores — so ack sequences align across
                 // workers and the merge barrier stays in lockstep.
                 slicer.flush(&tx, me, &mut wait);
-                send_timed(&tx, (me, MergeMsg::Watermark(wm)), &mut wait);
+                send_timed(&tx, (me, Msg::Ack(wm)), &mut wait);
                 slicer.wm = slicer.wm.max(wm);
             }
         }
@@ -429,132 +424,57 @@ fn worker_loop<A: AggregateFunction>(
     (records, wait, slicer.fold_hits, slicer.fold_misses)
 }
 
-/// Applies every message that is ready under the epoch barrier.
-///
-/// Stragglers at queue fronts (at or below the authoritative watermark)
-/// apply immediately — their update emissions belong to the current
-/// epoch and only fired windows (`end <= wm`) can see them. On-time
-/// partials are staged per worker; a watermark round, ready only once
-/// all workers have acked, first combines the staged lists through the
-/// pairwise [`merge_partials_tree`] — one store touch per slice instead
-/// of one per `(worker, slice)` — then applies and triggers. Staging
-/// cannot change any emission: an on-time partial's slice lies strictly
-/// above the watermark, so no window fired before the barrier covers it.
-fn apply_ready<A: AggregateFunction>(
-    f: &A,
-    queues: &mut [VecDeque<MergeMsg<A>>],
-    staged: &mut [Vec<SlicePartial<A>>],
-    op: &mut WindowOperator<A>,
-    out: &mut Vec<WindowResult<A::Output>>,
-) {
-    loop {
-        let mut progressed = false;
-        for (w, q) in queues.iter_mut().enumerate() {
-            while matches!(q.front(), Some(MergeMsg::Partials(_))) {
-                let Some(MergeMsg::Partials(parts)) = q.pop_front() else { unreachable!() };
-                #[cfg(feature = "sched-mutants")]
-                let parts =
-                    crate::mutants::double_if(crate::mutants::Mutant::ParDoubleApply, parts);
-                runtime::probe(ProbeEvent::Applied { src: w, items: parts.len() as u64 });
-                let wm = op.current_watermark();
-                for p in parts {
-                    if wm != TIME_MIN && p.t_first <= wm {
-                        // The straggler branch of `add_parallel_partial`
-                        // flushes eager repairs itself before emitting.
-                        op.add_parallel_partial(p, out);
-                    } else {
-                        staged[w].push(p);
-                    }
-                }
-                progressed = true;
-            }
-        }
-        let fire = if crate::mutants::is(crate::mutants::Mutant::ParEagerBarrier) {
-            queues.iter().any(|q| matches!(q.front(), Some(MergeMsg::Watermark(_))))
-        } else {
-            queues.iter().all(|q| matches!(q.front(), Some(MergeMsg::Watermark(_))))
-        };
-        if fire {
-            // All acks in: every partial preceding the watermark in any
-            // worker's stream has been staged or applied above, so
-            // triggering is safe once the staged lists land. Watermarks
-            // are broadcast in stream order over FIFO channels, so the
-            // fronts agree; min is defensive.
-            let mut wm = TIME_MAX;
-            let mut acks = 0u64;
-            for (src, q) in queues.iter_mut().enumerate() {
-                // Healthy runs pop every front (the `all` gate above
-                // guarantees they are acks); the eager-barrier mutant
-                // skips workers that have not acked yet.
-                let w = match q.front() {
-                    Some(MergeMsg::Watermark(w)) => *w,
-                    _ => continue,
-                };
-                q.pop_front();
-                runtime::probe(ProbeEvent::AckSeen { src, wm: w });
-                gss_core::audit_assert!(
-                    wm == TIME_MAX || w == wm,
-                    "barrier acks disagree: {w} vs {wm} (FIFO broadcast broken)"
-                );
-                wm = wm.min(w);
-                acks += 1;
-            }
-            runtime::probe(ProbeEvent::Barrier { wm, acks });
-            let lists: Vec<Vec<SlicePartial<A>>> = staged.iter_mut().map(std::mem::take).collect();
-            op.merge_parallel_partials(merge_partials_tree(f, lists), out);
-            op.process_watermark(wm, out);
-            progressed = true;
-        }
-        if !progressed {
-            return;
-        }
+/// The merge stage behind the epoch barrier: the authoritative operator,
+/// the on-time partials staged per worker, and where emissions go.
+struct ParMerge<A: AggregateFunction> {
+    f: A,
+    op: WindowOperator<A>,
+    staged: Vec<Vec<SlicePartial<A>>>,
+    sink: ResultSink<WindowResult<A::Output>>,
+}
+
+impl<A: AggregateFunction> ParMerge<A> {
+    /// Combines the staged lists through the pairwise
+    /// [`merge_partials_tree`] — one store touch per slice instead of one
+    /// per `(worker, slice)` — and applies the result.
+    fn land_staged(&mut self) {
+        let lists = self.staged.iter_mut().map(std::mem::take).collect();
+        self.op
+            .merge_parallel_partials(merge_partials_tree(&self.f, lists), &mut self.sink.scratch);
     }
 }
 
-/// The merge stage: one FIFO queue per worker, epoch-barrier watermark
-/// advancement. Returns `(results, result count)`.
-fn merge_loop<A: AggregateFunction>(
-    rx: Receiver<(usize, MergeMsg<A>)>,
-    mut op: WindowOperator<A>,
-    f: &A,
-    workers: usize,
-    collect: bool,
-) -> (Vec<WindowResult<A::Output>>, u64) {
-    let mut queues: Vec<VecDeque<MergeMsg<A>>> = (0..workers).map(|_| VecDeque::new()).collect();
-    let mut staged: Vec<Vec<SlicePartial<A>>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut results = Vec::new();
-    let mut scratch: Vec<WindowResult<A::Output>> = Vec::new();
-    let mut count = 0u64;
-    let account =
-        |scratch: &mut Vec<WindowResult<A::Output>>, results: &mut Vec<_>, count: &mut u64| {
-            *count += scratch.len() as u64;
-            if collect {
-                results.append(scratch);
+impl<A: AggregateFunction> Stage<Vec<SlicePartial<A>>> for ParMerge<A> {
+    /// Stragglers (at or below the authoritative watermark) apply at once
+    /// — their update emissions belong to the current epoch and only fired
+    /// windows (`end <= wm`) can see them. On-time partials are staged:
+    /// their slices lie strictly above the watermark, so no window fired
+    /// before the close covers them.
+    fn apply(&mut self, src: usize, parts: Vec<SlicePartial<A>>) {
+        #[cfg(feature = "sched-mutants")]
+        let parts = crate::mutants::double_if(crate::mutants::Mutant::ParDoubleApply, parts);
+        runtime::probe(ProbeEvent::Applied { src, items: parts.len() as u64 });
+        let wm = self.op.current_watermark();
+        for p in parts {
+            if wm != TIME_MIN && p.t_first <= wm {
+                // The straggler branch of `add_parallel_partial` flushes
+                // eager repairs itself before emitting.
+                self.op.add_parallel_partial(p, &mut self.sink.scratch);
             } else {
-                scratch.clear();
+                self.staged[src].push(p);
             }
-        };
-    while let Ok((w, msg)) = rx.recv() {
-        queues[w].push_back(msg);
-        // Drain the burst already queued before doing merge work.
-        for (w2, m2) in rx.try_iter() {
-            queues[w2].push_back(m2);
         }
-        apply_ready(f, &mut queues, &mut staged, &mut op, &mut scratch);
-        account(&mut scratch, &mut results, &mut count);
+        self.sink.settle();
     }
-    // Channel closed: every worker has shipped its tail. All watermark
-    // rounds complete because workers ack 1:1 with broadcasts; partials
-    // flushed after the last watermark stay staged — fold them in for
-    // state completeness (above the final watermark, they emit nothing).
-    apply_ready(f, &mut queues, &mut staged, &mut op, &mut scratch);
-    let tail = merge_partials_tree(f, staged.iter_mut().map(std::mem::take).collect());
-    if !tail.is_empty() {
-        op.merge_parallel_partials(tail, &mut scratch);
+
+    /// Every partial preceding the watermark in any worker's stream has
+    /// been staged or applied, so triggering is safe once the staged
+    /// lists land.
+    fn close(&mut self, wm: Time) {
+        self.land_staged();
+        self.op.process_watermark(wm, &mut self.sink.scratch);
+        self.sink.settle();
     }
-    account(&mut scratch, &mut results, &mut count);
-    debug_assert!(queues.iter().all(|q| q.is_empty()), "merge queues must drain at end of stream");
-    (results, count)
 }
 
 /// Runs one logical window aggregation with intra-query parallelism:
@@ -624,9 +544,21 @@ where
 
     runtime::scope(|scope| {
         let (mtx, mrx) = bounded::<(usize, MergeMsg<A>)>(cfg.channel_capacity.max(workers));
-        let collect = cfg.collect_results;
-        let merge_f = f.clone();
-        let merge = scope.spawn(move || merge_loop(mrx, op, &merge_f, workers, collect));
+        let mut stage = ParMerge {
+            f: f.clone(),
+            op,
+            staged: (0..workers).map(|_| Vec::new()).collect(),
+            sink: ResultSink::new(cfg.collect_results),
+        };
+        let merge = scope.spawn(move || {
+            merge_stage(mrx, workers, &mut stage);
+            // Partials flushed after the last watermark are still staged:
+            // fold them in for state completeness (above the final
+            // watermark, they emit nothing).
+            stage.land_staged();
+            stage.sink.settle();
+            stage.sink
+        });
 
         let mut gather = gather_whole(elements, cfg.batching);
         let spares = gather.open_returns(cfg.channel_capacity);
@@ -709,9 +641,9 @@ where
             report.fold_hits += hits;
             report.fold_misses += misses;
         }
-        let (results, count) = merge.join().expect("merge stage panicked");
-        report.result_count = count;
-        report.results = results.into_iter().map(|r| (0usize, r)).collect();
+        let sink = merge.join().expect("merge stage panicked");
+        report.result_count = sink.count;
+        report.results = sink.results.into_iter().map(|r| (0usize, r)).collect();
     });
 
     report.elapsed = start.elapsed();
@@ -743,23 +675,20 @@ where
     }
     let per_tuple = cfg.batching.is_per_tuple();
     let mut gather = gather_whole(elements, cfg.batching);
-    let mut scratch: Vec<WindowResult<A::Output>> = Vec::new();
+    let mut sink = ResultSink::new(cfg.collect_results);
     while let Some(event) = gather.next() {
         match event {
             Gathered::Records(_, mut chunk) => {
-                report.records += ingest_chunk(&mut op, &mut chunk, per_tuple, &mut scratch);
+                report.records += ingest_chunk(&mut op, &mut chunk, per_tuple, &mut sink.scratch);
                 gather.recycle(chunk);
             }
-            Gathered::Watermark(wm) => op.process_watermark(wm, &mut scratch),
-            Gathered::Punctuation(ts) => op.process_punctuation(ts, &mut scratch),
+            Gathered::Watermark(wm) => op.process_watermark(wm, &mut sink.scratch),
+            Gathered::Punctuation(ts) => op.process_punctuation(ts, &mut sink.scratch),
         }
-        report.result_count += scratch.len() as u64;
-        if cfg.collect_results {
-            report.results.extend(scratch.drain(..).map(|r| (0usize, r)));
-        } else {
-            scratch.clear();
-        }
+        sink.settle();
     }
+    report.result_count = sink.count;
+    report.results = sink.results.into_iter().map(|r| (0usize, r)).collect();
     let (fold_hits, fold_misses) = WindowAggregator::fold_stats(&op);
     report.fold_hits = fold_hits;
     report.fold_misses = fold_misses;
@@ -926,6 +855,27 @@ mod tests {
             assert_eq!(updates[0].value, 11);
             let got = finals(report.results.iter().map(|(_, r)| r));
             assert_eq!(got, sequential_finals(&elements, &tumbling(10), cfg));
+        }
+    }
+
+    #[test]
+    fn a_regressive_watermark_is_acked_and_ignored_by_the_operator() {
+        // The round closes at the barrier (every worker acks it) and the
+        // merge operator ignores it, like the sequential one.
+        let mut elements = stream_with_watermarks(300, 32);
+        let at = elements.iter().position(|e| matches!(e, StreamElement::Watermark(265))).unwrap();
+        elements.insert(at + 1, StreamElement::Watermark(100));
+        let cfg = OperatorConfig::out_of_order(30);
+        let expect = sequential_finals(&elements, &tumbling(25), cfg);
+        for workers in [1, 3] {
+            let report = run_parallel(
+                elements.iter().cloned(),
+                PipelineConfig::with_parallelism(workers).with_batch_size(8),
+                SumI64,
+                tumbling(25),
+                cfg,
+            );
+            assert_eq!(finals(report.results.iter().map(|(_, r)| r)), expect, "workers={workers}");
         }
     }
 

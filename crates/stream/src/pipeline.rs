@@ -129,6 +129,31 @@ where
     records
 }
 
+/// Where a driver stage's emissions go: operators append to `scratch`,
+/// [`settle`](ResultSink::settle) counts what is there and keeps it only
+/// when the run collects results.
+pub(crate) struct ResultSink<R> {
+    pub(crate) scratch: Vec<R>,
+    pub(crate) collect: bool,
+    pub(crate) results: Vec<R>,
+    pub(crate) count: u64,
+}
+
+impl<R> ResultSink<R> {
+    pub(crate) fn new(collect: bool) -> Self {
+        ResultSink { scratch: Vec::new(), collect, results: Vec::new(), count: 0 }
+    }
+
+    pub(crate) fn settle(&mut self) {
+        self.count += self.scratch.len() as u64;
+        if self.collect {
+            self.results.append(&mut self.scratch);
+        } else {
+            self.scratch.clear();
+        }
+    }
+}
+
 /// Outcome of a pipeline run.
 #[derive(Debug)]
 pub struct PipelineReport<O> {
@@ -304,31 +329,24 @@ where
             senders.push(tx);
             let mut op = make_operator(i);
             let spares = spares.clone();
-            let collect = cfg.collect_results;
+            let mut sink = ResultSink::new(cfg.collect_results);
             let per_tuple = cfg.batching.is_per_tuple();
             handles.push(scope.spawn(move || {
-                let mut results = Vec::new();
-                let mut scratch: Vec<WindowResult<A::Output>> = Vec::new();
                 let mut records = 0u64;
-                let mut count = 0u64;
                 for chunk in rx.iter() {
+                    let out = &mut sink.scratch;
                     match chunk {
                         Gathered::Records(_, mut chunk) => {
-                            records += ingest_chunk(&mut *op, &mut chunk, per_tuple, &mut scratch);
+                            records += ingest_chunk(&mut *op, &mut chunk, per_tuple, out);
                             give_back(&spares, chunk, i);
                         }
-                        Gathered::Watermark(wm) => op.on_watermark(wm, &mut scratch),
-                        Gathered::Punctuation(ts) => op.on_punctuation(ts, &mut scratch),
+                        Gathered::Watermark(wm) => op.on_watermark(wm, out),
+                        Gathered::Punctuation(ts) => op.on_punctuation(ts, out),
                     }
-                    count += scratch.len() as u64;
-                    if collect {
-                        results.append(&mut scratch);
-                    } else {
-                        scratch.clear();
-                    }
+                    sink.settle();
                 }
                 let (fold_hits, fold_misses) = op.fold_stats();
-                (results, count, records, fold_hits, fold_misses)
+                (sink, records, fold_hits, fold_misses)
             }));
         }
         drop(spares);
@@ -338,12 +356,12 @@ where
         drop(senders);
         report.batch_sizes = gather.into_sizes();
         for (i, h) in handles.into_iter().enumerate() {
-            let (results, count, records, hits, misses) = h.join().expect("worker panicked");
-            report.result_count += count;
+            let (sink, records, hits, misses) = h.join().expect("worker panicked");
+            report.result_count += sink.count;
             report.records += records;
             report.fold_hits += hits;
             report.fold_misses += misses;
-            report.results.extend(results.into_iter().map(|r| (i, r)));
+            report.results.extend(sink.results.into_iter().map(|r| (i, r)));
         }
     });
     report.elapsed = start.elapsed();

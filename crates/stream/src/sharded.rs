@@ -23,16 +23,14 @@
 //!   before **acking** a broadcast watermark. Acks are 1:1 with
 //!   broadcasts (even regressive ones, which the operator ignores), so
 //!   ack sequences align across shards.
-//! * The merge stage keeps one FIFO queue per shard and stages emission
-//!   batches per shard. The output epoch closes only when **every**
-//!   queue front is an ack (the epoch barrier, as in
-//!   [`run_parallel`](crate::parallel::run_parallel)): the global
-//!   watermark advances to the agreed ack value and the epoch's staged
-//!   emissions are released in one deterministic order — a stable sort
-//!   by key. Keys are disjoint across shards, so the stable sort
-//!   preserves each key's emission order while making the interleaving
-//!   independent of thread scheduling: the released sequence is a pure
-//!   function of the input stream.
+//! * The merge stage runs behind the epoch barrier, which
+//!   [`barrier`](crate::barrier) defines, and stages what the shards emit
+//!   until an epoch closes. Then the epoch's staged emissions are
+//!   released in one deterministic order: a stable sort by key. Keys are
+//!   disjoint across shards, so the stable sort preserves each key's
+//!   emission order while making the interleaving independent of thread
+//!   scheduling: the released sequence is a pure function of the input
+//!   stream.
 //!
 //! Per key, the released emissions are exactly those of a
 //! single-threaded [`KeyedWindowOperator`](gss_core::KeyedWindowOperator)
@@ -43,20 +41,21 @@
 //! Emissions after the last watermark (tail records, punctuation-driven
 //! closes) are released, key-sorted, at end of stream.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use crossbeam::runtime::{self, bounded, Receiver, Sender};
 use crossbeam::sched::ProbeEvent;
 use gss_core::{
     fx_hash_u64, AggregateFunction, PerKey, StreamElement, Time, WindowAggregator, WindowResult,
-    TIME_MAX,
 };
 
+use crate::barrier::{merge_stage, Msg, Stage};
 use crate::batching::{give_back, Gather, Gathered, RecordChunk};
 use crate::metrics::LatencyHistogram;
 use crate::parallel::send_timed;
-use crate::pipeline::{deliver, ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport};
+use crate::pipeline::{
+    deliver, ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport, ResultSink,
+};
 
 /// Shard-side emission ship threshold, in buffered window results.
 /// Bounds shard memory between watermarks; the merge stage stages
@@ -74,20 +73,9 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     (fx_hash_u64(key) % shards.max(1) as u64) as usize
 }
 
-/// Message from a shard to the merge stage.
-enum ShardMsg<O> {
-    /// Key-tagged window results in shard emission order.
-    Emits(Vec<WindowResult<O>>),
-    /// Ack of a broadcast watermark: every emission this shard produced
-    /// before acking has already been shipped.
-    Ack(Time),
-}
-
-/// Shard-tagged merge-stage payload: which shard sent the message.
-type TaggedMsg<O> = (usize, ShardMsg<(u64, O)>);
-
-/// Released output: each result tagged with the shard that produced it.
-type TaggedResults<O> = Vec<(usize, WindowResult<(u64, O)>)>;
+/// Shard-tagged merge-stage payload: a batch of key-tagged window
+/// results in shard emission order, or a watermark ack.
+type TaggedMsg<O> = (usize, Msg<Vec<WindowResult<(u64, O)>>>);
 
 /// One shard thread: drive the keyed operator over this shard's records
 /// plus every broadcast watermark/punctuation, ship emissions in bulk,
@@ -107,7 +95,7 @@ fn shard_loop<A: AggregateFunction>(
     let ship = |pending: &mut Vec<WindowResult<(u64, A::Output)>>, wait: &mut LatencyHistogram| {
         if !pending.is_empty() {
             let shipped = pending.len() as u64;
-            send_timed(&tx, (me, ShardMsg::Emits(std::mem::take(pending))), wait);
+            send_timed(&tx, (me, Msg::Batch(std::mem::take(pending))), wait);
             runtime::probe(ProbeEvent::Shipped { src: me, items: shipped });
         }
     };
@@ -129,7 +117,7 @@ fn shard_loop<A: AggregateFunction>(
                 // shard produced up to the watermark is with the merge
                 // stage, so the barrier can close the epoch.
                 ship(&mut pending, &mut wait);
-                send_timed(&tx, (me, ShardMsg::Ack(wm)), &mut wait);
+                send_timed(&tx, (me, Msg::Ack(wm)), &mut wait);
             }
         }
     }
@@ -139,112 +127,45 @@ fn shard_loop<A: AggregateFunction>(
     (records, wait, fold_hits, fold_misses)
 }
 
-/// Releases one closed epoch: drains every shard's staged emissions and
-/// appends them in deterministic order — a stable sort by key, which
-/// preserves per-key (= per-shard) emission order because keys are
-/// disjoint across shards.
-fn release_epoch<O>(
-    staged: &mut [Vec<WindowResult<(u64, O)>>],
-    results: &mut Vec<(usize, WindowResult<(u64, O)>)>,
-    count: &mut u64,
-    collect: bool,
-) {
-    let mut epoch: Vec<(usize, WindowResult<(u64, O)>)> = Vec::new();
-    for (shard, list) in staged.iter_mut().enumerate() {
-        if shard == 0 && crate::mutants::is(crate::mutants::Mutant::ShardDropStaged) {
-            list.clear();
-            continue;
+/// The merge stage behind the epoch barrier: emissions staged per shard,
+/// and the released output, each result tagged with its shard.
+struct ShardMerge<O> {
+    staged: Vec<Vec<WindowResult<(u64, O)>>>,
+    sink: ResultSink<(usize, WindowResult<(u64, O)>)>,
+}
+
+impl<O> ShardMerge<O> {
+    /// Releases everything staged in deterministic order — a stable sort
+    /// by key, which preserves per-key (= per-shard) emission order
+    /// because keys are disjoint across shards.
+    fn release(&mut self) {
+        let epoch = &mut self.sink.scratch;
+        for (shard, list) in self.staged.iter_mut().enumerate() {
+            if shard == 0 && crate::mutants::is(crate::mutants::Mutant::ShardDropStaged) {
+                list.clear();
+                continue;
+            }
+            epoch.extend(list.drain(..).map(|r| (shard, r)));
         }
-        epoch.extend(list.drain(..).map(|r| (shard, r)));
-    }
-    *count += epoch.len() as u64;
-    runtime::probe(ProbeEvent::Released { items: epoch.len() as u64 });
-    if collect {
-        epoch.sort_by_key(|(_, r)| r.value.0);
-        results.append(&mut epoch);
+        runtime::probe(ProbeEvent::Released { items: epoch.len() as u64 });
+        if self.sink.collect {
+            epoch.sort_by_key(|(_, r)| r.value.0);
+        }
+        self.sink.settle();
     }
 }
 
-/// The merge stage: one FIFO queue per shard, epoch-barrier release.
-/// Returns `(results, result count)`.
-fn merge_loop<O>(
-    rx: Receiver<TaggedMsg<O>>,
-    shards: usize,
-    collect: bool,
-) -> (TaggedResults<O>, u64) {
-    let mut queues: Vec<VecDeque<ShardMsg<(u64, O)>>> =
-        (0..shards).map(|_| VecDeque::new()).collect();
-    let mut staged: Vec<Vec<WindowResult<(u64, O)>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut results = Vec::new();
-    let mut count = 0u64;
-    let apply_ready = |queues: &mut Vec<VecDeque<ShardMsg<(u64, O)>>>,
-                       staged: &mut Vec<Vec<WindowResult<(u64, O)>>>,
-                       results: &mut Vec<(usize, WindowResult<(u64, O)>)>,
-                       count: &mut u64| {
-        loop {
-            let mut progressed = false;
-            for (shard, q) in queues.iter_mut().enumerate() {
-                while matches!(q.front(), Some(ShardMsg::Emits(_))) {
-                    let Some(ShardMsg::Emits(batch)) = q.pop_front() else { unreachable!() };
-                    runtime::probe(ProbeEvent::Applied { src: shard, items: batch.len() as u64 });
-                    staged[shard].extend(batch);
-                    progressed = true;
-                }
-            }
-            let fire = if crate::mutants::is(crate::mutants::Mutant::ShardEagerRelease) {
-                queues.iter().any(|q| matches!(q.front(), Some(ShardMsg::Ack(_))))
-            } else {
-                queues.iter().all(|q| matches!(q.front(), Some(ShardMsg::Ack(_))))
-            };
-            if fire {
-                // Epoch barrier: every shard has shipped everything it
-                // emitted up to this watermark. Acks ride FIFO channels
-                // off a stream-ordered broadcast, so the fronts agree;
-                // min is defensive.
-                let mut wm = TIME_MAX;
-                let mut acks = 0u64;
-                for (src, q) in queues.iter_mut().enumerate() {
-                    // Healthy runs pop every front (the `all` gate above
-                    // guarantees they are acks); the eager-release mutant
-                    // skips shards that have not acked yet.
-                    let w = match q.front() {
-                        Some(ShardMsg::Ack(w)) => *w,
-                        _ => continue,
-                    };
-                    q.pop_front();
-                    runtime::probe(ProbeEvent::AckSeen { src, wm: w });
-                    gss_core::audit_assert!(
-                        wm == TIME_MAX || w == wm,
-                        "sharded barrier acks disagree: {w} vs {wm} (FIFO broadcast broken)"
-                    );
-                    wm = wm.min(w);
-                    acks += 1;
-                }
-                runtime::probe(ProbeEvent::Barrier { wm, acks });
-                release_epoch(staged, results, count, collect);
-                progressed = true;
-            }
-            if !progressed {
-                return;
-            }
-        }
-    };
-    while let Ok((shard, msg)) = rx.recv() {
-        queues[shard].push_back(msg);
-        // Drain the burst already queued before doing merge work.
-        for (s2, m2) in rx.try_iter() {
-            queues[s2].push_back(m2);
-        }
-        apply_ready(&mut queues, &mut staged, &mut results, &mut count);
+impl<O> Stage<Vec<WindowResult<(u64, O)>>> for ShardMerge<O> {
+    fn apply(&mut self, src: usize, batch: Vec<WindowResult<(u64, O)>>) {
+        runtime::probe(ProbeEvent::Applied { src, items: batch.len() as u64 });
+        self.staged[src].extend(batch);
     }
-    // Channel closed: every shard has shipped its tail. All barrier
-    // rounds complete because shards ack 1:1 with broadcasts; whatever
-    // is still staged was emitted after the final watermark — release it
-    // as the closing epoch, in the same deterministic key order.
-    apply_ready(&mut queues, &mut staged, &mut results, &mut count);
-    release_epoch(&mut staged, &mut results, &mut count, collect);
-    debug_assert!(queues.iter().all(|q| q.is_empty()), "merge queues must drain at end of stream");
-    (results, count)
+
+    /// Every shard has shipped everything it emitted up to this
+    /// watermark: the epoch is complete.
+    fn close(&mut self, _wm: Time) {
+        self.release();
+    }
 }
 
 /// Runs a keyed window aggregation sharded by key hash across
@@ -306,10 +227,19 @@ where
     report.shards = shards;
 
     runtime::scope(|scope| {
-        let (mtx, mrx) =
-            bounded::<(usize, ShardMsg<(u64, A::Output)>)>(cfg.channel_capacity.max(shards));
-        let collect = cfg.collect_results;
-        let merge = scope.spawn(move || merge_loop(mrx, shards, collect));
+        let (mtx, mrx) = bounded::<TaggedMsg<A::Output>>(cfg.channel_capacity.max(shards));
+        let mut stage = ShardMerge {
+            staged: (0..shards).map(|_| Vec::new()).collect(),
+            sink: ResultSink::new(cfg.collect_results),
+        };
+        let merge = scope.spawn(move || {
+            merge_stage(mrx, shards, &mut stage);
+            // Whatever is still staged was emitted after the final
+            // watermark: release it as the closing epoch, in the same
+            // deterministic key order.
+            stage.release();
+            stage.sink
+        });
 
         // Router: the gather stage keeps one chunk builder per shard, so
         // the columnar path survives the split; the key both routes and
@@ -343,9 +273,9 @@ where
             report.fold_hits += hits;
             report.fold_misses += misses;
         }
-        let (results, count) = merge.join().expect("merge stage panicked");
-        report.result_count = count;
-        report.results = results;
+        let sink = merge.join().expect("merge stage panicked");
+        report.result_count = sink.count;
+        report.results = sink.results;
     });
 
     report.elapsed = start.elapsed();
@@ -466,6 +396,28 @@ mod tests {
                 &factory,
             ));
             assert_eq!(one, again, "released order must not depend on scheduling");
+        }
+    }
+
+    #[test]
+    fn a_regressive_watermark_is_a_round_like_any_other() {
+        // Every shard acks the regressive broadcast and the barrier closes
+        // it: the straggler updates emitted since the round before are
+        // released there, as the reference's per-watermark epochs have it.
+        let mut elements = make_elements(300, 8);
+        let late = (0..8).map(|k| StreamElement::Record { ts: 20 + k, value: (k as u64, 100) });
+        let at = elements.iter().position(|e| matches!(e, StreamElement::Watermark(139))).unwrap();
+        elements.splice(at + 1..at + 1, late.chain([StreamElement::Watermark(50)]));
+        let factory = shared_factory(1_000);
+        let expect = reference(&elements, &factory);
+        assert!(expect.iter().any(|e| e.4), "the stragglers must produce updates");
+        for shards in [1, 3] {
+            let report = run_sharded_keyed(
+                elements.iter().cloned(),
+                PipelineConfig::with_parallelism(shards).with_batch_size(4),
+                &factory,
+            );
+            assert_eq!(flat(&report), expect, "shards={shards}");
         }
     }
 

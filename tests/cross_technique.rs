@@ -161,6 +161,61 @@ fn ooo_capable_techniques_agree_with_sessions() {
     assert!(!slicing.is_empty());
 }
 
+/// The late-drop horizon is `watermark - allowed_lateness`, saturating: a
+/// negative watermark under an unbounded lateness must not wrap (release)
+/// or panic (debug) into dropping a tuple no horizon excludes.
+#[test]
+fn unbounded_lateness_keeps_late_tuples_below_a_negative_watermark() {
+    let lateness = Time::MAX;
+    let window = || Box::new(TumblingWindow::new(10)) as Box<dyn WindowFunction>;
+    let drive = |agg: &mut dyn WindowAggregator<Sum>| {
+        let mut out = Vec::new();
+        agg.process(-100, 1, &mut out);
+        agg.process(-50, 2, &mut out);
+        agg.on_watermark(-60, &mut out);
+        agg.process(-95, 40, &mut out); // late, and kept
+        out
+    };
+    let kept = |name: &str, out: &[WindowResult<i64>]| {
+        let updates: Vec<_> = out.iter().filter(|r| r.is_update).collect();
+        assert_eq!(updates.len(), 1, "{name}: {out:?}");
+        assert_eq!((updates[0].range, updates[0].value), (Range::new(-100, -90), 41), "{name}");
+    };
+
+    let mut op = SlicingOp::new(Sum, OperatorConfig::out_of_order(lateness));
+    op.add_query(window()).unwrap();
+    kept("general slicing", &drive(&mut op));
+    assert_eq!(op.stats().dropped_late, 0);
+
+    let mut tb = TupleBuffer::new(Sum, StreamOrder::OutOfOrder, lateness);
+    tb.add_query(window());
+    kept("tuple buffer", &drive(&mut tb));
+    let mut at = AggregateTree::new(Sum, StreamOrder::OutOfOrder, lateness);
+    at.add_query(window());
+    kept("aggregate tree", &drive(&mut at));
+    let mut bk = Buckets::new(Sum, BucketMode::Aggregate, StreamOrder::OutOfOrder, lateness);
+    bk.add_query(window());
+    kept("buckets", &drive(&mut bk));
+
+    let elements = [
+        StreamElement::Record { ts: -100, value: 1 },
+        StreamElement::Record { ts: -50, value: 2 },
+        StreamElement::Watermark(-60),
+        StreamElement::Record { ts: -95, value: 40 },
+        StreamElement::Watermark(-55),
+    ];
+    let report = run_parallel(
+        elements,
+        PipelineConfig::with_parallelism(2).with_batch_size(1),
+        Sum,
+        vec![window()],
+        OperatorConfig::out_of_order(lateness),
+    );
+    assert_eq!(report.parallel_workers, 2);
+    let out: Vec<_> = report.results.into_iter().map(|(_, r)| r).collect();
+    kept("run_parallel", &out);
+}
+
 #[test]
 fn count_windows_agree_between_slicing_and_tuple_buffer() {
     let tuples = sorted_workload();

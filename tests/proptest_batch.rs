@@ -227,45 +227,6 @@ proptest! {
         }
     }
 
-    /// Pairs, Cutty, and Panes fold in-order runs into their open partial
-    /// with one combine; pin the fast path against per-tuple processing.
-    #[test]
-    fn batch_fast_path_matches_for_pairs_cutty_panes(
-        raw in prop::collection::vec((0i64..2_000, -50i64..50), 1..150),
-        length in 1i64..50,
-        slide in 1i64..50,
-        batch_size in 1usize..70,
-    ) {
-        let tuples = sorted(&raw);
-        let elements: Vec<StreamElement<i64>> =
-            tuples.iter().map(|&(ts, value)| StreamElement::Record { ts, value }).collect();
-        let (length, slide) = (length.max(slide), slide);
-
-        let mut p1 = Pairs::new(Sum);
-        p1.add_query(length, slide);
-        let mut p2 = Pairs::new(Sum);
-        p2.add_query(length, slide);
-        let a = drive_per_tuple(&mut p1, &elements);
-        let b = drive_batched(&mut p2, &elements, batch_size);
-        prop_assert_eq!(a, b, "pairs diverged at batch size {}", batch_size);
-
-        let mut c1 = Cutty::new(Sum);
-        c1.add_query(Box::new(SlidingWindow::new(length, slide)));
-        let mut c2 = Cutty::new(Sum);
-        c2.add_query(Box::new(SlidingWindow::new(length, slide)));
-        let a = drive_per_tuple(&mut c1, &elements);
-        let b = drive_batched(&mut c2, &elements, batch_size);
-        prop_assert_eq!(a, b, "cutty diverged at batch size {}", batch_size);
-
-        let mut n1 = Panes::new(Sum);
-        n1.add_query(length, slide);
-        let mut n2 = Panes::new(Sum);
-        n2.add_query(length, slide);
-        let a = drive_per_tuple(&mut n1, &elements);
-        let b = drive_batched(&mut n2, &elements, batch_size);
-        prop_assert_eq!(a, b, "panes diverged at batch size {}", batch_size);
-    }
-
     /// The PR 2 out-of-order grid (paper Figure 11 setup): allowed
     /// lateness {0, 50, 500} × disorder {0%, 5%, 10%, 15%, 20%, 50%} ×
     /// batch sizes {1, 64, 512, 4096}, lazy, eager, and finger-tree
