@@ -86,6 +86,49 @@ impl AggregateFunction for Concat {
     }
 }
 
+/// Integer sum that fails on request: `lift` panics on
+/// [`PoisonSum::LIFT`] and `combine` on a partial of
+/// [`PoisonSum::COMBINE`], each with the payload [`PoisonSum::MESSAGE`] —
+/// the user function that fails at a chosen tuple in the stream drivers'
+/// failure tests.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PoisonSum;
+
+impl PoisonSum {
+    pub const LIFT: i64 = i64::MIN + 1;
+    pub const COMBINE: i64 = i64::MIN + 2;
+    pub const MESSAGE: &'static str = "poisoned aggregate";
+}
+
+impl AggregateFunction for PoisonSum {
+    type Input = i64;
+    type Partial = i64;
+    type Output = i64;
+
+    fn lift(&self, v: &i64) -> i64 {
+        if *v == Self::LIFT {
+            std::panic::panic_any(Self::MESSAGE);
+        }
+        *v
+    }
+    fn combine(&self, a: i64, b: &i64) -> i64 {
+        if a == Self::COMBINE || *b == Self::COMBINE {
+            std::panic::panic_any(Self::MESSAGE);
+        }
+        a + b
+    }
+    fn lower(&self, p: &i64) -> i64 {
+        *p
+    }
+    fn properties(&self) -> FunctionProperties {
+        FunctionProperties {
+            commutative: true,
+            invertible: false,
+            kind: FunctionKind::Distributive,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -82,7 +82,7 @@ impl<B> EpochBarrier<B> {
     /// Hands `stage` everything the queues allow: front batches, then —
     /// while every front is an ack — one closed epoch and the batches
     /// behind it, until some source has nothing queued.
-    pub fn advance(&mut self, stage: &mut impl Stage<B>) {
+    pub fn advance(&mut self, stage: &mut (impl Stage<B> + ?Sized)) {
         loop {
             for (src, q) in self.queues.iter_mut().enumerate() {
                 while let Some(Msg::Batch(_)) = q.front() {
@@ -120,11 +120,14 @@ impl<B> EpochBarrier<B> {
 
 /// Runs `stage` behind `rx` until every source has hung up: each wake-up
 /// takes the burst already queued, then advances the barrier once.
+/// Returns whether the queues drained. They do when the stream ended —
+/// sources ack 1:1 with broadcasts and ship their tail before hanging up
+/// — and need not when a source failed, short of an ack the others sent.
 pub(crate) fn merge_stage<B>(
     rx: Receiver<(usize, Msg<B>)>,
     sources: usize,
-    stage: &mut impl Stage<B>,
-) {
+    stage: &mut (impl Stage<B> + ?Sized),
+) -> bool {
     let mut barrier = EpochBarrier::new(sources);
     while let Ok((src, msg)) = rx.recv() {
         barrier.push(src, msg);
@@ -133,9 +136,7 @@ pub(crate) fn merge_stage<B>(
         }
         barrier.advance(stage);
     }
-    // Sources ack 1:1 with broadcasts and ship their tail before hanging
-    // up, so the last advance left nothing behind.
-    debug_assert!(barrier.is_drained(), "merge queues must drain at end of stream");
+    barrier.is_drained()
 }
 
 #[cfg(test)]
@@ -253,6 +254,24 @@ mod tests {
         b.advance(&mut log);
         assert_eq!(log.0, [Apply(0, 1)]);
         assert!(!b.is_drained(), "the ack and the batch behind it wait for source 1");
+    }
+
+    #[test]
+    fn merge_stage_reports_whether_the_stream_drained() {
+        // Source 1 hangs up short of the ack source 0 sent: a failed run.
+        // What it did send is applied, the epoch stays open, and the stage
+        // is told so instead of the thread asserting.
+        for (last, drained) in [(Batch(3), false), (Ack(10), true)] {
+            let (tx, rx) = runtime::bounded(8);
+            for msg in [(0, Batch(1)), (0, Ack(10)), (0, Batch(2)), (1, last)] {
+                tx.send(msg).unwrap();
+            }
+            drop(tx);
+            let mut log = Log::default();
+            assert_eq!(merge_stage(rx, 2, &mut log), drained);
+            let closed = log.0.contains(&Close(10));
+            assert_eq!(closed, drained, "{:?}", log.0);
+        }
     }
 
     #[cfg(feature = "audit")]

@@ -353,13 +353,12 @@ type Stop<V> = Option<Gathered<V>>;
 /// watermark, a punctuation or the end of the stream first hands out
 /// every pending chunk, in destination order.
 ///
-/// Shipped buffers come back: a driver that consumes its chunks itself
-/// [`recycle`](Gather::recycle)s them, the workers of a threaded one
-/// [`give_back`] theirs over the return channel the driver
-/// [`open`](Gather::open_returns)ed, and the stage refills a builder from
-/// either, allocating only when none is waiting. Both ends of that channel
-/// are non-blocking: it cannot deadlock, and a buffer that finds it full
-/// is freed. (DESIGN.md, "The gather stage" / "The return channel".)
+/// Shipped buffers come back: the workers [`give_back`] theirs over the
+/// return channel the driver [`open`](Gather::open_returns)ed, and the
+/// stage refills a builder from it, allocating only when none is waiting.
+/// Both ends of that channel are non-blocking: it cannot deadlock, and a
+/// buffer that finds it full is freed. (DESIGN.md, "The gather stage" /
+/// "The return channel".)
 pub(crate) struct Gather<I, V, S, R> {
     elements: I,
     /// Splits a record's value into its routing key and the payload the
@@ -368,8 +367,6 @@ pub(crate) struct Gather<I, V, S, R> {
     /// Maps `(key, destinations)` to a destination; never called with one.
     assign: R,
     builders: Vec<ChunkBuilder<V>>,
-    /// The buffer the driver [`recycle`](Gather::recycle)d last.
-    spare: Option<RecordChunk<V>>,
     /// The return channel, once [`open`](Gather::open_returns)ed.
     returns: Option<Receiver<RecordChunk<V>>>,
     /// Events of the flush in progress: the flushed chunks, then the
@@ -411,7 +408,6 @@ where
             split,
             assign,
             builders: (0..destinations.max(1)).map(|_| ChunkBuilder::new(mode)).collect(),
-            spare: None,
             returns: None,
             ready: VecDeque::new(),
             ended: false,
@@ -425,13 +421,6 @@ where
         let (tx, rx) = bounded(capacity.max(1));
         self.returns = Some(rx);
         tx
-    }
-
-    /// Takes back a chunk the driver itself has consumed: its buffer
-    /// refills the next builder that ships.
-    pub(crate) fn recycle(&mut self, mut chunk: RecordChunk<V>) {
-        chunk.clear();
-        self.spare = Some(chunk);
     }
 
     /// The next event, or `None` once the stream has ended and every
@@ -497,13 +486,12 @@ where
     /// builder with a buffer that came back (with nothing once the stream
     /// has ended).
     fn ship(&mut self, dst: usize) {
-        let Gather { spare, returns, ended, .. } = self;
+        let Gather { returns, ended, .. } = self;
         let chunk = self.builders[dst].swap(|target| {
             if *ended {
                 return RecordChunk::with_capacity(0);
             }
-            let back = spare.take().or_else(|| returns.as_ref()?.try_recv().ok());
-            let Some(back) = back else {
+            let Some(back) = returns.as_ref().and_then(|rx| rx.try_recv().ok()) else {
                 return RecordChunk::with_capacity(target);
             };
             gss_core::audit_assert!(back.is_empty(), "a returned chunk buffer was not empty");
@@ -927,25 +915,6 @@ mod tests {
             give_back(&spares, RecordChunk::with_capacity(2), 0);
         }
         assert_eq!(take().times(), &[6, 7]);
-    }
-
-    #[test]
-    fn a_driver_that_consumes_its_chunks_needs_two_buffers_and_no_channel() {
-        let elements = (0..40).map(|i| StreamElement::Record { ts: i, value: i });
-        let mut gather = gather_whole(elements, Batching::Fixed(4));
-        let mut buffers = Vec::new();
-        let mut records = Vec::new();
-        while let Some(Gathered::Records(0, chunk)) = gather.next() {
-            buffers.push(chunk.times().as_ptr());
-            records.extend_from_slice(chunk.values());
-            gather.recycle(chunk);
-        }
-        assert_eq!(records, (0..40).collect::<Vec<_>>());
-        // The chunk in the driver's hands and the one being filled swap
-        // roles from the third chunk on.
-        assert_eq!(buffers.len(), 10);
-        assert!(buffers.iter().zip(&buffers[2..]).all(|(a, b)| a == b));
-        assert_ne!(buffers[0], buffers[1]);
     }
 
     fn elements_strategy() -> impl Strategy<Value = Vec<Keyed>> {

@@ -8,6 +8,8 @@
 pub mod barrier;
 pub mod batching;
 pub mod builder;
+pub mod driver;
+mod host;
 pub mod metrics;
 pub mod mutants;
 pub mod parallel;
@@ -18,6 +20,7 @@ pub mod watermark;
 
 pub use batching::{Batching, ChunkBuilder, RecordChunk};
 pub use builder::{KeyedPipeline, Pipeline};
+pub use driver::PipelineError;
 pub use metrics::{BatchSizeHistogram, LatencyHistogram};
 pub use parallel::{parallel_eligible, run_parallel};
 pub use pipeline::{

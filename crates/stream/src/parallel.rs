@@ -14,8 +14,9 @@
 //!
 //! ## Two-stage protocol
 //!
-//! * The driver deals record chunks round-robin to workers and broadcasts
-//!   every watermark to all of them, in stream order.
+//! * The dealer — this driver's route on the [skeleton](crate::driver) —
+//!   deals record chunks round-robin to workers and broadcasts every
+//!   watermark to all of them, in stream order.
 //! * A worker folds each on-time tuple into a per-slice partial keyed by
 //!   the slice covering its timestamp, and flushes the accumulated
 //!   partials to the merge stage when it sees a watermark (then **acks**
@@ -43,7 +44,7 @@
 //!
 //! ## In-order streams
 //!
-//! In-order configs emit per tuple, not per watermark, so the driver
+//! In-order configs emit per tuple, not per watermark, so the dealer
 //! *synthesizes* the missing watermarks: after dealing a full
 //! round-robin round of chunks it broadcasts `max_ts - 1` (every future
 //! record of a non-decreasing stream has `ts >= max_ts`, so nothing is
@@ -66,24 +67,26 @@
 //!
 //! Ineligible workloads — count measures, context-aware windows
 //! (sessions, punctuation), non-commutative functions, or forced tuple
-//! storage — fall back to one sequential operator on the calling
-//! thread; [`PipelineReport::parallel_workers`] reports which path ran.
+//! storage — fall back to one sequential operator, hosted by a single
+//! worker; [`PipelineReport::parallel_workers`] reports which path ran.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
-use crossbeam::runtime::{self, bounded, Receiver, Sender, TrySendError};
+use crossbeam::runtime;
 use crossbeam::sched::ProbeEvent;
 use gss_core::{
     merge_partials_tree, AggregateFunction, ContextClass, Measure, OperatorConfig, Query, QueryId,
-    SlicePartial, StreamElement, StreamOrder, Time, Timeline, WindowAggregator, WindowFunction,
-    WindowOperator, WindowResult, TIME_MIN,
+    SlicePartial, StreamElement, StreamOrder, Time, Timeline, WindowFunction, WindowOperator,
+    WindowResult, TIME_MIN,
 };
 
-use crate::barrier::{merge_stage, Msg, Stage};
-use crate::batching::{gather_whole, give_back, Gathered, RecordChunk};
-use crate::metrics::LatencyHistogram;
-use crate::pipeline::{ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport, ResultSink};
+use crate::barrier::Stage;
+use crate::batching::{gather_whole, Gathered, RecordChunk};
+use crate::driver::{
+    self, by_destination, deliver, Emitted, Merge, PipelineError, Senders, Uplink, Worker,
+};
+use crate::host::{Hosted, ResultSink};
+use crate::pipeline::{PipelineConfig, PipelineReport};
 
 /// Worker-side flush threshold, in timeline slices plus buffered
 /// straggler partials. Bounds worker memory between watermarks; each
@@ -100,7 +103,7 @@ const FLUSH_SLICE_CAP: usize = 4096;
 /// derivable without coordination). Both stream orders qualify:
 /// out-of-order configs ship their explicit watermarks through the epoch
 /// barrier, and in-order configs (which emit per tuple) get watermarks
-/// synthesized by the driver (see the module docs).
+/// synthesized by the dealer (see the module docs).
 pub fn parallel_eligible<A: AggregateFunction>(
     f: &A,
     windows: &[Box<dyn WindowFunction>],
@@ -116,24 +119,9 @@ pub fn parallel_eligible<A: AggregateFunction>(
         })
 }
 
-/// What a worker sends the merge stage: batches of pre-aggregated slice
+/// A worker's edge to the merge stage: batches of pre-aggregated slice
 /// partials, disjoint per batch, and watermark acks.
-type MergeMsg<A> = Msg<Vec<SlicePartial<A>>>;
-
-/// Sends with backpressure accounting: the fast path is a non-blocking
-/// `try_send`; when the merge stage's queue is full the blocking fallback
-/// is timed, so the recorded latency *is* the queue wait.
-pub(crate) fn send_timed<T>(tx: &Sender<T>, msg: T, wait: &mut LatencyHistogram) {
-    match tx.try_send(msg) {
-        Ok(()) => wait.record_ns(0),
-        Err(TrySendError::Full(v)) => {
-            let t0 = Instant::now();
-            tx.send(v).expect("merge stage hung up");
-            wait.record(t0.elapsed());
-        }
-        Err(TrySendError::Disconnected(_)) => panic!("merge stage hung up"),
-    }
-}
+type Up<'a, A> = Uplink<'a, Vec<SlicePartial<A>>>;
 
 /// One in-flight per-slice accumulator on a worker.
 struct Acc<A: AggregateFunction> {
@@ -355,7 +343,7 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
     /// batch) and every accumulated partial in **one** batch message,
     /// then resets the timeline (boundary math is stateless, so it
     /// regrows exact spans on demand).
-    fn flush(&mut self, tx: &Sender<(usize, MergeMsg<A>)>, me: usize, wait: &mut LatencyHistogram) {
+    fn flush(&mut self, up: &mut Up<'_, A>) {
         if self.filled > 0 || !self.stragglers.is_empty() {
             let mut parts = Vec::with_capacity(self.stragglers.len() + self.filled);
             parts.append(&mut self.stragglers);
@@ -374,8 +362,7 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
             }
             self.filled = 0;
             let shipped = parts.len() as u64;
-            send_timed(tx, (me, Msg::Batch(parts)), wait);
-            runtime::probe(ProbeEvent::Shipped { src: me, items: shipped });
+            up.ship(parts, shipped);
         }
         self.accs.clear();
         self.timeline.clear();
@@ -383,45 +370,37 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
     }
 }
 
-/// One worker thread: fold records into per-slice partials, flush + ack
-/// on every watermark. Returns `(records, queue-wait histogram,
-/// fold hits, fold misses)`.
-fn worker_loop<A: AggregateFunction>(
-    rx: Receiver<Gathered<A::Input>>,
-    tx: Sender<(usize, MergeMsg<A>)>,
-    spares: Sender<RecordChunk<A::Input>>,
-    me: usize,
-    mut slicer: WorkerSlicer<A>,
-) -> (u64, LatencyHistogram, u64, u64) {
-    let mut wait = LatencyHistogram::new();
-    let mut records = 0u64;
-    for chunk in rx.iter() {
-        match chunk {
-            Gathered::Records(_, chunk) => {
-                records += chunk.len() as u64;
-                slicer.ingest_chunk(&chunk);
-                give_back(&spares, chunk, me);
-                if slicer.timeline.len() + slicer.stragglers.len() >= FLUSH_SLICE_CAP {
-                    slicer.flush(&tx, me, &mut wait);
-                }
-            }
-            // The driver turns punctuations into watermark rounds.
-            Gathered::Punctuation(_) => {}
-            Gathered::Watermark(wm) => {
-                // Flush, then ack: after the ack every pre-watermark
-                // tuple this worker received is with the merge stage.
-                // Every watermark is acked — even a regressive one, which
-                // the operator ignores — so ack sequences align across
-                // workers and the merge barrier stays in lockstep.
-                slicer.flush(&tx, me, &mut wait);
-                send_timed(&tx, (me, Msg::Ack(wm)), &mut wait);
-                slicer.wm = slicer.wm.max(wm);
-            }
+/// One worker: fold records into per-slice partials, flush + ack on every
+/// watermark.
+impl<A> Worker<A::Input, Vec<SlicePartial<A>>, A::Output> for WorkerSlicer<A>
+where
+    A: AggregateFunction,
+{
+    fn records(&mut self, chunk: &mut RecordChunk<A::Input>, up: &mut Up<'_, A>) {
+        self.ingest_chunk(chunk);
+        if self.timeline.len() + self.stragglers.len() >= FLUSH_SLICE_CAP {
+            self.flush(up);
         }
     }
-    // End of stream: ship whatever is still pending.
-    slicer.flush(&tx, me, &mut wait);
-    (records, wait, slicer.fold_hits, slicer.fold_misses)
+
+    /// Flush, then ack: after the ack every pre-watermark tuple this
+    /// worker received is with the merge stage. Every watermark is acked
+    /// — even a regressive one, which the operator ignores — so ack
+    /// sequences align across workers and the merge barrier stays in
+    /// lockstep.
+    fn watermark(&mut self, wm: Time, up: &mut Up<'_, A>) {
+        self.flush(up);
+        up.ack(wm);
+        self.wm = self.wm.max(wm);
+    }
+
+    /// The dealer turns punctuations into watermark rounds.
+    fn punctuation(&mut self, _: Time, _: &mut Up<'_, A>) {}
+
+    fn end(mut self, up: &mut Up<'_, A>) -> ((u64, u64), Emitted<A::Output>) {
+        self.flush(up);
+        ((self.fold_hits, self.fold_misses), Emitted::default())
+    }
 }
 
 /// The merge stage behind the epoch barrier: the authoritative operator,
@@ -445,11 +424,8 @@ impl<A: AggregateFunction> ParMerge<A> {
 }
 
 impl<A: AggregateFunction> Stage<Vec<SlicePartial<A>>> for ParMerge<A> {
-    /// Stragglers (at or below the authoritative watermark) apply at once
-    /// — their update emissions belong to the current epoch and only fired
-    /// windows (`end <= wm`) can see them. On-time partials are staged:
-    /// their slices lie strictly above the watermark, so no window fired
-    /// before the close covers them.
+    /// Stragglers (at or below the authoritative watermark) apply at once,
+    /// on-time partials are staged (module docs).
     fn apply(&mut self, src: usize, parts: Vec<SlicePartial<A>>) {
         #[cfg(feature = "sched-mutants")]
         let parts = crate::mutants::double_if(crate::mutants::Mutant::ParDoubleApply, parts);
@@ -477,14 +453,31 @@ impl<A: AggregateFunction> Stage<Vec<SlicePartial<A>>> for ParMerge<A> {
     }
 }
 
+impl<A> Merge<Vec<SlicePartial<A>>, A::Output> for ParMerge<A>
+where
+    A: AggregateFunction,
+    A::Output: Send,
+{
+    /// Partials flushed after the last watermark are still staged: fold
+    /// them in for state completeness (above the final watermark, they
+    /// emit nothing).
+    fn finish(mut self: Box<Self>, clean: bool) -> Emitted<A::Output> {
+        if clean {
+            self.land_staged();
+            self.sink.settle();
+        }
+        self.sink.emitted(|r| (0, r))
+    }
+}
+
 /// Runs one logical window aggregation with intra-query parallelism:
 /// worker-local slice pre-aggregation on `cfg.parallelism` threads and a
 /// combining merge stage driving one authoritative [`WindowOperator`].
 ///
 /// Eligible workloads (see [`parallel_eligible`]) produce exactly the
 /// final window results of a sequential operator with the same config;
-/// ineligible ones fall back to that sequential operator on the calling
-/// thread (`report.parallel_workers == 0`).
+/// ineligible ones fall back to that sequential operator
+/// (`report.parallel_workers == 0`).
 ///
 /// ```
 /// use gss_core::{OperatorConfig, StreamElement};
@@ -517,186 +510,89 @@ where
     A: AggregateFunction,
     A::Output: Send,
 {
-    if !parallel_eligible(&f, &windows, &op_cfg) {
-        return run_sequential(elements, cfg, f, windows, op_cfg);
-    }
-    let workers = cfg.parallelism.max(1);
-    let cpu_before = process_cpu_time();
-    let start = Instant::now();
-    let mut report = PipelineReport::empty();
-    report.parallel_workers = workers;
-
+    let eligible = parallel_eligible(&f, &windows, &op_cfg);
     // The merge operator is the single authority on triggering and
     // eviction. It never sees raw tuples — slices enter pre-aligned to
     // full static-edge intervals via `add_parallel_partial` — so the
     // ablation switches of `op_cfg` (which shape the tuple path) don't
-    // apply; order/policy/lateness carry over.
+    // apply; order/policy/lateness carry over. The fallback's operator
+    // takes the user's exact config (in-order emission, context-aware
+    // windows).
     let merge_cfg = OperatorConfig {
         order: StreamOrder::OutOfOrder,
         policy: op_cfg.policy,
         allowed_lateness: op_cfg.allowed_lateness,
         ..OperatorConfig::default()
     };
-    let mut op = WindowOperator::new(f.clone(), merge_cfg);
+    let mut op = WindowOperator::new(f.clone(), if eligible { merge_cfg } else { op_cfg });
     for w in &windows {
-        op.add_query(w.clone_box()).expect("time-measure queries cannot conflict");
+        if let Err(err) = op.add_query(w.clone_box()) {
+            PipelineError::Query(err).raise();
+        }
     }
-
-    runtime::scope(|scope| {
-        let (mtx, mrx) = bounded::<(usize, MergeMsg<A>)>(cfg.channel_capacity.max(workers));
-        let mut stage = ParMerge {
-            f: f.clone(),
-            op,
-            staged: (0..workers).map(|_| Vec::new()).collect(),
-            sink: ResultSink::new(cfg.collect_results),
-        };
-        let merge = scope.spawn(move || {
-            merge_stage(mrx, workers, &mut stage);
-            // Partials flushed after the last watermark are still staged:
-            // fold them in for state completeness (above the final
-            // watermark, they emit nothing).
-            stage.land_staged();
-            stage.sink.settle();
-            stage.sink
-        });
-
-        let mut gather = gather_whole(elements, cfg.batching);
-        let spares = gather.open_returns(cfg.channel_capacity);
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = bounded::<Gathered<A::Input>>(cfg.channel_capacity);
-            senders.push(tx);
-            let slicer =
-                WorkerSlicer::new(f.clone(), &windows, op_cfg.allowed_lateness, op_cfg.order);
-            let (mtx, spares) = (mtx.clone(), spares.clone());
-            handles.push(scope.spawn(move || worker_loop(rx, mtx, spares, i, slicer)));
-        }
-        // Workers hold the only remaining clones; the merge loop ends
-        // when the last worker exits.
-        drop((mtx, spares));
-
-        // Driver: deal the gathered chunks round-robin, broadcast
-        // watermarks in stream order. O(1) work per chunk keeps the
-        // single-threaded driver off the critical path. In-order streams
-        // carry no (or few) explicit watermarks — their sequential
-        // operator emits per tuple — so the driver synthesizes rounds:
-        // `max_ts - 1` after each full deal round (strictly below every
-        // unseen record of a non-decreasing stream; skipped while the
-        // stage is flushing, when a broadcast or the final round follows
-        // anyway) and `max_ts` at end of stream, firing exactly the
-        // windows the per-tuple sweep would have fired.
-        let in_order = op_cfg.order.is_in_order();
-        let mut max_ts = TIME_MIN;
-        let mut last_wm = TIME_MIN;
-        let mut next = 0usize;
-        let broadcast = |wm: Time| {
-            for tx in &senders {
-                tx.send(Gathered::Watermark(wm)).expect("worker hung up");
-            }
-        };
-        while let Some(event) = gather.next() {
-            match event {
-                Gathered::Records(_, ref chunk) => {
-                    // In-order ⇒ the chunk's last time is its max.
-                    if let (true, Some(&t)) = (in_order, chunk.times().last()) {
-                        max_ts = max_ts.max(t);
-                    }
-                    senders[next].send(event).expect("worker hung up");
-                    next = (next + 1) % workers;
-                    let synthesize = in_order && next == 0 && !gather.flushing();
-                    if synthesize && max_ts > TIME_MIN && max_ts - 1 > last_wm {
-                        last_wm = max_ts - 1;
-                        broadcast(last_wm);
-                    }
-                }
-                Gathered::Watermark(wm) => {
-                    last_wm = last_wm.max(wm);
-                    broadcast(wm);
-                }
-                // Context-free static-edge windows ignore punctuation as
-                // a *context* event (punctuation-driven windows are
-                // ineligible and take the fallback), but the in-order
-                // operator also treats it as a trigger sweep up to `ts` —
-                // reproduce that as a watermark round.
-                Gathered::Punctuation(ts) if in_order && ts > last_wm => {
-                    last_wm = ts;
-                    broadcast(ts);
-                }
-                Gathered::Punctuation(_) => {}
-            }
-        }
-        if in_order && max_ts > last_wm {
-            // Final synthesized round: the sequential per-tuple sweep has
-            // fired every window with `end <= max_ts` by end of stream.
-            broadcast(max_ts);
-        }
-        drop(senders);
-        report.batch_sizes = gather.into_sizes();
-
-        for h in handles {
-            let (records, wait, hits, misses) = h.join().expect("worker panicked");
-            report.records += records;
-            report.send_wait.merge(&wait);
-            report.fold_hits += hits;
-            report.fold_misses += misses;
-        }
-        let sink = merge.join().expect("merge stage panicked");
-        report.result_count = sink.count;
-        report.results = sink.results.into_iter().map(|r| (0usize, r)).collect();
-    });
-
-    report.elapsed = start.elapsed();
-    report.cpu_time = process_cpu_time().saturating_sub(cpu_before);
-    report
-}
-
-/// The fallback: one sequential [`WindowOperator`] on the calling thread,
-/// with the exact semantics of the user's `op_cfg` (including in-order
-/// emission and context-aware windows). Chunked like the parallel path so
-/// throughput numbers compare setup-for-setup.
-fn run_sequential<A>(
-    elements: impl IntoIterator<Item = StreamElement<A::Input>>,
-    cfg: PipelineConfig,
-    f: A,
-    windows: Vec<Box<dyn WindowFunction>>,
-    op_cfg: OperatorConfig,
-) -> PipelineReport<A::Output>
-where
-    A: AggregateFunction,
-    A::Output: Send,
-{
-    let cpu_before = process_cpu_time();
-    let start = Instant::now();
-    let mut report = PipelineReport::empty();
-    let mut op = WindowOperator::new(f, op_cfg);
-    for w in &windows {
-        op.add_query(w.clone_box()).expect("incompatible query mix");
+    let gather = gather_whole(elements, cfg.batching);
+    if !eligible {
+        // One worker hosting the sequential operator, chunked like the
+        // parallel path so throughput numbers compare setup-for-setup.
+        let host = [Hosted::new(Box::new(op), &cfg)].into_iter();
+        return driver::run(cfg, gather, by_destination, host, None)
+            .unwrap_or_else(|err| err.raise());
     }
-    let per_tuple = cfg.batching.is_per_tuple();
-    let mut gather = gather_whole(elements, cfg.batching);
-    let mut sink = ResultSink::new(cfg.collect_results);
-    while let Some(event) = gather.next() {
+    let workers = cfg.parallelism.max(1);
+    let slicers = (0..workers)
+        .map(|_| WorkerSlicer::new(f.clone(), &windows, op_cfg.allowed_lateness, op_cfg.order));
+    let stage = ParMerge {
+        f: f.clone(),
+        op,
+        staged: (0..workers).map(|_| Vec::new()).collect(),
+        sink: ResultSink::new(cfg.collect_results),
+    };
+
+    // The dealer: record chunks go round-robin to the workers, watermarks
+    // to all of them in stream order; O(1) work per chunk keeps the pump
+    // off the critical path. For an in-order stream it synthesizes the
+    // rounds of the module docs; the `max_ts - 1` one is skipped while the
+    // source is flushing, when a broadcast or the final round follows.
+    let in_order = op_cfg.order.is_in_order();
+    let (mut max_ts, mut last_wm, mut next) = (TIME_MIN, TIME_MIN, 0usize);
+    let deal = |event: Option<_>, flushing: bool, to: &Senders<A::Input>| {
+        let broadcast = |wm| deliver(Gathered::Watermark(wm), to);
         match event {
-            Gathered::Records(_, mut chunk) => {
-                report.records += ingest_chunk(&mut op, &mut chunk, per_tuple, &mut sink.scratch);
-                gather.recycle(chunk);
+            Some(Gathered::Records(dst, chunk)) => {
+                // In-order ⇒ the chunk's last time is its max.
+                if let (true, Some(&t)) = (in_order, chunk.times().last()) {
+                    max_ts = max_ts.max(t);
+                }
+                to[next].send(Gathered::Records(dst, chunk))?;
+                next = (next + 1) % workers;
+                let synthesize = in_order && next == 0 && !flushing;
+                if synthesize && max_ts > TIME_MIN && max_ts - 1 > last_wm {
+                    last_wm = max_ts - 1;
+                    broadcast(last_wm)?;
+                }
             }
-            Gathered::Watermark(wm) => op.process_watermark(wm, &mut sink.scratch),
-            Gathered::Punctuation(ts) => op.process_punctuation(ts, &mut sink.scratch),
+            Some(Gathered::Watermark(wm)) => {
+                last_wm = last_wm.max(wm);
+                broadcast(wm)?;
+            }
+            // No eligible window takes punctuation as context, but the
+            // in-order operator also treats it as a trigger sweep up to
+            // `ts`: reproduce that as a watermark round.
+            Some(Gathered::Punctuation(ts)) if in_order && ts > last_wm => {
+                last_wm = ts;
+                broadcast(ts)?;
+            }
+            Some(Gathered::Punctuation(_)) => {}
+            // End of stream: the final synthesized round.
+            None if in_order && max_ts > last_wm => broadcast(max_ts)?,
+            None => {}
         }
-        sink.settle();
+        Ok(())
+    };
+    match driver::run(cfg, gather, deal, slicers, Some(Box::new(stage))) {
+        Ok(report) => PipelineReport { parallel_workers: workers, ..report },
+        Err(err) => err.raise(),
     }
-    report.result_count = sink.count;
-    report.results = sink.results.into_iter().map(|r| (0usize, r)).collect();
-    let (fold_hits, fold_misses) = WindowAggregator::fold_stats(&op);
-    report.fold_hits = fold_hits;
-    report.fold_misses = fold_misses;
-    report.batch_sizes = gather.into_sizes();
-
-    report.elapsed = start.elapsed();
-    report.cpu_time = process_cpu_time().saturating_sub(cpu_before);
-    report
 }
 
 #[cfg(test)]
@@ -899,6 +795,28 @@ mod tests {
         assert_eq!(report.records, 3);
         let vals: Vec<i64> = report.results.iter().map(|(_, r)| r.value).collect();
         assert_eq!(vals, vec![9, 1]);
+    }
+
+    #[test]
+    fn a_conflicting_query_set_fails_with_the_operators_own_error() {
+        // Count and time measures on an out-of-order stream: ineligible
+        // (count), and refused by the fallback's operator. The caller gets
+        // `QueryError`'s message, from the one place a driver raises.
+        let mixed: Vec<Box<dyn WindowFunction>> =
+            vec![Box::new(TumblingWindow::new(10)), Box::new(CountTumblingWindow::new(10))];
+        let run = || {
+            let elements = [StreamElement::Record { ts: 1, value: 1 }];
+            run_parallel(
+                elements,
+                PipelineConfig::with_parallelism(2),
+                SumI64,
+                mixed,
+                OperatorConfig::out_of_order(10),
+            )
+        };
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+        let message = payload.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(*message, gss_core::QueryError::MixedMeasuresOutOfOrder.to_string());
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! Figure 17 experiment compares slicing against buckets under varying
 //! degrees of parallelism.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::runtime::{self, bounded, Sender};
-use gss_core::{AggregateFunction, PerKey, StreamElement, Time, WindowAggregator, WindowResult};
+use gss_core::{AggregateFunction, PerKey, StreamElement, WindowAggregator, WindowResult};
 
-use crate::batching::{give_back, Batching, Gather, Gathered, RecordChunk};
+use crate::batching::{Batching, Gather};
+use crate::driver::{self, by_destination, Emitted};
+use crate::host::Hosted;
 use crate::metrics::{BatchSizeHistogram, LatencyHistogram};
 
 /// Runtime configuration.
@@ -84,76 +85,6 @@ impl PipelineConfig {
     }
 }
 
-/// Sends one gathered event on: records to their destination, a
-/// watermark or punctuation to every worker (their pending chunks are
-/// out already, so each sees its records and the broadcast in stream
-/// order).
-pub(crate) fn deliver<V>(event: Gathered<V>, senders: &[Sender<Gathered<V>>]) {
-    let all = |msg: fn(Time) -> Gathered<V>, at: Time| {
-        for tx in senders {
-            tx.send(msg(at)).expect("worker hung up");
-        }
-    };
-    match event {
-        Gathered::Records(dst, _) => senders[dst].send(event).expect("worker hung up"),
-        Gathered::Watermark(wm) => all(Gathered::Watermark, wm),
-        Gathered::Punctuation(ts) => all(Gathered::Punctuation, ts),
-    }
-}
-
-/// Feeds one received chunk to `op` — the whole [`RecordChunk`] through
-/// [`WindowAggregator::process_batch_columns`], contiguous values column,
-/// zero repacking — and returns the records it held; the caller then hands
-/// the buffer back to the source. Size-1 chunks take the per-record entry
-/// point like per-tuple mode does: run detection is pure overhead on one
-/// record (the old "batch 1 costs 0.6×" cliff).
-pub(crate) fn ingest_chunk<A, W>(
-    op: &mut W,
-    chunk: &mut RecordChunk<A::Input>,
-    per_tuple: bool,
-    out: &mut Vec<WindowResult<A::Output>>,
-) -> u64
-where
-    A: AggregateFunction,
-    W: WindowAggregator<A> + ?Sized,
-{
-    chunk.check();
-    let records = chunk.len() as u64;
-    if per_tuple || records == 1 {
-        for (ts, value) in chunk.drain() {
-            op.process(ts, value, out);
-        }
-    } else {
-        op.process_batch_columns(chunk.times(), chunk.values(), out);
-    }
-    records
-}
-
-/// Where a driver stage's emissions go: operators append to `scratch`,
-/// [`settle`](ResultSink::settle) counts what is there and keeps it only
-/// when the run collects results.
-pub(crate) struct ResultSink<R> {
-    pub(crate) scratch: Vec<R>,
-    pub(crate) collect: bool,
-    pub(crate) results: Vec<R>,
-    pub(crate) count: u64,
-}
-
-impl<R> ResultSink<R> {
-    pub(crate) fn new(collect: bool) -> Self {
-        ResultSink { scratch: Vec::new(), collect, results: Vec::new(), count: 0 }
-    }
-
-    pub(crate) fn settle(&mut self) {
-        self.count += self.scratch.len() as u64;
-        if self.collect {
-            self.results.append(&mut self.scratch);
-        } else {
-            self.scratch.clear();
-        }
-    }
-}
-
 /// Outcome of a pipeline run.
 #[derive(Debug)]
 pub struct PipelineReport<O> {
@@ -170,9 +101,11 @@ pub struct PipelineReport<O> {
     pub cpu_time: Duration,
     /// Queue-wait latency of producer sends into the merge stage, folded
     /// across workers ([`LatencyHistogram::merge`]). Non-empty only for
-    /// [`run_parallel`](crate::parallel::run_parallel)'s two-stage path;
-    /// a fat tail here means the merge stage is the bottleneck
-    /// (backpressure), not the workers.
+    /// the drivers that have one: the two-stage path of
+    /// [`run_parallel`](crate::parallel::run_parallel) and
+    /// [`run_sharded_keyed`](crate::sharded::run_sharded_keyed). A fat
+    /// tail here means the merge stage is the bottleneck (backpressure),
+    /// not the workers.
     pub send_wait: LatencyHistogram,
     /// Pre-aggregation workers used by the two-stage parallel path; 0 when
     /// the run went through a sequential operator (including the
@@ -217,6 +150,16 @@ impl<O> PipelineReport<O> {
             return None;
         }
         Some(self.cpu_time.as_secs_f64() / elapsed)
+    }
+
+    /// Adds what one task emitted.
+    pub(crate) fn absorb(&mut self, (count, results): Emitted<O>) {
+        self.result_count += count;
+        if self.results.is_empty() {
+            self.results = results;
+        } else {
+            self.results.extend(results);
+        }
     }
 
     pub(crate) fn empty() -> Self {
@@ -314,59 +257,10 @@ where
     F: Fn(usize) -> Box<dyn WindowAggregator<A>>,
 {
     let p = cfg.parallelism.max(1);
-    let cpu_before = process_cpu_time();
-    let start = Instant::now();
-    let mut report = PipelineReport::empty();
-    runtime::scope(|scope| {
-        // Source: gather records into per-partition chunks; the key only
-        // routes, the operator receives the bare value.
-        let mut gather = Gather::new(elements, cfg.batching, p, |kv| kv, partition_of);
-        let spares = gather.open_returns(cfg.channel_capacity);
-        let mut senders = Vec::with_capacity(p);
-        let mut handles = Vec::with_capacity(p);
-        for i in 0..p {
-            let (tx, rx) = bounded::<Gathered<A::Input>>(cfg.channel_capacity);
-            senders.push(tx);
-            let mut op = make_operator(i);
-            let spares = spares.clone();
-            let mut sink = ResultSink::new(cfg.collect_results);
-            let per_tuple = cfg.batching.is_per_tuple();
-            handles.push(scope.spawn(move || {
-                let mut records = 0u64;
-                for chunk in rx.iter() {
-                    let out = &mut sink.scratch;
-                    match chunk {
-                        Gathered::Records(_, mut chunk) => {
-                            records += ingest_chunk(&mut *op, &mut chunk, per_tuple, out);
-                            give_back(&spares, chunk, i);
-                        }
-                        Gathered::Watermark(wm) => op.on_watermark(wm, out),
-                        Gathered::Punctuation(ts) => op.on_punctuation(ts, out),
-                    }
-                    sink.settle();
-                }
-                let (fold_hits, fold_misses) = op.fold_stats();
-                (sink, records, fold_hits, fold_misses)
-            }));
-        }
-        drop(spares);
-        while let Some(event) = gather.next() {
-            deliver(event, &senders);
-        }
-        drop(senders);
-        report.batch_sizes = gather.into_sizes();
-        for (i, h) in handles.into_iter().enumerate() {
-            let (sink, records, hits, misses) = h.join().expect("worker panicked");
-            report.result_count += sink.count;
-            report.records += records;
-            report.fold_hits += hits;
-            report.fold_misses += misses;
-            report.results.extend(sink.results.into_iter().map(|r| (i, r)));
-        }
-    });
-    report.elapsed = start.elapsed();
-    report.cpu_time = process_cpu_time().saturating_sub(cpu_before);
-    report
+    // The key only routes, the operator receives the bare value.
+    let gather = Gather::new(elements, cfg.batching, p, |kv| kv, partition_of);
+    let hosts = (0..p).map(|i| Hosted::new(make_operator(i), &cfg));
+    driver::run(cfg, gather, by_destination, hosts, None).unwrap_or_else(|err| err.raise())
 }
 
 /// Runs a keyed aggregation where the operators themselves are

@@ -13,16 +13,17 @@
 //!
 //! ## Protocol
 //!
-//! * The router assigns each record to [`shard_of`]`(key) =
-//!   fx_hash_u64(key) % shards` — all records of one key meet in one
-//!   operator — and ships per-shard [`RecordChunk`]s, preserving the
-//!   columnar/batching path per shard. Watermarks and punctuations are
-//!   broadcast to every shard in stream order.
-//! * A shard buffers its key-tagged emissions and ships them to the
-//!   merge stage in bulk: when the buffer reaches a cap, and always
-//!   before **acking** a broadcast watermark. Acks are 1:1 with
-//!   broadcasts (even regressive ones, which the operator ignores), so
-//!   ack sequences align across shards.
+//! * The router — the gather stage of the [skeleton](crate::driver) —
+//!   assigns each record to [`shard_of`]`(key) = fx_hash_u64(key) %
+//!   shards`, so all records of one key meet in one operator, and ships
+//!   per-shard chunks, preserving the columnar/batching path per shard.
+//!   Watermarks and punctuations are broadcast to every shard in stream
+//!   order.
+//! * A shard (the skeleton's hosted-operator worker body) buffers its
+//!   key-tagged emissions and ships them to the merge stage in bulk: when
+//!   the buffer reaches a cap, and always before **acking** a broadcast
+//!   watermark. Acks are 1:1 with broadcasts (even regressive ones, which
+//!   the operator ignores), so ack sequences align across shards.
 //! * The merge stage runs behind the epoch barrier, which
 //!   [`barrier`](crate::barrier) defines, and stages what the shards emit
 //!   until an epoch closes. Then the epoch's staged emissions are
@@ -41,26 +42,17 @@
 //! Emissions after the last watermark (tail records, punctuation-driven
 //! closes) are released, key-sorted, at end of stream.
 
-use std::time::Instant;
-
-use crossbeam::runtime::{self, bounded, Receiver, Sender};
+use crossbeam::runtime;
 use crossbeam::sched::ProbeEvent;
 use gss_core::{
     fx_hash_u64, AggregateFunction, PerKey, StreamElement, Time, WindowAggregator, WindowResult,
 };
 
-use crate::barrier::{merge_stage, Msg, Stage};
-use crate::batching::{give_back, Gather, Gathered, RecordChunk};
-use crate::metrics::LatencyHistogram;
-use crate::parallel::send_timed;
-use crate::pipeline::{
-    deliver, ingest_chunk, process_cpu_time, PipelineConfig, PipelineReport, ResultSink,
-};
-
-/// Shard-side emission ship threshold, in buffered window results.
-/// Bounds shard memory between watermarks; the merge stage stages
-/// whatever arrives early and still releases it only at the barrier.
-const EMIT_SHIP_CAP: usize = 4096;
+use crate::barrier::Stage;
+use crate::batching::Gather;
+use crate::driver::{self, by_destination, Emitted, Merge};
+use crate::host::{Hosted, ResultSink};
+use crate::pipeline::{PipelineConfig, PipelineReport};
 
 /// Deterministic key-to-shard assignment over the mixed key hash.
 ///
@@ -73,64 +65,14 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     (fx_hash_u64(key) % shards.max(1) as u64) as usize
 }
 
-/// Shard-tagged merge-stage payload: a batch of key-tagged window
-/// results in shard emission order, or a watermark ack.
-type TaggedMsg<O> = (usize, Msg<Vec<WindowResult<(u64, O)>>>);
-
-/// One shard thread: drive the keyed operator over this shard's records
-/// plus every broadcast watermark/punctuation, ship emissions in bulk,
-/// ack each watermark after shipping. Returns `(records, queue-wait
-/// histogram, fold hits, fold misses)`.
-fn shard_loop<A: AggregateFunction>(
-    rx: Receiver<Gathered<(u64, A::Input)>>,
-    tx: Sender<TaggedMsg<A::Output>>,
-    spares: Sender<RecordChunk<(u64, A::Input)>>,
-    me: usize,
-    mut op: Box<dyn WindowAggregator<PerKey<A>>>,
-    per_tuple: bool,
-) -> (u64, LatencyHistogram, u64, u64) {
-    let mut wait = LatencyHistogram::new();
-    let mut records = 0u64;
-    let mut pending: Vec<WindowResult<(u64, A::Output)>> = Vec::new();
-    let ship = |pending: &mut Vec<WindowResult<(u64, A::Output)>>, wait: &mut LatencyHistogram| {
-        if !pending.is_empty() {
-            let shipped = pending.len() as u64;
-            send_timed(&tx, (me, Msg::Batch(std::mem::take(pending))), wait);
-            runtime::probe(ProbeEvent::Shipped { src: me, items: shipped });
-        }
-    };
-    for chunk in rx.iter() {
-        match chunk {
-            Gathered::Records(_, mut chunk) => {
-                records += ingest_chunk(&mut *op, &mut chunk, per_tuple, &mut pending);
-                give_back(&spares, chunk, me);
-                if pending.len() >= EMIT_SHIP_CAP {
-                    ship(&mut pending, &mut wait);
-                }
-            }
-            Gathered::Punctuation(ts) => {
-                op.on_punctuation(ts, &mut pending);
-            }
-            Gathered::Watermark(wm) => {
-                op.on_watermark(wm, &mut pending);
-                // Ship, then ack: after the ack every emission this
-                // shard produced up to the watermark is with the merge
-                // stage, so the barrier can close the epoch.
-                ship(&mut pending, &mut wait);
-                send_timed(&tx, (me, Msg::Ack(wm)), &mut wait);
-            }
-        }
-    }
-    // End of stream: ship the tail (emissions after the last watermark).
-    ship(&mut pending, &mut wait);
-    let (fold_hits, fold_misses) = op.fold_stats();
-    (records, wait, fold_hits, fold_misses)
-}
+/// What a shard ships the merge stage: key-tagged window results in
+/// shard emission order.
+type Emissions<O> = Vec<WindowResult<(u64, O)>>;
 
 /// The merge stage behind the epoch barrier: emissions staged per shard,
 /// and the released output, each result tagged with its shard.
 struct ShardMerge<O> {
-    staged: Vec<Vec<WindowResult<(u64, O)>>>,
+    staged: Vec<Emissions<O>>,
     sink: ResultSink<(usize, WindowResult<(u64, O)>)>,
 }
 
@@ -155,8 +97,8 @@ impl<O> ShardMerge<O> {
     }
 }
 
-impl<O> Stage<Vec<WindowResult<(u64, O)>>> for ShardMerge<O> {
-    fn apply(&mut self, src: usize, batch: Vec<WindowResult<(u64, O)>>) {
+impl<O> Stage<Emissions<O>> for ShardMerge<O> {
+    fn apply(&mut self, src: usize, batch: Emissions<O>) {
         runtime::probe(ProbeEvent::Applied { src, items: batch.len() as u64 });
         self.staged[src].extend(batch);
     }
@@ -165,6 +107,18 @@ impl<O> Stage<Vec<WindowResult<(u64, O)>>> for ShardMerge<O> {
     /// watermark: the epoch is complete.
     fn close(&mut self, _wm: Time) {
         self.release();
+    }
+}
+
+impl<O: Send> Merge<Emissions<O>, (u64, O)> for ShardMerge<O> {
+    /// Whatever is still staged was emitted after the final watermark:
+    /// release it as the closing epoch, in the same deterministic key
+    /// order.
+    fn finish(mut self: Box<Self>, clean: bool) -> Emitted<(u64, O)> {
+        if clean {
+            self.release();
+        }
+        self.sink.emitted(|tagged| tagged)
     }
 }
 
@@ -221,66 +175,19 @@ where
     F: Fn(usize) -> Box<dyn WindowAggregator<PerKey<A>>>,
 {
     let shards = cfg.parallelism.max(1);
-    let cpu_before = process_cpu_time();
-    let start = Instant::now();
-    let mut report = PipelineReport::empty();
-    report.shards = shards;
-
-    runtime::scope(|scope| {
-        let (mtx, mrx) = bounded::<TaggedMsg<A::Output>>(cfg.channel_capacity.max(shards));
-        let mut stage = ShardMerge {
-            staged: (0..shards).map(|_| Vec::new()).collect(),
-            sink: ResultSink::new(cfg.collect_results),
-        };
-        let merge = scope.spawn(move || {
-            merge_stage(mrx, shards, &mut stage);
-            // Whatever is still staged was emitted after the final
-            // watermark: release it as the closing epoch, in the same
-            // deterministic key order.
-            stage.release();
-            stage.sink
-        });
-
-        // Router: the gather stage keeps one chunk builder per shard, so
-        // the columnar path survives the split; the key both routes and
-        // stays attached for the keyed operator.
-        let mut gather =
-            Gather::new(elements, cfg.batching, shards, |(key, v)| (key, (key, v)), shard_of);
-        let spares = gather.open_returns(cfg.channel_capacity);
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        let per_tuple = cfg.batching.is_per_tuple();
-        for i in 0..shards {
-            let (tx, rx) = bounded::<Gathered<(u64, A::Input)>>(cfg.channel_capacity);
-            senders.push(tx);
-            let op = make_operator(i);
-            let (mtx, spares) = (mtx.clone(), spares.clone());
-            handles.push(scope.spawn(move || shard_loop(rx, mtx, spares, i, op, per_tuple)));
-        }
-        // Shards hold the only remaining clones; the merge loop ends
-        // when the last shard exits.
-        drop((mtx, spares));
-        while let Some(event) = gather.next() {
-            deliver(event, &senders);
-        }
-        drop(senders);
-        report.batch_sizes = gather.into_sizes();
-
-        for h in handles {
-            let (records, wait, hits, misses) = h.join().expect("shard panicked");
-            report.records += records;
-            report.send_wait.merge(&wait);
-            report.fold_hits += hits;
-            report.fold_misses += misses;
-        }
-        let sink = merge.join().expect("merge stage panicked");
-        report.result_count = sink.count;
-        report.results = sink.results;
-    });
-
-    report.elapsed = start.elapsed();
-    report.cpu_time = process_cpu_time().saturating_sub(cpu_before);
-    report
+    // Router: the gather stage keeps one chunk builder per shard, so the
+    // columnar path survives the split; the key both routes and stays
+    // attached for the keyed operator.
+    let gather = Gather::new(elements, cfg.batching, shards, |(key, v)| (key, (key, v)), shard_of);
+    let bodies = (0..shards).map(|i| Hosted::new(make_operator(i), &cfg));
+    let stage = ShardMerge {
+        staged: (0..shards).map(|_| Vec::new()).collect(),
+        sink: ResultSink::new(cfg.collect_results),
+    };
+    match driver::run(cfg, gather, by_destination, bodies, Some(Box::new(stage))) {
+        Ok(report) => PipelineReport { shards, ..report },
+        Err(err) => err.raise(),
+    }
 }
 
 #[cfg(test)]
