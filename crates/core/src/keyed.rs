@@ -30,8 +30,11 @@
 //!   the probe just touched tells whether a key was already seen in this
 //!   batch, so no group map is built and no record touched); times and
 //!   values are scattered once into two flat columns, so each key's run
-//!   is a contiguous column slice for the bulk fold kernels. The pair and
-//!   the column batch entries share that loop.
+//!   is a contiguous column slice for the bulk fold kernels. A batch in
+//!   which no key repeats is its own grouping and is ingested in place.
+//!   The pair and the column batch entries share that loop, and however a
+//!   key's tuples arrive they go through one step (`ingest_run`): sync,
+//!   fold, and refile only if the key's floor moved.
 //! * **Triggers bucketed by window end.** Every key's due time is a
 //!   window end on the shared timeline, so pending keys sit in an ordered
 //!   map `window end → slots`. `on_watermark` scales with the keys that
@@ -48,7 +51,10 @@
 //!   keys ask the timeline the same question, so the covering slice on
 //!   ingest, the next window end after a floor, and the windows (with
 //!   their slice ranges) completed between two watermarks are each kept
-//!   in a one-entry memo. A sweep enumerates windows from the slice of
+//!   in a one-entry memo that answers a range, not a point: a timestamp
+//!   anywhere in the slice, a floor anywhere short of the next window end
+//!   (so keys born in one slice share it), an effective watermark anywhere
+//!   between two window ends. A sweep enumerates windows from the slice of
 //!   the key's oldest partial rather than from its emission floor, so a
 //!   key returning after a long silence does not walk the gap.
 //!
@@ -532,14 +538,18 @@ impl<T> Slab<T> {
 // Shared-timeline keyed operator
 // ---------------------------------------------------------------------------
 
+/// A range memo with no answer: the empty range, which covers no probe.
+const NO_RANGE: (Time, Time) = (0, 0);
+
 /// Earliest window end strictly after `probe` across all queries, or
-/// `TIME_MAX` if none is known. `memo` holds the last `(probe, answer)`:
-/// keys swept by one watermark mostly share the probe.
-fn union_next_end(queries: &[Query], probe: Time, memo: &mut Option<(Time, Time)>) -> Time {
-    if let Some((p, e)) = *memo {
-        if p == probe {
-            return e;
-        }
+/// `TIME_MAX` if none is known. `memo` holds the last `(probe, answer)`.
+/// No window ends inside `(probe, answer)`, so it answers every probe in
+/// `[probe, answer)`: the keys born in one slice, each asking from its
+/// own first timestamp, share it with the keys one watermark sweeps.
+fn union_next_end(queries: &[Query], probe: Time, memo: &mut (Time, Time)) -> Time {
+    let (p, e) = *memo;
+    if p <= probe && probe < e {
+        return e;
     }
     let mut e = TIME_MAX;
     for q in queries {
@@ -547,32 +557,8 @@ fn union_next_end(queries: &[Query], probe: Time, memo: &mut Option<(Time, Time)
             e = e.min(n);
         }
     }
-    *memo = Some((probe, e));
+    *memo = (probe, e);
     e
-}
-
-/// Global index and end of the shared slice covering `ts`, extending the
-/// timeline if needed. `memo` holds the last answer as `(start, end,
-/// global index)`; it stays valid until the timeline evicts (global
-/// indices survive growth in either direction), so `on_watermark` clears
-/// it.
-fn covering_slice(
-    timeline: &mut Timeline,
-    queries: &[Query],
-    slices_created: &mut u64,
-    memo: &mut Option<(Time, Time, i64)>,
-    ts: Time,
-) -> (i64, Time) {
-    if let Some((start, end, g)) = *memo {
-        if start <= ts && ts < end {
-            return (g, end);
-        }
-    }
-    let pos = timeline.ensure_covering(ts, queries, slices_created);
-    let slice = timeline.get(pos);
-    let g = timeline.base() + cast::to_i64(pos);
-    *memo = Some((slice.start, slice.end, g));
-    (g, slice.end)
 }
 
 /// Advances a key's emission floor over watermarks that passed while the
@@ -599,7 +585,7 @@ fn due_of<A: AggregateFunction>(
     st: &KeyState<A>,
     queries: &[Query],
     max_extent: i64,
-    memo: &mut Option<(Time, Time)>,
+    memo: &mut (Time, Time),
 ) -> Time {
     if st.t_last == TIME_MIN {
         return NOT_DUE;
@@ -627,6 +613,23 @@ fn file_bucket<T>(buckets: &mut BTreeMap<Time, Vec<T>>, at: Time, entries: &mut 
     }
 }
 
+/// Files `slot` as due at `due` through `open`, the filings of one call:
+/// consecutive ones mostly share the due time, so they reach `buckets` as
+/// one map operation, in filing order.
+#[inline]
+fn file_due(
+    buckets: &mut BTreeMap<Time, Vec<u32>>,
+    open: &mut (Time, Vec<u32>),
+    due: Time,
+    slot: u32,
+) {
+    if due != open.0 {
+        file_bucket(buckets, open.0, &mut open.1);
+        open.0 = due;
+    }
+    open.1.push(slot);
+}
+
 /// Bytes of a map of buckets: a node entry and the bucket's allocation
 /// each.
 fn buckets_bytes<T>(buckets: &BTreeMap<Time, Vec<T>>) -> usize {
@@ -639,13 +642,32 @@ fn buckets_bytes<T>(buckets: &BTreeMap<Time, Vec<T>>) -> usize {
 /// shares. `span` is `(from, lo, hi)`: the last window end enumerated (or
 /// `from`) and the next one after `wm_eff`, so the list answers every
 /// effective watermark in `lo..hi` — keys clamped by their own `t_last`
-/// differ in `wm_eff` but mostly not in the windows it completes. Valid
-/// for one `on_watermark` call only (the timeline must not change under
-/// it).
+/// differ in `wm_eff` but mostly not in the windows it completes. `asked`
+/// is the `(first, floor)` of the last key the list answered up to the
+/// watermark itself: a key that asks the same question reads the list
+/// without deriving `from`. Valid for one `on_watermark` call only (the
+/// timeline must not change under it).
 #[derive(Default)]
 struct SweepMemo {
-    span: Option<(Time, Time, Time)>,
+    span: (Time, Time, Time),
+    asked: Option<(i64, Time)>,
     windows: Vec<(QueryId, Range, i64, i64)>,
+}
+
+/// Emits this key's aggregate of each of `windows` it has tuples in.
+fn emit_windows<A: AggregateFunction>(
+    st: &KeyState<A>,
+    f: &A,
+    windows: &[(QueryId, Range, i64, i64)],
+    stats: &mut KeyedStats,
+    out: &mut Vec<WindowResult<(u64, A::Output)>>,
+) {
+    for &(id, range, gl, gr) in windows {
+        if let Some(p) = st.query(gl, gr, f) {
+            stats.windows_emitted += 1;
+            out.push(WindowResult::new(id, Measure::Time, range, (st.key, f.lower(&p))));
+        }
+    }
 }
 
 /// Sweeps one key's completed windows up to watermark `wm`, mirroring the
@@ -680,8 +702,8 @@ fn sweep_key<A: AggregateFunction>(
             // of the gap, and keys whose floors differ share the memo.
             let oldest = timeline.get(cast::gidx(st.first, timeline.base()));
             let from = if prev < oldest.end { oldest.start } else { prev };
-            let hit =
-                matches!(memo.span, Some((f, lo, hi)) if f == from && lo <= wm_eff && wm_eff < hi);
+            let (asked_from, lo, hi) = memo.span;
+            let hit = asked_from == from && lo <= wm_eff && wm_eff < hi;
             if !hit {
                 memo.windows.clear();
                 let mut lo = from;
@@ -694,23 +716,23 @@ fn sweep_key<A: AggregateFunction>(
                         }
                     });
                 }
-                memo.span = Some((from, lo, union_next_end(queries, wm_eff, &mut None)));
+                memo.span = (from, lo, union_next_end(queries, wm_eff, &mut { NO_RANGE }));
+                memo.asked = None;
             }
-            for &(id, range, gl, gr) in &memo.windows {
-                if let Some(p) = st.query(gl, gr, f) {
-                    stats.windows_emitted += 1;
-                    out.push(WindowResult::new(id, Measure::Time, range, (st.key, f.lower(&p))));
-                }
+            if wm_eff == wm {
+                memo.asked = Some((st.first, prev));
             }
+            emit_windows(st, f, &memo.windows, stats, out);
         }
         st.raise_floor(wm_eff);
     }
 }
 
-/// Re-emits the windows containing a late tuple at `ts` that already
-/// fired (window end at or before `wm`), flagged as updates — the keyed
-/// analogue of the reference operator's `emit_updates`.
+/// Re-emits the fired windows (end at or before `wm`) containing a late
+/// tuple at `ts` as updates, like the reference operator's `emit_updates`.
+/// Out of line: rare, and its closures crowd the per-key step's registers.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn emit_updates_key<A: AggregateFunction>(
     st: &KeyState<A>,
     f: &A,
@@ -791,6 +813,8 @@ struct SharedKeyed<A: AggregateFunction> {
     /// entry is the one in the bucket matching `KeyState::due`; all
     /// others are discarded as stale when their bucket comes due.
     due_buckets: BTreeMap<Time, Vec<u32>>,
+    /// The call's filings ([`file_due`]); empty between calls, so not state.
+    due_open: (Time, Vec<u32>),
     /// Idle cohorts of `(filed expiry, slot)` by their smallest expiry
     /// (only under an idle TTL). An entry is a hint to look at its slot
     /// once its expiry has passed: eviction is decided from the record.
@@ -802,8 +826,11 @@ struct SharedKeyed<A: AggregateFunction> {
     idle_reads: u64,
     watermark: Time,
     stats: KeyedStats,
-    next_end_memo: Option<(Time, Time)>,
-    cover_memo: Option<(Time, Time, i64)>,
+    next_end_memo: (Time, Time),
+    /// The slice that covered the last ingested timestamp, as `(start,
+    /// end, global index)`. Global indices survive growth in either
+    /// direction but not eviction, so `on_watermark` clears it.
+    cover_memo: (Time, Time, i64),
     sweep_memo: SweepMemo,
     /// Stamp of the batch being grouped; never 0, which is what a new
     /// key's entry carries.
@@ -842,14 +869,15 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             slot_of: FxHashMap::default(),
             slab: Slab::new(),
             due_buckets: BTreeMap::new(),
+            due_open: (NOT_DUE, Vec::new()),
             idle: BTreeMap::new(),
             idle_open: Vec::new(),
             #[cfg(test)]
             idle_reads: 0,
             watermark: TIME_MIN,
             stats: KeyedStats::default(),
-            next_end_memo: None,
-            cover_memo: None,
+            next_end_memo: NO_RANGE,
+            cover_memo: (0, 0, 0),
             sweep_memo: SweepMemo::default(),
             batch_epoch: 0,
             scratch: BatchScratch::new(),
@@ -867,8 +895,14 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         slot
     }
 
-    /// Ingests one key's tuples — a column slice in arrival order — and
-    /// refreshes its due-bucket entry.
+    /// The per-key step of ingest: one key's tuples, a column slice in
+    /// arrival order and mostly of one. *Sync* the record with what the
+    /// watermarks since its last touch did to the timeline and its floor;
+    /// *fold* each tuple into the slice covering it, key-in-order tuples
+    /// as the longest run inside one slice; *refile* the key if its due
+    /// time can have moved. [`due_of`] is a function of `floor`, and of
+    /// `t_last` only as a bound that a growing `t_last` cannot newly fail,
+    /// so a pending key whose floor was left alone keeps its bucket entry.
     fn ingest_run(
         &mut self,
         slot: u32,
@@ -877,94 +911,100 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         out: &mut Vec<WindowResult<(u64, A::Output)>>,
     ) {
         let st = self.slab.get_mut(slot);
+        let filed_floor = st.floor;
         st.trim_to(&self.timeline);
         catch_up_floor(st, self.watermark, self.max_extent);
-        let old_due = st.due;
 
+        let wm = self.watermark;
         let mut i = 0;
         while i < times.len() {
             let ts = times[i];
-            if st.t_last == TIME_MIN || ts >= st.t_last {
-                // Key-in-order: fold the longest run inside one slice.
-                let (g, end) = covering_slice(
-                    &mut self.timeline,
-                    &self.queries,
-                    &mut self.stats.slices_created,
-                    &mut self.cover_memo,
-                    ts,
-                );
-                let n = column_run_len(&times[i..], end);
-                debug_assert!(n >= 1);
-                let (run_times, run_values) = (&times[i..i + n], &values[i..i + n]);
-                // Long runs go to the `fold_slice` / `fold_slice_pairs`
-                // kernel straight from the columns; short ones fold
-                // through lift/combine, as everywhere else.
-                let p = if pair_kernel_eligible(&self.f, n) {
-                    self.stats.fold_kernel_hits += 1;
-                    self.f.fold_slice_pairs(run_times, run_values)
-                } else if kernel_eligible(&self.f, n) {
-                    self.stats.fold_kernel_hits += 1;
-                    self.f.fold_slice(run_values)
-                } else {
-                    self.stats.fold_kernel_misses += 1;
-                    default_fold_slice(&self.f, run_values)
-                };
-                let Some(p) = p else { unreachable!("run has at least one tuple") };
-                // `covering_slice` may have rebirthed an empty timeline,
-                // starting a new generation this key must sync to.
-                st.trim_to(&self.timeline);
-                st.add_at(g, p, &self.f);
-                if !st.swept {
-                    st.floor = st.floor.min(ts);
-                }
-                st.t_last = times[i + n - 1];
-                self.stats.tuples += cast::to_u64(n);
-                i += n;
-            } else {
-                // Key-late tuple: same drop / update rules as the
-                // reference operator's out-of-order path.
+            // Key-late tuple: same drop / update rules as the reference
+            // operator's out-of-order path.
+            let late = ts < st.t_last;
+            if late {
                 self.stats.ooo_tuples += 1;
-                let wm = self.watermark;
                 if wm != TIME_MIN && ts < wm.saturating_sub(self.cfg.allowed_lateness) {
                     self.stats.dropped_late += 1;
                     i += 1;
                     continue;
                 }
-                let (g, _) = covering_slice(
-                    &mut self.timeline,
-                    &self.queries,
-                    &mut self.stats.slices_created,
-                    &mut self.cover_memo,
-                    ts,
-                );
-                st.trim_to(&self.timeline);
-                st.add_at(g, self.f.lift(&values[i]), &self.f);
-                if !st.swept {
-                    st.floor = st.floor.min(ts);
-                }
-                self.stats.tuples += 1;
-                if wm != TIME_MIN && ts <= wm {
-                    emit_updates_key(
-                        st,
-                        &self.f,
-                        &self.queries,
-                        &self.timeline,
-                        ts,
-                        wm,
-                        &mut self.stats,
-                        out,
-                    );
-                }
-                i += 1;
             }
+            let (g, end) = match self.cover_memo {
+                (start, end, g) if start <= ts && ts < end => (g, end),
+                _ => {
+                    let pos = self.timeline.ensure_covering(
+                        ts,
+                        &self.queries,
+                        &mut self.stats.slices_created,
+                    );
+                    let slice = self.timeline.get(pos);
+                    let g = self.timeline.base() + cast::to_i64(pos);
+                    self.cover_memo = (slice.start, slice.end, g);
+                    // An empty timeline was rebirthed, under a new
+                    // generation this key must sync to.
+                    st.trim_to(&self.timeline);
+                    (g, slice.end)
+                }
+            };
+            // Long runs go to the `fold_slice` / `fold_slice_pairs`
+            // kernel straight from the columns, short ones through
+            // lift/combine; a run of one is a lift, counted as a miss like
+            // every short run (a key-late tuple is not counted as a run).
+            let n = if late || i + 1 == times.len() { 1 } else { column_run_len(&times[i..], end) };
+            debug_assert!(n >= 1);
+            let (run_times, run_values) = (&times[i..i + n], &values[i..i + n]);
+            let p = if n == 1 {
+                self.stats.fold_kernel_misses += u64::from(!late);
+                Some(self.f.lift(&values[i]))
+            } else if pair_kernel_eligible(&self.f, n) {
+                self.stats.fold_kernel_hits += 1;
+                self.f.fold_slice_pairs(run_times, run_values)
+            } else if kernel_eligible(&self.f, n) {
+                self.stats.fold_kernel_hits += 1;
+                self.f.fold_slice(run_values)
+            } else {
+                self.stats.fold_kernel_misses += 1;
+                default_fold_slice(&self.f, run_values)
+            };
+            let Some(p) = p else { unreachable!("run has at least one tuple") };
+            st.add_at(g, p, &self.f);
+            if !st.swept {
+                st.floor = st.floor.min(ts);
+            }
+            self.stats.tuples += cast::to_u64(n);
+            if !late {
+                st.t_last = times[i + n - 1];
+            } else if wm != TIME_MIN && ts <= wm {
+                emit_updates_key(
+                    st,
+                    &self.f,
+                    &self.queries,
+                    &self.timeline,
+                    ts,
+                    wm,
+                    &mut self.stats,
+                    out,
+                );
+            }
+            i += n;
         }
 
+        let old_due = st.due;
+        if old_due != NOT_DUE && st.floor == filed_floor {
+            return;
+        }
         st.due = due_of(st, &self.queries, self.max_extent, &mut self.next_end_memo);
         if st.due == NOT_DUE {
             st.file_idle(slot, self.cfg.idle_ttl, &mut self.idle_open);
         } else if st.due != old_due {
-            self.due_buckets.entry(st.due).or_default().push(slot);
+            file_due(&mut self.due_buckets, &mut self.due_open, st.due, slot);
         }
+    }
+
+    /// Hands the call's last filings to their bucket.
+    fn flush_due(&mut self) {
+        file_bucket(&mut self.due_buckets, self.due_open.0, &mut self.due_open.1);
     }
 
     /// The per-tuple step: one probe, one record.
@@ -980,13 +1020,15 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             None => self.birth(key, 0, 0),
         };
         self.ingest_run(slot, &[ts], std::slice::from_ref(value), out);
+        self.flush_due();
     }
 
     /// Ingests a batch of `(time, key, value)` tuples: groups it by key,
     /// preserving arrival order within each key, and ingests one run per
     /// key in first-appearance order. Both batch entries hand their
     /// layout (pairs, or parallel columns) over as this one iterator, so
-    /// neither materialises the other's representation.
+    /// neither materialises the other's representation. A batch in which
+    /// no key repeats is its own grouping and is ingested in place.
     fn ingest_batch<'a, I>(&mut self, tuples: I, out: &mut Vec<WindowResult<(u64, A::Output)>>)
     where
         I: ExactSizeIterator<Item = (Time, u64, &'a A::Input)> + Clone,
@@ -1044,49 +1086,57 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             s.ends[cast::idx32(group)] += 1;
         }
 
-        // Counting sort on group id: counts → run starts → (after the
-        // scatter) run ends. Both columns are scattered in one pass, so
-        // each key's run ends up contiguous.
-        let mut start = 0u32;
-        for e in &mut s.ends {
-            let count = *e;
-            *e = start;
-            start += count;
-        }
-        s.times.clear();
-        s.times.resize(n, 0);
-        s.values.clear();
-        // Clones of the first value, only so there are initialised slots
-        // to scatter into.
-        s.values.resize(n, first.clone());
-        let (ends, times, values) = (&mut s.ends[..], &mut s.times[..], &mut s.values[..]);
-        for (&g, (ts, _, v)) in s.gids.iter().zip(tuples) {
-            let end = &mut ends[cast::idx32(g)];
-            let pos = cast::idx32(*end);
-            times[pos] = ts;
-            values[pos] = v.clone();
-            *end += 1;
-        }
+        if s.group_slots.len() == n {
+            for (&slot, (ts, _, v)) in s.group_slots.iter().zip(tuples) {
+                self.ingest_run(slot, &[ts], std::slice::from_ref(v), out);
+            }
+        } else {
+            // Counting sort on group id: counts → run starts → (after the
+            // scatter) run ends. Both columns are scattered in one pass,
+            // so each key's run ends up contiguous.
+            let mut start = 0u32;
+            for e in &mut s.ends {
+                let count = *e;
+                *e = start;
+                start += count;
+            }
+            s.times.clear();
+            s.times.resize(n, 0);
+            // Clones of the first value, only so there are initialised
+            // slots to scatter into.
+            s.values.resize(n, first.clone());
+            let (ends, times, values) = (&mut s.ends[..], &mut s.times[..], &mut s.values[..]);
+            for (&g, (ts, _, v)) in s.gids.iter().zip(tuples) {
+                let end = &mut ends[cast::idx32(g)];
+                let pos = cast::idx32(*end);
+                times[pos] = ts;
+                values[pos] = v.clone();
+                *end += 1;
+            }
 
-        let mut lo = 0;
-        for (&slot, &end) in s.group_slots.iter().zip(&s.ends) {
-            let hi = cast::idx32(end);
-            self.ingest_run(slot, &s.times[lo..hi], &s.values[lo..hi], out);
-            lo = hi;
+            let mut lo = 0;
+            for (&slot, &end) in s.group_slots.iter().zip(&s.ends) {
+                let hi = cast::idx32(end);
+                self.ingest_run(slot, &s.times[lo..hi], &s.values[lo..hi], out);
+                lo = hi;
+            }
+            s.values.clear();
         }
-        s.values.clear();
         self.scratch = s;
+        self.flush_due();
+        #[cfg(feature = "audit")]
+        self.assert_invariants(false);
     }
 
     fn on_watermark(&mut self, wm: Time, out: &mut Vec<WindowResult<(u64, A::Output)>>) {
         if wm <= self.watermark {
             return;
         }
-        // Sweep only keys whose earliest pending window end is due. Swept
-        // keys mostly share their next due time, so they are collected
-        // in `next` and filed under it in one map operation.
-        self.sweep_memo.span = None;
-        let mut next: (Time, Vec<u32>) = (TIME_MIN, Vec::new());
+        // Sweep only keys whose earliest pending window end is due; the
+        // ones still pending afterwards are filed through `due_open`.
+        self.sweep_memo.span = (0, 0, 0);
+        self.sweep_memo.asked = None;
+        let generation = self.timeline.generation() as u32;
         while let Some(first) = self.due_buckets.first_entry() {
             if *first.key() > wm {
                 break;
@@ -1099,35 +1149,51 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                     continue;
                 }
                 self.stats.heap_wakeups += 1;
-                st.trim_to(&self.timeline);
-                // Catch the floor up over watermarks skipped while gated
-                // (`self.watermark` is still the previous watermark here).
-                catch_up_floor(st, self.watermark, self.max_extent);
-                sweep_key(
-                    st,
-                    &self.f,
-                    &mut self.queries,
-                    &self.timeline,
-                    self.max_extent,
-                    wm,
-                    &mut self.sweep_memo,
-                    &mut self.stats,
-                    out,
-                );
+                // The regular key: in step with the timeline and the
+                // previous watermark (`self.watermark`, still), asking what
+                // the memo last answered up to `wm`, and reaching the end
+                // after the memo's span, so that `wm` is not clamped. Its
+                // sync is a no-op, its windows are the memo's, that end is
+                // its due time. Any other key is swept in full, which is
+                // what refreshes the memo.
+                let next_end = self.sweep_memo.span.2;
+                if st.swept
+                    && st.wm_seen == self.watermark
+                    && st.generation == generation
+                    && self.sweep_memo.asked == Some((st.first, st.floor))
+                    && next_end <= st.t_last.saturating_add(self.max_extent)
+                {
+                    emit_windows(st, &self.f, &self.sweep_memo.windows, &mut self.stats, out);
+                    st.floor = wm;
+                    st.due = next_end;
+                } else {
+                    st.trim_to(&self.timeline);
+                    // Catch the floor up over watermarks skipped while gated.
+                    catch_up_floor(st, self.watermark, self.max_extent);
+                    sweep_key(
+                        st,
+                        &self.f,
+                        &mut self.queries,
+                        &self.timeline,
+                        self.max_extent,
+                        wm,
+                        &mut self.sweep_memo,
+                        &mut self.stats,
+                        out,
+                    );
+                    st.due = due_of(st, &self.queries, self.max_extent, &mut self.next_end_memo);
+                }
                 st.wm_seen = wm;
-                st.due = due_of(st, &self.queries, self.max_extent, &mut self.next_end_memo);
                 if st.due == NOT_DUE {
                     st.file_idle(slot, self.cfg.idle_ttl, &mut self.idle_open);
-                    continue;
+                } else {
+                    file_due(&mut self.due_buckets, &mut self.due_open, st.due, slot);
                 }
-                if st.due != next.0 {
-                    file_bucket(&mut self.due_buckets, next.0, &mut next.1);
-                    next.0 = st.due;
-                }
-                next.1.push(slot);
             }
         }
-        file_bucket(&mut self.due_buckets, next.0, &mut next.1);
+        self.flush_due();
+        // Kept, a sweep's capacity would pass to the next batch's bucket.
+        self.due_open.1 = Vec::new();
         self.watermark = wm;
 
         // Evict shared slices no late tuple can reach any more. A tuple
@@ -1136,7 +1202,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         // slice still needed starts past `boundary`.
         let boundary = wm.saturating_sub(self.cfg.allowed_lateness).saturating_sub(self.max_extent);
         self.timeline.evict_to(boundary.saturating_add(1));
-        self.cover_memo = None;
+        self.cover_memo = (0, 0, 0);
 
         // An empty timeline starts a new generation at its next tuple.
         // Before the 32 bits the records keep of it wrap, drop every ring
@@ -1150,7 +1216,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             self.evict_idle(wm, ttl);
         }
         #[cfg(feature = "audit")]
-        self.assert_invariants();
+        self.assert_invariants(true);
     }
 
     /// The TTL pass of a watermark: the open cohort, then every cohort
@@ -1194,28 +1260,34 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         }
     }
 
-    /// Dense checks for the audit build, run after every watermark.
-    /// Trigger gating: no live key may still owe an emission (a due time
-    /// at or below the watermark), every live due time must have a
-    /// backing due-bucket entry (entries are lazy, so buckets may hold
-    /// extra stale ones), and no key's watermark floor may run ahead of
-    /// the operator's. Slot recycling: the map and the records agree on
-    /// who lives where, every slot is either live or free, and a free
-    /// record is inert (no due time for a stale entry to match, not
-    /// filed). Idle cohorts, under a TTL: the open one was judged, a slot
-    /// has at most one entry and its record knows of it, and every live
-    /// key is pending or filed — a drained one not yet expired, and filed
-    /// in a cohort that comes due no later than it expires.
+    /// Dense checks for the audit build, run after every watermark and
+    /// every batch. Filing: the call's filings reached their buckets, every
+    /// live key's stored due time is what [`due_of`] makes of its record
+    /// now (what a skipped refile rests on), and every live due time has a
+    /// due-bucket entry (entries are lazy, so buckets may hold stale ones
+    /// too). Trigger gating: after a watermark no live key still owes an
+    /// emission (a due time at or below it), and no key's watermark floor
+    /// ever runs ahead of the operator's. Slot recycling: the map and the
+    /// records agree on who lives where, every slot is either live or free,
+    /// and a free record is inert (no due time for a stale entry to match,
+    /// not filed). Idle cohorts, under a TTL: a watermark judged the open
+    /// one, a slot has at most one entry and its record knows of it, and
+    /// every live key is pending or filed in a cohort that comes due no
+    /// later than it expires — after a watermark, not yet expired.
     #[cfg(feature = "audit")]
-    fn assert_invariants(&self) {
-        assert!(self.idle_open.is_empty(), "the open cohort outlived a watermark");
+    fn assert_invariants(&self, after_watermark: bool) {
+        assert!(self.due_open.1.is_empty(), "filings outlived their call");
+        assert!(
+            !after_watermark || self.idle_open.is_empty(),
+            "the open cohort outlived a watermark"
+        );
         let mut filed = FxHashMap::default();
-        for (&at, cohort) in &self.idle {
-            for &(_, slot) in cohort {
-                assert!(self.slab.get(slot).idle_filed, "slot {slot} does not know its idle entry");
-                assert!(filed.insert(slot, at).is_none(), "two idle entries for slot {slot}");
-            }
+        let cohorts = self.idle.iter().flat_map(|(&at, c)| c.iter().map(move |e| (at, e.1)));
+        for (at, slot) in cohorts.chain(self.idle_open.iter().copied()) {
+            assert!(self.slab.get(slot).idle_filed, "slot {slot} does not know its idle entry");
+            assert!(filed.insert(slot, at).is_none(), "two idle entries for slot {slot}");
         }
+        let mut next_end_memo = NO_RANGE;
         for (key, &KeyEntry { slot, .. }) in &self.slot_of {
             let st = self.slab.get(slot);
             assert_eq!(st.key, *key, "slot {slot} of key {key} holds key {}", st.key);
@@ -1226,10 +1298,18 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                 self.watermark
             );
             let d = st.due;
+            assert_eq!(
+                d,
+                due_of(st, &self.queries, self.max_extent, &mut next_end_memo),
+                "key {key} is filed under a due time its record no longer gives"
+            );
             if d == NOT_DUE {
                 if let Some(ttl) = self.cfg.idle_ttl {
                     let expiry = st.t_last.saturating_add(ttl);
-                    assert!(expiry > self.watermark, "key {key} is drained, expired and live");
+                    assert!(
+                        !after_watermark || expiry > self.watermark,
+                        "key {key} is drained, expired and live"
+                    );
                     assert!(
                         st.idle_filed && filed.get(&slot).is_some_and(|&at| at <= expiry),
                         "drained key {key} has no idle entry due by its expiry {expiry}"
@@ -1238,7 +1318,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                 continue;
             }
             assert!(
-                d > self.watermark,
+                !after_watermark || d > self.watermark,
                 "key {key} left due {d} at or below watermark {}",
                 self.watermark
             );
@@ -1436,7 +1516,7 @@ impl<A: AggregateFunction> WindowAggregator<PerKey<A>> for KeyedWindowOperator<A
 mod tests {
     use super::*;
     use crate::operator::{OperatorConfig, WindowOperator};
-    use crate::testsupport::{Concat, SumI64, TumblingStub};
+    use crate::testsupport::{Concat, SlidingStub, SumI64, TumblingStub};
 
     fn tumbling(len: Time) -> Box<dyn WindowFunction> {
         Box::new(TumblingStub { length: len })
@@ -1996,7 +2076,197 @@ mod tests {
             agg.on_watermark(1_000_030, out);
         }
         assert_eq!(sorted(got), sorted(want));
-        let (from, _, _) = shared_inner(&mut op).sweep_memo.span.expect("key 1 was swept");
+        let (from, lo, hi) = shared_inner(&mut op).sweep_memo.span;
+        assert!(lo < hi, "key 1 was swept");
         assert_eq!(from, 1_000_000, "the sweep walked the gap from the key's old floor");
+    }
+
+    /// The next-end memo answers every probe short of its answer, not
+    /// only the probe that filled it: for each query set, asked in three
+    /// orders over a span that crosses several window ends, it gives what
+    /// a cold computation gives, and a probe inside the range it holds
+    /// leaves it as it was.
+    #[test]
+    fn next_end_memo_answers_every_probe_short_of_its_answer() {
+        let sets: [Vec<Box<dyn WindowFunction>>; 3] = [
+            vec![tumbling(10)],
+            vec![Box::new(SlidingStub { length: 25, slide: 10 })],
+            vec![tumbling(7), Box::new(SlidingStub { length: 30, slide: 4 }), tumbling(10)],
+        ];
+        for windows in sets {
+            let queries: Vec<Query> =
+                windows.into_iter().enumerate().map(|(i, w)| Query::new(i as u32, w)).collect();
+            let span = -40..140;
+            let orders: [Vec<Time>; 3] = [
+                span.clone().collect(),
+                span.clone().rev().collect(),
+                span.clone().map(|t| (t + 40) * 37 % 180 - 40).collect(),
+            ];
+            for order in orders {
+                let mut memo = NO_RANGE;
+                for probe in order {
+                    let cold = union_next_end(&queries, probe, &mut { NO_RANGE });
+                    assert!(cold > probe);
+                    assert_eq!(union_next_end(&queries, probe, &mut memo), cold, "probe {probe}");
+                    let held = memo;
+                    for inside in held.0..held.1 {
+                        assert_eq!(union_next_end(&queries, inside, &mut memo), held.1);
+                        assert_eq!(memo, held, "probe {inside} replaced a memo that covers it");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every bucket entry of `slot`, as `(bucket, position)`.
+    fn due_entries(s: &SharedKeyed<SumI64>, slot: u32) -> Vec<Time> {
+        let entries = s.due_buckets.iter();
+        entries
+            .flat_map(|(&at, b)| b.iter().filter(move |&&e| e == slot).map(move |_| at))
+            .collect()
+    }
+
+    /// A pending key keeps its one bucket entry however often it is
+    /// touched: tuples between three watermarks move its floor (catch-up,
+    /// and a key-late tuple before its first sweep) but not its due time,
+    /// so nothing is filed again and no wake-up goes stale.
+    #[test]
+    fn a_key_pending_across_watermarks_keeps_one_live_bucket_entry() {
+        let mut op = shared_op(100, KeyedConfig::default().with_allowed_lateness(1_000));
+        let mut out = Vec::new();
+        op.process(5, (1, 1), &mut out);
+        let slot = shared_inner(&mut op).slot_of[&1].slot;
+        for (wm, batch) in [
+            (20, vec![(25, (1, 1)), (3, (1, 1)), (26, (1, 1))]),
+            (40, vec![(45, (1, 1)), (9, (2, 1))]),
+            (60, vec![(65, (1, 1)), (66, (1, 1))]),
+        ] {
+            op.on_watermark(wm, &mut out);
+            op.process_batch(&batch, &mut out);
+            op.process(wm + 7, (1, 1), &mut out);
+            let s = shared_inner(&mut op);
+            assert_eq!(due_entries(s, slot), [100], "after watermark {wm}");
+            assert_eq!(s.slab.get(slot).floor, wm, "the floor did catch up");
+        }
+        op.on_watermark(100, &mut out);
+        assert_eq!(sorted(out), vec![(0, 0, 100, 1, 10, false), (0, 0, 100, 2, 1, false)]);
+        let st = op.stats();
+        assert_eq!((st.heap_wakeups, st.stale_wakeups), (2, 0));
+    }
+
+    /// A bucket that mixes regular keys with every kind the regular sweep
+    /// must leave to the full one — a key clamped by its own `t_last`, one
+    /// a watermark behind, one never swept, and one whose ring `trim_to`
+    /// empties (planted: a live due entry implies a live slice, so the
+    /// operator never gets there by itself) — emits, and leaves in each
+    /// record, what sweeping every key in full does.
+    #[test]
+    fn a_mixed_bucket_sweeps_like_per_key_calls() {
+        let build = || {
+            let mut op = shared_op(10, KeyedConfig::default().with_allowed_lateness(100));
+            let mut out = Vec::new();
+            // Keys 1-4 regular, 5 planted, 6 clamped, 7 a watermark behind.
+            let early: Vec<_> = (1..=7u64).map(|k| (k as Time, (k, 1))).collect();
+            let next: Vec<_> = (1..=7u64).map(|k| (10 + k as Time, (k, 10))).collect();
+            op.process_batch(&early, &mut out);
+            op.process_batch(&next, &mut out);
+            op.on_watermark(18, &mut out);
+            assert_eq!(out.len(), 7);
+            op.on_watermark(19, &mut out);
+            // In step again: 1-5 by a tuple in the open slice, 6 by a late
+            // one that leaves its `t_last` at 16; 8 is born, 7 untouched.
+            let open: Vec<_> = (1..=5u64).map(|k| (20 + k as Time, (k, 100))).collect();
+            op.process_batch(&open, &mut out);
+            op.process_batch(&[(12, (6, 1_000)), (17, (8, 5))], &mut out);
+            let s = shared_inner(&mut op);
+            let planted = s.slot_of[&5].slot;
+            s.slab.get_mut(planted).generation ^= 1;
+            op
+        };
+        let (mut swept, mut by_key) = (build(), build());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        swept.on_watermark(28, &mut got);
+
+        let s = shared_inner(&mut by_key);
+        let bucket = s.due_buckets.remove(&20).expect("all eight keys wait for 20");
+        assert_eq!(bucket.len(), 8);
+        for &slot in &bucket {
+            let st = s.slab.get_mut(slot);
+            st.trim_to(&s.timeline);
+            catch_up_floor(st, s.watermark, s.max_extent);
+            let (f, queries, stats) = (&s.f, &mut s.queries, &mut s.stats);
+            sweep_key(st, f, queries, &s.timeline, 10, 28, &mut s.sweep_memo, stats, &mut want);
+            st.wm_seen = 28;
+            st.due = due_of(st, &s.queries, s.max_extent, &mut s.next_end_memo);
+        }
+        assert_eq!(got.len(), 7, "every key but 5, whose ring was emptied, fires [10, 20)");
+        let rows = |out: &[WindowResult<(u64, i64)>]| -> Vec<_> {
+            out.iter().map(|r| (r.range.start, r.range.end, r.value, r.is_update)).collect()
+        };
+        assert_eq!(rows(&got), rows(&want));
+        let swept = shared_inner(&mut swept);
+        assert!(swept.sweep_memo.asked.is_some(), "no key was swept up to the watermark itself");
+        for &slot in &bucket {
+            let (a, b) = (swept.slab.get(slot), s.slab.get(slot));
+            let record = |st: &KeyState<SumI64>| {
+                (st.key, st.floor, st.swept, st.wm_seen, st.due, st.first, st.ring.len())
+            };
+            assert_eq!(record(a), record(b));
+        }
+        let dues: Vec<Time> = bucket.iter().map(|&slot| s.slab.get(slot).due).collect();
+        assert_eq!(dues, [30, 30, 30, 30, 30, NOT_DUE, NOT_DUE, NOT_DUE]);
+    }
+
+    /// The records keep 32 bits of the timeline's generation. A key
+    /// stamped 1 sleeps while the generation goes once round: without the
+    /// drop of every ring at `u32::MAX`, it would wake to find its stamp
+    /// current and, the timeline having grown backwards past its stale
+    /// index, read that index as a live slice.
+    #[test]
+    fn a_sleeping_key_is_carried_across_the_generation_wrap() {
+        let cfg = KeyedConfig::default().with_allowed_lateness(0);
+        let mut op = shared_op(10, cfg);
+        let mut out = Vec::new();
+        op.process(5, (1, 7), &mut out);
+        op.on_watermark(100, &mut out);
+        let s = shared_inner(&mut op);
+        assert_eq!(s.timeline.generation(), 1);
+        let sleeper = s.slot_of[&1].slot;
+        assert_eq!(
+            s.slab.get(sleeper).ring.len(),
+            1,
+            "trimmed lazily: the dead slot is still there"
+        );
+        // 2^32 - 3 rebirths later (the timeline is empty, so nothing but
+        // its generation tells): one more reaches u32::MAX ...
+        s.timeline = Timeline::at_generation(u64::from(u32::MAX) - 1);
+        op.process(1_000, (2, 1), &mut out);
+        op.on_watermark(2_000, &mut out);
+        let s = shared_inner(&mut op);
+        assert_eq!(s.timeline.generation() as u32, u32::MAX);
+        assert!(s.slab.get(sleeper).ring.is_empty(), "the wrap drops every ring");
+        // ... the next two wrap to 0 and to the sleeper's own stamp, 1.
+        op.process(3_000, (3, 1), &mut out);
+        op.on_watermark(4_000, &mut out);
+        op.process(5_000, (4, 1), &mut out);
+        let s = shared_inner(&mut op);
+        assert_eq!(s.timeline.generation(), (1 << 32) + 1);
+        assert_eq!(s.slab.get(sleeper).generation, 1);
+        // A new key far behind grows the timeline backwards, past the
+        // sleeper's stale index; then the sleeper returns.
+        op.process(4_000, (5, 1), &mut out);
+        let s = shared_inner(&mut op);
+        assert!(s.timeline.base() < s.slab.get(sleeper).first);
+        out.clear();
+        op.process(5_005, (1, 9), &mut out);
+        op.on_watermark(6_000, &mut out);
+        assert_eq!(
+            sorted(out),
+            vec![
+                (0, 4_000, 4_010, 5, 1, false),
+                (0, 5_000, 5_010, 1, 9, false),
+                (0, 5_000, 5_010, 4, 1, false),
+            ]
+        );
     }
 }

@@ -218,3 +218,64 @@ impl crate::window::WindowFunction for TumblingStub {
         Box::new(*self)
     }
 }
+
+/// A minimal sliding window for core-internal tests: a window of `length`
+/// starts at every multiple of `slide`.
+#[derive(Debug, Clone, Copy)]
+pub struct SlidingStub {
+    pub length: crate::time::Time,
+    pub slide: crate::time::Time,
+}
+
+impl SlidingStub {
+    /// Start of the last window that begins at or before `ts`.
+    fn start_at(&self, ts: crate::time::Time) -> crate::time::Time {
+        ts.div_euclid(self.slide) * self.slide
+    }
+}
+
+impl crate::window::WindowFunction for SlidingStub {
+    fn measure(&self) -> crate::time::Measure {
+        crate::time::Measure::Time
+    }
+    fn context(&self) -> crate::window::ContextClass {
+        crate::window::ContextClass::ContextFree
+    }
+    fn next_edge(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
+        self.next_window_end(ts).map(|end| end.min(self.start_at(ts) + self.slide))
+    }
+    fn next_window_end(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
+        Some(self.start_at(ts - self.length) + self.slide + self.length)
+    }
+    fn prev_edge(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
+        Some(self.start_at(ts).max(self.start_at(ts - self.length) + self.length))
+    }
+    fn has_static_edges(&self) -> bool {
+        true
+    }
+    fn trigger_windows(
+        &mut self,
+        prev: crate::time::Time,
+        cur: crate::time::Time,
+        out: &mut dyn FnMut(crate::time::Range),
+    ) {
+        let mut e = self.start_at(prev - self.length) + self.slide + self.length;
+        while e <= cur {
+            out(crate::time::Range::new(e - self.length, e));
+            e += self.slide;
+        }
+    }
+    fn windows_containing(&self, ts: crate::time::Time, out: &mut dyn FnMut(crate::time::Range)) {
+        let mut s = self.start_at(ts - self.length) + self.slide;
+        while s <= ts {
+            out(crate::time::Range::new(s, s + self.length));
+            s += self.slide;
+        }
+    }
+    fn max_extent(&self) -> i64 {
+        self.length
+    }
+    fn clone_box(&self) -> Box<dyn crate::window::WindowFunction> {
+        Box::new(*self)
+    }
+}

@@ -49,6 +49,13 @@ pub struct Timeline {
 }
 
 impl Timeline {
+    /// An empty timeline that has already been through `generation`
+    /// rebirths — `2^32` of them take too long to wait for.
+    #[cfg(test)]
+    pub(crate) fn at_generation(generation: u64) -> Self {
+        Timeline { generation, ..Timeline::default() }
+    }
+
     pub fn len(&self) -> usize {
         self.slices.len()
     }

@@ -6,7 +6,9 @@
 //! stream order, batch size, watermark placement (including stale,
 //! repeated, and flush watermarks), and idle-key TTL eviction — including
 //! rolling key cohorts that recycle key state under disorder — and the
-//! three ingestion entries must agree on every key's output sequence.
+//! three ingestion entries must agree on every key's output sequence —
+//! and, over batches in which no key repeats, on the whole emission
+//! sequence and every counter.
 //! Eviction *timing*, which no result shows, is pinned by comparing
 //! `live_keys()` after every watermark with a model of the TTL rule.
 //!
@@ -563,5 +565,180 @@ proptest! {
         let columns = per_key(drive_keyed_columns(&mut make(), &elements, batch_size));
         prop_assert_eq!(&pairs, &per_tuple, "process_batch diverged (batch {})", batch_size);
         prop_assert_eq!(&columns, &per_tuple, "process_batch_columns diverged (batch {})", batch_size);
+    }
+}
+
+/// One call of a keyed stream cut into explicit batches.
+enum Call {
+    Batch(Vec<(Time, (u64, i64))>),
+    Watermark(Time),
+}
+
+/// How [`drive_calls`] hands a batch over.
+#[derive(Clone, Copy)]
+enum Door {
+    PerTuple,
+    Pairs,
+    Columns,
+}
+
+/// Drives `calls` through one entry point and returns everything emitted,
+/// in emission order, tagged with the watermark segment.
+fn drive_calls(agg: &mut KeyedWindowOperator<Sum>, calls: &[Call], door: Door) -> Emitted {
+    let mut emitted = Emitted::new();
+    let mut out = Vec::new();
+    let mut segment = 0usize;
+    for call in calls {
+        match (call, door) {
+            (Call::Batch(b), Door::PerTuple) => {
+                b.iter().for_each(|(ts, value)| agg.process(*ts, *value, &mut out))
+            }
+            (Call::Batch(b), Door::Pairs) => agg.process_batch(b, &mut out),
+            (Call::Batch(b), Door::Columns) => {
+                let (times, values): (Vec<Time>, Vec<(u64, i64)>) = b.iter().copied().unzip();
+                agg.process_batch_columns(&times, &values, &mut out);
+            }
+            (Call::Watermark(wm), _) => agg.on_watermark(*wm, &mut out),
+        }
+        record(&mut emitted, &mut out, segment);
+        if matches!(call, Call::Watermark(_)) {
+            segment += 1;
+        }
+    }
+    emitted
+}
+
+/// The counters that do not depend on how a batch was grouped: what was
+/// accepted, dropped, emitted, created and evicted.
+fn grouping_free(s: KeyedStats) -> [u64; 7] {
+    [
+        s.tuples,
+        s.ooo_tuples,
+        s.dropped_late,
+        s.windows_emitted,
+        s.updates_emitted,
+        s.keys_created,
+        s.keys_evicted,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The run-length-1 shape. A stream is cut into explicit batches in
+    /// which every key appears once (the ingest loop takes them in place);
+    /// with `mixed`, every third batch draws its keys at random and so
+    /// repeats some (grouped by the counting sort). Keys come in three
+    /// cohorts that take turns, so under a TTL a cohort is evicted while
+    /// silent and re-created when its turn comes again. Over {tumbling,
+    /// sliding with ring spill} x {in-order, key-late inside the lateness,
+    /// key-late beyond it} x {no TTL, TTL} x batch {2, 7, 4096}:
+    ///
+    /// * `process_batch` and `process_batch_columns` emit the same *whole*
+    ///   sequence, not only the same sequence per key, with equal
+    ///   [`KeyedStats`];
+    /// * so does `process`, tuple by tuple, as long as no batch repeats a
+    ///   key. (A batch that does is ingested key by key: updates of
+    ///   different keys leave in group order, a key whose late second
+    ///   tuple lowers its first due time is filed once instead of twice,
+    ///   and a run counts as one fold. Then `process` agrees per key and
+    ///   on every counter that grouping cannot move.)
+    /// * all three match `RefKeyed`.
+    #[test]
+    fn keyed_singleton_batches_agree_on_whole_sequences(
+        raw in prop::collection::vec((0u64..10_000, 0i64..1_000, -50i64..50), 200..900),
+        slide in 2i64..20,
+        panes in 3i64..6,
+        sliding in 0usize..2,
+        order in 0usize..3,
+        with_ttl in 0usize..2,
+        batch_i in 0usize..3,
+        mixed in 0usize..2,
+        wm_every in 5usize..60,
+    ) {
+        const KEYS: u64 = 64;
+        const COHORT_LEN: Time = 150;
+        let batch = [2usize, 7, 4096][batch_i];
+        let (jitter, lag) = (if order == 0 { 0 } else { 40 }, 10);
+        let lateness = if order == 2 { 5 } else { jitter + lag };
+        let windows = || -> Vec<Box<dyn WindowFunction>> {
+            if sliding == 1 {
+                vec![Box::new(SlidingWindow::new(slide * panes, slide))]
+            } else {
+                vec![Box::new(TumblingWindow::new(slide * 3))]
+            }
+        };
+
+        // Cut the stream: a watermark every `wm_every` tuples closes the
+        // batch in progress, as a pipeline's chunk builder would.
+        let (mut calls, mut elements) = (Vec::new(), KeyedElements::new());
+        let (mut max_ts, mut repeats) = (TIME_MIN, false);
+        let mut distinct = std::collections::BTreeSet::new();
+        for (w, span) in raw.chunks(wm_every).enumerate() {
+            for (b, chunk) in span.chunks(batch).enumerate() {
+                let at = w * wm_every + b * batch;
+                let random = mixed == 1 && (w + b) % 3 == 2;
+                let tuples: Vec<(Time, (u64, i64))> = chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &(pick, late, v))| {
+                        let head = (at + j) as Time;
+                        let cohort = (head / COHORT_LEN) as u64 % 3;
+                        let member = (if random { pick } else { chunk[0].0 + j as u64 }) % KEYS;
+                        (head - late % (jitter + 1), (cohort * KEYS + member, v))
+                    })
+                    .collect();
+                let mut keys: Vec<u64> = tuples.iter().map(|t| t.1 .0).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                repeats |= keys.len() < tuples.len();
+                distinct.extend(keys);
+                for &(ts, value) in &tuples {
+                    max_ts = max_ts.max(ts);
+                    elements.push(StreamElement::Record { ts, value });
+                }
+                calls.push(Call::Batch(tuples));
+            }
+            calls.push(Call::Watermark(max_ts - lag));
+            elements.push(StreamElement::Watermark(max_ts - lag));
+        }
+        calls.push(Call::Watermark(i64::MAX - 1));
+        elements.push(StreamElement::Watermark(i64::MAX - 1));
+        prop_assert!(mixed == 1 || !repeats, "a batch of distinct members repeated a key");
+
+        let mut cfg = KeyedConfig::default().with_allowed_lateness(lateness);
+        if with_ttl == 1 {
+            // Longer than lateness + extent, so that eviction is exact;
+            // shorter than a cohort's silence of two turns, so that its
+            // keys are re-created when it returns.
+            cfg = cfg.with_idle_ttl(COHORT_LEN + jitter + lag);
+        }
+        let run = |door: Door| {
+            let mut op = KeyedWindowOperator::new(Sum, windows(), cfg);
+            assert!(op.is_shared());
+            let emitted = drive_calls(&mut op, &calls, door);
+            (emitted, op.stats())
+        };
+        let (per_tuple, per_tuple_stats) = run(Door::PerTuple);
+        let (pairs, pairs_stats) = run(Door::Pairs);
+        let (columns, columns_stats) = run(Door::Columns);
+
+        prop_assert_eq!(&columns, &pairs, "the batch entries emitted different sequences");
+        prop_assert_eq!(columns_stats, pairs_stats);
+        if repeats {
+            prop_assert_eq!(per_key(per_tuple.clone()), per_key(pairs.clone()));
+            prop_assert_eq!(grouping_free(per_tuple_stats), grouping_free(pairs_stats));
+        } else {
+            prop_assert_eq!(&per_tuple, &pairs, "process and process_batch emitted different sequences");
+            prop_assert_eq!(per_tuple_stats, pairs_stats);
+        }
+        if with_ttl == 1 {
+            prop_assert_eq!(pairs_stats.keys_evicted, pairs_stats.keys_created);
+            let recreated = pairs_stats.keys_created as usize > distinct.len();
+            prop_assert!(recreated || raw.len() < 4 * COHORT_LEN as usize, "no key was re-created");
+        }
+        let want = sorted(RefKeyed::new(windows(), lateness).run(&elements));
+        prop_assert_eq!(&sorted(pairs), &want, "process_batch diverged from the reference");
+        prop_assert_eq!(&sorted(per_tuple), &want, "process diverged from the reference");
     }
 }
