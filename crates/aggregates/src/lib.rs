@@ -1,7 +1,7 @@
 //! # gss-aggregates
 //!
 //! Incremental aggregate functions for general stream slicing, following
-//! the lift/combine/lower/invert decomposition of Tangwongsan et al. [42]
+//! the lift/combine/lower/invert decomposition of Tangwongsan et al. \[42\]
 //! (paper Section 5.4.1). The set mirrors the functions benchmarked in the
 //! paper's Figure 13 plus the M4 visualization aggregation of Section 6.4
 //! and the holistic median / 90-percentile.

@@ -1,6 +1,6 @@
 //! M4 and first/last aggregations.
 //!
-//! M4 (Jugel et al. [26]) computes four algebraic aggregates per window —
+//! M4 (Jugel et al. \[26\]) computes four algebraic aggregates per window —
 //! minimum, maximum, first and last value — and is the visualization
 //! workload of the paper's dashboard application (Section 6.4). Because
 //! "first" and "last" depend on positions, input tuples carry their

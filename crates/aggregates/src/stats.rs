@@ -1,5 +1,5 @@
 //! Statistical algebraic aggregations: geometric mean, sample and
-//! population standard deviation (the Tangwongsan et al. [42] set the paper
+//! population standard deviation (the Tangwongsan et al. \[42\] set the paper
 //! benchmarks in Figure 13).
 
 use gss_core::{AggregateFunction, FunctionKind, FunctionProperties, HeapSize};

@@ -8,11 +8,11 @@
 //!   FxHash in hot paths, no wall-clock in event-time code), with an
 //!   audited-exception file at `analysis/lint.allow`. Run via the
 //!   `lint` binary (`cargo lint`).
-//! * **Barrier exploration** ([`mc`]): every delivery order and every
+//! * **Barrier exploration** (`mc`): every delivery order and every
 //!   merge lag of the shipped `gss_stream::barrier::EpochBarrier`, over a
 //!   matrix of source scripts, with a recording stage checking the
 //!   barrier's contract. Run via the `mc` binary (`cargo mc`).
-//! * **Schedule exploration** ([`sched`]): runs the *real* `gss-stream`
+//! * **Schedule exploration** (`sched`): runs the *real* `gss-stream`
 //!   drivers under the deterministic `crossbeam::sched` runtime,
 //!   exploring interleavings by bounded-preemption DFS and seed-pinned
 //!   PCT, checking protocol invariants against probe traces plus

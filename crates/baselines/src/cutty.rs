@@ -1,4 +1,4 @@
-//! Cutty baseline (Carbone et al. [10], paper Sections 3.4 / 6.2.1).
+//! Cutty baseline (Carbone et al. \[10\], paper Sections 3.4 / 6.2.1).
 //!
 //! Cutty generalizes slicing to user-defined **context-free** windows: it
 //! slices only at window *start* edges and aggregates eagerly with a

@@ -2,7 +2,7 @@
 //! Schneider — "In-order sliding-window aggregation in worst-case
 //! constant time", the de-amortized successor of [`Two-Stacks`]).
 //!
-//! Two-Stacks ([`FifoAggregator`]) pays for evictions in bursts: when its
+//! Two-Stacks ([`FifoAggregator`](crate::FifoAggregator)) pays for evictions in bursts: when its
 //! front stack runs dry the whole back stack is flipped at once, an O(n)
 //! hiccup. DABA Lite spreads that flip across the operations that follow
 //! it, so every insert and evict performs **at most three combines** —

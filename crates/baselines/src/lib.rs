@@ -6,17 +6,17 @@
 //! slicing operator:
 //!
 //! * [`TupleBuffer`] — sorted ring buffer, no aggregate sharing (row 1);
-//! * [`AggregateTree`] — FlatFAT over tuples (row 2, FlatFAT [42]);
+//! * [`AggregateTree`] — FlatFAT over tuples (row 2, FlatFAT \[42\]);
 //! * [`Buckets`] — bucket per window, WID-style (rows 3–4, Flink's
 //!   operator), with [`BucketMode::Aggregate`] and [`BucketMode::Tuple`];
-//! * [`Pairs`] — specialized slicing for periodic in-order windows [28];
-//! * [`Panes`] — uniform gcd-sized panes, the earliest slicing [30];
+//! * [`Pairs`] — specialized slicing for periodic in-order windows \[28\];
+//! * [`Panes`] — uniform gcd-sized panes, the earliest slicing \[30\];
 //! * [`Cutty`] — slicing for user-defined context-free windows, eager
-//!   aggregation, in-order only [10];
+//!   aggregation, in-order only \[10\];
 //! * [`TwoStacksSliding`], [`DabaLiteSliding`] and [`SlickDequeSliding`]
 //!   — the related-work single-query sliding aggregators (amortized-O(1)
-//!   FIFO aggregation [42], its worst-case-O(1) de-amortization DABA
-//!   Lite [43], and monotonic-deque extremum tracking [40]).
+//!   FIFO aggregation \[42\], its worst-case-O(1) de-amortization DABA
+//!   Lite \[43\], and monotonic-deque extremum tracking \[40\]).
 //!
 //! All techniques reuse the same `WindowFunction` query definitions, so a
 //! benchmark swaps the technique without touching window semantics.

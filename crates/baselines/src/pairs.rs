@@ -1,4 +1,4 @@
-//! Pairs baseline (Krishnamurthy et al. [28], paper Sections 3.4 / 6.2.1).
+//! Pairs baseline (Krishnamurthy et al. \[28\], paper Sections 3.4 / 6.2.1).
 //!
 //! The original on-the-fly slicing technique: for periodic windows, the
 //! stream is cut into two alternating slice lengths per query — `l mod l_s`

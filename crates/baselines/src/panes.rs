@@ -1,4 +1,4 @@
-//! Panes baseline (Li et al., "No pane, no gain" [30]).
+//! Panes baseline (Li et al., "No pane, no gain" \[30\]).
 //!
 //! The earliest slicing technique: a sliding window (`l`, `l_s`) is split
 //! into uniform *panes* of length `gcd(l, l_s)`; each window aggregates

@@ -1,4 +1,4 @@
-//! SlickDeque-style sliding extremum aggregation (Shein et al. [40]).
+//! SlickDeque-style sliding extremum aggregation (Shein et al. \[40\]).
 //!
 //! For *selection* functions (min/max), a monotonic deque gives amortized
 //! O(1) inserts, O(1) evictions, and O(1) queries over a FIFO sliding

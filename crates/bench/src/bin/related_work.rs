@@ -3,8 +3,8 @@
 //! specialized algorithms of the paper's Section 7 were built for.
 //!
 //! Competitors: general stream slicing (lazy/eager), Pairs, Panes, Cutty,
-//! Two-Stacks FIFO aggregation [42], its worst-case-O(1) de-amortization
-//! DABA Lite [43], and the SlickDeque monotonic deque [40] (max only). Expected outcome: the specialized single-query
+//! Two-Stacks FIFO aggregation \[42\], its worst-case-O(1) de-amortization
+//! DABA Lite \[43\], and the SlickDeque monotonic deque \[40\] (max only). Expected outcome: the specialized single-query
 //! structures win by small constant factors on the workloads they support;
 //! general slicing stays within the same order of magnitude while also
 //! covering multi-query, out-of-order, session, and count workloads — the

@@ -26,7 +26,7 @@
 //! * Parallel merge — barrier acks agree on the watermark value
 //!   (FIFO-broadcast integrity; asserted in `gss-stream`).
 //!
-//! [`audit_assert!`] is the entry point for one-line checks; whole-
+//! [`audit_assert!`](crate::audit_assert!) is the entry point for one-line checks; whole-
 //! structure walks live in `#[cfg(feature = "audit")] assert_invariants`
 //! methods next to the structures they check.
 

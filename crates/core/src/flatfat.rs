@@ -1,4 +1,4 @@
-//! FlatFAT: a flat fixed-size aggregate tree (Tangwongsan et al. [42]).
+//! FlatFAT: a flat fixed-size aggregate tree (Tangwongsan et al. \[42\]).
 //!
 //! A complete binary tree stored in one array whose leaves are partial
 //! aggregates and whose inner nodes combine their children **in leaf

@@ -1,6 +1,6 @@
 //! The incremental aggregation framework (paper Section 5.4.1).
 //!
-//! Following Tangwongsan et al. [42], an aggregation is decomposed into
+//! Following Tangwongsan et al. \[42\], an aggregation is decomposed into
 //! `lift`, `combine` (⊕), `lower`, and an optional `invert` (⊖). General
 //! stream slicing *requires* associativity of ⊕ (all aggregate-sharing
 //! techniques do) and *exploits* commutativity and invertibility when the
@@ -10,7 +10,7 @@ use crate::mem::HeapSize;
 use crate::time::Time;
 
 /// Classification of aggregations by the size of their partial aggregates
-/// (Gray et al. [16], adopted in paper Section 4.2).
+/// (Gray et al. \[16\], adopted in paper Section 4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FunctionKind {
     /// Partials equal finals and have constant size (sum, min, max).

@@ -15,13 +15,13 @@
 //! array index:
 //!
 //! * **Key → slot, once.** An `FxHashMap` maps a key to the slot of its
-//!   [`KeyState`] record in a page-allocated slab. That probe is the only
+//!   `KeyState` record in a page-allocated slab. That probe is the only
 //!   one on ingest and there is none on the watermark path: due buckets
 //!   and idle cohorts hold slots. Evicted slots go on a free list and are
 //!   handed to the next new key.
 //! * **Partials in the record.** A key's ring of per-slice partials
 //!   aligned to the timeline lives inline in its record while its live
-//!   span fits [`INLINE_SLICES`], and spills to a heap ring beyond that.
+//!   span fits `INLINE_SLICES`, and spills to a heap ring beyond that.
 //!   Memory stays O(touched span) per key; a dense keys × live-slices
 //!   matrix would explode under sliding queries with long lateness over
 //!   sparse keys.
@@ -124,7 +124,7 @@ impl<A: AggregateFunction> AggregateFunction for PerKey<A> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KeyedConfig {
     /// How far behind the watermark a tuple may arrive before being
-    /// dropped (same meaning as [`OperatorConfig::allowed_lateness`]).
+    /// dropped (same meaning as [`OperatorConfig::allowed_lateness`](crate::OperatorConfig::allowed_lateness)).
     pub allowed_lateness: Time,
     /// Evict a key's state once no tuple has arrived for it for this long
     /// (in event time, judged against the watermark) *and* it has no

@@ -4,11 +4,11 @@
 //! efficient streaming window aggregation (Traub et al., EDBT 2019). The
 //! core crate provides:
 //!
-//! * the [`Slice`](slice::Slice) abstraction with the three fundamental
+//! * the [`Slice`] abstraction with the three fundamental
 //!   operations **merge**, **split**, and **update** (paper Section 5.2),
-//! * the [`SliceStore`](store::SliceStore) aggregate store with lazy and
+//! * the [`SliceStore`] aggregate store with lazy and
 //!   eager (FlatFAT-indexed) variants,
-//! * the [`WindowOperator`](operator::WindowOperator) combining the Stream
+//! * the [`WindowOperator`] combining the Stream
 //!   Slicer, Slice Manager, and Window Manager of paper Figure 7,
 //! * the workload-characteristics decision logic of Figures 4–6
 //!   ([`characteristics`]),

@@ -1374,20 +1374,20 @@ impl<A: AggregateFunction> WindowOperator<A> {
     ///
     /// * a monotone stretch that crosses no slice edge, completes no
     ///   window and needs no context notification
-    ///   ([`run_len`](Self::run_len)) goes into the open slice straight
+    ///   (`run_len`) goes into the open slice straight
     ///   from the columns with a single store touch (one fold through the
     ///   bulk kernel + ⊕, one tuple-storage append, one eager-leaf
     ///   refresh);
-    /// * an eligible late tuple ([`defer_config_ok`](Self::defer_config_ok))
+    /// * an eligible late tuple (`defer_config_ok`)
     ///   is deferred and written with its slice's other late tuples when
-    ///   the call ends ([`flush_late`](Self::flush_late)) — stretches
+    ///   the call ends (`flush_late`) — stretches
     ///   commit at once, so it never waits on a pending append;
     /// * everything else — tuples at slice edges, window completions,
     ///   below-watermark stragglers, count-measure shifts — takes
     ///   [`process_tuple`](Self::process_tuple);
     /// * once the late share seen in this batch says stretches are short
-    ///   ([`PARTITION_SHARE`]), the rest of the batch is partitioned and
-    ///   applied in bulk ([`partition_rest`](Self::partition_rest)).
+    ///   (`PARTITION_SHARE`), the rest of the batch is partitioned and
+    ///   applied in bulk (`partition_rest`).
     ///
     /// # Panics
     /// When the columns differ in length; nothing has been applied then.

@@ -320,17 +320,6 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.append_slice_unchecked(Range::new(ts, old_end));
     }
 
-    /// Prepends a slice before the current first slice (late tuples older
-    /// than any slice, e.g. at stream start).
-    pub fn prepend_slice(&mut self, range: Range) {
-        debug_assert!(
-            self.slices.front().is_none_or(|s| range.end <= s.start()),
-            "prepended slice must precede the first slice"
-        );
-        self.slices.push_front(Slice::new(range, self.keep_tuples));
-        self.index_insert(0);
-    }
-
     /// Inserts a slice into a coverage gap (late tuples landing between
     /// existing slices). Returns the insertion index. The range must not
     /// overlap existing slices.
@@ -641,7 +630,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// directly — a handful of sequential combines on prefetcher-friendly
     /// memory beats a tree descent over cold pointers (or a FlatFAT
     /// ancestor walk) every time. The index only earns its keep once the
-    /// range outgrows [`INDEX_SCAN_CUTOFF`] slices, which is exactly the
+    /// range outgrows `INDEX_SCAN_CUTOFF` slices, which is exactly the
     /// regime (large lateness, many live slices) it exists for. Slices
     /// are the source of truth, so the scan is also immune to deferred
     /// index repairs.
@@ -918,11 +907,6 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Total number of tuples ever added (absolute count).
     pub fn total_count(&self) -> u64 {
         self.evicted_tuples + self.slices.iter().map(|s| s.len() as u64).sum::<u64>()
-    }
-
-    /// Absolute count position of the start of slice `idx`.
-    pub fn count_start_of(&self, idx: usize) -> u64 {
-        self.evicted_tuples + self.slices.iter().take(idx).map(|s| s.len() as u64).sum::<u64>()
     }
 
     /// Moves the last tuple of slice `idx` into slice `idx + 1` (the

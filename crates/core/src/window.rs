@@ -1,7 +1,7 @@
 //! Window-type interfaces (paper Sections 4.4 and 5.4.2).
 //!
 //! Window types are classified by the *context* needed to know where windows
-//! start and end (Li et al. [31]): context free (CF), forward context free
+//! start and end (Li et al. \[31\]): context free (CF), forward context free
 //! (FCF), and forward context aware (FCA). The slicing core is agnostic to
 //! concrete window types; they plug in through [`WindowFunction`], mirroring
 //! the paper's `getNextEdge` / `triggerWindows` / `notifyContext` interface.

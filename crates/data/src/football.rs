@@ -1,5 +1,5 @@
 //! Synthetic football sensor stream, modeled after the DEBS 2013 grand
-//! challenge data the paper replays (Section 6.1, [34]).
+//! challenge data the paper replays (Section 6.1, \[34\]).
 //!
 //! Substitution (documented in DESIGN.md): the original dataset tracks
 //! ball positions at 2000 Hz; the paper adds 5 gaps per minute to separate

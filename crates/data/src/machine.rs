@@ -1,5 +1,5 @@
 //! Synthetic manufacturing-machine stream, modeled after the DEBS 2012
-//! grand challenge data the paper replays (Section 6.1, [25]).
+//! grand challenge data the paper replays (Section 6.1, \[25\]).
 //!
 //! Substitution (documented in DESIGN.md): the original data reports
 //! machine states at 100 Hz with only **37 distinct values** in the

@@ -81,11 +81,6 @@ impl Translated {
         self.operators.len()
     }
 
-    /// Iterates over the operators for processing.
-    pub fn operators_mut(&mut self) -> impl Iterator<Item = &mut WindowOperator<AnyAggregate>> {
-        self.operators.iter_mut().map(|(_, op, _)| op)
-    }
-
     /// Processes one tuple through every operator, collecting results
     /// tagged with their aggregation kind.
     pub fn process_tuple(

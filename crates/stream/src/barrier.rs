@@ -24,7 +24,7 @@
 //!
 //! [`EpochBarrier`] has no thread or channel in it: the tests here and
 //! `cargo mc` (every delivery order × every merge lag) drive the shipped
-//! code directly. [`merge_stage`] puts it behind a channel, which
+//! code directly. `merge_stage` puts it behind a channel, which
 //! `cargo sched` explores under the deterministic runtime.
 //!
 //! [`run_parallel`]: crate::parallel::run_parallel

@@ -6,7 +6,7 @@
 //! kernel a contiguous primitive value slice without re-materializing
 //! `(time, value)` pairs. [`ChunkBuilder`] decides where chunk boundaries
 //! fall: accumulate until either a target size or a deadline relative to
-//! the chunk's first record, whichever comes first. [`Gather`] pulls an
+//! the chunk's first record, whichever comes first. `Gather` pulls an
 //! element iterator into the builders and recycles the workers' buffers.
 //!
 //! ## Why a wall-clock deadline is event-time-safe
@@ -32,15 +32,12 @@ use gss_core::{StreamElement, Time};
 use crate::metrics::BatchSizeHistogram;
 use crate::mutants::{self, Mutant};
 
-/// How sources pack records into chunks and how workers feed them to the
-/// operator. Replaces the old fixed `batch_size`/`batched` knob pair.
+/// How sources pack records into chunks. A worker hands a chunk of one
+/// record to the operator's `process`, every other chunk to its batched
+/// ingestion path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Batching {
-    /// One `process` call per record at the operator (the pre-batching
-    /// behavior). Records still ride the channels in chunks of `chunk`
-    /// for transport.
-    PerTuple { chunk: usize },
-    /// Fixed-size chunks fed through the batched ingestion path.
+    /// Fixed-size chunks of this many records.
     Fixed(usize),
     /// Accumulate until `target` records or until `max_delay` has passed
     /// since the chunk's first record, whichever comes first. High-rate
@@ -61,15 +58,9 @@ impl Batching {
     /// The transport chunk-size ceiling of this mode (capacity hint).
     pub fn chunk_target(&self) -> usize {
         match *self {
-            Batching::PerTuple { chunk } => chunk,
             Batching::Fixed(n) => n,
             Batching::Adaptive { target, .. } => target,
         }
-    }
-
-    /// Whether the operator should ingest per tuple.
-    pub fn is_per_tuple(&self) -> bool {
-        matches!(self, Batching::PerTuple { .. })
     }
 }
 
@@ -227,7 +218,7 @@ impl<V> ChunkBuilder<V> {
         let target = mode.chunk_target().max(1);
         let max_delay = match mode {
             Batching::Adaptive { max_delay, .. } => Some(max_delay),
-            _ => None,
+            Batching::Fixed(_) => None,
         };
         let chunk = RecordChunk::with_capacity(target);
         ChunkBuilder { target, max_delay, clock, chunk, deadline: None, next_check: 0 }
@@ -244,8 +235,8 @@ impl<V> ChunkBuilder<V> {
     pub const CLOCK_CHECK_STRIDE: usize = 64;
 
     /// Adds one record; returns a chunk ready to ship when full or
-    /// past-deadline (see [`due`](Self::due)). The one-record form of the
-    /// [`Gather`] stage's strip: same append, same test.
+    /// past-deadline (see `due`). The one-record form of the
+    /// `Gather` stage's strip: same append, same test.
     #[inline]
     pub fn push(&mut self, ts: Time, value: V) -> Option<RecordChunk<V>> {
         self.chunk.push(ts, value);
@@ -564,13 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn per_tuple_mode_still_chunks_transport() {
-        let mut b = ChunkBuilder::with_clock(Batching::PerTuple { chunk: 2 }, fake_now);
-        assert!(b.push(1, 1).is_none());
-        assert_eq!(b.push(2, 2).expect("chunked at 2").len(), 2);
-    }
-
-    #[test]
     fn adaptive_flushes_on_target_without_clock_pressure() {
         let mode = Batching::Adaptive { target: 3, max_delay: Duration::from_secs(3600) };
         let mut b = ChunkBuilder::with_clock(mode, fake_now);
@@ -640,8 +624,6 @@ mod tests {
             }
         );
         assert_eq!(Batching::default().chunk_target(), 4096);
-        assert!(!Batching::default().is_per_tuple());
-        assert!(Batching::PerTuple { chunk: 8 }.is_per_tuple());
     }
 
     #[test]
@@ -836,7 +818,7 @@ mod tests {
             W(7),
             W(8),
         ];
-        for mode in [Batching::Fixed(100), Batching::default(), Batching::PerTuple { chunk: 100 }] {
+        for mode in [Batching::Fixed(100), Batching::default()] {
             let events = gathered(&elements, mode, 1, frozen);
             let expect = vec![
                 Ev::Chunk(0, vec![1, 2], vec![1, 2]),
@@ -941,7 +923,6 @@ mod tests {
         fn gather_matches_the_per_record_loop(
             elements in elements_strategy(),
             mode in prop_oneof![
-                Just(Batching::PerTuple { chunk: 5 }),
                 Just(Batching::Fixed(1)),
                 Just(Batching::Fixed(7)),
                 Just(Batching::Fixed(4096)),

@@ -50,14 +50,12 @@ const EMIT_SHIP_CAP: usize = 4096;
 /// watermark is acked after shipping; without one, the worker keeps them.
 pub(crate) struct Hosted<A: AggregateFunction> {
     op: Box<dyn WindowAggregator<A>>,
-    per_tuple: bool,
     sink: ResultSink<WindowResult<A::Output>>,
 }
 
 impl<A: AggregateFunction> Hosted<A> {
     pub(crate) fn new(op: Box<dyn WindowAggregator<A>>, cfg: &PipelineConfig) -> Self {
-        let sink = ResultSink::new(cfg.collect_results);
-        Hosted { op, per_tuple: cfg.batching.is_per_tuple(), sink }
+        Hosted { op, sink: ResultSink::new(cfg.collect_results) }
     }
 
     /// Settles what the operator emitted, or ships it once it numbers
@@ -83,12 +81,12 @@ where
 {
     /// The whole chunk goes through `process_batch_columns`: contiguous
     /// values column, zero repacking. Size-1 chunks take the per-record
-    /// entry point like per-tuple mode does: run detection is pure
-    /// overhead on one record (the old "batch 1 costs 0.6×" cliff).
+    /// entry point: run detection is pure overhead on one record (the old
+    /// "batch 1 costs 0.6×" cliff).
     fn records(&mut self, chunk: &mut RecordChunk<A::Input>, up: &mut Up<'_, A>) {
         chunk.check();
         let out = &mut self.sink.scratch;
-        if self.per_tuple || chunk.len() == 1 {
+        if chunk.len() == 1 {
             chunk.drain().for_each(|(ts, value)| self.op.process(ts, value, out));
         } else {
             self.op.process_batch_columns(chunk.times(), chunk.values(), out);

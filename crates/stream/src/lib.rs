@@ -1,13 +1,21 @@
 //! # gss-stream
 //!
-//! A minimal tuple-at-a-time dataflow substrate: bounded channels, key
-//! partitioning, watermark broadcast, and one window-operator instance per
-//! partition — the parallelization model of Flink/Storm-style systems that
-//! the paper assumes (Section 5.3) and measures in Section 6.4.
+//! A minimal dataflow substrate: bounded channels, key partitioning,
+//! watermark broadcast, and one window-operator instance per partition —
+//! the parallelization model of Flink/Storm-style systems that the paper
+//! assumes (Section 5.3) and measures in Section 6.4.
+//!
+//! Every driver ([`run_keyed`], [`run_per_key`], [`run_parallel`],
+//! [`run_sharded_keyed`]) takes a plain iterator of
+//! [`StreamElement`](gss_core::StreamElement)s: records, watermarks and
+//! punctuations in arrival order. Watermarks come with the input
+//! (`gss_data::with_watermarks` adds bounded-out-of-orderness ones), keys
+//! and payloads are shaped with
+//! [`StreamElement::map`](gss_core::StreamElement::map) and
+//! [`Iterator::filter`].
 
 pub mod barrier;
 pub mod batching;
-pub mod builder;
 pub mod driver;
 mod host;
 pub mod metrics;
@@ -15,11 +23,8 @@ pub mod mutants;
 pub mod parallel;
 pub mod pipeline;
 pub mod sharded;
-pub mod source;
-pub mod watermark;
 
 pub use batching::{Batching, ChunkBuilder, RecordChunk};
-pub use builder::{KeyedPipeline, Pipeline};
 pub use driver::PipelineError;
 pub use metrics::{BatchSizeHistogram, LatencyHistogram};
 pub use parallel::{parallel_eligible, run_parallel};
@@ -27,7 +32,3 @@ pub use pipeline::{
     partition_of, process_cpu_time, run_keyed, run_per_key, PipelineConfig, PipelineReport,
 };
 pub use sharded::{run_sharded_keyed, shard_of};
-pub use source::{
-    filter_records, key_by, map_records, punctuate_every, IteratorSource, PunctuateEvery,
-};
-pub use watermark::{AscendingTimestamps, BoundedOutOfOrderness, NoWatermarks, WatermarkStrategy};

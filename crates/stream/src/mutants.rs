@@ -10,7 +10,7 @@
 //! Without the `sched-mutants` feature, [`is`] is a constant `false`
 //! and every guarded branch compiles away: release binaries carry no
 //! fault-injection code at all. With the feature, the `sched` binary
-//! selects one mutant at a time through [`set_mutant`] (runs are
+//! selects one mutant at a time through `set_mutant` (runs are
 //! single-flight, so a process-global is sufficient and keeps the
 //! protocol signatures untouched).
 

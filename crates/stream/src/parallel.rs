@@ -200,39 +200,30 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
         self.wm != TIME_MIN && if self.order.is_in_order() { ts < self.wm } else { ts <= self.wm }
     }
 
-    fn ingest(&mut self, ts: Time, value: A::Input) {
-        if self.wm != TIME_MIN {
-            // Same drop rule as the sequential operator. In-order streams
-            // never drop: their eviction horizon is the watermark itself,
-            // and synthesized watermarks trail every unseen record.
-            if !self.order.is_in_order() && ts < self.wm.saturating_sub(self.lateness) {
-                self.dropped_late += 1;
-                return;
-            }
-            if self.below_watermark(ts) {
-                // Straggler at or below the acked watermark: buffer it as
-                // its own partial (one update emission per straggler at
-                // the merge stage) and let it ride the next flush instead
-                // of paying for a singleton message. Sound because the
-                // relative order of straggler and on-time partials within
-                // an epoch is immaterial: on-time tuples only touch
-                // windows that have not fired, the aggregate is
-                // commutative, and the batch is applied before the next
-                // epoch barrier either way.
-                let start = Timeline::union_prev_edge(&self.queries, ts);
-                let end = Timeline::union_next_edge(&self.queries, ts);
-                self.stragglers.push(SlicePartial {
-                    start,
-                    end,
-                    partial: self.f.lift(&value),
-                    t_first: ts,
-                    t_last: ts,
-                    n: 1,
-                });
-                return;
-            }
+    /// A record [`below_watermark`](Self::below_watermark): dropped by the
+    /// sequential operator's rule, else buffered as its own partial (one
+    /// update emission per straggler at the merge stage) to ride the next
+    /// flush instead of paying for a singleton message. Sound because the
+    /// relative order of straggler and on-time partials within an epoch is
+    /// immaterial: on-time tuples only touch windows that have not fired,
+    /// the aggregate is commutative, and the batch is applied before the
+    /// next epoch barrier either way.
+    fn straggler(&mut self, ts: Time, value: &A::Input) {
+        // In-order streams never drop: their eviction horizon is the
+        // watermark itself, and synthesized watermarks trail every unseen
+        // record.
+        if !self.order.is_in_order() && ts < self.wm.saturating_sub(self.lateness) {
+            self.dropped_late += 1;
+            return;
         }
-        self.fold(ts, &value);
+        self.stragglers.push(SlicePartial {
+            start: Timeline::union_prev_edge(&self.queries, ts),
+            end: Timeline::union_next_edge(&self.queries, ts),
+            partial: self.f.lift(value),
+            t_first: ts,
+            t_last: ts,
+            n: 1,
+        });
     }
 
     /// Resolves the slice covering `ts` — cache hit or timeline growth —
@@ -280,17 +271,11 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
         }
     }
 
-    fn fold(&mut self, ts: Time, value: &A::Input) {
-        let (_, _, pos) = self.locate(ts);
-        let lifted = self.f.lift(value);
-        self.add_acc(pos, lifted, ts, ts, 1);
-    }
-
     /// Ingests a whole SoA chunk, folding each maximal same-slice span of
     /// on-time records through [`AggregateFunction::fold_slice`] on the
     /// contiguous values column — one combine per span instead of one
     /// per record. Stragglers and too-late records take the per-record
-    /// [`ingest`](WorkerSlicer::ingest) path. Sound because parallel
+    /// [`straggler`](WorkerSlicer::straggler) step. Sound because parallel
     /// eligibility requires a commutative aggregate: slice membership,
     /// not intra-slice order, determines the result.
     fn ingest_chunk(&mut self, chunk: &RecordChunk<A::Input>) {
@@ -301,7 +286,7 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
         while i < times.len() {
             let ts = times[i];
             if self.below_watermark(ts) {
-                self.ingest(ts, values[i].clone());
+                self.straggler(ts, &values[i]);
                 i += 1;
                 continue;
             }

@@ -25,11 +25,10 @@ pub struct PipelineConfig {
     pub parallelism: usize,
     /// Bounded channel capacity per partition (backpressure), in chunks.
     pub channel_capacity: usize,
-    /// How sources pack records into channel chunks and how workers feed
-    /// them to the operator (see [`Batching`]). The default is
-    /// latency-bounded adaptive batching; watermarks and punctuations
-    /// always flush pending chunks first, so every mode produces
-    /// identical results.
+    /// How sources pack records into channel chunks (see [`Batching`]).
+    /// The default is latency-bounded adaptive batching; watermarks and
+    /// punctuations always flush pending chunks first, so every mode
+    /// produces identical results.
     pub batching: Batching,
     /// Collect emitted window results (disable for pure throughput runs —
     /// results are counted either way).
@@ -52,16 +51,10 @@ impl PipelineConfig {
         PipelineConfig { parallelism: parallelism.max(1), ..Default::default() }
     }
 
-    /// Fixed-size chunks of `batch_size` records. Composes with
-    /// [`per_tuple`](PipelineConfig::per_tuple) in either order: the
-    /// per-tuple flag controls the operator path, the size the transport
-    /// chunking.
+    /// Fixed-size chunks of `batch_size` records; at 1 every record goes
+    /// through the operator's per-record `process`.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        let n = batch_size.max(1);
-        self.batching = match self.batching {
-            Batching::PerTuple { .. } => Batching::PerTuple { chunk: n },
-            _ => Batching::Fixed(n),
-        };
+        self.batching = Batching::Fixed(batch_size.max(1));
         self
     }
 
@@ -69,13 +62,6 @@ impl PipelineConfig {
     /// records or after `max_delay`, whichever comes first.
     pub fn adaptive(mut self, target: usize, max_delay: Duration) -> Self {
         self.batching = Batching::Adaptive { target: target.max(1), max_delay };
-        self
-    }
-
-    /// Process records one `process` call at a time (the pre-batching
-    /// behavior; chunks still ride the channels).
-    pub fn per_tuple(mut self) -> Self {
-        self.batching = Batching::PerTuple { chunk: self.batching.chunk_target().max(1) };
         self
     }
 
@@ -116,8 +102,8 @@ pub struct PipelineReport<O> {
     /// every other driver.
     pub shards: usize,
     /// Folded runs that went through a hand-written
-    /// [`AggregateFunction::fold_slice`](gss_core::AggregateFunction::fold_slice)
-    /// kernel, summed across partitions/workers.
+    /// [`AggregateFunction::fold_slice`] kernel, summed across
+    /// partitions/workers.
     pub fold_hits: u64,
     /// Folded runs that fell back to the default lift/combine loop
     /// (no kernel for the aggregate, or a gathered run below the kernel
@@ -382,11 +368,13 @@ mod tests {
             PipelineConfig::default().with_batch_size(128),
             slicing_factory,
         );
+        // Size-1 chunks: the worker routes every record through `process`.
         let per_tuple = run_keyed(
             make_elements(2000, 8),
-            PipelineConfig::default().with_batch_size(128).per_tuple(),
+            PipelineConfig::default().with_batch_size(1),
             slicing_factory,
         );
+        assert_eq!(per_tuple.batch_sizes.max(), 1);
         assert_eq!(batched.records, per_tuple.records);
         assert_eq!(batched.result_count, per_tuple.result_count);
         let norm = |r: &PipelineReport<i64>| {

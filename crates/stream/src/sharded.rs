@@ -439,8 +439,8 @@ mod tests {
         let elements = make_elements(1500, 8);
         let factory = shared_factory(100);
         let expect = reference(&elements, &factory);
+        // Size-1 chunks take the operator's per-record `process`.
         for cfg in [
-            PipelineConfig::with_parallelism(4).per_tuple(),
             PipelineConfig::with_parallelism(4).with_batch_size(1),
             PipelineConfig::with_parallelism(4).with_batch_size(128),
         ] {

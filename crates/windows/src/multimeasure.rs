@@ -122,11 +122,6 @@ impl MultiMeasureWindow {
             self.buffer.drain(..cut);
         }
     }
-
-    /// Number of retained resolved windows (for tests).
-    pub fn resolved_count(&self) -> usize {
-        self.resolved.len()
-    }
 }
 
 impl WindowFunction for MultiMeasureWindow {

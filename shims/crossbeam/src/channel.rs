@@ -17,7 +17,7 @@
 //! again, and the *consumer* — the slower thread, the one that bounds
 //! throughput — pays a futex wake-up per message (3–5 µs on a virtual
 //! machine). A native [`Sender::send`] that finds the channel full
-//! therefore sleeps on the channel's [`Gate`] until the receiver has
+//! therefore sleeps on the channel's `Gate` until the receiver has
 //! drained it to half its capacity: one wake-up per half channel, and the
 //! sender finds room for that many messages when it comes back. The
 //! consumer still has half a channel queued at that point, so it never

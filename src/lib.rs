@@ -72,8 +72,8 @@ pub mod prelude {
     pub use gss_query::{translate, AggKind, AnyAggregate, QueryDsl, Value, WindowDsl};
     pub use gss_stream::{
         parallel_eligible, run_keyed, run_parallel, run_per_key, run_sharded_keyed, shard_of,
-        BatchSizeHistogram, Batching, BoundedOutOfOrderness, ChunkBuilder, IteratorSource,
-        LatencyHistogram, PipelineConfig, PipelineReport, RecordChunk,
+        BatchSizeHistogram, Batching, ChunkBuilder, LatencyHistogram, PipelineConfig,
+        PipelineReport, RecordChunk,
     };
     pub use gss_windows::{
         CountSlidingWindow, CountTumblingWindow, MultiMeasureWindow, PunctuationWindow,

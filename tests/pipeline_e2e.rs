@@ -1,10 +1,9 @@
-//! End-to-end: data generators → disorder → source with watermark
-//! strategy → key-partitioned parallel pipeline → window results, checked
-//! against a per-key oracle.
+//! End-to-end: data generators → disorder → bounded-out-of-orderness
+//! watermarks → key-partitioned parallel pipeline → window results,
+//! checked against a per-key oracle.
 
 use general_stream_slicing::prelude::*;
 use gss_core::operator::WindowOperator as Op;
-use gss_stream::{key_by, IteratorSource};
 use std::collections::BTreeMap;
 
 fn factory(_p: usize) -> Box<dyn WindowAggregator<Sum>> {
@@ -26,11 +25,8 @@ fn football_through_parallel_pipeline_matches_oracle() {
         &tuples,
         OooConfig { fraction_percent: 20, max_delay: 1_000, ..Default::default() },
     );
-    let source = IteratorSource::new(
-        arrivals.iter().copied(),
-        gss_stream::BoundedOutOfOrderness::new(1_000, 250),
-    );
-    let keyed = key_by(source, |_, v| (v % 8) as u64);
+    let keyed =
+        with_watermarks(&arrivals, 250, 1_000).into_iter().map(|e| e.map(|v| ((v % 8) as u64, v)));
 
     let report = run_keyed(keyed, PipelineConfig::with_parallelism(4), factory);
     assert_eq!(report.records, 30_000);

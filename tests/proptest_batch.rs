@@ -885,7 +885,8 @@ type KeyedOut = Vec<(usize, QueryId, Time, Time, String)>;
 fn keyed_cfg(mode: usize, batch: usize) -> PipelineConfig {
     let base = PipelineConfig::with_parallelism(3);
     match mode {
-        0 => base.per_tuple().with_batch_size(batch.max(16)),
+        // Size-1 chunks: every record goes through the operator's `process`.
+        0 => base.with_batch_size(1),
         1 => base.with_batch_size(batch),
         // A far-future deadline keeps the adaptive run deterministic: it
         // chunks exactly like `Fixed(batch)` while still exercising the
@@ -1035,9 +1036,7 @@ fn check_parallel_modes<A>(
     let seq = sequential_finals(f, elements, length, lateness);
     for mode in 0..3 {
         let cfg = match mode {
-            0 => {
-                PipelineConfig::with_parallelism(workers).per_tuple().with_batch_size(batch.max(16))
-            }
+            0 => PipelineConfig::with_parallelism(workers).with_batch_size(1),
             1 => PipelineConfig::with_parallelism(workers).with_batch_size(batch),
             _ => {
                 PipelineConfig::with_parallelism(workers).adaptive(batch, Duration::from_secs(3600))

@@ -91,7 +91,7 @@ fn sharded(
     (report.shards, report.results.iter().map(|(_, r)| row(r)).collect())
 }
 
-/// Runs the full grid — shards {1, 2, 4, 8} × batching {per-tuple,
+/// Runs the full grid — shards {1, 2, 4, 8} × batching {fixed_1,
 /// fixed, adaptive} — against one reference sequence.
 fn check_grid(
     elements: &[StreamElement<(u64, i64)>],
@@ -101,7 +101,7 @@ fn check_grid(
     let want = reference(elements, make_op());
     for shards in [1usize, 2, 4, 8] {
         let cfgs = [
-            ("per_tuple", PipelineConfig::with_parallelism(shards).per_tuple()),
+            ("fixed_1", PipelineConfig::with_parallelism(shards).with_batch_size(1)),
             ("fixed", PipelineConfig::with_parallelism(shards).with_batch_size(batch)),
             (
                 "adaptive",
