@@ -76,7 +76,7 @@ impl SortedRle {
     }
 
     /// The `k`-th smallest value, 1-indexed (nearest-rank selection).
-    pub fn select(&self, k: u64) -> Option<i64> {
+    fn select(&self, k: u64) -> Option<i64> {
         if k == 0 || k > self.len {
             return None;
         }
@@ -272,7 +272,7 @@ impl SortedVec {
         self
     }
 
-    pub fn select(&self, k: usize) -> Option<i64> {
+    fn select(&self, k: usize) -> Option<i64> {
         (k >= 1 && k <= self.values.len()).then(|| self.values[k - 1])
     }
 }

@@ -44,19 +44,19 @@
 /// Lane width for 8-byte integer reductions: eight lanes fill one AVX-512
 /// register or two AVX2 registers, and still buy seven extra independent
 /// dependency chains on narrower hardware.
-pub const INT_LANES: usize = 8;
+const INT_LANES: usize = 8;
 
 /// Lane width for paired `(i64, i64)` and f64 reductions: the state is
 /// twice as wide per element, so four lanes keep the working set in
 /// registers.
-pub const PAIR_LANES: usize = 4;
+const PAIR_LANES: usize = 4;
 
 /// Strided 8-lane minimum. Exact: `min` over `i64` is associative,
 /// commutative, and idempotent (seeding every lane with the first element
 /// double-counts it harmlessly), so the result is bit-identical to the
 /// sequential fold while the inner loop is a branch-free packed-min
 /// candidate instead of a serial dependency chain.
-pub fn min_i64(values: &[i64]) -> Option<i64> {
+pub(crate) fn min_i64(values: &[i64]) -> Option<i64> {
     let (&first, _) = values.split_first()?;
     let mut lanes = [first; INT_LANES];
     let mut chunks = values.chunks_exact(INT_LANES);
@@ -76,7 +76,7 @@ pub fn min_i64(values: &[i64]) -> Option<i64> {
 }
 
 /// Strided 8-lane maximum; mirror of [`min_i64`].
-pub fn max_i64(values: &[i64]) -> Option<i64> {
+pub(crate) fn max_i64(values: &[i64]) -> Option<i64> {
     let (&first, _) = values.split_first()?;
     let mut lanes = [first; INT_LANES];
     let mut chunks = values.chunks_exact(INT_LANES);
@@ -100,7 +100,7 @@ pub fn max_i64(values: &[i64]) -> Option<i64> {
 /// Exact and order-insensitive — both the extremum and its multiplicity
 /// are independent of fold order — hence bit-identical to the sequential
 /// lift/combine fold of `MinCount`.
-pub fn min_count_i64(values: &[i64]) -> Option<(i64, u64)> {
+pub(crate) fn min_count_i64(values: &[i64]) -> Option<(i64, u64)> {
     let m = min_i64(values)?;
     let mut count = 0u64;
     for &v in values {
@@ -110,7 +110,7 @@ pub fn min_count_i64(values: &[i64]) -> Option<(i64, u64)> {
 }
 
 /// Maximum plus attaining count; mirror of [`min_count_i64`].
-pub fn max_count_i64(values: &[i64]) -> Option<(i64, u64)> {
+pub(crate) fn max_count_i64(values: &[i64]) -> Option<(i64, u64)> {
     let m = max_i64(values)?;
     let mut count = 0u64;
     for &v in values {
@@ -126,7 +126,7 @@ pub fn max_count_i64(values: &[i64]) -> Option<(i64, u64)> {
 /// sequential fold. The lane update is a pair of conditional moves, never
 /// a data-dependent branch, replacing the three-way compare chain of the
 /// per-element combine.
-pub fn arg_min_pairs(values: &[(i64, i64)]) -> Option<(i64, i64)> {
+pub(crate) fn arg_min_pairs(values: &[(i64, i64)]) -> Option<(i64, i64)> {
     let (&(fv, fa), _) = values.split_first()?;
     let mut lv = [fv; PAIR_LANES];
     let mut la = [fa; PAIR_LANES];
@@ -154,7 +154,7 @@ pub fn arg_min_pairs(values: &[(i64, i64)]) -> Option<(i64, i64)> {
 
 /// Strided 4-lane arg-maximum; mirror of [`arg_min_pairs`] under the total
 /// order (−value, arg).
-pub fn arg_max_pairs(values: &[(i64, i64)]) -> Option<(i64, i64)> {
+pub(crate) fn arg_max_pairs(values: &[(i64, i64)]) -> Option<(i64, i64)> {
     let (&(fv, fa), _) = values.split_first()?;
     let mut lv = [fv; PAIR_LANES];
     let mut la = [fa; PAIR_LANES];
@@ -187,7 +187,7 @@ pub fn arg_max_pairs(values: &[(i64, i64)]) -> Option<(i64, i64)> {
 /// All shape constants are compile time, so the result is deterministic
 /// across calls, runs, and IEEE-754 machines, and differs from the
 /// sequential fold only by bounded rounding (|err| ≤ n·ε·Σ|xᵢ| per sum).
-pub fn moments_sums(values: &[i64]) -> (f64, f64) {
+pub(crate) fn moments_sums(values: &[i64]) -> (f64, f64) {
     let mut sum = [0.0f64; PAIR_LANES];
     let mut sq = [0.0f64; PAIR_LANES];
     let mut chunks = values.chunks_exact(PAIR_LANES);

@@ -22,7 +22,7 @@
 
 pub mod basic;
 pub mod holistic;
-pub mod lanes;
+mod lanes;
 pub mod m4;
 pub mod minmax;
 pub mod stats;

@@ -59,7 +59,7 @@ impl AggregateFunction for M4 {
     /// Paired-column lane kernel. Unlike the strided arg-min/arg-max
     /// split, M4's first/last tie-breaks are **order-sensitive** (`<=` /
     /// `>=` keep the earlier-folded side), so the kernel uses the
-    /// order-preserving block split of the [`crate::lanes`] policy: each
+    /// order-preserving block split of the `lanes` policy: each
     /// lane owns one contiguous block of the run, lanes reduce in stream
     /// order, and the tail folds in order — pure
     /// re-parenthesization of the associative ⊕, hence bit-identical to

@@ -42,10 +42,10 @@ impl AggregateFunction for Min {
             kind: FunctionKind::Distributive,
         }
     }
-    /// Explicit 8-lane reduction ([`crate::lanes::min_i64`]): the naive
+    /// Explicit 8-lane reduction (`lanes::min_i64`): the naive
     /// contiguous `fold(min)` is exactly the reduction idiom LLVM fails to
     /// recognize, so the lane split makes the vector shape explicit rather
-    /// than hoping. Exact — see the [`crate::lanes`] policy.
+    /// than hoping. Exact — see the `lanes` policy.
     fn fold_slice(&self, values: &[i64]) -> Option<i64> {
         crate::lanes::min_i64(values)
     }
@@ -82,7 +82,7 @@ impl AggregateFunction for Max {
             kind: FunctionKind::Distributive,
         }
     }
-    /// Mirror of [`Min::fold_slice`] via [`crate::lanes::max_i64`].
+    /// Mirror of [`Min::fold_slice`] via `lanes::max_i64`.
     fn fold_slice(&self, values: &[i64]) -> Option<i64> {
         crate::lanes::max_i64(values)
     }
@@ -139,7 +139,7 @@ impl AggregateFunction for MinCount {
     fn properties(&self) -> FunctionProperties {
         FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
     }
-    /// Two vectorizable passes ([`crate::lanes::min_count_i64`]): lane
+    /// Two vectorizable passes (`lanes::min_count_i64`): lane
     /// minimum, then a branch-free tie count — replacing the per-element
     /// three-way compare. Exact and order-insensitive.
     fn fold_slice(&self, values: &[i64]) -> Option<ExtremumCount> {
@@ -185,7 +185,7 @@ impl AggregateFunction for MaxCount {
         FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
     }
     /// Mirror of [`MinCount::fold_slice`] via
-    /// [`crate::lanes::max_count_i64`].
+    /// `lanes::max_count_i64`.
     fn fold_slice(&self, values: &[i64]) -> Option<ExtremumCount> {
         crate::lanes::max_count_i64(values).map(|(value, count)| ExtremumCount { value, count })
     }
@@ -245,7 +245,7 @@ impl AggregateFunction for ArgMin {
     fn properties(&self) -> FunctionProperties {
         FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
     }
-    /// Paired-column kernel ([`crate::lanes::arg_min_pairs`]); the input
+    /// Paired-column kernel (`lanes::arg_min_pairs`); the input
     /// pairs are self-contained, so the record-time column is unused. The
     /// lexicographic tie-break (smallest `arg` among equal values) is a
     /// total order, so the lane split is exact — bit-identical to the
@@ -303,7 +303,7 @@ impl AggregateFunction for ArgMax {
         FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
     }
     /// Mirror of [`ArgMin::fold_slice_pairs`] via
-    /// [`crate::lanes::arg_max_pairs`].
+    /// `lanes::arg_max_pairs`.
     fn fold_slice_pairs(
         &self,
         _times: &[gss_core::Time],

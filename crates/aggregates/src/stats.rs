@@ -81,7 +81,7 @@ fn invert_moments(a: MomentsPartial, b: &MomentsPartial) -> MomentsPartial {
 /// is a loop-carried dependency LLVM may not reassociate, so without the
 /// explicit lane split this fold runs at one add per float latency; the
 /// lanes trade bit-identity with the sequential fold for a 4-wide
-/// pipeline. Per the [`crate::lanes`] reassociation policy the result is
+/// pipeline. Per the `lanes` reassociation policy the result is
 /// still **deterministic** — fixed lane count, fixed strided assignment,
 /// fixed pairwise reduction order, in-order tail — and ulp-bounded
 /// against the sequential fold (|err| ≤ n·ε·Σ|xᵢ| per sum); `count` stays

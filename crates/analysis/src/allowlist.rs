@@ -7,7 +7,10 @@
 //! ```
 //!
 //! A violation is waived when its rule matches and its path starts with
-//! the entry's prefix. Every entry must carry a justification, and every
+//! the entry's prefix. A `dead-pub` entry names one item,
+//! `<file>::<name>`, and waives that item only, so a new dead item in the
+//! same file stays visible; the other form it takes is a directory
+//! prefix ending in `/`. Every entry must carry a justification, and every
 //! entry must waive at least one live violation — stale entries fail the
 //! lint so the list can only shrink as code is fixed. The `pr<N>` token
 //! records the PR that introduced the waiver, so the lint driver can
@@ -26,6 +29,19 @@ pub struct AllowEntry {
     pub pr: Option<u32>,
     /// 1-based line in the allowlist file (for diagnostics).
     pub line: usize,
+}
+
+impl AllowEntry {
+    /// Whether the entry waives a finding at `path`: an item entry
+    /// (`<file>::<name>`) waives that item alone, any other entry waives
+    /// every path under its prefix.
+    fn covers(&self, path: &str) -> bool {
+        if self.path_prefix.contains("::") {
+            path == self.path_prefix
+        } else {
+            path.starts_with(&self.path_prefix)
+        }
+    }
 }
 
 /// A parsed allowlist plus per-entry usage tracking.
@@ -95,6 +111,13 @@ impl Allowlist {
             if !RULE_IDS.contains(&rule) {
                 return Err(AllowError { line, msg: format!("unknown rule `{rule}`") });
             }
+            if rule == "dead-pub" && !path_prefix.contains("::") && !path_prefix.ends_with('/') {
+                return Err(AllowError {
+                    line,
+                    msg: "a `dead-pub` entry names one item (`<file>::<name>`) or a directory"
+                        .into(),
+                });
+            }
             entries.push(AllowEntry {
                 rule: rule.to_string(),
                 path_prefix: path_prefix.to_string(),
@@ -112,7 +135,7 @@ impl Allowlist {
         let mut remaining = Vec::new();
         'next: for v in violations {
             for (i, e) in self.entries.iter().enumerate() {
-                if e.rule == v.rule && v.path.starts_with(&e.path_prefix) {
+                if e.rule == v.rule && e.covers(&v.path) {
                     used[i] += 1;
                     continue 'next;
                 }

@@ -1,11 +1,13 @@
-//! Workspace lint driver: scans every `.rs` file, applies the rules in
-//! `gss_analysis::rules`, subtracts the audited exceptions in
+//! Workspace lint driver: scans every `.rs` file, applies the line rules
+//! in `gss_analysis::rules` and the cross-file `dead-pub` rule in
+//! `gss_analysis::deadpub`, subtracts the audited exceptions in
 //! `analysis/lint.allow`, and reports.
 //!
 //! Exit codes: `0` clean, `1` violations or stale allowlist entries,
 //! `2` the allowlist itself is malformed.
 
 use gss_analysis::allowlist::Allowlist;
+use gss_analysis::deadpub;
 use gss_analysis::rules::{check_file, RULE_IDS};
 use gss_analysis::walk::{rust_files, workspace_root};
 
@@ -31,14 +33,17 @@ fn run() -> i32 {
         }
     };
 
-    let files = rust_files(&root);
-    let mut violations = Vec::new();
-    for (rel, path) in &files {
-        match std::fs::read_to_string(path) {
-            Ok(src) => violations.extend(check_file(rel, &src)),
+    let mut sources = Vec::new();
+    for (rel, path) in rust_files(&root) {
+        match std::fs::read_to_string(&path) {
+            Ok(src) => sources.push((rel, src)),
             Err(e) => eprintln!("lint: skipping unreadable {rel}: {e}"),
         }
     }
+    let mut violations: Vec<_> =
+        sources.iter().flat_map(|(rel, src)| check_file(rel, src)).collect();
+    let (dead, surface) = deadpub::check_tree(&sources);
+    violations.extend(dead);
 
     let total = violations.len();
     let (live, used) = allow.filter(violations);
@@ -57,9 +62,13 @@ fn run() -> i32 {
     if live.is_empty() && stale.is_empty() {
         println!(
             "lint: OK — {} files scanned, {} audited exception(s) waived",
-            files.len(),
+            sources.len(),
             waived
         );
+        println!("  public surface (outside test scopes):");
+        for (krate, s) in &surface {
+            println!("  {krate:<24} {:>4} pub fn  {:>3} pub types", s.fns, s.types);
+        }
         // Waiver ages: the PR that introduced each standing exception,
         // so long-lived waivers stay visible at every run instead of
         // silently accumulating.
@@ -76,7 +85,7 @@ fn run() -> i32 {
             "lint: FAILED — {} violation(s), {} stale allowlist entr(ies) ({} files, {} waived)",
             live.len(),
             stale.len(),
-            files.len(),
+            sources.len(),
             waived
         );
         1

@@ -11,8 +11,8 @@
 //!
 //! Handled syntax: line comments (`//`, `///`, `//!`), nested block
 //! comments (`/* /* */ */`), string literals with escapes, byte strings,
-//! raw strings (`r"…"`, `r#"…"#`, any hash depth, `br#"…"#`), char
-//! literals (including escaped ones), and the lifetime-vs-char-literal
+//! raw strings (`r"…"`, `r#"…"#`, any hash depth, `br#"…"#`), char and
+//! byte literals (including escaped ones), and the lifetime-vs-char-literal
 //! ambiguity (`'a` vs `'a'`).
 
 /// The classified view of one source file.
@@ -28,12 +28,13 @@ pub struct Scan {
 
 impl Scan {
     /// Code text of line `i` (0-based); empty past the end.
-    pub fn code_line(&self, i: usize) -> &str {
+    #[cfg(test)]
+    fn code_line(&self, i: usize) -> &str {
         self.code.lines().nth(i).unwrap_or("")
     }
 
     /// Lines of the code view, in order.
-    pub fn code_lines(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn code_lines(&self) -> impl Iterator<Item = &str> {
         self.code.lines()
     }
 }
@@ -97,7 +98,13 @@ pub fn scan(src: &str) -> Scan {
                     i += 1;
                     prev_ident = false;
                 } else if !prev_ident && (b == b'r' || b == b'b') {
-                    if let Some((hashes, len)) = raw_string_prefix(rest) {
+                    if b == b'b' && rest.get(1) == Some(&b'\'') && is_char_literal(&rest[1..]) {
+                        // A byte literal: `b'"'` must not open a string.
+                        state = State::CharLit(false);
+                        code.extend_from_slice(b"  ");
+                        i += 2;
+                        prev_ident = false;
+                    } else if let Some((hashes, len)) = raw_string_prefix(rest) {
                         state = State::RawStr(hashes);
                         code.extend(std::iter::repeat_n(b' ', len));
                         i += len;
@@ -298,6 +305,14 @@ mod tests {
         assert!(!code.contains('"'));
         let s2 = scan("let c = 'x'; still_code();\n");
         assert!(s2.code_line(0).contains("still_code();"));
+    }
+
+    #[test]
+    fn byte_literals_are_blanked() {
+        let s = scan("if b == b'\"' { q(); } else if c == b'#' { h(); }\n");
+        let code = s.code_line(0);
+        assert!(code.contains("q();") && code.contains("h();"));
+        assert!(!code.contains('"') && !code.contains('#'));
     }
 
     #[test]

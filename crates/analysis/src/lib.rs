@@ -5,9 +5,10 @@
 //! * **Lint** ([`lexer`] → [`scope`] → [`rules`] → [`allowlist`]): a
 //!   hand-rolled Rust scanner plus line-level rules (panic discipline,
 //!   `SAFETY:` comments on `unsafe`, checked casts in `gss-core`,
-//!   FxHash in hot paths, no wall-clock in event-time code), with an
-//!   audited-exception file at `analysis/lint.allow`. Run via the
-//!   `lint` binary (`cargo lint`).
+//!   FxHash in hot paths, no wall-clock in event-time code), plus one
+//!   cross-file rule ([`deadpub`]: every `pub` item has a caller that
+//!   needs it `pub`), with an audited-exception file at
+//!   `analysis/lint.allow`. Run via the `lint` binary (`cargo lint`).
 //! * **Barrier exploration** (`mc`): every delivery order and every
 //!   merge lag of the shipped `gss_stream::barrier::EpochBarrier`, over a
 //!   matrix of source scripts, with a recording stage checking the
@@ -27,6 +28,7 @@
 //!   only documents it (see `DESIGN.md`).
 
 pub mod allowlist;
+pub mod deadpub;
 pub mod lexer;
 #[cfg(feature = "sched")]
 pub mod mc;

@@ -14,6 +14,7 @@
 //! | `std-hashmap`     | hot crates (core/stream/baselines/aggregates) | no default-hasher `HashMap` (use the `FxHashMap` shim) |
 //! | `no-wallclock`    | `gss-core` / `gss-aggregates`           | no `Instant::now` / `SystemTime` (event time only) |
 //! | `raw-channel`     | library code (not tests/benches/bins)   | no raw `mpsc` / `channel::bounded` / `thread::spawn` / `thread::scope` — go through `crossbeam::runtime` so `cargo sched` can control the concurrency surface |
+//! | `dead-pub`        | `pub` items of library crates (cross-file, [`crate::deadpub`]) | named outside its file, and outside its crate unless it is a type |
 //!
 //! Audited exceptions live in `analysis/lint.allow` (see
 //! [`crate::allowlist`]).
@@ -41,8 +42,16 @@ impl std::fmt::Display for Violation {
 }
 
 /// Rule identifiers, for `lint --rules` and allowlist validation.
-pub const RULE_IDS: &[&str] =
-    &["no-panic", "unsafe-safety", "core-cast", "std-hashmap", "no-wallclock", "raw-channel"];
+/// `dead-pub` is cross-file and lives in [`crate::deadpub`].
+pub const RULE_IDS: &[&str] = &[
+    "no-panic",
+    "unsafe-safety",
+    "core-cast",
+    "std-hashmap",
+    "no-wallclock",
+    "raw-channel",
+    "dead-pub",
+];
 
 /// Whether a path is library (production) code for the `no-panic` rule:
 /// binaries, benches, examples, test trees, the bench harness crate, and
@@ -193,7 +202,7 @@ fn find_token(code: &str, needle: &str) -> bool {
 }
 
 /// Word-bounded identifier search.
-pub fn contains_word(hay: &str, needle: &str) -> bool {
+pub(crate) fn contains_word(hay: &str, needle: &str) -> bool {
     let bytes = hay.as_bytes();
     let mut from = 0;
     while let Some(pos) = hay[from..].find(needle) {

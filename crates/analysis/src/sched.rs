@@ -210,7 +210,7 @@ fn is_preemption(current: Option<TaskId>, picked: TaskId) -> bool {
 /// Explores one cell: repeatedly runs `run` under strategy control and
 /// applies `oracle` to every completed run. Stops at the first
 /// violation (reporting the schedule that produced it).
-pub fn explore<R>(
+pub(crate) fn explore<R>(
     name: &str,
     mode: &Explore,
     run: &dyn Fn(Box<dyn Strategy>) -> ControlledRun<R>,
@@ -328,7 +328,7 @@ fn check_run<R>(
 /// * drain (`releases_match_applies`, sharded merge): items released
 ///   over the whole run equal items applied — nothing staged is lost;
 /// * recycling: every chunk buffer a consumer hands back is empty.
-pub fn check_probes(
+fn check_probes(
     probes: &[Probe],
     n_src: usize,
     releases_match_applies: bool,

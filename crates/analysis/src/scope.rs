@@ -9,10 +9,11 @@
 //! brace block, or the terminating `;` for braceless items.
 
 use crate::lexer::Scan;
+use crate::rules::contains_word;
 
 /// Returns, for each line (0-based), whether it lies inside a
 /// test-gated item.
-pub fn test_scoped_lines(scan: &Scan) -> Vec<bool> {
+pub(crate) fn test_scoped_lines(scan: &Scan) -> Vec<bool> {
     let code = scan.code.as_bytes();
     let line_count = scan.code.lines().count();
     let mut mask = vec![false; line_count.max(1)];
@@ -80,26 +81,6 @@ fn is_test_gate(inner: &str) -> bool {
         return contains_word(pred, "test");
     }
     false
-}
-
-fn contains_word(hay: &str, needle: &str) -> bool {
-    let bytes = hay.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = hay[from..].find(needle) {
-        let at = from + pos;
-        let before_ok = at == 0 || !is_ident(bytes[at - 1]);
-        let end = at + needle.len();
-        let after_ok = end >= bytes.len() || !is_ident(bytes[end]);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
-}
-
-fn is_ident(b: u8) -> bool {
-    b == b'_' || b.is_ascii_alphanumeric()
 }
 
 /// Finds the end of the item following an attribute: skips any further

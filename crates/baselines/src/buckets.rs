@@ -114,8 +114,9 @@ impl<A: AggregateFunction> Buckets<A> {
         id
     }
 
-    /// Total number of live buckets (for tests and memory experiments).
-    pub fn bucket_count(&self) -> usize {
+    /// Total number of live buckets.
+    #[cfg(test)]
+    fn bucket_count(&self) -> usize {
         self.buckets.values().map(|m| m.len()).sum()
     }
 

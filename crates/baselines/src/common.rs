@@ -81,7 +81,7 @@ impl QuerySet {
 
     /// Lets context-aware queries observe a tuple (edge changes are
     /// irrelevant to non-slicing baselines and discarded).
-    pub fn notify(&mut self, ts: Time, scratch: &mut gss_core::ContextEdges) {
+    pub(crate) fn notify(&mut self, ts: Time, scratch: &mut gss_core::ContextEdges) {
         for q in &mut self.queries {
             if q.window.context().is_context_aware() {
                 scratch.clear();
@@ -95,7 +95,7 @@ impl QuerySet {
     /// each. Advances the bookkeeping. `max_ts` is the highest event time
     /// seen — the sweep clamps to `max_ts + max_extent` so a flush
     /// watermark cannot enumerate empty windows across the time axis.
-    pub fn trigger(
+    pub(crate) fn trigger(
         &mut self,
         wm: Time,
         count_wm: Count,

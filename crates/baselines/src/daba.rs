@@ -87,7 +87,7 @@ impl<A: AggregateFunction> DabaLite<A> {
     }
 
     /// Timestamp of the oldest element, if any.
-    pub fn front_ts(&self) -> Option<Time> {
+    pub(crate) fn front_ts(&self) -> Option<Time> {
         self.q.front().map(|(t, _)| *t)
     }
 

@@ -72,12 +72,14 @@ impl<A: AggregateFunction> Panes<A> {
         id
     }
 
-    /// The computed pane length (for tests).
-    pub fn pane_length(&self) -> i64 {
+    /// The computed pane length.
+    #[cfg(test)]
+    fn pane_length(&self) -> i64 {
         self.pane
     }
 
-    pub fn pane_count(&self) -> usize {
+    #[cfg(test)]
+    fn pane_count(&self) -> usize {
         self.panes.len() + 1
     }
 

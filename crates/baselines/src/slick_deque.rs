@@ -28,7 +28,8 @@ impl MonotonicDeque {
         MonotonicDeque { deque: VecDeque::new(), is_max: true }
     }
 
-    pub fn new_min() -> Self {
+    #[cfg(test)]
+    fn new_min() -> Self {
         MonotonicDeque { deque: VecDeque::new(), is_max: false }
     }
 
@@ -56,7 +57,7 @@ impl MonotonicDeque {
     }
 
     /// Current extremum, if any element remains.
-    pub fn extremum(&self) -> Option<i64> {
+    fn extremum(&self) -> Option<i64> {
         self.deque.front().map(|&(_, v)| v)
     }
 
@@ -95,10 +96,6 @@ impl SlickDequeSliding {
         Self::new(MonotonicDeque::new_max(), length, slide)
     }
 
-    pub fn new_min(length: i64, slide: i64) -> Self {
-        Self::new(MonotonicDeque::new_min(), length, slide)
-    }
-
     fn new(deque: MonotonicDeque, length: i64, slide: i64) -> Self {
         SlickDequeSliding {
             deque,
@@ -110,7 +107,8 @@ impl SlickDequeSliding {
         }
     }
 
-    pub fn deque_len(&self) -> usize {
+    #[cfg(test)]
+    fn deque_len(&self) -> usize {
         self.deque.len()
     }
 }

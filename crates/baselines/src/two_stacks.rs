@@ -46,7 +46,7 @@ impl<A: AggregateFunction> FifoAggregator<A> {
     }
 
     /// Timestamp of the oldest element, if any.
-    pub fn front_ts(&self) -> Option<Time> {
+    pub(crate) fn front_ts(&self) -> Option<Time> {
         self.front.last().map(|(t, _)| *t).or_else(|| self.back.front().map(|(t, _)| *t))
     }
 

@@ -48,12 +48,6 @@ impl Technique {
             Technique::AggregateTree => "Aggregate Tree",
         }
     }
-
-    /// Techniques that support out-of-order streams (Pairs and Cutty are
-    /// in-order only — paper Section 3.4).
-    pub fn supports_out_of_order(self) -> bool {
-        !matches!(self, Technique::Pairs | Technique::Cutty)
-    }
 }
 
 /// A window query used by the benchmark workloads.
@@ -363,7 +357,7 @@ fn machine_cores() -> usize {
 
 /// First line of `rustc -V` (e.g. `rustc 1.95.0 (…)`), or `"unknown"`
 /// when the compiler is not on PATH at run time.
-pub fn rustc_version() -> String {
+fn rustc_version() -> String {
     std::process::Command::new("rustc")
         .arg("-V")
         .output()
@@ -378,7 +372,7 @@ pub fn rustc_version() -> String {
 /// Short git commit hash of the tree the bench ran in, suffixed with
 /// `-dirty` when the working tree had uncommitted changes, or
 /// `"unknown"` outside a git checkout.
-pub fn git_commit() -> String {
+fn git_commit() -> String {
     let git = |args: &[&str]| {
         std::process::Command::new("git")
             .args(args)

@@ -12,14 +12,14 @@
 /// Widens a buffer length or position into global-index (`i64`)
 /// arithmetic. Lossless for any in-memory length.
 #[inline]
-pub fn to_i64(n: usize) -> i64 {
+pub(crate) fn to_i64(n: usize) -> i64 {
     debug_assert!(i64::try_from(n).is_ok(), "length {n} overflows i64");
     i64::try_from(n).unwrap_or(i64::MAX)
 }
 
 /// Narrows a tuple count (`u64`) into a capacity / element count.
 #[inline]
-pub fn to_usize(n: u64) -> usize {
+pub(crate) fn to_usize(n: u64) -> usize {
     debug_assert!(usize::try_from(n).is_ok(), "count {n} overflows usize");
     usize::try_from(n).unwrap_or(usize::MAX)
 }
@@ -35,7 +35,7 @@ pub fn to_u64(n: usize) -> u64 {
 /// Offset of global slice index `g` from `base` as a dense index.
 /// Callers guarantee `g >= base`; the debug build asserts it.
 #[inline]
-pub fn gidx(g: i64, base: i64) -> usize {
+pub(crate) fn gidx(g: i64, base: i64) -> usize {
     debug_assert!(g >= base, "global index {g} below base {base}");
     usize::try_from(g.wrapping_sub(base)).unwrap_or(0)
 }
@@ -43,7 +43,7 @@ pub fn gidx(g: i64, base: i64) -> usize {
 /// Widens a dense `u32` id (group slots, small handles) to an index.
 /// Infallible on every supported target (`usize` is at least 32 bits).
 #[inline]
-pub fn idx32(n: u32) -> usize {
+pub(crate) fn idx32(n: u32) -> usize {
     n as usize
 }
 
@@ -51,7 +51,7 @@ pub fn idx32(n: u32) -> usize {
 /// `u32` handle it is stored as. Callers stay far below 2^32 entries;
 /// the debug build asserts it.
 #[inline]
-pub fn slot32(n: usize) -> u32 {
+pub(crate) fn slot32(n: usize) -> u32 {
     debug_assert!(u32::try_from(n).is_ok(), "index {n} overflows u32");
     u32::try_from(n).unwrap_or(u32::MAX)
 }

@@ -46,7 +46,7 @@ use crate::mem::HeapSize;
 /// `MAX_FANOUT + 1`. Small arity keeps split/recompute paths short and
 /// one node within a cache line or two; the FiBA paper reports arity
 /// 2–8 as the sweet spot for its min-arity variants.
-pub const MAX_FANOUT: usize = 8;
+const MAX_FANOUT: usize = 8;
 
 /// Sentinel node id ("no node" / "no parent").
 const NIL: u32 = u32::MAX;
@@ -134,7 +134,8 @@ impl<A: AggregateFunction> FingerTree<A> {
     }
 
     /// The leaf partial at position `i`.
-    pub fn leaf(&self, i: usize) -> Option<&A::Partial> {
+    #[cfg(test)]
+    fn leaf(&self, i: usize) -> Option<&A::Partial> {
         assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
         let (leaf, off) = self.locate(i);
         match &self.nodes[idx32(leaf)].entries {
@@ -185,13 +186,6 @@ impl<A: AggregateFunction> FingerTree<A> {
         if let Entries::Leaf(items) = &mut self.nodes[idx32(leaf)].entries {
             items[off] = p;
         }
-        self.mark_dirty_up(leaf);
-    }
-
-    /// Marks position `i`'s path dirty without changing the leaf.
-    pub fn mark_dirty(&mut self, i: usize) {
-        assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
-        let (leaf, _) = self.seek(i);
         self.mark_dirty_up(leaf);
     }
 
@@ -1134,19 +1128,6 @@ mod tests {
         t.assert_invariants();
         let expect: i64 = (1..=9).sum::<i64>() + (100..130).sum::<i64>();
         assert_eq!(t.total().copied(), Some(expect));
-    }
-
-    #[test]
-    fn mark_dirty_forces_path_recompute() {
-        let mut t = filled(16);
-        // Mutating a leaf through update_deferred then marking again is
-        // idempotent on the dirty counter.
-        t.mark_dirty(0);
-        let d = t.dirty_count;
-        t.mark_dirty(0);
-        assert_eq!(t.dirty_count, d);
-        t.repair_dirty();
-        assert_eq!(t.total().copied(), Some((1..=16).sum()));
     }
 
     #[derive(Debug, Clone)]

@@ -69,7 +69,8 @@ impl<A: AggregateFunction> FlatFat<A> {
     }
 
     /// The leaf at `i`.
-    pub fn leaf(&self, i: usize) -> Option<&A::Partial> {
+    #[cfg(test)]
+    fn leaf(&self, i: usize) -> Option<&A::Partial> {
         assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
         self.nodes[self.cap + i].as_ref()
     }
@@ -117,7 +118,7 @@ impl<A: AggregateFunction> FlatFat<A> {
     /// Records leaf `i` as having a stale ancestor path. Use after writing
     /// the leaf through some other channel; pairs with
     /// [`FlatFat::repair_dirty`].
-    pub fn mark_dirty(&mut self, i: usize) {
+    fn mark_dirty(&mut self, i: usize) {
         debug_assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
         self.dirty.push(i);
     }
@@ -253,26 +254,6 @@ impl<A: AggregateFunction> FlatFat<A> {
             hi >>= 1;
         }
         self.f.combine_opt(left_acc, right_acc.as_ref())
-    }
-
-    /// Rebuilds the whole tree from the given leaves.
-    pub fn rebuild_from<I>(&mut self, leaves: I)
-    where
-        I: IntoIterator<Item = Option<A::Partial>>,
-    {
-        let leaves: Vec<Option<A::Partial>> = leaves.into_iter().collect();
-        let cap = leaves.len().max(1).next_power_of_two();
-        self.len = leaves.len();
-        self.cap = cap;
-        self.nodes = vec![None; 2 * cap];
-        self.dirty.clear();
-        self.nodes[cap..cap + self.len]
-            .iter_mut()
-            .zip(leaves)
-            .for_each(|(slot, leaf)| *slot = leaf);
-        for i in (1..cap).rev() {
-            self.nodes[i] = self.combine_children(i);
-        }
     }
 
     fn grow(&mut self, new_cap: usize) {
@@ -429,14 +410,6 @@ mod tests {
         }
         assert_eq!(t.total(), Some(&4950));
         assert_eq!(t.query(10, 20), Some((10..20).sum::<i64>()));
-    }
-
-    #[test]
-    fn rebuild_from_replaces_content() {
-        let mut t = tree_with(&[9, 9, 9]);
-        t.rebuild_from((0..8).map(Some));
-        assert_eq!(t.len(), 8);
-        assert_eq!(t.total(), Some(&28));
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub const FOLD_KERNEL_MIN_RUN: usize = 16;
 /// [`AggregateFunction::fold_slice`] kernel (gathering values first when
 /// the caller's storage is array-of-structs). Centralizing the decision
 /// keeps the hit/miss accounting consistent across every fold site.
-pub fn kernel_eligible<A: AggregateFunction>(f: &A, len: usize) -> bool {
+pub(crate) fn kernel_eligible<A: AggregateFunction>(f: &A, len: usize) -> bool {
     len >= f.kernel_min_run() && f.has_fold_kernel()
 }
 
@@ -218,7 +218,7 @@ pub fn kernel_eligible<A: AggregateFunction>(f: &A, len: usize) -> bool {
 /// and values columns first when the caller's storage is
 /// array-of-structs). The paired twin of [`kernel_eligible`], sharing the
 /// same per-function break-even.
-pub fn pair_kernel_eligible<A: AggregateFunction>(f: &A, len: usize) -> bool {
+pub(crate) fn pair_kernel_eligible<A: AggregateFunction>(f: &A, len: usize) -> bool {
     len >= f.kernel_min_run() && f.has_pair_kernel()
 }
 

@@ -6,8 +6,8 @@
 //!
 //! * the [`Slice`] abstraction with the three fundamental
 //!   operations **merge**, **split**, and **update** (paper Section 5.2),
-//! * the [`SliceStore`] aggregate store with lazy and
-//!   eager (FlatFAT-indexed) variants,
+//! * the [`SliceStore`] aggregate store with three index policies
+//!   ([`StorePolicy`]): lazy (none), eager (FlatFAT) and finger tree,
 //! * the [`WindowOperator`] combining the Stream
 //!   Slicer, Slice Manager, and Window Manager of paper Figure 7,
 //! * the workload-characteristics decision logic of Figures 4–6
@@ -89,8 +89,7 @@ pub use element::StreamElement;
 pub use fiba::FingerTree;
 pub use flatfat::FlatFat;
 pub use function::{
-    default_fold_slice, kernel_eligible, pair_kernel_eligible, AggregateFunction, FunctionKind,
-    FunctionProperties, FOLD_KERNEL_MIN_RUN,
+    default_fold_slice, AggregateFunction, FunctionKind, FunctionProperties, FOLD_KERNEL_MIN_RUN,
 };
 pub use hash::{fx_hash_u64, FxBuildHasher, FxHashMap, FxHasher};
 pub use keyed::{KeyedConfig, KeyedStats, KeyedWindowOperator, NaiveKeyedOperator, PerKey};
@@ -99,7 +98,7 @@ pub use operator::{
     merge_partials_tree, OperatorConfig, OperatorStats, QueryError, SlicePartial, WindowOperator,
 };
 pub use result::WindowResult;
-pub use slice::{fold_run, Slice};
+pub use slice::Slice;
 pub use store::{SliceStore, StorePolicy};
 pub use time::{Count, Measure, Range, StreamOrder, Time, Watermark, TIME_MAX, TIME_MIN};
 pub use timeline::{SliceMeta, Timeline};

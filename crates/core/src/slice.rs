@@ -43,7 +43,7 @@ pub struct Slice<A: AggregateFunction> {
 /// runs and functions without a kernel — takes the per-element
 /// lift/combine loop, so the routing never costs more than the code it
 /// replaced.
-pub fn fold_run<A: AggregateFunction>(f: &A, run: &[(Time, A::Input)]) -> Option<A::Partial> {
+fn fold_run<A: AggregateFunction>(f: &A, run: &[(Time, A::Input)]) -> Option<A::Partial> {
     if crate::function::pair_kernel_eligible(f, run.len()) {
         let mut times: Vec<Time> = Vec::with_capacity(run.len());
         let mut values: Vec<A::Input> = Vec::with_capacity(run.len());
@@ -138,7 +138,7 @@ impl<A: AggregateFunction> Slice<A> {
 
     /// Extends the slice's end (metadata update; used when the successor is
     /// merged away or when the latest slice grows).
-    pub fn set_end(&mut self, end: Time) {
+    pub(crate) fn set_end(&mut self, end: Time) {
         debug_assert!(end >= self.range.start);
         self.range.end = end;
     }
@@ -170,7 +170,7 @@ impl<A: AggregateFunction> Slice<A> {
     /// combined into the slice aggregate with a single ⊕: by
     /// associativity this equals adding the tuples one by one, including
     /// for non-commutative functions (event-time order is preserved).
-    pub fn add_run_columns(&mut self, f: &A, times: &[Time], values: &[A::Input]) {
+    pub(crate) fn add_run_columns(&mut self, f: &A, times: &[Time], values: &[A::Input]) {
         debug_assert_eq!(times.len(), values.len(), "SoA run length mismatch");
         let (Some(&first_ts), Some(&last_ts)) = (times.first(), times.last()) else {
             return;
@@ -201,7 +201,7 @@ impl<A: AggregateFunction> Slice<A> {
     /// is updated with one incremental ⊕ step; for non-commutative
     /// functions the aggregate is recomputed from the stored tuples to
     /// retain the order of aggregation steps (paper Section 5.2, Update).
-    pub fn add_out_of_order(&mut self, f: &A, ts: Time, value: A::Input) {
+    pub(crate) fn add_out_of_order(&mut self, f: &A, ts: Time, value: A::Input) {
         // Note: no range assertion here — count-delimited slices (Figure 6
         // shifts) legitimately receive tuples before their nominal start.
         let commutative = f.properties().commutative;
@@ -239,7 +239,7 @@ impl<A: AggregateFunction> Slice<A> {
     /// ties), and for commutative functions the run folds into one lifted
     /// partial combined with a single ⊕ instead of k separate ⊕ steps.
     /// Non-commutative functions recompute once instead of k times.
-    pub fn add_out_of_order_run(&mut self, f: &A, run: &[(Time, A::Input)]) {
+    pub(crate) fn add_out_of_order_run(&mut self, f: &A, run: &[(Time, A::Input)]) {
         let (Some(&(first_ts, _)), Some(&(last_ts, _))) = (run.first(), run.last()) else {
             return;
         };
@@ -325,7 +325,7 @@ impl<A: AggregateFunction> Slice<A> {
     /// [`Slice::add_out_of_order`], the tuple is inserted *before* any
     /// stored tuple with an equal timestamp: it comes from the predecessor
     /// slice, so its count position precedes everything already here.
-    pub fn add_shifted(&mut self, f: &A, ts: Time, value: A::Input) {
+    pub(crate) fn add_shifted(&mut self, f: &A, ts: Time, value: A::Input) {
         let commutative = f.properties().commutative;
         if let Some(tuples) = &mut self.tuples {
             let pos = tuples.partition_point(|(t, _)| *t < ts);
@@ -351,7 +351,7 @@ impl<A: AggregateFunction> Slice<A> {
     /// used by splits and non-commutative updates). Panics if tuples are
     /// not stored — the decision logic (Figure 4) guarantees they are
     /// whenever a recomputation can be required.
-    pub fn recompute(&mut self, f: &A) {
+    fn recompute(&mut self, f: &A) {
         let tuples = self
             .tuples
             .as_ref()
@@ -368,7 +368,7 @@ impl<A: AggregateFunction> Slice<A> {
     ///
     /// Returns `None` if the slice is empty. Panics if tuples are not
     /// stored (removals always require them, Figure 4).
-    pub fn remove_last(&mut self, f: &A) -> Option<(Time, A::Input)> {
+    pub(crate) fn remove_last(&mut self, f: &A) -> Option<(Time, A::Input)> {
         let tuples = self
             .tuples
             .as_mut()
@@ -483,14 +483,14 @@ impl<A: AggregateFunction> Slice<A> {
 
     /// Drops stored tuples (used when a query removal makes storage
     /// unnecessary). The aggregate is kept.
-    pub fn drop_tuples(&mut self) {
+    pub(crate) fn drop_tuples(&mut self) {
         self.tuples = None;
     }
 
     /// Starts storing tuples from now on. Only valid on slices that are
     /// still empty — the paper's adaptivity re-derives the decision when
     /// queries change, and new slices pick up the new policy.
-    pub fn enable_tuple_storage(&mut self) {
+    pub(crate) fn enable_tuple_storage(&mut self) {
         debug_assert!(self.is_empty(), "cannot enable tuple storage retroactively");
         if self.tuples.is_none() {
             self.tuples = Some(Vec::new());

@@ -116,6 +116,7 @@ impl<A: AggregateFunction> AggIndex<A> {
         }
     }
 
+    #[cfg(test)]
     fn has_dirty(&self) -> bool {
         match self {
             AggIndex::None => false,
@@ -238,7 +239,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// on, existing aggregate-only slices stay as they are (their tuples
     /// are gone) and correctness holds for data from now on — matching the
     /// paper's query-add/remove adaptivity.
-    pub fn set_keep_tuples(&mut self, keep: bool) {
+    pub(crate) fn set_keep_tuples(&mut self, keep: bool) {
         if self.keep_tuples == keep {
             return;
         }
@@ -262,16 +263,16 @@ impl<A: AggregateFunction> SliceStore<A> {
         &self.slices[i]
     }
 
-    pub fn first_slice(&self) -> Option<&Slice<A>> {
+    pub(crate) fn first_slice(&self) -> Option<&Slice<A>> {
         self.slices.front()
     }
 
-    pub fn last_slice(&self) -> Option<&Slice<A>> {
+    pub(crate) fn last_slice(&self) -> Option<&Slice<A>> {
         self.slices.back()
     }
 
     /// End timestamp of the latest slice (exclusive), if any.
-    pub fn last_end(&self) -> Option<Time> {
+    pub(crate) fn last_end(&self) -> Option<Time> {
         self.slices.back().map(|s| s.end())
     }
 
@@ -286,20 +287,10 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.index_append();
     }
 
-    /// Extends the end of the latest slice (the open slice grows as time
-    /// advances). No-op if the store is empty.
-    pub fn extend_last(&mut self, end: Time) {
-        if let Some(s) = self.slices.back_mut() {
-            if s.end() < end {
-                s.set_end(end);
-            }
-        }
-    }
-
     /// Sets the end of the latest (open) slice unconditionally — used when
     /// query changes move the next window edge earlier. The caller must
     /// guarantee no stored tuple lies at or beyond `end`.
-    pub fn set_last_end(&mut self, end: Time) {
+    pub(crate) fn set_last_end(&mut self, end: Time) {
         if let Some(s) = self.slices.back_mut() {
             debug_assert!(s.is_empty() || s.t_last() < end, "open-slice tuples beyond new end");
             s.set_end(end);
@@ -310,7 +301,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// `ts` and a fresh slice `[ts, old_end)` is appended. Existing tuples
     /// stay in the left part (used for session starts and count edges,
     /// where all current tuples precede the cut).
-    pub fn cut_last_at(&mut self, ts: Time) {
+    pub(crate) fn cut_last_at(&mut self, ts: Time) {
         let Some(last) = self.slices.back_mut() else {
             return;
         };
@@ -323,7 +314,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Inserts a slice into a coverage gap (late tuples landing between
     /// existing slices). Returns the insertion index. The range must not
     /// overlap existing slices.
-    pub fn insert_gap_slice(&mut self, range: Range) -> usize {
+    pub(crate) fn insert_gap_slice(&mut self, range: Range) -> usize {
         let idx = self.slices.partition_point(|s| s.end() <= range.start);
         debug_assert!(
             idx == self.slices.len() || range.end <= self.slices[idx].start(),
@@ -390,7 +381,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Adds a run of in-order tuples, given as parallel `times` / `values`
     /// columns, to the **latest** slice with a single store touch: one
     /// fold + ⊕ into the slice partial — the contiguous values feed the
-    /// bulk fold kernel directly (see [`Slice::add_run_columns`]) — one
+    /// bulk fold kernel directly (see `Slice::add_run_columns`) — one
     /// tuple-vector append, and one eager-leaf refresh. Semantically
     /// equal to calling [`add_in_order`] per tuple.
     ///
@@ -423,7 +414,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// slices off costs `O(log d)` probes — a couple when slices are
     /// evenly long (periodic windows) or `near` is a neighbour (a sorted
     /// burst), and the order of a binary search at worst.
-    pub fn covering_search(&self, ts: Time, near: Option<usize>) -> Result<usize, usize> {
+    pub(crate) fn covering_search(&self, ts: Time, near: Option<usize>) -> Result<usize, usize> {
         let Some(open) = self.slices.len().checked_sub(1) else {
             return Err(0);
         };
@@ -461,7 +452,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// sequence, and a late tie must land *after* every stored tuple with
     /// an equal timestamp — count ties break by arrival order). Falls back
     /// to the latest slice.
-    pub fn covering_index_by_tuples(&self, ts: Time) -> Option<usize> {
+    pub(crate) fn covering_index_by_tuples(&self, ts: Time) -> Option<usize> {
         let n = self.slices.len();
         if n == 0 {
             return None;
@@ -495,7 +486,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     }
 
     /// Adds an out-of-order tuple to slice `idx`.
-    pub fn add_out_of_order(&mut self, idx: usize, ts: Time, value: A::Input) {
+    pub(crate) fn add_out_of_order(&mut self, idx: usize, ts: Time, value: A::Input) {
         self.slices[idx].add_out_of_order(&self.f, ts, value);
         self.refresh_leaf(idx);
     }
@@ -507,7 +498,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// postponed until [`SliceStore::flush_eager_repairs`], so k late runs
     /// into m slices cost m leaf writes plus one bottom-up repair of the
     /// dirty frontier instead of m full `O(log s)` walks.
-    pub fn add_out_of_order_run(&mut self, idx: usize, run: &[(Time, A::Input)]) {
+    pub(crate) fn add_out_of_order_run(&mut self, idx: usize, run: &[(Time, A::Input)]) {
         if run.is_empty() {
             return;
         }
@@ -521,7 +512,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// unsorted out-of-order fast path for commutative functions without
     /// tuple storage. `t_first`/`t_last` are the group's extreme
     /// timestamps and `n` its tuple count; eager leaf refresh is deferred
-    /// like [`SliceStore::add_out_of_order_run`].
+    /// like `SliceStore::add_out_of_order_run`.
     pub fn add_out_of_order_partial(
         &mut self,
         idx: usize,
@@ -557,7 +548,8 @@ impl<A: AggregateFunction> SliceStore<A> {
     }
 
     /// Whether deferred eager-leaf writes are pending repair.
-    pub fn has_pending_repairs(&self) -> bool {
+    #[cfg(test)]
+    fn has_pending_repairs(&self) -> bool {
         self.index.has_dirty()
     }
 
@@ -580,7 +572,7 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     /// Merges the two slices adjacent at edge `ts` (`slices[i].end == ts ==
     /// slices[i+1].start`). Returns `false` if `ts` is not such an edge.
-    pub fn merge_at(&mut self, ts: Time) -> bool {
+    pub(crate) fn merge_at(&mut self, ts: Time) -> bool {
         let idx = self.slices.partition_point(|s| s.end() < ts);
         if idx + 1 >= self.slices.len()
             || self.slices[idx].end() != ts
@@ -673,7 +665,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// over the slices. Whether that pass pays is decided here, from
     /// counts the sweep itself provides:
     ///
-    /// 1. Fewer than [`MIN_BATCH_WINDOWS`] windows, or holistic partials
+    /// 1. Fewer than `MIN_BATCH_WINDOWS` windows, or holistic partials
     ///    (every scan entry would clone an unbounded partial): per window.
     /// 2. Otherwise every window's edges are resolved to slice indices
     ///    (dense edge columns or per-window binary search, whichever
@@ -889,7 +881,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Number of tuples (absolute count) with timestamp `<= ts`, counting
     /// evicted tuples. Requires stored tuples for the partially-covered
     /// slice; exact because count workloads always store tuples.
-    pub fn count_at_or_before(&self, ts: Time) -> u64 {
+    pub(crate) fn count_at_or_before(&self, ts: Time) -> u64 {
         let mut count = self.evicted_tuples;
         for s in &self.slices {
             if !s.is_empty() && s.t_last() <= ts {
@@ -913,7 +905,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Figure-6 shift for count-based windows). Uses ⊖ when the function is
     /// invertible, otherwise recomputes the source slice. Returns `false`
     /// if there is no successor or the slice is empty.
-    pub fn shift_last_into_next(&mut self, idx: usize) -> bool {
+    pub(crate) fn shift_last_into_next(&mut self, idx: usize) -> bool {
         if idx + 1 >= self.slices.len() || self.slices[idx].is_empty() {
             return false;
         }
@@ -942,7 +934,7 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     /// Number of leading slices whose tuples all lie at absolute counts
     /// below `keep_from` (safe to evict for count-measure windows).
-    pub fn count_evictable(&self, keep_from: u64) -> usize {
+    pub(crate) fn count_evictable(&self, keep_from: u64) -> usize {
         let mut k = 0;
         let mut pos = self.evicted_tuples;
         for s in &self.slices {
@@ -958,7 +950,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     }
 
     /// Evicts the first `k` slices unconditionally.
-    pub fn evict_first(&mut self, k: usize) {
+    pub(crate) fn evict_first(&mut self, k: usize) {
         for s in self.slices.iter().take(k) {
             self.evicted_tuples += s.len() as u64;
         }
@@ -972,7 +964,7 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     /// Evicts leading slices whose tuples are entirely below the absolute
     /// count `keep_from` (count-measure eviction).
-    pub fn evict_keeping_counts(&mut self, keep_from: u64) -> usize {
+    pub(crate) fn evict_keeping_counts(&mut self, keep_from: u64) -> usize {
         let k = self.count_evictable(keep_from);
         self.evict_first(k);
         k
@@ -1017,7 +1009,7 @@ impl<A: AggregateFunction> HeapSize for SliceStore<A> {
 /// looking at anything else: below it the scan's fixed costs (two edge
 /// columns, the plan, the scan columns) are not recovered even when
 /// every window shares one pivot.
-pub const MIN_BATCH_WINDOWS: usize = 9;
+pub(crate) const MIN_BATCH_WINDOWS: usize = 9;
 
 /// One pivot group of a planned sweep: windows that all contain slice
 /// boundary `pivot`. Positions are boundaries relative to the plan's
@@ -1852,15 +1844,5 @@ mod tests {
         let c = filled(StorePolicy::Eager, true);
         assert!(b.heap_bytes() > a.heap_bytes());
         assert!(c.heap_bytes() > b.heap_bytes());
-    }
-
-    #[test]
-    fn extend_last_grows_open_slice() {
-        let mut st = store(StorePolicy::Lazy, false);
-        st.append_slice(Range::new(0, 10));
-        st.extend_last(15);
-        assert_eq!(st.last_end(), Some(15));
-        st.extend_last(12); // never shrinks
-        assert_eq!(st.last_end(), Some(15));
     }
 }

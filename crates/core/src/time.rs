@@ -67,12 +67,6 @@ impl Range {
     pub fn contains(&self, ts: Time) -> bool {
         ts >= self.start && ts < self.end
     }
-
-    /// True iff the two half-open intervals share at least one point.
-    #[inline]
-    pub fn overlaps(&self, other: &Range) -> bool {
-        self.start < other.end && other.start < self.end
-    }
 }
 
 impl crate::mem::HeapSize for Range {
@@ -133,16 +127,6 @@ mod tests {
         assert_eq!(Range::new(5, 9).len(), 4);
         assert!(Range::new(5, 5).is_empty());
         assert!(!Range::new(5, 6).is_empty());
-    }
-
-    #[test]
-    fn range_overlap_excludes_touching_intervals() {
-        let a = Range::new(0, 10);
-        let b = Range::new(10, 20);
-        let c = Range::new(9, 11);
-        assert!(!a.overlaps(&b));
-        assert!(a.overlaps(&c));
-        assert!(b.overlaps(&c));
     }
 
     #[test]

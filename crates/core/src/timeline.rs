@@ -12,7 +12,7 @@
 //! Slices are addressed by a *global index* (`base + position`) that stays
 //! stable across front eviction, so consumers holding dense rings of
 //! per-slice state need no fixups when the timeline advances. Stability
-//! holds only within one [`Timeline::generation`]: once eviction empties
+//! holds only within one `Timeline::generation`: once eviction empties
 //! the timeline, the next slice re-anchors the index↔time map at its own
 //! timestamp, and indices from the previous generation must be discarded.
 //!
@@ -72,7 +72,7 @@ impl Timeline {
     /// The current anchor generation. Global indices obtained under a
     /// different generation are meaningless against this timeline (see
     /// the field docs); consumers must discard state keyed by them.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
@@ -181,7 +181,7 @@ impl Timeline {
     }
 
     /// Position of the slice covering `ts`, if any.
-    pub fn pos_covering(&self, ts: Time) -> Option<usize> {
+    fn pos_covering(&self, ts: Time) -> Option<usize> {
         let (front, back) = (self.slices.front()?, self.slices.back()?);
         if ts < front.start || ts >= back.end {
             return None;
@@ -195,7 +195,7 @@ impl Timeline {
     /// Maps a window `[range.start, range.end)` to the inclusive-exclusive
     /// global slice index span it covers, clamped to current coverage.
     /// `None` if the window doesn't overlap the timeline at all.
-    pub fn global_range(&self, range: Range) -> Option<(i64, i64)> {
+    pub(crate) fn global_range(&self, range: Range) -> Option<(i64, i64)> {
         let first = self.slices.front()?;
         let last = self.slices.back()?;
         if range.end <= first.start || range.start >= last.end {
@@ -217,7 +217,7 @@ impl Timeline {
 
     /// Drops slices that end at or before `boundary`; keeps global
     /// numbering monotone by advancing `base`.
-    pub fn evict_to(&mut self, boundary: Time) {
+    pub(crate) fn evict_to(&mut self, boundary: Time) {
         while let Some(front) = self.slices.front() {
             if front.end <= boundary {
                 self.slices.pop_front();

@@ -20,4 +20,4 @@ pub mod ooo;
 
 pub use football::{FootballConfig, FootballGenerator};
 pub use machine::{MachineConfig, MachineGenerator};
-pub use ooo::{make_out_of_order, measured_disorder, with_watermarks, OooConfig};
+pub use ooo::{make_out_of_order, with_watermarks, OooConfig};

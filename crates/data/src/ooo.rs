@@ -80,9 +80,10 @@ pub fn with_watermarks<V: Clone>(
 }
 
 /// Fraction (percent) of tuples in `arrivals` that are out-of-order with
-/// respect to the tuples before them. Used by tests and benchmarks to
-/// validate generated disorder.
-pub fn measured_disorder<V>(arrivals: &[(Time, V)]) -> f64 {
+/// respect to the tuples before them: how the tests validate generated
+/// disorder.
+#[cfg(test)]
+fn measured_disorder<V>(arrivals: &[(Time, V)]) -> f64 {
     if arrivals.is_empty() {
         return 0.0;
     }

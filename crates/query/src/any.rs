@@ -72,7 +72,8 @@ impl Value {
         }
     }
 
-    pub fn as_f64(&self) -> f64 {
+    #[cfg(test)]
+    fn as_f64(&self) -> f64 {
         match self {
             Value::Int(v) => *v as f64,
             Value::Float(f) => *f,

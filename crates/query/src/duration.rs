@@ -7,7 +7,7 @@ use gss_core::Time;
 /// Parses a duration literal into milliseconds.
 ///
 /// Accepted suffixes: `ms`, `s`, `m`, `h`. A bare integer is milliseconds.
-pub fn parse_duration(input: &str) -> Result<Time, String> {
+pub(crate) fn parse_duration(input: &str) -> Result<Time, String> {
     let s = input.trim();
     if s.is_empty() {
         return Err("empty duration".into());
@@ -31,7 +31,7 @@ pub fn parse_duration(input: &str) -> Result<Time, String> {
 }
 
 /// Formats milliseconds back into the shortest exact literal.
-pub fn format_duration(ms: Time) -> String {
+pub(crate) fn format_duration(ms: Time) -> String {
     for (factor, unit) in [(3_600_000, "h"), (60_000, "m"), (1_000, "s")] {
         if ms != 0 && ms % factor == 0 {
             return format!("{}{}", ms / factor, unit);

@@ -20,13 +20,10 @@
 //! ```
 
 pub mod any;
-pub mod duration;
+mod duration;
 pub mod spec;
-pub mod sql;
 pub mod translate;
 
 pub use any::{AggKind, AnyAggregate, AnyPartial, Value};
-pub use duration::{format_duration, parse_duration};
-pub use spec::{parse_agg, WindowDsl};
-pub use sql::{parse_sql, SqlStatement};
+pub use spec::WindowDsl;
 pub use translate::{translate, QueryDsl, Translated};

@@ -124,7 +124,7 @@ impl std::fmt::Display for WindowDsl {
 
 /// Parses an aggregation name: `COUNT`, `SUM`, `AVG`, `MIN`, `MAX`,
 /// `MEDIAN`, or `P<1..=100>`.
-pub fn parse_agg(input: &str) -> Result<AggKind, String> {
+pub(crate) fn parse_agg(input: &str) -> Result<AggKind, String> {
     let s = input.trim().to_ascii_uppercase();
     Ok(match s.as_str() {
         "COUNT" => AggKind::Count,

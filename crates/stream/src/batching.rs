@@ -51,12 +51,12 @@ impl Batching {
     /// Default adaptive target: the plateau of the operator's batch-size
     /// sweep (throughput is flat past ~4096; EXPERIMENTS.md, "Batched
     /// ingestion").
-    pub const DEFAULT_TARGET: usize = 4096;
+    const DEFAULT_TARGET: usize = 4096;
     /// Default adaptive deadline.
-    pub const DEFAULT_MAX_DELAY: Duration = Duration::from_millis(1);
+    const DEFAULT_MAX_DELAY: Duration = Duration::from_millis(1);
 
     /// The transport chunk-size ceiling of this mode (capacity hint).
-    pub fn chunk_target(&self) -> usize {
+    fn chunk_target(&self) -> usize {
         match *self {
             Batching::Fixed(n) => n,
             Batching::Adaptive { target, .. } => target,
@@ -214,7 +214,7 @@ impl<V> ChunkBuilder<V> {
         Self::with_clock(mode, Instant::now)
     }
 
-    pub fn with_clock(mode: Batching, clock: ClockFn) -> Self {
+    fn with_clock(mode: Batching, clock: ClockFn) -> Self {
         let target = mode.chunk_target().max(1);
         let max_delay = match mode {
             Batching::Adaptive { max_delay, .. } => Some(max_delay),
@@ -227,12 +227,12 @@ impl<V> ChunkBuilder<V> {
     /// While the chunk holds fewer than this many records the deadline is
     /// polled on every push — the low-rate regime, where the latency
     /// bound is the whole point and a clock read per record is noise.
-    pub const CLOCK_CHECK_SMALL: usize = 8;
+    const CLOCK_CHECK_SMALL: usize = 8;
     /// Upper bound on how many pushes a single deadline poll may skip. A
     /// clock read costs tens of nanoseconds — on par with the whole
     /// per-record fold — so polling every push in adaptive mode would
     /// forfeit most of the batching win.
-    pub const CLOCK_CHECK_STRIDE: usize = 64;
+    const CLOCK_CHECK_STRIDE: usize = 64;
 
     /// Adds one record; returns a chunk ready to ship when full or
     /// past-deadline (see `due`). The one-record form of the

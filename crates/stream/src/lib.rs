@@ -27,8 +27,6 @@ pub mod sharded;
 pub use batching::{Batching, ChunkBuilder, RecordChunk};
 pub use driver::PipelineError;
 pub use metrics::{BatchSizeHistogram, LatencyHistogram};
-pub use parallel::{parallel_eligible, run_parallel};
-pub use pipeline::{
-    partition_of, process_cpu_time, run_keyed, run_per_key, PipelineConfig, PipelineReport,
-};
+pub use parallel::run_parallel;
+pub use pipeline::{partition_of, run_keyed, run_per_key, PipelineConfig, PipelineReport};
 pub use sharded::{run_sharded_keyed, shard_of};

@@ -124,7 +124,7 @@ impl LatencyHistogram {
         self.record_ns(latency.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    pub fn record_ns(&mut self, ns: u64) {
+    pub(crate) fn record_ns(&mut self, ns: u64) {
         self.0.record(ns);
     }
 

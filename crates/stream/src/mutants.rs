@@ -7,7 +7,7 @@
 //! buffer that still holds records — and the harness
 //! must catch every one on some explored schedule.
 //!
-//! Without the `sched-mutants` feature, [`is`] is a constant `false`
+//! Without the `sched-mutants` feature, `is` is a constant `false`
 //! and every guarded branch compiles away: release binaries carry no
 //! fault-injection code at all. With the feature, the `sched` binary
 //! selects one mutant at a time through `set_mutant` (runs are
@@ -64,7 +64,7 @@ pub fn set_mutant(m: Mutant) {
 /// Whether `m` is the currently injected fault. Constant `false`
 /// without the `sched-mutants` feature.
 #[inline(always)]
-pub fn is(m: Mutant) -> bool {
+pub(crate) fn is(m: Mutant) -> bool {
     #[cfg(feature = "sched-mutants")]
     {
         m != Mutant::Healthy && imp::get() == m as u8
@@ -79,7 +79,7 @@ pub fn is(m: Mutant) -> bool {
 /// Doubles a batch under `m` (the exactly-once mutants). Feature-gated
 /// because it needs `Clone` on the payload.
 #[cfg(feature = "sched-mutants")]
-pub fn double_if<T: Clone>(m: Mutant, batch: Vec<T>) -> Vec<T> {
+pub(crate) fn double_if<T: Clone>(m: Mutant, batch: Vec<T>) -> Vec<T> {
     if is(m) {
         let mut out = batch.clone();
         out.extend(batch);

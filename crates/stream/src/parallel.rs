@@ -104,7 +104,7 @@ const FLUSH_SLICE_CAP: usize = 4096;
 /// out-of-order configs ship their explicit watermarks through the epoch
 /// barrier, and in-order configs (which emit per tuple) get watermarks
 /// synthesized by the dealer (see the module docs).
-pub fn parallel_eligible<A: AggregateFunction>(
+fn parallel_eligible<A: AggregateFunction>(
     f: &A,
     windows: &[Box<dyn WindowFunction>],
     op_cfg: &OperatorConfig,
@@ -459,7 +459,7 @@ where
 /// worker-local slice pre-aggregation on `cfg.parallelism` threads and a
 /// combining merge stage driving one authoritative [`WindowOperator`].
 ///
-/// Eligible workloads (see [`parallel_eligible`]) produce exactly the
+/// Eligible workloads (see `parallel_eligible`) produce exactly the
 /// final window results of a sequential operator with the same config;
 /// ineligible ones fall back to that sequential operator
 /// (`report.parallel_workers == 0`).

@@ -124,7 +124,7 @@ impl<O> PipelineReport<O> {
 
     /// Average CPU utilization in busy cores (e.g. 4.0 ≙ 400 %), or
     /// `None` when process CPU time is unavailable or below the clock-tick
-    /// resolution: [`process_cpu_time`] reads `/proc` and returns zero on
+    /// resolution: `process_cpu_time` reads `/proc` and returns zero on
     /// non-Linux platforms (and for runs shorter than one `USER_HZ` tick),
     /// so a raw ratio would silently report 0 there.
     pub fn cpu_utilization(&self) -> Option<f64> {
@@ -173,7 +173,7 @@ pub fn partition_of(key: u64, parallelism: usize) -> usize {
 
 /// Total process CPU time (user + system). Linux-specific; returns zero on
 /// other platforms.
-pub fn process_cpu_time() -> Duration {
+pub(crate) fn process_cpu_time() -> Duration {
     #[cfg(target_os = "linux")]
     {
         let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {

@@ -33,7 +33,7 @@ impl PeriodicEdges {
 
     /// Smallest window start strictly after `ts`.
     #[inline]
-    pub fn next_start(&self, ts: Time) -> Time {
+    fn next_start(&self, ts: Time) -> Time {
         ((ts - self.offset).div_euclid(self.slide) + 1) * self.slide + self.offset
     }
 
@@ -53,7 +53,7 @@ impl PeriodicEdges {
 
     /// Largest window start at or before `ts`.
     #[inline]
-    pub fn prev_start(&self, ts: Time) -> Time {
+    fn prev_start(&self, ts: Time) -> Time {
         (ts - self.offset).div_euclid(self.slide) * self.slide + self.offset
     }
 

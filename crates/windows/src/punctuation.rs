@@ -23,7 +23,8 @@ impl PunctuationWindow {
     }
 
     /// Number of boundaries currently tracked.
-    pub fn boundary_count(&self) -> usize {
+    #[cfg(test)]
+    fn boundary_count(&self) -> usize {
         self.boundaries.len()
     }
 

@@ -61,7 +61,8 @@ impl SessionWindow {
     }
 
     /// Number of currently tracked sessions (closed-but-retained included).
-    pub fn session_count(&self) -> usize {
+    #[cfg(test)]
+    fn session_count(&self) -> usize {
         self.sessions.len()
     }
 

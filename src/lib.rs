@@ -7,8 +7,9 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`core`] — slices, the merge/split/update operations, lazy/eager
-//!   aggregate stores, and the [`core::WindowOperator`] combining stream
+//! * [`core`] — slices, the merge/split/update operations, the slice
+//!   store with its lazy, eager and finger-tree index policies, and the
+//!   [`core::WindowOperator`] combining stream
 //!   slicer, slice manager, and window manager;
 //! * [`aggregates`] — lift/combine/lower/invert aggregate functions (sum,
 //!   avg, min/max families, stddevs, M4, median, percentiles, ...);
@@ -71,9 +72,8 @@ pub mod prelude {
     };
     pub use gss_query::{translate, AggKind, AnyAggregate, QueryDsl, Value, WindowDsl};
     pub use gss_stream::{
-        parallel_eligible, run_keyed, run_parallel, run_per_key, run_sharded_keyed, shard_of,
-        BatchSizeHistogram, Batching, ChunkBuilder, LatencyHistogram, PipelineConfig,
-        PipelineReport, RecordChunk,
+        run_keyed, run_parallel, run_per_key, run_sharded_keyed, shard_of, BatchSizeHistogram,
+        Batching, ChunkBuilder, LatencyHistogram, PipelineConfig, PipelineReport, RecordChunk,
     };
     pub use gss_windows::{
         CountSlidingWindow, CountTumblingWindow, MultiMeasureWindow, PunctuationWindow,
