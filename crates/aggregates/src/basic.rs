@@ -238,10 +238,10 @@ mod tests {
         assert!(CountAgg.has_fold_kernel() && Sum.has_fold_kernel() && Avg.has_fold_kernel());
         for len in [0, 1, 2, 15, 16, 17, 256, 257] {
             let v = &values[..len];
-            assert_eq!(Sum.fold_slice(v), gss_core::default_fold_slice(&Sum, v));
-            assert_eq!(SumNoInvert.fold_slice(v), gss_core::default_fold_slice(&SumNoInvert, v));
-            assert_eq!(CountAgg.fold_slice(v), gss_core::default_fold_slice(&CountAgg, v));
-            assert_eq!(Avg.fold_slice(v), gss_core::default_fold_slice(&Avg, v));
+            assert_eq!(Sum.fold_slice(v), Sum.lift_all(v));
+            assert_eq!(SumNoInvert.fold_slice(v), SumNoInvert.lift_all(v));
+            assert_eq!(CountAgg.fold_slice(v), CountAgg.lift_all(v));
+            assert_eq!(Avg.fold_slice(v), Avg.lift_all(v));
         }
     }
 }

@@ -1,5 +1,10 @@
 //! Hand-unrolled lane accumulators for the bulk fold kernels.
 //!
+//! Each helper here is the body of one function's
+//! [`gss_core::AggregateFunction::fold_slice`] override — the only kernel
+//! entry of the trait, which every fold site calls on a contiguous run
+//! whatever its length, `(value, arg)` pairs included.
+//!
 //! LLVM auto-vectorizes the monomorphized default fold for some functions
 //! (integer sum) but the idiom is fragile: a contiguous
 //! `fold(i64::MAX, min)` reduction is *not* recognized, and f64 reductions
@@ -22,8 +27,8 @@
 //!   associative, commutative, and idempotent, so *any* lane split —
 //!   including the SIMD-friendly strided split used here — returns the
 //!   exact same bits as the sequential left fold. These kernels are pinned
-//!   bit-identical to [`gss_core::default_fold_slice`] by the proptest
-//!   grid.
+//!   bit-identical to [`gss_core::AggregateFunction::lift_all`] by the
+//!   proptest grid.
 //! * **Exact, order-sensitive folds** (M4's first/last timestamp
 //!   tie-breaks): the combine is associative but *not* commutative on
 //!   ties, so those kernels (in [`crate::m4`]) use an order-preserving

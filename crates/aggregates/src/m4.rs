@@ -56,16 +56,14 @@ impl AggregateFunction for M4 {
         FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
     }
 
-    /// Paired-column lane kernel. Unlike the strided arg-min/arg-max
-    /// split, M4's first/last tie-breaks are **order-sensitive** (`<=` /
-    /// `>=` keep the earlier-folded side), so the kernel uses the
-    /// order-preserving block split of the `lanes` policy: each
-    /// lane owns one contiguous block of the run, lanes reduce in stream
-    /// order, and the tail folds in order — pure
-    /// re-parenthesization of the associative ⊕, hence bit-identical to
-    /// the per-element fold including timestamp ties. The input pairs are
-    /// self-contained, so the record-time column is unused.
-    fn fold_slice_pairs(&self, _times: &[Time], values: &[(Time, i64)]) -> Option<M4Partial> {
+    /// Block lane kernel. Unlike the strided arg-min/arg-max split, M4's
+    /// first/last tie-breaks are **order-sensitive** (`<=` / `>=` keep the
+    /// earlier-folded side), so the kernel uses the order-preserving block
+    /// split of the `lanes` policy: each lane owns one contiguous block of
+    /// the run, lanes reduce in stream order, and the tail folds in order —
+    /// pure re-parenthesization of the associative ⊕, hence bit-identical
+    /// to the per-element fold including timestamp ties.
+    fn fold_slice(&self, values: &[(Time, i64)]) -> Option<M4Partial> {
         let n = values.len();
         // Two blocks, not four: the 48-byte partial times four lanes
         // spills out of registers and measured *slower* than the
@@ -75,7 +73,7 @@ impl AggregateFunction for M4 {
         if b < 8 {
             // Too short for the block overhead; the sequential fold is
             // exact by definition.
-            return gss_core::default_fold_slice(self, values);
+            return self.lift_all(values);
         }
         // Two contiguous blocks walked by zipped iterators (no index
         // arithmetic, no bounds checks in the hot loop) plus the tail.
@@ -108,14 +106,8 @@ impl AggregateFunction for M4 {
         }
         Some(p)
     }
-    fn has_pair_kernel(&self) -> bool {
+    fn has_fold_kernel(&self) -> bool {
         true
-    }
-    /// The per-element path copies the 48-byte partial and runs four
-    /// compares per tuple, so the block kernel breaks even below the
-    /// default gather threshold.
-    fn kernel_min_run(&self) -> usize {
-        8
     }
 }
 
@@ -217,19 +209,14 @@ mod tests {
 
     #[test]
     fn m4_pair_kernel_matches_default_including_timestamp_ties() {
-        assert!(M4.has_pair_kernel());
+        assert!(M4.has_fold_kernel());
         // Repeated timestamps with distinct values: the order-sensitive
         // first/last tie-breaks must pick the same element as the
         // sequential fold. Non-monotone ts exercises the late-group shape.
         let pairs: Vec<(Time, i64)> = (0..141).map(|i| ((i * 7) % 13, 1000 + i)).collect();
-        let times: Vec<Time> = (0..141).collect();
         for len in [0, 1, 7, 8, 31, 32, 33, 127, 141] {
             let v = &pairs[..len];
-            assert_eq!(
-                M4.fold_slice_pairs(&times[..len], v),
-                gss_core::default_fold_slice(&M4, v),
-                "m4 len {len}"
-            );
+            assert_eq!(M4.fold_slice(v), M4.lift_all(v), "m4 len {len}");
         }
     }
 

@@ -245,26 +245,15 @@ impl AggregateFunction for ArgMin {
     fn properties(&self) -> FunctionProperties {
         FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
     }
-    /// Paired-column kernel (`lanes::arg_min_pairs`); the input
-    /// pairs are self-contained, so the record-time column is unused. The
-    /// lexicographic tie-break (smallest `arg` among equal values) is a
-    /// total order, so the lane split is exact — bit-identical to the
+    /// Lane kernel over the `(value, arg)` pairs (`lanes::arg_min_pairs`).
+    /// The lexicographic tie-break (smallest `arg` among equal values) is
+    /// a total order, so the lane split is exact — bit-identical to the
     /// per-element fold including ties.
-    fn fold_slice_pairs(
-        &self,
-        _times: &[gss_core::Time],
-        values: &[(i64, i64)],
-    ) -> Option<ArgExtremum> {
+    fn fold_slice(&self, values: &[(i64, i64)]) -> Option<ArgExtremum> {
         crate::lanes::arg_min_pairs(values).map(|(value, arg)| ArgExtremum { value, arg })
     }
-    fn has_pair_kernel(&self) -> bool {
+    fn has_fold_kernel(&self) -> bool {
         true
-    }
-    /// The per-element path pays a branchy three-way compare per tuple, so
-    /// the lane kernel breaks even well below the default gather threshold
-    /// despite copying 16-byte pairs.
-    fn kernel_min_run(&self) -> usize {
-        8
     }
 }
 
@@ -302,21 +291,12 @@ impl AggregateFunction for ArgMax {
     fn properties(&self) -> FunctionProperties {
         FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
     }
-    /// Mirror of [`ArgMin::fold_slice_pairs`] via
-    /// `lanes::arg_max_pairs`.
-    fn fold_slice_pairs(
-        &self,
-        _times: &[gss_core::Time],
-        values: &[(i64, i64)],
-    ) -> Option<ArgExtremum> {
+    /// Mirror of [`ArgMin::fold_slice`] via `lanes::arg_max_pairs`.
+    fn fold_slice(&self, values: &[(i64, i64)]) -> Option<ArgExtremum> {
         crate::lanes::arg_max_pairs(values).map(|(value, arg)| ArgExtremum { value, arg })
     }
-    fn has_pair_kernel(&self) -> bool {
+    fn has_fold_kernel(&self) -> bool {
         true
-    }
-    /// See [`ArgMin::kernel_min_run`].
-    fn kernel_min_run(&self) -> usize {
-        8
     }
 }
 
@@ -399,33 +379,22 @@ mod tests {
         assert!(MinCount.has_fold_kernel() && MaxCount.has_fold_kernel());
         for len in [0, 1, 2, 16, 255, 257] {
             let v = &values[..len];
-            assert_eq!(Min.fold_slice(v), gss_core::default_fold_slice(&Min, v));
-            assert_eq!(Max.fold_slice(v), gss_core::default_fold_slice(&Max, v));
-            assert_eq!(MinCount.fold_slice(v), gss_core::default_fold_slice(&MinCount, v));
-            assert_eq!(MaxCount.fold_slice(v), gss_core::default_fold_slice(&MaxCount, v));
+            assert_eq!(Min.fold_slice(v), Min.lift_all(v));
+            assert_eq!(Max.fold_slice(v), Max.lift_all(v));
+            assert_eq!(MinCount.fold_slice(v), MinCount.lift_all(v));
+            assert_eq!(MaxCount.fold_slice(v), MaxCount.lift_all(v));
         }
     }
 
     #[test]
     fn arg_pair_kernels_match_default_including_ties() {
-        assert!(ArgMin.has_pair_kernel() && ArgMax.has_pair_kernel());
-        assert!(!ArgMin.has_fold_kernel(), "kernel lives on the paired hook");
+        assert!(ArgMin.has_fold_kernel() && ArgMax.has_fold_kernel());
         // Small value range forces plenty of ties across lane boundaries.
         let pairs: Vec<(i64, i64)> = (0..133).map(|i| ((i * 37) % 5, 200 - i)).collect();
-        let times: Vec<gss_core::Time> = (0..133).collect();
         for len in [0, 1, 2, 3, 4, 7, 8, 9, 64, 133] {
             let v = &pairs[..len];
-            let t = &times[..len];
-            assert_eq!(
-                ArgMin.fold_slice_pairs(t, v),
-                gss_core::default_fold_slice(&ArgMin, v),
-                "argmin len {len}"
-            );
-            assert_eq!(
-                ArgMax.fold_slice_pairs(t, v),
-                gss_core::default_fold_slice(&ArgMax, v),
-                "argmax len {len}"
-            );
+            assert_eq!(ArgMin.fold_slice(v), ArgMin.lift_all(v), "argmin len {len}");
+            assert_eq!(ArgMax.fold_slice(v), ArgMax.lift_all(v), "argmax len {len}");
         }
     }
 }

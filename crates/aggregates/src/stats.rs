@@ -235,7 +235,7 @@ mod tests {
             assert_eq!(k.sum_sq.to_bits(), again.sum_sq.to_bits());
             assert_eq!(PopulationStdDev.fold_slice(v), Some(k), "shared moments kernel");
             // Ulp bound vs the sequential reference fold.
-            let seq = gss_core::default_fold_slice(&SampleStdDev, v).unwrap();
+            let seq = SampleStdDev.lift_all(v).unwrap();
             assert_eq!(k.count, seq.count, "count must stay exact");
             let abs_sum: f64 = v.iter().map(|&x| (x as f64).abs()).sum();
             let tol_sum = (len as f64) * f64::EPSILON * abs_sum;

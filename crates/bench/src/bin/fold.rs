@@ -1,14 +1,19 @@
-//! Fold kernels: hand-written [`AggregateFunction::fold_slice`] (and
-//! paired-column [`AggregateFunction::fold_slice_pairs`]) bulk kernels vs
-//! the default lift/combine loop they replace, plus the pipeline-level
-//! effect of latency-bounded adaptive batching.
+//! Fold kernels: hand-written [`AggregateFunction::fold_slice`] bulk
+//! kernels vs the default lift/combine loop they replace, plus the
+//! pipeline-level effect of latency-bounded adaptive batching.
 //!
-//! Part 1 (kernel microbench): for each aggregate with a kernel — the
-//! single-column ones (count/sum/avg/min/max/mincount/maxcount and
-//! stddev's moments fold) and the paired-column ones (argmin/argmax on
-//! `(value, arg)` pairs, m4 on `(ts, value)` pairs) — time the kernel on
-//! a contiguous run at lengths {64, 512, 4096, 16384} against two
-//! baselines:
+//! Why this binary exists beside `benchmark/`: the benchmark folds only
+//! `Sum` and `Max`, and times their kernels with no default fold beside
+//! them, at one batching mode. It cannot answer the two questions asked
+//! here: what each of eleven functions' kernels buys against a
+//! dispatch-opaque default, and how the batching modes compare on one
+//! pipeline.
+//!
+//! Part 1 (kernel microbench): for each aggregate with a kernel —
+//! count/sum/avg/min/max/mincount/maxcount, stddev's moments fold,
+//! argmin/argmax on `(value, arg)` pairs and m4 on `(ts, value)` pairs —
+//! time `fold_slice` on a contiguous run at lengths {64, 512, 4096,
+//! 16384} against two baselines:
 //!
 //! * `default` — the per-element lift/combine loop executed through
 //!   function pointers the optimizer cannot see through. This is the
@@ -16,8 +21,8 @@
 //!   dynamically loaded UDFs, megamorphic JIT call sites — the setting
 //!   the paper's own JVM implementation pays on every element), and the
 //!   headline `speedup` column is measured against it.
-//! * `inline_default` — [`default_fold_slice`] monomorphized and fully
-//!   inlined, exactly as this engine's own fallback path compiles. For
+//! * `inline_default` — [`AggregateFunction::lift_all`] monomorphized and
+//!   fully inlined, exactly as this engine's own fallback path compiles. For
 //!   sum-like `i64` folds LLVM auto-vectorizes that loop too, so
 //!   `speedup_vs_inline` hovers near 1.0x there; for the min/max family
 //!   the contiguous `fold(min)` reduction idiom is one LLVM fails to
@@ -56,8 +61,7 @@ use gss_aggregates::{
 };
 use gss_bench::{fmt_tput, BenchJson, Output};
 use gss_core::{
-    default_fold_slice, AggregateFunction, OperatorConfig, StreamElement, Time, WindowAggregator,
-    WindowOperator,
+    AggregateFunction, OperatorConfig, StreamElement, Time, WindowAggregator, WindowOperator,
 };
 use gss_stream::{run_keyed, PipelineConfig, PipelineReport};
 use gss_windows::SlidingWindow;
@@ -144,27 +148,20 @@ fn opaque_fold<A: AggregateFunction>(f: &A, values: &[A::Input]) -> Option<A::Pa
 }
 
 /// Nanoseconds per element for one fold variant, best of `reps` passes.
-/// `times` is only consulted on the kernel path of paired-column
-/// functions; pass the plain run order for single-column ones.
 fn time_fold<A: AggregateFunction>(
     f: &A,
-    times: &[Time],
     values: &[A::Input],
     iters: usize,
     reps: usize,
     path: FoldPath,
 ) -> f64 {
-    let paired = f.has_pair_kernel();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
         for _ in 0..iters {
             let partial = match path {
-                FoldPath::Kernel if paired => {
-                    f.fold_slice_pairs(black_box(times), black_box(values))
-                }
                 FoldPath::Kernel => f.fold_slice(black_box(values)),
-                FoldPath::InlineDefault => default_fold_slice(f, black_box(values)),
+                FoldPath::InlineDefault => f.lift_all(black_box(values)),
                 FoldPath::OpaqueDefault => opaque_fold(f, black_box(values)),
             };
             black_box(partial);
@@ -175,11 +172,9 @@ fn time_fold<A: AggregateFunction>(
     best
 }
 
-#[allow(clippy::too_many_arguments)]
 fn bench_kernel<A: AggregateFunction>(
     f: &A,
     name: &'static str,
-    times: &[Time],
     values: &[A::Input],
     run_lens: &[usize],
     budget: usize,
@@ -188,18 +183,14 @@ fn bench_kernel<A: AggregateFunction>(
 ) {
     for &len in run_lens {
         let run = &values[..len];
-        let ts = &times[..len];
         // Folds must agree (the equivalence proptests pin this for every
         // function — bit-exactly for integer kernels, deterministic and
         // ulp-bounded for the float moments; this is a cheap smoke).
-        assert!(
-            f.fold_slice_pairs(ts, run).is_some(),
-            "{name}: fold of a non-empty run produced nothing"
-        );
+        assert!(f.fold_slice(run).is_some(), "{name}: fold of a non-empty run produced nothing");
         let iters = (budget / len).max(8);
-        let kernel_ns = time_fold(f, ts, run, iters, 3, FoldPath::Kernel);
-        let inline_ns = time_fold(f, ts, run, iters, 3, FoldPath::InlineDefault);
-        let default_ns = time_fold(f, ts, run, iters, 3, FoldPath::OpaqueDefault);
+        let kernel_ns = time_fold(f, run, iters, 3, FoldPath::Kernel);
+        let inline_ns = time_fold(f, run, iters, 3, FoldPath::InlineDefault);
+        let default_ns = time_fold(f, run, iters, 3, FoldPath::OpaqueDefault);
         let speedup = default_ns / kernel_ns.max(1e-12);
         let speedup_vs_inline = inline_ns / kernel_ns.max(1e-12);
         out.row(&[
@@ -223,7 +214,7 @@ fn bench_kernel<A: AggregateFunction>(
             inline_default_ns_per_elem: inline_ns,
             speedup,
             speedup_vs_inline,
-            has_kernel: f.has_fold_kernel() || f.has_pair_kernel(),
+            has_kernel: f.has_fold_kernel(),
         });
     }
 }
@@ -293,9 +284,7 @@ fn main() {
     // mincount/argmin-family kernels exercise their tie paths.
     let max_len = *RUN_LENS.last().unwrap_or(&4096);
     let values: Vec<i64> = (0..max_len as i64).map(|i| (i * 37 + 11) % 1_001 - 500).collect();
-    // Paired columns: monotone record times, (value, arg) for argmin/argmax,
-    // (ts, value) for m4.
-    let times: Vec<Time> = (0..max_len as Time).collect();
+    // Pair inputs: (value, arg) for argmin/argmax, (ts, value) for m4.
     let arg_pairs: Vec<(i64, i64)> =
         values.iter().enumerate().map(|(i, &v)| (v, i as i64)).collect();
     let ts_pairs: Vec<(Time, i64)> =
@@ -323,16 +312,7 @@ fn main() {
     macro_rules! cell {
         ($f:expr, $name:literal, $vals:expr) => {
             if pick($name) {
-                bench_kernel(
-                    $f,
-                    $name,
-                    &times,
-                    $vals,
-                    &run_lens,
-                    budget,
-                    &mut kernel_rows,
-                    &mut out,
-                );
+                bench_kernel($f, $name, $vals, &run_lens, budget, &mut kernel_rows, &mut out);
             }
         };
     }
@@ -409,9 +389,8 @@ fn main() {
 fn write_json(kernels: &[KernelRow], pipe: &[PipeRow]) {
     let mut j = BenchJson::create(
         "fold",
-        "fold_slice / fold_slice_pairs lane kernels vs default lift/combine fold on contiguous \
-         runs; plus run_keyed sliding(10s,1s) sum over 64 keys comparing fixed and adaptive \
-         batching",
+        "fold_slice lane kernels vs default lift/combine fold on contiguous runs; plus \
+         run_keyed sliding(10s,1s) sum over 64 keys comparing fixed and adaptive batching",
     );
     let f = j.file();
     writeln!(
@@ -421,8 +400,8 @@ fn write_json(kernels: &[KernelRow], pipe: &[PipeRow]) {
          loop monomorphized+inlined. LLVM auto-vectorizes the inline loop for sum-like i64 \
          folds (speedup_vs_inline ~= 1.0 there by construction), but not for the min/max \
          reduction idiom or the IEEE-ordered float moments, where the explicit lane \
-         accumulators win outright; argmin/argmax/m4 run on the paired-column \
-         fold_slice_pairs hook\","
+         accumulators win outright; argmin/argmax/m4 fold (value, arg) / (ts, value) pairs \
+         through the same fold_slice hook\","
     )
     .unwrap();
     writeln!(f, "  \"run_lens\": [64, 512, 4096, 16384],").unwrap();

@@ -7,7 +7,6 @@
 //! function declares them (workload characteristic 2, Section 4.2).
 
 use crate::mem::HeapSize;
-use crate::time::Time;
 
 /// Classification of aggregations by the size of their partial aggregates
 /// (Gray et al. \[16\], adopted in paper Section 4.2).
@@ -118,108 +117,27 @@ pub trait AggregateFunction: Clone + Send + 'static {
     }
 
     /// Folds an entire contiguous run of input values into one partial —
-    /// the bulk-fold kernel hook. Semantically identical to lifting and
-    /// combining each value left to right (the default does exactly that),
-    /// but implementations over primitive inputs override it with a tight
-    /// branch-free loop the compiler can auto-vectorize, collapsing the
-    /// per-element `lift` + `combine` overhead that dominates once the
-    /// slicing store is touched only once per run.
+    /// the bulk-fold kernel hook, and the one way every fold site folds a
+    /// run. Semantically identical to lifting and combining each value
+    /// left to right (the default is [`Self::lift_all`]), but
+    /// implementations override it with a lane kernel that breaks the
+    /// per-element `lift` + `combine` dependency chain.
     ///
     /// The contract mirrors `combine`: values are folded in slice order, so
     /// non-commutative functions stay correct as long as callers pass runs
-    /// in stream order.
+    /// in stream order. An override must return what `lift_all` returns —
+    /// bit for bit, except that a float fold may reassociate within the
+    /// bounds `gss-aggregates` documents for its lanes.
     fn fold_slice(&self, values: &[Self::Input]) -> Option<Self::Partial> {
-        default_fold_slice(self, values)
+        self.lift_all(values)
     }
 
     /// Whether [`Self::fold_slice`] is a hand-written kernel rather than the
-    /// default lift/combine loop. Callers holding tuples in
-    /// array-of-structs form use this to decide whether gathering values
-    /// into a contiguous scratch buffer pays for itself; observability
-    /// layers use it to attribute runs to the kernel or fallback path.
+    /// default lift/combine loop. A run folded through `fold_slice` counts
+    /// as a kernel hit exactly when this is true.
     fn has_fold_kernel(&self) -> bool {
         false
     }
-
-    /// Paired-column twin of [`Self::fold_slice`]: folds a contiguous run
-    /// whose record timestamps arrive as a parallel `times` column
-    /// (`times.len() == values.len()`, `times[i]` stamps `values[i]`).
-    /// The result contract is identical to `fold_slice` — bit-for-bit
-    /// equal to [`default_fold_slice`] over `values` in the given order —
-    /// so the default simply delegates there. Functions whose inputs are
-    /// `(Time, V)`-shaped pairs (ArgMin/ArgMax, M4, first/last) override
-    /// this with a lane kernel: the columnar ingestion paths carry both
-    /// columns end-to-end, so the kernel gets two contiguous slices for
-    /// free where the element-shaped `fold_slice` hook could not help.
-    ///
-    /// `times` is auxiliary: kernels over self-contained pair inputs may
-    /// ignore it, and kernels that do read it must not change the result
-    /// relative to the `values`-only fold.
-    fn fold_slice_pairs(&self, times: &[Time], values: &[Self::Input]) -> Option<Self::Partial> {
-        debug_assert_eq!(times.len(), values.len(), "paired fold columns diverged");
-        let _ = times;
-        self.fold_slice(values)
-    }
-
-    /// Whether [`Self::fold_slice_pairs`] is a hand-written kernel rather
-    /// than the `fold_slice` delegation. Mirrors [`Self::has_fold_kernel`]
-    /// for the paired-column hook: array-of-structs callers use it to
-    /// decide whether gathering *both* columns pays for itself, and the
-    /// hit/miss accounting uses it to attribute paired runs.
-    fn has_pair_kernel(&self) -> bool {
-        false
-    }
-
-    /// Minimum run length at which gathering array-of-structs tuples into
-    /// contiguous column(s) and calling a bulk kernel beats the plain
-    /// per-element fold for *this* function. Defaults to the global
-    /// [`FOLD_KERNEL_MIN_RUN`]; functions whose kernels break even earlier
-    /// or later (e.g. paired kernels replacing a branchy compare chain, or
-    /// kernels with wide partial copies) override it.
-    fn kernel_min_run(&self) -> usize {
-        FOLD_KERNEL_MIN_RUN
-    }
-}
-
-/// The reference lift/combine fold over a contiguous run — the default body
-/// of [`AggregateFunction::fold_slice`], exposed as a free function so
-/// equivalence tests and the `fold` benchmark can compare a kernel against
-/// the exact loop it replaces.
-pub fn default_fold_slice<A: AggregateFunction>(f: &A, values: &[A::Input]) -> Option<A::Partial> {
-    let mut acc: Option<A::Partial> = None;
-    for v in values {
-        let lifted = f.lift(v);
-        acc = Some(match acc {
-            None => lifted,
-            Some(a) => f.combine(a, &lifted),
-        });
-    }
-    acc
-}
-
-/// Default minimum run length at which gathering array-of-structs tuples
-/// into a contiguous values buffer and calling a bulk kernel beats the
-/// plain per-element fold. Below this the gather's copy dominates the
-/// kernel's savings; above it the copy is one linear pass amortized over a
-/// vectorized fold. Per-function break-evens override it via
-/// [`AggregateFunction::kernel_min_run`].
-pub const FOLD_KERNEL_MIN_RUN: usize = 16;
-
-/// Whether a run of `len` tuples should be routed through the bulk
-/// [`AggregateFunction::fold_slice`] kernel (gathering values first when
-/// the caller's storage is array-of-structs). Centralizing the decision
-/// keeps the hit/miss accounting consistent across every fold site.
-pub(crate) fn kernel_eligible<A: AggregateFunction>(f: &A, len: usize) -> bool {
-    len >= f.kernel_min_run() && f.has_fold_kernel()
-}
-
-/// Whether a run of `len` tuples should be routed through the paired-column
-/// [`AggregateFunction::fold_slice_pairs`] kernel (gathering both the times
-/// and values columns first when the caller's storage is
-/// array-of-structs). The paired twin of [`kernel_eligible`], sharing the
-/// same per-function break-even.
-pub(crate) fn pair_kernel_eligible<A: AggregateFunction>(f: &A, len: usize) -> bool {
-    len >= f.kernel_min_run() && f.has_pair_kernel()
 }
 
 #[cfg(test)]
@@ -276,102 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn default_fold_slice_matches_lift_all() {
+    fn fold_slice_defaults_to_lift_all() {
         let s = TestSum;
         assert_eq!(s.fold_slice(&[1, 2, 3, 4]), Some(10));
         assert_eq!(s.fold_slice(&[]), None);
         assert_eq!(s.fold_slice(&[7]), s.lift_all([&7]));
         assert!(!s.has_fold_kernel());
-    }
-
-    #[test]
-    fn kernel_eligibility_requires_kernel_and_length() {
-        // TestSum has no kernel: never eligible.
-        assert!(!kernel_eligible(&TestSum, 10_000));
-
-        #[derive(Clone)]
-        struct KernelSum;
-        impl AggregateFunction for KernelSum {
-            type Input = i64;
-            type Partial = i64;
-            type Output = i64;
-            fn lift(&self, v: &i64) -> i64 {
-                *v
-            }
-            fn combine(&self, a: i64, b: &i64) -> i64 {
-                a + b
-            }
-            fn lower(&self, p: &i64) -> i64 {
-                *p
-            }
-            fn properties(&self) -> FunctionProperties {
-                FunctionProperties {
-                    commutative: true,
-                    invertible: false,
-                    kind: FunctionKind::Distributive,
-                }
-            }
-            fn fold_slice(&self, values: &[i64]) -> Option<i64> {
-                (!values.is_empty()).then(|| values.iter().sum())
-            }
-            fn has_fold_kernel(&self) -> bool {
-                true
-            }
-        }
-        assert!(!kernel_eligible(&KernelSum, FOLD_KERNEL_MIN_RUN - 1));
-        assert!(kernel_eligible(&KernelSum, FOLD_KERNEL_MIN_RUN));
-        assert_eq!(KernelSum.fold_slice(&[1, 2, 3]), default_fold_slice(&KernelSum, &[1, 2, 3]));
-        // No pair kernel declared: the paired gate never opens, even though
-        // the values-only gate does.
-        assert!(!pair_kernel_eligible(&KernelSum, 10_000));
-    }
-
-    #[test]
-    fn default_fold_slice_pairs_delegates_to_fold_slice() {
-        let s = TestSum;
-        assert!(!s.has_pair_kernel());
-        assert_eq!(s.fold_slice_pairs(&[10, 20, 30], &[1, 2, 3]), s.fold_slice(&[1, 2, 3]));
-        assert_eq!(s.fold_slice_pairs(&[], &[]), None);
-    }
-
-    #[test]
-    fn kernel_min_run_override_moves_both_gates() {
-        #[derive(Clone)]
-        struct EarlySum;
-        impl AggregateFunction for EarlySum {
-            type Input = i64;
-            type Partial = i64;
-            type Output = i64;
-            fn lift(&self, v: &i64) -> i64 {
-                *v
-            }
-            fn combine(&self, a: i64, b: &i64) -> i64 {
-                a + b
-            }
-            fn lower(&self, p: &i64) -> i64 {
-                *p
-            }
-            fn properties(&self) -> FunctionProperties {
-                FunctionProperties {
-                    commutative: true,
-                    invertible: false,
-                    kind: FunctionKind::Distributive,
-                }
-            }
-            fn has_fold_kernel(&self) -> bool {
-                true
-            }
-            fn has_pair_kernel(&self) -> bool {
-                true
-            }
-            fn kernel_min_run(&self) -> usize {
-                4
-            }
-        }
-        assert_eq!(TestSum.kernel_min_run(), FOLD_KERNEL_MIN_RUN);
-        assert!(!kernel_eligible(&EarlySum, 3));
-        assert!(kernel_eligible(&EarlySum, 4));
-        assert!(!pair_kernel_eligible(&EarlySum, 3));
-        assert!(pair_kernel_eligible(&EarlySum, 4));
     }
 }

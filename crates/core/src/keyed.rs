@@ -71,10 +71,7 @@ pub use naive::NaiveKeyedOperator;
 
 use crate::aggregator::{column_run_len, WindowAggregator};
 use crate::cast;
-use crate::function::{
-    default_fold_slice, kernel_eligible, pair_kernel_eligible, AggregateFunction,
-    FunctionProperties,
-};
+use crate::function::{AggregateFunction, FunctionProperties};
 use crate::hash::{map_heap_bytes, FxHashMap};
 use crate::mem::HeapSize;
 use crate::result::WindowResult;
@@ -947,27 +944,25 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                     (g, slice.end)
                 }
             };
-            // Long runs go to the `fold_slice` / `fold_slice_pairs`
-            // kernel straight from the columns, short ones through
-            // lift/combine; a run of one is a lift, counted as a miss like
-            // every short run (a key-late tuple is not counted as a run).
+            // A run goes to `fold_slice` straight from the column; a run
+            // of one is a lift, counted as a miss (a key-late tuple is
+            // not counted as a run).
             let n = if late || i + 1 == times.len() { 1 } else { column_run_len(&times[i..], end) };
             debug_assert!(n >= 1);
-            let (run_times, run_values) = (&times[i..i + n], &values[i..i + n]);
             let p = if n == 1 {
                 self.stats.fold_kernel_misses += u64::from(!late);
-                Some(self.f.lift(&values[i]))
-            } else if pair_kernel_eligible(&self.f, n) {
-                self.stats.fold_kernel_hits += 1;
-                self.f.fold_slice_pairs(run_times, run_values)
-            } else if kernel_eligible(&self.f, n) {
-                self.stats.fold_kernel_hits += 1;
-                self.f.fold_slice(run_values)
+                self.f.lift(&values[i])
             } else {
-                self.stats.fold_kernel_misses += 1;
-                default_fold_slice(&self.f, run_values)
+                if self.f.has_fold_kernel() {
+                    self.stats.fold_kernel_hits += 1;
+                } else {
+                    self.stats.fold_kernel_misses += 1;
+                }
+                let Some(p) = self.f.fold_slice(&values[i..i + n]) else {
+                    unreachable!("run has at least two tuples")
+                };
+                p
             };
-            let Some(p) = p else { unreachable!("run has at least one tuple") };
             st.add_at(g, p, &self.f);
             if !st.swept {
                 st.floor = st.floor.min(ts);

@@ -88,9 +88,7 @@ pub use characteristics::{RemovalStrategy, WorkloadCharacteristics};
 pub use element::StreamElement;
 pub use fiba::FingerTree;
 pub use flatfat::FlatFat;
-pub use function::{
-    default_fold_slice, AggregateFunction, FunctionKind, FunctionProperties, FOLD_KERNEL_MIN_RUN,
-};
+pub use function::{AggregateFunction, FunctionKind, FunctionProperties};
 pub use hash::{fx_hash_u64, FxBuildHasher, FxHashMap, FxHasher};
 pub use keyed::{KeyedConfig, KeyedStats, KeyedWindowOperator, NaiveKeyedOperator, PerKey};
 pub use mem::HeapSize;

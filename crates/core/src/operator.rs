@@ -1118,13 +1118,10 @@ impl<A: AggregateFunction> WindowOperator<A> {
             && !self.chars.has_context_aware
     }
 
-    /// Attributes one bulk-folded run to the kernel or fallback counter.
-    /// Runs reach the store as contiguous columns and always go through
-    /// [`AggregateFunction::fold_slice_pairs`] /
-    /// [`AggregateFunction::fold_slice`], so a run misses only when the
-    /// function provides neither kernel.
+    /// Attributes one run folded by [`AggregateFunction::fold_slice`] to
+    /// the kernel or fallback counter.
     fn count_fold(&mut self) {
-        if self.f.has_fold_kernel() || self.f.has_pair_kernel() {
+        if self.f.has_fold_kernel() {
             self.stats.fold_kernel_hits += 1;
         } else {
             self.stats.fold_kernel_misses += 1;
@@ -1217,7 +1214,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
         late.sort_runs();
         let prefold = self.f.properties().commutative && !self.store.keeps_tuples();
-        let pair_kernel = self.f.has_pair_kernel();
         let LateBatch { times, values, runs, pairs, .. } = &mut *late;
         for of_slice in runs.chunk_by(|a, b| a.slot == b.slot) {
             let idx = cast::idx32(of_slice[0].slot);
@@ -1231,11 +1227,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
                 let (mut t_first, mut t_last, mut len) = (TIME_MAX, TIME_MIN, 0);
                 for (times, values) in columns {
                     self.count_fold();
-                    let partial = if pair_kernel {
-                        self.f.fold_slice_pairs(times, values)
-                    } else {
-                        self.f.fold_slice(values)
-                    };
+                    let partial = self.f.fold_slice(values);
                     folded = self.f.combine_opt(folded, partial.as_ref());
                     for &t in times {
                         (t_first, t_last) = (t_first.min(t), t_last.max(t));

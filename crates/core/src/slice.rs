@@ -33,41 +33,6 @@ pub struct Slice<A: AggregateFunction> {
     tuples: Option<Vec<(Time, A::Input)>>,
 }
 
-/// Folds a run of tuples into one partial in stream order; `None` for an
-/// empty run. Runs long enough to amortize a gather (the function's
-/// [`AggregateFunction::kernel_min_run`]) are routed through a bulk
-/// kernel: pair-kernel functions gather *both* columns for
-/// [`AggregateFunction::fold_slice_pairs`], values-kernel functions gather
-/// the values for [`AggregateFunction::fold_slice`] — one linear copy into
-/// contiguous buffer(s), then a vectorized fold. Everything else — short
-/// runs and functions without a kernel — takes the per-element
-/// lift/combine loop, so the routing never costs more than the code it
-/// replaced.
-fn fold_run<A: AggregateFunction>(f: &A, run: &[(Time, A::Input)]) -> Option<A::Partial> {
-    if crate::function::pair_kernel_eligible(f, run.len()) {
-        let mut times: Vec<Time> = Vec::with_capacity(run.len());
-        let mut values: Vec<A::Input> = Vec::with_capacity(run.len());
-        for (t, v) in run {
-            times.push(*t);
-            values.push(v.clone());
-        }
-        return f.fold_slice_pairs(&times, &values);
-    }
-    if crate::function::kernel_eligible(f, run.len()) {
-        let values: Vec<A::Input> = run.iter().map(|(_, v)| v.clone()).collect();
-        return f.fold_slice(&values);
-    }
-    let mut acc: Option<A::Partial> = None;
-    for (_, v) in run {
-        let lifted = f.lift(v);
-        acc = Some(match acc {
-            None => lifted,
-            Some(a) => f.combine(a, &lifted),
-        });
-    }
-    acc
-}
-
 impl<A: AggregateFunction> Slice<A> {
     /// Creates an empty slice covering `range`. `keep_tuples` mirrors the
     /// Figure-4 decision and must be uniform across all slices of a store.
@@ -164,10 +129,9 @@ impl<A: AggregateFunction> Slice<A> {
     /// columns, in one step. The caller guarantees the run is
     /// non-decreasing in timestamp, starts at or after `t_last`, lies
     /// inside the slice range, and that the columns are equally long. The
-    /// run is folded left-to-right into one partial — both columns are
-    /// contiguous and feed [`AggregateFunction::fold_slice_pairs`]
-    /// directly, whose default delegates to `fold_slice` — which is
-    /// combined into the slice aggregate with a single ⊕: by
+    /// contiguous values column is folded left-to-right into one partial
+    /// by [`AggregateFunction::fold_slice`], which is combined into the
+    /// slice aggregate with a single ⊕: by
     /// associativity this equals adding the tuples one by one, including
     /// for non-commutative functions (event-time order is preserved).
     pub(crate) fn add_run_columns(&mut self, f: &A, times: &[Time], values: &[A::Input]) {
@@ -182,7 +146,7 @@ impl<A: AggregateFunction> Slice<A> {
             self.range
         );
         debug_assert!(times.windows(2).all(|w| w[0] <= w[1]), "run not sorted");
-        let Some(p) = f.fold_slice_pairs(times, values) else {
+        let Some(p) = f.fold_slice(values) else {
             return;
         };
         self.agg = Some(match self.agg.take() {
@@ -283,7 +247,7 @@ impl<A: AggregateFunction> Slice<A> {
         self.t_last = self.t_last.max(last_ts);
         self.n_tuples += run.len();
         if commutative {
-            if let Some(p) = fold_run(f, run) {
+            if let Some(p) = f.lift_all(run.iter().map(|(_, v)| v)) {
                 self.agg = Some(match self.agg.take() {
                     None => p,
                     Some(a) => f.combine(a, &p),

@@ -56,6 +56,8 @@ pub fn make_out_of_order<V: Clone>(tuples: &[(Time, V)], cfg: OooConfig) -> Vec<
 /// Interleaves periodic watermarks into an arrival-ordered stream:
 /// every `period` of arrival progress, a watermark `max_event_ts - bound`
 /// is emitted. A final `Watermark(i64::MAX - 1)` flushes all windows.
+/// Both sums saturate, so timestamps at either end of `Time` neither
+/// overflow nor wrap a watermark past the records.
 pub fn with_watermarks<V: Clone>(
     arrivals: &[(Time, V)],
     period: Time,
@@ -63,16 +65,15 @@ pub fn with_watermarks<V: Clone>(
 ) -> Vec<StreamElement<V>> {
     let mut out = Vec::with_capacity(arrivals.len() + arrivals.len() / 16 + 1);
     let mut max_ts = Time::MIN;
-    let mut next_wm_at = Time::MIN;
+    // `None` until the first record arms the first period.
+    let mut next_wm_at: Option<Time> = None;
     for (ts, v) in arrivals {
-        if max_ts == Time::MIN {
-            next_wm_at = ts + period;
-        }
+        let due = *next_wm_at.get_or_insert(ts.saturating_add(period));
         max_ts = max_ts.max(*ts);
         out.push(StreamElement::Record { ts: *ts, value: v.clone() });
-        if max_ts >= next_wm_at {
-            out.push(StreamElement::Watermark(max_ts - bound));
-            next_wm_at = max_ts + period;
+        if max_ts >= due {
+            out.push(StreamElement::Watermark(max_ts.saturating_sub(bound)));
+            next_wm_at = Some(max_ts.saturating_add(period));
         }
     }
     out.push(StreamElement::Watermark(i64::MAX - 1));
@@ -159,6 +160,31 @@ mod tests {
         }
         assert!(wm_count > 10, "watermarks: {wm_count}");
         assert!(matches!(elements.last(), Some(StreamElement::Watermark(_))));
+    }
+
+    #[test]
+    fn watermarks_at_extreme_timestamps_stay_behind_the_records() {
+        let arrivals = [(Time::MIN, 0), (Time::MIN + 1, 1), (Time::MAX - 1, 2)];
+        for (period, bound) in [(0, 0), (0, 100), (1, 100), (10, 5), (Time::MAX, Time::MAX)] {
+            let elements = with_watermarks(&arrivals, period, bound);
+            let (flush, rest) = elements.split_last().unwrap();
+            assert!(matches!(flush, StreamElement::Watermark(w) if *w == i64::MAX - 1));
+            let mut max_ts = Time::MIN;
+            for e in rest {
+                match e {
+                    StreamElement::Record { ts, .. } => max_ts = max_ts.max(*ts),
+                    StreamElement::Watermark(wm) => assert!(
+                        *wm <= max_ts,
+                        "period {period}, bound {bound}: watermark {wm} ahead of {max_ts}"
+                    ),
+                    StreamElement::Punctuation(_) => {}
+                }
+            }
+        }
+        // A first record at `Time::MIN` arms the first period; the next
+        // record does not re-arm it.
+        let elements = with_watermarks(&arrivals[..2], 1, 0);
+        assert!(matches!(elements[2], StreamElement::Watermark(w) if w == Time::MIN + 1));
     }
 
     #[test]

@@ -305,17 +305,12 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
                 t_last = t_last.max(t);
                 j += 1;
             }
-            // Contiguous spans always go through the paired-column hook —
-            // the chunk carries both columns, and the default delegates to
-            // `fold_slice` for values-kernel and kernel-less functions. A
-            // miss means the aggregate has no hand-written kernel of
-            // either shape.
-            if self.f.has_fold_kernel() || self.f.has_pair_kernel() {
+            if self.f.has_fold_kernel() {
                 self.fold_hits += 1;
             } else {
                 self.fold_misses += 1;
             }
-            let partial = match self.f.fold_slice_pairs(&times[i..j], &values[i..j]) {
+            let partial = match self.f.fold_slice(&values[i..j]) {
                 Some(p) => p,
                 None => unreachable!("span holds at least one record"),
             };

@@ -568,6 +568,78 @@ proptest! {
     }
 }
 
+/// `batches[b][k]` tuples of key `k` (2–20) go into batch `b`, all inside
+/// the batch's one tumbling window and interleaved across keys, so that
+/// every key's tuples form one run of one slice. Through
+/// `process_batch_columns` each run is one `fold_slice` call and one
+/// kernel hit; the emissions equal `NaiveKeyedOperator`'s fed tuple by
+/// tuple, watermark by watermark.
+fn check_keyed_runs<A>(
+    f: A,
+    input: impl Fn(Time, i64) -> A::Input,
+    batches: &[Vec<usize>],
+) -> Result<(), TestCaseError>
+where
+    A: AggregateFunction,
+    A::Output: std::fmt::Debug,
+{
+    const WIDTH: Time = 32;
+    let windows = || -> Vec<Box<dyn WindowFunction>> { vec![Box::new(TumblingWindow::new(WIDTH))] };
+    let mut shared = KeyedWindowOperator::new(f.clone(), windows(), KeyedConfig::default());
+    prop_assert!(shared.is_shared());
+    let mut naive = NaiveKeyedOperator::new(f, windows(), KeyedConfig::default());
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    let rows = |out: &mut Vec<WindowResult<(u64, A::Output)>>| {
+        let mut rows: Vec<_> = out
+            .drain(..)
+            .map(|r| (r.value.0, r.range.start, format!("{:?}", r.value.1), r.is_update))
+            .collect();
+        rows.sort_unstable();
+        rows
+    };
+    let last = batches.len() as Time * WIDTH;
+    for (b, runs) in batches.iter().enumerate() {
+        let base = b as Time * WIDTH;
+        let (mut times, mut values) = (Vec::new(), Vec::new());
+        for j in 0..20 {
+            for (k, _) in runs.iter().enumerate().filter(|&(_, &len)| j < len) {
+                let ts = base + j as Time;
+                times.push(ts);
+                values.push(((b + k) as u64 % 9, input(ts, (b * 7 + k * 3 + j) as i64 % 11 - 5)));
+            }
+        }
+        shared.process_batch_columns(&times, &values, &mut got);
+        for (&ts, v) in times.iter().zip(values) {
+            naive.process(ts, v, &mut want);
+        }
+        // Fires the previous batch's window; the flush fires the last.
+        let wm = if b + 1 == batches.len() { last } else { base + WIDTH - 1 };
+        shared.on_watermark(wm, &mut got);
+        naive.on_watermark(wm, &mut want);
+        prop_assert_eq!(rows(&mut got), rows(&mut want), "batch {}", b);
+    }
+    let runs: usize = batches.iter().map(Vec::len).sum();
+    let stats = shared.stats();
+    prop_assert_eq!((stats.fold_kernel_hits, stats.fold_kernel_misses), (runs as u64, 0));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Per-key runs of 2–20 tuples, below and above every lane width and
+    /// M4's block threshold, for a column kernel (Sum) and two pair-input
+    /// kernels (ArgMin, M4).
+    #[test]
+    fn keyed_runs_of_every_length_fold_through_the_kernel(
+        batches in prop::collection::vec(prop::collection::vec(2usize..21, 1..8), 1..12),
+    ) {
+        check_keyed_runs(Sum, |_, v| v, &batches)?;
+        check_keyed_runs(ArgMin, |ts, v| (v, ts), &batches)?;
+        check_keyed_runs(M4, |ts, v| (ts, v), &batches)?;
+    }
+}
+
 /// One call of a keyed stream cut into explicit batches.
 enum Call {
     Batch(Vec<(Time, (u64, i64))>),
