@@ -76,8 +76,8 @@ use crate::hash::{map_heap_bytes, FxHashMap};
 use crate::mem::HeapSize;
 use crate::result::WindowResult;
 use crate::time::{Measure, Range, Time, TIME_MAX, TIME_MIN};
-use crate::timeline::Timeline;
-use crate::window::{ContextClass, Query, QueryId, WindowFunction};
+use crate::timeline::{shares_static_timeline, Timeline};
+use crate::window::{Query, QueryId, WindowFunction};
 
 /// Lifts an [`AggregateFunction`] over `V` to one over `(key, V)` pairs.
 ///
@@ -1380,14 +1380,7 @@ impl<A: AggregateFunction> KeyedWindowOperator<A> {
     /// Builds a keyed operator over `windows`, choosing the shared
     /// timeline when every window has static edges and `f` commutes.
     pub fn new(f: A, windows: Vec<Box<dyn WindowFunction>>, cfg: KeyedConfig) -> Self {
-        let eligible = !windows.is_empty()
-            && f.properties().commutative
-            && windows.iter().all(|w| {
-                w.measure() == Measure::Time
-                    && w.context() == ContextClass::ContextFree
-                    && w.has_static_edges()
-            });
-        let inner = if eligible {
+        let inner = if shares_static_timeline(&f, &windows) {
             KeyedInner::Shared(SharedKeyed::new(f, windows, cfg))
         } else {
             KeyedInner::Fallback(NaiveKeyedOperator::new(f, windows, cfg))

@@ -1491,11 +1491,10 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// straggler singletons and revise already-emitted windows, exactly
     /// like the sequential out-of-order path.
     ///
-    /// Index repairs are *deferred*: finish a run of calls with
-    /// [`merge_parallel_partials`](Self::merge_parallel_partials)
-    /// (which flushes once per run) before querying the store directly;
-    /// the operator's own query sweeps flush on entry.
-    pub fn add_parallel_partial(
+    /// Index repairs are *deferred*; the one caller,
+    /// [`merge_parallel_partials`](Self::merge_parallel_partials), flushes
+    /// them once per run.
+    fn add_parallel_partial(
         &mut self,
         part: SlicePartial<A>,
         out: &mut Vec<WindowResult<A::Output>>,
@@ -1532,9 +1531,12 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
     }
 
-    /// Bulk-merges a run of worker-local slice partials (one store touch
-    /// per `(worker, slice)` run), amortizing the eager-store repair to a
-    /// single flush per call.
+    /// Merges a run of worker-local slice partials, in the given order,
+    /// into the authoritative store — the only way a [`SlicePartial`]
+    /// enters the operator. A partial whose span is already a slice
+    /// combines into it; one over a coverage gap inserts its span. A
+    /// partial at or below the watermark is a straggler and emits its
+    /// window updates at once. The eager-store repair runs once per call.
     pub fn merge_parallel_partials(
         &mut self,
         parts: impl IntoIterator<Item = SlicePartial<A>>,
@@ -1545,132 +1547,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
         self.store.flush_eager_repairs();
     }
-}
-
-/// Combines two partials of the **same slice span** into one, keeping
-/// the span's earliest/latest contributing timestamps and tuple count.
-/// Both sides are taken by value so no `Partial` clone is needed.
-fn absorb_partial<A: AggregateFunction>(
-    f: &A,
-    mut into: SlicePartial<A>,
-    other: SlicePartial<A>,
-) -> SlicePartial<A> {
-    crate::audit_assert!(
-        into.start == other.start && into.end == other.end,
-        "combining partials of different slice spans: [{}, {}) vs [{}, {})",
-        into.start,
-        into.end,
-        other.start,
-        other.end
-    );
-    into.partial = f.combine(into.partial, &other.partial);
-    into.t_first = into.t_first.min(other.t_first);
-    into.t_last = into.t_last.max(other.t_last);
-    into.n += other.n;
-    into
-}
-
-/// Sorts one worker's staged partials by slice start and combines
-/// duplicates (a worker that flushed more than once in an epoch ships the
-/// same regrown slice span in several batches). Stable: duplicates
-/// combine in list (= arrival) order.
-fn normalize_partials<A: AggregateFunction>(
-    f: &A,
-    mut list: Vec<SlicePartial<A>>,
-) -> Vec<SlicePartial<A>> {
-    list.sort_by_key(|p| p.start);
-    let mut out: Vec<SlicePartial<A>> = Vec::with_capacity(list.len());
-    let mut cur: Option<SlicePartial<A>> = None;
-    for p in list {
-        cur = Some(match cur.take() {
-            Some(c) if c.start == p.start => absorb_partial(f, c, p),
-            Some(c) => {
-                out.push(c);
-                p
-            }
-            None => p,
-        });
-    }
-    if let Some(c) = cur {
-        out.push(c);
-    }
-    out
-}
-
-/// Merges two start-sorted partial lists, combining same-span entries —
-/// one round of the pairwise merge tree.
-fn merge_partial_pair<A: AggregateFunction>(
-    f: &A,
-    a: Vec<SlicePartial<A>>,
-    b: Vec<SlicePartial<A>>,
-) -> Vec<SlicePartial<A>> {
-    let mut out = Vec::with_capacity(a.len().max(b.len()));
-    let mut ia = a.into_iter();
-    let mut ib = b.into_iter();
-    let mut next_a = ia.next();
-    let mut next_b = ib.next();
-    loop {
-        match (next_a.take(), next_b.take()) {
-            (Some(x), Some(y)) => {
-                if x.start < y.start {
-                    out.push(x);
-                    next_a = ia.next();
-                    next_b = Some(y);
-                } else if y.start < x.start {
-                    out.push(y);
-                    next_b = ib.next();
-                    next_a = Some(x);
-                } else {
-                    out.push(absorb_partial(f, x, y));
-                    next_a = ia.next();
-                    next_b = ib.next();
-                }
-            }
-            (Some(x), None) => {
-                out.push(x);
-                next_a = ia.next();
-            }
-            (None, Some(y)) => {
-                out.push(y);
-                next_b = ib.next();
-            }
-            (None, None) => return out,
-        }
-    }
-}
-
-/// Pairwise combining merge tree over per-worker slice-partial lists:
-/// normalizes each list (start-sorted, duplicates combined), then merges
-/// lists pairwise in balanced rounds until one combined list remains.
-///
-/// With `N` workers over `S` live slices this costs `O(S · log N)`
-/// combine work and touches the authoritative store once per slice when
-/// the result is applied via
-/// [`WindowOperator::merge_parallel_partials`] — instead of the `N · S`
-/// store touches of applying each worker's list directly. Requires a
-/// **commutative** aggregate (worker lists combine in tree order, not
-/// stream order) and static-edge slices, the same preconditions as
-/// [`WindowOperator::add_parallel_partial`]; combining is
-/// order-deterministic given the input list order, so repeated runs over
-/// the same staged lists produce identical partials.
-pub fn merge_partials_tree<A: AggregateFunction>(
-    f: &A,
-    lists: Vec<Vec<SlicePartial<A>>>,
-) -> Vec<SlicePartial<A>> {
-    let mut round: Vec<Vec<SlicePartial<A>>> =
-        lists.into_iter().filter(|l| !l.is_empty()).map(|l| normalize_partials(f, l)).collect();
-    while round.len() > 1 {
-        let mut next = Vec::with_capacity(round.len().div_ceil(2));
-        let mut it = round.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_partial_pair(f, a, b)),
-                None => next.push(a),
-            }
-        }
-        round = next;
-    }
-    round.pop().unwrap_or_default()
 }
 
 impl<A: AggregateFunction> Clone for WindowOperator<A> {
@@ -2049,62 +1925,5 @@ mod tests {
         let flushed = op.watermark_collect(100);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].value, 15);
-    }
-
-    fn part(start: Time, v: i64, t_first: Time, t_last: Time, n: u64) -> SlicePartial<SumI64> {
-        SlicePartial { start, end: start + 10, partial: v, t_first, t_last, n }
-    }
-
-    /// Reference for the merge tree: fold every list linearly into a map
-    /// keyed by slice start.
-    fn linear_merge(lists: &[Vec<SlicePartial<SumI64>>]) -> Vec<(Time, i64, Time, Time, u64)> {
-        let mut map: std::collections::BTreeMap<Time, (i64, Time, Time, u64)> =
-            std::collections::BTreeMap::new();
-        for l in lists {
-            for p in l {
-                let e = map.entry(p.start).or_insert((0, Time::MAX, Time::MIN, 0));
-                e.0 += p.partial;
-                e.1 = e.1.min(p.t_first);
-                e.2 = e.2.max(p.t_last);
-                e.3 += p.n;
-            }
-        }
-        map.into_iter().map(|(s, (v, tf, tl, n))| (s, v, tf, tl, n)).collect()
-    }
-
-    #[test]
-    fn merge_tree_matches_linear_fold() {
-        // Worker lists with overlapping spans, unsorted entries, and
-        // same-span duplicates within one list (multi-flush epochs).
-        let lists = vec![
-            vec![part(20, 3, 21, 25, 2), part(0, 1, 4, 4, 1), part(20, 7, 29, 29, 1)],
-            vec![part(10, 5, 12, 18, 3)],
-            Vec::new(),
-            vec![part(0, 2, 1, 9, 2), part(30, 4, 33, 33, 1)],
-            vec![part(10, 6, 11, 19, 2), part(40, 9, 44, 44, 1)],
-        ];
-        let got: Vec<(Time, i64, Time, Time, u64)> = merge_partials_tree(&SumI64, lists.clone())
-            .into_iter()
-            .map(|p| (p.start, p.partial, p.t_first, p.t_last, p.n))
-            .collect();
-        assert_eq!(got, linear_merge(&lists));
-        // Output is start-sorted with one entry per span.
-        assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn merge_tree_handles_degenerate_shapes() {
-        assert!(merge_partials_tree::<SumI64>(&SumI64, Vec::new()).is_empty());
-        assert!(merge_partials_tree(&SumI64, vec![Vec::<SlicePartial<SumI64>>::new()]).is_empty());
-        let one = merge_partials_tree(&SumI64, vec![vec![part(0, 5, 1, 2, 2)]]);
-        assert_eq!(one.len(), 1);
-        assert_eq!((one[0].start, one[0].partial, one[0].n), (0, 5, 2));
-        // Odd list counts: the unpaired list survives rounds untouched.
-        let odd = merge_partials_tree(
-            &SumI64,
-            vec![vec![part(0, 1, 0, 0, 1)], vec![part(0, 2, 1, 1, 1)], vec![part(0, 4, 2, 2, 1)]],
-        );
-        assert_eq!(odd.len(), 1);
-        assert_eq!((odd[0].partial, odd[0].t_first, odd[0].t_last, odd[0].n), (7, 0, 2, 3));
     }
 }

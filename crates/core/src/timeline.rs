@@ -21,8 +21,28 @@
 use std::collections::VecDeque;
 
 use crate::cast;
-use crate::time::{Range, Time, TIME_MAX, TIME_MIN};
-use crate::window::Query;
+use crate::function::AggregateFunction;
+use crate::time::{Measure, Range, Time, TIME_MAX, TIME_MIN};
+use crate::window::{ContextClass, Query, WindowFunction};
+
+/// Whether `windows` over `f` can share one static slice timeline: at
+/// least one window, a commutative `f` (partials combine in any order),
+/// and every window time-measure, context-free and static-edged (slice
+/// boundaries are a pure function of the query set). The keyed
+/// operator's shared mode and the intra-query parallel path both take
+/// exactly this rule.
+pub fn shares_static_timeline<A: AggregateFunction>(
+    f: &A,
+    windows: &[Box<dyn WindowFunction>],
+) -> bool {
+    !windows.is_empty()
+        && f.properties().commutative
+        && windows.iter().all(|w| {
+            w.measure() == Measure::Time
+                && w.context() == ContextClass::ContextFree
+                && w.has_static_edges()
+        })
+}
 
 /// One shared slice: a half-open `[start, end)` span bounded by window
 /// edges. Unlike [`crate::slice::Slice`] it holds **no aggregate** — those
@@ -82,14 +102,6 @@ impl Timeline {
         self.slices[position]
     }
 
-    /// Drops all slices and resets the global numbering. Boundary math is
-    /// stateless, so a cleared timeline regrows exact spans on demand —
-    /// used by parallel workers that ship their state off after a flush.
-    pub fn clear(&mut self) {
-        self.slices.clear();
-        self.base = 0;
-    }
-
     /// Earliest next edge strictly after `ts` across all queries.
     pub fn union_next_edge(queries: &[Query], ts: Time) -> Time {
         let mut e = TIME_MAX;
@@ -117,7 +129,7 @@ impl Timeline {
     /// Extends the timeline (in either direction) so some slice covers
     /// `ts`, and returns that slice's **position** (index into the live
     /// span). Increments `slices_created` once per slice added.
-    pub fn ensure_covering(
+    pub(crate) fn ensure_covering(
         &mut self,
         ts: Time,
         queries: &[Query],
@@ -238,8 +250,6 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::WindowFunction;
-    use crate::{ContextClass, Measure};
 
     #[derive(Clone)]
     struct Tumble(Time);
@@ -319,20 +329,6 @@ mod tests {
             let q = b.ensure_covering(ts, &qs, &mut c);
             assert_eq!(a.get(p), b.get(q));
         }
-    }
-
-    #[test]
-    fn clear_resets_and_regrows_exact_spans() {
-        let qs = queries();
-        let mut t = Timeline::default();
-        let mut c = 0u64;
-        let pos = t.ensure_covering(17, &qs, &mut c);
-        let span = t.get(pos);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.base(), 0);
-        let pos = t.ensure_covering(17, &qs, &mut c);
-        assert_eq!(t.get(pos), span);
     }
 
     #[test]

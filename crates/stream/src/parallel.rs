@@ -17,30 +17,32 @@
 //! * The dealer — this driver's route on the [skeleton](crate::driver) —
 //!   deals record chunks round-robin to workers and broadcasts every
 //!   watermark to all of them, in stream order.
-//! * A worker folds each on-time tuple into a per-slice partial keyed by
-//!   the slice covering its timestamp, and flushes the accumulated
-//!   partials to the merge stage when it sees a watermark (then **acks**
-//!   the watermark) or when its timeline grows past a cap. Tuples at or
-//!   below the worker's watermark are buffered as individual straggler
-//!   partials (one update emission each at the merge stage) and ride the
-//!   head of the next flush batch in arrival order — coalescing is at
-//!   the message level only, so every straggler still revises its
-//!   windows exactly once. Tuples below `watermark - allowed_lateness`
-//!   are dropped, mirroring the sequential operator.
+//! * A worker folds each on-time tuple into the partial of the slice
+//!   covering its timestamp — a start-sorted list of
+//!   [`SlicePartial`]s, one per slice span it hit — and flushes the list
+//!   to the merge stage when it sees a watermark (then **acks** the
+//!   watermark) or when the list and its stragglers reach a cap. Tuples
+//!   at or below the worker's watermark are buffered as individual
+//!   straggler partials (one update emission each at the merge stage)
+//!   and ride the head of the next flush batch in arrival order —
+//!   coalescing is at the message level only, so every straggler still
+//!   revises its windows exactly once. Tuples below
+//!   `watermark - allowed_lateness` are dropped, mirroring the
+//!   sequential operator.
 //! * The merge stage runs behind the epoch barrier, which
 //!   [`barrier`](crate::barrier) defines. Its own part: a straggler
 //!   partial (at or below the authoritative watermark) applies on
-//!   arrival via [`WindowOperator::add_parallel_partial`], so its update
-//!   emissions land in the epoch it arrived in; on-time partials are
-//!   *staged* per worker. When the barrier closes an epoch the staged
-//!   lists are combined pairwise in a **merge tree**
-//!   ([`merge_partials_tree`], O(S·log N) combines for S slices and N
-//!   workers instead of O(S·N) store touches), applied in one
-//!   [`WindowOperator::merge_parallel_partials`] call, and the operator
-//!   advances to the acked watermark — triggering and emission. Staging
-//!   is invisible to emissions: an on-time partial's slice lies strictly
-//!   above the watermark, so no already-fired window (`end <= wm`) can
-//!   query it before the close applies it.
+//!   arrival via [`WindowOperator::merge_parallel_partials`], so its
+//!   update emissions land in the epoch it arrived in; on-time partials
+//!   are *staged* per worker. When the barrier closes an epoch the
+//!   staged lists land in worker order, in one
+//!   [`WindowOperator::merge_parallel_partials`] call — the store
+//!   combines a partial into the slice of its span, or inserts the span
+//!   over a coverage gap — and the operator advances to the acked
+//!   watermark, triggering and emitting. Staging is invisible to
+//!   emissions: an on-time partial's slice lies strictly above the
+//!   watermark, so no already-fired window (`end <= wm`) can query it
+//!   before the close applies it.
 //!
 //! ## In-order streams
 //!
@@ -70,14 +72,12 @@
 //! storage — fall back to one sequential operator, hosted by a single
 //! worker; [`PipelineReport::parallel_workers`] reports which path ran.
 
-use std::collections::VecDeque;
-
 use crossbeam::runtime;
 use crossbeam::sched::ProbeEvent;
 use gss_core::{
-    merge_partials_tree, AggregateFunction, ContextClass, Measure, OperatorConfig, Query, QueryId,
-    SlicePartial, StreamElement, StreamOrder, Time, Timeline, WindowFunction, WindowOperator,
-    WindowResult, TIME_MIN,
+    shares_static_timeline, AggregateFunction, OperatorConfig, Query, QueryId, SlicePartial,
+    StreamElement, StreamOrder, Time, Timeline, WindowFunction, WindowOperator, WindowResult,
+    TIME_MIN,
 };
 
 use crate::barrier::Stage;
@@ -88,19 +88,16 @@ use crate::driver::{
 use crate::host::{Hosted, ResultSink};
 use crate::pipeline::{PipelineConfig, PipelineReport};
 
-/// Worker-side flush threshold, in timeline slices plus buffered
+/// Worker-side flush threshold, in slice partials plus buffered
 /// straggler partials. Bounds worker memory between watermarks; each
-/// flush ships the accumulated partials and the timeline regrows on
-/// demand.
+/// flush ships the accumulated partials and the list regrows on demand.
 const FLUSH_SLICE_CAP: usize = 4096;
 
-/// Whether a workload can take the two-stage parallel path.
-///
-/// Requires: at least one query; a commutative aggregate (partials
-/// combine in worker-arrival order, not stream order); no forced tuple
-/// storage (partials carry no tuples to re-slice); and every window
-/// time-measure, context-free, and static-edged (slice boundaries
-/// derivable without coordination). Both stream orders qualify:
+/// Whether a workload can take the two-stage parallel path: the workload
+/// shares a static slice timeline ([`shares_static_timeline`]: every
+/// worker derives the same spans without coordination, and partials
+/// combine in worker-arrival order) and does not force tuple storage
+/// (partials carry no tuples to re-slice). Both stream orders qualify:
 /// out-of-order configs ship their explicit watermarks through the epoch
 /// barrier, and in-order configs (which emit per tuple) get watermarks
 /// synthesized by the dealer (see the module docs).
@@ -109,30 +106,15 @@ fn parallel_eligible<A: AggregateFunction>(
     windows: &[Box<dyn WindowFunction>],
     op_cfg: &OperatorConfig,
 ) -> bool {
-    !windows.is_empty()
-        && f.properties().commutative
-        && !op_cfg.force_tuple_storage
-        && windows.iter().all(|w| {
-            w.measure() == Measure::Time
-                && w.context() == ContextClass::ContextFree
-                && w.has_static_edges()
-        })
+    shares_static_timeline(f, windows) && !op_cfg.force_tuple_storage
 }
 
 /// A worker's edge to the merge stage: batches of pre-aggregated slice
 /// partials, disjoint per batch, and watermark acks.
 type Up<'a, A> = Uplink<'a, Vec<SlicePartial<A>>>;
 
-/// One in-flight per-slice accumulator on a worker.
-struct Acc<A: AggregateFunction> {
-    partial: A::Partial,
-    t_first: Time,
-    t_last: Time,
-    n: u64,
-}
-
-/// Worker-local slicer: a [`Timeline`] of deterministic slice spans plus
-/// an aligned ring of per-slice accumulators.
+/// Worker-local slicer: the partials of the slices its records hit since
+/// the last flush, sorted by span start.
 struct WorkerSlicer<A: AggregateFunction> {
     f: A,
     queries: Vec<Query>,
@@ -144,21 +126,14 @@ struct WorkerSlicer<A: AggregateFunction> {
     order: StreamOrder,
     /// Last broadcast watermark this worker acked.
     wm: Time,
-    timeline: Timeline,
-    /// Accumulator for the slice at the same timeline position; `None`
-    /// until a tuple lands there. Kept aligned by mirroring the
-    /// timeline's front/back growth.
-    accs: VecDeque<Option<Acc<A>>>,
-    filled: usize,
-    /// Hot-path cache of the last slice hit: `(start, end, global
-    /// index)`. The global index survives front growth (which shifts
-    /// positions but not `base + pos`).
-    cache: Option<(Time, Time, i64)>,
+    /// One partial per hit slice span, start-sorted; shipped as is.
+    parts: Vec<SlicePartial<A>>,
+    /// Index in `parts` of the last slice hit — the hot-path cache.
+    last: usize,
     /// Stragglers (at or below the acked watermark, within lateness)
     /// buffered in arrival order; they ride the next flush as the head of
     /// its batch instead of each paying for a message.
     stragglers: Vec<SlicePartial<A>>,
-    slices_created: u64,
     dropped_late: u64,
     /// Same-slice spans folded through a hand-written `fold_slice` kernel
     /// vs the default lift/combine loop.
@@ -179,12 +154,9 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
             lateness,
             order,
             wm: TIME_MIN,
-            timeline: Timeline::default(),
-            accs: VecDeque::new(),
-            filled: 0,
-            cache: None,
+            parts: Vec::new(),
+            last: 0,
             stragglers: Vec::new(),
-            slices_created: 0,
             dropped_late: 0,
             fold_hits: 0,
             fold_misses: 0,
@@ -226,49 +198,38 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
         });
     }
 
-    /// Resolves the slice covering `ts` — cache hit or timeline growth —
-    /// returning `(start, end, position)` in the accumulator ring.
-    fn locate(&mut self, ts: Time) -> (Time, Time, usize) {
-        if let Some((start, end, g)) = self.cache {
-            if ts >= start && ts < end {
-                return (start, end, (g - self.timeline.base()) as usize);
-            }
+    /// The span `[start, end)` of the slice covering `ts`: the last slice
+    /// hit's, else the union edges around `ts`.
+    fn span(&self, ts: Time) -> (Time, Time) {
+        match self.parts.get(self.last) {
+            Some(p) if p.start <= ts && ts < p.end => (p.start, p.end),
+            _ => (
+                Timeline::union_prev_edge(&self.queries, ts),
+                Timeline::union_next_edge(&self.queries, ts),
+            ),
         }
-        let old_base = self.timeline.base();
-        let old_len = self.timeline.len();
-        let pos = self.timeline.ensure_covering(ts, &self.queries, &mut self.slices_created);
-        // Mirror the timeline's growth into the accumulator ring so
-        // positions stay aligned.
-        let front = (old_base - self.timeline.base()) as usize;
-        let back = self.timeline.len() - old_len - front;
-        for _ in 0..front {
-            self.accs.push_front(None);
-        }
-        for _ in 0..back {
-            self.accs.push_back(None);
-        }
-        let meta = self.timeline.get(pos);
-        self.cache = Some((meta.start, meta.end, self.timeline.base() + pos as i64));
-        (meta.start, meta.end, pos)
     }
 
-    /// Combines a pre-folded partial covering `n` records into the
-    /// accumulator at ring position `pos`.
-    fn add_acc(&mut self, pos: usize, partial: A::Partial, t_first: Time, t_last: Time, n: u64) {
-        let slot = &mut self.accs[pos];
-        match slot.take() {
-            None => {
-                *slot = Some(Acc { partial, t_first, t_last, n });
-                self.filled += 1;
-            }
-            Some(mut acc) => {
-                acc.partial = self.f.combine(acc.partial, &partial);
-                acc.t_first = acc.t_first.min(t_first);
-                acc.t_last = acc.t_last.max(t_last);
-                acc.n += n;
-                *slot = Some(acc);
+    /// Combines `part` into the partial of its span — the last slice hit,
+    /// or one found by binary search — or inserts it where its start
+    /// keeps the list sorted.
+    fn add(&mut self, part: SlicePartial<A>) {
+        if self.parts.get(self.last).map(|p| p.start) != Some(part.start) {
+            match self.parts.binary_search_by_key(&part.start, |p| p.start) {
+                Ok(i) => self.last = i,
+                Err(i) => {
+                    self.last = i;
+                    self.parts.insert(i, part);
+                    return;
+                }
             }
         }
+        let p = &mut self.parts[self.last];
+        let acc = std::mem::replace(&mut p.partial, part.partial);
+        p.partial = self.f.combine(acc, &p.partial);
+        p.t_first = p.t_first.min(part.t_first);
+        p.t_last = p.t_last.max(part.t_last);
+        p.n += part.n;
     }
 
     /// Ingests a whole SoA chunk, folding each maximal same-slice span of
@@ -290,7 +251,7 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
                 i += 1;
                 continue;
             }
-            let (start, end, pos) = self.locate(ts);
+            let (start, end) = self.span(ts);
             let (mut t_first, mut t_last) = (ts, ts);
             let mut j = i + 1;
             while j < times.len() {
@@ -314,39 +275,20 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
                 Some(p) => p,
                 None => unreachable!("span holds at least one record"),
             };
-            self.add_acc(pos, partial, t_first, t_last, (j - i) as u64);
+            self.add(SlicePartial { start, end, partial, t_first, t_last, n: (j - i) as u64 });
             i = j;
         }
     }
 
     /// Ships buffered stragglers (arrival order, at the head of the
-    /// batch) and every accumulated partial in **one** batch message,
-    /// then resets the timeline (boundary math is stateless, so it
-    /// regrows exact spans on demand).
+    /// batch) and every accumulated partial in **one** batch message.
     fn flush(&mut self, up: &mut Up<'_, A>) {
-        if self.filled > 0 || !self.stragglers.is_empty() {
-            let mut parts = Vec::with_capacity(self.stragglers.len() + self.filled);
-            parts.append(&mut self.stragglers);
-            for (pos, slot) in self.accs.iter_mut().enumerate() {
-                if let Some(acc) = slot.take() {
-                    let meta = self.timeline.get(pos);
-                    parts.push(SlicePartial {
-                        start: meta.start,
-                        end: meta.end,
-                        partial: acc.partial,
-                        t_first: acc.t_first,
-                        t_last: acc.t_last,
-                        n: acc.n,
-                    });
-                }
-            }
-            self.filled = 0;
+        let mut parts = std::mem::take(&mut self.parts);
+        parts.splice(0..0, self.stragglers.drain(..));
+        if !parts.is_empty() {
             let shipped = parts.len() as u64;
             up.ship(parts, shipped);
         }
-        self.accs.clear();
-        self.timeline.clear();
-        self.cache = None;
     }
 }
 
@@ -358,7 +300,7 @@ where
 {
     fn records(&mut self, chunk: &mut RecordChunk<A::Input>, up: &mut Up<'_, A>) {
         self.ingest_chunk(chunk);
-        if self.timeline.len() + self.stragglers.len() >= FLUSH_SLICE_CAP {
+        if self.parts.len() + self.stragglers.len() >= FLUSH_SLICE_CAP {
             self.flush(up);
         }
     }
@@ -386,20 +328,18 @@ where
 /// The merge stage behind the epoch barrier: the authoritative operator,
 /// the on-time partials staged per worker, and where emissions go.
 struct ParMerge<A: AggregateFunction> {
-    f: A,
     op: WindowOperator<A>,
     staged: Vec<Vec<SlicePartial<A>>>,
     sink: ResultSink<WindowResult<A::Output>>,
 }
 
 impl<A: AggregateFunction> ParMerge<A> {
-    /// Combines the staged lists through the pairwise
-    /// [`merge_partials_tree`] — one store touch per slice instead of one
-    /// per `(worker, slice)` — and applies the result.
+    /// Lands every worker's staged list, in worker order, in one
+    /// [`WindowOperator::merge_parallel_partials`] call; the store
+    /// combines partials of one span as they arrive.
     fn land_staged(&mut self) {
-        let lists = self.staged.iter_mut().map(std::mem::take).collect();
-        self.op
-            .merge_parallel_partials(merge_partials_tree(&self.f, lists), &mut self.sink.scratch);
+        let staged = self.staged.iter_mut().flat_map(|list| list.drain(..));
+        self.op.merge_parallel_partials(staged, &mut self.sink.scratch);
     }
 }
 
@@ -413,9 +353,7 @@ impl<A: AggregateFunction> Stage<Vec<SlicePartial<A>>> for ParMerge<A> {
         let wm = self.op.current_watermark();
         for p in parts {
             if wm != TIME_MIN && p.t_first <= wm {
-                // The straggler branch of `add_parallel_partial` flushes
-                // eager repairs itself before emitting.
-                self.op.add_parallel_partial(p, &mut self.sink.scratch);
+                self.op.merge_parallel_partials([p], &mut self.sink.scratch);
             } else {
                 self.staged[src].push(p);
             }
@@ -493,7 +431,7 @@ where
     let eligible = parallel_eligible(&f, &windows, &op_cfg);
     // The merge operator is the single authority on triggering and
     // eviction. It never sees raw tuples — slices enter pre-aligned to
-    // full static-edge intervals via `add_parallel_partial` — so the
+    // full static-edge intervals via `merge_parallel_partials` — so the
     // ablation switches of `op_cfg` (which shape the tuple path) don't
     // apply; order/policy/lateness carry over. The fallback's operator
     // takes the user's exact config (in-order emission, context-aware
@@ -522,7 +460,6 @@ where
     let slicers = (0..workers)
         .map(|_| WorkerSlicer::new(f.clone(), &windows, op_cfg.allowed_lateness, op_cfg.order));
     let stage = ParMerge {
-        f: f.clone(),
         op,
         staged: (0..workers).map(|_| Vec::new()).collect(),
         sink: ResultSink::new(cfg.collect_results),

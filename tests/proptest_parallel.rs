@@ -178,6 +178,37 @@ fn check_parallel(
     Ok(())
 }
 
+/// A worker that reaches the flush cap (4096 partials) between two
+/// watermarks ships the same slice span twice in one epoch, and the
+/// merge stage's store must combine the two. Two ascending passes over
+/// 16 640 ten-unit slices, in 64-record chunks, put 260 chunks in each
+/// pass, so every worker (1, 2 or 4) sees the same slices in both passes
+/// and holds at least 4160 of them; stragglers below the mid watermark
+/// then revise fired windows.
+#[test]
+fn a_worker_flushing_twice_in_one_epoch_matches_sequential() {
+    const SLOTS: i64 = 16_640;
+    let pass = |offset: i64| {
+        (0..SLOTS).map(move |s| StreamElement::Record { ts: s * 10 + offset, value: s % 97 - 40 })
+    };
+    let mut elements: Vec<StreamElement<i64>> = pass(0).chain(pass(7)).collect();
+    elements.push(StreamElement::Watermark(SLOTS * 5));
+    for ts in [3, 12_345, SLOTS * 5 - 1, SLOTS * 5] {
+        elements.push(StreamElement::Record { ts, value: 1_000 });
+    }
+    elements.push(StreamElement::Watermark(i64::MAX - 1));
+    let windows: Vec<Box<dyn WindowFunction>> = vec![Box::new(TumblingWindow::new(10))];
+    let lateness = SLOTS * 10;
+    let want = sequential_rows(&elements, &windows, lateness, StorePolicy::Lazy);
+    assert!(want.iter().filter(|r| r.4).count() >= 3, "stragglers must revise fired windows");
+    for workers in [1usize, 2, 4] {
+        let (used, got) =
+            parallel_rows(&elements, &windows, lateness, StorePolicy::Lazy, workers, 64);
+        assert_eq!(used, workers);
+        assert_equivalent(&want, &got, workers, 64).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
@@ -322,9 +353,13 @@ proptest! {
         }
     }
 
-    /// The pairwise combining merge tree must be a drop-in for a linear
-    /// left fold of worker partial lists: same spans, same combined
-    /// partials, same tuple counts and extreme timestamps.
+    /// The merge stage's landing of staged lists: every worker's list —
+    /// 0–8 workers, empty lists, repeated spans within one list (a
+    /// worker that flushed twice in an epoch) — applied in worker order
+    /// through `merge_parallel_partials` on a merge-config operator
+    /// must leave one store slice per span, holding the same combined
+    /// partial, extreme timestamps and tuple count as a flat by-span
+    /// fold of all partials.
     #[test]
     fn merge_tree_matches_linear_merge(
         per_worker in prop::collection::vec(
@@ -333,7 +368,7 @@ proptest! {
         ),
         span in 1i64..40,
     ) {
-        use general_stream_slicing::core::{merge_partials_tree, SlicePartial};
+        use general_stream_slicing::core::SlicePartial;
         let mk = |lists: &Vec<Vec<(i64, i64, u64)>>| -> Vec<Vec<SlicePartial<Sum>>> {
             lists
                 .iter()
@@ -362,17 +397,23 @@ proptest! {
             e.2 = e.2.max(p.t_last);
             e.3 += p.n;
         }
-        let got = merge_partials_tree(&Sum, mk(&per_worker));
-        prop_assert_eq!(got.len(), by_span.len(), "merged span count diverged");
-        for p in got {
-            let want = by_span.get(&(p.start, p.end)).expect("unexpected span in tree merge");
-            prop_assert_eq!(
-                (p.partial, p.t_first, p.t_last, p.n),
-                *want,
-                "span [{}, {}) diverged",
-                p.start,
-                p.end
-            );
+        let mut op = WindowOperator::new(Sum, OperatorConfig::out_of_order(0));
+        op.add_query(Box::new(TumblingWindow::new(span))).unwrap();
+        let mut out = Vec::new();
+        for list in mk(&per_worker) {
+            op.merge_parallel_partials(list, &mut out);
         }
+        prop_assert!(out.is_empty(), "no watermark, so nothing may emit");
+        let got: Vec<_> = op
+            .store()
+            .slices()
+            .map(|s| {
+                let r = s.range();
+                ((r.start, r.end), (s.aggregate().copied(), s.t_first(), s.t_last(), s.len() as u64))
+            })
+            .collect();
+        let want: Vec<_> =
+            by_span.into_iter().map(|(k, (v, tf, tl, n))| (k, (Some(v), tf, tl, n))).collect();
+        prop_assert_eq!(got, want, "store slices diverged from the by-span fold");
     }
 }
