@@ -30,8 +30,11 @@
 //!   the probe just touched tells whether a key was already seen in this
 //!   batch, so no group map is built and no record touched); times and
 //!   values are scattered once into two flat columns, so each key's run
-//!   is a contiguous column slice for the bulk fold kernels. A batch in
-//!   which no key repeats is its own grouping and is ingested in place.
+//!   is a contiguous column slice for the bulk fold kernels. Until a key
+//!   repeats, tuple `i` is group `i`: the probe pass only stamps entries
+//!   and records slots, and writes group ids and counts (for that prefix
+//!   too) from the first repeat on. A batch in which no key repeats is
+//!   its own grouping and is ingested in place, no group id written.
 //!   The pair and the column batch entries share that loop, and however a
 //!   key's tuples arrive they go through one step (`ingest_run`): sync,
 //!   fold, and refile only if the key's floor moved.
@@ -200,9 +203,13 @@ const INLINE_SLICES: usize = 2;
 
 /// A dense ring of per-slice partials (`None` = no tuples in that
 /// slice), inline while short. Invariant of the inline form: slots at or
-/// past `len` are `None`.
+/// past `len` are `None`. The inline length is a word, not the byte it
+/// needs: a load wider than the store it reads cannot be forwarded from
+/// the store buffer, and every `len()` after a `drop_front` would wait
+/// for the byte to reach the cache. With word-aligned partials the ring
+/// is the same size either way: the alignment padded the byte to a word.
 enum Ring<P> {
-    Inline { len: u8, slots: [Option<P>; INLINE_SLICES] },
+    Inline { len: usize, slots: [Option<P>; INLINE_SLICES] },
     Spilled(VecDeque<Option<P>>),
 }
 
@@ -213,7 +220,7 @@ impl<P> Ring<P> {
 
     fn len(&self) -> usize {
         match self {
-            Ring::Inline { len, .. } => usize::from(*len),
+            Ring::Inline { len, .. } => *len,
             Ring::Spilled(d) => d.len(),
         }
     }
@@ -244,11 +251,11 @@ impl<P> Ring<P> {
         debug_assert!(k <= self.len(), "dropping {k} of {} ring slots", self.len());
         match self {
             Ring::Inline { len, slots } => {
-                let n = usize::from(*len);
+                let n = *len;
                 for i in 0..n {
                     slots[i] = if i + k < n { slots[i + k].take() } else { None };
                 }
-                *len = inline_len(n - k);
+                *len = n - k;
             }
             Ring::Spilled(d) if k == d.len() => *self = Ring::new(),
             Ring::Spilled(d) => {
@@ -260,7 +267,7 @@ impl<P> Ring<P> {
     /// The heap form of this ring, spilling the inline slots first.
     fn spilled(&mut self) -> &mut VecDeque<Option<P>> {
         if let Ring::Inline { len, slots } = self {
-            let n = usize::from(*len);
+            let n = *len;
             *self = Ring::Spilled(slots[..n].iter_mut().map(Option::take).collect());
         }
         match self {
@@ -272,12 +279,12 @@ impl<P> Ring<P> {
     /// Prepends `k` empty slots.
     fn grow_front(&mut self, k: usize) {
         if let Ring::Inline { len, slots } = self {
-            let n = usize::from(*len) + k;
+            let n = *len + k;
             if n <= INLINE_SLICES {
                 for i in (k..n).rev() {
                     slots[i] = slots[i - k].take();
                 }
-                *len = inline_len(n);
+                *len = n;
                 return;
             }
         }
@@ -291,7 +298,7 @@ impl<P> Ring<P> {
     fn grow_back(&mut self, n: usize) {
         if let Ring::Inline { len, .. } = self {
             if n <= INLINE_SLICES {
-                *len = inline_len(n);
+                *len = n;
                 return;
             }
         }
@@ -308,11 +315,6 @@ impl<P: HeapSize> Ring<P> {
             Ring::Spilled(d) => d.heap_bytes(),
         }
     }
-}
-
-fn inline_len(n: usize) -> u8 {
-    debug_assert!(n <= INLINE_SLICES);
-    n as u8
 }
 
 /// `KeyState::due` with no reachable pending window; no window ends there.
@@ -401,6 +403,9 @@ impl<A: AggregateFunction> KeyState<A> {
     /// the stale indices), otherwise just the slots whose global index
     /// fell below the timeline base. Either drop is lossless: eviction
     /// only covers slices no still-fireable window or update can reach.
+    /// A drained ring re-anchors at the base. Whether it drained is known
+    /// from the count dropped; asking the ring would reload the length
+    /// `drop_front` has just stored.
     fn trim_to(&mut self, timeline: &Timeline) {
         let generation = timeline.generation() as u32;
         if self.generation != generation {
@@ -411,12 +416,10 @@ impl<A: AggregateFunction> KeyState<A> {
         }
         let base = timeline.base();
         if self.first < base {
-            let k = cast::gidx(base, self.first).min(self.ring.len());
+            let len = self.ring.len();
+            let k = cast::gidx(base, self.first).min(len);
             self.ring.drop_front(k);
-            self.first += cast::to_i64(k);
-            if self.ring.is_empty() {
-                self.first = base;
-            }
+            self.first = if k == len { base } else { self.first + cast::to_i64(k) };
         }
     }
 
@@ -892,6 +895,26 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         slot
     }
 
+    /// One probe of the batch stamped `epoch`: at `key`'s first tuple in
+    /// it, gives the key the next group (its slot pushed to
+    /// `group_slots`) and returns `None`; at any later one, returns the
+    /// group it was given. (`get_mut`, not `entry`: for a key that exists
+    /// it is measurably cheaper.)
+    #[inline(always)]
+    fn group_of(&mut self, key: u64, epoch: u32, group_slots: &mut Vec<u32>) -> Option<u32> {
+        let group = cast::slot32(group_slots.len());
+        let slot = match self.slot_of.get_mut(&key) {
+            Some(e) if e.stamp == epoch => return Some(e.group),
+            Some(e) => {
+                (e.stamp, e.group) = (epoch, group);
+                e.slot
+            }
+            None => self.birth(key, epoch, group),
+        };
+        group_slots.push(slot);
+        None
+    }
+
     /// The per-key step of ingest: one key's tuples, a column slice in
     /// arrival order and mostly of one. *Sync* the record with what the
     /// watermarks since its last touch did to the timeline and its floor;
@@ -1046,46 +1069,42 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         let mut s = std::mem::replace(&mut self.scratch, BatchScratch::new());
 
         // Probe: one map lookup per tuple; the entry says whether its
-        // key already has a group in this batch. (`get_mut`, not `entry`:
-        // for a key that exists it is measurably cheaper.)
-        s.gids.clear();
-        s.gids.resize(n, 0);
+        // key already has a group in this batch. Until a key repeats,
+        // tuple `i` is group `i`, so the prefix only stamps and records
+        // slots; group ids and counts are written from the first repeat
+        // on, for the prefix too.
         s.group_slots.clear();
-        s.ends.clear();
-        let mut last: Option<(u64, u32)> = None;
-        for (gid, (_, key, _)) in s.gids.iter_mut().zip(tuples.clone()) {
-            // A tuple of the same key as its predecessor needs no probe.
-            let group = match last {
-                Some((k, group)) if k == key => group,
-                _ => {
-                    let group = match self.slot_of.get_mut(&key) {
-                        Some(e) if e.stamp == epoch => e.group,
-                        first => {
-                            let group = cast::slot32(s.group_slots.len());
-                            s.group_slots.push(match first {
-                                Some(e) => {
-                                    (e.stamp, e.group) = (epoch, group);
-                                    e.slot
-                                }
-                                None => self.birth(key, epoch, group),
-                            });
+        let mut rest = tuples.clone();
+        let repeat = loop {
+            let Some((_, key, _)) = rest.next() else { break None };
+            if let Some(group) = self.group_of(key, epoch, &mut s.group_slots) {
+                break Some((key, group));
+            }
+        };
+
+        if let Some(mut last) = repeat {
+            s.gids.clear();
+            s.gids.extend(0..cast::slot32(s.group_slots.len()));
+            s.ends.clear();
+            s.ends.resize(s.group_slots.len(), 1);
+            s.gids.push(last.1);
+            s.ends[cast::idx32(last.1)] += 1;
+            for (_, key, _) in rest {
+                // A tuple of the same key as its predecessor needs no probe.
+                if key != last.0 {
+                    let group = match self.group_of(key, epoch, &mut s.group_slots) {
+                        Some(group) => group,
+                        None => {
                             s.ends.push(0);
-                            group
+                            cast::slot32(s.ends.len() - 1)
                         }
                     };
-                    last = Some((key, group));
-                    group
+                    last = (key, group);
                 }
-            };
-            *gid = group;
-            s.ends[cast::idx32(group)] += 1;
-        }
-
-        if s.group_slots.len() == n {
-            for (&slot, (ts, _, v)) in s.group_slots.iter().zip(tuples) {
-                self.ingest_run(slot, &[ts], std::slice::from_ref(v), out);
+                s.gids.push(last.1);
+                s.ends[cast::idx32(last.1)] += 1;
             }
-        } else {
+
             // Counting sort on group id: counts → run starts → (after the
             // scatter) run ends. Both columns are scattered in one pass,
             // so each key's run ends up contiguous.
@@ -1116,6 +1135,10 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                 lo = hi;
             }
             s.values.clear();
+        } else {
+            for (&slot, (ts, _, v)) in s.group_slots.iter().zip(tuples) {
+                self.ingest_run(slot, &[ts], std::slice::from_ref(v), out);
+            }
         }
         self.scratch = s;
         self.flush_due();
@@ -1967,6 +1990,118 @@ mod tests {
         assert_eq!(r.slot(1), None, "inline slots past the length are empty");
     }
 
+    /// `trim_to` drops what eviction took: a ring that loses every slot
+    /// re-anchors at the base (however far below it the ring started),
+    /// one that loses fewer moves its anchor by the count, inline or
+    /// spilled, and a new generation drops the ring whatever its indices
+    /// say.
+    #[test]
+    fn trim_to_reanchors_a_drained_ring_and_advances_a_trimmed_one() {
+        let queries = [Query::new(0, tumbling(10))];
+        let mut timeline = Timeline::default();
+        let mut created = 0;
+        for ts in [5, 45] {
+            timeline.ensure_covering(ts, &queries, &mut created);
+        }
+        // Globals 0..5 are [0, 10) .. [40, 50); the key holds `g + 100`
+        // in each slice `g` of `filled`.
+        let key = |timeline: &Timeline, filled: &[i64]| {
+            let mut st = KeyState::<SumI64>::vacant();
+            st.generation = timeline.generation() as u32;
+            for &g in filled {
+                st.add_at(g, g + 100, &SumI64);
+            }
+            st
+        };
+        timeline.evict_to(20);
+        assert_eq!(timeline.base(), 2);
+        let slots = |st: &KeyState<SumI64>| -> Vec<Option<i64>> {
+            (0..st.ring.len()).map(|i| st.ring.slot(i).copied()).collect()
+        };
+
+        let mut drained = key(&timeline, &[0]);
+        drained.trim_to(&timeline);
+        assert_eq!((drained.first, drained.ring.len()), (2, 0), "two below the base, one slot");
+
+        let mut inline = key(&timeline, &[1, 2]);
+        assert!(matches!(inline.ring, Ring::Inline { len: 2, .. }));
+        inline.trim_to(&timeline);
+        assert_eq!((inline.first, slots(&inline)), (2, vec![Some(102)]));
+
+        let mut spilled = key(&timeline, &[0, 3, 4]);
+        assert!(matches!(spilled.ring, Ring::Spilled(_)));
+        spilled.trim_to(&timeline);
+        assert_eq!((spilled.first, slots(&spilled)), (2, vec![None, Some(103), Some(104)]));
+
+        // The timeline empties and is reborn further on: the same global
+        // indices now mean other slices.
+        let mut stale = key(&timeline, &[2, 3]);
+        timeline.evict_to(1_000);
+        timeline.ensure_covering(1_005, &queries, &mut created);
+        assert_eq!(timeline.base(), 5);
+        stale.trim_to(&timeline);
+        assert_eq!(stale.generation, timeline.generation() as u32);
+        assert_eq!((stale.first, stale.ring.len()), (5, 0));
+    }
+
+    /// The probe pass ingests a batch in place until a key repeats, and
+    /// hands the batch to the grouping loop at the first repeat: on the
+    /// tuple after its key's (the same-key shortcut), mid-batch, at the
+    /// last tuple, on a key born earlier in the batch. Each batch emits,
+    /// per key, what tuple-by-tuple `process` emits, and what the naive
+    /// operator emits; the stats are those of `process` but for the fold
+    /// counters, which count a grouped run once.
+    #[test]
+    fn the_probe_pass_hands_over_at_the_first_repeat() {
+        let cfg = KeyedConfig::default().with_allowed_lateness(100);
+        let batches: [&[(Time, (u64, i64))]; 5] = [
+            // Repeat at tuple 1, same key as its predecessor.
+            &[(1, (1, 1)), (2, (1, 2)), (3, (2, 3)), (4, (3, 4))],
+            // Mid-batch, on a key older than the batch.
+            &[(11, (2, 5)), (12, (3, 6)), (13, (4, 7)), (14, (2, 8)), (15, (5, 9)), (16, (3, 1))],
+            // At the last tuple.
+            &[(21, (5, 2)), (22, (1, 3)), (23, (6, 4)), (24, (5, 5))],
+            // On a key born in this batch, then a key-late update.
+            &[(31, (7, 6)), (32, (8, 7)), (33, (7, 8)), (34, (8, 9)), (35, (1, 1)), (22, (5, 2))],
+            // No repeat at all.
+            &[(41, (1, 3)), (42, (2, 4)), (43, (3, 5)), (44, (9, 6))],
+        ];
+        let mut batched = shared_op(10, cfg);
+        let mut by_tuple = shared_op(10, cfg);
+        let mut naive = NaiveKeyedOperator::new(SumI64, vec![tumbling(10)], cfg);
+        let (mut got, mut each, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, batch) in batches.iter().enumerate() {
+            batched.process_batch(batch, &mut got);
+            naive.process_batch(batch, &mut want);
+            for &(ts, kv) in *batch {
+                by_tuple.process(ts, kv, &mut each);
+            }
+            let wm = 10 * (i as Time + 1);
+            batched.on_watermark(wm, &mut got);
+            naive.on_watermark(wm, &mut want);
+            by_tuple.on_watermark(wm, &mut each);
+        }
+        let per_key = |out: &[WindowResult<(u64, i64)>]| {
+            let mut keys: BTreeMap<u64, Vec<_>> = BTreeMap::new();
+            for r in out {
+                let row = (r.range.start, r.range.end, r.value.1, r.is_update);
+                keys.entry(r.value.0).or_default().push(row);
+            }
+            keys
+        };
+        assert_eq!(per_key(&got), per_key(&each));
+        assert_eq!(sorted(got.clone()), sorted(want));
+        assert_eq!(got.iter().filter(|r| r.is_update).count(), 1, "the key-late tuple updated");
+        let unfolded =
+            |s: KeyedStats| KeyedStats { fold_kernel_hits: 0, fold_kernel_misses: 0, ..s };
+        let (a, b) = (batched.stats(), by_tuple.stats());
+        assert_eq!(unfolded(a), unfolded(b));
+        // Six runs of two and eleven singletons; `SumI64` has no kernel,
+        // so a run is a miss too.
+        assert_eq!((a.fold_kernel_hits, a.fold_kernel_misses), (0, 17));
+        assert_eq!(b.fold_kernel_misses, 23, "tuple by tuple, every accepted tuple is a run");
+    }
+
     /// The memory gate. `memory_bytes()` is the sum of what the layout
     /// owns, each part computed here from first principles, and a key
     /// under `TUMBLE 1s` costs no more than that sum plus 5 % (it was 184
@@ -1999,6 +2134,8 @@ mod tests {
         assert_eq!(m.total(), peak, "the last sample is the steady state");
         let record = std::mem::size_of::<KeyState<SumI64>>();
         assert!(record <= 96, "{record}-byte records");
+        let ring = std::mem::size_of::<Ring<i64>>();
+        assert_eq!(ring, 40, "{ring}-byte rings: the word-wide inline length cost bytes");
         let pages = (KEYS as usize).div_ceil(PAGE);
         assert_eq!(
             m.slab,
