@@ -52,7 +52,9 @@ fn time_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 /// Builds a slice store with `n` single-tuple slices, its index (if
-/// any) repaired and ready to be queried.
+/// any) built, repaired and ready to be queried. The finger store
+/// builds its tree at the first flush after a long range query, so one
+/// full-range query goes before the flush.
 fn slice_store<A: AggregateFunction<Input = i64>>(
     f: A,
     policy: StorePolicy,
@@ -63,6 +65,7 @@ fn slice_store<A: AggregateFunction<Input = i64>>(
         st.append_slice(Range::new(i * 10, (i + 1) * 10));
         st.add_in_order(i * 10, i % 97);
     }
+    st.query_time(Range::new(0, n as i64 * 10));
     st.flush_eager_repairs();
     st
 }

@@ -25,7 +25,8 @@
 //! A last cell, `outage`, is the long-lateness case the sweep above
 //! never reaches (its 2 s lateness keeps a few dozen slices live): one
 //! tumbling 10 ms query under a watermark trailing by 30 s — 3 000 live
-//! slices, the finger store's index built — fed an in-order head with
+//! slices, and one-slice windows that never ask the finger store to
+//! build its index — fed an in-order head with
 //! one tuple in seven up to 2 s late plus, every 5 s, the sorted replay
 //! of a 10-s-old outage (30 % of the tuples), in batches of 512 and
 //! 4 096.

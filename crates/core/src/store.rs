@@ -15,6 +15,7 @@
 //! and watermark evictions amortized O(1) per slice via whole-subtree
 //! release.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::cast;
@@ -152,15 +153,19 @@ pub struct SliceStore<A: AggregateFunction> {
     /// Aggregate index: leaf `i` mirrors `slices[i].aggregate()`.
     index: AggIndex<A>,
     /// Whether the index mirrors the slices. The finger tree is built
-    /// *adaptively*: while the store has never outgrown
-    /// [`INDEX_SCAN_CUTOFF`] slices, every range query folds the slice
-    /// deque anyway, so the tree stays empty and all maintenance is a
-    /// flag check — the in-order hot path costs exactly what the lazy
-    /// store does. The first append past the cutoff bulk-builds the
-    /// tree from the slice partials (one deferred push per slice) and
-    /// flips this permanently. Lazy and eager stores are born live
-    /// (no index, and the FlatFAT's contract is eager mirroring).
+    /// *on first need*: until a query asks for a range longer than
+    /// [`INDEX_SCAN_CUTOFF`] slices, nothing reads the tree, so it stays
+    /// empty and all maintenance is a flag check — appends, late writes
+    /// and evictions cost exactly what the lazy store's do, however many
+    /// slices are live. The first long query sets `index_wanted`, and
+    /// the next [`flush_eager_repairs`](SliceStore::flush_eager_repairs)
+    /// builds the tree and flips this permanently. Lazy and eager stores
+    /// are born live (no index, and the FlatFAT's contract is eager
+    /// mirroring).
     index_live: bool,
+    /// Set by a long range query against the unbuilt finger tree; the
+    /// next flush builds it. A `Cell` because queries take `&self`.
+    index_wanted: Cell<bool>,
     keep_tuples: bool,
     /// Number of tuples evicted from the front; offsets count positions so
     /// count-measure queries use absolute counts.
@@ -174,37 +179,23 @@ impl<A: AggregateFunction> SliceStore<A> {
             StorePolicy::Eager => AggIndex::Flat(FlatFat::new(f.clone())),
             StorePolicy::FingerTree => AggIndex::Finger(FingerTree::new(f.clone())),
         };
-        let index_live = policy != StorePolicy::FingerTree;
-        SliceStore { f, slices: VecDeque::new(), index, index_live, keep_tuples, evicted_tuples: 0 }
-    }
-
-    /// Mirrors a slice append into the index, or — for a not-yet-built
-    /// finger tree — checks whether the store just outgrew the scan
-    /// cutoff and the index must now materialize.
-    fn index_append(&mut self) {
-        if self.index_live {
-            self.index.push(None);
-        } else {
-            self.maybe_build_index();
+        SliceStore {
+            f,
+            slices: VecDeque::new(),
+            index,
+            index_live: policy != StorePolicy::FingerTree,
+            index_wanted: Cell::new(false),
+            keep_tuples,
+            evicted_tuples: 0,
         }
     }
 
-    /// Mirrors a slice insertion at position `i` into the index (same
-    /// adaptive-build rule as [`index_append`]).
-    fn index_insert(&mut self, i: usize) {
-        if self.index_live {
-            self.index.insert(i, None);
-        } else {
-            self.maybe_build_index();
-        }
-    }
-
-    /// Bulk-builds the finger tree from the current slice partials once
-    /// the store exceeds [`INDEX_SCAN_CUTOFF`] slices. The pushes are
-    /// deferred; the next query sweep's flush repairs the spine in one
-    /// pass. O(n) once per store lifetime.
+    /// Bulk-builds the finger tree from the current slice partials if a
+    /// long range query asked for it since the last flush. The pushes
+    /// are deferred, leaving the tree dirty as any deferred write does;
+    /// the calling flush repairs it. O(n) once per store lifetime.
     fn maybe_build_index(&mut self) {
-        if self.slices.len() <= INDEX_SCAN_CUTOFF {
+        if !self.index_wanted.take() {
             return;
         }
         if let AggIndex::Finger(t) = &mut self.index {
@@ -283,8 +274,7 @@ impl<A: AggregateFunction> SliceStore<A> {
             self.slices.back().is_none_or(|s| s.end() <= range.start),
             "slices must be appended in order"
         );
-        self.slices.push_back(Slice::new(range, self.keep_tuples));
-        self.index_append();
+        self.append_slice_unchecked(range);
     }
 
     /// Sets the end of the latest (open) slice unconditionally — used when
@@ -321,7 +311,9 @@ impl<A: AggregateFunction> SliceStore<A> {
             "gap slice {range} overlaps successor"
         );
         self.slices.insert(idx, Slice::new(range, self.keep_tuples));
-        self.index_insert(idx);
+        if self.index_live {
+            self.index.insert(idx, None);
+        }
         #[cfg(feature = "audit")]
         self.assert_invariants();
         idx
@@ -352,10 +344,6 @@ impl<A: AggregateFunction> SliceStore<A> {
                     assert_eq!(t.len(), self.slices.len(), "finger index out of sync with slices");
                 } else {
                     assert_eq!(t.len(), 0, "unbuilt finger index holds leaves");
-                    assert!(
-                        self.slices.len() <= INDEX_SCAN_CUTOFF,
-                        "store outgrew the cutoff without building its index"
-                    );
                 }
                 t.assert_invariants();
             }
@@ -366,7 +354,9 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// where a tied timestamp may equal the previous end).
     fn append_slice_unchecked(&mut self, range: Range) {
         self.slices.push_back(Slice::new(range, self.keep_tuples));
-        self.index_append();
+        if self.index_live {
+            self.index.push(None);
+        }
     }
 
     /// Adds an in-order tuple to the **latest** slice (the hot path: one ⊕
@@ -527,12 +517,14 @@ impl<A: AggregateFunction> SliceStore<A> {
         }
     }
 
-    /// Repairs the eager tree's dirty frontier after deferred leaf writes.
-    /// Must run before any window query; no-op for lazy stores and clean
-    /// trees. (Structural slice operations — gap inserts, splits, merges,
-    /// evictions — rebuild the tree wholesale and clear pending repairs on
-    /// their own.)
+    /// Repairs the eager tree's dirty frontier after deferred leaf writes,
+    /// first building the finger tree if a long range query asked for it
+    /// since the last flush. Must run before any window query; no-op for
+    /// lazy stores and clean trees. (The FlatFAT's structural operations
+    /// — gap inserts, splits, merges, evictions — rebuild it wholesale
+    /// and clear pending repairs on their own.)
     pub fn flush_eager_repairs(&mut self) {
+        self.maybe_build_index();
         // While the store holds at most [`INDEX_SCAN_CUTOFF`] slices, no
         // range query can be long enough to consult the index (every
         // range is bounded by the store length, and short ranges scan
@@ -553,6 +545,13 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.index.has_dirty()
     }
 
+    /// Whether the finger tree has been built (always true for the
+    /// other policies).
+    #[cfg(test)]
+    fn index_built(&self) -> bool {
+        self.index_live
+    }
+
     /// Splits the slice covering `ts` at `ts`. Returns `false` if `ts`
     /// already is a slice edge (nothing to do) or lies outside all slices.
     pub fn split_at(&mut self, ts: Time) -> bool {
@@ -564,7 +563,9 @@ impl<A: AggregateFunction> SliceStore<A> {
         }
         let right = self.slices[idx].split(&self.f, ts);
         self.slices.insert(idx + 1, right);
-        self.index_insert(idx + 1);
+        if self.index_live {
+            self.index.insert(idx + 1, None);
+        }
         self.refresh_leaf(idx);
         self.refresh_leaf(idx + 1);
         true
@@ -626,12 +627,16 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// regime (large lateness, many live slices) it exists for. Slices
     /// are the source of truth, so the scan is also immune to deferred
     /// index repairs.
+    ///
+    /// A long range against a finger tree not built yet is scanned too,
+    /// with the same answer, and asks for the tree: the next
+    /// [`flush_eager_repairs`](SliceStore::flush_eager_repairs) builds
+    /// it, so only queries before that flush pay the scan.
     pub fn query_slice_range(&self, l: usize, r: usize) -> Option<A::Partial> {
         if r - l > INDEX_SCAN_CUTOFF {
-            // A range longer than the cutoff implies the store outgrew
-            // the cutoff, which is exactly when the finger tree builds.
-            debug_assert!(self.index_live, "long-range query against an unbuilt index");
-            if let Some(q) = self.index.query(l, r) {
+            if !self.index_live {
+                self.index_wanted.set(true);
+            } else if let Some(q) = self.index.query(l, r) {
                 return q;
             }
         }
@@ -754,6 +759,12 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     /// Combines [`query_slice_range`](SliceStore::query_slice_range)
     /// spends on a range of `n` slices.
+    ///
+    /// An index is priced by policy, built or not. A finger tree not yet
+    /// built answers a long range by scanning, but pricing it so would
+    /// keep every long range on the scan and the tree would never be
+    /// asked for; priced as built, a sweep that wants per-window queries
+    /// gets them, and its first long query triggers the build.
     fn range_cost(&self, n: u32) -> usize {
         let n = cast::idx32(n);
         if n <= INDEX_SCAN_CUTOFF || matches!(self.index, AggIndex::None) {
@@ -1549,8 +1560,8 @@ mod tests {
         // Unlike FlatFAT (whose structural ops rebuild the dense array
         // and clear the dirty set wholesale), the finger tree keeps its
         // deferred-repair region across gap inserts — the repair
-        // contract only requires queries to flush first. The store must
-        // outgrow the scan cutoff so the tree is actually built.
+        // contract only requires queries to flush first. A long query
+        // and a flush build the tree first.
         let mut st = store(StorePolicy::FingerTree, true);
         let n = INDEX_SCAN_CUTOFF + 4;
         for i in 0..n {
@@ -1561,6 +1572,9 @@ mod tests {
             st.append_slice(Range::new(t, t + 10));
             st.add_in_order(t + 1, 1);
         }
+        assert_eq!(st.query_time(Range::new(0, n as Time * 10)), Some(n as i64 - 1));
+        st.flush_eager_repairs();
+        assert!(st.index_built());
         st.add_out_of_order_run(0, &[(3, 3)]);
         assert!(st.has_pending_repairs());
         let gap_idx = st.insert_gap_slice(Range::new(30, 40));
@@ -1579,7 +1593,8 @@ mod tests {
     fn flush_repairs_only_when_index_queryable() {
         // Below INDEX_SCAN_CUTOFF every query folds the slice deque, so
         // flush leaves deferred dirt alone; past the cutoff the next
-        // flush must repair before the first index visit.
+        // flush must repair before the first index visit — for the
+        // finger tree, once a long query has had it built.
         for policy in [StorePolicy::Eager, StorePolicy::FingerTree] {
             let mut st = store(policy, false);
             let n = INDEX_SCAN_CUTOFF + 4;
@@ -1588,14 +1603,28 @@ mod tests {
                 st.append_slice(Range::new(t, t + 10));
                 st.add_in_order(t, i as i64 + 1);
             }
+            let full = Range::new(0, n as Time * 10);
+            let expect: i64 = (1..=n as i64).sum::<i64>() + 100;
             st.add_out_of_order_run(0, &[(3, 100)]);
+            if policy == StorePolicy::FingerTree {
+                // Unbuilt: the late write leaves no dirt, a flush builds
+                // nothing, and the first long query scans.
+                assert!(!st.has_pending_repairs());
+                st.flush_eager_repairs();
+                assert!(!st.index_built());
+                assert_eq!(st.query_time(full), Some(expect), "scan before the build");
+                assert!(!st.index_built(), "a query alone built the index");
+                st.flush_eager_repairs();
+                assert!(st.index_built(), "flush after a long query did not build");
+                // A zero-valued late write dirties the built tree.
+                st.add_out_of_order_run(0, &[(4, 0)]);
+            }
             assert!(st.has_pending_repairs(), "{policy:?}: deferred write left no dirt");
             st.flush_eager_repairs();
             assert!(!st.has_pending_repairs(), "{policy:?}: flush skipped a queryable index");
             // Full range exceeds the cutoff: answered via the index.
-            let full = st.query_time(Range::new(0, n as Time * 10));
-            let expect: i64 = (1..=n as i64).sum::<i64>() + 100;
-            assert_eq!(full, Some(expect), "{policy:?}: index query wrong after repair");
+            assert_eq!(st.index.query(0, n), Some(Some(expect)), "{policy:?}: index after repair");
+            assert_eq!(st.query_time(full), Some(expect), "{policy:?}: query after repair");
 
             // A small store never repairs: the eager FlatFAT keeps its
             // dirt across flushes, the finger tree has not even built —
@@ -1612,6 +1641,129 @@ mod tests {
             );
             assert_eq!(small.query_time(Range::new(0, 10)), Some(3));
         }
+    }
+
+    /// Slices `[10 i, 10 i + 10)` for `i` in `from..to`, except every
+    /// seventh (a coverage gap), each holding one tuple of value `i`.
+    fn fill_every_but_seventh(st: &mut SliceStore<SumI64>, from: i64, to: i64) {
+        for i in (from..to).filter(|i| i % 7 != 3) {
+            st.append_slice(Range::new(i * 10, i * 10 + 10));
+            st.add_in_order(i * 10 + 1, i);
+        }
+    }
+
+    #[test]
+    fn finger_store_without_long_queries_never_builds() {
+        // Hundreds of live slices, late writes, evictions, short-range
+        // queries and tumbling sweeps between flushes: nothing reads a
+        // long range, so the tree is never built and the store holds
+        // what the lazy one holds plus an empty tree.
+        let mut lazy = store(StorePolicy::Lazy, false);
+        let mut finger = store(StorePolicy::FingerTree, false);
+        for round in 0..6 {
+            let (from, to) = (round * 500, round * 500 + 500);
+            for st in [&mut lazy, &mut finger] {
+                fill_every_but_seventh(st, from, to);
+                let idx = st.len() / 2;
+                let ts = st.slice(idx).start() + 4;
+                st.add_out_of_order_run(idx, &[(ts, 1)]);
+                st.flush_eager_repairs();
+                st.evict_before((from - 400) * 10);
+            }
+            let short = Range::new(to * 10 - 300, to * 10);
+            assert_eq!(finger.query_time(short), lazy.query_time(short));
+            let tumbling: Vec<((), Range)> =
+                (from..to).map(|i| ((), Range::new(i * 10, i * 10 + 10))).collect();
+            let got = emitted::<SumI64>(&tumbling, |e| {
+                finger.query_time_batch(&tumbling, e);
+            });
+            assert_eq!(got, each(&lazy, &tumbling));
+            for _ in 0..3 {
+                finger.flush_eager_repairs();
+            }
+            assert!(!finger.index_built(), "round {round}: built without a long query");
+            assert!(!finger.has_pending_repairs());
+            assert!(finger.len() > INDEX_SCAN_CUTOFF);
+            let empty_tree = FingerTree::new(SumI64).total_bytes();
+            assert_eq!(finger.heap_bytes(), lazy.heap_bytes() + empty_tree, "round {round}");
+        }
+    }
+
+    #[test]
+    fn finger_long_query_scans_then_the_next_flush_builds() {
+        // Tuples kept: a split needs them.
+        let mut lazy = store(StorePolicy::Lazy, true);
+        let mut finger = store(StorePolicy::FingerTree, true);
+        for st in [&mut lazy, &mut finger] {
+            fill_every_but_seventh(st, 0, 300);
+            st.flush_eager_repairs();
+        }
+        let full = Range::new(0, 3_000);
+        // Before the build: the scan's answer, and a request for the tree.
+        assert_eq!(finger.query_time(full), lazy.query_time(full));
+        assert!(!finger.index_built());
+        finger.flush_eager_repairs();
+        assert!(finger.index_built(), "flush after a long query did not build");
+        assert!(!finger.has_pending_repairs());
+
+        // Structural operations and late writes against the built tree.
+        for st in [&mut lazy, &mut finger] {
+            for gap in [3, 10, 17, 150, 297] {
+                let idx = st.insert_gap_slice(Range::new(gap * 10, gap * 10 + 10));
+                st.add_out_of_order_run(idx, &[(gap * 10 + 2, 1_000 + gap)]);
+            }
+            for ts in [5, 1_234, 2_001, 2_990] {
+                let idx = st.covering_index(ts).unwrap();
+                st.add_out_of_order_run(idx, &[(ts, ts)]);
+            }
+            assert!(st.merge_at(1_000));
+            assert!(st.split_at(1_505));
+            // Slices 0..40, three of their six gaps filled above.
+            assert_eq!(st.evict_before(400), 37);
+            st.flush_eager_repairs();
+        }
+        assert_eq!(finger.len(), lazy.len());
+        assert!(!finger.has_pending_repairs());
+        let n = finger.len();
+        for l in (0..n).step_by(13) {
+            for r in (l + INDEX_SCAN_CUTOFF + 1..=n).step_by(29) {
+                let want = lazy.query_slice_range(l, r);
+                assert_eq!(finger.index.query(l, r), Some(want), "tree [{l}, {r})");
+                assert_eq!(finger.query_slice_range(l, r), want, "query [{l}, {r})");
+            }
+        }
+    }
+
+    #[test]
+    fn per_window_sweep_over_thousands_of_slices_builds_the_index() {
+        // Long windows over thousands of slices: the cost rule prices the
+        // index as built and picks per-window queries, whose long ranges
+        // ask for the tree; the next flush builds it.
+        let dense = |policy| {
+            let mut st = store(policy, false);
+            for i in 0..3_000 {
+                st.append_slice(Range::new(i * 10, i * 10 + 10));
+                st.add_in_order(i * 10, i % 13);
+            }
+            st.flush_eager_repairs();
+            st
+        };
+        let (lazy, mut finger) = (dense(StorePolicy::Lazy), dense(StorePolicy::FingerTree));
+        let windows: Vec<((), Range)> =
+            (0..12).map(|i| ((), Range::new((100 - i) * 10, (3_000 - i) * 10))).collect();
+        assert!(windows.len() >= MIN_BATCH_WINDOWS);
+        let want = each(&lazy, &windows);
+        for built in [false, true] {
+            assert_eq!(finger.index_built(), built);
+            let mut scanned = 0;
+            let got = emitted::<SumI64>(&windows, |e| {
+                scanned = finger.query_time_batch(&windows, e);
+            });
+            assert_eq!(scanned, 0, "the cost rule picked the scan");
+            assert_eq!(got, want);
+            finger.flush_eager_repairs();
+        }
+        assert!(finger.index_built());
     }
 
     #[test]

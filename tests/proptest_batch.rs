@@ -355,18 +355,21 @@ proptest! {
     /// Long-lateness regime: allowed lateness (100_000 ticks) is four to
     /// five orders of magnitude above the slice width (slide 1..4 over a
     /// ~6_000 tick span anchored at both ends), so *nothing* is ever
-    /// evicted and the whole timeline stays live — thousands of slices,
-    /// far past the finger store's `INDEX_SCAN_CUTOFF` (32). That forces
-    /// the adaptive index build and routes deep out-of-order arrivals
-    /// (delays up to 3_000 ticks) as deferred writes into the *built*
-    /// tree, repaired at query time. Lazy, eager, and finger stores must
+    /// evicted and the whole timeline stays live — thousands of slices.
+    /// Windows span up to 79 slices, past the finger store's
+    /// `INDEX_SCAN_CUTOFF` (32): the first long window a query answers
+    /// on its own (a late update, or a sweep too small to scan) asks for
+    /// the tree, the next flush builds it mid-stream from the slices,
+    /// and deep out-of-order arrivals (delays up to 3_000 ticks) then
+    /// land as deferred writes in the built tree, repaired before the
+    /// next long window reads it. Lazy, eager, and finger stores must
     /// emit bit-identical result streams on both the per-tuple and the
     /// batched drivers.
     #[test]
     fn long_lateness_stores_bit_identical(
         raw in prop::collection::vec((0i64..6_000, -50i64..50), 40..160),
         slide in 1i64..4,
-        win_mult in 2i64..20,
+        win_mult in 2i64..80,
         batch_i in 0usize..3,
         fraction in 10u8..60,
         seed in 0u64..1_000,
