@@ -8,18 +8,34 @@ are folded into the functions of its binary (`/proc/<pid>/exe`) with
 `nm -S`. Only the thread-group leader is sampled; threads it spawns run
 untraced.
 
-    analysis/pcsample.py [--top N] [--offsets K] -- <command> [args...]
+    analysis/pcsample.py [--top N] [--offsets K] [--lines SUBSTR] -- <command> [args...]
 
 --top: how many functions to print (default 25). --offsets K: the K
 hottest offsets inside each printed function, with the address to hand
 to `objdump -d --start-address`. The exit status is the command's (128 +
 the signal number if a signal killed it).
 
+--lines SUBSTR: for every sampled function whose name contains SUBSTR,
+also pass its sampled addresses through `addr2line -f -i -C` (binutils)
+and fold the counts by source line and inlining chain. A function's flat
+share hides what was inlined into it; each chain prints innermost first,
+`file:line function`, then the lines it was inlined at, so a helper's
+cost shows at the call site that paid it. Frames in the standard library
+are dropped from a chain that has others, so an `Option::clone` or a
+`Vec::push` counts at the line of this workspace that called it. Needs a
+binary with line tables (both release profiles, the workspace's and
+`benchmark/`'s, keep them).
+
 Example, the keyed operator run of the repo benchmark:
 
     cargo build --release --manifest-path benchmark/Cargo.toml --bin bench
     analysis/pcsample.py --offsets 5 -- benchmark/target/release/bench \\
         --workload keyed_wide --seed 1 --seconds 5 --trace 0
+
+and the lines of the store's batch query on `query_heavy`:
+
+    analysis/pcsample.py --top 8 --lines query_time_batch -- \\
+        benchmark/target/release/bench --workload query_heavy --seed 1 --seconds 5 --trace 0
 """
 
 import argparse
@@ -119,6 +135,57 @@ def fold(addrs, syms):
     return by_fn, offsets
 
 
+def short_name(name):
+    """`a::b::Type<T>::f<U>` as `Type::f`: everything in angle brackets
+    (generic arguments, `<X as Trait>` qualifiers) dropped, the last two
+    path segments kept."""
+    flat, depth = [], 0
+    for ch in name:
+        depth += ch == "<"
+        if depth == 0:
+            flat.append(ch)
+        depth -= ch == ">" and depth > 0
+    segments = [s for s in "".join(flat).split("::") if s]
+    return "::".join(segments[-2:]) or name
+
+
+def short_path(path):
+    """A source path from the repo root or the standard library's root."""
+    for root in ("/crates/", "/shims/", "/benchmark/", "/library/"):
+        if root in path:
+            return path[path.index(root) + 1 :]
+    return os.path.basename(path)
+
+
+def source_lines(exe, counts):
+    """Folds `{address: samples}` by inlining chain, innermost frame first."""
+    addrs = sorted(counts)
+    out = subprocess.run(
+        ["addr2line", "-a", "-f", "-i", "-C", "-e", exe],
+        input="".join(f"{a:#x}\n" for a in addrs),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    # `-a` heads each address's frames with the address itself; each frame
+    # is a function line and a `file:line` line.
+    chains = collections.Counter()
+    lines = out.splitlines()
+    i = 0
+    while i < len(lines):
+        addr = int(lines[i], 16)
+        i += 1
+        frames = []
+        while i + 1 < len(lines) and not lines[i].startswith("0x"):
+            where = lines[i + 1].split(" ")[0]
+            file, _, line = where.rpartition(":")
+            frames.append(f"{short_path(file)}:{line} {short_name(lines[i])}")
+            i += 2
+        own = [f for f in frames if not f.startswith("library/")]
+        chains[tuple(own or frames)] += counts[addr]
+    return chains
+
+
 def exit_code(returncode):
     """A `Popen.returncode` (negative: killed by that signal) as a shell exit status."""
     return returncode if returncode >= 0 else 128 - returncode
@@ -128,6 +195,7 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--top", type=int, default=25)
     p.add_argument("--offsets", type=int, default=0)
+    p.add_argument("--lines", metavar="SUBSTR")
     p.add_argument("command", nargs=argparse.REMAINDER)
     args = p.parse_args()
     if platform.machine() != "x86_64":
@@ -162,6 +230,16 @@ def main():
         print(f"{100.0 * n / total:6.2f} % {n:8d}  {name}")
         for (off, addr), k in offsets[name].most_common(args.offsets):
             print(f"{'':17}+{off:#06x} at {addr:#x}: {k} ({100.0 * k / n:.1f} % of the function)")
+    if args.lines:
+        for name, n in by_fn.most_common():
+            if args.lines not in name:
+                continue
+            counts = collections.Counter()
+            for (_, addr), k in offsets[name].items():
+                counts[addr] += k
+            print(f"\nlines of {name}: {n} samples ({100.0 * n / total:.2f} % of all)")
+            for chain, k in source_lines(exe, counts).most_common(args.top):
+                print(f"{100.0 * k / total:6.2f} % {k:8d}  {' <- '.join(chain)}")
     sys.exit(code)
 
 

@@ -24,7 +24,7 @@ use crate::flatfat::FlatFat;
 use crate::function::{AggregateFunction, FunctionKind};
 use crate::mem::HeapSize;
 use crate::slice::Slice;
-use crate::time::{Range, Time, TIME_MAX, TIME_MIN};
+use crate::time::{Range, Time};
 
 /// Lazy vs. eager final aggregation (paper Section 3.4), plus the
 /// disorder-tuned eager variant.
@@ -668,20 +668,23 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// The windows of a sweep overlap almost entirely, so
     /// [`shared_scan`] answers them with one combine each after one pass
     /// over the slices. Whether that pass pays is decided here, from
-    /// counts the sweep itself provides:
+    /// counts the sweep itself provides, at a cost per window rather than
+    /// per slice boundary under the sweep:
     ///
     /// 1. Fewer than `MIN_BATCH_WINDOWS` windows, or holistic partials
     ///    (every scan entry would clone an unbounded partial): per window.
-    /// 2. Otherwise every window's edges are resolved to slice indices
-    ///    (dense edge columns or per-window binary search, whichever
-    ///    is fewer probes). The scan then costs the slices under the
-    ///    sweep, the prefix entries and one combine per window;
-    ///    answering each resolved window on its own costs what
-    ///    [`query_slice_range`] spends on it — its length, or
-    ///    `O(log d)` through an index. The cheaper side answers: the
-    ///    scan for sliding sweeps, per-window queries for a tumbling
-    ///    catch-up (nothing shared) and for a few windows over
-    ///    thousands of indexed slices.
+    /// 2. Otherwise one pass resolves every window's edges to slice
+    ///    indices, galloping over the slice records in place, and prices
+    ///    each window on its own as what [`query_slice_range`] spends on
+    ///    it — its length, or `O(log d)` through an index. The scan costs
+    ///    the slices under the sweep, the prefix entries and one combine
+    ///    per window. The cheaper side answers: the scan for sliding
+    ///    sweeps, per-window queries for a tumbling catch-up (nothing
+    ///    shared) and for a few windows over thousands of indexed slices.
+    ///
+    /// A sweep whose covered windows all contain one slice boundary (every
+    /// sliding sweep, every late-update sweep) is planned by that same
+    /// pass; only a sweep of several pivot groups is stabbed.
     ///
     /// [`query_time_each`]: SliceStore::query_time_each
     /// [`shared_scan`]: SliceStore::shared_scan
@@ -696,24 +699,21 @@ impl<A: AggregateFunction> SliceStore<A> {
             self.query_time_each(windows, emit);
             return 0;
         }
-        let (base, top) = self.hull(windows);
-        if base >= top {
+        let edges = self.resolve(windows);
+        if edges.base >= edges.top {
             return 0; // no slice under any window
         }
-        let bounds = self.resolve(windows, base, top);
-        let each_cost: usize =
-            bounds.iter().map(|&(l, r)| self.range_cost(r.saturating_sub(l))).sum();
         // Whatever the grouping, the scan visits every slice under the
         // sweep and combines once per window; only when that much can
-        // win are the windows stabbed to learn the prefix lengths.
-        let scan_floor = (top - base) + windows.len();
-        let plan = (scan_floor <= each_cost)
-            .then(|| SweepPlan::stab(&bounds, base, top - base))
-            .filter(|plan| scan_floor + plan.prefix_len <= each_cost);
+        // win is the sweep planned to learn the prefix length.
+        let scan_floor = (edges.top - edges.base) + windows.len();
+        let plan = (scan_floor <= edges.each_cost)
+            .then(|| SweepPlan::new(&edges))
+            .filter(|plan| scan_floor + plan.prefix_len <= edges.each_cost);
         let Some(plan) = plan else {
-            for ((tag, range), &(l, r)) in windows.iter().zip(&bounds) {
+            for ((tag, range), &(l, r)) in windows.iter().zip(&edges.bounds) {
                 if l < r {
-                    let (l, r) = (base + cast::idx32(l), base + cast::idx32(r));
+                    let (l, r) = (cast::idx32(l), cast::idx32(r));
                     debug_assert!(self.aligned(*range, l, r), "window {range} off its slices");
                     if let Some(p) = self.query_slice_range(l, r) {
                         emit(tag, *range, p);
@@ -722,7 +722,7 @@ impl<A: AggregateFunction> SliceStore<A> {
             }
             return 0;
         };
-        self.emit_scanned(windows, &bounds, &plan, &mut emit);
+        self.emit_scanned(windows, &edges.bounds, &plan, &mut emit);
         windows.len()
     }
 
@@ -740,81 +740,66 @@ impl<A: AggregateFunction> SliceStore<A> {
         windows: &[(T, Range)],
         mut emit: impl FnMut(&T, Range, A::Partial),
     ) {
-        let (base, top) = self.hull(windows);
-        if base < top {
-            let bounds = self.resolve(windows, base, top);
-            let plan = SweepPlan::stab(&bounds, base, top - base);
-            self.emit_scanned(windows, &bounds, &plan, &mut emit);
+        let edges = self.resolve(windows);
+        if edges.base < edges.top {
+            self.emit_scanned(windows, &edges.bounds, &SweepPlan::new(&edges), &mut emit);
         }
     }
 
-    /// Slice index range `[base, top)` under the union of `windows`.
-    fn hull<T>(&self, windows: &[(T, Range)]) -> (usize, usize) {
-        let lo = windows.iter().map(|(_, w)| w.start).min().unwrap_or(TIME_MAX);
-        let hi = windows.iter().map(|(_, w)| w.end).max().unwrap_or(TIME_MIN);
-        let base = self.slices.partition_point(|s| s.end() <= lo);
-        let top = self.slices.partition_point(|s| s.start() < hi);
-        (base, top)
+    /// Resolves every window's edges to the slices `[l, r)` it covers
+    /// (store indices; `l >= r` covers none), with the predicates of
+    /// [`query_time`](SliceStore::query_time), and gathers what planning
+    /// the sweep needs in the same pass.
+    ///
+    /// Each edge is galloped from the previous window's, over the slice
+    /// records where they lie (the deque's two halves): consecutive
+    /// windows of a sweep sit a slide apart, so a window costs a few
+    /// probes, and a few windows far apart over thousands of slices cost
+    /// `O(log d)` each — no column is copied.
+    fn resolve<T>(&self, windows: &[(T, Range)]) -> SweepEdges {
+        let (front, back) = self.slices.as_slices();
+        let index_cost = self.index_cost();
+        let mut edges = SweepEdges {
+            bounds: Vec::with_capacity(windows.len()),
+            base: usize::MAX,
+            max_l: 0,
+            min_r: usize::MAX,
+            top: 0,
+            each_cost: 0,
+        };
+        let (mut l, mut r) = (0, 0);
+        for (_, w) in windows {
+            l = gallop_halves(front, back, l, |s| s.end() <= w.start);
+            r = gallop_halves(front, back, r, |s| s.start() < w.end);
+            edges.bounds.push((cast::slot32(l), cast::slot32(r)));
+            if l < r {
+                edges.base = edges.base.min(l);
+                edges.max_l = edges.max_l.max(l);
+                edges.min_r = edges.min_r.min(r);
+                edges.top = edges.top.max(r);
+                edges.each_cost += match index_cost {
+                    Some(cost) if r - l > INDEX_SCAN_CUTOFF => cost,
+                    _ => r - l,
+                };
+            }
+        }
+        edges
     }
 
     /// Combines [`query_slice_range`](SliceStore::query_slice_range)
-    /// spends on a range of `n` slices.
+    /// spends on a range longer than `INDEX_SCAN_CUTOFF` slices: `None`
+    /// without an index (the range's length, then).
     ///
     /// An index is priced by policy, built or not. A finger tree not yet
     /// built answers a long range by scanning, but pricing it so would
     /// keep every long range on the scan and the tree would never be
     /// asked for; priced as built, a sweep that wants per-window queries
     /// gets them, and its first long query triggers the build.
-    fn range_cost(&self, n: u32) -> usize {
-        let n = cast::idx32(n);
-        if n <= INDEX_SCAN_CUTOFF || matches!(self.index, AggIndex::None) {
-            n
-        } else {
-            2 * cast::idx32(self.slices.len().ilog2())
+    fn index_cost(&self) -> Option<usize> {
+        match self.index {
+            AggIndex::None => None,
+            _ => Some(2 * cast::idx32(self.slices.len().max(1).ilog2())),
         }
-    }
-
-    /// Resolves every window's edges to the slices `[l, r)` it covers,
-    /// relative to `base`; a window with `l >= r` covers none. The
-    /// predicates are [`query_time`](SliceStore::query_time)'s own.
-    ///
-    /// A dense sweep looks its edges up in two dense columns (slice
-    /// starts, slice ends) copied once from the ~136-byte slice records,
-    /// galloping from the previous window's position: consecutive
-    /// windows of a sweep sit a slide apart. When the slices under the
-    /// sweep outnumber the probes that saves (few windows, far apart or
-    /// very long), each window binary-searches the records as
-    /// `query_time` does.
-    fn resolve<T>(&self, windows: &[(T, Range)], base: usize, top: usize) -> Vec<(u32, u32)> {
-        let span = top - base;
-        let relative = |i: usize| cast::slot32(i.saturating_sub(base));
-        // `top > base`, so the store is non-empty.
-        let probes = 2 * (cast::idx32(self.slices.len().ilog2()) + 1);
-        if span > windows.len() * probes {
-            return windows
-                .iter()
-                .map(|(_, w)| {
-                    let l = self.slices.partition_point(|s| s.end() <= w.start);
-                    let r = self.slices.partition_point(|s| s.start() < w.end);
-                    (relative(l), relative(r))
-                })
-                .collect();
-        }
-        let mut starts = Vec::with_capacity(span);
-        let mut ends = Vec::with_capacity(span);
-        for s in self.slices.range(base..top) {
-            starts.push(s.start());
-            ends.push(s.end());
-        }
-        let (mut l, mut r) = (0, 0);
-        windows
-            .iter()
-            .map(|(_, w)| {
-                l = gallop(&ends, l, |end| end <= w.start);
-                r = gallop(&starts, r, |start| start < w.end);
-                (cast::slot32(l), cast::slot32(r))
-            })
-            .collect()
     }
 
     /// Builds the scan columns of a planned sweep and emits its windows
@@ -842,15 +827,17 @@ impl<A: AggregateFunction> SliceStore<A> {
                 (a.0.min(b.0), a.1.max(b.1))
             })
         });
+        let base = cast::slot32(plan.base);
         for (i, ((tag, range), &(l, r))) in windows.iter().zip(bounds).enumerate() {
             if l >= r {
                 continue;
             }
             if cfg!(feature = "audit") && i % 16 == 0 {
-                let (l, r) = (plan.base + cast::idx32(l), plan.base + cast::idx32(r));
+                let (l, r) = (cast::idx32(l), cast::idx32(r));
                 assert_eq!(l, self.slices.partition_point(|s| s.end() <= range.start));
                 assert_eq!(r, self.slices.partition_point(|s| s.start() < range.end));
             }
+            let (l, r) = (l - base, r - base);
             if let Some((first, last)) = extents.as_ref().and_then(|e| e.answer(plan, l, r)) {
                 debug_assert!(
                     first >= range.start && last < range.end,
@@ -1017,14 +1004,39 @@ impl<A: AggregateFunction> HeapSize for SliceStore<A> {
 }
 
 /// Sweeps with fewer windows than this are answered per window without
-/// looking at anything else: below it the scan's fixed costs (two edge
-/// columns, the plan, the scan columns) are not recovered even when
-/// every window shares one pivot.
+/// looking at anything else: below it the scan's fixed costs (the edge
+/// pass, the plan, the scan columns) are not recovered even when every
+/// window shares one pivot.
 pub(crate) const MIN_BATCH_WINDOWS: usize = 9;
+
+/// The windows of one sweep resolved to slices, and what planning needs
+/// of them. Every extreme is taken over the covered windows (`l < r`)
+/// only; with none, `base > top`.
+struct SweepEdges {
+    /// Per window, the store indices `[l, r)` of the slices it covers.
+    bounds: Vec<(u32, u32)>,
+    /// Smallest `l`: the store index of the first slice under the sweep.
+    base: usize,
+    max_l: usize,
+    min_r: usize,
+    /// Largest `r`: one past the last slice under the sweep.
+    top: usize,
+    /// What answering each window on its own costs, summed.
+    each_cost: usize,
+}
+
+impl SweepEdges {
+    /// Whether every covered window contains boundary `min_r`: the
+    /// sweep is one pivot group.
+    fn one_pivot(&self) -> bool {
+        self.max_l < self.min_r
+    }
+}
 
 /// One pivot group of a planned sweep: windows that all contain slice
 /// boundary `pivot`. Positions are boundaries relative to the plan's
 /// `base` (boundary `x` sits before slice `x`).
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct ScanGroup {
     pivot: u32,
     /// Largest right edge in the group; the prefix scan covers slices
@@ -1034,12 +1046,13 @@ struct ScanGroup {
     prefix_at: u32,
 }
 
-/// The resolved windows of one sweep, stabbed into pivot groups.
+/// The resolved windows of one sweep, in pivot groups.
 struct SweepPlan {
     /// Store index of the first slice under the sweep.
     base: usize,
     /// Per boundary `0..=span`, the group whose pivot is the first at or
-    /// after it — the group of every window starting there.
+    /// after it — the group of every window starting there. Empty for a
+    /// plan of one group.
     group_of: Vec<u32>,
     groups: Vec<ScanGroup>,
     /// Entries in the prefix column (Σ `reach - pivot`).
@@ -1047,18 +1060,50 @@ struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// Stabs the resolved windows `bounds` (over `span` slices from
-    /// store index `base`) greedily: the smallest right edge among the
-    /// windows not yet stabbed becomes a pivot, and every window starting
-    /// at or before it joins its group — the minimum number of stabbing
+    /// Plans a sweep with at least one covered window: a one-group
+    /// sweep in constant time, any other by stabbing.
+    fn new(edges: &SweepEdges) -> Self {
+        if edges.one_pivot() {
+            Self::one_pivot(edges)
+        } else {
+            Self::stab(edges)
+        }
+    }
+
+    /// The plan of a sweep whose covered windows all contain boundary
+    /// `min_r` ([`SweepEdges::one_pivot`]): one group from `min_r` to
+    /// the largest right edge. It is the group [`stab`](Self::stab)
+    /// finds, read off the edge pass with nothing over the span.
+    fn one_pivot(edges: &SweepEdges) -> Self {
+        debug_assert!(edges.one_pivot());
+        let (pivot, reach) = (edges.min_r - edges.base, edges.top - edges.base);
+        SweepPlan {
+            base: edges.base,
+            group_of: Vec::new(),
+            groups: vec![ScanGroup {
+                pivot: cast::slot32(pivot),
+                reach: cast::slot32(reach),
+                prefix_at: 0,
+            }],
+            prefix_len: reach - pivot,
+        }
+    }
+
+    /// Stabs the resolved windows greedily, for a sweep of any number
+    /// of pivot groups: the smallest right edge among the windows not
+    /// yet stabbed becomes a pivot, and every window starting at or
+    /// before it joins its group — the minimum number of stabbing
     /// points. No sort is needed: `first[x]`, the smallest right edge
     /// among windows starting at or after boundary `x`, is a
-    /// suffix-minimum over the boundaries, and the pivots are `first[0]`,
-    /// `first[p₁ + 1]`, `first[p₂ + 1]`, …
-    fn stab(bounds: &[(u32, u32)], base: usize, span: usize) -> Self {
-        let covered = || bounds.iter().filter(|(l, r)| l < r);
+    /// suffix-minimum over the boundaries under the sweep, and the
+    /// pivots are `first[0]`, `first[p₁ + 1]`, `first[p₂ + 1]`, …
+    fn stab(edges: &SweepEdges) -> Self {
+        let base = cast::slot32(edges.base);
+        let span = edges.top - edges.base;
+        let covered =
+            || edges.bounds.iter().filter(|(l, r)| l < r).map(|&(l, r)| (l - base, r - base));
         let mut first = vec![u32::MAX; span + 1];
-        for &(l, r) in covered() {
+        for (l, r) in covered() {
             let slot = &mut first[cast::idx32(l)];
             *slot = (*slot).min(r);
         }
@@ -1080,7 +1125,7 @@ impl SweepPlan {
             }
             *slot = cast::slot32(g);
         }
-        for &(l, r) in covered() {
+        for (l, r) in covered() {
             let group = &mut groups[cast::idx32(group_of[cast::idx32(l)])];
             group.reach = group.reach.max(r);
         }
@@ -1089,7 +1134,16 @@ impl SweepPlan {
             group.prefix_at = prefix_len;
             prefix_len += group.reach - group.pivot;
         }
-        SweepPlan { base, group_of, groups, prefix_len: cast::idx32(prefix_len) }
+        SweepPlan { base: edges.base, group_of, groups, prefix_len: cast::idx32(prefix_len) }
+    }
+
+    /// The group of a window starting at boundary `l`.
+    fn group(&self, l: u32) -> &ScanGroup {
+        if self.group_of.is_empty() {
+            &self.groups[0]
+        } else {
+            &self.groups[cast::idx32(self.group_of[cast::idx32(l)])]
+        }
     }
 }
 
@@ -1131,7 +1185,7 @@ impl<M: Clone, C: Fn(M, &M) -> M> SharedScan<M, C> {
     /// The fold of slices `[l, r)` of a window the plan resolved
     /// (`l < r`).
     fn answer(&self, plan: &SweepPlan, l: u32, r: u32) -> Option<M> {
-        let g = &plan.groups[cast::idx32(plan.group_of[cast::idx32(l)])];
+        let g = plan.group(l);
         let left = if l < g.pivot { self.suffix[cast::idx32(l)].clone() } else { None };
         let right = if r > g.pivot {
             self.prefix[cast::idx32(g.prefix_at + r - g.pivot - 1)].as_ref()
@@ -1151,10 +1205,18 @@ fn merge_opt<M: Clone>(a: Option<M>, b: Option<&M>, combine: impl Fn(M, &M) -> M
     }
 }
 
-/// `col.partition_point(below)` for a sorted column, found by galloping
-/// outwards from `hint`: `O(log distance)` instead of `O(log n)`.
-fn gallop(col: &[Time], hint: usize, below: impl Fn(Time) -> bool) -> usize {
-    gallop_by(col.len(), hint, |i| below(col[i]))
+/// The partition point of `below` over `front` followed by `back` (a
+/// `VecDeque`'s two halves), galloped outwards from `hint`:
+/// `O(log distance)` probes of the records where they lie.
+#[inline]
+fn gallop_halves<S>(front: &[S], back: &[S], hint: usize, below: impl Fn(&S) -> bool) -> usize {
+    match front.last() {
+        Some(last) if !below(last) => gallop_by(front.len(), hint, |i| below(&front[i])),
+        _ => {
+            front.len()
+                + gallop_by(back.len(), hint.saturating_sub(front.len()), |i| below(&back[i]))
+        }
+    }
 }
 
 /// The partition point of `below` over positions `0..n` (true on a
@@ -1943,8 +2005,8 @@ mod tests {
             assert_eq!(scanned(&st, &tumbling), 0, "{policy:?}");
         }
         // A dozen windows over thousands of slices: an index answers
-        // each in O(log d), a store without one gains from the scan only
-        // once the windows outnumber the probes the edge columns save.
+        // each in O(log d); a store without one folds each window's
+        // slices, and there the scan's one pass wins.
         let st = dense(StorePolicy::FingerTree, 3_000);
         assert_eq!(scanned(&st, &windows_over(3_000, 2_900, 12)), 0);
         // Holistic partials are never scanned.
@@ -1956,18 +2018,112 @@ mod tests {
         assert_eq!(concat.query_time_batch(&windows_over(100, 50, 40), |_, _, _| {}), 0);
     }
 
+    /// What `plan` answers for a resolved sweep, one entry per window.
+    fn planned<A: AggregateFunction>(
+        st: &SliceStore<A>,
+        windows: &[((), Range)],
+        edges: &SweepEdges,
+        plan: &SweepPlan,
+    ) -> Vec<Option<A::Partial>> {
+        emitted::<A>(windows, |mut emit| st.emit_scanned(windows, &edges.bounds, plan, &mut emit))
+    }
+
     #[test]
-    fn gallop_matches_partition_point_from_every_hint() {
-        let col: Vec<Time> = vec![0, 10, 10, 20, 35, 35, 35, 50, 80];
-        for probe in -5..90 {
-            let want_le = col.partition_point(|&t| t <= probe);
-            let want_lt = col.partition_point(|&t| t < probe);
-            for hint in 0..=col.len() + 2 {
-                assert_eq!(gallop(&col, hint, |t| t <= probe), want_le, "<= {probe} from {hint}");
-                assert_eq!(gallop(&col, hint, |t| t < probe), want_lt, "< {probe} from {hint}");
+    fn one_pivot_plan_is_the_greedy_stabs_plan() {
+        // A seeded grid of sweeps over a store with a gap, empty slices
+        // and an open slice; edges in slice units of 10 from -4 on. No
+        // window starts inside the open slice, past its one tuple.
+        let st = gappy(Concat, StorePolicy::Lazy);
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut below = |n: i64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            ((z ^ (z >> 29)) % n as u64) as i64
+        };
+        let window = |a: i64, b: i64| ((), Range::new(a.min(48) * 10, b.max(a.min(48)) * 10));
+        let (mut one, mut many) = (0, 0);
+        for case in 0..600 {
+            let mut windows = Vec::new();
+            // Two families per sweep, so one-group and many-group sweeps mix.
+            for family in [case % 6, below(6)] {
+                let (at, len) = (below(56) - 4, 1 + below(30));
+                match family {
+                    // Sliding: `count` windows of `len`, a slide apart.
+                    0 => {
+                        let (slide, count) = (1 + below(3), 1 + below(12));
+                        windows.extend(
+                            (0..count).map(|i| window(at + i * slide, at + i * slide + len)),
+                        );
+                    }
+                    // Nested tumbling windows that end together.
+                    1 => windows
+                        .extend((1..=1 + below(5)).map(|k| window(at + len - k * 3, at + len))),
+                    // A disjoint tumbling catch-up.
+                    2 => windows.extend(
+                        (0..1 + below(10)).map(|i| window(at + i * len, at + (i + 1) * len)),
+                    ),
+                    // Windows with `l >= r`: inside the gap, before the
+                    // store, or empty.
+                    3 => {
+                        windows.extend([window(4, 7), window(5, 6), window(-8, -4), window(at, at)])
+                    }
+                    // A single window.
+                    4 => windows.push(window(at, at + len)),
+                    // One long window and windows nested in it.
+                    _ => {
+                        windows.push(window(at, at + len));
+                        windows
+                            .extend((0..below(4)).map(|i| window(at + i, at + i + 1 + below(len))));
+                    }
+                }
+            }
+            // Sweeps list windows query by query, not sorted.
+            if below(2) == 0 {
+                windows.reverse();
+            }
+            let edges = st.resolve(&windows);
+            if edges.base >= edges.top {
+                continue; // no slice under any window: nothing to plan
+            }
+            let want = each(&st, &windows);
+            let stab = SweepPlan::stab(&edges);
+            assert_eq!(planned(&st, &windows, &edges, &stab), want, "case {case}: stab");
+            if edges.one_pivot() {
+                let plan = SweepPlan::one_pivot(&edges);
+                assert_eq!(plan.base, stab.base, "case {case}");
+                assert_eq!(plan.groups, stab.groups, "case {case}: pivot and reach");
+                assert_eq!(plan.prefix_len, stab.prefix_len, "case {case}");
+                assert_eq!(planned(&st, &windows, &edges, &plan), want, "case {case}: one pivot");
+                one += 1;
+            } else {
+                many += 1;
             }
         }
-        assert_eq!(gallop(&[], 3, |t| t < 5), 0);
+        assert!(one >= 100 && many >= 100, "grid too narrow: {one} one-group, {many} many-group");
+    }
+
+    #[test]
+    fn gallop_matches_partition_point_from_every_hint() {
+        // Every split of the column into a deque's two halves, the empty
+        // ones included.
+        let col: Vec<Time> = vec![0, 10, 10, 20, 35, 35, 35, 50, 80];
+        for split in 0..=col.len() {
+            let (front, back) = col.split_at(split);
+            for probe in -5..90 {
+                let want_le = col.partition_point(|&t| t <= probe);
+                let want_lt = col.partition_point(|&t| t < probe);
+                for hint in 0..=col.len() + 2 {
+                    let at = format!("{probe} from {hint}, split at {split}");
+                    assert_eq!(
+                        gallop_halves(front, back, hint, |&t| t <= probe),
+                        want_le,
+                        "<= {at}"
+                    );
+                    assert_eq!(gallop_halves(front, back, hint, |&t| t < probe), want_lt, "< {at}");
+                }
+            }
+        }
+        assert_eq!(gallop_halves::<Time>(&[], &[], 3, |&t| t < 5), 0);
     }
 
     #[test]
