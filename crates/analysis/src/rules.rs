@@ -8,7 +8,7 @@
 //!
 //! | rule              | scope                                   | requirement |
 //! |-------------------|-----------------------------------------|-------------|
-//! | `no-panic`        | library code (not tests/benches/bins)   | no `.unwrap()` / `.expect(` / `panic!` / `todo!` / `unimplemented!` |
+//! | `no-panic`        | library code (not tests/benches/bins)   | no `.unwrap()` / `.expect(` / `panic!` / `todo!` / `unimplemented!` / `unreachable!` |
 //! | `unsafe-safety`   | everywhere                              | every `unsafe` is preceded by a `// SAFETY:` comment |
 //! | `core-cast`       | `gss-core` library code                 | no bare `as usize` / `as i64` (use `gss_core::cast` helpers) |
 //! | `std-hashmap`     | hot crates (core/stream/baselines/aggregates) | no default-hasher `HashMap` (use the `FxHashMap` shim) |
@@ -95,7 +95,9 @@ pub fn check_file(path: &str, src: &str) -> Vec<Violation> {
     for (line0, code) in scanned.code_lines().enumerate() {
         let line = line0 + 1;
         if is_library_code(path) && !in_tests(line0) {
-            for needle in [".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!"] {
+            for needle in
+                [".unwrap()", ".expect(", "panic!", "todo!", "unimplemented!", "unreachable!"]
+            {
                 if find_token(code, needle) {
                     out.push(Violation {
                         path: path.to_string(),
@@ -289,6 +291,16 @@ mod tests {
     fn expect_tok_is_not_expect() {
         assert!(check_file("crates/query/src/sql.rs", "fn f() { p.expect_tok(t); }\n").is_empty());
         assert_eq!(rules_of("crates/query/src/sql.rs", "fn f() { p.expect(t); }\n"), ["no-panic"]);
+    }
+
+    #[test]
+    fn unreachable_in_library_code_flagged() {
+        let src =
+            "fn f(x: Option<u8>) -> u8 { match x { Some(v) => v, None => unreachable!() } }\n";
+        assert_eq!(rules_of("crates/core/src/x.rs", src), ["no-panic"]);
+        assert!(check_file("crates/core/tests/t.rs", src).is_empty());
+        // `debug_unreachable!`-style names are other macros.
+        assert!(check_file("crates/core/src/x.rs", "fn f() { my_unreachable!(); }\n").is_empty());
     }
 
     #[test]

@@ -494,8 +494,7 @@ fn canon_par<'a>(results: impl Iterator<Item = &'a gss_core::WindowResult<i64>>)
 
 /// Sequential reference for the parallel cell: one operator, same
 /// elements, same config.
-fn par_reference(workload: Workload) -> Vec<Emit> {
-    let mut op = plain_operator();
+fn par_reference(mut op: WindowOperator<SumI64>, workload: Workload) -> Vec<Emit> {
     let mut out = Vec::new();
     for e in par_elements(workload) {
         match e {
@@ -509,7 +508,11 @@ fn par_reference(workload: Workload) -> Vec<Emit> {
 
 /// Explores the parallel protocol with `workers` workers.
 pub fn par_cell(workers: usize, workload: Workload, mode: &Explore) -> Cell {
-    let expect = par_reference(workload);
+    let name = format!("par/workers={workers}/{workload:?}");
+    let expect = match plain_operator() {
+        Ok(op) => par_reference(op, workload),
+        Err(why) => return refused(name, why),
+    };
     let elements = par_elements(workload);
     let run = move |strategy: Box<dyn Strategy>| {
         let elements = elements.clone();
@@ -535,7 +538,7 @@ pub fn par_cell(workers: usize, workload: Workload, mode: &Explore) -> Cell {
         }
         check_probes(&out.probes, workers, false)
     };
-    explore(&format!("par/workers={workers}/{workload:?}"), mode, &run, &oracle)
+    explore(&name, mode, &run, &oracle)
 }
 
 /// One canonical keyed emission: `(key, start, end, value, is_update)`.
@@ -666,22 +669,32 @@ pub fn shard_cell(shards: usize, workload: Workload, mode: &Explore) -> Cell {
 /// and the emission.
 type PartEmit = (usize, Emit);
 
-fn plain_operator() -> WindowOperator<SumI64> {
+/// The sequential operator of the `run_parallel` and `run_keyed`
+/// references and of every `run_keyed` partition, or why it refused a
+/// query.
+fn plain_operator() -> Result<WindowOperator<SumI64>, String> {
     let mut op = WindowOperator::new(SumI64, par_op_cfg());
-    for w in &par_windows() {
-        if op.add_query(w.clone_box()).is_err() {
-            unreachable!("time-measure queries cannot conflict");
-        }
+    for w in par_windows() {
+        op.add_query(w).map_err(|e| format!("plain operator refused a query: {e}"))?;
     }
-    op
+    Ok(op)
+}
+
+/// A cell that could not be set up, reported as its violation.
+fn refused(name: String, why: String) -> Cell {
+    Cell { name, schedules: 0, truncated: false, max_yields: 0, violation: Some(why) }
 }
 
 /// Sequential reference for the `run_keyed` cell: one operator per
 /// partition over that partition's records and every watermark.
-fn keyed_reference(elements: &[StreamElement<(u64, i64)>], partitions: usize) -> Vec<PartEmit> {
+fn keyed_reference(
+    plain: &WindowOperator<SumI64>,
+    elements: &[StreamElement<(u64, i64)>],
+    partitions: usize,
+) -> Vec<PartEmit> {
     let mut expect = Vec::new();
     for part in 0..partitions {
-        let mut op = plain_operator();
+        let mut op = plain.clone();
         let mut out = Vec::new();
         for e in elements {
             match *e {
@@ -707,14 +720,19 @@ fn keyed_reference(elements: &[StreamElement<(u64, i64)>], partitions: usize) ->
 /// clear. Per partition the emissions must be the sequential operator's,
 /// and every buffer handed back must be empty (`check_probes`).
 pub fn keyed_cell(partitions: usize, workload: Workload, mode: &Explore) -> Cell {
+    let name = format!("keyed/partitions={partitions}/{workload:?}");
+    let plain = match plain_operator() {
+        Ok(op) => op,
+        Err(why) => return refused(name, why),
+    };
     let elements = keyed_elements(spread_keys(partition_of, partitions), workload);
-    let expect = keyed_reference(&elements, partitions);
+    let expect = keyed_reference(&plain, &elements, partitions);
     let run = move |strategy: Box<dyn Strategy>| {
-        let elements = elements.clone();
+        let (elements, plain) = (elements.clone(), plain.clone());
         run_controlled(strategy, move || {
             let cfg = pipe_cfg(partitions, workload).with_batch_size(2);
             let report = run_keyed::<SumI64, _>(elements, cfg, |_| {
-                Box::new(plain_operator()) as Box<dyn WindowAggregator<SumI64>>
+                Box::new(plain.clone()) as Box<dyn WindowAggregator<SumI64>>
             });
             let mut got: Vec<PartEmit> = report
                 .results
@@ -741,7 +759,7 @@ pub fn keyed_cell(partitions: usize, workload: Workload, mode: &Explore) -> Cell
         }
         check_probes(&out.probes, partitions, false)
     };
-    explore(&format!("keyed/partitions={partitions}/{workload:?}"), mode, &run, &oracle)
+    explore(&name, mode, &run, &oracle)
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@
 //! * `Timeline` — slices are non-empty, and contiguous (each slice
 //!   starts where its predecessor ends), after every extension and
 //!   eviction; the global-index base shifts in lockstep.
-//! * `FlatFat` — after `repair_dirty`: the dirty set is empty, spare
+//! * `FlatFat` — with the store's checks: spare
 //!   leaves beyond `len` are vacant, and every internal node is present
 //!   exactly when one of its children is.
 //! * `SliceStore` — slices stay in ascending, non-overlapping order and

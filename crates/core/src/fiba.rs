@@ -15,21 +15,17 @@
 //!   two hot access patterns cheap: an in-order run commit touches the
 //!   last leaf in O(1) + one path recompute, and an out-of-order write a
 //!   distance `d` behind the stream head climbs the spine from the
-//!   nearer finger in O(log d) instead of O(log n). A third, roaming
-//!   finger remembers the interior leaf the last write ended in, so a
-//!   run of writes to neighbouring positions (a late batch applied in
-//!   slice order) pays the distance between neighbours, not the
-//!   distance to an end.
+//!   nearer finger in O(log d) instead of O(log n).
 //! * **Structural inserts/removals are local.** `FlatFat` rebuilds its
 //!   whole dense array on `insert`/`remove`/`remove_prefix` (O(n) per
 //!   gap slice or eviction); here an insert splits at most one path and
 //!   a watermark eviction of `k` leading slices releases whole subtrees
 //!   along the left spine — O(k + log n) total, amortized O(1) per
 //!   evicted slice.
-//! * **Deferred repair.** Same contract as `FlatFat`: `update_deferred`
-//!   marks the leaf-to-root path dirty and `repair_dirty` recomputes
-//!   exactly the dirty subtrees, so a batch of k late writes near the
-//!   stream head repairs their shared path once instead of k times.
+//! * **Deferred repair.** `update_deferred` marks the leaf-to-root path
+//!   dirty and `repair_dirty` recomputes exactly the dirty subtrees, so
+//!   k writes near the stream head repair their shared path once
+//!   instead of k times.
 //!
 //! The dirty discipline keeps one invariant at all times: **a dirty
 //! node's ancestors are dirty** (so `repair_dirty` finds every stale
@@ -84,10 +80,6 @@ pub struct FingerTree<A: AggregateFunction> {
     first_leaf: u32,
     /// Right finger: the rightmost leaf (the open slice).
     last_leaf: u32,
-    /// Roaming finger: the interior leaf the last write was located in
-    /// and the position of its first item (`NIL` when unset). Dropped on
-    /// every structural change — positions shift and leaves split.
-    roaming: (u32, usize),
     /// Total leaf positions.
     len: usize,
     /// Number of dirty nodes (leaves and internals).
@@ -103,7 +95,6 @@ impl<A: AggregateFunction> FingerTree<A> {
             root: NIL,
             first_leaf: NIL,
             last_leaf: NIL,
-            roaming: (NIL, 0),
             len: 0,
             dirty_count: 0,
         }
@@ -119,7 +110,8 @@ impl<A: AggregateFunction> FingerTree<A> {
     }
 
     /// Whether deferred writes are pending repair.
-    pub fn has_dirty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_dirty(&self) -> bool {
         self.dirty_count > 0
     }
 
@@ -159,7 +151,7 @@ impl<A: AggregateFunction> FingerTree<A> {
 
     /// Appends a leaf, deferring aggregate maintenance: the path is
     /// marked dirty (counts are still kept exact) for `repair_dirty`.
-    pub fn push_deferred(&mut self, p: Option<A::Partial>) {
+    pub(crate) fn push_deferred(&mut self, p: Option<A::Partial>) {
         let leaf = self.push_raw(p);
         self.defer_refresh_up(leaf);
     }
@@ -168,7 +160,7 @@ impl<A: AggregateFunction> FingerTree<A> {
     /// O(1) at the fingers plus an O(log d) path recompute.
     pub fn update(&mut self, i: usize, p: Option<A::Partial>) {
         assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
-        let (leaf, off) = self.seek(i);
+        let (leaf, off) = self.locate(i);
         if let Entries::Leaf(items) = &mut self.nodes[idx32(leaf)].entries {
             items[off] = p;
         }
@@ -177,12 +169,11 @@ impl<A: AggregateFunction> FingerTree<A> {
 
     /// Replaces the partial at `i`, deferring ancestor recomputation to
     /// `repair_dirty` — k writes near the stream head share one path
-    /// repair instead of paying k, and a run of writes to neighbouring
-    /// positions is O(1) amortised each (roaming finger, then a mark
-    /// that stops at the first already-dirty ancestor).
+    /// repair instead of paying k (the mark stops at the first
+    /// already-dirty ancestor).
     pub fn update_deferred(&mut self, i: usize, p: Option<A::Partial>) {
         assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
-        let (leaf, off) = self.seek(i);
+        let (leaf, off) = self.locate(i);
         if let Entries::Leaf(items) = &mut self.nodes[idx32(leaf)].entries {
             items[off] = p;
         }
@@ -372,10 +363,9 @@ impl<A: AggregateFunction> FingerTree<A> {
     // ------------------------------------------------------------------
 
     /// Leaf id and in-leaf offset of position `i`. O(1) on an end
-    /// finger's leaf; otherwise climbs from a finger — the roaming one
-    /// when `i` is near it, else the nearer end's spine — until the
+    /// finger's leaf; otherwise climbs the nearer end's spine until the
     /// subtree covers `i`, then descends: O(log d) for distance `d` from
-    /// that finger.
+    /// that end.
     fn locate(&self, i: usize) -> (u32, usize) {
         debug_assert!(i < self.len, "locate({i}) out of bounds (len {})", self.len);
         let last = self.last_leaf;
@@ -389,29 +379,7 @@ impl<A: AggregateFunction> FingerTree<A> {
             return (first, i);
         }
         let from_end = self.len - 1 - i;
-        let (leaf, leaf_start) = self.roaming;
-        // A level of the roaming climb scans a child row where a level
-        // of a spine climb reads one count, so the roaming finger has to
-        // be nearer by a margin — the square root of the end distance —
-        // before it wins (measured: with a plain "nearer" rule, random
-        // writes 200 positions behind the head got a third slower).
-        let away = i.abs_diff(leaf_start);
-        if leaf != NIL && away * away < i.min(from_end) {
-            // Track where each subtree on the way up starts: a parent
-            // starts where its first child does.
-            let (mut n, mut start) = (leaf, leaf_start);
-            while i < start || i - start >= self.nodes[idx32(n)].count {
-                let parent = self.nodes[idx32(n)].parent;
-                debug_assert!(parent != NIL, "climb past root (counts corrupt)");
-                if let Entries::Internal(children) = &self.nodes[idx32(parent)].entries {
-                    for &c in children.iter().take_while(|&&c| c != n) {
-                        start -= self.nodes[idx32(c)].count;
-                    }
-                }
-                n = parent;
-            }
-            self.descend(n, i - start)
-        } else if i <= from_end {
+        if i <= from_end {
             // Left-spine ancestors of the first leaf cover prefixes
             // [0, count): climb until the prefix contains i.
             let mut n = first;
@@ -430,16 +398,6 @@ impl<A: AggregateFunction> FingerTree<A> {
             let start = self.len - self.nodes[idx32(n)].count;
             self.descend(n, i - start)
         }
-    }
-
-    /// [`locate`](Self::locate) for writes: leaves the roaming finger on
-    /// the leaf found, unless an end finger already holds it.
-    fn seek(&mut self, i: usize) -> (u32, usize) {
-        let (leaf, off) = self.locate(i);
-        if leaf != self.first_leaf && leaf != self.last_leaf {
-            self.roaming = (leaf, i - off);
-        }
-        (leaf, off)
     }
 
     /// Descends from `n` to the leaf containing subtree-relative
@@ -517,7 +475,6 @@ impl<A: AggregateFunction> FingerTree<A> {
         self.root = NIL;
         self.first_leaf = NIL;
         self.last_leaf = NIL;
-        self.roaming = (NIL, 0);
         self.len = 0;
         self.dirty_count = 0;
     }
@@ -808,10 +765,9 @@ impl<A: AggregateFunction> FingerTree<A> {
         }
     }
 
-    /// Re-derives both end fingers by walking the outer spines and drops
-    /// the roaming one. O(height); called after every structural change.
+    /// Re-derives both end fingers by walking the outer spines.
+    /// O(height); called after every structural change.
     fn refresh_fingers(&mut self) {
-        self.roaming = (NIL, 0);
         if self.root == NIL {
             self.first_leaf = NIL;
             self.last_leaf = NIL;
@@ -864,16 +820,6 @@ impl<A: AggregateFunction> FingerTree<A> {
         assert_eq!(dirty_seen, self.dirty_count, "dirty counter out of sync");
         assert_eq!(leaves.first().copied(), Some(self.first_leaf), "left finger stale");
         assert_eq!(leaves.last().copied(), Some(self.last_leaf), "right finger stale");
-        let (leaf, leaf_start) = self.roaming;
-        if leaf != NIL {
-            let mut start = 0;
-            let found = leaves.iter().any(|&l| {
-                let here = l == leaf && start == leaf_start;
-                start += self.nodes[idx32(l)].count;
-                here
-            });
-            assert!(found, "roaming finger stale");
-        }
     }
 
     fn check_node(
@@ -955,7 +901,6 @@ impl<A: AggregateFunction> HeapSize for FingerTree<A> {
 mod tests {
     use super::*;
     use crate::testsupport::{Concat, SumI64};
-    use proptest::prelude::*;
 
     fn filled(n: usize) -> FingerTree<SumI64> {
         let mut t = FingerTree::new(SumI64);
@@ -1128,93 +1073,6 @@ mod tests {
         t.assert_invariants();
         let expect: i64 = (1..=9).sum::<i64>() + (100..130).sum::<i64>();
         assert_eq!(t.total().copied(), Some(expect));
-    }
-
-    #[derive(Debug, Clone)]
-    enum Op {
-        Push(i64),
-        /// `update_deferred` a few positions from the previous write.
-        Walk(i64, i64),
-        /// `update_deferred` anywhere.
-        Jump(usize, i64),
-        Insert(usize, i64),
-        Remove(usize),
-        RemovePrefix(usize),
-    }
-
-    proptest! {
-        /// The roaming finger never changes what a lookup finds: with it
-        /// set (by walks of neighbouring deferred writes deep inside a
-        /// 400-leaf tree, where it is the finger of choice) and dropped
-        /// or left stale-looking by every structural operation in
-        /// between, `locate` answers as it does with the finger cleared,
-        /// and every position still holds the model's value.
-        #[test]
-        fn hinted_locate_equals_cold_locate(
-            ops in prop::collection::vec(
-                prop_oneof![
-                    (-100i64..100).prop_map(Op::Push),
-                    // Twice: walks are what sets the finger.
-                    (-12i64..13, -100i64..100).prop_map(|(d, v)| Op::Walk(d, v)),
-                    (-12i64..13, -100i64..100).prop_map(|(d, v)| Op::Walk(d, v)),
-                    (0usize..1_000, -100i64..100).prop_map(|(i, v)| Op::Jump(i, v)),
-                    (0usize..1_000, -100i64..100).prop_map(|(i, v)| Op::Insert(i, v)),
-                    (0usize..1_000).prop_map(Op::Remove),
-                    (0usize..12).prop_map(Op::RemovePrefix),
-                ],
-                1..120,
-            ),
-        ) {
-            let mut model: Vec<i64> = (0..400).collect();
-            let mut t = FingerTree::new(SumI64);
-            for &v in &model {
-                t.push_deferred(Some(v));
-            }
-            let mut at = 200usize;
-            for op in ops {
-                match op {
-                    Op::Push(v) => {
-                        t.push_deferred(Some(v));
-                        model.push(v);
-                    }
-                    Op::Walk(d, v) => {
-                        at = at.saturating_add_signed(d as isize).min(model.len() - 1);
-                        t.update_deferred(at, Some(v));
-                        model[at] = v;
-                    }
-                    Op::Jump(i, v) => {
-                        at = i % model.len();
-                        t.update_deferred(at, Some(v));
-                        model[at] = v;
-                    }
-                    Op::Insert(i, v) => {
-                        let i = i % (model.len() + 1);
-                        t.insert(i, Some(v));
-                        model.insert(i, v);
-                    }
-                    Op::Remove(i) => {
-                        let i = i % model.len();
-                        t.remove(i);
-                        model.remove(i);
-                    }
-                    Op::RemovePrefix(k) => {
-                        t.remove_prefix(k);
-                        model.drain(..k);
-                    }
-                }
-                t.assert_invariants();
-                prop_assert_eq!(t.len(), model.len());
-                let near = at.saturating_sub(20)..(at + 20).min(model.len());
-                for i in near.chain((0..model.len()).step_by(37)) {
-                    let hinted = t.locate(i);
-                    let roaming = std::mem::replace(&mut t.roaming, (NIL, 0));
-                    let cold = t.locate(i);
-                    t.roaming = roaming;
-                    prop_assert_eq!(hinted, cold, "position {} with finger {:?}", i, roaming);
-                    prop_assert_eq!(t.leaf(i).copied(), Some(model[i]));
-                }
-            }
-        }
     }
 
     #[test]

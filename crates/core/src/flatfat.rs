@@ -11,14 +11,8 @@
 //! affected ancestors, costing `O(n)` — which is exactly why out-of-order
 //! tuples hurt aggregate trees on tuples (paper Section 6.2.2) but rarely
 //! hurt eager slicing (inserts land in an existing slice, not a new leaf).
-//!
-//! For batched out-of-order ingestion the tree also supports *deferred*
-//! repair: [`FlatFat::update_deferred`] / [`FlatFat::push_deferred`] write
-//! leaves without walking their ancestors and record them in a dirty set;
-//! one [`FlatFat::repair_dirty`] call then recomputes the ancestors of the
-//! whole dirty frontier level by level. `m` deferred writes cost `m` leaf
-//! stores plus `O(m · log(n / m) + m)` combine steps in one repair, versus
-//! `m · O(log n)` for eager updates — shared ancestors are recomputed once.
+//! Every write repairs its ancestors before it returns, so the tree can be
+//! queried at any time.
 
 use crate::function::AggregateFunction;
 use crate::mem::HeapSize;
@@ -34,9 +28,6 @@ pub struct FlatFat<A: AggregateFunction> {
     /// `2 * cap` nodes; node 1 is the root, leaves start at `cap`.
     /// Index 0 is unused.
     nodes: Vec<Option<A::Partial>>,
-    /// Leaf indices whose ancestors are stale (deferred-repair writes).
-    /// Unsorted and possibly duplicated; [`FlatFat::repair_dirty`] dedups.
-    dirty: Vec<usize>,
 }
 
 impl<A: AggregateFunction> FlatFat<A> {
@@ -48,7 +39,7 @@ impl<A: AggregateFunction> FlatFat<A> {
     /// Creates an empty tree with room for `capacity` leaves.
     pub fn with_capacity(f: A, capacity: usize) -> Self {
         let cap = capacity.max(1).next_power_of_two();
-        FlatFat { f, len: 0, cap, nodes: vec![None; 2 * cap], dirty: Vec::new() }
+        FlatFat { f, len: 0, cap, nodes: vec![None; 2 * cap] }
     }
 
     /// Number of leaves.
@@ -64,7 +55,6 @@ impl<A: AggregateFunction> FlatFat<A> {
 
     /// The aggregate of all leaves (the root), `None` when empty.
     pub fn total(&self) -> Option<&A::Partial> {
-        debug_assert!(self.dirty.is_empty(), "total() on a dirty tree; call repair_dirty() first");
         self.nodes[1].as_ref()
     }
 
@@ -93,79 +83,9 @@ impl<A: AggregateFunction> FlatFat<A> {
         self.fix_ancestors(i);
     }
 
-    /// Replaces the leaf at `i` **without** repairing its ancestors,
-    /// recording it in the dirty set instead. The tree is inconsistent
-    /// until [`FlatFat::repair_dirty`] runs; queries assert on that.
-    pub fn update_deferred(&mut self, i: usize, p: Option<A::Partial>) {
-        assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
-        self.nodes[self.cap + i] = p;
-        self.mark_dirty(i);
-    }
-
-    /// Appends a leaf **without** repairing its ancestors (deferred bulk
-    /// append). Growth rebuilds the whole tree and therefore clears the
-    /// dirty set; otherwise the new leaf joins the dirty frontier.
-    pub fn push_deferred(&mut self, p: Option<A::Partial>) {
-        if self.len == self.cap {
-            self.grow(self.cap * 2);
-        }
-        let i = self.len;
-        self.len += 1;
-        self.nodes[self.cap + i] = p;
-        self.mark_dirty(i);
-    }
-
-    /// Records leaf `i` as having a stale ancestor path. Use after writing
-    /// the leaf through some other channel; pairs with
-    /// [`FlatFat::repair_dirty`].
-    fn mark_dirty(&mut self, i: usize) {
-        debug_assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
-        self.dirty.push(i);
-    }
-
-    /// Whether deferred writes are pending repair.
-    #[inline]
-    pub fn has_dirty(&self) -> bool {
-        !self.dirty.is_empty()
-    }
-
-    /// Recomputes the ancestors of every dirty leaf, level by level from
-    /// the leaves up. Each internal node on the dirty frontier is combined
-    /// exactly once, so `m` dirty leaves cost `O(m · log(n / m) + m)`
-    /// combine steps in total instead of `m` separate `O(log n)` walks.
-    pub fn repair_dirty(&mut self) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        // Map leaves to their parents; the frontier stays at a uniform
-        // depth because all leaves live on one level of the complete tree.
-        let cap = self.cap;
-        let mut frontier = std::mem::take(&mut self.dirty);
-        for i in frontier.iter_mut() {
-            *i = (cap + *i) / 2;
-        }
-        frontier.sort_unstable();
-        frontier.dedup();
-        frontier.retain(|&i| i >= 1); // cap == 1: the leaf is the root
-        while !frontier.is_empty() {
-            for &i in &frontier {
-                self.nodes[i] = self.combine_children(i);
-            }
-            if frontier[0] == 1 {
-                break;
-            }
-            for i in frontier.iter_mut() {
-                *i /= 2;
-            }
-            frontier.dedup();
-        }
-        #[cfg(feature = "audit")]
-        self.assert_invariants();
-    }
-
     /// Dense structural checks for the audit build: the node array is
-    /// shaped like a complete tree, spare leaves are vacant, no repair
-    /// is pending, and internal-node presence is consistent with the
+    /// shaped like a complete tree, spare leaves are vacant, and
+    /// internal-node presence is consistent with the
     /// children (partials carry no equality, so presence is the
     /// strongest checkable property).
     #[cfg(feature = "audit")]
@@ -173,7 +93,6 @@ impl<A: AggregateFunction> FlatFat<A> {
         assert!(self.cap.is_power_of_two(), "capacity {} not a power of two", self.cap);
         assert_eq!(self.nodes.len(), 2 * self.cap, "node array out of shape");
         assert!(self.len <= self.cap, "len {} exceeds capacity {}", self.len, self.cap);
-        assert!(self.dirty.is_empty(), "dirty leaves survived repair");
         for i in self.len..self.cap {
             assert!(self.nodes[self.cap + i].is_none(), "spare leaf {i} is occupied");
         }
@@ -236,7 +155,6 @@ impl<A: AggregateFunction> FlatFat<A> {
     /// covered leaves left-to-right in `O(log n)` combine steps.
     pub fn query(&self, l: usize, r: usize) -> Option<A::Partial> {
         assert!(l <= r && r <= self.len, "invalid query range [{l}, {r}) of len {}", self.len);
-        debug_assert!(self.dirty.is_empty(), "query() on a dirty tree; call repair_dirty() first");
         let mut left_acc: Option<A::Partial> = None;
         let mut right_acc: Option<A::Partial> = None;
         let mut lo = self.cap + l;
@@ -257,7 +175,6 @@ impl<A: AggregateFunction> FlatFat<A> {
     }
 
     fn grow(&mut self, new_cap: usize) {
-        self.dirty.clear(); // the full rebuild below repairs everything
         let leaves: Vec<Option<A::Partial>> = self.nodes[self.cap..self.cap + self.len].to_vec();
         let len = self.len;
         self.cap = new_cap.next_power_of_two();
@@ -289,7 +206,6 @@ impl<A: AggregateFunction> FlatFat<A> {
     /// those operations are `O(n)` regardless, so a full internal rebuild
     /// keeps them simple without changing their complexity class.
     fn rebuild_internal(&mut self) {
-        self.dirty.clear(); // every internal node is recomputed below
         for i in (1..self.cap).rev() {
             self.nodes[i] = self.combine_children(i);
         }
@@ -298,7 +214,7 @@ impl<A: AggregateFunction> FlatFat<A> {
 
 impl<A: AggregateFunction> HeapSize for FlatFat<A> {
     fn heap_bytes(&self) -> usize {
-        self.nodes.heap_bytes() + self.dirty.capacity() * std::mem::size_of::<usize>()
+        self.nodes.heap_bytes()
     }
 }
 
@@ -421,82 +337,6 @@ mod tests {
         assert_eq!(t.total(), Some(&12));
         assert_eq!(t.query(1, 2), None);
         assert_eq!(t.query(0, 2), Some(5));
-    }
-
-    #[test]
-    fn deferred_update_then_repair_matches_eager() {
-        let mut eager = tree_with(&[1, 2, 3, 4, 5, 6, 7]);
-        let mut deferred = tree_with(&[1, 2, 3, 4, 5, 6, 7]);
-        for (i, v) in [(0usize, 10i64), (3, 40), (6, 70), (3, 41)] {
-            eager.update(i, Some(v));
-            deferred.update_deferred(i, Some(v));
-        }
-        assert!(deferred.has_dirty());
-        deferred.repair_dirty();
-        assert!(!deferred.has_dirty());
-        for l in 0..=7usize {
-            for r in l..=7usize {
-                assert_eq!(eager.query(l, r), deferred.query(l, r), "range [{l}, {r})");
-            }
-        }
-        assert_eq!(eager.total(), deferred.total());
-    }
-
-    #[test]
-    fn push_deferred_bulk_append_matches_push() {
-        let mut a = FlatFat::new(SumI64);
-        let mut b = FlatFat::new(SumI64);
-        for v in 0..100i64 {
-            a.push(Some(v));
-            b.push_deferred(Some(v));
-        }
-        b.repair_dirty();
-        assert_eq!(a.total(), b.total());
-        assert_eq!(a.query(13, 77), b.query(13, 77));
-    }
-
-    #[test]
-    fn repair_dirty_preserves_order_for_non_commutative() {
-        let mut t = FlatFat::new(Concat);
-        for v in 0..9 {
-            t.push(Some(vec![v]));
-        }
-        t.update_deferred(2, Some(vec![20]));
-        t.update_deferred(7, Some(vec![70]));
-        t.repair_dirty();
-        assert_eq!(t.query(0, 9), Some(vec![0, 1, 20, 3, 4, 5, 6, 70, 8]));
-    }
-
-    #[test]
-    fn repair_dirty_on_clean_tree_is_noop() {
-        let mut t = tree_with(&[1, 2, 3]);
-        assert!(!t.has_dirty());
-        t.repair_dirty();
-        assert_eq!(t.total(), Some(&6));
-    }
-
-    #[test]
-    fn single_leaf_tree_has_no_ancestors() {
-        let mut t = FlatFat::new(SumI64);
-        t.push_deferred(Some(42));
-        t.repair_dirty();
-        assert_eq!(t.total(), Some(&42));
-        t.update_deferred(0, Some(7));
-        t.repair_dirty();
-        assert_eq!(t.total(), Some(&7));
-    }
-
-    #[test]
-    fn structural_ops_clear_dirty() {
-        let mut t = tree_with(&[1, 2, 3, 4]);
-        t.update_deferred(1, Some(20));
-        t.insert(0, Some(100)); // full rebuild repairs everything
-        assert!(!t.has_dirty());
-        assert_eq!(t.total(), Some(&128));
-        t.update_deferred(0, Some(0));
-        t.remove(0);
-        assert!(!t.has_dirty());
-        assert_eq!(t.total(), Some(&28));
     }
 
     #[test]

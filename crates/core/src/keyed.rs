@@ -77,6 +77,7 @@ use crate::cast;
 use crate::function::{AggregateFunction, FunctionProperties};
 use crate::hash::{map_heap_bytes, FxHashMap};
 use crate::mem::HeapSize;
+use crate::operator::QueryError;
 use crate::result::WindowResult;
 use crate::time::{Measure, Range, Time, TIME_MAX, TIME_MIN};
 use crate::timeline::{shares_static_timeline, Timeline};
@@ -264,15 +265,16 @@ impl<P> Ring<P> {
         }
     }
 
-    /// The heap form of this ring, spilling the inline slots first.
-    fn spilled(&mut self) -> &mut VecDeque<Option<P>> {
-        if let Ring::Inline { len, slots } = self {
-            let n = *len;
-            *self = Ring::Spilled(slots[..n].iter_mut().map(Option::take).collect());
-        }
+    /// Applies `edit` to the heap form of this ring, spilling the
+    /// inline slots first.
+    fn edit_spilled(&mut self, edit: impl FnOnce(&mut VecDeque<Option<P>>)) {
         match self {
-            Ring::Spilled(d) => d,
-            Ring::Inline { .. } => unreachable!("ring was spilled above"),
+            Ring::Spilled(d) => edit(d),
+            Ring::Inline { len, slots } => {
+                let mut d = slots[..*len].iter_mut().map(Option::take).collect();
+                edit(&mut d);
+                *self = Ring::Spilled(d);
+            }
         }
     }
 
@@ -288,10 +290,11 @@ impl<P> Ring<P> {
                 return;
             }
         }
-        let d = self.spilled();
-        for _ in 0..k {
-            d.push_front(None);
-        }
+        self.edit_spilled(|d| {
+            for _ in 0..k {
+                d.push_front(None);
+            }
+        });
     }
 
     /// Appends empty slots up to a total of `n >= len`.
@@ -302,7 +305,7 @@ impl<P> Ring<P> {
                 return;
             }
         }
-        self.spilled().resize_with(n, || None);
+        self.edit_spilled(|d| d.resize_with(n, || None));
     }
 }
 
@@ -974,19 +977,19 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             debug_assert!(n >= 1);
             let p = if n == 1 {
                 self.stats.fold_kernel_misses += u64::from(!late);
-                self.f.lift(&values[i])
+                Some(self.f.lift(&values[i]))
             } else {
                 if self.f.has_fold_kernel() {
                     self.stats.fold_kernel_hits += 1;
                 } else {
                     self.stats.fold_kernel_misses += 1;
                 }
-                let Some(p) = self.f.fold_slice(&values[i..i + n]) else {
-                    unreachable!("run has at least two tuples")
-                };
-                p
+                self.f.fold_slice(&values[i..i + n])
             };
-            st.add_at(g, p, &self.f);
+            // An empty fold adds nothing.
+            if let Some(p) = p {
+                st.add_at(g, p, &self.f);
+            }
             if !st.swept {
                 st.floor = st.floor.min(ts);
             }
@@ -1402,6 +1405,7 @@ pub struct KeyedWindowOperator<A: AggregateFunction> {
 impl<A: AggregateFunction> KeyedWindowOperator<A> {
     /// Builds a keyed operator over `windows`, choosing the shared
     /// timeline when every window has static edges and `f` commutes.
+    /// Panics where [`try_new`](Self::try_new) returns an error.
     pub fn new(f: A, windows: Vec<Box<dyn WindowFunction>>, cfg: KeyedConfig) -> Self {
         let inner = if shares_static_timeline(&f, &windows) {
             KeyedInner::Shared(SharedKeyed::new(f, windows, cfg))
@@ -1409,6 +1413,21 @@ impl<A: AggregateFunction> KeyedWindowOperator<A> {
             KeyedInner::Fallback(NaiveKeyedOperator::new(f, windows, cfg))
         };
         KeyedWindowOperator { inner }
+    }
+
+    /// [`new`](Self::new), or the [`QueryError`] of windows that one
+    /// per-key operator cannot host together: a keyed stream is out of
+    /// order, so count and time measures do not mix.
+    pub fn try_new(
+        f: A,
+        windows: Vec<Box<dyn WindowFunction>>,
+        cfg: KeyedConfig,
+    ) -> Result<Self, QueryError> {
+        if shares_static_timeline(&f, &windows) {
+            return Ok(Self::new(f, windows, cfg));
+        }
+        let inner = KeyedInner::Fallback(NaiveKeyedOperator::try_new(f, windows, cfg)?);
+        Ok(KeyedWindowOperator { inner })
     }
 
     /// True iff this operator runs on the shared slice timeline.

@@ -8,7 +8,7 @@ use crate::aggregator::WindowAggregator;
 use crate::cast;
 use crate::function::AggregateFunction;
 use crate::hash::{map_heap_bytes, FxHashMap};
-use crate::operator::{OperatorConfig, WindowOperator};
+use crate::operator::{OperatorConfig, QueryError, WindowOperator};
 use crate::result::WindowResult;
 use crate::time::{Time, TIME_MIN};
 use crate::window::WindowFunction;
@@ -40,11 +40,11 @@ fn add_operator_stats<A: AggregateFunction>(total: &mut KeyedStats, op: &WindowO
 /// functions). Correct for everything, but every watermark costs
 /// O(total keys) and slice metadata is duplicated per key.
 pub struct NaiveKeyedOperator<A: AggregateFunction> {
-    f: A,
     cfg: KeyedConfig,
-    /// Window prototypes, cloned for each new key so per-key context
-    /// state (e.g. session edges) starts fresh.
-    windows: Vec<Box<dyn WindowFunction>>,
+    /// The operator every new key starts as a clone of: the queries
+    /// registered once, nothing seen, so per-key context state (e.g.
+    /// session edges) starts fresh.
+    prototype: WindowOperator<A>,
     max_extent: i64,
     keys: FxHashMap<u64, (Time, WindowOperator<A>)>,
     watermark: Time,
@@ -58,12 +58,29 @@ pub struct NaiveKeyedOperator<A: AggregateFunction> {
 }
 
 impl<A: AggregateFunction> NaiveKeyedOperator<A> {
+    /// Builds the map over `windows`. Panics where
+    /// [`KeyedWindowOperator::try_new`](super::KeyedWindowOperator::try_new)
+    /// returns an error: at construction, never mid-stream.
     pub fn new(f: A, windows: Vec<Box<dyn WindowFunction>>, cfg: KeyedConfig) -> Self {
+        Self::try_new(f, windows, cfg).expect("keyed windows fit one out-of-order operator")
+    }
+
+    /// [`new`](Self::new), or the error of the first window the per-key
+    /// operator (always out-of-order) refuses.
+    pub(crate) fn try_new(
+        f: A,
+        windows: Vec<Box<dyn WindowFunction>>,
+        cfg: KeyedConfig,
+    ) -> Result<Self, QueryError> {
         let max_extent = windows.iter().map(|w| w.max_extent()).max().unwrap_or(0);
-        NaiveKeyedOperator {
-            f,
+        let mut prototype =
+            WindowOperator::new(f, OperatorConfig::out_of_order(cfg.allowed_lateness));
+        for w in windows {
+            prototype.add_query(w)?;
+        }
+        Ok(NaiveKeyedOperator {
             cfg,
-            windows,
+            prototype,
             max_extent,
             keys: FxHashMap::default(),
             watermark: TIME_MIN,
@@ -71,7 +88,7 @@ impl<A: AggregateFunction> NaiveKeyedOperator<A> {
             group_of: FxHashMap::default(),
             groups: Vec::new(),
             scratch: Vec::new(),
-        }
+        })
     }
 
     /// Number of keys currently holding state.
@@ -91,13 +108,9 @@ impl<A: AggregateFunction> NaiveKeyedOperator<A> {
     }
 
     fn operator_for(&mut self, key: u64) -> &mut (Time, WindowOperator<A>) {
-        let (f, windows, cfg, watermark) = (&self.f, &self.windows, &self.cfg, self.watermark);
+        let (prototype, watermark) = (&self.prototype, self.watermark);
         self.keys.entry(key).or_insert_with(|| {
-            let mut op =
-                WindowOperator::new(f.clone(), OperatorConfig::out_of_order(cfg.allowed_lateness));
-            for w in windows {
-                op.add_query(w.clone_box()).expect("keyed windows share one measure");
-            }
+            let mut op = prototype.clone();
             // Watermarks are broadcast: a key that first appears after the
             // stream has progressed must still apply the global late-drop
             // rule, exactly as the shared timeline does. Replaying into an

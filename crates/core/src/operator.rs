@@ -1181,8 +1181,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
     }
 
     /// Applies the deferred late tuples: one store write per covering
-    /// slice, in ascending slice order, then a single repair of the
-    /// index's dirty frontier.
+    /// slice, in ascending slice order, then one flush (which repairs a
+    /// finger tree's dirty spine once).
     ///
     /// The runs are sorted by slice ([`LateBatch::sort_runs`]: a stable
     /// counting sort, runs per slice → starts → scatter of the 16-byte
@@ -1194,9 +1194,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// gathered in the order they were opened, stable-sorted by timestamp
     /// and written as one [`SliceStore::add_out_of_order_run`]. k late
     /// tuples in r runs over m slices cost k appends, an O(r + min(hull,
-    /// 256)) sorting pass (two for a hull of thousands of slices), m
-    /// slice writes and one bottom-up repair, and ascending
-    /// writes are what the finger store's roaming finger is cheapest for.
+    /// 256)) sorting pass (two for a hull of thousands of slices) and m
+    /// slice writes, each one index leaf write.
     ///
     /// Deferral preserves per-tuple semantics: deferred tuples emit
     /// nothing (they sit above the watermark), in-order appends mid-batch

@@ -5,15 +5,16 @@
 //!
 //! Three variants extend the paper's lazy/eager distinction (Table 1 rows
 //! 5–8): the **lazy** store keeps only the ordered slice list and combines
-//! slice partials on demand; the **eager** store additionally maintains a
-//! [`FlatFat`] tree over slice partials, trading update work for `O(log s)`
-//! window queries and microsecond output latencies (Figure 11); the
-//! **finger-tree** store swaps the dense FlatFAT array for a
-//! [`FingerTree`] (FiBA-style finger B-tree), keeping the eager query
-//! latency while making out-of-order leaf writes O(log d) from the
-//! nearer finger, gap-slice inserts O(log s) instead of a full rebuild,
-//! and watermark evictions amortized O(1) per slice via whole-subtree
-//! release.
+//! slice partials on demand; the **eager** store also keeps a [`FlatFat`]
+//! over slice partials, written through at every slice write, for
+//! `O(log s)` window queries (Figure 11); the **finger-tree** store keeps
+//! a [`FingerTree`] instead (FiBA-style finger B-tree), built when a
+//! query first asks for a long range, whose writes are O(log d) from the
+//! nearer end and whose spine repairs wait for the next query flush.
+//!
+//! A trigger sweep's windows are resolved to slice ranges in one pass;
+//! when they all contain one slice boundary they are answered from one
+//! suffix and one prefix scan around it, otherwise one by one.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -43,9 +44,9 @@ pub enum StorePolicy {
 
 /// The per-slice aggregate index backing the eager policies. `None`
 /// (lazy) stores nothing; the other variants mirror `slices[i]`'s
-/// aggregate at leaf `i` and share one contract: eager `update`s fix
-/// ancestors immediately, `update_deferred`s mark a dirty region that
-/// [`repair`](AggIndex::repair) fixes in one batched pass.
+/// aggregate at leaf `i`. When a leaf write reaches the ancestors is up
+/// to the index: at once in the FlatFAT, at the next
+/// [`repair`](AggIndex::repair) in the finger tree.
 #[derive(Clone)]
 enum AggIndex<A: AggregateFunction> {
     None,
@@ -54,9 +55,8 @@ enum AggIndex<A: AggregateFunction> {
 }
 
 impl<A: AggregateFunction> AggIndex<A> {
-    /// Appends a leaf. The finger tree defers the spine recompute (the
-    /// appended leaf starts empty and in-order fills keep marking the
-    /// same right-edge path dirty); queries repair first.
+    /// Appends a leaf. The finger tree defers the spine recompute, as
+    /// for any leaf write.
     fn push(&mut self, p: Option<A::Partial>) {
         match self {
             AggIndex::None => {}
@@ -73,18 +73,11 @@ impl<A: AggregateFunction> AggIndex<A> {
         }
     }
 
+    /// Writes leaf `i`.
     fn update(&mut self, i: usize, p: Option<A::Partial>) {
         match self {
             AggIndex::None => {}
             AggIndex::Flat(t) => t.update(i, p),
-            AggIndex::Finger(t) => t.update(i, p),
-        }
-    }
-
-    fn update_deferred(&mut self, i: usize, p: Option<A::Partial>) {
-        match self {
-            AggIndex::None => {}
-            AggIndex::Flat(t) => t.update_deferred(i, p),
             AggIndex::Finger(t) => t.update_deferred(i, p),
         }
     }
@@ -110,20 +103,14 @@ impl<A: AggregateFunction> AggIndex<A> {
     }
 
     fn repair(&mut self) {
-        match self {
-            AggIndex::None => {}
-            AggIndex::Flat(t) => t.repair_dirty(),
-            AggIndex::Finger(t) => t.repair_dirty(),
+        if let AggIndex::Finger(t) = self {
+            t.repair_dirty();
         }
     }
 
     #[cfg(test)]
     fn has_dirty(&self) -> bool {
-        match self {
-            AggIndex::None => false,
-            AggIndex::Flat(t) => t.has_dirty(),
-            AggIndex::Finger(t) => t.has_dirty(),
-        }
+        matches!(self, AggIndex::Finger(t) if t.has_dirty())
     }
 
     /// Indexed range query; `None` when no index is maintained (lazy).
@@ -160,8 +147,7 @@ pub struct SliceStore<A: AggregateFunction> {
     /// slices are live. The first long query sets `index_wanted`, and
     /// the next [`flush_eager_repairs`](SliceStore::flush_eager_repairs)
     /// builds the tree and flips this permanently. Lazy and eager stores
-    /// are born live (no index, and the FlatFAT's contract is eager
-    /// mirroring).
+    /// are born live.
     index_live: bool,
     /// Set by a long range query against the unbuilt finger tree; the
     /// next flush builds it. A `Cell` because queries take `&self`.
@@ -192,8 +178,8 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     /// Bulk-builds the finger tree from the current slice partials if a
     /// long range query asked for it since the last flush. The pushes
-    /// are deferred, leaving the tree dirty as any deferred write does;
-    /// the calling flush repairs it. O(n) once per store lifetime.
+    /// leave the spine dirty, as any finger write does; the calling
+    /// flush repairs it. O(n) once per store lifetime.
     fn maybe_build_index(&mut self) {
         if !self.index_wanted.take() {
             return;
@@ -322,8 +308,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Dense structural checks for the audit build: slices are in
     /// ascending, non-overlapping time order (lazy stores may leave
     /// gaps; count cuts at tied timestamps may leave zero-width time
-    /// ranges) and the eager FlatFAT index, when present, has exactly
-    /// one leaf per slice.
+    /// ranges) and a live index has exactly one leaf per slice.
     #[cfg(feature = "audit")]
     pub fn assert_invariants(&self) {
         let mut prev_end: Option<Time> = None;
@@ -338,6 +323,7 @@ impl<A: AggregateFunction> SliceStore<A> {
             AggIndex::None => {}
             AggIndex::Flat(t) => {
                 assert_eq!(t.len(), self.slices.len(), "eager index out of sync with slices");
+                t.assert_invariants();
             }
             AggIndex::Finger(t) => {
                 if self.index_live {
@@ -483,26 +469,19 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     /// Adds a sorted run of out-of-order tuples to slice `idx` with **one**
     /// slice touch (one tuple merge, one combined partial — see
-    /// [`Slice::add_out_of_order_run`]) and a *deferred* eager-leaf write:
-    /// the leaf value is refreshed immediately but its ancestor repair is
-    /// postponed until [`SliceStore::flush_eager_repairs`], so k late runs
-    /// into m slices cost m leaf writes plus one bottom-up repair of the
-    /// dirty frontier instead of m full `O(log s)` walks.
+    /// [`Slice::add_out_of_order_run`]) and one index leaf write.
     pub(crate) fn add_out_of_order_run(&mut self, idx: usize, run: &[(Time, A::Input)]) {
         if run.is_empty() {
             return;
         }
         self.slices[idx].add_out_of_order_run(&self.f, run);
-        if self.index_live {
-            self.index.update_deferred(idx, self.slices[idx].aggregate().cloned());
-        }
+        self.refresh_leaf(idx);
     }
 
     /// Applies a pre-folded partial of late tuples to slice `idx` — the
     /// unsorted out-of-order fast path for commutative functions without
     /// tuple storage. `t_first`/`t_last` are the group's extreme
-    /// timestamps and `n` its tuple count; eager leaf refresh is deferred
-    /// like `SliceStore::add_out_of_order_run`.
+    /// timestamps and `n` its tuple count.
     pub fn add_out_of_order_partial(
         &mut self,
         idx: usize,
@@ -512,23 +491,19 @@ impl<A: AggregateFunction> SliceStore<A> {
         n: usize,
     ) {
         self.slices[idx].add_out_of_order_partial(&self.f, partial, t_first, t_last, n);
-        if self.index_live {
-            self.index.update_deferred(idx, self.slices[idx].aggregate().cloned());
-        }
+        self.refresh_leaf(idx);
     }
 
-    /// Repairs the eager tree's dirty frontier after deferred leaf writes,
-    /// first building the finger tree if a long range query asked for it
-    /// since the last flush. Must run before any window query; no-op for
-    /// lazy stores and clean trees. (The FlatFAT's structural operations
-    /// — gap inserts, splits, merges, evictions — rebuild it wholesale
-    /// and clear pending repairs on their own.)
+    /// Repairs the finger tree's dirty spine after its deferred leaf
+    /// writes, first building the tree if a long range query asked for
+    /// it since the last flush. Must run before any window query; a
+    /// no-op for the lazy and eager stores, which have nothing pending.
     pub fn flush_eager_repairs(&mut self) {
         self.maybe_build_index();
         // While the store holds at most [`INDEX_SCAN_CUTOFF`] slices, no
         // range query can be long enough to consult the index (every
         // range is bounded by the store length, and short ranges scan
-        // the slice deque — see `query_slice_range`), so deferred dirt
+        // the slice deque — see `query_slice_range`), so deferred writes
         // can keep accumulating for free. The moment the store outgrows
         // the cutoff, the next query sweep lands here and repairs before
         // the first index visit.
@@ -539,7 +514,7 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.assert_invariants();
     }
 
-    /// Whether deferred eager-leaf writes are pending repair.
+    /// Whether deferred finger-tree writes are pending repair.
     #[cfg(test)]
     fn has_pending_repairs(&self) -> bool {
         self.index.has_dirty()
@@ -665,26 +640,23 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// same `emit` order as [`query_time_each`], and the number of
     /// windows the shared scan answered is returned (0 or all of them).
     ///
-    /// The windows of a sweep overlap almost entirely, so
-    /// [`shared_scan`] answers them with one combine each after one pass
-    /// over the slices. Whether that pass pays is decided here, from
-    /// counts the sweep itself provides, at a cost per window rather than
-    /// per slice boundary under the sweep:
+    /// The windows of a sliding or late-update sweep all contain one
+    /// slice boundary, so [`shared_scan`] answers them with one combine
+    /// each after one pass over the slices. Whether that pass pays is
+    /// decided here, from counts the sweep itself provides, at a cost
+    /// per window rather than per slice:
     ///
     /// 1. Fewer than `MIN_BATCH_WINDOWS` windows, or holistic partials
     ///    (every scan entry would clone an unbounded partial): per window.
     /// 2. Otherwise one pass resolves every window's edges to slice
-    ///    indices, galloping over the slice records in place, and prices
-    ///    each window on its own as what [`query_slice_range`] spends on
-    ///    it — its length, or `O(log d)` through an index. The scan costs
-    ///    the slices under the sweep, the prefix entries and one combine
-    ///    per window. The cheaper side answers: the scan for sliding
-    ///    sweeps, per-window queries for a tumbling catch-up (nothing
-    ///    shared) and for a few windows over thousands of indexed slices.
-    ///
-    /// A sweep whose covered windows all contain one slice boundary (every
-    /// sliding sweep, every late-update sweep) is planned by that same
-    /// pass; only a sweep of several pivot groups is stabbed.
+    ///    indices, galloping over the slice records in place, finds
+    ///    whether the windows share a boundary, and prices each window
+    ///    on its own as what [`query_slice_range`] spends on it — its
+    ///    length, or `O(log d)` through an index. The scan costs the
+    ///    slices under the sweep, the prefix entries and one combine per
+    ///    window. The cheaper side answers; a sweep with no shared
+    ///    boundary (a tumbling catch-up, windows further apart than
+    ///    their length) is answered per window.
     ///
     /// [`query_time_each`]: SliceStore::query_time_each
     /// [`shared_scan`]: SliceStore::shared_scan
@@ -700,49 +672,43 @@ impl<A: AggregateFunction> SliceStore<A> {
             return 0;
         }
         let edges = self.resolve(windows);
-        if edges.base >= edges.top {
-            return 0; // no slice under any window
-        }
-        // Whatever the grouping, the scan visits every slice under the
-        // sweep and combines once per window; only when that much can
-        // win is the sweep planned to learn the prefix length.
-        let scan_floor = (edges.top - edges.base) + windows.len();
-        let plan = (scan_floor <= edges.each_cost)
-            .then(|| SweepPlan::new(&edges))
-            .filter(|plan| scan_floor + plan.prefix_len <= edges.each_cost);
-        let Some(plan) = plan else {
-            for ((tag, range), &(l, r)) in windows.iter().zip(&edges.bounds) {
-                if l < r {
-                    let (l, r) = (cast::idx32(l), cast::idx32(r));
-                    debug_assert!(self.aligned(*range, l, r), "window {range} off its slices");
-                    if let Some(p) = self.query_slice_range(l, r) {
-                        emit(tag, *range, p);
-                    }
-                }
+        // The scan visits every slice under the sweep, fills the prefix
+        // column and combines once per window.
+        let plan = SweepPlan::new(&edges).filter(|plan| {
+            (edges.top - edges.base) + (plan.reach - plan.pivot) + windows.len() <= edges.each_cost
+        });
+        match plan {
+            Some(plan) => {
+                self.emit_scanned(windows, &edges.bounds, &plan, &mut emit);
+                windows.len()
             }
-            return 0;
-        };
-        self.emit_scanned(windows, &edges.bounds, &plan, &mut emit);
-        windows.len()
+            None => {
+                self.emit_each(windows, &edges.bounds, &mut emit);
+                0
+            }
+        }
     }
 
-    /// The shared scan itself, unconditionally: every window is answered
-    /// from one suffix scan leftwards and one prefix scan rightwards per
-    /// pivot group, with at most one combine. `suffix[i] = aggᵢ ⊕
-    /// suffix[i+1]` and `prefix[j] = prefix[j-1] ⊕ aggⱼ` keep slice
-    /// order, so only associativity of ⊕ is used and non-commutative
-    /// functions get the per-window answer. Reads slice partials only,
-    /// never the index, so the cost is the same under every
-    /// [`StorePolicy`]. [`query_time_batch`](SliceStore::query_time_batch)
-    /// decides when this is the cheaper way.
+    /// The shared scan itself, unconditionally: when every covered
+    /// window contains one slice boundary, each is answered from one
+    /// suffix scan leftwards and one prefix scan rightwards of it, with
+    /// at most one combine; any other sweep is answered per window.
+    /// `suffix[i] = aggᵢ ⊕ suffix[i+1]` and `prefix[j] = prefix[j-1] ⊕
+    /// aggⱼ` keep slice order, so only associativity of ⊕ is used and
+    /// non-commutative functions get the per-window answer. Reads slice
+    /// partials only, never the index, so the cost is the same under
+    /// every [`StorePolicy`].
+    /// [`query_time_batch`](SliceStore::query_time_batch) decides when
+    /// this is the cheaper way.
     pub fn shared_scan<T>(
         &self,
         windows: &[(T, Range)],
         mut emit: impl FnMut(&T, Range, A::Partial),
     ) {
         let edges = self.resolve(windows);
-        if edges.base < edges.top {
-            self.emit_scanned(windows, &edges.bounds, &SweepPlan::new(&edges), &mut emit);
+        match SweepPlan::new(&edges) {
+            Some(plan) => self.emit_scanned(windows, &edges.bounds, &plan, &mut emit),
+            None => self.emit_each(windows, &edges.bounds, &mut emit),
         }
     }
 
@@ -802,6 +768,25 @@ impl<A: AggregateFunction> SliceStore<A> {
         }
     }
 
+    /// Emits a resolved sweep's windows in order, each from its own
+    /// slice range.
+    fn emit_each<T>(
+        &self,
+        windows: &[(T, Range)],
+        bounds: &[(u32, u32)],
+        emit: &mut impl FnMut(&T, Range, A::Partial),
+    ) {
+        for ((tag, range), &(l, r)) in windows.iter().zip(bounds) {
+            let (l, r) = (cast::idx32(l), cast::idx32(r));
+            if l < r {
+                debug_assert!(self.aligned(*range, l, r), "window {range} off its slices");
+                if let Some(p) = self.query_slice_range(l, r) {
+                    emit(tag, *range, p);
+                }
+            }
+        }
+    }
+
     /// Builds the scan columns of a planned sweep and emits its windows
     /// in order.
     fn emit_scanned<T>(
@@ -827,17 +812,16 @@ impl<A: AggregateFunction> SliceStore<A> {
                 (a.0.min(b.0), a.1.max(b.1))
             })
         });
-        let base = cast::slot32(plan.base);
         for (i, ((tag, range), &(l, r))) in windows.iter().zip(bounds).enumerate() {
+            let (l, r) = (cast::idx32(l), cast::idx32(r));
             if l >= r {
                 continue;
             }
             if cfg!(feature = "audit") && i % 16 == 0 {
-                let (l, r) = (cast::idx32(l), cast::idx32(r));
                 assert_eq!(l, self.slices.partition_point(|s| s.end() <= range.start));
                 assert_eq!(r, self.slices.partition_point(|s| s.start() < range.end));
             }
-            let (l, r) = (l - base, r - base);
+            let (l, r) = (l - plan.base, r - plan.base);
             if let Some((first, last)) = extents.as_ref().and_then(|e| e.answer(plan, l, r)) {
                 debug_assert!(
                     first >= range.start && last < range.end,
@@ -968,21 +952,14 @@ impl<A: AggregateFunction> SliceStore<A> {
         k
     }
 
-    /// Re-synchronizes the eager leaf for slice `idx`. The FlatFAT
-    /// repairs its ancestors immediately (a cheap flat-array walk —
-    /// that is the eager store's contract); the finger tree defers its
-    /// spine recompute to [`SliceStore::flush_eager_repairs`], so k
-    /// hot-slice writes between queries mark an already-dirty path in
-    /// O(1) and share one repair instead of paying k pointer-chasing
-    /// walks. Every query entry point repairs first.
+    /// Re-synchronizes the index leaf for slice `idx`. The FlatFAT
+    /// repairs its ancestors at once, as the paper's eager store does;
+    /// the finger tree marks its spine for
+    /// [`SliceStore::flush_eager_repairs`], so k hot-slice writes between
+    /// queries share one repair.
     fn refresh_leaf(&mut self, idx: usize) {
-        if !self.index_live {
-            return;
-        }
-        let p = self.slices[idx].aggregate().cloned();
-        match &mut self.index {
-            AggIndex::Finger(t) => t.update_deferred(idx, p),
-            other => other.update(idx, p),
+        if self.index_live {
+            self.index.update(idx, self.slices[idx].aggregate().cloned());
         }
     }
 
@@ -1025,133 +1002,35 @@ struct SweepEdges {
     each_cost: usize,
 }
 
-impl SweepEdges {
-    /// Whether every covered window contains boundary `min_r`: the
-    /// sweep is one pivot group.
-    fn one_pivot(&self) -> bool {
-        self.max_l < self.min_r
-    }
-}
-
-/// One pivot group of a planned sweep: windows that all contain slice
-/// boundary `pivot`. Positions are boundaries relative to the plan's
-/// `base` (boundary `x` sits before slice `x`).
-#[cfg_attr(test, derive(Debug, PartialEq))]
-struct ScanGroup {
-    pivot: u32,
-    /// Largest right edge in the group; the prefix scan covers slices
-    /// `[pivot, reach)`.
-    reach: u32,
-    /// Where the group's entries start in the shared prefix column.
-    prefix_at: u32,
-}
-
-/// The resolved windows of one sweep, in pivot groups.
+/// The plan of a sweep whose covered windows all contain slice boundary
+/// `pivot`. Positions are boundaries relative to `base` (boundary `x`
+/// sits before slice `x`).
 struct SweepPlan {
     /// Store index of the first slice under the sweep.
     base: usize,
-    /// Per boundary `0..=span`, the group whose pivot is the first at or
-    /// after it — the group of every window starting there. Empty for a
-    /// plan of one group.
-    group_of: Vec<u32>,
-    groups: Vec<ScanGroup>,
-    /// Entries in the prefix column (Σ `reach - pivot`).
-    prefix_len: usize,
+    /// The smallest right edge, which every covered window starts before.
+    pivot: usize,
+    /// The largest right edge; the prefix scan covers slices
+    /// `[pivot, reach)`.
+    reach: usize,
 }
 
 impl SweepPlan {
-    /// Plans a sweep with at least one covered window: a one-group
-    /// sweep in constant time, any other by stabbing.
-    fn new(edges: &SweepEdges) -> Self {
-        if edges.one_pivot() {
-            Self::one_pivot(edges)
-        } else {
-            Self::stab(edges)
-        }
-    }
-
-    /// The plan of a sweep whose covered windows all contain boundary
-    /// `min_r` ([`SweepEdges::one_pivot`]): one group from `min_r` to
-    /// the largest right edge. It is the group [`stab`](Self::stab)
-    /// finds, read off the edge pass with nothing over the span.
-    fn one_pivot(edges: &SweepEdges) -> Self {
-        debug_assert!(edges.one_pivot());
-        let (pivot, reach) = (edges.min_r - edges.base, edges.top - edges.base);
-        SweepPlan {
+    /// The plan read off the edge pass, or `None` when no boundary lies
+    /// in every covered window (or no window covers a slice).
+    fn new(edges: &SweepEdges) -> Option<Self> {
+        (edges.base < edges.top && edges.max_l < edges.min_r).then(|| SweepPlan {
             base: edges.base,
-            group_of: Vec::new(),
-            groups: vec![ScanGroup {
-                pivot: cast::slot32(pivot),
-                reach: cast::slot32(reach),
-                prefix_at: 0,
-            }],
-            prefix_len: reach - pivot,
-        }
-    }
-
-    /// Stabs the resolved windows greedily, for a sweep of any number
-    /// of pivot groups: the smallest right edge among the windows not
-    /// yet stabbed becomes a pivot, and every window starting at or
-    /// before it joins its group — the minimum number of stabbing
-    /// points. No sort is needed: `first[x]`, the smallest right edge
-    /// among windows starting at or after boundary `x`, is a
-    /// suffix-minimum over the boundaries under the sweep, and the
-    /// pivots are `first[0]`, `first[p₁ + 1]`, `first[p₂ + 1]`, …
-    fn stab(edges: &SweepEdges) -> Self {
-        let base = cast::slot32(edges.base);
-        let span = edges.top - edges.base;
-        let covered =
-            || edges.bounds.iter().filter(|(l, r)| l < r).map(|&(l, r)| (l - base, r - base));
-        let mut first = vec![u32::MAX; span + 1];
-        for (l, r) in covered() {
-            let slot = &mut first[cast::idx32(l)];
-            *slot = (*slot).min(r);
-        }
-        for x in (0..span).rev() {
-            first[x] = first[x].min(first[x + 1]);
-        }
-        let mut groups = Vec::new();
-        let mut pivot = first[0];
-        while pivot != u32::MAX {
-            groups.push(ScanGroup { pivot, reach: pivot, prefix_at: 0 });
-            pivot = first.get(cast::idx32(pivot) + 1).copied().unwrap_or(u32::MAX);
-        }
-        // `first` has served; the column becomes boundary -> group.
-        let mut group_of = first;
-        let mut g = 0;
-        for (x, slot) in group_of.iter_mut().enumerate() {
-            while g < groups.len() && cast::idx32(groups[g].pivot) < x {
-                g += 1;
-            }
-            *slot = cast::slot32(g);
-        }
-        for (l, r) in covered() {
-            let group = &mut groups[cast::idx32(group_of[cast::idx32(l)])];
-            group.reach = group.reach.max(r);
-        }
-        let mut prefix_len = 0;
-        for group in &mut groups {
-            group.prefix_at = prefix_len;
-            prefix_len += group.reach - group.pivot;
-        }
-        SweepPlan { base: edges.base, group_of, groups, prefix_len: cast::idx32(prefix_len) }
-    }
-
-    /// The group of a window starting at boundary `l`.
-    fn group(&self, l: u32) -> &ScanGroup {
-        if self.group_of.is_empty() {
-            &self.groups[0]
-        } else {
-            &self.groups[cast::idx32(self.group_of[cast::idx32(l)])]
-        }
+            pivot: edges.min_r - edges.base,
+            reach: edges.top - edges.base,
+        })
     }
 }
 
 /// The scan columns of a planned sweep over per-slice values `M`:
-/// `suffix[x]` folds slices `[x, pivot)` for the first pivot after `x`
-/// (groups' suffixes never overlap, so they share one column), and a
-/// group's prefix entry `k` folds slices `[pivot, pivot + k]`. `None` is
-/// the fold of no values, as everywhere in the store.
+/// `suffix[x]` folds slices `[x, pivot)` and `prefix[k]` folds slices
+/// `[pivot, pivot + k)`. `None` is the fold of no values, as everywhere
+/// in the store.
 struct SharedScan<M, C> {
     suffix: Vec<Option<M>>,
     prefix: Vec<Option<M>>,
@@ -1161,38 +1040,27 @@ struct SharedScan<M, C> {
 impl<M: Clone, C: Fn(M, &M) -> M> SharedScan<M, C> {
     fn build(plan: &SweepPlan, leaf: impl Fn(usize) -> Option<M>, combine: C) -> Self {
         let merge = |a: Option<M>, b: Option<&M>| merge_opt(a, b, &combine);
-        let scanned = plan.groups.last().map_or(0, |g| cast::idx32(g.pivot));
-        let mut suffix: Vec<Option<M>> = vec![None; scanned];
-        let mut prefix = Vec::with_capacity(plan.prefix_len);
-        let mut lo = 0;
-        for g in &plan.groups {
-            let pivot = cast::idx32(g.pivot);
-            let mut acc = None;
-            for x in (lo..pivot).rev() {
-                acc = merge(leaf(x), acc.as_ref());
-                suffix[x] = acc.clone();
-            }
-            lo = pivot;
-            acc = None;
-            for x in pivot..cast::idx32(g.reach) {
-                acc = merge(acc, leaf(x).as_ref());
-                prefix.push(acc.clone());
-            }
+        let mut suffix: Vec<Option<M>> = vec![None; plan.pivot];
+        let mut acc = None;
+        for x in (0..plan.pivot).rev() {
+            acc = merge(leaf(x), acc.as_ref());
+            suffix[x] = acc.clone();
+        }
+        let mut prefix = Vec::with_capacity(plan.reach - plan.pivot + 1);
+        prefix.push(None);
+        let mut acc = None;
+        for x in plan.pivot..plan.reach {
+            acc = merge(acc, leaf(x).as_ref());
+            prefix.push(acc.clone());
         }
         SharedScan { suffix, prefix, combine }
     }
 
-    /// The fold of slices `[l, r)` of a window the plan resolved
-    /// (`l < r`).
-    fn answer(&self, plan: &SweepPlan, l: u32, r: u32) -> Option<M> {
-        let g = plan.group(l);
-        let left = if l < g.pivot { self.suffix[cast::idx32(l)].clone() } else { None };
-        let right = if r > g.pivot {
-            self.prefix[cast::idx32(g.prefix_at + r - g.pivot - 1)].as_ref()
-        } else {
-            None
-        };
-        merge_opt(left, right, &self.combine)
+    /// The fold of slices `[l, r)` of a covered window, relative to the
+    /// plan's base (`l < pivot <= r`).
+    fn answer(&self, plan: &SweepPlan, l: usize, r: usize) -> Option<M> {
+        debug_assert!(l < plan.pivot && plan.pivot <= r, "window [{l}, {r}) misses the pivot");
+        merge_opt(self.suffix[l].clone(), self.prefix[r - plan.pivot].as_ref(), &self.combine)
     }
 }
 
@@ -1541,12 +1409,10 @@ mod tests {
                     }
                     batched.add_out_of_order_run(idx, run);
                 }
-                // Lazy has no index; the small finger store has not
-                // built one yet — only the eager FlatFAT defers dirt.
-                assert_eq!(batched.has_pending_repairs(), policy == StorePolicy::Eager);
+                // Lazy has no index, the FlatFAT writes through and the
+                // small finger store has not built its tree.
+                assert!(!batched.has_pending_repairs());
                 batched.flush_eager_repairs();
-                // The store is below INDEX_SCAN_CUTOFF, so the flush may
-                // leave the dirt in place: every query scans the slices.
                 per_tuple.flush_eager_repairs();
                 for (a, b) in [(0, 10), (10, 20), (20, 30), (0, 30)] {
                     assert_eq!(
@@ -1584,7 +1450,7 @@ mod tests {
                 let t_last = run.iter().map(|&(t, _)| t).max().unwrap();
                 grouped.add_out_of_order_partial(idx, partial, t_first, t_last, run.len());
             }
-            assert_eq!(grouped.has_pending_repairs(), policy == StorePolicy::Eager);
+            assert!(!grouped.has_pending_repairs());
             grouped.flush_eager_repairs();
             per_tuple.flush_eager_repairs();
             for (a, b) in [(0, 10), (10, 20), (20, 30), (0, 30)] {
@@ -1603,27 +1469,35 @@ mod tests {
     }
 
     #[test]
-    fn structural_ops_between_deferred_writes_stay_consistent() {
-        let mut st = filled(StorePolicy::Eager, true);
-        st.add_out_of_order_run(0, &[(3, 3)]);
-        // A gap insert rebuilds the whole eager tree and clears the dirty
-        // set; the deferred leaf write must survive the rebuild.
-        st.insert_gap_slice(Range::new(40, 50));
-        assert!(!st.has_pending_repairs());
-        assert_eq!(st.query_time(Range::new(0, 10)), Some(9));
-        st.add_out_of_order_run(1, &[(13, 13)]);
+    fn eager_late_writes_are_queryable_without_a_flush() {
+        // The FlatFAT is written through: right after a late run or a
+        // pre-folded late partial, a range past the scan cutoff is
+        // answered by the tree, and equals the slice fold.
+        let mut st = store(StorePolicy::Eager, false);
+        let n = INDEX_SCAN_CUTOFF + 8;
+        for i in 0..n {
+            let t = i as Time * 10;
+            st.append_slice(Range::new(t, t + 10));
+            st.add_in_order(t, i as i64 + 1);
+        }
         st.flush_eager_repairs();
-        assert_eq!(st.query_time(Range::new(10, 20)), Some(25));
-        assert_eq!(st.query_time(Range::new(0, 30)), Some(84));
+        let fold = |st: &SliceStore<SumI64>| {
+            st.slices().filter_map(|s| s.aggregate().copied()).reduce(|a, b| a + b)
+        };
+        st.add_out_of_order_run(3, &[(31, 100), (33, 7)]);
+        assert_eq!(st.index.query(0, n), Some(fold(&st)), "after a late run");
+        assert_eq!(st.query_slice_range(0, n), fold(&st));
+        st.add_out_of_order_partial(n - 2, -40, 381, 385, 3);
+        assert_eq!(st.index.query(1, n), Some(st.query_slice_range(1, n)));
+        assert_eq!(st.index.query(0, n), Some(fold(&st)), "after a late partial");
+        assert_eq!(st.query_time(Range::new(0, n as Time * 10)), fold(&st));
     }
 
     #[test]
     fn finger_structural_ops_between_deferred_writes_stay_consistent() {
-        // Unlike FlatFAT (whose structural ops rebuild the dense array
-        // and clear the dirty set wholesale), the finger tree keeps its
-        // deferred-repair region across gap inserts — the repair
-        // contract only requires queries to flush first. A long query
-        // and a flush build the tree first.
+        // The finger tree keeps its deferred-repair region across gap
+        // inserts — the repair contract only requires queries to flush
+        // first. A long query and a flush build the tree first.
         let mut st = store(StorePolicy::FingerTree, true);
         let n = INDEX_SCAN_CUTOFF + 4;
         for i in 0..n {
@@ -1655,54 +1529,35 @@ mod tests {
     fn flush_repairs_only_when_index_queryable() {
         // Below INDEX_SCAN_CUTOFF every query folds the slice deque, so
         // flush leaves deferred dirt alone; past the cutoff the next
-        // flush must repair before the first index visit — for the
-        // finger tree, once a long query has had it built.
-        for policy in [StorePolicy::Eager, StorePolicy::FingerTree] {
-            let mut st = store(policy, false);
-            let n = INDEX_SCAN_CUTOFF + 4;
-            for i in 0..n {
-                let t = i as Time * 10;
-                st.append_slice(Range::new(t, t + 10));
-                st.add_in_order(t, i as i64 + 1);
-            }
-            let full = Range::new(0, n as Time * 10);
-            let expect: i64 = (1..=n as i64).sum::<i64>() + 100;
-            st.add_out_of_order_run(0, &[(3, 100)]);
-            if policy == StorePolicy::FingerTree {
-                // Unbuilt: the late write leaves no dirt, a flush builds
-                // nothing, and the first long query scans.
-                assert!(!st.has_pending_repairs());
-                st.flush_eager_repairs();
-                assert!(!st.index_built());
-                assert_eq!(st.query_time(full), Some(expect), "scan before the build");
-                assert!(!st.index_built(), "a query alone built the index");
-                st.flush_eager_repairs();
-                assert!(st.index_built(), "flush after a long query did not build");
-                // A zero-valued late write dirties the built tree.
-                st.add_out_of_order_run(0, &[(4, 0)]);
-            }
-            assert!(st.has_pending_repairs(), "{policy:?}: deferred write left no dirt");
-            st.flush_eager_repairs();
-            assert!(!st.has_pending_repairs(), "{policy:?}: flush skipped a queryable index");
-            // Full range exceeds the cutoff: answered via the index.
-            assert_eq!(st.index.query(0, n), Some(Some(expect)), "{policy:?}: index after repair");
-            assert_eq!(st.query_time(full), Some(expect), "{policy:?}: query after repair");
-
-            // A small store never repairs: the eager FlatFAT keeps its
-            // dirt across flushes, the finger tree has not even built —
-            // and the scan answers correctly either way.
-            let mut small = store(policy, false);
-            small.append_slice(Range::new(0, 10));
-            small.add_in_order(1, 1);
-            small.add_out_of_order_run(0, &[(2, 2)]);
-            small.flush_eager_repairs();
-            assert_eq!(
-                small.has_pending_repairs(),
-                policy == StorePolicy::Eager,
-                "{policy:?}: unexpected small-store dirt state"
-            );
-            assert_eq!(small.query_time(Range::new(0, 10)), Some(3));
+        // flush must repair before the first index visit, once a long
+        // query has had the tree built.
+        let mut st = store(StorePolicy::FingerTree, false);
+        let n = INDEX_SCAN_CUTOFF + 4;
+        for i in 0..n {
+            let t = i as Time * 10;
+            st.append_slice(Range::new(t, t + 10));
+            st.add_in_order(t, i as i64 + 1);
         }
+        let full = Range::new(0, n as Time * 10);
+        let expect: i64 = (1..=n as i64).sum::<i64>() + 100;
+        st.add_out_of_order_run(0, &[(3, 100)]);
+        // Unbuilt: the late write leaves no dirt, a flush builds
+        // nothing, and the first long query scans.
+        assert!(!st.has_pending_repairs());
+        st.flush_eager_repairs();
+        assert!(!st.index_built());
+        assert_eq!(st.query_time(full), Some(expect), "scan before the build");
+        assert!(!st.index_built(), "a query alone built the index");
+        st.flush_eager_repairs();
+        assert!(st.index_built(), "flush after a long query did not build");
+        // A zero-valued late write dirties the built tree.
+        st.add_out_of_order_run(0, &[(4, 0)]);
+        assert!(st.has_pending_repairs(), "deferred write left no dirt");
+        st.flush_eager_repairs();
+        assert!(!st.has_pending_repairs(), "flush skipped a queryable index");
+        // Full range exceeds the cutoff: answered via the index.
+        assert_eq!(st.index.query(0, n), Some(Some(expect)), "index after repair");
+        assert_eq!(st.query_time(full), Some(expect), "query after repair");
     }
 
     /// Slices `[10 i, 10 i + 10)` for `i` in `from..to`, except every
@@ -1939,16 +1794,17 @@ mod tests {
 
     #[test]
     fn batch_call_handles_disjoint_groups_and_tiny_stores() {
-        // Tumbling windows stab into one group per window pair; windows
-        // nested inside a long one share its group's prefix scan.
+        // Tumbling windows share no boundary, so these go per window;
+        // windows nested inside a long one share its pivot.
         let st = gappy(Concat, StorePolicy::Lazy);
         let mut windows: Vec<((), Range)> =
             (0..48).map(|i| ((), Range::new(i * 10, i * 10 + 10))).collect();
         windows.push(((), Range::new(0, 480)));
         windows.extend((0..12).map(|i| ((), Range::new(i * 40, i * 40 + 30))));
         batch_matches_each(&st, &windows, "tumbling + nested");
-        // Sliding sweeps: pivots a window length apart, so suffix and
-        // prefix columns fold long runs of slices (gap and empties in).
+        // Sliding sweeps: suffix and prefix columns fold long runs of
+        // slices (gap and empties in); a sweep longer than its windows
+        // has no pivot.
         for len in [3, 7, 20, 45] {
             let mut windows: Vec<((), Range)> =
                 (0..=48 - len).map(|i| ((), Range::new(i * 10, (i + len) * 10))).collect();
@@ -2003,6 +1859,15 @@ mod tests {
             let tumbling: Vec<((), Range)> =
                 (100..200).map(|i| ((), Range::new(i * 10, i * 10 + 10))).collect();
             assert_eq!(scanned(&st, &tumbling), 0, "{policy:?}");
+            // A sliding sweep that spans more than one window length
+            // shares no boundary: answered per window, and alike.
+            let spread: Vec<((), Range)> =
+                (100..112).map(|i| ((), Range::new(i * 10, (i + 4) * 10))).collect();
+            assert_eq!(scanned(&st, &spread), 0, "{policy:?}");
+            let got = emitted::<SumI64>(&spread, |e| {
+                st.query_time_batch(&spread, e);
+            });
+            assert_eq!(got, each(&st, &spread), "{policy:?}");
         }
         // A dozen windows over thousands of slices: an index answers
         // each in O(log d); a store without one folds each window's
@@ -2016,90 +1881,6 @@ mod tests {
             concat.add_in_order(i * 10, i);
         }
         assert_eq!(concat.query_time_batch(&windows_over(100, 50, 40), |_, _, _| {}), 0);
-    }
-
-    /// What `plan` answers for a resolved sweep, one entry per window.
-    fn planned<A: AggregateFunction>(
-        st: &SliceStore<A>,
-        windows: &[((), Range)],
-        edges: &SweepEdges,
-        plan: &SweepPlan,
-    ) -> Vec<Option<A::Partial>> {
-        emitted::<A>(windows, |mut emit| st.emit_scanned(windows, &edges.bounds, plan, &mut emit))
-    }
-
-    #[test]
-    fn one_pivot_plan_is_the_greedy_stabs_plan() {
-        // A seeded grid of sweeps over a store with a gap, empty slices
-        // and an open slice; edges in slice units of 10 from -4 on. No
-        // window starts inside the open slice, past its one tuple.
-        let st = gappy(Concat, StorePolicy::Lazy);
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut below = |n: i64| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            ((z ^ (z >> 29)) % n as u64) as i64
-        };
-        let window = |a: i64, b: i64| ((), Range::new(a.min(48) * 10, b.max(a.min(48)) * 10));
-        let (mut one, mut many) = (0, 0);
-        for case in 0..600 {
-            let mut windows = Vec::new();
-            // Two families per sweep, so one-group and many-group sweeps mix.
-            for family in [case % 6, below(6)] {
-                let (at, len) = (below(56) - 4, 1 + below(30));
-                match family {
-                    // Sliding: `count` windows of `len`, a slide apart.
-                    0 => {
-                        let (slide, count) = (1 + below(3), 1 + below(12));
-                        windows.extend(
-                            (0..count).map(|i| window(at + i * slide, at + i * slide + len)),
-                        );
-                    }
-                    // Nested tumbling windows that end together.
-                    1 => windows
-                        .extend((1..=1 + below(5)).map(|k| window(at + len - k * 3, at + len))),
-                    // A disjoint tumbling catch-up.
-                    2 => windows.extend(
-                        (0..1 + below(10)).map(|i| window(at + i * len, at + (i + 1) * len)),
-                    ),
-                    // Windows with `l >= r`: inside the gap, before the
-                    // store, or empty.
-                    3 => {
-                        windows.extend([window(4, 7), window(5, 6), window(-8, -4), window(at, at)])
-                    }
-                    // A single window.
-                    4 => windows.push(window(at, at + len)),
-                    // One long window and windows nested in it.
-                    _ => {
-                        windows.push(window(at, at + len));
-                        windows
-                            .extend((0..below(4)).map(|i| window(at + i, at + i + 1 + below(len))));
-                    }
-                }
-            }
-            // Sweeps list windows query by query, not sorted.
-            if below(2) == 0 {
-                windows.reverse();
-            }
-            let edges = st.resolve(&windows);
-            if edges.base >= edges.top {
-                continue; // no slice under any window: nothing to plan
-            }
-            let want = each(&st, &windows);
-            let stab = SweepPlan::stab(&edges);
-            assert_eq!(planned(&st, &windows, &edges, &stab), want, "case {case}: stab");
-            if edges.one_pivot() {
-                let plan = SweepPlan::one_pivot(&edges);
-                assert_eq!(plan.base, stab.base, "case {case}");
-                assert_eq!(plan.groups, stab.groups, "case {case}: pivot and reach");
-                assert_eq!(plan.prefix_len, stab.prefix_len, "case {case}");
-                assert_eq!(planned(&st, &windows, &edges, &plan), want, "case {case}: one pivot");
-                one += 1;
-            } else {
-                many += 1;
-            }
-        }
-        assert!(one >= 100 && many >= 100, "grid too narrow: {one} one-group, {many} many-group");
     }
 
     #[test]

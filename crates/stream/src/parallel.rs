@@ -271,11 +271,11 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
             } else {
                 self.fold_misses += 1;
             }
-            let partial = match self.f.fold_slice(&values[i..j]) {
-                Some(p) => p,
-                None => unreachable!("span holds at least one record"),
-            };
-            self.add(SlicePartial { start, end, partial, t_first, t_last, n: (j - i) as u64 });
+            // An empty fold adds nothing.
+            if let Some(partial) = self.f.fold_slice(&values[i..j]) {
+                let n = (j - i) as u64;
+                self.add(SlicePartial { start, end, partial, t_first, t_last, n });
+            }
             i = j;
         }
     }

@@ -307,51 +307,6 @@ proptest! {
         }
     }
 
-    /// FlatFAT deferred repair: a random interleaving of
-    /// `update_deferred`/`push_deferred` plus `repair_dirty` must leave
-    /// the tree indistinguishable from eager `update`/`push` — same
-    /// total, same range queries.
-    #[test]
-    fn flatfat_deferred_repair_matches_eager_update(
-        init in prop::collection::vec(-100i64..100, 1..64),
-        ops in prop::collection::vec((0u8..4, 0usize..256, -100i64..100), 1..200),
-    ) {
-        use general_stream_slicing::core::FlatFat;
-        let mut eager = FlatFat::new(Sum);
-        let mut deferred = FlatFat::new(Sum);
-        for &v in &init {
-            eager.push(Some(v));
-            deferred.push(Some(v));
-        }
-        for (step, &(sel, idx, v)) in ops.iter().enumerate() {
-            match sel {
-                0 | 1 => {
-                    let i = idx % eager.len();
-                    eager.update(i, Some(v));
-                    deferred.update_deferred(i, Some(v));
-                }
-                2 => {
-                    eager.push(Some(v));
-                    deferred.push_deferred(Some(v));
-                }
-                _ => deferred.repair_dirty(),
-            }
-            if step % 7 == 0 {
-                deferred.repair_dirty();
-                prop_assert_eq!(eager.total(), deferred.total(), "total diverged at {}", step);
-            }
-        }
-        deferred.repair_dirty();
-        prop_assert!(!deferred.has_dirty());
-        let n = eager.len();
-        prop_assert_eq!(n, deferred.len());
-        for l in 0..n {
-            for r in (l + 1..=n).step_by(3) {
-                prop_assert_eq!(eager.query(l, r), deferred.query(l, r), "query {}..{}", l, r);
-            }
-        }
-    }
-
     /// Long-lateness regime: allowed lateness (100_000 ticks) is four to
     /// five orders of magnitude above the slice width (slide 1..4 over a
     /// ~6_000 tick span anchored at both ends), so *nothing* is ever

@@ -323,6 +323,35 @@ proptest! {
     }
 }
 
+/// Windows one per-key operator cannot host together — count and time
+/// measures on the out-of-order keyed stream — are refused when the
+/// operator is built, not at its first tuple. A session fallback built
+/// through `try_new` still matches the reference.
+#[test]
+fn keyed_try_new_refuses_mixed_measures_at_construction() {
+    use general_stream_slicing::core::QueryError;
+    let mixed = || -> Vec<Box<dyn WindowFunction>> {
+        vec![Box::new(TumblingWindow::new(10)), Box::new(CountTumblingWindow::new(3))]
+    };
+    let refused = KeyedWindowOperator::try_new(Sum, mixed(), KeyedConfig::default()).err();
+    assert_eq!(refused, Some(QueryError::MixedMeasuresOutOfOrder));
+    let built =
+        std::panic::catch_unwind(|| KeyedWindowOperator::new(Sum, mixed(), KeyedConfig::default()));
+    assert!(built.is_err(), "`new` accepted windows its first tuple would refuse");
+
+    let tuples: Vec<(Time, u64, i64)> =
+        (0..300).map(|i| ((i * 37 % 1_000) as Time, (i % 5) as u64, i as i64 - 150)).collect();
+    let mut tuples = tuples;
+    tuples.sort_by_key(|&(ts, _, _)| ts);
+    let elements = with_keyed_watermarks(&tuples, 11, 40);
+    let sessions = || -> Vec<Box<dyn WindowFunction>> { vec![Box::new(SessionWindow::new(25))] };
+    let mut op = KeyedWindowOperator::try_new(Sum, sessions(), KeyedConfig::default())
+        .expect("one session window fits one operator");
+    assert!(!op.is_shared());
+    let want = sorted(RefKeyed::new(sessions(), 0).run(&elements));
+    assert_eq!(sorted(drive_keyed(&mut op, &elements, 16)), want);
+}
+
 /// Drives a keyed aggregator like [`drive_keyed`], but through
 /// `process_batch_columns`.
 fn drive_keyed_columns(

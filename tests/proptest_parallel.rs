@@ -246,8 +246,8 @@ proptest! {
         check_parallel(&elements, &time_windows(length, slide), lateness, StorePolicy::Lazy, batch)?;
     }
 
-    /// Eager (FlatFAT-indexed) stores take the deferred-repair path on
-    /// every merged partial; results must not change.
+    /// Eager (FlatFAT-indexed) stores write every merged partial through
+    /// to their index; results must not change.
     #[test]
     fn parallel_matches_sequential_eager_store(
         raw in prop::collection::vec((0i64..1_000, -50i64..50), 1..120),
