@@ -19,7 +19,7 @@ pub struct SortedRle {
 
 impl SortedRle {
     /// The multiset holding a single value.
-    pub fn singleton(v: i64) -> Self {
+    fn singleton(v: i64) -> Self {
         SortedRle { runs: vec![(v, 1)], len: 1 }
     }
 
@@ -241,7 +241,7 @@ pub struct SortedVec {
 }
 
 impl SortedVec {
-    pub fn singleton(v: i64) -> Self {
+    fn singleton(v: i64) -> Self {
         SortedVec { values: vec![v] }
     }
 

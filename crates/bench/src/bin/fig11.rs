@@ -63,7 +63,7 @@ fn slice_store<A: AggregateFunction<Input = i64>>(
     let mut st = SliceStore::new(f, policy, false);
     for i in 0..n as i64 {
         st.append_slice(Range::new(i * 10, (i + 1) * 10));
-        st.add_in_order(i * 10, i % 97);
+        st.add_in_order_run_columns(&[i * 10], &[i % 97]);
     }
     st.query_time(Range::new(0, n as i64 * 10));
     st.flush_eager_repairs();

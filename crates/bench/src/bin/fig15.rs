@@ -17,12 +17,12 @@ use gss_core::{AggregateFunction, Range, Slice, Time};
 /// Builds a slice with `n` stored tuples and measures a split through the
 /// middle (both halves recomputed), median of `reps` runs, nanoseconds.
 fn split_cost<A: AggregateFunction<Input = i64> + Copy>(f: A, n: usize, reps: usize) -> f64 {
+    let times: Vec<Time> = (0..n as Time).collect();
+    let values: Vec<i64> = times.iter().map(|i| i % 97).collect();
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
         let mut slice: Slice<A> = Slice::new(Range::new(0, n as Time), true);
-        for i in 0..n as i64 {
-            slice.add_in_order(&f, i, i % 97);
-        }
+        slice.add_run_columns(&f, &times, &values);
         let t = Instant::now();
         let right = slice.split(&f, n as Time / 2);
         std::hint::black_box(&right);

@@ -3,6 +3,13 @@
 //! shared slice metadata, key-grouped batches, and bucket-gated
 //! watermarks).
 //!
+//! Why this binary stays beside the repo benchmark: `benchmark/` times
+//! the shared timeline alone, at 100 to 20 000 keys. The question it
+//! cannot answer is how the shared timeline compares with the
+//! map-of-operators baseline (`NaiveKeyedOperator`, one operator per key)
+//! from 10 k to 1 M keys — the cardinality at which a keyed layout pays
+//! off or does not. Only this binary runs both on one stream.
+//!
 //! Two phases:
 //!
 //! * **Throughput** — sliding-window sum (1 s length, 250 ms slide) over

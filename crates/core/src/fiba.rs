@@ -13,7 +13,7 @@
 //!   non-commutative ⊕).
 //! * **Fingers.** Direct handles to the first and the last leaf make the
 //!   two hot access patterns cheap: an in-order run commit touches the
-//!   last leaf in O(1) + one path recompute, and an out-of-order write a
+//!   last leaf in O(1) + one path mark, and an out-of-order write a
 //!   distance `d` behind the stream head climbs the spine from the
 //!   nearer finger in O(log d) instead of O(log n).
 //! * **Structural inserts/removals are local.** `FlatFat` rebuilds its
@@ -22,17 +22,18 @@
 //!   a watermark eviction of `k` leading slices releases whole subtrees
 //!   along the left spine — O(k + log n) total, amortized O(1) per
 //!   evicted slice.
-//! * **Deferred repair.** `update_deferred` marks the leaf-to-root path
-//!   dirty and `repair_dirty` recomputes exactly the dirty subtrees, so
+//! * **Deferred repair, and only that.** Every write — push, update,
+//!   insert, remove, `remove_prefix` — keeps subtree counts exact and
+//!   marks its leaf-to-root path dirty; `repair_dirty` is the one place
+//!   that recomputes aggregates, descending into dirty subtrees only, so
 //!   k writes near the stream head repair their shared path once
 //!   instead of k times.
 //!
 //! The dirty discipline keeps one invariant at all times: **a dirty
 //! node's ancestors are dirty** (so `repair_dirty` finds every stale
 //! aggregate by descending from the root into dirty children only).
-//! Eager path recomputes preserve it by leaving a node dirty when any of
-//! its children still is. Subtree counts are *always* maintained — even
-//! under deferred writes — so position lookups never require a repair.
+//! Subtree counts are never deferred, so position lookups never require
+//! a repair.
 
 use crate::cast::idx32;
 use crate::function::AggregateFunction;
@@ -143,35 +144,18 @@ impl<A: AggregateFunction> FingerTree<A> {
     // Writes
     // ------------------------------------------------------------------
 
-    /// Appends a leaf and recomputes the path to the root.
+    /// Appends a leaf; the path is marked dirty (counts are kept exact)
+    /// for `repair_dirty`.
     pub fn push(&mut self, p: Option<A::Partial>) {
         let leaf = self.push_raw(p);
-        self.refresh_up(leaf);
+        self.recount_up(leaf);
     }
 
-    /// Appends a leaf, deferring aggregate maintenance: the path is
-    /// marked dirty (counts are still kept exact) for `repair_dirty`.
-    pub(crate) fn push_deferred(&mut self, p: Option<A::Partial>) {
-        let leaf = self.push_raw(p);
-        self.defer_refresh_up(leaf);
-    }
-
-    /// Replaces the partial at `i` and recomputes the path to the root.
-    /// O(1) at the fingers plus an O(log d) path recompute.
-    pub fn update(&mut self, i: usize, p: Option<A::Partial>) {
-        assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
-        let (leaf, off) = self.locate(i);
-        if let Entries::Leaf(items) = &mut self.nodes[idx32(leaf)].entries {
-            items[off] = p;
-        }
-        self.refresh_up(leaf);
-    }
-
-    /// Replaces the partial at `i`, deferring ancestor recomputation to
+    /// Replaces the partial at `i`, leaving ancestor recomputation to
     /// `repair_dirty` — k writes near the stream head share one path
     /// repair instead of paying k (the mark stops at the first
-    /// already-dirty ancestor).
-    pub fn update_deferred(&mut self, i: usize, p: Option<A::Partial>) {
+    /// already-dirty ancestor). O(1) at the fingers, O(log d) otherwise.
+    pub fn update(&mut self, i: usize, p: Option<A::Partial>) {
         assert!(i < self.len, "leaf index {i} out of bounds (len {})", self.len);
         let (leaf, off) = self.locate(i);
         if let Entries::Leaf(items) = &mut self.nodes[idx32(leaf)].entries {
@@ -216,7 +200,7 @@ impl<A: AggregateFunction> FingerTree<A> {
         if overflow {
             self.split_leaf(leaf);
         }
-        self.refresh_up(leaf);
+        self.recount_up(leaf);
         self.refresh_fingers();
     }
 
@@ -243,7 +227,7 @@ impl<A: AggregateFunction> FingerTree<A> {
         if now_empty {
             self.unlink(leaf);
         } else {
-            self.refresh_up(leaf);
+            self.recount_up(leaf);
         }
         self.collapse_root();
         self.refresh_fingers();
@@ -253,7 +237,7 @@ impl<A: AggregateFunction> FingerTree<A> {
     /// Removes the first `k` leaf positions — the bulk-eviction path.
     /// Whole expired subtrees along the left spine are released without
     /// visiting their leaves: O(k) node frees + one O(log n) spine
-    /// recompute, amortized O(1) per evicted slice.
+    /// mark, amortized O(1) per evicted slice.
     pub fn remove_prefix(&mut self, k: usize) {
         assert!(k <= self.len, "prefix {k} out of bounds (len {})", self.len);
         if k == 0 {
@@ -295,7 +279,7 @@ impl<A: AggregateFunction> FingerTree<A> {
             }
         }
         self.len -= k;
-        self.refresh_up(n);
+        self.recount_up(n);
         self.collapse_root();
         self.refresh_fingers();
     }
@@ -479,61 +463,30 @@ impl<A: AggregateFunction> FingerTree<A> {
         self.dirty_count = 0;
     }
 
-    /// Recomputes one node's count — and, unless a child is still
-    /// dirty, its aggregate — from its direct children, resolving the
-    /// node's dirty flag. A node above a dirty child stays dirty (its
-    /// cached aggregate cannot be trusted until `repair_dirty`), which
-    /// preserves the dirty-parent invariant across eager recomputes.
+    /// Recomputes one node's aggregate from its direct children, which
+    /// must be clean, and clears its dirty flag. Only `repair_node`
+    /// calls it: this is where aggregates are computed.
     fn refresh_node(&mut self, n: u32) {
         let ni = idx32(n);
-        let (count, agg, stale) = match &self.nodes[ni].entries {
+        let mut agg: Option<A::Partial> = None;
+        match &self.nodes[ni].entries {
             Entries::Leaf(items) => {
-                let mut agg: Option<A::Partial> = None;
                 for it in items {
                     agg = self.f.combine_opt(agg, it.as_ref());
                 }
-                (items.len(), agg, false)
             }
             Entries::Internal(children) => {
-                let mut count = 0usize;
-                let mut child_dirty = false;
                 for &c in children {
-                    let child = &self.nodes[idx32(c)];
-                    count += child.count;
-                    child_dirty |= child.dirty;
+                    debug_assert!(!self.nodes[idx32(c)].dirty, "refresh above a dirty child");
+                    agg = self.f.combine_opt(agg, self.nodes[idx32(c)].agg.as_ref());
                 }
-                if child_dirty {
-                    (count, None, true)
-                } else {
-                    let mut agg: Option<A::Partial> = None;
-                    for &c in children {
-                        agg = self.f.combine_opt(agg, self.nodes[idx32(c)].agg.as_ref());
-                    }
-                    (count, agg, false)
-                }
-            }
-        };
-        let node = &mut self.nodes[ni];
-        node.count = count;
-        if stale {
-            if !node.dirty {
-                node.dirty = true;
-                self.dirty_count += 1;
-            }
-        } else {
-            node.agg = agg;
-            if node.dirty {
-                node.dirty = false;
-                self.dirty_count -= 1;
             }
         }
-    }
-
-    /// Recomputes every node from `n` to the root.
-    fn refresh_up(&mut self, mut n: u32) {
-        while n != NIL {
-            self.refresh_node(n);
-            n = self.nodes[idx32(n)].parent;
+        let node = &mut self.nodes[ni];
+        node.agg = agg;
+        if node.dirty {
+            node.dirty = false;
+            self.dirty_count -= 1;
         }
     }
 
@@ -552,25 +505,31 @@ impl<A: AggregateFunction> FingerTree<A> {
         }
     }
 
-    /// Upward pass for deferred structural writes: counts are
-    /// recomputed (position lookups must stay exact) but aggregates are
-    /// left stale and the whole path is marked dirty.
-    fn defer_refresh_up(&mut self, mut n: u32) {
-        while n != NIL {
-            let ni = idx32(n);
-            let count = match &self.nodes[ni].entries {
-                Entries::Leaf(items) => items.len(),
-                Entries::Internal(children) => {
-                    children.iter().map(|&c| self.nodes[idx32(c)].count).sum()
-                }
-            };
-            let node = &mut self.nodes[ni];
-            node.count = count;
-            if !node.dirty {
-                node.dirty = true;
-                self.dirty_count += 1;
+    /// Recomputes `n`'s count from its direct children and marks it
+    /// dirty: its aggregate waits for `repair_dirty`.
+    fn recount(&mut self, n: u32) {
+        let ni = idx32(n);
+        let count = match &self.nodes[ni].entries {
+            Entries::Leaf(items) => items.len(),
+            Entries::Internal(children) => {
+                children.iter().map(|&c| self.nodes[idx32(c)].count).sum()
             }
-            n = node.parent;
+        };
+        let node = &mut self.nodes[ni];
+        node.count = count;
+        if !node.dirty {
+            node.dirty = true;
+            self.dirty_count += 1;
+        }
+    }
+
+    /// The upward pass of a structural write: every count from `n` to
+    /// the root is recomputed (position lookups must stay exact) and the
+    /// whole path is marked dirty.
+    fn recount_up(&mut self, mut n: u32) {
+        while n != NIL {
+            self.recount(n);
+            n = self.nodes[idx32(n)].parent;
         }
     }
 
@@ -594,8 +553,8 @@ impl<A: AggregateFunction> FingerTree<A> {
 
     /// Appends `p` to the last leaf (splitting on overflow, growing the
     /// root as needed) and returns the leaf holding the new item.
-    /// Ancestor counts/aggregates are NOT updated — callers follow with
-    /// `refresh_up` or `defer_refresh_up`.
+    /// Ancestor counts are NOT updated — callers follow with
+    /// `recount_up`.
     fn push_raw(&mut self, p: Option<A::Partial>) -> u32 {
         self.len += 1;
         if self.root == NIL {
@@ -650,8 +609,8 @@ impl<A: AggregateFunction> FingerTree<A> {
             agg: None,
             entries: Entries::Leaf(right_items),
         });
-        self.refresh_node(leaf);
-        self.refresh_node(right);
+        self.recount(leaf);
+        self.recount(right);
         self.insert_after(leaf, right);
     }
 
@@ -679,8 +638,8 @@ impl<A: AggregateFunction> FingerTree<A> {
         for &c in &moved[..k] {
             self.nodes[idx32(c)].parent = right;
         }
-        self.refresh_node(node);
-        self.refresh_node(right);
+        self.recount(node);
+        self.recount(right);
         self.insert_after(node, right);
     }
 
@@ -699,7 +658,7 @@ impl<A: AggregateFunction> FingerTree<A> {
             self.nodes[idx32(left)].parent = new_root;
             self.nodes[idx32(right)].parent = new_root;
             self.root = new_root;
-            self.refresh_node(new_root);
+            self.recount(new_root);
             return;
         }
         self.nodes[idx32(right)].parent = parent;
@@ -747,7 +706,7 @@ impl<A: AggregateFunction> FingerTree<A> {
         if now_empty {
             self.unlink(parent);
         } else {
-            self.refresh_up(parent);
+            self.recount_up(parent);
         }
     }
 
@@ -902,13 +861,23 @@ mod tests {
     use super::*;
     use crate::testsupport::{Concat, SumI64};
 
+    /// Leaves `1..=n`, repaired.
     fn filled(n: usize) -> FingerTree<SumI64> {
         let mut t = FingerTree::new(SumI64);
         for i in 0..n {
             t.push(Some(i as i64 + 1));
         }
         t.assert_invariants();
+        t.repair_dirty();
         t
+    }
+
+    /// Repairs `t` and checks it, as a reader must before a query.
+    fn repaired<A: AggregateFunction>(t: &mut FingerTree<A>) {
+        t.assert_invariants();
+        t.repair_dirty();
+        assert!(!t.has_dirty());
+        t.assert_invariants();
     }
 
     #[test]
@@ -943,53 +912,37 @@ mod tests {
     }
 
     #[test]
-    fn update_eager_and_deferred() {
+    fn every_write_defers_until_repair() {
         let mut t = filled(50);
         t.update(10, Some(1000));
-        t.assert_invariants();
-        assert!(!t.has_dirty());
+        assert!(t.has_dirty());
         assert_eq!(t.leaf(10).copied(), Some(1000));
+        repaired(&mut t);
         let expect: i64 = (1..=50).sum::<i64>() - 11 + 1000;
         assert_eq!(t.total().copied(), Some(expect));
-
-        t.update_deferred(3, Some(2000));
+        // Structural writes leave dirt too, and one repair settles a mix.
+        t.update(3, Some(2000));
+        t.insert(40, Some(7));
+        t.remove(0);
+        t.push(Some(9));
+        t.remove_prefix(2);
         assert!(t.has_dirty());
-        t.assert_invariants();
-        t.repair_dirty();
-        assert!(!t.has_dirty());
-        t.assert_invariants();
-        assert_eq!(t.total().copied(), Some(expect - 4 + 2000));
-    }
-
-    #[test]
-    fn eager_update_amid_deferred_writes_keeps_repairs_exact() {
-        // An eager recompute must not wash out dirt below a shared
-        // ancestor (the dirty-parent invariant).
-        let mut t = filled(64);
-        t.update_deferred(1, Some(-100));
-        t.update(2, Some(-200));
-        t.update_deferred(62, Some(-300));
-        t.update(63, Some(-400));
-        t.assert_invariants();
-        t.repair_dirty();
-        t.assert_invariants();
-        let mut expect: i64 = (1..=64).sum();
-        expect += -100 - 2 - 200 - 3 - 300 - 63 - 400 - 64;
-        assert_eq!(t.total().copied(), Some(expect));
+        repaired(&mut t);
+        assert_eq!(t.total().copied(), Some(expect - 4 + 2000 + 7 - 1 + 9 - 2 - 3));
     }
 
     #[test]
     fn insert_shifts_positions() {
         let mut t = filled(20);
         t.insert(5, Some(-7));
-        t.assert_invariants();
+        repaired(&mut t);
         assert_eq!(t.len(), 21);
         assert_eq!(t.leaf(5).copied(), Some(-7));
         assert_eq!(t.leaf(6).copied(), Some(6));
         assert_eq!(t.total().copied(), Some((1..=20).sum::<i64>() - 7));
         t.insert(0, None);
         t.insert(22, Some(9));
-        t.assert_invariants();
+        repaired(&mut t);
         assert_eq!(t.leaf(0), None);
         assert_eq!(t.leaf(22).copied(), Some(9));
     }
@@ -998,14 +951,14 @@ mod tests {
     fn remove_shifts_positions() {
         let mut t = filled(30);
         assert_eq!(t.remove(4), Some(5));
-        t.assert_invariants();
+        repaired(&mut t);
         assert_eq!(t.len(), 29);
         assert_eq!(t.leaf(4).copied(), Some(6));
         assert_eq!(t.total().copied(), Some((1..=30).sum::<i64>() - 5));
         // drain everything front-first
         for _ in 0..29 {
             t.remove(0);
-            t.assert_invariants();
+            repaired(&mut t);
         }
         assert!(t.is_empty());
         assert_eq!(t.total(), None);
@@ -1020,7 +973,7 @@ mod tests {
                 }
                 let mut t = filled(n);
                 t.remove_prefix(k);
-                t.assert_invariants();
+                repaired(&mut t);
                 assert_eq!(t.len(), n - k);
                 let expect: i64 = (k..n).map(|i| i as i64 + 1).sum();
                 assert_eq!(t.query(0, n - k).unwrap_or(0), expect, "n={n} k={k}");
@@ -1035,12 +988,10 @@ mod tests {
     #[test]
     fn remove_prefix_with_pending_dirt_behind_keeps_repairs() {
         let mut t = filled(100);
-        t.update_deferred(90, Some(0));
+        t.update(90, Some(0));
         t.remove_prefix(50);
-        t.assert_invariants();
         assert!(t.has_dirty());
-        t.repair_dirty();
-        t.assert_invariants();
+        repaired(&mut t);
         let expect: i64 = (50..100).map(|i| i as i64 + 1).sum::<i64>() - 91;
         assert_eq!(t.total().copied(), Some(expect));
     }
@@ -1051,10 +1002,12 @@ mod tests {
         for i in 0..40i64 {
             t.push(Some(vec![i]));
         }
+        repaired(&mut t);
         let q = t.query(3, 27);
         let expect: Vec<i64> = (3..27).collect();
         assert_eq!(q, Some(expect));
         t.insert(10, Some(vec![200]));
+        repaired(&mut t);
         let q = t.query(8, 13);
         assert_eq!(q, Some(vec![8, 9, 200, 10, 11]));
     }
@@ -1063,14 +1016,12 @@ mod tests {
     fn deferred_push_keeps_counts_exact() {
         let mut t = filled(9);
         for i in 0..30 {
-            t.push_deferred(Some(100 + i));
+            t.push(Some(100 + i));
             // position lookups must work while dirty
             assert_eq!(t.leaf(9 + i as usize).copied(), Some(100 + i));
         }
         assert!(t.has_dirty());
-        t.assert_invariants();
-        t.repair_dirty();
-        t.assert_invariants();
+        repaired(&mut t);
         let expect: i64 = (1..=9).sum::<i64>() + (100..130).sum::<i64>();
         assert_eq!(t.total().copied(), Some(expect));
     }

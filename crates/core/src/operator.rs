@@ -77,6 +77,11 @@ pub enum QueryError {
     /// paper evaluates the two measures separately; in-order streams may
     /// mix them freely.)
     MixedMeasuresOutOfOrder,
+    /// The query needs stored tuples (Figure 4) while live slices already
+    /// hold tuples that were not kept: its splits, recomputations or
+    /// shifts would need tuples that are gone. Register it before the
+    /// data, or once the live slices are evicted.
+    TuplesNotKept,
 }
 
 impl std::fmt::Display for QueryError {
@@ -86,6 +91,10 @@ impl std::fmt::Display for QueryError {
                 f,
                 "count-measure and time-measure queries cannot be mixed on an \
                  out-of-order stream"
+            ),
+            QueryError::TuplesNotKept => write!(
+                f,
+                "the query needs stored tuples, but live slices hold tuples that were not kept"
             ),
         }
     }
@@ -481,7 +490,9 @@ impl<A: AggregateFunction> WindowOperator<A> {
 
     /// Registers a window query. The operator re-derives its workload
     /// characteristics and adapts storage decisions (paper Section 5:
-    /// "our aggregator adapts when one adds or removes queries").
+    /// "our aggregator adapts when one adds or removes queries"). Tuple
+    /// storage only turns on over empty slices: a query that needs it
+    /// while live slices hold unkept tuples is refused.
     pub fn add_query(&mut self, window: Box<dyn WindowFunction>) -> Result<QueryId, QueryError> {
         if self.cfg.order == StreamOrder::OutOfOrder {
             let new_measure = window.measure();
@@ -490,8 +501,17 @@ impl<A: AggregateFunction> WindowOperator<A> {
             }
         }
         let id = self.next_query_id;
-        self.next_query_id += 1;
         self.queries.push(Query::new(id, window));
+        let props = self.f.properties();
+        let chars = WorkloadCharacteristics::derive(&self.queries, self.cfg.order, props);
+        if chars.requires_tuple_storage()
+            && !self.store.keeps_tuples()
+            && self.store.slices().any(|s| !s.is_empty())
+        {
+            self.queries.pop();
+            return Err(QueryError::TuplesNotKept);
+        }
+        self.next_query_id += 1;
         self.rederive();
         Ok(id)
     }
@@ -959,8 +979,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
                 self.watermark = ts;
             }
         }
-        // Update: one incremental ⊕ into the open slice.
-        self.store.add_in_order(ts, value);
+        // Update: the tuple is a run of one into the open slice.
+        self.store.add_in_order_run_columns(&[ts], std::slice::from_ref(&value));
         self.max_ts = ts;
         if in_order_emit {
             // Count windows can complete exactly with this tuple; emit them
@@ -1008,7 +1028,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
                 .store
                 .covering_index_by_tuples(ts)
                 .expect("store cannot be empty when processing an out-of-order tuple");
-            self.store.add_out_of_order(idx, ts, value);
+            self.store.add_out_of_order_run(idx, &[(ts, value)]);
             // Figure 6: restore count alignment by shifting the last tuple
             // of each slice one slice further, starting at the insert
             // slice. A tuple landing in the open (latest) slice needs no
@@ -1024,7 +1044,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             self.advance_count_edge_after_insert();
         } else {
             let (idx, _) = self.late_slice_index(ts, None);
-            self.store.add_out_of_order(idx, ts, value);
+            self.store.add_out_of_order_run(idx, &[(ts, value)]);
         }
         // Window Manager: late tuples below the watermark revise emitted
         // windows.

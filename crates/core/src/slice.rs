@@ -5,6 +5,13 @@
 //! source tuples. The three operations are **merge**, **split**, and
 //! **update**; workload characteristics determine what each costs and how
 //! often it runs.
+//!
+//! An update has one entry per kind of change, and a single tuple is a
+//! run of one: [`Slice::add_run_columns`] (an in-order run),
+//! `add_out_of_order_run` (a sorted late run, merged after stored
+//! equal-timestamp tuples), [`Slice::add_out_of_order_partial`] (late
+//! tuples pre-folded without storage) and `add_shifted` (the Figure-6
+//! count shift, placed before them).
 
 use crate::function::AggregateFunction;
 use crate::mem::HeapSize;
@@ -108,33 +115,17 @@ impl<A: AggregateFunction> Slice<A> {
         self.range.end = end;
     }
 
-    /// Adds an in-order tuple (`ts >= t_last`) with one incremental ⊕ step.
-    pub fn add_in_order(&mut self, f: &A, ts: Time, value: A::Input) {
-        debug_assert!(ts >= self.t_last || self.is_empty(), "tuple {ts} not in order");
-        debug_assert!(self.range.contains(ts), "tuple {ts} outside slice {}", self.range);
-        let lifted = f.lift(&value);
-        self.agg = Some(match self.agg.take() {
-            None => lifted,
-            Some(a) => f.combine(a, &lifted),
-        });
-        self.t_first = self.t_first.min(ts);
-        self.t_last = self.t_last.max(ts);
-        self.n_tuples += 1;
-        if let Some(tuples) = &mut self.tuples {
-            tuples.push((ts, value));
-        }
-    }
-
-    /// Adds a run of in-order tuples, given as parallel `times` / `values`
-    /// columns, in one step. The caller guarantees the run is
-    /// non-decreasing in timestamp, starts at or after `t_last`, lies
-    /// inside the slice range, and that the columns are equally long. The
-    /// contiguous values column is folded left-to-right into one partial
-    /// by [`AggregateFunction::fold_slice`], which is combined into the
-    /// slice aggregate with a single ⊕: by
-    /// associativity this equals adding the tuples one by one, including
-    /// for non-commutative functions (event-time order is preserved).
-    pub(crate) fn add_run_columns(&mut self, f: &A, times: &[Time], values: &[A::Input]) {
+    /// Adds a run of in-order tuples — one tuple is a run of one — given
+    /// as parallel `times` / `values` columns, in one step. The caller
+    /// guarantees the run is non-decreasing in timestamp, starts at or
+    /// after `t_last`, lies inside the slice range, and that the columns
+    /// are equally long. The contiguous values column is folded
+    /// left-to-right into one partial by
+    /// [`AggregateFunction::fold_slice`], which is combined into the
+    /// slice aggregate with a single ⊕: by associativity this equals
+    /// adding the tuples one by one, including for non-commutative
+    /// functions (event-time order is preserved).
+    pub fn add_run_columns(&mut self, f: &A, times: &[Time], values: &[A::Input]) {
         debug_assert_eq!(times.len(), values.len(), "SoA run length mismatch");
         let (Some(&first_ts), Some(&last_ts)) = (times.first(), times.last()) else {
             return;
@@ -161,48 +152,15 @@ impl<A: AggregateFunction> Slice<A> {
         }
     }
 
-    /// Adds an out-of-order tuple. For commutative functions the aggregate
-    /// is updated with one incremental ⊕ step; for non-commutative
-    /// functions the aggregate is recomputed from the stored tuples to
-    /// retain the order of aggregation steps (paper Section 5.2, Update).
-    pub(crate) fn add_out_of_order(&mut self, f: &A, ts: Time, value: A::Input) {
-        // Note: no range assertion here — count-delimited slices (Figure 6
-        // shifts) legitimately receive tuples before their nominal start.
-        let commutative = f.properties().commutative;
-        if let Some(tuples) = &mut self.tuples {
-            // Stable insert: after existing tuples with the same timestamp.
-            let pos = tuples.partition_point(|(t, _)| *t <= ts);
-            tuples.insert(pos, (ts, value.clone()));
-        } else {
-            debug_assert!(
-                commutative,
-                "non-commutative out-of-order insert requires stored tuples (Figure 4)"
-            );
-        }
-        self.t_first = self.t_first.min(ts);
-        self.t_last = self.t_last.max(ts);
-        self.n_tuples += 1;
-        if commutative {
-            let lifted = f.lift(&value);
-            self.agg = Some(match self.agg.take() {
-                None => lifted,
-                Some(a) => f.combine(a, &lifted),
-            });
-        } else {
-            self.recompute(f);
-        }
-    }
-
-    /// Adds a sorted run of out-of-order tuples in one step (the batched
-    /// out-of-order fast path). The caller guarantees the run is
+    /// Adds a sorted run of out-of-order tuples — one late tuple is a run
+    /// of one — in one step. The caller guarantees the run is
     /// non-decreasing in timestamp; nothing else is assumed — tuples may
-    /// fall anywhere relative to the stored ones. Equivalent to calling
-    /// [`Slice::add_out_of_order`] once per tuple in run order: stored
-    /// tuples are merged in one `O(n + k)` pass (each run tuple lands
+    /// fall anywhere relative to the stored ones. Stored tuples are merged
+    /// in place in one `O(n + k)` pass from the back (each run tuple lands
     /// *after* existing equal-timestamp tuples, preserving arrival-order
-    /// ties), and for commutative functions the run folds into one lifted
-    /// partial combined with a single ⊕ instead of k separate ⊕ steps.
-    /// Non-commutative functions recompute once instead of k times.
+    /// ties). For commutative functions the run folds into one lifted
+    /// partial combined with a single ⊕; non-commutative functions
+    /// recompute once (paper Section 5.2, Update).
     pub(crate) fn add_out_of_order_run(&mut self, f: &A, run: &[(Time, A::Input)]) {
         let (Some(&(first_ts, _)), Some(&(last_ts, _))) = (run.first(), run.last()) else {
             return;
@@ -210,33 +168,23 @@ impl<A: AggregateFunction> Slice<A> {
         debug_assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
         let commutative = f.properties().commutative;
         if let Some(tuples) = &mut self.tuples {
-            if first_ts >= self.t_last {
-                // The whole run follows every stored tuple (ties included:
-                // equal timestamps append after, matching the per-tuple
-                // stable insert).
-                tuples.extend_from_slice(run);
-            } else {
-                // One merge pass; run tuples go after stored equal-ts ones.
-                let mut merged = Vec::with_capacity(tuples.len() + run.len());
-                let mut it = run.iter();
-                let mut next = it.next();
-                for old in tuples.drain(..) {
-                    while let Some(&(ts, ref v)) = next {
-                        if ts < old.0 {
-                            merged.push((ts, v.clone()));
-                            next = it.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    merged.push(old);
+            // Grow by the run, then merge from the back: slot `i + j - 1` is
+            // the next to fill, so each stored tuple moves at most once, and
+            // a slot a swap leaves stale lies in `[i, i + j)`, which is
+            // written before the merge ends.
+            let (mut i, mut j) = (tuples.len(), run.len());
+            tuples.extend_from_slice(run);
+            while j > 0 && i > 0 {
+                if tuples[i - 1].0 > run[j - 1].0 {
+                    i -= 1;
+                    tuples.swap(i, i + j);
+                } else {
+                    j -= 1;
+                    tuples[i + j] = run[j].clone();
                 }
-                while let Some(&(ts, ref v)) = next {
-                    merged.push((ts, v.clone()));
-                    next = it.next();
-                }
-                *tuples = merged;
             }
+            // With `i == 0` the run's head is still at `[0, j)`: put it there.
+            tuples[..j].clone_from_slice(&run[..j]);
         } else {
             debug_assert!(
                 commutative,
@@ -285,10 +233,10 @@ impl<A: AggregateFunction> Slice<A> {
         });
     }
 
-    /// Adds a tuple moved here by the count shift (Figure 6). Unlike
-    /// [`Slice::add_out_of_order`], the tuple is inserted *before* any
-    /// stored tuple with an equal timestamp: it comes from the predecessor
-    /// slice, so its count position precedes everything already here.
+    /// Adds a tuple moved here by the count shift (Figure 6). Unlike a
+    /// late run, the tuple is inserted *before* any stored tuple with an
+    /// equal timestamp: it comes from the predecessor slice, so its count
+    /// position precedes everything already here.
     pub(crate) fn add_shifted(&mut self, f: &A, ts: Time, value: A::Input) {
         let commutative = f.properties().commutative;
         if let Some(tuples) = &mut self.tuples {
@@ -401,7 +349,7 @@ impl<A: AggregateFunction> Slice<A> {
         self.range.end = t;
         if t > self.t_last {
             // All tuples remain in the left part; right is empty.
-            return Slice::new_with_storage(right_range, self.tuples.is_some());
+            return Slice::new(right_range, self.tuples.is_some());
         }
         if t <= self.t_first {
             // All tuples move to the right part; left becomes empty.
@@ -441,19 +389,15 @@ impl<A: AggregateFunction> Slice<A> {
         right
     }
 
-    fn new_with_storage(range: Range, keep_tuples: bool) -> Self {
-        Slice::new(range, keep_tuples)
-    }
-
     /// Drops stored tuples (used when a query removal makes storage
     /// unnecessary). The aggregate is kept.
     pub(crate) fn drop_tuples(&mut self) {
         self.tuples = None;
     }
 
-    /// Starts storing tuples from now on. Only valid on slices that are
-    /// still empty — the paper's adaptivity re-derives the decision when
-    /// queries change, and new slices pick up the new policy.
+    /// Starts storing tuples. Only valid on empty slices: the operator
+    /// refuses a query that would turn storage on over slices holding
+    /// tuples it did not keep.
     pub(crate) fn enable_tuple_storage(&mut self) {
         debug_assert!(self.is_empty(), "cannot enable tuple storage retroactively");
         if self.tuples.is_none() {
@@ -474,12 +418,32 @@ mod tests {
     use super::*;
     use crate::testsupport::{Concat, SumI64, SumNoInvert};
 
-    fn slice_with(f: &SumI64, range: Range, keep: bool, tuples: &[(Time, i64)]) -> Slice<SumI64> {
+    /// A slice over `range` holding `tuples` (in order), written as one run.
+    fn slice_with<A: AggregateFunction<Input = i64>>(
+        f: &A,
+        range: Range,
+        keep: bool,
+        tuples: &[(Time, i64)],
+    ) -> Slice<A> {
         let mut s = Slice::new(range, keep);
-        for (ts, v) in tuples {
-            s.add_in_order(f, *ts, *v);
-        }
+        let (times, values): (Vec<Time>, Vec<i64>) = tuples.iter().copied().unzip();
+        s.add_run_columns(f, &times, &values);
         s
+    }
+
+    /// Everything a write may change: the aggregate, the length, the
+    /// tuple extent and the stored tuples.
+    fn assert_same<A>(a: &Slice<A>, b: &Slice<A>)
+    where
+        A: AggregateFunction,
+        A::Partial: PartialEq + std::fmt::Debug,
+        A::Input: PartialEq + std::fmt::Debug,
+    {
+        assert_eq!(a.aggregate(), b.aggregate());
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.t_first(), b.t_first());
+        assert_eq!(a.t_last(), b.t_last());
+        assert_eq!(a.tuples(), b.tuples());
     }
 
     #[test]
@@ -516,7 +480,7 @@ mod tests {
     fn ooo_add_commutative_is_incremental() {
         let f = SumI64;
         let mut s = slice_with(&f, Range::new(0, 10), false, &[(2, 5), (8, 7)]);
-        s.add_out_of_order(&f, 4, 100);
+        s.add_out_of_order_run(&f, &[(4, 100)]);
         assert_eq!(s.aggregate(), Some(&112));
         assert_eq!(s.len(), 3);
     }
@@ -524,65 +488,73 @@ mod tests {
     #[test]
     fn ooo_add_non_commutative_recomputes_in_event_time_order() {
         let f = Concat;
-        let mut s: Slice<Concat> = Slice::new(Range::new(0, 10), true);
-        s.add_in_order(&f, 2, 20);
-        s.add_in_order(&f, 8, 80);
-        s.add_out_of_order(&f, 4, 40);
+        let mut s = slice_with(&f, Range::new(0, 10), true, &[(2, 20), (8, 80)]);
+        s.add_out_of_order_run(&f, &[(4, 40)]);
         // Event-time order must be retained despite arrival order 20,80,40.
         assert_eq!(s.aggregate(), Some(&vec![20, 40, 80]));
     }
 
     #[test]
-    fn ooo_tie_breaks_by_arrival_order() {
+    fn late_run_of_one_lands_after_ties_and_a_shift_before_them() {
         let f = Concat;
-        let mut s: Slice<Concat> = Slice::new(Range::new(0, 10), true);
-        s.add_in_order(&f, 5, 1);
-        s.add_in_order(&f, 7, 3);
-        s.add_out_of_order(&f, 5, 2); // same ts as first tuple, arrived later
-        assert_eq!(s.aggregate(), Some(&vec![1, 2, 3]));
+        let mut s = slice_with(&f, Range::new(0, 10), true, &[(5, 1), (5, 2), (7, 4)]);
+        // Same timestamp as two stored tuples, arrived later: after them.
+        s.add_out_of_order_run(&f, &[(5, 3)]);
+        assert_eq!(s.aggregate(), Some(&vec![1, 2, 3, 4]));
+        assert_eq!(s.tuples(), Some(&[(5, 1), (5, 2), (5, 3), (7, 4)][..]));
+        // A count shift comes from the predecessor slice: before them.
+        s.add_shifted(&f, 5, 0);
+        assert_eq!(s.aggregate(), Some(&vec![0, 1, 2, 3, 4]));
+        assert_eq!(s.len(), 5);
+        assert_eq!((s.t_first(), s.t_last()), (5, 7));
     }
 
     #[test]
-    fn columnar_run_matches_tuple_run() {
-        let f = SumI64;
-        for keep in [false, true] {
+    fn k_in_order_runs_of_one_equal_one_run_of_k() {
+        fn check<A>(f: &A, keep: bool)
+        where
+            A: AggregateFunction<Input = i64>,
+            A::Partial: PartialEq + std::fmt::Debug,
+        {
             let run: Vec<(Time, i64)> = (0..40).map(|i| (i * 2, i * 3 + 1)).collect();
-            let (times, values): (Vec<Time>, Vec<i64>) = run.iter().copied().unzip();
-            let mut a: Slice<SumI64> = Slice::new(Range::new(0, 100), keep);
-            let mut b = a.clone();
+            let mut ones = Slice::new(Range::new(0, 100), keep);
             for &(ts, v) in &run {
-                a.add_in_order(&f, ts, v);
+                ones.add_run_columns(f, &[ts], &[v]);
             }
-            b.add_run_columns(&f, &times, &values);
-            assert_eq!(a.aggregate(), b.aggregate());
-            assert_eq!(a.len(), b.len());
-            assert_eq!(a.t_first(), b.t_first());
-            assert_eq!(a.t_last(), b.t_last());
-            assert_eq!(a.tuples(), b.tuples());
+            assert_same(&ones, &slice_with(f, Range::new(0, 100), keep, &run));
+        }
+        for keep in [false, true] {
+            check(&SumI64, keep);
+            check(&Concat, keep);
         }
         // Empty columns are a no-op.
         let mut s: Slice<SumI64> = Slice::new(Range::new(0, 100), false);
-        s.add_run_columns(&f, &[], &[]);
+        s.add_run_columns(&SumI64, &[], &[]);
         assert!(s.is_empty());
     }
 
     #[test]
-    fn ooo_run_matches_per_tuple_adds() {
-        let f = SumI64;
+    fn k_late_runs_of_one_equal_one_run_of_k() {
+        let stored = [(10, 1), (50, 5), (50, 6), (90, 9)];
+        let run = [(5, 50), (10, 100), (10, 101), (50, 7), (55, 2), (95, 3)];
         for keep in [false, true] {
-            let mut a = slice_with(&f, Range::new(0, 100), keep, &[(10, 1), (50, 5), (90, 9)]);
-            let mut b = a.clone();
-            let run = [(5, 50), (10, 100), (10, 101), (55, 2), (95, 3)];
-            for (ts, v) in run {
-                a.add_out_of_order(&f, ts, v);
+            let mut ones = slice_with(&SumI64, Range::new(0, 100), keep, &stored);
+            let mut whole = ones.clone();
+            for t in &run {
+                ones.add_out_of_order_run(&SumI64, std::slice::from_ref(t));
             }
-            b.add_out_of_order_run(&f, &run);
-            assert_eq!(a.aggregate(), b.aggregate());
-            assert_eq!(a.len(), b.len());
-            assert_eq!(a.t_first(), b.t_first());
-            assert_eq!(a.t_last(), b.t_last());
-            assert_eq!(a.tuples(), b.tuples());
+            whole.add_out_of_order_run(&SumI64, &run);
+            assert_same(&ones, &whole);
         }
+        // Non-commutative: the order of every tie shows in the aggregate.
+        let mut ones = slice_with(&Concat, Range::new(0, 100), true, &stored);
+        let mut whole = ones.clone();
+        for t in &run {
+            ones.add_out_of_order_run(&Concat, std::slice::from_ref(t));
+        }
+        whole.add_out_of_order_run(&Concat, &run);
+        assert_same(&ones, &whole);
+        assert_eq!(whole.aggregate(), Some(&vec![50, 1, 100, 101, 5, 6, 7, 2, 9, 3]));
     }
 
     #[test]
@@ -598,9 +570,7 @@ mod tests {
     #[test]
     fn ooo_run_non_commutative_recomputes_in_event_time_order() {
         let f = Concat;
-        let mut s: Slice<Concat> = Slice::new(Range::new(0, 100), true);
-        s.add_in_order(&f, 20, 20);
-        s.add_in_order(&f, 80, 80);
+        let mut s = slice_with(&f, Range::new(0, 100), true, &[(20, 20), (80, 80)]);
         s.add_out_of_order_run(&f, &[(10, 10), (20, 21), (50, 50)]);
         // Event-time order with arrival-order ties: 21 follows the stored 20.
         assert_eq!(s.aggregate(), Some(&vec![10, 20, 21, 50, 80]));
@@ -645,10 +615,8 @@ mod tests {
     #[test]
     fn merge_preserves_order_for_non_commutative() {
         let f = Concat;
-        let mut a: Slice<Concat> = Slice::new(Range::new(0, 10), true);
-        a.add_in_order(&f, 1, 1);
-        let mut b: Slice<Concat> = Slice::new(Range::new(10, 20), true);
-        b.add_in_order(&f, 11, 2);
+        let mut a = slice_with(&f, Range::new(0, 10), true, &[(1, 1)]);
+        let b = slice_with(&f, Range::new(10, 20), true, &[(11, 2)]);
         a.merge(&f, b);
         assert_eq!(a.aggregate(), Some(&vec![1, 2]));
     }
@@ -716,10 +684,7 @@ mod tests {
     #[test]
     fn remove_last_without_invert_recomputes() {
         let f = SumNoInvert;
-        let mut s: Slice<SumNoInvert> = Slice::new(Range::new(0, 10), true);
-        s.add_in_order(&f, 1, 1);
-        s.add_in_order(&f, 4, 4);
-        s.add_in_order(&f, 8, 8);
+        let mut s = slice_with(&f, Range::new(0, 10), true, &[(1, 1), (4, 4), (8, 8)]);
         assert_eq!(s.remove_last(&f), Some((8, 8)));
         assert_eq!(s.aggregate(), Some(&5));
     }

@@ -6,11 +6,16 @@
 //! Three variants extend the paper's lazy/eager distinction (Table 1 rows
 //! 5–8): the **lazy** store keeps only the ordered slice list and combines
 //! slice partials on demand; the **eager** store also keeps a [`FlatFat`]
-//! over slice partials, written through at every slice write, for
-//! `O(log s)` window queries (Figure 11); the **finger-tree** store keeps
-//! a [`FingerTree`] instead (FiBA-style finger B-tree), built when a
-//! query first asks for a long range, whose writes are O(log d) from the
-//! nearer end and whose spine repairs wait for the next query flush.
+//! over slice partials for `O(log s)` window queries (Figure 11); the
+//! **finger-tree** store keeps a [`FingerTree`] instead (FiBA-style finger
+//! B-tree), built when a query first asks for a long range. Each index has
+//! one write discipline: the FlatFAT writes through at every leaf write,
+//! the finger tree defers every write to one spine repair at the next
+//! query flush.
+//!
+//! A slice changes through one store entry per kind of change, and one
+//! tuple is a run of one: an in-order run into the open slice, a sorted
+//! late run, a pre-folded late partial, and the count shift.
 //!
 //! A trigger sweep's windows are resolved to slice ranges in one pass;
 //! when they all contain one slice boundary they are answered from one
@@ -55,13 +60,11 @@ enum AggIndex<A: AggregateFunction> {
 }
 
 impl<A: AggregateFunction> AggIndex<A> {
-    /// Appends a leaf. The finger tree defers the spine recompute, as
-    /// for any leaf write.
     fn push(&mut self, p: Option<A::Partial>) {
         match self {
             AggIndex::None => {}
             AggIndex::Flat(t) => t.push(p),
-            AggIndex::Finger(t) => t.push_deferred(p),
+            AggIndex::Finger(t) => t.push(p),
         }
     }
 
@@ -78,7 +81,7 @@ impl<A: AggregateFunction> AggIndex<A> {
         match self {
             AggIndex::None => {}
             AggIndex::Flat(t) => t.update(i, p),
-            AggIndex::Finger(t) => t.update_deferred(i, p),
+            AggIndex::Finger(t) => t.update(i, p),
         }
     }
 
@@ -178,7 +181,7 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     /// Bulk-builds the finger tree from the current slice partials if a
     /// long range query asked for it since the last flush. The pushes
-    /// leave the spine dirty, as any finger write does; the calling
+    /// leave the spine dirty, as every finger write does; the calling
     /// flush repairs it. O(n) once per store lifetime.
     fn maybe_build_index(&mut self) {
         if !self.index_wanted.take() {
@@ -187,7 +190,7 @@ impl<A: AggregateFunction> SliceStore<A> {
         if let AggIndex::Finger(t) = &mut self.index {
             debug_assert_eq!(t.len(), 0, "building an already-populated index");
             for s in &self.slices {
-                t.push_deferred(s.aggregate().cloned());
+                t.push(s.aggregate().cloned());
             }
         }
         self.index_live = true;
@@ -210,24 +213,21 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.keep_tuples
     }
 
-    /// Changes the tuple-storage policy for **future** slices. Called when
-    /// adding/removing queries changes the workload characteristics. If
-    /// storage turns off, existing slices drop their tuples; if it turns
-    /// on, existing aggregate-only slices stay as they are (their tuples
-    /// are gone) and correctness holds for data from now on — matching the
-    /// paper's query-add/remove adaptivity.
+    /// Changes the tuple-storage policy (the paper's query-add/remove
+    /// adaptivity). If storage turns off, every slice drops its tuples; it
+    /// turns on only while every slice is empty (the operator refuses a
+    /// query that would turn it on over tuples it did not keep), and then
+    /// on every slice.
     pub(crate) fn set_keep_tuples(&mut self, keep: bool) {
         if self.keep_tuples == keep {
             return;
         }
         self.keep_tuples = keep;
-        if !keep {
-            for s in &mut self.slices {
+        for s in &mut self.slices {
+            if keep {
+                s.enable_tuple_storage();
+            } else {
                 s.drop_tuples();
-            }
-        } else if let Some(last) = self.slices.back_mut() {
-            if last.is_empty() {
-                last.enable_tuple_storage();
             }
         }
     }
@@ -345,23 +345,12 @@ impl<A: AggregateFunction> SliceStore<A> {
         }
     }
 
-    /// Adds an in-order tuple to the **latest** slice (the hot path: one ⊕
-    /// per tuple).
-    pub fn add_in_order(&mut self, ts: Time, value: A::Input) {
-        let idx = self.slices.len() - 1;
-        let slice = self.slices.back_mut().expect("add_in_order on empty store");
-        slice.add_in_order(&self.f, ts, value);
-        self.refresh_leaf(idx);
-    }
-
-    /// Adds a run of in-order tuples, given as parallel `times` / `values`
-    /// columns, to the **latest** slice with a single store touch: one
-    /// fold + ⊕ into the slice partial — the contiguous values feed the
-    /// bulk fold kernel directly (see `Slice::add_run_columns`) — one
-    /// tuple-vector append, and one eager-leaf refresh. Semantically
-    /// equal to calling [`add_in_order`] per tuple.
-    ///
-    /// [`add_in_order`]: SliceStore::add_in_order
+    /// Adds a run of in-order tuples (one tuple is a run of one), given as
+    /// parallel `times` / `values` columns, to the **latest** slice with a
+    /// single store touch: one fold + ⊕ into the slice partial — the
+    /// contiguous values feed the bulk fold kernel directly (see
+    /// [`Slice::add_run_columns`]) — one tuple-vector append, and one
+    /// index leaf write.
     pub fn add_in_order_run_columns(&mut self, times: &[Time], values: &[A::Input]) {
         if times.is_empty() {
             return;
@@ -461,15 +450,10 @@ impl<A: AggregateFunction> SliceStore<A> {
         Some(if found == n { n - 1 } else { found })
     }
 
-    /// Adds an out-of-order tuple to slice `idx`.
-    pub(crate) fn add_out_of_order(&mut self, idx: usize, ts: Time, value: A::Input) {
-        self.slices[idx].add_out_of_order(&self.f, ts, value);
-        self.refresh_leaf(idx);
-    }
-
-    /// Adds a sorted run of out-of-order tuples to slice `idx` with **one**
-    /// slice touch (one tuple merge, one combined partial — see
-    /// [`Slice::add_out_of_order_run`]) and one index leaf write.
+    /// Adds a sorted run of out-of-order tuples (one late tuple is a run
+    /// of one) to slice `idx` with **one** slice touch (one tuple merge,
+    /// one combined partial — see [`Slice::add_out_of_order_run`]) and
+    /// one index leaf write.
     pub(crate) fn add_out_of_order_run(&mut self, idx: usize, run: &[(Time, A::Input)]) {
         if run.is_empty() {
             return;
@@ -969,13 +953,15 @@ impl<A: AggregateFunction> SliceStore<A> {
     }
 }
 
+/// The index sits inline in the store, so only its heap counts here: the
+/// store's owner adds the store's inline size once.
 impl<A: AggregateFunction> HeapSize for SliceStore<A> {
     fn heap_bytes(&self) -> usize {
         self.slices.heap_bytes()
             + match &self.index {
                 AggIndex::None => 0,
-                AggIndex::Flat(t) => t.total_bytes(),
-                AggIndex::Finger(t) => t.total_bytes(),
+                AggIndex::Flat(t) => t.heap_bytes(),
+                AggIndex::Finger(t) => t.heap_bytes(),
             }
     }
 }
@@ -1137,6 +1123,17 @@ mod tests {
     use super::*;
     use crate::testsupport::{Concat, SumI64};
 
+    /// One in-order tuple, written as a run of one.
+    trait RunOfOne<I> {
+        fn add_one(&mut self, ts: Time, value: I);
+    }
+
+    impl<A: AggregateFunction> RunOfOne<A::Input> for SliceStore<A> {
+        fn add_one(&mut self, ts: Time, value: A::Input) {
+            self.add_in_order_run_columns(&[ts], std::slice::from_ref(&value));
+        }
+    }
+
     fn store(policy: StorePolicy, keep: bool) -> SliceStore<SumI64> {
         SliceStore::new(SumI64, policy, keep)
     }
@@ -1146,13 +1143,13 @@ mod tests {
     fn filled(policy: StorePolicy, keep: bool) -> SliceStore<SumI64> {
         let mut st = store(policy, keep);
         st.append_slice(Range::new(0, 10));
-        st.add_in_order(1, 1);
-        st.add_in_order(5, 5);
+        st.add_one(1, 1);
+        st.add_one(5, 5);
         st.append_slice(Range::new(10, 20));
-        st.add_in_order(12, 12);
+        st.add_one(12, 12);
         st.append_slice(Range::new(20, 30));
-        st.add_in_order(21, 21);
-        st.add_in_order(29, 29);
+        st.add_one(21, 21);
+        st.add_one(29, 29);
         st
     }
 
@@ -1224,7 +1221,7 @@ mod tests {
     fn ooo_add_updates_aggregate_and_eager_leaf() {
         let mut st = filled(StorePolicy::Eager, false);
         let idx = st.covering_index(13).unwrap();
-        st.add_out_of_order(idx, 13, 100);
+        st.add_out_of_order_run(idx, &[(13, 100)]);
         assert_eq!(st.query_time(Range::new(10, 20)), Some(112));
         assert_eq!(st.query_time(Range::new(0, 30)), Some(168));
     }
@@ -1319,10 +1316,10 @@ mod tests {
     fn shift_preserves_event_time_order_for_non_commutative() {
         let mut st: SliceStore<Concat> = SliceStore::new(Concat, StorePolicy::Lazy, true);
         st.append_slice(Range::new(0, 10));
-        st.add_in_order(1, 1);
-        st.add_in_order(8, 8);
+        st.add_one(1, 1);
+        st.add_one(8, 8);
         st.append_slice(Range::new(10, 20));
-        st.add_in_order(11, 11);
+        st.add_one(11, 11);
         assert!(st.shift_last_into_next(0));
         assert_eq!(st.slice(1).aggregate(), Some(&vec![8, 11]));
     }
@@ -1351,10 +1348,10 @@ mod tests {
     fn covering_index_by_tuples_skips_empty_slices() {
         let mut st = store(StorePolicy::Lazy, true);
         st.append_slice(Range::new(0, 10));
-        st.add_in_order(5, 5);
+        st.add_one(5, 5);
         st.append_slice(Range::new(10, 20)); // drained by shifts: empty
         st.append_slice(Range::new(20, 30));
-        st.add_in_order(25, 25);
+        st.add_one(25, 25);
         st.append_slice(Range::new(30, 40)); // open slice, still empty
         assert_eq!(st.covering_index_by_tuples(0), Some(0));
         // Tie with (5, ·): lands after it, in the next *non-empty* slice.
@@ -1366,7 +1363,7 @@ mod tests {
     }
 
     #[test]
-    fn add_in_order_run_matches_per_tuple_adds() {
+    fn in_order_runs_of_one_equal_one_run() {
         for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
             for keep in [false, true] {
                 let mut per_tuple = store(policy, keep);
@@ -1376,7 +1373,7 @@ mod tests {
                 }
                 let (times, values) = ([1, 4, 4, 9], [1, 4, 40, 9]);
                 for (ts, v) in times.into_iter().zip(values) {
-                    per_tuple.add_in_order(ts, v);
+                    per_tuple.add_one(ts, v);
                 }
                 batched.add_in_order_run_columns(&times, &values);
                 per_tuple.flush_eager_repairs();
@@ -1394,7 +1391,7 @@ mod tests {
     }
 
     #[test]
-    fn add_out_of_order_run_matches_per_tuple_adds() {
+    fn late_runs_of_one_equal_one_run() {
         for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
             for keep in [false, true] {
                 let mut per_tuple = filled(policy, keep);
@@ -1405,7 +1402,7 @@ mod tests {
                 for run in groups {
                     let idx = per_tuple.covering_index(run[0].0).unwrap();
                     for &(ts, v) in run {
-                        per_tuple.add_out_of_order(idx, ts, v);
+                        per_tuple.add_out_of_order_run(idx, &[(ts, v)]);
                     }
                     batched.add_out_of_order_run(idx, run);
                 }
@@ -1431,7 +1428,7 @@ mod tests {
     }
 
     #[test]
-    fn add_out_of_order_partial_matches_per_tuple_adds() {
+    fn add_out_of_order_partial_matches_runs_of_one() {
         // Pre-folded group inserts (the operator's unsorted late path)
         // must land like the equivalent per-tuple adds. Tuples are
         // dropped (`keep = false`): the API is only legal there.
@@ -1443,7 +1440,7 @@ mod tests {
             for run in groups {
                 let idx = per_tuple.covering_index(run[0].0).unwrap();
                 for &(ts, v) in run {
-                    per_tuple.add_out_of_order(idx, ts, v);
+                    per_tuple.add_out_of_order_run(idx, &[(ts, v)]);
                 }
                 let partial = run.iter().skip(1).fold(run[0].1, |a, &(_, v)| a + v);
                 let t_first = run.iter().map(|&(t, _)| t).min().unwrap();
@@ -1478,7 +1475,7 @@ mod tests {
         for i in 0..n {
             let t = i as Time * 10;
             st.append_slice(Range::new(t, t + 10));
-            st.add_in_order(t, i as i64 + 1);
+            st.add_one(t, i as i64 + 1);
         }
         st.flush_eager_repairs();
         let fold = |st: &SliceStore<SumI64>| {
@@ -1506,7 +1503,7 @@ mod tests {
             }
             let t = i as Time * 10;
             st.append_slice(Range::new(t, t + 10));
-            st.add_in_order(t + 1, 1);
+            st.add_one(t + 1, 1);
         }
         assert_eq!(st.query_time(Range::new(0, n as Time * 10)), Some(n as i64 - 1));
         st.flush_eager_repairs();
@@ -1536,7 +1533,7 @@ mod tests {
         for i in 0..n {
             let t = i as Time * 10;
             st.append_slice(Range::new(t, t + 10));
-            st.add_in_order(t, i as i64 + 1);
+            st.add_one(t, i as i64 + 1);
         }
         let full = Range::new(0, n as Time * 10);
         let expect: i64 = (1..=n as i64).sum::<i64>() + 100;
@@ -1565,7 +1562,7 @@ mod tests {
     fn fill_every_but_seventh(st: &mut SliceStore<SumI64>, from: i64, to: i64) {
         for i in (from..to).filter(|i| i % 7 != 3) {
             st.append_slice(Range::new(i * 10, i * 10 + 10));
-            st.add_in_order(i * 10 + 1, i);
+            st.add_one(i * 10 + 1, i);
         }
     }
 
@@ -1573,8 +1570,8 @@ mod tests {
     fn finger_store_without_long_queries_never_builds() {
         // Hundreds of live slices, late writes, evictions, short-range
         // queries and tumbling sweeps between flushes: nothing reads a
-        // long range, so the tree is never built and the store holds
-        // what the lazy one holds plus an empty tree.
+        // long range, so the tree is never built and the store holds on
+        // the heap exactly what the lazy one holds.
         let mut lazy = store(StorePolicy::Lazy, false);
         let mut finger = store(StorePolicy::FingerTree, false);
         for round in 0..6 {
@@ -1601,8 +1598,7 @@ mod tests {
             assert!(!finger.index_built(), "round {round}: built without a long query");
             assert!(!finger.has_pending_repairs());
             assert!(finger.len() > INDEX_SCAN_CUTOFF);
-            let empty_tree = FingerTree::new(SumI64).total_bytes();
-            assert_eq!(finger.heap_bytes(), lazy.heap_bytes() + empty_tree, "round {round}");
+            assert_eq!(finger.heap_bytes(), lazy.heap_bytes(), "round {round}");
         }
     }
 
@@ -1660,7 +1656,7 @@ mod tests {
             let mut st = store(policy, false);
             for i in 0..3_000 {
                 st.append_slice(Range::new(i * 10, i * 10 + 10));
-                st.add_in_order(i * 10, i % 13);
+                st.add_one(i * 10, i % 13);
             }
             st.flush_eager_repairs();
             st
@@ -1746,12 +1742,12 @@ mod tests {
             }
             st.append_slice(Range::new(t, t + 10));
             if i % 5 != 3 {
-                st.add_in_order(t + 1, i);
-                st.add_in_order(t + 7, 100 + i);
+                st.add_one(t + 1, i);
+                st.add_one(t + 7, 100 + i);
             }
         }
         st.append_slice(Range::new(480, 10_000));
-        st.add_in_order(481, 7);
+        st.add_one(481, 7);
         st
     }
 
@@ -1819,7 +1815,7 @@ mod tests {
         // (enough to pass the batch threshold) plus misses on both sides.
         let mut one = store(StorePolicy::FingerTree, false);
         one.append_slice(Range::new(0, 10));
-        one.add_in_order(3, 3);
+        one.add_one(3, 3);
         let mut windows = vec![((), Range::new(0, 10)); MIN_BATCH_WINDOWS + 2];
         windows.push(((), Range::new(-10, 0)));
         windows.push(((), Range::new(10, 20)));
@@ -1841,7 +1837,7 @@ mod tests {
             let mut st = store(policy, false);
             for i in 0..n {
                 st.append_slice(Range::new(i * 10, i * 10 + 10));
-                st.add_in_order(i * 10, 1);
+                st.add_one(i * 10, 1);
             }
             st.flush_eager_repairs();
             st
@@ -1878,7 +1874,7 @@ mod tests {
         let mut concat: SliceStore<Concat> = SliceStore::new(Concat, StorePolicy::Lazy, false);
         for i in 0..100 {
             concat.append_slice(Range::new(i * 10, i * 10 + 10));
-            concat.add_in_order(i * 10, i);
+            concat.add_one(i * 10, i);
         }
         assert_eq!(concat.query_time_batch(&windows_over(100, 50, 40), |_, _, _| {}), 0);
     }

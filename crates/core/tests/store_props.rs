@@ -32,7 +32,6 @@ fn tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
 enum FingerOp {
     Push(i64),
     Update(usize, i64),
-    UpdateDeferred(usize, i64),
     Insert(usize, i64),
     Remove(usize),
     RemovePrefix(usize),
@@ -44,7 +43,6 @@ fn finger_ops() -> impl Strategy<Value = Vec<FingerOp>> {
         prop_oneof![
             (-100i64..100).prop_map(FingerOp::Push),
             (0usize..64, -100i64..100).prop_map(|(i, v)| FingerOp::Update(i, v)),
-            (0usize..64, -100i64..100).prop_map(|(i, v)| FingerOp::UpdateDeferred(i, v)),
             (0usize..64, -100i64..100).prop_map(|(i, v)| FingerOp::Insert(i, v)),
             (0usize..64).prop_map(FingerOp::Remove),
             (0usize..64).prop_map(FingerOp::RemovePrefix),
@@ -102,14 +100,14 @@ proptest! {
 
     /// The finger B-tree agrees with a plain vector model under
     /// arbitrary operation sequences — the same harness FlatFAT is
-    /// pinned by, plus bulk `remove_prefix` evictions, deferred
-    /// updates with batched repair, and structural invariant checks
-    /// after every step.
+    /// pinned by, plus bulk `remove_prefix` evictions. Every write
+    /// defers its spine repair, so writes pile up dirt between reads,
+    /// each read (a range query and the total) repairs first, and
+    /// structural invariants are checked after every step.
     #[test]
     fn finger_tree_matches_linear_model(ops in finger_ops()) {
         let mut tree = FingerTree::new(SumI64);
         let mut model: Vec<i64> = Vec::new();
-        let mut dirty = false;
         for op in ops {
             match op {
                 FingerOp::Push(v) => {
@@ -120,12 +118,6 @@ proptest! {
                     let i = i % model.len();
                     tree.update(i, Some(v));
                     model[i] = v;
-                }
-                FingerOp::UpdateDeferred(i, v) if !model.is_empty() => {
-                    let i = i % model.len();
-                    tree.update_deferred(i, Some(v));
-                    model[i] = v;
-                    dirty = true;
                 }
                 FingerOp::Insert(i, v) => {
                     let i = i % (model.len() + 1);
@@ -143,26 +135,23 @@ proptest! {
                     model.drain(..k);
                 }
                 FingerOp::Query(l, r) if !model.is_empty() => {
-                    if dirty {
-                        tree.repair_dirty();
-                        dirty = false;
-                    }
+                    tree.repair_dirty();
+                    tree.assert_invariants();
                     let l = l % (model.len() + 1);
                     let r = l + (r % (model.len() - l + 1));
                     let expect: Option<i64> =
                         if l == r { None } else { Some(model[l..r].iter().sum()) };
                     prop_assert_eq!(tree.query(l, r), expect);
+                    prop_assert_eq!(tree.total().copied(), Some(model.iter().sum()));
                 }
                 _ => {}
             }
             tree.assert_invariants();
             prop_assert_eq!(tree.len(), model.len());
-            if !dirty {
-                let total: Option<i64> =
-                    if model.is_empty() { None } else { Some(model.iter().sum()) };
-                prop_assert_eq!(tree.total().copied(), total);
-            }
         }
+        tree.repair_dirty();
+        let total: Option<i64> = if model.is_empty() { None } else { Some(model.iter().sum()) };
+        prop_assert_eq!(tree.total().copied(), total);
     }
 
     /// The finger B-tree preserves leaf order for non-commutative
@@ -173,6 +162,7 @@ proptest! {
         for v in &values {
             tree.push(Some(vec![*v]));
         }
+        tree.repair_dirty();
         prop_assert_eq!(tree.query(0, values.len()), Some(values.clone()));
         let mid = values.len() / 2;
         prop_assert_eq!(tree.query(0, mid).unwrap_or_default(), values[..mid].to_vec());
@@ -204,7 +194,7 @@ proptest! {
         let f = SumI64;
         let mut slice: Slice<SumI64> = Slice::new(Range::new(0, 1_000), true);
         for (ts, v) in &sorted {
-            slice.add_in_order(&f, *ts, *v);
+            slice.add_run_columns(&f, &[*ts], &[*v]);
         }
         let total = slice.aggregate().copied().unwrap();
         let n = slice.len();
@@ -232,21 +222,18 @@ proptest! {
         sorted_left.sort();
         let mut sorted_right = right.clone();
         sorted_right.sort();
-        let mut a: Slice<SumI64> = Slice::new(Range::new(0, 500), true);
-        for (ts, v) in &sorted_left {
-            a.add_in_order(&f, *ts, *v);
-        }
-        let mut b: Slice<SumI64> = Slice::new(Range::new(500, 1_000), true);
-        for (ts, v) in &sorted_right {
-            b.add_in_order(&f, *ts, *v);
-        }
-        a.merge(&f, b);
-        let mut direct: Slice<SumI64> = Slice::new(Range::new(0, 1_000), true);
+        let build = |range, tuples: &[(i64, i64)]| {
+            let mut s: Slice<SumI64> = Slice::new(range, true);
+            for (ts, v) in tuples {
+                s.add_run_columns(&f, &[*ts], &[*v]);
+            }
+            s
+        };
+        let mut a = build(Range::new(0, 500), &sorted_left);
+        a.merge(&f, build(Range::new(500, 1_000), &sorted_right));
         let mut all = sorted_left;
         all.extend(sorted_right);
-        for (ts, v) in &all {
-            direct.add_in_order(&f, *ts, *v);
-        }
+        let direct = build(Range::new(0, 1_000), &all);
         prop_assert_eq!(a.aggregate(), direct.aggregate());
         prop_assert_eq!(a.len(), direct.len());
         prop_assert_eq!(a.t_first(), direct.t_first());
@@ -276,7 +263,7 @@ proptest! {
                     store.append_slice(Range::new(next_edge, next_edge + slice_len));
                     next_edge += slice_len;
                 }
-                store.add_in_order(*ts, *v);
+                store.add_in_order_run_columns(&[*ts], &[*v]);
             }
             store.flush_eager_repairs();
             // Align the query to slice edges.
@@ -307,7 +294,7 @@ proptest! {
         for s in 0..n_slices {
             store.append_slice(Range::new((s as i64) * 100, (s as i64 + 1) * 100));
             for _ in 0..per_slice {
-                store.add_in_order(ts, 1);
+                store.add_in_order_run_columns(&[ts], &[1]);
                 ts += 100 / per_slice as i64;
                 ts = ts.min((s as i64 + 1) * 100 - 1);
             }

@@ -2,8 +2,8 @@
 //!
 //! The query-translation layer of paper Figure 3: users describe queries
 //! in a compact textual DSL (or the typed [`QueryDsl`]/[`WindowDsl`] API);
-//! the translator derives workload characteristics and configures general
-//! slicing operators.
+//! the translator derives workload characteristics and configures one
+//! statically typed slicing operator per aggregation ([`AggKind`]).
 //!
 //! ```
 //! use gss_core::{StorePolicy, StreamOrder};
@@ -24,6 +24,6 @@ mod duration;
 pub mod spec;
 pub mod translate;
 
-pub use any::{AggKind, AnyAggregate, AnyPartial, Value};
+pub use any::{AggKind, Value};
 pub use spec::WindowDsl;
 pub use translate::{translate, QueryDsl, Translated};

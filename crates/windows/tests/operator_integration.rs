@@ -418,6 +418,34 @@ fn characteristics_adapt_on_query_changes() {
 }
 
 #[test]
+fn storage_never_turns_on_over_tuples_it_did_not_keep() {
+    // Figure 4 keeps tuples once a punctuation window joins an
+    // out-of-order stream, but the tuples already sliced were not kept,
+    // so a split through them could not be recomputed: the query is
+    // refused and the operator keeps running with its first query.
+    let mut op = WindowOperator::new(SumI64, OperatorConfig::out_of_order(1_000));
+    let q = op.add_query(Box::new(TumblingWindow::new(100))).unwrap();
+    let mut out = Vec::new();
+    for ts in [10, 20, 30] {
+        op.process_tuple(ts, 1, &mut out);
+    }
+    let err = op.add_query(Box::new(PunctuationWindow::new())).unwrap_err();
+    assert_eq!(err, QueryError::TuplesNotKept);
+    assert!(!op.characteristics().requires_tuple_storage());
+    op.process_punctuation(15, &mut out);
+    op.process_tuple(40, 1, &mut out);
+    op.process_tuple(5, 1, &mut out);
+    op.process_watermark(200, &mut out);
+    let finals: Vec<(u32, Range, i64)> = out.iter().map(|r| (r.query, r.range, r.value)).collect();
+    assert_eq!(finals, vec![(q, Range::new(0, 100), 5)]);
+    // Before any tuple, the same query turns storage on.
+    let mut fresh = WindowOperator::new(SumI64, OperatorConfig::out_of_order(1_000));
+    fresh.add_query(Box::new(TumblingWindow::new(100))).unwrap();
+    fresh.add_query(Box::new(PunctuationWindow::new())).unwrap();
+    assert!(fresh.store().keeps_tuples());
+}
+
+#[test]
 fn in_order_stream_never_stores_tuples_for_cf_windows() {
     let mut op = WindowOperator::new(SumI64, OperatorConfig::in_order());
     op.add_query(Box::new(SlidingWindow::new(60, 1))).unwrap();

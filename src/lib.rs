@@ -70,7 +70,7 @@ pub mod prelude {
         make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, MachineConfig,
         MachineGenerator, OooConfig,
     };
-    pub use gss_query::{translate, AggKind, AnyAggregate, QueryDsl, Value, WindowDsl};
+    pub use gss_query::{translate, AggKind, QueryDsl, Value, WindowDsl};
     pub use gss_stream::{
         run_keyed, run_parallel, run_per_key, run_sharded_keyed, shard_of, BatchSizeHistogram,
         Batching, ChunkBuilder, LatencyHistogram, PipelineConfig, PipelineReport, RecordChunk,
