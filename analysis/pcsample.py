@@ -13,7 +13,8 @@ untraced.
 --top: how many functions to print (default 25). --offsets K: the K
 hottest offsets inside each printed function, with the address to hand
 to `objdump -d --start-address`. The exit status is the command's (128 +
-the signal number if a signal killed it).
+the signal number if a signal killed it), or 1 if the command is still
+running and cannot be attached to (ptrace not permitted, say).
 
 --lines SUBSTR: for every sampled function whose name contains SUBSTR,
 also pass its sampled addresses through `addr2line -f -i -C` (binutils)
@@ -56,6 +57,8 @@ PTRACE_INTERRUPT = 0x4207
 PTRACE_EVENT_STOP = 128
 WALL = 0x40000000
 INTERVAL_S = 0.001
+# How long a live process may take to map its binary before attaching fails.
+ATTACH_S = 2.0
 # Index of `rip` in x86-64 `struct user_regs_struct` (27 words).
 RIP = 16
 
@@ -103,8 +106,32 @@ def load_bias(pid, exe):
             fields = line.split()
             if len(fields) >= 6 and fields[5] == exe and int(fields[2], 16) == 0:
                 return int(fields[0].split("-")[0], 16)
-    # An exited process (a zombie) has no mappings left.
+    # Not mapped yet (the exec is still loading it), or no longer (an
+    # exited process, a zombie, has no mappings left).
     raise ProcessLookupError(f"{exe} is not mapped in process {pid}")
+
+
+def attach(child):
+    """Seizes `child` once its binary is mapped; returns (exe, load bias).
+
+    `Popen` returns at execve's close-on-exec point, before the new
+    binary's segments are mapped, so its maps are re-read for up to
+    ATTACH_S while it lives. None if it exits first; OSError if it lives
+    and still cannot be attached."""
+    pid = child.pid
+    give_up = time.monotonic() + ATTACH_S
+    while True:
+        try:
+            exe = os.readlink(f"/proc/{pid}/exe")
+            bias = load_bias(pid, exe)
+            ptrace(PTRACE_SEIZE, pid)
+            return exe, bias
+        except OSError:
+            if child.poll() is not None:
+                return None
+            if time.monotonic() > give_up:
+                raise
+            time.sleep(INTERVAL_S / 10)
 
 
 def symbols(exe):
@@ -204,19 +231,21 @@ def main():
     if not command:
         raise SystemExit("pcsample: give the command to sample after --")
 
-    # `Popen` returns once the command has been exec'd, so its binary is
-    # mapped by the time the bias is read. Symbols are read after the run:
-    # `nm` needs only the file, and the run's start is sampled.
+    # Symbols are read after the run: `nm` needs only the file, and the
+    # run's start is sampled.
     child = subprocess.Popen(command)
     pid = child.pid
     try:
-        exe = os.readlink(f"/proc/{pid}/exe")
-        bias = load_bias(pid, exe)
-        ptrace(PTRACE_SEIZE, pid)
-    except OSError:
-        code = exit_code(child.wait())
+        attached = attach(child)
+    except OSError as e:
+        child.kill()
+        child.wait()
+        print(f"pcsample: could not attach to {command[0]} (pid {pid}): {e}", file=sys.stderr)
+        sys.exit(1)
+    if attached is None:
         print(f"pcsample: {command[0]} exited before it could be sampled", file=sys.stderr)
-        sys.exit(code)
+        sys.exit(exit_code(child.returncode))
+    exe, bias = attached
     rips = []
     try:
         code = exit_code(os.waitstatus_to_exitcode(sample(pid, rips)))

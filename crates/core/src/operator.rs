@@ -1926,6 +1926,63 @@ mod tests {
     }
 
     #[test]
+    fn stretch_ending_at_every_offset_matches_per_tuple() {
+        // A stretch of `k` tuples (ties in pairs) below the edge at 1000,
+        // ended by a descent into more tuples below the edge, by the
+        // slice edge itself (out of order: no window completes inside a
+        // batch), or by the window end (in order). Offsets 0–17 put the
+        // stop at every place in and between two blocks of the run scan.
+        const EDGE: Time = 1_000;
+        for k in 0..=17 {
+            for ends_by in ["descent", "slice edge", "window end"] {
+                let cfg = if ends_by == "window end" {
+                    OperatorConfig::in_order()
+                } else {
+                    OperatorConfig::out_of_order(10_000)
+                };
+                let mut times: Vec<Time> = (0..k).map(|i| EDGE - 20 + i / 2).collect();
+                if ends_by == "descent" {
+                    let below = times.last().map_or(EDGE - 30, |&t| t - 1);
+                    times.extend((0..12).map(|j| below + j));
+                }
+                times.extend((0..12).map(|j| EDGE + j));
+                let values: Vec<i64> = (1..).take(times.len()).collect();
+                let mut per_tuple = WindowOperator::new(SumI64, cfg);
+                let mut batched = WindowOperator::new(SumI64, cfg);
+                let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+                for (op, out) in [(&mut per_tuple, &mut out_a), (&mut batched, &mut out_b)] {
+                    op.add_query(Box::new(TumblingStub { length: EDGE })).unwrap();
+                    // Opens the slice and takes the first sweep.
+                    op.process_tuple(EDGE - 25, 100, out);
+                }
+                for (&ts, &v) in times.iter().zip(&values) {
+                    per_tuple.process_tuple(ts, v, &mut out_a);
+                }
+                batched.process_batch_columns(&times, &values, &mut out_b);
+                per_tuple.process_watermark(3 * EDGE, &mut out_a);
+                batched.process_watermark(3 * EDGE, &mut out_b);
+                let key = |r: &WindowResult<i64>| (r.query, r.range, r.is_update, r.value);
+                let (a, b) = (per_tuple.stats(), batched.stats());
+                let at = format!("k = {k}, ended by {ends_by}");
+                assert_eq!(
+                    out_a.iter().map(key).collect::<Vec<_>>(),
+                    out_b.iter().map(key).collect::<Vec<_>>(),
+                    "{at}"
+                );
+                // Late-batch writes and folded runs exist only in the batch loop.
+                let shared = |s: &OperatorStats| OperatorStats {
+                    late_slices: 0,
+                    fold_kernel_hits: 0,
+                    fold_kernel_misses: 0,
+                    ..*s
+                };
+                assert_eq!(shared(a), shared(b), "{at}");
+                assert_eq!(per_tuple.slice_count(), batched.slice_count(), "{at}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "batch columns differ in length")]
     fn unequal_batch_columns_are_rejected() {
         let mut op = op_ooo(100);
