@@ -12,21 +12,24 @@ use std::time::Instant;
 
 use gss_aggregates::{Median, Sum};
 use gss_bench::Output;
-use gss_core::{AggregateFunction, Range, Slice, Time};
+use gss_core::{AggregateFunction, Range, SliceStore, StorePolicy, Time};
 
-/// Builds a slice with `n` stored tuples and measures a split through the
-/// middle (both halves recomputed), median of `reps` runs, nanoseconds.
+/// Builds a store whose one slice holds `n` stored tuples and measures a
+/// split through the middle (both halves recomputed), median of `reps`
+/// runs, nanoseconds.
 fn split_cost<A: AggregateFunction<Input = i64> + Copy>(f: A, n: usize, reps: usize) -> f64 {
     let times: Vec<Time> = (0..n as Time).collect();
     let values: Vec<i64> = times.iter().map(|i| i % 97).collect();
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let mut slice: Slice<A> = Slice::new(Range::new(0, n as Time), true);
-        slice.add_run_columns(&f, &times, &values);
+        let mut store = SliceStore::new(f, StorePolicy::Lazy, true);
+        store.append_slice(Range::new(0, n as Time));
+        store.add_in_order_run_columns(&times, &values);
         let t = Instant::now();
-        let right = slice.split(&f, n as Time / 2);
-        std::hint::black_box(&right);
+        let split = store.split_at(n as Time / 2);
+        std::hint::black_box(&store);
         samples.push(t.elapsed().as_nanos() as f64);
+        assert!(split, "the split point lies inside the slice");
     }
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]

@@ -10,11 +10,10 @@
 //! * **Figure 5** — can split operations occur?
 //! * **Figure 6** — are tuple removals needed, and how are they performed?
 //!
-//! The decisions depend only on workload characteristics, never on the data
-//! (Section 5: "there is no need to adapt on changes in the input data
-//! streams"), so they are recomputed only when queries are added or removed.
+//! They depend on workload characteristics only, never on the data
+//! (Section 5), so they are taken once per query set, in a `SlicePlan`.
 
-use crate::function::FunctionProperties;
+use crate::function::{AggregateFunction, FunctionProperties};
 use crate::time::{Measure, StreamOrder};
 use crate::window::{ContextClass, Query};
 
@@ -51,31 +50,16 @@ impl WorkloadCharacteristics {
     /// Derives the characteristics from the registered queries, the declared
     /// stream order, and the aggregate function's properties.
     pub fn derive(queries: &[Query], order: StreamOrder, function: FunctionProperties) -> Self {
-        let mut has_fca_window = false;
-        let mut has_context_aware_non_session = false;
-        let mut has_context_aware = false;
-        let mut has_count_measure = false;
-        for q in queries {
-            let ctx = q.window.context();
-            if ctx == ContextClass::ForwardContextAware {
-                has_fca_window = true;
-            }
-            if ctx.is_context_aware() {
-                has_context_aware = true;
-                if !q.window.is_session() {
-                    has_context_aware_non_session = true;
-                }
-            }
-            if q.window.measure() == Measure::Count {
-                has_count_measure = true;
-            }
+        let any = |p: fn(&Query) -> bool| queries.iter().any(p);
+        fn aware(q: &Query) -> bool {
+            q.window.context().is_context_aware()
         }
         WorkloadCharacteristics {
             order,
-            has_fca_window,
-            has_context_aware_non_session,
-            has_context_aware,
-            has_count_measure,
+            has_fca_window: any(|q| q.window.context() == ContextClass::ForwardContextAware),
+            has_context_aware_non_session: any(|q| aware(q) && !q.window.is_session()),
+            has_context_aware: any(aware),
+            has_count_measure: any(|q| q.window.measure() == Measure::Count),
             function,
         }
     }
@@ -106,7 +90,7 @@ impl WorkloadCharacteristics {
     /// the "splits required" branch, but their splits always hit the cheap
     /// no-recompute path (the split point lies in a tuple-free gap), which
     /// is why Figure 4 exempts them from tuple storage.
-    pub fn requires_splits(&self) -> bool {
+    fn requires_splits(&self) -> bool {
         match self.order {
             StreamOrder::InOrder => self.has_fca_window,
             StreamOrder::OutOfOrder => self.has_context_aware,
@@ -120,7 +104,7 @@ impl WorkloadCharacteristics {
     /// tuples, so the last tuple of each slice moves one slice further).
     /// Invertible functions remove incrementally; otherwise the slice
     /// aggregate is recomputed from stored tuples.
-    pub fn removal_strategy(&self) -> RemovalStrategy {
+    fn removal_strategy(&self) -> RemovalStrategy {
         if self.order.is_in_order() || !self.has_count_measure {
             RemovalStrategy::NotNeeded
         } else if self.function.invertible {
@@ -132,8 +116,49 @@ impl WorkloadCharacteristics {
 
     /// Out-of-order tuples force a slice recomputation when the function is
     /// non-commutative (paper Section 5.2, Update).
-    pub fn ooo_insert_recomputes(&self) -> bool {
+    fn ooo_insert_recomputes(&self) -> bool {
         !self.function.commutative
+    }
+}
+
+/// The Figure 4–6 decisions for one query set, derived when the queries
+/// change. The store's write paths dispatch on it, not on the function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlicePlan {
+    /// Figure 4: slices keep their tuples (the store's tuple column).
+    pub(crate) keep_tuples: bool,
+    /// Figure 5: context-aware windows split slices.
+    pub(crate) splits: bool,
+    /// Figure 6: how the count shift takes a tuple out of a slice.
+    pub(crate) removal: RemovalStrategy,
+    /// Section 5.2: a late or shifted tuple recomputes its slice (⊕ is not
+    /// commutative).
+    pub(crate) late_recomputes: bool,
+}
+
+impl SlicePlan {
+    /// The plan of `chars`; `force_tuples` keeps tuples whatever Figure 4
+    /// says (an ablation switch).
+    pub(crate) fn new(chars: &WorkloadCharacteristics, force_tuples: bool) -> Self {
+        SlicePlan {
+            keep_tuples: chars.requires_tuple_storage() || force_tuples,
+            splits: chars.requires_splits(),
+            removal: chars.removal_strategy(),
+            late_recomputes: chars.ooo_insert_recomputes(),
+        }
+    }
+
+    /// The plan of a store without an operator: every write `f` allows.
+    pub(crate) fn standalone<A: AggregateFunction>(f: &A, keep_tuples: bool) -> Self {
+        let every = WorkloadCharacteristics {
+            order: StreamOrder::OutOfOrder,
+            has_fca_window: true,
+            has_context_aware_non_session: true,
+            has_context_aware: true,
+            has_count_measure: true,
+            function: f.properties(),
+        };
+        SlicePlan { keep_tuples, ..SlicePlan::new(&every, false) }
     }
 }
 

@@ -106,9 +106,13 @@ impl<A: AggregateFunction> FlatFat<A> {
         }
     }
 
-    /// Inserts a leaf at `i`, shifting later leaves right: `O(n)`.
+    /// Inserts a leaf at `i`, shifting later leaves right: `O(n)`, and a
+    /// [`push`](FlatFat::push) at the end.
     pub fn insert(&mut self, i: usize, p: Option<A::Partial>) {
         assert!(i <= self.len, "insert index {i} out of bounds (len {})", self.len);
+        if i == self.len {
+            return self.push(p);
+        }
         if self.len == self.cap {
             self.grow(self.cap * 2);
         }

@@ -34,6 +34,12 @@ pub struct FunctionProperties {
     pub kind: FunctionKind,
 }
 
+/// Whether `f`'s partials have unbounded size: the store never copies
+/// those into a shared scan.
+pub(crate) fn is_holistic<A: AggregateFunction>(f: &A) -> bool {
+    f.properties().kind == FunctionKind::Holistic
+}
+
 /// An incremental aggregate function.
 ///
 /// # Contract

@@ -4,8 +4,8 @@
 //! efficient streaming window aggregation (Traub et al., EDBT 2019). The
 //! core crate provides:
 //!
-//! * the [`Slice`] abstraction with the three fundamental
-//!   operations **merge**, **split**, and **update** (paper Section 5.2),
+//! * slices kept as columns, one at a time viewed as a [`Slice`], and
+//!   their operations **merge**, **split**, and **update** (Section 5.2),
 //! * the [`SliceStore`] aggregate store with three index policies
 //!   ([`StorePolicy`]): lazy (none), eager (FlatFAT) and finger tree,
 //! * the [`WindowOperator`] combining the Stream
@@ -71,6 +71,7 @@ pub mod element;
 pub mod fiba;
 pub mod flatfat;
 pub mod function;
+mod geometry;
 pub mod hash;
 pub mod keyed;
 pub mod mem;

@@ -11,7 +11,7 @@
 
 use crate::aggregator::{column_run_len, WindowAggregator};
 use crate::cast;
-use crate::characteristics::WorkloadCharacteristics;
+use crate::characteristics::{RemovalStrategy, SlicePlan, WorkloadCharacteristics};
 use crate::function::AggregateFunction;
 use crate::mem::HeapSize;
 use crate::result::WindowResult;
@@ -284,6 +284,7 @@ impl<V> LateBatch<V> {
 /// `[start, end)`, plus the extreme timestamps and tuple count. Produced
 /// by worker-side slicers, consumed by
 /// [`WindowOperator::merge_parallel_partials`].
+#[derive(Clone)]
 pub struct SlicePartial<A: AggregateFunction> {
     /// Slice span start (a static window edge).
     pub start: Time,
@@ -297,19 +298,6 @@ pub struct SlicePartial<A: AggregateFunction> {
     pub t_last: Time,
     /// Number of contributing tuples.
     pub n: u64,
-}
-
-impl<A: AggregateFunction> Clone for SlicePartial<A> {
-    fn clone(&self) -> Self {
-        SlicePartial {
-            start: self.start,
-            end: self.end,
-            partial: self.partial.clone(),
-            t_first: self.t_first,
-            t_last: self.t_last,
-            n: self.n,
-        }
-    }
 }
 
 /// The time-measure windows one sweep has collected, in emission order.
@@ -459,7 +447,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// absorbed into a single catch-all slice.
     pub fn new(f: A, cfg: OperatorConfig) -> Self {
         let chars = WorkloadCharacteristics::derive(&[], cfg.order, f.properties());
-        let store = SliceStore::new(f.clone(), cfg.policy, chars.requires_tuple_storage());
+        let plan = SlicePlan::new(&chars, cfg.force_tuple_storage);
+        let store = SliceStore::with_plan(f.clone(), cfg.policy, plan);
         WindowOperator {
             f,
             cfg,
@@ -504,7 +493,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         self.queries.push(Query::new(id, window));
         let props = self.f.properties();
         let chars = WorkloadCharacteristics::derive(&self.queries, self.cfg.order, props);
-        if chars.requires_tuple_storage()
+        if SlicePlan::new(&chars, self.cfg.force_tuple_storage).keep_tuples
             && !self.store.keeps_tuples()
             && self.store.slices().any(|s| !s.is_empty())
         {
@@ -556,8 +545,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     fn rederive(&mut self) {
         self.chars =
             WorkloadCharacteristics::derive(&self.queries, self.cfg.order, self.f.properties());
-        self.store
-            .set_keep_tuples(self.chars.requires_tuple_storage() || self.cfg.force_tuple_storage);
+        self.store.set_plan(SlicePlan::new(&self.chars, self.cfg.force_tuple_storage));
         self.max_time_extent = self
             .queries
             .iter()
@@ -577,7 +565,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // after the data already processed (`max_ts`) — windows of a new
         // query that overlap the registration instant see partial data,
         // like in the reference implementation.
-        if let Some(open_start) = self.store.last_slice().map(|s| s.start()) {
+        if let Some(open_start) = self.store.geometry().open_start() {
             let from = open_start.max(self.max_ts);
             self.next_time_edge = self.compute_next_time_edge(from);
             self.store.set_last_end(self.next_time_edge.unwrap_or(TIME_MAX));
@@ -656,11 +644,11 @@ impl<A: AggregateFunction> WindowOperator<A> {
             .min()
     }
 
-    /// True when this operator runs in count-delimited mode (count-measure
-    /// queries on an out-of-order stream): slice lookups go by tuple
-    /// content and the Figure-6 shift keeps count alignment.
+    /// Count-delimited mode (count-measure queries on an out-of-order
+    /// stream, where Figure 6 removes tuples): lookups go by tuple content
+    /// and the shift keeps count alignment.
     fn count_mode(&self) -> bool {
-        self.chars.has_count_measure && self.cfg.order == StreamOrder::OutOfOrder
+        self.store.plan().removal != RemovalStrategy::NotNeeded
     }
 
     // ------------------------------------------------------------------
@@ -681,38 +669,19 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
     }
 
-    /// Cuts the open slice when the tuple count reaches a count edge. The
-    /// incoming tuple at `ts` will be the first of the next count slice.
-    fn advance_count_edge_in_order(&mut self, ts: Time) {
+    /// Cuts the open slice at `cut_at` whenever the tuple count has
+    /// reached a count edge (if the open slice covers `cut_at`). In order,
+    /// the cut lands at the incoming tuple, the first of the next count
+    /// slice. After an out-of-order insert it lands at `max_ts`: every
+    /// current tuple stays in the closed slice (they precede the edge in
+    /// count order), and later arrivals — ties at `max_ts` included, whose
+    /// count positions come after — fall into the new open slice.
+    fn advance_count_edges(&mut self, cut_at: Time) {
         while let Some(edge) = self.next_count_edge {
             if self.store.total_count() < edge {
                 break;
             }
-            if self.store.last_end().is_some_and(|end| ts < end)
-                && self.store.last_slice().is_some_and(|s| s.start() <= ts)
-            {
-                self.store.cut_last_at(ts);
-                self.stats.slices_created += 1;
-            }
-            self.next_count_edge = self.compute_next_count_edge(edge);
-        }
-    }
-
-    /// Closes the open slice whenever the total count has reached a count
-    /// edge. The cut lands at `max_ts`: all current tuples stay in the
-    /// closed slice (they precede the edge in count order) and later
-    /// arrivals — including ties at `max_ts`, whose count positions come
-    /// after — fall into the new open slice.
-    fn advance_count_edge_after_insert(&mut self) {
-        while let Some(edge) = self.next_count_edge {
-            if self.store.total_count() < edge {
-                break;
-            }
-            let cut_at = self.max_ts;
-            if self.store.last_end().is_some_and(|end| cut_at < end)
-                && self.store.last_slice().is_some_and(|sl| sl.start() <= cut_at)
-            {
-                self.store.cut_last_at(cut_at);
+            if self.store.cut_last_at(cut_at) {
                 self.stats.slices_created += 1;
             }
             self.next_count_edge = self.compute_next_count_edge(edge);
@@ -819,7 +788,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // ending earlier are empty by construction, and enumerating from
         // TIME_MIN would overflow window arithmetic.
         let time_prev = if self.last_trigger_time == TIME_MIN {
-            store.first_slice().map_or(wm, |s| s.start()).min(wm)
+            store.slices().next().map_or(wm, |s| s.start().min(wm))
         } else {
             self.last_trigger_time
         };
@@ -914,13 +883,13 @@ impl<A: AggregateFunction> WindowOperator<A> {
                     boundary = boundary.min(pending);
                 }
             }
-            self.store.slices().take_while(|s| s.end() <= boundary).count()
+            self.store.geometry().ended_by(boundary)
         } else {
             self.store.len().saturating_sub(1)
         };
         let k_count = if self.chars.has_count_measure {
             let keep_from = self.store.total_count().saturating_sub(self.max_count_extent as u64);
-            self.store.count_evictable(keep_from)
+            self.store.geometry().count_evictable(keep_from)
         } else {
             self.store.len()
         };
@@ -958,7 +927,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // Stream Slicer: cut slices for every window edge at or before ts.
         self.ensure_first_slice(ts);
         self.advance_time_edges(ts);
-        self.advance_count_edge_in_order(ts);
+        self.advance_count_edges(ts);
         // Slice Manager: context-aware windows may add/remove edges.
         self.notify_context_aware(ts, out);
         // Window Manager: on in-order streams every tuple acts as a
@@ -1023,25 +992,24 @@ impl<A: AggregateFunction> WindowOperator<A> {
             // edge (the in-order path defers that cut to the next tuple),
             // close it *before* inserting so the boundary exists and the
             // shift cascade below sees correctly sized slices.
-            self.advance_count_edge_after_insert();
-            let idx = self
-                .store
-                .covering_index_by_tuples(ts)
-                .expect("store cannot be empty when processing an out-of-order tuple");
-            self.store.add_out_of_order_run(idx, &[(ts, value)]);
-            // Figure 6: restore count alignment by shifting the last tuple
-            // of each slice one slice further, starting at the insert
-            // slice. A tuple landing in the open (latest) slice needs no
-            // shift at all.
-            let last = self.store.len() - 1;
-            for i in idx..last {
-                if self.store.shift_last_into_next(i) {
-                    self.stats.shifts += 1;
+            self.advance_count_edges(self.max_ts);
+            // `process_tuple` sends a tuple to an empty store down the
+            // in-order path, so a slice is there to take this one.
+            if let Some(idx) = self.store.geometry().covering_index_by_tuples(ts) {
+                self.store.add_out_of_order_run(idx, &[(ts, value)]);
+                // Figure 6: restore count alignment by shifting the last
+                // tuple of each slice one slice further, starting at the
+                // insert slice. A tuple landing in the open (latest) slice
+                // needs no shift at all.
+                for i in idx..self.store.len() - 1 {
+                    if self.store.shift_last_into_next(i) {
+                        self.stats.shifts += 1;
+                    }
                 }
             }
             // The insert grew the total count; close the open slice if it
             // just reached a count edge.
-            self.advance_count_edge_after_insert();
+            self.advance_count_edges(self.max_ts);
         } else {
             let (idx, _) = self.late_slice_index(ts, None);
             self.store.add_out_of_order_run(idx, &[(ts, value)]);
@@ -1054,18 +1022,19 @@ impl<A: AggregateFunction> WindowOperator<A> {
     }
 
     /// Slice index for a late tuple at `ts` in a time-tiled store (`near`
-    /// as in [`SliceStore::covering_search`]). When `ts` falls into a
+    /// as in `SliceGeometry::covering_search`). When `ts` falls into a
     /// coverage gap (before the first slice, or between slices after a
     /// bounded insert), a fresh slice is created there — slices at and
     /// after the returned index move up by one, which the second result
     /// reports — bounded by the next window edge and the next slice so it
     /// spans neither.
     fn late_slice_index(&mut self, ts: Time, near: Option<usize>) -> (usize, bool) {
-        match self.store.covering_search(ts, near) {
+        let geometry = self.store.geometry();
+        match geometry.covering_search(ts, near) {
             Ok(idx) => (idx, false),
             Err(next) => {
                 let next_slice_start =
-                    if next < self.store.len() { self.store.slice(next).start() } else { TIME_MAX };
+                    if next < geometry.len() { geometry.start(next) } else { TIME_MAX };
                 let next_edge = self.compute_next_time_edge(ts).unwrap_or(TIME_MAX);
                 let end = next_edge.min(next_slice_start);
                 debug_assert!(end > ts, "gap slice must cover its tuple");
@@ -1095,7 +1064,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // Tuples must be in order, inside the open slice (punctuations can
         // cut slices ahead of the data), and strictly below the next slice
         // edge and the next window completion.
-        let open_start = self.store.last_slice().map_or(TIME_MAX, |s| s.start());
+        let open_start = self.store.geometry().open_start().unwrap_or(TIME_MAX);
         let time_trigger = self.next_trigger_time.filter(|_| in_order_emit);
         let bound = self.next_time_edge.unwrap_or(TIME_MAX).min(time_trigger.unwrap_or(TIME_MAX));
         if times[start] < self.max_ts.max(open_start) || times[start] >= bound {
@@ -1122,20 +1091,18 @@ impl<A: AggregateFunction> WindowOperator<A> {
     }
 
     /// Whether late tuples can be deferred into the late batch and
-    /// applied slice by slice at the end of the batch call: per-tuple
-    /// processing must touch exactly one covering slice and emit nothing.
-    /// That takes a declared out-of-order stream (late tuples only emit
-    /// on watermarks), time-tiled slices (the count-measure Figure-6
-    /// shift cascades across slices), no context-aware windows (their
-    /// per-tuple notifications can split/merge) — none of which changes
-    /// within a batch, so the loop asks once — and, per tuple, a
-    /// non-empty store and a timestamp strictly above the watermark (at
-    /// or below it the tuple revises emitted windows *immediately* via
-    /// `emit_updates`).
+    /// applied slice by slice at the end of the batch call, each touching
+    /// one covering slice and emitting nothing: a declared out-of-order
+    /// stream (late tuples emit on watermarks) whose plan neither splits
+    /// (Figure 5) nor removes tuples (Figure 6, the cascading count
+    /// shift). Per tuple, the loop also needs a non-empty store and a
+    /// timestamp above the watermark (at or below it the tuple revises
+    /// emitted windows *immediately* via `emit_updates`).
     fn defer_config_ok(&self) -> bool {
+        let plan = self.store.plan();
         self.cfg.order == StreamOrder::OutOfOrder
-            && !self.count_mode()
-            && !self.chars.has_context_aware
+            && !plan.splits
+            && plan.removal == RemovalStrategy::NotNeeded
     }
 
     /// Attributes one run folded by [`AggregateFunction::fold_slice`] to
@@ -1193,9 +1160,9 @@ impl<A: AggregateFunction> WindowOperator<A> {
         let k = late.memo_next;
         late.memo_next = (k + 1) % late.memo_slot.len();
         late.end_run(k);
-        let s = self.store.slice(idx);
-        late.memo_start[k] = s.start();
-        late.memo_width[k] = s.end().wrapping_sub(s.start()) as u64;
+        let geometry = self.store.geometry();
+        late.memo_start[k] = geometry.start(idx);
+        late.memo_width[k] = geometry.end(idx).wrapping_sub(geometry.start(idx)) as u64;
         late.memo_slot[k] = cast::slot32(idx);
         k
     }
@@ -1232,7 +1199,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             return;
         }
         late.sort_runs();
-        let prefold = self.f.properties().commutative && !self.store.keeps_tuples();
+        let prefold = !self.store.plan().late_recomputes && !self.store.keeps_tuples();
         let LateBatch { times, values, runs, pairs, .. } = &mut *late;
         for of_slice in runs.chunk_by(|a, b| a.slot == b.slot) {
             let idx = cast::idx32(of_slice[0].slot);
@@ -1298,7 +1265,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// the data) or a late tuple lies at or below the watermark: that one
     /// revises emitted windows the moment it arrives.
     fn partition_rest(&mut self, times: &[Time], values: &[A::Input]) -> bool {
-        if self.store.last_slice().is_none_or(|s| s.start() > self.max_ts) {
+        if self.store.geometry().open_start().is_none_or(|start| start > self.max_ts) {
             return false;
         }
         let Some(mut late) = self.late.take() else { return false };
@@ -1376,7 +1343,10 @@ impl<A: AggregateFunction> WindowOperator<A> {
         self.process_batch_columns(&times, &values, out);
         times.clear();
         values.clear();
-        self.late.as_mut().expect("set above, put back by every flush").unzipped = (times, values);
+        // Every flush puts the scratch back.
+        if let Some(late) = &mut self.late {
+            late.unzipped = (times, values);
+        }
     }
 
     /// Processes a batch given as parallel `times` / `values` columns (the
@@ -1519,12 +1489,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
         debug_assert!(
-            self.f.properties().commutative,
-            "parallel merge requires a commutative function"
-        );
-        debug_assert!(
-            !self.chars.requires_tuple_storage() && !self.cfg.force_tuple_storage,
-            "parallel merge requires dropped tuples (partials carry none)"
+            !self.store.plan().late_recomputes && !self.store.keeps_tuples(),
+            "parallel merge requires a commutative function and dropped tuples"
         );
         debug_assert!(!self.count_mode(), "parallel merge requires time-measure windows");
         let SlicePartial { start, end, partial, t_first, t_last, n } = part;

@@ -3,15 +3,19 @@
 //! manager (to update them), and the window manager (to compute window
 //! aggregates).
 //!
+//! A store is a `SliceGeometry` (where every slice lies, compiled once for
+//! every aggregate) plus columns that follow it: the partials, and the
+//! tuples while the `SlicePlan` keeps them. Only the fold and the write of
+//! a partial are generic; the plan decides the rest (Figures 4–6).
+//!
 //! Three variants extend the paper's lazy/eager distinction (Table 1 rows
-//! 5–8): the **lazy** store keeps only the ordered slice list and combines
-//! slice partials on demand; the **eager** store also keeps a [`FlatFat`]
-//! over slice partials for `O(log s)` window queries (Figure 11); the
-//! **finger-tree** store keeps a [`FingerTree`] instead (FiBA-style finger
-//! B-tree), built when a query first asks for a long range. Each index has
-//! one write discipline: the FlatFAT writes through at every leaf write,
-//! the finger tree defers every write to one spine repair at the next
-//! query flush.
+//! 5–8): the **lazy** store keeps only the columns and combines partials
+//! on demand; the **eager** store also keeps a [`FlatFat`] over the
+//! partials for `O(log s)` window queries (Figure 11); the **finger-tree**
+//! store keeps a [`FingerTree`] instead (FiBA-style finger B-tree), built
+//! when a query first asks for a long range. Each index has one write
+//! discipline: the FlatFAT writes through at every leaf write, the finger
+//! tree defers every write to one spine repair at the next query flush.
 //!
 //! A slice changes through one store entry per kind of change, and one
 //! tuple is a run of one: an in-order run into the open slice, a sorted
@@ -25,12 +29,14 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::cast;
+use crate::characteristics::{RemovalStrategy, SlicePlan};
 use crate::fiba::FingerTree;
 use crate::flatfat::FlatFat;
-use crate::function::{AggregateFunction, FunctionKind};
+use crate::function::{is_holistic, AggregateFunction};
+use crate::geometry::{Extent, SliceGeometry, SweepPlan};
 use crate::mem::HeapSize;
-use crate::slice::Slice;
-use crate::time::{Range, Time};
+use crate::slice::{extent_of, merge_late_run, Slice};
+use crate::time::{Range, Time, TIME_MIN};
 
 /// Lazy vs. eager final aggregation (paper Section 3.4), plus the
 /// disorder-tuned eager variant.
@@ -48,10 +54,10 @@ pub enum StorePolicy {
 }
 
 /// The per-slice aggregate index backing the eager policies. `None`
-/// (lazy) stores nothing; the other variants mirror `slices[i]`'s
-/// aggregate at leaf `i`. When a leaf write reaches the ancestors is up
-/// to the index: at once in the FlatFAT, at the next
-/// [`repair`](AggIndex::repair) in the finger tree.
+/// (lazy) stores nothing; the other variants mirror `partials[i]` at
+/// leaf `i`. When a leaf write reaches the ancestors is up to the index:
+/// at once in the FlatFAT, at the next [`repair`](AggIndex::repair) in
+/// the finger tree.
 #[derive(Clone)]
 enum AggIndex<A: AggregateFunction> {
     None,
@@ -60,14 +66,6 @@ enum AggIndex<A: AggregateFunction> {
 }
 
 impl<A: AggregateFunction> AggIndex<A> {
-    fn push(&mut self, p: Option<A::Partial>) {
-        match self {
-            AggIndex::None => {}
-            AggIndex::Flat(t) => t.push(p),
-            AggIndex::Finger(t) => t.push(p),
-        }
-    }
-
     fn insert(&mut self, i: usize, p: Option<A::Partial>) {
         match self {
             AggIndex::None => {}
@@ -88,12 +86,8 @@ impl<A: AggregateFunction> AggIndex<A> {
     fn remove(&mut self, i: usize) {
         match self {
             AggIndex::None => {}
-            AggIndex::Flat(t) => {
-                t.remove(i);
-            }
-            AggIndex::Finger(t) => {
-                t.remove(i);
-            }
+            AggIndex::Flat(t) => drop(t.remove(i)),
+            AggIndex::Finger(t) => drop(t.remove(i)),
         }
     }
 
@@ -111,11 +105,6 @@ impl<A: AggregateFunction> AggIndex<A> {
         }
     }
 
-    #[cfg(test)]
-    fn has_dirty(&self) -> bool {
-        matches!(self, AggIndex::Finger(t) if t.has_dirty())
-    }
-
     /// Indexed range query; `None` when no index is maintained (lazy).
     fn query(&self, l: usize, r: usize) -> Option<Option<A::Partial>> {
         match self {
@@ -127,70 +116,82 @@ impl<A: AggregateFunction> AggIndex<A> {
 }
 
 /// Ranges at most this many slices long are answered by folding the
-/// slice deque sequentially instead of consulting the aggregate index.
+/// partial column sequentially instead of consulting the aggregate index.
 /// Measured on the `ooo` workload (~25 live slices, windows spanning
 /// 1–20): the scan closes the finger store's entire in-order query
 /// overhead vs the lazy store, while ranges past the cutoff are where
 /// an O(log n) index visit beats O(n) combines anyway.
-const INDEX_SCAN_CUTOFF: usize = 32;
+pub(crate) const INDEX_SCAN_CUTOFF: usize = 32;
 
-/// An ordered collection of slices with optional eager index and count
-/// bookkeeping for count-measure windows.
+/// One slice's tuples, sorted by time (ties in arrival order).
+type Tuples<A> = Vec<(Time, <A as AggregateFunction>::Input)>;
+
+/// An ordered collection of slices: their geometry, their partials, their
+/// tuples while the plan keeps them, and an optional eager index.
 #[derive(Clone)]
 pub struct SliceStore<A: AggregateFunction> {
     f: A,
-    slices: VecDeque<Slice<A>>,
-    /// Aggregate index: leaf `i` mirrors `slices[i].aggregate()`.
+    geometry: SliceGeometry,
+    /// Slice `i`'s partial aggregate in event-time order; `None` iff the
+    /// slice holds no tuple.
+    partials: VecDeque<Option<A::Partial>>,
+    /// Slice `i`'s tuples: present iff the plan keeps tuples (Figure 4).
+    tuples: Option<VecDeque<Tuples<A>>>,
+    plan: SlicePlan,
+    /// Holistic partials are never copied into a shared scan.
+    holistic: bool,
+    /// Aggregate index: leaf `i` mirrors `partials[i]`.
     index: AggIndex<A>,
-    /// Whether the index mirrors the slices. The finger tree is built
-    /// *on first need*: until a query asks for a range longer than
-    /// [`INDEX_SCAN_CUTOFF`] slices, nothing reads the tree, so it stays
-    /// empty and all maintenance is a flag check — appends, late writes
-    /// and evictions cost exactly what the lazy store's do, however many
-    /// slices are live. The first long query sets `index_wanted`, and
-    /// the next [`flush_eager_repairs`](SliceStore::flush_eager_repairs)
-    /// builds the tree and flips this permanently. Lazy and eager stores
-    /// are born live.
+    /// Whether the index mirrors the partials. Lazy and eager stores are
+    /// born live; the finger tree is built *on first need*: until a query
+    /// asks for a range longer than [`INDEX_SCAN_CUTOFF`] slices its
+    /// maintenance is this flag check, and the flush after such a query
+    /// builds it and flips this for good.
     index_live: bool,
     /// Set by a long range query against the unbuilt finger tree; the
     /// next flush builds it. A `Cell` because queries take `&self`.
     index_wanted: Cell<bool>,
-    keep_tuples: bool,
-    /// Number of tuples evicted from the front; offsets count positions so
-    /// count-measure queries use absolute counts.
-    evicted_tuples: u64,
 }
 
 impl<A: AggregateFunction> SliceStore<A> {
+    /// A store used on its own: it keeps tuples iff `keep_tuples`, and its
+    /// writes do whatever `f` allows (an operator passes its plan instead).
     pub fn new(f: A, policy: StorePolicy, keep_tuples: bool) -> Self {
+        let plan = SlicePlan::standalone(&f, keep_tuples);
+        Self::with_plan(f, policy, plan)
+    }
+
+    pub(crate) fn with_plan(f: A, policy: StorePolicy, plan: SlicePlan) -> Self {
         let index = match policy {
             StorePolicy::Lazy => AggIndex::None,
             StorePolicy::Eager => AggIndex::Flat(FlatFat::new(f.clone())),
             StorePolicy::FingerTree => AggIndex::Finger(FingerTree::new(f.clone())),
         };
         SliceStore {
+            holistic: is_holistic(&f),
             f,
-            slices: VecDeque::new(),
+            geometry: SliceGeometry::default(),
+            partials: VecDeque::new(),
+            tuples: plan.keep_tuples.then(VecDeque::new),
+            plan,
             index,
             index_live: policy != StorePolicy::FingerTree,
             index_wanted: Cell::new(false),
-            keep_tuples,
-            evicted_tuples: 0,
         }
     }
 
-    /// Bulk-builds the finger tree from the current slice partials if a
-    /// long range query asked for it since the last flush. The pushes
-    /// leave the spine dirty, as every finger write does; the calling
-    /// flush repairs it. O(n) once per store lifetime.
+    /// Bulk-builds the finger tree from the current partials if a long
+    /// range query asked for it since the last flush. The pushes leave
+    /// the spine dirty, as every finger write does; the calling flush
+    /// repairs it. O(n) once per store lifetime.
     fn maybe_build_index(&mut self) {
         if !self.index_wanted.take() {
             return;
         }
         if let AggIndex::Finger(t) = &mut self.index {
             debug_assert_eq!(t.len(), 0, "building an already-populated index");
-            for s in &self.slices {
-                t.push(s.aggregate().cloned());
+            for p in &self.partials {
+                t.push(p.clone());
             }
         }
         self.index_live = true;
@@ -199,273 +200,205 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Number of slices currently stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.slices.len()
+        self.geometry.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.slices.is_empty()
+        self.len() == 0
+    }
+
+    /// Where the slices lie: the time-only side of the store.
+    #[inline]
+    pub(crate) fn geometry(&self) -> &SliceGeometry {
+        &self.geometry
+    }
+
+    /// The Figure 4–6 decisions the store's writes follow.
+    #[inline]
+    pub(crate) fn plan(&self) -> &SlicePlan {
+        &self.plan
     }
 
     /// Whether slices store their source tuples (Figure-4 decision).
     #[inline]
     pub fn keeps_tuples(&self) -> bool {
-        self.keep_tuples
+        self.tuples.is_some()
     }
 
-    /// Changes the tuple-storage policy (the paper's query-add/remove
-    /// adaptivity). If storage turns off, every slice drops its tuples; it
-    /// turns on only while every slice is empty (the operator refuses a
-    /// query that would turn it on over tuples it did not keep), and then
-    /// on every slice.
-    pub(crate) fn set_keep_tuples(&mut self, keep: bool) {
-        if self.keep_tuples == keep {
-            return;
+    /// Adopts the plan of a changed query set (the paper's query-add/remove
+    /// adaptivity). When it stops keeping tuples, the tuple column goes;
+    /// when it starts, every slice must be empty (the operator refuses a
+    /// query that would turn storage on over tuples it did not keep).
+    pub(crate) fn set_plan(&mut self, plan: SlicePlan) {
+        if plan.keep_tuples != self.keeps_tuples() {
+            debug_assert!(
+                !plan.keep_tuples || self.slices().all(|s| s.is_empty()),
+                "tuple storage cannot start over tuples it did not keep"
+            );
+            self.tuples = plan.keep_tuples.then(|| (0..self.len()).map(|_| Vec::new()).collect());
         }
-        self.keep_tuples = keep;
-        for s in &mut self.slices {
-            if keep {
-                s.enable_tuple_storage();
-            } else {
-                s.drop_tuples();
-            }
+        self.plan = plan;
+    }
+
+    pub fn slice(&self, i: usize) -> Slice<'_, A> {
+        Slice {
+            range: Range::new(self.geometry.start(i), self.geometry.end(i)),
+            extent: self.geometry.extent(i),
+            aggregate: self.partials[i].as_ref(),
+            tuples: self.tuples.as_ref().map(|t| t[i].as_slice()),
         }
     }
 
-    pub fn slices(&self) -> impl Iterator<Item = &Slice<A>> {
-        self.slices.iter()
-    }
-
-    pub fn slice(&self, i: usize) -> &Slice<A> {
-        &self.slices[i]
-    }
-
-    pub(crate) fn first_slice(&self) -> Option<&Slice<A>> {
-        self.slices.front()
-    }
-
-    pub(crate) fn last_slice(&self) -> Option<&Slice<A>> {
-        self.slices.back()
-    }
-
-    /// End timestamp of the latest slice (exclusive), if any.
-    pub(crate) fn last_end(&self) -> Option<Time> {
-        self.slices.back().map(|s| s.end())
+    pub fn slices(&self) -> impl Iterator<Item = Slice<'_, A>> {
+        (0..self.len()).map(|i| self.slice(i))
     }
 
     /// Appends a fresh empty slice covering `range`. The caller (stream
     /// slicer) guarantees ranges are appended in order and do not overlap.
     pub fn append_slice(&mut self, range: Range) {
         debug_assert!(
-            self.slices.back().is_none_or(|s| s.end() <= range.start),
+            self.geometry.last_end().is_none_or(|end| end <= range.start),
             "slices must be appended in order"
         );
-        self.append_slice_unchecked(range);
+        self.geometry.push(range);
+        self.open_columns(self.len() - 1);
     }
 
     /// Sets the end of the latest (open) slice unconditionally — used when
     /// query changes move the next window edge earlier. The caller must
     /// guarantee no stored tuple lies at or beyond `end`.
     pub(crate) fn set_last_end(&mut self, end: Time) {
-        if let Some(s) = self.slices.back_mut() {
-            debug_assert!(s.is_empty() || s.t_last() < end, "open-slice tuples beyond new end");
-            s.set_end(end);
-        }
+        self.geometry.set_last_end(end);
     }
 
-    /// Cuts the open (latest) slice at `ts`: the latest slice's end becomes
-    /// `ts` and a fresh slice `[ts, old_end)` is appended. Existing tuples
-    /// stay in the left part (used for session starts and count edges,
-    /// where all current tuples precede the cut).
-    pub(crate) fn cut_last_at(&mut self, ts: Time) {
-        let Some(last) = self.slices.back_mut() else {
-            return;
-        };
-        let old_end = last.end();
-        debug_assert!(ts >= last.start() && ts < old_end, "cut point {ts} outside open slice");
-        last.set_end(ts);
-        self.append_slice_unchecked(Range::new(ts, old_end));
+    /// Cuts the open (latest) slice at `ts` if it covers `ts`: its end
+    /// becomes `ts` and a fresh slice `[ts, old_end)` is appended. Existing
+    /// tuples stay in the left part (count edges, where all current tuples
+    /// precede the cut). Returns whether it cut.
+    #[inline]
+    pub(crate) fn cut_last_at(&mut self, ts: Time) -> bool {
+        self.geometry.cut_last(ts).then(|| self.open_columns(self.len() - 1)).is_some()
     }
 
     /// Inserts a slice into a coverage gap (late tuples landing between
     /// existing slices). Returns the insertion index. The range must not
     /// overlap existing slices.
     pub(crate) fn insert_gap_slice(&mut self, range: Range) -> usize {
-        let idx = self.slices.partition_point(|s| s.end() <= range.start);
-        debug_assert!(
-            idx == self.slices.len() || range.end <= self.slices[idx].start(),
-            "gap slice {range} overlaps successor"
-        );
-        self.slices.insert(idx, Slice::new(range, self.keep_tuples));
-        if self.index_live {
-            self.index.insert(idx, None);
-        }
+        let idx = self.geometry.insert_gap(range);
+        self.open_columns(idx);
         #[cfg(feature = "audit")]
         self.assert_invariants();
         idx
     }
 
-    /// Dense structural checks for the audit build: slices are in
-    /// ascending, non-overlapping time order (lazy stores may leave
-    /// gaps; count cuts at tied timestamps may leave zero-width time
-    /// ranges) and a live index has exactly one leaf per slice.
+    /// Opens the columns of the empty slice the geometry placed at `idx`.
+    fn open_columns(&mut self, idx: usize) {
+        self.partials.insert(idx, None);
+        if let Some(tuples) = &mut self.tuples {
+            tuples.insert(idx, Vec::new());
+        }
+        if self.index_live {
+            self.index.insert(idx, None);
+        }
+    }
+
+    /// Dense structural checks for the audit build: the geometry's, every
+    /// column as long as the geometry, and a live index with exactly one
+    /// leaf per slice.
     #[cfg(feature = "audit")]
     pub fn assert_invariants(&self) {
-        let mut prev_end: Option<Time> = None;
-        for s in &self.slices {
-            assert!(s.start() <= s.end(), "slice {} inverted", s.range());
-            if let Some(pe) = prev_end {
-                assert!(pe <= s.start(), "slice {} overlaps predecessor ending {pe}", s.range());
-            }
-            prev_end = Some(s.end());
-        }
+        self.geometry.assert_invariants();
+        let n = self.len();
+        assert_eq!(self.partials.len(), n, "partial column out of sync with slices");
+        assert!(self.tuples.as_ref().is_none_or(|t| t.len() == n), "tuple column out of sync");
         match &self.index {
             AggIndex::None => {}
             AggIndex::Flat(t) => {
-                assert_eq!(t.len(), self.slices.len(), "eager index out of sync with slices");
+                assert_eq!(t.len(), n, "eager index out of sync with slices");
                 t.assert_invariants();
             }
             AggIndex::Finger(t) => {
-                if self.index_live {
-                    assert_eq!(t.len(), self.slices.len(), "finger index out of sync with slices");
-                } else {
-                    assert_eq!(t.len(), 0, "unbuilt finger index holds leaves");
-                }
+                let leaves = if self.index_live { n } else { 0 };
+                assert_eq!(t.len(), leaves, "finger index out of sync with slices");
                 t.assert_invariants();
             }
         }
     }
 
-    /// `append_slice` without the ordering debug-assert (for count cuts
-    /// where a tied timestamp may equal the previous end).
-    fn append_slice_unchecked(&mut self, range: Range) {
-        self.slices.push_back(Slice::new(range, self.keep_tuples));
-        if self.index_live {
-            self.index.push(None);
-        }
+    /// `partials[idx] ⊕= p`: the one write of a partial.
+    fn absorb(&mut self, idx: usize, p: A::Partial) {
+        let slot = &mut self.partials[idx];
+        *slot = Some(match slot.take() {
+            None => p,
+            Some(a) => self.f.combine(a, &p),
+        });
     }
 
-    /// Adds a run of in-order tuples (one tuple is a run of one), given as
-    /// parallel `times` / `values` columns, to the **latest** slice with a
-    /// single store touch: one fold + ⊕ into the slice partial — the
-    /// contiguous values feed the bulk fold kernel directly (see
-    /// [`Slice::add_run_columns`]) — one tuple-vector append, and one
-    /// index leaf write.
+    /// Adds a sorted run of in-order tuples (one tuple is a run of one),
+    /// given as parallel `times` / `values` columns, to the **latest**
+    /// slice: one fold through the bulk kernel
+    /// ([`AggregateFunction::fold_slice`]) + ⊕ into its partial (equal to
+    /// one-by-one adds by associativity), one tuple-column append and one
+    /// index leaf write. A store without slices writes nothing.
     pub fn add_in_order_run_columns(&mut self, times: &[Time], values: &[A::Input]) {
-        if times.is_empty() {
+        debug_assert_eq!(times.len(), values.len(), "SoA run length mismatch");
+        let (Some(idx), Some(&t_first), Some(&t_last)) =
+            (self.len().checked_sub(1), times.first(), times.last())
+        else {
             return;
+        };
+        debug_assert!(times.is_sorted() && t_first >= self.geometry.extent(idx).t_last);
+        let Some(p) = self.f.fold_slice(values) else {
+            return;
+        };
+        self.absorb(idx, p);
+        self.geometry.widen(idx, Extent { count: times.len(), t_first, t_last });
+        if let Some(tuples) = &mut self.tuples {
+            tuples[idx].extend(times.iter().copied().zip(values.iter().cloned()));
         }
-        let idx = self.slices.len() - 1;
-        let slice = self.slices.back_mut().expect("add_in_order_run_columns on empty store");
-        slice.add_run_columns(&self.f, times, values);
         self.refresh_leaf(idx);
     }
 
     /// Index of the slice whose time range contains `ts` (time-tiled
     /// stores).
     pub fn covering_index(&self, ts: Time) -> Option<usize> {
-        self.covering_search(ts, None).ok()
-    }
-
-    /// Where `ts` falls among the time-tiled slices: `Ok(i)` when slice
-    /// `i` covers it (session gaps leave holes), `Err(i)` when it lies
-    /// in a coverage gap, `i` being the first slice after the gap — the
-    /// position a slice covering `ts` is inserted at.
-    ///
-    /// The search starts from a guess and gallops outwards from it. The
-    /// guess interpolates `ts` linearly between the nearest slices whose
-    /// position is known without searching: the store's two ends and, if
-    /// given, slice `near` (the previous late tuple's, say). A guess `d`
-    /// slices off costs `O(log d)` probes — a couple when slices are
-    /// evenly long (periodic windows) or `near` is a neighbour (a sorted
-    /// burst), and the order of a binary search at worst.
-    pub(crate) fn covering_search(&self, ts: Time, near: Option<usize>) -> Result<usize, usize> {
-        let Some(open) = self.slices.len().checked_sub(1) else {
-            return Err(0);
-        };
-        let mut below = (0, self.slices[0].start());
-        let mut above = (open, self.slices[open].start());
-        if let Some(i) = near {
-            let at = (i, self.slices[i].start());
-            if ts >= at.1 {
-                below = at;
-            } else {
-                above = at;
-            }
-        }
-        let guess = if ts <= below.1 {
-            below.0
-        } else if ts >= above.1 {
-            above.0
-        } else {
-            let share = ts.abs_diff(below.1) as f64 / above.1.abs_diff(below.1) as f64;
-            below.0 + cast::idx32((share * (above.0 - below.0) as f64) as u32)
-        };
-        // First slice whose end is beyond ts…
-        let idx = gallop_by(self.slices.len(), guess, |i| self.slices[i].end() <= ts);
-        // …must also start at or before ts.
-        if idx <= open && self.slices[idx].start() <= ts {
-            Ok(idx)
-        } else {
-            Err(idx)
-        }
-    }
-
-    /// Index of the slice an out-of-order tuple at `ts` should join in a
-    /// count-delimited store: the first slice whose last tuple lies
-    /// strictly after `ts` (slices partition the event-time-sorted tuple
-    /// sequence, and a late tie must land *after* every stored tuple with
-    /// an equal timestamp — count ties break by arrival order). Falls back
-    /// to the latest slice.
-    pub(crate) fn covering_index_by_tuples(&self, ts: Time) -> Option<usize> {
-        let n = self.slices.len();
-        if n == 0 {
-            return None;
-        }
-        // Binary search: count slices partition the event-time-sorted tuple
-        // sequence, so `t_last` is non-decreasing across *non-empty*
-        // slices. Empty slices (shifts can drain a slice) break strict
-        // monotonicity, so each probe advances to the first non-empty
-        // slice in its half; the search stays O(log s) plus the length of
-        // empty runs it skips.
-        let mut lo = 0;
-        let mut hi = n;
-        let mut found = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let mut probe = mid;
-            while probe < hi && self.slices[probe].is_empty() {
-                probe += 1;
-            }
-            if probe == hi {
-                // Everything in [mid, hi) is empty: candidates are < mid.
-                hi = mid;
-            } else if self.slices[probe].t_last() > ts {
-                found = probe;
-                hi = mid;
-            } else {
-                lo = probe + 1;
-            }
-        }
-        Some(if found == n { n - 1 } else { found })
+        self.geometry.covering_search(ts, None).ok()
     }
 
     /// Adds a sorted run of out-of-order tuples (one late tuple is a run
-    /// of one) to slice `idx` with **one** slice touch (one tuple merge,
-    /// one combined partial — see [`Slice::add_out_of_order_run`]) and
-    /// one index leaf write.
+    /// of one) to slice `idx`, merged into its tuples after equal
+    /// timestamps, with one index leaf write. Where the plan recomputes
+    /// late inserts (Section 5.2), the partial is refolded from the
+    /// tuples; otherwise the run's lifted fold is combined in with one ⊕.
     pub(crate) fn add_out_of_order_run(&mut self, idx: usize, run: &[(Time, A::Input)]) {
-        if run.is_empty() {
+        let (Some(&(t_first, _)), Some(&(t_last, _))) = (run.first(), run.last()) else {
             return;
+        };
+        debug_assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
+        self.geometry.widen(idx, Extent { count: run.len(), t_first, t_last });
+        debug_assert!(self.keeps_tuples() || !self.plan.late_recomputes, "Figure 4 keeps them");
+        let refolded = self.tuples.as_mut().and_then(|tuples| {
+            merge_late_run(&mut tuples[idx], run);
+            let values = tuples[idx].iter().map(|(_, v)| v);
+            self.plan.late_recomputes.then(|| self.f.lift_all(values))
+        });
+        match refolded {
+            Some(p) => self.partials[idx] = p,
+            None => {
+                if let Some(p) = self.f.lift_all(run.iter().map(|(_, v)| v)) {
+                    self.absorb(idx, p);
+                }
+            }
         }
-        self.slices[idx].add_out_of_order_run(&self.f, run);
         self.refresh_leaf(idx);
     }
 
     /// Applies a pre-folded partial of late tuples to slice `idx` — the
     /// unsorted out-of-order fast path for commutative functions without
-    /// tuple storage. `t_first`/`t_last` are the group's extreme
-    /// timestamps and `n` its tuple count.
+    /// tuple storage, where nothing observes the order late tuples were
+    /// folded in. `t_first`/`t_last` are the group's extreme timestamps
+    /// and `n` its tuple count.
     pub fn add_out_of_order_partial(
         &mut self,
         idx: usize,
@@ -474,7 +407,12 @@ impl<A: AggregateFunction> SliceStore<A> {
         t_last: Time,
         n: usize,
     ) {
-        self.slices[idx].add_out_of_order_partial(&self.f, partial, t_first, t_last, n);
+        debug_assert!(
+            !self.keeps_tuples() && !self.plan.late_recomputes,
+            "a pre-folded late write needs dropped tuples and a commutative function"
+        );
+        self.geometry.widen(idx, Extent { count: n, t_first, t_last });
+        self.absorb(idx, partial);
         self.refresh_leaf(idx);
     }
 
@@ -487,41 +425,56 @@ impl<A: AggregateFunction> SliceStore<A> {
         // While the store holds at most [`INDEX_SCAN_CUTOFF`] slices, no
         // range query can be long enough to consult the index (every
         // range is bounded by the store length, and short ranges scan
-        // the slice deque — see `query_slice_range`), so deferred writes
-        // can keep accumulating for free. The moment the store outgrows
-        // the cutoff, the next query sweep lands here and repairs before
-        // the first index visit.
-        if self.slices.len() > INDEX_SCAN_CUTOFF {
+        // the partial column — see `query_slice_range`), so deferred
+        // writes can keep accumulating for free. The moment the store
+        // outgrows the cutoff, the next query sweep lands here and
+        // repairs before the first index visit.
+        if self.len() > INDEX_SCAN_CUTOFF {
             self.index.repair();
         }
         #[cfg(feature = "audit")]
         self.assert_invariants();
     }
 
-    /// Whether deferred finger-tree writes are pending repair.
-    #[cfg(test)]
-    fn has_pending_repairs(&self) -> bool {
-        self.index.has_dirty()
-    }
-
-    /// Whether the finger tree has been built (always true for the
-    /// other policies).
-    #[cfg(test)]
-    fn index_built(&self) -> bool {
-        self.index_live
-    }
-
     /// Splits the slice covering `ts` at `ts`. Returns `false` if `ts`
-    /// already is a slice edge (nothing to do) or lies outside all slices.
+    /// already is a slice edge, lies outside all slices, or falls among
+    /// tuples the plan did not keep (Figure 4 keeps them wherever a split
+    /// can: a session's split point lies in a tuple-free gap).
+    ///
+    /// A split beyond the slice's last tuple leaves every tuple left, one
+    /// at or before its first moves them all right; neither recomputes.
+    /// Any other split recomputes both partials from the stored tuples —
+    /// the expensive operation the paper benchmarks in Figure 15.
+    #[inline]
     pub fn split_at(&mut self, ts: Time) -> bool {
-        let Some(idx) = self.covering_index(ts) else {
+        let idx = self.covering_index(ts).filter(|&i| self.geometry.start(i) != ts);
+        idx.is_some_and(|idx| self.split_columns(idx, ts))
+    }
+
+    /// The column side of a split of slice `idx` at `ts`: divides its
+    /// tuples and partial, has the geometry split, and opens slice
+    /// `idx + 1` with the right part.
+    fn split_columns(&mut self, idx: usize, ts: Time) -> bool {
+        let whole = self.geometry.extent(idx);
+        let (left, right, moved, right_partial) = if ts > whole.t_last {
+            (whole, Extent::EMPTY, Vec::new(), None)
+        } else if ts <= whole.t_first {
+            let moved = self.tuples.as_mut().map(|t| std::mem::take(&mut t[idx]));
+            (Extent::EMPTY, whole, moved.unwrap_or_default(), self.partials[idx].take())
+        } else if let Some(tuples) = &mut self.tuples {
+            let stay = &mut tuples[idx];
+            let moved = stay.split_off(stay.partition_point(|(t, _)| *t < ts));
+            self.partials[idx] = self.f.lift_all(stay.iter().map(|(_, v)| v));
+            let right_partial = self.f.lift_all(moved.iter().map(|(_, v)| v));
+            (extent_of(stay), extent_of(&moved), moved, right_partial)
+        } else {
             return false;
         };
-        if self.slices[idx].start() == ts {
-            return false;
+        self.geometry.split(idx, ts, left, right);
+        self.partials.insert(idx + 1, right_partial);
+        if let Some(tuples) = &mut self.tuples {
+            tuples.insert(idx + 1, moved);
         }
-        let right = self.slices[idx].split(&self.f, ts);
-        self.slices.insert(idx + 1, right);
         if self.index_live {
             self.index.insert(idx + 1, None);
         }
@@ -531,61 +484,50 @@ impl<A: AggregateFunction> SliceStore<A> {
     }
 
     /// Merges the two slices adjacent at edge `ts` (`slices[i].end == ts ==
-    /// slices[i+1].start`). Returns `false` if `ts` is not such an edge.
+    /// slices[i+1].start`): `agg ← agg ⊕ next.agg`, tuples appended.
+    /// Returns `false` if `ts` is not such an edge.
+    #[inline]
     pub(crate) fn merge_at(&mut self, ts: Time) -> bool {
-        let idx = self.slices.partition_point(|s| s.end() < ts);
-        if idx + 1 >= self.slices.len()
-            || self.slices[idx].end() != ts
-            || self.slices[idx + 1].start() != ts
-        {
-            return false;
+        self.geometry.merge_at(ts).map(|idx| self.merge_columns(idx)).is_some()
+    }
+
+    /// The column side of merging slice `idx + 1` into slice `idx`.
+    fn merge_columns(&mut self, idx: usize) {
+        let right = self.partials.remove(idx + 1).flatten();
+        let left = self.partials[idx].take();
+        self.partials[idx] = self.f.combine_opt(left, right.as_ref());
+        if let Some(tuples) = &mut self.tuples {
+            let right = tuples.remove(idx + 1).unwrap_or_default();
+            tuples[idx].extend(right);
         }
-        let right = self.slices.remove(idx + 1).expect("bounds checked");
-        self.slices[idx].merge(&self.f, right);
         if self.index_live {
             self.index.remove(idx + 1);
         }
         self.refresh_leaf(idx);
-        true
     }
 
     /// Combines the partial aggregates of all slices inside the time range
     /// `[range.start, range.end)`, in slice order. Window edges align with
     /// slice edges (the slicing invariant), so overlap implies containment.
     pub fn query_time(&self, range: Range) -> Option<A::Partial> {
-        let l = self.slices.partition_point(|s| s.end() <= range.start);
-        let r = self.slices.partition_point(|s| s.start() < range.end);
+        let (l, r) = self.geometry.slice_span(range);
         if l >= r {
             return None;
         }
         debug_assert!(
-            self.aligned(range, l, r),
+            self.geometry.aligned(range, l, r),
             "window {range} does not align with slice contents"
         );
         self.query_slice_range(l, r)
     }
 
-    /// Whether slices `[l, r)` hold tuples of `range` only. Overlap
-    /// implies containment *of tuples*: the slicing invariant guarantees
-    /// every window edge is a slice edge, but the open (latest) slice and
-    /// session slices may nominally extend past the window end while
-    /// holding no tuples there. Walks the slices: debug builds only.
-    fn aligned(&self, range: Range, l: usize, r: usize) -> bool {
-        self.slices
-            .range(l..r)
-            .all(|s| s.is_empty() || (s.t_first() >= range.start && s.t_last() < range.end))
-    }
-
     /// Combines the partials of slices `[l, r)` (indices), in order.
     ///
-    /// Hybrid dispatch: short ranges fold the contiguous slice deque
-    /// directly — a handful of sequential combines on prefetcher-friendly
-    /// memory beats a tree descent over cold pointers (or a FlatFAT
-    /// ancestor walk) every time. The index only earns its keep once the
-    /// range outgrows `INDEX_SCAN_CUTOFF` slices, which is exactly the
-    /// regime (large lateness, many live slices) it exists for. Slices
-    /// are the source of truth, so the scan is also immune to deferred
-    /// index repairs.
+    /// Short ranges fold the partial column directly: a handful of
+    /// sequential combines beats a tree descent over cold pointers. The
+    /// index only earns its keep past `INDEX_SCAN_CUTOFF` slices (large
+    /// lateness, many live slices). The column is the source of truth, so
+    /// the scan is immune to deferred index repairs.
     ///
     /// A long range against a finger tree not built yet is scanned too,
     /// with the same answer, and asks for the tree: the next
@@ -599,11 +541,12 @@ impl<A: AggregateFunction> SliceStore<A> {
                 return q;
             }
         }
-        let mut acc: Option<A::Partial> = None;
-        for s in self.slices.iter().skip(l).take(r - l) {
-            acc = self.f.combine_opt(acc, s.aggregate());
-        }
-        acc
+        self.fold(l, r)
+    }
+
+    /// The partials of slices `[l, r)`, folded in order.
+    fn fold(&self, l: usize, r: usize) -> Option<A::Partial> {
+        self.partials.range(l..r).fold(None, |acc, p| self.f.combine_opt(acc, p.as_ref()))
     }
 
     /// The per-window path: one [`query_time`](SliceStore::query_time)
@@ -626,21 +569,15 @@ impl<A: AggregateFunction> SliceStore<A> {
     ///
     /// The windows of a sliding or late-update sweep all contain one
     /// slice boundary, so [`shared_scan`] answers them with one combine
-    /// each after one pass over the slices. Whether that pass pays is
-    /// decided here, from counts the sweep itself provides, at a cost
-    /// per window rather than per slice:
-    ///
-    /// 1. Fewer than `MIN_BATCH_WINDOWS` windows, or holistic partials
-    ///    (every scan entry would clone an unbounded partial): per window.
-    /// 2. Otherwise one pass resolves every window's edges to slice
-    ///    indices, galloping over the slice records in place, finds
-    ///    whether the windows share a boundary, and prices each window
-    ///    on its own as what [`query_slice_range`] spends on it — its
-    ///    length, or `O(log d)` through an index. The scan costs the
-    ///    slices under the sweep, the prefix entries and one combine per
-    ///    window. The cheaper side answers; a sweep with no shared
-    ///    boundary (a tumbling catch-up, windows further apart than
-    ///    their length) is answered per window.
+    /// each after one pass over the slices. Whether that pays is decided
+    /// at a cost per window: fewer than `MIN_BATCH_WINDOWS` windows, or
+    /// holistic partials, go per window. Otherwise one edge pass resolves
+    /// every window to slice indices, finds whether they share a
+    /// boundary, and prices each window as [`query_slice_range`] would
+    /// (its length, or `O(log d)` through an index) against the scan
+    /// (the slices under the sweep, the prefix entries, one combine per
+    /// window). The cheaper side answers; a sweep with no shared
+    /// boundary is answered per window.
     ///
     /// [`query_time_each`]: SliceStore::query_time_each
     /// [`shared_scan`]: SliceStore::shared_scan
@@ -650,18 +587,15 @@ impl<A: AggregateFunction> SliceStore<A> {
         windows: &[(T, Range)],
         mut emit: impl FnMut(&T, Range, A::Partial),
     ) -> usize {
-        let holistic = self.f.properties().kind == FunctionKind::Holistic;
-        if windows.len() < MIN_BATCH_WINDOWS || holistic {
+        if windows.len() < MIN_BATCH_WINDOWS || self.holistic {
             self.query_time_each(windows, emit);
             return 0;
         }
-        let edges = self.resolve(windows);
+        let edges = self.geometry.resolve(windows, self.index_cost());
         // The scan visits every slice under the sweep, fills the prefix
         // column and combines once per window.
-        let plan = SweepPlan::new(&edges).filter(|plan| {
-            (edges.top - edges.base) + (plan.reach - plan.pivot) + windows.len() <= edges.each_cost
-        });
-        match plan {
+        let pays = |plan: &SweepPlan| edges.scan_cost(plan) + windows.len() <= edges.each_cost;
+        match SweepPlan::new(&edges).filter(pays) {
             Some(plan) => {
                 self.emit_scanned(windows, &edges.bounds, &plan, &mut emit);
                 windows.len()
@@ -689,66 +623,22 @@ impl<A: AggregateFunction> SliceStore<A> {
         windows: &[(T, Range)],
         mut emit: impl FnMut(&T, Range, A::Partial),
     ) {
-        let edges = self.resolve(windows);
+        let edges = self.geometry.resolve(windows, self.index_cost());
         match SweepPlan::new(&edges) {
             Some(plan) => self.emit_scanned(windows, &edges.bounds, &plan, &mut emit),
             None => self.emit_each(windows, &edges.bounds, &mut emit),
         }
     }
 
-    /// Resolves every window's edges to the slices `[l, r)` it covers
-    /// (store indices; `l >= r` covers none), with the predicates of
-    /// [`query_time`](SliceStore::query_time), and gathers what planning
-    /// the sweep needs in the same pass.
-    ///
-    /// Each edge is galloped from the previous window's, over the slice
-    /// records where they lie (the deque's two halves): consecutive
-    /// windows of a sweep sit a slide apart, so a window costs a few
-    /// probes, and a few windows far apart over thousands of slices cost
-    /// `O(log d)` each — no column is copied.
-    fn resolve<T>(&self, windows: &[(T, Range)]) -> SweepEdges {
-        let (front, back) = self.slices.as_slices();
-        let index_cost = self.index_cost();
-        let mut edges = SweepEdges {
-            bounds: Vec::with_capacity(windows.len()),
-            base: usize::MAX,
-            max_l: 0,
-            min_r: usize::MAX,
-            top: 0,
-            each_cost: 0,
-        };
-        let (mut l, mut r) = (0, 0);
-        for (_, w) in windows {
-            l = gallop_halves(front, back, l, |s| s.end() <= w.start);
-            r = gallop_halves(front, back, r, |s| s.start() < w.end);
-            edges.bounds.push((cast::slot32(l), cast::slot32(r)));
-            if l < r {
-                edges.base = edges.base.min(l);
-                edges.max_l = edges.max_l.max(l);
-                edges.min_r = edges.min_r.min(r);
-                edges.top = edges.top.max(r);
-                edges.each_cost += match index_cost {
-                    Some(cost) if r - l > INDEX_SCAN_CUTOFF => cost,
-                    _ => r - l,
-                };
-            }
-        }
-        edges
-    }
-
     /// Combines [`query_slice_range`](SliceStore::query_slice_range)
     /// spends on a range longer than `INDEX_SCAN_CUTOFF` slices: `None`
-    /// without an index (the range's length, then).
-    ///
-    /// An index is priced by policy, built or not. A finger tree not yet
-    /// built answers a long range by scanning, but pricing it so would
-    /// keep every long range on the scan and the tree would never be
-    /// asked for; priced as built, a sweep that wants per-window queries
-    /// gets them, and its first long query triggers the build.
+    /// without an index (the range's length, then). An unbuilt finger
+    /// tree is priced as built, so that a sweep wanting per-window
+    /// queries gets them and its first long query triggers the build.
     fn index_cost(&self) -> Option<usize> {
         match self.index {
             AggIndex::None => None,
-            _ => Some(2 * cast::idx32(self.slices.len().max(1).ilog2())),
+            _ => Some(2 * cast::idx32(self.len().max(1).ilog2())),
         }
     }
 
@@ -763,7 +653,7 @@ impl<A: AggregateFunction> SliceStore<A> {
         for ((tag, range), &(l, r)) in windows.iter().zip(bounds) {
             let (l, r) = (cast::idx32(l), cast::idx32(r));
             if l < r {
-                debug_assert!(self.aligned(*range, l, r), "window {range} off its slices");
+                debug_assert!(self.geometry.aligned(*range, l, r), "window {range} off its slices");
                 if let Some(p) = self.query_slice_range(l, r) {
                     emit(tag, *range, p);
                 }
@@ -780,18 +670,19 @@ impl<A: AggregateFunction> SliceStore<A> {
         plan: &SweepPlan,
         emit: &mut impl FnMut(&T, Range, A::Partial),
     ) {
-        let slice = |x: usize| &self.slices[plan.base + x];
         let scan = SharedScan::build(
             plan,
-            |x| slice(x).aggregate().cloned(),
+            |x| self.partials[plan.base + x].clone(),
             |a: A::Partial, b: &A::Partial| self.f.combine(a, b),
         );
         // `query_time`'s alignment check, once per sweep instead of once
         // per slice per window: the same scan over each slice's tuple
         // extent gives every window the extent of the tuples it covers.
         let extents = cfg!(debug_assertions).then(|| {
-            let extent =
-                |x| (!slice(x).is_empty()).then(|| (slice(x).t_first(), slice(x).t_last()));
+            let extent = |x| {
+                let e = self.geometry.extent(plan.base + x);
+                (e.count > 0).then_some((e.t_first, e.t_last))
+            };
             SharedScan::build(plan, extent, |a: (Time, Time), b: &(Time, Time)| {
                 (a.0.min(b.0), a.1.max(b.1))
             })
@@ -802,8 +693,7 @@ impl<A: AggregateFunction> SliceStore<A> {
                 continue;
             }
             if cfg!(feature = "audit") && i % 16 == 0 {
-                assert_eq!(l, self.slices.partition_point(|s| s.end() <= range.start));
-                assert_eq!(r, self.slices.partition_point(|s| s.start() < range.end));
+                assert_eq!((l, r), self.geometry.slice_span(*range), "window {range} resolved off");
             }
             let (l, r) = (l - plan.base, r - plan.base);
             if let Some((first, last)) = extents.as_ref().and_then(|e| e.answer(plan, l, r)) {
@@ -822,69 +712,59 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// `[c1, c2)`. Slice boundaries must align with `c1`/`c2` (the count
     /// slicing invariant maintained by the Figure-6 shift).
     pub fn query_count(&self, c1: u64, c2: u64) -> Option<A::Partial> {
-        if c2 <= c1 {
-            return None;
-        }
-        let mut acc: Option<A::Partial> = None;
-        let mut pos = self.evicted_tuples;
-        for (i, s) in self.slices.iter().enumerate() {
-            let next = pos + s.len() as u64;
-            if next > c1 && pos < c2 {
-                debug_assert!(
-                    pos >= c1 && next <= c2,
-                    "count window [{c1}, {c2}) does not align with slice counts at slice {i}"
-                );
-                acc = self.f.combine_opt(acc, s.aggregate());
-            }
-            if pos >= c2 {
-                break;
-            }
-            pos = next;
-        }
-        acc
+        let (l, r) = self.geometry.count_span(c1, c2);
+        self.fold(l, r)
     }
 
     /// Number of tuples (absolute count) with timestamp `<= ts`, counting
     /// evicted tuples. Requires stored tuples for the partially-covered
     /// slice; exact because count workloads always store tuples.
     pub(crate) fn count_at_or_before(&self, ts: Time) -> u64 {
-        let mut count = self.evicted_tuples;
-        for s in &self.slices {
-            if !s.is_empty() && s.t_last() <= ts {
-                count += s.len() as u64;
-            } else {
-                if let Some(tuples) = s.tuples() {
-                    count += tuples.partition_point(|(t, _)| *t <= ts) as u64;
-                }
-                break;
-            }
-        }
-        count
+        let (count, i) = self.geometry.count_through(ts);
+        let within = self.tuples.as_ref().and_then(|t| t.get(i));
+        count + within.map_or(0, |t| cast::to_u64(t.partition_point(|(t, _)| *t <= ts)))
     }
 
     /// Total number of tuples ever added (absolute count).
     pub fn total_count(&self) -> u64 {
-        self.evicted_tuples + self.slices.iter().map(|s| s.len() as u64).sum::<u64>()
+        self.geometry.total_count()
     }
 
     /// Moves the last tuple of slice `idx` into slice `idx + 1` (the
-    /// Figure-6 shift for count-based windows). Uses ⊖ when the function is
-    /// invertible, otherwise recomputes the source slice. Returns `false`
-    /// if there is no successor or the slice is empty.
+    /// Figure-6 shift for count-based windows), to the front of its
+    /// timestamp group: it comes from the predecessor, so its count
+    /// position precedes everything there. The source pays one ⊖ where
+    /// the plan inverts and recomputes from its tuples otherwise; the
+    /// destination combines the tuple in, or recomputes where the plan
+    /// recomputes late inserts. Returns `false` without a successor,
+    /// with an empty slice, or without a tuple column.
     pub(crate) fn shift_last_into_next(&mut self, idx: usize) -> bool {
-        if idx + 1 >= self.slices.len() || self.slices[idx].is_empty() {
-            return false;
-        }
-        let Some((ts, value)) = self.slices[idx].remove_last(&self.f) else {
+        let Some(tuples) = &mut self.tuples else {
             return false;
         };
-        // The moved tuple precedes everything in the successor slice —
-        // including equal-timestamp tuples — so it is inserted at the
-        // front of its timestamp group (incremental for commutative
-        // functions, recompute otherwise). Count-delimited slices treat
-        // time ranges as advisory — lookups go through
-        // `covering_index_by_tuples` — so ranges stay untouched.
-        self.slices[idx + 1].add_shifted(&self.f, ts, value);
+        if idx + 1 >= tuples.len() {
+            return false;
+        }
+        let Some((ts, value)) = tuples[idx].pop() else {
+            return false;
+        };
+        let (f, rest) = (&self.f, &tuples[idx]);
+        let recompute = || f.lift_all(rest.iter().map(|(_, v)| v));
+        let source = match (self.plan.removal, self.partials[idx].take()) {
+            _ if rest.is_empty() => None,
+            (RemovalStrategy::Invert, Some(a)) => f.invert(a, &f.lift(&value)).or_else(recompute),
+            _ => recompute(),
+        };
+        let new_last = rest.last().map_or(TIME_MIN, |t| t.0);
+        self.partials[idx] = source;
+        let next = &mut tuples[idx + 1];
+        next.insert(next.partition_point(|(t, _)| *t < ts), (ts, value.clone()));
+        if self.plan.late_recomputes {
+            self.partials[idx + 1] = f.lift_all(next.iter().map(|(_, v)| v));
+        } else {
+            self.absorb(idx + 1, self.f.lift(&value));
+        }
+        self.geometry.shift_last(idx, ts, new_last);
         self.refresh_leaf(idx);
         self.refresh_leaf(idx + 1);
         true
@@ -893,34 +773,24 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Evicts every slice whose end lies at or before `ts`. Returns the
     /// number of evicted slices.
     pub fn evict_before(&mut self, ts: Time) -> usize {
-        let k = self.slices.partition_point(|s| s.end() <= ts);
+        let k = self.geometry.ended_by(ts);
         self.evict_first(k);
         k
     }
 
-    /// Number of leading slices whose tuples all lie at absolute counts
-    /// below `keep_from` (safe to evict for count-measure windows).
-    pub(crate) fn count_evictable(&self, keep_from: u64) -> usize {
-        let mut k = 0;
-        let mut pos = self.evicted_tuples;
-        for s in &self.slices {
-            let next = pos + s.len() as u64;
-            if next <= keep_from && k + 1 < self.slices.len() {
-                k += 1;
-                pos = next;
-            } else {
-                break;
-            }
-        }
-        k
+    /// Evicts the first `k` slices unconditionally.
+    #[inline]
+    pub(crate) fn evict_first(&mut self, k: usize) {
+        self.geometry.evict(k);
+        self.drop_columns(k);
     }
 
-    /// Evicts the first `k` slices unconditionally.
-    pub(crate) fn evict_first(&mut self, k: usize) {
-        for s in self.slices.iter().take(k) {
-            self.evicted_tuples += s.len() as u64;
+    /// The column side of evicting the first `k` slices.
+    fn drop_columns(&mut self, k: usize) {
+        self.partials.drain(..k);
+        if let Some(tuples) = &mut self.tuples {
+            tuples.drain(..k);
         }
-        self.slices.drain(..k);
         if self.index_live {
             self.index.remove_prefix(k);
         }
@@ -931,7 +801,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Evicts leading slices whose tuples are entirely below the absolute
     /// count `keep_from` (count-measure eviction).
     pub(crate) fn evict_keeping_counts(&mut self, keep_from: u64) -> usize {
-        let k = self.count_evictable(keep_from);
+        let k = self.geometry.count_evictable(keep_from);
         self.evict_first(k);
         k
     }
@@ -943,7 +813,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// queries share one repair.
     fn refresh_leaf(&mut self, idx: usize) {
         if self.index_live {
-            self.index.update(idx, self.slices[idx].aggregate().cloned());
+            self.index.update(idx, self.partials[idx].clone());
         }
     }
 
@@ -957,7 +827,9 @@ impl<A: AggregateFunction> SliceStore<A> {
 /// store's owner adds the store's inline size once.
 impl<A: AggregateFunction> HeapSize for SliceStore<A> {
     fn heap_bytes(&self) -> usize {
-        self.slices.heap_bytes()
+        self.geometry.heap_bytes()
+            + self.partials.heap_bytes()
+            + self.tuples.heap_bytes()
             + match &self.index {
                 AggIndex::None => 0,
                 AggIndex::Flat(t) => t.heap_bytes(),
@@ -971,47 +843,6 @@ impl<A: AggregateFunction> HeapSize for SliceStore<A> {
 /// pass, the plan, the scan columns) are not recovered even when every
 /// window shares one pivot.
 pub(crate) const MIN_BATCH_WINDOWS: usize = 9;
-
-/// The windows of one sweep resolved to slices, and what planning needs
-/// of them. Every extreme is taken over the covered windows (`l < r`)
-/// only; with none, `base > top`.
-struct SweepEdges {
-    /// Per window, the store indices `[l, r)` of the slices it covers.
-    bounds: Vec<(u32, u32)>,
-    /// Smallest `l`: the store index of the first slice under the sweep.
-    base: usize,
-    max_l: usize,
-    min_r: usize,
-    /// Largest `r`: one past the last slice under the sweep.
-    top: usize,
-    /// What answering each window on its own costs, summed.
-    each_cost: usize,
-}
-
-/// The plan of a sweep whose covered windows all contain slice boundary
-/// `pivot`. Positions are boundaries relative to `base` (boundary `x`
-/// sits before slice `x`).
-struct SweepPlan {
-    /// Store index of the first slice under the sweep.
-    base: usize,
-    /// The smallest right edge, which every covered window starts before.
-    pivot: usize,
-    /// The largest right edge; the prefix scan covers slices
-    /// `[pivot, reach)`.
-    reach: usize,
-}
-
-impl SweepPlan {
-    /// The plan read off the edge pass, or `None` when no boundary lies
-    /// in every covered window (or no window covers a slice).
-    fn new(edges: &SweepEdges) -> Option<Self> {
-        (edges.base < edges.top && edges.max_l < edges.min_r).then(|| SweepPlan {
-            base: edges.base,
-            pivot: edges.min_r - edges.base,
-            reach: edges.top - edges.base,
-        })
-    }
-}
 
 /// The scan columns of a planned sweep over per-slice values `M`:
 /// `suffix[x]` folds slices `[x, pivot)` and `prefix[k]` folds slices
@@ -1059,69 +890,23 @@ fn merge_opt<M: Clone>(a: Option<M>, b: Option<&M>, combine: impl Fn(M, &M) -> M
     }
 }
 
-/// The partition point of `below` over `front` followed by `back` (a
-/// `VecDeque`'s two halves), galloped outwards from `hint`:
-/// `O(log distance)` probes of the records where they lie.
-#[inline]
-fn gallop_halves<S>(front: &[S], back: &[S], hint: usize, below: impl Fn(&S) -> bool) -> usize {
-    match front.last() {
-        Some(last) if !below(last) => gallop_by(front.len(), hint, |i| below(&front[i])),
-        _ => {
-            front.len()
-                + gallop_by(back.len(), hint.saturating_sub(front.len()), |i| below(&back[i]))
-        }
-    }
-}
-
-/// The partition point of `below` over positions `0..n` (true on a
-/// prefix, false after it), found by galloping outwards from `hint`.
-fn gallop_by(n: usize, hint: usize, below: impl Fn(usize) -> bool) -> usize {
-    let hint = hint.min(n);
-    let (mut lo, mut hi) = (0, n);
-    let mut step = 1;
-    if hint < n && below(hint) {
-        // The point lies in (hint, n].
-        lo = hint + 1;
-        while hint + step < n {
-            if below(hint + step) {
-                lo = hint + step + 1;
-                step *= 2;
-            } else {
-                hi = hint + step;
-                break;
-            }
-        }
-    } else {
-        // The point lies in [0, hint].
-        hi = hint;
-        while step <= hint {
-            if below(hint - step) {
-                lo = hint - step + 1;
-                break;
-            }
-            hi = hint - step;
-            step *= 2;
-        }
-    }
-    // Branch-free bisection of `[lo, hi)`, as `partition_point` does it:
-    // `lo` ends on the last position known to be below, if there is one.
-    let mut size = hi - lo;
-    if size == 0 {
-        return lo;
-    }
-    while size > 1 {
-        let half = size / 2;
-        let mid = lo + half;
-        lo = if below(mid) { mid } else { lo };
-        size -= half;
-    }
-    lo + usize::from(below(lo))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testsupport::{Concat, SumI64};
+
+    impl<A: AggregateFunction> SliceStore<A> {
+        /// Whether deferred finger-tree writes are pending repair.
+        fn has_pending_repairs(&self) -> bool {
+            matches!(&self.index, AggIndex::Finger(t) if t.has_dirty())
+        }
+
+        /// Whether the finger tree has been built (always true for the
+        /// other policies).
+        fn index_built(&self) -> bool {
+            self.index_live
+        }
+    }
 
     /// One in-order tuple, written as a run of one.
     trait RunOfOne<I> {
@@ -1210,11 +995,11 @@ mod tests {
             let covering = ranges.iter().position(|&(a, b)| a <= ts && ts < b);
             let want = covering.ok_or(ranges.iter().filter(|&&(a, _)| a <= ts).count());
             for near in std::iter::once(None).chain((0..ranges.len()).map(Some)) {
-                assert_eq!(st.covering_search(ts, near), want, "ts {ts} near {near:?}");
+                assert_eq!(st.geometry().covering_search(ts, near), want, "ts {ts} near {near:?}");
             }
             assert_eq!(st.covering_index(ts), covering);
         }
-        assert_eq!(store(StorePolicy::Lazy, false).covering_search(7, None), Err(0));
+        assert_eq!(store(StorePolicy::Lazy, false).geometry().covering_search(7, None), Err(0));
     }
 
     #[test]
@@ -1336,12 +1121,12 @@ mod tests {
         // belongs to the *next* slice (its count position follows every
         // stored equal-timestamp tuple).
         let st = filled(StorePolicy::Lazy, true);
-        assert_eq!(st.covering_index_by_tuples(0), Some(0));
-        assert_eq!(st.covering_index_by_tuples(5), Some(1));
-        assert_eq!(st.covering_index_by_tuples(6), Some(1));
-        assert_eq!(st.covering_index_by_tuples(12), Some(2));
-        assert_eq!(st.covering_index_by_tuples(13), Some(2));
-        assert_eq!(st.covering_index_by_tuples(99), Some(2));
+        assert_eq!(st.geometry().covering_index_by_tuples(0), Some(0));
+        assert_eq!(st.geometry().covering_index_by_tuples(5), Some(1));
+        assert_eq!(st.geometry().covering_index_by_tuples(6), Some(1));
+        assert_eq!(st.geometry().covering_index_by_tuples(12), Some(2));
+        assert_eq!(st.geometry().covering_index_by_tuples(13), Some(2));
+        assert_eq!(st.geometry().covering_index_by_tuples(99), Some(2));
     }
 
     #[test]
@@ -1353,13 +1138,15 @@ mod tests {
         st.append_slice(Range::new(20, 30));
         st.add_one(25, 25);
         st.append_slice(Range::new(30, 40)); // open slice, still empty
-        assert_eq!(st.covering_index_by_tuples(0), Some(0));
+        assert_eq!(st.geometry().covering_index_by_tuples(0), Some(0));
         // Tie with (5, ·): lands after it, in the next *non-empty* slice.
-        assert_eq!(st.covering_index_by_tuples(5), Some(2));
-        assert_eq!(st.covering_index_by_tuples(24), Some(2));
+        assert_eq!(st.geometry().covering_index_by_tuples(5), Some(2));
+        assert_eq!(st.geometry().covering_index_by_tuples(24), Some(2));
         // Nothing stored after ts: falls back to the latest slice.
-        assert_eq!(st.covering_index_by_tuples(25), Some(3));
-        assert_eq!(st.covering_index_by_tuples(99), Some(3));
+        assert_eq!(st.geometry().covering_index_by_tuples(25), Some(3));
+        assert_eq!(st.geometry().covering_index_by_tuples(99), Some(3)); // No slice, no lookup: the operator routes such a tuple in order.
+        let none = store(StorePolicy::Lazy, true);
+        assert_eq!(none.geometry().covering_index_by_tuples(3), None);
     }
 
     #[test]
@@ -1880,30 +1667,6 @@ mod tests {
     }
 
     #[test]
-    fn gallop_matches_partition_point_from_every_hint() {
-        // Every split of the column into a deque's two halves, the empty
-        // ones included.
-        let col: Vec<Time> = vec![0, 10, 10, 20, 35, 35, 35, 50, 80];
-        for split in 0..=col.len() {
-            let (front, back) = col.split_at(split);
-            for probe in -5..90 {
-                let want_le = col.partition_point(|&t| t <= probe);
-                let want_lt = col.partition_point(|&t| t < probe);
-                for hint in 0..=col.len() + 2 {
-                    let at = format!("{probe} from {hint}, split at {split}");
-                    assert_eq!(
-                        gallop_halves(front, back, hint, |&t| t <= probe),
-                        want_le,
-                        "<= {at}"
-                    );
-                    assert_eq!(gallop_halves(front, back, hint, |&t| t < probe), want_lt, "< {at}");
-                }
-            }
-        }
-        assert_eq!(gallop_halves::<Time>(&[], &[], 3, |&t| t < 5), 0);
-    }
-
-    #[test]
     fn evict_keeping_counts_drops_leading_slices() {
         let mut st = filled(StorePolicy::Eager, true);
         // Keep counts from 3 on: slices 0 (counts 0..2) and 1 (2..3) go.
@@ -1913,11 +1676,11 @@ mod tests {
     }
 
     #[test]
-    fn set_keep_tuples_drops_existing_tuples() {
+    fn set_plan_drops_existing_tuples() {
         let mut st = filled(StorePolicy::Lazy, true);
         assert!(st.slice(0).keeps_tuples());
-        st.set_keep_tuples(false);
-        assert!(!st.slice(0).keeps_tuples());
+        st.set_plan(SlicePlan::standalone(&SumI64, false));
+        assert!(!st.keeps_tuples() && !st.slice(0).keeps_tuples());
         // Aggregates survive.
         assert_eq!(st.query_time(Range::new(0, 30)), Some(68));
     }
@@ -1929,5 +1692,40 @@ mod tests {
         let c = filled(StorePolicy::Eager, true);
         assert!(b.heap_bytes() > a.heap_bytes());
         assert!(c.heap_bytes() > b.heap_bytes());
+    }
+
+    proptest::proptest! {
+        /// Merging adjacent slices equals building one slice directly.
+        #[test]
+        fn slice_merge_equals_direct_build(
+            left in proptest::collection::vec((0i64..500, -50i64..50), 0..50),
+            right in proptest::collection::vec((500i64..1_000, -50i64..50), 0..50),
+        ) {
+            let mut sorted_left = left.clone();
+            sorted_left.sort();
+            let mut sorted_right = right.clone();
+            sorted_right.sort();
+            let mut merged = SliceStore::new(SumI64, StorePolicy::Lazy, true);
+            for (range, tuples) in [(Range::new(0, 500), &sorted_left), (Range::new(500, 1_000), &sorted_right)] {
+                merged.append_slice(range);
+                for (ts, v) in tuples {
+                    merged.add_in_order_run_columns(&[*ts], &[*v]);
+                }
+            }
+            proptest::prop_assert!(merged.merge_at(500));
+            let mut direct = SliceStore::new(SumI64, StorePolicy::Lazy, true);
+            direct.append_slice(Range::new(0, 1_000));
+            for (ts, v) in sorted_left.iter().chain(&sorted_right) {
+                direct.add_in_order_run_columns(&[*ts], &[*v]);
+            }
+            let (a, d) = (merged.slice(0), direct.slice(0));
+            proptest::prop_assert_eq!(merged.len(), 1);
+            proptest::prop_assert_eq!(a.range(), d.range());
+            proptest::prop_assert_eq!(a.aggregate(), d.aggregate());
+            proptest::prop_assert_eq!(a.len(), d.len());
+            proptest::prop_assert_eq!(a.t_first(), d.t_first());
+            proptest::prop_assert_eq!(a.t_last(), d.t_last());
+            proptest::prop_assert_eq!(a.tuples(), d.tuples());
+        }
     }
 }

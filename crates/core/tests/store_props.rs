@@ -3,7 +3,7 @@
 //! operations against recomputation from scratch.
 
 use gss_core::testsupport::{Concat, SumI64};
-use gss_core::{AggregateFunction, FingerTree, FlatFat, Range, Slice, SliceStore, StorePolicy};
+use gss_core::{AggregateFunction, FingerTree, FlatFat, Range, SliceStore, StorePolicy};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -192,52 +192,26 @@ proptest! {
         let mut sorted = tuples.clone();
         sorted.sort();
         let f = SumI64;
-        let mut slice: Slice<SumI64> = Slice::new(Range::new(0, 1_000), true);
+        let mut store = SliceStore::new(f, StorePolicy::Lazy, true);
+        store.append_slice(Range::new(0, 1_000));
         for (ts, v) in &sorted {
-            slice.add_run_columns(&f, &[*ts], &[*v]);
+            store.add_in_order_run_columns(&[*ts], &[*v]);
         }
-        let total = slice.aggregate().copied().unwrap();
-        let n = slice.len();
-        let right = slice.split(&f, split_at);
-        prop_assert_eq!(slice.len() + right.len(), n);
-        let combined = f.combine_opt(slice.aggregate().copied(), right.aggregate());
+        let total = store.slice(0).aggregate().copied().unwrap();
+        let n = store.slice(0).len();
+        prop_assert!(store.split_at(split_at));
+        let (left, right) = (store.slice(0), store.slice(1));
+        prop_assert_eq!((left.range(), right.range()), (Range::new(0, split_at), Range::new(split_at, 1_000)));
+        prop_assert_eq!(left.len() + right.len(), n);
+        let combined = f.combine_opt(left.aggregate().copied(), right.aggregate());
         prop_assert_eq!(combined, Some(total));
         // Partition respects the split point.
-        if let Some(ts) = slice.tuples().and_then(|t| t.last().map(|(ts, _)| *ts)) {
+        if let Some(ts) = left.tuples().and_then(|t| t.last().map(|(ts, _)| *ts)) {
             prop_assert!(ts < split_at);
         }
         if let Some(ts) = right.tuples().and_then(|t| t.first().map(|(ts, _)| *ts)) {
             prop_assert!(ts >= split_at);
         }
-    }
-
-    /// Merging adjacent slices equals building one slice directly.
-    #[test]
-    fn slice_merge_equals_direct_build(
-        left in prop::collection::vec((0i64..500, -50i64..50), 0..50),
-        right in prop::collection::vec((500i64..1_000, -50i64..50), 0..50),
-    ) {
-        let f = SumI64;
-        let mut sorted_left = left.clone();
-        sorted_left.sort();
-        let mut sorted_right = right.clone();
-        sorted_right.sort();
-        let build = |range, tuples: &[(i64, i64)]| {
-            let mut s: Slice<SumI64> = Slice::new(range, true);
-            for (ts, v) in tuples {
-                s.add_run_columns(&f, &[*ts], &[*v]);
-            }
-            s
-        };
-        let mut a = build(Range::new(0, 500), &sorted_left);
-        a.merge(&f, build(Range::new(500, 1_000), &sorted_right));
-        let mut all = sorted_left;
-        all.extend(sorted_right);
-        let direct = build(Range::new(0, 1_000), &all);
-        prop_assert_eq!(a.aggregate(), direct.aggregate());
-        prop_assert_eq!(a.len(), direct.len());
-        prop_assert_eq!(a.t_first(), direct.t_first());
-        prop_assert_eq!(a.t_last(), direct.t_last());
     }
 
     /// Store query over any aligned range equals a scan over all stored
