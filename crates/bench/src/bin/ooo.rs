@@ -1,6 +1,7 @@
 //! Out-of-order ingestion: throughput of the batch loop (late tuples
-//! deferred and written slice by slice) against one `process` call per
-//! record, a Figure 11-style sweep over disorder.
+//! deferred per covering slice and written one run at a time, when their
+//! lookup-memo entry is refilled or the batch ends) against one `process`
+//! call per record, a Figure 11-style sweep over disorder.
 //!
 //! Kept beside `benchmark/` because it is the only harness that covers
 //! 5–20 % lateness over a handful of live slices — where the batch loop
@@ -20,7 +21,8 @@
 //!
 //! Expected shape: batching leads at every disorder and its lead widens
 //! with the batch size, as the slice lookup, the combine and the index
-//! repair are paid per touched slice and per batch instead of per tuple.
+//! repair are paid per run of late tuples and per batch instead of per
+//! tuple.
 //!
 //! A last cell, `outage`, is the long-lateness case the sweep above
 //! never reaches (its 2 s lateness keeps a few dozen slices live): one

@@ -7,7 +7,7 @@
 //! them, compiled once whatever the aggregate; the store's partial and
 //! tuple columns follow it position for position.
 
-use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use crate::cast;
 use crate::mem::HeapSize;
@@ -36,9 +36,9 @@ impl Extent {
 /// stores), and so are zero-width ranges (count cuts at tied timestamps).
 #[derive(Clone, Default)]
 pub(crate) struct SliceGeometry {
-    starts: VecDeque<Time>,
-    ends: VecDeque<Time>,
-    extents: VecDeque<Extent>,
+    starts: Column<Time>,
+    ends: Column<Time>,
+    extents: Column<Extent>,
     /// Tuples evicted from the front, so count positions are absolute.
     evicted: u64,
 }
@@ -67,13 +67,13 @@ impl SliceGeometry {
     /// Start of the open (latest) slice, if any.
     #[inline]
     pub(crate) fn open_start(&self) -> Option<Time> {
-        self.starts.back().copied()
+        self.starts.last().copied()
     }
 
     /// End of the open slice (exclusive), if any.
     #[inline]
     pub(crate) fn last_end(&self) -> Option<Time> {
-        self.ends.back().copied()
+        self.ends.last().copied()
     }
 
     /// Adds the tuples of `e` to slice `i`.
@@ -94,15 +94,15 @@ impl SliceGeometry {
 
     /// Appends an empty slice over `range` after every other.
     pub(crate) fn push(&mut self, range: Range) {
-        self.starts.push_back(range.start);
-        self.ends.push_back(range.end);
-        self.extents.push_back(Extent::EMPTY);
+        self.starts.push(range.start);
+        self.ends.push(range.end);
+        self.extents.push(Extent::EMPTY);
     }
 
     /// Sets the end of the open slice; no tuple of it may lie at or
     /// beyond `end`.
     pub(crate) fn set_last_end(&mut self, end: Time) {
-        if let (Some(e), Some(x)) = (self.ends.back_mut(), self.extents.back()) {
+        if let (Some(e), Some(x)) = (self.ends.last_mut(), self.extents.last()) {
             debug_assert!(x.t_last < end, "open-slice tuples beyond new end");
             *e = end;
         }
@@ -113,7 +113,7 @@ impl SliceGeometry {
     /// (count edges, where they all precede the cut). `false` when no open
     /// slice covers `ts`.
     pub(crate) fn cut_last(&mut self, ts: Time) -> bool {
-        let (Some(&start), Some(end)) = (self.starts.back(), self.ends.back_mut()) else {
+        let (Some(&start), Some(end)) = (self.starts.last(), self.ends.last_mut()) else {
             return false;
         };
         if ts < start || ts >= *end {
@@ -177,10 +177,10 @@ impl SliceGeometry {
 
     /// Drops the first `k` slices; their tuples stay counted.
     pub(crate) fn evict(&mut self, k: usize) {
-        self.evicted += cast::to_u64(self.extents.range(..k).map(|e| e.count).sum());
-        self.starts.drain(..k);
-        self.ends.drain(..k);
-        self.extents.drain(..k);
+        self.evicted += cast::to_u64(self.extents[..k].iter().map(|e| e.count).sum());
+        self.starts.drop_front(k);
+        self.ends.drop_front(k);
+        self.extents.drop_front(k);
     }
 
     /// Number of leading slices that end at or before `ts`.
@@ -259,7 +259,7 @@ impl SliceGeometry {
     pub(crate) fn aligned(&self, range: Range, l: usize, r: usize) -> bool {
         let inside =
             |e: &Extent| e.count == 0 || (e.t_first >= range.start && e.t_last < range.end);
-        self.extents.range(l..r).all(inside)
+        self.extents[l..r].iter().all(inside)
     }
 
     /// Where `ts` falls among the time-tiled slices: `Ok(i)` when slice
@@ -275,13 +275,14 @@ impl SliceGeometry {
     /// (periodic windows) or `near` is a neighbour (a sorted burst), and
     /// the order of a binary search at worst.
     pub(crate) fn covering_search(&self, ts: Time, near: Option<usize>) -> Result<usize, usize> {
-        let Some(open) = self.len().checked_sub(1) else {
+        let (starts, ends) = (&*self.starts, &*self.ends);
+        let Some(open) = starts.len().checked_sub(1) else {
             return Err(0);
         };
-        let mut below = (0, self.starts[0]);
-        let mut above = (open, self.starts[open]);
+        let mut below = (0, starts[0]);
+        let mut above = (open, starts[open]);
         if let Some(i) = near {
-            let at = (i, self.starts[i]);
+            let at = (i, starts[i]);
             if ts >= at.1 {
                 below = at;
             } else {
@@ -297,9 +298,9 @@ impl SliceGeometry {
             below.0 + cast::idx32((share * (above.0 - below.0) as f64) as u32)
         };
         // First slice whose end is beyond ts…
-        let idx = gallop_by(self.len(), guess, |i| self.ends[i] <= ts);
+        let idx = gallop_by(ends.len(), guess, |i| ends[i] <= ts);
         // …must also start at or before ts.
-        if idx <= open && self.starts[idx] <= ts {
+        if idx <= open && starts[idx] <= ts {
             Ok(idx)
         } else {
             Err(idx)
@@ -351,7 +352,7 @@ impl SliceGeometry {
         windows: &[(T, Range)],
         index_cost: Option<usize>,
     ) -> SweepEdges {
-        let (ends, starts) = (self.ends.as_slices(), self.starts.as_slices());
+        let (ends, starts) = (&*self.ends, &*self.starts);
         let mut edges = SweepEdges {
             bounds: Vec::with_capacity(windows.len()),
             base: usize::MAX,
@@ -362,8 +363,8 @@ impl SliceGeometry {
         };
         let (mut l, mut r) = (0, 0);
         for (_, w) in windows {
-            l = gallop_halves(ends, l, |&e| e <= w.start);
-            r = gallop_halves(starts, r, |&s| s < w.end);
+            l = gallop_by(ends.len(), l, |i| ends[i] <= w.start);
+            r = gallop_by(starts.len(), r, |i| starts[i] < w.end);
             edges.bounds.push((cast::slot32(l), cast::slot32(r)));
             if l < r {
                 edges.base = edges.base.min(l);
@@ -403,8 +404,96 @@ impl SliceGeometry {
 
 impl HeapSize for SliceGeometry {
     fn heap_bytes(&self) -> usize {
-        let extents = self.extents.capacity() * std::mem::size_of::<Extent>();
-        self.starts.heap_bytes() + self.ends.heap_bytes() + extents
+        self.starts.heap_bytes() + self.ends.heap_bytes() + self.extents.heap_bytes()
+    }
+}
+
+/// One geometry column: a `Vec` whose first `head` records are evicted,
+/// dereferencing to the live ones, so every search reads one contiguous
+/// slice (a ring buffer splits into two halves once it wraps). Eviction
+/// only advances `head`; an append or insert that would grow the buffer
+/// first compacts the dead prefix away, so the capacity grows exactly when,
+/// and by as much as, a ring buffer's would: once the live records fill
+/// it. Records are `Copy`: a dead prefix owns nothing.
+struct Column<T> {
+    buf: Vec<T>,
+    head: usize,
+}
+
+impl<T> Default for Column<T> {
+    fn default() -> Self {
+        Column { buf: Vec::new(), head: 0 }
+    }
+}
+
+impl<T: Copy> Column<T> {
+    /// Compacts the dead prefix away if the buffer is full.
+    #[inline]
+    fn make_room(&mut self) {
+        if self.buf.len() == self.buf.capacity() && self.head > 0 {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// The number of live records, without forming the slice.
+    #[inline]
+    fn len(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    fn push(&mut self, x: T) {
+        self.make_room();
+        self.buf.push(x);
+    }
+
+    /// Inserts `x` at live position `i`.
+    fn insert(&mut self, i: usize, x: T) {
+        self.make_room();
+        self.buf.insert(self.head + i, x);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.buf.remove(self.head + i);
+    }
+
+    /// Evicts the first `k` live records.
+    fn drop_front(&mut self, k: usize) {
+        self.head += k;
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.buf.capacity() * std::mem::size_of::<T>()
+    }
+}
+
+impl<T: Copy> Clone for Column<T> {
+    /// A copy of the live records, with no spare capacity.
+    fn clone(&self) -> Self {
+        Column { buf: self.to_vec(), head: 0 }
+    }
+}
+
+impl<T> Deref for Column<T> {
+    type Target = [T];
+
+    /// `head` never passes the end of `buf`; the `min` tells the
+    /// compiler so, which drops a bounds check from every access.
+    #[inline]
+    fn deref(&self) -> &[T] {
+        &self.buf[self.head.min(self.buf.len())..]
+    }
+}
+
+impl<T> DerefMut for Column<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        let head = self.head.min(self.buf.len());
+        &mut self.buf[head..]
     }
 }
 
@@ -453,20 +542,6 @@ impl SweepPlan {
             pivot: edges.min_r - edges.base,
             reach: edges.top - edges.base,
         })
-    }
-}
-
-/// The partition point of `below` over a deque's two halves `(front,
-/// back)`, galloped outwards from `hint`: `O(log distance)` probes of
-/// the column where it lies.
-#[inline]
-fn gallop_halves<S>((front, back): (&[S], &[S]), hint: usize, below: impl Fn(&S) -> bool) -> usize {
-    match front.last() {
-        Some(last) if !below(last) => gallop_by(front.len(), hint, |i| below(&front[i])),
-        _ => {
-            front.len()
-                + gallop_by(back.len(), hint.saturating_sub(front.len()), |i| below(&back[i]))
-        }
     }
 }
 
@@ -745,29 +820,57 @@ mod tests {
 
     #[test]
     fn gallop_matches_partition_point_from_every_hint() {
-        // Every split of the column into a deque's two halves, the empty
-        // ones included.
         let col: Vec<Time> = vec![0, 10, 10, 20, 35, 35, 35, 50, 80];
-        for split in 0..=col.len() {
-            let (front, back) = col.split_at(split);
-            for probe in -5..90 {
-                let want_le = col.partition_point(|&t| t <= probe);
-                let want_lt = col.partition_point(|&t| t < probe);
-                for hint in 0..=col.len() + 2 {
-                    let at = format!("{probe} from {hint}, split at {split}");
-                    assert_eq!(
-                        gallop_halves((front, back), hint, |&t| t <= probe),
-                        want_le,
-                        "<= {at}"
-                    );
-                    assert_eq!(
-                        gallop_halves((front, back), hint, |&t| t < probe),
-                        want_lt,
-                        "< {at}"
-                    );
-                }
+        for probe in -5..90 {
+            let want_le = col.partition_point(|&t| t <= probe);
+            let want_lt = col.partition_point(|&t| t < probe);
+            for hint in 0..=col.len() + 2 {
+                let at = format!("{probe} from {hint}");
+                assert_eq!(gallop_by(col.len(), hint, |i| col[i] <= probe), want_le, "<= {at}");
+                assert_eq!(gallop_by(col.len(), hint, |i| col[i] < probe), want_lt, "< {at}");
             }
         }
-        assert_eq!(gallop_halves::<Time>((&[], &[]), 3, |&t| t < 5), 0);
+        assert_eq!(gallop_by(0, 3, |_| true), 0);
+    }
+
+    #[test]
+    fn column_compacts_its_dead_prefix_before_it_grows() {
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut c: Column<u64> = Column::default();
+        let mut model: Vec<u64> = Vec::new();
+        for step in 0..2_000u64 {
+            let (len, cap) = (c.len(), c.buf.capacity());
+            match rng.gen_range(0..8) {
+                0..=3 => {
+                    c.push(step);
+                    model.push(step);
+                }
+                4 => {
+                    let i = rng.gen_range(0..=len);
+                    c.insert(i, step);
+                    model.insert(i, step);
+                }
+                5 if len > 0 => {
+                    let i = rng.gen_range(0..len);
+                    c.remove(i);
+                    model.remove(i);
+                }
+                _ => {
+                    let k = rng.gen_range(0..=len.min(3));
+                    c.drop_front(k);
+                    model.drain(..k);
+                }
+            }
+            assert_eq!(&*c, &model[..], "step {step}");
+            // The buffer grows only when the live records filled it, and
+            // then as a full `Vec` of that capacity grows on a push.
+            if c.buf.capacity() != cap {
+                assert_eq!(len, cap, "step {step}: grew with dead records in the buffer");
+                let mut full: Vec<u64> = Vec::with_capacity(cap);
+                full.extend(std::iter::repeat_n(0, cap + 1));
+                assert_eq!(c.buf.capacity(), full.capacity(), "step {step}");
+            }
+            assert_eq!(c.clone().buf.capacity(), c.len(), "step {step}");
+        }
     }
 }

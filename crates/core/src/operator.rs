@@ -122,10 +122,10 @@ pub struct OperatorStats {
     /// Of `sweep_windows`, those answered by the store's shared scan
     /// rather than one range query each.
     pub shared_scan_windows: u64,
-    /// Slice writes made by late-batch flushes: one per covering slice a
-    /// flush touched, so `ooo_tuples / late_slices` reads as late tuples
-    /// per touched slice (late tuples that took the per-tuple path count
-    /// in the numerator only).
+    /// Slice writes of deferred late tuples: one per memo run, written
+    /// when its memo entry is refilled or the batch ends, so `ooo_tuples
+    /// / late_slices` reads as late tuples per run (late tuples that took
+    /// the per-tuple path count in the numerator only).
     pub late_slices: u64,
     /// Bulk runs folded through a hand-written
     /// [`AggregateFunction::fold_slice`] kernel.
@@ -135,11 +135,6 @@ pub struct OperatorStats {
     pub fold_kernel_misses: u64,
 }
 
-/// Index bits per pass of [`LateBatch::sort_runs`]: 256 four-byte
-/// counters are 1 KB of L1, and a hull below 256 slices sorts in one pass.
-const RUN_SORT_BITS: u32 = 8;
-const RUN_SORT_BUCKETS: usize = 1 << RUN_SORT_BITS;
-
 /// The batch loop partitions the rest of a batch once late and in-order
 /// tuples each make up more than one in `PARTITION_SHARE` of what it has
 /// seen of the batch, and at least `PARTITION_MIN_SEEN` tuples: stretches
@@ -148,49 +143,33 @@ const RUN_SORT_BUCKETS: usize = 1 << RUN_SORT_BITS;
 const PARTITION_SHARE: u64 = 8;
 const PARTITION_MIN_SEEN: u64 = 4;
 
-/// A run of deferred late tuples: the tuples deferred to store slice
-/// `slot` while that slice sat in entry `col` of the lookup memo, lying at
-/// `start..end` of that entry's columns in arrival order.
-#[derive(Clone, Copy)]
-struct LateRun {
-    slot: u32,
-    col: u32,
-    start: u32,
-    end: u32,
-}
-
 /// The late tuples deferred within one batch call, bucketed by covering
-/// slice. A deferred tuple is appended to the columns of the memo entry
-/// that holds its slice; refilling an entry with another slice only ends
-/// a [`LateRun`] in those columns. The flush sorts the runs by slice
-/// ([`LateBatch::sort_runs`]) and writes the slices in ascending order,
-/// each from its runs where they lie — no tuple is moved after deferral.
+/// slice through a four-entry lookup memo. A deferred tuple is appended
+/// to the columns of the memo entry that holds its slice; those tuples
+/// are written to the slice, as one run, when a miss refills the entry
+/// with another slice ([`WindowOperator::resolve_late`]) or the batch
+/// ends ([`WindowOperator::flush_late`]). A slice is in at most one entry
+/// at a time, so its runs are written in the order they were opened.
 /// All vectors are scratch: empty between calls, allocations reused,
 /// nothing here is operator state.
 struct LateBatch<V> {
     /// The lookup memo: the last four distinct slices resolved, entry `k`
     /// covering `[memo_start[k], memo_start[k] + memo_width[k])` (zero
-    /// width when unset) at store index `memo_slot[k]`. Late tuples
-    /// alternate among the few slices behind the stream head or arrive
-    /// in sorted bursts, so most lookups end here. `memo_last` is the
-    /// entry hit or filled last, `memo_next` the one a miss refills.
+    /// width when unset) at store index `memo_slot[k]`, which a gap slice
+    /// inserted mid-batch shifts with the slices. Late tuples alternate
+    /// among the few slices behind the stream head or arrive in sorted
+    /// bursts, so most lookups end here. `memo_last` is the entry hit or
+    /// filled last, `memo_next` the one a miss refills.
     memo_start: [Time; 4],
     memo_width: [u64; 4],
     memo_slot: [u32; 4],
     memo_last: usize,
     memo_next: usize,
-    /// Per memo entry: every tuple deferred through it, and where its
-    /// open run starts.
+    /// Per memo entry: the tuples deferred through it and not yet
+    /// written, in arrival order.
     times: [Vec<Time>; 4],
     values: [Vec<V>; 4],
-    open_from: [u32; 4],
-    /// The ended runs. Slice indices here and in the memo are kept valid
-    /// when a gap slice is inserted mid-batch.
-    runs: Vec<LateRun>,
-    /// Flush scratch: the counters and the output of a sorting pass over
-    /// the runs, and one slice's tuples as pairs for the sorted-run write.
-    counts: Vec<u32>,
-    sorted: Vec<LateRun>,
+    /// Write scratch: one run as pairs for the sorted-run write.
     pairs: Vec<(Time, V)>,
     /// Partition scratch of a batch's disordered part
     /// ([`WindowOperator::partition_rest`]): batch positions, in-order
@@ -213,68 +192,10 @@ impl<V> LateBatch<V> {
             memo_next: 0,
             times: std::array::from_fn(|_| Vec::new()),
             values: std::array::from_fn(|_| Vec::new()),
-            open_from: [0; 4],
-            runs: Vec::new(),
-            counts: Vec::new(),
-            sorted: Vec::new(),
             pairs: Vec::new(),
             part_idx: Vec::new(),
             head: (Vec::new(), Vec::new()),
             unzipped: (Vec::new(), Vec::new()),
-        }
-    }
-
-    /// Ends the open run of memo entry `k`.
-    fn end_run(&mut self, k: usize) {
-        let (start, end) = (self.open_from[k], cast::slot32(self.times[k].len()));
-        if end > start {
-            self.runs.push(LateRun { slot: self.memo_slot[k], col: cast::slot32(k), start, end });
-            self.open_from[k] = end;
-        }
-    }
-
-    /// Sorts the ended runs by slice, the runs of one slice staying in the
-    /// order they were opened: a stable counting sort on the slice index
-    /// relative to the lowest touched, [`RUN_SORT_BITS`] bits at a pass
-    /// from the lowest up. A hull (lowest to highest touched slice) below
-    /// 256 slices is one pass over one counter per hull slice; two
-    /// stragglers thousands of slices apart are two passes over a few
-    /// hundred counters, where one counter per hull slice cost the
-    /// finger store a third of its throughput (EXPERIMENTS.md, "Late
-    /// grouping").
-    fn sort_runs(&mut self) {
-        let slots = || self.runs.iter().map(|r| r.slot);
-        let (Some(base), Some(top)) = (slots().min(), slots().max()) else { return };
-        let hull = u64::from(top - base);
-        let mut shift = 0;
-        loop {
-            let digit = move |r: &LateRun| cast::idx32((r.slot - base) >> shift) % RUN_SORT_BUCKETS;
-            // Runs per digit value — no more values than the hull has
-            // left at this shift — turned into where each value's runs
-            // start in the output.
-            self.counts.clear();
-            self.counts.resize(cast::to_usize(hull >> shift).min(RUN_SORT_BUCKETS - 1) + 1, 0);
-            for r in &self.runs {
-                self.counts[digit(r)] += 1;
-            }
-            let mut start = 0;
-            for c in &mut self.counts {
-                let count = *c;
-                *c = start;
-                start += count;
-            }
-            self.sorted.clear();
-            self.sorted.resize(self.runs.len(), self.runs[0]);
-            for r in &self.runs {
-                let at = &mut self.counts[digit(r)];
-                self.sorted[cast::idx32(*at)] = *r;
-                *at += 1;
-            }
-            std::mem::swap(&mut self.runs, &mut self.sorted);
-            shift += RUN_SORT_BITS;
-            if hull >> shift == 0 {
-                break;
-            }
         }
     }
 }
@@ -1091,7 +1012,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     }
 
     /// Whether late tuples can be deferred into the late batch and
-    /// applied slice by slice at the end of the batch call, each touching
+    /// written a memo run at a time within the batch call, each touching
     /// one covering slice and emitting nothing: a declared out-of-order
     /// stream (late tuples emit on watermarks) whose plan neither splits
     /// (Figure 5) nor removes tuples (Figure 6, the cascading count
@@ -1137,29 +1058,28 @@ impl<A: AggregateFunction> WindowOperator<A> {
         late.values[k].push(value.clone());
     }
 
-    /// Ends the run of the memo entry next in turn, refills the entry
-    /// with the slice covering `ts` — creating a gap slice if none does —
-    /// and returns it. The slice of the entry used last is handed to the
-    /// search as a known position: a sorted burst steps to the
-    /// neighbouring slice, a straggler lands near an interpolated guess,
-    /// and neither walks the slice deque.
+    /// Writes the pending tuples of the memo entry next in turn to its
+    /// slice, refills the entry with the slice covering `ts` — creating a
+    /// gap slice if none does — and returns it. The slice of the entry
+    /// used last is handed to the search as a known position: a sorted
+    /// burst steps to the neighbouring slice, a straggler lands near an
+    /// interpolated guess, and neither walks the slice columns.
     #[cold]
     #[inline(never)]
     fn resolve_late(&mut self, late: &mut LateBatch<A::Input>, ts: Time) -> usize {
+        let k = late.memo_next;
+        late.memo_next = (k + 1) % late.memo_slot.len();
+        self.write_late(late, k);
         let last = late.memo_last;
         let near = (late.memo_width[last] > 0).then(|| cast::idx32(late.memo_slot[last]));
         let (idx, inserted) = self.late_slice_index(ts, near);
         if inserted {
             // Slices at and after the gap slice moved up by one.
             let from = cast::slot32(idx);
-            let runs = late.runs.iter_mut().map(|r| &mut r.slot);
-            for slot in runs.chain(&mut late.memo_slot) {
+            for slot in &mut late.memo_slot {
                 *slot += u32::from(*slot >= from);
             }
         }
-        let k = late.memo_next;
-        late.memo_next = (k + 1) % late.memo_slot.len();
-        late.end_run(k);
         let geometry = self.store.geometry();
         late.memo_start[k] = geometry.start(idx);
         late.memo_width[k] = geometry.end(idx).wrapping_sub(geometry.start(idx)) as u64;
@@ -1167,76 +1087,60 @@ impl<A: AggregateFunction> WindowOperator<A> {
         k
     }
 
-    /// Applies the deferred late tuples: one store write per covering
-    /// slice, in ascending slice order, then one flush (which repairs a
-    /// finger tree's dirty spine once).
+    /// Writes the pending tuples of memo entry `k` to its slice as one
+    /// store write and empties the entry's columns. With tuples dropped
+    /// and a commutative ⊕ nothing observes the order late tuples were
+    /// folded in: the run folds through the bulk kernel and becomes one
+    /// [`SliceStore::add_out_of_order_partial`]. Otherwise it is
+    /// stable-sorted by timestamp and written as one
+    /// [`SliceStore::add_out_of_order_run`].
     ///
-    /// The runs are sorted by slice ([`LateBatch::sort_runs`]: a stable
-    /// counting sort, runs per slice → starts → scatter of the 16-byte
-    /// run records); their tuples stay where deferral put them. With
-    /// tuples dropped and a commutative ⊕ nothing observes the order late
-    /// tuples were folded in: a slice folds each of its runs through the
-    /// bulk kernel — one run, almost always — and becomes one
-    /// [`SliceStore::add_out_of_order_partial`]. Otherwise its runs are
-    /// gathered in the order they were opened, stable-sorted by timestamp
-    /// and written as one [`SliceStore::add_out_of_order_run`]. k late
-    /// tuples in r runs over m slices cost k appends, an O(r + min(hull,
-    /// 256)) sorting pass (two for a hull of thousands of slices) and m
-    /// slice writes, each one index leaf write.
-    ///
-    /// Deferral preserves per-tuple semantics: deferred tuples emit
-    /// nothing (they sit above the watermark), in-order appends mid-batch
-    /// only add slices behind all existing ones, a gap insert shifts the
-    /// recorded indices with it, and equal timestamps keep arrival order
-    /// — a run is in arrival order, the runs of one slice were open one
-    /// after the other, the timestamp sort is stable — so each slice gets
-    /// the same tuples in the same tie order as on the per-tuple path.
+    /// Writing a run when its entry is refilled or the batch ends keeps
+    /// per-tuple semantics: deferred tuples emit nothing (they sit above
+    /// the watermark), in-order appends mid-batch only add slices behind
+    /// all existing ones, a gap insert shifts the memo's slice indices
+    /// with it, and equal timestamps keep arrival order — a run is in
+    /// arrival order, a slice is in at most one entry at a time so its
+    /// runs are written in the order they were opened, and the sort is
+    /// stable — so each slice gets the same tuples in the same tie order
+    /// as on the per-tuple path.
+    fn write_late(&mut self, late: &mut LateBatch<A::Input>, k: usize) {
+        let (times, values) = (&mut late.times[k], &mut late.values[k]);
+        if times.is_empty() {
+            return;
+        }
+        let idx = cast::idx32(late.memo_slot[k]);
+        self.stats.late_slices += 1;
+        if !self.store.plan().late_recomputes && !self.store.keeps_tuples() {
+            self.count_fold();
+            if let Some(p) = self.f.fold_slice(values) {
+                let (t_first, t_last) =
+                    times.iter().fold((TIME_MAX, TIME_MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+                self.store.add_out_of_order_partial(idx, p, t_first, t_last, times.len());
+            }
+        } else {
+            late.pairs.extend(times.iter().copied().zip(values.iter().cloned()));
+            late.pairs.sort_by_key(|&(t, _)| t);
+            self.store.add_out_of_order_run(idx, &late.pairs);
+            late.pairs.clear();
+        }
+        times.clear();
+        values.clear();
+    }
+
+    /// Writes the runs still pending in the memo, one store write each,
+    /// then flushes once (which repairs a finger tree's dirty spine
+    /// once). k late tuples in r runs cost k appends and r slice writes,
+    /// each one index leaf write.
     fn flush_late(&mut self) {
         let Some(mut late) = self.late.take() else { return };
-        (0..late.memo_slot.len()).for_each(|k| late.end_run(k));
-        if late.runs.is_empty() {
+        if late.times.iter().all(Vec::is_empty) {
             self.late = Some(late);
             return;
         }
-        late.sort_runs();
-        let prefold = !self.store.plan().late_recomputes && !self.store.keeps_tuples();
-        let LateBatch { times, values, runs, pairs, .. } = &mut *late;
-        for of_slice in runs.chunk_by(|a, b| a.slot == b.slot) {
-            let idx = cast::idx32(of_slice[0].slot);
-            self.stats.late_slices += 1;
-            let columns = of_slice.iter().map(|r| {
-                let (col, at) = (cast::idx32(r.col), cast::idx32(r.start)..cast::idx32(r.end));
-                (&times[col][at.clone()], &values[col][at])
-            });
-            if prefold {
-                let mut folded: Option<A::Partial> = None;
-                let (mut t_first, mut t_last, mut len) = (TIME_MAX, TIME_MIN, 0);
-                for (times, values) in columns {
-                    self.count_fold();
-                    let partial = self.f.fold_slice(values);
-                    folded = self.f.combine_opt(folded, partial.as_ref());
-                    for &t in times {
-                        (t_first, t_last) = (t_first.min(t), t_last.max(t));
-                    }
-                    len += times.len();
-                }
-                if let Some(p) = folded {
-                    self.store.add_out_of_order_partial(idx, p, t_first, t_last, len);
-                }
-            } else {
-                pairs.clear();
-                for (times, values) in columns {
-                    pairs.extend(times.iter().copied().zip(values.iter().cloned()));
-                }
-                pairs.sort_by_key(|&(t, _)| t);
-                self.store.add_out_of_order_run(idx, pairs);
-            }
+        for k in 0..late.memo_slot.len() {
+            self.write_late(&mut late, k);
         }
-        late.pairs.clear();
-        late.times.iter_mut().for_each(Vec::clear);
-        late.values.iter_mut().for_each(Vec::clear);
-        late.open_from = [0; 4];
-        late.runs.clear();
         late.memo_width = [0; 4];
         self.late = Some(late);
         self.store.flush_eager_repairs();
@@ -1359,10 +1263,11 @@ impl<A: AggregateFunction> WindowOperator<A> {
     ///   from the columns with a single store touch (one fold through the
     ///   bulk kernel + ⊕, one tuple-storage append, one eager-leaf
     ///   refresh);
-    /// * an eligible late tuple (`defer_config_ok`)
-    ///   is deferred and written with its slice's other late tuples when
-    ///   the call ends (`flush_late`) — stretches
-    ///   commit at once, so it never waits on a pending append;
+    /// * an eligible late tuple (`defer_config_ok`) is deferred and
+    ///   written with the late tuples its slice gathered in the lookup
+    ///   memo, when a miss refills the slice's memo entry or the call
+    ///   ends (`flush_late`) — stretches commit at once, so it never
+    ///   waits on a pending append;
     /// * everything else — tuples at slice edges, window completions,
     ///   below-watermark stragglers, count-measure shifts — takes
     ///   [`process_tuple`](Self::process_tuple);
@@ -1877,18 +1782,35 @@ mod tests {
     }
 
     #[test]
-    fn late_runs_sort_across_a_hull_wider_than_one_pass() {
-        // 700 slices; the late tuples touch a hull of 697, so the runs
-        // sort in two passes. Slices 2 and 258 agree in the first pass's
-        // bits, and slices 2, 258 and 300 each come back after four
-        // others pushed them out of the memo (two runs to one slice).
+    fn late_runs_are_written_when_their_memo_entry_is_refilled() {
+        // 700 slices; the late tuples touch slices 2, 698, 300, 258, 444,
+        // 512 and 2, 300, 2, 698, 300, 258 again. Slices 2, 258, 300 and
+        // 698 each come back after a miss refilled their memo entry, so
+        // each gets two runs: six writes on refill, four at the flush.
         let spine: Vec<(Time, i64)> = (0..700).map(|i| (i * 10, 1)).collect();
         let late = [25, 6_985, 3_001, 2_585, 4_444, 5_120, 21, 3_007, 29, 6_981, 3_003, 2_581];
         let late: Vec<(Time, i64)> = late.iter().zip(1..).map(|(&t, v)| (t, v)).collect();
         let batches = [(spine, 0), ([vec![(7_000, 1)], late, vec![(7_001, 1)]].concat(), 8_000)];
         let stats = check_late_batches(SumI64, &batches);
-        assert_eq!((stats.ooo_tuples, stats.late_slices), (12, 6));
+        assert_eq!((stats.ooo_tuples, stats.late_slices), (12, 10));
         check_late_batches(crate::testsupport::Concat, &batches);
+    }
+
+    #[test]
+    fn one_slice_written_twice_around_a_refill_and_a_gap_keeps_tie_order() {
+        // Slices [100, 110) … [150, 160); the late tuples fill the memo
+        // with 105, 115, 125 and 135. 95 refills the entry of [100, 110),
+        // which writes 105 there, and inserts the gap slice [95, 100) in
+        // front of every slice the memo holds. The second 105, tied with
+        // the first, refills the entry of [110, 120), now one slot up,
+        // and is written at the flush: [100, 110) gets two runs, in
+        // arrival order.
+        let batches = [
+            (vec![(100, 1)], 0),
+            (vec![(150, 2), (105, 3), (115, 4), (125, 5), (135, 6), (95, 7), (105, 8)], 200),
+        ];
+        let stats = check_late_batches(crate::testsupport::Concat, &batches);
+        assert_eq!((stats.ooo_tuples, stats.late_slices), (6, 6));
     }
 
     #[test]

@@ -1183,7 +1183,7 @@ mod tests {
             for keep in [false, true] {
                 let mut per_tuple = filled(policy, keep);
                 let mut batched = filled(policy, keep);
-                // One sorted run per touched slice, as the operator groups.
+                // One sorted run per slice, as the operator writes a run.
                 let groups: [&[(Time, i64)]; 3] =
                     [&[(2, 2), (5, 50), (5, 51)], &[(11, 11)], &[(25, 100), (29, 290)]];
                 for run in groups {
