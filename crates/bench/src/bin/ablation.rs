@@ -1,6 +1,6 @@
 //! Ablation study: what each adaptive decision of general stream slicing
-//! is worth (DESIGN.md §6). Not a paper figure — it quantifies the design
-//! choices the paper motivates qualitatively:
+//! is worth (DESIGN.md, "The plan (Figs. 4–6)"). Not a paper figure — it
+//! quantifies the design choices the paper motivates qualitatively:
 //!
 //! 1. **Tuple storage** (Figure 4): adaptive drop-when-possible vs. always
 //!    keeping tuples (what a naive "general" operator would do).

@@ -6,9 +6,9 @@
 //! Kept beside `benchmark/` because it is the only harness that covers
 //! 5–20 % lateness over a handful of live slices — where the batch loop
 //! chooses between committing stretches and partitioning the rest of a
-//! batch (EXPERIMENTS.md "One batch loop") — until `benchmark/`, whose
-//! `backfill` is the `outage` cell below, gains a short-lateness workload
-//! (20–50 % late over a few slices).
+//! batch (DESIGN.md, "The rest of the batch, partitioned") — until
+//! `benchmark/`, whose `backfill` is the `outage` cell below, gains a
+//! short-lateness workload (20–50 % late over a few slices).
 //!
 //! Sweep: OOO fraction {0, 5, 20, 50} % (delays 0–2 s) × batch size
 //! {64, 512} × {lazy, eager, finger} stores, 20 concurrent tumbling

@@ -139,7 +139,7 @@ pub struct OperatorStats {
 /// tuples each make up more than one in `PARTITION_SHARE` of what it has
 /// seen of the batch, and at least `PARTITION_MIN_SEEN` tuples: stretches
 /// are short then, and there are in-order tuples to gather (a sorted
-/// burst of late tuples has none). EXPERIMENTS.md, "One batch loop".
+/// burst of late tuples has none). DESIGN.md, "The rest of the batch, partitioned".
 const PARTITION_SHARE: u64 = 8;
 const PARTITION_MIN_SEEN: u64 = 4;
 
