@@ -47,7 +47,7 @@ impl AggregateFunction for CountAgg {
         Some(a - b)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: true, kind: FunctionKind::Distributive }
+        FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
     }
     /// A count over a run is its length — the degenerate kernel.
     fn fold_slice(&self, values: &[i64]) -> Option<u64> {
@@ -80,7 +80,7 @@ impl AggregateFunction for Sum {
         Some(a - b)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: true, kind: FunctionKind::Distributive }
+        FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
     }
     fn fold_slice(&self, values: &[i64]) -> Option<i64> {
         sum_kernel(values)
@@ -90,9 +90,9 @@ impl AggregateFunction for Sum {
     }
 }
 
-/// Integer sum that does **not** declare invertibility — the "sum w/o
-/// invert" baseline of paper Figure 13, standing in for arbitrary
-/// non-invertible aggregations whose removals always force recomputation.
+/// Integer sum without ⊖ (`invert` stays `None`) — the "sum w/o invert"
+/// baseline of paper Figure 13, standing in for arbitrary non-invertible
+/// aggregations whose removals always force recomputation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SumNoInvert;
 
@@ -111,11 +111,7 @@ impl AggregateFunction for SumNoInvert {
         *p
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties {
-            commutative: true,
-            invertible: false,
-            kind: FunctionKind::Distributive,
-        }
+        FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
     }
     fn fold_slice(&self, values: &[i64]) -> Option<i64> {
         sum_kernel(values)
@@ -166,7 +162,7 @@ impl AggregateFunction for Avg {
         Some(AvgPartial { sum: a.sum - b.sum, count: a.count - b.count })
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: true, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
     /// One vectorized sum pass; the count is the run length.
     fn fold_slice(&self, values: &[i64]) -> Option<AvgPartial> {
@@ -223,13 +219,6 @@ mod tests {
         let ab = f.combine(f.lift(&10), &f.lift(&20));
         let a = f.invert(ab, &f.lift(&20)).unwrap();
         assert_eq!(a, f.lift(&10));
-    }
-
-    #[test]
-    fn sum_no_invert_property_flags() {
-        assert!(!SumNoInvert.properties().invertible);
-        assert_eq!(SumNoInvert.invert(5, &3), None);
-        assert_eq!(SumNoInvert.properties().kind, FunctionKind::Distributive);
     }
 
     #[test]

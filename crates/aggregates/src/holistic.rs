@@ -132,7 +132,7 @@ impl AggregateFunction for Percentile {
         p.select(k).unwrap_or(0)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Holistic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Holistic }
     }
 }
 
@@ -156,7 +156,7 @@ impl AggregateFunction for Median {
         p.select(k.max(1)).unwrap_or(0)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Holistic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Holistic }
     }
 }
 
@@ -305,7 +305,7 @@ impl AggregateFunction for MedianNoRle {
         p.select(k.max(1)).unwrap_or(0)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Holistic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Holistic }
     }
 }
 

@@ -53,7 +53,7 @@ impl AggregateFunction for M4 {
     }
 
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
 
     /// Block lane kernel. Unlike the strided arg-min/arg-max split, M4's
@@ -147,7 +147,7 @@ impl AggregateFunction for First {
         p.value
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
 }
 
@@ -174,7 +174,7 @@ impl AggregateFunction for Last {
         p.value
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
 }
 

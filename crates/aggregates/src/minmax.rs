@@ -2,12 +2,14 @@
 //! arg-max.
 //!
 //! All are distributive (or algebraic with small fixed partials),
-//! commutative, and **not invertible** — yet the paper observes (Figure 13)
-//! that their count-window throughput barely degrades because most removals
-//! do not touch the extremum and thus skip recomputation. Our slicing core
-//! reproduces that behaviour: `invert` returns `Some` when the removed
-//! partial provably does not affect the aggregate, and `None` (forcing a
-//! recompute) only when it might.
+//! commutative, and **not invertible** in general — yet the paper observes
+//! (Figure 13) that their count-window throughput barely degrades because
+//! most removals do not touch the extremum and thus skip recomputation.
+//! Each `invert` here is that partial ⊖: it returns `Some` when it can
+//! state the aggregate of what remains exactly, and `None` when it cannot
+//! (the removed value may have been the extremum). The slicing core tries
+//! it on every count shift and recomputes the slice from its tuples on
+//! `None`.
 
 use gss_core::{AggregateFunction, FunctionKind, FunctionProperties, HeapSize};
 
@@ -36,11 +38,7 @@ impl AggregateFunction for Min {
         (*b > a).then_some(a)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties {
-            commutative: true,
-            invertible: false,
-            kind: FunctionKind::Distributive,
-        }
+        FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
     }
     /// Explicit 8-lane reduction (`lanes::min_i64`): the naive
     /// contiguous `fold(min)` is exactly the reduction idiom LLVM fails to
@@ -76,11 +74,7 @@ impl AggregateFunction for Max {
         (*b < a).then_some(a)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties {
-            commutative: true,
-            invertible: false,
-            kind: FunctionKind::Distributive,
-        }
+        FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
     }
     /// Mirror of [`Min::fold_slice`] via `lanes::max_i64`.
     fn fold_slice(&self, values: &[i64]) -> Option<i64> {
@@ -137,7 +131,7 @@ impl AggregateFunction for MinCount {
         }
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
     /// Two vectorizable passes (`lanes::min_count_i64`): lane
     /// minimum, then a branch-free tie count — replacing the per-element
@@ -182,7 +176,7 @@ impl AggregateFunction for MaxCount {
         }
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
     /// Mirror of [`MinCount::fold_slice`] via
     /// `lanes::max_count_i64`.
@@ -243,7 +237,7 @@ impl AggregateFunction for ArgMin {
         (b.value > a.value || (b.value == a.value && b.arg > a.arg)).then_some(a)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
     /// Lane kernel over the `(value, arg)` pairs (`lanes::arg_min_pairs`).
     /// The lexicographic tie-break (smallest `arg` among equal values) is
@@ -289,7 +283,7 @@ impl AggregateFunction for ArgMax {
         (b.value < a.value || (b.value == a.value && b.arg > a.arg)).then_some(a)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: false, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
     /// Mirror of [`ArgMin::fold_slice`] via `lanes::arg_max_pairs`.
     fn fold_slice(&self, values: &[(i64, i64)]) -> Option<ArgExtremum> {

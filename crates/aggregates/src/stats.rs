@@ -45,7 +45,7 @@ impl AggregateFunction for GeometricMean {
         Some(GeoMeanPartial { ln_sum: a.ln_sum - b.ln_sum, count: a.count - b.count })
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: true, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
 }
 
@@ -121,7 +121,7 @@ impl AggregateFunction for SampleStdDev {
         Some(invert_moments(a, b))
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: true, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
     fn fold_slice(&self, values: &[i64]) -> Option<MomentsPartial> {
         fold_moments(values)
@@ -158,7 +158,7 @@ impl AggregateFunction for PopulationStdDev {
         Some(invert_moments(a, b))
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: true, kind: FunctionKind::Algebraic }
+        FunctionProperties { commutative: true, kind: FunctionKind::Algebraic }
     }
     fn fold_slice(&self, values: &[i64]) -> Option<MomentsPartial> {
         fold_moments(values)

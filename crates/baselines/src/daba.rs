@@ -402,7 +402,6 @@ mod tests {
             fn properties(&self) -> gss_core::FunctionProperties {
                 gss_core::FunctionProperties {
                     commutative: true,
-                    invertible: false,
                     kind: gss_core::FunctionKind::Distributive,
                 }
             }

@@ -3,11 +3,12 @@
 //!
 //! Setup (paper Section 6.3.2): 20 concurrent windows, 20 % out-of-order
 //! tuples with 0–2 s delays; the Tangwongsan et al. function set plus
-//! median and 90-percentile, plus a sum that hides its invertibility.
+//! median and 90-percentile, plus a sum without ⊖.
 //! Expected shape: all algebraic/distributive functions run at similar
-//! high throughput on time windows; on count windows the not-invertible
-//! "sum w/o invert" collapses (every shift recomputes) while min/max
-//! families barely degrade (most removals don't touch the extremum);
+//! high throughput on time windows; on count windows "sum w/o invert"
+//! collapses (every shift recomputes) while min/max families barely
+//! degrade (their partial ⊖ answers every removal that misses the
+//! extremum);
 //! holistic functions sit far below everything else.
 //!
 //! Run: `cargo run --release -p gss-bench --bin fig13`

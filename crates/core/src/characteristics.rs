@@ -8,7 +8,7 @@
 //!
 //! * **Figure 4** — must individual tuples be kept in memory?
 //! * **Figure 5** — can split operations occur?
-//! * **Figure 6** — are tuple removals needed, and how are they performed?
+//! * **Figure 6** — are tuple removals needed?
 //!
 //! They depend on workload characteristics only, never on the data
 //! (Section 5), so they are taken once per query set, in a `SlicePlan`.
@@ -32,18 +32,6 @@ pub struct WorkloadCharacteristics {
     pub has_count_measure: bool,
     /// Properties of the aggregate function shared by all queries.
     pub function: FunctionProperties,
-}
-
-/// How tuples are removed from slices when count-based windows meet
-/// out-of-order tuples (paper Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemovalStrategy {
-    /// No removals ever happen for this workload.
-    NotNeeded,
-    /// Incremental removal via the ⊖ operation.
-    Invert,
-    /// Recompute the slice aggregate from its stored tuples.
-    Recompute,
 }
 
 impl WorkloadCharacteristics {
@@ -97,21 +85,16 @@ impl WorkloadCharacteristics {
         }
     }
 
-    /// Figure 6: how are tuples removed from slices?
+    /// Figure 6: are tuples removed from slices?
     ///
-    /// Removals are needed only for count-based measures on out-of-order
-    /// streams (an out-of-order tuple shifts the count of all succeeding
-    /// tuples, so the last tuple of each slice moves one slice further).
-    /// Invertible functions remove incrementally; otherwise the slice
-    /// aggregate is recomputed from stored tuples.
-    fn removal_strategy(&self) -> RemovalStrategy {
-        if self.order.is_in_order() || !self.has_count_measure {
-            RemovalStrategy::NotNeeded
-        } else if self.function.invertible {
-            RemovalStrategy::Invert
-        } else {
-            RemovalStrategy::Recompute
-        }
+    /// Only for count-based measures on out-of-order streams: an
+    /// out-of-order tuple shifts the count of all succeeding tuples, so the
+    /// last tuple of each slice moves one slice further. What a removal
+    /// costs is the function's answer, not the plan's: the shift tries ⊖
+    /// and recomputes the slice from its stored tuples where ⊖ is not
+    /// exact.
+    fn removes(&self) -> bool {
+        !self.order.is_in_order() && self.has_count_measure
     }
 
     /// Out-of-order tuples force a slice recomputation when the function is
@@ -129,8 +112,8 @@ pub(crate) struct SlicePlan {
     pub(crate) keep_tuples: bool,
     /// Figure 5: context-aware windows split slices.
     pub(crate) splits: bool,
-    /// Figure 6: how the count shift takes a tuple out of a slice.
-    pub(crate) removal: RemovalStrategy,
+    /// Figure 6: the count shift takes tuples out of slices.
+    pub(crate) removes: bool,
     /// Section 5.2: a late or shifted tuple recomputes its slice (⊕ is not
     /// commutative).
     pub(crate) late_recomputes: bool,
@@ -143,7 +126,7 @@ impl SlicePlan {
         SlicePlan {
             keep_tuples: chars.requires_tuple_storage() || force_tuples,
             splits: chars.requires_splits(),
-            removal: chars.removal_strategy(),
+            removes: chars.removes(),
             late_recomputes: chars.ooo_insert_recomputes(),
         }
     }
@@ -205,8 +188,8 @@ mod tests {
         Query::new(0, Box::new(Stub { measure, context, session }))
     }
 
-    fn props(commutative: bool, invertible: bool) -> FunctionProperties {
-        FunctionProperties { commutative, invertible, kind: FunctionKind::Distributive }
+    fn props(commutative: bool) -> FunctionProperties {
+        FunctionProperties { commutative, kind: FunctionKind::Distributive }
     }
 
     const CF: ContextClass = ContextClass::ContextFree;
@@ -216,28 +199,28 @@ mod tests {
     #[test]
     fn fig4_in_order_cf_drops_tuples() {
         let qs = [q(Measure::Time, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::InOrder, props(true, true));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::InOrder, props(true));
         assert!(!c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_in_order_fcf_drops_tuples() {
         let qs = [q(Measure::Time, FCF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::InOrder, props(true, true));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::InOrder, props(true));
         assert!(!c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_in_order_fca_keeps_tuples() {
         let qs = [q(Measure::Time, FCA, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::InOrder, props(true, true));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::InOrder, props(true));
         assert!(c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_ooo_non_commutative_keeps_tuples() {
         let qs = [q(Measure::Time, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(false, false));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(false));
         assert!(c.requires_tuple_storage());
     }
 
@@ -245,28 +228,28 @@ mod tests {
     fn fig4_ooo_session_drops_tuples() {
         // Sessions are the exception among context-aware windows.
         let qs = [q(Measure::Time, FCA, true)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true, false));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
         assert!(!c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_ooo_non_session_context_aware_keeps_tuples() {
         let qs = [q(Measure::Time, FCF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true, false));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
         assert!(c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_ooo_count_measure_keeps_tuples() {
         let qs = [q(Measure::Count, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true, true));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
         assert!(c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_ooo_cf_time_commutative_drops_tuples() {
         let qs = [q(Measure::Time, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true, false));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
         assert!(!c.requires_tuple_storage());
     }
 
@@ -275,7 +258,7 @@ mod tests {
         let cf = [q(Measure::Time, CF, false)];
         let fca = [q(Measure::Time, FCA, false)];
         let fcf = [q(Measure::Time, FCF, false)];
-        let p = props(true, true);
+        let p = props(true);
         let io = StreamOrder::InOrder;
         let ooo = StreamOrder::OutOfOrder;
         assert!(!WorkloadCharacteristics::derive(&cf, io, p).requires_splits());
@@ -290,32 +273,19 @@ mod tests {
     fn fig6_removal_matrix() {
         let count = [q(Measure::Count, CF, false)];
         let time = [q(Measure::Time, CF, false)];
-        let ooo = StreamOrder::OutOfOrder;
-        assert_eq!(
-            WorkloadCharacteristics::derive(&count, StreamOrder::InOrder, props(true, true))
-                .removal_strategy(),
-            RemovalStrategy::NotNeeded
-        );
-        assert_eq!(
-            WorkloadCharacteristics::derive(&time, ooo, props(true, true)).removal_strategy(),
-            RemovalStrategy::NotNeeded
-        );
-        assert_eq!(
-            WorkloadCharacteristics::derive(&count, ooo, props(true, true)).removal_strategy(),
-            RemovalStrategy::Invert
-        );
-        assert_eq!(
-            WorkloadCharacteristics::derive(&count, ooo, props(true, false)).removal_strategy(),
-            RemovalStrategy::Recompute
-        );
+        let removes =
+            |qs: &[Query], order| WorkloadCharacteristics::derive(qs, order, props(true)).removes();
+        assert!(!removes(&count, StreamOrder::InOrder));
+        assert!(!removes(&time, StreamOrder::OutOfOrder));
+        assert!(removes(&count, StreamOrder::OutOfOrder));
     }
 
     #[test]
     fn non_commutative_ooo_inserts_recompute() {
         let qs = [q(Measure::Time, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(false, false));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(false));
         assert!(c.ooo_insert_recomputes());
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true, false));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
         assert!(!c.ooo_insert_recomputes());
     }
 
@@ -326,7 +296,7 @@ mod tests {
             q(Measure::Count, CF, false),
             q(Measure::Time, FCA, true),
         ];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true, true));
+        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
         assert!(c.has_count_measure);
         assert!(c.has_context_aware);
         assert!(!c.has_context_aware_non_session);

@@ -3,8 +3,9 @@
 //! Following Tangwongsan et al. \[42\], an aggregation is decomposed into
 //! `lift`, `combine` (⊕), `lower`, and an optional `invert` (⊖). General
 //! stream slicing *requires* associativity of ⊕ (all aggregate-sharing
-//! techniques do) and *exploits* commutativity and invertibility when the
-//! function declares them (workload characteristic 2, Section 4.2).
+//! techniques do), *exploits* commutativity when the function declares it
+//! (workload characteristic 2, Section 4.2), and uses ⊖ wherever the
+//! function answers it exactly.
 
 use crate::mem::HeapSize;
 
@@ -21,15 +22,13 @@ pub enum FunctionKind {
 }
 
 /// Algebraic properties of an aggregation, used by the decision logic
-/// (Figures 4 and 6 of the paper) to pick processing strategies.
+/// (Figure 4 of the paper and the late insert of Section 5.2) to pick
+/// processing strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunctionProperties {
     /// `x ⊕ y = y ⊕ x`. Non-commutative functions force slice recomputation
     /// for out-of-order tuples.
     pub commutative: bool,
-    /// `(x ⊕ y) ⊖ y = x`. Invertible functions allow incremental removal of
-    /// tuples (count-based windows with out-of-order tuples, Figure 6).
-    pub invertible: bool,
     /// Size class of partial aggregates.
     pub kind: FunctionKind,
 }
@@ -48,8 +47,8 @@ pub(crate) fn is_holistic<A: AggregateFunction>(f: &A) -> bool {
 ///   `combine(combine(a, b), c) == combine(a, combine(b, c))`.
 /// * If [`FunctionProperties::commutative`] is set, `combine(a, b) ==
 ///   combine(b, a)`.
-/// * If [`FunctionProperties::invertible`] is set, [`Self::invert`] must
-///   satisfy `invert(combine(a, b), b) == a` and must not return `None`.
+/// * [`Self::invert`] returns `Some` only when it is exact:
+///   `invert(combine(a, b), b)` is `None` or `Some(a)`.
 /// * `combine` arguments are ordered: `a` aggregates tuples that occur
 ///   *before* the tuples aggregated in `b` (stream slicing preserves slice
 ///   order so non-commutative functions stay correct).
@@ -75,9 +74,11 @@ pub trait AggregateFunction: Clone + Send + 'static {
     /// sum / count`.
     fn lower(&self, partial: &Self::Partial) -> Self::Output;
 
-    /// The optional ⊖ operation: removes partial `b` from `a`. Must be
-    /// implemented iff `properties().invertible`; the slicing core uses it
-    /// to shift tuples between slices without recomputation.
+    /// The optional ⊖ operation: removes partial `b`, the last one
+    /// combined, from `a`. Returns `Some` only when the result is exact and
+    /// `None` where it cannot tell (removing a minimum's own value) or has
+    /// no ⊖ at all (the default). The slicing core tries it on every count
+    /// shift (Figure 6) and recomputes the slice from its tuples on `None`.
     fn invert(&self, _a: Self::Partial, _b: &Self::Partial) -> Option<Self::Partial> {
         None
     }
@@ -170,11 +171,7 @@ mod tests {
             *p
         }
         fn properties(&self) -> FunctionProperties {
-            FunctionProperties {
-                commutative: true,
-                invertible: false,
-                kind: FunctionKind::Distributive,
-            }
+            FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
         }
     }
 

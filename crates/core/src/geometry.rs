@@ -26,6 +26,14 @@ pub(crate) struct Extent {
 
 impl Extent {
     pub(crate) const EMPTY: Extent = Extent { count: 0, t_first: TIME_MAX, t_last: TIME_MIN };
+
+    /// Takes in the tuples of `e`.
+    #[inline]
+    fn widen(&mut self, e: Extent) {
+        self.count += e.count;
+        self.t_first = self.t_first.min(e.t_first);
+        self.t_last = self.t_last.max(e.t_last);
+    }
 }
 
 /// The slices of a store as columns: slice `i` covers `[starts[i],
@@ -39,8 +47,9 @@ pub(crate) struct SliceGeometry {
     starts: Column<Time>,
     ends: Column<Time>,
     extents: Column<Extent>,
-    /// Tuples evicted from the front, so count positions are absolute.
-    evicted: u64,
+    /// Tuples ever added, evicted ones included, so count positions are
+    /// absolute.
+    total: u64,
 }
 
 impl SliceGeometry {
@@ -76,13 +85,11 @@ impl SliceGeometry {
         self.ends.last().copied()
     }
 
-    /// Adds the tuples of `e` to slice `i`.
+    /// Adds the tuples of `e`, new to the store, to slice `i`.
     #[inline]
     pub(crate) fn widen(&mut self, i: usize, e: Extent) {
-        let x = &mut self.extents[i];
-        x.count += e.count;
-        x.t_first = x.t_first.min(e.t_first);
-        x.t_last = x.t_last.max(e.t_last);
+        self.total += cast::to_u64(e.count);
+        self.extents[i].widen(e);
     }
 
     /// Places a slice over `range` holding `e` at position `i`.
@@ -157,7 +164,7 @@ impl SliceGeometry {
         }
         let right = self.extent(i + 1);
         self.ends[i] = self.ends[i + 1];
-        self.widen(i, right);
+        self.extents[i].widen(right);
         self.starts.remove(i + 1);
         self.ends.remove(i + 1);
         self.extents.remove(i + 1);
@@ -172,12 +179,11 @@ impl SliceGeometry {
         let x = &mut self.extents[i];
         x.count -= 1;
         *x = if x.count == 0 { Extent::EMPTY } else { Extent { t_last: new_last, ..*x } };
-        self.widen(i + 1, Extent { count: 1, t_first: ts, t_last: ts });
+        self.extents[i + 1].widen(Extent { count: 1, t_first: ts, t_last: ts });
     }
 
     /// Drops the first `k` slices; their tuples stay counted.
     pub(crate) fn evict(&mut self, k: usize) {
-        self.evicted += cast::to_u64(self.extents[..k].iter().map(|e| e.count).sum());
         self.starts.drop_front(k);
         self.ends.drop_front(k);
         self.extents.drop_front(k);
@@ -191,7 +197,7 @@ impl SliceGeometry {
     /// Number of leading slices whose tuples all lie at absolute counts
     /// below `keep_from`, the open slice excepted.
     pub(crate) fn count_evictable(&self, keep_from: u64) -> usize {
-        let mut pos = self.evicted;
+        let mut pos = self.evicted();
         let fits = |e: &&Extent| {
             pos += cast::to_u64(e.count);
             pos <= keep_from
@@ -201,14 +207,19 @@ impl SliceGeometry {
 
     /// Total number of tuples ever added (absolute count).
     pub(crate) fn total_count(&self) -> u64 {
-        self.evicted + cast::to_u64(self.extents.iter().map(|e| e.count).sum())
+        self.total
+    }
+
+    /// The absolute count of the first live tuple: the tuples evicted.
+    fn evicted(&self) -> u64 {
+        self.total - cast::to_u64(self.extents.iter().map(|e| e.count).sum())
     }
 
     /// The absolute count of the tuples in the leading slices whose
     /// tuples all lie at or before `ts`, and the first slice after them
     /// (some of whose tuples may lie at or before `ts` too).
     pub(crate) fn count_through(&self, ts: Time) -> (u64, usize) {
-        let mut count = self.evicted;
+        let mut count = self.evicted();
         for (i, e) in self.extents.iter().enumerate() {
             if e.count == 0 || e.t_last > ts {
                 return (count, i);
@@ -226,7 +237,7 @@ impl SliceGeometry {
             return (0, 0);
         }
         let (mut l, mut r) = (usize::MAX, 0);
-        let mut pos = self.evicted;
+        let mut pos = self.evicted();
         for (i, e) in self.extents.iter().enumerate() {
             if pos >= c2 {
                 break;

@@ -85,7 +85,7 @@ pub mod timeline;
 pub mod window;
 
 pub use aggregator::WindowAggregator;
-pub use characteristics::{RemovalStrategy, WorkloadCharacteristics};
+pub use characteristics::WorkloadCharacteristics;
 pub use element::StreamElement;
 pub use fiba::FingerTree;
 pub use flatfat::FlatFat;

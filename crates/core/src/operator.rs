@@ -6,12 +6,12 @@
 //! Manager** (computes final window aggregates) — around the shared
 //! [`SliceStore`]. The operator adapts automatically to the workload
 //! characteristics of its registered queries (Section 5.1): it stores
-//! tuples only when required, uses ⊖ when the function is invertible, and
-//! recomputes from source tuples only when unavoidable.
+//! tuples only when required, uses ⊖ wherever the function answers it
+//! exactly, and recomputes from source tuples only when unavoidable.
 
 use crate::aggregator::{column_run_len, WindowAggregator};
 use crate::cast;
-use crate::characteristics::{RemovalStrategy, SlicePlan, WorkloadCharacteristics};
+use crate::characteristics::{SlicePlan, WorkloadCharacteristics};
 use crate::function::AggregateFunction;
 use crate::mem::HeapSize;
 use crate::result::WindowResult;
@@ -569,7 +569,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// stream, where Figure 6 removes tuples): lookups go by tuple content
     /// and the shift keeps count alignment.
     fn count_mode(&self) -> bool {
-        self.store.plan().removal != RemovalStrategy::NotNeeded
+        self.store.plan().removes
     }
 
     // ------------------------------------------------------------------
@@ -995,16 +995,11 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // and before any count window completes (the per-tuple path checks
         // the trigger both before and after the insert, so the run must
         // keep the post-insert count strictly below the trigger).
-        // `total_count` walks every live slice, so only pay for it when a
-        // count edge or count trigger actually exists.
-        let mut cap = times.len() - start;
+        let total = self.store.total_count();
+        let to_edge = self.next_count_edge.map_or(u64::MAX, |e| e.saturating_sub(total));
         let count_trigger = self.next_trigger_count.filter(|_| in_order_emit);
-        if self.next_count_edge.is_some() || count_trigger.is_some() {
-            let total = self.store.total_count();
-            let to_edge = self.next_count_edge.map_or(u64::MAX, |e| e.saturating_sub(total));
-            let to_trigger = count_trigger.map_or(u64::MAX, |c| c.saturating_sub(total + 1));
-            cap = cast::to_usize(cast::to_u64(cap).min(to_edge).min(to_trigger));
-        }
+        let to_trigger = count_trigger.map_or(u64::MAX, |c| c.saturating_sub(total + 1));
+        let cap = cast::to_usize(cast::to_u64(times.len() - start).min(to_edge).min(to_trigger));
         // The scan stops at the bound itself: finding the sorted prefix
         // first and searching it for the bound reads a sorted batch to its
         // end once per slice edge (0.68× on `query_heavy`).
@@ -1021,9 +1016,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// emitted windows *immediately* via `emit_updates`).
     fn defer_config_ok(&self) -> bool {
         let plan = self.store.plan();
-        self.cfg.order == StreamOrder::OutOfOrder
-            && !plan.splits
-            && plan.removal == RemovalStrategy::NotNeeded
+        self.cfg.order == StreamOrder::OutOfOrder && !plan.splits && !plan.removes
     }
 
     /// Attributes one run folded by [`AggregateFunction::fold_slice`] to

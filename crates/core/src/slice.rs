@@ -94,28 +94,32 @@ pub(crate) fn extent_of<V>(tuples: &[(Time, V)]) -> Extent {
     }
 }
 
-/// Merges the sorted late `run` into a slice's sorted `tuples` in one
-/// `O(n + k)` pass from the back: each run tuple lands *after* stored
+/// Merges the sorted late `run` into a slice's sorted `tuples` from the
+/// back, a stored block at a time: each run tuple lands *after* stored
 /// tuples with an equal timestamp, keeping arrival-order ties (paper
-/// Section 5.2, Update).
+/// Section 5.2, Update). Each stored tuple moves once, so a run of one is
+/// one memmove and a run of `k` costs `O(n + k)` moves.
 pub(crate) fn merge_late_run<V: Clone>(tuples: &mut Vec<(Time, V)>, run: &[(Time, V)]) {
-    // Grow by the run, then merge from the back: slot `i + j - 1` is the
-    // next to fill, so each stored tuple moves at most once, and a slot a
-    // swap leaves stale lies in `[i, i + j)`, which is written before the
-    // merge ends.
-    let (mut i, mut j) = (tuples.len(), run.len());
+    // Grow by the run. Before run tuple `j` lands, `[0, i)` holds the
+    // stored tuples not moved yet and `[i, i + j]` the free slots; the
+    // stored block above its slot moves up past the free slots.
+    let mut i = tuples.len();
     tuples.extend_from_slice(run);
-    while j > 0 && i > 0 {
-        if tuples[i - 1].0 > run[j - 1].0 {
-            i -= 1;
-            tuples.swap(i, i + j);
+    for (j, t) in run.iter().enumerate().rev() {
+        let p = tuples[..i].partition_point(|s| s.0 <= t.0);
+        let (block, free) = (i - p, j + 1);
+        let span = &mut tuples[p..i + free];
+        if block <= free {
+            // Swap with the top free slots: a rotation would move every
+            // free slot again, `O(k²)` over a long run.
+            let (low, high) = span.split_at_mut(free);
+            low[..block].swap_with_slice(high);
         } else {
-            j -= 1;
-            tuples[i + j] = run[j].clone();
+            span.rotate_right(free);
         }
+        tuples[p + j] = t.clone();
+        i = p;
     }
-    // With `i == 0` the run's head is still at `[0, j)`: put it there.
-    tuples[..j].clone_from_slice(&run[..j]);
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::cast;
-use crate::characteristics::{RemovalStrategy, SlicePlan};
+use crate::characteristics::SlicePlan;
 use crate::fiba::FingerTree;
 use crate::flatfat::FlatFat;
 use crate::function::{is_holistic, AggregateFunction};
@@ -733,8 +733,8 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Moves the last tuple of slice `idx` into slice `idx + 1` (the
     /// Figure-6 shift for count-based windows), to the front of its
     /// timestamp group: it comes from the predecessor, so its count
-    /// position precedes everything there. The source pays one ⊖ where
-    /// the plan inverts and recomputes from its tuples otherwise; the
+    /// position precedes everything there. The source tries one ⊖ and
+    /// recomputes from its tuples where ⊖ is not exact (`None`); the
     /// destination combines the tuple in, or recomputes where the plan
     /// recomputes late inserts. Returns `false` without a successor,
     /// with an empty slice, or without a tuple column.
@@ -749,12 +749,9 @@ impl<A: AggregateFunction> SliceStore<A> {
             return false;
         };
         let (f, rest) = (&self.f, &tuples[idx]);
-        let recompute = || f.lift_all(rest.iter().map(|(_, v)| v));
-        let source = match (self.plan.removal, self.partials[idx].take()) {
-            _ if rest.is_empty() => None,
-            (RemovalStrategy::Invert, Some(a)) => f.invert(a, &f.lift(&value)).or_else(recompute),
-            _ => recompute(),
-        };
+        let source = self.partials[idx].take().filter(|_| !rest.is_empty()).and_then(|a| {
+            f.invert(a, &f.lift(&value)).or_else(|| f.lift_all(rest.iter().map(|(_, v)| v)))
+        });
         let new_last = rest.last().map_or(TIME_MIN, |t| t.0);
         self.partials[idx] = source;
         let next = &mut tuples[idx + 1];
@@ -893,7 +890,7 @@ fn merge_opt<M: Clone>(a: Option<M>, b: Option<&M>, combine: impl Fn(M, &M) -> M
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::{Concat, SumI64};
+    use crate::testsupport::{Concat, Lifts, MinI64, SumI64};
 
     impl<A: AggregateFunction> SliceStore<A> {
         /// Whether deferred finger-tree writes are pending repair.
@@ -1107,6 +1104,29 @@ mod tests {
         st.add_one(11, 11);
         assert!(st.shift_last_into_next(0));
         assert_eq!(st.slice(1).aggregate(), Some(&vec![8, 11]));
+    }
+
+    #[test]
+    fn shift_above_the_minimum_inverts_without_refolding() {
+        let f = Lifts::new(MinI64);
+        let mut st = SliceStore::new(f.clone(), StorePolicy::Lazy, true);
+        st.append_slice(Range::new(0, 10));
+        st.add_in_order_run_columns(&[1, 2, 3, 4, 5], &[5, 8, 3, 6, 9]);
+        st.append_slice(Range::new(10, 20));
+        st.add_in_order_run_columns(&[12], &[7]);
+        // 9 lies above the minimum: ⊖ answers, so the only lifts are the
+        // shifted tuple's, once for ⊖ and once for the successor's ⊕.
+        let before = f.count();
+        assert!(st.shift_last_into_next(0));
+        assert_eq!(f.count() - before, 2);
+        assert_eq!((st.slice(0).aggregate(), st.slice(1).aggregate()), (Some(&3), Some(&7)));
+        // 6 too; then 3 is the minimum itself, and the two tuples left are
+        // refolded.
+        assert!(st.shift_last_into_next(0));
+        let before = f.count();
+        assert!(st.shift_last_into_next(0));
+        assert_eq!(f.count() - before, 2 + 2);
+        assert_eq!((st.slice(0).aggregate(), st.slice(1).aggregate()), (Some(&5), Some(&3)));
     }
 
     #[test]

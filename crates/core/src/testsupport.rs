@@ -28,11 +28,11 @@ impl AggregateFunction for SumI64 {
         Some(a - b)
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: true, invertible: true, kind: FunctionKind::Distributive }
+        FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
     }
 }
 
-/// Integer sum with invertibility deliberately *not* declared — the "sum
+/// Integer sum deliberately without ⊖ (`invert` stays `None`) — the "sum
 /// w/o invert" baseline of paper Figure 13.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SumNoInvert;
@@ -52,11 +52,7 @@ impl AggregateFunction for SumNoInvert {
         *p
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties {
-            commutative: true,
-            invertible: false,
-            kind: FunctionKind::Distributive,
-        }
+        FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
     }
 }
 
@@ -82,7 +78,7 @@ impl AggregateFunction for Concat {
         p.clone()
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties { commutative: false, invertible: false, kind: FunctionKind::Holistic }
+        FunctionProperties { commutative: false, kind: FunctionKind::Holistic }
     }
 }
 
@@ -121,11 +117,7 @@ impl AggregateFunction for PoisonSum {
         *p
     }
     fn properties(&self) -> FunctionProperties {
-        FunctionProperties {
-            commutative: true,
-            invertible: false,
-            kind: FunctionKind::Distributive,
-        }
+        FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
     }
 }
 
@@ -147,12 +139,6 @@ mod tests {
         let ba = c.combine(c.lift(&2), &c.lift(&1));
         assert_ne!(ab, ba);
         assert_eq!(ab, vec![1, 2]);
-    }
-
-    #[test]
-    fn sum_no_invert_declares_correctly() {
-        assert!(!SumNoInvert.properties().invertible);
-        assert_eq!(SumNoInvert.invert(5, &2), None);
     }
 }
 
@@ -277,5 +263,76 @@ impl crate::window::WindowFunction for SlidingStub {
     }
     fn clone_box(&self) -> Box<dyn crate::window::WindowFunction> {
         Box::new(*self)
+    }
+}
+
+/// Integer minimum with the exact partial ⊖ of `gss-aggregates`' `Min`:
+/// removing a value above the minimum leaves it, removing the minimum
+/// cannot tell.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MinI64;
+
+#[cfg(test)]
+impl AggregateFunction for MinI64 {
+    type Input = i64;
+    type Partial = i64;
+    type Output = i64;
+
+    fn lift(&self, v: &i64) -> i64 {
+        *v
+    }
+    fn combine(&self, a: i64, b: &i64) -> i64 {
+        a.min(*b)
+    }
+    fn lower(&self, p: &i64) -> i64 {
+        *p
+    }
+    fn invert(&self, a: i64, b: &i64) -> Option<i64> {
+        (*b > a).then_some(a)
+    }
+    fn properties(&self) -> FunctionProperties {
+        FunctionProperties { commutative: true, kind: FunctionKind::Distributive }
+    }
+}
+
+/// `A`, counting its lifts across clones: a refold of a slice shows as
+/// one lift per tuple.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct Lifts<A>(A, std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+#[cfg(test)]
+impl<A> Lifts<A> {
+    pub(crate) fn new(f: A) -> Self {
+        Lifts(f, Default::default())
+    }
+
+    pub(crate) fn count(&self) -> usize {
+        self.1.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+impl<A: AggregateFunction> AggregateFunction for Lifts<A> {
+    type Input = A::Input;
+    type Partial = A::Partial;
+    type Output = A::Output;
+
+    fn lift(&self, v: &A::Input) -> A::Partial {
+        self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.0.lift(v)
+    }
+    fn combine(&self, a: A::Partial, b: &A::Partial) -> A::Partial {
+        self.0.combine(a, b)
+    }
+    fn lower(&self, p: &A::Partial) -> A::Output {
+        self.0.lower(p)
+    }
+    fn invert(&self, a: A::Partial, b: &A::Partial) -> Option<A::Partial> {
+        self.0.invert(a, b)
+    }
+    fn properties(&self) -> FunctionProperties {
+        self.0.properties()
     }
 }

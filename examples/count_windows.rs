@@ -1,7 +1,9 @@
 //! Count-measure windows on an out-of-order stream — the Figure-6 shift in
 //! action: a late tuple changes the count of every succeeding tuple, so
-//! the last tuple of each slice moves one slice further. Invertible
-//! aggregations (sum) pay one ⊖ per shift; non-invertible ones recompute.
+//! the last tuple of each slice moves one slice further. Every shift tries
+//! the function's ⊖ first: sum answers it with one subtraction, while a sum
+//! without ⊖ (and a min whose minimum is the shifted tuple) recomputes the
+//! slice from its tuples.
 //!
 //! Run with: `cargo run --release --example count_windows`
 

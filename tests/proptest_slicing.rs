@@ -45,6 +45,55 @@ fn disorder(tuples: &[(Time, i64)], strength: usize) -> Vec<(Time, i64)> {
     arrivals
 }
 
+/// Runs `f` over `arrivals` with one count window of `length` tuples
+/// sliding by `slide` (tumbling when equal), each tuple's input built from
+/// its value and arrival index, and holds every final against
+/// `lower(lift_all(canon[c1..c2]))`; every window inside the stream must
+/// fire.
+fn check_count_windows<A>(
+    f: A,
+    input: impl Fn(i64, usize) -> A::Input,
+    arrivals: &[(Time, i64)],
+    (length, slide): (u64, u64),
+) -> Result<(), TestCaseError>
+where
+    A: AggregateFunction,
+    A::Output: PartialEq + std::fmt::Debug,
+{
+    let arrivals: Vec<(Time, A::Input)> =
+        arrivals.iter().enumerate().map(|(i, &(t, v))| (t, input(v, i))).collect();
+    // Count positions tie-break by arrival order, like the operator:
+    // the sort is stable.
+    let mut canon = arrivals.clone();
+    canon.sort_by_key(|(t, _)| *t);
+    let mut op = WindowOperator::new(f.clone(), OperatorConfig::out_of_order(1_000_000));
+    let window: Box<dyn WindowFunction> = if slide == length {
+        Box::new(CountTumblingWindow::new(length))
+    } else {
+        Box::new(CountSlidingWindow::new(length, slide))
+    };
+    op.add_query(window).unwrap();
+    let mut out = Vec::new();
+    for (ts, v) in arrivals {
+        op.process_tuple(ts, v, &mut out);
+    }
+    op.process_watermark(i64::MAX - 1, &mut out);
+    let mut finals = BTreeMap::new();
+    for r in &out {
+        finals.insert((r.range.start, r.range.end), r.value.clone());
+    }
+    for ((c1, c2), got) in &finals {
+        let chunk = canon[*c1 as usize..*c2 as usize].iter().map(|(_, v)| v);
+        let expect = f.lift_all(chunk).map(|p| f.lower(&p));
+        prop_assert_eq!(Some(got), expect.as_ref(), "[{}, {})", c1, c2);
+    }
+    let n = canon.len() as u64;
+    let full: Vec<Time> =
+        (0..).map(|k| (k * slide) as Time).take_while(|&s| s as u64 + length <= n).collect();
+    prop_assert_eq!(finals.keys().map(|w| w.0).collect::<Vec<_>>(), full);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -165,34 +214,30 @@ proptest! {
         }
     }
 
-    /// Count tumbling windows partition the event-time-sorted stream into
-    /// consecutive chunks, regardless of arrival order (Figure 6 shift).
+    /// Count tumbling and sliding windows cut the event-time-sorted stream
+    /// into chunks of counts, regardless of arrival order (the Figure-6
+    /// shift), for every function class: ⊖ exact (`Sum`), absent
+    /// (`SumNoInvert`, `Concat`) or partial (`Min`, `MaxCount`, `ArgMin`).
     #[test]
     fn count_windows_chunk_sorted_stream(
         raw in prop::collection::vec((0i64..2_000, -100i64..100), 1..200),
-        window in 1u64..30,
+        length in 1u64..30,
+        slide in prop_oneof![Just(None), (0u64..30).prop_map(Some)],
         strength in 0usize..30,
+        function in 0usize..6,
     ) {
-        let tuples = sorted(&raw);
-        let arrivals = disorder(&tuples, strength);
-        // Count positions tie-break by arrival order, like the operator.
-        let canon = sorted(&arrivals);
-        let mut op = WindowOperator::new(Sum, OperatorConfig::out_of_order(1_000_000));
-        op.add_query(Box::new(CountTumblingWindow::new(window))).unwrap();
-        let mut out = Vec::new();
-        for &(ts, v) in &arrivals {
-            op.process_tuple(ts, v, &mut out);
+        let arrivals = disorder(&sorted(&raw), strength);
+        // Tumbling, or sliding by 1..=length tuples.
+        let slide = slide.map_or(length, |s| 1 + s % length);
+        let window = (length, slide);
+        match function {
+            0 => check_count_windows(Sum, |v, _| v, &arrivals, window)?,
+            1 => check_count_windows(SumNoInvert, |v, _| v, &arrivals, window)?,
+            2 => check_count_windows(Min, |v, _| v, &arrivals, window)?,
+            3 => check_count_windows(MaxCount, |v, _| v, &arrivals, window)?,
+            4 => check_count_windows(ArgMin, |v, i| (v, i as i64), &arrivals, window)?,
+            _ => check_count_windows(Concat, |v, _| v, &arrivals, window)?,
         }
-        op.process_watermark(i64::MAX - 1, &mut out);
-        for ((_, c1, c2), v) in finals(&out) {
-            let expect: i64 = canon[c1 as usize..c2 as usize].iter().map(|(_, v)| v).sum();
-            prop_assert_eq!(v, expect, "count window [{}, {})", c1, c2);
-        }
-        // Completeness: every full chunk fires.
-        let full = tuples.len() as u64 / window;
-        let emitted = out.iter().filter(|r| !r.is_update)
-            .map(|r| r.range.start).collect::<std::collections::BTreeSet<_>>();
-        prop_assert_eq!(emitted.len() as u64, full);
     }
 
     /// Sessions computed by slicing equal sessions computed by a direct
