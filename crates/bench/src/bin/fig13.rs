@@ -11,6 +11,10 @@
 //! extremum);
 //! holistic functions sit far below everything else.
 //!
+//! Claims checked on the count column (the binary exits 1 when one
+//! fails): `sum` runs at least 1.4× `sum w/o invert`, and `min`, `max`,
+//! `min-count` and `max-count` each at least as fast as it.
+//!
 //! Run: `cargo run --release -p gss-bench --bin fig13`
 
 use std::time::Instant;
@@ -19,11 +23,14 @@ use gss_aggregates::{
     ArgMax, ArgMin, Avg, CountAgg, GeometricMean, Max, MaxCount, Median, Min, MinCount, Percentile,
     PopulationStdDev, SampleStdDev, Sum, SumNoInvert, M4,
 };
-use gss_bench::Output;
+use gss_bench::{check_claims, Claim, Output};
 use gss_core::operator::{OperatorConfig, WindowOperator};
 use gss_core::{AggregateFunction, StreamElement, StreamOrder, Time};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
 use gss_windows::{CountTumblingWindow, TumblingWindow};
+
+/// Rounds over the algebraic functions; each of their cells is its best.
+const ROUNDS: usize = 3;
 
 fn scale() -> f64 {
     std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
@@ -82,6 +89,7 @@ fn main() {
 
     let mut out = Output::new("fig13", &["function", "measure", "tuples_per_sec"]);
     out.print_header();
+    let mut count_rows: Vec<(String, f64)> = Vec::new();
 
     for count_based in [false, true] {
         let measure = if count_based { "count" } else { "time" };
@@ -89,31 +97,64 @@ fn main() {
         macro_rules! bench {
             ($name:expr, $f:expr, $elems:expr, $map:expr) => {{
                 let tps = run_function($f, $elems, count_based, $map);
-                eprintln!("  {} ({measure}): {:.0} tuples/s", $name, tps);
-                rows.push(($name.to_string(), tps));
+                match rows.iter_mut().find(|r| r.0 == $name) {
+                    Some(r) => r.1 = r.1.max(tps),
+                    None => rows.push(($name.to_string(), tps)),
+                }
             }};
         }
 
-        bench!("count", CountAgg, &elements, |_, v| v);
-        bench!("sum", Sum, &elements, |_, v| v);
-        bench!("sum w/o invert", SumNoInvert, &elements, |_, v| v);
-        bench!("avg", Avg, &elements, |_, v| v);
-        bench!("min", Min, &elements, |_, v| v);
-        bench!("max", Max, &elements, |_, v| v);
-        bench!("min-count", MinCount, &elements, |_, v| v);
-        bench!("max-count", MaxCount, &elements, |_, v| v);
-        bench!("arg-min", ArgMin, &elements, |ts, v| (v, ts));
-        bench!("arg-max", ArgMax, &elements, |ts, v| (v, ts));
-        bench!("geo-mean", GeometricMean, &elements, |_, v| v);
-        bench!("sample-stddev", SampleStdDev, &elements, |_, v| v);
-        bench!("pop-stddev", PopulationStdDev, &elements, |_, v| v);
-        bench!("m4", M4, &elements, |ts, v| (ts, v));
-        bench!("median", Median, &holistic_elements, |_, v| v);
-        bench!("p90", Percentile::p90(), &holistic_elements, |_, v| v);
+        // A cell of the algebraic functions runs for milliseconds, where
+        // one descheduling on a shared host halves it: each is the best
+        // of `ROUNDS` rounds over every function, so a slow stretch of
+        // the host hits every function alike. The holistic cells run for
+        // seconds, once.
+        for round in 0..ROUNDS {
+            bench!("count", CountAgg, &elements, |_, v| v);
+            bench!("sum", Sum, &elements, |_, v| v);
+            bench!("sum w/o invert", SumNoInvert, &elements, |_, v| v);
+            bench!("avg", Avg, &elements, |_, v| v);
+            bench!("min", Min, &elements, |_, v| v);
+            bench!("max", Max, &elements, |_, v| v);
+            bench!("min-count", MinCount, &elements, |_, v| v);
+            bench!("max-count", MaxCount, &elements, |_, v| v);
+            bench!("arg-min", ArgMin, &elements, |ts, v| (v, ts));
+            bench!("arg-max", ArgMax, &elements, |ts, v| (v, ts));
+            bench!("geo-mean", GeometricMean, &elements, |_, v| v);
+            bench!("sample-stddev", SampleStdDev, &elements, |_, v| v);
+            bench!("pop-stddev", PopulationStdDev, &elements, |_, v| v);
+            bench!("m4", M4, &elements, |ts, v| (ts, v));
+            if round == 0 {
+                bench!("median", Median, &holistic_elements, |_, v| v);
+                bench!("p90", Percentile::p90(), &holistic_elements, |_, v| v);
+            }
+        }
 
-        for (name, tps) in rows {
-            out.row(&[name, measure.to_string(), format!("{tps:.0}")]);
+        for (name, tps) in &rows {
+            eprintln!("  {name} ({measure}): {tps:.0} tuples/s");
+            out.row(&[name.clone(), measure.to_string(), format!("{tps:.0}")]);
+        }
+        if count_based {
+            count_rows = rows;
         }
     }
     out.finish();
+    let tps = |name: &str| count_rows.iter().find(|r| r.0 == name).map_or(0.0, |r| r.1);
+    let paper = "Section 6.3.2, Figure 13";
+    let no_invert = tps("sum w/o invert");
+    let mut claims = vec![Claim::at_least(
+        "count sum >= 1.4x sum w/o invert",
+        paper,
+        tps("sum"),
+        1.4 * no_invert,
+    )];
+    for f in ["min", "max", "min-count", "max-count"] {
+        claims.push(Claim::at_least(
+            format!("count {f} >= sum w/o invert"),
+            paper,
+            tps(f),
+            no_invert,
+        ));
+    }
+    check_claims(&claims);
 }

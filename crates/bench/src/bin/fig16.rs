@@ -9,10 +9,15 @@
 //! while remaining an order of magnitude above the tuple buffer, the
 //! fastest alternative for count windows.
 //!
+//! Claim checked (the binary exits 1 when it fails): at 1 000 windows,
+//! count-based slicing runs at least 8× the tuple buffer.
+//!
 //! Run: `cargo run --release -p gss-bench --bin fig16`
 
 use gss_aggregates::Sum;
-use gss_bench::{build, fmt_tput, run, truncate_elements, Output, QuerySpec, Technique};
+use gss_bench::{
+    build, check_claims, fmt_tput, run, truncate_elements, Claim, Output, QuerySpec, Technique,
+};
 use gss_core::{StreamElement, StreamOrder};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
 
@@ -32,6 +37,8 @@ fn main() {
 
     let mut out = Output::new("fig16", &["series", "concurrent_windows", "tuples_per_sec"]);
     out.print_header();
+    // Count slicing and the tuple buffer at the most windows.
+    let (mut slicing, mut buffer) = (0.0, 0.0);
 
     for &n in &window_counts {
         // Time measure: n tumbling queries, lengths 1-20 s.
@@ -56,6 +63,7 @@ fn main() {
         let mut agg =
             build(Technique::LazySlicing, Sum, &count_queries, StreamOrder::OutOfOrder, 2_000);
         let report = run(agg.as_mut(), &elems);
+        slicing = report.throughput();
         out.row(&[
             "slicing count-based".into(),
             n.to_string(),
@@ -69,6 +77,7 @@ fn main() {
         let mut agg =
             build(Technique::TupleBuffer, Sum, &count_queries, StreamOrder::OutOfOrder, 2_000);
         let report = run(agg.as_mut(), &elems);
+        buffer = report.throughput();
         out.row(&[
             "tuple buffer count-based".into(),
             n.to_string(),
@@ -77,4 +86,11 @@ fn main() {
         eprintln!("  buffer count {n}: {}", fmt_tput(report.throughput()));
     }
     out.finish();
+    let most = window_counts[window_counts.len() - 1];
+    check_claims(&[Claim::at_least(
+        format!("count slicing >= 8x the tuple buffer at {most} windows"),
+        "Section 6.3.4, Figure 16",
+        slicing,
+        8.0 * buffer,
+    )]);
 }

@@ -348,6 +348,41 @@ impl Output {
     }
 }
 
+/// A result the paper claims for a figure, stated as a predicate over the
+/// figure's own output: a measured number must reach a bound. `margin` is
+/// their ratio, at least 1 where the claim holds.
+pub struct Claim {
+    pub name: String,
+    /// Where the paper makes the claim.
+    pub paper: &'static str,
+    pub holds: bool,
+    pub margin: f64,
+}
+
+impl Claim {
+    /// The claim that `measured ≥ bound`.
+    pub fn at_least(
+        name: impl Into<String>,
+        paper: &'static str,
+        measured: f64,
+        bound: f64,
+    ) -> Self {
+        let margin = measured / bound;
+        Claim { name: name.into(), paper, holds: margin >= 1.0, margin }
+    }
+}
+
+/// Prints every claim to stderr and exits with status 1 if one fails.
+pub fn check_claims(claims: &[Claim]) {
+    for c in claims {
+        let verdict = if c.holds { "holds" } else { "FAILS" };
+        eprintln!("claim {verdict}: {} ({}), margin {:.2}", c.name, c.paper, c.margin);
+    }
+    if claims.iter().any(|c| !c.holds) {
+        std::process::exit(1);
+    }
+}
+
 /// Logical cores visible to this process. Every `BENCH_*.json` records
 /// it so scaling claims can be read in context: on a 1-core container a
 /// flat-to-declining parallel curve is the expected shape, not a bug.

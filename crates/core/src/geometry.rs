@@ -4,8 +4,8 @@
 //! A slice is its time range `[start, end)`, the number of tuples it
 //! holds and the times of its first and last tuple. [`SliceGeometry`]
 //! keeps these as three columns and owns every operation that reads only
-//! them, compiled once whatever the aggregate; the store's partial and
-//! tuple columns follow it position for position.
+//! them, compiled once whatever the aggregate; the store's partial column
+//! follows it position for position, its tuple column count for count.
 
 use std::ops::{Deref, DerefMut};
 
@@ -171,15 +171,11 @@ impl SliceGeometry {
         Some(i)
     }
 
-    /// Moves the last tuple of slice `i`, at `ts`, to the front of slice
-    /// `i + 1` (the Figure-6 count shift); `new_last` is the time of the
-    /// tuple that is last in slice `i` afterwards. Ranges stay: count
-    /// slices treat them as advisory.
-    pub(crate) fn shift_last(&mut self, i: usize, ts: Time, new_last: Time) {
-        let x = &mut self.extents[i];
-        x.count -= 1;
-        *x = if x.count == 0 { Extent::EMPTY } else { Extent { t_last: new_last, ..*x } };
-        self.extents[i + 1].widen(Extent { count: 1, t_first: ts, t_last: ts });
+    /// Sets slice `i`'s tuples to those of `e`; a count it gains or loses
+    /// is tuples added to or taken from the store.
+    pub(crate) fn set_extent(&mut self, i: usize, e: Extent) {
+        self.total = self.total + cast::to_u64(e.count) - cast::to_u64(self.extents[i].count);
+        self.extents[i] = e;
     }
 
     /// Drops the first `k` slices; their tuples stay counted.
@@ -215,18 +211,9 @@ impl SliceGeometry {
         self.total - cast::to_u64(self.extents.iter().map(|e| e.count).sum())
     }
 
-    /// The absolute count of the tuples in the leading slices whose
-    /// tuples all lie at or before `ts`, and the first slice after them
-    /// (some of whose tuples may lie at or before `ts` too).
-    pub(crate) fn count_through(&self, ts: Time) -> (u64, usize) {
-        let mut count = self.evicted();
-        for (i, e) in self.extents.iter().enumerate() {
-            if e.count == 0 || e.t_last > ts {
-                return (count, i);
-            }
-            count += cast::to_u64(e.count);
-        }
-        (count, self.len())
+    /// The number of tuples slices `slices` hold.
+    pub(crate) fn tuples_in(&self, slices: std::ops::Range<usize>) -> usize {
+        self.extents[slices].iter().map(|e| e.count).sum()
     }
 
     /// The slices `[l, r)` holding the absolute counts `[c1, c2)`. Slice
@@ -318,40 +305,6 @@ impl SliceGeometry {
         }
     }
 
-    /// Index of the slice an out-of-order tuple at `ts` joins in a
-    /// count-delimited store: the first slice whose last tuple lies
-    /// strictly after `ts` (slices partition the event-time-sorted tuple
-    /// sequence, and a late tie lands *after* every stored tuple with an
-    /// equal timestamp — count ties break by arrival order), else the
-    /// latest slice. `None` without slices.
-    pub(crate) fn covering_index_by_tuples(&self, ts: Time) -> Option<usize> {
-        let n = self.len();
-        let last = n.checked_sub(1)?;
-        // Binary search: `t_last` is non-decreasing across *non-empty*
-        // slices. Empty slices (shifts can drain one) break strict
-        // monotonicity, so each probe advances to the first non-empty
-        // slice in its half; the search stays O(log s) plus the length of
-        // the empty runs it skips.
-        let (mut lo, mut hi, mut found) = (0, n, last);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let mut probe = mid;
-            while probe < hi && self.extents[probe].count == 0 {
-                probe += 1;
-            }
-            if probe == hi {
-                // Everything in [mid, hi) is empty: candidates are < mid.
-                hi = mid;
-            } else if self.extents[probe].t_last > ts {
-                found = probe;
-                hi = mid;
-            } else {
-                lo = probe + 1;
-            }
-        }
-        Some(found)
-    }
-
     /// Resolves every window to the slices `[l, r)` it covers, as
     /// [`slice_span`](Self::slice_span) does, and gathers what planning
     /// the sweep needs (`index_cost`: one index query, `None` without an
@@ -419,14 +372,14 @@ impl HeapSize for SliceGeometry {
     }
 }
 
-/// One geometry column: a `Vec` whose first `head` records are evicted,
+/// One column: a `Vec` whose first `head` records are evicted,
 /// dereferencing to the live ones, so every search reads one contiguous
 /// slice (a ring buffer splits into two halves once it wraps). Eviction
 /// only advances `head`; an append or insert that would grow the buffer
 /// first compacts the dead prefix away, so the capacity grows exactly when,
 /// and by as much as, a ring buffer's would: once the live records fill
-/// it. Records are `Copy`: a dead prefix owns nothing.
-struct Column<T> {
+/// it. The dead prefix is dropped at that compaction.
+pub(crate) struct Column<T> {
     buf: Vec<T>,
     head: usize,
 }
@@ -437,11 +390,11 @@ impl<T> Default for Column<T> {
     }
 }
 
-impl<T: Copy> Column<T> {
-    /// Compacts the dead prefix away if the buffer is full.
+impl<T: Clone> Column<T> {
+    /// Compacts the dead prefix away if `k` more records would not fit.
     #[inline]
-    fn make_room(&mut self) {
-        if self.buf.len() == self.buf.capacity() && self.head > 0 {
+    fn make_room(&mut self, k: usize) {
+        if self.buf.len() + k > self.buf.capacity() && self.head > 0 {
             self.buf.drain(..self.head);
             self.head = 0;
         }
@@ -449,19 +402,31 @@ impl<T: Copy> Column<T> {
 
     /// The number of live records, without forming the slice.
     #[inline]
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len() - self.head
     }
 
     fn push(&mut self, x: T) {
-        self.make_room();
+        self.make_room(1);
         self.buf.push(x);
+    }
+
+    /// Appends a run of records.
+    pub(crate) fn extend(&mut self, run: impl ExactSizeIterator<Item = T>) {
+        self.make_room(run.len());
+        self.buf.extend(run);
     }
 
     /// Inserts `x` at live position `i`.
     fn insert(&mut self, i: usize, x: T) {
-        self.make_room();
+        self.make_room(1);
         self.buf.insert(self.head + i, x);
+    }
+
+    /// Inserts `run` at live position `i`, moving each later record once.
+    pub(crate) fn insert_run(&mut self, i: usize, run: &[T]) {
+        self.extend(run.iter().cloned());
+        self.buf[self.head + i..].rotate_right(run.len());
     }
 
     fn remove(&mut self, i: usize) {
@@ -469,7 +434,7 @@ impl<T: Copy> Column<T> {
     }
 
     /// Evicts the first `k` live records.
-    fn drop_front(&mut self, k: usize) {
+    pub(crate) fn drop_front(&mut self, k: usize) {
         self.head += k;
         if self.head == self.buf.len() {
             self.buf.clear();
@@ -477,12 +442,12 @@ impl<T: Copy> Column<T> {
         }
     }
 
-    fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.buf.capacity() * std::mem::size_of::<T>()
     }
 }
 
-impl<T: Copy> Clone for Column<T> {
+impl<T: Clone> Clone for Column<T> {
     /// A copy of the live records, with no spare capacity.
     fn clone(&self) -> Self {
         Column { buf: self.to_vec(), head: 0 }
@@ -635,8 +600,8 @@ mod tests {
     }
 
     /// The lookups against linear scans of the model: the covering search
-    /// from every hint, the count-order lookup, and the edge pass's bounds
-    /// against `partition_point`.
+    /// from every hint, and the edge pass's bounds against
+    /// `partition_point`.
     fn assert_lookups(g: &SliceGeometry, model: &[Model], rng: &mut StdRng) {
         let n = model.len();
         let ended = |ts: Time| model.iter().take_while(|m| m.end <= ts).count();
@@ -649,15 +614,6 @@ mod tests {
             let want = if p < n && model[p].start <= ts { Ok(p) } else { Err(p) };
             for near in std::iter::once(None).chain((0..n).map(Some)) {
                 assert_eq!(g.covering_search(ts, near), want, "ts {ts} near {near:?}");
-            }
-            // The count-order lookup presumes count slices: the slices'
-            // tuples in time order (late tuples and shifts in one run mix
-            // time-tiled and count writes, which can break that).
-            let lasts: Vec<Time> = model.iter().filter_map(|m| m.times.last().copied()).collect();
-            if lasts.is_sorted() {
-                let by_tuples = (0..n).find(|&i| model[i].times.last().is_some_and(|&t| t > ts));
-                let want = by_tuples.or(n.checked_sub(1));
-                assert_eq!(g.covering_index_by_tuples(ts), want, "ts {ts}");
             }
         }
         let windows: Vec<((), Range)> = (0..12)
@@ -790,10 +746,10 @@ mod tests {
                             continue;
                         }
                         let ts = model[i].times.pop().unwrap_or_default();
-                        let new_last = model[i].times.last().copied().unwrap_or(TIME_MIN);
-                        g.shift_last(i, ts, new_last);
                         model[i + 1].times.insert(0, ts);
                         model[i + 1].times.sort_unstable();
+                        g.set_extent(i, model[i].extent());
+                        g.set_extent(i + 1, model[i + 1].extent());
                         "shift"
                     }
                     // Evict by time.

@@ -909,27 +909,12 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // tuple's slice exists and is correctly bounded).
         self.notify_context_aware(ts, out);
         if self.count_mode() {
-            // If earlier arrivals already filled the open slice to a count
-            // edge (the in-order path defers that cut to the next tuple),
-            // close it *before* inserting so the boundary exists and the
-            // shift cascade below sees correctly sized slices.
+            // Close an open slice that earlier arrivals filled to a count
+            // edge (the in-order path defers that cut) before the Figure-6
+            // shift, and after it if the insert reached the next edge. An
+            // empty store took this tuple in order, so a slice is there.
             self.advance_count_edges(self.max_ts);
-            // `process_tuple` sends a tuple to an empty store down the
-            // in-order path, so a slice is there to take this one.
-            if let Some(idx) = self.store.geometry().covering_index_by_tuples(ts) {
-                self.store.add_out_of_order_run(idx, &[(ts, value)]);
-                // Figure 6: restore count alignment by shifting the last
-                // tuple of each slice one slice further, starting at the
-                // insert slice. A tuple landing in the open (latest) slice
-                // needs no shift at all.
-                for i in idx..self.store.len() - 1 {
-                    if self.store.shift_last_into_next(i) {
-                        self.stats.shifts += 1;
-                    }
-                }
-            }
-            // The insert grew the total count; close the open slice if it
-            // just reached a count edge.
+            self.stats.shifts += cast::to_u64(self.store.add_out_of_order_counted(ts, value));
             self.advance_count_edges(self.max_ts);
         } else {
             let (idx, _) = self.late_slice_index(ts, None);

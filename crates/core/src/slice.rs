@@ -4,13 +4,14 @@
 //! times of its first and last tuple, a partial aggregate and — only when
 //! the workload requires it (Figure 4) — its source tuples. The store keeps
 //! these as columns (`SliceGeometry` for the times and counts, one column
-//! of partials, one of tuples while the plan keeps them); a [`Slice`] is a
-//! view of one position in them. The three operations — **merge**,
+//! of partials, one of tuples while the plan keeps them, a slice's count
+//! after its predecessors'); a [`Slice`] is a view of one position in
+//! them. The three operations — **merge**,
 //! **split** and **update** — are the store's, and workload
 //! characteristics decide what each costs and how often it runs.
 
 use crate::function::AggregateFunction;
-use crate::geometry::Extent;
+use crate::geometry::{Column, Extent};
 use crate::time::{Range, Time, TIME_MAX, TIME_MIN};
 
 /// One slice of a store, borrowed: `[t_start, t_end)`, its tuple extent,
@@ -72,12 +73,6 @@ impl<'a, A: AggregateFunction> Slice<'a, A> {
         self.aggregate
     }
 
-    /// Whether the store keeps source tuples (Figure-4 decision).
-    #[inline]
-    pub fn keeps_tuples(&self) -> bool {
-        self.tuples.is_some()
-    }
-
     /// The stored tuples, sorted by timestamp (ties in arrival order), if
     /// kept.
     pub fn tuples(&self) -> Option<&'a [(Time, A::Input)]> {
@@ -94,21 +89,25 @@ pub(crate) fn extent_of<V>(tuples: &[(Time, V)]) -> Extent {
     }
 }
 
-/// Merges the sorted late `run` into a slice's sorted `tuples` from the
-/// back, a stored block at a time: each run tuple lands *after* stored
-/// tuples with an equal timestamp, keeping arrival-order ties (paper
-/// Section 5.2, Update). Each stored tuple moves once, so a run of one is
-/// one memmove and a run of `k` costs `O(n + k)` moves.
-pub(crate) fn merge_late_run<V: Clone>(tuples: &mut Vec<(Time, V)>, run: &[(Time, V)]) {
-    // Grow by the run. Before run tuple `j` lands, `[0, i)` holds the
-    // stored tuples not moved yet and `[i, i + j]` the free slots; the
-    // stored block above its slot moves up past the free slots.
-    let mut i = tuples.len();
-    tuples.extend_from_slice(run);
+/// Merges the sorted late `run` into one slice's sorted `column[lo..hi]`
+/// from the back, a stored block at a time: each run tuple lands *after*
+/// stored tuples with an equal timestamp, keeping arrival-order ties
+/// (paper Section 5.2, Update). Each later and each stored tuple moves
+/// once, so a run of `k` costs `O(n + k)` moves.
+pub(crate) fn merge_late_run<V: Clone>(
+    column: &mut Column<(Time, V)>,
+    lo: usize,
+    hi: usize,
+    run: &[(Time, V)],
+) {
+    // Free slots at `[hi, hi + k)`. Before run tuple `j` lands, `[lo, i)`
+    // holds the stored tuples not moved yet and `[i, i + j]` the free slots.
+    column.insert_run(hi, run);
+    let mut i = hi;
     for (j, t) in run.iter().enumerate().rev() {
-        let p = tuples[..i].partition_point(|s| s.0 <= t.0);
+        let p = lo + column[lo..i].partition_point(|s| s.0 <= t.0);
         let (block, free) = (i - p, j + 1);
-        let span = &mut tuples[p..i + free];
+        let span = &mut column[p..i + free];
         if block <= free {
             // Swap with the top free slots: a rotation would move every
             // free slot again, `O(k²)` over a long run.
@@ -117,7 +116,7 @@ pub(crate) fn merge_late_run<V: Clone>(tuples: &mut Vec<(Time, V)>, run: &[(Time
         } else {
             span.rotate_right(free);
         }
-        tuples[p + j] = t.clone();
+        column[p + j] = t.clone();
         i = p;
     }
 }
@@ -215,11 +214,11 @@ mod tests {
         // A count shift comes from the predecessor slice: before them,
         // even when tied with them.
         st.add_out_of_order_run(0, &[(5, -1)]);
-        assert!(st.shift_last_into_next(0));
+        assert_eq!(st.add_out_of_order_counted(3, 9), 1);
         assert_eq!(st.slice(1).aggregate(), Some(&vec![-1, 1, 2, 3, 4]));
         assert_eq!(st.slice(1).len(), 5);
         assert_eq!((st.slice(1).t_first(), st.slice(1).t_last()), (5, 7));
-        assert_eq!(st.slice(0).aggregate(), Some(&vec![0]));
+        assert_eq!(st.slice(0).aggregate(), Some(&vec![9, 0]));
     }
 
     #[test]
@@ -401,9 +400,9 @@ mod tests {
     #[test]
     fn shift_with_invert_is_incremental() {
         let mut st = two(SumI64, true, &[(1, 1), (4, 4), (8, 8)], &[(12, 12)]);
-        assert!(st.shift_last_into_next(0));
-        assert_eq!(st.slice(0).aggregate(), Some(&5));
-        assert_eq!((st.slice(0).t_last(), st.slice(0).len()), (4, 2));
+        assert_eq!(st.add_out_of_order_counted(0, 100), 1);
+        assert_eq!(st.slice(0).aggregate(), Some(&105));
+        assert_eq!((st.slice(0).t_last(), st.slice(0).len()), (4, 3));
         assert_eq!(st.slice(1).aggregate(), Some(&20));
         assert_eq!(st.slice(1).t_first(), 8);
     }
@@ -411,21 +410,25 @@ mod tests {
     #[test]
     fn shift_without_invert_recomputes() {
         let mut st = two(SumNoInvert, true, &[(1, 1), (4, 4), (8, 8)], &[]);
-        assert!(st.shift_last_into_next(0));
-        assert_eq!(st.slice(0).aggregate(), Some(&5));
+        assert_eq!(st.add_out_of_order_counted(0, 100), 1);
+        assert_eq!(st.slice(0).aggregate(), Some(&105));
         assert_eq!(st.slice(1).aggregate(), Some(&8));
     }
 
     #[test]
-    fn shift_empties_slice() {
+    fn shift_passes_through_an_empty_slice() {
         let mut st = two(SumI64, true, &[(1, 1)], &[]);
-        assert!(st.shift_last_into_next(0));
-        let s = st.slice(0);
+        st.append_slice(Range::new(20, 30));
+        // Slice 1 takes (1, 1) and passes it on: it stays empty.
+        assert_eq!(st.add_out_of_order_counted(0, 5), 2);
+        let s = st.slice(1);
         assert!(s.is_empty() && s.aggregate().is_none());
         assert_eq!((s.t_first(), s.t_last()), (TIME_MAX, TIME_MIN));
-        assert!(!st.shift_last_into_next(0));
-        // No tuple column, nothing to move.
-        assert!(!two(SumI64, false, &[(1, 1)], &[]).shift_last_into_next(0));
+        assert_eq!((st.slice(0).aggregate(), st.slice(2).aggregate()), (Some(&5), Some(&1)));
+        // No tuple column, no count order: nothing is written.
+        let mut dropped = two(SumI64, false, &[(1, 1)], &[]);
+        assert_eq!(dropped.add_out_of_order_counted(0, 5), 0);
+        assert_eq!(dropped.total_count(), 1);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! A store is a `SliceGeometry` (where every slice lies, compiled once for
 //! every aggregate) plus columns that follow it: the partials, and the
-//! tuples while the `SlicePlan` keeps them. Only the fold and the write of
-//! a partial are generic; the plan decides the rest (Figures 4–6).
+//! tuples, in one column that split, merge and the count shift never move,
+//! while the `SlicePlan` keeps them. Only the fold and the write of a
+//! partial are generic; the plan decides the rest (Figures 4–6).
 //!
 //! Three variants extend the paper's lazy/eager distinction (Table 1 rows
 //! 5–8): the **lazy** store keeps only the columns and combines partials
@@ -19,7 +20,8 @@
 //!
 //! A slice changes through one store entry per kind of change, and one
 //! tuple is a run of one: an in-order run into the open slice, a sorted
-//! late run, a pre-folded late partial, and the count shift.
+//! late run, a pre-folded late partial, and a late tuple in count order
+//! with its Figure-6 shift.
 //!
 //! A trigger sweep's windows are resolved to slice ranges in one pass;
 //! when they all contain one slice boundary they are answered from one
@@ -33,10 +35,10 @@ use crate::characteristics::SlicePlan;
 use crate::fiba::FingerTree;
 use crate::flatfat::FlatFat;
 use crate::function::{is_holistic, AggregateFunction};
-use crate::geometry::{Extent, SliceGeometry, SweepPlan};
+use crate::geometry::{Column, Extent, SliceGeometry, SweepPlan};
 use crate::mem::HeapSize;
 use crate::slice::{extent_of, merge_late_run, Slice};
-use crate::time::{Range, Time, TIME_MIN};
+use crate::time::{Range, Time};
 
 /// Lazy vs. eager final aggregation (paper Section 3.4), plus the
 /// disorder-tuned eager variant.
@@ -123,9 +125,6 @@ impl<A: AggregateFunction> AggIndex<A> {
 /// an O(log n) index visit beats O(n) combines anyway.
 pub(crate) const INDEX_SCAN_CUTOFF: usize = 32;
 
-/// One slice's tuples, sorted by time (ties in arrival order).
-type Tuples<A> = Vec<(Time, <A as AggregateFunction>::Input)>;
-
 /// An ordered collection of slices: their geometry, their partials, their
 /// tuples while the plan keeps them, and an optional eager index.
 #[derive(Clone)]
@@ -135,8 +134,9 @@ pub struct SliceStore<A: AggregateFunction> {
     /// Slice `i`'s partial aggregate in event-time order; `None` iff the
     /// slice holds no tuple.
     partials: VecDeque<Option<A::Partial>>,
-    /// Slice `i`'s tuples: present iff the plan keeps tuples (Figure 4).
-    tuples: Option<VecDeque<Tuples<A>>>,
+    /// Present iff the plan keeps tuples (Figure 4), sorted by time (ties
+    /// in arrival order): slice `i`'s count of them after slices `0..i`'s.
+    tuples: Option<Column<(Time, A::Input)>>,
     plan: SlicePlan,
     /// Holistic partials are never copied into a shared scan.
     holistic: bool,
@@ -172,7 +172,7 @@ impl<A: AggregateFunction> SliceStore<A> {
             f,
             geometry: SliceGeometry::default(),
             partials: VecDeque::new(),
-            tuples: plan.keep_tuples.then(VecDeque::new),
+            tuples: plan.keep_tuples.then(Column::default),
             plan,
             index,
             index_live: policy != StorePolicy::FingerTree,
@@ -236,7 +236,7 @@ impl<A: AggregateFunction> SliceStore<A> {
                 !plan.keep_tuples || self.slices().all(|s| s.is_empty()),
                 "tuple storage cannot start over tuples it did not keep"
             );
-            self.tuples = plan.keep_tuples.then(|| (0..self.len()).map(|_| Vec::new()).collect());
+            self.tuples = plan.keep_tuples.then(Column::default);
         }
         self.plan = plan;
     }
@@ -246,12 +246,19 @@ impl<A: AggregateFunction> SliceStore<A> {
             range: Range::new(self.geometry.start(i), self.geometry.end(i)),
             extent: self.geometry.extent(i),
             aggregate: self.partials[i].as_ref(),
-            tuples: self.tuples.as_ref().map(|t| t[i].as_slice()),
+            tuples: self.tuples.as_deref().zip(self.tuple_range(i)).map(|(t, r)| &t[r]),
         }
     }
 
     pub fn slices(&self) -> impl Iterator<Item = Slice<'_, A>> {
         (0..self.len()).map(|i| self.slice(i))
+    }
+
+    /// Where slice `i`'s tuples lie in the column, if kept: counted back
+    /// over the later slices, whose tuples a write into slice `i` moves.
+    fn tuple_range(&self, i: usize) -> Option<std::ops::Range<usize>> {
+        let end = self.tuples.as_ref()?.len() - self.geometry.tuples_in(i + 1..self.len());
+        Some(end - self.geometry.extent(i).count..end)
     }
 
     /// Appends a fresh empty slice covering `range`. The caller (stream
@@ -284,7 +291,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Inserts a slice into a coverage gap (late tuples landing between
     /// existing slices). Returns the insertion index. The range must not
     /// overlap existing slices.
-    pub(crate) fn insert_gap_slice(&mut self, range: Range) -> usize {
+    pub fn insert_gap_slice(&mut self, range: Range) -> usize {
         let idx = self.geometry.insert_gap(range);
         self.open_columns(idx);
         #[cfg(feature = "audit")]
@@ -295,23 +302,27 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Opens the columns of the empty slice the geometry placed at `idx`.
     fn open_columns(&mut self, idx: usize) {
         self.partials.insert(idx, None);
-        if let Some(tuples) = &mut self.tuples {
-            tuples.insert(idx, Vec::new());
-        }
         if self.index_live {
             self.index.insert(idx, None);
         }
     }
 
-    /// Dense structural checks for the audit build: the geometry's, every
-    /// column as long as the geometry, and a live index with exactly one
-    /// leaf per slice.
+    /// Dense structural checks for the audit build: the geometry's, the
+    /// partial column as long as the geometry, each slice's tuples as its
+    /// extent says, and a live index with exactly one leaf per slice.
     #[cfg(feature = "audit")]
     pub fn assert_invariants(&self) {
         self.geometry.assert_invariants();
         let n = self.len();
         assert_eq!(self.partials.len(), n, "partial column out of sync with slices");
-        assert!(self.tuples.as_ref().is_none_or(|t| t.len() == n), "tuple column out of sync");
+        if let Some(tuples) = &self.tuples {
+            let rest = (0..n).fold(&tuples[..], |rest, i| {
+                let (slice, rest) = rest.split_at(self.geometry.extent(i).count);
+                assert_eq!(extent_of(slice), self.geometry.extent(i), "slice {i}");
+                rest
+            });
+            assert!(rest.is_empty(), "tuple column out of sync");
+        }
         match &self.index {
             AggIndex::None => {}
             AggIndex::Flat(t) => {
@@ -355,7 +366,7 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.absorb(idx, p);
         self.geometry.widen(idx, Extent { count: times.len(), t_first, t_last });
         if let Some(tuples) = &mut self.tuples {
-            tuples[idx].extend(times.iter().copied().zip(values.iter().cloned()));
+            tuples.extend(times.iter().copied().zip(values.iter().cloned()));
         }
         self.refresh_leaf(idx);
     }
@@ -371,16 +382,17 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// timestamps, with one index leaf write. Where the plan recomputes
     /// late inserts (Section 5.2), the partial is refolded from the
     /// tuples; otherwise the run's lifted fold is combined in with one ⊕.
-    pub(crate) fn add_out_of_order_run(&mut self, idx: usize, run: &[(Time, A::Input)]) {
+    pub fn add_out_of_order_run(&mut self, idx: usize, run: &[(Time, A::Input)]) {
         let (Some(&(t_first, _)), Some(&(t_last, _))) = (run.first(), run.last()) else {
             return;
         };
         debug_assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
+        let range = self.tuple_range(idx);
         self.geometry.widen(idx, Extent { count: run.len(), t_first, t_last });
         debug_assert!(self.keeps_tuples() || !self.plan.late_recomputes, "Figure 4 keeps them");
-        let refolded = self.tuples.as_mut().and_then(|tuples| {
-            merge_late_run(&mut tuples[idx], run);
-            let values = tuples[idx].iter().map(|(_, v)| v);
+        let refolded = range.zip(self.tuples.as_mut()).and_then(|(range, tuples)| {
+            merge_late_run(tuples, range.start, range.end, run);
+            let values = tuples[range.start..range.end + run.len()].iter().map(|(_, v)| v);
             self.plan.late_recomputes.then(|| self.f.lift_all(values))
         });
         match refolded {
@@ -452,29 +464,24 @@ impl<A: AggregateFunction> SliceStore<A> {
     }
 
     /// The column side of a split of slice `idx` at `ts`: divides its
-    /// tuples and partial, has the geometry split, and opens slice
-    /// `idx + 1` with the right part.
+    /// partial (its tuples stay where they are), has the geometry split,
+    /// and opens slice `idx + 1` with the right part.
     fn split_columns(&mut self, idx: usize, ts: Time) -> bool {
         let whole = self.geometry.extent(idx);
-        let (left, right, moved, right_partial) = if ts > whole.t_last {
-            (whole, Extent::EMPTY, Vec::new(), None)
+        let (left, right, left_partial, right_partial) = if ts > whole.t_last {
+            (whole, Extent::EMPTY, self.partials[idx].take(), None)
         } else if ts <= whole.t_first {
-            let moved = self.tuples.as_mut().map(|t| std::mem::take(&mut t[idx]));
-            (Extent::EMPTY, whole, moved.unwrap_or_default(), self.partials[idx].take())
-        } else if let Some(tuples) = &mut self.tuples {
-            let stay = &mut tuples[idx];
-            let moved = stay.split_off(stay.partition_point(|(t, _)| *t < ts));
-            self.partials[idx] = self.f.lift_all(stay.iter().map(|(_, v)| v));
-            let right_partial = self.f.lift_all(moved.iter().map(|(_, v)| v));
-            (extent_of(stay), extent_of(&moved), moved, right_partial)
+            (Extent::EMPTY, whole, None, self.partials[idx].take())
+        } else if let Some(tuples) = self.slice(idx).tuples() {
+            let (stay, moved) = tuples.split_at(tuples.partition_point(|(t, _)| *t < ts));
+            let fold = |part: &[(Time, A::Input)]| self.f.lift_all(part.iter().map(|(_, v)| v));
+            (extent_of(stay), extent_of(moved), fold(stay), fold(moved))
         } else {
             return false;
         };
         self.geometry.split(idx, ts, left, right);
+        self.partials[idx] = left_partial;
         self.partials.insert(idx + 1, right_partial);
-        if let Some(tuples) = &mut self.tuples {
-            tuples.insert(idx + 1, moved);
-        }
         if self.index_live {
             self.index.insert(idx + 1, None);
         }
@@ -484,10 +491,10 @@ impl<A: AggregateFunction> SliceStore<A> {
     }
 
     /// Merges the two slices adjacent at edge `ts` (`slices[i].end == ts ==
-    /// slices[i+1].start`): `agg ← agg ⊕ next.agg`, tuples appended.
-    /// Returns `false` if `ts` is not such an edge.
+    /// slices[i+1].start`): `agg ← agg ⊕ next.agg`, their adjacent tuples
+    /// one range. Returns `false` if `ts` is not such an edge.
     #[inline]
-    pub(crate) fn merge_at(&mut self, ts: Time) -> bool {
+    pub fn merge_at(&mut self, ts: Time) -> bool {
         self.geometry.merge_at(ts).map(|idx| self.merge_columns(idx)).is_some()
     }
 
@@ -496,10 +503,6 @@ impl<A: AggregateFunction> SliceStore<A> {
         let right = self.partials.remove(idx + 1).flatten();
         let left = self.partials[idx].take();
         self.partials[idx] = self.f.combine_opt(left, right.as_ref());
-        if let Some(tuples) = &mut self.tuples {
-            let right = tuples.remove(idx + 1).unwrap_or_default();
-            tuples[idx].extend(right);
-        }
         if self.index_live {
             self.index.remove(idx + 1);
         }
@@ -717,12 +720,12 @@ impl<A: AggregateFunction> SliceStore<A> {
     }
 
     /// Number of tuples (absolute count) with timestamp `<= ts`, counting
-    /// evicted tuples. Requires stored tuples for the partially-covered
-    /// slice; exact because count workloads always store tuples.
-    pub(crate) fn count_at_or_before(&self, ts: Time) -> u64 {
-        let (count, i) = self.geometry.count_through(ts);
-        let within = self.tuples.as_ref().and_then(|t| t.get(i));
-        count + within.map_or(0, |t| cast::to_u64(t.partition_point(|(t, _)| *t <= ts)))
+    /// evicted tuples: a search of the tuple column, which count windows
+    /// keep on a disordered stream (Figure 4); without it, every tuple.
+    pub fn count_at_or_before(&self, ts: Time) -> u64 {
+        self.tuples.as_deref().map_or(self.total_count(), |t| {
+            self.total_count() - cast::to_u64(t.len() - t.partition_point(|(t, _)| *t <= ts))
+        })
     }
 
     /// Total number of tuples ever added (absolute count).
@@ -730,41 +733,54 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.geometry.total_count()
     }
 
-    /// Moves the last tuple of slice `idx` into slice `idx + 1` (the
-    /// Figure-6 shift for count-based windows), to the front of its
-    /// timestamp group: it comes from the predecessor, so its count
-    /// position precedes everything there. The source tries one ⊖ and
-    /// recomputes from its tuples where ⊖ is not exact (`None`); the
-    /// destination combines the tuple in, or recomputes where the plan
-    /// recomputes late inserts. Returns `false` without a successor,
-    /// with an empty slice, or without a tuple column.
-    pub(crate) fn shift_last_into_next(&mut self, idx: usize) -> bool {
-        let Some(tuples) = &mut self.tuples else {
-            return false;
+    /// Index of the slice an out-of-order tuple at `ts` joins in a
+    /// count-delimited store: the first whose last tuple lies after `ts`
+    /// (count ties break by arrival order), else the latest; `None` without
+    /// slices. It walks back the extents the count shift walks next.
+    pub fn covering_index_by_count(&self, ts: Time) -> Option<usize> {
+        let last = self.len().checked_sub(1)?;
+        let earlier =
+            (0..last).rev().map(|i| (i, self.geometry.extent(i))).filter(|e| e.1.count > 0);
+        Some(earlier.take_while(|e| e.1.t_last > ts).last().map_or(last, |e| e.0))
+    }
+
+    /// Adds an out-of-order tuple to a count-delimited store (Figure 6):
+    /// it takes its count position, in slice `covering_index_by_count(ts)`,
+    /// and each later slice passes its last tuple on, so every count edge
+    /// stays where it is and no tuple moves. A slice tries one ⊖ for the
+    /// tuple it passes on and refolds where ⊖ is not exact (`None`), and
+    /// combines in the one it takes, or refolds where the plan recomputes
+    /// late inserts. Returns the shifts; writes nothing without a slice or
+    /// tuple column.
+    pub fn add_out_of_order_counted(&mut self, ts: Time, value: A::Input) -> usize {
+        let (Some(idx), Some(mut tuples)) = (self.covering_index_by_count(ts), self.tuples.take())
+        else {
+            return 0;
         };
-        if idx + 1 >= tuples.len() {
-            return false;
+        let last = self.len() - 1;
+        let mut start = tuples.len() - self.geometry.tuples_in(idx..last + 1);
+        // Slice `i` takes the tuple at `taken`: the late one, then its
+        // predecessor's last; it passes its own last on, the next's first.
+        let slice = &tuples[start..start + self.geometry.extent(idx).count];
+        let mut taken = start + slice.partition_point(|(t, _)| *t <= ts);
+        tuples.insert_run(taken, &[(ts, value)]);
+        for i in idx..=last {
+            let f = &self.f;
+            let range = start..start + self.geometry.extent(i).count + usize::from(i == last);
+            let kept = match self.partials[i].take().filter(|_| !self.plan.late_recomputes) {
+                Some(a) if i < last => f.invert(a, &f.lift(&tuples[range.end].1)),
+                a => a,
+            };
+            self.partials[i] = match kept {
+                Some(a) => Some(f.combine(a, &f.lift(&tuples[taken].1))),
+                None => f.lift_all(tuples[range.clone()].iter().map(|(_, v)| v)),
+            };
+            self.geometry.set_extent(i, extent_of(&tuples[range.clone()]));
+            (start, taken) = (range.end, range.end);
+            self.refresh_leaf(i);
         }
-        let Some((ts, value)) = tuples[idx].pop() else {
-            return false;
-        };
-        let (f, rest) = (&self.f, &tuples[idx]);
-        let source = self.partials[idx].take().filter(|_| !rest.is_empty()).and_then(|a| {
-            f.invert(a, &f.lift(&value)).or_else(|| f.lift_all(rest.iter().map(|(_, v)| v)))
-        });
-        let new_last = rest.last().map_or(TIME_MIN, |t| t.0);
-        self.partials[idx] = source;
-        let next = &mut tuples[idx + 1];
-        next.insert(next.partition_point(|(t, _)| *t < ts), (ts, value.clone()));
-        if self.plan.late_recomputes {
-            self.partials[idx + 1] = f.lift_all(next.iter().map(|(_, v)| v));
-        } else {
-            self.absorb(idx + 1, self.f.lift(&value));
-        }
-        self.geometry.shift_last(idx, ts, new_last);
-        self.refresh_leaf(idx);
-        self.refresh_leaf(idx + 1);
-        true
+        self.tuples = Some(tuples);
+        last - idx
     }
 
     /// Evicts every slice whose end lies at or before `ts`. Returns the
@@ -778,6 +794,9 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Evicts the first `k` slices unconditionally.
     #[inline]
     pub(crate) fn evict_first(&mut self, k: usize) {
+        if let Some(tuples) = &mut self.tuples {
+            tuples.drop_front(self.geometry.tuples_in(0..k));
+        }
         self.geometry.evict(k);
         self.drop_columns(k);
     }
@@ -785,9 +804,6 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// The column side of evicting the first `k` slices.
     fn drop_columns(&mut self, k: usize) {
         self.partials.drain(..k);
-        if let Some(tuples) = &mut self.tuples {
-            tuples.drain(..k);
-        }
         if self.index_live {
             self.index.remove_prefix(k);
         }
@@ -797,7 +813,7 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     /// Evicts leading slices whose tuples are entirely below the absolute
     /// count `keep_from` (count-measure eviction).
-    pub(crate) fn evict_keeping_counts(&mut self, keep_from: u64) -> usize {
+    pub fn evict_keeping_counts(&mut self, keep_from: u64) -> usize {
         let k = self.geometry.count_evictable(keep_from);
         self.evict_first(k);
         k
@@ -826,7 +842,10 @@ impl<A: AggregateFunction> HeapSize for SliceStore<A> {
     fn heap_bytes(&self) -> usize {
         self.geometry.heap_bytes()
             + self.partials.heap_bytes()
-            + self.tuples.heap_bytes()
+            + self
+                .tuples
+                .as_ref()
+                .map_or(0, |t| t.heap_bytes() + t.iter().map(HeapSize::heap_bytes).sum::<usize>())
             + match &self.index {
                 AggIndex::None => 0,
                 AggIndex::Flat(t) => t.heap_bytes(),
@@ -1081,92 +1100,95 @@ mod tests {
     }
 
     #[test]
-    fn shift_moves_last_tuple_to_successor() {
+    fn counted_late_tuple_shifts_every_later_slice() {
         let mut st = filled(StorePolicy::Lazy, true);
-        assert!(st.shift_last_into_next(0));
-        // Tuple (5,5) moved from slice 0 to slice 1.
-        assert_eq!(st.slice(0).len(), 1);
-        assert_eq!(st.slice(1).len(), 2);
-        assert_eq!(st.slice(0).aggregate(), Some(&1));
-        assert_eq!(st.slice(1).aggregate(), Some(&17));
-        // Count boundaries now: 0,1,3,5.
-        assert_eq!(st.query_count(0, 1), Some(1));
-        assert_eq!(st.query_count(1, 3), Some(17));
+        // (3, 3) lands in slice 0, which passes (5, 5) on; slice 1 passes
+        // (12, 12) on to the open slice.
+        assert_eq!(st.add_out_of_order_counted(3, 3), 2);
+        let lens: Vec<usize> = st.slices().map(|s| s.len()).collect();
+        assert_eq!(lens, [2, 1, 3]);
+        let firsts_lasts: Vec<_> = st.slices().map(|s| (s.t_first(), s.t_last())).collect();
+        assert_eq!(firsts_lasts, [(1, 3), (5, 5), (12, 29)]);
+        assert_eq!(st.slice(1).tuples(), Some(&[(5, 5)][..]));
+        // Count boundaries stay at 0, 2, 3; the open slice grew.
+        assert_eq!(st.query_count(0, 2), Some(4));
+        assert_eq!(st.query_count(2, 3), Some(5));
+        assert_eq!(st.query_count(3, 6), Some(62));
+        assert_eq!(st.total_count(), 6);
+        // A tuple landing in the open slice shifts nothing.
+        assert_eq!(st.add_out_of_order_counted(28, 28), 0);
+        assert_eq!(st.slice(2).tuples(), Some(&[(12, 12), (21, 21), (28, 28), (29, 29)][..]));
     }
 
     #[test]
-    fn shift_preserves_event_time_order_for_non_commutative() {
+    fn counted_late_tuple_keeps_event_time_order_for_non_commutative() {
         let mut st: SliceStore<Concat> = SliceStore::new(Concat, StorePolicy::Lazy, true);
         st.append_slice(Range::new(0, 10));
         st.add_one(1, 1);
         st.add_one(8, 8);
         st.append_slice(Range::new(10, 20));
         st.add_one(11, 11);
-        assert!(st.shift_last_into_next(0));
+        assert_eq!(st.add_out_of_order_counted(5, 5), 1);
+        assert_eq!(st.slice(0).aggregate(), Some(&vec![1, 5]));
         assert_eq!(st.slice(1).aggregate(), Some(&vec![8, 11]));
     }
 
     #[test]
-    fn shift_above_the_minimum_inverts_without_refolding() {
+    fn counted_shift_above_the_minimum_inverts_without_refolding() {
         let f = Lifts::new(MinI64);
         let mut st = SliceStore::new(f.clone(), StorePolicy::Lazy, true);
         st.append_slice(Range::new(0, 10));
         st.add_in_order_run_columns(&[1, 2, 3, 4, 5], &[5, 8, 3, 6, 9]);
         st.append_slice(Range::new(10, 20));
         st.add_in_order_run_columns(&[12], &[7]);
-        // 9 lies above the minimum: ⊖ answers, so the only lifts are the
-        // shifted tuple's, once for ⊖ and once for the successor's ⊕.
+        // Slice 0 passes 9 on, above its minimum: ⊖ answers, so the only
+        // lifts are 9's for ⊖, and the late tuple's and 9's for the ⊕s.
         let before = f.count();
-        assert!(st.shift_last_into_next(0));
-        assert_eq!(f.count() - before, 2);
+        assert_eq!(st.add_out_of_order_counted(0, 10), 1);
+        assert_eq!(f.count() - before, 3);
         assert_eq!((st.slice(0).aggregate(), st.slice(1).aggregate()), (Some(&3), Some(&7)));
-        // 6 too; then 3 is the minimum itself, and the two tuples left are
-        // refolded.
-        assert!(st.shift_last_into_next(0));
+        // 6 too; then 3 is the minimum itself, and slice 0's five tuples
+        // are refolded.
+        assert_eq!(st.add_out_of_order_counted(0, 10), 1);
         let before = f.count();
-        assert!(st.shift_last_into_next(0));
-        assert_eq!(f.count() - before, 2 + 2);
+        assert_eq!(st.add_out_of_order_counted(0, 10), 1);
+        assert_eq!(f.count() - before, 1 + 5 + 1);
         assert_eq!((st.slice(0).aggregate(), st.slice(1).aggregate()), (Some(&5), Some(&3)));
     }
 
     #[test]
-    fn shift_without_successor_fails() {
-        let mut st = filled(StorePolicy::Lazy, true);
-        assert!(!st.shift_last_into_next(2));
-    }
-
-    #[test]
-    fn covering_index_by_tuples_places_ties_after_equals() {
+    fn covering_index_by_count_places_ties_after_equals() {
         // Slice t_lasts: 5, 12, 29. A tuple tied with a slice's last tuple
         // belongs to the *next* slice (its count position follows every
         // stored equal-timestamp tuple).
         let st = filled(StorePolicy::Lazy, true);
-        assert_eq!(st.geometry().covering_index_by_tuples(0), Some(0));
-        assert_eq!(st.geometry().covering_index_by_tuples(5), Some(1));
-        assert_eq!(st.geometry().covering_index_by_tuples(6), Some(1));
-        assert_eq!(st.geometry().covering_index_by_tuples(12), Some(2));
-        assert_eq!(st.geometry().covering_index_by_tuples(13), Some(2));
-        assert_eq!(st.geometry().covering_index_by_tuples(99), Some(2));
+        assert_eq!(st.covering_index_by_count(0), Some(0));
+        assert_eq!(st.covering_index_by_count(5), Some(1));
+        assert_eq!(st.covering_index_by_count(6), Some(1));
+        assert_eq!(st.covering_index_by_count(12), Some(2));
+        assert_eq!(st.covering_index_by_count(13), Some(2));
+        assert_eq!(st.covering_index_by_count(99), Some(2));
     }
 
     #[test]
-    fn covering_index_by_tuples_skips_empty_slices() {
+    fn covering_index_by_count_skips_empty_slices() {
         let mut st = store(StorePolicy::Lazy, true);
         st.append_slice(Range::new(0, 10));
         st.add_one(5, 5);
-        st.append_slice(Range::new(10, 20)); // drained by shifts: empty
+        st.append_slice(Range::new(10, 20)); // empty
         st.append_slice(Range::new(20, 30));
         st.add_one(25, 25);
         st.append_slice(Range::new(30, 40)); // open slice, still empty
-        assert_eq!(st.geometry().covering_index_by_tuples(0), Some(0));
+        assert_eq!(st.covering_index_by_count(0), Some(0));
         // Tie with (5, ·): lands after it, in the next *non-empty* slice.
-        assert_eq!(st.geometry().covering_index_by_tuples(5), Some(2));
-        assert_eq!(st.geometry().covering_index_by_tuples(24), Some(2));
+        assert_eq!(st.covering_index_by_count(5), Some(2));
+        assert_eq!(st.covering_index_by_count(24), Some(2));
         // Nothing stored after ts: falls back to the latest slice.
-        assert_eq!(st.geometry().covering_index_by_tuples(25), Some(3));
-        assert_eq!(st.geometry().covering_index_by_tuples(99), Some(3)); // No slice, no lookup: the operator routes such a tuple in order.
+        assert_eq!(st.covering_index_by_count(25), Some(3));
+        assert_eq!(st.covering_index_by_count(99), Some(3));
+        // No slice, no lookup: the operator routes such a tuple in order.
         let none = store(StorePolicy::Lazy, true);
-        assert_eq!(none.geometry().covering_index_by_tuples(3), None);
+        assert_eq!(none.covering_index_by_count(3), None);
     }
 
     #[test]
@@ -1698,9 +1720,9 @@ mod tests {
     #[test]
     fn set_plan_drops_existing_tuples() {
         let mut st = filled(StorePolicy::Lazy, true);
-        assert!(st.slice(0).keeps_tuples());
+        assert!(st.slice(0).tuples().is_some());
         st.set_plan(SlicePlan::standalone(&SumI64, false));
-        assert!(!st.keeps_tuples() && !st.slice(0).keeps_tuples());
+        assert!(!st.keeps_tuples() && st.slice(0).tuples().is_none());
         // Aggregates survive.
         assert_eq!(st.query_time(Range::new(0, 30)), Some(68));
     }

@@ -453,7 +453,7 @@ fn in_order_stream_never_stores_tuples_for_cf_windows() {
     run_in_order(&mut op, &tuples);
     assert!(!op.store().keeps_tuples());
     for s in op.store().slices() {
-        assert!(!s.keeps_tuples());
+        assert!(s.tuples().is_none());
     }
 }
 

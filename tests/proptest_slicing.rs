@@ -47,26 +47,35 @@ fn disorder(tuples: &[(Time, i64)], strength: usize) -> Vec<(Time, i64)> {
 
 /// Runs `f` over `arrivals` with one count window of `length` tuples
 /// sliding by `slide` (tumbling when equal), each tuple's input built from
-/// its value and arrival index, and holds every final against
-/// `lower(lift_all(canon[c1..c2]))`; every window inside the stream must
-/// fire.
+/// its time, value and arrival index, and holds every window's last
+/// emission against `lower(lift_all(canon[c1..c2]))`; every window inside
+/// the stream must fire. With `every`, a watermark follows every `every`
+/// arrivals at one below the earliest time still to come: no tuple is
+/// dropped, and count eviction drains the store mid-stream.
 fn check_count_windows<A>(
     f: A,
-    input: impl Fn(i64, usize) -> A::Input,
+    input: impl Fn(Time, i64, usize) -> A::Input,
     arrivals: &[(Time, i64)],
     (length, slide): (u64, u64),
+    every: Option<usize>,
 ) -> Result<(), TestCaseError>
 where
     A: AggregateFunction,
     A::Output: PartialEq + std::fmt::Debug,
 {
+    // The earliest time at or after each arrival.
+    let mut suffix_min: Vec<Time> = arrivals.iter().map(|&(t, _)| t).collect();
+    for i in (1..suffix_min.len()).rev() {
+        suffix_min[i - 1] = suffix_min[i - 1].min(suffix_min[i]);
+    }
     let arrivals: Vec<(Time, A::Input)> =
-        arrivals.iter().enumerate().map(|(i, &(t, v))| (t, input(v, i))).collect();
+        arrivals.iter().enumerate().map(|(i, &(t, v))| (t, input(t, v, i))).collect();
     // Count positions tie-break by arrival order, like the operator:
     // the sort is stable.
     let mut canon = arrivals.clone();
     canon.sort_by_key(|(t, _)| *t);
-    let mut op = WindowOperator::new(f.clone(), OperatorConfig::out_of_order(1_000_000));
+    let lateness = if every.is_some() { 0 } else { 1_000_000 };
+    let mut op = WindowOperator::new(f.clone(), OperatorConfig::out_of_order(lateness));
     let window: Box<dyn WindowFunction> = if slide == length {
         Box::new(CountTumblingWindow::new(length))
     } else {
@@ -74,9 +83,13 @@ where
     };
     op.add_query(window).unwrap();
     let mut out = Vec::new();
-    for (ts, v) in arrivals {
+    for (i, (ts, v)) in arrivals.into_iter().enumerate() {
         op.process_tuple(ts, v, &mut out);
+        if let Some(&next) = suffix_min.get(i + 1).filter(|_| every.is_some_and(|k| i % k == 0)) {
+            op.process_watermark(next - 1, &mut out);
+        }
     }
+    prop_assert_eq!(op.stats().dropped_late, 0);
     op.process_watermark(i64::MAX - 1, &mut out);
     let mut finals = BTreeMap::new();
     for r in &out {
@@ -217,26 +230,31 @@ proptest! {
     /// Count tumbling and sliding windows cut the event-time-sorted stream
     /// into chunks of counts, regardless of arrival order (the Figure-6
     /// shift), for every function class: ⊖ exact (`Sum`), absent
-    /// (`SumNoInvert`, `Concat`) or partial (`Min`, `MaxCount`, `ArgMin`).
+    /// (`SumNoInvert`, `M4`, `Concat`) or partial (`Min`, `MaxCount`,
+    /// `ArgMin`) — with the store evicted mid-stream by watermarks, or
+    /// not.
     #[test]
     fn count_windows_chunk_sorted_stream(
         raw in prop::collection::vec((0i64..2_000, -100i64..100), 1..200),
         length in 1u64..30,
         slide in prop_oneof![Just(None), (0u64..30).prop_map(Some)],
         strength in 0usize..30,
-        function in 0usize..6,
+        function in 0usize..7,
+        every in prop_oneof![Just(None), (1usize..8).prop_map(Some)],
     ) {
         let arrivals = disorder(&sorted(&raw), strength);
         // Tumbling, or sliding by 1..=length tuples.
         let slide = slide.map_or(length, |s| 1 + s % length);
-        let window = (length, slide);
+        let w = (length, slide);
+        let a = &arrivals;
         match function {
-            0 => check_count_windows(Sum, |v, _| v, &arrivals, window)?,
-            1 => check_count_windows(SumNoInvert, |v, _| v, &arrivals, window)?,
-            2 => check_count_windows(Min, |v, _| v, &arrivals, window)?,
-            3 => check_count_windows(MaxCount, |v, _| v, &arrivals, window)?,
-            4 => check_count_windows(ArgMin, |v, i| (v, i as i64), &arrivals, window)?,
-            _ => check_count_windows(Concat, |v, _| v, &arrivals, window)?,
+            0 => check_count_windows(Sum, |_, v, _| v, a, w, every)?,
+            1 => check_count_windows(SumNoInvert, |_, v, _| v, a, w, every)?,
+            2 => check_count_windows(Min, |_, v, _| v, a, w, every)?,
+            3 => check_count_windows(MaxCount, |_, v, _| v, a, w, every)?,
+            4 => check_count_windows(ArgMin, |_, v, i| (v, i as i64), a, w, every)?,
+            5 => check_count_windows(M4, |t, v, _| (t, v), a, w, every)?,
+            _ => check_count_windows(Concat, |_, v, _| v, a, w, every)?,
         }
     }
 
