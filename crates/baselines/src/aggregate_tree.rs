@@ -11,11 +11,9 @@
 use std::collections::VecDeque;
 
 use gss_core::{
-    AggregateFunction, ContextEdges, Count, FlatFat, HeapSize, Measure, Range, StreamOrder, Time,
-    WindowAggregator, WindowFunction, WindowResult, TIME_MIN,
+    AggregateFunction, ContextEdges, Count, FlatFat, HeapSize, Measure, QuerySet, Range,
+    StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, TIME_MIN,
 };
-
-use crate::common::QuerySet;
 
 /// Window aggregation over a FlatFAT tree of tuples.
 pub struct AggregateTree<A: AggregateFunction> {
@@ -41,7 +39,7 @@ impl<A: AggregateFunction> AggregateTree<A> {
             f,
             order,
             allowed_lateness,
-            queries: QuerySet::new(),
+            queries: QuerySet::default(),
             times: VecDeque::new(),
             evicted: 0,
             watermark: TIME_MIN,
@@ -84,7 +82,7 @@ impl<A: AggregateFunction> AggregateTree<A> {
     }
 
     fn emit(&mut self, wm: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        let count_wm = if self.queries.has_count_measure() {
+        let count_wm = if self.queries.has(Measure::Count) {
             if self.order.is_in_order() {
                 self.evicted + self.times.len() as Count
             } else {
@@ -94,8 +92,8 @@ impl<A: AggregateFunction> AggregateTree<A> {
             0
         };
         let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        self.queries
-            .trigger(wm, count_wm, self.first_ts, self.max_ts, |id, m, r| windows.push((id, m, r)));
+        let first = Some(self.first_ts);
+        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, r| windows.push((id, m, r)));
         for (id, m, r) in windows {
             let p = match m {
                 Measure::Time => self.aggregate_time(r),
@@ -110,18 +108,13 @@ impl<A: AggregateFunction> AggregateTree<A> {
 
     fn emit_updates(&mut self, ts: Time, out: &mut Vec<WindowResult<A::Output>>) {
         let wm = self.watermark;
-        let count_pos = self.evicted + self.times.partition_point(|t| *t <= ts) as Count - 1;
-        let count_wm = self.evicted + self.times.partition_point(|t| *t <= wm) as Count;
+        let counts = self.queries.has(Measure::Count).then(|| {
+            let position = self.evicted + self.times.partition_point(|t| *t <= ts) as Count - 1;
+            (position, self.evicted + self.times.partition_point(|t| *t <= wm) as Count)
+        });
         let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        self.queries.containing(ts, count_pos, |id, m, r| windows.push((id, m, r)));
+        self.queries.updates(ts, wm, counts, |id, m, r| windows.push((id, m, r)));
         for (id, m, r) in windows {
-            let fresh = match m {
-                Measure::Time => r.end <= wm,
-                Measure::Count => (r.end as Count) <= count_wm,
-            };
-            if !fresh {
-                continue;
-            }
             let p = match m {
                 Measure::Time => self.aggregate_time(r),
                 Measure::Count => self.aggregate_count(r.start as Count, r.end as Count),
@@ -134,16 +127,10 @@ impl<A: AggregateFunction> AggregateTree<A> {
 
     fn evict(&mut self, wm: Time) {
         let lateness = if self.order.is_in_order() { 0 } else { self.allowed_lateness };
-        let mut boundary =
-            wm.saturating_sub(lateness).saturating_sub(self.queries.max_time_extent());
-        for q in self.queries.iter() {
-            if let Some(p) = q.window.earliest_pending_start() {
-                boundary = boundary.min(p);
-            }
-        }
-        let mut k = self.times.partition_point(|t| *t < boundary);
-        if self.queries.has_count_measure() {
-            let keep = self.queries.max_count_extent() as usize;
+        let horizon = self.queries.horizon(wm, lateness);
+        let mut k = self.times.partition_point(|t| *t < horizon);
+        if self.queries.has(Measure::Count) {
+            let keep = self.queries.max_extent(Measure::Count) as usize;
             k = k.min(self.times.len().saturating_sub(keep));
         }
         if k > 0 {

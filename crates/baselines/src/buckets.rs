@@ -16,11 +16,9 @@
 use std::collections::BTreeMap;
 
 use gss_core::{
-    AggregateFunction, ContextEdges, Count, HeapSize, Measure, QueryId, Range, StreamOrder, Time,
-    WindowAggregator, WindowFunction, WindowResult, TIME_MIN,
+    AggregateFunction, ContextEdges, Count, HeapSize, Measure, QueryId, QuerySet, Range,
+    StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, TIME_MIN,
 };
-
-use crate::common::QuerySet;
 
 /// Bucket storage mode (Table 1 rows 3 vs. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +89,7 @@ impl<A: AggregateFunction> Buckets<A> {
             mode,
             order,
             allowed_lateness,
-            queries: QuerySet::new(),
+            queries: QuerySet::default(),
             buckets: BTreeMap::new(),
             watermark: TIME_MIN,
             max_ts: TIME_MIN,
@@ -132,7 +130,7 @@ impl<A: AggregateFunction> Buckets<A> {
         let mut ranges: Vec<Range> = Vec::new();
         for q in self.queries.iter() {
             ranges.clear();
-            match q.window.measure() {
+            match q.measure() {
                 Measure::Time => q.window.windows_containing(ts, &mut |r| ranges.push(r)),
                 Measure::Count => {
                     q.window.windows_containing(count_pos as Time, &mut |r| ranges.push(r))
@@ -192,8 +190,8 @@ impl<A: AggregateFunction> Buckets<A> {
         // of stream order.
         let count_wm = self.total_count;
         let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
-        self.queries
-            .trigger(wm, count_wm, self.first_ts, self.max_ts, |id, m, r| windows.push((id, m, r)));
+        let first = Some(self.first_ts);
+        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, r| windows.push((id, m, r)));
         for (id, m, r) in windows {
             let key = match m {
                 Measure::Time => r.start,
@@ -211,11 +209,9 @@ impl<A: AggregateFunction> Buckets<A> {
     fn emit_updates(&mut self, ts: Time, out: &mut Vec<WindowResult<A::Output>>) {
         let wm = self.watermark;
         let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
-        self.queries.containing(ts, 0, |id, m, r| {
-            if m == Measure::Time && r.end <= wm {
-                windows.push((id, m, r));
-            }
-        });
+        // Arrival counts: a late tuple takes the next count position and
+        // shifts no count window.
+        self.queries.updates(ts, wm, None, |id, m, r| windows.push((id, m, r)));
         for (id, m, r) in windows {
             if let Some(b) = self.buckets.get(&id).and_then(|per| per.get(&r.start)) {
                 if let Some(p) = &b.partial {
@@ -236,7 +232,7 @@ impl<A: AggregateFunction> Buckets<A> {
             let Some(per_query) = buckets.get_mut(&q.id) else {
                 continue;
             };
-            match q.window.measure() {
+            match q.measure() {
                 Measure::Time => per_query.retain(|_, b| b.end > horizon),
                 Measure::Count => per_query.retain(|_, b| b.end > count_horizon),
             }

@@ -10,15 +10,14 @@
 use std::collections::VecDeque;
 
 use gss_core::{
-    AggregateFunction, FlatFat, HeapSize, Measure, Query, QueryId, Range, Time, WindowAggregator,
-    WindowFunction, WindowResult, TIME_MAX, TIME_MIN,
+    AggregateFunction, FlatFat, HeapSize, Measure, QueryId, QuerySet, Range, Time,
+    WindowAggregator, WindowFunction, WindowResult, TIME_MAX, TIME_MIN,
 };
 
 /// Eager slicing for user-defined context-free windows, in-order only.
 pub struct Cutty<A: AggregateFunction> {
     f: A,
-    queries: Vec<Query>,
-    next_id: QueryId,
+    queries: QuerySet,
     /// Ranges of closed slices; leaf `i` of `tree` holds slice `i`'s
     /// partial.
     ranges: VecDeque<Range>,
@@ -26,10 +25,9 @@ pub struct Cutty<A: AggregateFunction> {
     open_start: Time,
     open_edge: Time,
     open_partial: Option<A::Partial>,
-    last_trigger: Time,
     next_end: Time,
-    started: bool,
-    max_extent: i64,
+    /// The first tuple's timestamp: where the first trigger sweep starts.
+    first: Option<Time>,
 }
 
 impl<A: AggregateFunction> Cutty<A> {
@@ -37,16 +35,13 @@ impl<A: AggregateFunction> Cutty<A> {
         Cutty {
             tree: FlatFat::new(f.clone()),
             f,
-            queries: Vec::new(),
-            next_id: 0,
+            queries: QuerySet::default(),
             ranges: VecDeque::new(),
             open_start: TIME_MIN,
             open_edge: TIME_MAX,
             open_partial: None,
-            last_trigger: TIME_MIN,
             next_end: TIME_MAX,
-            started: false,
-            max_extent: 0,
+            first: None,
         }
     }
 
@@ -59,11 +54,7 @@ impl<A: AggregateFunction> Cutty<A> {
             "Cutty supports context-free windows only"
         );
         assert_eq!(w.measure(), Measure::Time, "this Cutty implementation slices on time");
-        self.max_extent = self.max_extent.max(w.max_extent());
-        let id = self.next_id;
-        self.next_id += 1;
-        self.queries.push(Query::new(id, w));
-        id
+        self.queries.add(w)
     }
 
     pub fn slice_count(&self) -> usize {
@@ -71,11 +62,7 @@ impl<A: AggregateFunction> Cutty<A> {
     }
 
     fn next_start_edge(&self, ts: Time) -> Time {
-        self.queries.iter().filter_map(|q| q.window.next_start_edge(ts)).min().unwrap_or(TIME_MAX)
-    }
-
-    fn next_window_end(&self, ts: Time) -> Time {
-        self.queries.iter().filter_map(|q| q.window.next_window_end(ts)).min().unwrap_or(TIME_MAX)
+        self.queries.next_edge(Measure::Time, ts, true).unwrap_or(TIME_MAX)
     }
 
     /// Eager aggregation: `O(log s)` tree query plus the open slice.
@@ -90,7 +77,7 @@ impl<A: AggregateFunction> Cutty<A> {
     }
 
     fn evict(&mut self, now: Time) {
-        let boundary = now.saturating_sub(self.max_extent);
+        let boundary = self.queries.horizon(now, 0);
         let k = self.ranges.partition_point(|r| r.end <= boundary);
         if k > 0 {
             self.ranges.drain(..k);
@@ -101,13 +88,15 @@ impl<A: AggregateFunction> Cutty<A> {
 
 impl<A: AggregateFunction> WindowAggregator<A> for Cutty<A> {
     fn process(&mut self, ts: Time, value: A::Input, out: &mut Vec<WindowResult<A::Output>>) {
-        debug_assert!(!self.started || ts >= self.open_start, "Cutty requires in-order streams");
-        if !self.started {
-            self.started = true;
+        debug_assert!(
+            self.first.is_none() || ts >= self.open_start,
+            "Cutty requires in-order streams"
+        );
+        if self.first.is_none() {
+            self.first = Some(ts);
             self.open_start = ts;
             self.open_edge = self.next_start_edge(ts);
-            self.last_trigger = ts;
-            self.next_end = self.next_window_end(ts);
+            self.next_end = self.queries.next_window_end(ts);
         }
         // Slice only at window starts (Cutty's minimal edge set).
         while ts >= self.open_edge {
@@ -119,17 +108,13 @@ impl<A: AggregateFunction> WindowAggregator<A> for Cutty<A> {
         // Trigger before inserting the tuple (first-tuple-past-the-end).
         if ts >= self.next_end {
             let mut windows: Vec<(QueryId, Range)> = Vec::new();
-            for q in &mut self.queries {
-                let id = q.id;
-                q.window.trigger_windows(self.last_trigger, ts, &mut |r| windows.push((id, r)));
-            }
+            self.queries.trigger(ts, 0, ts, self.first, |id, _, r| windows.push((id, r)));
             for (id, r) in windows {
                 if let Some(p) = self.aggregate(r) {
                     out.push(WindowResult::new(id, Measure::Time, r, self.f.lower(&p)));
                 }
             }
-            self.last_trigger = ts;
-            self.next_end = self.next_window_end(ts);
+            self.next_end = self.queries.next_window_end(ts);
             self.evict(ts);
         }
         let lifted = self.f.lift(&value);

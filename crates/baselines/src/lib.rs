@@ -19,11 +19,14 @@
 //!   Lite \[43\], and monotonic-deque extremum tracking \[40\]).
 //!
 //! All techniques reuse the same `WindowFunction` query definitions, so a
-//! benchmark swaps the technique without touching window semantics.
+//! benchmark swaps the technique without touching window semantics. The
+//! tuple buffer, the aggregate tree, Buckets and Cutty keep them in a
+//! [`gss_core::QuerySet`], the one the slicing operator uses: its trigger
+//! sweep, late-update rule and eviction horizon are theirs too. Pairs and
+//! Panes keep periodic edge lists of their own.
 
 pub mod aggregate_tree;
 pub mod buckets;
-pub mod common;
 pub mod cutty;
 pub mod daba;
 pub mod pairs;
@@ -34,7 +37,6 @@ pub mod two_stacks;
 
 pub use aggregate_tree::AggregateTree;
 pub use buckets::{BucketMode, Buckets};
-pub use common::QuerySet;
 pub use cutty::Cutty;
 pub use daba::{DabaLite, DabaLiteSliding};
 pub use pairs::Pairs;

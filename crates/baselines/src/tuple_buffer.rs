@@ -9,11 +9,9 @@
 use std::collections::VecDeque;
 
 use gss_core::{
-    AggregateFunction, ContextEdges, Count, HeapSize, Measure, Range, StreamOrder, Time,
+    AggregateFunction, ContextEdges, Count, HeapSize, Measure, QuerySet, Range, StreamOrder, Time,
     WindowAggregator, WindowFunction, WindowResult, TIME_MIN,
 };
-
-use crate::common::QuerySet;
 
 /// Window aggregation over a sorted tuple ring buffer.
 pub struct TupleBuffer<A: AggregateFunction> {
@@ -37,7 +35,7 @@ impl<A: AggregateFunction> TupleBuffer<A> {
             f,
             order,
             allowed_lateness,
-            queries: QuerySet::new(),
+            queries: QuerySet::default(),
             buffer: VecDeque::new(),
             evicted: 0,
             watermark: TIME_MIN,
@@ -78,7 +76,7 @@ impl<A: AggregateFunction> TupleBuffer<A> {
     }
 
     fn emit(&mut self, wm: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        let count_wm = if self.queries.has_count_measure() {
+        let count_wm = if self.queries.has(Measure::Count) {
             if self.order.is_in_order() {
                 self.evicted + self.buffer.len() as Count
             } else {
@@ -88,8 +86,8 @@ impl<A: AggregateFunction> TupleBuffer<A> {
             0
         };
         let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        self.queries
-            .trigger(wm, count_wm, self.first_ts, self.max_ts, |id, m, r| windows.push((id, m, r)));
+        let first = Some(self.first_ts);
+        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, r| windows.push((id, m, r)));
         for (id, m, r) in windows {
             let p = match m {
                 Measure::Time => self.aggregate_time(r),
@@ -104,21 +102,18 @@ impl<A: AggregateFunction> TupleBuffer<A> {
 
     fn emit_updates(&mut self, ts: Time, out: &mut Vec<WindowResult<A::Output>>) {
         let wm = self.watermark;
-        let count_pos = self.evicted + self.buffer.partition_point(|(t, _)| *t <= ts) as Count - 1;
-        let count_wm = self.evicted + self.buffer.partition_point(|(t, _)| *t <= wm) as Count;
+        let counts = self.queries.has(Measure::Count).then(|| {
+            let position =
+                self.evicted + self.buffer.partition_point(|(t, _)| *t <= ts) as Count - 1;
+            (position, self.evicted + self.buffer.partition_point(|(t, _)| *t <= wm) as Count)
+        });
         let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        self.queries.containing(ts, count_pos, |id, m, r| windows.push((id, m, r)));
+        self.queries.updates(ts, wm, counts, |id, m, r| windows.push((id, m, r)));
         for (id, m, r) in windows {
-            let (p, fresh) = match m {
-                Measure::Time => (self.aggregate_time(r), r.end <= wm),
-                Measure::Count => (
-                    self.aggregate_count(r.start as Count, r.end as Count),
-                    (r.end as Count) <= count_wm,
-                ),
+            let p = match m {
+                Measure::Time => self.aggregate_time(r),
+                Measure::Count => self.aggregate_count(r.start as Count, r.end as Count),
             };
-            if !fresh {
-                continue;
-            }
             if let Some(p) = p {
                 out.push(WindowResult::update(id, m, r, self.f.lower(&p)));
             }
@@ -127,16 +122,10 @@ impl<A: AggregateFunction> TupleBuffer<A> {
 
     fn evict(&mut self, wm: Time) {
         let lateness = if self.order.is_in_order() { 0 } else { self.allowed_lateness };
-        let mut boundary =
-            wm.saturating_sub(lateness).saturating_sub(self.queries.max_time_extent());
-        for q in self.queries.iter() {
-            if let Some(p) = q.window.earliest_pending_start() {
-                boundary = boundary.min(p);
-            }
-        }
-        let mut k = self.buffer.partition_point(|(t, _)| *t < boundary);
-        if self.queries.has_count_measure() {
-            let keep = self.queries.max_count_extent() as usize;
+        let horizon = self.queries.horizon(wm, lateness);
+        let mut k = self.buffer.partition_point(|(t, _)| *t < horizon);
+        if self.queries.has(Measure::Count) {
+            let keep = self.queries.max_extent(Measure::Count) as usize;
             k = k.min(self.buffer.len().saturating_sub(keep));
         }
         self.buffer.drain(..k);

@@ -14,16 +14,12 @@
 //! Run: `cargo run --release -p gss-bench --bin ablation`
 
 use gss_aggregates::{Median, MedianNoRle, Sum, SumNoInvert};
-use gss_bench::{as_elements, fmt_tput, run, truncate_elements, Output};
+use gss_bench::{as_elements, fmt_tput, run, scale, truncate_elements, Output};
 use gss_core::operator::{OperatorConfig, WindowOperator};
 use gss_core::{AggregateFunction, StorePolicy, StreamElement, StreamOrder};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
 use gss_data::{MachineConfig, MachineGenerator};
 use gss_windows::{CountTumblingWindow, SlidingWindow, TumblingWindow};
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 fn operator<A: AggregateFunction>(
     f: A,

@@ -29,10 +29,6 @@ use std::time::Instant;
 use gss_aggregates::{Max, Median, Sum};
 use gss_core::{AggregateFunction, Range, SliceStore, StorePolicy};
 
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
-
 /// Repetitions per cell: an odd count (the median is a sample), at
 /// least five.
 fn reps() -> usize {
@@ -195,4 +191,4 @@ fn main() {
     out.finish();
 }
 
-use gss_bench::Output;
+use gss_bench::{scale, Output};

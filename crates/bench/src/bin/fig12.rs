@@ -13,15 +13,11 @@
 
 use gss_aggregates::Sum;
 use gss_bench::{
-    build, concurrent_tumbling_queries, fmt_tput, run, truncate_elements, Output, QuerySpec,
+    build, concurrent_tumbling_queries, fmt_tput, run, scale, truncate_elements, Output, QuerySpec,
     Technique,
 };
 use gss_core::{StreamElement, StreamOrder};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 fn main() {
     let base = (400_000.0 * scale()) as usize;

@@ -23,7 +23,7 @@ use gss_aggregates::{
     ArgMax, ArgMin, Avg, CountAgg, GeometricMean, Max, MaxCount, Median, Min, MinCount, Percentile,
     PopulationStdDev, SampleStdDev, Sum, SumNoInvert, M4,
 };
-use gss_bench::{check_claims, Claim, Output};
+use gss_bench::{check_claims, scale, Claim, Output};
 use gss_core::operator::{OperatorConfig, WindowOperator};
 use gss_core::{AggregateFunction, StreamElement, StreamOrder, Time};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
@@ -31,10 +31,6 @@ use gss_windows::{CountTumblingWindow, TumblingWindow};
 
 /// Rounds over the algebraic functions; each of their cells is its best.
 const ROUNDS: usize = 3;
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 /// Drives general slicing with function `f` over the prepared arrival
 /// stream, mapping each base tuple into the function's input type.

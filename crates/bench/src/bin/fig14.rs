@@ -11,17 +11,13 @@
 
 use gss_aggregates::Median;
 use gss_bench::{
-    build, concurrent_tumbling_queries, fmt_tput, run, truncate_elements, Output, Technique,
+    build, concurrent_tumbling_queries, fmt_tput, run, scale, truncate_elements, Output, Technique,
 };
 use gss_core::{StreamElement, StreamOrder, Time};
 use gss_data::{
     make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, MachineConfig,
     MachineGenerator, OooConfig,
 };
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 fn main() {
     let base = (150_000.0 * scale()) as usize;

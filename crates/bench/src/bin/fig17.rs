@@ -11,16 +11,12 @@
 
 use gss_aggregates::M4;
 use gss_baselines::{BucketMode, Buckets};
-use gss_bench::fmt_tput;
+use gss_bench::{fmt_tput, scale};
 use gss_core::operator::{OperatorConfig, WindowOperator};
 use gss_core::{StreamElement, StreamOrder, Time, WindowAggregator};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
 use gss_stream::{run_keyed, PipelineConfig};
 use gss_windows::TumblingWindow;
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 /// 80 concurrent windows per instance: 4 rounds of the 1–20 s lengths.
 fn dashboard_lengths() -> impl Iterator<Item = i64> {

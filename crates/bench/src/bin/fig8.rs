@@ -7,20 +7,20 @@
 //! (general slicing, Pairs, Cutty) process millions of tuples/s with
 //! near-constant throughput, while Buckets and Tuple Buffer degrade
 //! linearly with the window count and Aggregate Trees sit orders of
-//! magnitude below.
+//! magnitude below. The claims: lazy slicing slows by at most 4× from 1
+//! to 1 000 windows, Buckets and the Tuple Buffer each slow by at least
+//! 50×, and at 1 000 windows lazy slicing runs at least 100× faster than
+//! Buckets.
 //!
 //! Run: `cargo run --release -p gss-bench --bin fig8`
 
 use gss_aggregates::Sum;
 use gss_bench::{
-    as_elements, build, concurrent_tumbling_queries, fmt_tput, run, Output, Technique,
+    as_elements, build, check_claims, concurrent_tumbling_queries, fmt_tput, run, scale, Claim,
+    Output, Technique,
 };
 use gss_core::StreamOrder;
 use gss_data::{FootballConfig, FootballGenerator};
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 fn main() {
     let base = (1_000_000.0 * scale()) as usize;
@@ -41,6 +41,7 @@ fn main() {
 
     let mut out = Output::new("fig8", &["technique", "concurrent_windows", "tuples_per_sec"]);
     out.print_header();
+    let mut tput = std::collections::HashMap::new();
     for tech in techniques {
         for &n in &window_counts {
             // Cap tuple counts so O(windows)-per-tuple baselines finish.
@@ -66,7 +67,24 @@ fn main() {
                 fmt_tput(report.throughput()),
                 report.results
             );
+            tput.insert((tech.name(), n), report.throughput());
         }
     }
     out.finish();
+    let at = |tech: Technique, n: usize| tput[&(tech.name(), n)];
+    let decay = |tech: Technique| at(tech, 1) / at(tech, 1000);
+    let paper = "Fig. 8";
+    let mut claims = vec![Claim::at_most(
+        "lazy slicing slows ≤ 4× from 1 to 1000 windows",
+        paper,
+        decay(Technique::LazySlicing),
+        4.0,
+    )];
+    for tech in [Technique::Buckets, Technique::TupleBuffer] {
+        let name = format!("{} slows ≥ 50× from 1 to 1000 windows", tech.name());
+        claims.push(Claim::at_least(name, paper, decay(tech), 50.0));
+    }
+    let lead = at(Technique::LazySlicing, 1000) / at(Technique::Buckets, 1000);
+    claims.push(Claim::at_least("lazy slicing ≥ 100× Buckets at 1000 windows", paper, lead, 100.0));
+    check_claims(&claims);
 }

@@ -10,16 +10,14 @@
 //! Run: `cargo run --release -p gss-bench --bin fig9`
 
 use gss_aggregates::Sum;
-use gss_bench::{build, concurrent_tumbling_queries, fmt_tput, run, Output, QuerySpec, Technique};
+use gss_bench::{
+    build, concurrent_tumbling_queries, fmt_tput, run, scale, Output, QuerySpec, Technique,
+};
 use gss_core::{StreamElement, StreamOrder, Time};
 use gss_data::{
     make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, MachineConfig,
     MachineGenerator, OooConfig,
 };
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 fn dataset(name: &str, n: usize) -> Vec<(Time, i64)> {
     match name {

@@ -59,16 +59,12 @@ use std::time::Instant;
 use gss_aggregates::{
     ArgMax, ArgMin, Avg, CountAgg, Max, MaxCount, Min, MinCount, SampleStdDev, Sum, M4,
 };
-use gss_bench::{fmt_tput, BenchJson, Output};
+use gss_bench::{fmt_tput, scale, BenchJson, Output};
 use gss_core::{
     AggregateFunction, OperatorConfig, StreamElement, Time, WindowAggregator, WindowOperator,
 };
 use gss_stream::{run_keyed, PipelineConfig, PipelineReport};
 use gss_windows::SlidingWindow;
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 const RUN_LENS: [usize; 4] = [64, 512, 4096, 16384];
 

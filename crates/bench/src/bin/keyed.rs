@@ -38,16 +38,12 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use gss_aggregates::Sum;
-use gss_bench::{fmt_tput, BenchJson, Output};
+use gss_bench::{fmt_tput, scale, BenchJson, Output};
 use gss_core::{
     KeyedConfig, KeyedWindowOperator, NaiveKeyedOperator, PerKey, StreamElement, Time,
     WindowAggregator, WindowResult,
 };
 use gss_windows::SlidingWindow;
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 const WINDOW_LEN: i64 = 1_000;
 const WINDOW_SLIDE: i64 = 250;

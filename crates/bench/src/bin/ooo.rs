@@ -45,14 +45,10 @@ use std::io::Write as _;
 use gss_aggregates::Sum;
 use gss_bench::{
     build_slicing, concurrent_tumbling_queries, fmt_tput, run, run_best_interleaved, run_columnar,
-    BenchJson, Output, QuerySpec, RunReport,
+    scale, BenchJson, Output, QuerySpec, RunReport,
 };
 use gss_core::{StorePolicy, StreamElement, StreamOrder, Time};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 /// All store policies the sweep covers, in report order.
 const STORES: [(StorePolicy, &str); 3] = [

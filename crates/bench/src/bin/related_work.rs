@@ -14,13 +14,9 @@
 
 use gss_aggregates::{Max, Sum};
 use gss_baselines::{DabaLiteSliding, Panes, SlickDequeSliding, TwoStacksSliding};
-use gss_bench::{as_elements, build, fmt_tput, run, Output, QuerySpec, Technique};
+use gss_bench::{as_elements, build, fmt_tput, run, scale, Output, QuerySpec, Technique};
 use gss_core::StreamOrder;
 use gss_data::{FootballConfig, FootballGenerator};
-
-fn scale() -> f64 {
-    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
-}
 
 fn main() {
     let base = (1_000_000.0 * scale()) as usize;

@@ -6,12 +6,14 @@
 //! row the measured deep size of the operator state is printed next to
 //! the Table-1 formula estimate; the match validates the memory model
 //! (capacity slack of growable containers makes measured ≥ formula).
+//! The claim: every measured/formula ratio lies in [1, 3]. Memory is
+//! deterministic and the scenario does not read `GSS_SCALE`.
 //!
 //! Run: `cargo run --release -p gss-bench --bin table1`
 
 use gss_aggregates::Sum;
 use gss_baselines::DabaLiteSliding;
-use gss_bench::{as_elements, build, run, Output, QuerySpec, Technique};
+use gss_bench::{as_elements, build, check_claims, run, Claim, Output, QuerySpec, Technique};
 use gss_core::{StreamOrder, Time};
 
 const TUPLES: usize = 50_000;
@@ -83,31 +85,34 @@ fn main() {
     let mut out =
         Output::new("table1", &["row", "measured_bytes", "formula_bytes", "measured_over_formula"]);
     out.print_header();
-    for (name, tech, count_based, formula) in rows {
-        let measured = measure(tech, count_based);
+    let mut claims = Vec::new();
+    let mut row = |name: &str, measured: usize, formula: usize| {
+        let ratio = measured as f64 / formula as f64;
         out.row(&[
             name.to_string(),
             measured.to_string(),
             formula.to_string(),
-            format!("{:.2}", measured as f64 / formula as f64),
+            format!("{ratio:.2}"),
         ]);
+        claims.push(Claim::at_least(format!("{name}: measured ≥ formula"), "Table 1", ratio, 1.0));
+        claims.push(Claim::at_most(
+            format!("{name}: measured ≤ 3× formula"),
+            "Table 1",
+            ratio,
+            3.0,
+        ));
+    };
+    for (name, tech, count_based, formula) in rows {
+        row(name, measure(tech, count_based), formula);
     }
     // Supplemental related-work row: per-query FIFO aggregation keeps one
     // slot per in-window tuple, so a single window costs (t/s) tuples —
     // but unlike rows 5-8 that state multiplies with every extra query.
-    {
-        let measured = measure_daba();
-        let formula = (t / s) * SIZE_TUPLE;
-        out.row(&[
-            "9. DABA Lite (single query)".to_string(),
-            measured.to_string(),
-            formula.to_string(),
-            format!("{:.2}", measured as f64 / formula as f64),
-        ]);
-    }
+    row("9. DABA Lite (single query)", measure_daba(), (t / s) * SIZE_TUPLE);
     out.finish();
     println!(
         "\nratios near 1-3x validate the Table-1 model (growable containers\n\
          hold capacity slack; buckets carry map-node overhead)"
     );
+    check_claims(&claims);
 }

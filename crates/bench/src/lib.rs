@@ -348,6 +348,13 @@ impl Output {
     }
 }
 
+/// The workload scale every figure binary reads from `GSS_SCALE`: a
+/// factor on its tuple counts (and, for some, its repetitions); 1.0, the
+/// full scale, when unset or unparseable.
+pub fn scale() -> f64 {
+    std::env::var("GSS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
+}
+
 /// A result the paper claims for a figure, stated as a predicate over the
 /// figure's own output: a measured number must reach a bound. `margin` is
 /// their ratio, at least 1 where the claim holds.
@@ -369,6 +376,16 @@ impl Claim {
     ) -> Self {
         let margin = measured / bound;
         Claim { name: name.into(), paper, holds: margin >= 1.0, margin }
+    }
+
+    /// The claim that `measured ≤ bound`.
+    pub fn at_most(
+        name: impl Into<String>,
+        paper: &'static str,
+        measured: f64,
+        bound: f64,
+    ) -> Self {
+        Self::at_least(name, paper, bound, measured)
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::function::{AggregateFunction, FunctionProperties};
 use crate::time::{Measure, StreamOrder};
-use crate::window::{ContextClass, Query};
+use crate::window::QuerySet;
 
 /// Aggregated characteristics of the current set of queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,17 +37,13 @@ pub struct WorkloadCharacteristics {
 impl WorkloadCharacteristics {
     /// Derives the characteristics from the registered queries, the declared
     /// stream order, and the aggregate function's properties.
-    pub fn derive(queries: &[Query], order: StreamOrder, function: FunctionProperties) -> Self {
-        let any = |p: fn(&Query) -> bool| queries.iter().any(p);
-        fn aware(q: &Query) -> bool {
-            q.window.context().is_context_aware()
-        }
+    pub fn derive(queries: &QuerySet, order: StreamOrder, function: FunctionProperties) -> Self {
         WorkloadCharacteristics {
             order,
-            has_fca_window: any(|q| q.window.context() == ContextClass::ForwardContextAware),
-            has_context_aware_non_session: any(|q| aware(q) && !q.window.is_session()),
-            has_context_aware: any(aware),
-            has_count_measure: any(|q| q.window.measure() == Measure::Count),
+            has_fca_window: queries.has_fca,
+            has_context_aware_non_session: queries.has_context_aware_non_session,
+            has_context_aware: !queries.context_aware.is_empty(),
+            has_count_measure: queries.has(Measure::Count),
             function,
         }
     }
@@ -150,7 +146,7 @@ mod tests {
     use super::*;
     use crate::function::FunctionKind;
     use crate::time::Range;
-    use crate::window::{ContextEdges, WindowFunction};
+    use crate::window::{ContextClass, ContextEdges, WindowFunction};
 
     /// Configurable stub window for decision-table tests.
     #[derive(Clone)]
@@ -184,8 +180,16 @@ mod tests {
         }
     }
 
-    fn q(measure: Measure, context: ContextClass, session: bool) -> Query {
-        Query::new(0, Box::new(Stub { measure, context, session }))
+    fn q(measure: Measure, context: ContextClass, session: bool) -> Box<dyn WindowFunction> {
+        Box::new(Stub { measure, context, session })
+    }
+
+    fn set(windows: &[Box<dyn WindowFunction>]) -> QuerySet {
+        let mut set = QuerySet::default();
+        for w in windows {
+            set.add(w.clone());
+        }
+        set
     }
 
     fn props(commutative: bool) -> FunctionProperties {
@@ -199,28 +203,28 @@ mod tests {
     #[test]
     fn fig4_in_order_cf_drops_tuples() {
         let qs = [q(Measure::Time, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::InOrder, props(true));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::InOrder, props(true));
         assert!(!c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_in_order_fcf_drops_tuples() {
         let qs = [q(Measure::Time, FCF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::InOrder, props(true));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::InOrder, props(true));
         assert!(!c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_in_order_fca_keeps_tuples() {
         let qs = [q(Measure::Time, FCA, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::InOrder, props(true));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::InOrder, props(true));
         assert!(c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_ooo_non_commutative_keeps_tuples() {
         let qs = [q(Measure::Time, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(false));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::OutOfOrder, props(false));
         assert!(c.requires_tuple_storage());
     }
 
@@ -228,28 +232,28 @@ mod tests {
     fn fig4_ooo_session_drops_tuples() {
         // Sessions are the exception among context-aware windows.
         let qs = [q(Measure::Time, FCA, true)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::OutOfOrder, props(true));
         assert!(!c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_ooo_non_session_context_aware_keeps_tuples() {
         let qs = [q(Measure::Time, FCF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::OutOfOrder, props(true));
         assert!(c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_ooo_count_measure_keeps_tuples() {
         let qs = [q(Measure::Count, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::OutOfOrder, props(true));
         assert!(c.requires_tuple_storage());
     }
 
     #[test]
     fn fig4_ooo_cf_time_commutative_drops_tuples() {
         let qs = [q(Measure::Time, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::OutOfOrder, props(true));
         assert!(!c.requires_tuple_storage());
     }
 
@@ -261,20 +265,21 @@ mod tests {
         let p = props(true);
         let io = StreamOrder::InOrder;
         let ooo = StreamOrder::OutOfOrder;
-        assert!(!WorkloadCharacteristics::derive(&cf, io, p).requires_splits());
-        assert!(!WorkloadCharacteristics::derive(&cf, ooo, p).requires_splits());
-        assert!(!WorkloadCharacteristics::derive(&fcf, io, p).requires_splits());
-        assert!(WorkloadCharacteristics::derive(&fcf, ooo, p).requires_splits());
-        assert!(WorkloadCharacteristics::derive(&fca, io, p).requires_splits());
-        assert!(WorkloadCharacteristics::derive(&fca, ooo, p).requires_splits());
+        assert!(!WorkloadCharacteristics::derive(&set(&cf), io, p).requires_splits());
+        assert!(!WorkloadCharacteristics::derive(&set(&cf), ooo, p).requires_splits());
+        assert!(!WorkloadCharacteristics::derive(&set(&fcf), io, p).requires_splits());
+        assert!(WorkloadCharacteristics::derive(&set(&fcf), ooo, p).requires_splits());
+        assert!(WorkloadCharacteristics::derive(&set(&fca), io, p).requires_splits());
+        assert!(WorkloadCharacteristics::derive(&set(&fca), ooo, p).requires_splits());
     }
 
     #[test]
     fn fig6_removal_matrix() {
         let count = [q(Measure::Count, CF, false)];
         let time = [q(Measure::Time, CF, false)];
-        let removes =
-            |qs: &[Query], order| WorkloadCharacteristics::derive(qs, order, props(true)).removes();
+        let removes = |qs: &[Box<dyn WindowFunction>], order| {
+            WorkloadCharacteristics::derive(&set(qs), order, props(true)).removes()
+        };
         assert!(!removes(&count, StreamOrder::InOrder));
         assert!(!removes(&time, StreamOrder::OutOfOrder));
         assert!(removes(&count, StreamOrder::OutOfOrder));
@@ -283,9 +288,9 @@ mod tests {
     #[test]
     fn non_commutative_ooo_inserts_recompute() {
         let qs = [q(Measure::Time, CF, false)];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(false));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::OutOfOrder, props(false));
         assert!(c.ooo_insert_recomputes());
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::OutOfOrder, props(true));
         assert!(!c.ooo_insert_recomputes());
     }
 
@@ -296,7 +301,7 @@ mod tests {
             q(Measure::Count, CF, false),
             q(Measure::Time, FCA, true),
         ];
-        let c = WorkloadCharacteristics::derive(&qs, StreamOrder::OutOfOrder, props(true));
+        let c = WorkloadCharacteristics::derive(&set(&qs), StreamOrder::OutOfOrder, props(true));
         assert!(c.has_count_measure);
         assert!(c.has_context_aware);
         assert!(!c.has_context_aware_non_session);

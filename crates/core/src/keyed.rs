@@ -60,6 +60,11 @@
 //!   between two window ends. A sweep enumerates windows from the slice of
 //!   the key's oldest partial rather than from its emission floor, so a
 //!   key returning after a long silence does not walk the gap.
+//! * **The window rules are the query set's.** The queries live in one
+//!   [`QuerySet`]: a key's sweep clamps and enumerates as its trigger
+//!   sweep does (from the key's own floor), a key-late tuple re-fires
+//!   what its late-update rule names, and the timeline evicts behind its
+//!   horizon — the same windows the reference operator answers.
 //!
 //! Windows whose edges depend on the data (sessions, punctuation windows,
 //! count measures) fall back to [`NaiveKeyedOperator`] — the map-of-
@@ -81,7 +86,7 @@ use crate::operator::QueryError;
 use crate::result::WindowResult;
 use crate::time::{Measure, Range, Time, TIME_MAX, TIME_MIN};
 use crate::timeline::{shares_static_timeline, Timeline};
-use crate::window::{Query, QueryId, WindowFunction};
+use crate::window::{QueryId, QuerySet, WindowFunction};
 
 /// Lifts an [`AggregateFunction`] over `V` to one over `(key, V)` pairs.
 ///
@@ -549,19 +554,11 @@ const NO_RANGE: (Time, Time) = (0, 0);
 /// No window ends inside `(probe, answer)`, so it answers every probe in
 /// `[probe, answer)`: the keys born in one slice, each asking from its
 /// own first timestamp, share it with the keys one watermark sweeps.
-fn union_next_end(queries: &[Query], probe: Time, memo: &mut (Time, Time)) -> Time {
-    let (p, e) = *memo;
-    if p <= probe && probe < e {
-        return e;
+fn union_next_end(queries: &QuerySet, probe: Time, memo: &mut (Time, Time)) -> Time {
+    if !(memo.0 <= probe && probe < memo.1) {
+        *memo = (probe, queries.next_window_end(probe));
     }
-    let mut e = TIME_MAX;
-    for q in queries {
-        if let Some(n) = q.window.next_window_end(probe) {
-            e = e.min(n);
-        }
-    }
-    *memo = (probe, e);
-    e
+    memo.1
 }
 
 /// Advances a key's emission floor over watermarks that passed while the
@@ -572,10 +569,10 @@ fn union_next_end(queries: &[Query], probe: Time, memo: &mut (Time, Time)) -> Ti
 /// window at the key's next sweep instead of staying update-only.
 /// Sound to do lazily because a key's `t_last` cannot change between
 /// touches: any tuple arrival is itself a touch.
-fn catch_up_floor<A: AggregateFunction>(st: &mut KeyState<A>, wm: Time, max_extent: i64) {
+fn catch_up_floor<A: AggregateFunction>(st: &mut KeyState<A>, wm: Time, queries: &QuerySet) {
     if wm > st.wm_seen {
         if st.t_last != TIME_MIN && wm != TIME_MIN {
-            st.raise_floor(wm.min(st.t_last.saturating_add(max_extent).saturating_add(1)));
+            st.raise_floor(queries.clamp(wm, st.t_last));
         }
         st.wm_seen = wm;
     }
@@ -586,15 +583,14 @@ fn catch_up_floor<A: AggregateFunction>(st: &mut KeyState<A>, wm: Time, max_exte
 /// tuples, so the key is drained ([`NOT_DUE`]) and needs no bucket entry.
 fn due_of<A: AggregateFunction>(
     st: &KeyState<A>,
-    queries: &[Query],
-    max_extent: i64,
+    queries: &QuerySet,
     memo: &mut (Time, Time),
 ) -> Time {
     if st.t_last == TIME_MIN {
         return NOT_DUE;
     }
     let cand = union_next_end(queries, st.floor, memo);
-    if cand <= st.t_last.saturating_add(max_extent) {
+    if cand <= st.t_last.saturating_add(queries.max_extent(Measure::Time)) {
         cand
     } else {
         NOT_DUE
@@ -673,16 +669,16 @@ fn emit_windows<A: AggregateFunction>(
     }
 }
 
-/// Sweeps one key's completed windows up to watermark `wm`, mirroring the
-/// reference operator's `trigger_up_to` (clamp, first-sweep floor, one
-/// `trigger_windows` pass per query).
+/// Sweeps one key's completed windows up to watermark `wm`, as the query
+/// set's trigger sweep does for the reference operator (the data clamp at
+/// the key's `t_last`, the first-sweep floor, the windows in query order)
+/// but from the key's own floor.
 #[allow(clippy::too_many_arguments)]
 fn sweep_key<A: AggregateFunction>(
     st: &mut KeyState<A>,
     f: &A,
-    queries: &mut [Query],
+    queries: &mut QuerySet,
     timeline: &Timeline,
-    max_extent: i64,
     wm: Time,
     memo: &mut SweepMemo,
     stats: &mut KeyedStats,
@@ -693,7 +689,7 @@ fn sweep_key<A: AggregateFunction>(
     }
     // Don't emit windows that could still receive in-order tuples for
     // this key — same clamp as the reference operator.
-    let wm_eff = wm.min(st.t_last.saturating_add(max_extent).saturating_add(1));
+    let wm_eff = queries.clamp(wm, st.t_last);
     let prev = if st.swept { st.floor } else { st.floor.min(wm_eff) };
     if wm_eff > prev {
         if !st.ring.is_empty() {
@@ -710,15 +706,12 @@ fn sweep_key<A: AggregateFunction>(
             if !hit {
                 memo.windows.clear();
                 let mut lo = from;
-                for q in queries.iter_mut() {
-                    let id = q.id;
-                    q.window.trigger_windows(from, wm_eff, &mut |range| {
-                        lo = lo.max(range.end);
-                        if let Some((gl, gr)) = timeline.global_range(range) {
-                            memo.windows.push((id, range, gl, gr));
-                        }
-                    });
-                }
+                queries.fire((from, wm_eff), (0, 0), |id, _, range| {
+                    lo = lo.max(range.end);
+                    if let Some((gl, gr)) = timeline.global_range(range) {
+                        memo.windows.push((id, range, gl, gr));
+                    }
+                });
                 memo.span = (from, lo, union_next_end(queries, wm_eff, &mut { NO_RANGE }));
                 memo.asked = None;
             }
@@ -731,34 +724,28 @@ fn sweep_key<A: AggregateFunction>(
     }
 }
 
-/// Re-emits the fired windows (end at or before `wm`) containing a late
-/// tuple at `ts` as updates, like the reference operator's `emit_updates`.
+/// Re-emits the fired windows a late tuple at `ts` changes under
+/// watermark `wm` (the query set's late-update rule) as updates.
 /// Out of line: rare, and its closures crowd the per-key step's registers.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn emit_updates_key<A: AggregateFunction>(
     st: &KeyState<A>,
     f: &A,
-    queries: &[Query],
+    queries: &mut QuerySet,
     timeline: &Timeline,
     ts: Time,
     wm: Time,
     stats: &mut KeyedStats,
     out: &mut Vec<WindowResult<(u64, A::Output)>>,
 ) {
-    for q in queries {
-        let id = q.id;
-        q.window.windows_containing(ts, &mut |range| {
-            if range.end > wm {
-                return;
-            }
-            let Some((gl, gr)) = timeline.global_range(range) else { return };
-            if let Some(p) = st.query(gl, gr, f) {
-                stats.updates_emitted += 1;
-                out.push(WindowResult::update(id, Measure::Time, range, (st.key, f.lower(&p))));
-            }
-        });
-    }
+    queries.updates(ts, wm, None, |id, _, range| {
+        let Some((gl, gr)) = timeline.global_range(range) else { return };
+        if let Some(p) = st.query(gl, gr, f) {
+            stats.updates_emitted += 1;
+            out.push(WindowResult::update(id, Measure::Time, range, (st.key, f.lower(&p))));
+        }
+    });
 }
 
 /// Reusable batch-grouping scratch (not operator state: excluded from
@@ -805,8 +792,7 @@ struct KeyEntry {
 struct SharedKeyed<A: AggregateFunction> {
     f: A,
     cfg: KeyedConfig,
-    queries: Vec<Query>,
-    max_extent: i64,
+    queries: QuerySet,
     timeline: Timeline,
     /// Key → slot of its record in `slab` (plus its place in the batch
     /// being grouped); holds exactly the live keys.
@@ -860,14 +846,14 @@ impl MemoryBreakdown {
 
 impl<A: AggregateFunction> SharedKeyed<A> {
     fn new(f: A, windows: Vec<Box<dyn WindowFunction>>, cfg: KeyedConfig) -> Self {
-        let queries: Vec<Query> =
-            windows.into_iter().enumerate().map(|(i, w)| Query::new(i as u32, w)).collect();
-        let max_extent = queries.iter().map(|q| q.window.max_extent()).max().unwrap_or(0);
+        let mut queries = QuerySet::default();
+        for w in windows {
+            queries.add(w);
+        }
         SharedKeyed {
             f,
             cfg,
             queries,
-            max_extent,
             timeline: Timeline::default(),
             slot_of: FxHashMap::default(),
             slab: Slab::new(),
@@ -936,7 +922,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         let st = self.slab.get_mut(slot);
         let filed_floor = st.floor;
         st.trim_to(&self.timeline);
-        catch_up_floor(st, self.watermark, self.max_extent);
+        catch_up_floor(st, self.watermark, &self.queries);
 
         let wm = self.watermark;
         let mut i = 0;
@@ -1000,7 +986,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                 emit_updates_key(
                     st,
                     &self.f,
-                    &self.queries,
+                    &mut self.queries,
                     &self.timeline,
                     ts,
                     wm,
@@ -1015,7 +1001,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         if old_due != NOT_DUE && st.floor == filed_floor {
             return;
         }
-        st.due = due_of(st, &self.queries, self.max_extent, &mut self.next_end_memo);
+        st.due = due_of(st, &self.queries, &mut self.next_end_memo);
         if st.due == NOT_DUE {
             st.file_idle(slot, self.cfg.idle_ttl, &mut self.idle_open);
         } else if st.due != old_due {
@@ -1182,7 +1168,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                     && st.wm_seen == self.watermark
                     && st.generation == generation
                     && self.sweep_memo.asked == Some((st.first, st.floor))
-                    && next_end <= st.t_last.saturating_add(self.max_extent)
+                    && next_end <= st.t_last.saturating_add(self.queries.max_extent(Measure::Time))
                 {
                     emit_windows(st, &self.f, &self.sweep_memo.windows, &mut self.stats, out);
                     st.floor = wm;
@@ -1190,19 +1176,18 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                 } else {
                     st.trim_to(&self.timeline);
                     // Catch the floor up over watermarks skipped while gated.
-                    catch_up_floor(st, self.watermark, self.max_extent);
+                    catch_up_floor(st, self.watermark, &self.queries);
                     sweep_key(
                         st,
                         &self.f,
                         &mut self.queries,
                         &self.timeline,
-                        self.max_extent,
                         wm,
                         &mut self.sweep_memo,
                         &mut self.stats,
                         out,
                     );
-                    st.due = due_of(st, &self.queries, self.max_extent, &mut self.next_end_memo);
+                    st.due = due_of(st, &self.queries, &mut self.next_end_memo);
                 }
                 st.wm_seen = wm;
                 if st.due == NOT_DUE {
@@ -1217,11 +1202,9 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         self.due_open.1 = Vec::new();
         self.watermark = wm;
 
-        // Evict shared slices no late tuple can reach any more. A tuple
-        // is accepted late from `wm - lateness` on and the windows
-        // containing it start after `ts - max_extent`, so the earliest
-        // slice still needed starts past `boundary`.
-        let boundary = wm.saturating_sub(self.cfg.allowed_lateness).saturating_sub(self.max_extent);
+        // Evict shared slices no late tuple can reach any more: the
+        // earliest slice still needed starts past the set's horizon.
+        let boundary = self.queries.horizon(wm, self.cfg.allowed_lateness);
         self.timeline.evict_to(boundary.saturating_add(1));
         self.cover_memo = (0, 0, 0);
 
@@ -1321,7 +1304,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             let d = st.due;
             assert_eq!(
                 d,
-                due_of(st, &self.queries, self.max_extent, &mut next_end_memo),
+                due_of(st, &self.queries, &mut next_end_memo),
                 "key {key} is filed under a due time its record no longer gives"
             );
             if d == NOT_DUE {
@@ -2016,7 +1999,8 @@ mod tests {
     /// say.
     #[test]
     fn trim_to_reanchors_a_drained_ring_and_advances_a_trimmed_one() {
-        let queries = [Query::new(0, tumbling(10))];
+        let mut queries = QuerySet::default();
+        queries.add(tumbling(10));
         let mut timeline = Timeline::default();
         let mut created = 0;
         for ts in [5, 45] {
@@ -2238,8 +2222,10 @@ mod tests {
             vec![tumbling(7), Box::new(SlidingStub { length: 30, slide: 4 }), tumbling(10)],
         ];
         for windows in sets {
-            let queries: Vec<Query> =
-                windows.into_iter().enumerate().map(|(i, w)| Query::new(i as u32, w)).collect();
+            let mut queries = QuerySet::default();
+            for w in windows {
+                queries.add(w);
+            }
             let span = -40..140;
             let orders: [Vec<Time>; 3] = [
                 span.clone().collect(),
@@ -2337,11 +2323,11 @@ mod tests {
         for &slot in &bucket {
             let st = s.slab.get_mut(slot);
             st.trim_to(&s.timeline);
-            catch_up_floor(st, s.watermark, s.max_extent);
+            catch_up_floor(st, s.watermark, &s.queries);
             let (f, queries, stats) = (&s.f, &mut s.queries, &mut s.stats);
-            sweep_key(st, f, queries, &s.timeline, 10, 28, &mut s.sweep_memo, stats, &mut want);
+            sweep_key(st, f, queries, &s.timeline, 28, &mut s.sweep_memo, stats, &mut want);
             st.wm_seen = 28;
-            st.due = due_of(st, &s.queries, s.max_extent, &mut s.next_end_memo);
+            st.due = due_of(st, &s.queries, &mut s.next_end_memo);
         }
         assert_eq!(got.len(), 7, "every key but 5, whose ring was emptied, fires [10, 20)");
         let rows = |out: &[WindowResult<(u64, i64)>]| -> Vec<_> {

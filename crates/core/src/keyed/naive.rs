@@ -10,7 +10,7 @@ use crate::function::AggregateFunction;
 use crate::hash::{map_heap_bytes, FxHashMap};
 use crate::operator::{OperatorConfig, QueryError, WindowOperator};
 use crate::result::WindowResult;
-use crate::time::{Time, TIME_MIN};
+use crate::time::{Measure, Time, TIME_MIN};
 use crate::window::WindowFunction;
 
 /// Per-key tuple groups built by the naive operator's batch grouping;
@@ -45,7 +45,6 @@ pub struct NaiveKeyedOperator<A: AggregateFunction> {
     /// registered once, nothing seen, so per-key context state (e.g.
     /// session edges) starts fresh.
     prototype: WindowOperator<A>,
-    max_extent: i64,
     keys: FxHashMap<u64, (Time, WindowOperator<A>)>,
     watermark: Time,
     /// `keys_evicted`, plus the counters the evicted keys' operators had
@@ -72,7 +71,6 @@ impl<A: AggregateFunction> NaiveKeyedOperator<A> {
         windows: Vec<Box<dyn WindowFunction>>,
         cfg: KeyedConfig,
     ) -> Result<Self, QueryError> {
-        let max_extent = windows.iter().map(|w| w.max_extent()).max().unwrap_or(0);
         let mut prototype =
             WindowOperator::new(f, OperatorConfig::out_of_order(cfg.allowed_lateness));
         for w in windows {
@@ -81,7 +79,6 @@ impl<A: AggregateFunction> NaiveKeyedOperator<A> {
         Ok(NaiveKeyedOperator {
             cfg,
             prototype,
-            max_extent,
             keys: FxHashMap::default(),
             watermark: TIME_MIN,
             retired: KeyedStats::default(),
@@ -222,7 +219,10 @@ impl<A: AggregateFunction> WindowAggregator<PerKey<A>> for NaiveKeyedOperator<A>
             Self::tag_and_drain(*key, &mut scratch, out);
         }
         if let Some(ttl) = self.cfg.idle_ttl {
-            let (max_extent, retired) = (self.max_extent, &mut self.retired);
+            let queries = &self.prototype.queries;
+            let max_extent =
+                queries.max_extent(Measure::Time).max(queries.max_extent(Measure::Count));
+            let retired = &mut self.retired;
             self.keys.retain(|_, (t_last, op)| {
                 let idle = t_last.saturating_add(ttl) <= wm;
                 let drained = t_last.saturating_add(max_extent).saturating_add(1) <= wm;

@@ -99,4 +99,4 @@ pub use slice::Slice;
 pub use store::{SliceStore, StorePolicy};
 pub use time::{Count, Measure, Range, StreamOrder, Time, Watermark, TIME_MAX, TIME_MIN};
 pub use timeline::{shares_static_timeline, SliceMeta, Timeline};
-pub use window::{ContextClass, ContextEdges, Query, QueryId, WindowFunction};
+pub use window::{ContextClass, ContextEdges, Query, QueryId, QuerySet, WindowFunction};

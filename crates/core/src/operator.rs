@@ -17,7 +17,7 @@ use crate::mem::HeapSize;
 use crate::result::WindowResult;
 use crate::store::{SliceStore, StorePolicy, MIN_BATCH_WINDOWS};
 use crate::time::{Count, Measure, Range, StreamOrder, Time, TIME_MAX, TIME_MIN};
-use crate::window::{ContextEdges, Query, QueryId, WindowFunction};
+use crate::window::{ContextEdges, QueryId, QuerySet, WindowFunction};
 
 /// Configuration of a [`WindowOperator`].
 #[derive(Debug, Clone, Copy)]
@@ -278,15 +278,10 @@ impl SweepList {
         }
         let f = store.function();
         let emitted = out.len();
-        let emit = |&id: &QueryId, range: Range, p: A::Partial| {
+        let measure = Measure::Time;
+        let emit = |&query: &QueryId, range: Range, p: A::Partial| {
             let value = f.lower(&p);
-            out.push(WindowResult {
-                query: id,
-                measure: Measure::Time,
-                range,
-                value,
-                is_update: update,
-            });
+            out.push(WindowResult { query, measure, range, value, is_update: update });
         };
         let scanned = if per_window_only {
             store.query_time_each(windows, emit);
@@ -306,14 +301,31 @@ impl SweepList {
         self.len = 0;
         self.spill.clear();
     }
+
+    /// Answers the collected windows, then count window `range` of query
+    /// `id`, so that results keep query order.
+    fn answer_count<A: AggregateFunction>(
+        &mut self,
+        (id, range): (QueryId, Range),
+        store: &SliceStore<A>,
+        (per_window_only, update): (bool, bool),
+        stats: &mut OperatorStats,
+        out: &mut Vec<WindowResult<A::Output>>,
+    ) {
+        self.answer(store, per_window_only, update, stats, out);
+        if let Some(p) = store.query_count(range.start as Count, range.end as Count) {
+            let (query, measure, value) = (id, Measure::Count, store.function().lower(&p));
+            out.push(WindowResult { query, measure, range, value, is_update: update });
+            *if update { &mut stats.updates_emitted } else { &mut stats.windows_emitted } += 1;
+        }
+    }
 }
 
 /// The general stream slicing operator.
 pub struct WindowOperator<A: AggregateFunction> {
     f: A,
     cfg: OperatorConfig,
-    queries: Vec<Query>,
-    next_query_id: QueryId,
+    pub(crate) queries: QuerySet,
     chars: WorkloadCharacteristics,
     store: SliceStore<A>,
     /// Cached next time-measure window edge (end of the open slice), the
@@ -328,13 +340,6 @@ pub struct WindowOperator<A: AggregateFunction> {
     max_punct: Time,
     /// Last processed watermark.
     watermark: Time,
-    /// Upper bound of the last trigger sweep, per measure.
-    last_trigger_time: Time,
-    last_trigger_count: Count,
-    /// Longest time-measure window extent among registered queries.
-    max_time_extent: i64,
-    /// Longest count-measure window extent among registered queries.
-    max_count_extent: i64,
     /// Earliest time at which a time-measure window can end next; lets the
     /// in-order hot path skip the trigger sweep (one comparison per tuple).
     next_trigger_time: Option<Time>,
@@ -355,9 +360,6 @@ pub struct WindowOperator<A: AggregateFunction> {
     /// the batch loop, its drop glue cost a quarter of the in-order
     /// throughput.
     late: Option<Box<LateBatch<A::Input>>>,
-    /// Indices into `queries` of context-aware windows (precomputed so the
-    /// per-tuple notify loop touches only those).
-    context_aware: Vec<usize>,
     /// Reusable buffer for context notifications.
     edges: ContextEdges,
 }
@@ -367,14 +369,14 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// feeding tuples — tuples processed with no registered query are
     /// absorbed into a single catch-all slice.
     pub fn new(f: A, cfg: OperatorConfig) -> Self {
-        let chars = WorkloadCharacteristics::derive(&[], cfg.order, f.properties());
+        let queries = QuerySet::default();
+        let chars = WorkloadCharacteristics::derive(&queries, cfg.order, f.properties());
         let plan = SlicePlan::new(&chars, cfg.force_tuple_storage);
         let store = SliceStore::with_plan(f.clone(), cfg.policy, plan);
         WindowOperator {
             f,
             cfg,
-            queries: Vec::new(),
-            next_query_id: 0,
+            queries,
             chars,
             store,
             next_time_edge: None,
@@ -382,10 +384,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
             max_ts: TIME_MIN,
             max_punct: TIME_MIN,
             watermark: TIME_MIN,
-            last_trigger_time: TIME_MIN,
-            last_trigger_count: 0,
-            max_time_extent: 0,
-            max_count_extent: 0,
             next_trigger_time: None,
             next_trigger_count: None,
             sweep_always: false,
@@ -393,7 +391,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
             per_window_only: false,
             stats: OperatorStats::default(),
             late: None,
-            context_aware: Vec::new(),
             edges: ContextEdges::new(),
         }
     }
@@ -404,33 +401,30 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// storage only turns on over empty slices: a query that needs it
     /// while live slices hold unkept tuples is refused.
     pub fn add_query(&mut self, window: Box<dyn WindowFunction>) -> Result<QueryId, QueryError> {
-        if self.cfg.order == StreamOrder::OutOfOrder {
-            let new_measure = window.measure();
-            if self.queries.iter().any(|q| q.window.measure() != new_measure) {
+        let (cfg, props, store) = (self.cfg, self.f.properties(), &self.store);
+        let id = self.queries.try_add(window, |set| {
+            if cfg.order == StreamOrder::OutOfOrder
+                && set.has(Measure::Time)
+                && set.has(Measure::Count)
+            {
                 return Err(QueryError::MixedMeasuresOutOfOrder);
             }
-        }
-        let id = self.next_query_id;
-        self.queries.push(Query::new(id, window));
-        let props = self.f.properties();
-        let chars = WorkloadCharacteristics::derive(&self.queries, self.cfg.order, props);
-        if SlicePlan::new(&chars, self.cfg.force_tuple_storage).keep_tuples
-            && !self.store.keeps_tuples()
-            && self.store.slices().any(|s| !s.is_empty())
-        {
-            self.queries.pop();
-            return Err(QueryError::TuplesNotKept);
-        }
-        self.next_query_id += 1;
+            let chars = WorkloadCharacteristics::derive(set, cfg.order, props);
+            if SlicePlan::new(&chars, cfg.force_tuple_storage).keep_tuples
+                && !store.keeps_tuples()
+                && store.slices().any(|s| !s.is_empty())
+            {
+                return Err(QueryError::TuplesNotKept);
+            }
+            Ok(())
+        })?;
         self.rederive();
         Ok(id)
     }
 
     /// Removes a query; returns `true` if it existed.
     pub fn remove_query(&mut self, id: QueryId) -> bool {
-        let before = self.queries.len();
-        self.queries.retain(|q| q.id != id);
-        let removed = self.queries.len() != before;
+        let removed = self.queries.remove(id);
         if removed {
             self.rederive();
         }
@@ -467,20 +461,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
         self.chars =
             WorkloadCharacteristics::derive(&self.queries, self.cfg.order, self.f.properties());
         self.store.set_plan(SlicePlan::new(&self.chars, self.cfg.force_tuple_storage));
-        self.max_time_extent = self
-            .queries
-            .iter()
-            .filter(|q| q.window.measure() == Measure::Time)
-            .map(|q| q.window.max_extent())
-            .max()
-            .unwrap_or(0);
-        self.max_count_extent = self
-            .queries
-            .iter()
-            .filter(|q| q.window.measure() == Measure::Count)
-            .map(|q| q.window.max_extent())
-            .max()
-            .unwrap_or(0);
         // Re-derive edge caches: a new query may introduce earlier edges
         // than the cached ones. Slicing for the new query starts strictly
         // after the data already processed (`max_ts`) — windows of a new
@@ -488,81 +468,21 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // like in the reference implementation.
         if let Some(open_start) = self.store.geometry().open_start() {
             let from = open_start.max(self.max_ts);
-            self.next_time_edge = self.compute_next_time_edge(from);
+            self.next_time_edge = self.next_edge(Measure::Time, from);
             self.store.set_last_end(self.next_time_edge.unwrap_or(TIME_MAX));
         }
-        self.next_count_edge = self.compute_next_count_edge(self.store.total_count());
-        self.context_aware = self
-            .queries
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.window.context().is_context_aware())
-            .map(|(i, _)| i)
-            .collect();
-        self.refresh_trigger_caches();
+        let total = self.store.total_count() as Time;
+        self.next_count_edge = self.next_edge(Measure::Count, total).map(|e| e as Count);
+        (self.next_trigger_time, self.next_trigger_count, self.sweep_always) =
+            self.queries.next_trigger(self.max_ts);
     }
 
-    /// Recomputes the cached positions at which the next window can end.
-    fn refresh_trigger_caches(&mut self) {
-        let probe_t = if self.last_trigger_time == TIME_MIN {
-            self.max_ts.max(0)
-        } else {
-            self.last_trigger_time
-        };
-        let probe_c = self.last_trigger_count as Time;
-        let mut sweep = self.chars.has_context_aware;
-        let mut next_t: Option<Time> = None;
-        let mut next_c: Option<Count> = None;
-        for q in &self.queries {
-            match q.window.measure() {
-                Measure::Time => match q.window.next_window_end(probe_t) {
-                    Some(e) => next_t = Some(next_t.map_or(e, |x| x.min(e))),
-                    None => sweep = true,
-                },
-                Measure::Count => match q.window.next_window_end(probe_c) {
-                    Some(e) => next_c = Some(next_c.map_or(e as Count, |x| x.min(e as Count))),
-                    None => sweep = true,
-                },
-            }
-        }
-        self.next_trigger_time = next_t;
-        self.next_trigger_count = next_c;
-        self.sweep_always = sweep;
-    }
-
-    /// Minimum next time edge over all time-measure queries, strictly
-    /// after `ts`. In-order streams slice only at window starts.
-    fn compute_next_time_edge(&self, ts: Time) -> Option<Time> {
-        let starts_only = self.cfg.order.is_in_order() && !self.cfg.force_end_edges;
-        self.queries
-            .iter()
-            .filter(|q| q.window.measure() == Measure::Time)
-            .filter_map(|q| {
-                if starts_only {
-                    q.window.next_start_edge(ts)
-                } else {
-                    q.window.next_edge(ts)
-                }
-            })
-            .min()
-    }
-
-    /// Minimum next count edge over all count-measure queries, strictly
-    /// after count position `c`.
-    fn compute_next_count_edge(&self, c: Count) -> Option<Count> {
-        let starts_only = self.cfg.order.is_in_order();
-        self.queries
-            .iter()
-            .filter(|q| q.window.measure() == Measure::Count)
-            .filter_map(|q| {
-                let edge = if starts_only {
-                    q.window.next_start_edge(c as Time)
-                } else {
-                    q.window.next_edge(c as Time)
-                };
-                edge.map(|e| e as Count)
-            })
-            .min()
+    /// The next slice edge of measure `m` after `ts`: in order, window
+    /// starts only (time windows at ends too under `force_end_edges`).
+    fn next_edge(&self, m: Measure, ts: Time) -> Option<Time> {
+        let end_edges = m == Measure::Time && self.cfg.force_end_edges;
+        let starts_only = self.cfg.order.is_in_order() && !end_edges;
+        self.queries.next_edge(m, ts, starts_only)
     }
 
     /// Count-delimited mode (count-measure queries on an out-of-order
@@ -583,7 +503,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             if ts < edge {
                 break;
             }
-            let next = self.compute_next_time_edge(edge);
+            let next = self.next_edge(Measure::Time, edge);
             self.store.append_slice(Range::new(edge, next.unwrap_or(TIME_MAX)));
             self.stats.slices_created += 1;
             self.next_time_edge = next;
@@ -605,14 +525,14 @@ impl<A: AggregateFunction> WindowOperator<A> {
             if self.store.cut_last_at(cut_at) {
                 self.stats.slices_created += 1;
             }
-            self.next_count_edge = self.compute_next_count_edge(edge);
+            self.next_count_edge = self.next_edge(Measure::Count, edge as Time).map(|e| e as Count);
         }
     }
 
     /// Ensures the store has an open slice covering `ts` (first tuple).
     fn ensure_first_slice(&mut self, ts: Time) {
         if self.store.is_empty() {
-            let next = self.compute_next_time_edge(ts);
+            let next = self.next_edge(Measure::Time, ts);
             self.store.append_slice(Range::new(ts, next.unwrap_or(TIME_MAX)));
             self.stats.slices_created += 1;
             self.next_time_edge = next;
@@ -630,10 +550,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             return;
         }
         let mut edges = std::mem::take(&mut self.edges);
-        edges.clear();
-        for &i in &self.context_aware {
-            self.queries[i].window.notify_context(ts, &mut edges);
-        }
+        self.queries.notify(ts, &mut edges);
         self.apply_edges(&edges, out);
         self.edges = edges;
     }
@@ -649,7 +566,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             }
         }
         for &e in edges.removed() {
-            if self.edge_required_by_any_query(e) {
+            if self.queries.requires_edge_at(e) {
                 continue;
             }
             if self.store.merge_at(e) {
@@ -658,158 +575,84 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
     }
 
-    /// Does any registered query define a window edge exactly at `e`?
-    fn edge_required_by_any_query(&self, e: Time) -> bool {
-        self.queries
-            .iter()
-            .any(|q| q.window.measure() == Measure::Time && q.window.requires_edge_at(e))
-    }
-
     // ------------------------------------------------------------------
     // Step 3: the Window Manager
     // ------------------------------------------------------------------
 
-    /// Emits every window that completed in `(last_trigger, wm]`.
-    /// `data_pos` is the highest *data* position known to the caller (the
-    /// current tuple's timestamp for in-order sweeps, `max_ts` for
-    /// watermark sweeps) and bounds the enumeration so flush watermarks
-    /// cannot sweep the whole time axis.
-    fn trigger_up_to(&mut self, wm: Time, data_pos: Time, out: &mut Vec<WindowResult<A::Output>>) {
+    /// Emits the windows the query set reports as due: the trigger sweep
+    /// up to `wm`, clamped at `data_pos` (the highest *data* position the
+    /// caller knows), or with `late = Some(ts)` the fired windows a late
+    /// tuple at `ts` changes, as updates. Time windows are answered
+    /// together from a `SweepList`; a count window first flushes it.
+    fn sweep(
+        &mut self,
+        wm: Time,
+        data_pos: Time,
+        late: Option<Time>,
+        out: &mut Vec<WindowResult<A::Output>>,
+    ) {
         // Deferred index repairs (late runs, finger-tree in-order leaf
         // writes) must land before the sweep queries the store. A no-op
         // when the dirty set is empty.
         self.store.flush_eager_repairs();
-        let store = &self.store;
-        let f = &self.f;
-        let stats = &mut self.stats;
-        // Count-space watermark: on in-order streams every processed tuple
-        // is final; on out-of-order streams counts below the number of
-        // tuples at or before the time watermark are final.
-        let count_wm = if !self.chars.has_count_measure {
-            0
-        } else if self.cfg.order.is_in_order() {
-            store.total_count()
-        } else {
-            store.count_at_or_before(wm)
+        let (store, stats) = (&self.store, &mut self.stats);
+        let (per_window_only, update) = (self.per_window_only, late.is_some());
+        let mut sweep = SweepList::new();
+        let answer = |id, m, range: Range| match m {
+            Measure::Time => sweep.push(id, range),
+            Measure::Count => {
+                sweep.answer_count((id, range), store, (per_window_only, update), stats, out)
+            }
         };
-        // Clamp the sweep to the data extent: windows ending beyond
-        // `max_ts + max_extent` are empty by construction, and a flush
-        // watermark (e.g. i64::MAX) must not enumerate windows across the
-        // whole time axis.
-        let max_pos = data_pos.max(self.max_punct);
-        if max_pos == TIME_MIN {
-            // No data yet: nothing can trigger, and advancing the trigger
-            // bookkeeping to an arbitrary watermark would skip windows of
-            // data still to come.
+        let count = self.chars.has_count_measure;
+        let swept = if let Some(ts) = late {
+            // Every collected window contains `ts`: one pivot group.
+            let counts = count.then(|| {
+                let position = store.count_at_or_before(ts).saturating_sub(1);
+                (position, store.count_at_or_before(wm))
+            });
+            self.queries.updates(ts, wm, counts, answer);
+            false
+        } else {
+            // Count-space watermark: on in-order streams every processed
+            // tuple is final; on out-of-order streams counts below the
+            // number of tuples at or before the time watermark are final.
+            let count_wm = match (count, self.cfg.order.is_in_order()) {
+                (false, _) => 0,
+                (true, true) => store.total_count(),
+                (true, false) => store.count_at_or_before(wm),
+            };
+            // Punctuations can mark window ends beyond the latest tuple.
+            let max_pos = data_pos.max(self.max_punct);
+            let first_pos = (!store.is_empty()).then(|| store.geometry().start(0));
             self.swept_once = true;
-            return;
-        }
-        let wm = wm.min(max_pos.saturating_add(self.max_time_extent).saturating_add(1));
-        // The first sweep starts from the first data position: windows
-        // ending earlier are empty by construction, and enumerating from
-        // TIME_MIN would overflow window arithmetic.
-        let time_prev = if self.last_trigger_time == TIME_MIN {
-            store.slices().next().map_or(wm, |s| s.start().min(wm))
-        } else {
-            self.last_trigger_time
+            self.queries.trigger(wm, count_wm, max_pos, first_pos, answer)
         };
-        let count_prev = self.last_trigger_count;
-        let mut sweep = SweepList::new();
-        for q in &mut self.queries {
-            let id = q.id;
-            match q.window.measure() {
-                Measure::Time => {
-                    q.window.trigger_windows(time_prev, wm, &mut |range| sweep.push(id, range));
-                }
-                Measure::Count => {
-                    // Results keep query order: the time windows of the
-                    // queries before this one go out first.
-                    sweep.answer(store, self.per_window_only, false, stats, out);
-                    q.window.trigger_windows(count_prev as Time, count_wm as Time, &mut |range| {
-                        if let Some(p) = store.query_count(range.start as Count, range.end as Count)
-                        {
-                            stats.windows_emitted += 1;
-                            out.push(WindowResult::new(id, Measure::Count, range, f.lower(&p)));
-                        }
-                    });
-                }
-            }
+        sweep.answer(store, per_window_only, update, stats, out);
+        if swept {
+            (self.next_trigger_time, self.next_trigger_count, self.sweep_always) =
+                self.queries.next_trigger(self.max_ts);
         }
-        sweep.answer(store, self.per_window_only, false, stats, out);
-        self.last_trigger_time = self.last_trigger_time.max(wm);
-        self.last_trigger_count = self.last_trigger_count.max(count_wm);
-        self.swept_once = true;
-        self.refresh_trigger_caches();
     }
 
-    /// Emits updated aggregates for already-triggered windows affected by a
-    /// late tuple at `ts` (within the allowed lateness).
-    fn emit_updates(&mut self, ts: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        // Late-tuple revisions query the store: land deferred repairs.
-        self.store.flush_eager_repairs();
-        let store = &self.store;
-        let f = &self.f;
-        let stats = &mut self.stats;
-        let wm = self.watermark;
-        let count_wm = if self.chars.has_count_measure { store.count_at_or_before(wm) } else { 0 };
-        // Every collected window contains `ts`: one pivot group.
-        let mut sweep = SweepList::new();
-        for q in &mut self.queries {
-            let id = q.id;
-            match q.window.measure() {
-                Measure::Time => {
-                    q.window.windows_containing(ts, &mut |range| {
-                        if range.end <= wm {
-                            sweep.push(id, range);
-                        }
-                    });
-                }
-                Measure::Count => {
-                    sweep.answer(store, self.per_window_only, true, stats, out);
-                    // The count shift affects every already-final window at
-                    // or after the insert position, not just the one
-                    // containing it.
-                    let c_ins = store.count_at_or_before(ts).saturating_sub(1);
-                    q.window.trigger_windows(c_ins as Time, count_wm as Time, &mut |range| {
-                        if let Some(p) = store.query_count(range.start as Count, range.end as Count)
-                        {
-                            stats.updates_emitted += 1;
-                            out.push(WindowResult::update(id, Measure::Count, range, f.lower(&p)));
-                        }
-                    });
-                }
-            }
-        }
-        sweep.answer(store, self.per_window_only, true, stats, out);
-    }
-
-    /// Evicts slices no longer reachable by any window or late update. A
-    /// slice is evictable only if **every** registered measure allows it:
-    /// time queries bound eviction by `wm - lateness - max_extent` (and by
-    /// pending context-aware windows), count queries by the trailing
-    /// `max_count_extent` tuple counts.
+    /// Evicts slices no longer reachable by any window or late update:
+    /// those **every** measure allows, time queries up to the set's
+    /// horizon, count queries short of the longest count extent.
     fn evict(&mut self, wm: Time) {
         let lateness = if self.cfg.order.is_in_order() { 0 } else { self.cfg.allowed_lateness };
+        let count_extent = self.queries.max_extent(Measure::Count) as u64;
         if self.count_mode() {
             let final_count = self.store.count_at_or_before(wm.saturating_sub(lateness));
-            let keep_from = final_count.saturating_sub(self.max_count_extent as u64);
-            self.store.evict_keeping_counts(keep_from);
+            self.store.evict_keeping_counts(final_count.saturating_sub(count_extent));
             return;
         }
-        let has_time_queries = self.queries.iter().any(|q| q.window.measure() == Measure::Time);
-        let k_time = if has_time_queries {
-            let mut boundary = wm.saturating_sub(lateness).saturating_sub(self.max_time_extent);
-            for q in &self.queries {
-                if let Some(pending) = q.window.earliest_pending_start() {
-                    boundary = boundary.min(pending);
-                }
-            }
-            self.store.geometry().ended_by(boundary)
+        let k_time = if self.queries.has(Measure::Time) {
+            self.store.geometry().ended_by(self.queries.horizon(wm, lateness))
         } else {
             self.store.len().saturating_sub(1)
         };
         let k_count = if self.chars.has_count_measure {
-            let keep_from = self.store.total_count().saturating_sub(self.max_count_extent as u64);
+            let keep_from = self.store.total_count().saturating_sub(count_extent);
             self.store.geometry().count_evictable(keep_from)
         } else {
             self.store.len()
@@ -865,7 +708,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
                 || self.next_trigger_time.is_some_and(|t| ts >= t)
                 || self.next_trigger_count.is_some_and(|c| self.store.total_count() >= c);
             if sweep {
-                self.trigger_up_to(ts, ts, out);
+                self.sweep(ts, ts, None, out);
                 self.watermark = ts;
             }
         }
@@ -876,7 +719,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             // Count windows can complete exactly with this tuple; emit them
             // immediately rather than on the next arrival.
             if self.next_trigger_count.is_some_and(|c| self.store.total_count() >= c) {
-                self.trigger_up_to(ts, ts, out);
+                self.sweep(ts, ts, None, out);
                 self.watermark = ts;
             }
             // Evict only when slices were cut this call — eviction work is
@@ -923,7 +766,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // Window Manager: late tuples below the watermark revise emitted
         // windows.
         if self.watermark != TIME_MIN && ts <= self.watermark {
-            self.emit_updates(ts, out);
+            self.sweep(self.watermark, self.max_ts, Some(ts), out);
         }
     }
 
@@ -941,7 +784,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             Err(next) => {
                 let next_slice_start =
                     if next < geometry.len() { geometry.start(next) } else { TIME_MAX };
-                let next_edge = self.compute_next_time_edge(ts).unwrap_or(TIME_MAX);
+                let next_edge = self.next_edge(Measure::Time, ts).unwrap_or(TIME_MAX);
                 let end = next_edge.min(next_slice_start);
                 debug_assert!(end > ts, "gap slice must cover its tuple");
                 let idx = self.store.insert_gap_slice(Range::new(ts, end));
@@ -998,7 +841,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// (Figure 5) nor removes tuples (Figure 6, the cascading count
     /// shift). Per tuple, the loop also needs a non-empty store and a
     /// timestamp above the watermark (at or below it the tuple revises
-    /// emitted windows *immediately* via `emit_updates`).
+    /// emitted windows *immediately* via `sweep`).
     fn defer_config_ok(&self) -> bool {
         let plan = self.store.plan();
         self.cfg.order == StreamOrder::OutOfOrder && !plan.splits && !plan.removes
@@ -1325,14 +1168,11 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
         self.advance_time_edges(ts);
         let mut edges = std::mem::take(&mut self.edges);
-        edges.clear();
-        for q in &mut self.queries {
-            q.window.on_punctuation(ts, &mut edges);
-        }
+        self.queries.punctuate(ts, &mut edges);
         self.apply_edges(&edges, out);
         self.edges = edges;
         if self.cfg.order.is_in_order() {
-            self.trigger_up_to(ts, self.max_ts.max(ts), out);
+            self.sweep(ts, self.max_ts.max(ts), None, out);
             self.watermark = ts;
         }
     }
@@ -1342,7 +1182,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         if wm <= self.watermark {
             return;
         }
-        self.trigger_up_to(wm, self.max_ts, out);
+        self.sweep(wm, self.max_ts, None, out);
         self.watermark = wm;
         self.evict(wm);
     }
@@ -1395,7 +1235,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // above their watermark, and the merge protocol applies a group
         // before the global watermark passes it.
         if self.watermark != TIME_MIN && t_first <= self.watermark {
-            self.emit_updates(t_first, out);
+            self.sweep(self.watermark, self.max_ts, Some(t_first), out);
         }
     }
 
@@ -1428,7 +1268,6 @@ impl<A: AggregateFunction> Clone for WindowOperator<A> {
             f: self.f.clone(),
             cfg: self.cfg,
             queries: self.queries.clone(),
-            next_query_id: self.next_query_id,
             chars: self.chars,
             store: self.store.clone(),
             next_time_edge: self.next_time_edge,
@@ -1436,10 +1275,6 @@ impl<A: AggregateFunction> Clone for WindowOperator<A> {
             max_ts: self.max_ts,
             max_punct: self.max_punct,
             watermark: self.watermark,
-            last_trigger_time: self.last_trigger_time,
-            last_trigger_count: self.last_trigger_count,
-            max_time_extent: self.max_time_extent,
-            max_count_extent: self.max_count_extent,
             next_trigger_time: self.next_trigger_time,
             next_trigger_count: self.next_trigger_count,
             sweep_always: self.sweep_always,
@@ -1448,7 +1283,6 @@ impl<A: AggregateFunction> Clone for WindowOperator<A> {
             stats: self.stats,
             // Scratch is dead between calls; a checkpoint does not need it.
             late: None,
-            context_aware: self.context_aware.clone(),
             edges: self.edges.clone(),
         }
     }

@@ -4,7 +4,8 @@
 //! For time-measure, context-free windows with **static edges**
 //! ([`WindowFunction::has_static_edges`]), slice boundaries are a pure
 //! function of the query set — every observer derives the same `[start,
-//! end)` spans without coordination. The keyed operator exploits this to
+//! end)` spans without coordination, from the union of the set's edges
+//! ([`QuerySet::prev_edge`], [`QuerySet::next_edge`]). The keyed operator exploits this to
 //! share one boundary list across all keys; the intra-query parallel path
 //! exploits it so N workers pre-aggregate disjoint sub-streams into
 //! identical per-slice partials that a merge stage can `combine`.
@@ -17,13 +18,15 @@
 //! timestamp, and indices from the previous generation must be discarded.
 //!
 //! [`WindowFunction::has_static_edges`]: crate::window::WindowFunction::has_static_edges
+//! [`QuerySet::prev_edge`]: crate::window::QuerySet::prev_edge
+//! [`QuerySet::next_edge`]: crate::window::QuerySet::next_edge
 
 use std::collections::VecDeque;
 
 use crate::cast;
 use crate::function::AggregateFunction;
 use crate::time::{Measure, Range, Time, TIME_MAX, TIME_MIN};
-use crate::window::{ContextClass, Query, WindowFunction};
+use crate::window::{ContextClass, QuerySet, WindowFunction};
 
 /// Whether `windows` over `f` can share one static slice timeline: at
 /// least one window, a commutative `f` (partials combine in any order),
@@ -102,46 +105,23 @@ impl Timeline {
         self.slices[position]
     }
 
-    /// Earliest next edge strictly after `ts` across all queries.
-    pub fn union_next_edge(queries: &[Query], ts: Time) -> Time {
-        let mut e = TIME_MAX;
-        for q in queries {
-            if let Some(n) = q.window.next_edge(ts) {
-                e = e.min(n);
-            }
-        }
-        debug_assert!(e > ts, "next edge must be strictly after ts");
-        e
-    }
-
-    /// Latest edge at or before `ts` across all queries.
-    pub fn union_prev_edge(queries: &[Query], ts: Time) -> Time {
-        let mut e = TIME_MIN;
-        for q in queries {
-            if let Some(p) = q.window.prev_edge(ts) {
-                e = e.max(p);
-            }
-        }
-        debug_assert!(e <= ts, "prev edge must be at or before ts");
-        e
-    }
-
     /// Extends the timeline (in either direction) so some slice covers
     /// `ts`, and returns that slice's **position** (index into the live
     /// span). Increments `slices_created` once per slice added.
     pub(crate) fn ensure_covering(
         &mut self,
         ts: Time,
-        queries: &[Query],
+        queries: &QuerySet,
         slices_created: &mut u64,
     ) -> usize {
+        let next_edge = |ts| queries.next_edge(Measure::Time, ts, false).unwrap_or(TIME_MAX);
+        let prev_edge = |ts| queries.prev_edge(ts).unwrap_or(TIME_MIN);
         if self.slices.is_empty() {
             // Rebirth: the first slice anchors the index↔time map anew,
             // at whatever `base` eviction left behind — the old numbering
             // no longer means anything, so start a new generation.
             self.generation += 1;
-            let start = Self::union_prev_edge(queries, ts);
-            let end = Self::union_next_edge(queries, ts);
+            let (start, end) = (prev_edge(ts), next_edge(ts));
             self.slices.push_back(SliceMeta { start, end });
             *slices_created += 1;
             return 0;
@@ -150,7 +130,7 @@ impl Timeline {
             if ts < start {
                 break;
             }
-            let end = Self::union_next_edge(queries, start);
+            let end = next_edge(start);
             self.slices.push_back(SliceMeta { start, end });
             *slices_created += 1;
         }
@@ -158,7 +138,7 @@ impl Timeline {
             if ts >= end {
                 break;
             }
-            let start = Self::union_prev_edge(queries, end - 1);
+            let start = prev_edge(end - 1);
             debug_assert!(start < end);
             self.slices.push_front(SliceMeta { start, end });
             self.base -= 1;
@@ -291,8 +271,11 @@ mod tests {
         }
     }
 
-    fn queries() -> Vec<Query> {
-        vec![Query::new(0, Box::new(Tumble(10))), Query::new(1, Box::new(Tumble(15)))]
+    fn queries() -> QuerySet {
+        let mut set = QuerySet::default();
+        set.add(Box::new(Tumble(10)));
+        set.add(Box::new(Tumble(15)));
+        set
     }
 
     #[test]

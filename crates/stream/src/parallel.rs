@@ -8,7 +8,7 @@
 //! [`WindowOperator`] that triggers and emits exactly as the sequential
 //! operator would. The split is sound because for **time-measure,
 //! context-free windows with static edges** slice boundaries are a pure
-//! function of the query set ([`Timeline`]): every worker derives the
+//! function of the query set ([`QuerySet`]): every worker derives the
 //! same `[start, end)` spans without coordination, and a **commutative**
 //! aggregate lets partials combine in any arrival order.
 //!
@@ -75,8 +75,8 @@
 use crossbeam::runtime;
 use crossbeam::sched::ProbeEvent;
 use gss_core::{
-    shares_static_timeline, AggregateFunction, OperatorConfig, Query, QueryId, SlicePartial,
-    StreamElement, StreamOrder, Time, Timeline, WindowFunction, WindowOperator, WindowResult,
+    shares_static_timeline, AggregateFunction, Measure, OperatorConfig, QuerySet, SlicePartial,
+    StreamElement, StreamOrder, Time, WindowFunction, WindowOperator, WindowResult, TIME_MAX,
     TIME_MIN,
 };
 
@@ -117,7 +117,7 @@ type Up<'a, A> = Uplink<'a, Vec<SlicePartial<A>>>;
 /// the last flush, sorted by span start.
 struct WorkerSlicer<A: AggregateFunction> {
     f: A,
-    queries: Vec<Query>,
+    queries: QuerySet,
     lateness: Time,
     /// Declared order of the source stream: decides the straggler rule
     /// (strict `<` for in-order, `<=` for out-of-order) and whether
@@ -143,11 +143,10 @@ struct WorkerSlicer<A: AggregateFunction> {
 
 impl<A: AggregateFunction> WorkerSlicer<A> {
     fn new(f: A, windows: &[Box<dyn WindowFunction>], lateness: Time, order: StreamOrder) -> Self {
-        let queries = windows
-            .iter()
-            .enumerate()
-            .map(|(id, w)| Query::new(id as QueryId, w.clone_box()))
-            .collect();
+        let mut queries = QuerySet::default();
+        for w in windows {
+            queries.add(w.clone_box());
+        }
         WorkerSlicer {
             f,
             queries,
@@ -188,9 +187,10 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
             self.dropped_late += 1;
             return;
         }
+        let (start, end) = self.span(ts);
         self.stragglers.push(SlicePartial {
-            start: Timeline::union_prev_edge(&self.queries, ts),
-            end: Timeline::union_next_edge(&self.queries, ts),
+            start,
+            end,
             partial: self.f.lift(value),
             t_first: ts,
             t_last: ts,
@@ -204,8 +204,8 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
         match self.parts.get(self.last) {
             Some(p) if p.start <= ts && ts < p.end => (p.start, p.end),
             _ => (
-                Timeline::union_prev_edge(&self.queries, ts),
-                Timeline::union_next_edge(&self.queries, ts),
+                self.queries.prev_edge(ts).unwrap_or(TIME_MIN),
+                self.queries.next_edge(Measure::Time, ts, false).unwrap_or(TIME_MAX),
             ),
         }
     }
@@ -516,7 +516,7 @@ where
 mod tests {
     use super::*;
     use gss_core::testsupport::{Concat, SumI64};
-    use gss_core::{Range, StorePolicy};
+    use gss_core::{QueryId, Range, StorePolicy};
     use gss_windows::{CountTumblingWindow, SessionWindow, SlidingWindow, TumblingWindow};
 
     fn tumbling(len: i64) -> Vec<Box<dyn WindowFunction>> {

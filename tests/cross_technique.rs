@@ -233,6 +233,80 @@ fn count_windows_agree_between_slicing_and_tuple_buffer() {
     assert!(!a.is_empty());
 }
 
+/// A late tuple shifts the count position of every later tuple, so it
+/// changes every fired count window from its own position on, not only
+/// the one that holds it: each technique's last emission per window must
+/// match the event-time-sorted stream cut into chunks of 64.
+#[test]
+fn late_tuples_update_every_later_count_window() {
+    let arrivals = ooo_workload();
+    let mut sorted = arrivals.clone();
+    sorted.sort_by_key(|&(ts, _)| ts);
+    let reference: Finals = (0..)
+        .zip(sorted.chunks_exact(64))
+        .map(|(k, chunk)| ((0, 64 * k, 64 * (k + 1)), chunk.iter().map(|&(_, v)| v).sum()))
+        .collect();
+    let lateness = 5_000;
+    let window = || Box::new(CountTumblingWindow::new(64)) as Box<dyn WindowFunction>;
+    let run = |agg: &mut dyn WindowAggregator<Sum>| {
+        let mut out = Vec::new();
+        let mut max_ts = Time::MIN;
+        for (i, &(ts, v)) in arrivals.iter().enumerate() {
+            agg.process(ts, v, &mut out);
+            max_ts = max_ts.max(ts);
+            if (i + 1) % 50 == 0 {
+                agg.on_watermark(max_ts - 300, &mut out);
+            }
+        }
+        agg.on_watermark(i64::MAX - 1, &mut out);
+        finals(&out)
+    };
+
+    let mut op = SlicingOp::new(Sum, OperatorConfig::out_of_order(lateness));
+    op.add_query(window()).unwrap();
+    assert_eq!(run(&mut op), reference, "general slicing");
+    let mut tb = TupleBuffer::new(Sum, StreamOrder::OutOfOrder, lateness);
+    tb.add_query(window());
+    assert_eq!(run(&mut tb), reference, "tuple buffer");
+    let mut at = AggregateTree::new(Sum, StreamOrder::OutOfOrder, lateness);
+    at.add_query(window());
+    assert_eq!(run(&mut at), reference, "aggregate tree");
+    assert_eq!(reference.len(), 46);
+}
+
+/// Eviction stops at the earliest start a window still has pending: a
+/// session that outlasts its retention keeps every slice a shorter query
+/// cut under it, in each technique that evicts by the query set's horizon.
+#[test]
+fn an_open_session_pins_its_slices_past_the_longest_extent() {
+    let windows = || -> [Box<dyn WindowFunction>; 2] {
+        [Box::new(TumblingWindow::new(10)), Box::new(SessionWindow::new(10).with_retention(20))]
+    };
+    let sessions = |agg: &mut dyn WindowAggregator<Sum>| {
+        let mut out = Vec::new();
+        for ts in (0..=100).step_by(5).chain([200]) {
+            agg.process(ts, 1, &mut out);
+        }
+        out.into_iter().filter(|r| r.query == 1).map(|r| (r.range, r.value)).collect::<Vec<_>>()
+    };
+    let want = vec![(Range::new(0, 110), 21)];
+    let mut op = SlicingOp::new(Sum, OperatorConfig::in_order());
+    for w in windows() {
+        op.add_query(w).unwrap();
+    }
+    assert_eq!(sessions(&mut op), want, "general slicing");
+    let mut tb = TupleBuffer::new(Sum, StreamOrder::InOrder, 0);
+    for w in windows() {
+        tb.add_query(w);
+    }
+    assert_eq!(sessions(&mut tb), want, "tuple buffer");
+    let mut at = AggregateTree::new(Sum, StreamOrder::InOrder, 0);
+    for w in windows() {
+        at.add_query(w);
+    }
+    assert_eq!(sessions(&mut at), want, "aggregate tree");
+}
+
 #[test]
 fn holistic_median_agrees_across_techniques() {
     let tuples: Vec<(Time, i64)> = (0..2_000).map(|i| (i, (i * 37) % 97)).collect();

@@ -2,7 +2,7 @@
 //! oracles, under randomized streams, window parameters, and disorder.
 
 use general_stream_slicing::prelude::*;
-use gss_core::testsupport::Concat;
+use gss_core::testsupport::{Concat, SumI64};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -107,8 +107,114 @@ where
     Ok(())
 }
 
+/// Runs `f` over `arrivals` with all of `windows` in one operator and
+/// with each alone, and holds every query's emission sequence, updates
+/// included, against the one its window gets alone. Out of order, a
+/// watermark `lag` behind the latest time follows every 10 arrivals;
+/// both orders end with a flush watermark.
+fn check_each_query_as_alone<A>(
+    f: A,
+    windows: &[Box<dyn WindowFunction>],
+    cfg: OperatorConfig,
+    arrivals: &[(Time, i64)],
+    lag: Time,
+) -> Result<(), TestCaseError>
+where
+    A: AggregateFunction<Input = i64>,
+    A::Output: PartialEq + std::fmt::Debug,
+{
+    let run = |windows: &[Box<dyn WindowFunction>]| {
+        let mut op = WindowOperator::new(f.clone(), cfg);
+        for w in windows {
+            op.add_query(w.clone()).unwrap();
+        }
+        let mut out = Vec::new();
+        let mut max_ts = Time::MIN;
+        for (i, &(ts, v)) in arrivals.iter().enumerate() {
+            op.process_tuple(ts, v, &mut out);
+            max_ts = max_ts.max(ts);
+            if !cfg.order.is_in_order() && (i + 1) % 10 == 0 {
+                op.process_watermark(max_ts - lag, &mut out);
+            }
+        }
+        op.process_watermark(i64::MAX - 1, &mut out);
+        out
+    };
+    let all = run(windows);
+    for (id, w) in (0..).zip(windows) {
+        let mine: Vec<_> = all.iter().filter(|r| r.query == id).collect();
+        let alone = run(std::slice::from_ref(w));
+        prop_assert_eq!(mine.len(), alone.len(), "query {} ({} queries)", id, windows.len());
+        for (a, b) in mine.iter().zip(&alone) {
+            prop_assert_eq!(
+                (a.measure, a.range, &a.value, a.is_update),
+                (b.measure, b.range, &b.value, b.is_update),
+                "query {}",
+                id
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Time windows for the query-set cell: lengths from a nested pool
+/// (6, 12, 24, 48), so sets repeat and nest queries, each tumbling or
+/// sliding by a half or a third, plus one session window at `at`.
+fn time_windows(specs: &[(usize, i64)], gap: i64, at: usize) -> Vec<Box<dyn WindowFunction>> {
+    let mut windows: Vec<Box<dyn WindowFunction>> = specs
+        .iter()
+        .map(|&(i, k)| {
+            let length = 6 << i;
+            Box::new(SlidingWindow::new(length, length / k)) as Box<dyn WindowFunction>
+        })
+        .collect();
+    windows.insert(at % (windows.len() + 1), Box::new(SessionWindow::new(gap)));
+    windows
+}
+
+/// Count windows from the same kind of pool (4, 8, 16, 32 tuples).
+fn count_windows(specs: &[(usize, u64)]) -> Vec<Box<dyn WindowFunction>> {
+    specs
+        .iter()
+        .map(|&(i, k)| {
+            let length = 4u64 << i;
+            Box::new(CountSlidingWindow::new(length, length / k)) as Box<dyn WindowFunction>
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The query-set cell: an operator holding 2–12 queries, duplicates
+    /// and nested lengths among them, answers each query exactly as an
+    /// operator holding only that query, update emissions included — on
+    /// time (tumbling, sliding and a session window) and on counts, in
+    /// order and out of order with lateness, for a commutative and a
+    /// non-commutative function.
+    #[test]
+    fn each_query_of_a_set_is_answered_as_alone(
+        raw in prop::collection::vec((0i64..600, -100i64..100), 1..120),
+        time_specs in prop::collection::vec((0usize..4, 1i64..4), 1..12),
+        count_specs in prop::collection::vec((0usize..4, 1u64..4), 2..13),
+        gap in 2i64..20,
+        at in 0usize..12,
+        strength in 1usize..30,
+        lateness in 0i64..200,
+        lag in 0i64..60,
+    ) {
+        let tuples = sorted(&raw);
+        let arrivals = disorder(&tuples, strength);
+        let sets = [time_windows(&time_specs, gap, at), count_windows(&count_specs)];
+        for windows in &sets {
+            let in_order = OperatorConfig::in_order();
+            let ooo = OperatorConfig::out_of_order(lateness);
+            check_each_query_as_alone(SumI64, windows, in_order, &tuples, lag)?;
+            check_each_query_as_alone(SumI64, windows, ooo, &arrivals, lag)?;
+            check_each_query_as_alone(Concat, windows, in_order, &tuples, lag)?;
+            check_each_query_as_alone(Concat, windows, ooo, &arrivals, lag)?;
+        }
+    }
 
     /// In-order sliding windows match the oracle for every emitted window,
     /// and every nonempty complete window is emitted.
