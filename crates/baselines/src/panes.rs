@@ -116,7 +116,7 @@ impl<A: AggregateFunction> WindowAggregator<A> for Panes<A> {
         if !self.started {
             assert!(self.pane > 0, "register queries before data");
             self.started = true;
-            self.open_start = ts.div_euclid(self.pane) * self.pane;
+            self.open_start = PeriodicEdges::new(self.pane, self.pane).prev_edge(ts);
             self.last_trigger = ts;
             self.next_end = self.next_window_end(ts);
         }

@@ -30,7 +30,7 @@ use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGener
 use gss_windows::{CountTumblingWindow, TumblingWindow};
 
 /// Rounds over the algebraic functions; each of their cells is its best.
-const ROUNDS: usize = 3;
+const ROUNDS: usize = 7;
 
 /// Drives general slicing with function `f` over the prepared arrival
 /// stream, mapping each base tuple into the function's input type.

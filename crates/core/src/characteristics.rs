@@ -42,7 +42,7 @@ impl WorkloadCharacteristics {
             order,
             has_fca_window: queries.has_fca,
             has_context_aware_non_session: queries.has_context_aware_non_session,
-            has_context_aware: !queries.context_aware.is_empty(),
+            has_context_aware: queries.has_context_aware(),
             has_count_measure: queries.has(Measure::Count),
             function,
         }

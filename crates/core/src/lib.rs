@@ -27,31 +27,32 @@
 //! use gss_core::operator::{OperatorConfig, WindowOperator};
 //! use gss_core::testsupport::SumI64;
 //! use gss_core::time::{Measure, Range, Time};
-//! use gss_core::window::{ContextClass, WindowFunction};
+//! use gss_core::window::{ContextClass, PeriodicEdges, WindowFunction};
 //!
 //! // A minimal tumbling window of length 10 (real window types live in
-//! // `gss-windows`).
+//! // `gss-windows`). Reporting its `PeriodicEdges` lets the operator's
+//! // query set answer it by arithmetic; the other methods answer whoever
+//! // asks the window itself.
 //! #[derive(Clone)]
-//! struct Tumbling;
+//! struct Tumbling(PeriodicEdges);
 //! impl WindowFunction for Tumbling {
 //!     fn measure(&self) -> Measure { Measure::Time }
 //!     fn context(&self) -> ContextClass { ContextClass::ContextFree }
-//!     fn next_edge(&self, ts: Time) -> Option<Time> { Some((ts.div_euclid(10) + 1) * 10) }
-//!     fn next_window_end(&self, ts: Time) -> Option<Time> { self.next_edge(ts) }
+//!     fn periodic(&self) -> Option<PeriodicEdges> { Some(self.0) }
+//!     fn next_edge(&self, ts: Time) -> Option<Time> { Some(self.0.next_edge(ts)) }
+//!     fn next_window_end(&self, ts: Time) -> Option<Time> { Some(self.0.next_end(ts)) }
 //!     fn trigger_windows(&mut self, p: Time, c: Time, out: &mut dyn FnMut(Range)) {
-//!         let mut e = (p.div_euclid(10) + 1) * 10;
-//!         while e <= c { out(Range::new(e - 10, e)); e += 10; }
+//!         self.0.ends_in(p, c, out)
 //!     }
 //!     fn windows_containing(&self, ts: Time, out: &mut dyn FnMut(Range)) {
-//!         let s = ts.div_euclid(10) * 10;
-//!         out(Range::new(s, s + 10));
+//!         self.0.containing(ts, out)
 //!     }
-//!     fn max_extent(&self) -> i64 { 10 }
+//!     fn max_extent(&self) -> i64 { self.0.length }
 //!     fn clone_box(&self) -> Box<dyn WindowFunction> { Box::new(self.clone()) }
 //! }
 //!
 //! let mut op = WindowOperator::new(SumI64, OperatorConfig::in_order());
-//! op.add_query(Box::new(Tumbling)).unwrap();
+//! op.add_query(Box::new(Tumbling(PeriodicEdges::new(10, 10)))).unwrap();
 //! let mut out = Vec::new();
 //! for ts in [1, 4, 9, 11, 15, 21] {
 //!     op.process_tuple(ts, ts, &mut out);
@@ -99,4 +100,6 @@ pub use slice::Slice;
 pub use store::{SliceStore, StorePolicy};
 pub use time::{Count, Measure, Range, StreamOrder, Time, Watermark, TIME_MAX, TIME_MIN};
 pub use timeline::{shares_static_timeline, SliceMeta, Timeline};
-pub use window::{ContextClass, ContextEdges, Query, QueryId, QuerySet, WindowFunction};
+pub use window::{
+    ContextClass, ContextEdges, PeriodicEdges, Query, QueryId, QuerySet, WindowFunction,
+};

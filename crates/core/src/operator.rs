@@ -225,35 +225,42 @@ pub struct SlicePartial<A: AggregateFunction> {
 /// Sweeps too small for [`SliceStore::query_time_batch`] to consider —
 /// almost all of them: a tumbling query fires one window at a time —
 /// stay in the inline array, so collecting first costs them no
-/// allocation; the heap list of a large sweep is freed with the sweep
-/// (scratch kept between sweeps would be operator state).
+/// allocation. A larger sweep collects on the heap, sized up front by
+/// the count the query set gives (`QuerySet::due`), and the list is
+/// freed with the sweep (scratch kept between sweeps would be operator
+/// state).
 struct SweepList {
+    /// The first `len` entries, while `spill` has no capacity.
     inline: [(QueryId, Range); MIN_BATCH_WINDOWS - 1],
     len: usize,
     spill: Vec<(QueryId, Range)>,
 }
 
 impl SweepList {
-    fn new() -> Self {
+    /// A list for a sweep of about `windows` windows.
+    fn new(windows: usize) -> Self {
         let none = (0, Range { start: 0, end: 0 });
-        SweepList { inline: [none; MIN_BATCH_WINDOWS - 1], len: 0, spill: Vec::new() }
+        let inline = [none; MIN_BATCH_WINDOWS - 1];
+        let spill = if windows > inline.len() { Vec::with_capacity(windows) } else { Vec::new() };
+        SweepList { inline, len: 0, spill }
     }
 
+    #[inline]
     fn push(&mut self, id: QueryId, range: Range) {
-        if self.len < self.inline.len() {
-            self.inline[self.len] = (id, range);
-        } else {
-            if self.len == self.inline.len() {
-                self.spill.reserve(8 * self.inline.len());
-                self.spill.extend_from_slice(&self.inline);
+        if self.spill.capacity() == 0 {
+            if let Some(slot) = self.inline.get_mut(self.len) {
+                *slot = (id, range);
+                self.len += 1;
+                return;
             }
-            self.spill.push((id, range));
+            self.spill.reserve(8 * self.inline.len());
+            self.spill.extend_from_slice(&self.inline);
         }
-        self.len += 1;
+        self.spill.push((id, range));
     }
 
     fn windows(&self) -> &[(QueryId, Range)] {
-        if self.len <= self.inline.len() {
+        if self.spill.capacity() == 0 {
             &self.inline[..self.len]
         } else {
             &self.spill
@@ -595,9 +602,13 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // writes) must land before the sweep queries the store. A no-op
         // when the dirty set is empty.
         self.store.flush_eager_repairs();
+        // Punctuations can mark window ends beyond the latest tuple.
+        let max_pos = data_pos.max(self.max_punct);
+        let first_pos = (!self.store.is_empty()).then(|| self.store.geometry().start(0));
+        let due = if late.is_none() { self.queries.due(wm, max_pos, first_pos) } else { 0 };
         let (store, stats) = (&self.store, &mut self.stats);
         let (per_window_only, update) = (self.per_window_only, late.is_some());
-        let mut sweep = SweepList::new();
+        let mut sweep = SweepList::new(due);
         let answer = |id, m, range: Range| match m {
             Measure::Time => sweep.push(id, range),
             Measure::Count => {
@@ -622,9 +633,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
                 (true, true) => store.total_count(),
                 (true, false) => store.count_at_or_before(wm),
             };
-            // Punctuations can mark window ends beyond the latest tuple.
-            let max_pos = data_pos.max(self.max_punct);
-            let first_pos = (!store.is_empty()).then(|| store.geometry().start(0));
             self.swept_once = true;
             self.queries.trigger(wm, count_wm, max_pos, first_pos, answer)
         };
@@ -1350,6 +1358,84 @@ mod tests {
         let mut op = WindowOperator::new(SumI64, OperatorConfig::out_of_order(lateness));
         op.add_query(Box::new(TumblingStub { length: 10 })).unwrap();
         op
+    }
+
+    /// A tumbling window that counts every question it is asked.
+    #[derive(Clone)]
+    struct Counted(TumblingStub, std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Counted {
+        fn ask(&self) -> &TumblingStub {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            &self.0
+        }
+    }
+
+    impl WindowFunction for Counted {
+        fn measure(&self) -> Measure {
+            self.ask().measure()
+        }
+        fn context(&self) -> crate::window::ContextClass {
+            self.ask().context()
+        }
+        fn is_session(&self) -> bool {
+            self.ask().is_session()
+        }
+        fn periodic(&self) -> Option<crate::window::PeriodicEdges> {
+            self.ask().periodic()
+        }
+        fn next_edge(&self, ts: Time) -> Option<Time> {
+            self.ask().next_edge(ts)
+        }
+        fn next_start_edge(&self, ts: Time) -> Option<Time> {
+            self.ask().next_start_edge(ts)
+        }
+        fn next_window_end(&self, ts: Time) -> Option<Time> {
+            self.ask().next_window_end(ts)
+        }
+        fn prev_edge(&self, ts: Time) -> Option<Time> {
+            self.ask().prev_edge(ts)
+        }
+        fn requires_edge_at(&self, e: Time) -> bool {
+            self.ask().requires_edge_at(e)
+        }
+        fn earliest_pending_start(&self) -> Option<Time> {
+            self.ask().earliest_pending_start()
+        }
+        fn trigger_windows(&mut self, prev: Time, cur: Time, out: &mut dyn FnMut(Range)) {
+            self.ask();
+            self.0.trigger_windows(prev, cur, out)
+        }
+        fn windows_containing(&self, ts: Time, out: &mut dyn FnMut(Range)) {
+            self.ask().windows_containing(ts, out)
+        }
+        fn max_extent(&self) -> i64 {
+            self.ask().max_extent()
+        }
+        fn clone_box(&self) -> Box<dyn WindowFunction> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn registering_a_query_asks_each_window_a_constant_number_of_times() {
+        let mut op = WindowOperator::new(SumI64, OperatorConfig::out_of_order(0));
+        let mut out = Vec::new();
+        let asked: Vec<_> = (1..=1_000)
+            .map(|length| {
+                if length == 500 {
+                    op.process_tuple(0, 1, &mut out);
+                }
+                let asked = std::sync::Arc::default();
+                let window = Counted(TumblingStub { length }, std::sync::Arc::clone(&asked));
+                op.add_query(Box::new(window)).unwrap();
+                asked
+            })
+            .collect();
+        let asked: Vec<usize> =
+            asked.iter().map(|n| n.load(std::sync::atomic::Ordering::Relaxed)).collect();
+        // Its measure, context, session flag, extent and edges, once each.
+        assert!(asked.iter().all(|&n| n == 5), "{asked:?}");
     }
 
     #[test]

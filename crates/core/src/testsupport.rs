@@ -159,52 +159,6 @@ pub struct TumblingStub {
     pub length: crate::time::Time,
 }
 
-impl crate::window::WindowFunction for TumblingStub {
-    fn measure(&self) -> crate::time::Measure {
-        crate::time::Measure::Time
-    }
-    fn context(&self) -> crate::window::ContextClass {
-        crate::window::ContextClass::ContextFree
-    }
-    fn next_edge(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
-        Some((ts.div_euclid(self.length) + 1) * self.length)
-    }
-    fn next_window_end(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
-        self.next_edge(ts)
-    }
-    fn prev_edge(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
-        Some(ts.div_euclid(self.length) * self.length)
-    }
-    fn has_static_edges(&self) -> bool {
-        true
-    }
-    fn requires_edge_at(&self, e: crate::time::Time) -> bool {
-        e.rem_euclid(self.length) == 0
-    }
-    fn trigger_windows(
-        &mut self,
-        prev: crate::time::Time,
-        cur: crate::time::Time,
-        out: &mut dyn FnMut(crate::time::Range),
-    ) {
-        let mut e = (prev.div_euclid(self.length) + 1) * self.length;
-        while e <= cur {
-            out(crate::time::Range::new(e - self.length, e));
-            e += self.length;
-        }
-    }
-    fn windows_containing(&self, ts: crate::time::Time, out: &mut dyn FnMut(crate::time::Range)) {
-        let s = ts.div_euclid(self.length) * self.length;
-        out(crate::time::Range::new(s, s + self.length));
-    }
-    fn max_extent(&self) -> i64 {
-        self.length
-    }
-    fn clone_box(&self) -> Box<dyn crate::window::WindowFunction> {
-        Box::new(*self)
-    }
-}
-
 /// A minimal sliding window for core-internal tests: a window of `length`
 /// starts at every multiple of `slide`.
 #[derive(Debug, Clone, Copy)]
@@ -213,58 +167,74 @@ pub struct SlidingStub {
     pub slide: crate::time::Time,
 }
 
-impl SlidingStub {
-    /// Start of the last window that begins at or before `ts`.
-    fn start_at(&self, ts: crate::time::Time) -> crate::time::Time {
-        ts.div_euclid(self.slide) * self.slide
+/// The stubs are periodic windows: every method answers from their
+/// [`PeriodicEdges`](crate::window::PeriodicEdges).
+macro_rules! periodic_stub {
+    ($name:ident) => {
+        impl crate::window::WindowFunction for $name {
+            fn measure(&self) -> crate::time::Measure {
+                crate::time::Measure::Time
+            }
+            fn context(&self) -> crate::window::ContextClass {
+                crate::window::ContextClass::ContextFree
+            }
+            fn periodic(&self) -> Option<crate::window::PeriodicEdges> {
+                Some(self.edges())
+            }
+            fn next_edge(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
+                Some(self.edges().next_edge(ts))
+            }
+            fn next_window_end(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
+                Some(self.edges().next_end(ts))
+            }
+            fn prev_edge(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
+                Some(self.edges().prev_edge(ts))
+            }
+            fn has_static_edges(&self) -> bool {
+                true
+            }
+            fn requires_edge_at(&self, e: crate::time::Time) -> bool {
+                self.edges().edge_at(e)
+            }
+            fn trigger_windows(
+                &mut self,
+                prev: crate::time::Time,
+                cur: crate::time::Time,
+                out: &mut dyn FnMut(crate::time::Range),
+            ) {
+                self.edges().ends_in(prev, cur, out);
+            }
+            fn windows_containing(
+                &self,
+                ts: crate::time::Time,
+                out: &mut dyn FnMut(crate::time::Range),
+            ) {
+                self.edges().containing(ts, out);
+            }
+            fn max_extent(&self) -> i64 {
+                self.length
+            }
+            fn clone_box(&self) -> Box<dyn crate::window::WindowFunction> {
+                Box::new(*self)
+            }
+        }
+    };
+}
+
+impl TumblingStub {
+    fn edges(&self) -> crate::window::PeriodicEdges {
+        crate::window::PeriodicEdges::new(self.length, self.length)
     }
 }
 
-impl crate::window::WindowFunction for SlidingStub {
-    fn measure(&self) -> crate::time::Measure {
-        crate::time::Measure::Time
-    }
-    fn context(&self) -> crate::window::ContextClass {
-        crate::window::ContextClass::ContextFree
-    }
-    fn next_edge(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
-        self.next_window_end(ts).map(|end| end.min(self.start_at(ts) + self.slide))
-    }
-    fn next_window_end(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
-        Some(self.start_at(ts - self.length) + self.slide + self.length)
-    }
-    fn prev_edge(&self, ts: crate::time::Time) -> Option<crate::time::Time> {
-        Some(self.start_at(ts).max(self.start_at(ts - self.length) + self.length))
-    }
-    fn has_static_edges(&self) -> bool {
-        true
-    }
-    fn trigger_windows(
-        &mut self,
-        prev: crate::time::Time,
-        cur: crate::time::Time,
-        out: &mut dyn FnMut(crate::time::Range),
-    ) {
-        let mut e = self.start_at(prev - self.length) + self.slide + self.length;
-        while e <= cur {
-            out(crate::time::Range::new(e - self.length, e));
-            e += self.slide;
-        }
-    }
-    fn windows_containing(&self, ts: crate::time::Time, out: &mut dyn FnMut(crate::time::Range)) {
-        let mut s = self.start_at(ts - self.length) + self.slide;
-        while s <= ts {
-            out(crate::time::Range::new(s, s + self.length));
-            s += self.slide;
-        }
-    }
-    fn max_extent(&self) -> i64 {
-        self.length
-    }
-    fn clone_box(&self) -> Box<dyn crate::window::WindowFunction> {
-        Box::new(*self)
+impl SlidingStub {
+    fn edges(&self) -> crate::window::PeriodicEdges {
+        crate::window::PeriodicEdges::new(self.length, self.slide)
     }
 }
+
+periodic_stub!(TumblingStub);
+periodic_stub!(SlidingStub);
 
 /// Integer minimum with the exact partial ⊖ of `gss-aggregates`' `Min`:
 /// removing a value above the minimum leaves it, removing the minimum

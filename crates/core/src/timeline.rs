@@ -230,51 +230,12 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Clone)]
-    struct Tumble(Time);
-    impl WindowFunction for Tumble {
-        fn measure(&self) -> Measure {
-            Measure::Time
-        }
-        fn context(&self) -> ContextClass {
-            ContextClass::ContextFree
-        }
-        fn next_edge(&self, ts: Time) -> Option<Time> {
-            Some((ts.div_euclid(self.0) + 1) * self.0)
-        }
-        fn prev_edge(&self, ts: Time) -> Option<Time> {
-            Some(ts.div_euclid(self.0) * self.0)
-        }
-        fn next_window_end(&self, ts: Time) -> Option<Time> {
-            self.next_edge(ts)
-        }
-        fn has_static_edges(&self) -> bool {
-            true
-        }
-        fn trigger_windows(&mut self, p: Time, c: Time, out: &mut dyn FnMut(Range)) {
-            let mut e = (p.div_euclid(self.0) + 1) * self.0;
-            while e <= c {
-                out(Range::new(e - self.0, e));
-                e += self.0;
-            }
-        }
-        fn windows_containing(&self, ts: Time, out: &mut dyn FnMut(Range)) {
-            let s = ts.div_euclid(self.0) * self.0;
-            out(Range::new(s, s + self.0));
-        }
-        fn max_extent(&self) -> i64 {
-            self.0
-        }
-        fn clone_box(&self) -> Box<dyn WindowFunction> {
-            Box::new(self.clone())
-        }
-    }
+    use crate::testsupport::TumblingStub;
 
     fn queries() -> QuerySet {
         let mut set = QuerySet::default();
-        set.add(Box::new(Tumble(10)));
-        set.add(Box::new(Tumble(15)));
+        set.add(Box::new(TumblingStub { length: 10 }));
+        set.add(Box::new(TumblingStub { length: 15 }));
         set
     }
 

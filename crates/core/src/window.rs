@@ -13,7 +13,9 @@
 //! the windows that end now, the fired windows a late tuple changes, and
 //! how far back state must be kept. Every technique — the slicing
 //! operator, the keyed operator, the shared timeline and the baselines —
-//! asks the one set, so all of them answer the same windows.
+//! asks the one set, so all of them answer the same windows. Periodic
+//! windows ([`PeriodicEdges`]) it answers by arithmetic over the edge
+//! families they share, and asks only the other windows.
 
 use crate::cast;
 use crate::time::{Count, Measure, Range, Time, TIME_MAX, TIME_MIN};
@@ -85,6 +87,139 @@ impl ContextEdges {
     }
 }
 
+/// The positions `k·slide + phase` for every integer `k`: the starts, or
+/// the ends, of one periodic window. Every periodic edge answer is one of
+/// its steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Family {
+    slide: i64,
+    phase: i64,
+}
+
+impl Family {
+    /// The family of `phase` taken modulo `slide`, so that windows whose
+    /// edges coincide share one family.
+    fn new(slide: i64, phase: i64) -> Self {
+        Family { slide, phase: phase.rem_euclid(slide) }
+    }
+
+    /// The smallest position strictly after `ts`.
+    #[inline]
+    fn next_after(self, ts: Time) -> Time {
+        ((ts - self.phase).div_euclid(self.slide) + 1) * self.slide + self.phase
+    }
+
+    /// The largest position at or before `ts`.
+    #[inline]
+    fn at_or_before(self, ts: Time) -> Time {
+        (ts - self.phase).div_euclid(self.slide) * self.slide + self.phase
+    }
+
+    /// Is `e` a position?
+    #[inline]
+    fn holds(self, e: Time) -> bool {
+        (e - self.phase).rem_euclid(self.slide) == 0
+    }
+
+    /// How many positions lie in `(from, to]`: one division when there
+    /// are none.
+    fn count_in(self, from: Time, to: Time) -> usize {
+        let first = self.next_after(from);
+        if first > to {
+            return 0;
+        }
+        usize::try_from((to - first) / self.slide).map_or(0, |n| n + 1)
+    }
+}
+
+/// Edge arithmetic for periodic windows
+/// `[k·slide + offset, k·slide + offset + length)`, for every integer `k`.
+///
+/// `offset` shifts the window phase — e.g. hourly windows aligned to a
+/// timezone, or daily windows starting at 09:00. The periodic window types
+/// of `gss-windows` are thin wrappers over it, and a [`QuerySet`] answers
+/// every window that reports one ([`WindowFunction::periodic`]) with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeriodicEdges {
+    pub length: i64,
+    pub slide: i64,
+    pub offset: i64,
+}
+
+impl PeriodicEdges {
+    pub fn new(length: i64, slide: i64) -> Self {
+        Self::with_offset(length, slide, 0)
+    }
+
+    pub fn with_offset(length: i64, slide: i64, offset: i64) -> Self {
+        assert!(length > 0, "window length must be positive");
+        assert!(slide > 0, "window slide must be positive");
+        PeriodicEdges { length, slide, offset: offset.rem_euclid(slide) }
+    }
+
+    /// The window starts.
+    #[inline]
+    fn starts(&self) -> Family {
+        Family { slide: self.slide, phase: self.offset }
+    }
+
+    /// The window ends.
+    #[inline]
+    fn ends(&self) -> Family {
+        Family { slide: self.slide, phase: self.offset + self.length }
+    }
+
+    /// Smallest window start strictly after `ts`.
+    #[inline]
+    pub fn next_start(&self, ts: Time) -> Time {
+        self.starts().next_after(ts)
+    }
+
+    /// Smallest window end strictly after `ts`.
+    #[inline]
+    pub fn next_end(&self, ts: Time) -> Time {
+        self.ends().next_after(ts)
+    }
+
+    /// Smallest window edge (start or end) strictly after `ts`.
+    #[inline]
+    pub fn next_edge(&self, ts: Time) -> Time {
+        self.next_start(ts).min(self.next_end(ts))
+    }
+
+    /// Largest window edge (start or end) at or before `ts`.
+    #[inline]
+    pub fn prev_edge(&self, ts: Time) -> Time {
+        self.starts().at_or_before(ts).max(self.ends().at_or_before(ts))
+    }
+
+    /// Is there a window start or end exactly at `e`?
+    #[inline]
+    pub fn edge_at(&self, e: Time) -> bool {
+        self.starts().holds(e) || self.ends().holds(e)
+    }
+
+    /// All windows whose end lies in `(prev, cur]`, by end.
+    #[inline]
+    pub fn ends_in(&self, prev: Time, cur: Time, mut out: impl FnMut(Range)) {
+        let mut end = self.next_end(prev);
+        while end <= cur {
+            out(Range::new(end - self.length, end));
+            end += self.slide;
+        }
+    }
+
+    /// All windows containing position `ts`, by start.
+    #[inline]
+    pub fn containing(&self, ts: Time, mut out: impl FnMut(Range)) {
+        let mut start = self.next_start(ts - self.length);
+        while start <= ts {
+            out(Range::new(start, start + self.length));
+            start += self.slide;
+        }
+    }
+}
+
 /// A window type pluggable into the slicing core and the baselines.
 ///
 /// All positions (`ts` arguments, reported [`Range`]s) are expressed in the
@@ -104,6 +239,16 @@ pub trait WindowFunction: Send {
     /// special-cases them through this flag.
     fn is_session(&self) -> bool {
         false
+    }
+
+    /// The window's edges, if it is periodic: context free, with windows
+    /// exactly those of the returned [`PeriodicEdges`] in its measure. A
+    /// [`QuerySet`] then answers its edges, ends and windows by arithmetic
+    /// over the edge families its periodic windows share, without asking
+    /// the window; the window's own answers must agree with the
+    /// arithmetic. Read once, when the query is made.
+    fn periodic(&self) -> Option<PeriodicEdges> {
+        None
     }
 
     /// Next window edge (start or end) strictly after `ts`, if known.
@@ -199,38 +344,72 @@ impl Clone for Box<dyn WindowFunction> {
     }
 }
 
-/// A registered query: a window function plus its identifier.
+/// A registered query: a window function plus its identifier, and the
+/// facts the set reads of the window once, when the query is made.
 pub struct Query {
     pub id: QueryId,
     pub window: Box<dyn WindowFunction>,
     measure: Measure,
+    context: ContextClass,
+    is_session: bool,
+    max_extent: i64,
+    periodic: Option<PeriodicEdges>,
 }
 
 impl Query {
     pub fn new(id: QueryId, window: Box<dyn WindowFunction>) -> Self {
-        Query { id, measure: window.measure(), window }
+        let (context, periodic) = (window.context(), window.periodic());
+        debug_assert!(periodic.is_none() || context == ContextClass::ContextFree);
+        Query {
+            id,
+            measure: window.measure(),
+            context,
+            is_session: window.is_session(),
+            max_extent: window.max_extent(),
+            periodic,
+            window,
+        }
     }
 
     /// The window's measure, asked of it once, when the query is made.
     pub fn measure(&self) -> Measure {
         self.measure
     }
+
+    /// `out` for each window whose end lies in `(prev, cur]`.
+    #[inline]
+    fn ends_in(&mut self, prev: Time, cur: Time, mut out: impl FnMut(Range)) {
+        match self.periodic {
+            Some(p) => p.ends_in(prev, cur, out),
+            None => self.window.trigger_windows(prev, cur, &mut out),
+        }
+    }
+
+    /// `out` for each window containing `ts`.
+    #[inline]
+    fn containing(&self, ts: Time, mut out: impl FnMut(Range)) {
+        match self.periodic {
+            Some(p) => p.containing(ts, out),
+            None => self.window.windows_containing(ts, &mut out),
+        }
+    }
 }
 
 impl Clone for Query {
     fn clone(&self) -> Self {
-        Query { id: self.id, window: self.window.clone_box(), measure: self.measure }
+        Query { window: self.window.clone_box(), ..*self }
     }
 }
 
 /// The registered queries of one technique, in registration order (ids
-/// are never reused), the facts derived from them once per change, and
-/// the upper bounds of the last trigger sweep.
+/// are never reused), the facts derived from them, and the upper bounds
+/// of the last trigger sweep. Each added query appends its facts; a
+/// removal derives them anew.
 #[derive(Clone)]
 pub struct QuerySet {
     queries: Vec<Query>,
-    /// Indices into `queries` of the context-aware windows.
-    pub(crate) context_aware: Box<[u32]>,
+    /// The index columns and edge families, in one allocation.
+    derived: Box<Derived>,
     /// Per measure (time, count): the longest extent, and whether any
     /// query uses it.
     max_extent: [i64; 2],
@@ -241,11 +420,29 @@ pub struct QuerySet {
     pub(crate) has_context_aware_non_session: bool,
 }
 
+/// What a [`QuerySet`] walks instead of its queries. The periodic windows
+/// of a measure share few edge families — 50 sliding windows with one
+/// slide share one — so an edge, an end or a window count costs one step
+/// per family; only the other windows are asked through the vtable.
+#[derive(Clone, Default)]
+struct Derived {
+    /// Indices into `queries` of the context-aware windows.
+    context_aware: Vec<u32>,
+    /// Indices into `queries` of the windows that are not periodic.
+    walked: Vec<u32>,
+    /// Per measure (time, count), the distinct families of the periodic
+    /// windows: their starts; their starts and ends; their ends, each
+    /// with how many windows end on it.
+    starts: [Vec<Family>; 2],
+    edges: [Vec<Family>; 2],
+    ends: [Vec<(Family, usize)>; 2],
+}
+
 impl Default for QuerySet {
     fn default() -> Self {
         QuerySet {
             queries: Vec::new(),
-            context_aware: Box::new([]),
+            derived: Box::default(),
             max_extent: [0; 2],
             has: [false; 2],
             last_trigger: (TIME_MIN, 0),
@@ -258,6 +455,13 @@ impl Default for QuerySet {
 
 fn slot(m: Measure) -> usize {
     usize::from(m == Measure::Count)
+}
+
+/// Appends `f` to `families` unless it is there.
+fn insert(families: &mut Vec<Family>, f: Family) {
+    if !families.contains(&f) {
+        families.push(f);
+    }
 }
 
 impl QuerySet {
@@ -274,8 +478,9 @@ impl QuerySet {
         window: Box<dyn WindowFunction>,
         check: impl FnOnce(&Self) -> Result<(), E>,
     ) -> Result<QueryId, E> {
-        self.queries.push(Query::new(self.next_id, window));
-        self.derive();
+        let query = Query::new(self.next_id, window);
+        self.note(&query, self.queries.len());
+        self.queries.push(query);
         if let Err(e) = check(self) {
             self.queries.pop();
             self.derive();
@@ -293,18 +498,39 @@ impl QuerySet {
         self.queries.len() != before
     }
 
+    /// Derives every fact anew from the queries' own.
     fn derive(&mut self) {
-        (self.has, self.max_extent) = ([false; 2], [0; 2]);
-        for q in &self.queries {
-            let (s, extent) = (slot(q.measure), q.window.max_extent());
-            (self.has[s], self.max_extent[s]) = (true, self.max_extent[s].max(extent));
+        let queries = std::mem::take(&mut self.queries);
+        let (last_trigger, next_id) = (self.last_trigger, self.next_id);
+        *self = QuerySet { last_trigger, next_id, ..QuerySet::default() };
+        queries.iter().enumerate().for_each(|(i, q)| self.note(q, i));
+        self.queries = queries;
+    }
+
+    /// Adds the facts of `q`, the query at index `i`.
+    fn note(&mut self, q: &Query, i: usize) {
+        let s = slot(q.measure);
+        (self.has[s], self.max_extent[s]) = (true, self.max_extent[s].max(q.max_extent));
+        let aware = q.context.is_context_aware();
+        self.has_fca |= q.context == ContextClass::ForwardContextAware;
+        self.has_context_aware_non_session |= aware && !q.is_session;
+        let d = &mut *self.derived;
+        if aware {
+            d.context_aware.push(cast::slot32(i));
         }
-        let windows = || self.queries.iter().map(|q| &*q.window);
-        let aware = |w: &dyn WindowFunction| w.context().is_context_aware();
-        self.has_fca = windows().any(|w| w.context() == ContextClass::ForwardContextAware);
-        self.has_context_aware_non_session = windows().any(|w| aware(w) && !w.is_session());
-        let aware_at = |&i: &usize| aware(&*self.queries[i].window);
-        self.context_aware = (0..self.queries.len()).filter(aware_at).map(cast::slot32).collect();
+        let Some(p) = q.periodic else {
+            d.walked.push(cast::slot32(i));
+            return;
+        };
+        let (start, end) =
+            (Family::new(p.slide, p.offset), Family::new(p.slide, p.offset + p.length));
+        insert(&mut d.starts[s], start);
+        insert(&mut d.edges[s], start);
+        insert(&mut d.edges[s], end);
+        match d.ends[s].iter_mut().find(|(f, _)| *f == end) {
+            Some((_, windows)) => *windows += 1,
+            None => d.ends[s].push((end, 1)),
+        }
     }
 
     /// The queries in registration order.
@@ -312,15 +538,20 @@ impl QuerySet {
         self.queries.iter()
     }
 
-    /// The queries of measure `m`; none are walked when no query has it.
-    fn of_measure(&self, m: Measure) -> impl Iterator<Item = &Query> {
-        let queries = if self.has(m) { &self.queries[..] } else { &[] };
-        queries.iter().filter(move |q| q.measure == m)
+    /// The non-periodic queries of measure `m`.
+    fn walked(&self, m: Measure) -> impl Iterator<Item = &Query> {
+        let walked = self.derived.walked.iter().map(|&i| &self.queries[cast::idx32(i)]);
+        walked.filter(move |q| q.measure == m)
     }
 
     /// Some query uses measure `m`.
     pub fn has(&self, m: Measure) -> bool {
         self.has[slot(m)]
+    }
+
+    /// Some window is context aware.
+    pub(crate) fn has_context_aware(&self) -> bool {
+        !self.derived.context_aware.is_empty()
     }
 
     /// The longest extent among the queries of measure `m` (0 if none).
@@ -331,26 +562,33 @@ impl QuerySet {
     /// Context-aware windows observe a tuple; `edges` collects their changes.
     pub fn notify(&mut self, ts: Time, edges: &mut ContextEdges) {
         edges.clear();
-        for &i in self.context_aware.iter() {
+        for &i in self.derived.context_aware.iter() {
             self.queries[cast::idx32(i)].window.notify_context(ts, edges);
         }
     }
 
-    /// Every window observes a punctuation; `edges` collects their changes.
+    /// Every non-periodic window observes a punctuation; `edges` collects
+    /// their changes.
     pub(crate) fn punctuate(&mut self, ts: Time, edges: &mut ContextEdges) {
         edges.clear();
-        self.queries.iter_mut().for_each(|q| q.window.on_punctuation(ts, edges));
+        for &i in self.derived.walked.iter() {
+            self.queries[cast::idx32(i)].window.on_punctuation(ts, edges);
+        }
     }
 
     /// Does a time-measure query define a window edge exactly at `e`?
     pub(crate) fn requires_edge_at(&self, e: Time) -> bool {
-        self.of_measure(Measure::Time).any(|q| q.window.requires_edge_at(e))
+        self.derived.edges[0].iter().any(|f| f.holds(e))
+            || self.walked(Measure::Time).any(|q| q.window.requires_edge_at(e))
     }
 
     /// The earliest edge of a measure-`m` query strictly after `ts`:
     /// window starts only if `starts_only`, starts and ends otherwise.
     #[inline]
     pub fn next_edge(&self, m: Measure, ts: Time, starts_only: bool) -> Option<Time> {
+        let d = &*self.derived;
+        let families = if starts_only { &d.starts[slot(m)] } else { &d.edges[slot(m)] };
+        let periodic = families.iter().map(|f| f.next_after(ts)).min();
         let edge = |w: &dyn WindowFunction| {
             if starts_only {
                 w.next_start_edge(ts)
@@ -358,14 +596,17 @@ impl QuerySet {
                 w.next_edge(ts)
             }
         };
-        let next = self.of_measure(m).filter_map(|q| edge(&*q.window)).min();
+        let walked = self.walked(m).filter_map(|q| edge(&*q.window));
+        let next = walked.fold(periodic, |min, e| Some(min.map_or(e, |x| x.min(e))));
         debug_assert!(next.is_none_or(|e| e > ts), "next edge must be strictly after ts");
         next
     }
 
     /// The latest time edge at or before `ts` known without context.
     pub fn prev_edge(&self, ts: Time) -> Option<Time> {
-        let prev = self.of_measure(Measure::Time).filter_map(|q| q.window.prev_edge(ts)).max();
+        let periodic = self.derived.edges[0].iter().map(|f| f.at_or_before(ts));
+        let walked = self.walked(Measure::Time).filter_map(|q| q.window.prev_edge(ts));
+        let prev = periodic.chain(walked).max();
         debug_assert!(prev.is_none_or(|e| e <= ts), "prev edge must be at or before ts");
         prev
     }
@@ -373,8 +614,9 @@ impl QuerySet {
     /// The earliest end after `probe` among the measure-`m` windows that
     /// know theirs, and whether one does not.
     fn end_after(&self, m: Measure, probe: Time) -> (Option<Time>, bool) {
-        let ends = self.of_measure(m).map(|q| q.window.next_window_end(probe));
-        ends.fold((None, false), |(min, unknown), e| match e {
+        let periodic = self.derived.ends[slot(m)].iter().map(|(f, _)| f.next_after(probe)).min();
+        let ends = self.walked(m).map(|q| q.window.next_window_end(probe));
+        ends.fold((periodic, false), |(min, unknown), e| match e {
             Some(e) => (Some(min.map_or(e, |x: Time| x.min(e))), unknown),
             None => (min, true),
         })
@@ -392,7 +634,7 @@ impl QuerySet {
         let probe = if time == TIME_MIN { max_ts.max(0) } else { time };
         let (time, time_unknown) = self.end_after(Measure::Time, probe);
         let (count, count_unknown) = self.end_after(Measure::Count, count as Time);
-        let always = !self.context_aware.is_empty() || time_unknown || count_unknown;
+        let always = self.has_context_aware() || time_unknown || count_unknown;
         (time, count.map(|c| c as Count), always)
     }
 
@@ -401,6 +643,30 @@ impl QuerySet {
     #[inline]
     pub(crate) fn clamp(&self, wm: Time, data_pos: Time) -> Time {
         wm.min(data_pos.saturating_add(self.max_extent(Measure::Time)).saturating_add(1))
+    }
+
+    /// The time span `(from, to]` of the next trigger sweep: up to `wm`
+    /// clamped at `data_pos`, from where the last sweep ended or, for the
+    /// first, from the first data position `first_pos`. `None` without
+    /// data.
+    fn time_span(&self, wm: Time, data_pos: Time, first_pos: Option<Time>) -> Option<(Time, Time)> {
+        if data_pos == TIME_MIN {
+            return None;
+        }
+        let wm = self.clamp(wm, data_pos);
+        let from = match self.last_trigger.0 {
+            TIME_MIN => first_pos.map_or(wm, |s| s.min(wm)),
+            time => time,
+        };
+        Some((from, wm))
+    }
+
+    /// How many periodic time windows the trigger sweep with these
+    /// arguments reports (other windows may add to them): what its caller
+    /// can make room for at once.
+    pub(crate) fn due(&self, wm: Time, data_pos: Time, first_pos: Option<Time>) -> usize {
+        let Some((from, to)) = self.time_span(wm, data_pos, first_pos) else { return 0 };
+        self.derived.ends[0].iter().map(|&(f, windows)| windows * f.count_in(from, to)).sum()
     }
 
     /// The trigger sweep: `QuerySet::fire` for the windows that ended
@@ -416,16 +682,10 @@ impl QuerySet {
         first_pos: Option<Time>,
         f: impl FnMut(QueryId, Measure, Range),
     ) -> bool {
-        if data_pos == TIME_MIN {
-            return false;
-        }
-        let wm = self.clamp(wm, data_pos);
-        let (mut time, count) = self.last_trigger;
-        if time == TIME_MIN {
-            time = first_pos.map_or(wm, |s| s.min(wm));
-        }
-        self.fire((time, wm), (count as Time, count_wm as Time), f);
-        self.last_trigger = (time.max(wm), count.max(count_wm));
+        let Some((from, wm)) = self.time_span(wm, data_pos, first_pos) else { return false };
+        let count = self.last_trigger.1;
+        self.fire((from, wm), (count as Time, count_wm as Time), f);
+        self.last_trigger = (from.max(wm), count.max(count_wm));
         true
     }
 
@@ -441,7 +701,7 @@ impl QuerySet {
         for q in &mut self.queries {
             let (id, m) = (q.id, q.measure);
             let (from, to) = if m == Measure::Time { time } else { count };
-            q.window.trigger_windows(from, to, &mut |r| f(id, m, r));
+            q.ends_in(from, to, |r| f(id, m, r));
         }
     }
 
@@ -460,13 +720,13 @@ impl QuerySet {
         for q in &mut self.queries {
             let (id, m) = (q.id, q.measure);
             match (m, counts) {
-                (Measure::Time, _) => q.window.windows_containing(ts, &mut |r| {
+                (Measure::Time, _) => q.containing(ts, |r| {
                     if r.end <= wm {
                         f(id, m, r);
                     }
                 }),
                 (Measure::Count, Some((pos, count_wm))) => {
-                    q.window.trigger_windows(pos as Time, count_wm as Time, &mut |r| f(id, m, r));
+                    q.ends_in(pos as Time, count_wm as Time, |r| f(id, m, r));
                 }
                 (Measure::Count, None) => {}
             }
@@ -475,11 +735,11 @@ impl QuerySet {
 
     /// The eviction horizon: no window a tuple can still join or update
     /// starts before `wm - lateness -` the longest time extent, nor before
-    /// a window's earliest pending start.
+    /// a window's earliest pending start (a periodic window has none).
     pub fn horizon(&self, wm: Time, lateness: Time) -> Time {
         let h = wm.saturating_sub(lateness).saturating_sub(self.max_extent(Measure::Time));
-        let pending = self.queries.iter().filter_map(|q| q.window.earliest_pending_start());
-        pending.fold(h, Time::min)
+        let walked = self.derived.walked.iter().map(|&i| &self.queries[cast::idx32(i)]);
+        walked.filter_map(|q| q.window.earliest_pending_start()).fold(h, Time::min)
     }
 }
 
@@ -533,6 +793,238 @@ mod tests {
         qs.remove(sliding);
         assert_eq!(qs.max_extent(Measure::Time), 10);
         assert_eq!(qs.next_window_end(10), 20);
+    }
+
+    #[test]
+    fn a_sweep_reaches_one_past_the_data_plus_the_longest_extent() {
+        // Data up to 9, tumbling 10: the clamp is 9 + 10 + 1 = 20, so a
+        // sweep to 25 fires [0, 10) and [10, 20); the next one, with data
+        // up to 29, goes on from 20 to 40.
+        let mut qs = QuerySet::default();
+        qs.add(tumbling(10));
+        assert_eq!(qs.clamp(25, 9), 20);
+        let mut got = Vec::new();
+        assert!(qs.trigger(25, 0, 9, Some(0), |_, _, r| got.push(r)));
+        assert_eq!(got, [Range::new(0, 10), Range::new(10, 20)]);
+        got.clear();
+        qs.trigger(45, 0, 29, Some(0), |_, _, r| got.push(r));
+        assert_eq!(got, [Range::new(20, 30), Range::new(30, 40)]);
+    }
+
+    /// The raw edges of a periodic window: the offset is kept as given,
+    /// negative or beyond the slide.
+    fn raw(length: i64, slide: i64, offset: i64) -> PeriodicEdges {
+        PeriodicEdges { length, slide, offset }
+    }
+
+    /// A periodic window answered by search, not arithmetic: every trait
+    /// method scans positions one by one. With `walked` it reports no
+    /// `periodic`, so a set asks it through the trait.
+    #[derive(Clone)]
+    struct Searched {
+        measure: Measure,
+        edges: PeriodicEdges,
+        walked: bool,
+    }
+
+    impl Searched {
+        fn is_start(&self, p: Time) -> bool {
+            (p - self.edges.offset).rem_euclid(self.edges.slide) == 0
+        }
+        fn is_end(&self, p: Time) -> bool {
+            self.is_start(p - self.edges.length)
+        }
+        fn is_edge(&self, p: Time) -> bool {
+            self.is_start(p) || self.is_end(p)
+        }
+        fn first_after(ts: Time, is: impl Fn(Time) -> bool) -> Option<Time> {
+            (ts + 1..).find(|&p| is(p))
+        }
+    }
+
+    impl WindowFunction for Searched {
+        fn measure(&self) -> Measure {
+            self.measure
+        }
+        fn context(&self) -> ContextClass {
+            ContextClass::ContextFree
+        }
+        fn periodic(&self) -> Option<PeriodicEdges> {
+            (!self.walked).then_some(self.edges)
+        }
+        fn next_edge(&self, ts: Time) -> Option<Time> {
+            Self::first_after(ts, |p| self.is_edge(p))
+        }
+        fn next_start_edge(&self, ts: Time) -> Option<Time> {
+            Self::first_after(ts, |p| self.is_start(p))
+        }
+        fn next_window_end(&self, ts: Time) -> Option<Time> {
+            Self::first_after(ts, |p| self.is_end(p))
+        }
+        fn prev_edge(&self, ts: Time) -> Option<Time> {
+            (ts - self.edges.slide..=ts).rev().find(|&p| self.is_edge(p))
+        }
+        fn requires_edge_at(&self, e: Time) -> bool {
+            self.is_edge(e)
+        }
+        fn trigger_windows(&mut self, prev: Time, cur: Time, out: &mut dyn FnMut(Range)) {
+            let ends = (prev + 1..=cur).filter(|&e| self.is_end(e));
+            ends.for_each(|e| out(Range::new(e - self.edges.length, e)));
+        }
+        fn windows_containing(&self, ts: Time, out: &mut dyn FnMut(Range)) {
+            let starts = (ts - self.edges.length + 1..=ts).filter(|&s| self.is_start(s));
+            starts.for_each(|s| out(Range::new(s, s + self.edges.length)));
+        }
+        fn max_extent(&self) -> i64 {
+            self.edges.length
+        }
+        fn clone_box(&self) -> Box<dyn WindowFunction> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn periodic_windows_whose_edges_coincide_share_a_family() {
+        let mut qs = QuerySet::default();
+        // `query_heavy`'s 50 sliding windows: one family of starts and ends.
+        for q in 1..=50 {
+            qs.add(Box::new(SlidingStub { length: q * 1200, slide: 100 }));
+        }
+        // Offsets 7, -93 and 207 are one phase; with length 13 their ends
+        // fall on the starts of phase 20.
+        for offset in [7, -93, 207] {
+            let edges = raw(13, 100, offset);
+            qs.add(Box::new(Searched { measure: Measure::Time, edges, walked: false }));
+        }
+        let d = &qs.derived;
+        assert_eq!(d.starts[0], [Family { slide: 100, phase: 0 }, Family { slide: 100, phase: 7 }]);
+        assert_eq!(d.edges[0].len(), 3);
+        assert_eq!(d.ends[0], [(Family { slide: 100, phase: 0 }, 50), (Family::new(100, 20), 3)]);
+        assert!(d.walked.is_empty() && d.starts[1].is_empty());
+        assert_eq!(qs.due(1_000, 1_000, Some(0)), 50 * 10 + 3 * 10);
+    }
+
+    /// A set's periodic answers against a walk over its windows' own trait
+    /// methods, which search instead of computing.
+    struct Reference(Vec<Searched>);
+
+    impl Reference {
+        fn of(&self, m: Measure) -> impl Iterator<Item = &Searched> {
+            self.0.iter().filter(move |w| w.measure == m)
+        }
+
+        fn fire(&mut self, time: (Time, Time), count: (Time, Time)) -> Vec<(usize, Range)> {
+            let mut got = Vec::new();
+            for (i, w) in self.0.iter_mut().enumerate() {
+                let (from, to) = if w.measure == Measure::Time { time } else { count };
+                w.trigger_windows(from, to, &mut |r| got.push((i, r)));
+            }
+            got
+        }
+
+        fn updates(&self, ts: Time, wm: Time, counts: (Count, Count)) -> Vec<(usize, Range)> {
+            let mut got = Vec::new();
+            for (i, w) in self.0.iter().enumerate() {
+                match w.measure {
+                    Measure::Time => w.windows_containing(ts, &mut |r| {
+                        if r.end <= wm {
+                            got.push((i, r));
+                        }
+                    }),
+                    Measure::Count => {
+                        w.clone().trigger_windows(counts.0 as Time, counts.1 as Time, &mut |r| {
+                            got.push((i, r))
+                        })
+                    }
+                }
+            }
+            got
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Every answer of a set of periodic windows — time and count,
+        /// offsets negative, zero and beyond the slide, slides that do not
+        /// divide the length, duplicates, and now and then a window the
+        /// set walks — equals the walk over the windows' trait methods.
+        #[test]
+        fn periodic_answers_match_the_walk_over_the_windows(
+            windows in proptest::collection::vec(
+                (0u8..3, 1i64..30, 1i64..20, -60i64..60, 0u8..6),
+                1..8,
+            ),
+            duplicates in 0usize..3,
+            probes in proptest::collection::vec((-150i64..150, 0i64..60), 12),
+        ) {
+            let mut windows: Vec<Searched> = windows
+                .iter()
+                .map(|&(m, length, slide, offset, walked)| Searched {
+                    measure: if m == 0 { Measure::Count } else { Measure::Time },
+                    edges: raw(length, slide, offset),
+                    walked: walked == 0,
+                })
+                .collect();
+            // A duplicate written with its offset 0 or 2 slides away.
+            for i in 0..duplicates {
+                let mut twin = windows[i % windows.len()].clone();
+                twin.edges.offset += (i as i64 - 1) * 2 * twin.edges.slide;
+                windows.push(twin);
+            }
+            let mut qs = QuerySet::default();
+            windows.iter().for_each(|w| {
+                qs.add(w.clone_box());
+            });
+            let mut reference = Reference(windows);
+            for m in [Measure::Time, Measure::Count] {
+                let distinct = |families: &[Family]| families.len();
+                let mut phases: Vec<(i64, i64)> = reference
+                    .of(m)
+                    .filter(|w| !w.walked)
+                    .map(|w| (w.edges.slide, w.edges.offset.rem_euclid(w.edges.slide)))
+                    .collect();
+                phases.sort_unstable();
+                phases.dedup();
+                proptest::prop_assert_eq!(distinct(&qs.derived.starts[slot(m)]), phases.len());
+            }
+            let id = |q: QueryId| cast::idx32(q);
+            for &(ts, width) in &probes {
+                for m in [Measure::Time, Measure::Count] {
+                    let starts = reference.of(m).filter_map(|w| w.next_start_edge(ts)).min();
+                    let edges = reference.of(m).filter_map(|w| w.next_edge(ts)).min();
+                    let ends = reference.of(m).filter_map(|w| w.next_window_end(ts)).min();
+                    proptest::prop_assert_eq!(qs.next_edge(m, ts, true), starts);
+                    proptest::prop_assert_eq!(qs.next_edge(m, ts, false), edges);
+                    proptest::prop_assert_eq!(qs.end_after(m, ts), (ends, false));
+                }
+                let time = || reference.of(Measure::Time);
+                let prev = time().filter_map(|w| w.prev_edge(ts)).max();
+                let end = time().filter_map(|w| w.next_window_end(ts)).min();
+                proptest::prop_assert_eq!(qs.prev_edge(ts), prev);
+                proptest::prop_assert_eq!(qs.next_window_end(ts), end.unwrap_or(TIME_MAX));
+                proptest::prop_assert_eq!(qs.requires_edge_at(ts), time().any(|w| w.is_edge(ts)));
+
+                let (time, count) = ((ts, ts + width), (ts.max(0), ts.max(0) + width / 2));
+                let mut fired = Vec::new();
+                qs.fire(time, count, |q, _, r| fired.push((id(q), r)));
+                proptest::prop_assert_eq!(&fired, &reference.fire(time, count));
+                let periodic_time = |&&(i, _): &&(usize, Range)| {
+                    let w = &reference.0[i];
+                    w.measure == Measure::Time && !w.walked
+                };
+                let mut fresh = qs.clone();
+                fresh.last_trigger = (TIME_MIN, 0);
+                let due = fresh.due(time.1, time.1, Some(time.0));
+                proptest::prop_assert_eq!(due, fired.iter().filter(periodic_time).count());
+
+                let wm = ts + width;
+                let counts = (count.0 as Count, count.1 as Count);
+                let mut updated = Vec::new();
+                qs.updates(ts, wm, Some(counts), |q, _, r| updated.push((id(q), r)));
+                proptest::prop_assert_eq!(updated, reference.updates(ts, wm, counts));
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! tuple, known only once all tuples up to the end have been processed —
 //! forward context.
 
-use gss_core::{ContextClass, ContextEdges, Measure, Range, Time, WindowFunction};
+use gss_core::{ContextClass, ContextEdges, Measure, PeriodicEdges, Range, Time, WindowFunction};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Resolved {
@@ -18,7 +18,9 @@ struct Resolved {
 #[derive(Debug, Clone)]
 pub struct MultiMeasureWindow {
     count: usize,
-    every: i64,
+    /// The evaluation times, the multiples of `every`: the ends of a
+    /// tumbling grid.
+    every: PeriodicEdges,
     /// Timestamps of retained tuples, ascending.
     buffer: Vec<Time>,
     /// Windows whose end has been crossed; start already derived.
@@ -36,7 +38,7 @@ impl MultiMeasureWindow {
         assert!(every > 0, "evaluation period must be positive");
         MultiMeasureWindow {
             count,
-            every,
+            every: PeriodicEdges::new(every, every),
             buffer: Vec::new(),
             resolved: Vec::new(),
             resolved_up_to: None,
@@ -47,7 +49,7 @@ impl MultiMeasureWindow {
 
     /// Sets how long reported windows stay updatable by late tuples.
     pub fn with_retention(mut self, retention: i64) -> Self {
-        self.retention = retention.max(self.every);
+        self.retention = retention.max(self.every.slide);
         self
     }
 
@@ -68,7 +70,7 @@ impl MultiMeasureWindow {
             return;
         };
         loop {
-            let end = (at.div_euclid(self.every) + 1) * self.every;
+            let end = self.every.next_end(at);
             if end > up_to {
                 break;
             }
@@ -136,7 +138,7 @@ impl WindowFunction for MultiMeasureWindow {
     /// Ends are periodic time edges; starts only emerge from context, so
     /// they are *not* part of `next_edge`.
     fn next_edge(&self, ts: Time) -> Option<Time> {
-        Some((ts.div_euclid(self.every) + 1) * self.every)
+        Some(self.every.next_end(ts))
     }
 
     /// Starts are unknown a priori: in-order slicing relies purely on
@@ -147,13 +149,13 @@ impl WindowFunction for MultiMeasureWindow {
     }
 
     fn requires_edge_at(&self, e: Time) -> bool {
-        e.rem_euclid(self.every) == 0 || self.resolved.iter().any(|w| w.start == e)
+        self.every.edge_at(e) || self.resolved.iter().any(|w| w.start == e)
     }
 
     fn notify_context(&mut self, ts: Time, edges: &mut ContextEdges) {
         if self.resolved_up_to.is_none() {
             // No window ends before the first tuple's period.
-            self.resolved_up_to = Some(ts.div_euclid(self.every) * self.every);
+            self.resolved_up_to = Some(self.every.prev_edge(ts));
         }
         let in_order = ts >= self.max_seen;
         self.max_seen = self.max_seen.max(ts);

@@ -1,108 +1,15 @@
 //! Context-free periodic windows: tumbling and sliding, on time and count
 //! measures (paper Section 2 / Figure 1).
 //!
-//! All edge arithmetic lives in [`PeriodicEdges`]; the four public window
-//! types are thin wrappers choosing a measure and a slide. Windows are
-//! `[k·slide, k·slide + length)` for every integer `k` — start and end
-//! timestamps are known a priori, the definition of context freedom.
+//! All edge arithmetic lives in [`PeriodicEdges`], defined in `gss-core`,
+//! whose query set answers these windows with it directly; the four
+//! public window types are thin wrappers choosing a measure and a slide.
+//! Windows are `[k·slide, k·slide + length)` for every integer `k` — start
+//! and end timestamps are known a priori, the definition of context
+//! freedom.
 
+pub use gss_core::PeriodicEdges;
 use gss_core::{ContextClass, Measure, Range, Time, WindowFunction};
-
-/// Edge arithmetic for periodic windows
-/// `[k·slide + offset, k·slide + offset + length)`.
-///
-/// `offset` shifts the window phase — e.g. hourly windows aligned to a
-/// timezone, or daily windows starting at 09:00.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeriodicEdges {
-    pub length: i64,
-    pub slide: i64,
-    pub offset: i64,
-}
-
-impl PeriodicEdges {
-    pub fn new(length: i64, slide: i64) -> Self {
-        Self::with_offset(length, slide, 0)
-    }
-
-    pub fn with_offset(length: i64, slide: i64, offset: i64) -> Self {
-        assert!(length > 0, "window length must be positive");
-        assert!(slide > 0, "window slide must be positive");
-        PeriodicEdges { length, slide, offset: offset.rem_euclid(slide) }
-    }
-
-    /// Smallest window start strictly after `ts`.
-    #[inline]
-    fn next_start(&self, ts: Time) -> Time {
-        ((ts - self.offset).div_euclid(self.slide) + 1) * self.slide + self.offset
-    }
-
-    /// Smallest window end strictly after `ts`.
-    #[inline]
-    pub fn next_end(&self, ts: Time) -> Time {
-        ((ts - self.offset - self.length).div_euclid(self.slide) + 1) * self.slide
-            + self.offset
-            + self.length
-    }
-
-    /// Smallest window edge (start or end) strictly after `ts`.
-    #[inline]
-    pub fn next_edge(&self, ts: Time) -> Time {
-        self.next_start(ts).min(self.next_end(ts))
-    }
-
-    /// Largest window start at or before `ts`.
-    #[inline]
-    fn prev_start(&self, ts: Time) -> Time {
-        (ts - self.offset).div_euclid(self.slide) * self.slide + self.offset
-    }
-
-    /// Largest window end at or before `ts`.
-    #[inline]
-    pub fn prev_end(&self, ts: Time) -> Time {
-        (ts - self.offset - self.length).div_euclid(self.slide) * self.slide
-            + self.offset
-            + self.length
-    }
-
-    /// Largest window edge (start or end) at or before `ts`.
-    #[inline]
-    pub fn prev_edge(&self, ts: Time) -> Time {
-        self.prev_start(ts).max(self.prev_end(ts))
-    }
-
-    /// Is there a window start or end exactly at `e`?
-    #[inline]
-    pub fn edge_at(&self, e: Time) -> bool {
-        (e - self.offset).rem_euclid(self.slide) == 0
-            || (e - self.offset - self.length).rem_euclid(self.slide) == 0
-    }
-
-    /// All windows whose end lies in `(prev, cur]`.
-    pub fn ends_in(&self, prev: Time, cur: Time, out: &mut dyn FnMut(Range)) {
-        let mut k = (prev - self.offset - self.length).div_euclid(self.slide) + 1;
-        loop {
-            let start = k * self.slide + self.offset;
-            let end = start + self.length;
-            if end > cur {
-                break;
-            }
-            debug_assert!(end > prev);
-            out(Range::new(start, end));
-            k += 1;
-        }
-    }
-
-    /// All windows containing position `ts`.
-    pub fn containing(&self, ts: Time, out: &mut dyn FnMut(Range)) {
-        let k_lo = (ts - self.offset - self.length).div_euclid(self.slide) + 1;
-        let k_hi = (ts - self.offset).div_euclid(self.slide);
-        for k in k_lo..=k_hi {
-            let start = k * self.slide + self.offset;
-            out(Range::new(start, start + self.length));
-        }
-    }
-}
 
 macro_rules! periodic_window {
     ($(#[$doc:meta])* $name:ident, $measure:expr) => {
@@ -118,6 +25,9 @@ macro_rules! periodic_window {
             }
             fn context(&self) -> ContextClass {
                 ContextClass::ContextFree
+            }
+            fn periodic(&self) -> Option<PeriodicEdges> {
+                Some(self.edges)
             }
             fn next_edge(&self, ts: Time) -> Option<Time> {
                 Some(self.edges.next_edge(ts))
@@ -320,7 +230,7 @@ mod tests {
         let e = PeriodicEdges::new(7, 3);
         for prev in 0..40 {
             for cur in prev..40 {
-                e.ends_in(prev, cur, &mut |r| {
+                e.ends_in(prev, cur, |r| {
                     assert!(r.end > prev && r.end <= cur);
                     assert_eq!(r.len(), 7);
                     assert_eq!(r.start.rem_euclid(3), 0);

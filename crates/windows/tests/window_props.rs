@@ -40,7 +40,7 @@ proptest! {
     ) {
         let e = PeriodicEdges::with_offset(length, slide, offset);
         let mut containing = Vec::new();
-        e.containing(ts, &mut |r| containing.push(r));
+        e.containing(ts, |r| containing.push(r));
         // Count matches the overlap factor ceil(length/slide) within 1.
         let expect = length / slide;
         prop_assert!(
@@ -54,7 +54,7 @@ proptest! {
         }
         // Every window ending in (ts, ts + 3*slide] is reported once.
         let mut ends = Vec::new();
-        e.ends_in(ts, ts + 3 * slide, &mut |r| ends.push(r));
+        e.ends_in(ts, ts + 3 * slide, |r| ends.push(r));
         for w in ends.windows(2) {
             prop_assert!(w[0].end < w[1].end, "ends not strictly increasing");
         }
