@@ -93,7 +93,9 @@ impl<A: AggregateFunction> AggregateTree<A> {
         };
         let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
         let first = Some(self.first_ts);
-        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, r| windows.push((id, m, r)));
+        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, run| {
+            windows.extend(run.windows().map(|r| (id, m, r)));
+        });
         for (id, m, r) in windows {
             let p = match m {
                 Measure::Time => self.aggregate_time(r),
@@ -113,7 +115,9 @@ impl<A: AggregateFunction> AggregateTree<A> {
             (position, self.evicted + self.times.partition_point(|t| *t <= wm) as Count)
         });
         let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        self.queries.updates(ts, wm, counts, |id, m, r| windows.push((id, m, r)));
+        self.queries.updates(ts, wm, counts, |id, m, run| {
+            windows.extend(run.windows().map(|r| (id, m, r)));
+        });
         for (id, m, r) in windows {
             let p = match m {
                 Measure::Time => self.aggregate_time(r),

@@ -191,7 +191,9 @@ impl<A: AggregateFunction> Buckets<A> {
         let count_wm = self.total_count;
         let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
         let first = Some(self.first_ts);
-        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, r| windows.push((id, m, r)));
+        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, run| {
+            windows.extend(run.windows().map(|r| (id, m, r)));
+        });
         for (id, m, r) in windows {
             let key = match m {
                 Measure::Time => r.start,
@@ -211,7 +213,9 @@ impl<A: AggregateFunction> Buckets<A> {
         let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
         // Arrival counts: a late tuple takes the next count position and
         // shifts no count window.
-        self.queries.updates(ts, wm, None, |id, m, r| windows.push((id, m, r)));
+        self.queries.updates(ts, wm, None, |id, m, run| {
+            windows.extend(run.windows().map(|r| (id, m, r)));
+        });
         for (id, m, r) in windows {
             if let Some(b) = self.buckets.get(&id).and_then(|per| per.get(&r.start)) {
                 if let Some(p) = &b.partial {

@@ -108,7 +108,9 @@ impl<A: AggregateFunction> WindowAggregator<A> for Cutty<A> {
         // Trigger before inserting the tuple (first-tuple-past-the-end).
         if ts >= self.next_end {
             let mut windows: Vec<(QueryId, Range)> = Vec::new();
-            self.queries.trigger(ts, 0, ts, self.first, |id, _, r| windows.push((id, r)));
+            self.queries.trigger(ts, 0, ts, self.first, |id, _, run| {
+                windows.extend(run.windows().map(|r| (id, r)));
+            });
             for (id, r) in windows {
                 if let Some(p) = self.aggregate(r) {
                     out.push(WindowResult::new(id, Measure::Time, r, self.f.lower(&p)));

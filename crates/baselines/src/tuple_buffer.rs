@@ -87,7 +87,9 @@ impl<A: AggregateFunction> TupleBuffer<A> {
         };
         let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
         let first = Some(self.first_ts);
-        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, r| windows.push((id, m, r)));
+        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, run| {
+            windows.extend(run.windows().map(|r| (id, m, r)));
+        });
         for (id, m, r) in windows {
             let p = match m {
                 Measure::Time => self.aggregate_time(r),
@@ -108,7 +110,9 @@ impl<A: AggregateFunction> TupleBuffer<A> {
             (position, self.evicted + self.buffer.partition_point(|(t, _)| *t <= wm) as Count)
         });
         let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        self.queries.updates(ts, wm, counts, |id, m, r| windows.push((id, m, r)));
+        self.queries.updates(ts, wm, counts, |id, m, run| {
+            windows.extend(run.windows().map(|r| (id, m, r)));
+        });
         for (id, m, r) in windows {
             let p = match m {
                 Measure::Time => self.aggregate_time(r),

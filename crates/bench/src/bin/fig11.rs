@@ -20,6 +20,11 @@
 //! reports which of the two the store's own cost rule
 //! ([`SliceStore::query_time_batch`]) picks.
 //!
+//! The paper's shape is checked over the `sum` rows (the binary exits 1
+//! when a claim fails): from 10 entries to the most measured, lazy
+//! slicing's latency grows at least a tenth as fast as the entries, eager
+//! slicing's at most 4×, and Buckets' at most 3×.
+//!
 //! Run: `cargo run --release -p gss-bench --bin fig11`
 //! (`GSS_SCALE` < 1 cuts repetitions and the largest entry counts).
 
@@ -27,7 +32,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use gss_aggregates::{Max, Median, Sum};
-use gss_core::{AggregateFunction, Range, SliceStore, StorePolicy};
+use gss_core::{AggregateFunction, Range, SliceStore, StorePolicy, WindowRun};
 
 /// Repetitions per cell: an odd count (the median is a sample), at
 /// least five.
@@ -66,11 +71,15 @@ fn slice_store<A: AggregateFunction<Input = i64>>(
     st
 }
 
+/// Each row's latency by technique and entry count, for the claims.
+type Latencies = Vec<(&'static str, usize, f64)>;
+
 fn bench_function<A: AggregateFunction<Input = i64> + Copy>(
     f: A,
     label: &str,
     out: &mut gss_bench::Output,
-) {
+) -> Latencies {
+    let mut latencies = Latencies::new();
     let reps = reps();
     let largest = (100_000.0 * scale()).max(1_000.0) as usize;
     for n in [10usize, 100, 1_000, 10_000, 100_000].into_iter().filter(|&n| n <= largest) {
@@ -117,23 +126,70 @@ fn bench_function<A: AggregateFunction<Input = i64> + Copy>(
             ("Aggregate Tree", t_tree),
         ] {
             out.row(&[label.to_string(), tech.to_string(), n.to_string(), format!("{ns:.0}")]);
+            latencies.push((tech, n, ns));
         }
     }
+    latencies
 }
 
-/// The windows of one watermark's sweep over `n` slices of width 10:
-/// `count` sliding windows listed query by query, longest query first —
-/// query `q` (50 down to 1) spans `q * n / 50` slices and contributes
-/// the ten windows ending on the last ten slice edges.
-fn sweep_windows(n: usize, count: usize) -> Vec<((), Range)> {
+/// The paper's shape over the `sum` rows, from 10 entries to the most
+/// measured: lazy slicing's latency grows with the entries (≥ a tenth of
+/// their growth), eager slicing's as their logarithm (≤ 4×), and Buckets'
+/// not at all (≤ 3×: one lookup, under the clock's own cost).
+fn claims(latencies: &Latencies) -> Vec<Claim> {
+    let ns = |tech: &str, n: usize| {
+        latencies.iter().find(|r| r.0 == tech && r.1 == n).map_or(f64::NAN, |r| r.2)
+    };
+    let most = latencies.iter().map(|r| r.1).max().unwrap_or(10);
+    let growth = |tech: &str| ns(tech, most) / ns(tech, 10);
+    let paper = "Section 6.2.4, Figure 11";
+    let entries = most as f64 / 10.0;
+    vec![
+        Claim::at_least(
+            format!(
+                "lazy slicing's latency grows >= {:.0}x from 10 to {most} entries",
+                entries / 10.0
+            ),
+            paper,
+            growth("Lazy Slicing"),
+            entries / 10.0,
+        ),
+        Claim::at_most(
+            format!("eager slicing's latency grows <= 4x from 10 to {most} entries"),
+            paper,
+            growth("Eager Slicing"),
+            4.0,
+        ),
+        Claim::at_most(
+            format!("Buckets' latency grows <= 3x from 10 to {most} entries"),
+            paper,
+            growth("Buckets"),
+            3.0,
+        ),
+    ]
+}
+
+/// The windows of one watermark's sweep over `n` slices of width 10, as
+/// the query set reports them: `count` sliding windows listed query by
+/// query, longest query first — query `q` (50 down to 1) spans
+/// `q * n / 50` slices and contributes the ten windows ending on the last
+/// ten slice edges, as one run a slice apart. A query whose windows reach
+/// back past the first slice starts them all there, one run per window.
+fn sweep_runs(n: usize, count: usize) -> Vec<((), WindowRun)> {
     let n = n as i64;
-    (0..count as i64)
-        .map(|i| {
-            let (q, k) = (50 - i / 10, 9 - i % 10);
-            let end = (n - k) * 10;
-            ((), Range::new((end - q * (n / 50) * 10).max(0), end))
-        })
-        .collect()
+    let mut runs = Vec::new();
+    for (q, len) in (1..=50i64).rev().zip((0..count).step_by(10).map(|i| (count - i).min(10))) {
+        let end = (n - 9) * 10;
+        let start = end - q * (n / 50) * 10;
+        if start >= 0 {
+            let first = Range::new(start, end);
+            runs.push(((), WindowRun { first, len, slide: 10 }));
+        } else {
+            let windows = (0..len as i64).map(|k| Range::new(0, end + 10 * k));
+            runs.extend(windows.map(|w| ((), WindowRun::one(w))));
+        }
+    }
+    runs
 }
 
 /// Windows per sweep: per-window queries on each store against the
@@ -147,7 +203,7 @@ fn bench_sweeps(out: &mut gss_bench::Output) {
             ("per-window finger", slice_store(Max, StorePolicy::FingerTree, n)),
         ];
         for count in [1usize, 10, 100, 500] {
-            let windows = sweep_windows(n, count);
+            let windows = sweep_runs(n, count);
             let mut row = |technique: &str, sweep_ns: f64, rule: &str| {
                 out.row(&[
                     n.to_string(),
@@ -178,7 +234,7 @@ fn bench_sweeps(out: &mut gss_bench::Output) {
 fn main() {
     let mut out = Output::new("fig11", &["aggregation", "technique", "entries", "latency_ns"]);
     out.print_header();
-    bench_function(Sum, "sum", &mut out);
+    let sum = bench_function(Sum, "sum", &mut out);
     bench_function(Median, "median", &mut out);
     out.finish();
 
@@ -189,6 +245,7 @@ fn main() {
     out.print_header();
     bench_sweeps(&mut out);
     out.finish();
+    check_claims(&claims(&sum));
 }
 
-use gss_bench::{scale, Output};
+use gss_bench::{check_claims, scale, Claim, Output};

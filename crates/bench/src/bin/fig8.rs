@@ -10,17 +10,21 @@
 //! magnitude below. The claims: lazy slicing slows by at most 4× from 1
 //! to 1 000 windows, Buckets and the Tuple Buffer each slow by at least
 //! 50×, and at 1 000 windows lazy slicing runs at least 100× faster than
-//! Buckets.
+//! Buckets. The six cells the claims read are each the best of `ROUNDS`
+//! interleaved rounds.
 //!
 //! Run: `cargo run --release -p gss-bench --bin fig8`
 
 use gss_aggregates::Sum;
 use gss_bench::{
-    as_elements, build, check_claims, concurrent_tumbling_queries, fmt_tput, run, scale, Claim,
-    Output, Technique,
+    as_elements, build, check_claims, concurrent_tumbling_queries, fmt_tput, run,
+    run_best_interleaved, scale, Claim, Output, Technique,
 };
 use gss_core::StreamOrder;
 use gss_data::{FootballConfig, FootballGenerator};
+
+/// Rounds over the cells the claims read; each cell is its best.
+const ROUNDS: usize = 5;
 
 fn main() {
     let base = (1_000_000.0 * scale()) as usize;
@@ -39,22 +43,39 @@ fn main() {
     ];
     let window_counts = [1usize, 5, 10, 50, 100, 500, 1000];
 
+    let cell = |tech: Technique, n: usize| {
+        // Cap tuple counts so O(windows)-per-tuple baselines finish.
+        let cap = match tech {
+            Technique::Buckets => (base / 5).min(8_000_000 / n).max(20_000),
+            Technique::TupleBuffer => (base / 5).min(4_000_000 / n).max(10_000),
+            Technique::AggregateTree => 200_000,
+            _ => base,
+        };
+        let elems = gss_bench::truncate_elements(&elements, cap);
+        let queries = concurrent_tumbling_queries(n);
+        let mut agg = build(tech, Sum, &queries, StreamOrder::InOrder, 0);
+        run(agg.as_mut(), &elems)
+    };
+    // The claims divide cells of milliseconds, where one descheduling on
+    // a shared host moves a ratio 2×: each cell a claim reads is its best
+    // of `ROUNDS` interleaved rounds.
+    let claimed: Vec<(Technique, usize)> =
+        [Technique::LazySlicing, Technique::Buckets, Technique::TupleBuffer]
+            .into_iter()
+            .flat_map(|tech| [(tech, 1), (tech, 1000)])
+            .collect();
+    let best = run_best_interleaved(ROUNDS, &claimed, |&(tech, n)| cell(tech, n));
+    let mut best: Vec<_> = claimed.into_iter().zip(best).collect();
+
     let mut out = Output::new("fig8", &["technique", "concurrent_windows", "tuples_per_sec"]);
     out.print_header();
     let mut tput = std::collections::HashMap::new();
     for tech in techniques {
         for &n in &window_counts {
-            // Cap tuple counts so O(windows)-per-tuple baselines finish.
-            let cap = match tech {
-                Technique::Buckets => (base / 5).min(8_000_000 / n).max(20_000),
-                Technique::TupleBuffer => (base / 5).min(4_000_000 / n).max(10_000),
-                Technique::AggregateTree => 200_000,
-                _ => base,
+            let report = match best.iter().position(|(c, _)| *c == (tech, n)) {
+                Some(i) => best.swap_remove(i).1,
+                None => cell(tech, n),
             };
-            let elems = gss_bench::truncate_elements(&elements, cap);
-            let queries = concurrent_tumbling_queries(n);
-            let mut agg = build(tech, Sum, &queries, StreamOrder::InOrder, 0);
-            let report = run(agg.as_mut(), &elems);
             out.row(&[
                 tech.name().to_string(),
                 n.to_string(),

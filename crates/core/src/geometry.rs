@@ -13,6 +13,7 @@ use crate::cast;
 use crate::mem::HeapSize;
 use crate::store::INDEX_SCAN_CUTOFF;
 use crate::time::{Range, Time, TIME_MAX, TIME_MIN};
+use crate::window::WindowRun;
 
 /// A slice's tuples as time and count see them: how many, and the times
 /// of the first and last (a slice `[1, 10)` may hold tuples in `[2, 9]`
@@ -305,43 +306,145 @@ impl SliceGeometry {
         }
     }
 
-    /// Resolves every window to the slices `[l, r)` it covers, as
-    /// [`slice_span`](Self::slice_span) does, and gathers what planning
-    /// the sweep needs (`index_cost`: one index query, `None` without an
-    /// index). Each edge gallops from the previous window's over the
-    /// `ends` / `starts` columns in place: a few probes a window of a
-    /// sliding sweep, `O(log d)` for windows far apart.
+    /// The slices `[l, r)` window `w` covers, as
+    /// [`slice_span`](Self::slice_span) has them, guessed at `(l, r)`:
+    /// each edge is checked there with two compares (`ends[l - 1] <=
+    /// w.start < ends[l]`, `starts[r - 1] < w.end <= starts[r]`), and
+    /// both are galloped from there when a check fails.
+    #[inline(always)]
+    fn step(&self, w: Range, (l, r): (usize, usize)) -> (usize, usize) {
+        let (ends, starts) = (&*self.ends, &*self.starts);
+        let l_holds = l <= ends.len()
+            && (l == 0 || ends[l - 1] <= w.start)
+            && (l == ends.len() || w.start < ends[l]);
+        let r_holds = r <= starts.len()
+            && (r == 0 || starts[r - 1] < w.end)
+            && (r == starts.len() || w.end <= starts[r]);
+        if l_holds && r_holds {
+            (l, r)
+        } else {
+            self.seek(w, Some((l, r)))
+        }
+    }
+
+    /// The slices `[l, r)` window `w` covers, galloped from `near` if
+    /// given, else searched.
+    #[inline(never)]
+    fn seek(&self, w: Range, near: Option<(usize, usize)>) -> (usize, usize) {
+        let (ends, starts) = (&*self.ends, &*self.starts);
+        match near {
+            Some((l, r)) => (
+                gallop_by(ends.len(), l, |i| ends[i] <= w.start),
+                gallop_by(starts.len(), r, |i| starts[i] < w.end),
+            ),
+            None => self.slice_span(w),
+        }
+    }
+
+    /// The windows `from..to` of `run` that overlap the slices' time
+    /// span; the others cover no slice. By arithmetic, since the windows
+    /// of a run step by its slide.
+    fn overlapping(&self, run: &WindowRun) -> (usize, usize) {
+        let (Some(&lo), Some(&hi)) = (self.starts.first(), self.ends.last()) else {
+            return (0, 0);
+        };
+        // The windows before `from` end at or before `lo`; those from
+        // `to` on start at or after `hi`.
+        let to = run.up_to(run.first.start, hi.saturating_sub(1));
+        (run.up_to(run.first.end, lo).min(to), to)
+    }
+
+    /// Where `run` lies among the slices: the windows that can cover a
+    /// slice and the slices the first of them covers, searched (galloped
+    /// from `near` if given).
+    fn bound(&self, run: &WindowRun, near: Option<(usize, usize)>) -> RunBounds {
+        let (from, to) = self.overlapping(run);
+        let (l, r) = if from < to { self.seek(run.window(from), near) } else { (0, 0) };
+        RunBounds { from, to, l, r }
+    }
+
+    /// Resolves every run of a sweep to where it lies among the slices
+    /// and gathers what planning the sweep needs (`index_cost`: one index
+    /// query, `None` without an index). Only each run's first and last
+    /// window are searched: along a run `l` and `r` never decrease, so
+    /// the two bound every window between them. A run whose first or
+    /// last window lies in a coverage gap leaves its middle unbounded,
+    /// and the sweep gets no plan.
     pub(crate) fn resolve<T>(
         &self,
-        windows: &[(T, Range)],
+        runs: &[(T, WindowRun)],
         index_cost: Option<usize>,
     ) -> SweepEdges {
-        let (ends, starts) = (&*self.ends, &*self.starts);
         let mut edges = SweepEdges {
-            bounds: Vec::with_capacity(windows.len()),
+            bounds: Vec::with_capacity(runs.len()),
             base: usize::MAX,
             max_l: 0,
             min_r: usize::MAX,
             top: 0,
             each_cost: 0,
         };
-        let (mut l, mut r) = (0, 0);
-        for (_, w) in windows {
-            l = gallop_by(ends.len(), l, |i| ends[i] <= w.start);
-            r = gallop_by(starts.len(), r, |i| starts[i] < w.end);
-            edges.bounds.push((cast::slot32(l), cast::slot32(r)));
-            if l < r {
-                edges.base = edges.base.min(l);
-                edges.max_l = edges.max_l.max(l);
-                edges.min_r = edges.min_r.min(r);
-                edges.top = edges.top.max(r);
-                edges.each_cost += match index_cost {
-                    Some(cost) if r - l > INDEX_SCAN_CUTOFF => cost,
-                    _ => r - l,
-                };
+        let cost = |(l, r): (usize, usize)| match index_cost {
+            Some(cost) if r.saturating_sub(l) > INDEX_SCAN_CUTOFF => cost,
+            _ => r.saturating_sub(l),
+        };
+        let mut near = None;
+        for (_, run) in runs {
+            let b = self.bound(run, near);
+            edges.bounds.push(b);
+            let n = b.to - b.from;
+            if n == 0 {
+                continue;
+            }
+            let first = (b.l, b.r);
+            let last = match n {
+                1 => first,
+                _ => self.step(run.window(b.to - 1), (b.l + n - 1, b.r + n - 1)),
+            };
+            near = Some(first);
+            match (first.0 < first.1, last.0 < last.1) {
+                (true, true) => {
+                    edges.base = edges.base.min(first.0);
+                    edges.max_l = edges.max_l.max(last.0);
+                    edges.min_r = edges.min_r.min(first.1);
+                    edges.top = edges.top.max(last.1);
+                    edges.each_cost += (cost(first) + cost(last)) * n / 2;
+                }
+                (false, false) if n == 1 => {}
+                _ => edges.max_l = usize::MAX,
             }
         }
         edges
+    }
+
+    /// `visit(tag, window, l, r)` for every window of `runs` that covers
+    /// slices `[l, r)`, in order. A run's first window is taken from its
+    /// `bounds` entry, or searched; each next one is first guessed a
+    /// slice further on both edges — one slice per slide, as periodic
+    /// slicing cuts them — and galloped only where the check fails.
+    /// Always inlined: the loop is each caller's, and the searches it
+    /// calls are compiled once.
+    #[inline(always)]
+    pub(crate) fn walk<T>(
+        &self,
+        runs: &[(T, WindowRun)],
+        bounds: Option<&[RunBounds]>,
+        mut visit: impl FnMut(&T, Range, usize, usize),
+    ) {
+        let mut near = None;
+        for (i, (tag, run)) in runs.iter().enumerate() {
+            let b = bounds.map_or_else(|| self.bound(run, near), |b| b[i]);
+            let (mut l, mut r) = (b.l, b.r);
+            near = Some((l, r));
+            for k in b.from..b.to {
+                let w = run.window(k);
+                if k > b.from {
+                    (l, r) = self.step(w, (l + 1, r + 1));
+                }
+                if l < r {
+                    visit(tag, w, l, r);
+                }
+            }
+        }
     }
 
     /// Dense structural checks for the audit build: slices are in
@@ -473,12 +576,23 @@ impl<T> DerefMut for Column<T> {
     }
 }
 
-/// The windows of one sweep resolved to slices, and what planning needs
-/// of them. Every extreme is taken over the covered windows (`l < r`)
-/// only; with none, `base > top`.
+/// Where a run lies among the slices: its windows `from..to` overlap the
+/// slices' time span, and window `from` covers slices `[l, r)`.
+#[derive(Clone, Copy)]
+pub(crate) struct RunBounds {
+    from: usize,
+    to: usize,
+    l: usize,
+    r: usize,
+}
+
+/// The runs of one sweep resolved to slices, and what planning needs of
+/// them. Every extreme is taken over the runs whose first and last window
+/// cover slices (`l < r`), and bounds every window between them; with
+/// none, `base > top`.
 pub(crate) struct SweepEdges {
-    /// Per window, the store indices `[l, r)` of the slices it covers.
-    pub(crate) bounds: Vec<(u32, u32)>,
+    /// Per run, where it lies among the slices.
+    pub(crate) bounds: Vec<RunBounds>,
     /// Smallest `l`: the store index of the first slice under the sweep.
     base: usize,
     max_l: usize,
@@ -616,17 +730,36 @@ mod tests {
                 assert_eq!(g.covering_search(ts, near), want, "ts {ts} near {near:?}");
             }
         }
-        let windows: Vec<((), Range)> = (0..12)
-            .map(|_| {
+        // Runs of windows, some a slide apart and some alone: the walk
+        // visits every covered window with its `partition_point` bounds,
+        // from the edge pass's bounds and from its own searches alike.
+        let runs: Vec<(usize, WindowRun)> = (0..12)
+            .map(|i| {
                 let a = rng.gen_range(lo..hi);
-                ((), Range::new(a, a + rng.gen_range(0..200)))
+                let first = Range::new(a, a + rng.gen_range(0..200));
+                let (len, slide) = (rng.gen_range(1..8), rng.gen_range(0..40));
+                let run = if slide == 0 {
+                    WindowRun::one(first)
+                } else {
+                    WindowRun { first, len, slide }
+                };
+                (i, run)
             })
             .collect();
-        let edges = g.resolve(&windows, None);
-        for (((), w), &(l, r)) in windows.iter().zip(&edges.bounds) {
-            let want = (ended(w.start), begun(w.end));
-            assert_eq!((l as usize, r as usize), want, "window {w}");
-            assert_eq!(g.slice_span(*w), want, "window {w}");
+        let want: Vec<_> = runs
+            .iter()
+            .flat_map(|&(i, run)| run.windows().map(move |w| (i, w)))
+            .map(|(i, w)| (i, w, ended(w.start), begun(w.end)))
+            .filter(|&(_, _, l, r)| l < r)
+            .collect();
+        for (i, w, l, r) in &want {
+            assert_eq!(g.slice_span(*w), (*l, *r), "window {w} of run {i}");
+        }
+        let edges = g.resolve(&runs, None);
+        for bounds in [None, Some(&edges.bounds[..])] {
+            let mut got = Vec::new();
+            g.walk(&runs, bounds, |&i, w, l, r| got.push((i, w, l, r)));
+            assert_eq!(got, want, "bounds given: {}", bounds.is_some());
         }
     }
 

@@ -706,10 +706,12 @@ fn sweep_key<A: AggregateFunction>(
             if !hit {
                 memo.windows.clear();
                 let mut lo = from;
-                queries.fire((from, wm_eff), (0, 0), |id, _, range| {
-                    lo = lo.max(range.end);
-                    if let Some((gl, gr)) = timeline.global_range(range) {
-                        memo.windows.push((id, range, gl, gr));
+                queries.fire((from, wm_eff), (0, 0), |id, _, run| {
+                    for range in run.windows() {
+                        lo = lo.max(range.end);
+                        if let Some((gl, gr)) = timeline.global_range(range) {
+                            memo.windows.push((id, range, gl, gr));
+                        }
                     }
                 });
                 memo.span = (from, lo, union_next_end(queries, wm_eff, &mut { NO_RANGE }));
@@ -739,11 +741,13 @@ fn emit_updates_key<A: AggregateFunction>(
     stats: &mut KeyedStats,
     out: &mut Vec<WindowResult<(u64, A::Output)>>,
 ) {
-    queries.updates(ts, wm, None, |id, _, range| {
-        let Some((gl, gr)) = timeline.global_range(range) else { return };
-        if let Some(p) = st.query(gl, gr, f) {
-            stats.updates_emitted += 1;
-            out.push(WindowResult::update(id, Measure::Time, range, (st.key, f.lower(&p))));
+    queries.updates(ts, wm, None, |id, _, run| {
+        for range in run.windows() {
+            let Some((gl, gr)) = timeline.global_range(range) else { continue };
+            if let Some(p) = st.query(gl, gr, f) {
+                stats.updates_emitted += 1;
+                out.push(WindowResult::update(id, Measure::Time, range, (st.key, f.lower(&p))));
+            }
         }
     });
 }
@@ -925,14 +929,21 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         catch_up_floor(st, self.watermark, &self.queries);
 
         let wm = self.watermark;
+        // Windows up to the key's floor have fired (it stays put here):
+        // below it a tuple is late even at or above `t_last`, since the
+        // data clamp may have fired its window empty.
+        let fired = if st.swept { st.floor } else { TIME_MIN };
         let mut i = 0;
         while i < times.len() {
             let ts = times[i];
-            // Key-late tuple: same drop / update rules as the reference
-            // operator's out-of-order path.
-            let late = ts < st.t_last;
-            if late {
-                self.stats.ooo_tuples += 1;
+            // Key-late tuple, or one below the floor: the reference
+            // operator's drop / update rules. A run is monotone, so its
+            // head decides for all of it.
+            let (mut late, mut revises) = (false, false);
+            if ts < st.t_last.max(fired) {
+                late = ts < st.t_last;
+                revises = (late && wm != TIME_MIN && ts <= wm) || ts < fired;
+                self.stats.ooo_tuples += u64::from(late);
                 if wm != TIME_MIN && ts < wm.saturating_sub(self.cfg.allowed_lateness) {
                     self.stats.dropped_late += 1;
                     i += 1;
@@ -959,7 +970,11 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             // A run goes to `fold_slice` straight from the column; a run
             // of one is a lift, counted as a miss (a key-late tuple is
             // not counted as a run).
-            let n = if late || i + 1 == times.len() { 1 } else { column_run_len(&times[i..], end) };
+            let n = if late || revises || i + 1 == times.len() {
+                1
+            } else {
+                column_run_len(&times[i..], end)
+            };
             debug_assert!(n >= 1);
             let p = if n == 1 {
                 self.stats.fold_kernel_misses += u64::from(!late);
@@ -982,7 +997,8 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             self.stats.tuples += cast::to_u64(n);
             if !late {
                 st.t_last = times[i + n - 1];
-            } else if wm != TIME_MIN && ts <= wm {
+            }
+            if revises {
                 emit_updates_key(
                     st,
                     &self.f,
@@ -1609,6 +1625,53 @@ mod tests {
         assert_eq!(s.ooo_tuples, 1);
         assert_eq!(s.updates_emitted, 1);
         assert_eq!(s.dropped_late, 0);
+    }
+
+    #[test]
+    fn a_tuple_at_the_key_head_below_its_floor_revises_like_the_reference() {
+        // Tumbling 10, lateness 100: tuples 0–9, watermark 20 fires
+        // [10, 20) empty; tuple 15 lies above the key's data but below
+        // its floor, so it revises [10, 20) as the reference does.
+        let cfg = KeyedConfig::default().with_allowed_lateness(100);
+        let mut reference = WindowOperator::new(SumI64, OperatorConfig::out_of_order(100));
+        reference.add_query(tumbling(10)).unwrap();
+        let mut want = Vec::new();
+        for batched in [false, true] {
+            let mut op = shared_op(10, cfg);
+            let mut got = Vec::new();
+            let feed = |op: &mut KeyedWindowOperator<SumI64>, ts: &[Time], out: &mut Vec<_>| {
+                let tuples: Vec<(Time, (u64, i64))> = ts.iter().map(|&t| (t, (1, t))).collect();
+                if batched {
+                    op.process_batch(&tuples, out);
+                } else {
+                    tuples.iter().for_each(|&(t, v)| op.process(t, v, out));
+                }
+            };
+            feed(&mut op, &(0..10).collect::<Vec<_>>(), &mut got);
+            op.on_watermark(20, &mut got);
+            feed(&mut op, &[15, 16], &mut got);
+            op.on_watermark(30, &mut got);
+            op.on_watermark(40, &mut got);
+            let got: Vec<_> = got.iter().map(|r| (r.range, r.value.1, r.is_update)).collect();
+            assert_eq!(
+                got,
+                [
+                    (Range::new(0, 10), 45, false),
+                    (Range::new(10, 20), 15, true),
+                    (Range::new(10, 20), 31, true)
+                ],
+                "batched: {batched}"
+            );
+            if want.is_empty() {
+                (0..10).for_each(|t| reference.process_tuple(t, t, &mut want));
+                reference.process_watermark(20, &mut want);
+                [15, 16].iter().for_each(|&t| reference.process_tuple(t, t, &mut want));
+                reference.process_watermark(30, &mut want);
+                reference.process_watermark(40, &mut want);
+            }
+            let want: Vec<_> = want.iter().map(|r| (r.range, r.value, r.is_update)).collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -101,5 +101,5 @@ pub use store::{SliceStore, StorePolicy};
 pub use time::{Count, Measure, Range, StreamOrder, Time, Watermark, TIME_MAX, TIME_MIN};
 pub use timeline::{shares_static_timeline, SliceMeta, Timeline};
 pub use window::{
-    ContextClass, ContextEdges, PeriodicEdges, Query, QueryId, QuerySet, WindowFunction,
+    ContextClass, ContextEdges, PeriodicEdges, Query, QueryId, QuerySet, WindowFunction, WindowRun,
 };

@@ -15,9 +15,9 @@ use crate::characteristics::{SlicePlan, WorkloadCharacteristics};
 use crate::function::AggregateFunction;
 use crate::mem::HeapSize;
 use crate::result::WindowResult;
-use crate::store::{SliceStore, StorePolicy, MIN_BATCH_WINDOWS};
+use crate::store::{SliceStore, StorePolicy};
 use crate::time::{Count, Measure, Range, StreamOrder, Time, TIME_MAX, TIME_MIN};
-use crate::window::{ContextEdges, QueryId, QuerySet, WindowFunction};
+use crate::window::{ContextEdges, QueryId, QuerySet, WindowFunction, WindowRun};
 
 /// Configuration of a [`WindowOperator`].
 #[derive(Debug, Clone, Copy)]
@@ -221,45 +221,47 @@ pub struct SlicePartial<A: AggregateFunction> {
     pub n: u64,
 }
 
-/// The time-measure windows one sweep has collected, in emission order.
-/// Sweeps too small for [`SliceStore::query_time_batch`] to consider —
-/// almost all of them: a tumbling query fires one window at a time —
+/// The time-measure windows one sweep has collected, in emission order,
+/// as runs (a periodic query's due windows are one). Sweeps of few runs —
+/// almost all of them: one tumbling or sliding query fires one run —
 /// stay in the inline array, so collecting first costs them no
-/// allocation. A larger sweep collects on the heap, sized up front by
-/// the count the query set gives (`QuerySet::due`), and the list is
+/// allocation. A sweep of more runs collects on the heap, and the list is
 /// freed with the sweep (scratch kept between sweeps would be operator
 /// state).
 struct SweepList {
     /// The first `len` entries, while `spill` has no capacity.
-    inline: [(QueryId, Range); MIN_BATCH_WINDOWS - 1],
+    inline: [(QueryId, WindowRun); INLINE_RUNS],
     len: usize,
-    spill: Vec<(QueryId, Range)>,
+    spill: Vec<(QueryId, WindowRun)>,
+    /// The windows of the runs collected.
+    windows: usize,
 }
 
+/// Runs a sweep collects before it moves to the heap.
+const INLINE_RUNS: usize = 8;
+
 impl SweepList {
-    /// A list for a sweep of about `windows` windows.
-    fn new(windows: usize) -> Self {
-        let none = (0, Range { start: 0, end: 0 });
-        let inline = [none; MIN_BATCH_WINDOWS - 1];
-        let spill = if windows > inline.len() { Vec::with_capacity(windows) } else { Vec::new() };
-        SweepList { inline, len: 0, spill }
+    fn new() -> Self {
+        let none = (0, WindowRun::one(Range { start: 0, end: 0 }));
+        SweepList { inline: [none; INLINE_RUNS], len: 0, spill: Vec::new(), windows: 0 }
     }
 
     #[inline]
-    fn push(&mut self, id: QueryId, range: Range) {
+    fn push(&mut self, id: QueryId, run: WindowRun) {
+        self.windows += run.len;
         if self.spill.capacity() == 0 {
             if let Some(slot) = self.inline.get_mut(self.len) {
-                *slot = (id, range);
+                *slot = (id, run);
                 self.len += 1;
                 return;
             }
             self.spill.reserve(8 * self.inline.len());
             self.spill.extend_from_slice(&self.inline);
         }
-        self.spill.push((id, range));
+        self.spill.push((id, run));
     }
 
-    fn windows(&self) -> &[(QueryId, Range)] {
+    fn runs(&self) -> &[(QueryId, WindowRun)] {
         if self.spill.capacity() == 0 {
             &self.inline[..self.len]
         } else {
@@ -279,8 +281,8 @@ impl SweepList {
         stats: &mut OperatorStats,
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
-        let windows = self.windows();
-        if windows.is_empty() {
+        let runs = self.runs();
+        if runs.is_empty() {
             return;
         }
         let f = store.function();
@@ -291,10 +293,10 @@ impl SweepList {
             out.push(WindowResult { query, measure, range, value, is_update: update });
         };
         let scanned = if per_window_only {
-            store.query_time_each(windows, emit);
+            store.query_time_each(runs, emit);
             0
         } else {
-            store.query_time_batch(windows, emit)
+            store.query_time_batch(runs, emit)
         };
         let emitted = cast::to_u64(out.len() - emitted);
         if update {
@@ -303,27 +305,30 @@ impl SweepList {
             stats.windows_emitted += emitted;
         }
         stats.sweeps += 1;
-        stats.sweep_windows += cast::to_u64(windows.len());
+        stats.sweep_windows += cast::to_u64(self.windows);
         stats.shared_scan_windows += cast::to_u64(scanned);
         self.len = 0;
+        self.windows = 0;
         self.spill.clear();
     }
 
-    /// Answers the collected windows, then count window `range` of query
-    /// `id`, so that results keep query order.
+    /// Answers the collected windows, then the count windows of `run` of
+    /// query `id`, so that results keep query order.
     fn answer_count<A: AggregateFunction>(
         &mut self,
-        (id, range): (QueryId, Range),
+        (id, run): (QueryId, WindowRun),
         store: &SliceStore<A>,
         (per_window_only, update): (bool, bool),
         stats: &mut OperatorStats,
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
         self.answer(store, per_window_only, update, stats, out);
-        if let Some(p) = store.query_count(range.start as Count, range.end as Count) {
-            let (query, measure, value) = (id, Measure::Count, store.function().lower(&p));
-            out.push(WindowResult { query, measure, range, value, is_update: update });
-            *if update { &mut stats.updates_emitted } else { &mut stats.windows_emitted } += 1;
+        for range in run.windows() {
+            if let Some(p) = store.query_count(range.start as Count, range.end as Count) {
+                let (query, measure, value) = (id, Measure::Count, store.function().lower(&p));
+                out.push(WindowResult { query, measure, range, value, is_update: update });
+                *if update { &mut stats.updates_emitted } else { &mut stats.windows_emitted } += 1;
+            }
         }
     }
 }
@@ -590,7 +595,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// up to `wm`, clamped at `data_pos` (the highest *data* position the
     /// caller knows), or with `late = Some(ts)` the fired windows a late
     /// tuple at `ts` changes, as updates. Time windows are answered
-    /// together from a `SweepList`; a count window first flushes it.
+    /// together from a `SweepList` of runs; a count run first flushes it.
     fn sweep(
         &mut self,
         wm: Time,
@@ -605,14 +610,13 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // Punctuations can mark window ends beyond the latest tuple.
         let max_pos = data_pos.max(self.max_punct);
         let first_pos = (!self.store.is_empty()).then(|| self.store.geometry().start(0));
-        let due = if late.is_none() { self.queries.due(wm, max_pos, first_pos) } else { 0 };
         let (store, stats) = (&self.store, &mut self.stats);
         let (per_window_only, update) = (self.per_window_only, late.is_some());
-        let mut sweep = SweepList::new(due);
-        let answer = |id, m, range: Range| match m {
-            Measure::Time => sweep.push(id, range),
+        let mut sweep = SweepList::new();
+        let answer = |id, m, run: WindowRun| match m {
+            Measure::Time => sweep.push(id, run),
             Measure::Count => {
-                sweep.answer_count((id, range), store, (per_window_only, update), stats, out)
+                sweep.answer_count((id, run), store, (per_window_only, update), stats, out)
             }
         };
         let count = self.chars.has_count_measure;
@@ -682,11 +686,30 @@ impl<A: AggregateFunction> WindowOperator<A> {
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
         self.stats.tuples += 1;
-        if ts >= self.max_ts || self.store.is_empty() {
-            self.process_in_order(ts, value, out);
-        } else {
-            self.process_out_of_order(ts, value, out);
+        // On an out-of-order stream a tuple behind a punctuation's slices
+        // joins the slice covering it, as a late one does; and one below
+        // where the sweeps have fired is late even at or above `max_ts`,
+        // since the data clamp may have fired its window empty.
+        let ooo = !self.cfg.order.is_in_order();
+        let behind = ooo && self.store.geometry().open_start().is_some_and(|s| ts < s);
+        if !self.store.is_empty() && (ts < self.max_ts || behind) {
+            return self.process_out_of_order(ts, value, out);
         }
+        let late = ooo && ts < self.queries.fired_to();
+        if late && self.below_horizon(ts) {
+            self.stats.dropped_late += 1;
+            return;
+        }
+        self.process_in_order(ts, value, out);
+        if late {
+            self.sweep(self.watermark, self.max_ts, Some(ts), out);
+        }
+    }
+
+    /// Whether a late tuple at `ts` lies below the lateness horizon.
+    #[inline]
+    fn below_horizon(&self, ts: Time) -> bool {
+        self.watermark != TIME_MIN && ts < self.watermark.saturating_sub(self.cfg.allowed_lateness)
     }
 
     fn process_in_order(
@@ -750,9 +773,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             self.cfg.order == StreamOrder::OutOfOrder,
             "out-of-order tuple on a stream declared in-order"
         );
-        if self.watermark != TIME_MIN
-            && ts < self.watermark.saturating_sub(self.cfg.allowed_lateness)
-        {
+        if self.below_horizon(ts) {
             self.stats.dropped_late += 1;
             return;
         }
@@ -771,6 +792,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
             let (idx, _) = self.late_slice_index(ts, None);
             self.store.add_out_of_order_run(idx, &[(ts, value)]);
         }
+        // Behind a punctuation's slices a tuple can be the latest yet.
+        self.max_ts = self.max_ts.max(ts);
         // Window Manager: late tuples below the watermark revise emitted
         // windows.
         if self.watermark != TIME_MIN && ts <= self.watermark {
@@ -824,7 +847,11 @@ impl<A: AggregateFunction> WindowOperator<A> {
         let open_start = self.store.geometry().open_start().unwrap_or(TIME_MAX);
         let time_trigger = self.next_trigger_time.filter(|_| in_order_emit);
         let bound = self.next_time_edge.unwrap_or(TIME_MAX).min(time_trigger.unwrap_or(TIME_MAX));
-        if times[start] < self.max_ts.max(open_start) || times[start] >= bound {
+        // On an out-of-order stream a run is monotone, so one compare at
+        // its head keeps every tuple below where the sweeps have fired
+        // out of it.
+        let floor = if in_order_emit { TIME_MIN } else { self.queries.fired_to() };
+        if times[start] < self.max_ts.max(open_start).max(floor) || times[start] >= bound {
             return 0;
         }
         // Count caps: stop before the next count edge cuts the open slice
@@ -995,7 +1022,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     ///
     /// Returns `false`, having applied nothing, when the open slice does
     /// not cover the stream head (a punctuation can cut slices ahead of
-    /// the data) or a late tuple lies at or below the watermark: that one
+    /// the data) or a tuple lies at or below the watermark: that one
     /// revises emitted windows the moment it arrives.
     fn partition_rest(&mut self, times: &[Time], values: &[A::Input]) -> bool {
         if self.store.geometry().open_start().is_none_or(|start| start > self.max_ts) {
@@ -1013,17 +1040,18 @@ impl<A: AggregateFunction> WindowOperator<A> {
         // ends up at `[len - lk, len)` in reverse arrival order), and only
         // the counters depend on the data.
         let (mut ik, mut lk) = (0, 0);
-        let (mut prev, mut min_late) = (self.max_ts, TIME_MAX);
+        let (mut prev, mut min_ts) = (self.max_ts, TIME_MAX);
         for (j, &ts) in times.iter().enumerate() {
             let is_late = ts < prev;
             prev = prev.max(ts);
-            min_late = min_late.min(if is_late { ts } else { TIME_MAX });
+            min_ts = min_ts.min(ts);
             idx[ik] = j as u32;
             idx[len - 1 - lk] = j as u32;
             ik += usize::from(!is_late);
             lk += usize::from(is_late);
         }
-        let applies = min_late > self.watermark;
+        // A tuple at or below the watermark, late or not, revises.
+        let applies = min_ts > self.watermark;
         if applies {
             // In-order half: one gather pass, then bulk run commits.
             let (head_times, head_values) = &mut late.head;
@@ -1551,6 +1579,53 @@ mod tests {
         assert!(op.store().keeps_tuples());
         // The adaptive decision for this workload would be to drop them.
         assert!(!op.characteristics().requires_tuple_storage());
+    }
+
+    /// Tumbling 10, lateness 100: tuples 0–9, watermark 20 (the sweep
+    /// fires [10, 20) empty), then tuple 15 at or above every earlier
+    /// one but below the watermark, and watermarks 30 and 40.
+    fn a_tuple_above_the_data_below_the_watermark(batched: bool) -> Vec<WindowResult<i64>> {
+        let mut op = op_ooo(100);
+        let mut out = Vec::new();
+        let tuples: Vec<(Time, i64)> = (0..10).map(|ts| (ts, 1)).collect();
+        let feed = |op: &mut WindowOperator<SumI64>, tuples: &[(Time, i64)], out: &mut Vec<_>| {
+            if batched {
+                op.process_batch_tuples(tuples, out);
+            } else {
+                tuples.iter().for_each(|&(ts, v)| op.process_tuple(ts, v, out));
+            }
+        };
+        feed(&mut op, &tuples, &mut out);
+        op.process_watermark(20, &mut out);
+        feed(&mut op, &[(15, 100), (16, 1000)], &mut out);
+        op.process_watermark(30, &mut out);
+        op.process_watermark(40, &mut out);
+        // The sweeps have fired up to 16 + 10 + 1 = 27. Below that and
+        // below the lateness horizon: dropped and counted. Beyond it
+        // every window of the tuple is still to fire.
+        op.process_watermark(200, &mut out);
+        feed(&mut op, &[(20, 5)], &mut out);
+        assert_eq!(op.stats().dropped_late, 1);
+        feed(&mut op, &[(60, 7)], &mut out);
+        op.process_watermark(210, &mut out);
+        out
+    }
+
+    #[test]
+    fn a_tuple_at_the_head_below_the_watermark_revises_its_fired_window() {
+        for batched in [false, true] {
+            let got: Vec<(Range, i64, bool)> = a_tuple_above_the_data_below_the_watermark(batched)
+                .iter()
+                .map(|r| (r.range, r.value, r.is_update))
+                .collect();
+            let want = [
+                (Range::new(0, 10), 10, false),
+                (Range::new(10, 20), 100, true),
+                (Range::new(10, 20), 1100, true),
+                (Range::new(60, 70), 7, false),
+            ];
+            assert_eq!(got, want, "batched: {batched}");
+        }
     }
 
     #[test]

@@ -23,9 +23,12 @@
 //! late run, a pre-folded late partial, and a late tuple in count order
 //! with its Figure-6 shift.
 //!
-//! A trigger sweep's windows are resolved to slice ranges in one pass;
-//! when they all contain one slice boundary they are answered from one
-//! suffix and one prefix scan around it, otherwise one by one.
+//! A trigger sweep's windows arrive as runs (a periodic query's due
+//! windows, one slide apart) and are resolved to slice ranges at each
+//! run's two ends; when they all contain one slice boundary they are
+//! answered from one suffix and one prefix scan around it, otherwise one
+//! by one. Either way a window's slices are its predecessor's stepped one
+//! slice on, checked with two compares per edge.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -35,10 +38,11 @@ use crate::characteristics::SlicePlan;
 use crate::fiba::FingerTree;
 use crate::flatfat::FlatFat;
 use crate::function::{is_holistic, AggregateFunction};
-use crate::geometry::{Column, Extent, SliceGeometry, SweepPlan};
+use crate::geometry::{Column, Extent, RunBounds, SliceGeometry, SweepPlan};
 use crate::mem::HeapSize;
 use crate::slice::{extent_of, merge_late_run, Slice};
 use crate::time::{Range, Time};
+use crate::window::WindowRun;
 
 /// Lazy vs. eager final aggregation (paper Section 3.4), plus the
 /// disorder-tuned eager variant.
@@ -536,6 +540,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// with the same answer, and asks for the tree: the next
     /// [`flush_eager_repairs`](SliceStore::flush_eager_repairs) builds
     /// it, so only queries before that flush pay the scan.
+    #[inline]
     pub fn query_slice_range(&self, l: usize, r: usize) -> Option<A::Partial> {
         if r - l > INDEX_SCAN_CUTOFF {
             if !self.index_live {
@@ -549,6 +554,9 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     /// The partials of slices `[l, r)`, folded in order.
     fn fold(&self, l: usize, r: usize) -> Option<A::Partial> {
+        if r == l + 1 {
+            return self.partials[l].clone();
+        }
         self.partials.range(l..r).fold(None, |acc, p| self.f.combine_opt(acc, p.as_ref()))
     }
 
@@ -556,12 +564,14 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// per window, in order; `emit` sees every window with an answer.
     pub fn query_time_each<T>(
         &self,
-        windows: &[(T, Range)],
+        runs: &[(T, WindowRun)],
         mut emit: impl FnMut(&T, Range, A::Partial),
     ) {
-        for (tag, range) in windows {
-            if let Some(p) = self.query_time(*range) {
-                emit(tag, *range, p);
+        for (tag, run) in runs {
+            for range in run.windows() {
+                if let Some(p) = self.query_time(range) {
+                    emit(tag, range, p);
+                }
             }
         }
     }
@@ -575,36 +585,39 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// each after one pass over the slices. Whether that pays is decided
     /// at a cost per window: fewer than `MIN_BATCH_WINDOWS` windows, or
     /// holistic partials, go per window. Otherwise one edge pass resolves
-    /// every window to slice indices, finds whether they share a
-    /// boundary, and prices each window as [`query_slice_range`] would
-    /// (its length, or `O(log d)` through an index) against the scan
-    /// (the slices under the sweep, the prefix entries, one combine per
-    /// window). The cheaper side answers; a sweep with no shared
-    /// boundary is answered per window.
+    /// each run at its first and last window, finds whether the windows
+    /// share a boundary, and prices each run's windows as
+    /// [`query_slice_range`] would (their length, or `O(log d)` through
+    /// an index) against the scan (the slices under the sweep, the prefix
+    /// entries, one combine per window). The cheaper side answers; a
+    /// sweep with no shared boundary is answered per window. Either way
+    /// each window's slices are its predecessor's stepped one slice on,
+    /// checked, and searched only where the check fails.
     ///
     /// [`query_time_each`]: SliceStore::query_time_each
     /// [`shared_scan`]: SliceStore::shared_scan
     /// [`query_slice_range`]: SliceStore::query_slice_range
     pub fn query_time_batch<T>(
         &self,
-        windows: &[(T, Range)],
+        runs: &[(T, WindowRun)],
         mut emit: impl FnMut(&T, Range, A::Partial),
     ) -> usize {
-        if windows.len() < MIN_BATCH_WINDOWS || self.holistic {
-            self.query_time_each(windows, emit);
+        let windows = runs.iter().map(|(_, run)| run.len).sum();
+        if windows < MIN_BATCH_WINDOWS || self.holistic {
+            self.emit_each(runs, None, &mut emit);
             return 0;
         }
-        let edges = self.geometry.resolve(windows, self.index_cost());
+        let edges = self.geometry.resolve(runs, self.index_cost());
         // The scan visits every slice under the sweep, fills the prefix
         // column and combines once per window.
-        let pays = |plan: &SweepPlan| edges.scan_cost(plan) + windows.len() <= edges.each_cost;
+        let pays = |plan: &SweepPlan| edges.scan_cost(plan) + windows <= edges.each_cost;
         match SweepPlan::new(&edges).filter(pays) {
             Some(plan) => {
-                self.emit_scanned(windows, &edges.bounds, &plan, &mut emit);
-                windows.len()
+                self.emit_scanned(runs, &edges.bounds, &plan, &mut emit);
+                windows
             }
             None => {
-                self.emit_each(windows, &edges.bounds, &mut emit);
+                self.emit_each(runs, Some(&edges.bounds), &mut emit);
                 0
             }
         }
@@ -623,13 +636,13 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// this is the cheaper way.
     pub fn shared_scan<T>(
         &self,
-        windows: &[(T, Range)],
+        runs: &[(T, WindowRun)],
         mut emit: impl FnMut(&T, Range, A::Partial),
     ) {
-        let edges = self.geometry.resolve(windows, self.index_cost());
+        let edges = self.geometry.resolve(runs, self.index_cost());
         match SweepPlan::new(&edges) {
-            Some(plan) => self.emit_scanned(windows, &edges.bounds, &plan, &mut emit),
-            None => self.emit_each(windows, &edges.bounds, &mut emit),
+            Some(plan) => self.emit_scanned(runs, &edges.bounds, &plan, &mut emit),
+            None => self.emit_each(runs, Some(&edges.bounds), &mut emit),
         }
     }
 
@@ -645,31 +658,29 @@ impl<A: AggregateFunction> SliceStore<A> {
         }
     }
 
-    /// Emits a resolved sweep's windows in order, each from its own
-    /// slice range.
+    /// Emits a sweep's windows in order, each from its own slice range
+    /// (`bounds` as `SliceGeometry::resolve` gives them, or
+    /// `None` to search each run's first window here).
     fn emit_each<T>(
         &self,
-        windows: &[(T, Range)],
-        bounds: &[(u32, u32)],
+        runs: &[(T, WindowRun)],
+        bounds: Option<&[RunBounds]>,
         emit: &mut impl FnMut(&T, Range, A::Partial),
     ) {
-        for ((tag, range), &(l, r)) in windows.iter().zip(bounds) {
-            let (l, r) = (cast::idx32(l), cast::idx32(r));
-            if l < r {
-                debug_assert!(self.geometry.aligned(*range, l, r), "window {range} off its slices");
-                if let Some(p) = self.query_slice_range(l, r) {
-                    emit(tag, *range, p);
-                }
+        self.geometry.walk(runs, bounds, |tag, range, l, r| {
+            debug_assert!(self.geometry.aligned(range, l, r), "window {range} off its slices");
+            if let Some(p) = self.query_slice_range(l, r) {
+                emit(tag, range, p);
             }
-        }
+        });
     }
 
     /// Builds the scan columns of a planned sweep and emits its windows
     /// in order.
     fn emit_scanned<T>(
         &self,
-        windows: &[(T, Range)],
-        bounds: &[(u32, u32)],
+        runs: &[(T, WindowRun)],
+        bounds: &[RunBounds],
         plan: &SweepPlan,
         emit: &mut impl FnMut(&T, Range, A::Partial),
     ) {
@@ -690,14 +701,12 @@ impl<A: AggregateFunction> SliceStore<A> {
                 (a.0.min(b.0), a.1.max(b.1))
             })
         });
-        for (i, ((tag, range), &(l, r))) in windows.iter().zip(bounds).enumerate() {
-            let (l, r) = (cast::idx32(l), cast::idx32(r));
-            if l >= r {
-                continue;
-            }
+        let mut i = 0;
+        self.geometry.walk(runs, Some(bounds), |tag, range, l, r| {
             if cfg!(feature = "audit") && i % 16 == 0 {
-                assert_eq!((l, r), self.geometry.slice_span(*range), "window {range} resolved off");
+                assert_eq!((l, r), self.geometry.slice_span(range), "window {range} resolved off");
             }
+            i += 1;
             let (l, r) = (l - plan.base, r - plan.base);
             if let Some((first, last)) = extents.as_ref().and_then(|e| e.answer(plan, l, r)) {
                 debug_assert!(
@@ -706,9 +715,9 @@ impl<A: AggregateFunction> SliceStore<A> {
                 );
             }
             if let Some(p) = scan.answer(plan, l, r) {
-                emit(tag, *range, p);
+                emit(tag, range, p);
             }
-        }
+        });
     }
 
     /// Combines the partials of slices covering the absolute count range
@@ -854,10 +863,10 @@ impl<A: AggregateFunction> HeapSize for SliceStore<A> {
     }
 }
 
-/// Sweeps with fewer windows than this are answered per window without
-/// looking at anything else: below it the scan's fixed costs (the edge
-/// pass, the plan, the scan columns) are not recovered even when every
-/// window shares one pivot.
+/// Sweeps with fewer windows than this (counted over their runs) are
+/// answered per window without looking at anything else: below it the
+/// scan's fixed costs (the edge pass, the plan, the scan columns) are not
+/// recovered even when every window shares one pivot.
 pub(crate) const MIN_BATCH_WINDOWS: usize = 9;
 
 /// The scan columns of a planned sweep over per-slice values `M`:
@@ -1418,7 +1427,7 @@ mod tests {
             let tumbling: Vec<((), Range)> =
                 (from..to).map(|i| ((), Range::new(i * 10, i * 10 + 10))).collect();
             let got = emitted::<SumI64>(&tumbling, |e| {
-                finger.query_time_batch(&tumbling, e);
+                finger.query_time_batch(&runs_of(&tumbling), e);
             });
             assert_eq!(got, each(&lazy, &tumbling));
             for _ in 0..3 {
@@ -1499,7 +1508,7 @@ mod tests {
             assert_eq!(finger.index_built(), built);
             let mut scanned = 0;
             let got = emitted::<SumI64>(&windows, |e| {
-                scanned = finger.query_time_batch(&windows, e);
+                scanned = finger.query_time_batch(&ones(&windows), e);
             });
             assert_eq!(scanned, 0, "the cost rule picked the scan");
             assert_eq!(got, want);
@@ -1547,6 +1556,29 @@ mod tests {
         got
     }
 
+    /// The windows as runs of one.
+    fn ones(windows: &[((), Range)]) -> Vec<((), WindowRun)> {
+        windows.iter().map(|&(tag, w)| (tag, WindowRun::one(w))).collect()
+    }
+
+    /// The windows as runs: each stretch of windows a constant positive
+    /// slide apart is one.
+    fn runs_of(windows: &[((), Range)]) -> Vec<((), WindowRun)> {
+        let mut runs: Vec<((), WindowRun)> = Vec::new();
+        for &((), w) in windows {
+            if let Some(((), run)) = runs.last_mut() {
+                let last = run.window(run.len - 1);
+                let slide = w.start - last.start;
+                if slide > 0 && w.end - last.end == slide && (run.len == 1 || slide == run.slide) {
+                    (run.slide, run.len) = (slide, run.len + 1);
+                    continue;
+                }
+            }
+            runs.push(((), WindowRun::one(w)));
+        }
+        runs
+    }
+
     /// Every `[a, b)` over `edges`, in an order that is neither sorted
     /// by start nor by end (sweeps list windows query by query).
     fn all_pairs(edges: &[Time]) -> Vec<((), Range)> {
@@ -1586,12 +1618,14 @@ mod tests {
         A::Partial: PartialEq + std::fmt::Debug,
     {
         let want = each(st, windows);
-        let scanned = emitted::<A>(windows, |emit| st.shared_scan(windows, emit));
-        assert_eq!(scanned, want, "{what}: shared scan");
-        let batched = emitted::<A>(windows, |emit| {
-            st.query_time_batch(windows, emit);
-        });
-        assert_eq!(batched, want, "{what}: batch call");
+        for (runs, as_runs) in [(ones(windows), "one window a run"), (runs_of(windows), "runs")] {
+            let scanned = emitted::<A>(windows, |emit| st.shared_scan(&runs, emit));
+            assert_eq!(scanned, want, "{what}, {as_runs}: shared scan");
+            let batched = emitted::<A>(windows, |emit| {
+                st.query_time_batch(&runs, emit);
+            });
+            assert_eq!(batched, want, "{what}, {as_runs}: batch call");
+        }
     }
 
     #[test]
@@ -1672,7 +1706,7 @@ mod tests {
             st
         };
         let scanned = |st: &SliceStore<SumI64>, windows: &[((), Range)]| {
-            st.query_time_batch(windows, |_, _, _| {})
+            st.query_time_batch(&runs_of(windows), |_, _, _| {})
         };
         for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
             let st = dense(policy, 600);
@@ -1690,7 +1724,7 @@ mod tests {
                 (100..112).map(|i| ((), Range::new(i * 10, (i + 4) * 10))).collect();
             assert_eq!(scanned(&st, &spread), 0, "{policy:?}");
             let got = emitted::<SumI64>(&spread, |e| {
-                st.query_time_batch(&spread, e);
+                st.query_time_batch(&runs_of(&spread), e);
             });
             assert_eq!(got, each(&st, &spread), "{policy:?}");
         }
@@ -1705,7 +1739,7 @@ mod tests {
             concat.append_slice(Range::new(i * 10, i * 10 + 10));
             concat.add_one(i * 10, i);
         }
-        assert_eq!(concat.query_time_batch(&windows_over(100, 50, 40), |_, _, _| {}), 0);
+        assert_eq!(concat.query_time_batch(&ones(&windows_over(100, 50, 40)), |_, _, _| {}), 0);
     }
 
     #[test]

@@ -120,15 +120,51 @@ impl Family {
     fn holds(self, e: Time) -> bool {
         (e - self.phase).rem_euclid(self.slide) == 0
     }
+}
 
-    /// How many positions lie in `(from, to]`: one division when there
-    /// are none.
-    fn count_in(self, from: Time, to: Time) -> usize {
-        let first = self.next_after(from);
-        if first > to {
-            return 0;
-        }
-        usize::try_from((to - first) / self.slide).map_or(0, |n| n + 1)
+/// How many steps of `slide` from `from` stay at or before `to`: 0 when
+/// `from` lies beyond `to`.
+#[inline]
+fn steps_to(from: Time, to: Time, slide: Time) -> usize {
+    if from > to {
+        return 0;
+    }
+    cast::to_usize(to.abs_diff(from) / slide.unsigned_abs()).saturating_add(1)
+}
+
+/// Windows of one query that a sweep reports together: `len` windows,
+/// the first `first`, each next one `slide` later. A periodic window's
+/// due windows are one run; any other window is a run of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowRun {
+    pub first: Range,
+    pub len: usize,
+    pub slide: Time,
+}
+
+impl WindowRun {
+    /// The run of the one window `w`.
+    pub fn one(w: Range) -> Self {
+        WindowRun { first: w, len: 1, slide: 0 }
+    }
+
+    /// Window `k` of the run.
+    #[inline]
+    pub(crate) fn window(&self, k: usize) -> Range {
+        let shift = cast::to_i64(k) * self.slide;
+        Range::new(self.first.start + shift, self.first.end + shift)
+    }
+
+    /// The windows, in order.
+    pub fn windows(self) -> impl Iterator<Item = Range> {
+        (0..self.len).map(move |k| self.window(k))
+    }
+
+    /// How many leading windows have an edge at or before `bound`, where
+    /// that edge (a start or an end) lies at `edge` in the first window.
+    #[inline]
+    pub(crate) fn up_to(&self, edge: Time, bound: Time) -> usize {
+        self.len.min(steps_to(edge, bound, self.slide.max(1)))
     }
 }
 
@@ -201,22 +237,30 @@ impl PeriodicEdges {
 
     /// All windows whose end lies in `(prev, cur]`, by end.
     #[inline]
-    pub fn ends_in(&self, prev: Time, cur: Time, mut out: impl FnMut(Range)) {
-        let mut end = self.next_end(prev);
-        while end <= cur {
-            out(Range::new(end - self.length, end));
-            end += self.slide;
-        }
+    pub fn ends_in(&self, prev: Time, cur: Time, out: impl FnMut(Range)) {
+        self.ending_in(prev, cur).windows().for_each(out);
     }
 
     /// All windows containing position `ts`, by start.
     #[inline]
-    pub fn containing(&self, ts: Time, mut out: impl FnMut(Range)) {
-        let mut start = self.next_start(ts - self.length);
-        while start <= ts {
-            out(Range::new(start, start + self.length));
-            start += self.slide;
-        }
+    pub fn containing(&self, ts: Time, out: impl FnMut(Range)) {
+        self.containing_run(ts).windows().for_each(out);
+    }
+
+    /// The windows whose end lies in `(prev, cur]`, as one run.
+    #[inline]
+    fn ending_in(&self, prev: Time, cur: Time) -> WindowRun {
+        let end = self.next_end(prev);
+        let first = Range::new(end - self.length, end);
+        WindowRun { first, len: steps_to(end, cur, self.slide), slide: self.slide }
+    }
+
+    /// The windows containing position `ts`, as one run.
+    #[inline]
+    fn containing_run(&self, ts: Time) -> WindowRun {
+        let start = self.next_start(ts - self.length);
+        let first = Range::new(start, start + self.length);
+        WindowRun { first, len: steps_to(start, ts, self.slide), slide: self.slide }
     }
 }
 
@@ -376,21 +420,34 @@ impl Query {
         self.measure
     }
 
-    /// `out` for each window whose end lies in `(prev, cur]`.
+    /// `out` for the windows whose end lies in `(prev, cur]`: one run if
+    /// the window is periodic (none if it is empty), else a run per window.
     #[inline]
-    fn ends_in(&mut self, prev: Time, cur: Time, mut out: impl FnMut(Range)) {
+    fn ends_in(&mut self, prev: Time, cur: Time, mut out: impl FnMut(WindowRun)) {
         match self.periodic {
-            Some(p) => p.ends_in(prev, cur, out),
-            None => self.window.trigger_windows(prev, cur, &mut out),
+            Some(p) => {
+                let run = p.ending_in(prev, cur);
+                if run.len > 0 {
+                    out(run);
+                }
+            }
+            None => self.window.trigger_windows(prev, cur, &mut |w| out(WindowRun::one(w))),
         }
     }
 
-    /// `out` for each window containing `ts`.
+    /// `out` for the windows containing `ts` that end at or before `wm`,
+    /// as `ends_in` reports them.
     #[inline]
-    fn containing(&self, ts: Time, mut out: impl FnMut(Range)) {
+    fn containing(&self, ts: Time, wm: Time, mut out: impl FnMut(WindowRun)) {
+        let mut due = |run: WindowRun| {
+            let run = WindowRun { len: run.up_to(run.first.end, wm), ..run };
+            if run.len > 0 {
+                out(run);
+            }
+        };
         match self.periodic {
-            Some(p) => p.containing(ts, out),
-            None => self.window.windows_containing(ts, &mut out),
+            Some(p) => due(p.containing_run(ts)),
+            None => self.window.windows_containing(ts, &mut |w| due(WindowRun::one(w))),
         }
     }
 }
@@ -638,6 +695,13 @@ impl QuerySet {
         (time, count.map(|c| c as Count), always)
     }
 
+    /// The time up to which the trigger sweeps have fired windows
+    /// (`TIME_MIN` before the first).
+    #[inline]
+    pub(crate) fn fired_to(&self) -> Time {
+        self.last_trigger.0
+    }
+
     /// The data clamp: a time window ending after `data_pos` plus the
     /// longest extent holds no data up to `data_pos`.
     #[inline]
@@ -661,14 +725,6 @@ impl QuerySet {
         Some((from, wm))
     }
 
-    /// How many periodic time windows the trigger sweep with these
-    /// arguments reports (other windows may add to them): what its caller
-    /// can make room for at once.
-    pub(crate) fn due(&self, wm: Time, data_pos: Time, first_pos: Option<Time>) -> usize {
-        let Some((from, to)) = self.time_span(wm, data_pos, first_pos) else { return 0 };
-        self.derived.ends[0].iter().map(|&(f, windows)| windows * f.count_in(from, to)).sum()
-    }
-
     /// The trigger sweep: `QuerySet::fire` for the windows that ended
     /// since the last sweep, time up to `wm` clamped at `data_pos`
     /// (`QuerySet::clamp`) and count up to `count_wm`, then advances the
@@ -680,7 +736,7 @@ impl QuerySet {
         count_wm: Count,
         data_pos: Time,
         first_pos: Option<Time>,
-        f: impl FnMut(QueryId, Measure, Range),
+        f: impl FnMut(QueryId, Measure, WindowRun),
     ) -> bool {
         let Some((from, wm)) = self.time_span(wm, data_pos, first_pos) else { return false };
         let count = self.last_trigger.1;
@@ -689,14 +745,14 @@ impl QuerySet {
         true
     }
 
-    /// `f(query, measure, range)`, in query order, for each time window
-    /// ending in `(time.0, time.1]` and each count window ending in
-    /// `(count.0, count.1]`.
+    /// `f(query, measure, run)`, in query order, for the time windows
+    /// ending in `(time.0, time.1]` and the count windows ending in
+    /// `(count.0, count.1]`: a periodic query's as one run, by end.
     pub(crate) fn fire(
         &mut self,
         time: (Time, Time),
         count: (Time, Time),
-        mut f: impl FnMut(QueryId, Measure, Range),
+        mut f: impl FnMut(QueryId, Measure, WindowRun),
     ) {
         for q in &mut self.queries {
             let (id, m) = (q.id, q.measure);
@@ -705,26 +761,23 @@ impl QuerySet {
         }
     }
 
-    /// The late-update rule: `f(query, measure, range)`, in query order,
-    /// for each fired window a late tuple at `ts` changes under watermark
+    /// The late-update rule: `f(query, measure, run)`, in query order,
+    /// for the fired windows a late tuple at `ts` changes under watermark
     /// `wm`: the time windows containing `ts` that end by `wm`, and with
     /// `counts` = (the tuple's count position, the count watermark) every
     /// count window in between, since the tuple shifts later positions.
+    /// A periodic query's windows come as one run, by start.
     pub fn updates(
         &mut self,
         ts: Time,
         wm: Time,
         counts: Option<(Count, Count)>,
-        mut f: impl FnMut(QueryId, Measure, Range),
+        mut f: impl FnMut(QueryId, Measure, WindowRun),
     ) {
         for q in &mut self.queries {
             let (id, m) = (q.id, q.measure);
             match (m, counts) {
-                (Measure::Time, _) => q.containing(ts, |r| {
-                    if r.end <= wm {
-                        f(id, m, r);
-                    }
-                }),
+                (Measure::Time, _) => q.containing(ts, wm, |r| f(id, m, r)),
                 (Measure::Count, Some((pos, count_wm))) => {
                     q.ends_in(pos as Time, count_wm as Time, |r| f(id, m, r));
                 }
@@ -772,13 +825,14 @@ mod tests {
         qs.add(tumbling(10));
         qs.add(tumbling(5));
         let mut got = Vec::new();
-        assert!(!qs.trigger(20, 0, TIME_MIN, None, |id, _, r| got.push((id, r))));
-        assert!(qs.trigger(20, 0, 20, Some(0), |id, _, r| got.push((id, r))));
+        let mut push = |id, _, run: WindowRun| got.extend(run.windows().map(|r| (id, r)));
+        assert!(!qs.trigger(20, 0, TIME_MIN, None, &mut push));
+        assert!(qs.trigger(20, 0, 20, Some(0), &mut push));
         // Tumbling 10: [0,10), [10,20). Tumbling 5: [0,5)..[15,20).
         assert_eq!(got.iter().filter(|(id, _)| *id == 0).count(), 2);
         assert_eq!(got.iter().filter(|(id, _)| *id == 1).count(), 4);
         got.clear();
-        qs.trigger(25, 0, 25, Some(0), |id, _, r| got.push((id, r)));
+        qs.trigger(25, 0, 25, Some(0), |id, _, run| got.extend(run.windows().map(|r| (id, r))));
         assert_eq!(got, [(1, Range::new(20, 25))]);
     }
 
@@ -804,10 +858,10 @@ mod tests {
         qs.add(tumbling(10));
         assert_eq!(qs.clamp(25, 9), 20);
         let mut got = Vec::new();
-        assert!(qs.trigger(25, 0, 9, Some(0), |_, _, r| got.push(r)));
+        assert!(qs.trigger(25, 0, 9, Some(0), |_, _, run| got.extend(run.windows())));
         assert_eq!(got, [Range::new(0, 10), Range::new(10, 20)]);
         got.clear();
-        qs.trigger(45, 0, 29, Some(0), |_, _, r| got.push(r));
+        qs.trigger(45, 0, 29, Some(0), |_, _, run| got.extend(run.windows()));
         assert_eq!(got, [Range::new(20, 30), Range::new(30, 40)]);
     }
 
@@ -901,7 +955,31 @@ mod tests {
         assert_eq!(d.edges[0].len(), 3);
         assert_eq!(d.ends[0], [(Family { slide: 100, phase: 0 }, 50), (Family::new(100, 20), 3)]);
         assert!(d.walked.is_empty() && d.starts[1].is_empty());
-        assert_eq!(qs.due(1_000, 1_000, Some(0)), 50 * 10 + 3 * 10);
+        // Each query's due windows come as one run.
+        let mut runs = Vec::new();
+        assert!(qs.trigger(1_000, 0, 1_000, Some(0), |id, _, run| runs.push((id, run))));
+        assert_eq!(runs.len(), 53);
+        assert!(runs.iter().all(|(_, run)| run.len == 10 && run.slide == 100));
+        assert_eq!(runs[0].1.first, Range::new(-1_100, 100));
+    }
+
+    #[test]
+    fn a_periodic_query_reports_its_windows_as_one_run() {
+        let mut qs = QuerySet::default();
+        qs.add(Box::new(SlidingStub { length: 30, slide: 10 }));
+        let mut runs = Vec::new();
+        qs.fire((0, 45), (0, 0), |_, _, run| runs.push(run));
+        assert_eq!(runs, [WindowRun { first: Range::new(-20, 10), len: 4, slide: 10 }]);
+        let windows: Vec<Range> = runs[0].windows().collect();
+        assert_eq!(windows[3], Range::new(10, 40));
+        // The windows containing 25 are [0, 30), [10, 40), [20, 50); by
+        // watermark 40 only the first two have fired.
+        runs.clear();
+        qs.updates(25, 40, None, |_, _, run| runs.push(run));
+        assert_eq!(runs, [WindowRun { first: Range::new(0, 30), len: 2, slide: 10 }]);
+        runs.clear();
+        qs.updates(25, 29, None, |_, _, run| runs.push(run));
+        assert!(runs.is_empty());
     }
 
     /// A set's periodic answers against a walk over its windows' own trait
@@ -1006,23 +1084,29 @@ mod tests {
                 proptest::prop_assert_eq!(qs.requires_edge_at(ts), time().any(|w| w.is_edge(ts)));
 
                 let (time, count) = ((ts, ts + width), (ts.max(0), ts.max(0) + width / 2));
-                let mut fired = Vec::new();
-                qs.fire(time, count, |q, _, r| fired.push((id(q), r)));
-                proptest::prop_assert_eq!(&fired, &reference.fire(time, count));
-                let periodic_time = |&&(i, _): &&(usize, Range)| {
-                    let w = &reference.0[i];
-                    w.measure == Measure::Time && !w.walked
+                // Runs are never empty, a walked window's hold one window,
+                // and a periodic window reports at most one run a sweep.
+                let mut runs: Vec<(usize, WindowRun)> = Vec::new();
+                let walked: Vec<bool> = reference.0.iter().map(|w| w.walked).collect();
+                let well_formed = |runs: &[(usize, WindowRun)]| {
+                    runs.iter().all(|&(i, run)| {
+                        let alone = runs.iter().filter(|(j, _)| *j == i).count() == 1;
+                        run.len > 0 && if walked[i] { run.len == 1 } else { alone }
+                    })
                 };
-                let mut fresh = qs.clone();
-                fresh.last_trigger = (TIME_MIN, 0);
-                let due = fresh.due(time.1, time.1, Some(time.0));
-                proptest::prop_assert_eq!(due, fired.iter().filter(periodic_time).count());
+                qs.fire(time, count, |q, _, run| runs.push((id(q), run)));
+                proptest::prop_assert!(well_formed(&runs));
+                let expand = |runs: &[(usize, WindowRun)]| -> Vec<(usize, Range)> {
+                    runs.iter().flat_map(|&(i, run)| run.windows().map(move |r| (i, r))).collect()
+                };
+                proptest::prop_assert_eq!(expand(&runs), reference.fire(time, count));
 
                 let wm = ts + width;
                 let counts = (count.0 as Count, count.1 as Count);
-                let mut updated = Vec::new();
-                qs.updates(ts, wm, Some(counts), |q, _, r| updated.push((id(q), r)));
-                proptest::prop_assert_eq!(updated, reference.updates(ts, wm, counts));
+                runs.clear();
+                qs.updates(ts, wm, Some(counts), |q, _, run| runs.push((id(q), run)));
+                proptest::prop_assert!(well_formed(&runs));
+                proptest::prop_assert_eq!(expand(&runs), reference.updates(ts, wm, counts));
             }
         }
     }

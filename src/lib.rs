@@ -64,7 +64,7 @@ pub mod prelude {
         AggregateFunction, ContextClass, ContextEdges, FunctionKind, FunctionProperties, HeapSize,
         KeyedConfig, KeyedStats, KeyedWindowOperator, Measure, NaiveKeyedOperator, OperatorConfig,
         PerKey, Query, QueryId, Range, StorePolicy, StreamElement, StreamOrder, Time,
-        WindowAggregator, WindowFunction, WindowOperator, WindowResult,
+        WindowAggregator, WindowFunction, WindowOperator, WindowResult, WindowRun,
     };
     pub use gss_data::{
         make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, MachineConfig,

@@ -673,7 +673,9 @@ fn audit_sweep_against_slice_ranges(
         assert_eq!(by_index(range), Some(value), "emitted {range} is not its slice range");
     }
     let mut scanned = 0;
-    store.shared_scan(&sampled, |&value, range, p| {
+    let runs: Vec<(i64, WindowRun)> =
+        sampled.iter().map(|&(v, r)| (v, WindowRun::one(r))).collect();
+    store.shared_scan(&runs, |&value, range, p| {
         assert_eq!((Some(p), p), (by_index(range), value), "scan answer for {range}");
         scanned += 1;
     });
@@ -1234,5 +1236,162 @@ proptest! {
                 &CountAgg, "count", &elements, length, lateness, batch, workers,
             ),
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Runs of windows against windows answered one at a time.
+
+/// One emitted result of any output type.
+type RunRow<O> = (QueryId, Measure, Time, Time, O, bool);
+
+/// Feeds `elements` in chunks of `batch_size` (watermarks and
+/// punctuations flush the chunk first) and returns the emission sequence.
+fn drive_runs<A: AggregateFunction<Input = i64>>(
+    op: &mut WindowOperator<A>,
+    elements: &[StreamElement<i64>],
+    batch_size: usize,
+) -> Vec<RunRow<A::Output>> {
+    let mut out = Vec::new();
+    let mut buf: Vec<(Time, i64)> = Vec::new();
+    for e in elements {
+        if let StreamElement::Record { ts, value } = e {
+            buf.push((*ts, *value));
+            if buf.len() < batch_size {
+                continue;
+            }
+        }
+        op.process_batch_tuples(&buf, &mut out);
+        buf.clear();
+        match e {
+            StreamElement::Watermark(wm) => op.process_watermark(*wm, &mut out),
+            StreamElement::Punctuation(ts) => op.process_punctuation(*ts, &mut out),
+            StreamElement::Record { .. } => {}
+        }
+    }
+    op.process_batch_tuples(&buf, &mut out);
+    out.into_iter()
+        .map(|r| (r.query, r.measure, r.range.start, r.range.end, r.value, r.is_update))
+        .collect()
+}
+
+/// The operator with its store's run-based sweep against one whose
+/// sweeps query every window alone (`SliceStore::query_time_each`): the
+/// same emission sequence, and the same windows swept.
+fn check_runs<A>(
+    f: A,
+    queries: &[Box<dyn Fn() -> Box<dyn WindowFunction>>],
+    cfg: OperatorConfig,
+    elements: &[StreamElement<i64>],
+    batch_size: usize,
+) -> Result<(), TestCaseError>
+where
+    A: AggregateFunction<Input = i64> + Clone,
+    A::Output: PartialEq + std::fmt::Debug,
+{
+    let build = |per_window: bool| {
+        let mut op = WindowOperator::new(f.clone(), cfg);
+        for q in queries {
+            op.add_query(q()).unwrap();
+        }
+        if per_window {
+            general_stream_slicing::core::testsupport::force_per_window_queries(&mut op);
+        }
+        op
+    };
+    let (mut runs, mut each) = (build(false), build(true));
+    let got = drive_runs(&mut runs, elements, batch_size);
+    let want = drive_runs(&mut each, elements, batch_size);
+    prop_assert_eq!(&got, &want, "{:?}", cfg);
+    prop_assert_eq!(runs.stats().sweep_windows, each.stats().sweep_windows);
+    prop_assert_eq!(each.stats().shared_scan_windows, 0);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Periodic queries with shared and distinct slides and phases, and
+    /// now and then a session, punctuation or count window among them,
+    /// over streams with data holes, late tuples that open gap slices
+    /// and punctuations that cut slices ahead of the data: where a slice
+    /// is not one slide on from the last, a run's stepped bounds fail
+    /// their check and must gallop. Every sweep's answers and emission
+    /// order equal the windows answered one at a time, on every store,
+    /// for `Sum` and `Min` (shared scan), `Concat` (non-commutative) and
+    /// a holistic median.
+    #[test]
+    fn window_runs_answer_as_each_window_alone(
+        raw in prop::collection::vec((0i64..4_000, -50i64..50), 20..300),
+        holes in prop::collection::vec((0i64..4_000, 50i64..700), 0..4),
+        periodic in prop::collection::vec((1i64..4, 1i64..7, 0i64..40), 1..6),
+        base in 3i64..12,
+        extra in 0usize..4,
+        punctuate_every in 0usize..40,
+        policy_i in 0usize..3,
+        in_order_i in 0usize..3,
+        fraction in 5u8..50,
+        stride_i in 0usize..3,
+        batch_i in 0usize..3,
+        seed in 0u64..1_000,
+    ) {
+        let policy = [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree][policy_i];
+        let batch_size = [1usize, 16, 512][batch_i];
+        let in_order = in_order_i == 0;
+        let kept: Vec<(Time, i64)> = raw
+            .into_iter()
+            .filter(|&(ts, _)| !holes.iter().any(|&(at, len)| at <= ts && ts < at + len))
+            .collect();
+        let (order, mut elements) = if in_order {
+            let tuples = sorted(&kept);
+            let records = tuples.iter().map(|&(ts, value)| StreamElement::Record { ts, value });
+            (StreamOrder::InOrder, records.collect::<Vec<_>>())
+        } else {
+            let arrivals = make_out_of_order(
+                &sorted(&kept),
+                OooConfig { fraction_percent: fraction, max_delay: 300, seed, ..Default::default() },
+            );
+            let stride = [10, 60, 400][stride_i];
+            (StreamOrder::OutOfOrder, with_watermarks(&arrivals, stride, 40))
+        };
+        // Punctuations after a tuple, at its time or, out of order, a
+        // little ahead of the data (an in-order stream's are in order).
+        if punctuate_every > 0 && extra == 2 {
+            let ahead = if in_order { 0 } else { 7 };
+            let mut at = Vec::new();
+            for (i, e) in elements.iter().enumerate() {
+                if let StreamElement::Record { ts, .. } = e {
+                    if i % punctuate_every == 0 {
+                        at.push((i + 1, ts + ahead * (i as Time % 5)));
+                    }
+                }
+            }
+            for (i, ts) in at.into_iter().rev() {
+                elements.insert(i, StreamElement::Punctuation(ts));
+            }
+        }
+        // Slides are multiples of `base`: equal multiples share a slide,
+        // and phases put their edges apart.
+        let mut queries: Vec<Box<dyn Fn() -> Box<dyn WindowFunction>>> = Vec::new();
+        for &(m, panes, phase) in &periodic {
+            let slide = base * m;
+            queries.push(Box::new(move || {
+                Box::new(SlidingWindow::with_offset(slide * panes, slide, phase))
+            }));
+        }
+        match extra {
+            1 => queries.push(Box::new(move || {
+                Box::new(SessionWindow::new(base * 4).with_retention(1_000_000))
+            })),
+            2 => queries.push(Box::new(|| Box::new(PunctuationWindow::new()))),
+            3 if in_order => queries.push(Box::new(|| Box::new(CountTumblingWindow::new(5)))),
+            _ => {}
+        }
+        let cfg = OperatorConfig { order, policy, allowed_lateness: 100_000, ..Default::default() };
+        let (q, e, b) = (&queries, &elements, batch_size);
+        check_runs(Sum, q, cfg, e, b)?;
+        check_runs(Min, q, cfg, e, b)?;
+        check_runs(general_stream_slicing::core::testsupport::Concat, q, cfg, e, b)?;
+        check_runs(Median, q, cfg, e, b)?;
     }
 }
