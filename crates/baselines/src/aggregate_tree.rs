@@ -11,8 +11,9 @@
 use std::collections::VecDeque;
 
 use gss_core::{
-    AggregateFunction, ContextEdges, Count, FlatFat, HeapSize, Measure, QuerySet, Range,
-    StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, TIME_MIN,
+    window::admit, AggregateFunction, ContextEdges, Count, FlatFat, HeapSize, Measure, QueryId,
+    QuerySet, Range, StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, WindowRun,
+    TIME_MIN,
 };
 
 /// Window aggregation over a FlatFAT tree of tuples.
@@ -38,7 +39,7 @@ impl<A: AggregateFunction> AggregateTree<A> {
             tree: FlatFat::new(f.clone()),
             f,
             order,
-            allowed_lateness,
+            allowed_lateness: order.lateness(allowed_lateness),
             queries: QuerySet::default(),
             times: VecDeque::new(),
             evicted: 0,
@@ -49,7 +50,7 @@ impl<A: AggregateFunction> AggregateTree<A> {
         }
     }
 
-    pub fn add_query(&mut self, w: Box<dyn WindowFunction>) -> gss_core::QueryId {
+    pub fn add_query(&mut self, w: Box<dyn WindowFunction>) -> QueryId {
         self.queries.add(w)
     }
 
@@ -81,57 +82,41 @@ impl<A: AggregateFunction> AggregateTree<A> {
         }
     }
 
-    fn emit(&mut self, wm: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        let count_wm = if self.queries.has(Measure::Count) {
-            if self.order.is_in_order() {
-                self.evicted + self.times.len() as Count
-            } else {
-                self.evicted + self.times.partition_point(|t| *t <= wm) as Count
-            }
+    /// Emits the windows due at `wm`, or with `late = Some(ts)` the fired
+    /// windows a late tuple at `ts` changes, as updates.
+    fn emit(&mut self, wm: Time, late: Option<Time>, out: &mut Vec<WindowResult<A::Output>>) {
+        let at_or_before = |t| self.evicted + self.times.partition_point(|u| *u <= t) as Count;
+        let counted = self.queries.has(Measure::Count);
+        let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
+        let push = |id, m, run: WindowRun| windows.extend(run.windows().map(|r| (id, m, r)));
+        if let Some(ts) = late {
+            let counts = counted.then(|| (at_or_before(ts) - 1, at_or_before(wm)));
+            self.queries.updates(ts, wm, counts, push);
         } else {
-            0
-        };
-        let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        let first = Some(self.first_ts);
-        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, run| {
-            windows.extend(run.windows().map(|r| (id, m, r)));
-        });
-        for (id, m, r) in windows {
-            let p = match m {
-                Measure::Time => self.aggregate_time(r),
-                Measure::Count => self.aggregate_count(r.start as Count, r.end as Count),
+            let count_wm = match (counted, self.order.is_in_order()) {
+                (false, _) => 0,
+                (true, true) => self.evicted + self.times.len() as Count,
+                (true, false) => at_or_before(wm),
+            };
+            self.queries.trigger(wm, count_wm, self.max_ts, Some(self.first_ts), push);
+        }
+        for (query, measure, range) in windows {
+            let p = match measure {
+                Measure::Time => self.aggregate_time(range),
+                Measure::Count => self.aggregate_count(range.start as Count, range.end as Count),
             };
             if let Some(p) = p {
-                out.push(WindowResult::new(id, m, r, self.f.lower(&p)));
+                let (value, is_update) = (self.f.lower(&p), late.is_some());
+                out.push(WindowResult { query, measure, range, value, is_update });
             }
         }
-        self.evict(wm);
-    }
-
-    fn emit_updates(&mut self, ts: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        let wm = self.watermark;
-        let counts = self.queries.has(Measure::Count).then(|| {
-            let position = self.evicted + self.times.partition_point(|t| *t <= ts) as Count - 1;
-            (position, self.evicted + self.times.partition_point(|t| *t <= wm) as Count)
-        });
-        let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        self.queries.updates(ts, wm, counts, |id, m, run| {
-            windows.extend(run.windows().map(|r| (id, m, r)));
-        });
-        for (id, m, r) in windows {
-            let p = match m {
-                Measure::Time => self.aggregate_time(r),
-                Measure::Count => self.aggregate_count(r.start as Count, r.end as Count),
-            };
-            if let Some(p) = p {
-                out.push(WindowResult::update(id, m, r, self.f.lower(&p)));
-            }
+        if late.is_none() {
+            self.evict(wm);
         }
     }
 
     fn evict(&mut self, wm: Time) {
-        let lateness = if self.order.is_in_order() { 0 } else { self.allowed_lateness };
-        let horizon = self.queries.horizon(wm, lateness);
+        let horizon = self.queries.horizon(wm, self.allowed_lateness);
         let mut k = self.times.partition_point(|t| *t < horizon);
         if self.queries.has(Measure::Count) {
             let keep = self.queries.max_extent(Measure::Count) as usize;
@@ -147,6 +132,9 @@ impl<A: AggregateFunction> AggregateTree<A> {
 
 impl<A: AggregateFunction> WindowAggregator<A> for AggregateTree<A> {
     fn process(&mut self, ts: Time, value: A::Input, out: &mut Vec<WindowResult<A::Output>>) {
+        let ahead = self.max_ts.max(self.queries.fired_to());
+        let admitted = admit(self.order, ts, ahead, self.watermark, self.allowed_lateness);
+        let Some(revises) = admitted.revises() else { return };
         // Track the minimum event time (not the first arrival): stragglers
         // older than the first arrival still anchor the trigger sweep.
         self.first_ts = if self.first_ts == TIME_MIN { ts } else { self.first_ts.min(ts) };
@@ -161,22 +149,17 @@ impl<A: AggregateFunction> WindowAggregator<A> for AggregateTree<A> {
             self.max_ts = ts;
             if self.order.is_in_order() {
                 self.watermark = ts;
-                self.emit(ts, out);
+                self.emit(ts, None, out);
             }
         } else {
-            if self.watermark != TIME_MIN
-                && ts < self.watermark.saturating_sub(self.allowed_lateness)
-            {
-                return;
-            }
             // The expensive path: leaf insert in the middle shifts the tail
             // and rebuilds inner nodes.
             let pos = self.times.partition_point(|t| *t <= ts);
             self.times.insert(pos, ts);
             self.tree.insert(pos, Some(lifted));
-            if self.watermark != TIME_MIN && ts <= self.watermark {
-                self.emit_updates(ts, out);
-            }
+        }
+        if revises {
+            self.emit(self.watermark, Some(ts), out);
         }
     }
 
@@ -185,7 +168,7 @@ impl<A: AggregateFunction> WindowAggregator<A> for AggregateTree<A> {
             return;
         }
         self.watermark = wm;
-        self.emit(wm, out);
+        self.emit(wm, None, out);
     }
 
     fn memory_bytes(&self) -> usize {

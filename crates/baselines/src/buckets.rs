@@ -16,8 +16,9 @@
 use std::collections::BTreeMap;
 
 use gss_core::{
+    window::{admit, beyond_lateness},
     AggregateFunction, ContextEdges, Count, HeapSize, Measure, QueryId, QuerySet, Range,
-    StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, TIME_MIN,
+    StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, WindowRun, TIME_MIN,
 };
 
 /// Bucket storage mode (Table 1 rows 3 vs. 4).
@@ -88,7 +89,7 @@ impl<A: AggregateFunction> Buckets<A> {
             f,
             mode,
             order,
-            allowed_lateness,
+            allowed_lateness: order.lateness(allowed_lateness),
             queries: QuerySet::default(),
             buckets: BTreeMap::new(),
             watermark: TIME_MIN,
@@ -185,49 +186,31 @@ impl<A: AggregateFunction> Buckets<A> {
         }
     }
 
-    fn emit(&mut self, wm: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        // Arrival counts are final the moment a tuple arrives, regardless
-        // of stream order.
-        let count_wm = self.total_count;
+    /// Emits the windows due at `wm`, or with `late = Some(ts)` the fired
+    /// windows a late tuple at `ts` changes, as updates. Arrival counts
+    /// are final the moment a tuple arrives, and a late tuple takes the
+    /// next count position, shifting no count window.
+    fn emit(&mut self, wm: Time, late: Option<Time>, out: &mut Vec<WindowResult<A::Output>>) {
         let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
-        let first = Some(self.first_ts);
-        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, run| {
-            windows.extend(run.windows().map(|r| (id, m, r)));
-        });
-        for (id, m, r) in windows {
-            let key = match m {
-                Measure::Time => r.start,
-                Measure::Count => r.start,
-            };
-            if let Some(b) = self.buckets.get(&id).and_then(|per| per.get(&key)) {
-                if let Some(p) = &b.partial {
-                    out.push(WindowResult::new(id, m, r, self.f.lower(p)));
-                }
+        let push = |id, m, run: WindowRun| windows.extend(run.windows().map(|r| (id, m, r)));
+        if let Some(ts) = late {
+            self.queries.updates(ts, wm, None, push);
+        } else {
+            self.queries.trigger(wm, self.total_count, self.max_ts, Some(self.first_ts), push);
+        }
+        for (query, measure, range) in windows {
+            let bucket = self.buckets.get(&query).and_then(|per| per.get(&range.start));
+            if let Some(p) = bucket.and_then(|b| b.partial.as_ref()) {
+                let (value, is_update) = (self.f.lower(p), late.is_some());
+                out.push(WindowResult { query, measure, range, value, is_update });
             }
         }
-        self.evict(wm);
-    }
-
-    fn emit_updates(&mut self, ts: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        let wm = self.watermark;
-        let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
-        // Arrival counts: a late tuple takes the next count position and
-        // shifts no count window.
-        self.queries.updates(ts, wm, None, |id, m, run| {
-            windows.extend(run.windows().map(|r| (id, m, r)));
-        });
-        for (id, m, r) in windows {
-            if let Some(b) = self.buckets.get(&id).and_then(|per| per.get(&r.start)) {
-                if let Some(p) = &b.partial {
-                    out.push(WindowResult::update(id, m, r, self.f.lower(p)));
-                }
-            }
+        if late.is_none() {
+            self.evict(wm);
         }
     }
 
     fn evict(&mut self, wm: Time) {
-        let lateness = if self.order.is_in_order() { 0 } else { self.allowed_lateness };
-        let horizon = wm.saturating_sub(lateness);
         // Count-measure buckets live on the count axis: evict only those
         // whose (count) end has been reached and emitted.
         let count_horizon = self.total_count as Time;
@@ -237,7 +220,9 @@ impl<A: AggregateFunction> Buckets<A> {
                 continue;
             };
             match q.measure() {
-                Measure::Time => per_query.retain(|_, b| b.end > horizon),
+                Measure::Time => {
+                    per_query.retain(|_, b| !beyond_lateness(b.end - 1, wm, self.allowed_lateness))
+                }
                 Measure::Count => per_query.retain(|_, b| b.end > count_horizon),
             }
         }
@@ -246,6 +231,9 @@ impl<A: AggregateFunction> Buckets<A> {
 
 impl<A: AggregateFunction> WindowAggregator<A> for Buckets<A> {
     fn process(&mut self, ts: Time, value: A::Input, out: &mut Vec<WindowResult<A::Output>>) {
+        let ahead = self.max_ts.max(self.queries.fired_to());
+        let admitted = admit(self.order, ts, ahead, self.watermark, self.allowed_lateness);
+        let Some(revises) = admitted.revises() else { return };
         // Track the minimum event time (not the first arrival): stragglers
         // older than the first arrival still anchor the trigger sweep.
         self.first_ts = if self.first_ts == TIME_MIN { ts } else { self.first_ts.min(ts) };
@@ -253,22 +241,17 @@ impl<A: AggregateFunction> WindowAggregator<A> for Buckets<A> {
         self.queries.notify(ts, &mut scratch);
         self.scratch = scratch;
         let in_order = ts >= self.max_ts;
-        if !in_order
-            && self.watermark != TIME_MIN
-            && ts < self.watermark.saturating_sub(self.allowed_lateness)
-        {
-            return; // dropped: too late
-        }
         self.assign(ts, &value, in_order);
         self.total_count += 1;
         if in_order {
             self.max_ts = ts;
             if self.order.is_in_order() {
                 self.watermark = ts;
-                self.emit(ts, out);
+                self.emit(ts, None, out);
             }
-        } else if self.watermark != TIME_MIN && ts <= self.watermark {
-            self.emit_updates(ts, out);
+        }
+        if revises {
+            self.emit(self.watermark, Some(ts), out);
         }
     }
 
@@ -277,7 +260,7 @@ impl<A: AggregateFunction> WindowAggregator<A> for Buckets<A> {
             return;
         }
         self.watermark = wm;
-        self.emit(wm, out);
+        self.emit(wm, None, out);
     }
 
     fn memory_bytes(&self) -> usize {

@@ -9,8 +9,8 @@
 use std::collections::VecDeque;
 
 use gss_core::{
-    AggregateFunction, ContextEdges, Count, HeapSize, Measure, QuerySet, Range, StreamOrder, Time,
-    WindowAggregator, WindowFunction, WindowResult, TIME_MIN,
+    window::admit, AggregateFunction, ContextEdges, Count, HeapSize, Measure, QueryId, QuerySet,
+    Range, StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, WindowRun, TIME_MIN,
 };
 
 /// Window aggregation over a sorted tuple ring buffer.
@@ -34,7 +34,7 @@ impl<A: AggregateFunction> TupleBuffer<A> {
         TupleBuffer {
             f,
             order,
-            allowed_lateness,
+            allowed_lateness: order.lateness(allowed_lateness),
             queries: QuerySet::default(),
             buffer: VecDeque::new(),
             evicted: 0,
@@ -45,7 +45,7 @@ impl<A: AggregateFunction> TupleBuffer<A> {
         }
     }
 
-    pub fn add_query(&mut self, w: Box<dyn WindowFunction>) -> gss_core::QueryId {
+    pub fn add_query(&mut self, w: Box<dyn WindowFunction>) -> QueryId {
         self.queries.add(w)
     }
 
@@ -75,58 +75,42 @@ impl<A: AggregateFunction> TupleBuffer<A> {
         self.f.lift_all(self.buffer.iter().skip(l).take(r - l).map(|(_, v)| v))
     }
 
-    fn emit(&mut self, wm: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        let count_wm = if self.queries.has(Measure::Count) {
-            if self.order.is_in_order() {
-                self.evicted + self.buffer.len() as Count
-            } else {
-                self.evicted + self.buffer.partition_point(|(t, _)| *t <= wm) as Count
-            }
+    /// Emits the windows due at `wm`, or with `late = Some(ts)` the fired
+    /// windows a late tuple at `ts` changes, as updates.
+    fn emit(&mut self, wm: Time, late: Option<Time>, out: &mut Vec<WindowResult<A::Output>>) {
+        let at_or_before =
+            |t| self.evicted + self.buffer.partition_point(|(u, _)| *u <= t) as Count;
+        let counted = self.queries.has(Measure::Count);
+        let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
+        let push = |id, m, run: WindowRun| windows.extend(run.windows().map(|r| (id, m, r)));
+        if let Some(ts) = late {
+            let counts = counted.then(|| (at_or_before(ts) - 1, at_or_before(wm)));
+            self.queries.updates(ts, wm, counts, push);
         } else {
-            0
-        };
-        let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        let first = Some(self.first_ts);
-        self.queries.trigger(wm, count_wm, self.max_ts, first, |id, m, run| {
-            windows.extend(run.windows().map(|r| (id, m, r)));
-        });
-        for (id, m, r) in windows {
-            let p = match m {
-                Measure::Time => self.aggregate_time(r),
-                Measure::Count => self.aggregate_count(r.start as Count, r.end as Count),
+            let count_wm = match (counted, self.order.is_in_order()) {
+                (false, _) => 0,
+                (true, true) => self.evicted + self.buffer.len() as Count,
+                (true, false) => at_or_before(wm),
+            };
+            self.queries.trigger(wm, count_wm, self.max_ts, Some(self.first_ts), push);
+        }
+        for (query, measure, range) in windows {
+            let p = match measure {
+                Measure::Time => self.aggregate_time(range),
+                Measure::Count => self.aggregate_count(range.start as Count, range.end as Count),
             };
             if let Some(p) = p {
-                out.push(WindowResult::new(id, m, r, self.f.lower(&p)));
+                let (value, is_update) = (self.f.lower(&p), late.is_some());
+                out.push(WindowResult { query, measure, range, value, is_update });
             }
         }
-        self.evict(wm);
-    }
-
-    fn emit_updates(&mut self, ts: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        let wm = self.watermark;
-        let counts = self.queries.has(Measure::Count).then(|| {
-            let position =
-                self.evicted + self.buffer.partition_point(|(t, _)| *t <= ts) as Count - 1;
-            (position, self.evicted + self.buffer.partition_point(|(t, _)| *t <= wm) as Count)
-        });
-        let mut windows: Vec<(gss_core::QueryId, Measure, Range)> = Vec::new();
-        self.queries.updates(ts, wm, counts, |id, m, run| {
-            windows.extend(run.windows().map(|r| (id, m, r)));
-        });
-        for (id, m, r) in windows {
-            let p = match m {
-                Measure::Time => self.aggregate_time(r),
-                Measure::Count => self.aggregate_count(r.start as Count, r.end as Count),
-            };
-            if let Some(p) = p {
-                out.push(WindowResult::update(id, m, r, self.f.lower(&p)));
-            }
+        if late.is_none() {
+            self.evict(wm);
         }
     }
 
     fn evict(&mut self, wm: Time) {
-        let lateness = if self.order.is_in_order() { 0 } else { self.allowed_lateness };
-        let horizon = self.queries.horizon(wm, lateness);
+        let horizon = self.queries.horizon(wm, self.allowed_lateness);
         let mut k = self.buffer.partition_point(|(t, _)| *t < horizon);
         if self.queries.has(Measure::Count) {
             let keep = self.queries.max_extent(Measure::Count) as usize;
@@ -139,6 +123,9 @@ impl<A: AggregateFunction> TupleBuffer<A> {
 
 impl<A: AggregateFunction> WindowAggregator<A> for TupleBuffer<A> {
     fn process(&mut self, ts: Time, value: A::Input, out: &mut Vec<WindowResult<A::Output>>) {
+        let ahead = self.max_ts.max(self.queries.fired_to());
+        let admitted = admit(self.order, ts, ahead, self.watermark, self.allowed_lateness);
+        let Some(revises) = admitted.revises() else { return };
         // Track the minimum event time (not the first arrival): stragglers
         // older than the first arrival still anchor the trigger sweep.
         self.first_ts = if self.first_ts == TIME_MIN { ts } else { self.first_ts.min(ts) };
@@ -150,20 +137,15 @@ impl<A: AggregateFunction> WindowAggregator<A> for TupleBuffer<A> {
             self.max_ts = ts;
             if self.order.is_in_order() {
                 self.watermark = ts;
-                self.emit(ts, out);
+                self.emit(ts, None, out);
             }
         } else {
-            if self.watermark != TIME_MIN
-                && ts < self.watermark.saturating_sub(self.allowed_lateness)
-            {
-                return; // dropped: too late
-            }
             // The costly path: shift the tail to make room (sorted insert).
             let pos = self.buffer.partition_point(|(t, _)| *t <= ts);
             self.buffer.insert(pos, (ts, value));
-            if self.watermark != TIME_MIN && ts <= self.watermark {
-                self.emit_updates(ts, out);
-            }
+        }
+        if revises {
+            self.emit(self.watermark, Some(ts), out);
         }
     }
 
@@ -172,7 +154,7 @@ impl<A: AggregateFunction> WindowAggregator<A> for TupleBuffer<A> {
             return;
         }
         self.watermark = wm;
-        self.emit(wm, out);
+        self.emit(wm, None, out);
     }
 
     fn memory_bytes(&self) -> usize {

@@ -84,9 +84,9 @@ use crate::hash::{map_heap_bytes, FxHashMap};
 use crate::mem::HeapSize;
 use crate::operator::QueryError;
 use crate::result::WindowResult;
-use crate::time::{Measure, Range, Time, TIME_MAX, TIME_MIN};
+use crate::time::{Measure, Range, StreamOrder, Time, TIME_MAX, TIME_MIN};
 use crate::timeline::{shares_static_timeline, Timeline};
-use crate::window::{QueryId, QuerySet, WindowFunction};
+use crate::window::{admit, QueryId, QuerySet, WindowFunction};
 
 /// Lifts an [`AggregateFunction`] over `V` to one over `(key, V)` pairs.
 ///
@@ -936,20 +936,17 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         let mut i = 0;
         while i < times.len() {
             let ts = times[i];
-            // Key-late tuple, or one below the floor: the reference
-            // operator's drop / update rules. A run is monotone, so its
-            // head decides for all of it.
-            let (mut late, mut revises) = (false, false);
-            if ts < st.t_last.max(fired) {
-                late = ts < st.t_last;
-                revises = (late && wm != TIME_MIN && ts <= wm) || ts < fired;
-                self.stats.ooo_tuples += u64::from(late);
-                if wm != TIME_MIN && ts < wm.saturating_sub(self.cfg.allowed_lateness) {
-                    self.stats.dropped_late += 1;
-                    i += 1;
-                    continue;
-                }
-            }
+            // The admission rule, ahead of the key's `t_last` and floor. A
+            // run is monotone, so its head decides for all of it.
+            let late = ts < st.t_last;
+            self.stats.ooo_tuples += u64::from(late);
+            let ahead = st.t_last.max(fired);
+            let admitted = admit(StreamOrder::OutOfOrder, ts, ahead, wm, self.cfg.allowed_lateness);
+            let Some(revises) = admitted.revises() else {
+                self.stats.dropped_late += 1;
+                i += 1;
+                continue;
+            };
             let (g, end) = match self.cover_memo {
                 (start, end, g) if start <= ts && ts < end => (g, end),
                 _ => {

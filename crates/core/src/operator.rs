@@ -17,7 +17,7 @@ use crate::mem::HeapSize;
 use crate::result::WindowResult;
 use crate::store::{SliceStore, StorePolicy};
 use crate::time::{Count, Measure, Range, StreamOrder, Time, TIME_MAX, TIME_MIN};
-use crate::window::{ContextEdges, QueryId, QuerySet, WindowFunction, WindowRun};
+use crate::window::{admit, ContextEdges, QueryId, QuerySet, WindowFunction, WindowRun};
 
 /// Configuration of a [`WindowOperator`].
 #[derive(Debug, Clone, Copy)]
@@ -29,7 +29,9 @@ pub struct OperatorConfig {
     /// Lazy or eager final aggregation (Table 1 rows 5–8).
     pub policy: StorePolicy,
     /// How long after the watermark late tuples still update emitted
-    /// windows (paper Section 2). Ignored for in-order streams.
+    /// windows (paper Section 2). Ignored for in-order streams, where a
+    /// tuple behind what has fired or been cut is dropped and counted in
+    /// [`OperatorStats::dropped_late`].
     pub allowed_lateness: Time,
     /// Ablation switch: keep tuples in slices even when the Figure-4
     /// decision logic would drop them. Used to measure the value of the
@@ -380,7 +382,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// Creates an operator with no queries. Add at least one query before
     /// feeding tuples — tuples processed with no registered query are
     /// absorbed into a single catch-all slice.
-    pub fn new(f: A, cfg: OperatorConfig) -> Self {
+    pub fn new(f: A, mut cfg: OperatorConfig) -> Self {
+        cfg.allowed_lateness = cfg.order.lateness(cfg.allowed_lateness);
         let queries = QuerySet::default();
         let chars = WorkloadCharacteristics::derive(&queries, cfg.order, f.properties());
         let plan = SlicePlan::new(&chars, cfg.force_tuple_storage);
@@ -651,7 +654,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// those **every** measure allows, time queries up to the set's
     /// horizon, count queries short of the longest count extent.
     fn evict(&mut self, wm: Time) {
-        let lateness = if self.cfg.order.is_in_order() { 0 } else { self.cfg.allowed_lateness };
+        let lateness = self.cfg.allowed_lateness;
         let count_extent = self.queries.max_extent(Measure::Count) as u64;
         if self.count_mode() {
             let final_count = self.store.count_at_or_before(wm.saturating_sub(lateness));
@@ -686,30 +689,27 @@ impl<A: AggregateFunction> WindowOperator<A> {
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
         self.stats.tuples += 1;
-        // On an out-of-order stream a tuple behind a punctuation's slices
-        // joins the slice covering it, as a late one does; and one below
-        // where the sweeps have fired is late even at or above `max_ts`,
-        // since the data clamp may have fired its window empty.
-        let ooo = !self.cfg.order.is_in_order();
-        let behind = ooo && self.store.geometry().open_start().is_some_and(|s| ts < s);
-        if !self.store.is_empty() && (ts < self.max_ts || behind) {
-            return self.process_out_of_order(ts, value, out);
-        }
-        let late = ooo && ts < self.queries.fired_to();
-        if late && self.below_horizon(ts) {
+        // A tuple behind a punctuation's slices joins the slice covering
+        // it, as one behind `max_ts` does; one below where the sweeps have
+        // fired is late even at or above both, since the data clamp may
+        // have fired its window empty.
+        let cut = self.store.geometry().open_start().unwrap_or(TIME_MIN);
+        let seen = if self.store.is_empty() { TIME_MIN } else { self.max_ts.max(cut) };
+        self.stats.ooo_tuples += u64::from(ts < seen);
+        let ahead = seen.max(self.queries.fired_to());
+        let admitted = admit(self.cfg.order, ts, ahead, self.watermark, self.cfg.allowed_lateness);
+        let Some(revises) = admitted.revises() else {
             self.stats.dropped_late += 1;
             return;
+        };
+        if ts < seen {
+            self.process_out_of_order(ts, value, out);
+        } else {
+            self.process_in_order(ts, value, out);
         }
-        self.process_in_order(ts, value, out);
-        if late {
+        if revises {
             self.sweep(self.watermark, self.max_ts, Some(ts), out);
         }
-    }
-
-    /// Whether a late tuple at `ts` lies below the lateness horizon.
-    #[inline]
-    fn below_horizon(&self, ts: Time) -> bool {
-        self.watermark != TIME_MIN && ts < self.watermark.saturating_sub(self.cfg.allowed_lateness)
     }
 
     fn process_in_order(
@@ -768,15 +768,10 @@ impl<A: AggregateFunction> WindowOperator<A> {
         value: A::Input,
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
-        self.stats.ooo_tuples += 1;
         debug_assert!(
             self.cfg.order == StreamOrder::OutOfOrder,
             "out-of-order tuple on a stream declared in-order"
         );
-        if self.below_horizon(ts) {
-            self.stats.dropped_late += 1;
-            return;
-        }
         // Slice Manager: context changes first (may split/merge so the
         // tuple's slice exists and is correctly bounded).
         self.notify_context_aware(ts, out);
@@ -794,11 +789,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
         }
         // Behind a punctuation's slices a tuple can be the latest yet.
         self.max_ts = self.max_ts.max(ts);
-        // Window Manager: late tuples below the watermark revise emitted
-        // windows.
-        if self.watermark != TIME_MIN && ts <= self.watermark {
-            self.sweep(self.watermark, self.max_ts, Some(ts), out);
-        }
     }
 
     /// Slice index for a late tuple at `ts` in a time-tiled store (`near`
@@ -847,10 +837,9 @@ impl<A: AggregateFunction> WindowOperator<A> {
         let open_start = self.store.geometry().open_start().unwrap_or(TIME_MAX);
         let time_trigger = self.next_trigger_time.filter(|_| in_order_emit);
         let bound = self.next_time_edge.unwrap_or(TIME_MAX).min(time_trigger.unwrap_or(TIME_MAX));
-        // On an out-of-order stream a run is monotone, so one compare at
-        // its head keeps every tuple below where the sweeps have fired
-        // out of it.
-        let floor = if in_order_emit { TIME_MIN } else { self.queries.fired_to() };
+        // A run is monotone, so one compare at its head keeps every tuple
+        // below where the sweeps have fired out of it (`admit`).
+        let floor = self.queries.fired_to();
         if times[start] < self.max_ts.max(open_start).max(floor) || times[start] >= bound {
             return 0;
         }

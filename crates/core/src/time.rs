@@ -95,7 +95,10 @@ pub struct Watermark(pub Time);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamOrder {
     /// Every tuple satisfies `t_e(s_x) >= t_e(s_y)` for all `y < x`.
-    /// Windows are emitted directly; no watermarks are needed.
+    /// Windows are emitted directly; no watermarks are needed. A tuple
+    /// behind what has fired or been cut breaks the contract: it is
+    /// dropped and counted, whatever the allowed lateness
+    /// ([`admit`](crate::window::admit)).
     InOrder,
     /// Tuples may arrive late; output waits for watermarks and late tuples
     /// within the allowed lateness produce output updates.
@@ -106,6 +109,16 @@ impl StreamOrder {
     #[inline]
     pub fn is_in_order(self) -> bool {
         matches!(self, StreamOrder::InOrder)
+    }
+
+    /// The lateness in effect for an `allowed` lateness: none on an
+    /// in-order stream, which admits no late tuple.
+    #[inline]
+    pub fn lateness(self, allowed: Time) -> Time {
+        match self {
+            StreamOrder::InOrder => 0,
+            StreamOrder::OutOfOrder => allowed,
+        }
     }
 }
 

@@ -18,7 +18,7 @@
 //! families they share, and asks only the other windows.
 
 use crate::cast;
-use crate::time::{Count, Measure, Range, Time, TIME_MAX, TIME_MIN};
+use crate::time::{Count, Measure, Range, StreamOrder, Time, TIME_MAX, TIME_MIN};
 
 /// Identifier of a query registered with a window operator.
 pub type QueryId = u32;
@@ -698,7 +698,7 @@ impl QuerySet {
     /// The time up to which the trigger sweeps have fired windows
     /// (`TIME_MIN` before the first).
     #[inline]
-    pub(crate) fn fired_to(&self) -> Time {
+    pub fn fired_to(&self) -> Time {
         self.last_trigger.0
     }
 
@@ -794,6 +794,53 @@ impl QuerySet {
         let walked = self.derived.walked.iter().map(|&i| &self.queries[cast::idx32(i)]);
         walked.filter_map(|q| q.window.earliest_pending_start()).fold(h, Time::min)
     }
+}
+
+/// How a technique takes a tuple ([`admit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admit {
+    /// At or above the ahead bound: the tuple joins the open slice.
+    InOrder,
+    /// Behind the ahead bound, within the lateness; `revises` the emitted
+    /// windows when at or below the watermark.
+    Late { revises: bool },
+    /// Behind the ahead bound on an in-order stream, or beyond the
+    /// lateness: aggregated nowhere (the operators count `dropped_late`).
+    Drop,
+}
+
+impl Admit {
+    /// Whether an admitted tuple revises emitted windows; `None` if dropped.
+    #[inline]
+    pub fn revises(self) -> Option<bool> {
+        match self {
+            Admit::InOrder => Some(false),
+            Admit::Late { revises } => Some(revises),
+            Admit::Drop => None,
+        }
+    }
+}
+
+/// The admission rule (DESIGN.md, "The admission rule"), which every
+/// technique asks. `ahead` is the largest of the latest time seen, what
+/// the sweeps have fired and where slices have been cut; `lateness`
+/// counts on out-of-order streams only.
+#[inline]
+pub fn admit(order: StreamOrder, ts: Time, ahead: Time, wm: Time, lateness: Time) -> Admit {
+    if ts >= ahead {
+        Admit::InOrder
+    } else if order.is_in_order() || beyond_lateness(ts, wm, lateness) {
+        Admit::Drop
+    } else {
+        Admit::Late { revises: wm != TIME_MIN && ts <= wm }
+    }
+}
+
+/// Whether `ts` lies below `wm - lateness` (saturating; never before the
+/// first watermark): too late for any window to take it.
+#[inline]
+pub fn beyond_lateness(ts: Time, wm: Time, lateness: Time) -> bool {
+    wm != TIME_MIN && ts < wm.saturating_sub(lateness)
 }
 
 #[cfg(test)]
@@ -1109,6 +1156,56 @@ mod tests {
                 proptest::prop_assert_eq!(expand(&runs), reference.updates(ts, wm, counts));
             }
         }
+    }
+
+    /// The admission rule as one table: each class on both stream orders,
+    /// its boundaries (`ts` at the ahead bound, at `wm`, at
+    /// `wm - lateness`) and its extremes, where nothing may overflow.
+    #[test]
+    fn admit_classifies_every_tuple_by_one_table() {
+        use Admit::{Drop, InOrder};
+        let (io, ooo) = (StreamOrder::InOrder, StreamOrder::OutOfOrder);
+        let (kept, revises) = (Admit::Late { revises: false }, Admit::Late { revises: true });
+        let max = i64::MAX;
+        // (order, ts, ahead, wm, lateness, class)
+        let table = [
+            (io, 50, 50, 40, 10, InOrder),
+            (ooo, 50, 50, 40, 10, InOrder),
+            (io, 51, 50, TIME_MIN, 0, InOrder),
+            (ooo, TIME_MIN, TIME_MIN, TIME_MIN, 0, InOrder),
+            (io, TIME_MAX, TIME_MAX, TIME_MAX - 1, max, InOrder),
+            // Behind the ahead bound on an in-order stream: whatever the
+            // watermark and lateness.
+            (io, 49, 50, TIME_MIN, max, Drop),
+            (io, 45, 50, 40, 100, Drop),
+            (io, TIME_MIN, TIME_MAX, TIME_MIN, 0, Drop),
+            // Out of order: late above the watermark, revising at or below.
+            (ooo, 49, 50, 40, 10, kept),
+            (ooo, 41, 50, 40, 10, kept),
+            (ooo, 40, 50, 40, 10, revises),
+            (ooo, 30, 50, 40, 10, revises),
+            (ooo, 29, 50, 40, 10, Drop),
+            (ooo, 40, 50, 40, 0, revises),
+            (ooo, 39, 50, 40, 0, Drop),
+            // Before the first watermark nothing is dropped or revised.
+            (ooo, -1_000, 50, TIME_MIN, 0, kept),
+            (ooo, TIME_MIN, 50, TIME_MIN, 0, kept),
+            // Unbounded lateness saturates instead of wrapping.
+            (ooo, -100, 0, -60, max, revises),
+            (ooo, TIME_MIN, 50, 40, max, Drop),
+            (ooo, TIME_MIN + 41, 50, 40, max, revises),
+            (ooo, TIME_MAX - 1, TIME_MAX, TIME_MAX, max, revises),
+            (ooo, TIME_MIN, TIME_MAX, TIME_MAX, max, Drop),
+            (ooo, TIME_MIN, TIME_MAX, TIME_MIN, max, kept),
+        ];
+        for (order, ts, ahead, wm, lateness, class) in table {
+            assert_eq!(
+                admit(order, ts, ahead, wm, lateness),
+                class,
+                "{order:?} ts {ts} ahead {ahead} wm {wm} lateness {lateness}"
+            );
+        }
+        assert_eq!((io.lateness(100), ooo.lateness(100)), (0, 100));
     }
 
     #[test]

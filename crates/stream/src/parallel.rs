@@ -28,7 +28,10 @@
 //!   coalescing is at the message level only, so every straggler still
 //!   revises its windows exactly once. Tuples below
 //!   `watermark - allowed_lateness` are dropped, mirroring the
-//!   sequential operator.
+//!   sequential operator. On an in-order stream a tuple behind what has
+//!   fired or been cut breaks the contract, and the sequential operator
+//!   drops and counts it ([`StreamOrder::InOrder`]); a worker sees no
+//!   `max_ts` to tell one by, and a conforming source sends none.
 //! * The merge stage runs behind the epoch barrier, which
 //!   [`barrier`](crate::barrier) defines. Its own part: a straggler
 //!   partial (at or below the authoritative watermark) applies on
@@ -75,9 +78,9 @@
 use crossbeam::runtime;
 use crossbeam::sched::ProbeEvent;
 use gss_core::{
-    shares_static_timeline, AggregateFunction, Measure, OperatorConfig, QuerySet, SlicePartial,
-    StreamElement, StreamOrder, Time, WindowFunction, WindowOperator, WindowResult, TIME_MAX,
-    TIME_MIN,
+    shares_static_timeline, window::beyond_lateness, AggregateFunction, Measure, OperatorConfig,
+    QuerySet, SlicePartial, StreamElement, StreamOrder, Time, WindowFunction, WindowOperator,
+    WindowResult, TIME_MAX, TIME_MIN,
 };
 
 use crate::barrier::Stage;
@@ -183,7 +186,7 @@ impl<A: AggregateFunction> WorkerSlicer<A> {
         // In-order streams never drop: their eviction horizon is the
         // watermark itself, and synthesized watermarks trail every unseen
         // record.
-        if !self.order.is_in_order() && ts < self.wm.saturating_sub(self.lateness) {
+        if !self.order.is_in_order() && beyond_lateness(ts, self.wm, self.lateness) {
             self.dropped_late += 1;
             return;
         }

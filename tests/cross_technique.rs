@@ -216,6 +216,86 @@ fn unbounded_lateness_keeps_late_tuples_below_a_negative_watermark() {
     kept("run_parallel", &out);
 }
 
+/// The emissions of the late-tuple probe: out of order, tumbling 10,
+/// lateness 100; tuples 0–9 of value 1, watermark 20, tuple 15 of value
+/// 100, watermarks 30 and 40.
+fn late_probe<A: AggregateFunction>(
+    agg: &mut dyn WindowAggregator<A>,
+    input: impl Fn(i64) -> A::Input,
+    value: impl Fn(&A::Output) -> i64,
+) -> Vec<(Range, i64, bool)> {
+    let mut out = Vec::new();
+    (0..10).for_each(|ts| agg.process(ts, input(1), &mut out));
+    agg.on_watermark(20, &mut out);
+    agg.process(15, input(100), &mut out);
+    agg.on_watermark(30, &mut out);
+    agg.on_watermark(40, &mut out);
+    out.iter().map(|r| (r.range, value(&r.value), r.is_update)).collect()
+}
+
+/// Watermark 20 runs past the data (0–9) and fires [10, 20) empty; tuple
+/// 15 is the latest yet but behind that sweep, so it is late and within
+/// the lateness: every technique emits [0, 10) and then the update
+/// [10, 20) = 100.
+#[test]
+fn a_tuple_ahead_of_the_data_but_behind_the_sweep_revises_in_every_technique() {
+    let want = vec![(Range::new(0, 10), 10, false), (Range::new(10, 20), 100, true)];
+    let window = || Box::new(TumblingWindow::new(10)) as Box<dyn WindowFunction>;
+    let plain = |v: i64| v;
+    let value = |v: &i64| *v;
+
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        let mut op = SlicingOp::new(Sum, OperatorConfig::out_of_order(100).with_policy(policy));
+        op.add_query(window()).unwrap();
+        assert_eq!(late_probe(&mut op, plain, value), want, "general slicing, {policy:?}");
+    }
+    let cfg = KeyedConfig::default().with_allowed_lateness(100);
+    let mut shared = KeyedWindowOperator::new(Sum, vec![window()], cfg);
+    assert!(shared.is_shared());
+    assert_eq!(late_probe(&mut shared, |v| (7, v), |&(_, v)| v), want, "shared keyed");
+    let mut naive = NaiveKeyedOperator::new(Sum, vec![window()], cfg);
+    assert_eq!(late_probe(&mut naive, |v| (7, v), |&(_, v)| v), want, "naive keyed");
+
+    let mut tb = TupleBuffer::new(Sum, StreamOrder::OutOfOrder, 100);
+    tb.add_query(window());
+    assert_eq!(late_probe(&mut tb, plain, value), want, "tuple buffer");
+    let mut at = AggregateTree::new(Sum, StreamOrder::OutOfOrder, 100);
+    at.add_query(window());
+    assert_eq!(late_probe(&mut at, plain, value), want, "aggregate tree");
+    for mode in [BucketMode::Aggregate, BucketMode::Tuple] {
+        let mut bk = Buckets::new(Sum, mode, StreamOrder::OutOfOrder, 100);
+        bk.add_query(window());
+        assert_eq!(late_probe(&mut bk, plain, value), want, "buckets, {mode:?}");
+    }
+}
+
+/// In order, tumbling 10: tuples 0–4, punctuation 23, then tuple 19. The
+/// punctuation fired and cut up to 23, so 19 breaks the in-order contract:
+/// it is dropped and counted, on every store, per tuple and batched, and
+/// [20, 30) stays empty.
+#[test]
+fn an_in_order_tuple_behind_a_punctuation_is_dropped_and_counted() {
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for batched in [false, true] {
+            let mut op = SlicingOp::new(Sum, OperatorConfig::in_order().with_policy(policy));
+            op.add_query(Box::new(TumblingWindow::new(10))).unwrap();
+            let mut out = Vec::new();
+            (0..5).for_each(|ts| op.process_tuple(ts, ts, &mut out));
+            op.process_punctuation(23, &mut out);
+            let rest = [19, 30, 40];
+            if batched {
+                op.process_batch_columns(&rest, &rest, &mut out);
+            } else {
+                rest.iter().for_each(|&ts| op.process_tuple(ts, ts, &mut out));
+            }
+            let got: Vec<_> = out.iter().map(|r| (r.range, r.value, r.is_update)).collect();
+            let want = [(Range::new(0, 10), 10, false), (Range::new(30, 40), 30, false)];
+            assert_eq!(got, want, "{policy:?}, batched: {batched}");
+            assert_eq!(op.stats().dropped_late, 1, "{policy:?}, batched: {batched}");
+        }
+    }
+}
+
 #[test]
 fn count_windows_agree_between_slicing_and_tuple_buffer() {
     let tuples = sorted_workload();

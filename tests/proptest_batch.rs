@@ -1354,15 +1354,14 @@ proptest! {
             let stride = [10, 60, 400][stride_i];
             (StreamOrder::OutOfOrder, with_watermarks(&arrivals, stride, 40))
         };
-        // Punctuations after a tuple, at its time or, out of order, a
-        // little ahead of the data (an in-order stream's are in order).
+        // Punctuations after a tuple, at its time or a little ahead of
+        // the data.
         if punctuate_every > 0 && extra == 2 {
-            let ahead = if in_order { 0 } else { 7 };
             let mut at = Vec::new();
             for (i, e) in elements.iter().enumerate() {
                 if let StreamElement::Record { ts, .. } = e {
                     if i % punctuate_every == 0 {
-                        at.push((i + 1, ts + ahead * (i as Time % 5)));
+                        at.push((i + 1, ts + 7 * (i as Time % 5)));
                     }
                 }
             }

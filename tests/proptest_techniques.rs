@@ -135,19 +135,38 @@ proptest! {
     }
 
     /// Out-of-order: slicing, buckets, buffer, and tree converge to the
-    /// same final windows under random bounded disorder with watermarks.
+    /// same final windows under random bounded disorder with watermarks,
+    /// over data with a hole and one watermark that runs past the data, so
+    /// that later tuples land above every time seen but behind what it
+    /// fired.
     #[test]
     fn ooo_techniques_converge(
         raw in prop::collection::vec((0i64..1_500, -50i64..50), 1..120),
         length in 2i64..40,
         fraction in 0u8..60,
+        hole in (0i64..1_500, 0i64..400),
+        past in (0usize..120, 1i64..300),
     ) {
-        let tuples = sorted(&raw);
+        let kept: Vec<_> =
+            raw.into_iter().filter(|&(ts, _)| ts < hole.0 || ts >= hole.0 + hole.1).collect();
+        let tuples = sorted(&kept);
         let arrivals = make_out_of_order(
             &tuples,
             OooConfig { fraction_percent: fraction, max_delay: 100, ..Default::default() },
         );
-        let elements = with_watermarks(&arrivals, 50, 100);
+        let mut elements = with_watermarks(&arrivals, 50, 100);
+        // After record `past.0`, a watermark `past.1` beyond every time
+        // seen so far.
+        let (mut records, mut max_ts) = (0, Time::MIN);
+        for i in 0..elements.len() {
+            if let StreamElement::Record { ts, .. } = elements[i] {
+                (records, max_ts) = (records + 1, max_ts.max(ts));
+                if records > past.0 {
+                    elements.insert(i + 1, StreamElement::Watermark(max_ts + past.1));
+                    break;
+                }
+            }
+        }
 
         let drive = |agg: &mut dyn WindowAggregator<Sum>| {
             let mut out = Vec::new();
