@@ -2,7 +2,7 @@
 //! epoch barrier.
 //!
 //! The development container has few cores: the races of the merge side
-//! of `run_parallel` / `run_sharded_keyed` rarely surface at runtime, so
+//! of `run_sharded_keyed` rarely surface at runtime, so
 //! its guarantees are checked by exploring every behaviour of the code
 //! that implements them — [`gss_stream::barrier::EpochBarrier`] itself,
 //! not a model of it. The barrier has no thread or channel in it, so the
@@ -51,7 +51,7 @@ use gss_stream::barrier::{EpochBarrier, Msg, Stage};
 /// Model time; watermarks are small integers.
 type Wm = i64;
 
-/// One unit of a batch: a slice partial, an emission.
+/// One unit of a batch: an emission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Item {
     id: u8,

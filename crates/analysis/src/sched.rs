@@ -4,9 +4,8 @@
 //! [`crate::mc`] explores every delivery order of the epoch barrier, the
 //! one part of the merge side with no thread or channel in it; this
 //! module covers what is around it by running the actual
-//! [`gss_stream::run_parallel`], [`gss_stream::run_sharded_keyed`] and
-//! [`gss_stream::run_keyed`] code under
-//! `crossbeam::sched::run_controlled`, where every channel operation —
+//! [`gss_stream::run_sharded_keyed`] and [`gss_stream::run_keyed`] code
+//! under `crossbeam::sched::run_controlled`, where every channel operation —
 //! the forward edges, the merge edges and the chunk-buffer return edge —
 //! is a yield point and a [`Strategy`] decides every interleaving.
 //!
@@ -31,7 +30,7 @@
 //!   released sequence).
 //! * **Protocol invariants**, observed through [`ProbeEvent`]s the
 //!   protocols record at ship/apply/ack/barrier/release sites:
-//!   exactly-once partial application per producer, epoch barriers
+//!   exactly-once batch application per producer, epoch barriers
 //!   closing only on a full ack set, ack agreement within a round, (for
 //!   the sharded merge) every applied emission eventually released, and
 //!   (every driver) every chunk buffer handed back to the source empty.
@@ -48,9 +47,7 @@ use gss_core::{
     KeyedConfig, KeyedWindowOperator, OperatorConfig, PerKey, QueryId, StreamElement,
     WindowAggregator, WindowFunction, WindowOperator,
 };
-use gss_stream::{
-    partition_of, run_keyed, run_parallel, run_sharded_keyed, shard_of, PipelineConfig,
-};
+use gss_stream::{partition_of, run_keyed, run_sharded_keyed, shard_of, PipelineConfig};
 use gss_windows::TumblingWindow;
 
 // ---------------------------------------------------------------------------
@@ -422,8 +419,7 @@ fn check_probes(
 type Emit = (QueryId, i64, i64, i64, bool);
 
 /// Workload size per cell. `Tiny` is one epoch plus a staged tail;
-/// `Full` adds a second epoch and a within-lateness straggler, exercising
-/// the post-barrier repair path (bounded DFS and PCT cells). `OneChunk`
+/// `Full` adds a second epoch (bounded DFS and PCT cells). `OneChunk`
 /// is `Tiny`'s stream in the transport that keeps a one-producer tree
 /// enumerable (see [`pipe_cfg`]): every chunk adds a hand-back and a
 /// pick-up on the return edge to the schedule, and the one-producer tree
@@ -436,32 +432,12 @@ pub enum Workload {
     Full,
 }
 
-/// Fixed out-of-order workload for the parallel protocol, tumbling(10)
-/// windows. `Full` keeps exactly one straggler so the emission multiset
-/// stays schedule-independent.
-fn par_elements(w: Workload) -> Vec<StreamElement<i64>> {
-    match w {
-        Workload::OneChunk | Workload::Tiny => vec![
-            StreamElement::Record { ts: 1, value: 1 },
-            StreamElement::Record { ts: 11, value: 2 },
-            StreamElement::Watermark(12),
-        ],
-        Workload::Full => vec![
-            StreamElement::Record { ts: 1, value: 1 },
-            StreamElement::Record { ts: 11, value: 2 },
-            StreamElement::Watermark(12),
-            StreamElement::Record { ts: 5, value: 10 }, // straggler, within lateness
-            StreamElement::Record { ts: 21, value: 3 },
-            StreamElement::Watermark(30),
-        ],
-    }
-}
-
-fn par_windows() -> Vec<Box<dyn WindowFunction>> {
+/// The query set of every cell: one tumbling(10) window.
+fn plain_windows() -> Vec<Box<dyn WindowFunction>> {
     vec![Box::new(TumblingWindow::new(10))]
 }
 
-fn par_op_cfg() -> OperatorConfig {
+fn plain_op_cfg() -> OperatorConfig {
     OperatorConfig::out_of_order(20)
 }
 
@@ -482,63 +458,12 @@ fn pipe_cfg(parallelism: usize, workload: Workload) -> PipelineConfig {
     cfg
 }
 
-/// Sorted emission multiset of a parallel run. Finals stay comparable
-/// under sorting because each `(query, range)` emits once plus at most
-/// one straggler update in this workload.
-fn canon_par<'a>(results: impl Iterator<Item = &'a gss_core::WindowResult<i64>>) -> Vec<Emit> {
+/// Sorted emission multiset of a partition's operator.
+fn canon<'a>(results: impl Iterator<Item = &'a gss_core::WindowResult<i64>>) -> Vec<Emit> {
     let mut v: Vec<Emit> =
         results.map(|r| (r.query, r.range.start, r.range.end, r.value, r.is_update)).collect();
     v.sort_unstable();
     v
-}
-
-/// Sequential reference for the parallel cell: one operator, same
-/// elements, same config.
-fn par_reference(mut op: WindowOperator<SumI64>, workload: Workload) -> Vec<Emit> {
-    let mut out = Vec::new();
-    for e in par_elements(workload) {
-        match e {
-            StreamElement::Record { ts, value } => op.process_tuple(ts, value, &mut out),
-            StreamElement::Watermark(wm) => op.process_watermark(wm, &mut out),
-            StreamElement::Punctuation(ts) => op.process_punctuation(ts, &mut out),
-        }
-    }
-    canon_par(out.iter())
-}
-
-/// Explores the parallel protocol with `workers` workers.
-pub fn par_cell(workers: usize, workload: Workload, mode: &Explore) -> Cell {
-    let name = format!("par/workers={workers}/{workload:?}");
-    let expect = match plain_operator() {
-        Ok(op) => par_reference(op, workload),
-        Err(why) => return refused(name, why),
-    };
-    let elements = par_elements(workload);
-    let run = move |strategy: Box<dyn Strategy>| {
-        let elements = elements.clone();
-        run_controlled(strategy, move || {
-            let cfg = pipe_cfg(workers, workload);
-            let report = run_parallel(elements, cfg, SumI64, par_windows(), par_op_cfg());
-            (canon_par(report.results.iter().map(|(_, r)| r)), report.result_count)
-        })
-    };
-    let oracle = move |out: &ControlledRun<(Vec<Emit>, u64)>| -> Result<(), String> {
-        let (got, count) = match &out.result {
-            Ok(v) => v,
-            Err(e) => return Err(e.clone()),
-        };
-        if *count != got.len() as u64 {
-            return Err(format!("result_count {count} != collected {}", got.len()));
-        }
-        if *got != expect {
-            return Err(format!(
-                "emissions diverge from sequential reference:\n  got    \
-                 {got:?}\n  expect {expect:?}"
-            ));
-        }
-        check_probes(&out.probes, workers, false)
-    };
-    explore(&name, mode, &run, &oracle)
 }
 
 /// One canonical keyed emission: `(key, start, end, value, is_update)`.
@@ -669,12 +594,11 @@ pub fn shard_cell(shards: usize, workload: Workload, mode: &Explore) -> Cell {
 /// and the emission.
 type PartEmit = (usize, Emit);
 
-/// The sequential operator of the `run_parallel` and `run_keyed`
-/// references and of every `run_keyed` partition, or why it refused a
-/// query.
+/// The sequential operator of the `run_keyed` reference and of every
+/// `run_keyed` partition, or why it refused a query.
 fn plain_operator() -> Result<WindowOperator<SumI64>, String> {
-    let mut op = WindowOperator::new(SumI64, par_op_cfg());
-    for w in par_windows() {
+    let mut op = WindowOperator::new(SumI64, plain_op_cfg());
+    for w in plain_windows() {
         op.add_query(w).map_err(|e| format!("plain operator refused a query: {e}"))?;
     }
     Ok(op)
@@ -707,7 +631,7 @@ fn keyed_reference(
                 StreamElement::Punctuation(ts) => op.process_punctuation(ts, &mut out),
             }
         }
-        expect.extend(canon_par(out.iter()).into_iter().map(|e| (part, e)));
+        expect.extend(canon(out.iter()).into_iter().map(|e| (part, e)));
     }
     expect.sort_unstable();
     expect
@@ -769,9 +693,9 @@ pub fn keyed_cell(partitions: usize, workload: Workload, mode: &Explore) -> Cell
 /// Runs a small bounded-DFS cell against every seeded protocol fault
 /// and reports, per mutant, whether the oracle caught it. A harness
 /// that lets any mutant survive is vacuous; `cargo sched --mutants`
-/// fails on survivors. The barrier's fault is one site under both merge
-/// stages, so it must fall to a cell of each — and to [`crate::mc`]'s
-/// explorer over the barrier alone, with the invariant it breaks.
+/// fails on survivors. The barrier's fault must fall to a shard cell and
+/// to [`crate::mc`]'s explorer over the barrier alone, with the invariant
+/// it breaks.
 #[cfg(feature = "sched-mutants")]
 pub fn mutant_matrix() -> Vec<(&'static str, Cell)> {
     use gss_stream::mutants::{set_mutant, Mutant, ALL_MUTANTS};
@@ -782,11 +706,9 @@ pub fn mutant_matrix() -> Vec<(&'static str, Cell)> {
         let (name, cell) = match m {
             Mutant::Healthy => continue,
             Mutant::EagerBarrier => {
-                out.push(("EagerBarrier", par_cell(2, Workload::Full, &mode)));
                 out.push(("EagerBarrier", mc_cell("no close before all acks")));
                 ("EagerBarrier", shard_cell(2, Workload::Full, &mode))
             }
-            Mutant::ParDoubleApply => ("ParDoubleApply", par_cell(2, Workload::Full, &mode)),
             Mutant::ShardDropStaged => ("ShardDropStaged", shard_cell(2, Workload::Full, &mode)),
             Mutant::DirtyReturn => ("DirtyReturn", keyed_cell(2, Workload::Full, &mode)),
         };
@@ -819,17 +741,6 @@ mod tests {
     /// A couple of quick cells so `cargo test` exercises the harness
     /// end to end without the full `cargo sched` budget.
     #[test]
-    fn single_worker_dfs_cell_passes() {
-        let cell = par_cell(
-            1,
-            Workload::Tiny,
-            &Explore::Dfs { preemption_bound: Some(1), max_schedules: 400 },
-        );
-        assert!(cell.passed(), "{:?}", cell.violation);
-        assert!(cell.schedules > 1, "must explore more than the baseline schedule");
-    }
-
-    #[test]
     fn single_shard_dfs_cell_passes() {
         let cell = shard_cell(
             1,
@@ -854,9 +765,9 @@ mod tests {
     #[test]
     fn pct_cell_passes_and_is_seed_stable() {
         let mode = Explore::Pct { seed: 0x5EED, depth: 3, runs: 10 };
-        let a = par_cell(2, Workload::Full, &mode);
+        let a = shard_cell(2, Workload::Full, &mode);
         assert!(a.passed(), "{:?}", a.violation);
-        let b = par_cell(2, Workload::Full, &mode);
+        let b = shard_cell(2, Workload::Full, &mode);
         assert_eq!(a.schedules, b.schedules);
         assert_eq!(a.max_yields, b.max_yields, "same seeds must replay the same schedules");
     }

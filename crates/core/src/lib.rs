@@ -94,12 +94,12 @@ pub use function::{AggregateFunction, FunctionKind, FunctionProperties};
 pub use hash::{fx_hash_u64, FxBuildHasher, FxHashMap, FxHasher};
 pub use keyed::{KeyedConfig, KeyedStats, KeyedWindowOperator, NaiveKeyedOperator, PerKey};
 pub use mem::HeapSize;
-pub use operator::{OperatorConfig, OperatorStats, QueryError, SlicePartial, WindowOperator};
+pub use operator::{OperatorConfig, OperatorStats, QueryError, WindowOperator};
 pub use result::WindowResult;
 pub use slice::Slice;
 pub use store::{SliceStore, StorePolicy};
 pub use time::{Count, Measure, Range, StreamOrder, Time, Watermark, TIME_MAX, TIME_MIN};
-pub use timeline::{shares_static_timeline, SliceMeta, Timeline};
+pub use timeline::{SliceMeta, Timeline};
 pub use window::{
     ContextClass, ContextEdges, PeriodicEdges, Query, QueryId, QuerySet, WindowFunction, WindowRun,
 };

@@ -202,27 +202,6 @@ impl<V> LateBatch<V> {
     }
 }
 
-/// One worker-local pre-aggregated slice from the intra-query parallel
-/// path: everything a worker folded into the static-edge span
-/// `[start, end)`, plus the extreme timestamps and tuple count. Produced
-/// by worker-side slicers, consumed by
-/// [`WindowOperator::merge_parallel_partials`].
-#[derive(Clone)]
-pub struct SlicePartial<A: AggregateFunction> {
-    /// Slice span start (a static window edge).
-    pub start: Time,
-    /// Slice span end (the next static window edge after `start`).
-    pub end: Time,
-    /// ⊕-fold of the lifted values of every contributing tuple.
-    pub partial: A::Partial,
-    /// Earliest contributing timestamp (`start <= t_first`).
-    pub t_first: Time,
-    /// Latest contributing timestamp (`t_last < end`).
-    pub t_last: Time,
-    /// Number of contributing tuples.
-    pub n: u64,
-}
-
 /// The time-measure windows one sweep has collected, in emission order,
 /// as runs (a periodic query's due windows are one). Sweeps of few runs —
 /// almost all of them: one tumbling or sliding query fires one run —
@@ -465,11 +444,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// and memory directly).
     pub fn store(&self) -> &SliceStore<A> {
         &self.store
-    }
-
-    /// The last processed watermark.
-    pub fn current_watermark(&self) -> Time {
-        self.watermark
     }
 
     fn rederive(&mut self) {
@@ -1211,75 +1185,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
         self.watermark = wm;
         self.evict(wm);
     }
-
-    // ------------------------------------------------------------------
-    // Intra-query parallel merge stage (beyond the paper)
-    // ------------------------------------------------------------------
-
-    /// Combines one worker-local slice partial into the authoritative
-    /// store — the merge stage of the intra-query parallel path.
-    ///
-    /// The caller's eligibility check guarantees: a commutative function,
-    /// time-measure context-free windows with static edges (so
-    /// `[part.start, part.end)` is the same span every worker derives —
-    /// it either matches an existing slice exactly or fills a coverage
-    /// gap without straddling a boundary), an out-of-order config, and no
-    /// tuple storage. Partials at or below the current watermark are
-    /// straggler singletons and revise already-emitted windows, exactly
-    /// like the sequential out-of-order path.
-    ///
-    /// Index repairs are *deferred*; the one caller,
-    /// [`merge_parallel_partials`](Self::merge_parallel_partials), flushes
-    /// them once per run.
-    fn add_parallel_partial(
-        &mut self,
-        part: SlicePartial<A>,
-        out: &mut Vec<WindowResult<A::Output>>,
-    ) {
-        debug_assert!(
-            !self.store.plan().late_recomputes && !self.store.keeps_tuples(),
-            "parallel merge requires a commutative function and dropped tuples"
-        );
-        debug_assert!(!self.count_mode(), "parallel merge requires time-measure windows");
-        let SlicePartial { start, end, partial, t_first, t_last, n } = part;
-        debug_assert!(start <= t_first && t_first <= t_last && t_last < end);
-        let idx = match self.store.covering_index(t_first) {
-            Some(i) => i,
-            None => {
-                let idx = self.store.insert_gap_slice(Range::new(start, end));
-                self.stats.slices_created += 1;
-                idx
-            }
-        };
-        self.store.add_out_of_order_partial(idx, partial, t_first, t_last, cast::to_usize(n));
-        self.stats.tuples += n;
-        self.max_ts = self.max_ts.max(t_last);
-        // Window Manager: a partial at or below the watermark is a late
-        // straggler — revise the windows that already fired. Grouped
-        // partials never take this branch: workers group only tuples
-        // above their watermark, and the merge protocol applies a group
-        // before the global watermark passes it.
-        if self.watermark != TIME_MIN && t_first <= self.watermark {
-            self.sweep(self.watermark, self.max_ts, Some(t_first), out);
-        }
-    }
-
-    /// Merges a run of worker-local slice partials, in the given order,
-    /// into the authoritative store — the only way a [`SlicePartial`]
-    /// enters the operator. A partial whose span is already a slice
-    /// combines into it; one over a coverage gap inserts its span. A
-    /// partial at or below the watermark is a straggler and emits its
-    /// window updates at once. The eager-store repair runs once per call.
-    pub fn merge_parallel_partials(
-        &mut self,
-        parts: impl IntoIterator<Item = SlicePartial<A>>,
-        out: &mut Vec<WindowResult<A::Output>>,
-    ) {
-        for p in parts {
-            self.add_parallel_partial(p, out);
-        }
-        self.store.flush_eager_repairs();
-    }
 }
 
 impl<A: AggregateFunction> Clone for WindowOperator<A> {
@@ -1480,7 +1385,7 @@ mod tests {
         op.process_watermark(10, &mut out); // regressing watermark: no-op
         op.process_watermark(20, &mut out); // repeated: no-op
         assert_eq!(out.len(), n);
-        assert_eq!(op.current_watermark(), 20);
+        assert_eq!(op.watermark, 20);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! function of the query set — every observer derives the same `[start,
 //! end)` spans without coordination, from the union of the set's edges
 //! ([`QuerySet::prev_edge`], [`QuerySet::next_edge`]). The keyed operator exploits this to
-//! share one boundary list across all keys; the intra-query parallel path
-//! exploits it so N workers pre-aggregate disjoint sub-streams into
-//! identical per-slice partials that a merge stage can `combine`.
+//! share one boundary list across all keys.
 //!
 //! Slices are addressed by a *global index* (`base + position`) that stays
 //! stable across front eviction, so consumers holding dense rings of
@@ -32,9 +30,8 @@ use crate::window::{ContextClass, QuerySet, WindowFunction};
 /// least one window, a commutative `f` (partials combine in any order),
 /// and every window time-measure, context-free and static-edged (slice
 /// boundaries are a pure function of the query set). The keyed
-/// operator's shared mode and the intra-query parallel path both take
-/// exactly this rule.
-pub fn shares_static_timeline<A: AggregateFunction>(
+/// operator's shared mode takes exactly this rule.
+pub(crate) fn shares_static_timeline<A: AggregateFunction>(
     f: &A,
     windows: &[Box<dyn WindowFunction>],
 ) -> bool {
@@ -263,8 +260,8 @@ mod tests {
     #[test]
     fn boundaries_are_deterministic_across_instances() {
         // Two independent timelines fed disjoint timestamp subsets must
-        // agree on every span they both cover — the property the parallel
-        // workers rely on.
+        // agree on every span they both cover: the spans are a function of
+        // the query set alone.
         let qs = queries();
         let (mut a, mut b) = (Timeline::default(), Timeline::default());
         let mut c = 0u64;

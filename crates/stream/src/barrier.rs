@@ -1,10 +1,9 @@
-//! The epoch barrier: the merge side of [`run_parallel`] and
-//! [`run_sharded_keyed`], written once.
+//! The epoch barrier: the merge side of [`run_sharded_keyed`].
 //!
 //! The paper parallelizes by broadcasting every watermark to all
 //! partitions and combining what comes back (Section 5.3). Each of N
 //! sources sends the merge stage a FIFO sequence of [`Msg::Batch`]es
-//! (slice partials, key-tagged emissions) and one [`Msg::Ack`] per
+//! (key-tagged emissions) and one [`Msg::Ack`] per
 //! broadcast watermark, after everything it produced up to that
 //! watermark; every broadcast is acked, a regressive one too, so each
 //! source's acks are the broadcast sequence. The merge stage keeps one
@@ -27,7 +26,6 @@
 //! code directly. `merge_stage` puts it behind a channel, which
 //! `cargo sched` explores under the deterministic runtime.
 //!
-//! [`run_parallel`]: crate::parallel::run_parallel
 //! [`run_sharded_keyed`]: crate::sharded::run_sharded_keyed
 
 use std::collections::VecDeque;

@@ -431,12 +431,6 @@ where
         self.ready.pop_front()
     }
 
-    /// Whether the chunk just handed out belongs to the flush ahead of a
-    /// broadcast or of the end of the stream.
-    pub(crate) fn flushing(&self) -> bool {
-        !self.ready.is_empty() || self.ended
-    }
-
     /// Achieved chunk sizes, one sample per chunk handed out.
     pub(crate) fn into_sizes(self) -> BatchSizeHistogram {
         self.sizes
@@ -799,7 +793,6 @@ mod tests {
         };
         assert!(first.len() > late as usize, "records up to the next poll ride along");
         assert!(first.len() <= late as usize + STRIDE, "flushed {} records late", first.len());
-        assert!(!gather.flushing(), "a due chunk is no flush");
     }
 
     #[test]
@@ -842,9 +835,7 @@ mod tests {
         let stream = elements.into_iter().chain([StreamElement::Watermark(9)]);
         let mut gather = Gather::new(stream, Batching::Fixed(2), 3, |kv| kv, by_key);
         let mut events = Vec::new();
-        let mut flushes = Vec::new();
         while let Some(event) = gather.next() {
-            flushes.push(gather.flushing());
             events.push(ev(event));
         }
         // Key 0 fills its chunk first and ships on the spot, then key 2;
@@ -856,8 +847,6 @@ mod tests {
             Ev::Wm(9),
         ];
         assert_eq!(events, expect);
-        // Only the chunk flushed ahead of the watermark is part of a flush.
-        assert_eq!(flushes, vec![false, false, true, false]);
     }
 
     #[test]

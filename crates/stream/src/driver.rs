@@ -7,8 +7,9 @@
 //! spawn), the pump, the joins, the elapsed/CPU bracket and the fold into
 //! a [`PipelineReport`]. The worker side is here once as well: the receive
 //! loop, the buffer return, the record count and the timed merge edge
-//! (`Uplink`). A driver supplies what differs — how a gathered event is
-//! routed, a `Worker` body per destination, a `Merge` stage or none.
+//! (`Uplink`). A driver supplies what differs — the gather stage that
+//! picks each chunk's destination, a `Worker` body per destination, a
+//! `Merge` stage or none.
 //!
 //! Every task runs under `catch_unwind`, and a send that finds its peer
 //! gone does not panic: it stops the pump or the worker, whose dropped
@@ -74,28 +75,20 @@ fn guarded<T>(failed: &AtomicBool, task: Task, f: impl FnOnce() -> T) -> Result<
     })
 }
 
-/// The forward channels, one per worker.
-pub(crate) type Senders<V> = [Sender<Gathered<V>>];
-
-/// The outcome of sending a gathered event on: `Err` when a worker is gone.
-pub(crate) type Sent<V> = Result<(), SendError<Gathered<V>>>;
-
 /// Sends one gathered event on: records to the destination the gather
 /// stage chose, a watermark or punctuation to every worker (their pending
 /// chunks are out already, so each sees its records and the broadcast in
-/// stream order).
-pub(crate) fn deliver<V>(event: Gathered<V>, to: &Senders<V>) -> Sent<V> {
+/// stream order). `Err` when a worker is gone.
+fn deliver<V>(
+    event: Gathered<V>,
+    to: &[Sender<Gathered<V>>],
+) -> Result<(), SendError<Gathered<V>>> {
     let all = |msg: fn(Time) -> Gathered<V>, at| to.iter().try_for_each(|tx| tx.send(msg(at)));
     match event {
         Gathered::Records(dst, _) => to[dst].send(event),
         Gathered::Watermark(wm) => all(Gathered::Watermark, wm),
         Gathered::Punctuation(ts) => all(Gathered::Punctuation, ts),
     }
-}
-
-/// The route of a driver whose gather stage chose the destinations.
-pub(crate) fn by_destination<V>(event: Option<Gathered<V>>, _: bool, to: &Senders<V>) -> Sent<V> {
-    event.map_or(Ok(()), |event| deliver(event, to))
 }
 
 /// A worker's edge to the merge stage, with backpressure accounting: the
@@ -200,14 +193,12 @@ fn work<V, B, O>(
     (records, up.wait, fold_stats, emitted)
 }
 
-/// Runs one pipeline: `gather`'s events go through `route` (`None` once
-/// the stream has ended; the flag is [`Gather::flushing`]) to one worker
-/// per body, whose batches and acks go to `stage` if there is one. The
-/// report lacks only the driver's own `parallel_workers` / `shards`.
+/// Runs one pipeline: `gather`'s events go to one worker per body, whose
+/// batches and acks go to `stage` if there is one. The report lacks only
+/// the driver's own `parallel_workers` / `shards`.
 pub(crate) fn run<I, T, V, S, R, B, O, W>(
     cfg: PipelineConfig,
     mut gather: Gather<I, V, S, R>,
-    mut route: impl FnMut(Option<Gathered<V>>, bool, &Senders<V>) -> Sent<V>,
     bodies: impl ExactSizeIterator<Item = W>,
     stage: Option<Box<dyn Merge<B, O> + '_>>,
 ) -> Result<PipelineReport<O>, PipelineError>
@@ -256,11 +247,7 @@ where
             // Workers hold the only remaining clones; the merge loop ends
             // when the last worker exits.
             drop((mtx, spares));
-            while let Some(event) = gather.next() {
-                let flushing = gather.flushing();
-                route(Some(event), flushing, &senders)?;
-            }
-            route(None, true, &senders)
+            std::iter::from_fn(|| gather.next()).try_for_each(|event| deliver(event, &senders))
         });
         drop(senders);
         report.batch_sizes = gather.into_sizes();
@@ -297,7 +284,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batching::{gather_whole, Batching};
+    use crate::batching::Batching;
     use std::sync::atomic::AtomicU64;
 
     const BOOM: &str = "user code failed";
@@ -355,7 +342,8 @@ mod tests {
     }
 
     /// 40 records with a watermark behind every tenth, then 4 more, in
-    /// chunks of up to 4 dealt to two workers by their first value.
+    /// chunks of up to 4 routed to two workers, four values to each in
+    /// turn.
     fn drive(
         elements: impl Iterator<Item = StreamElement<i64>>,
         worker_trip: i64,
@@ -364,16 +352,16 @@ mod tests {
     ) -> Result<PipelineReport<i64>, PipelineError> {
         let mut cfg = PipelineConfig::with_parallelism(2);
         cfg.channel_capacity = 2;
-        let route = |event: Option<Gathered<i64>>, _, to: &Senders<i64>| match event {
-            Some(Gathered::Records(_, chunk)) => {
-                let dst = (chunk.values()[0] / 4 % 2) as usize;
-                to[dst].send(Gathered::Records(dst, chunk))
-            }
-            event => by_destination(event, false, to),
-        };
+        let gather = Gather::new(
+            elements,
+            Batching::Fixed(4),
+            2,
+            |v| (v as u64, v),
+            |v, _| (v / 4 % 2) as usize,
+        );
         let bodies = (0..2).map(|_| Count { trip: worker_trip });
         let stage = Sum { staged: 0, trip: merge_trip, released };
-        run(cfg, gather_whole(elements, Batching::Fixed(4)), route, bodies, Some(Box::new(stage)))
+        run(cfg, gather, bodies, Some(Box::new(stage)))
     }
 
     fn elements() -> impl Iterator<Item = StreamElement<i64>> {

@@ -1,6 +1,6 @@
-//! The worker body that hosts a whole operator — what `run_keyed`, the
-//! sequential fallback of `run_parallel` and `run_sharded_keyed` run on
-//! their workers — and the sink a stage's emissions settle in.
+//! The worker body that hosts a whole operator — what `run_keyed`,
+//! `run_parallel` and `run_sharded_keyed` run on their workers — and the
+//! sink a stage's emissions settle in.
 
 use gss_core::{AggregateFunction, Time, WindowAggregator, WindowResult};
 
@@ -45,7 +45,7 @@ const EMIT_SHIP_CAP: usize = 4096;
 
 /// The body of a worker that hosts a whole operator over its share of the
 /// records plus every broadcast watermark/punctuation: a `run_keyed`
-/// partition, `run_parallel`'s sequential fallback, a `run_sharded_keyed`
+/// partition, `run_parallel`'s one operator, a `run_sharded_keyed`
 /// shard. With a merge stage, emissions ship to it in bulk and every
 /// watermark is acked after shipping; without one, the worker keeps them.
 pub(crate) struct Hosted<A: AggregateFunction> {

@@ -20,13 +20,13 @@ pub mod driver;
 mod host;
 pub mod metrics;
 pub mod mutants;
-pub mod parallel;
 pub mod pipeline;
 pub mod sharded;
 
 pub use batching::{Batching, ChunkBuilder, RecordChunk};
 pub use driver::PipelineError;
 pub use metrics::{BatchSizeHistogram, LatencyHistogram};
-pub use parallel::run_parallel;
-pub use pipeline::{partition_of, run_keyed, run_per_key, PipelineConfig, PipelineReport};
+pub use pipeline::{
+    partition_of, run_keyed, run_parallel, run_per_key, PipelineConfig, PipelineReport,
+};
 pub use sharded::{run_sharded_keyed, shard_of};

@@ -2,10 +2,9 @@
 //!
 //! A schedule-exploration harness that never fails proves nothing, so
 //! each mutant here re-introduces one concurrency bug class at a real
-//! protocol decision point — firing an epoch barrier early, applying a
-//! partials batch twice, dropping staged emissions, recycling a chunk
-//! buffer that still holds records — and the harness
-//! must catch every one on some explored schedule.
+//! protocol decision point — firing an epoch barrier early, dropping
+//! staged emissions, recycling a chunk buffer that still holds records —
+//! and the harness must catch every one on some explored schedule.
 //!
 //! Without the `sched-mutants` feature, `is` is a constant `false`
 //! and every guarded branch compiles away: release binaries carry no
@@ -21,23 +20,20 @@
 pub enum Mutant {
     /// No fault: the shipped protocol.
     Healthy = 0,
-    /// The epoch barrier of both merge stages: close the epoch as soon
-    /// as *any* queue front is an ack instead of waiting for all of them.
+    /// The epoch barrier: close the epoch as soon as *any* queue front
+    /// is an ack instead of waiting for all of them.
     EagerBarrier = 1,
-    /// `run_parallel` merge: apply every partials batch twice
-    /// (exactly-once violation).
-    ParDoubleApply = 2,
     /// `run_sharded_keyed` merge: drop shard 0's staged emissions at
     /// the barrier.
-    ShardDropStaged = 3,
+    ShardDropStaged = 2,
     /// Every driver's return edge: a worker hands a consumed chunk back
     /// to the source without emptying it.
-    DirtyReturn = 4,
+    DirtyReturn = 3,
 }
 
 /// Every injectable fault, for harness iteration.
 pub const ALL_MUTANTS: &[Mutant] =
-    &[Mutant::EagerBarrier, Mutant::ParDoubleApply, Mutant::ShardDropStaged, Mutant::DirtyReturn];
+    &[Mutant::EagerBarrier, Mutant::ShardDropStaged, Mutant::DirtyReturn];
 
 #[cfg(feature = "sched-mutants")]
 mod imp {
@@ -73,18 +69,5 @@ pub(crate) fn is(m: Mutant) -> bool {
     {
         let _ = m;
         false
-    }
-}
-
-/// Doubles a batch under `m` (the exactly-once mutants). Feature-gated
-/// because it needs `Clone` on the payload.
-#[cfg(feature = "sched-mutants")]
-pub(crate) fn double_if<T: Clone>(m: Mutant, batch: Vec<T>) -> Vec<T> {
-    if is(m) {
-        let mut out = batch.clone();
-        out.extend(batch);
-        out
-    } else {
-        batch
     }
 }

@@ -11,10 +11,13 @@
 
 use std::time::Duration;
 
-use gss_core::{AggregateFunction, PerKey, StreamElement, WindowAggregator, WindowResult};
+use gss_core::{
+    AggregateFunction, OperatorConfig, PerKey, StreamElement, WindowAggregator, WindowFunction,
+    WindowOperator, WindowResult,
+};
 
-use crate::batching::{Batching, Gather};
-use crate::driver::{self, by_destination, Emitted};
+use crate::batching::{gather_whole, Batching, Gather};
+use crate::driver::{self, Emitted, PipelineError};
 use crate::host::Hosted;
 use crate::metrics::{BatchSizeHistogram, LatencyHistogram};
 
@@ -87,15 +90,13 @@ pub struct PipelineReport<O> {
     pub cpu_time: Duration,
     /// Queue-wait latency of producer sends into the merge stage, folded
     /// across workers ([`LatencyHistogram::merge`]). Non-empty only for
-    /// the drivers that have one: the two-stage path of
-    /// [`run_parallel`](crate::parallel::run_parallel) and
+    /// the driver that has one,
     /// [`run_sharded_keyed`](crate::sharded::run_sharded_keyed). A fat
     /// tail here means the merge stage is the bottleneck (backpressure),
     /// not the workers.
     pub send_wait: LatencyHistogram,
-    /// Pre-aggregation workers used by the two-stage parallel path; 0 when
-    /// the run went through a sequential operator (including the
-    /// ineligible-workload fallback of `run_parallel`).
+    /// 1 for [`run_parallel`], whose one operator runs on one worker; 0
+    /// for every other driver.
     pub parallel_workers: usize,
     /// Key-hash shards used by
     /// [`run_sharded_keyed`](crate::sharded::run_sharded_keyed); 0 for
@@ -246,7 +247,7 @@ where
     // The key only routes, the operator receives the bare value.
     let gather = Gather::new(elements, cfg.batching, p, |kv| kv, partition_of);
     let hosts = (0..p).map(|i| Hosted::new(make_operator(i), &cfg));
-    driver::run(cfg, gather, by_destination, hosts, None).unwrap_or_else(|err| err.raise())
+    driver::run(cfg, gather, hosts, None).unwrap_or_else(|err| err.raise())
 }
 
 /// Runs a keyed aggregation where the operators themselves are
@@ -274,13 +275,68 @@ where
     run_keyed::<PerKey<A>, F>(keyed, cfg, make_operator)
 }
 
+/// Runs one query set over one unkeyed stream: one [`WindowOperator`]
+/// with the caller's `op_cfg`, hosted on one worker.
+///
+/// One query runs on one worker whatever `cfg.parallelism` says: the
+/// paper parallelizes by key (Section 5.3, [`run_keyed`] and
+/// [`run_sharded_keyed`](crate::sharded::run_sharded_keyed)), and a
+/// split of one query's stream across workers lost to this
+/// single-partition pipeline on every workload it was measured on. The
+/// report's [`PipelineReport::parallel_workers`] is 1. The name stays
+/// while `benchmark/` calls it; ROADMAP.md's item 4, the benchmark's next
+/// revision, removes it.
+///
+/// ```
+/// use gss_core::{OperatorConfig, StreamElement};
+/// use gss_core::testsupport::SumI64;
+/// use gss_stream::{run_parallel, PipelineConfig};
+/// use gss_windows::TumblingWindow;
+///
+/// let elements = (0..100i64)
+///     .map(|i| StreamElement::Record { ts: i, value: 1i64 })
+///     .chain([StreamElement::Watermark(100)]);
+/// let report = run_parallel(
+///     elements,
+///     PipelineConfig::with_parallelism(2),
+///     SumI64,
+///     vec![Box::new(TumblingWindow::new(10))],
+///     OperatorConfig::out_of_order(0),
+/// );
+/// assert_eq!(report.parallel_workers, 1);
+/// assert_eq!(report.result_count, 10);
+/// assert!(report.results.iter().all(|(_, r)| r.value == 10));
+/// ```
+pub fn run_parallel<A>(
+    elements: impl IntoIterator<Item = StreamElement<A::Input>>,
+    cfg: PipelineConfig,
+    f: A,
+    windows: Vec<Box<dyn WindowFunction>>,
+    op_cfg: OperatorConfig,
+) -> PipelineReport<A::Output>
+where
+    A: AggregateFunction,
+    A::Output: Send,
+{
+    let mut op = WindowOperator::new(f, op_cfg);
+    for w in windows {
+        if let Err(err) = op.add_query(w) {
+            PipelineError::Query(err).raise();
+        }
+    }
+    let host = [Hosted::new(Box::new(op), &cfg)].into_iter();
+    match driver::run(cfg, gather_whole(elements, cfg.batching), host, None) {
+        Ok(report) => PipelineReport { parallel_workers: 1, ..report },
+        Err(err) => err.raise(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gss_core::operator::{OperatorConfig, WindowOperator};
     use gss_core::testsupport::SumI64;
     use gss_core::StreamOrder;
-    use gss_windows::TumblingWindow;
+    use gss_windows::{CountTumblingWindow, TumblingWindow};
 
     fn make_elements(n: i64, keys: u64) -> Vec<StreamElement<(u64, i64)>> {
         let mut v: Vec<StreamElement<(u64, i64)>> = Vec::new();
@@ -571,5 +627,22 @@ mod tests {
         );
         assert!(report.results.is_empty());
         assert!(report.result_count > 0);
+    }
+
+    #[test]
+    fn a_conflicting_query_set_fails_with_the_operators_own_error() {
+        // Count and time measures on an out-of-order stream: the operator
+        // refuses the set, and the caller gets `QueryError`'s message from
+        // the one place a driver raises.
+        let mixed: Vec<Box<dyn WindowFunction>> =
+            vec![Box::new(TumblingWindow::new(10)), Box::new(CountTumblingWindow::new(10))];
+        let run = || {
+            let elements = [StreamElement::Record { ts: 1, value: 1 }];
+            let cfg = OperatorConfig::out_of_order(10);
+            run_parallel(elements, PipelineConfig::default(), SumI64, mixed, cfg)
+        };
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+        let message = payload.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(*message, gss_core::QueryError::MixedMeasuresOutOfOrder.to_string());
     }
 }

@@ -50,7 +50,7 @@ use gss_core::{
 
 use crate::barrier::Stage;
 use crate::batching::Gather;
-use crate::driver::{self, by_destination, Emitted, Merge};
+use crate::driver::{self, Emitted, Merge};
 use crate::host::{Hosted, ResultSink};
 use crate::pipeline::{PipelineConfig, PipelineReport};
 
@@ -184,7 +184,7 @@ where
         staged: (0..shards).map(|_| Vec::new()).collect(),
         sink: ResultSink::new(cfg.collect_results),
     };
-    match driver::run(cfg, gather, by_destination, bodies, Some(Box::new(stage))) {
+    match driver::run(cfg, gather, bodies, Some(Box::new(stage))) {
         Ok(report) => PipelineReport { shards, ..report },
         Err(err) => err.raise(),
     }

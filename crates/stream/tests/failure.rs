@@ -1,9 +1,10 @@
 //! One user panic fails a run once: whichever task it strikes — a worker
 //! in its first chunk or in the tail behind the last watermark, a hosted
-//! operator's `on_watermark`, the merge stage's `combine` — the caller of
-//! `run_keyed` / `run_parallel` / `run_sharded_keyed` gets the user's own
-//! payload, the panic hook has seen exactly one panic, and the call
-//! returns, every thread joined.
+//! operator's `on_watermark` or `combine` — the caller of `run_keyed` /
+//! `run_parallel` / `run_sharded_keyed` gets the user's own payload, the
+//! panic hook has seen exactly one panic, and the call returns, every
+//! thread joined. `run_parallel` runs one worker whatever the
+//! parallelism, so its row runs at parallelism 1 only.
 //!
 //! A counting panic hook needs a process of its own, hence an integration
 //! test with a single `#[test]`.
@@ -28,8 +29,8 @@ enum Fault {
     /// A record behind the last watermark is.
     Tail,
     /// Past the workers' fold: a hosted operator's second `on_watermark`
-    /// (`run_keyed`, `run_sharded_keyed`), `combine` at the merge stage's
-    /// first emission (`run_parallel`).
+    /// (`run_keyed`, `run_sharded_keyed`), `combine` when the operator
+    /// answers its first window over the poisoned slice (`run_parallel`).
     Downstream,
 }
 
@@ -122,8 +123,8 @@ fn sharded(fault: Fault, cfg: PipelineConfig) {
 }
 
 fn parallel(fault: Fault, cfg: PipelineConfig) {
-    // One record per slice, two slices per window: no worker ever combines
-    // two partials, the merge operator does for every window it emits.
+    // One record per slice, two slices per window: no slice combines two
+    // partials, the operator does for every window it emits.
     let elements = match fault {
         Fault::Downstream => stream(10, |i| if i == 25 { PoisonSum::COMBINE } else { 1 }),
         _ => poisoned(fault, 10),
@@ -148,11 +149,14 @@ fn one_user_panic_fails_the_run_once_with_the_users_payload() {
         }
     }));
     type Driver = fn(Fault, PipelineConfig);
-    let drivers: [(&str, Driver); 3] =
-        [("run_keyed", keyed), ("run_parallel", parallel), ("run_sharded_keyed", sharded)];
-    for (name, driver) in drivers {
+    let drivers: [(&str, Driver, &[usize]); 3] = [
+        ("run_keyed", keyed, &[1, 2, 4]),
+        ("run_parallel", parallel, &[1]),
+        ("run_sharded_keyed", sharded, &[1, 2, 4]),
+    ];
+    for (name, driver, parallelisms) in drivers {
         for fault in [Fault::FirstChunk, Fault::Tail, Fault::Downstream] {
-            for parallelism in [1, 2, 4] {
+            for &parallelism in parallelisms {
                 for batch in [1, 16] {
                     let cell = format!("{name} {fault:?} parallelism={parallelism} batch={batch}");
                     let mut cfg =

@@ -211,7 +211,7 @@ fn unbounded_lateness_keeps_late_tuples_below_a_negative_watermark() {
         vec![window()],
         OperatorConfig::out_of_order(lateness),
     );
-    assert_eq!(report.parallel_workers, 2);
+    assert_eq!(report.parallel_workers, 1);
     let out: Vec<_> = report.results.into_iter().map(|(_, r)| r).collect();
     kept("run_parallel", &out);
 }
@@ -272,9 +272,10 @@ fn a_tuple_ahead_of_the_data_but_behind_the_sweep_revises_in_every_technique() {
 /// In order, tumbling 10: tuples 0–4, punctuation 23, then tuple 19. The
 /// punctuation fired and cut up to 23, so 19 breaks the in-order contract:
 /// it is dropped and counted, on every store, per tuple and batched, and
-/// [20, 30) stays empty.
+/// [20, 30) stays empty. `run_parallel` gives the same emissions.
 #[test]
 fn an_in_order_tuple_behind_a_punctuation_is_dropped_and_counted() {
+    let want = [(Range::new(0, 10), 10, false), (Range::new(30, 40), 30, false)];
     for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
         for batched in [false, true] {
             let mut op = SlicingOp::new(Sum, OperatorConfig::in_order().with_policy(policy));
@@ -289,11 +290,23 @@ fn an_in_order_tuple_behind_a_punctuation_is_dropped_and_counted() {
                 rest.iter().for_each(|&ts| op.process_tuple(ts, ts, &mut out));
             }
             let got: Vec<_> = out.iter().map(|r| (r.range, r.value, r.is_update)).collect();
-            let want = [(Range::new(0, 10), 10, false), (Range::new(30, 40), 30, false)];
             assert_eq!(got, want, "{policy:?}, batched: {batched}");
             assert_eq!(op.stats().dropped_late, 1, "{policy:?}, batched: {batched}");
         }
     }
+    let elements = (0..5)
+        .map(|ts| StreamElement::Record { ts, value: ts })
+        .chain([StreamElement::Punctuation(23)])
+        .chain([19, 30, 40].map(|ts| StreamElement::Record { ts, value: ts }));
+    let report = run_parallel(
+        elements,
+        PipelineConfig::with_parallelism(2).with_batch_size(1),
+        Sum,
+        vec![Box::new(TumblingWindow::new(10))],
+        OperatorConfig::in_order(),
+    );
+    let got: Vec<_> = report.results.iter().map(|(_, r)| (r.range, r.value, r.is_update)).collect();
+    assert_eq!(got, want, "run_parallel");
 }
 
 #[test]
