@@ -14,11 +14,14 @@
 //! a tuple costs one hash probe and one record, and a due key costs an
 //! array index:
 //!
-//! * **Key → slot, once.** An `FxHashMap` maps a key to the slot of its
-//!   `KeyState` record in a page-allocated slab. That probe is the only
-//!   one on ingest and there is none on the watermark path: due buckets
-//!   and idle cohorts hold slots. Evicted slots go on a free list and are
-//!   handed to the next new key.
+//! * **Key → slot, once.** A key index of 1-byte hash tags and 4-byte
+//!   slots (`KeyIndex`, in `index.rs`) maps a key to the slot of its
+//!   `KeyState` record in a page-allocated slab, and keeps no key: a tag
+//!   match is confirmed by the key in the record the tuple is about to
+//!   update anyway. That probe is the only one on ingest and there is none
+//!   on the watermark path: due buckets and idle cohorts hold slots.
+//!   Evicted slots go on a free list and are handed to the next new key;
+//!   the index grows, and sheds its tombstones, by one pass over the slab.
 //! * **Partials in the record.** A key's ring of per-slice partials
 //!   aligned to the timeline lives inline in its record while its live
 //!   span fits `INLINE_SLICES`, and spills to a heap ring beyond that.
@@ -26,12 +29,13 @@
 //!   matrix would explode under sliding queries with long lateness over
 //!   sparse keys.
 //! * **Grouping by index.** A batch is grouped by a counting sort on
-//!   first-appearance group ids (a batch-epoch stamp in the map entry
-//!   the probe just touched tells whether a key was already seen in this
-//!   batch, so no group map is built and no record touched); times and
+//!   first-appearance group ids (a group tag in the record the probe just
+//!   confirmed tells whether a key was already seen in this batch, so no
+//!   group map is built; a key that repeats finds its tag on its line of
+//!   a small scratch memo first, without the index's loads); times and
 //!   values are scattered once into two flat columns, so each key's run
 //!   is a contiguous column slice for the bulk fold kernels. Until a key
-//!   repeats, tuple `i` is group `i`: the probe pass only stamps entries
+//!   repeats, tuple `i` is group `i`: the probe pass only tags records
 //!   and records slots, and writes group ids and counts (for that prefix
 //!   too) from the first repeat on. A batch in which no key repeats is
 //!   its own grouping and is ingested in place, no group id written.
@@ -71,16 +75,18 @@
 //! operators baseline, which is also what the keyed benchmark compares
 //! against.
 
+mod index;
 mod naive;
 
 use std::collections::{btree_map, BTreeMap, VecDeque};
 
+use index::KeyIndex;
 pub use naive::NaiveKeyedOperator;
 
 use crate::aggregator::{column_run_len, WindowAggregator};
 use crate::cast;
 use crate::function::{AggregateFunction, FunctionProperties};
-use crate::hash::{map_heap_bytes, FxHashMap};
+use crate::hash::fx_hash_u64;
 use crate::mem::HeapSize;
 use crate::operator::QueryError;
 use crate::result::WindowResult;
@@ -330,9 +336,16 @@ const NOT_DUE: Time = TIME_MIN;
 
 /// One key's windowing state — the slab record: a dense ring of per-slice
 /// partials aligned to the shared [`Timeline`], plus the scalar trigger
-/// bookkeeping the reference operator keeps per stream.
+/// bookkeeping the reference operator keeps per stream. Laid out as
+/// declared, so that the key and the group tag, which a probe reads and
+/// writes, share the record's first cache line.
+#[repr(C)]
 struct KeyState<A: AggregateFunction> {
     key: u64,
+    /// This key's group in the batch being grouped, as that batch's first
+    /// tag plus the group id; a tag below the batch's first is an earlier
+    /// batch's (0 on a record no batch has grouped).
+    group_tag: u32,
     /// Timeline generation the ring's global indices were issued under
     /// (the low 32 bits of [`Timeline::generation`]; `on_watermark` keeps
     /// their wrap harmless): a mismatch means the timeline was rebuilt
@@ -340,6 +353,16 @@ struct KeyState<A: AggregateFunction> {
     /// dropped, because the surviving indices would be misread under the
     /// new anchor.
     generation: u32,
+    /// The operator's watermark sequence number as of this key's last
+    /// touch (ingest or sweep): equal to the operator's iff no watermark
+    /// passed since. The reference operator advances `last_trigger` to
+    /// the clamped watermark on *every* watermark, fired or not;
+    /// bucket-gated keys catch up lazily via [`catch_up_floor`] — sound
+    /// because `t_last` cannot change between touches.
+    wm_seen: u32,
+    /// Whether the record holds a key: what a rebuild of the key index
+    /// reads, in one pass over the slab.
+    live: bool,
     /// Whether `floor` is an emission floor yet (see there).
     swept: bool,
     /// Whether an idle cohort holds an entry for this slot: at most one,
@@ -357,12 +380,6 @@ struct KeyState<A: AggregateFunction> {
     /// Timestamp of this key's latest tuple (the key's `max_ts`);
     /// `TIME_MIN` on a record that holds no key.
     t_last: Time,
-    /// Global watermark as of this key's last touch (ingest or sweep).
-    /// The reference operator advances `last_trigger` to the clamped
-    /// watermark on *every* watermark, fired or not; bucket-gated keys
-    /// catch up lazily via [`catch_up_floor`] — sound because `t_last`
-    /// cannot change between touches.
-    wm_seen: Time,
     /// Earliest pending window end, or [`NOT_DUE`] if none is reachable
     /// (as on a record that holds no key). The entry for this slot in
     /// that end's due bucket is the live one; entries in other buckets
@@ -376,14 +393,16 @@ impl<A: AggregateFunction> KeyState<A> {
     fn vacant() -> Self {
         KeyState {
             key: 0,
+            group_tag: 0,
             generation: 0,
+            wm_seen: 0,
+            live: false,
             swept: false,
             idle_filed: false,
             first: 0,
             ring: Ring::new(),
             floor: TIME_MAX,
             t_last: TIME_MIN,
-            wm_seen: TIME_MIN,
             due: NOT_DUE,
         }
     }
@@ -496,7 +515,6 @@ impl<T> Slab<T> {
         Slab { pages: Vec::new(), used: 0, free: Vec::new() }
     }
 
-    #[cfg(any(test, feature = "audit"))]
     fn get(&self, slot: u32) -> &T {
         let i = cast::idx32(slot);
         &self.pages[i >> PAGE_SHIFT][i & (PAGE - 1)]
@@ -568,13 +586,19 @@ fn union_next_end(queries: &QuerySet, probe: Time, memo: &mut (Time, Time)) -> T
 /// landing below the reference's floor would be re-fired as a regular
 /// window at the key's next sweep instead of staying update-only.
 /// Sound to do lazily because a key's `t_last` cannot change between
-/// touches: any tuple arrival is itself a touch.
-fn catch_up_floor<A: AggregateFunction>(st: &mut KeyState<A>, wm: Time, queries: &QuerySet) {
-    if wm > st.wm_seen {
+/// touches: any tuple arrival is itself a touch. `wm` is the operator's
+/// watermark and `seq` its sequence number.
+fn catch_up_floor<A: AggregateFunction>(
+    st: &mut KeyState<A>,
+    wm: Time,
+    seq: u32,
+    queries: &QuerySet,
+) {
+    if st.wm_seen != seq {
         if st.t_last != TIME_MIN && wm != TIME_MIN {
             st.raise_floor(queries.clamp(wm, st.t_last));
         }
-        st.wm_seen = wm;
+        st.wm_seen = seq;
     }
 }
 
@@ -764,7 +788,15 @@ struct BatchScratch<V> {
     ends: Vec<u32>,
     times: Vec<Time>,
     values: Vec<V>,
+    /// Per line of the hash's low bits, the last key the grouping loop
+    /// gave a group and its group tag: a key that repeats in a batch finds
+    /// its group here without the index's three dependent loads (group,
+    /// slot, page) before the record's.
+    seen: Vec<(u64, u32)>,
 }
+
+/// Lines of `BatchScratch::seen`.
+const SEEN: usize = 256;
 
 impl<V> BatchScratch<V> {
     fn new() -> Self {
@@ -774,20 +806,9 @@ impl<V> BatchScratch<V> {
             ends: Vec::new(),
             times: Vec::new(),
             values: Vec::new(),
+            seen: Vec::new(),
         }
     }
-}
-
-/// What the key map holds for a live key: where its record is, and —
-/// so that grouping a batch costs no probe beyond this one and never
-/// touches the record — its place in the batch being grouped.
-#[derive(Clone, Copy)]
-struct KeyEntry {
-    slot: u32,
-    /// Batch epoch this key was last grouped under, and its
-    /// first-appearance group id in that batch.
-    stamp: u32,
-    group: u32,
 }
 
 /// The shared-timeline engine behind [`KeyedWindowOperator`]. Hosts only
@@ -798,9 +819,9 @@ struct SharedKeyed<A: AggregateFunction> {
     cfg: KeyedConfig,
     queries: QuerySet,
     timeline: Timeline,
-    /// Key → slot of its record in `slab` (plus its place in the batch
-    /// being grouped); holds exactly the live keys.
-    slot_of: FxHashMap<u64, KeyEntry>,
+    /// Key → slot of its record in `slab`, for exactly the live keys;
+    /// the key itself is kept in the record only.
+    index: KeyIndex,
     slab: Slab<KeyState<A>>,
     /// Pending keys by due window end. Entries are lazy: a slot's live
     /// entry is the one in the bucket matching `KeyState::due`; all
@@ -818,6 +839,9 @@ struct SharedKeyed<A: AggregateFunction> {
     #[cfg(test)]
     idle_reads: u64,
     watermark: Time,
+    /// Watermarks that advanced `watermark`, renumbered before it wraps
+    /// (see `on_watermark`); what `KeyState::wm_seen` is compared with.
+    wm_seq: u32,
     stats: KeyedStats,
     next_end_memo: (Time, Time),
     /// The slice that covered the last ingested timestamp, as `(start,
@@ -825,9 +849,9 @@ struct SharedKeyed<A: AggregateFunction> {
     /// direction but not eviction, so `on_watermark` clears it.
     cover_memo: (Time, Time, i64),
     sweep_memo: SweepMemo,
-    /// Stamp of the batch being grouped; never 0, which is what a new
-    /// key's entry carries.
-    batch_epoch: u32,
+    /// The first group tag of the next batch (`KeyState::group_tag`);
+    /// never 0, which is what a record no batch grouped carries.
+    next_tag: u32,
     scratch: BatchScratch<A::Input>,
 }
 
@@ -836,7 +860,7 @@ struct MemoryBreakdown {
     fixed: usize,
     timeline: usize,
     slab: usize,
-    map: usize,
+    index: usize,
     buckets: usize,
     ttl: usize,
     rings: usize,
@@ -844,7 +868,7 @@ struct MemoryBreakdown {
 
 impl MemoryBreakdown {
     fn total(&self) -> usize {
-        self.fixed + self.timeline + self.slab + self.map + self.buckets + self.ttl + self.rings
+        self.fixed + self.timeline + self.slab + self.index + self.buckets + self.ttl + self.rings
     }
 }
 
@@ -859,7 +883,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             cfg,
             queries,
             timeline: Timeline::default(),
-            slot_of: FxHashMap::default(),
+            index: KeyIndex::default(),
             slab: Slab::new(),
             due_buckets: BTreeMap::new(),
             due_open: (NOT_DUE, Vec::new()),
@@ -868,41 +892,68 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             #[cfg(test)]
             idle_reads: 0,
             watermark: TIME_MIN,
+            wm_seq: 0,
             stats: KeyedStats::default(),
             next_end_memo: NO_RANGE,
             cover_memo: (0, 0, 0),
             sweep_memo: SweepMemo::default(),
-            batch_epoch: 0,
+            next_tag: 1,
             scratch: BatchScratch::new(),
         }
     }
 
-    /// Creates `key`, which the map just missed, with its map entry
-    /// complete — so that a birth costs that miss and one insert, not a
-    /// third probe for an entry to write the batch stamp through.
-    fn birth(&mut self, key: u64, stamp: u32, group: u32) -> u32 {
+    /// The slot of `key`'s record, if the key is live.
+    #[inline(always)]
+    fn find(&self, key: u64) -> Option<u32> {
+        let slab = &self.slab;
+        self.index.find(key, |slot| slab.get(slot).key)
+    }
+
+    /// Creates `key`, which the index just missed, in the group
+    /// `group_tag` names. Out of line: the probe loops are the hot path.
+    #[inline(never)]
+    fn birth(&mut self, key: u64, group_tag: u32) -> u32 {
         let slot = self.slab.alloc(KeyState::vacant);
-        self.slab.get_mut(slot).key = key;
+        let st = self.slab.get_mut(slot);
+        (st.key, st.live, st.group_tag) = (key, true, group_tag);
         self.stats.keys_created += 1;
-        self.slot_of.insert(key, KeyEntry { slot, stamp, group });
+        if !self.index.insert(key, slot) {
+            self.rebuild_index();
+        }
         slot
     }
 
-    /// One probe of the batch stamped `epoch`: at `key`'s first tuple in
-    /// it, gives the key the next group (its slot pushed to
-    /// `group_slots`) and returns `None`; at any later one, returns the
-    /// group it was given. (`get_mut`, not `entry`: for a key that exists
-    /// it is measurably cheaper.)
+    /// Sizes the index for one more key than it holds (the record just
+    /// born) and indexes every live record, read in one pass over the
+    /// slab in slot order.
+    #[cold]
+    #[inline(never)]
+    fn rebuild_index(&mut self) {
+        let need = self.index.room_to_insert();
+        let records = self.slab.iter().zip(0..);
+        self.index
+            .rebuild(need, records.filter(|(st, _)| st.live).map(|(st, slot)| (st.key, slot)));
+    }
+
+    /// One probe of the batch whose first group tag is `first_tag`: at
+    /// `key`'s first tuple in it, gives the key the next group (its slot
+    /// pushed to `group_slots`) and returns `None`; at any later one,
+    /// returns the group it was given. The record whose key confirmed the
+    /// probe holds the tag, so grouping reads no line but the index's and
+    /// the one the key's run will update.
     #[inline(always)]
-    fn group_of(&mut self, key: u64, epoch: u32, group_slots: &mut Vec<u32>) -> Option<u32> {
-        let group = cast::slot32(group_slots.len());
-        let slot = match self.slot_of.get_mut(&key) {
-            Some(e) if e.stamp == epoch => return Some(e.group),
-            Some(e) => {
-                (e.stamp, e.group) = (epoch, group);
-                e.slot
+    fn group_of(&mut self, key: u64, first_tag: u32, group_slots: &mut Vec<u32>) -> Option<u32> {
+        let tag = first_tag + cast::slot32(group_slots.len());
+        let slot = match self.find(key) {
+            Some(slot) => {
+                let st = self.slab.get_mut(slot);
+                if st.group_tag >= first_tag {
+                    return Some(st.group_tag - first_tag);
+                }
+                st.group_tag = tag;
+                slot
             }
-            None => self.birth(key, epoch, group),
+            None => self.birth(key, tag),
         };
         group_slots.push(slot);
         None
@@ -926,7 +977,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         let st = self.slab.get_mut(slot);
         let filed_floor = st.floor;
         st.trim_to(&self.timeline);
-        catch_up_floor(st, self.watermark, &self.queries);
+        catch_up_floor(st, self.watermark, self.wm_seq, &self.queries);
 
         let wm = self.watermark;
         // Windows up to the key's floor have fired (it stays put here):
@@ -1035,9 +1086,9 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         value: &A::Input,
         out: &mut Vec<WindowResult<(u64, A::Output)>>,
     ) {
-        let slot = match self.slot_of.get(&key) {
-            Some(e) => e.slot,
-            None => self.birth(key, 0, 0),
+        let slot = match self.find(key) {
+            Some(slot) => slot,
+            None => self.birth(key, 0),
         };
         self.ingest_run(slot, &[ts], std::slice::from_ref(value), out);
         self.flush_due();
@@ -1058,28 +1109,32 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         if n == 1 {
             return self.ingest_one(ts, key, first, out);
         }
-        self.batch_epoch = self.batch_epoch.wrapping_add(1);
-        if self.batch_epoch == 0 {
-            // The stamp wrapped: forget every old stamp, or a key last
-            // grouped 2^32 batches ago would look grouped in this one.
-            for e in self.slot_of.values_mut() {
-                e.stamp = 0;
+        // This batch's group tags are `first_tag + group id`. Tags only
+        // grow, so a record's tag below `first_tag` is an older batch's.
+        let len = cast::slot32(n);
+        let first_tag = match self.next_tag.checked_add(len) {
+            Some(next) => std::mem::replace(&mut self.next_tag, next),
+            None => {
+                // The tags ran out: forget every old one, or a key last
+                // grouped 2^32 tags ago could look grouped in this batch.
+                self.slab.iter_mut().for_each(|st| st.group_tag = 0);
+                self.scratch.seen.clear();
+                self.next_tag = len.saturating_add(1);
+                1
             }
-            self.batch_epoch = 1;
-        }
-        let epoch = self.batch_epoch;
+        };
         let mut s = std::mem::replace(&mut self.scratch, BatchScratch::new());
 
-        // Probe: one map lookup per tuple; the entry says whether its
-        // key already has a group in this batch. Until a key repeats,
-        // tuple `i` is group `i`, so the prefix only stamps and records
-        // slots; group ids and counts are written from the first repeat
-        // on, for the prefix too.
+        // Probe: one index lookup per tuple; the record it confirms says
+        // whether its key already has a group in this batch. Until a key
+        // repeats, tuple `i` is group `i`, so the prefix only tags records
+        // and records slots; group ids and counts are written from the
+        // first repeat on, for the prefix too.
         s.group_slots.clear();
         let mut rest = tuples.clone();
         let repeat = loop {
             let Some((_, key, _)) = rest.next() else { break None };
-            if let Some(group) = self.group_of(key, epoch, &mut s.group_slots) {
+            if let Some(group) = self.group_of(key, first_tag, &mut s.group_slots) {
                 break Some((key, group));
             }
         };
@@ -1091,15 +1146,25 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             s.ends.resize(s.group_slots.len(), 1);
             s.gids.push(last.1);
             s.ends[cast::idx32(last.1)] += 1;
+            // A line with a tag below `first_tag` holds an older batch's.
+            s.seen.resize(SEEN, (0, 0));
             for (_, key, _) in rest {
-                // A tuple of the same key as its predecessor needs no probe.
+                // A tuple of the same key as its predecessor needs no probe,
+                // nor one that finds its key on its line of `seen`.
                 if key != last.0 {
-                    let group = match self.group_of(key, epoch, &mut s.group_slots) {
-                        Some(group) => group,
-                        None => {
-                            s.ends.push(0);
-                            cast::slot32(s.ends.len() - 1)
-                        }
+                    let line = &mut s.seen[cast::to_usize(fx_hash_u64(key)) % SEEN];
+                    let group = if line.0 == key && line.1 >= first_tag {
+                        line.1 - first_tag
+                    } else {
+                        let group = match self.group_of(key, first_tag, &mut s.group_slots) {
+                            Some(group) => group,
+                            None => {
+                                s.ends.push(0);
+                                cast::slot32(s.ends.len() - 1)
+                            }
+                        };
+                        *line = (key, first_tag + group);
+                        group
                     };
                     last = (key, group);
                 }
@@ -1152,6 +1217,16 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         if wm <= self.watermark {
             return;
         }
+        // Before the sequence numbers wrap, renumber them: a key caught up
+        // to this watermark keeps the operator's number, 1, every other
+        // one gets 0. That is all `catch_up_floor` asks of them, and a key
+        // asleep for 2^32 watermarks will not find its number current.
+        if self.wm_seq == u32::MAX {
+            let seq = self.wm_seq;
+            self.slab.iter_mut().for_each(|st| st.wm_seen = u32::from(st.wm_seen == seq));
+            self.wm_seq = 1;
+        }
+        let seq = self.wm_seq + 1;
         // Sweep only keys whose earliest pending window end is due; the
         // ones still pending afterwards are filed through `due_open`.
         self.sweep_memo.span = (0, 0, 0);
@@ -1162,6 +1237,9 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                 break;
             }
             let (end, bucket) = first.remove_entry();
+            // A bucket's keys mostly refile under one end: a list of its
+            // length takes them without growing past it.
+            self.due_open.1.reserve_exact(bucket.len());
             for &slot in &bucket {
                 let st = self.slab.get_mut(slot);
                 if st.due != end {
@@ -1178,7 +1256,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                 // what refreshes the memo.
                 let next_end = self.sweep_memo.span.2;
                 if st.swept
-                    && st.wm_seen == self.watermark
+                    && st.wm_seen == self.wm_seq
                     && st.generation == generation
                     && self.sweep_memo.asked == Some((st.first, st.floor))
                     && next_end <= st.t_last.saturating_add(self.queries.max_extent(Measure::Time))
@@ -1189,7 +1267,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                 } else {
                     st.trim_to(&self.timeline);
                     // Catch the floor up over watermarks skipped while gated.
-                    catch_up_floor(st, self.watermark, &self.queries);
+                    catch_up_floor(st, self.watermark, self.wm_seq, &self.queries);
                     sweep_key(
                         st,
                         &self.f,
@@ -1202,7 +1280,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                     );
                     st.due = due_of(st, &self.queries, &mut self.next_end_memo);
                 }
-                st.wm_seen = wm;
+                st.wm_seen = seq;
                 if st.due == NOT_DUE {
                     st.file_idle(slot, self.cfg.idle_ttl, &mut self.idle_open);
                 } else {
@@ -1214,6 +1292,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
         // Kept, a sweep's capacity would pass to the next batch's bucket.
         self.due_open.1 = Vec::new();
         self.watermark = wm;
+        self.wm_seq = seq;
 
         // Evict shared slices no late tuple can reach any more: the
         // earliest slice still needed starts past the set's horizon.
@@ -1259,7 +1338,8 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                     }
                     *expiry = st.t_last.saturating_add(ttl);
                     if *expiry <= wm {
-                        self.slot_of.remove(&st.key);
+                        let indexed = self.index.remove(st.key, *slot);
+                        debug_assert!(indexed, "evicted slot {slot} was not indexed");
                         *st = KeyState::vacant();
                         self.slab.release(*slot);
                         self.stats.keys_evicted += 1;
@@ -1283,13 +1363,14 @@ impl<A: AggregateFunction> SharedKeyed<A> {
     /// now (what a skipped refile rests on), and every live due time has a
     /// due-bucket entry (entries are lazy, so buckets may hold stale ones
     /// too). Trigger gating: after a watermark no live key still owes an
-    /// emission (a due time at or below it), and no key's watermark floor
-    /// ever runs ahead of the operator's. Slot recycling: the map and the
-    /// records agree on who lives where, every slot is either live or free,
-    /// and a free record is inert (no due time for a stale entry to match,
-    /// not filed). Idle cohorts, under a TTL: a watermark judged the open
-    /// one, a slot has at most one entry and its record knows of it, and
-    /// every live key is pending or filed in a cohort that comes due no
+    /// emission (a due time at or below it), and no key's watermark
+    /// sequence number runs ahead of the operator's. Slot recycling: the
+    /// index finds every live record by its key at its own slot, holds
+    /// exactly the live keys and no free slot, every slot is either live or
+    /// free, and a free record is inert (no due time for a stale entry to
+    /// match, not filed). Idle cohorts, under a TTL: a watermark judged the
+    /// open one, a slot has at most one entry and its record knows of it,
+    /// and every live key is pending or filed in a cohort that comes due no
     /// later than it expires — after a watermark, not yet expired.
     #[cfg(feature = "audit")]
     fn assert_invariants(&self, after_watermark: bool) {
@@ -1298,21 +1379,23 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             !after_watermark || self.idle_open.is_empty(),
             "the open cohort outlived a watermark"
         );
-        let mut filed = FxHashMap::default();
+        let mut filed = BTreeMap::new();
         let cohorts = self.idle.iter().flat_map(|(&at, c)| c.iter().map(move |e| (at, e.1)));
         for (at, slot) in cohorts.chain(self.idle_open.iter().copied()) {
             assert!(self.slab.get(slot).idle_filed, "slot {slot} does not know its idle entry");
             assert!(filed.insert(slot, at).is_none(), "two idle entries for slot {slot}");
         }
         let mut next_end_memo = NO_RANGE;
-        for (key, &KeyEntry { slot, .. }) in &self.slot_of {
-            let st = self.slab.get(slot);
-            assert_eq!(st.key, *key, "slot {slot} of key {key} holds key {}", st.key);
+        let mut live = 0;
+        for (st, slot) in self.slab.iter().zip(0u32..).filter(|(st, _)| st.live) {
+            live += 1;
+            let key = st.key;
+            assert_eq!(self.find(key), Some(slot), "key {key} is not indexed at its slot");
             assert!(
-                st.wm_seen <= self.watermark,
-                "key {key} watermark floor {} ahead of operator watermark {}",
+                st.wm_seen <= self.wm_seq,
+                "key {key} watermark number {} ahead of the operator's {}",
                 st.wm_seen,
-                self.watermark
+                self.wm_seq
             );
             let d = st.due;
             assert_eq!(
@@ -1344,18 +1427,19 @@ impl<A: AggregateFunction> SharedKeyed<A> {
                 "key {key} due {d} has no due-bucket entry"
             );
         }
-        let live: std::collections::BTreeSet<u32> = self.slot_of.values().map(|e| e.slot).collect();
-        assert_eq!(live.len(), self.slot_of.len(), "two keys share a slot");
-        assert_eq!(
-            live.len() + self.slab.free.len(),
-            self.slab.used,
-            "a slot is neither live nor free"
-        );
+        assert_eq!(self.index.len(), live, "the index holds other keys than the live ones");
+        for slot in self.index.slots() {
+            assert!(self.slab.get(slot).live, "free slot {slot} is indexed");
+        }
+        assert_eq!(live + self.slab.free.len(), self.slab.used, "a slot is neither live nor free");
         for &slot in &self.slab.free {
-            assert!(!live.contains(&slot), "free slot {slot} is still mapped");
             let st = self.slab.get(slot);
             assert!(
-                st.due == NOT_DUE && !st.idle_filed && st.t_last == TIME_MIN && st.ring.is_empty(),
+                !st.live
+                    && st.due == NOT_DUE
+                    && !st.idle_filed
+                    && st.t_last == TIME_MIN
+                    && st.ring.is_empty(),
                 "free slot {slot} holds state"
             );
         }
@@ -1366,7 +1450,7 @@ impl<A: AggregateFunction> SharedKeyed<A> {
             fixed: std::mem::size_of::<Self>(),
             timeline: self.timeline.heap_bytes(),
             slab: self.slab.heap_bytes(),
-            map: map_heap_bytes(&self.slot_of),
+            index: self.index.heap_bytes(),
             buckets: buckets_bytes(&self.due_buckets),
             ttl: buckets_bytes(&self.idle)
                 + self.idle_open.capacity() * std::mem::size_of::<(Time, u32)>(),
@@ -1434,7 +1518,7 @@ impl<A: AggregateFunction> KeyedWindowOperator<A> {
     /// Number of keys currently holding state.
     pub fn live_keys(&self) -> usize {
         match &self.inner {
-            KeyedInner::Shared(s) => s.slot_of.len(),
+            KeyedInner::Shared(s) => s.index.len(),
             KeyedInner::Fallback(n) => n.live_keys(),
         }
     }
@@ -1894,6 +1978,11 @@ mod tests {
         }
     }
 
+    /// The slot of a live key's record.
+    fn slot_of(s: &SharedKeyed<SumI64>, key: u64) -> u32 {
+        s.find(key).unwrap_or_else(|| panic!("key {key} is not live"))
+    }
+
     /// Slot recycling: entries left behind by an evicted key must not act
     /// on the key that inherits its slot. (Eviction waits for a key to
     /// have nothing pending and consumes its idle entry, so the operator
@@ -1905,7 +1994,7 @@ mod tests {
         let mut out = Vec::new();
         // Key A lives, fires and is evicted by the TTL.
         op.process(5, (1, 1), &mut out);
-        let a_slot = shared_inner(&mut op).slot_of[&1].slot;
+        let a_slot = slot_of(shared_inner(&mut op), 1);
         op.on_watermark(100, &mut out);
         assert_eq!(op.live_keys(), 0);
         assert_eq!(op.stats().keys_evicted, 1);
@@ -1913,7 +2002,7 @@ mod tests {
         // Key B is born into A's slot; its window [200, 210) is pending.
         op.process(205, (2, 7), &mut out);
         let s = shared_inner(&mut op);
-        assert_eq!(s.slot_of[&2].slot, a_slot, "the freed slot is handed to the next key");
+        assert_eq!(slot_of(s, 2), a_slot, "the freed slot is handed to the next key");
         // A's leftovers: a due entry at 120 and an idle entry expiring at 130.
         s.due_buckets.entry(120).or_default().push(a_slot);
         s.idle.entry(130).or_default().push((130, a_slot));
@@ -2007,7 +2096,7 @@ mod tests {
         op.process_batch(&feed, &mut got);
         naive.process_batch(&feed, &mut want);
         let s = shared_inner(&mut op);
-        let slot = s.slot_of[&1].slot;
+        let slot = slot_of(s, 1);
         assert!(matches!(s.slab.get(slot).ring, Ring::Spilled(_)), "six live slices must spill");
         assert!(s.memory_breakdown().rings > 0);
         // A late tuple lands in the spilled ring and re-fires its window.
@@ -2167,15 +2256,16 @@ mod tests {
 
     /// The memory gate. `memory_bytes()` is the sum of what the layout
     /// owns, each part computed here from first principles, and a key
-    /// under `TUMBLE 1s` costs no more than that sum plus 5 % (it was 184
-    /// bytes with a map of heap rings, when the map's empty buckets were
-    /// not counted) — the benchmark bounds `state_bytes_peak` at 1 %.
+    /// under `TUMBLE 1s` costs no more than 120 bytes (it was 184 with a
+    /// map of heap rings, when the map's empty buckets were not counted,
+    /// and 151 with a map that kept a second copy of every key) — the
+    /// benchmark bounds `state_bytes_peak` at 1 %.
     #[test]
     fn memory_is_the_sum_of_the_layout_and_within_the_old_cost_per_key() {
         const KEYS: u64 = 10_000;
         let mut op = shared_op(1_000, KeyedConfig::default().with_idle_ttl(6_000));
         let mut out = Vec::new();
-        let mut peak = 0;
+        let mut samples = Vec::new();
         for second in 0..5i64 {
             // Every key reports once a second, in a scrambled order.
             let batch: Vec<(Time, (u64, i64))> = (0..KEYS)
@@ -2186,15 +2276,22 @@ mod tests {
             }
             op.on_watermark(second * 1_000 + 999, &mut out);
             out.clear();
-            peak = peak.max(op.memory_bytes());
+            samples.push(op.memory_bytes());
         }
         assert_eq!(op.live_keys(), KEYS as usize);
+        let peak = samples.iter().copied().max().unwrap_or_default();
         let per_key = peak as f64 / KEYS as f64;
-        assert!(per_key <= 151.0, "{per_key} bytes per key");
+        assert!(per_key <= 120.0, "{per_key} bytes per key");
+        // The births of the first second file their keys batch by batch,
+        // into a list that grows by doubling; each later second refiles
+        // them from a sweep, into a list of exactly the swept one's length.
+        let steady = samples[samples.len() - 1];
+        assert_eq!(samples[0] - steady, (16_384 - KEYS as usize) * 4, "{samples:?}");
+        assert!(samples[1..].iter().all(|&b| b == steady), "{samples:?}");
 
         let s = shared_inner(&mut op);
         let m = s.memory_breakdown();
-        assert_eq!(m.total(), peak, "the last sample is the steady state");
+        assert_eq!(m.total(), steady, "the last sample is the steady state");
         let record = std::mem::size_of::<KeyState<SumI64>>();
         assert!(record <= 96, "{record}-byte records");
         let ring = std::mem::size_of::<Ring<i64>>();
@@ -2206,12 +2303,21 @@ mod tests {
                 + s.slab.pages.capacity() * std::mem::size_of::<usize>()
                 + s.slab.free.capacity() * 4
         );
-        assert_eq!(m.map, 16_384 * (24 + 1) + 16, "the buckets 10 000 keys need, filled or not");
+        assert_eq!(
+            m.index,
+            16_384 * (1 + 4),
+            "a tag and a slot for each of the entries 10 000 keys need at seven in eight"
+        );
         assert_eq!(m.ttl, 0, "a key that reports every second never waits on the TTL");
         assert_eq!(m.rings, 0, "two live slices per key stay inline");
         assert_eq!(s.due_buckets.len(), 1, "every key waits for the same window end");
         let bucket = s.due_buckets.values().next().unwrap();
         assert_eq!(bucket.len(), KEYS as usize);
+        assert_eq!(
+            bucket.capacity(),
+            KEYS as usize,
+            "refiled into a list of the swept one's length"
+        );
         assert_eq!(m.buckets, std::mem::size_of::<(Time, Vec<u32>)>() + bucket.capacity() * 4);
         assert_eq!(m.fixed, std::mem::size_of::<SharedKeyed<SumI64>>());
         assert_eq!(m.timeline, s.timeline.heap_bytes());
@@ -2325,7 +2431,7 @@ mod tests {
         let mut op = shared_op(100, KeyedConfig::default().with_allowed_lateness(1_000));
         let mut out = Vec::new();
         op.process(5, (1, 1), &mut out);
-        let slot = shared_inner(&mut op).slot_of[&1].slot;
+        let slot = slot_of(shared_inner(&mut op), 1);
         for (wm, batch) in [
             (20, vec![(25, (1, 1)), (3, (1, 1)), (26, (1, 1))]),
             (40, vec![(45, (1, 1)), (9, (2, 1))]),
@@ -2369,7 +2475,7 @@ mod tests {
             op.process_batch(&open, &mut out);
             op.process_batch(&[(12, (6, 1_000)), (17, (8, 5))], &mut out);
             let s = shared_inner(&mut op);
-            let planted = s.slot_of[&5].slot;
+            let planted = slot_of(s, 5);
             s.slab.get_mut(planted).generation ^= 1;
             op
         };
@@ -2383,10 +2489,10 @@ mod tests {
         for &slot in &bucket {
             let st = s.slab.get_mut(slot);
             st.trim_to(&s.timeline);
-            catch_up_floor(st, s.watermark, &s.queries);
+            catch_up_floor(st, s.watermark, s.wm_seq, &s.queries);
             let (f, queries, stats) = (&s.f, &mut s.queries, &mut s.stats);
             sweep_key(st, f, queries, &s.timeline, 28, &mut s.sweep_memo, stats, &mut want);
-            st.wm_seen = 28;
+            st.wm_seen = s.wm_seq + 1;
             st.due = due_of(st, &s.queries, &mut s.next_end_memo);
         }
         assert_eq!(got.len(), 7, "every key but 5, whose ring was emptied, fires [10, 20)");
@@ -2421,7 +2527,7 @@ mod tests {
         op.on_watermark(100, &mut out);
         let s = shared_inner(&mut op);
         assert_eq!(s.timeline.generation(), 1);
-        let sleeper = s.slot_of[&1].slot;
+        let sleeper = slot_of(s, 1);
         assert_eq!(
             s.slab.get(sleeper).ring.len(),
             1,
@@ -2458,5 +2564,60 @@ mod tests {
                 (0, 5_000, 5_010, 4, 1, false),
             ]
         );
+    }
+
+    /// The records keep 32 bits of the operator's watermark sequence
+    /// number. A key gated while the number goes round must still catch
+    /// its floor up when it is next touched: without the renumbering at
+    /// `u32::MAX`, the number would wrap back to the key's own and the
+    /// late tuple below would fire its window again at the next sweep, as
+    /// a regular result (see `late_tuple_below_skipped_floor_stays_update_only`).
+    #[test]
+    fn a_gated_key_catches_up_across_the_watermark_number_wrap() {
+        let mut op = shared_op(10, KeyedConfig::default().with_allowed_lateness(500));
+        let mut out = Vec::new();
+        op.process(100, (1, 1), &mut out);
+        let s = shared_inner(&mut op);
+        let slot = slot_of(s, 1);
+        assert_eq!((s.wm_seq, s.slab.get(slot).wm_seen), (0, 0));
+        // 2^32 - 2 watermarks later (nothing but the number tells) ...
+        s.wm_seq = u32::MAX - 1;
+        op.on_watermark(80, &mut out);
+        // ... the next one renumbers: the key, behind, gets 0.
+        op.on_watermark(90, &mut out);
+        let s = shared_inner(&mut op);
+        assert_eq!((s.wm_seq, s.slab.get(slot).wm_seen), (2, 0));
+        assert!(out.is_empty());
+        op.process(55, (1, 2), &mut out);
+        assert_eq!(sorted(std::mem::take(&mut out)), vec![(0, 50, 60, 1, 2, true)]);
+        op.on_watermark(200, &mut out);
+        assert_eq!(sorted(out), vec![(0, 100, 110, 1, 1, false)]);
+    }
+
+    /// Group tags are 32 bits too. A batch that would run them past
+    /// `u32::MAX` clears every record's tag, and every line of
+    /// `BatchScratch::seen`, and starts again at 1: kept, the tags of the
+    /// batch before would read as groups of this one.
+    #[test]
+    fn group_tags_start_again_before_they_wrap() {
+        let cfg = KeyedConfig::default();
+        let (mut batched, mut by_tuple) = (shared_op(10, cfg), shared_op(10, cfg));
+        shared_inner(&mut batched).next_tag = u32::MAX - 5;
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let batches: [&[(Time, (u64, i64))]; 3] = [
+            &[(1, (1, 1)), (2, (2, 2)), (3, (1, 3)), (4, (3, 4))],
+            // Key 3 repeats after the first repeat, where `seen` is asked.
+            &[(5, (4, 5)), (6, (4, 6)), (7, (3, 7)), (8, (2, 8))],
+            &[(11, (4, 9)), (12, (1, 1)), (13, (4, 2))],
+        ];
+        for (i, batch) in batches.iter().enumerate() {
+            batched.process_batch(batch, &mut got);
+            batch.iter().for_each(|&(ts, kv)| by_tuple.process(ts, kv, &mut want));
+            let first = shared_inner(&mut batched).next_tag - batch.len() as u32;
+            assert_eq!(first, [u32::MAX - 5, 1, 5][i], "batch {i}");
+        }
+        batched.on_watermark(20, &mut got);
+        by_tuple.on_watermark(20, &mut want);
+        assert_eq!(sorted(got), sorted(want));
     }
 }

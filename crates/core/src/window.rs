@@ -479,8 +479,8 @@ pub struct QuerySet {
 
 /// What a [`QuerySet`] walks instead of its queries. The periodic windows
 /// of a measure share few edge families — 50 sliding windows with one
-/// slide share one — so an edge, an end or a window count costs one step
-/// per family; only the other windows are asked through the vtable.
+/// slide share one — so an edge or an end costs one step per family; only
+/// the other windows are asked through the vtable.
 #[derive(Clone, Default)]
 struct Derived {
     /// Indices into `queries` of the context-aware windows.
@@ -488,11 +488,10 @@ struct Derived {
     /// Indices into `queries` of the windows that are not periodic.
     walked: Vec<u32>,
     /// Per measure (time, count), the distinct families of the periodic
-    /// windows: their starts; their starts and ends; their ends, each
-    /// with how many windows end on it.
+    /// windows: their starts; their starts and ends; their ends.
     starts: [Vec<Family>; 2],
     edges: [Vec<Family>; 2],
-    ends: [Vec<(Family, usize)>; 2],
+    ends: [Vec<Family>; 2],
 }
 
 impl Default for QuerySet {
@@ -584,10 +583,7 @@ impl QuerySet {
         insert(&mut d.starts[s], start);
         insert(&mut d.edges[s], start);
         insert(&mut d.edges[s], end);
-        match d.ends[s].iter_mut().find(|(f, _)| *f == end) {
-            Some((_, windows)) => *windows += 1,
-            None => d.ends[s].push((end, 1)),
-        }
+        insert(&mut d.ends[s], end);
     }
 
     /// The queries in registration order.
@@ -671,7 +667,7 @@ impl QuerySet {
     /// The earliest end after `probe` among the measure-`m` windows that
     /// know theirs, and whether one does not.
     fn end_after(&self, m: Measure, probe: Time) -> (Option<Time>, bool) {
-        let periodic = self.derived.ends[slot(m)].iter().map(|(f, _)| f.next_after(probe)).min();
+        let periodic = self.derived.ends[slot(m)].iter().map(|f| f.next_after(probe)).min();
         let ends = self.walked(m).map(|q| q.window.next_window_end(probe));
         ends.fold((periodic, false), |(min, unknown), e| match e {
             Some(e) => (Some(min.map_or(e, |x: Time| x.min(e))), unknown),
@@ -1000,7 +996,7 @@ mod tests {
         let d = &qs.derived;
         assert_eq!(d.starts[0], [Family { slide: 100, phase: 0 }, Family { slide: 100, phase: 7 }]);
         assert_eq!(d.edges[0].len(), 3);
-        assert_eq!(d.ends[0], [(Family { slide: 100, phase: 0 }, 50), (Family::new(100, 20), 3)]);
+        assert_eq!(d.ends[0], [Family { slide: 100, phase: 0 }, Family::new(100, 20)]);
         assert!(d.walked.is_empty() && d.starts[1].is_empty());
         // Each query's due windows come as one run.
         let mut runs = Vec::new();
