@@ -6,7 +6,12 @@ Runs a command and, every millisecond, stops its main thread with ptrace
 and records the instruction pointer. When the command exits the samples
 are folded into the functions of its binary (`/proc/<pid>/exe`) with
 `nm -S`. Only the thread-group leader is sampled; threads it spawns run
-untraced.
+untraced. A sample outside the binary's symbols is folded by the mapping
+that holds it, named as `/proc/<pid>/maps` names it: `[vdso]` (where a
+clock read runs), `[libc.so.6]` (a futex wait, a memcpy), `[heap]`, the
+binary's own unsymbolled code as `[bench, no symbol]`. The mappings are
+read while the command is stopped at a sample, whenever a sample falls
+outside the ones known so far: an exited process has none left.
 
     analysis/pcsample.py [--top N] [--offsets K] [--lines SUBSTR] -- <command> [args...]
 
@@ -73,7 +78,41 @@ def ptrace(request, pid, addr=None, data=None):
         raise OSError(err, f"ptrace({request:#x}, {pid}): {os.strerror(err)}")
 
 
-def sample(pid, rips):
+class Mappings:
+    """The address ranges of a live process, each with the name of what backs it."""
+
+    def __init__(self, pid):
+        self.pid = pid
+        self.by_start = {}  # start -> (end, name)
+        self.starts = []
+
+    def note(self, addr):
+        """Rereads the maps if `addr` lies outside every range known; call while the process lives."""
+        if self.name(addr) is not None:
+            return
+        try:
+            with open(f"/proc/{self.pid}/maps") as maps:
+                for line in maps:
+                    fields = line.split(maxsplit=5)
+                    start, end = (int(x, 16) for x in fields[0].split("-"))
+                    backing = fields[5].strip() if len(fields) == 6 else ""
+                    self.by_start[start] = (end, os.path.basename(backing) or "anonymous")
+        except OSError:
+            return  # exiting: the sample folds as unmapped
+        self.starts = sorted(self.by_start)
+
+    def name(self, addr):
+        """`[name]` of the mapping that held `addr` (None if no known one did)."""
+        i = bisect.bisect_right(self.starts, addr) - 1
+        if i < 0:
+            return None
+        end, name = self.by_start[self.starts[i]]
+        if addr >= end:
+            return None
+        return name if name.startswith("[") else f"[{name}]"
+
+
+def sample(pid, rips, maps):
     """Appends `pid`'s rip to `rips` every interval until it exits; returns its wait status."""
     regs = (ctypes.c_ulong * 27)()
     while True:
@@ -92,6 +131,7 @@ def sample(pid, rips):
             ptrace(PTRACE_CONT, pid, None, os.WSTOPSIG(status))
         ptrace(PTRACE_GETREGS, pid, None, ctypes.addressof(regs))
         rips.append(regs[RIP])
+        maps.note(regs[RIP])
         ptrace(PTRACE_CONT, pid)
 
 
@@ -148,17 +188,22 @@ def symbols(exe):
     return syms
 
 
-def fold(addrs, syms):
+def fold(rips, bias, syms, maps, exe):
+    """Counts runtime addresses by the binary's function, else by mapping."""
     starts = [s[0] for s in syms]
     by_fn = collections.Counter()
     offsets = collections.defaultdict(collections.Counter)
-    for a in addrs:
+    for rip in rips:
+        a = rip - bias
         i = bisect.bisect_right(starts, a) - 1
         if i >= 0 and a < syms[i][0] + syms[i][1]:
             by_fn[syms[i][2]] += 1
             offsets[syms[i][2]][(a - syms[i][0], a)] += 1
-        else:
-            by_fn["[outside the binary's symbols]"] += 1
+            continue
+        name = maps.name(rip) or "[unmapped]"
+        if name == f"[{os.path.basename(exe)}]":
+            name = f"[{os.path.basename(exe)}, no symbol]"
+        by_fn[name] += 1
     return by_fn, offsets
 
 
@@ -246,13 +291,13 @@ def main():
         print(f"pcsample: {command[0]} exited before it could be sampled", file=sys.stderr)
         sys.exit(exit_code(child.returncode))
     exe, bias = attached
-    rips = []
+    rips, maps = [], Mappings(pid)
     try:
-        code = exit_code(os.waitstatus_to_exitcode(sample(pid, rips)))
+        code = exit_code(os.waitstatus_to_exitcode(sample(pid, rips, maps)))
     except KeyboardInterrupt:
         os.kill(pid, signal.SIGINT)
         code = 128 + signal.SIGINT
-    by_fn, offsets = fold([r - bias for r in rips], symbols(exe))
+    by_fn, offsets = fold(rips, bias, symbols(exe), maps, exe)
     total = sum(by_fn.values())
     print(f"pcsample: {total} samples of pid {pid} ({exe}), bias {bias:#x}")
     for name, n in by_fn.most_common(args.top):

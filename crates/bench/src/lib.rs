@@ -10,6 +10,7 @@
 //! where crossovers happen — are the reproduction target (EXPERIMENTS.md).
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use gss_baselines::{AggregateTree, BucketMode, Buckets, Cutty, Pairs, TupleBuffer};
@@ -344,7 +345,12 @@ impl Output {
         for r in &self.rows {
             writeln!(f, "{}", r.join(",")).unwrap();
         }
-        eprintln!("wrote {} ({} | commit {})", self.path.display(), rustc_version(), git_commit());
+        eprintln!(
+            "wrote {} ({} | commit {})",
+            self.path.display(),
+            rustc_version(),
+            git_commit(Path::new("."))
+        );
     }
 }
 
@@ -421,12 +427,14 @@ fn rustc_version() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Short git commit hash of the tree the bench ran in, suffixed with
-/// `-dirty` when the working tree had uncommitted changes, or
-/// `"unknown"` outside a git checkout.
-fn git_commit() -> String {
+/// Short git commit hash of the tree at `dir`, suffixed with `-dirty`
+/// when its working tree has uncommitted changes, or `"unknown"` outside
+/// a git checkout.
+fn git_commit(dir: &Path) -> String {
     let git = |args: &[&str]| {
         std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
             .args(args)
             .output()
             .ok()
@@ -456,7 +464,7 @@ fn git_commit() -> String {
 /// [`BenchJson::file`] and closes the object with [`BenchJson::finish`].
 pub struct BenchJson {
     f: std::fs::File,
-    path: String,
+    path: PathBuf,
 }
 
 impl BenchJson {
@@ -464,13 +472,23 @@ impl BenchJson {
     /// the `rustc` / `commit` provenance of the run.
     /// `workload` must not contain characters needing JSON escapes.
     pub fn create(name: &str, workload: &str) -> Self {
-        let path = format!("BENCH_{name}.json");
-        let mut f = std::fs::File::create(&path).unwrap_or_else(|e| panic!("create {path}: {e}"));
+        Self::create_in(Path::new("."), name, workload)
+    }
+
+    /// [`create`](Self::create) in directory `dir`. The commit is read
+    /// before the file is created: truncating a tracked summary first
+    /// would show `git status` a changed file and stamp every clean
+    /// regeneration `-dirty`.
+    fn create_in(dir: &Path, name: &str, workload: &str) -> Self {
+        let commit = git_commit(dir);
+        let path = dir.join(format!("BENCH_{name}.json"));
+        let mut f = std::fs::File::create(&path)
+            .unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
         writeln!(f, "{{").expect("write json");
         writeln!(f, "  \"workload\": \"{workload}\",").expect("write json");
         writeln!(f, "  \"cores\": {},", machine_cores()).expect("write json");
         writeln!(f, "  \"rustc\": \"{}\",", rustc_version()).expect("write json");
-        writeln!(f, "  \"commit\": \"{}\",", git_commit()).expect("write json");
+        writeln!(f, "  \"commit\": \"{commit}\",").expect("write json");
         BenchJson { f, path }
     }
 
@@ -492,7 +510,7 @@ impl BenchJson {
     /// Closes the JSON object and reports the path.
     pub fn finish(mut self) {
         writeln!(self.f, "}}").expect("write json");
-        eprintln!("wrote {}", self.path);
+        eprintln!("wrote {}", self.path.display());
     }
 }
 
@@ -511,6 +529,36 @@ pub fn fmt_tput(tps: f64) -> String {
 mod tests {
     use super::*;
     use gss_aggregates::Sum;
+
+    #[test]
+    fn a_summary_regenerated_at_a_clean_commit_is_stamped_clean() {
+        let dir = std::env::temp_dir().join(format!("gss-bench-json-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create the repository");
+        let git = |args: &[&str]| {
+            let out = std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args(["-c", "user.name=bench", "-c", "user.email=bench@localhost"])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .output()
+                .expect("run git");
+            assert!(out.status.success(), "git {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+            String::from_utf8(out.stdout).expect("utf-8").trim().to_string()
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("BENCH_t.json"), "{}\n").expect("write the summary");
+        git(&["add", "BENCH_t.json"]);
+        git(&["commit", "-q", "-m", "summary"]);
+        let head = git(&["rev-parse", "--short", "HEAD"]);
+
+        BenchJson::create_in(&dir, "t", "w").finish();
+        let written = std::fs::read_to_string(dir.join("BENCH_t.json")).expect("read it back");
+        assert!(!git(&["status", "--porcelain"]).is_empty(), "the summary was rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(written.contains(&format!("\"commit\": \"{head}\",")), "{written}");
+    }
 
     #[test]
     fn build_and_run_every_technique_in_order() {

@@ -228,11 +228,6 @@ impl<V> ChunkBuilder<V> {
     /// polled on every push — the low-rate regime, where the latency
     /// bound is the whole point and a clock read per record is noise.
     const CLOCK_CHECK_SMALL: usize = 8;
-    /// Upper bound on how many pushes a single deadline poll may skip. A
-    /// clock read costs tens of nanoseconds — on par with the whole
-    /// per-record fold — so polling every push in adaptive mode would
-    /// forfeit most of the batching win.
-    const CLOCK_CHECK_STRIDE: usize = 64;
 
     /// Adds one record; returns a chunk ready to ship when full or
     /// past-deadline (see `due`). The one-record form of the
@@ -259,15 +254,18 @@ impl<V> ChunkBuilder<V> {
     }
 
     /// Whether the chunk must ship now that records were appended: it is
-    /// full, or a deadline poll finds `max_delay` passed. The poll is
-    /// rate-amortized: the clock is read when a chunk starts (arming the
-    /// deadline), after every record while the chunk is small, and then
-    /// each read schedules the next by how many records fit into the time
-    /// left, at most a stride ahead. A slow stream flushes at the first
-    /// record past the deadline, a full-throttle one pays ~1 clock read
-    /// per 64 records; if the rate collapses mid-chunk the overshoot is
-    /// bounded by the skipped records' inter-arrival gaps (a pull-driven
-    /// source has no timer thread to do better).
+    /// full, or a deadline poll finds `max_delay` passed. A clock read
+    /// costs tens of nanoseconds, more than folding a record, so the poll
+    /// is rate-amortized: the clock is read when a chunk starts (arming
+    /// the deadline), after every record while the chunk is small, and
+    /// then each read schedules the next (`poll_skip`) at most as many
+    /// records ahead as the chunk holds. A slow stream flushes at the
+    /// first record past the deadline; a full-rate 4 096-record chunk is
+    /// polled at lengths 1–7, 14, 28, …, 3 584, 16 reads. If the rate
+    /// collapses mid-chunk, at most as many records as the chunk held at
+    /// its last poll ride along past the deadline (a pull-driven source
+    /// has no timer thread to do better). A deadline the clock cannot
+    /// represent (`Duration::MAX`) is no deadline: the chunk ships by size.
     #[inline]
     fn due(&mut self) -> bool {
         let len = self.chunk.len();
@@ -281,7 +279,13 @@ impl<V> ChunkBuilder<V> {
             return false;
         }
         let now = (self.clock)();
-        let deadline = *self.deadline.get_or_insert(now + max_delay);
+        let Some(deadline) = self.deadline.or_else(|| now.checked_add(max_delay)) else {
+            // The clock never goes back, so a deadline it cannot represent
+            // now it never will: from here on this builder ships by size.
+            self.max_delay = None;
+            return false;
+        };
+        self.deadline = Some(deadline);
         if now >= deadline {
             return true;
         }
@@ -291,17 +295,17 @@ impl<V> ChunkBuilder<V> {
 
     /// How many records the next deadline poll may skip: those that fit
     /// into `remaining` at the rate so far (`len` records over the rest of
-    /// `max_delay`), within [1, `CLOCK_CHECK_STRIDE`]. The cap is tested
-    /// by cross-multiplying: a full-rate stream never pays the division.
+    /// `max_delay`), within [1, `len`]. The rate term reaches `len` exactly
+    /// when at least as much time is left as has gone, which is tested
+    /// first: a full-rate stream never pays the division.
     #[inline]
     fn poll_skip(max_delay: Duration, remaining: Duration, len: usize) -> usize {
         let remaining_ns = remaining.as_nanos();
         let elapsed_ns = max_delay.as_nanos().saturating_sub(remaining_ns);
-        let budget = (len as u128).saturating_mul(remaining_ns);
-        if budget >= (Self::CLOCK_CHECK_STRIDE as u128).saturating_mul(elapsed_ns) {
-            return Self::CLOCK_CHECK_STRIDE;
+        if remaining_ns >= elapsed_ns {
+            return len;
         }
-        ((budget / elapsed_ns) as usize).max(1)
+        (((len as u128).saturating_mul(remaining_ns) / elapsed_ns) as usize).max(1)
     }
 
     /// Flushes the pending chunk, if any.
@@ -577,26 +581,45 @@ mod tests {
     #[test]
     fn adaptive_deadline_is_amortized_past_the_small_regime() {
         let _clock = CLOCK_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
-        const STRIDE: usize = ChunkBuilder::<i64>::CLOCK_CHECK_STRIDE;
         let mode = Batching::Adaptive { target: 1_000_000, max_delay: Duration::from_millis(5) };
         let mut b = ChunkBuilder::with_clock(mode, fake_now);
-        // Fill past the small regime, off stride alignment.
-        for i in 0..(STRIDE as i64 + 36) {
+        // Fill past the small regime, between two polls: at full rate they
+        // fall at lengths 1–7, 14, 28, 56 and next at 112.
+        let before = 100;
+        for i in 0..before {
             assert!(b.push(i, i).is_none());
         }
         advance(Duration::from_millis(6));
         // Deadline has passed, but the clock is only polled at the next
         // scheduled check: pushes up to there ride along, and the flush
-        // comes within one stride of pushes.
+        // comes within as many pushes as the chunk held at its last poll.
+        let last_poll = 56;
         let mut flushed = None;
         let mut extra = 0;
         while flushed.is_none() {
             extra += 1;
             flushed = b.push(1_000 + extra, 0);
-            assert!(extra <= STRIDE as i64, "flush must come within one stride");
+            assert!(extra <= last_poll, "flush must come within the length at the last poll");
         }
         let chunk = flushed.expect("deadline flush");
-        assert!(chunk.len() > STRIDE + 36, "the skipped pushes ride the flushed chunk");
+        assert_eq!(
+            chunk.len(),
+            2 * last_poll as usize,
+            "the skipped pushes ride the flushed chunk"
+        );
+    }
+
+    #[test]
+    fn a_deadline_past_the_clocks_range_is_no_deadline() {
+        // `Instant + Duration::MAX` overflows: the chunks ship by size.
+        let mode = Batching::Adaptive { target: 64, max_delay: Duration::MAX };
+        for clock in [fake_now as ClockFn, Instant::now] {
+            let mut b = ChunkBuilder::with_clock(mode, clock);
+            let shipped: Vec<usize> =
+                (0..200).filter_map(|i| b.push(i, i)).map(|c| c.len()).collect();
+            assert_eq!(shipped, vec![64, 64, 64]);
+            assert_eq!(b.take().map(|c| c.len()), Some(8));
+        }
     }
 
     #[test]
@@ -774,12 +797,12 @@ mod tests {
     }
 
     #[test]
-    fn gather_deadline_flush_comes_within_one_stride() {
+    fn gather_deadline_flush_comes_within_the_length_at_the_last_poll() {
         let _clock = CLOCK_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
-        const STRIDE: usize = ChunkBuilder::<i64>::CLOCK_CHECK_STRIDE;
-        let late = STRIDE as i64 + 36;
+        let late = 100;
         let mode = Batching::Adaptive { target: 1_000_000, max_delay: Duration::from_millis(5) };
-        // The stream stalls past the deadline right before record `late`.
+        // The stream stalls past the deadline right before record `late`,
+        // between the polls at lengths 56 and 112.
         let elements = (0..1_000i64).map(|i| {
             if i == late {
                 advance(Duration::from_millis(6));
@@ -792,7 +815,128 @@ mod tests {
             panic!("the deadline must flush a chunk before the stream ends");
         };
         assert!(first.len() > late as usize, "records up to the next poll ride along");
-        assert!(first.len() <= late as usize + STRIDE, "flushed {} records late", first.len());
+        let last_poll = 56;
+        assert!(first.len() <= late as usize + last_poll, "flushed {} records late", first.len());
+        assert_eq!(first.len(), 2 * last_poll);
+    }
+
+    thread_local! {
+        static READS: Cell<usize> = const { Cell::new(0) };
+        static NOW_NS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `frozen`, counting its reads per thread.
+    fn counting() -> Instant {
+        READS.with(|r| r.set(r.get() + 1));
+        frozen()
+    }
+
+    /// A clock set by hand, per thread: `frozen` plus `NOW_NS`.
+    fn manual() -> Instant {
+        frozen() + Duration::from_nanos(NOW_NS.with(Cell::get))
+    }
+
+    #[test]
+    fn a_full_rate_chunk_reads_the_clock_16_times() {
+        let mode = Batching::default();
+        let mut b = ChunkBuilder::with_clock(mode, counting);
+        READS.with(|r| r.set(0));
+        let mut polled_at = Vec::new();
+        let mut shipped = None;
+        for i in 0..4096 {
+            let before = READS.with(Cell::get);
+            shipped = b.push(i, i);
+            if READS.with(Cell::get) > before {
+                polled_at.push(i + 1);
+            }
+        }
+        assert_eq!(shipped.map(|c| c.len()), Some(4096));
+        // Every length up to 7, then each poll as far ahead as the chunk
+        // holds: 14, 28, …, 3 584. The 64-record stride read 70 times.
+        let doubling: Vec<Time> = (1..=7).chain((1..=9).map(|k| 7 << k)).collect();
+        assert_eq!(polled_at, doubling);
+        // The gather stage's strips, and its per-record route, poll at the
+        // same lengths.
+        let elements: Vec<Keyed> = (0..4096).map(|i| rec(i, 0, i)).collect();
+        for fanout in [1, 3] {
+            READS.with(|r| r.set(0));
+            assert_eq!(sizes(&gathered(&elements, mode, fanout, counting)), vec![4096]);
+            assert_eq!(READS.with(Cell::get), 16, "fanout {fanout}");
+        }
+    }
+
+    const SMALL: usize = ChunkBuilder::<i64>::CLOCK_CHECK_SMALL;
+
+    /// The poll schedule before this one, as the model: each poll skips
+    /// the records that fit into the time left at the rate so far, within
+    /// [1, 64]. Returns the chunk lengths of `n` records arriving `gap`
+    /// apart, and checks that at every poll from length `SMALL - 1` on the
+    /// rate term stays below `min(len, 64)`, where the two rules agree.
+    fn stride_rule_chunks(n: u64, gap: Duration, max_delay: Duration, target: usize) -> Vec<usize> {
+        const STRIDE: usize = 64;
+        let max_delay = max_delay.as_nanos();
+        let poll_skip = |remaining: u128, len: usize| {
+            let elapsed = max_delay.saturating_sub(remaining);
+            let budget = (len as u128).saturating_mul(remaining);
+            if budget >= (STRIDE as u128).saturating_mul(elapsed) {
+                return STRIDE;
+            }
+            ((budget / elapsed) as usize).max(1)
+        };
+        let (mut chunks, mut len, mut start, mut next_check) = (Vec::new(), 0, 0, 0);
+        for i in 0..n {
+            let now = u128::from(i) * gap.as_nanos();
+            if len == 0 {
+                start = now;
+            }
+            len += 1;
+            let polled = len < SMALL || len >= next_check;
+            if len >= target || (polled && now >= start + max_delay) {
+                chunks.push(std::mem::take(&mut len));
+            } else if polled {
+                let skip = poll_skip(start + max_delay - now, len);
+                if len + 1 >= SMALL {
+                    assert!(skip < len.min(STRIDE), "{gap:?}: skip {skip} at length {len}");
+                }
+                next_check = len + skip;
+            }
+        }
+        chunks.extend((len > 0).then_some(len));
+        chunks
+    }
+
+    #[test]
+    fn slow_streams_ship_where_the_stride_rule_shipped() {
+        let max_delay = Duration::from_millis(1);
+        let mode = Batching::Adaptive { target: 4096, max_delay };
+        let n = 300u64;
+        for gap_us in [84, 90, 100, 125, 160, 200, 250, 333, 500, 999, 1000, 1500] {
+            let gap = Duration::from_micros(gap_us);
+            let at = |i: u64| NOW_NS.with(|t| t.set(i * gap.as_nanos() as u64));
+            let expect = stride_rule_chunks(n, gap, max_delay, 4096);
+            let mut b = ChunkBuilder::with_clock(mode, manual);
+            let mut pushed = Vec::new();
+            for i in 0..n {
+                at(i);
+                pushed.extend(b.push(i as Time, 0).map(|c| c.len()));
+            }
+            pushed.extend(b.take().map(|c| c.len()));
+            assert_eq!(pushed, expect, "{gap:?} through push");
+            let elements = (0..n).map(|i| {
+                at(i);
+                rec(i as Time, 0, 0)
+            });
+            let mut gather = Gather::new(elements, mode, 1, |kv| kv, partition_of);
+            gather.builders[0].clock = manual;
+            let mut strips = Vec::new();
+            while let Some(event) = gather.next() {
+                strips.extend(match event {
+                    Gathered::Records(_, chunk) => Some(chunk.len()),
+                    _ => None,
+                });
+            }
+            assert_eq!(strips, expect, "{gap:?} through the gather stage");
+        }
     }
 
     #[test]

@@ -443,6 +443,34 @@ mod tests {
     }
 
     #[test]
+    fn an_adaptive_deadline_past_the_clocks_range_batches_by_size() {
+        // `Duration::MAX` is "flush by size only": the source thread must
+        // not overflow `Instant + max_delay`.
+        let elements = || {
+            let records =
+                (0..1000).map(|i| StreamElement::Record { ts: i, value: (i as u64 % 4, 1) });
+            records.chain([StreamElement::Watermark(i64::MAX - 1)])
+        };
+        let by_size = run_keyed(
+            elements(),
+            PipelineConfig::default().adaptive(64, Duration::MAX),
+            slicing_factory,
+        );
+        let fixed =
+            run_keyed(elements(), PipelineConfig::default().with_batch_size(64), slicing_factory);
+        assert_eq!(by_size.batch_sizes.summary(), fixed.batch_sizes.summary());
+        assert_eq!(by_size.batch_sizes.max(), 64);
+        let norm = |r: &PipelineReport<i64>| {
+            let mut m: Vec<(i64, i64, i64)> =
+                r.results.iter().map(|(_, w)| (w.range.start, w.range.end, w.value)).collect();
+            m.sort_unstable();
+            m
+        };
+        assert_eq!(norm(&by_size), norm(&fixed));
+        assert_eq!(by_size.result_count, 10);
+    }
+
+    #[test]
     fn punctuation_windows_flow_through_pipeline() {
         // FCF punctuation workload end-to-end: punctuations are broadcast
         // to every partition and forwarded to the operator's punctuation
