@@ -95,8 +95,9 @@ class Mappings:
                 for line in maps:
                     fields = line.split(maxsplit=5)
                     start, end = (int(x, 16) for x in fields[0].split("-"))
-                    backing = fields[5].strip() if len(fields) == 6 else ""
-                    self.by_start[start] = (end, os.path.basename(backing) or "anonymous")
+                    backing = fields[5].strip() if len(fields) == 6 else "[anonymous]"
+                    name = backing if backing.startswith("[") else f"[{os.path.basename(backing)}]"
+                    self.by_start[start] = (end, name)
         except OSError:
             return  # exiting: the sample folds as unmapped
         self.starts = sorted(self.by_start)
@@ -107,9 +108,7 @@ class Mappings:
         if i < 0:
             return None
         end, name = self.by_start[self.starts[i]]
-        if addr >= end:
-            return None
-        return name if name.startswith("[") else f"[{name}]"
+        return name if addr < end else None
 
 
 def sample(pid, rips, maps):

@@ -852,7 +852,7 @@ mod tests {
         }
         assert_eq!(shipped.map(|c| c.len()), Some(4096));
         // Every length up to 7, then each poll as far ahead as the chunk
-        // holds: 14, 28, …, 3 584. The 64-record stride read 70 times.
+        // holds: 14, 28, …, 3 584.
         let doubling: Vec<Time> = (1..=7).chain((1..=9).map(|k| 7 << k)).collect();
         assert_eq!(polled_at, doubling);
         // The gather stage's strips, and its per-record route, poll at the
