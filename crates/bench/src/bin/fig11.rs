@@ -7,8 +7,7 @@
 //! eager stores (eager slicing, aggregate tree) answer in microseconds
 //! (log n combines); buckets answer in nanoseconds (pre-computed, one
 //! lookup). Holistic medians shift slicing latencies up (the final merge
-//! is expensive) but leave buckets untouched. The finger-tree store
-//! (beyond the paper) sits with the eager one.
+//! is expensive) but leave buckets untouched.
 //!
 //! A second table, `fig11_sweep`, measures what an operator deployment
 //! feels: not one window but the *sweep* of one watermark — 1, 10, 100
@@ -52,10 +51,8 @@ fn time_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Builds a slice store with `n` single-tuple slices, its index (if
-/// any) built, repaired and ready to be queried. The finger store
-/// builds its tree at the first flush after a long range query, so one
-/// full-range query goes before the flush.
+/// Builds a slice store with `n` single-tuple slices (the eager one with
+/// its FlatFAT), ready to be queried.
 fn slice_store<A: AggregateFunction<Input = i64>>(
     f: A,
     policy: StorePolicy,
@@ -66,8 +63,6 @@ fn slice_store<A: AggregateFunction<Input = i64>>(
         st.append_slice(Range::new(i * 10, (i + 1) * 10));
         st.add_in_order_run_columns(&[i * 10], &[i % 97]);
     }
-    st.query_time(Range::new(0, n as i64 * 10));
-    st.flush_eager_repairs();
     st
 }
 
@@ -91,10 +86,6 @@ fn bench_function<A: AggregateFunction<Input = i64> + Copy>(
         // Eager slicing: FlatFAT over slices, O(log n) combines.
         let eager = slice_store(f, StorePolicy::Eager, n);
         let t_eager = time_ns(reps, || f.lower(&eager.query_time(full).unwrap()));
-
-        // Finger-tree slicing: a finger B-tree over slices, O(log n).
-        let finger = slice_store(f, StorePolicy::FingerTree, n);
-        let t_finger = time_ns(reps, || f.lower(&finger.query_time(full).unwrap()));
 
         // Buckets: the aggregate is precomputed; output is one map lookup
         // plus lower().
@@ -120,7 +111,6 @@ fn bench_function<A: AggregateFunction<Input = i64> + Copy>(
         for (tech, ns) in [
             ("Lazy Slicing", t_lazy),
             ("Eager Slicing", t_eager),
-            ("Finger-Tree Slicing", t_finger),
             ("Buckets", t_buckets),
             ("Tuple Buffer", t_buffer),
             ("Aggregate Tree", t_tree),
@@ -200,7 +190,6 @@ fn bench_sweeps(out: &mut gss_bench::Output) {
         let stores = [
             ("per-window lazy", slice_store(Max, StorePolicy::Lazy, n)),
             ("per-window eager", slice_store(Max, StorePolicy::Eager, n)),
-            ("per-window finger", slice_store(Max, StorePolicy::FingerTree, n)),
         ];
         for count in [1usize, 10, 100, 500] {
             let windows = sweep_runs(n, count);
@@ -223,9 +212,6 @@ fn bench_sweeps(out: &mut gss_bench::Output) {
             let lazy = &stores[0].1;
             let ns = time_ns(reps, || lazy.shared_scan(&windows, |_, _, p| sink ^= p));
             row("shared scan", ns, "");
-            let finger = &stores[2].1;
-            let ns = time_ns(reps, || finger.query_time_batch(&windows, |_, _, p| sink ^= p));
-            row("batch call (finger)", ns, "");
             std::hint::black_box(sink);
         }
     }

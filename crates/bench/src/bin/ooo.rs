@@ -11,7 +11,7 @@
 //! short-lateness workload (20–50 % late over a few slices).
 //!
 //! Sweep: OOO fraction {0, 5, 20, 50} % (delays 0–2 s) × batch size
-//! {64, 512} × {lazy, eager, finger} stores, 20 concurrent tumbling
+//! {64, 512} × {lazy, eager} stores, 20 concurrent tumbling
 //! windows over the football stream with periodic watermarks. Two modes
 //! per cell:
 //!
@@ -20,15 +20,14 @@
 //!   driver calls, in chunks of `b` records.
 //!
 //! Expected shape: batching leads at every disorder and its lead widens
-//! with the batch size, as the slice lookup, the combine and the index
-//! repair are paid per run of late tuples and per batch instead of per
-//! tuple.
+//! with the batch size, as the slice lookup, the combine and the
+//! FlatFAT leaf write are paid per run of late tuples and per batch
+//! instead of per tuple.
 //!
 //! A last cell, `outage`, is the long-lateness case the sweep above
 //! never reaches (its 2 s lateness keeps a few dozen slices live): one
 //! tumbling 10 ms query under a watermark trailing by 30 s — 3 000 live
-//! slices, and one-slice windows that never ask the finger store to
-//! build its index — fed an in-order head with
+//! slices, and one-slice windows — fed an in-order head with
 //! one tuple in seven up to 2 s late plus, every 5 s, the sorted replay
 //! of a 10-s-old outage (30 % of the tuples), in batches of 512 and
 //! 4 096.
@@ -37,7 +36,7 @@
 //! `BENCH_ooo.json` at the repo root.
 //!
 //! Run: `cargo run --release -p gss-bench --bin ooo` (optionally
-//! `-- --store lazy|eager|finger` to sweep a single store, and/or
+//! `-- --store lazy|eager` to sweep a single store, and/or
 //! `-- --ooo 0|5|20|50|outage` for a single cell).
 
 use std::io::Write as _;
@@ -51,11 +50,8 @@ use gss_core::{StorePolicy, StreamElement, StreamOrder, Time};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
 
 /// All store policies the sweep covers, in report order.
-const STORES: [(StorePolicy, &str); 3] = [
-    (StorePolicy::Lazy, "lazy"),
-    (StorePolicy::Eager, "eager"),
-    (StorePolicy::FingerTree, "finger"),
-];
+const STORES: [(StorePolicy, &str); 2] =
+    [(StorePolicy::Lazy, "lazy"), (StorePolicy::Eager, "eager")];
 
 /// Parses `--store <name>` from the CLI, defaulting to every store.
 fn store_filter() -> Vec<(StorePolicy, &'static str)> {
@@ -64,10 +60,7 @@ fn store_filter() -> Vec<(StorePolicy, &'static str)> {
         if a == "--store" {
             let want = args.next().unwrap_or_default();
             let picked: Vec<_> = STORES.iter().copied().filter(|&(_, name)| name == want).collect();
-            assert!(
-                !picked.is_empty(),
-                "unknown store {want:?}; expected one of lazy, eager, finger"
-            );
+            assert!(!picked.is_empty(), "unknown store {want:?}; expected one of lazy, eager");
             return picked;
         }
     }

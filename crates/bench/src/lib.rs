@@ -144,8 +144,7 @@ pub fn build<A: AggregateFunction>(
     }
 }
 
-/// Builds the general slicing operator over the given store policy (the
-/// finger-tree store has no [`Technique`] of its own).
+/// Builds the general slicing operator over the given store policy.
 pub fn build_slicing<A: AggregateFunction>(
     f: A,
     policy: StorePolicy,

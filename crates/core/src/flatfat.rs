@@ -89,7 +89,7 @@ impl<A: AggregateFunction> FlatFat<A> {
     /// children (partials carry no equality, so presence is the
     /// strongest checkable property).
     #[cfg(feature = "audit")]
-    pub fn assert_invariants(&self) {
+    pub(crate) fn assert_invariants(&self) {
         assert!(self.cap.is_power_of_two(), "capacity {} not a power of two", self.cap);
         assert_eq!(self.nodes.len(), 2 * self.cap, "node array out of shape");
         assert!(self.len <= self.cap, "len {} exceeds capacity {}", self.len, self.cap);

@@ -243,22 +243,27 @@ impl SliceGeometry {
         (l.min(r), r)
     }
 
-    /// The slices `[l, r)` inside the time range `range`; `l >= r` when
-    /// none is.
+    /// The slices `[l, r)` inside the time range `range`: those that
+    /// start in it. `l >= r` when none is. A zero-width slice `[t, t)`
+    /// (a count cut among tuples tied at `t`) holds tuples at `t`, so it
+    /// belongs to the windows with `start <= t < end`, a window starting
+    /// at `t` included.
     pub(crate) fn slice_span(&self, range: Range) -> (usize, usize) {
         (
-            self.ends.partition_point(|&e| e <= range.start),
+            self.starts.partition_point(|&s| s < range.start),
             self.starts.partition_point(|&s| s < range.end),
         )
     }
 
-    /// Whether slices `[l, r)` hold tuples of `range` only. Window edges
-    /// are slice edges, but the open slice and session slices may extend
-    /// past a window's end while holding no tuple there. Debug checks.
+    /// Whether slices `[l, r)` hold tuples of `range` only, and slice
+    /// `l - 1` none of it. Window starts are slice edges, but the open
+    /// slice and session slices may extend past a window's end while
+    /// holding no tuple there. Debug checks.
     pub(crate) fn aligned(&self, range: Range, l: usize, r: usize) -> bool {
         let inside =
             |e: &Extent| e.count == 0 || (e.t_first >= range.start && e.t_last < range.end);
-        self.extents[l..r].iter().all(inside)
+        let before = l.checked_sub(1).is_none_or(|i| self.extents[i].t_last < range.start);
+        before && self.extents[l..r].iter().all(inside)
     }
 
     /// Where `ts` falls among the time-tiled slices: `Ok(i)` when slice
@@ -308,15 +313,15 @@ impl SliceGeometry {
 
     /// The slices `[l, r)` window `w` covers, as
     /// [`slice_span`](Self::slice_span) has them, guessed at `(l, r)`:
-    /// each edge is checked there with two compares (`ends[l - 1] <=
-    /// w.start < ends[l]`, `starts[r - 1] < w.end <= starts[r]`), and
+    /// each edge is checked there with two compares (`starts[l - 1] <
+    /// w.start <= starts[l]`, `starts[r - 1] < w.end <= starts[r]`), and
     /// both are galloped from there when a check fails.
     #[inline(always)]
     fn step(&self, w: Range, (l, r): (usize, usize)) -> (usize, usize) {
-        let (ends, starts) = (&*self.ends, &*self.starts);
-        let l_holds = l <= ends.len()
-            && (l == 0 || ends[l - 1] <= w.start)
-            && (l == ends.len() || w.start < ends[l]);
+        let starts = &*self.starts;
+        let l_holds = l <= starts.len()
+            && (l == 0 || starts[l - 1] < w.start)
+            && (l == starts.len() || w.start <= starts[l]);
         let r_holds = r <= starts.len()
             && (r == 0 || starts[r - 1] < w.end)
             && (r == starts.len() || w.end <= starts[r]);
@@ -331,10 +336,10 @@ impl SliceGeometry {
     /// given, else searched.
     #[inline(never)]
     fn seek(&self, w: Range, near: Option<(usize, usize)>) -> (usize, usize) {
-        let (ends, starts) = (&*self.ends, &*self.starts);
+        let starts = &*self.starts;
         match near {
             Some((l, r)) => (
-                gallop_by(ends.len(), l, |i| ends[i] <= w.start),
+                gallop_by(starts.len(), l, |i| starts[i] < w.start),
                 gallop_by(starts.len(), r, |i| starts[i] < w.end),
             ),
             None => self.slice_span(w),
@@ -364,17 +369,14 @@ impl SliceGeometry {
     }
 
     /// Resolves every run of a sweep to where it lies among the slices
-    /// and gathers what planning the sweep needs (`index_cost`: one index
-    /// query, `None` without an index). Only each run's first and last
+    /// and gathers what planning the sweep needs (`indexed`: whether a
+    /// FlatFAT answers a range longer than `INDEX_SCAN_CUTOFF` slices, in
+    /// about two combines per level). Only each run's first and last
     /// window are searched: along a run `l` and `r` never decrease, so
     /// the two bound every window between them. A run whose first or
     /// last window lies in a coverage gap leaves its middle unbounded,
     /// and the sweep gets no plan.
-    pub(crate) fn resolve<T>(
-        &self,
-        runs: &[(T, WindowRun)],
-        index_cost: Option<usize>,
-    ) -> SweepEdges {
+    pub(crate) fn resolve<T>(&self, runs: &[(T, WindowRun)], indexed: bool) -> SweepEdges {
         let mut edges = SweepEdges {
             bounds: Vec::with_capacity(runs.len()),
             base: usize::MAX,
@@ -383,9 +385,10 @@ impl SliceGeometry {
             top: 0,
             each_cost: 0,
         };
-        let cost = |(l, r): (usize, usize)| match index_cost {
-            Some(cost) if r.saturating_sub(l) > INDEX_SCAN_CUTOFF => cost,
-            _ => r.saturating_sub(l),
+        let index_cost = 2 * cast::idx32(self.len().max(1).ilog2());
+        let cost = |(l, r): (usize, usize)| match r.saturating_sub(l) {
+            len if indexed && len > INDEX_SCAN_CUTOFF => index_cost,
+            len => len,
         };
         let mut near = None;
         for (_, run) in runs {
@@ -749,13 +752,13 @@ mod tests {
         let want: Vec<_> = runs
             .iter()
             .flat_map(|&(i, run)| run.windows().map(move |w| (i, w)))
-            .map(|(i, w)| (i, w, ended(w.start), begun(w.end)))
+            .map(|(i, w)| (i, w, begun(w.start), begun(w.end)))
             .filter(|&(_, _, l, r)| l < r)
             .collect();
         for (i, w, l, r) in &want {
             assert_eq!(g.slice_span(*w), (*l, *r), "window {w} of run {i}");
         }
-        let edges = g.resolve(&runs, None);
+        let edges = g.resolve(&runs, false);
         for bounds in [None, Some(&edges.bounds[..])] {
             let mut got = Vec::new();
             g.walk(&runs, bounds, |&i, w, l, r| got.push((i, w, l, r)));

@@ -6,8 +6,8 @@
 //!
 //! * slices kept as columns, one at a time viewed as a [`Slice`], and
 //!   their operations **merge**, **split**, and **update** (Section 5.2),
-//! * the [`SliceStore`] aggregate store with three index policies
-//!   ([`StorePolicy`]): lazy (none), eager (FlatFAT) and finger tree,
+//! * the [`SliceStore`] aggregate store with two index policies
+//!   ([`StorePolicy`]): lazy (none) and eager (FlatFAT),
 //! * the [`WindowOperator`] combining the Stream
 //!   Slicer, Slice Manager, and Window Manager of paper Figure 7,
 //! * the workload-characteristics decision logic of Figures 4–6
@@ -69,7 +69,6 @@ pub mod audit;
 pub mod cast;
 pub mod characteristics;
 pub mod element;
-pub mod fiba;
 pub mod flatfat;
 pub mod function;
 mod geometry;
@@ -88,7 +87,6 @@ pub mod window;
 pub use aggregator::WindowAggregator;
 pub use characteristics::WorkloadCharacteristics;
 pub use element::StreamElement;
-pub use fiba::FingerTree;
 pub use flatfat::FlatFat;
 pub use function::{AggregateFunction, FunctionKind, FunctionProperties};
 pub use hash::{fx_hash_u64, FxBuildHasher, FxHashMap, FxHasher};

@@ -580,9 +580,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
         late: Option<Time>,
         out: &mut Vec<WindowResult<A::Output>>,
     ) {
-        // Deferred index repairs (late runs, finger-tree in-order leaf
-        // writes) must land before the sweep queries the store. A no-op
-        // when the dirty set is empty.
+        // The audit build checks the store before the sweep queries it.
         self.store.flush_eager_repairs();
         // Punctuations can mark window ends beyond the latest tuple.
         let max_pos = data_pos.max(self.max_punct);
@@ -947,10 +945,10 @@ impl<A: AggregateFunction> WindowOperator<A> {
         values.clear();
     }
 
-    /// Writes the runs still pending in the memo, one store write each,
-    /// then flushes once (which repairs a finger tree's dirty spine
-    /// once). k late tuples in r runs cost k appends and r slice writes,
-    /// each one index leaf write.
+    /// Writes the runs still pending in the memo, one store write each
+    /// (the audit build then checks the store once). k late tuples in r
+    /// runs cost k appends and r slice writes, each one FlatFAT leaf
+    /// write in the eager store.
     fn flush_late(&mut self) {
         let Some(mut late) = self.late.take() else { return };
         if late.times.iter().all(Vec::is_empty) {
@@ -1258,9 +1256,8 @@ impl<A: AggregateFunction> WindowAggregator<A> for WindowOperator<A> {
 
     fn name(&self) -> &'static str {
         match self.cfg.policy {
-            StorePolicy::Lazy => "Lazy Slicing",
+            StorePolicy::Lazy | StorePolicy::FingerTree => "Lazy Slicing",
             StorePolicy::Eager => "Eager Slicing",
-            StorePolicy::FingerTree => "Finger-Tree Slicing",
         }
     }
 }
@@ -1553,6 +1550,40 @@ mod tests {
         assert_eq!(eager.name(), "Eager Slicing");
     }
 
+    /// `StorePolicy::FingerTree` names the lazy store: on a disordered
+    /// stream with late updates and drops, per tuple and batched, it
+    /// emits what the lazy store emits and holds the same bytes.
+    #[test]
+    fn finger_tree_policy_is_the_lazy_store() {
+        let run = |policy| {
+            let cfg = OperatorConfig::out_of_order(20).with_policy(policy);
+            let mut op = WindowOperator::new(SumI64, cfg);
+            op.add_query(Box::new(TumblingStub { length: 10 })).unwrap();
+            let (mut out, mut bytes) = (Vec::new(), Vec::new());
+            // Every fifth tuple lags 0–59 behind the spine: some revise a
+            // fired window, some fall past the lateness and are dropped.
+            let ts = |i: i64| if i % 5 == 4 { 3 * i - i * 7 % 60 } else { 3 * i };
+            for i in 0..400 {
+                op.process_tuple(ts(i), i, &mut out);
+                if i % 10 == 9 {
+                    op.process_watermark(3 * i - 15, &mut out);
+                    bytes.push(op.memory_bytes());
+                }
+            }
+            let batch: Vec<(Time, i64)> = (400..800).map(|i| (ts(i), i)).collect();
+            for (k, chunk) in batch.chunks(50).enumerate() {
+                op.process_batch_tuples(chunk, &mut out);
+                op.process_watermark(1_200 + 150 * k as Time + 120, &mut out);
+                bytes.push(op.memory_bytes());
+            }
+            (out, bytes, *op.stats(), op.name())
+        };
+        let (lazy, finger) = (run(StorePolicy::Lazy), run(StorePolicy::FingerTree));
+        assert!(lazy.0.iter().any(|r| r.is_update), "no late update");
+        assert!(lazy.2.dropped_late > 0, "no drop");
+        assert_eq!(finger, lazy);
+    }
+
     /// Drives `batches` (a watermark after each) per tuple and batched
     /// on every store and checks the two emit the same results.
     fn check_late_batches<A>(f: A, batches: &[(Vec<(Time, i64)>, Time)]) -> OperatorStats
@@ -1561,7 +1592,7 @@ mod tests {
         A::Output: PartialEq + std::fmt::Debug,
     {
         let mut stats = OperatorStats::default();
-        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
             let cfg = OperatorConfig::out_of_order(10_000).with_policy(policy);
             let mut per_tuple = WindowOperator::new(f.clone(), cfg);
             let mut batched = WindowOperator::new(f.clone(), cfg);

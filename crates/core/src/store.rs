@@ -9,14 +9,11 @@
 //! while the `SlicePlan` keeps them. Only the fold and the write of a
 //! partial are generic; the plan decides the rest (Figures 4–6).
 //!
-//! Three variants extend the paper's lazy/eager distinction (Table 1 rows
+//! The store comes in the paper's two forms (Section 3.4, Table 1 rows
 //! 5–8): the **lazy** store keeps only the columns and combines partials
 //! on demand; the **eager** store also keeps a [`FlatFat`] over the
-//! partials for `O(log s)` window queries (Figure 11); the **finger-tree**
-//! store keeps a [`FingerTree`] instead (FiBA-style finger B-tree), built
-//! when a query first asks for a long range. Each index has one write
-//! discipline: the FlatFAT writes through at every leaf write, the finger
-//! tree defers every write to one spine repair at the next query flush.
+//! partials for `O(log s)` window queries (Figure 11), written through at
+//! every leaf write.
 //!
 //! A slice changes through one store entry per kind of change, and one
 //! tuple is a run of one: an in-order run into the open slice, a sorted
@@ -30,12 +27,10 @@
 //! by one. Either way a window's slices are its predecessor's stepped one
 //! slice on, checked with two compares per edge.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::cast;
 use crate::characteristics::SlicePlan;
-use crate::fiba::FingerTree;
 use crate::flatfat::FlatFat;
 use crate::function::{is_holistic, AggregateFunction};
 use crate::geometry::{Column, Extent, RunBounds, SliceGeometry, SweepPlan};
@@ -44,8 +39,7 @@ use crate::slice::{extent_of, merge_late_run, Slice};
 use crate::time::{Range, Time};
 use crate::window::WindowRun;
 
-/// Lazy vs. eager final aggregation (paper Section 3.4), plus the
-/// disorder-tuned eager variant.
+/// Lazy vs. eager final aggregation (paper Section 3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorePolicy {
     /// Store slices only; combine on demand when windows end.
@@ -53,80 +47,15 @@ pub enum StorePolicy {
     /// Maintain a dense FlatFAT aggregate tree over slices for
     /// low-latency output.
     Eager,
-    /// Maintain a finger B-tree aggregate index: eager-grade query
-    /// latency, O(log d) out-of-order writes, and O(1)-amortized bulk
-    /// eviction (FiBA, arXiv 2307.11210).
+    /// The lazy store under another name, kept while `benchmark/` names
+    /// it; removed with the benchmark revision (ROADMAP.md item 4).
     FingerTree,
 }
 
-/// The per-slice aggregate index backing the eager policies. `None`
-/// (lazy) stores nothing; the other variants mirror `partials[i]` at
-/// leaf `i`. When a leaf write reaches the ancestors is up to the index:
-/// at once in the FlatFAT, at the next [`repair`](AggIndex::repair) in
-/// the finger tree.
-#[derive(Clone)]
-enum AggIndex<A: AggregateFunction> {
-    None,
-    Flat(FlatFat<A>),
-    Finger(FingerTree<A>),
-}
-
-impl<A: AggregateFunction> AggIndex<A> {
-    fn insert(&mut self, i: usize, p: Option<A::Partial>) {
-        match self {
-            AggIndex::None => {}
-            AggIndex::Flat(t) => t.insert(i, p),
-            AggIndex::Finger(t) => t.insert(i, p),
-        }
-    }
-
-    /// Writes leaf `i`.
-    fn update(&mut self, i: usize, p: Option<A::Partial>) {
-        match self {
-            AggIndex::None => {}
-            AggIndex::Flat(t) => t.update(i, p),
-            AggIndex::Finger(t) => t.update(i, p),
-        }
-    }
-
-    fn remove(&mut self, i: usize) {
-        match self {
-            AggIndex::None => {}
-            AggIndex::Flat(t) => drop(t.remove(i)),
-            AggIndex::Finger(t) => drop(t.remove(i)),
-        }
-    }
-
-    fn remove_prefix(&mut self, k: usize) {
-        match self {
-            AggIndex::None => {}
-            AggIndex::Flat(t) => t.remove_prefix(k),
-            AggIndex::Finger(t) => t.remove_prefix(k),
-        }
-    }
-
-    fn repair(&mut self) {
-        if let AggIndex::Finger(t) = self {
-            t.repair_dirty();
-        }
-    }
-
-    /// Indexed range query; `None` when no index is maintained (lazy).
-    fn query(&self, l: usize, r: usize) -> Option<Option<A::Partial>> {
-        match self {
-            AggIndex::None => None,
-            AggIndex::Flat(t) => Some(t.query(l, r)),
-            AggIndex::Finger(t) => Some(t.query(l, r)),
-        }
-    }
-}
-
 /// Ranges at most this many slices long are answered by folding the
-/// partial column sequentially instead of consulting the aggregate index.
-/// Measured on the `ooo` workload (~25 live slices, windows spanning
-/// 1–20): the scan closes the finger store's entire in-order query
-/// overhead vs the lazy store, while ranges past the cutoff are where
-/// an O(log n) index visit beats O(n) combines anyway.
+/// partial column sequentially instead of consulting the FlatFAT: a
+/// handful of sequential combines beats a descent over the tree's levels,
+/// while past the cutoff an `O(log n)` visit beats `O(n)` combines.
 pub(crate) const INDEX_SCAN_CUTOFF: usize = 32;
 
 /// An ordered collection of slices: their geometry, their partials, their
@@ -144,17 +73,9 @@ pub struct SliceStore<A: AggregateFunction> {
     plan: SlicePlan,
     /// Holistic partials are never copied into a shared scan.
     holistic: bool,
-    /// Aggregate index: leaf `i` mirrors `partials[i]`.
-    index: AggIndex<A>,
-    /// Whether the index mirrors the partials. Lazy and eager stores are
-    /// born live; the finger tree is built *on first need*: until a query
-    /// asks for a range longer than [`INDEX_SCAN_CUTOFF`] slices its
-    /// maintenance is this flag check, and the flush after such a query
-    /// builds it and flips this for good.
-    index_live: bool,
-    /// Set by a long range query against the unbuilt finger tree; the
-    /// next flush builds it. A `Cell` because queries take `&self`.
-    index_wanted: Cell<bool>,
+    /// The eager store's FlatFAT: leaf `i` mirrors `partials[i]`. `None`
+    /// in the lazy store.
+    index: Option<FlatFat<A>>,
 }
 
 impl<A: AggregateFunction> SliceStore<A> {
@@ -167,9 +88,8 @@ impl<A: AggregateFunction> SliceStore<A> {
 
     pub(crate) fn with_plan(f: A, policy: StorePolicy, plan: SlicePlan) -> Self {
         let index = match policy {
-            StorePolicy::Lazy => AggIndex::None,
-            StorePolicy::Eager => AggIndex::Flat(FlatFat::new(f.clone())),
-            StorePolicy::FingerTree => AggIndex::Finger(FingerTree::new(f.clone())),
+            StorePolicy::Lazy | StorePolicy::FingerTree => None,
+            StorePolicy::Eager => Some(FlatFat::new(f.clone())),
         };
         SliceStore {
             holistic: is_holistic(&f),
@@ -179,26 +99,7 @@ impl<A: AggregateFunction> SliceStore<A> {
             tuples: plan.keep_tuples.then(Column::default),
             plan,
             index,
-            index_live: policy != StorePolicy::FingerTree,
-            index_wanted: Cell::new(false),
         }
-    }
-
-    /// Bulk-builds the finger tree from the current partials if a long
-    /// range query asked for it since the last flush. The pushes leave
-    /// the spine dirty, as every finger write does; the calling flush
-    /// repairs it. O(n) once per store lifetime.
-    fn maybe_build_index(&mut self) {
-        if !self.index_wanted.take() {
-            return;
-        }
-        if let AggIndex::Finger(t) = &mut self.index {
-            debug_assert_eq!(t.len(), 0, "building an already-populated index");
-            for p in &self.partials {
-                t.push(p.clone());
-            }
-        }
-        self.index_live = true;
     }
 
     /// Number of slices currently stored.
@@ -306,16 +207,16 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Opens the columns of the empty slice the geometry placed at `idx`.
     fn open_columns(&mut self, idx: usize) {
         self.partials.insert(idx, None);
-        if self.index_live {
-            self.index.insert(idx, None);
+        if let Some(t) = &mut self.index {
+            t.insert(idx, None);
         }
     }
 
     /// Dense structural checks for the audit build: the geometry's, the
     /// partial column as long as the geometry, each slice's tuples as its
-    /// extent says, and a live index with exactly one leaf per slice.
+    /// extent says, and a FlatFAT with exactly one leaf per slice.
     #[cfg(feature = "audit")]
-    pub fn assert_invariants(&self) {
+    pub(crate) fn assert_invariants(&self) {
         self.geometry.assert_invariants();
         let n = self.len();
         assert_eq!(self.partials.len(), n, "partial column out of sync with slices");
@@ -327,17 +228,9 @@ impl<A: AggregateFunction> SliceStore<A> {
             });
             assert!(rest.is_empty(), "tuple column out of sync");
         }
-        match &self.index {
-            AggIndex::None => {}
-            AggIndex::Flat(t) => {
-                assert_eq!(t.len(), n, "eager index out of sync with slices");
-                t.assert_invariants();
-            }
-            AggIndex::Finger(t) => {
-                let leaves = if self.index_live { n } else { 0 };
-                assert_eq!(t.len(), leaves, "finger index out of sync with slices");
-                t.assert_invariants();
-            }
+        if let Some(t) = &self.index {
+            assert_eq!(t.len(), n, "eager index out of sync with slices");
+            t.assert_invariants();
         }
     }
 
@@ -432,22 +325,10 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.refresh_leaf(idx);
     }
 
-    /// Repairs the finger tree's dirty spine after its deferred leaf
-    /// writes, first building the tree if a long range query asked for
-    /// it since the last flush. Must run before any window query; a
-    /// no-op for the lazy and eager stores, which have nothing pending.
+    /// Called before a batch of window queries. Every write reaches the
+    /// FlatFAT at once, so nothing is pending: the audit build checks the
+    /// store's invariants here, and other builds do nothing.
     pub fn flush_eager_repairs(&mut self) {
-        self.maybe_build_index();
-        // While the store holds at most [`INDEX_SCAN_CUTOFF`] slices, no
-        // range query can be long enough to consult the index (every
-        // range is bounded by the store length, and short ranges scan
-        // the partial column — see `query_slice_range`), so deferred
-        // writes can keep accumulating for free. The moment the store
-        // outgrows the cutoff, the next query sweep lands here and
-        // repairs before the first index visit.
-        if self.len() > INDEX_SCAN_CUTOFF {
-            self.index.repair();
-        }
         #[cfg(feature = "audit")]
         self.assert_invariants();
     }
@@ -486,8 +367,8 @@ impl<A: AggregateFunction> SliceStore<A> {
         self.geometry.split(idx, ts, left, right);
         self.partials[idx] = left_partial;
         self.partials.insert(idx + 1, right_partial);
-        if self.index_live {
-            self.index.insert(idx + 1, None);
+        if let Some(t) = &mut self.index {
+            t.insert(idx + 1, None);
         }
         self.refresh_leaf(idx);
         self.refresh_leaf(idx + 1);
@@ -507,8 +388,8 @@ impl<A: AggregateFunction> SliceStore<A> {
         let right = self.partials.remove(idx + 1).flatten();
         let left = self.partials[idx].take();
         self.partials[idx] = self.f.combine_opt(left, right.as_ref());
-        if self.index_live {
-            self.index.remove(idx + 1);
+        if let Some(t) = &mut self.index {
+            drop(t.remove(idx + 1));
         }
         self.refresh_leaf(idx);
     }
@@ -531,25 +412,15 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// Combines the partials of slices `[l, r)` (indices), in order.
     ///
     /// Short ranges fold the partial column directly: a handful of
-    /// sequential combines beats a tree descent over cold pointers. The
-    /// index only earns its keep past `INDEX_SCAN_CUTOFF` slices (large
-    /// lateness, many live slices). The column is the source of truth, so
-    /// the scan is immune to deferred index repairs.
-    ///
-    /// A long range against a finger tree not built yet is scanned too,
-    /// with the same answer, and asks for the tree: the next
-    /// [`flush_eager_repairs`](SliceStore::flush_eager_repairs) builds
-    /// it, so only queries before that flush pay the scan.
+    /// sequential combines beats a tree descent. The FlatFAT only earns
+    /// its keep past `INDEX_SCAN_CUTOFF` slices (large lateness, many
+    /// live slices).
     #[inline]
     pub fn query_slice_range(&self, l: usize, r: usize) -> Option<A::Partial> {
-        if r - l > INDEX_SCAN_CUTOFF {
-            if !self.index_live {
-                self.index_wanted.set(true);
-            } else if let Some(q) = self.index.query(l, r) {
-                return q;
-            }
+        match &self.index {
+            Some(t) if r - l > INDEX_SCAN_CUTOFF => t.query(l, r),
+            _ => self.fold(l, r),
         }
-        self.fold(l, r)
     }
 
     /// The partials of slices `[l, r)`, folded in order.
@@ -588,7 +459,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// each run at its first and last window, finds whether the windows
     /// share a boundary, and prices each run's windows as
     /// [`query_slice_range`] would (their length, or `O(log d)` through
-    /// an index) against the scan (the slices under the sweep, the prefix
+    /// the FlatFAT) against the scan (the slices under the sweep, the prefix
     /// entries, one combine per window). The cheaper side answers; a
     /// sweep with no shared boundary is answered per window. Either way
     /// each window's slices are its predecessor's stepped one slice on,
@@ -607,7 +478,7 @@ impl<A: AggregateFunction> SliceStore<A> {
             self.emit_each(runs, None, &mut emit);
             return 0;
         }
-        let edges = self.geometry.resolve(runs, self.index_cost());
+        let edges = self.geometry.resolve(runs, self.index.is_some());
         // The scan visits every slice under the sweep, fills the prefix
         // column and combines once per window.
         let pays = |plan: &SweepPlan| edges.scan_cost(plan) + windows <= edges.each_cost;
@@ -630,7 +501,7 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// `suffix[i] = aggᵢ ⊕ suffix[i+1]` and `prefix[j] = prefix[j-1] ⊕
     /// aggⱼ` keep slice order, so only associativity of ⊕ is used and
     /// non-commutative functions get the per-window answer. Reads slice
-    /// partials only, never the index, so the cost is the same under
+    /// partials only, never the FlatFAT, so the cost is the same under
     /// every [`StorePolicy`].
     /// [`query_time_batch`](SliceStore::query_time_batch) decides when
     /// this is the cheaper way.
@@ -639,22 +510,10 @@ impl<A: AggregateFunction> SliceStore<A> {
         runs: &[(T, WindowRun)],
         mut emit: impl FnMut(&T, Range, A::Partial),
     ) {
-        let edges = self.geometry.resolve(runs, self.index_cost());
+        let edges = self.geometry.resolve(runs, self.index.is_some());
         match SweepPlan::new(&edges) {
             Some(plan) => self.emit_scanned(runs, &edges.bounds, &plan, &mut emit),
             None => self.emit_each(runs, Some(&edges.bounds), &mut emit),
-        }
-    }
-
-    /// Combines [`query_slice_range`](SliceStore::query_slice_range)
-    /// spends on a range longer than `INDEX_SCAN_CUTOFF` slices: `None`
-    /// without an index (the range's length, then). An unbuilt finger
-    /// tree is priced as built, so that a sweep wanting per-window
-    /// queries gets them and its first long query triggers the build.
-    fn index_cost(&self) -> Option<usize> {
-        match self.index {
-            AggIndex::None => None,
-            _ => Some(2 * cast::idx32(self.len().max(1).ilog2())),
         }
     }
 
@@ -813,8 +672,8 @@ impl<A: AggregateFunction> SliceStore<A> {
     /// The column side of evicting the first `k` slices.
     fn drop_columns(&mut self, k: usize) {
         self.partials.drain(..k);
-        if self.index_live {
-            self.index.remove_prefix(k);
+        if let Some(t) = &mut self.index {
+            t.remove_prefix(k);
         }
         #[cfg(feature = "audit")]
         self.assert_invariants();
@@ -828,14 +687,11 @@ impl<A: AggregateFunction> SliceStore<A> {
         k
     }
 
-    /// Re-synchronizes the index leaf for slice `idx`. The FlatFAT
-    /// repairs its ancestors at once, as the paper's eager store does;
-    /// the finger tree marks its spine for
-    /// [`SliceStore::flush_eager_repairs`], so k hot-slice writes between
-    /// queries share one repair.
+    /// Re-synchronizes the FlatFAT leaf for slice `idx`; the tree
+    /// repairs its ancestors at once, as the paper's eager store does.
     fn refresh_leaf(&mut self, idx: usize) {
-        if self.index_live {
-            self.index.update(idx, self.partials[idx].clone());
+        if let Some(t) = &mut self.index {
+            t.update(idx, self.partials[idx].clone());
         }
     }
 
@@ -845,8 +701,8 @@ impl<A: AggregateFunction> SliceStore<A> {
     }
 }
 
-/// The index sits inline in the store, so only its heap counts here: the
-/// store's owner adds the store's inline size once.
+/// The FlatFAT sits inline in the store, so only its heap counts here:
+/// the store's owner adds the store's inline size once.
 impl<A: AggregateFunction> HeapSize for SliceStore<A> {
     fn heap_bytes(&self) -> usize {
         self.geometry.heap_bytes()
@@ -855,11 +711,7 @@ impl<A: AggregateFunction> HeapSize for SliceStore<A> {
                 .tuples
                 .as_ref()
                 .map_or(0, |t| t.heap_bytes() + t.iter().map(HeapSize::heap_bytes).sum::<usize>())
-            + match &self.index {
-                AggIndex::None => 0,
-                AggIndex::Flat(t) => t.heap_bytes(),
-                AggIndex::Finger(t) => t.heap_bytes(),
-            }
+            + self.index.as_ref().map_or(0, HeapSize::heap_bytes)
     }
 }
 
@@ -919,19 +771,6 @@ fn merge_opt<M: Clone>(a: Option<M>, b: Option<&M>, combine: impl Fn(M, &M) -> M
 mod tests {
     use super::*;
     use crate::testsupport::{Concat, Lifts, MinI64, SumI64};
-
-    impl<A: AggregateFunction> SliceStore<A> {
-        /// Whether deferred finger-tree writes are pending repair.
-        fn has_pending_repairs(&self) -> bool {
-            matches!(&self.index, AggIndex::Finger(t) if t.has_dirty())
-        }
-
-        /// Whether the finger tree has been built (always true for the
-        /// other policies).
-        fn index_built(&self) -> bool {
-            self.index_live
-        }
-    }
 
     /// One in-order tuple, written as a run of one.
     trait RunOfOne<I> {
@@ -1202,7 +1041,7 @@ mod tests {
 
     #[test]
     fn in_order_runs_of_one_equal_one_run() {
-        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
             for keep in [false, true] {
                 let mut per_tuple = store(policy, keep);
                 let mut batched = store(policy, keep);
@@ -1230,7 +1069,7 @@ mod tests {
 
     #[test]
     fn late_runs_of_one_equal_one_run() {
-        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
             for keep in [false, true] {
                 let mut per_tuple = filled(policy, keep);
                 let mut batched = filled(policy, keep);
@@ -1244,9 +1083,6 @@ mod tests {
                     }
                     batched.add_out_of_order_run(idx, run);
                 }
-                // Lazy has no index, the FlatFAT writes through and the
-                // small finger store has not built its tree.
-                assert!(!batched.has_pending_repairs());
                 batched.flush_eager_repairs();
                 per_tuple.flush_eager_repairs();
                 for (a, b) in [(0, 10), (10, 20), (20, 30), (0, 30)] {
@@ -1270,7 +1106,7 @@ mod tests {
         // Pre-folded group inserts (the operator's unsorted late path)
         // must land like the equivalent per-tuple adds. Tuples are
         // dropped (`keep = false`): the API is only legal there.
-        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
             let mut per_tuple = filled(policy, false);
             let mut grouped = filled(policy, false);
             let groups: [&[(Time, i64)]; 3] =
@@ -1285,7 +1121,6 @@ mod tests {
                 let t_last = run.iter().map(|&(t, _)| t).max().unwrap();
                 grouped.add_out_of_order_partial(idx, partial, t_first, t_last, run.len());
             }
-            assert!(!grouped.has_pending_repairs());
             grouped.flush_eager_repairs();
             per_tuple.flush_eager_repairs();
             for (a, b) in [(0, 10), (10, 20), (20, 30), (0, 30)] {
@@ -1320,79 +1155,13 @@ mod tests {
             st.slices().filter_map(|s| s.aggregate().copied()).reduce(|a, b| a + b)
         };
         st.add_out_of_order_run(3, &[(31, 100), (33, 7)]);
-        assert_eq!(st.index.query(0, n), Some(fold(&st)), "after a late run");
+        let tree = |st: &SliceStore<SumI64>, l| st.index.as_ref().unwrap().query(l, n);
+        assert_eq!(tree(&st, 0), fold(&st), "after a late run");
         assert_eq!(st.query_slice_range(0, n), fold(&st));
         st.add_out_of_order_partial(n - 2, -40, 381, 385, 3);
-        assert_eq!(st.index.query(1, n), Some(st.query_slice_range(1, n)));
-        assert_eq!(st.index.query(0, n), Some(fold(&st)), "after a late partial");
+        assert_eq!(tree(&st, 1), st.query_slice_range(1, n));
+        assert_eq!(tree(&st, 0), fold(&st), "after a late partial");
         assert_eq!(st.query_time(Range::new(0, n as Time * 10)), fold(&st));
-    }
-
-    #[test]
-    fn finger_structural_ops_between_deferred_writes_stay_consistent() {
-        // The finger tree keeps its deferred-repair region across gap
-        // inserts — the repair contract only requires queries to flush
-        // first. A long query and a flush build the tree first.
-        let mut st = store(StorePolicy::FingerTree, true);
-        let n = INDEX_SCAN_CUTOFF + 4;
-        for i in 0..n {
-            if i == 3 {
-                continue; // leave a coverage gap at [30, 40)
-            }
-            let t = i as Time * 10;
-            st.append_slice(Range::new(t, t + 10));
-            st.add_one(t + 1, 1);
-        }
-        assert_eq!(st.query_time(Range::new(0, n as Time * 10)), Some(n as i64 - 1));
-        st.flush_eager_repairs();
-        assert!(st.index_built());
-        st.add_out_of_order_run(0, &[(3, 3)]);
-        assert!(st.has_pending_repairs());
-        let gap_idx = st.insert_gap_slice(Range::new(30, 40));
-        assert_eq!(gap_idx, 3);
-        st.add_out_of_order_run(gap_idx, &[(33, 33)]);
-        st.flush_eager_repairs();
-        assert!(!st.has_pending_repairs());
-        assert_eq!(st.query_time(Range::new(0, 10)), Some(4));
-        assert_eq!(st.query_time(Range::new(30, 40)), Some(33));
-        // Long range: answered by the tree (past the scan cutoff).
-        let full = st.query_time(Range::new(0, n as Time * 10));
-        assert_eq!(full, Some((n as i64 - 1) + 3 + 33));
-    }
-
-    #[test]
-    fn flush_repairs_only_when_index_queryable() {
-        // Below INDEX_SCAN_CUTOFF every query folds the slice deque, so
-        // flush leaves deferred dirt alone; past the cutoff the next
-        // flush must repair before the first index visit, once a long
-        // query has had the tree built.
-        let mut st = store(StorePolicy::FingerTree, false);
-        let n = INDEX_SCAN_CUTOFF + 4;
-        for i in 0..n {
-            let t = i as Time * 10;
-            st.append_slice(Range::new(t, t + 10));
-            st.add_one(t, i as i64 + 1);
-        }
-        let full = Range::new(0, n as Time * 10);
-        let expect: i64 = (1..=n as i64).sum::<i64>() + 100;
-        st.add_out_of_order_run(0, &[(3, 100)]);
-        // Unbuilt: the late write leaves no dirt, a flush builds
-        // nothing, and the first long query scans.
-        assert!(!st.has_pending_repairs());
-        st.flush_eager_repairs();
-        assert!(!st.index_built());
-        assert_eq!(st.query_time(full), Some(expect), "scan before the build");
-        assert!(!st.index_built(), "a query alone built the index");
-        st.flush_eager_repairs();
-        assert!(st.index_built(), "flush after a long query did not build");
-        // A zero-valued late write dirties the built tree.
-        st.add_out_of_order_run(0, &[(4, 0)]);
-        assert!(st.has_pending_repairs(), "deferred write left no dirt");
-        st.flush_eager_repairs();
-        assert!(!st.has_pending_repairs(), "flush skipped a queryable index");
-        // Full range exceeds the cutoff: answered via the index.
-        assert_eq!(st.index.query(0, n), Some(Some(expect)), "index after repair");
-        assert_eq!(st.query_time(full), Some(expect), "query after repair");
     }
 
     /// Slices `[10 i, 10 i + 10)` for `i` in `from..to`, except every
@@ -1405,60 +1174,12 @@ mod tests {
     }
 
     #[test]
-    fn finger_store_without_long_queries_never_builds() {
-        // Hundreds of live slices, late writes, evictions, short-range
-        // queries and tumbling sweeps between flushes: nothing reads a
-        // long range, so the tree is never built and the store holds on
-        // the heap exactly what the lazy one holds.
-        let mut lazy = store(StorePolicy::Lazy, false);
-        let mut finger = store(StorePolicy::FingerTree, false);
-        for round in 0..6 {
-            let (from, to) = (round * 500, round * 500 + 500);
-            for st in [&mut lazy, &mut finger] {
-                fill_every_but_seventh(st, from, to);
-                let idx = st.len() / 2;
-                let ts = st.slice(idx).start() + 4;
-                st.add_out_of_order_run(idx, &[(ts, 1)]);
-                st.flush_eager_repairs();
-                st.evict_before((from - 400) * 10);
-            }
-            let short = Range::new(to * 10 - 300, to * 10);
-            assert_eq!(finger.query_time(short), lazy.query_time(short));
-            let tumbling: Vec<((), Range)> =
-                (from..to).map(|i| ((), Range::new(i * 10, i * 10 + 10))).collect();
-            let got = emitted::<SumI64>(&tumbling, |e| {
-                finger.query_time_batch(&runs_of(&tumbling), e);
-            });
-            assert_eq!(got, each(&lazy, &tumbling));
-            for _ in 0..3 {
-                finger.flush_eager_repairs();
-            }
-            assert!(!finger.index_built(), "round {round}: built without a long query");
-            assert!(!finger.has_pending_repairs());
-            assert!(finger.len() > INDEX_SCAN_CUTOFF);
-            assert_eq!(finger.heap_bytes(), lazy.heap_bytes(), "round {round}");
-        }
-    }
-
-    #[test]
-    fn finger_long_query_scans_then_the_next_flush_builds() {
+    fn eager_structural_ops_match_lazy_past_the_scan_cutoff() {
         // Tuples kept: a split needs them.
         let mut lazy = store(StorePolicy::Lazy, true);
-        let mut finger = store(StorePolicy::FingerTree, true);
-        for st in [&mut lazy, &mut finger] {
+        let mut eager = store(StorePolicy::Eager, true);
+        for st in [&mut lazy, &mut eager] {
             fill_every_but_seventh(st, 0, 300);
-            st.flush_eager_repairs();
-        }
-        let full = Range::new(0, 3_000);
-        // Before the build: the scan's answer, and a request for the tree.
-        assert_eq!(finger.query_time(full), lazy.query_time(full));
-        assert!(!finger.index_built());
-        finger.flush_eager_repairs();
-        assert!(finger.index_built(), "flush after a long query did not build");
-        assert!(!finger.has_pending_repairs());
-
-        // Structural operations and late writes against the built tree.
-        for st in [&mut lazy, &mut finger] {
             for gap in [3, 10, 17, 150, 297] {
                 let idx = st.insert_gap_slice(Range::new(gap * 10, gap * 10 + 10));
                 st.add_out_of_order_run(idx, &[(gap * 10 + 2, 1_000 + gap)]);
@@ -1471,63 +1192,16 @@ mod tests {
             assert!(st.split_at(1_505));
             // Slices 0..40, three of their six gaps filled above.
             assert_eq!(st.evict_before(400), 37);
-            st.flush_eager_repairs();
         }
-        assert_eq!(finger.len(), lazy.len());
-        assert!(!finger.has_pending_repairs());
-        let n = finger.len();
+        assert_eq!(eager.len(), lazy.len());
+        let n = eager.len();
+        let tree = eager.index.as_ref().unwrap();
         for l in (0..n).step_by(13) {
             for r in (l + INDEX_SCAN_CUTOFF + 1..=n).step_by(29) {
                 let want = lazy.query_slice_range(l, r);
-                assert_eq!(finger.index.query(l, r), Some(want), "tree [{l}, {r})");
-                assert_eq!(finger.query_slice_range(l, r), want, "query [{l}, {r})");
+                assert_eq!(tree.query(l, r), want, "tree [{l}, {r})");
+                assert_eq!(eager.query_slice_range(l, r), want, "query [{l}, {r})");
             }
-        }
-    }
-
-    #[test]
-    fn per_window_sweep_over_thousands_of_slices_builds_the_index() {
-        // Long windows over thousands of slices: the cost rule prices the
-        // index as built and picks per-window queries, whose long ranges
-        // ask for the tree; the next flush builds it.
-        let dense = |policy| {
-            let mut st = store(policy, false);
-            for i in 0..3_000 {
-                st.append_slice(Range::new(i * 10, i * 10 + 10));
-                st.add_one(i * 10, i % 13);
-            }
-            st.flush_eager_repairs();
-            st
-        };
-        let (lazy, mut finger) = (dense(StorePolicy::Lazy), dense(StorePolicy::FingerTree));
-        let windows: Vec<((), Range)> =
-            (0..12).map(|i| ((), Range::new((100 - i) * 10, (3_000 - i) * 10))).collect();
-        assert!(windows.len() >= MIN_BATCH_WINDOWS);
-        let want = each(&lazy, &windows);
-        for built in [false, true] {
-            assert_eq!(finger.index_built(), built);
-            let mut scanned = 0;
-            let got = emitted::<SumI64>(&windows, |e| {
-                scanned = finger.query_time_batch(&ones(&windows), e);
-            });
-            assert_eq!(scanned, 0, "the cost rule picked the scan");
-            assert_eq!(got, want);
-            finger.flush_eager_repairs();
-        }
-        assert!(finger.index_built());
-    }
-
-    #[test]
-    fn finger_matches_lazy() {
-        let lazy = filled(StorePolicy::Lazy, false);
-        let mut finger = filled(StorePolicy::FingerTree, false);
-        finger.flush_eager_repairs();
-        for (a, b) in [(0, 10), (10, 20), (20, 30), (0, 20), (10, 30), (0, 30)] {
-            assert_eq!(
-                lazy.query_time(Range::new(a, b)),
-                finger.query_time(Range::new(a, b)),
-                "range [{a}, {b})"
-            );
         }
     }
 
@@ -1640,7 +1314,7 @@ mod tests {
             windows.push(((), Range::new(start, 500)));
             windows.push(((), Range::new(start, 20_000)));
         }
-        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
             let mut sum = gappy(SumI64, policy);
             sum.flush_eager_repairs();
             batch_matches_each(&sum, &windows, &format!("sum {policy:?}"));
@@ -1676,7 +1350,7 @@ mod tests {
 
         // A single-slice store, asked the same window many times over
         // (enough to pass the batch threshold) plus misses on both sides.
-        let mut one = store(StorePolicy::FingerTree, false);
+        let mut one = store(StorePolicy::Eager, false);
         one.append_slice(Range::new(0, 10));
         one.add_one(3, 3);
         let mut windows = vec![((), Range::new(0, 10)); MIN_BATCH_WINDOWS + 2];
@@ -1708,7 +1382,7 @@ mod tests {
         let scanned = |st: &SliceStore<SumI64>, windows: &[((), Range)]| {
             st.query_time_batch(&runs_of(windows), |_, _, _| {})
         };
-        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
             let st = dense(policy, 600);
             // A sliding sweep: many long windows a slide apart.
             assert_eq!(scanned(&st, &windows_over(600, 300, 100)), 100, "{policy:?}");
@@ -1731,7 +1405,7 @@ mod tests {
         // A dozen windows over thousands of slices: an index answers
         // each in O(log d); a store without one folds each window's
         // slices, and there the scan's one pass wins.
-        let st = dense(StorePolicy::FingerTree, 3_000);
+        let st = dense(StorePolicy::Eager, 3_000);
         assert_eq!(scanned(&st, &windows_over(3_000, 2_900, 12)), 0);
         // Holistic partials are never scanned.
         let mut concat: SliceStore<Concat> = SliceStore::new(Concat, StorePolicy::Lazy, false);

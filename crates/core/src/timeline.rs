@@ -154,7 +154,7 @@ impl Timeline {
     /// its predecessor ends), so global indices map 1:1 onto disjoint
     /// covering time ranges.
     #[cfg(feature = "audit")]
-    pub fn assert_invariants(&self) {
+    pub(crate) fn assert_invariants(&self) {
         let mut prev_end: Option<Time> = None;
         for s in &self.slices {
             assert!(s.start < s.end, "slice [{}, {}) empty or inverted", s.start, s.end);

@@ -3,7 +3,7 @@
 //! operations against recomputation from scratch.
 
 use gss_core::testsupport::{Concat, SumI64};
-use gss_core::{AggregateFunction, FingerTree, FlatFat, Range, SliceStore, StorePolicy, Time};
+use gss_core::{AggregateFunction, FlatFat, Range, SliceStore, StorePolicy, Time};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -23,30 +23,6 @@ fn tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
             (0usize..64, -100i64..100).prop_map(|(i, v)| TreeOp::Insert(i, v)),
             (0usize..64).prop_map(TreeOp::Remove),
             (0usize..64, 0usize..64).prop_map(|(l, r)| TreeOp::Query(l, r)),
-        ],
-        1..200,
-    )
-}
-
-#[derive(Debug, Clone)]
-enum FingerOp {
-    Push(i64),
-    Update(usize, i64),
-    Insert(usize, i64),
-    Remove(usize),
-    RemovePrefix(usize),
-    Query(usize, usize),
-}
-
-fn finger_ops() -> impl Strategy<Value = Vec<FingerOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (-100i64..100).prop_map(FingerOp::Push),
-            (0usize..64, -100i64..100).prop_map(|(i, v)| FingerOp::Update(i, v)),
-            (0usize..64, -100i64..100).prop_map(|(i, v)| FingerOp::Insert(i, v)),
-            (0usize..64).prop_map(FingerOp::Remove),
-            (0usize..64).prop_map(FingerOp::RemovePrefix),
-            (0usize..64, 0usize..64).prop_map(|(l, r)| FingerOp::Query(l, r)),
         ],
         1..200,
     )
@@ -98,77 +74,6 @@ proptest! {
         }
     }
 
-    /// The finger B-tree agrees with a plain vector model under
-    /// arbitrary operation sequences — the same harness FlatFAT is
-    /// pinned by, plus bulk `remove_prefix` evictions. Every write
-    /// defers its spine repair, so writes pile up dirt between reads,
-    /// each read (a range query and the total) repairs first, and
-    /// structural invariants are checked after every step.
-    #[test]
-    fn finger_tree_matches_linear_model(ops in finger_ops()) {
-        let mut tree = FingerTree::new(SumI64);
-        let mut model: Vec<i64> = Vec::new();
-        for op in ops {
-            match op {
-                FingerOp::Push(v) => {
-                    tree.push(Some(v));
-                    model.push(v);
-                }
-                FingerOp::Update(i, v) if !model.is_empty() => {
-                    let i = i % model.len();
-                    tree.update(i, Some(v));
-                    model[i] = v;
-                }
-                FingerOp::Insert(i, v) => {
-                    let i = i % (model.len() + 1);
-                    tree.insert(i, Some(v));
-                    model.insert(i, v);
-                }
-                FingerOp::Remove(i) if !model.is_empty() => {
-                    let i = i % model.len();
-                    tree.remove(i);
-                    model.remove(i);
-                }
-                FingerOp::RemovePrefix(k) => {
-                    let k = k % (model.len() + 1);
-                    tree.remove_prefix(k);
-                    model.drain(..k);
-                }
-                FingerOp::Query(l, r) if !model.is_empty() => {
-                    tree.repair_dirty();
-                    tree.assert_invariants();
-                    let l = l % (model.len() + 1);
-                    let r = l + (r % (model.len() - l + 1));
-                    let expect: Option<i64> =
-                        if l == r { None } else { Some(model[l..r].iter().sum()) };
-                    prop_assert_eq!(tree.query(l, r), expect);
-                    prop_assert_eq!(tree.total().copied(), Some(model.iter().sum()));
-                }
-                _ => {}
-            }
-            tree.assert_invariants();
-            prop_assert_eq!(tree.len(), model.len());
-        }
-        tree.repair_dirty();
-        let total: Option<i64> = if model.is_empty() { None } else { Some(model.iter().sum()) };
-        prop_assert_eq!(tree.total().copied(), total);
-    }
-
-    /// The finger B-tree preserves leaf order for non-commutative
-    /// combines (same pin as FlatFAT's).
-    #[test]
-    fn finger_tree_order_preserving(values in prop::collection::vec(0i64..100, 1..64)) {
-        let mut tree = FingerTree::new(Concat);
-        for v in &values {
-            tree.push(Some(vec![*v]));
-        }
-        tree.repair_dirty();
-        prop_assert_eq!(tree.query(0, values.len()), Some(values.clone()));
-        let mid = values.len() / 2;
-        prop_assert_eq!(tree.query(0, mid).unwrap_or_default(), values[..mid].to_vec());
-        prop_assert_eq!(tree.query(mid, values.len()).unwrap_or_default(), values[mid..].to_vec());
-    }
-
     /// FlatFAT preserves leaf order for non-commutative combines.
     #[test]
     fn flatfat_order_preserving(values in prop::collection::vec(0i64..100, 1..64)) {
@@ -215,10 +120,7 @@ proptest! {
     }
 
     /// Store query over any aligned range equals a scan over all stored
-    /// tuples, lazy and eager alike. Each store is asked twice with a
-    /// flush between: a long range first reaches a finger store before
-    /// its tree is built (the slice scan answers), then after the build
-    /// (the tree answers).
+    /// tuples, lazy and eager alike.
     #[test]
     fn store_range_queries_match_scan(
         tuples in prop::collection::vec((0i64..100, -50i64..50), 1..200),
@@ -228,7 +130,7 @@ proptest! {
     ) {
         let mut sorted = tuples.clone();
         sorted.sort();
-        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
             let mut store = SliceStore::new(SumI64, policy, false);
             let mut next_edge = slice_len;
             store.append_slice(Range::new(0, slice_len));
@@ -248,11 +150,8 @@ proptest! {
                 .filter(|(ts, _)| *ts >= start && *ts < end)
                 .map(|(_, v)| v)
                 .sum();
-            for ask in ["before flush", "after flush"] {
-                let got = store.query_time(Range::new(start, end)).unwrap_or(0);
-                prop_assert_eq!(got, expect, "{:?} [{}, {}) {}", policy, start, end, ask);
-                store.flush_eager_repairs();
-            }
+            let got = store.query_time(Range::new(start, end)).unwrap_or(0);
+            prop_assert_eq!(got, expect, "{:?} [{}, {})", policy, start, end);
         }
     }
 
@@ -544,9 +443,9 @@ proptest! {
     #[test]
     fn kept_tuple_store_matches_a_vec_per_slice_model(
         ops in prop::collection::vec((0u8..10, 0u64..u64::MAX, 0u64..u64::MAX, -50i64..50), 1..120),
-        policy in 0usize..3,
+        policy in 0usize..2,
     ) {
-        let policy = [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree][policy];
+        let policy = [StorePolicy::Lazy, StorePolicy::Eager][policy];
         store_matches_model(Concat, policy, &ops)?;
         store_matches_model(SumI64, policy, &ops)?;
     }

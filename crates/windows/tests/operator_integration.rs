@@ -644,7 +644,7 @@ fn sweep_stats_attribute_windows_to_the_path_that_answered_them() {
         }
         (op, out)
     };
-    for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
         let (op, out) = sliding(policy, false);
         let s = *op.stats();
         assert_eq!(s.sweeps, 40, "{policy:?}");

@@ -8,7 +8,7 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`core`] — slices, the merge/split/update operations, the slice
-//!   store with its lazy, eager and finger-tree index policies, and the
+//!   store with its lazy and eager policies, and the
 //!   [`core::WindowOperator`] combining stream
 //!   slicer, slice manager, and window manager;
 //! * [`aggregates`] — lift/combine/lower/invert aggregate functions (sum,

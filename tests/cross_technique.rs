@@ -244,7 +244,7 @@ fn a_tuple_ahead_of_the_data_but_behind_the_sweep_revises_in_every_technique() {
     let plain = |v: i64| v;
     let value = |v: &i64| *v;
 
-    for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
         let mut op = SlicingOp::new(Sum, OperatorConfig::out_of_order(100).with_policy(policy));
         op.add_query(window()).unwrap();
         assert_eq!(late_probe(&mut op, plain, value), want, "general slicing, {policy:?}");
@@ -276,7 +276,7 @@ fn a_tuple_ahead_of_the_data_but_behind_the_sweep_revises_in_every_technique() {
 #[test]
 fn an_in_order_tuple_behind_a_punctuation_is_dropped_and_counted() {
     let want = [(Range::new(0, 10), 10, false), (Range::new(30, 40), 30, false)];
-    for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
         for batched in [false, true] {
             let mut op = SlicingOp::new(Sum, OperatorConfig::in_order().with_policy(policy));
             op.add_query(Box::new(TumblingWindow::new(10))).unwrap();
@@ -478,4 +478,48 @@ fn memory_ordering_matches_table1() {
         buffer * 2 < tuple_buckets,
         "tuple buckets ({tuple_buckets}) replicate tuples vs buffer ({buffer})"
     );
+}
+
+/// In order, a count edge at a tied timestamp cuts a zero-width slice
+/// `[t, t)` at a time window's start: it holds the tuples before the cut,
+/// and every window starting at `t` covers it. Tumbling 2 and count
+/// tumbling 2 over ts 0, 0, 0, 2 give [0, 2) = 1 + 2 + 4; with a session
+/// of gap 2 over ts 1, 1, 1, 3, the session [1, 3) = 7. Lazy and eager
+/// stores, per tuple and batched.
+#[test]
+fn a_zero_width_slice_at_a_window_start_is_in_the_window() {
+    let windows = |session: bool| {
+        let mut w: Vec<Box<dyn WindowFunction>> =
+            vec![Box::new(TumblingWindow::new(2)), Box::new(CountTumblingWindow::new(2))];
+        if session {
+            w.push(Box::new(SessionWindow::new(2)));
+        }
+        w
+    };
+    let cells = [(false, 0, Range::new(0, 2), 0), (true, 1, Range::new(1, 3), 2)];
+    for (session, t0, want_range, query) in cells {
+        let times = [t0, t0, t0, t0 + 2];
+        let values = [1, 2, 4, 8];
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
+            for batched in [false, true] {
+                let mut op = SlicingOp::new(Sum, OperatorConfig::in_order().with_policy(policy));
+                for w in windows(session) {
+                    op.add_query(w).unwrap();
+                }
+                let mut out = Vec::new();
+                if batched {
+                    op.process_batch_columns(&times, &values, &mut out);
+                } else {
+                    times.iter().zip(values).for_each(|(&ts, v)| op.process_tuple(ts, v, &mut out));
+                }
+                op.process_punctuation(t0 + 10, &mut out);
+                let got: Vec<_> = out
+                    .iter()
+                    .filter(|r| r.query == query && r.range == want_range)
+                    .map(|r| r.value)
+                    .collect();
+                assert_eq!(got, [7], "session: {session}, {policy:?}, batched: {batched}: {out:?}");
+            }
+        }
+    }
 }

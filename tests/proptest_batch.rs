@@ -2,8 +2,8 @@
 //! technique, [`WindowAggregator::process_batch`] must produce the
 //! *identical* result stream to per-tuple [`WindowAggregator::process`]
 //! — same windows, same values, same order — across random batch sizes,
-//! in-order and out-of-order inputs, lazy, eager, and finger-tree
-//! stores, and context-free, context-aware, and count-based queries.
+//! in-order and out-of-order inputs, lazy and eager stores, and
+//! context-free, context-aware, and count-based queries.
 //!
 //! The second block pins the bulk-fold kernels against the lane-kernel
 //! reassociation policy (`gss_aggregates::lanes`): integer and pair-input
@@ -136,7 +136,6 @@ fn techniques(
     vec![
         ("lazy", slicing(StorePolicy::Lazy), slicing(StorePolicy::Lazy)),
         ("eager", slicing(StorePolicy::Eager), slicing(StorePolicy::Eager)),
-        ("finger", slicing(StorePolicy::FingerTree), slicing(StorePolicy::FingerTree)),
         ("buckets", buckets(BucketMode::Aggregate), buckets(BucketMode::Aggregate)),
         ("tuple-buckets", buckets(BucketMode::Tuple), buckets(BucketMode::Tuple)),
         ("tuple-buffer", tuple_buffer(), tuple_buffer()),
@@ -228,8 +227,8 @@ proptest! {
 
     /// The PR 2 out-of-order grid (paper Figure 11 setup): allowed
     /// lateness {0, 50, 500} × disorder {0%, 5%, 10%, 15%, 20%, 50%} ×
-    /// batch sizes {1, 64, 512, 4096}, lazy, eager, and finger-tree
-    /// stores. The batch loop — stretches committed from the columns,
+    /// batch sizes {1, 64, 512, 4096}, lazy and eager stores. The batch
+    /// loop — stretches committed from the columns,
     /// late tuples deferred and written slice by slice, the rest of a
     /// batch partitioned once more than an eighth of it was late (10 %
     /// and 15 % lie on either side) — must emit a bit-identical result
@@ -311,15 +310,13 @@ proptest! {
     /// five orders of magnitude above the slice width (slide 1..4 over a
     /// ~6_000 tick span anchored at both ends), so *nothing* is ever
     /// evicted and the whole timeline stays live — thousands of slices.
-    /// Windows span up to 79 slices, past the finger store's
-    /// `INDEX_SCAN_CUTOFF` (32): the first long window a query answers
-    /// on its own (a late update, or a sweep too small to scan) asks for
-    /// the tree, the next flush builds it mid-stream from the slices,
-    /// and deep out-of-order arrivals (delays up to 3_000 ticks) then
-    /// land as deferred writes in the built tree, repaired before the
-    /// next long window reads it. Lazy, eager, and finger stores must
-    /// emit bit-identical result streams on both the per-tuple and the
-    /// batched drivers.
+    /// Windows span up to 79 slices, past the store's `INDEX_SCAN_CUTOFF`
+    /// (32): a long window the eager store answers on its own (a late
+    /// update, or a sweep too small to scan) reads its FlatFAT, into
+    /// which deep out-of-order arrivals (delays up to 3_000 ticks) are
+    /// written through. The eager store must emit the lazy store's
+    /// result stream bit for bit, on both the per-tuple and the batched
+    /// drivers.
     #[test]
     fn long_lateness_stores_bit_identical(
         raw in prop::collection::vec((0i64..6_000, -50i64..50), 40..160),
@@ -346,7 +343,7 @@ proptest! {
         let queries: Vec<Box<dyn Fn() -> Box<dyn WindowFunction>>> = vec![
             Box::new(move || Box::new(SlidingWindow::new(length, slide))),
         ];
-        let stores = [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree];
+        let stores = [StorePolicy::Lazy, StorePolicy::Eager];
         let drive = |policy: StorePolicy, batched: bool| {
             let mut op = WindowOperator::new(
                 Sum,
@@ -435,7 +432,7 @@ fn half_late_stream(seed: u64, max_delay: u64, late_first: bool) -> Vec<(Time, i
         .collect()
 }
 
-/// Batched = per-tuple for one function over all three stores: the same
+/// Batched = per-tuple for one function over both stores: the same
 /// emission sequence, the same slices left behind, and every emitted
 /// window equal to a fold of its tuples in event-time order (ties in
 /// arrival order) — what the paper's semantics say it is. Watermarks
@@ -512,7 +509,7 @@ where
         let folded = fold.map(|p| f.lower(&p));
         prop_assert_eq!(folded.as_ref(), Some(value), "[{}, {})", start, end);
     }
-    for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
         for size in [1, batch_size] {
             let (rows, slices, stats) = drive(policy, size);
             prop_assert_eq!(&rows, &want, "{:?} batch {}: results", policy, size);
@@ -627,7 +624,7 @@ proptest! {
                 .collect();
             (out.iter().map(sweep_row).collect::<Vec<_>>(), slices, *op.stats())
         };
-        for policy in [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree] {
+        for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
             let (pairs, columns) = (drive(policy, false), drive(policy, true));
             prop_assert_eq!(&pairs.0, &columns.0, "{:?}: emission sequence", policy);
             prop_assert_eq!(&pairs.1, &columns.1, "{:?}: slices", policy);
@@ -733,7 +730,7 @@ proptest! {
     fn shared_scan_emission_sequence_matches_per_window(
         raw in prop::collection::vec((0i64..3_000, -50i64..50), 20..200),
         mix in 0usize..4,
-        policy_i in 0usize..3,
+        policy_i in 0usize..2,
         in_order_i in 0usize..2,
         slide in 1i64..12,
         sliding_queries in 2i64..9,
@@ -742,7 +739,7 @@ proptest! {
         batch_i in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        let policy = [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree][policy_i];
+        let policy = [StorePolicy::Lazy, StorePolicy::Eager][policy_i];
         let batch_size = [1usize, 16, 512][batch_i];
         let in_order = in_order_i == 0;
         // Nothing is dropped (delays stay far below the lateness), and a
@@ -1197,14 +1194,14 @@ proptest! {
         base in 3i64..12,
         extra in 0usize..4,
         punctuate_every in 0usize..40,
-        policy_i in 0usize..3,
+        policy_i in 0usize..2,
         in_order_i in 0usize..3,
         fraction in 5u8..50,
         stride_i in 0usize..3,
         batch_i in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        let policy = [StorePolicy::Lazy, StorePolicy::Eager, StorePolicy::FingerTree][policy_i];
+        let policy = [StorePolicy::Lazy, StorePolicy::Eager][policy_i];
         let batch_size = [1usize, 16, 512][batch_i];
         let in_order = in_order_i == 0;
         let kept: Vec<(Time, i64)> = raw
