@@ -8,13 +8,22 @@
 //! the `fold_kernels_match_default` test and the proptest equivalence grid
 //! both pin.
 
+use gss_core::tier::Tier;
 use gss_core::{cast, AggregateFunction, FunctionKind, FunctionProperties};
 
-/// Integer-sum kernel shared by [`Sum`] and [`SumNoInvert`]: a plain
-/// reduction loop with a bare accumulator, vectorizable because there is
-/// no per-element `Option` check or branch.
+/// Integer-sum kernel shared by [`Sum`], [`SumNoInvert`] and [`Avg`]: a
+/// plain reduction loop with a bare accumulator, vectorizable because
+/// there is no per-element `Option` check or branch. A run of
+/// `WIDE_MIN_RUN` tuples or more takes the loop's AVX-512F copy where the
+/// CPU has it.
 #[inline]
 fn sum_kernel(values: &[i64]) -> Option<i64> {
+    sum_loop::at(Tier::for_run(values.len()), values)
+}
+
+/// The body of [`sum_kernel`].
+#[inline(always)]
+pub(crate) fn sum_loop(values: &[i64]) -> Option<i64> {
     if values.is_empty() {
         return None;
     }
@@ -24,6 +33,7 @@ fn sum_kernel(values: &[i64]) -> Option<i64> {
     }
     Some(acc)
 }
+gss_core::tiered!(pub(crate) fn sum_loop(values: &[i64]) -> Option<i64>);
 
 /// Tuple count. Distributive, commutative, invertible.
 #[derive(Debug, Clone, Copy, Default)]

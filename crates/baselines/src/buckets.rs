@@ -133,9 +133,12 @@ impl<A: AggregateFunction> Buckets<A> {
             ranges.clear();
             match q.measure() {
                 Measure::Time => q.window.windows_containing(ts, &mut |r| ranges.push(r)),
-                Measure::Count => {
-                    q.window.windows_containing(count_pos as Time, &mut |r| ranges.push(r))
-                }
+                // No count window starts before the first tuple's count 0.
+                Measure::Count => q.window.windows_containing(count_pos as Time, &mut |r| {
+                    if r.start >= 0 {
+                        ranges.push(r)
+                    }
+                }),
             }
             let Some(per_query) = buckets.get_mut(&q.id) else {
                 continue;

@@ -32,6 +32,10 @@
 //!   kernels *guarantee* the vectorized floor instead of hoping for it
 //!   (see EXPERIMENTS.md).
 //!
+//! Every kernel with an AVX-512F copy (`gss_core::tier`) takes it at
+//! each of these run lengths on a CPU that has the feature; the first
+//! stderr line and `BENCH_fold.json`'s `tier` say which copy ran.
+//!
 //! Filters for iteration and CI smokes, mirroring the ooo bin's
 //! `--store`/`--ooo`: `--function <name>` benches one function,
 //! `--run-len <n>` one run length. Any filter skips the pipeline sweep
@@ -60,6 +64,7 @@ use gss_aggregates::{
     ArgMax, ArgMin, Avg, CountAgg, Max, MaxCount, Min, MinCount, SampleStdDev, Sum, M4,
 };
 use gss_bench::{fmt_tput, scale, BenchJson, Output};
+use gss_core::tier::{Tier, WIDE_MIN_RUN};
 use gss_core::{
     AggregateFunction, OperatorConfig, StreamElement, Time, WindowAggregator, WindowOperator,
 };
@@ -289,6 +294,10 @@ fn main() {
     let fun = function_filter();
     let run_lens = run_len_filter();
     let pick = |name: &str| fun.is_none_or(|want| want == name);
+    eprintln!(
+        "fold: tier {} (kernels with a wide copy take it from {WIDE_MIN_RUN} elements on)",
+        Tier::widest().name()
+    );
 
     let mut out = Output::new(
         "fold",
@@ -389,6 +398,8 @@ fn write_json(kernels: &[KernelRow], pipe: &[PipeRow]) {
          run_keyed sliding(10s,1s) sum over 64 keys comparing fixed and adaptive batching",
     );
     let f = j.file();
+    writeln!(f, "  \"tier\": \"{}\",", Tier::widest().name()).unwrap();
+    writeln!(f, "  \"wide_min_run\": {WIDE_MIN_RUN},").unwrap();
     writeln!(
         f,
         "  \"note\": \"default = per-element lift/combine through non-inlinable calls (the \

@@ -60,11 +60,19 @@ fn store_filter() -> Vec<(StorePolicy, &'static str)> {
         if a == "--store" {
             let want = args.next().unwrap_or_default();
             let picked: Vec<_> = STORES.iter().copied().filter(|&(_, name)| name == want).collect();
-            assert!(!picked.is_empty(), "unknown store {want:?}; expected one of lazy, eager");
+            if picked.is_empty() {
+                usage_error(&format!("unknown store {want:?}; expected one of lazy, eager"));
+            }
             return picked;
         }
     }
     STORES.to_vec()
+}
+
+/// Ends the run on a bad option: one line on stderr, exit code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("ooo: {msg}");
+    std::process::exit(2)
 }
 
 /// The cells of the sweep: the four disorder fractions, then `outage`.
@@ -77,7 +85,9 @@ fn cell_filter() -> Vec<&'static str> {
         if a == "--ooo" {
             let want = args.next().unwrap_or_default();
             let picked: Vec<_> = CELLS.iter().copied().filter(|&c| c == want).collect();
-            assert!(!picked.is_empty(), "--ooo must be one of {CELLS:?}, got {want:?}");
+            if picked.is_empty() {
+                usage_error(&format!("unknown --ooo cell {want:?}; expected one of {CELLS:?}"));
+            }
             return picked;
         }
     }
@@ -173,9 +183,10 @@ struct Row {
 }
 
 fn main() {
+    let cells = cell_filter();
+    let stores = store_filter();
     let base = (1_000_000.0 * scale()) as usize;
     let tuples = FootballGenerator::new(FootballConfig::default()).take(base);
-    let cells = cell_filter();
 
     let mut out = Output::new(
         "ooo",
@@ -188,7 +199,6 @@ fn main() {
     // across the stores: every store's rep k runs back-to-back with the
     // others', and slow machine drift (load, thermal) lands *across*
     // cells instead of skewing one store.
-    let stores = store_filter();
     for &name in &cells {
         let cell = match name.parse() {
             Ok(fraction) => disorder_cell(&tuples, fraction),
@@ -255,7 +265,7 @@ fn main() {
     out.finish();
     // A filtered run (`--store` / `--ooo`) is for iteration; only a
     // full sweep may overwrite the checked-in benchmark summary.
-    if store_filter().len() == STORES.len() && cells.len() == CELLS.len() {
+    if stores.len() == STORES.len() && cells.len() == CELLS.len() {
         let stores: Vec<&str> = STORES.iter().map(|&(_, name)| name).collect();
         write_json(&stores, &rows);
     } else {

@@ -8,6 +8,7 @@
 
 use crate::function::AggregateFunction;
 use crate::result::WindowResult;
+use crate::tier::{Tier, WIDE_MIN_RUN};
 use crate::time::{Time, TIME_MIN};
 
 /// A drop-in window aggregation operator: feed it tuples and watermarks, it
@@ -106,14 +107,30 @@ const RUN_BLOCK: usize = 8;
 /// state change (slice edge, window completion), so the whole run can be
 /// folded with one state touch and exact per-tuple semantics.
 ///
-/// The scan tests a block of [`RUN_BLOCK`] times per branch: the block
+/// The first [`WIDE_MIN_RUN`] times are scanned by the portable copy of
+/// [`run_scan`]; a run that reaches them continues in the copy
+/// [`Tier::for_run`] picks, from its last tuple on: that tuple is below
+/// `bound`, so the continuation counts it again and nothing else.
+#[inline]
+pub(crate) fn column_run_len(times: &[Time], bound: Time) -> usize {
+    let n = run_scan(&times[..times.len().min(WIDE_MIN_RUN)], bound);
+    if n < WIDE_MIN_RUN {
+        return n;
+    }
+    n - 1 + run_scan::at(Tier::for_run(n), &times[n - 1..], bound)
+}
+
+/// The run scan of [`column_run_len`], over all of `times`.
+///
+/// It tests a block of [`RUN_BLOCK`] times per branch: the block
 /// joins the run when its first time is at least the previous block's
 /// last (the seam), each time is at least its predecessor, and its last
 /// time is below `bound` — a non-decreasing block whose last time is below
 /// the bound lies wholly below it. The first block that fails, and a tail
 /// shorter than a block, go through the one-tuple loop, which finds the
 /// exact stop inside them.
-pub(crate) fn column_run_len(times: &[Time], bound: Time) -> usize {
+#[inline(always)]
+fn run_scan(times: &[Time], bound: Time) -> usize {
     let mut prev = TIME_MIN;
     let mut n = 0;
     for c in times.chunks_exact(RUN_BLOCK) {
@@ -136,6 +153,7 @@ pub(crate) fn column_run_len(times: &[Time], bound: Time) -> usize {
     }
     n
 }
+crate::tiered!(fn run_scan(times: &[Time], bound: Time) -> usize);
 
 #[cfg(test)]
 mod tests {
@@ -171,6 +189,50 @@ mod tests {
                 one_at_a_time(times, bound),
                 "{times:?} below {bound}"
             );
+        }
+    }
+
+    /// The two copies of the run scan return the same length, and the
+    /// tiered `column_run_len` the one-tuple scan's, on seeded random
+    /// columns of every length up to twice the threshold and 17 more:
+    /// ascending with ties, with the domain's extremes, with a descent at
+    /// every position and with the bound at every element.
+    #[test]
+    fn tier_copies_of_the_run_scan_agree() {
+        let wide = Tier::widest();
+        if !wide.is_wide() {
+            println!("no AVX-512F on this CPU: skipped the wide copy of the run scan");
+        }
+        let check_tiers = |times: &[Time], bound: Time| {
+            let want = one_at_a_time(times, bound);
+            assert_eq!(run_scan::at(Tier::PORTABLE, times, bound), want, "{times:?} below {bound}");
+            assert_eq!(run_scan::at(wide, times, bound), want, "{times:?} below {bound}");
+            assert_eq!(column_run_len(times, bound), want, "{times:?} below {bound}");
+        };
+        let mut rng = StdRng::seed_from_u64(52);
+        for len in 0..=2 * WIDE_MIN_RUN + 17 {
+            let mut ascending = Vec::with_capacity(len);
+            let mut t: Time = rng.gen_range(-1_000..1_000);
+            for _ in 0..len {
+                ascending.push(t);
+                t += rng.gen_range(0..3);
+            }
+            if len > 2 {
+                ascending[0] = TIME_MIN;
+                ascending[len - 1] = TIME_MAX;
+            }
+            let mut bounds = vec![TIME_MIN, TIME_MAX];
+            bounds.extend(ascending.iter().map(|&t| t.saturating_add(1)));
+            bounds.extend(ascending.iter().copied());
+            for &bound in &bounds {
+                check_tiers(&ascending, bound);
+            }
+            for at in 1..len {
+                let mut times = ascending.clone();
+                times[at] = times[at - 1].saturating_sub(1);
+                check_tiers(&times, TIME_MAX);
+                check_tiers(&times, times[len - 1]);
+            }
         }
     }
 

@@ -80,6 +80,7 @@ pub mod result;
 pub mod slice;
 pub mod store;
 pub mod testsupport;
+pub mod tier;
 pub mod time;
 pub mod timeline;
 pub mod window;

@@ -523,3 +523,29 @@ fn a_zero_width_slice_at_a_window_start_is_in_the_window() {
         }
     }
 }
+
+/// Count sliding (3, 1) over one tuple at ts 0, then a watermark at 1:
+/// no count window starts before count 0, so no technique emits one, in
+/// order or out of order. Both Buckets modes once emitted `[-2, 1) = 1`.
+#[test]
+fn no_count_window_starts_before_count_zero() {
+    let run = |agg: &mut dyn WindowAggregator<Sum>| {
+        let mut out = Vec::new();
+        agg.process(0, 1, &mut out);
+        agg.on_watermark(1, &mut out);
+        out.iter().map(|r| (r.range, r.value)).collect::<Vec<_>>()
+    };
+    for (order, config) in [
+        (StreamOrder::InOrder, OperatorConfig::in_order()),
+        (StreamOrder::OutOfOrder, OperatorConfig::out_of_order(10)),
+    ] {
+        let mut op = SlicingOp::new(Sum, config);
+        op.add_query(Box::new(CountSlidingWindow::new(3, 1))).unwrap();
+        assert_eq!(run(&mut op), [], "slicing, {order:?}");
+        for mode in [BucketMode::Aggregate, BucketMode::Tuple] {
+            let mut bk = Buckets::new(Sum, mode, order, 10);
+            bk.add_query(Box::new(CountSlidingWindow::new(3, 1)));
+            assert_eq!(run(&mut bk), [], "buckets {mode:?}, {order:?}");
+        }
+    }
+}
