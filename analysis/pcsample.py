@@ -13,6 +13,16 @@ binary's own unsymbolled code as `[bench, no symbol]`. The mappings are
 read while the command is stopped at a sample, whenever a sample falls
 outside the ones known so far: an exited process has none left.
 
+A sample in a shared library is folded by the library's dynamic symbol
+(`nm -D -S` on the file, the address taken from the start of the
+library's offset-0 mapping): `[libc.so.6] syscall`. Such a sample also
+reads the word at `rsp` while the command is stopped. In a leaf (a
+`syscall`, a `memcpy`) that word is the return address, so each library
+line is followed by the functions that hold it, labelled as a leaf's
+return address: a futex wait then names the code that parked the thread.
+In a function that has pushed a frame the word is something else and
+seldom lands in a function.
+
     analysis/pcsample.py [--top N] [--offsets K] [--lines SUBSTR] -- <command> [args...]
 
 --top: how many functions to print (default 25). --offsets K: the K
@@ -55,6 +65,7 @@ import subprocess
 import sys
 import time
 
+PTRACE_PEEKDATA = 2
 PTRACE_CONT = 7
 PTRACE_GETREGS = 12
 PTRACE_SEIZE = 0x4206
@@ -64,8 +75,9 @@ WALL = 0x40000000
 INTERVAL_S = 0.001
 # How long a live process may take to map its binary before attaching fails.
 ATTACH_S = 2.0
-# Index of `rip` in x86-64 `struct user_regs_struct` (27 words).
+# Indices of `rip` and `rsp` in x86-64 `struct user_regs_struct` (27 words).
 RIP = 16
+RSP = 19
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
@@ -78,13 +90,23 @@ def ptrace(request, pid, addr=None, data=None):
         raise OSError(err, f"ptrace({request:#x}, {pid}): {os.strerror(err)}")
 
 
+def peek(pid, addr):
+    """The word at `addr` in the stopped `pid`, or None if it cannot be read."""
+    ctypes.set_errno(0)
+    word = libc.ptrace(PTRACE_PEEKDATA, pid, addr, None)
+    if word == -1 and ctypes.get_errno() != 0:
+        return None
+    return word & 0xFFFF_FFFF_FFFF_FFFF
+
+
 class Mappings:
     """The address ranges of a live process, each with the name of what backs it."""
 
     def __init__(self, pid):
         self.pid = pid
-        self.by_start = {}  # start -> (end, name)
+        self.by_start = {}  # start -> (end, name, backing file or None)
         self.starts = []
+        self.bases = {}  # backing file -> start of its offset-0 mapping
 
     def note(self, addr):
         """Rereads the maps if `addr` lies outside every range known; call while the process lives."""
@@ -96,23 +118,34 @@ class Mappings:
                     fields = line.split(maxsplit=5)
                     start, end = (int(x, 16) for x in fields[0].split("-"))
                     backing = fields[5].strip() if len(fields) == 6 else "[anonymous]"
-                    name = backing if backing.startswith("[") else f"[{os.path.basename(backing)}]"
-                    self.by_start[start] = (end, name)
+                    path = None if backing.startswith("[") else backing
+                    name = f"[{os.path.basename(path)}]" if path else backing
+                    self.by_start[start] = (end, name, path)
+                    if path and int(fields[2], 16) == 0:
+                        self.bases[path] = min(start, self.bases.get(path, start))
         except OSError:
             return  # exiting: the sample folds as unmapped
         self.starts = sorted(self.by_start)
 
     def name(self, addr):
         """`[name]` of the mapping that held `addr` (None if no known one did)."""
+        found = self.mapping(addr)
+        return found[1] if found else None
+
+    def mapping(self, addr):
+        """(end, name, backing file or None) of the mapping that held `addr`."""
         i = bisect.bisect_right(self.starts, addr) - 1
         if i < 0:
             return None
-        end, name = self.by_start[self.starts[i]]
-        return name if addr < end else None
+        found = self.by_start[self.starts[i]]
+        return found if addr < found[0] else None
 
 
-def sample(pid, rips, maps):
-    """Appends `pid`'s rip to `rips` every interval until it exits; returns its wait status."""
+def sample(pid, exe, rips, stacks, maps):
+    """Appends `pid`'s rip to `rips` every interval until it exits; returns its wait status.
+
+    A sample outside `exe` also records the word at its `rsp` in
+    `stacks[rip]`."""
     regs = (ctypes.c_ulong * 27)()
     while True:
         time.sleep(INTERVAL_S)
@@ -129,8 +162,14 @@ def sample(pid, rips, maps):
                 break
             ptrace(PTRACE_CONT, pid, None, os.WSTOPSIG(status))
         ptrace(PTRACE_GETREGS, pid, None, ctypes.addressof(regs))
-        rips.append(regs[RIP])
-        maps.note(regs[RIP])
+        rip = regs[RIP]
+        rips.append(rip)
+        maps.note(rip)
+        held = maps.mapping(rip)
+        if held and held[2] and held[2] != exe:
+            word = peek(pid, regs[RSP])
+            if word is not None:
+                stacks[rip].append(word)
         ptrace(PTRACE_CONT, pid)
 
 
@@ -173,37 +212,76 @@ def attach(child):
             time.sleep(INTERVAL_S / 10)
 
 
-def symbols(exe):
-    """Sorted (start, size, name) of the binary's sized text symbols."""
-    out = subprocess.run(
-        ["nm", "-S", "-C", "--defined-only", exe], capture_output=True, text=True, check=True
-    ).stdout
-    syms = []
-    for line in out.splitlines():
-        parts = line.split(" ", 3)
-        if len(parts) == 4 and parts[2] in "tTwW":
-            syms.append((int(parts[0], 16), int(parts[1], 16), parts[3]))
-    syms.sort()
-    return syms
+class Symbols:
+    """Sorted (start, size, name) of a file's sized text symbols, by `nm -S`
+    (`dynamic`: its dynamic symbols, `nm -D`, all a stripped library has)."""
+
+    def __init__(self, path, dynamic=False):
+        flags = ["-D"] if dynamic else []
+        run = subprocess.run(
+            ["nm", *flags, "-S", "-C", "--defined-only", path],
+            capture_output=True,
+            text=True,
+            check=not dynamic,
+        )
+        syms = []
+        for line in run.stdout.splitlines():
+            parts = line.split(" ", 3)
+            if len(parts) == 4 and parts[2] in "tTwWiI":
+                # `name@@VERSION` of a versioned dynamic symbol: the name.
+                syms.append((int(parts[0], 16), int(parts[1], 16), parts[3].split("@")[0]))
+        syms.sort()
+        self.syms = syms
+        self.starts = [s[0] for s in syms]
+
+    def find(self, a):
+        """(start, name) of the symbol holding the file address `a`, or None."""
+        i = bisect.bisect_right(self.starts, a) - 1
+        if i >= 0 and a < self.syms[i][0] + self.syms[i][1]:
+            return self.syms[i][0], self.syms[i][2]
+        return None
 
 
-def fold(rips, bias, syms, maps, exe):
-    """Counts runtime addresses by the binary's function, else by mapping."""
-    starts = [s[0] for s in syms]
+def fold(rips, stacks, bias, syms, maps, exe):
+    """Counts runtime addresses by the binary's function, else by a
+    library's dynamic symbol, else by mapping; and, per library line, the
+    functions holding the word at `rsp` (a leaf's return address)."""
     by_fn = collections.Counter()
     offsets = collections.defaultdict(collections.Counter)
+    returns = collections.defaultdict(collections.Counter)
+    libs = {}
+
+    def lib_symbol(addr):
+        held = maps.mapping(addr)
+        if not held or not held[2] or held[2] == exe or held[2] not in maps.bases:
+            return None
+        path = held[2]
+        if path not in libs:
+            libs[path] = Symbols(path, dynamic=True)
+        found = libs[path].find(addr - maps.bases[path])
+        return f"{held[1]} {found[1]}" if found else None
+
+    def holder(addr):
+        found = syms.find(addr - bias)
+        return found[1] if found else lib_symbol(addr)
+
     for rip in rips:
-        a = rip - bias
-        i = bisect.bisect_right(starts, a) - 1
-        if i >= 0 and a < syms[i][0] + syms[i][1]:
-            by_fn[syms[i][2]] += 1
-            offsets[syms[i][2]][(a - syms[i][0], a)] += 1
+        found = syms.find(rip - bias)
+        if found:
+            by_fn[found[1]] += 1
+            offsets[found[1]][(rip - bias - found[0], rip - bias)] += 1
             continue
-        name = maps.name(rip) or "[unmapped]"
+        name = lib_symbol(rip) or maps.name(rip) or "[unmapped]"
         if name == f"[{os.path.basename(exe)}]":
             name = f"[{os.path.basename(exe)}, no symbol]"
         by_fn[name] += 1
-    return by_fn, offsets
+    for rip, words in stacks.items():
+        name = lib_symbol(rip) or maps.name(rip)
+        for word in words:
+            caller = holder(word)
+            if caller:
+                returns[name][caller] += 1
+    return by_fn, offsets, returns
 
 
 def short_name(name):
@@ -290,19 +368,21 @@ def main():
         print(f"pcsample: {command[0]} exited before it could be sampled", file=sys.stderr)
         sys.exit(exit_code(child.returncode))
     exe, bias = attached
-    rips, maps = [], Mappings(pid)
+    rips, stacks, maps = [], collections.defaultdict(list), Mappings(pid)
     try:
-        code = exit_code(os.waitstatus_to_exitcode(sample(pid, rips, maps)))
+        code = exit_code(os.waitstatus_to_exitcode(sample(pid, exe, rips, stacks, maps)))
     except KeyboardInterrupt:
         os.kill(pid, signal.SIGINT)
         code = 128 + signal.SIGINT
-    by_fn, offsets = fold(rips, bias, symbols(exe), maps, exe)
+    by_fn, offsets, returns = fold(rips, stacks, bias, Symbols(exe), maps, exe)
     total = sum(by_fn.values())
     print(f"pcsample: {total} samples of pid {pid} ({exe}), bias {bias:#x}")
     for name, n in by_fn.most_common(args.top):
         print(f"{100.0 * n / total:6.2f} % {n:8d}  {name}")
         for (off, addr), k in offsets[name].most_common(args.offsets):
             print(f"{'':17}+{off:#06x} at {addr:#x}: {k} ({100.0 * k / n:.1f} % of the function)")
+        for caller, k in returns[name].most_common(max(args.offsets, 3)):
+            print(f"{'':17}leaf's return address in {caller}: {k} ({100.0 * k / n:.1f} %)")
     if args.lines:
         for name, n in by_fn.most_common():
             if args.lines not in name:

@@ -26,6 +26,8 @@ pub struct Cutty<A: AggregateFunction> {
     open_edge: Time,
     open_partial: Option<A::Partial>,
     next_end: Time,
+    /// The latest tuple's timestamp.
+    max_ts: Time,
     /// The first tuple's timestamp: where the first trigger sweep starts.
     first: Option<Time>,
 }
@@ -41,6 +43,7 @@ impl<A: AggregateFunction> Cutty<A> {
             open_edge: TIME_MAX,
             open_partial: None,
             next_end: TIME_MAX,
+            max_ts: TIME_MIN,
             first: None,
         }
     }
@@ -76,6 +79,23 @@ impl<A: AggregateFunction> Cutty<A> {
         acc
     }
 
+    /// Emits the windows that ended since the last trigger, up to `wm`
+    /// clamped at the data position `data_pos` (`QuerySet::trigger`),
+    /// and evicts the slices no later window reaches.
+    fn trigger(&mut self, wm: Time, data_pos: Time, out: &mut Vec<WindowResult<A::Output>>) {
+        let mut windows: Vec<(QueryId, Range)> = Vec::new();
+        self.queries.trigger(wm, 0, data_pos, self.first, |id, _, run| {
+            windows.extend(run.windows().map(|r| (id, r)));
+        });
+        for (id, r) in windows {
+            if let Some(p) = self.aggregate(r) {
+                out.push(WindowResult::new(id, Measure::Time, r, self.f.lower(&p)));
+            }
+        }
+        self.next_end = self.queries.next_window_end(wm);
+        self.evict(wm);
+    }
+
     fn evict(&mut self, now: Time) {
         let boundary = self.queries.horizon(now, 0);
         let k = self.ranges.partition_point(|r| r.end <= boundary);
@@ -107,18 +127,9 @@ impl<A: AggregateFunction> WindowAggregator<A> for Cutty<A> {
         }
         // Trigger before inserting the tuple (first-tuple-past-the-end).
         if ts >= self.next_end {
-            let mut windows: Vec<(QueryId, Range)> = Vec::new();
-            self.queries.trigger(ts, 0, ts, self.first, |id, _, run| {
-                windows.extend(run.windows().map(|r| (id, r)));
-            });
-            for (id, r) in windows {
-                if let Some(p) = self.aggregate(r) {
-                    out.push(WindowResult::new(id, Measure::Time, r, self.f.lower(&p)));
-                }
-            }
-            self.next_end = self.queries.next_window_end(ts);
-            self.evict(ts);
+            self.trigger(ts, ts, out);
         }
+        self.max_ts = ts;
         let lifted = self.f.lift(&value);
         self.open_partial = Some(match self.open_partial.take() {
             None => lifted,
@@ -126,8 +137,14 @@ impl<A: AggregateFunction> WindowAggregator<A> for Cutty<A> {
         });
     }
 
-    fn on_watermark(&mut self, _wm: Time, _out: &mut Vec<WindowResult<A::Output>>) {
-        // Cutty is in-order only; every tuple acts as its own watermark.
+    /// Every tuple acts as its own watermark, so a watermark only adds
+    /// the windows whose end it passes and no tuple has, up to the last
+    /// that can hold a tuple.
+    fn on_watermark(&mut self, wm: Time, out: &mut Vec<WindowResult<A::Output>>) {
+        let wm = wm.min(self.max_ts.saturating_add(self.queries.max_extent(Measure::Time)));
+        if self.first.is_some() && wm > self.max_ts {
+            self.trigger(wm, self.max_ts, out);
+        }
     }
 
     fn memory_bytes(&self) -> usize {

@@ -27,6 +27,8 @@ pub struct Pairs<A: AggregateFunction> {
     open_end: Time,
     open_partial: Option<A::Partial>,
     last_trigger: Time,
+    /// The latest tuple's timestamp.
+    max_ts: Time,
     /// Earliest upcoming window end; the per-tuple hot path compares one
     /// timestamp against it instead of sweeping all queries.
     next_end: Time,
@@ -45,6 +47,7 @@ impl<A: AggregateFunction> Pairs<A> {
             open_end: TIME_MAX,
             open_partial: None,
             last_trigger: TIME_MIN,
+            max_ts: TIME_MIN,
             next_end: TIME_MAX,
             started: false,
             max_extent: 0,
@@ -91,6 +94,23 @@ impl<A: AggregateFunction> Pairs<A> {
         acc
     }
 
+    /// Emits the windows ending in `(last_trigger, now]` and evicts the
+    /// slices no later window reaches.
+    fn trigger(&mut self, now: Time, out: &mut Vec<WindowResult<A::Output>>) {
+        let mut windows: Vec<(QueryId, Range)> = Vec::new();
+        for (id, e) in &self.queries {
+            e.ends_in(self.last_trigger, now, &mut |r| windows.push((*id, r)));
+        }
+        for (id, r) in windows {
+            if let Some(p) = self.aggregate(r) {
+                out.push(WindowResult::new(id, Measure::Time, r, self.f.lower(&p)));
+            }
+        }
+        self.last_trigger = now;
+        self.next_end = self.next_window_end(now);
+        self.evict(now);
+    }
+
     fn evict(&mut self, now: Time) {
         let boundary = now.saturating_sub(self.max_extent);
         let k = self.slices.partition_point(|(r, _)| r.end <= boundary);
@@ -118,19 +138,9 @@ impl<A: AggregateFunction> WindowAggregator<A> for Pairs<A> {
         // Trigger windows ending in (last_trigger, ts] *before* adding the
         // tuple (windows ending at or before ts never contain it).
         if ts >= self.next_end {
-            let mut windows: Vec<(QueryId, Range)> = Vec::new();
-            for (id, e) in &self.queries {
-                e.ends_in(self.last_trigger, ts, &mut |r| windows.push((*id, r)));
-            }
-            for (id, r) in windows {
-                if let Some(p) = self.aggregate(r) {
-                    out.push(WindowResult::new(id, Measure::Time, r, self.f.lower(&p)));
-                }
-            }
-            self.last_trigger = ts;
-            self.next_end = self.next_window_end(ts);
-            self.evict(ts);
+            self.trigger(ts, out);
         }
+        self.max_ts = ts;
         let lifted = self.f.lift(&value);
         self.open_partial = Some(match self.open_partial.take() {
             None => lifted,
@@ -138,8 +148,14 @@ impl<A: AggregateFunction> WindowAggregator<A> for Pairs<A> {
         });
     }
 
-    fn on_watermark(&mut self, _wm: Time, _out: &mut Vec<WindowResult<A::Output>>) {
-        // Pairs is in-order only; every tuple is its own watermark.
+    /// Every tuple is its own watermark, so a watermark only adds the
+    /// windows whose end it passes and no tuple has: those ending in
+    /// `(last_trigger, wm]`, up to the last that can hold a tuple.
+    fn on_watermark(&mut self, wm: Time, out: &mut Vec<WindowResult<A::Output>>) {
+        let wm = wm.min(self.max_ts.saturating_add(self.max_extent));
+        if self.started && wm > self.last_trigger {
+            self.trigger(wm, out);
+        }
     }
 
     fn memory_bytes(&self) -> usize {

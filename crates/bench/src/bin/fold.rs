@@ -63,7 +63,7 @@ use std::time::Instant;
 use gss_aggregates::{
     ArgMax, ArgMin, Avg, CountAgg, Max, MaxCount, Min, MinCount, SampleStdDev, Sum, M4,
 };
-use gss_bench::{fmt_tput, scale, BenchJson, Output};
+use gss_bench::{fmt_tput, scale, usage_error, BenchJson, Output};
 use gss_core::tier::{Tier, WIDE_MIN_RUN};
 use gss_core::{
     AggregateFunction, OperatorConfig, StreamElement, Time, WindowAggregator, WindowOperator,
@@ -85,7 +85,12 @@ fn function_filter() -> Option<&'static str> {
         if a == "--function" {
             let want = args.next().unwrap_or_default();
             let picked = FUNCTIONS.iter().copied().find(|&name| name == want);
-            assert!(picked.is_some(), "unknown function {want:?}; expected one of {FUNCTIONS:?}");
+            if picked.is_none() {
+                usage_error(
+                    "fold",
+                    &format!("unknown function {want:?}; expected one of {FUNCTIONS:?}"),
+                );
+            }
             return picked;
         }
     }
@@ -98,12 +103,14 @@ fn run_len_filter() -> Vec<usize> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--run-len" {
-            let want: usize = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .expect("--run-len takes one of 64, 512, 4096, 16384");
-            assert!(RUN_LENS.contains(&want), "--run-len must be one of 64, 512, 4096, 16384");
-            return vec![want];
+            let want = args.next().unwrap_or_default();
+            match want.parse() {
+                Ok(n) if RUN_LENS.contains(&n) => return vec![n],
+                _ => usage_error(
+                    "fold",
+                    &format!("unknown --run-len {want:?}; expected one of {RUN_LENS:?}"),
+                ),
+            }
         }
     }
     RUN_LENS.to_vec()

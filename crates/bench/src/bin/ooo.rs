@@ -44,7 +44,7 @@ use std::io::Write as _;
 use gss_aggregates::Sum;
 use gss_bench::{
     build_slicing, concurrent_tumbling_queries, fmt_tput, run, run_best_interleaved, run_columnar,
-    scale, BenchJson, Output, QuerySpec, RunReport,
+    scale, usage_error, BenchJson, Output, QuerySpec, RunReport,
 };
 use gss_core::{StorePolicy, StreamElement, StreamOrder, Time};
 use gss_data::{make_out_of_order, with_watermarks, FootballConfig, FootballGenerator, OooConfig};
@@ -61,18 +61,12 @@ fn store_filter() -> Vec<(StorePolicy, &'static str)> {
             let want = args.next().unwrap_or_default();
             let picked: Vec<_> = STORES.iter().copied().filter(|&(_, name)| name == want).collect();
             if picked.is_empty() {
-                usage_error(&format!("unknown store {want:?}; expected one of lazy, eager"));
+                usage_error("ooo", &format!("unknown store {want:?}; expected one of lazy, eager"));
             }
             return picked;
         }
     }
     STORES.to_vec()
-}
-
-/// Ends the run on a bad option: one line on stderr, exit code 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("ooo: {msg}");
-    std::process::exit(2)
 }
 
 /// The cells of the sweep: the four disorder fractions, then `outage`.
@@ -86,7 +80,10 @@ fn cell_filter() -> Vec<&'static str> {
             let want = args.next().unwrap_or_default();
             let picked: Vec<_> = CELLS.iter().copied().filter(|&c| c == want).collect();
             if picked.is_empty() {
-                usage_error(&format!("unknown --ooo cell {want:?}; expected one of {CELLS:?}"));
+                usage_error(
+                    "ooo",
+                    &format!("unknown --ooo cell {want:?}; expected one of {CELLS:?}"),
+                );
             }
             return picked;
         }

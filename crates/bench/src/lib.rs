@@ -353,6 +353,13 @@ impl Output {
     }
 }
 
+/// Ends a bin's run on a bad option: one line on stderr, `bin: msg`, and
+/// exit code 2.
+pub fn usage_error(bin: &str, msg: &str) -> ! {
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2)
+}
+
 /// The workload scale every figure binary reads from `GSS_SCALE`: a
 /// factor on its tuple counts (and, for some, its repetitions); 1.0, the
 /// full scale, when unset or unparseable.

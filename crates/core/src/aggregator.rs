@@ -155,6 +155,37 @@ fn run_scan(times: &[Time], bound: Time) -> usize {
 }
 crate::tiered!(fn run_scan(times: &[Time], bound: Time) -> usize);
 
+/// Length of the longest prefix of the time column `times` that lies in
+/// `[lo, lo + span)`, in any order — the late stretch the batch loop
+/// hands to one covering slice. A time is tested by one unsigned compare
+/// (`t - lo < span`: a time below `lo` wraps to a huge value).
+///
+/// Like [`run_scan`] it tests a block of [`RUN_BLOCK`] times per branch
+/// and finds the exact stop inside the first failing block, or a tail
+/// shorter than a block, one time at a time.
+#[inline]
+pub(crate) fn column_span_len(times: &[Time], lo: Time, span: u64) -> usize {
+    let inside = |t: Time| (t.wrapping_sub(lo) as u64) < span;
+    let mut n = 0;
+    for c in times.chunks_exact(RUN_BLOCK) {
+        let mut ok = true;
+        for &t in c {
+            ok &= inside(t);
+        }
+        if !ok {
+            break;
+        }
+        n += RUN_BLOCK;
+    }
+    for &t in &times[n..] {
+        if !inside(t) {
+            break;
+        }
+        n += 1;
+    }
+    n
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,5 +302,34 @@ mod tests {
                 check(&down);
             }
         }
+    }
+
+    /// The block span scan agrees with a one-time scan on every length up
+    /// to 40 with the first outsider at every position, on both sides of
+    /// the interval, and at the domain's extremes.
+    #[test]
+    fn span_scan_matches_the_one_tuple_scan() {
+        let one_at_a_time = |times: &[Time], lo: Time, span: u64| {
+            times.iter().take_while(|&&t| t >= lo && ((t - lo) as u64) < span).count()
+        };
+        let mut rng = StdRng::seed_from_u64(53);
+        let (lo, span) = (100, 40);
+        for len in 0..=40usize {
+            let inside: Vec<Time> = (0..len).map(|_| rng.gen_range(lo..lo + 40)).collect();
+            assert_eq!(column_span_len(&inside, lo, span), len);
+            for at in 0..len {
+                for outsider in [lo - 1, lo + 40, TIME_MIN, TIME_MAX] {
+                    let mut times = inside.clone();
+                    times[at] = outsider;
+                    let want = one_at_a_time(&times, lo, span);
+                    assert_eq!(want, at);
+                    assert_eq!(column_span_len(&times, lo, span), want, "{times:?}");
+                }
+            }
+        }
+        let extremes = [TIME_MIN, TIME_MIN + 1, TIME_MAX - 1, TIME_MAX];
+        assert_eq!(column_span_len(&extremes, TIME_MIN, 2), 2);
+        assert_eq!(column_span_len(&extremes[2..], TIME_MAX - 1, 1), 1);
+        assert_eq!(column_span_len(&extremes, TIME_MIN, u64::MAX), 3);
     }
 }

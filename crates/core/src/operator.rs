@@ -9,7 +9,7 @@
 //! tuples only when required, uses ⊖ wherever the function answers it
 //! exactly, and recomputes from source tuples only when unavoidable.
 
-use crate::aggregator::{column_run_len, WindowAggregator};
+use crate::aggregator::{column_run_len, column_span_len, WindowAggregator};
 use crate::cast;
 use crate::characteristics::{SlicePlan, WorkloadCharacteristics};
 use crate::function::AggregateFunction;
@@ -185,6 +185,12 @@ struct LateBatch<V> {
 }
 
 impl<V> LateBatch<V> {
+    /// Whether memo entry `k`'s slice covers `ts`.
+    #[inline(always)]
+    fn covers(&self, k: usize, ts: Time) -> bool {
+        (ts.wrapping_sub(self.memo_start[k]) as u64) < self.memo_width[k]
+    }
+
     fn new() -> Self {
         LateBatch {
             memo_start: [0; 4],
@@ -862,10 +868,11 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// entries 1–3 is its number, or 0, which the one branch then checks.
     /// The miss stays out of line: with it inlined here, this function
     /// was itself too large to inline and cost the batch loop a call with
-    /// six saved registers per late tuple.
+    /// six saved registers per late tuple. Returns the entry the tuple
+    /// joined.
     #[inline(always)]
-    fn defer_late(&mut self, late: &mut LateBatch<A::Input>, ts: Time, value: &A::Input) {
-        let hit = |k: usize| (ts.wrapping_sub(late.memo_start[k]) as u64) < late.memo_width[k];
+    fn defer_late(&mut self, late: &mut LateBatch<A::Input>, ts: Time, value: &A::Input) -> usize {
+        let hit = |k: usize| late.covers(k, ts);
         let mut k = usize::from(hit(1)) + 2 * usize::from(hit(2)) + 3 * usize::from(hit(3));
         if !hit(k) {
             k = self.resolve_late(late, ts);
@@ -873,6 +880,30 @@ impl<A: AggregateFunction> WindowOperator<A> {
         late.memo_last = k;
         late.times[k].push(ts);
         late.values[k].push(value.clone());
+        k
+    }
+
+    /// Defers the late stretch at the head of `times` into memo entry `k`
+    /// and returns its length: the tuples, at most `cap`, that lie in the
+    /// entry's slice, above the watermark and below `max_ts`. Each would
+    /// have joined entry `k` one at a time (slices are disjoint), so they
+    /// join it as one append per column. Out of line, it leaves the batch
+    /// loop's registers to the stragglers.
+    #[inline(never)]
+    fn defer_stretch(
+        &self,
+        late: &mut LateBatch<A::Input>,
+        k: usize,
+        times: &[Time],
+        values: &[A::Input],
+        cap: usize,
+    ) -> usize {
+        let lo = late.memo_start[k].max(self.watermark + 1);
+        let hi = late.memo_start[k].wrapping_add(late.memo_width[k] as Time).min(self.max_ts);
+        let n = column_span_len(&times[..times.len().min(cap)], lo, hi.wrapping_sub(lo) as u64);
+        late.times[k].extend_from_slice(&times[..n]);
+        late.values[k].extend_from_slice(&values[..n]);
+        n
     }
 
     /// Writes the pending tuples of the memo entry next in turn to its
@@ -996,21 +1027,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
         if idx.len() < len {
             idx.resize(len, 0);
         }
-        // Two unconditional stores per tuple: in-order positions fill
-        // `idx` from the front, late ones from the back (so the late half
-        // ends up at `[len - lk, len)` in reverse arrival order), and only
-        // the counters depend on the data.
-        let (mut ik, mut lk) = (0, 0);
-        let (mut prev, mut min_ts) = (self.max_ts, TIME_MAX);
-        for (j, &ts) in times.iter().enumerate() {
-            let is_late = ts < prev;
-            prev = prev.max(ts);
-            min_ts = min_ts.min(ts);
-            idx[ik] = j as u32;
-            idx[len - 1 - lk] = j as u32;
-            ik += usize::from(!is_late);
-            lk += usize::from(is_late);
-        }
+        let (ik, prev, min_ts) = classify(times, &mut idx, self.max_ts);
+        let lk = len - ik;
         // A tuple at or below the watermark, late or not, revises.
         let applies = min_ts > self.watermark;
         if applies {
@@ -1020,8 +1038,9 @@ impl<A: AggregateFunction> WindowOperator<A> {
             head_values.extend(idx[..ik].iter().map(|&j| values[cast::idx32(j)].clone()));
             let mut a = 0;
             while a < ik {
+                // The head is sorted, so the run scan stops at the edge.
                 let b = match self.next_time_edge {
-                    Some(edge) => a + head_times[a..].partition_point(|&t| t < edge),
+                    Some(edge) => a + column_run_len(&head_times[a..], edge),
                     None => ik,
                 };
                 if b == a {
@@ -1085,7 +1104,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
     ///   written with the late tuples its slice gathered in the lookup
     ///   memo, when a miss refills the slice's memo entry or the call
     ///   ends (`flush_late`) — stretches commit at once, so it never
-    ///   waits on a pending append;
+    ///   waits on a pending append; the late stretch behind it that its
+    ///   slice covers joins the same memo entry in one append per column;
     /// * everything else — tuples at slice edges, window completions,
     ///   below-watermark stragglers, count-measure shifts — takes
     ///   [`process_tuple`](Self::process_tuple);
@@ -1130,9 +1150,18 @@ impl<A: AggregateFunction> WindowOperator<A> {
             } else if defer_ok && ts > self.watermark && !self.store.is_empty() {
                 late += 1;
                 let mut pending = self.late.take().unwrap_or_else(|| Box::new(LateBatch::new()));
-                self.defer_late(&mut pending, ts, &values[i]);
-                self.late = Some(pending);
+                let k = self.defer_late(&mut pending, ts, &values[i]);
                 i += 1;
+                // A straggler followed by an in-order tuple pays one
+                // compare; one followed by a straggler in another slice,
+                // two.
+                if i < times.len() && times[i] < self.max_ts && pending.covers(k, times[i]) {
+                    let cap = stretch_cap(may_partition, late, i as u64 - late);
+                    let n = self.defer_stretch(&mut pending, k, &times[i..], &values[i..], cap);
+                    late += n as u64;
+                    i += n;
+                }
+                self.late = Some(pending);
                 let fewer = late.min(i as u64 - late);
                 if may_partition
                     && fewer >= PARTITION_MIN_SEEN
@@ -1183,6 +1212,46 @@ impl<A: AggregateFunction> WindowOperator<A> {
         self.watermark = wm;
         self.evict(wm);
     }
+}
+
+/// How many more late tuples a late stretch may take after `late` late
+/// and `in_order` in-order tuples of a batch, so that the partition check
+/// after it sees the position the per-tuple loop would first partition
+/// at. Late tuples only lower the smaller share once they outnumber the
+/// in-order ones; below that it rises past one in `PARTITION_SHARE` at
+/// `in_order / (PARTITION_SHARE - 1) + 1` late tuples.
+fn stretch_cap(may_partition: bool, late: u64, in_order: u64) -> usize {
+    if !may_partition || in_order < PARTITION_MIN_SEEN || late >= in_order {
+        return usize::MAX;
+    }
+    let trigger = PARTITION_MIN_SEEN.max(in_order / (PARTITION_SHARE - 1) + 1);
+    cast::to_usize(trigger.saturating_sub(late))
+}
+
+/// The classification pass of `WindowOperator::partition_rest`: writes
+/// the positions of `times` that are in order — at or above the running
+/// maximum, starting from `max_ts` — to the front of `idx` and the late
+/// ones to its back, in reverse arrival order. Two unconditional stores
+/// per tuple; only the counters depend on the data. Returns the in-order
+/// count, the running maximum at the end and the smallest time. Out of
+/// line, its counters stay in registers rather than spill around the
+/// batch loop's.
+#[inline(never)]
+fn classify(times: &[Time], idx: &mut [u32], max_ts: Time) -> (usize, Time, Time) {
+    let len = times.len();
+    let idx = &mut idx[..len];
+    let (mut ik, mut lk) = (0, 0);
+    let (mut prev, mut min_ts) = (max_ts, TIME_MAX);
+    for (j, &ts) in times.iter().enumerate() {
+        let is_late = ts < prev;
+        prev = prev.max(ts);
+        min_ts = min_ts.min(ts);
+        idx[ik] = j as u32;
+        idx[len - 1 - lk] = j as u32;
+        ik += usize::from(!is_late);
+        lk += usize::from(is_late);
+    }
+    (ik, prev, min_ts)
 }
 
 impl<A: AggregateFunction> Clone for WindowOperator<A> {
@@ -1709,6 +1778,66 @@ mod tests {
         ];
         let stats = check_late_batches(crate::testsupport::Concat, &batches);
         assert_eq!((stats.ooo_tuples, stats.late_slices), (6, 6));
+    }
+
+    #[test]
+    fn a_sorted_burst_is_written_a_slice_at_a_time() {
+        // Slices [510, 520) … [1500, 1510). A sorted burst of 120 tuples,
+        // four per timestamp, covers [500, 530): the gap slice [500, 510)
+        // and two slices of the spine, 40 tuples each. A straggler into
+        // [900, 910) interrupts the first slice and one into [1200, 1210)
+        // the second: each burst slice is resumed by a memo hit, and the
+        // fifth slice resolved (the third burst slice) refills the entry
+        // of [500, 510), which writes it. The flush writes the other four.
+        let spine = (0..100).map(|i| (510 + 10 * i, 1)).collect();
+        let mut burst: Vec<(Time, i64)> = (0..120).map(|k| (500 + k / 4, 10 + k)).collect();
+        burst.insert(70, (1_205, 5));
+        burst.insert(20, (905, 4));
+        burst.push((1_600, 6));
+        let batches = [(spine, 0), (burst, 3_000)];
+        let stats = check_late_batches(SumI64, &batches);
+        assert_eq!((stats.ooo_tuples, stats.slices_created), (122, 111));
+        assert_eq!(stats.late_slices, 5);
+        check_late_batches(crate::testsupport::Concat, &batches);
+    }
+
+    #[test]
+    fn a_late_stretch_stops_at_the_watermark_and_at_the_stream_head() {
+        // After the watermark 605, 608 and 607 go to [600, 610); 605 sits
+        // at the watermark, so it writes them and takes the per-tuple path,
+        // and 606 opens a second run of that slice. 1 003 raises the head
+        // inside the open slice [1000, 1010); 1 001 and 1 002 go to it, the
+        // next 1 003, at the head, is in order, and 1 000 joins their run.
+        // Three late runs.
+        let spine = (0..100).map(|i| (10 * i, 1)).collect();
+        let late = [(608, 2), (607, 3), (605, 4), (606, 5), (1_003, 6), (1_001, 7)];
+        let late = [&late[..], &[(1_002, 8), (1_003, 9), (1_000, 10)]].concat();
+        let batches = [(spine, 605), (late, 2_000)];
+        let stats = check_late_batches(SumI64, &batches);
+        assert_eq!((stats.ooo_tuples, stats.late_slices), (7, 3));
+        check_late_batches(crate::testsupport::Concat, &batches);
+    }
+
+    #[test]
+    fn a_late_stretch_stops_where_the_loop_would_partition() {
+        // Slices [0, 10) … [990, 1000). Eight in-order tuples open the
+        // batch, so the loop partitions the rest once it has seen four
+        // late ones: the stretch of 100 tuples into [500, 510) stops
+        // after its fourth. The partition then commits the 40 in-order
+        // tuples of the tail in nine runs, one per slice, and defers the
+        // stragglers between them. Taken whole, the stretch would leave
+        // the late share beyond the in-order one, and the loop would take
+        // the first stretches of the tail one tuple at a time.
+        let spine = (0..100).map(|i| (10 * i, 1)).collect();
+        let mut batch: Vec<(Time, i64)> = (0..8).map(|i| (1_000 + i, 2)).collect();
+        batch.extend((0..100).map(|k| (500 + k / 10, 3 + k)));
+        for i in 0..40 {
+            batch.extend([(1_008 + 2 * i, 4), (600 + i, 5)]);
+        }
+        let batches = [(spine, 0), (batch, 2_000)];
+        let stats = check_late_batches(SumI64, &batches);
+        // One run for 1 001–1 007, five late runs, nine partitioned runs.
+        assert_eq!((stats.fold_kernel_misses, stats.late_slices), (15, 5));
     }
 
     #[test]

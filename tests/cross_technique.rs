@@ -549,3 +549,44 @@ fn no_count_window_starts_before_count_zero() {
         }
     }
 }
+
+/// In order, sliding (3, 1): R(0), R(1), then a watermark at 3 and one
+/// at the end of time. Each watermark passes window ends no tuple has
+/// passed: [−1, 2) and [0, 3), then [1, 4). Every technique emits them;
+/// Pairs and Cutty once ignored watermarks and emitted only [−2, 1),
+/// which R(1) triggers.
+#[test]
+fn a_watermark_emits_the_windows_whose_end_only_it_passes() {
+    let run = |agg: &mut dyn WindowAggregator<Sum>| {
+        let mut out = Vec::new();
+        agg.process(0, 1, &mut out);
+        agg.process(1, 1, &mut out);
+        agg.on_watermark(3, &mut out);
+        agg.on_watermark(Time::MAX - 1, &mut out);
+        out.iter().map(|r| (r.range.start, r.range.end, r.value)).collect::<Vec<_>>()
+    };
+    let want = [(-2, 1, 1), (-1, 2, 2), (0, 3, 2), (1, 4, 1)];
+    let window = || Box::new(SlidingWindow::new(3, 1)) as Box<dyn WindowFunction>;
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
+        let mut op = SlicingOp::new(Sum, OperatorConfig::in_order().with_policy(policy));
+        op.add_query(window()).unwrap();
+        assert_eq!(run(&mut op), want, "slicing {policy:?}");
+    }
+    let mut tb = TupleBuffer::new(Sum, StreamOrder::InOrder, 0);
+    tb.add_query(window());
+    assert_eq!(run(&mut tb), want, "tuple buffer");
+    let mut at = AggregateTree::new(Sum, StreamOrder::InOrder, 0);
+    at.add_query(window());
+    assert_eq!(run(&mut at), want, "aggregate tree");
+    for mode in [BucketMode::Aggregate, BucketMode::Tuple] {
+        let mut bk = Buckets::new(Sum, mode, StreamOrder::InOrder, 0);
+        bk.add_query(window());
+        assert_eq!(run(&mut bk), want, "buckets {mode:?}");
+    }
+    let mut pairs = Pairs::new(Sum);
+    pairs.add_query(3, 1);
+    assert_eq!(run(&mut pairs), want, "pairs");
+    let mut cutty = Cutty::new(Sum);
+    cutty.add_query(window());
+    assert_eq!(run(&mut cutty), want, "cutty");
+}

@@ -392,22 +392,44 @@ impl Mix {
     }
 }
 
+/// Tuples between two watermarks of [`check_late_batches`].
+const SEGMENT: usize = 700;
+
 /// An arrival sequence shaped like a reconnect after an outage: an
 /// in-order head starting at `START`, one head tuple in `late_every` a
 /// straggler up to `max_delay` late — early ones land *before* the first
 /// slice, so gap slices are inserted in front of buckets the same batch
-/// already resolved — and, a third of the way in, a sorted burst of
-/// `burst` tuples replaying an older stretch.
-fn outage_stream(seed: u64, late_every: u64, max_delay: u64, burst: usize) -> Vec<(Time, i64)> {
+/// already resolved — and, once two watermarks trailing the head by `lag`
+/// have passed, a sorted burst of `burst` tuples replaying an older
+/// stretch. The burst starts 20 below the watermark, so its first tuples
+/// revise emitted windows, its timestamps tie in pairs and each of its
+/// tuples carries a value of its own. Right behind its first tuple above
+/// the watermark come one at the watermark and one below it: they end
+/// that tuple's late stretch inside its slice.
+fn outage_stream(
+    seed: u64,
+    late_every: u64,
+    max_delay: u64,
+    burst: usize,
+    lag: Time,
+) -> Vec<(Time, i64)> {
     const START: Time = 10_000;
-    const HEAD: usize = 900;
+    const HEAD: usize = 2 * SEGMENT + 300;
     let mut r = Mix(seed);
-    let mut out = Vec::with_capacity(HEAD + burst);
+    let mut out: Vec<(Time, i64)> = Vec::with_capacity(HEAD + burst + 2);
     for j in 0..HEAD {
         let head = START + 2 * j as Time;
-        if j == HEAD / 3 {
-            let from = head - 1_200;
-            out.extend((0..burst).map(|k| (from + (k as Time * 700) / burst.max(1) as Time, 7)));
+        if j == 2 * SEGMENT + 100 {
+            let passed = out.len() / SEGMENT * SEGMENT;
+            let wm = out[..passed].iter().map(|t| t.0).max().unwrap_or(START) - lag;
+            let from = wm - 20;
+            let step = |k: usize| (k / 2) as Time * 1_400 / burst.max(1) as Time;
+            let mut replay: Vec<(Time, i64)> =
+                (0..burst).map(|k| (from + step(k), 1_000 + k as i64)).collect();
+            if let Some(at) = replay.iter().position(|t| t.0 > wm) {
+                replay.splice(at + 1..at + 1, [(wm, 999), (wm - 1, 998)]);
+            }
+            out.extend(replay);
         }
         let late = if r.below(late_every) == 0 { 1 + r.below(max_delay) as Time } else { 0 };
         out.push((head - late, r.below(100) as i64 - 50));
@@ -433,12 +455,13 @@ fn half_late_stream(seed: u64, max_delay: u64, late_first: bool) -> Vec<(Time, i
 }
 
 /// Batched = per-tuple for one function over both stores: the same
-/// emission sequence, the same slices left behind, and every emitted
-/// window equal to a fold of its tuples in event-time order (ties in
-/// arrival order) — what the paper's semantics say it is. Watermarks
-/// trail every tuple, so each window fires once, after its last tuple.
-/// A `batch_size` of 4096 makes each 700-tuple stretch between two
-/// watermarks one batch. `force_tuple_storage` keeps the tuples of a
+/// emission sequence, the same slices left behind, and every window's
+/// last emission equal to a fold of its tuples in event-time order (ties
+/// in arrival order) — what the paper's semantics say it is. Watermarks
+/// trail by `lag`, which is also the allowed lateness: a tuple at or
+/// below the watermark revises the windows it is in, and none is
+/// dropped. A `batch_size` of 4096 makes each 700-tuple stretch between
+/// two watermarks one batch. `force_tuple_storage` keeps the tuples of a
 /// commutative function, whose late writes then merge into stored tuples.
 fn check_late_batches<A>(
     f: A,
@@ -461,6 +484,7 @@ where
         let cfg = OperatorConfig {
             order: StreamOrder::OutOfOrder,
             policy,
+            allowed_lateness: lag,
             force_tuple_storage,
             ..OperatorConfig::default()
         };
@@ -473,7 +497,7 @@ where
         // A watermark every 700 tuples whatever the batch size (it cuts
         // the batch, as in the pipeline), so every drive sweeps the same
         // windows at the same points.
-        for segment in tuples.chunks(700) {
+        for segment in tuples.chunks(SEGMENT) {
             for chunk in segment.chunks(batch_size) {
                 if batch_size == 1 {
                     op.process_tuple(chunk[0].0, chunk[0].1.clone(), &mut out);
@@ -498,13 +522,14 @@ where
     };
     let (want, want_slices, want_stats) = drive(StorePolicy::Lazy, 1);
     prop_assert_eq!(want_stats.dropped_late, 0);
-    prop_assert_eq!(want_stats.updates_emitted, 0);
     let mut sorted: Vec<&(Time, A::Input)> = tuples.iter().collect();
     sorted.sort_by_key(|t| t.0);
-    for (_, start, end, value, _) in &want {
+    let last: BTreeMap<(QueryId, Time, Time), &A::Output> =
+        want.iter().map(|(q, start, end, value, _)| ((*q, *start, *end), value)).collect();
+    for (&(_, start, end), &value) in &last {
         let fold = sorted
             .iter()
-            .filter(|t| (*start..*end).contains(&t.0))
+            .filter(|t| (start..end).contains(&t.0))
             .fold(None, |acc, t| f.combine_opt(acc, Some(&f.lift(&t.1))));
         let folded = fold.map(|p| f.lower(&p));
         prop_assert_eq!(folded.as_ref(), Some(value), "[{}, {})", start, end);
@@ -522,6 +547,11 @@ where
     Ok(())
 }
 
+/// The watermark's lag behind the head of [`check_late_batches`]'s
+/// streams, and their allowed lateness: behind the deepest straggler, so
+/// only the outage burst reaches below the watermark.
+const LAG: Time = 1_500 + 1_200 + 16;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -529,7 +559,8 @@ proptest! {
     /// tuples whose late tuples touch a handful to several hundred slices
     /// (one or two tumbling queries of width 1–6, so hulls reach 350+
     /// slices and, with two queries, slices are unevenly long), a sorted
-    /// burst amid scattered stragglers — one tuple in 2 to one in 32, on
+    /// burst that starts below the watermark amid scattered stragglers —
+    /// one tuple in 2 to one in 32, on
     /// both sides of the share at which the batch loop partitions — or a
     /// late share that changes inside a batch (`shape` 1 and 2), gap
     /// slices created mid-batch, under a kernel fold (Sum, with its
@@ -551,12 +582,10 @@ proptest! {
         let stream = match shape {
             1 => half_late_stream(seed, max_delay, false),
             2 => half_late_stream(seed, max_delay, true),
-            _ => outage_stream(seed, late_every, max_delay, burst),
+            _ => outage_stream(seed, late_every, max_delay, burst, LAG),
         };
         let lengths: Vec<Time> = if second > length { vec![length, second] } else { vec![length] };
-        // Behind the deepest straggler and the burst's oldest tuple.
-        let lag = 1_500 + 1_200 + 16;
-        let (s, l, b) = (&stream, &lengths, batch_size);
+        let (s, l, b, lag) = (&stream, &lengths, batch_size, LAG);
         check_late_batches(Sum, |v, _| v, s, l, b, lag, false)?;
         check_late_batches(Sum, |v, _| v, s, l, b, lag, true)?;
         check_late_batches(ArgMin, |v, i| (v, i as i64 % 13), s, l, b, lag, false)?;
