@@ -16,10 +16,11 @@
 use std::collections::BTreeMap;
 
 use gss_core::{
-    window::{admit, beyond_lateness},
-    AggregateFunction, ContextEdges, Count, HeapSize, Measure, QueryId, QuerySet, Range,
-    StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, WindowRun, TIME_MIN,
+    window::beyond_lateness, AggregateFunction, Count, HeapSize, Measure, QueryId, QuerySet, Range,
+    StreamOrder, Time,
 };
+
+use crate::tuples::{TupleDriver, TupleStore};
 
 /// Bucket storage mode (Table 1 rows 3 vs. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,11 +42,11 @@ impl<A: AggregateFunction> Bucket<A> {
         Bucket { end, partial: None, tuples: matches!(mode, BucketMode::Tuple).then(Vec::new) }
     }
 
-    fn add(&mut self, f: &A, ts: Time, value: &A::Input, in_order: bool) {
+    fn add(&mut self, f: &A, ts: Time, value: &A::Input) {
         if let Some(tuples) = &mut self.tuples {
             let pos = tuples.partition_point(|(t, _)| *t <= ts);
             tuples.insert(pos, (ts, value.clone()));
-            if !in_order && !f.properties().commutative {
+            if pos + 1 < tuples.len() && !f.properties().commutative {
                 // Retain aggregation order: recompute from tuples.
                 self.partial = f.lift_all(tuples.iter().map(|(_, v)| v));
                 return;
@@ -61,230 +62,120 @@ impl<A: AggregateFunction> Bucket<A> {
 
 impl<A: AggregateFunction> HeapSize for Bucket<A> {
     fn heap_bytes(&self) -> usize {
-        self.partial.as_ref().map_or(0, |p| p.heap_bytes())
-            + self.tuples.as_ref().map_or(0, |t| t.heap_bytes())
+        self.partial.heap_bytes() + self.tuples.heap_bytes()
     }
 }
 
 /// Window aggregation with one bucket per window.
-pub struct Buckets<A: AggregateFunction> {
-    f: A,
+///
+/// Count-measure windows use **arrival counts** (the Flink semantic): a
+/// bucket-per-window structure cannot repair the count shift that an
+/// out-of-order tuple causes under event-time counting (paper Figure 6),
+/// so late tuples simply take the next arrival position. Event-time count
+/// semantics require slicing or a tuple buffer.
+pub type Buckets<A> = TupleDriver<A, BucketStore<A>>;
+
+/// The buckets of every query.
+pub struct BucketStore<A: AggregateFunction> {
     mode: BucketMode,
-    order: StreamOrder,
-    allowed_lateness: Time,
-    queries: QuerySet,
     /// Per query id: window start -> bucket (starts are unique per query;
     /// session buckets merge).
     buckets: BTreeMap<QueryId, BTreeMap<Time, Bucket<A>>>,
-    watermark: Time,
-    max_ts: Time,
-    first_ts: Time,
-    total_count: Count,
-    scratch: ContextEdges,
 }
 
 impl<A: AggregateFunction> Buckets<A> {
     pub fn new(f: A, mode: BucketMode, order: StreamOrder, allowed_lateness: Time) -> Self {
-        Buckets {
-            f,
-            mode,
-            order,
-            allowed_lateness: order.lateness(allowed_lateness),
-            queries: QuerySet::default(),
-            buckets: BTreeMap::new(),
-            watermark: TIME_MIN,
-            max_ts: TIME_MIN,
-            first_ts: TIME_MIN,
-            total_count: 0,
-            scratch: ContextEdges::new(),
+        let store = BucketStore { mode, buckets: BTreeMap::new() };
+        TupleDriver::with_store(f, store, order, allowed_lateness)
+    }
+}
+
+impl<A: AggregateFunction> TupleStore<A> for BucketStore<A> {
+    fn name(&self) -> &'static str {
+        match self.mode {
+            BucketMode::Aggregate => "Buckets (aggregate)",
+            BucketMode::Tuple => "Buckets (tuples)",
         }
     }
 
-    /// Registers a query.
-    ///
-    /// Count-measure windows use **arrival counts** (the Flink semantic):
-    /// a bucket-per-window structure cannot repair the count shift that an
-    /// out-of-order tuple causes under event-time counting (paper Figure
-    /// 6), so late tuples simply take the next arrival position. Event-time
-    /// count semantics require slicing or a tuple buffer.
-    pub fn add_query(&mut self, w: Box<dyn WindowFunction>) -> QueryId {
-        let id = self.queries.add(w);
+    fn add_query(&mut self, id: QueryId) {
         self.buckets.insert(id, BTreeMap::new());
-        id
-    }
-
-    /// Total number of live buckets.
-    #[cfg(test)]
-    fn bucket_count(&self) -> usize {
-        self.buckets.values().map(|m| m.len()).sum()
     }
 
     /// Assigns the tuple to every containing window of every query. For
     /// merging window types (sessions), existing buckets covered by the
     /// post-merge window are first absorbed into one — the equivalent of
     /// Flink's `MergingWindowAssigner`.
-    fn assign(&mut self, ts: Time, value: &A::Input, in_order: bool) {
-        let count_pos = self.total_count;
-        let f = &self.f;
+    fn insert(&mut self, f: &A, queries: &QuerySet, ts: Time, value: A::Input, count: Count) {
         let mode = self.mode;
-        let buckets = &mut self.buckets;
         let mut ranges: Vec<Range> = Vec::new();
-        for q in self.queries.iter() {
+        for q in queries.iter() {
             ranges.clear();
             match q.measure() {
                 Measure::Time => q.window.windows_containing(ts, &mut |r| ranges.push(r)),
                 // No count window starts before the first tuple's count 0.
-                Measure::Count => q.window.windows_containing(count_pos as Time, &mut |r| {
+                Measure::Count => q.window.windows_containing(count as Time, &mut |r| {
                     if r.start >= 0 {
                         ranges.push(r)
                     }
                 }),
             }
-            let Some(per_query) = buckets.get_mut(&q.id) else {
-                continue;
-            };
+            let Some(per_query) = self.buckets.get_mut(&q.id) else { continue };
             let merging = q.window.is_session();
             for &range in &ranges {
-                if merging {
-                    // Absorb every pre-merge bucket covered by the merged
-                    // window into a single bucket at the merged start.
-                    let absorbed: Vec<Time> = per_query
-                        .range(range.start..range.end)
-                        .filter(|(s, b)| **s != range.start || b.end != range.end)
-                        .map(|(s, _)| *s)
-                        .collect();
-                    if !absorbed.is_empty() {
-                        let mut merged = Bucket::new(range.end, mode);
-                        let mut partial: Option<A::Partial> = None;
-                        let mut tuples: Vec<(Time, A::Input)> = Vec::new();
-                        let mut sources = absorbed;
-                        if !sources.contains(&range.start) && per_query.contains_key(&range.start) {
-                            sources.push(range.start);
-                            sources.sort_unstable();
-                        }
-                        for s in sources {
-                            if let Some(b) = per_query.remove(&s) {
-                                partial = f.combine_opt(partial, b.partial.as_ref());
-                                if let Some(mut t) = b.tuples {
-                                    tuples.append(&mut t);
-                                }
-                            }
-                        }
-                        if let Some(t) = &mut merged.tuples {
-                            tuples.sort_by_key(|(t, _)| *t);
-                            *t = tuples;
-                            if !f.properties().commutative {
-                                partial = f.lift_all(t.iter().map(|(_, v)| v));
-                            }
-                        }
-                        merged.partial = partial;
-                        per_query.insert(range.start, merged);
+                // A session bucket absorbs every bucket its merged window
+                // covers.
+                let covered: Vec<Time> = if merging {
+                    per_query.range(range.start..range.end).map(|(s, _)| *s).collect()
+                } else {
+                    Vec::new()
+                };
+                let exact = covered == [range.start] && per_query[&range.start].end == range.end;
+                if !covered.is_empty() && !exact {
+                    let mut merged = Bucket::new(range.end, mode);
+                    let mut tuples: Vec<(Time, A::Input)> = Vec::new();
+                    for b in covered.iter().filter_map(|s| per_query.remove(s)) {
+                        merged.partial = f.combine_opt(merged.partial, b.partial.as_ref());
+                        tuples.extend(b.tuples.into_iter().flatten());
                     }
+                    if let Some(t) = &mut merged.tuples {
+                        tuples.sort_by_key(|(t, _)| *t);
+                        *t = tuples;
+                        if !f.properties().commutative {
+                            merged.partial = f.lift_all(t.iter().map(|(_, v)| v));
+                        }
+                    }
+                    per_query.insert(range.start, merged);
                 }
                 let bucket =
                     per_query.entry(range.start).or_insert_with(|| Bucket::new(range.end, mode));
                 bucket.end = bucket.end.max(range.end);
-                bucket.add(f, ts, value, in_order);
+                bucket.add(f, ts, &value);
             }
         }
     }
 
-    /// Emits the windows due at `wm`, or with `late = Some(ts)` the fired
-    /// windows a late tuple at `ts` changes, as updates. Arrival counts
-    /// are final the moment a tuple arrives, and a late tuple takes the
-    /// next count position, shifting no count window.
-    fn emit(&mut self, wm: Time, late: Option<Time>, out: &mut Vec<WindowResult<A::Output>>) {
-        let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
-        let push = |id, m, run: WindowRun| windows.extend(run.windows().map(|r| (id, m, r)));
-        if let Some(ts) = late {
-            self.queries.updates(ts, wm, None, push);
-        } else {
-            self.queries.trigger(wm, self.total_count, self.max_ts, Some(self.first_ts), push);
-        }
-        for (query, measure, range) in windows {
-            let bucket = self.buckets.get(&query).and_then(|per| per.get(&range.start));
-            if let Some(p) = bucket.and_then(|b| b.partial.as_ref()) {
-                let (value, is_update) = (self.f.lower(p), late.is_some());
-                out.push(WindowResult { query, measure, range, value, is_update });
-            }
-        }
-        if late.is_none() {
-            self.evict(wm);
-        }
+    fn answer(&self, f: &A, query: QueryId, _: Measure, range: Range) -> Option<A::Output> {
+        let bucket = self.buckets.get(&query)?.get(&range.start)?;
+        bucket.partial.as_ref().map(|p| f.lower(p))
     }
 
-    fn evict(&mut self, wm: Time) {
-        // Count-measure buckets live on the count axis: evict only those
-        // whose (count) end has been reached and emitted.
-        let count_horizon = self.total_count as Time;
-        let buckets = &mut self.buckets;
-        for q in self.queries.iter() {
-            let Some(per_query) = buckets.get_mut(&q.id) else {
-                continue;
-            };
+    /// Count-measure buckets live on the count axis: evicts only those
+    /// whose (count) end has been reached and emitted.
+    fn evict(&mut self, queries: &QuerySet, wm: Time, lateness: Time, count: Count) {
+        for q in queries.iter() {
+            let Some(per_query) = self.buckets.get_mut(&q.id) else { continue };
             match q.measure() {
-                Measure::Time => {
-                    per_query.retain(|_, b| !beyond_lateness(b.end - 1, wm, self.allowed_lateness))
-                }
-                Measure::Count => per_query.retain(|_, b| b.end > count_horizon),
+                Measure::Time => per_query.retain(|_, b| !beyond_lateness(b.end - 1, wm, lateness)),
+                Measure::Count => per_query.retain(|_, b| b.end > count as Time),
             }
         }
     }
-}
 
-impl<A: AggregateFunction> WindowAggregator<A> for Buckets<A> {
-    fn process(&mut self, ts: Time, value: A::Input, out: &mut Vec<WindowResult<A::Output>>) {
-        let ahead = self.max_ts.max(self.queries.fired_to());
-        let admitted = admit(self.order, ts, ahead, self.watermark, self.allowed_lateness);
-        let Some(revises) = admitted.revises() else { return };
-        // Track the minimum event time (not the first arrival): stragglers
-        // older than the first arrival still anchor the trigger sweep.
-        self.first_ts = if self.first_ts == TIME_MIN { ts } else { self.first_ts.min(ts) };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.queries.notify(ts, &mut scratch);
-        self.scratch = scratch;
-        let in_order = ts >= self.max_ts;
-        self.assign(ts, &value, in_order);
-        self.total_count += 1;
-        if in_order {
-            self.max_ts = ts;
-            if self.order.is_in_order() {
-                self.watermark = ts;
-                self.emit(ts, None, out);
-            }
-        }
-        if revises {
-            self.emit(self.watermark, Some(ts), out);
-        }
-    }
-
-    fn on_watermark(&mut self, wm: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        if wm <= self.watermark {
-            return;
-        }
-        self.watermark = wm;
-        self.emit(wm, None, out);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .buckets
-                .values()
-                .flat_map(|per| per.values())
-                .map(|b| {
-                    std::mem::size_of::<Bucket<A>>()
-                        + 2 * std::mem::size_of::<Time>()
-                        + b.heap_bytes()
-                })
-                .sum::<usize>()
-    }
-
-    fn name(&self) -> &'static str {
-        match self.mode {
-            BucketMode::Aggregate => "Buckets (aggregate)",
-            BucketMode::Tuple => "Buckets (tuples)",
-        }
+    fn heap_bytes(&self) -> usize {
+        let per_bucket = std::mem::size_of::<Bucket<A>>() + 2 * std::mem::size_of::<Time>();
+        let buckets = self.buckets.values().flat_map(|per| per.values());
+        buckets.map(|b| per_bucket + b.heap_bytes()).sum()
     }
 }
 
@@ -292,7 +183,15 @@ impl<A: AggregateFunction> WindowAggregator<A> for Buckets<A> {
 mod tests {
     use super::*;
     use gss_core::testsupport::SumI64;
+    use gss_core::WindowAggregator;
     use gss_windows::{CountTumblingWindow, SessionWindow, SlidingWindow, TumblingWindow};
+
+    impl<A: AggregateFunction> Buckets<A> {
+        /// Total number of live buckets.
+        fn bucket_count(&self) -> usize {
+            self.store.buckets.values().map(|m| m.len()).sum()
+        }
+    }
 
     fn agg_buckets(order: StreamOrder, lateness: Time) -> Buckets<SumI64> {
         Buckets::new(SumI64, BucketMode::Aggregate, order, lateness)

@@ -47,11 +47,9 @@
 
 use std::collections::VecDeque;
 
-use gss_core::{
-    AggregateFunction, HeapSize, Measure, Range, Time, WindowAggregator, WindowResult, TIME_MAX,
-    TIME_MIN,
-};
-use gss_windows::PeriodicEdges;
+use gss_core::{AggregateFunction, HeapSize, Range, Time};
+
+use crate::in_order::{fifo_store, InOrder, InOrderStore};
 
 /// FIFO aggregation queue with worst-case O(1) operations (≤ 3 combines
 /// per insert/evict, ≤ 2 per query), no inverse required.
@@ -126,14 +124,7 @@ impl<A: AggregateFunction> DabaLite<A> {
         if self.b == 0 {
             return None;
         }
-        debug_assert!(
-            self.l > 0 || self.r == self.a,
-            "head slot may not be raw (l={} r={} a={} b={})",
-            self.l,
-            self.r,
-            self.a,
-            self.b
-        );
+        debug_assert!(self.l > 0 || self.r == self.a, "the head slot may not be raw");
         let head = self.q.front().map(|(_, p)| p.clone());
         if self.l == 0 && self.r > 0 {
             // Head is in L: Σ v[0..r) ⊕ Σ v[r..b).
@@ -190,75 +181,19 @@ impl<A: AggregateFunction> DabaLite<A> {
 
 impl<A: AggregateFunction> HeapSize for DabaLite<A> {
     fn heap_bytes(&self) -> usize {
-        self.q.heap_bytes()
-            + self.mid_sum.as_ref().map_or(0, |p| p.heap_bytes())
-            + self.back_sum.as_ref().map_or(0, |p| p.heap_bytes())
+        self.q.heap_bytes() + self.mid_sum.heap_bytes() + self.back_sum.heap_bytes()
     }
 }
 
+fifo_store!(DabaLite, "DABA Lite");
+
 /// A single sliding time window served by a [`DabaLite`] queue — the
-/// worst-case-constant-time entry in the related-work table, same facade
-/// and trigger discipline as [`TwoStacksSliding`].
-///
-/// [`TwoStacksSliding`]: crate::TwoStacksSliding
-pub struct DabaLiteSliding<A: AggregateFunction> {
-    fifo: DabaLite<A>,
-    f: A,
-    edges: PeriodicEdges,
-    last_trigger: Time,
-    next_end: Time,
-    started: bool,
-}
+/// worst-case-constant-time entry in the related-work table.
+pub type DabaLiteSliding<A> = InOrder<A, DabaLite<A>>;
 
 impl<A: AggregateFunction> DabaLiteSliding<A> {
     pub fn new(f: A, length: i64, slide: i64) -> Self {
-        DabaLiteSliding {
-            fifo: DabaLite::new(f.clone()),
-            f,
-            edges: PeriodicEdges::new(length, slide),
-            last_trigger: TIME_MIN,
-            next_end: TIME_MAX,
-            started: false,
-        }
-    }
-}
-
-impl<A: AggregateFunction> WindowAggregator<A> for DabaLiteSliding<A> {
-    fn process(&mut self, ts: Time, value: A::Input, out: &mut Vec<WindowResult<A::Output>>) {
-        debug_assert!(
-            self.fifo.front_ts().is_none_or(|t| ts >= t),
-            "DABA Lite requires in-order streams"
-        );
-        if !self.started {
-            self.started = true;
-            self.last_trigger = ts;
-            self.next_end = self.edges.next_end(ts);
-        }
-        if ts >= self.next_end {
-            let mut ends: Vec<Range> = Vec::new();
-            self.edges.ends_in(self.last_trigger, ts, &mut |r| ends.push(r));
-            for r in ends {
-                while self.fifo.front_ts().is_some_and(|t| t < r.start) {
-                    self.fifo.pop();
-                }
-                if let Some(p) = self.fifo.query() {
-                    out.push(WindowResult::new(0, Measure::Time, r, self.f.lower(&p)));
-                }
-            }
-            self.last_trigger = ts;
-            self.next_end = self.edges.next_end(ts);
-        }
-        self.fifo.push(ts, &value);
-    }
-
-    fn on_watermark(&mut self, _wm: Time, _out: &mut Vec<WindowResult<A::Output>>) {}
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.fifo.heap_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "DABA Lite"
+        InOrder::sliding(f.clone(), DabaLite::new(f), length, slide)
     }
 }
 
@@ -267,6 +202,7 @@ mod tests {
     use super::*;
     use crate::two_stacks::{FifoAggregator, TwoStacksSliding};
     use gss_core::testsupport::{Concat, SumI64, SumNoInvert};
+    use gss_core::WindowAggregator;
 
     /// Recomputes every slot, boundary sum, and pointer relation from a
     /// mirror of the raw input values. With `Concat` the partials are the

@@ -18,21 +18,25 @@
 //!   FIFO aggregation \[42\], its worst-case-O(1) de-amortization DABA
 //!   Lite \[43\], and monotonic-deque extremum tracking \[40\]).
 //!
-//! All techniques reuse the same `WindowFunction` query definitions, so a
-//! benchmark swaps the technique without touching window semantics. The
-//! tuple buffer, the aggregate tree, Buckets and Cutty keep them in a
-//! [`gss_core::QuerySet`], the one the slicing operator uses: its trigger
-//! sweep, late-update rule and eviction horizon are theirs too. Pairs and
-//! Panes keep periodic edge lists of their own.
+//! The techniques differ only in how they store and combine, so each
+//! family's window manager (admission, watermark, trigger, emit, evict)
+//! is written once over the slicing operator's [`gss_core::QuerySet`].
+//! [`tuples::TupleDriver`] runs the tuple buffer, the aggregate tree and
+//! Buckets over a [`tuples::TupleStore`]; [`in_order::InOrder`] runs the
+//! slicers ([`slicer::Slices`] cut by a [`slicer::Cut`] rule) and the
+//! FIFO aggregators over an [`in_order::InOrderStore`].
 
 pub mod aggregate_tree;
 pub mod buckets;
 pub mod cutty;
 pub mod daba;
+pub mod in_order;
 pub mod pairs;
 pub mod panes;
+pub mod slicer;
 pub mod slick_deque;
 pub mod tuple_buffer;
+pub mod tuples;
 pub mod two_stacks;
 
 pub use aggregate_tree::AggregateTree;

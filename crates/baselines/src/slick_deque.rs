@@ -9,10 +9,10 @@
 
 use std::collections::VecDeque;
 
-use gss_core::{
-    HeapSize, Measure, Range, Time, WindowAggregator, WindowResult, TIME_MAX, TIME_MIN,
-};
-use gss_windows::PeriodicEdges;
+use gss_aggregates::Max;
+use gss_core::{HeapSize, Range, Time};
+
+use crate::in_order::{InOrder, InOrderStore};
 
 /// Monotonic deque maintaining the window extremum.
 pub struct MonotonicDeque {
@@ -28,22 +28,11 @@ impl MonotonicDeque {
         MonotonicDeque { deque: VecDeque::new(), is_max: true }
     }
 
-    #[cfg(test)]
-    fn new_min() -> Self {
-        MonotonicDeque { deque: VecDeque::new(), is_max: false }
-    }
-
-    fn dominates(&self, new: i64, old: i64) -> bool {
-        if self.is_max {
-            new >= old
-        } else {
-            new <= old
-        }
-    }
-
     /// Inserts a new element, discarding dominated tail elements.
     pub fn push(&mut self, ts: Time, value: i64) {
-        while self.deque.back().is_some_and(|&(_, v)| self.dominates(value, v)) {
+        let is_max = self.is_max;
+        let dominated = |old: i64| if is_max { value >= old } else { value <= old };
+        while self.deque.back().is_some_and(|&(_, v)| dominated(v)) {
             self.deque.pop_back();
         }
         self.deque.push_back((ts, value));
@@ -76,81 +65,45 @@ impl HeapSize for MonotonicDeque {
     }
 }
 
-/// One sliding time window computing min or max via a monotonic deque.
-///
-/// Implements `WindowAggregator<gss_aggregates::Max>`-compatible output
-/// shape generically over the extremum direction by emitting `i64`.
-pub struct SlickDequeSliding {
-    deque: MonotonicDeque,
-    edges: PeriodicEdges,
-    last_trigger: Time,
-    next_end: Time,
-    started: bool,
-    /// Tuples seen but not yet evictable: the deque alone under-counts
-    /// memory (dominated elements are discarded); expose its true size.
-    max_seen: Time,
+impl InOrderStore<Max> for MonotonicDeque {
+    const NAME: &'static str = "SlickDeque";
+
+    fn push(&mut self, _: &Max, ts: Time, value: &i64) {
+        MonotonicDeque::push(self, ts, *value);
+    }
+
+    fn answer(&mut self, _: &Max, range: Range) -> Option<i64> {
+        self.evict_before(range.start);
+        self.extremum()
+    }
 }
+
+/// One sliding time window computing the maximum via a monotonic deque:
+/// a `WindowAggregator<gss_aggregates::Max>`.
+pub type SlickDequeSliding = InOrder<Max, MonotonicDeque>;
 
 impl SlickDequeSliding {
     pub fn new_max(length: i64, slide: i64) -> Self {
-        Self::new(MonotonicDeque::new_max(), length, slide)
-    }
-
-    fn new(deque: MonotonicDeque, length: i64, slide: i64) -> Self {
-        SlickDequeSliding {
-            deque,
-            edges: PeriodicEdges::new(length, slide),
-            last_trigger: TIME_MIN,
-            next_end: TIME_MAX,
-            started: false,
-            max_seen: TIME_MIN,
-        }
-    }
-
-    #[cfg(test)]
-    fn deque_len(&self) -> usize {
-        self.deque.len()
-    }
-}
-
-impl WindowAggregator<gss_aggregates::Max> for SlickDequeSliding {
-    fn process(&mut self, ts: Time, value: i64, out: &mut Vec<WindowResult<i64>>) {
-        debug_assert!(ts >= self.max_seen || !self.started, "SlickDeque requires in-order streams");
-        self.max_seen = self.max_seen.max(ts);
-        if !self.started {
-            self.started = true;
-            self.last_trigger = ts;
-            self.next_end = self.edges.next_end(ts);
-        }
-        if ts >= self.next_end {
-            let mut ends: Vec<Range> = Vec::new();
-            self.edges.ends_in(self.last_trigger, ts, &mut |r| ends.push(r));
-            for r in ends {
-                self.deque.evict_before(r.start);
-                if let Some(v) = self.deque.extremum() {
-                    out.push(WindowResult::new(0, Measure::Time, r, v));
-                }
-            }
-            self.last_trigger = ts;
-            self.next_end = self.edges.next_end(ts);
-        }
-        self.deque.push(ts, value);
-    }
-
-    fn on_watermark(&mut self, _wm: Time, _out: &mut Vec<WindowResult<i64>>) {}
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.deque.heap_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "SlickDeque"
+        InOrder::sliding(Max, MonotonicDeque::new_max(), length, slide)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gss_core::WindowAggregator;
+
+    impl MonotonicDeque {
+        fn new_min() -> Self {
+            MonotonicDeque { deque: VecDeque::new(), is_max: false }
+        }
+    }
+
+    impl SlickDequeSliding {
+        fn deque_len(&self) -> usize {
+            self.store.len()
+        }
+    }
 
     #[test]
     fn deque_tracks_max() {

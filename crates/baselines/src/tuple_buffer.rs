@@ -6,163 +6,39 @@
 //! insert in the middle of the buffer — the costs the paper's Figures 9
 //! and 12 attribute to this technique.
 
-use std::collections::VecDeque;
+use gss_core::{AggregateFunction, HeapSize, StreamOrder, Time};
 
-use gss_core::{
-    window::admit, AggregateFunction, ContextEdges, Count, HeapSize, Measure, QueryId, QuerySet,
-    Range, StreamOrder, Time, WindowAggregator, WindowFunction, WindowResult, WindowRun, TIME_MIN,
-};
+use crate::tuples::{Items, Reader, Sorted, TupleDriver};
 
 /// Window aggregation over a sorted tuple ring buffer.
-pub struct TupleBuffer<A: AggregateFunction> {
-    f: A,
-    order: StreamOrder,
-    allowed_lateness: Time,
-    queries: QuerySet,
-    /// Tuples sorted by timestamp (stable for ties).
-    buffer: VecDeque<(Time, A::Input)>,
-    /// Count-measure offset of `buffer[0]`.
-    evicted: Count,
-    watermark: Time,
-    max_ts: Time,
-    first_ts: Time,
-    scratch: ContextEdges,
+pub type TupleBuffer<A> = TupleDriver<A, Sorted<A, Scan>>;
+
+/// The tuple buffer's reader: it keeps the tuples and scans each window's
+/// — the repeated computation that stream slicing avoids.
+pub struct Scan;
+
+impl HeapSize for Scan {
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 impl<A: AggregateFunction> TupleBuffer<A> {
     pub fn new(f: A, order: StreamOrder, allowed_lateness: Time) -> Self {
-        TupleBuffer {
-            f,
-            order,
-            allowed_lateness: order.lateness(allowed_lateness),
-            queries: QuerySet::default(),
-            buffer: VecDeque::new(),
-            evicted: 0,
-            watermark: TIME_MIN,
-            max_ts: TIME_MIN,
-            first_ts: TIME_MIN,
-            scratch: ContextEdges::new(),
-        }
-    }
-
-    pub fn add_query(&mut self, w: Box<dyn WindowFunction>) -> QueryId {
-        self.queries.add(w)
-    }
-
-    pub fn len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
-    }
-
-    /// Aggregates tuples in `[range.start, range.end)` by a full scan —
-    /// the repeated computation that stream slicing avoids.
-    fn aggregate_time(&self, range: Range) -> Option<A::Partial> {
-        let l = self.buffer.partition_point(|(t, _)| *t < range.start);
-        let r = self.buffer.partition_point(|(t, _)| *t < range.end);
-        self.f.lift_all(self.buffer.iter().skip(l).take(r - l).map(|(_, v)| v))
-    }
-
-    /// Aggregates tuples at absolute counts `[c1, c2)`.
-    fn aggregate_count(&self, c1: Count, c2: Count) -> Option<A::Partial> {
-        let l = c1.saturating_sub(self.evicted) as usize;
-        let r = (c2.saturating_sub(self.evicted) as usize).min(self.buffer.len());
-        if l >= r {
-            return None;
-        }
-        self.f.lift_all(self.buffer.iter().skip(l).take(r - l).map(|(_, v)| v))
-    }
-
-    /// Emits the windows due at `wm`, or with `late = Some(ts)` the fired
-    /// windows a late tuple at `ts` changes, as updates.
-    fn emit(&mut self, wm: Time, late: Option<Time>, out: &mut Vec<WindowResult<A::Output>>) {
-        let at_or_before =
-            |t| self.evicted + self.buffer.partition_point(|(u, _)| *u <= t) as Count;
-        let counted = self.queries.has(Measure::Count);
-        let mut windows: Vec<(QueryId, Measure, Range)> = Vec::new();
-        let push = |id, m, run: WindowRun| windows.extend(run.windows().map(|r| (id, m, r)));
-        if let Some(ts) = late {
-            let counts = counted.then(|| (at_or_before(ts) - 1, at_or_before(wm)));
-            self.queries.updates(ts, wm, counts, push);
-        } else {
-            let count_wm = match (counted, self.order.is_in_order()) {
-                (false, _) => 0,
-                (true, true) => self.evicted + self.buffer.len() as Count,
-                (true, false) => at_or_before(wm),
-            };
-            self.queries.trigger(wm, count_wm, self.max_ts, Some(self.first_ts), push);
-        }
-        for (query, measure, range) in windows {
-            let p = match measure {
-                Measure::Time => self.aggregate_time(range),
-                Measure::Count => self.aggregate_count(range.start as Count, range.end as Count),
-            };
-            if let Some(p) = p {
-                let (value, is_update) = (self.f.lower(&p), late.is_some());
-                out.push(WindowResult { query, measure, range, value, is_update });
-            }
-        }
-        if late.is_none() {
-            self.evict(wm);
-        }
-    }
-
-    fn evict(&mut self, wm: Time) {
-        let horizon = self.queries.horizon(wm, self.allowed_lateness);
-        let mut k = self.buffer.partition_point(|(t, _)| *t < horizon);
-        if self.queries.has(Measure::Count) {
-            let keep = self.queries.max_extent(Measure::Count) as usize;
-            k = k.min(self.buffer.len().saturating_sub(keep));
-        }
-        self.buffer.drain(..k);
-        self.evicted += k as Count;
+        TupleDriver::sorted(f, Scan, order, allowed_lateness)
     }
 }
 
-impl<A: AggregateFunction> WindowAggregator<A> for TupleBuffer<A> {
-    fn process(&mut self, ts: Time, value: A::Input, out: &mut Vec<WindowResult<A::Output>>) {
-        let ahead = self.max_ts.max(self.queries.fired_to());
-        let admitted = admit(self.order, ts, ahead, self.watermark, self.allowed_lateness);
-        let Some(revises) = admitted.revises() else { return };
-        // Track the minimum event time (not the first arrival): stragglers
-        // older than the first arrival still anchor the trigger sweep.
-        self.first_ts = if self.first_ts == TIME_MIN { ts } else { self.first_ts.min(ts) };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.queries.notify(ts, &mut scratch);
-        self.scratch = scratch;
-        if ts >= self.max_ts {
-            self.buffer.push_back((ts, value));
-            self.max_ts = ts;
-            if self.order.is_in_order() {
-                self.watermark = ts;
-                self.emit(ts, None, out);
-            }
-        } else {
-            // The costly path: shift the tail to make room (sorted insert).
-            let pos = self.buffer.partition_point(|(t, _)| *t <= ts);
-            self.buffer.insert(pos, (ts, value));
-        }
-        if revises {
-            self.emit(self.watermark, Some(ts), out);
-        }
+impl<A: AggregateFunction> Reader<A> for Scan {
+    const NAME: &'static str = "Tuple Buffer";
+    type Item = A::Input;
+
+    fn insert(&mut self, _: &A, _: usize, value: A::Input, _: bool) -> A::Input {
+        value
     }
 
-    fn on_watermark(&mut self, wm: Time, out: &mut Vec<WindowResult<A::Output>>) {
-        if wm <= self.watermark {
-            return;
-        }
-        self.watermark = wm;
-        self.emit(wm, None, out);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.buffer.heap_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "Tuple Buffer"
+    fn query(&self, f: &A, items: &Items<A::Input>, l: usize, r: usize) -> Option<A::Partial> {
+        f.lift_all(items.iter().skip(l).take(r - l).map(|(_, v)| v))
     }
 }
 
@@ -170,6 +46,7 @@ impl<A: AggregateFunction> WindowAggregator<A> for TupleBuffer<A> {
 mod tests {
     use super::*;
     use gss_core::testsupport::{Concat, SumI64};
+    use gss_core::{Range, WindowAggregator};
     use gss_windows::{CountTumblingWindow, SessionWindow, SlidingWindow, TumblingWindow};
 
     #[test]

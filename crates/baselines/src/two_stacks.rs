@@ -14,11 +14,9 @@
 
 use std::collections::VecDeque;
 
-use gss_core::{
-    AggregateFunction, HeapSize, Measure, Range, Time, WindowAggregator, WindowResult, TIME_MAX,
-    TIME_MIN,
-};
-use gss_windows::PeriodicEdges;
+use gss_core::{AggregateFunction, HeapSize, Range, Time};
+
+use crate::in_order::{fifo_store, InOrder, InOrderStore};
 
 /// FIFO aggregation queue with amortized O(1) operations.
 pub struct FifoAggregator<A: AggregateFunction> {
@@ -90,75 +88,19 @@ impl<A: AggregateFunction> FifoAggregator<A> {
 
 impl<A: AggregateFunction> HeapSize for FifoAggregator<A> {
     fn heap_bytes(&self) -> usize {
-        self.front.heap_bytes()
-            + self.back.heap_bytes()
-            + self.back_agg.as_ref().map_or(0, |p| p.heap_bytes())
+        self.front.heap_bytes() + self.back.heap_bytes() + self.back_agg.heap_bytes()
     }
 }
+
+fifo_store!(FifoAggregator, "Two-Stacks");
 
 /// A single sliding time window served by a [`FifoAggregator`] — the
 /// specialized single-query competitor from the related work.
-pub struct TwoStacksSliding<A: AggregateFunction> {
-    fifo: FifoAggregator<A>,
-    f: A,
-    edges: PeriodicEdges,
-    last_trigger: Time,
-    next_end: Time,
-    started: bool,
-}
+pub type TwoStacksSliding<A> = InOrder<A, FifoAggregator<A>>;
 
 impl<A: AggregateFunction> TwoStacksSliding<A> {
     pub fn new(f: A, length: i64, slide: i64) -> Self {
-        TwoStacksSliding {
-            fifo: FifoAggregator::new(f.clone()),
-            f,
-            edges: PeriodicEdges::new(length, slide),
-            last_trigger: TIME_MIN,
-            next_end: TIME_MAX,
-            started: false,
-        }
-    }
-}
-
-impl<A: AggregateFunction> WindowAggregator<A> for TwoStacksSliding<A> {
-    fn process(&mut self, ts: Time, value: A::Input, out: &mut Vec<WindowResult<A::Output>>) {
-        debug_assert!(
-            self.fifo.front_ts().is_none_or(|t| ts >= t),
-            "TwoStacks requires in-order streams"
-        );
-        if !self.started {
-            self.started = true;
-            self.last_trigger = ts;
-            self.next_end = self.edges.next_end(ts);
-        }
-        // Trigger every window ending in (last_trigger, ts] before adding
-        // the tuple; for each, evict elements before the window start and
-        // read the queue aggregate.
-        if ts >= self.next_end {
-            let mut ends: Vec<Range> = Vec::new();
-            self.edges.ends_in(self.last_trigger, ts, &mut |r| ends.push(r));
-            for r in ends {
-                while self.fifo.front_ts().is_some_and(|t| t < r.start) {
-                    self.fifo.pop();
-                }
-                if let Some(p) = self.fifo.query() {
-                    out.push(WindowResult::new(0, Measure::Time, r, self.f.lower(&p)));
-                }
-            }
-            self.last_trigger = ts;
-            self.next_end = self.edges.next_end(ts);
-        }
-        self.fifo.push(ts, &value);
-    }
-
-    fn on_watermark(&mut self, _wm: Time, _out: &mut Vec<WindowResult<A::Output>>) {}
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.fifo.heap_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "Two-Stacks"
+        InOrder::sliding(f.clone(), FifoAggregator::new(f), length, slide)
     }
 }
 
@@ -166,6 +108,7 @@ impl<A: AggregateFunction> WindowAggregator<A> for TwoStacksSliding<A> {
 mod tests {
     use super::*;
     use gss_core::testsupport::{Concat, SumI64};
+    use gss_core::WindowAggregator;
 
     #[test]
     fn fifo_query_matches_running_content() {

@@ -816,8 +816,10 @@ impl<A: AggregateFunction> WindowOperator<A> {
         let time_trigger = self.next_trigger_time.filter(|_| in_order_emit);
         let bound = self.next_time_edge.unwrap_or(TIME_MAX).min(time_trigger.unwrap_or(TIME_MAX));
         // A run is monotone, so one compare at its head keeps every tuple
-        // below where the sweeps have fired out of it (`admit`).
-        let floor = self.queries.fired_to();
+        // below where the sweeps have fired, or below the watermark of an
+        // in-order stream, out of it (`admit`).
+        let wm = if in_order_emit { self.watermark } else { TIME_MIN };
+        let floor = self.queries.fired_to().max(wm);
         if times[start] < self.max_ts.max(open_start).max(floor) || times[start] >= bound {
             return 0;
         }

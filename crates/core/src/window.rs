@@ -819,10 +819,12 @@ impl Admit {
 
 /// The admission rule (DESIGN.md, "The admission rule"), which every
 /// technique asks. `ahead` is the largest of the latest time seen, what
-/// the sweeps have fired and where slices have been cut; `lateness`
+/// the sweeps have fired and where slices have been cut; on an in-order
+/// stream the watermark bounds arrivals as a tuple's time does. `lateness`
 /// counts on out-of-order streams only.
 #[inline]
 pub fn admit(order: StreamOrder, ts: Time, ahead: Time, wm: Time, lateness: Time) -> Admit {
+    let ahead = if order.is_in_order() { ahead.max(wm) } else { ahead };
     if ts >= ahead {
         Admit::InOrder
     } else if order.is_in_order() || beyond_lateness(ts, wm, lateness) {
@@ -1175,6 +1177,10 @@ mod tests {
             (io, 49, 50, TIME_MIN, max, Drop),
             (io, 45, 50, 40, 100, Drop),
             (io, TIME_MIN, TIME_MAX, TIME_MIN, 0, Drop),
+            // In order, behind a watermark that ran past the data.
+            (io, 0, TIME_MIN, 1, 0, Drop),
+            (io, 59, 50, 60, max, Drop),
+            (io, 60, 50, 60, 0, InOrder),
             // Out of order: late above the watermark, revising at or below.
             (ooo, 49, 50, 40, 10, kept),
             (ooo, 41, 50, 40, 10, kept),

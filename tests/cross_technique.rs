@@ -3,6 +3,7 @@
 //! generality requirement ("without changing their input or output
 //! semantics").
 
+use general_stream_slicing::baselines::DabaLiteSliding;
 use general_stream_slicing::prelude::*;
 use gss_core::operator::WindowOperator as SlicingOp;
 use std::collections::BTreeMap;
@@ -554,17 +555,20 @@ fn no_count_window_starts_before_count_zero() {
 /// at the end of time. Each watermark passes window ends no tuple has
 /// passed: [−1, 2) and [0, 3), then [1, 4). Every technique emits them;
 /// Pairs and Cutty once ignored watermarks and emitted only [−2, 1),
-/// which R(1) triggers.
+/// which R(1) triggers, and so did Panes, Two-Stacks, DABA Lite and
+/// SlickDeque until they shared the slicers' window managers.
 #[test]
 fn a_watermark_emits_the_windows_whose_end_only_it_passes() {
-    let run = |agg: &mut dyn WindowAggregator<Sum>| {
+    fn run<A: AggregateFunction<Input = i64, Output = i64>>(
+        agg: &mut dyn WindowAggregator<A>,
+    ) -> Vec<(Time, Time, i64)> {
         let mut out = Vec::new();
         agg.process(0, 1, &mut out);
         agg.process(1, 1, &mut out);
         agg.on_watermark(3, &mut out);
         agg.on_watermark(Time::MAX - 1, &mut out);
-        out.iter().map(|r| (r.range.start, r.range.end, r.value)).collect::<Vec<_>>()
-    };
+        out.iter().map(|r| (r.range.start, r.range.end, r.value)).collect()
+    }
     let want = [(-2, 1, 1), (-1, 2, 2), (0, 3, 2), (1, 4, 1)];
     let window = || Box::new(SlidingWindow::new(3, 1)) as Box<dyn WindowFunction>;
     for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
@@ -586,7 +590,122 @@ fn a_watermark_emits_the_windows_whose_end_only_it_passes() {
     let mut pairs = Pairs::new(Sum);
     pairs.add_query(3, 1);
     assert_eq!(run(&mut pairs), want, "pairs");
+    let mut panes = Panes::new(Sum);
+    panes.add_query(3, 1);
+    assert_eq!(run(&mut panes), want, "panes");
     let mut cutty = Cutty::new(Sum);
     cutty.add_query(window());
     assert_eq!(run(&mut cutty), want, "cutty");
+    assert_eq!(run(&mut TwoStacksSliding::new(Sum, 3, 1)), want, "two-stacks");
+    assert_eq!(run(&mut DabaLiteSliding::new(Sum, 3, 1)), want, "daba lite");
+    let max = [(-2, 1, 1), (-1, 2, 1), (0, 3, 1), (1, 4, 1)];
+    assert_eq!(run(&mut SlickDequeSliding::new_max(3, 1)), max, "slickdeque");
+}
+
+/// In order, tumbling 2 and sliding (3, 1): W(1), R(0) = 2, W(1),
+/// R(1) = 10, W(5). On an in-order stream a watermark bounds arrivals as
+/// a tuple's time does, so R(0) is behind it: dropped (and counted by
+/// slicing) in every technique, per tuple and batched, and only R(1)'s
+/// windows are emitted. The tuple buffer, the aggregate tree, Buckets,
+/// Pairs and Cutty once took R(0) and emitted [−2, 1) = 2 at the second
+/// W(1), lowering their watermark to 0; slicing took it too and emitted
+/// its windows at W(5).
+#[test]
+fn an_in_order_tuple_behind_a_watermark_is_dropped() {
+    type Emitted = Vec<(QueryId, Time, Time, i64)>;
+    fn run<A: AggregateFunction<Input = i64, Output = i64>>(
+        agg: &mut dyn WindowAggregator<A>,
+        batched: bool,
+    ) -> Emitted {
+        let mut out = Vec::new();
+        agg.on_watermark(1, &mut out);
+        for (ts, value) in [(0, 2), (1, 10)] {
+            if batched {
+                agg.process_batch_columns(&[ts], &[value], &mut out);
+            } else {
+                agg.process(ts, value, &mut out);
+            }
+            agg.on_watermark(1, &mut out);
+        }
+        agg.on_watermark(5, &mut out);
+        let mut got: Emitted =
+            out.iter().map(|r| (r.query, r.range.start, r.range.end, r.value)).collect();
+        got.sort_unstable();
+        got
+    }
+    let want = [(0, 0, 2, 10), (1, -1, 2, 10), (1, 0, 3, 10), (1, 1, 4, 10)];
+    let windows = || -> [Box<dyn WindowFunction>; 2] {
+        [Box::new(TumblingWindow::new(2)), Box::new(SlidingWindow::new(3, 1))]
+    };
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
+        for batched in [false, true] {
+            let mut op = SlicingOp::new(Sum, OperatorConfig::in_order().with_policy(policy));
+            for w in windows() {
+                op.add_query(w).unwrap();
+            }
+            assert_eq!(run(&mut op, batched), want, "slicing {policy:?}, batched: {batched}");
+            assert_eq!(op.stats().dropped_late, 1, "slicing {policy:?}, batched: {batched}");
+        }
+    }
+    let mut tb = TupleBuffer::new(Sum, StreamOrder::InOrder, 0);
+    for w in windows() {
+        tb.add_query(w);
+    }
+    assert_eq!(run(&mut tb, false), want, "tuple buffer");
+    let mut at = AggregateTree::new(Sum, StreamOrder::InOrder, 0);
+    for w in windows() {
+        at.add_query(w);
+    }
+    assert_eq!(run(&mut at, false), want, "aggregate tree");
+    for mode in [BucketMode::Aggregate, BucketMode::Tuple] {
+        let mut bk = Buckets::new(Sum, mode, StreamOrder::InOrder, 0);
+        for w in windows() {
+            bk.add_query(w);
+        }
+        assert_eq!(run(&mut bk, false), want, "buckets {mode:?}");
+    }
+    let mut pairs = Pairs::new(Sum);
+    let mut panes = Panes::new(Sum);
+    for (length, slide) in [(2, 2), (3, 1)] {
+        pairs.add_query(length, slide);
+        panes.add_query(length, slide);
+    }
+    assert_eq!(run(&mut pairs, false), want, "pairs");
+    assert_eq!(run(&mut panes, false), want, "panes");
+    let mut cutty = Cutty::new(Sum);
+    for w in windows() {
+        cutty.add_query(w);
+    }
+    assert_eq!(run(&mut cutty, false), want, "cutty");
+    // One sliding (3, 1) query each: its three windows, as query 0.
+    let sliding: Emitted = want[1..].iter().map(|&(_, s, e, v)| (0, s, e, v)).collect();
+    assert_eq!(run(&mut TwoStacksSliding::new(Sum, 3, 1), false), sliding, "two-stacks");
+    assert_eq!(run(&mut DabaLiteSliding::new(Sum, 3, 1), false), sliding, "daba lite");
+    assert_eq!(run(&mut SlickDequeSliding::new_max(3, 1), false), sliding, "slickdeque");
+}
+
+/// In order, a count window of three: R(0), W(end of time), R(5), R(5).
+/// With no time window the sweeps fire only up to the data clamp (1), so
+/// R(5) is ahead of the data and of where they fired, yet behind the
+/// watermark: dropped per tuple, and dropped by the batch loop's run
+/// entry too, which would otherwise take the first R(5) as a run.
+#[test]
+fn a_batched_tuple_behind_an_in_order_watermark_is_dropped_as_per_tuple() {
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
+        for batched in [false, true] {
+            let mut op = SlicingOp::new(Sum, OperatorConfig::in_order().with_policy(policy));
+            op.add_query(Box::new(CountTumblingWindow::new(3))).unwrap();
+            let mut out = Vec::new();
+            op.process_tuple(0, 1, &mut out);
+            op.process_watermark(Time::MAX - 1, &mut out);
+            if batched {
+                op.process_batch_columns(&[5, 5], &[10, 10], &mut out);
+            } else {
+                op.process_tuple(5, 10, &mut out);
+                op.process_tuple(5, 10, &mut out);
+            }
+            assert_eq!(op.stats().dropped_late, 2, "{policy:?}, batched: {batched}");
+            assert!(out.is_empty(), "{policy:?}, batched: {batched}");
+        }
+    }
 }

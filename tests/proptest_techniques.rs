@@ -3,6 +3,7 @@
 //! in-order workloads, and the out-of-order-capable ones on randomized
 //! disordered workloads.
 
+use general_stream_slicing::baselines::DabaLiteSliding;
 use general_stream_slicing::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -31,9 +32,11 @@ fn drive_in_order(
     let mut finals = BTreeMap::new();
     for &(ts, v) in tuples {
         agg.process(ts, v, &mut out);
-        for r in out.drain(..) {
-            finals.insert((r.query, r.range.start, r.range.end), r.value);
-        }
+    }
+    // A watermark at the end of time closes the windows no tuple passed.
+    agg.on_watermark(Time::MAX - 1, &mut out);
+    for r in out {
+        finals.insert((r.query, r.range.start, r.range.end), r.value);
     }
     finals
 }
@@ -41,8 +44,9 @@ fn drive_in_order(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// In-order: all seven techniques agree with the oracle (and hence
-    /// with each other) for a random sliding-window workload.
+    /// In-order: every technique agrees with the oracle (and hence with
+    /// each other) for a random sliding-window workload, up to a watermark
+    /// at the end of time.
     #[test]
     fn every_technique_matches_oracle_in_order(
         raw in prop::collection::vec((0i64..1_500, -50i64..50), 1..150),
@@ -81,6 +85,7 @@ proptest! {
                 Box::new(c)
             }),
             ("two-stacks", Box::new(TwoStacksSliding::new(Sum, length, slide))),
+            ("daba-lite", Box::new(DabaLiteSliding::new(Sum, length, slide))),
             ("buckets", {
                 let mut b = Buckets::new(Sum, BucketMode::Aggregate, StreamOrder::InOrder, 0);
                 b.add_query(Box::new(SlidingWindow::new(length, slide)));
@@ -98,6 +103,7 @@ proptest! {
             }),
         ];
 
+        let mut first = None;
         for (name, mut agg) in make {
             let finals = drive_in_order(agg.as_mut(), &tuples);
             for ((_, start, end), v) in &finals {
@@ -107,6 +113,9 @@ proptest! {
                     "{} window [{}, {})", name, start, end
                 );
             }
+            // And each emits every window the first (lazy slicing) does.
+            let first = first.get_or_insert_with(|| finals.clone());
+            prop_assert_eq!(&finals, first, "{} emits other windows than lazy slicing", name);
         }
     }
 
@@ -127,6 +136,8 @@ proptest! {
             sd.process(ts, v, &mut o1);
             op.process_tuple(ts, v, &mut o2);
         }
+        sd.on_watermark(Time::MAX - 1, &mut o1);
+        op.process_watermark(Time::MAX - 1, &mut o2);
         let a: BTreeMap<(Time, Time), i64> =
             o1.iter().map(|r| ((r.range.start, r.range.end), r.value)).collect();
         let b: BTreeMap<(Time, Time), i64> =
