@@ -47,6 +47,14 @@ pub(crate) fn idx32(n: u32) -> usize {
     n as usize
 }
 
+/// Truncates a float position estimate (an interpolated slice guess) to
+/// an index. Float-to-integer `as` saturates (below 0 and NaN read 0),
+/// so a wild estimate becomes a far start, never a wrapped one.
+#[inline]
+pub(crate) fn f64_idx(x: f64) -> usize {
+    x as usize
+}
+
 /// Narrows a dense index (slab slot, batch position, group id) to the
 /// `u32` handle it is stored as. Callers stay far below 2^32 entries;
 /// the debug build asserts it.
@@ -73,5 +81,8 @@ mod tests {
         assert_eq!(idx32(u32::MAX), u32::MAX as usize);
         assert_eq!(slot32(0), 0);
         assert_eq!(slot32(70_000), 70_000);
+        assert_eq!(f64_idx(2.9), 2);
+        assert_eq!((f64_idx(-3.0), f64_idx(f64::NAN)), (0, 0));
+        assert_eq!(f64_idx(1e30), usize::MAX);
     }
 }

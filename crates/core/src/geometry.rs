@@ -271,44 +271,38 @@ impl SliceGeometry {
     /// in a coverage gap, `i` being the first slice after the gap — the
     /// position a slice covering `ts` is inserted at.
     ///
-    /// The search starts from a guess and gallops outwards from it. The
-    /// guess interpolates `ts` linearly between the nearest slices whose
-    /// position is known without searching: the two ends and, if given,
-    /// slice `near` (the previous late tuple's, say). A guess `d` slices
-    /// off costs `O(log d)` probes — a couple when slices are evenly long
-    /// (periodic windows) or `near` is a neighbour (a sorted burst), and
-    /// the order of a binary search at worst.
-    pub(crate) fn covering_search(&self, ts: Time, near: Option<usize>) -> Result<usize, usize> {
+    /// The search starts at `guess`, usually a [`SliceMap`]'s: it checks
+    /// slice `guess`, then its two neighbours, and only then gallops
+    /// outwards. A guess `d` slices off costs `O(log d)` probes — two or
+    /// three when slices are evenly long (periodic windows), the order of
+    /// a binary search at worst. Any guess gives the same answer, so a
+    /// map taken before the slices changed costs probes, never a wrong
+    /// slice.
+    #[inline]
+    pub(crate) fn covering_search(&self, ts: Time, guess: usize) -> Result<usize, usize> {
         let (starts, ends) = (&*self.starts, &*self.ends);
-        let Some(open) = starts.len().checked_sub(1) else {
-            return Err(0);
-        };
-        let mut below = (0, starts[0]);
-        let mut above = (open, starts[open]);
-        if let Some(i) = near {
-            let at = (i, starts[i]);
-            if ts >= at.1 {
-                below = at;
-            } else {
-                above = at;
-            }
+        if guess < ends.len() && starts[guess] <= ts && ts < ends[guess] {
+            return Ok(guess);
         }
-        let guess = if ts <= below.1 {
-            below.0
-        } else if ts >= above.1 {
-            above.0
-        } else {
-            let share = ts.abs_diff(below.1) as f64 / above.1.abs_diff(below.1) as f64;
-            below.0 + cast::idx32((share * (above.0 - below.0) as f64) as u32)
-        };
         // First slice whose end is beyond ts…
         let idx = gallop_by(ends.len(), guess, |i| ends[i] <= ts);
         // …must also start at or before ts.
-        if idx <= open && starts[idx] <= ts {
+        if idx < starts.len() && starts[idx] <= ts {
             Ok(idx)
         } else {
             Err(idx)
         }
+    }
+
+    /// The affine map through the first and the last slice's start, for
+    /// [`covering_search`](Self::covering_search)'s guesses.
+    pub(crate) fn slice_map(&self) -> SliceMap {
+        let (Some(&s0), Some(&last)) = (self.starts.first(), self.starts.last()) else {
+            return SliceMap { s0: 0, inv: 0.0 };
+        };
+        let span = last.abs_diff(s0);
+        let inv = if span == 0 { 0.0 } else { (self.len() - 1) as f64 / span as f64 };
+        SliceMap { s0, inv }
     }
 
     /// The slices `[l, r)` window `w` covers, as
@@ -638,6 +632,24 @@ impl SweepPlan {
     }
 }
 
+/// An affine guess of a time's slice position, `(ts - s0) · inv`: exact
+/// when slices are evenly long and abut, a few slices off when their
+/// lengths jitter. One subtraction, one conversion, one multiply and one
+/// truncation per guess; the division is paid once, when the map is
+/// taken. A time before `s0` guesses 0 (the conversion saturates).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SliceMap {
+    s0: Time,
+    inv: f64,
+}
+
+impl SliceMap {
+    #[inline(always)]
+    pub(crate) fn guess(self, ts: Time) -> usize {
+        cast::f64_idx(ts.saturating_sub(self.s0) as f64 * self.inv)
+    }
+}
+
 /// The partition point of `below` over positions `0..n` (true on a
 /// prefix, false after it), found by galloping outwards from `hint`.
 fn gallop_by(n: usize, hint: usize, below: impl Fn(usize) -> bool) -> usize {
@@ -717,8 +729,8 @@ mod tests {
     }
 
     /// The lookups against linear scans of the model: the covering search
-    /// from every hint, and the edge pass's bounds against
-    /// `partition_point`.
+    /// from every guess and from the slice map's, and the edge pass's
+    /// bounds against `partition_point`.
     fn assert_lookups(g: &SliceGeometry, model: &[Model], rng: &mut StdRng) {
         let n = model.len();
         let ended = |ts: Time| model.iter().take_while(|m| m.end <= ts).count();
@@ -729,8 +741,8 @@ mod tests {
             let ts = rng.gen_range(lo..hi);
             let p = ended(ts);
             let want = if p < n && model[p].start <= ts { Ok(p) } else { Err(p) };
-            for near in std::iter::once(None).chain((0..n).map(Some)) {
-                assert_eq!(g.covering_search(ts, near), want, "ts {ts} near {near:?}");
+            for guess in (0..n + 2).chain([g.slice_map().guess(ts)]) {
+                assert_eq!(g.covering_search(ts, guess), want, "ts {ts} from {guess}");
             }
         }
         // Runs of windows, some a slide apart and some alone: the walk
@@ -918,6 +930,74 @@ mod tests {
                 assert_matches(&g, &model, evicted, &format!("seed {seed} step {step}: {name}"));
                 assert_lookups(&g, &model, &mut rng);
             }
+        }
+    }
+
+    /// The search from a slice map's guess against a linear scan, for
+    /// every time in and around the slices' span and at the domain's
+    /// ends: evenly long slices, jittered ones, gaps, zero-width slices
+    /// (one time, all of them), one slice and two; and the map taken
+    /// before appends, a gap insert in front and evictions, stale.
+    #[test]
+    fn searches_from_a_map_guess_match_a_linear_scan() {
+        let scan = |g: &SliceGeometry, ts: Time| {
+            let p = (0..g.len()).take_while(|&i| g.end(i) <= ts).count();
+            if p < g.len() && g.start(p) <= ts {
+                Ok(p)
+            } else {
+                Err(p)
+            }
+        };
+        let check = |g: &SliceGeometry, map: SliceMap, what: &str| {
+            let (lo, hi) = (g.start(0), g.last_end().unwrap_or_default());
+            let edges = [TIME_MIN, TIME_MIN + 1, TIME_MAX - 1, TIME_MAX];
+            for ts in (lo - 30..hi + 30).chain(edges) {
+                let want = scan(g, ts);
+                assert_eq!(g.covering_search(ts, map.guess(ts)), want, "{what}: ts {ts}");
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(55);
+        for case in 0..300 {
+            let n = match case % 6 {
+                0 => 1,
+                1 => 2,
+                _ => rng.gen_range(3..400),
+            };
+            let shape = (case / 6) % 5;
+            let mut g = SliceGeometry::default();
+            let mut t: Time = rng.gen_range(-1_000..1_000);
+            let width = |rng: &mut StdRng| match shape {
+                0 => 10,
+                1 => rng.gen_range(5..16),
+                2 => rng.gen_range(1..20),
+                3 if rng.gen_bool(0.3) => 0,
+                3 => rng.gen_range(1..12),
+                _ => 0,
+            };
+            let append = |g: &mut SliceGeometry, t: &mut Time, rng: &mut StdRng| {
+                if shape == 2 && rng.gen_bool(0.2) {
+                    *t += rng.gen_range(1..60);
+                }
+                let w = width(rng);
+                g.push(Range::new(*t, *t + w));
+                *t += w;
+            };
+            for _ in 0..n {
+                append(&mut g, &mut t, &mut rng);
+            }
+            let what = format!("case {case}, {n} slices of shape {shape}");
+            let map = g.slice_map();
+            check(&g, map, &what);
+            for _ in 0..rng.gen_range(1..50) {
+                append(&mut g, &mut t, &mut rng);
+            }
+            check(&g, map, &format!("{what}, appended"));
+            let first = g.start(0);
+            let gap = Range::new(first - rng.gen_range(2..40), first - 1);
+            assert_eq!(g.insert_gap(gap), 0);
+            check(&g, map, &format!("{what}, gap in front"));
+            g.evict(rng.gen_range(1..g.len()));
+            check(&g, map, &format!("{what}, evicted"));
         }
     }
 

@@ -13,6 +13,7 @@ use crate::aggregator::{column_run_len, column_span_len, WindowAggregator};
 use crate::cast;
 use crate::characteristics::{SlicePlan, WorkloadCharacteristics};
 use crate::function::AggregateFunction;
+use crate::geometry::SliceMap;
 use crate::mem::HeapSize;
 use crate::result::WindowResult;
 use crate::store::{SliceStore, StorePolicy};
@@ -152,21 +153,26 @@ const PARTITION_MIN_SEEN: u64 = 4;
 /// with another slice ([`WindowOperator::resolve_late`]) or the batch
 /// ends ([`WindowOperator::flush_late`]). A slice is in at most one entry
 /// at a time, so its runs are written in the order they were opened.
-/// All vectors are scratch: empty between calls, allocations reused,
-/// nothing here is operator state.
+/// All of it is scratch, nothing here is operator state: the memo and
+/// the map are cleared by every flush, the vectors keep their
+/// allocations, and the partition's (`part_idx`, `head`) their length
+/// too, their contents meaningless between calls.
 struct LateBatch<V> {
     /// The lookup memo: the last four distinct slices resolved, entry `k`
     /// covering `[memo_start[k], memo_start[k] + memo_width[k])` (zero
     /// width when unset) at store index `memo_slot[k]`, which a gap slice
     /// inserted mid-batch shifts with the slices. Late tuples alternate
     /// among the few slices behind the stream head or arrive in sorted
-    /// bursts, so most lookups end here. `memo_last` is the entry hit or
-    /// filled last, `memo_next` the one a miss refills.
+    /// bursts, so most lookups end here. `memo_next` is the entry a miss
+    /// refills.
     memo_start: [Time; 4],
     memo_width: [u64; 4],
     memo_slot: [u32; 4],
-    memo_last: usize,
     memo_next: usize,
+    /// The slice map a miss guesses from, taken at the first miss after
+    /// a flush. Slices appended, inserted or evicted since only cost the
+    /// search probes.
+    map: Option<SliceMap>,
     /// Per memo entry: the tuples deferred through it and not yet
     /// written, in arrival order.
     times: [Vec<Time>; 4],
@@ -174,9 +180,9 @@ struct LateBatch<V> {
     /// Write scratch: one run as pairs for the sorted-run write.
     pairs: Vec<(Time, V)>,
     /// Partition scratch of a batch's disordered part
-    /// ([`WindowOperator::partition_rest`]): batch positions, in-order
-    /// ones from the front and late ones from the back in reverse arrival
-    /// order, and the in-order tuples gathered into columns.
+    /// ([`WindowOperator::partition_rest`]): the batch positions of the
+    /// late tuples and the in-order tuples as columns, each in arrival
+    /// order from the front.
     part_idx: Vec<u32>,
     head: (Vec<Time>, Vec<V>),
     /// The columns [`WindowOperator::process_batch_tuples`] unzips a pair
@@ -196,8 +202,8 @@ impl<V> LateBatch<V> {
             memo_start: [0; 4],
             memo_width: [0; 4],
             memo_slot: [0; 4],
-            memo_last: 0,
             memo_next: 0,
+            map: None,
             times: std::array::from_fn(|_| Vec::new()),
             values: std::array::from_fn(|_| Vec::new()),
             pairs: Vec::new(),
@@ -762,23 +768,24 @@ impl<A: AggregateFunction> WindowOperator<A> {
             self.stats.shifts += cast::to_u64(self.store.add_out_of_order_counted(ts, value));
             self.advance_count_edges(self.max_ts);
         } else {
-            let (idx, _) = self.late_slice_index(ts, None);
+            let guess = self.store.geometry().slice_map().guess(ts);
+            let (idx, _) = self.late_slice_index(ts, guess);
             self.store.add_out_of_order_run(idx, &[(ts, value)]);
         }
         // Behind a punctuation's slices a tuple can be the latest yet.
         self.max_ts = self.max_ts.max(ts);
     }
 
-    /// Slice index for a late tuple at `ts` in a time-tiled store (`near`
-    /// as in `SliceGeometry::covering_search`). When `ts` falls into a
-    /// coverage gap (before the first slice, or between slices after a
-    /// bounded insert), a fresh slice is created there — slices at and
-    /// after the returned index move up by one, which the second result
-    /// reports — bounded by the next window edge and the next slice so it
-    /// spans neither.
-    fn late_slice_index(&mut self, ts: Time, near: Option<usize>) -> (usize, bool) {
+    /// Slice index for a late tuple at `ts` in a time-tiled store,
+    /// searched from `guess` (`SliceGeometry::covering_search`). When `ts`
+    /// falls into a coverage gap (before the first slice, or between
+    /// slices after a bounded insert), a fresh slice is created there —
+    /// slices at and after the returned index move up by one, which the
+    /// second result reports — bounded by the next window edge and the
+    /// next slice so it spans neither.
+    fn late_slice_index(&mut self, ts: Time, guess: usize) -> (usize, bool) {
         let geometry = self.store.geometry();
-        match geometry.covering_search(ts, near) {
+        match geometry.covering_search(ts, guess) {
             Ok(idx) => (idx, false),
             Err(next) => {
                 let next_slice_start =
@@ -879,7 +886,6 @@ impl<A: AggregateFunction> WindowOperator<A> {
         if !hit(k) {
             k = self.resolve_late(late, ts);
         }
-        late.memo_last = k;
         late.times[k].push(ts);
         late.values[k].push(value.clone());
         k
@@ -910,19 +916,19 @@ impl<A: AggregateFunction> WindowOperator<A> {
 
     /// Writes the pending tuples of the memo entry next in turn to its
     /// slice, refills the entry with the slice covering `ts` — creating a
-    /// gap slice if none does — and returns it. The slice of the entry
-    /// used last is handed to the search as a known position: a sorted
-    /// burst steps to the neighbouring slice, a straggler lands near an
-    /// interpolated guess, and neither walks the slice columns.
+    /// gap slice if none does — and returns it. The search starts at the
+    /// guess of the batch's slice map, one conversion and one multiply:
+    /// no division sits in the chain of dependent loads a miss waits on.
+    /// The map is taken at the first miss after a flush, so a batch whose
+    /// late tuples all hit the memo never pays its division.
     #[cold]
     #[inline(never)]
     fn resolve_late(&mut self, late: &mut LateBatch<A::Input>, ts: Time) -> usize {
         let k = late.memo_next;
         late.memo_next = (k + 1) % late.memo_slot.len();
         self.write_late(late, k);
-        let last = late.memo_last;
-        let near = (late.memo_width[last] > 0).then(|| cast::idx32(late.memo_slot[last]));
-        let (idx, inserted) = self.late_slice_index(ts, near);
+        let map = *late.map.get_or_insert_with(|| self.store.geometry().slice_map());
+        let (idx, inserted) = self.late_slice_index(ts, map.guess(ts));
         if inserted {
             // Slices at and after the gap slice moved up by one.
             let from = cast::slot32(idx);
@@ -992,6 +998,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             self.write_late(&mut late, k);
         }
         late.memo_width = [0; 4];
+        late.map = None;
         self.late = Some(late);
         self.store.flush_eager_repairs();
     }
@@ -1000,10 +1007,11 @@ impl<A: AggregateFunction> WindowOperator<A> {
     /// pass splits it into its in-order subsequence — the tuples at or
     /// above the running maximum, as `max_ts` classifies them per tuple —
     /// and the late rest (at 50 % late a late/in-order branch is
-    /// mispredicted every other tuple). The in-order tuples are gathered
-    /// into columns and committed run by run, cut at slice edges exactly
-    /// where the per-tuple slicer cuts; the late ones are then deferred
-    /// in arrival order. The passes cost every tuple about what
+    /// mispredicted every other tuple), writing the in-order tuples
+    /// straight into columns and only the late ones' positions to the
+    /// index. The in-order columns are committed run by run, cut at slice
+    /// edges exactly where the per-tuple slicer cuts; the late tuples are
+    /// then deferred in arrival order. The passes cost every tuple about what
     /// [`run_len`](Self::run_len) and a store touch cost a whole stretch,
     /// so the batch loop comes here only once stretches are short.
     ///
@@ -1026,23 +1034,25 @@ impl<A: AggregateFunction> WindowOperator<A> {
         let len = times.len();
         debug_assert!(u32::try_from(len).is_ok(), "batch exceeds u32 index space");
         let mut idx = std::mem::take(&mut late.part_idx);
+        let (mut head_times, mut head_values) = std::mem::take(&mut late.head);
         if idx.len() < len {
+            // `len > 0` here, so the batch has a first value to fill with.
             idx.resize(len, 0);
+            head_times.resize(len, 0);
+            head_values.resize(len, values[0].clone());
         }
-        let (ik, prev, min_ts) = classify(times, &mut idx, self.max_ts);
+        let (ik, prev, min_ts) =
+            classify(times, values, self.max_ts, &mut head_times, &mut head_values, &mut idx);
         let lk = len - ik;
         // A tuple at or below the watermark, late or not, revises.
         let applies = min_ts > self.watermark;
         if applies {
-            // In-order half: one gather pass, then bulk run commits.
-            let (head_times, head_values) = &mut late.head;
-            head_times.extend(idx[..ik].iter().map(|&j| times[cast::idx32(j)]));
-            head_values.extend(idx[..ik].iter().map(|&j| values[cast::idx32(j)].clone()));
+            // In-order half: bulk run commits from the head columns.
             let mut a = 0;
             while a < ik {
                 // The head is sorted, so the run scan stops at the edge.
                 let b = match self.next_time_edge {
-                    Some(edge) => a + column_run_len(&head_times[a..], edge),
+                    Some(edge) => a + column_run_len(&head_times[a..ik], edge),
                     None => ik,
                 };
                 if b == a {
@@ -1057,10 +1067,8 @@ impl<A: AggregateFunction> WindowOperator<A> {
                 a = b;
             }
             self.max_ts = prev;
-            head_times.clear();
-            head_values.clear();
             // Late half, in arrival order.
-            for &j in idx[len - lk..len].iter().rev() {
+            for &j in &idx[..lk] {
                 let j = cast::idx32(j);
                 self.defer_late(&mut late, times[j], &values[j]);
             }
@@ -1068,6 +1076,7 @@ impl<A: AggregateFunction> WindowOperator<A> {
             self.stats.ooo_tuples += lk as u64;
         }
         late.part_idx = idx;
+        late.head = (head_times, head_values);
         self.late = Some(late);
         applies
     }
@@ -1231,25 +1240,35 @@ fn stretch_cap(may_partition: bool, late: u64, in_order: u64) -> usize {
 }
 
 /// The classification pass of `WindowOperator::partition_rest`: writes
-/// the positions of `times` that are in order — at or above the running
-/// maximum, starting from `max_ts` — to the front of `idx` and the late
-/// ones to its back, in reverse arrival order. Two unconditional stores
-/// per tuple; only the counters depend on the data. Returns the in-order
-/// count, the running maximum at the end and the smallest time. Out of
-/// line, its counters stay in registers rather than spill around the
-/// batch loop's.
+/// each in-order tuple — at or above the running maximum, starting from
+/// `max_ts` — to the front of `head_times` / `head_values`, and the
+/// position of each late one to the front of `idx`, both in arrival
+/// order. Three unconditional stores per tuple (a late tuple's head slot
+/// is overwritten by the next in-order one); only the counters depend on
+/// the data. Returns the in-order count, the running maximum at the end
+/// and the smallest time. Out of line, its counters stay in registers
+/// rather than spill around the batch loop's.
 #[inline(never)]
-fn classify(times: &[Time], idx: &mut [u32], max_ts: Time) -> (usize, Time, Time) {
+fn classify<V: Clone>(
+    times: &[Time],
+    values: &[V],
+    max_ts: Time,
+    head_times: &mut [Time],
+    head_values: &mut [V],
+    idx: &mut [u32],
+) -> (usize, Time, Time) {
     let len = times.len();
-    let idx = &mut idx[..len];
+    let (head_times, head_values, idx) =
+        (&mut head_times[..len], &mut head_values[..len], &mut idx[..len]);
     let (mut ik, mut lk) = (0, 0);
     let (mut prev, mut min_ts) = (max_ts, TIME_MAX);
-    for (j, &ts) in times.iter().enumerate() {
+    for (j, (&ts, value)) in times.iter().zip(&values[..len]).enumerate() {
         let is_late = ts < prev;
         prev = prev.max(ts);
         min_ts = min_ts.min(ts);
-        idx[ik] = j as u32;
-        idx[len - 1 - lk] = j as u32;
+        head_times[ik] = ts;
+        head_values[ik] = value.clone();
+        idx[lk] = j as u32;
         ik += usize::from(!is_late);
         lk += usize::from(is_late);
     }

@@ -552,6 +552,120 @@ where
 /// only the outage burst reaches below the watermark.
 const LAG: Time = 1_500 + 1_200 + 16;
 
+/// A cold start: a few in-order tuples, then a sorted burst before the
+/// first slice with stragglers before it and among it — each of them a
+/// gap slice in front of every slice the batch's slice map was taken
+/// over, the map's worst case — then an in-order head with one tuple in
+/// seven a straggler up to `max_delay` late.
+fn cold_start_stream(seed: u64, max_delay: u64) -> Vec<(Time, i64)> {
+    const START: Time = 100_000;
+    let mut r = Mix(seed);
+    let value = |r: &mut Mix| r.below(100) as i64 - 50;
+    let mut out: Vec<(Time, i64)> = (0..8).map(|j| (START + 2 * j, value(&mut r))).collect();
+    for k in 0..400 {
+        out.push((START - 800 + 2 * k, value(&mut r)));
+        if r.below(4) == 0 {
+            out.push((START - 1 - r.below(1_200) as Time, value(&mut r)));
+        }
+    }
+    for j in 8..10_000 {
+        let late = if r.below(7) == 0 { 1 + r.below(max_delay) as Time } else { 0 };
+        out.push((START + 2 * j - late, value(&mut r)));
+    }
+    out
+}
+
+/// [`cold_start_stream`] in batches of 4 096, a watermark trailing the
+/// head by `lag` after each, against per-tuple processing, on both
+/// stores and through both entries (pairs and columns): the same results
+/// and slices, the same slices created; and the two entries write the
+/// same late runs through the same kernels on either store (per-tuple
+/// processing writes no late runs, so its `late_slices` reads 0). The
+/// lag keeps more than 1 000 slices live and every straggler above the
+/// watermark.
+fn check_cold_start<A>(f: A, stream: &[(Time, i64)], lengths: &[Time], lag: Time)
+where
+    A: AggregateFunction<Input = i64> + Clone,
+    A::Output: PartialEq + std::fmt::Debug + Clone,
+    A::Partial: PartialEq + std::fmt::Debug,
+{
+    const BATCH: usize = 4_096;
+    let drive = |policy: StorePolicy, batch: Option<bool>| {
+        let cfg = OperatorConfig::out_of_order(lag).with_policy(policy);
+        let mut op = WindowOperator::new(f.clone(), cfg);
+        for &l in lengths {
+            op.add_query(Box::new(TumblingWindow::new(l))).unwrap();
+        }
+        let mut out = Vec::new();
+        let mut head = Time::MIN;
+        let mut live_peak = 0;
+        for chunk in stream.chunks(BATCH) {
+            match batch {
+                None => chunk.iter().for_each(|&(ts, v)| op.process_tuple(ts, v, &mut out)),
+                Some(false) => op.process_batch_tuples(chunk, &mut out),
+                Some(true) => {
+                    let (times, values): (Vec<Time>, Vec<i64>) = chunk.iter().copied().unzip();
+                    op.process_batch_columns(&times, &values, &mut out);
+                }
+            }
+            live_peak = live_peak.max(op.slice_count());
+            head = head.max(chunk.iter().map(|t| t.0).max().unwrap_or(head));
+            op.process_watermark(head - lag, &mut out);
+        }
+        let slices: Vec<_> =
+            op.store().slices().map(|s| (s.range(), s.len(), s.aggregate().cloned())).collect();
+        op.process_watermark(Time::MAX - 1, &mut out);
+        let rows: Vec<_> = out
+            .iter()
+            .map(|r| (r.query, r.range.start, r.range.end, r.value.clone(), r.is_update))
+            .collect();
+        (rows, slices, *op.stats(), live_peak)
+    };
+    let (want, want_slices, want_stats, live_peak) = drive(StorePolicy::Lazy, None);
+    assert!(live_peak > 1_000, "{live_peak} live slices at most");
+    assert_eq!(want_stats.dropped_late, 0);
+    let mut batch_stats = None;
+    for policy in [StorePolicy::Lazy, StorePolicy::Eager] {
+        let runs = [drive(policy, None), drive(policy, Some(false)), drive(policy, Some(true))];
+        for (entry, (rows, slices, stats, _)) in ["per tuple", "pairs", "columns"].iter().zip(&runs)
+        {
+            assert_eq!(rows, &want, "{policy:?} {entry}: results");
+            assert_eq!(slices, &want_slices, "{policy:?} {entry}: slices");
+            assert_eq!(
+                (stats.tuples, stats.ooo_tuples, stats.slices_created),
+                (want_stats.tuples, want_stats.ooo_tuples, want_stats.slices_created),
+                "{policy:?} {entry}"
+            );
+        }
+        let ((_, _, pairs, _), (_, _, columns, _)) = (&runs[1], &runs[2]);
+        assert_eq!(pairs, columns, "{policy:?}: pair and column stats");
+        assert!(columns.late_slices > 0, "{policy:?}: nothing deferred");
+        assert_eq!(batch_stats.get_or_insert(*columns), columns, "{policy:?}: stats across stores");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// [`check_cold_start`] under a kernel fold with tuples dropped
+    /// (`Sum`) and the sorted-run write of a tuple-keeping
+    /// non-commutative fold (`Concat`): one tumbling query of width 1 or
+    /// 2, or two, whose slices are unevenly long.
+    #[test]
+    fn a_cold_start_with_gap_slices_and_scattered_stragglers_matches_per_tuple(
+        seed in 0u64..100_000,
+        length in 1i64..3,
+        second in 0i64..6,
+        max_delay in 50u64..2_500,
+    ) {
+        use general_stream_slicing::core::testsupport::Concat;
+        let stream = cold_start_stream(seed, max_delay);
+        let lengths: Vec<Time> = if second > length { vec![length, second] } else { vec![length] };
+        check_cold_start(Sum, &stream, &lengths, 3_000);
+        check_cold_start(Concat, &stream, &lengths, 3_000);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
